@@ -227,11 +227,10 @@ func runJSON(out, baseline string, tol float64, calls int, seed uint64) int {
 		fmt.Fprintf(os.Stderr, "pgasbench: %v\n", err)
 		return 1
 	}
-	// SimRacy is the per-racy-iteration budget for async records carrying
-	// RacyOps; SimAsync remains only as the fallback for baselines
-	// predating the racy_ops field.
+	// SimRacy is the per-racy-iteration budget for async records (all of
+	// which carry RacyOps).
 	regressions := report.CompareBench(base, rep, report.Tolerances{
-		Wall: tol, Sim: 1.05, SimAsync: 2, SimRacy: 1.2, AllocSlack: 2,
+		Wall: tol, Sim: 1.05, SimRacy: 1.2, AllocSlack: 2,
 	})
 	for _, r := range regressions {
 		fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)

@@ -13,8 +13,7 @@
 //
 // The server is inproc-only: batched queries are host-driven and change
 // shape per request, which cannot keep SPMD symmetry across wire
-// replicas, so -transport exists for flag parity but accepts only
-// "inproc".
+// replicas, so there is no -transport flag.
 package main
 
 import (
@@ -37,9 +36,6 @@ func main() {
 	nodes, tpn := cliflag.Geometry(nil, 4, 2)
 	verify := flag.Bool("verify", false, "differentially verify every incremental label update against a from-scratch recompute")
 	modern := flag.Bool("modern", false, "calibrate the simulated cluster as ModernCluster instead of the paper's")
-	cliflag.Transport(nil,
-		"fabric backend: inproc only (dynamic query batches cannot keep SPMD symmetry across wire replicas)",
-		"inproc")
 	flag.Parse()
 
 	if *socket == "" {

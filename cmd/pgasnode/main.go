@@ -5,9 +5,9 @@
 //	-job battery   the wire battery — the transport-conformance subset of
 //	               the verification harness (the default)
 //	-job cc        a supervised connected-components soak: every round runs
-//	               the hardened CC kernel under the recovery supervisor, so
-//	               a peer-process death mid-kernel is detected, agreed on,
-//	               and recovered from on the surviving geometry
+//	               the CC kernel under the recovery supervisor, so a
+//	               peer-process death mid-kernel is detected, agreed on, and
+//	               recovered from on the surviving geometry
 //
 // Every process samples the same trials from the same seed, so the cluster
 // executes one program in lockstep with real inter-process data movement.
@@ -355,7 +355,7 @@ func runOneCheck(c verify.Check, t *verify.Trial, tr pgas.Transport) (err error)
 }
 
 // runCCJob is the supervised soak: every round builds a fresh hybrid graph
-// from the shared seed and runs the hardened CC kernel under the recovery
+// from the shared seed and runs the CC kernel under the recovery
 // supervisor on whatever geometry currently survives. A peer death mid-round
 // rolls the round back onto the shrunk cluster and re-executes; the next
 // round starts directly on the survivors. The digest folds every round's
@@ -389,11 +389,10 @@ func runCCJob(o options, tr *wiretransport.Transport) int {
 		}
 		var res *cc.Result
 		rep, err := recovery.Run(rt, &recovery.Config{MinThreads: 1}, func(rt *pgas.Runtime, comm *collective.Comm) error {
-			r, e := cc.CoalescedE(rt, comm, g, &cc.Options{})
-			if e == nil {
-				res = r
-			}
-			return e
+			// A classified failure panics out of the kernel; the
+			// supervisor turns it into the rollback or the error below.
+			res = cc.Coalesced(rt, comm, g, &cc.Options{})
+			return nil
 		})
 		if err != nil {
 			if tr.SelfEvicted() {

@@ -120,17 +120,19 @@ func TestCrossKernelConsistency(t *testing.T) {
 // wall at the public surface: on every partition scheme, every CC kernel
 // (Bader-Cong/Coalesced, SV, FastSV, and each Liu-Tarjan variant) must
 // produce bit-identical canonical labels — both dispatched by name
-// through Cluster.Run and via the direct methods — and the labels must
-// not depend on the scheme either.
+// through Cluster.Run and via the direct methods, with edge compaction on
+// and off — and the labels must not depend on the scheme either. The
+// sparse input (m = n) is the one FastSV with Compact used to mislabel.
 func TestCCFamilyAcrossSchemes(t *testing.T) {
 	g := Disjoint3(t)
 	rmat := PermuteVertices(RMATGraph(8, 500, 0.45, 0.25, 0.15, 0.15, 17), 5)
+	sparse := RandomGraph(1024, 1024, 7134611160154358618)
 
 	for _, tg := range []struct {
 		name string
 		g    *Graph
-	}{{"disjoint3", g}, {"rmat", rmat}} {
-		var ref []int64 // scheme- and kernel-independent reference labels
+	}{{"disjoint3", g}, {"rmat", rmat}, {"sparse", sparse}} {
+		ref := SequentialCC(tg.g) // scheme-, kernel- and option-independent
 		for _, scheme := range []struct {
 			name string
 			spec func(*Graph) PartitionSpec
@@ -156,37 +158,36 @@ func TestCCFamilyAcrossSchemes(t *testing.T) {
 			}
 			kernels := []struct {
 				name string
-				run  func(c *Cluster) *CCResult
+				run  func(c *Cluster, o *CCOptions) *CCResult
 			}{
-				{"coalesced", func(c *Cluster) *CCResult { return c.CCCoalesced(tg.g, OptimizedCC(2)) }},
-				{"sv", func(c *Cluster) *CCResult { return c.CCSV(tg.g, OptimizedCC(2)) }},
-				{"fastsv", func(c *Cluster) *CCResult { return c.CCFastSV(tg.g, OptimizedCC(2)) }},
-				{"lt-prs", func(c *Cluster) *CCResult { return c.CCLiuTarjan(tg.g, LTPRS, OptimizedCC(2)) }},
-				{"lt-pus", func(c *Cluster) *CCResult { return c.CCLiuTarjan(tg.g, LTPUS, OptimizedCC(2)) }},
-				{"lt-ers", func(c *Cluster) *CCResult { return c.CCLiuTarjan(tg.g, LTERS, OptimizedCC(2)) }},
+				{"coalesced", func(c *Cluster, o *CCOptions) *CCResult { return c.CCCoalesced(tg.g, o) }},
+				{"sv", func(c *Cluster, o *CCOptions) *CCResult { return c.CCSV(tg.g, o) }},
+				{"fastsv", func(c *Cluster, o *CCOptions) *CCResult { return c.CCFastSV(tg.g, o) }},
+				{"lt-prs", func(c *Cluster, o *CCOptions) *CCResult { return c.CCLiuTarjan(tg.g, LTPRS, o) }},
+				{"lt-pus", func(c *Cluster, o *CCOptions) *CCResult { return c.CCLiuTarjan(tg.g, LTPUS, o) }},
+				{"lt-ers", func(c *Cluster, o *CCOptions) *CCResult { return c.CCLiuTarjan(tg.g, LTERS, o) }},
 			}
 			for _, k := range kernels {
-				res := k.run(newCluster())
-				if ref == nil {
-					ref = res.Labels
-				}
-				for i := range ref {
-					if res.Labels[i] != ref[i] {
-						t.Fatalf("%s/%s on %s: label[%d] = %d, reference labeling says %d",
-							k.name, scheme.name, tg.name, i, res.Labels[i], ref[i])
+				for _, compact := range []bool{false, true} {
+					res := k.run(newCluster(), &CCOptions{Col: OptimizedCollectives(2), Compact: compact})
+					for i := range ref {
+						if res.Labels[i] != ref[i] {
+							t.Fatalf("%s/%s compact=%v on %s: label[%d] = %d, reference labeling says %d",
+								k.name, scheme.name, compact, tg.name, i, res.Labels[i], ref[i])
+						}
 					}
-				}
-				// The same kernel dispatched by name must agree too.
-				disp, err := newCluster().Run(KernelSpec{
-					Kernel: "cc/" + k.name, Graph: tg.g, Col: OptimizedCollectives(2), Compact: true,
-				})
-				if err != nil {
-					t.Fatalf("%s/%s on %s: dispatch: %v", k.name, scheme.name, tg.name, err)
-				}
-				for i := range ref {
-					if disp.Labels[i] != ref[i] {
-						t.Fatalf("cc/%s dispatched on %s/%s: label[%d] = %d, want %d",
-							k.name, scheme.name, tg.name, i, disp.Labels[i], ref[i])
+					// The same kernel dispatched by name must agree too.
+					disp, err := newCluster().Run(KernelSpec{
+						Kernel: "cc/" + k.name, Graph: tg.g, Col: OptimizedCollectives(2), Compact: compact,
+					})
+					if err != nil {
+						t.Fatalf("%s/%s on %s: dispatch: %v", k.name, scheme.name, tg.name, err)
+					}
+					for i := range ref {
+						if disp.Labels[i] != ref[i] {
+							t.Fatalf("cc/%s compact=%v dispatched on %s/%s: label[%d] = %d, want %d",
+								k.name, compact, scheme.name, tg.name, i, disp.Labels[i], ref[i])
+						}
 					}
 				}
 			}

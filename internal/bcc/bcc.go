@@ -51,6 +51,12 @@ const inf = int64(math.MaxInt64)
 
 // TarjanVishkin computes the decomposition of g. opts configures the
 // collectives of every distributed phase (nil for defaults).
+//
+// Recoverable state (pgas.Registrar): none. The pipeline chains four
+// sub-kernels (spanning forest, Euler tour, extrema, auxiliary CC) whose
+// outputs feed each other through host-side staging; no single superstep
+// boundary captures a resumable whole-pipeline state, so after an
+// eviction BCC recovers by full deterministic re-execution.
 func TarjanVishkin(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *collective.Options) *Result {
 	n := g.N
 	m := g.M()

@@ -71,6 +71,12 @@ func SeqDistances(g *graph.Graph, src int64) []int64 {
 // per level: each thread expands its owned frontier along its CSR rows and
 // routes the neighbor candidates to their owners, which claim unvisited
 // vertices into the next frontier.
+//
+// Recoverable state (pgas.Registrar): none, for Naive as well. dist is
+// monotone, but the frontier is not reconstructible from an arbitrary
+// superstep cut — a restored dist with no frontier strands the traversal
+// short of the fringe and would silently truncate distances. After an
+// eviction BFS recovers by full deterministic re-execution.
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src int64, colOpts *collective.Options) *Result {
 	col := sanitize(colOpts)
 	csr := graph.BuildCSR(g)

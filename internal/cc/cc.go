@@ -9,6 +9,8 @@
 //     and all collective options.
 //   - SV: the classic Shiloach-Vishkin algorithm rewritten with
 //     collectives (Figure 3's third series).
+//   - SV, FastSV and the LiuTarjan variants are one hook-and-jump round
+//     (labelRounds) with an interchangeable hookRule.
 //
 // All kernels maintain the invariant that labels only decrease from the
 // identity labeling (grafts and shortcuts are minimum writes), which makes
@@ -29,6 +31,16 @@ import (
 // maxIterations bounds kernel iterations; the kernels converge in
 // O(log n) rounds, so hitting the bound indicates a bug and panics.
 const maxIterations = 512
+
+// Checkpoint registration names of the label kernels' D arrays. The
+// per-entry-point names keep snapshots from different kernels in one
+// supervised body from contaminating each other; FastSV, the Liu-Tarjan
+// variants and Incremental name theirs beside their kernels.
+const (
+	CkptNaiveD     = "cc.naive.D"
+	CkptCoalescedD = "cc.coalesced.D"
+	CkptSVD        = "cc.sv.D"
+)
 
 // Result is the outcome of one CC run.
 type Result struct {
@@ -108,6 +120,10 @@ func finish(d *pgas.SharedArray, iters int, run *pgas.Result) *Result {
 // irregular access is an individual one-sided operation. With a
 // single-node runtime this is the paper's CC-SMP baseline; with a
 // multi-node runtime it is CC-UPC of Figure 2.
+//
+// Recoverable state (pgas.Registrar): D, under CkptNaiveD — monotone
+// labels over a fully rescanned edge list, so a restored snapshot (also
+// one re-blocked over fewer threads) converges to the same answer.
 func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
@@ -185,6 +201,9 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 // publish are paid once for the whole run instead of once per iteration,
 // with bit-identical labels. Compaction shrinks the request vector, so
 // that variant stays on the one-shot path (with its warm IDCache).
+//
+// Recoverable state (pgas.Registrar): D, under CkptCoalescedD, for the
+// same reason as Naive.
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
@@ -265,7 +284,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 
 			// Synchronous pointer jumping until all trees are rooted
 			// stars.
-			shortcut(th, comm, d, col, red, jumpIdx, jumpVal, dLo)
+			comm.PointerJump(th, d, col, red, jumpIdx, jumpVal, dLo)
 
 			// Compact: an edge whose endpoints shared a label this
 			// iteration is dead forever (labels merge monotonically).
@@ -295,56 +314,6 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	return finish(d, iterations, run)
 }
 
-// shortcut applies synchronous pointer jumping (D[i] <- D[D[i]] in lock
-// step) until all trees are rooted stars, using one GetD per level. Only
-// vertices not yet pointing at a root stay active: within a shortcut
-// phase no grafting happens, so a root can never move and a vertex whose
-// label did not change is finished. jumpIdx/jumpVal are span-sized
-// scratch buffers; dLo is the thread's block base.
-func shortcut(th *pgas.Thread, comm *collective.Comm, d *pgas.SharedArray,
-	col *collective.Options, red *pgas.OrReducer, jumpIdx, jumpVal []int64, dLo int64) {
-	span := int64(len(jumpIdx))
-	raw := d.Raw()
-	active := make([]int64, span)
-	for i := int64(0); i < span; i++ {
-		active[i] = dLo + i
-	}
-	th.ChargeSeq(sim.CatWork, span)
-	for level := 0; ; level++ {
-		if level >= maxIterations {
-			panic(fmt.Sprintf("cc: shortcut exceeded %d levels", maxIterations))
-		}
-		// Read the active vertices' labels (private pointer arithmetic
-		// when localcpy is on, shared-pointer overhead otherwise).
-		k := int64(len(active))
-		for j, v := range active {
-			jumpIdx[j] = raw[v]
-		}
-		th.ChargeSeq(sim.CatCopy, k)
-		if !col.LocalCpy {
-			th.ChargeSharedPtr(sim.CatCopy, k)
-		}
-		// One jump level: fetch the label of every label.
-		comm.GetD(th, d, jumpIdx[:k], jumpVal[:k], col, nil)
-		w := 0
-		for j, v := range active {
-			if jumpVal[j] != jumpIdx[j] {
-				d.StoreRaw(v, jumpVal[j])
-				active[w] = v
-				w++
-			}
-		}
-		active = active[:w]
-		th.ChargeSeq(sim.CatCopy, 2*k)
-		if !col.LocalCpy {
-			th.ChargeSharedPtr(sim.CatCopy, k)
-		}
-		if !red.Reduce(th, w > 0) {
-			return
-		}
-	}
-}
-
 // SV runs the Shiloach-Vishkin algorithm rewritten with collectives: per
 // iteration one grandparent fetch, conditional min-hooks, and a single
 // pointer-jump level (rather than CC's full collapse). More collective
@@ -353,127 +322,27 @@ func shortcut(th *pgas.Thread, comm *collective.Comm, d *pgas.SharedArray,
 // always win, which preserves SV's O(log n)-style convergence while being
 // exact under concurrent (priority CRCW) writes.
 func SV(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
-	d := rt.NewSharedArray("D", g.N)
-	d.FillIdentity()
-	pgas.Register(rt, CkptSVD, d)
-	red := pgas.NewOrReducer(rt)
-	col := opts.col()
-	compact := opts.compact()
-	m := g.M()
-	iterations := 0
+	return labelRounds(rt, comm, g, opts, &svRule)
+}
 
-	run := rt.Run(func(th *pgas.Thread) {
-		lo, hi := th.Span(m)
-		live := make([]int64, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			live = append(live, e)
-		}
-		dLo, dHi := d.ThreadCover(th.ID)
-		span := dHi - dLo
-		th.ChargeSeq(sim.CatWork, span)
-
-		endIdx := make([]int64, 0, 2*len(live))
-		endVal := make([]int64, 0, 2*len(live))
-		gpVal := make([]int64, 0, 2*len(live))
-		setIdx := make([]int64, 0, 2*len(live))
-		setVal := make([]int64, 0, 2*len(live))
-		jumpIdx := make([]int64, span)
-		jumpVal := make([]int64, span)
-		prev := make([]int64, span)
-		var endpointCache collective.IDCache
-		th.Barrier()
-
-		for iter := 0; ; iter++ {
-			if iter >= maxIterations {
-				panic(fmt.Sprintf("cc: SV exceeded %d iterations", maxIterations))
+var svRule = hookRule{
+	name: "cc/sv", ckpt: CkptSVD,
+	grandparents: true, opsPerEdge: 2, perCallSort: true,
+	// D[D[v]] <- min D[u] and symmetrically. The grandparent value prunes
+	// requests that cannot win.
+	hooks: func(_, par, gp, setIdx, setVal []int64) ([]int64, []int64) {
+		for j := 0; j < len(par); j += 2 {
+			du, dv := par[j], par[j+1]
+			ddu, ddv := gp[j], gp[j+1]
+			if du < ddv {
+				setIdx = append(setIdx, dv)
+				setVal = append(setVal, du)
 			}
-			// Snapshot the owned block to detect global change later.
-			raw := d.Raw()
-			for i := int64(0); i < span; i++ {
-				prev[i] = raw[dLo+i]
-			}
-			th.ChargeSeq(sim.CatWork, span)
-
-			// Round 1: parents of both endpoints.
-			k := len(live)
-			endIdx = endIdx[:0]
-			for _, e := range live {
-				endIdx = append(endIdx, int64(g.U[e]), int64(g.V[e]))
-			}
-			endVal = endVal[:2*k]
-			th.ChargeSeq(sim.CatWork, 2*int64(k))
-			comm.GetD(th, d, endIdx, endVal, col, &endpointCache)
-
-			// Round 2: grandparents (labels of the labels).
-			gpVal = gpVal[:2*k]
-			comm.GetD(th, d, endVal, gpVal, col, nil)
-
-			// Hooks: D[D[v]] <- min(D[u]) and symmetrically. The
-			// grandparent value prunes requests that cannot win.
-			setIdx, setVal = setIdx[:0], setVal[:0]
-			for j := 0; j < k; j++ {
-				du, dv := endVal[2*j], endVal[2*j+1]
-				ddu, ddv := gpVal[2*j], gpVal[2*j+1]
-				if du < ddv {
-					setIdx = append(setIdx, dv)
-					setVal = append(setVal, du)
-				}
-				if dv < ddu {
-					setIdx = append(setIdx, du)
-					setVal = append(setVal, dv)
-				}
-			}
-			th.ChargeOps(sim.CatWork, 2*int64(k))
-			comm.SetDMin(th, d, setIdx, setVal, col, nil)
-
-			// Single pointer-jump level.
-			raw = d.Raw()
-			for i := int64(0); i < span; i++ {
-				jumpIdx[i] = raw[dLo+i]
-			}
-			th.ChargeSeq(sim.CatCopy, span)
-			comm.GetD(th, d, jumpIdx[:span], jumpVal[:span], col, nil)
-			for i := int64(0); i < span; i++ {
-				if jumpVal[i] != jumpIdx[i] {
-					d.StoreRaw(dLo+i, jumpVal[i])
-				}
-			}
-			th.ChargeSeq(sim.CatCopy, 2*span)
-
-			// Compact dead edges (both grandparents equal means the
-			// endpoints' components have merged).
-			if compact {
-				w := 0
-				for j := 0; j < k; j++ {
-					if endVal[2*j] != endVal[2*j+1] {
-						live[w] = live[j]
-						w++
-					}
-				}
-				if w != k {
-					live = live[:w]
-					endpointCache.Invalidate()
-				}
-				th.ChargeSeq(sim.CatWork, int64(k))
-			}
-
-			// Change detection: did any owned label move this round?
-			changed := false
-			raw = d.Raw()
-			for i := int64(0); i < span; i++ {
-				if raw[dLo+i] != prev[i] {
-					changed = true
-					break
-				}
-			}
-			th.ChargeSeq(sim.CatWork, span)
-			if !red.Reduce(th, changed) {
-				if th.ID == 0 {
-					iterations = iter + 1
-				}
-				return
+			if dv < ddu {
+				setIdx = append(setIdx, du)
+				setVal = append(setVal, dv)
 			}
 		}
-	})
-	return finish(d, iterations, run)
+		return setIdx, setVal
+	},
 }

@@ -239,10 +239,14 @@ func TestFastSVSeedsIncremental(t *testing.T) {
 }
 
 // TestLiuTarjanInvalidVariant: an out-of-range variant must classify as
-// misuse through LiuTarjanE, not panic the caller.
+// misuse (pgas.Recover turns it into an error), not an unclassified panic.
 func TestLiuTarjanInvalidVariant(t *testing.T) {
 	rt := newRuntime(t, 1, 2)
-	_, err := LiuTarjanE(rt, collective.NewComm(rt), graph.Path(8), LTVariant(99), nil)
+	err := func() (err error) {
+		defer pgas.Recover(&err)
+		LiuTarjan(rt, collective.NewComm(rt), graph.Path(8), LTVariant(99), nil)
+		return nil
+	}()
 	if !errors.Is(err, pgas.ErrMisuse) {
 		t.Fatalf("invalid variant: err = %v, want ErrMisuse", err)
 	}

@@ -8,6 +8,10 @@ import (
 	"pgasgraph/internal/sim"
 )
 
+// CkptIncrementalD is the checkpoint registration name Incremental
+// re-registers the resident label array under.
+const CkptIncrementalD = "cc.incremental.D"
+
 // Incremental updates a resident component labeling for newly inserted
 // edges without rescanning the old graph. d must hold a *converged*
 // labeling: every entry is the smallest vertex id of its component (the
@@ -90,7 +94,7 @@ func Incremental(rt *pgas.Runtime, comm *collective.Comm, d *pgas.SharedArray, e
 			// Re-collapse to rooted stars so the array stays directly
 			// servable (same-component is one gather) and the next round's
 			// endpoint labels are roots again.
-			shortcut(th, comm, d, col, red, jumpIdx, jumpVal, dLo)
+			comm.PointerJump(th, d, col, red, jumpIdx, jumpVal, dLo)
 
 			if !red.Reduce(th, grafted) {
 				if th.ID == 0 {

@@ -34,6 +34,12 @@ type SpanningForest struct {
 // force-disabled because the hook array's slot 0 is written (vertex 0's
 // component never hooks, but packed keys at other slots do not preserve
 // the D[0]-is-constant argument for the hook array itself).
+//
+// Recoverable state (pgas.Registrar): none. The chosen edges live in
+// host-side slices and must stay consistent with D across barriers; a
+// restored labeling without the matching edge set would double-pick or
+// drop tree edges, so after an eviction the kernel recovers by full
+// deterministic re-execution.
 func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *SpanningForest {
 	if g.N >= 1<<31 {
 		panic("cc: SpanningTree requires n < 2^31 for packed hook keys")
@@ -131,7 +137,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 			th.Barrier()
 
 			// Collapse to rooted stars.
-			shortcut(th, comm, d, col, red, jumpIdx, jumpVal, dLo)
+			comm.PointerJump(th, d, col, red, jumpIdx, jumpVal, dLo)
 
 			if compact {
 				w := 0

@@ -53,9 +53,7 @@ func Choice(fs *flag.FlagSet, name, usage string, allowed ...string) *string {
 // Transport registers the shared -transport flag on fs (flag.CommandLine
 // when nil). The command names which backends it supports — the first is
 // the default — and usage describes them; anything else fails at parse
-// time. Commands that are inproc-only (pgasd: dynamic host-driven batches
-// cannot keep SPMD symmetry across wire replicas) pass a single backend
-// and get the same uniform rejection for free.
+// time.
 func Transport(fs *flag.FlagSet, usage string, allowed ...string) *string {
 	if len(allowed) == 0 {
 		panic("cliflag.Transport: no backends")

@@ -245,23 +245,14 @@ type Tracer interface {
 	// Transfer reports one coalesced transfer of elems elements between
 	// server and requester.
 	Transfer(server, requester int, elems int64)
-}
-
-// PlanTracer is the optional extension of Tracer for observing the plan
-// lifecycle: PlanBuild reports one thread running phase 1 (the grouping
-// sort and matrix publish), PlanReuse one plan execution that skipped it.
-// A Tracer that also implements PlanTracer receives both streams.
-type PlanTracer interface {
+	// PlanBuild reports one thread running phase 1 (the grouping sort and
+	// matrix publish); PlanReuse one plan execution that skipped it.
 	PlanBuild(thread int, elements int64)
 	PlanReuse(thread int, elements int64)
-}
-
-// ChaosTracer is the optional extension of Tracer for fault-injection
-// observability: ServeRetry reports one serve-phase replay on a thread
-// (attempt is the retry ordinal within the call, starting at 1). The
-// transport-level fault counts live on the runtime (pgas.ChaosStats); this
-// stream attributes recoveries to collectives.
-type ChaosTracer interface {
+	// ServeRetry reports one serve-phase replay on a thread under fault
+	// injection (attempt is the retry ordinal within the call, starting
+	// at 1). The transport-level fault counts live on the runtime
+	// (pgas.ChaosStats); this stream attributes recoveries to collectives.
 	ServeRetry(thread int, kind string, attempt int)
 }
 
@@ -270,28 +261,22 @@ type ChaosTracer interface {
 // collectives. Allocate one per runtime and reuse it across calls;
 // buffers grow on demand.
 type Comm struct {
-	rt          *pgas.Runtime
-	s           int
-	par         int // host worker goroutines per thread for serve/permute data movement
-	tr          pgas.Transport
-	wire        bool // the fabric spans processes: peer plan buffers need transport access
-	tpn         int  // threads per node, cached for peer -> node mapping
-	node        int  // this process's node id
-	ts          []threadState
-	splan       *Plan // scratch plan rebuilt by every one-shot collective
-	tracer      Tracer
-	planTracer  PlanTracer  // tracer's PlanTracer facet, cached (nil if absent)
-	chaosTracer ChaosTracer // tracer's ChaosTracer facet, cached (nil if absent)
-	fault       Fault       // armed defect for mutation-sensitivity testing (see fault.go)
+	rt     *pgas.Runtime
+	s      int
+	par    int // host worker goroutines per thread for serve/permute data movement
+	tr     pgas.Transport
+	wire   bool // the fabric spans processes: peer plan buffers need transport access
+	tpn    int  // threads per node, cached for peer -> node mapping
+	node   int  // this process's node id
+	ts     []threadState
+	splan  *Plan // scratch plan rebuilt by every one-shot collective
+	tracer Tracer
+	fault  Fault // armed defect for mutation-sensitivity testing (see fault.go)
 }
 
 // SetTracer attaches a profiling tracer (nil detaches). Set it before
 // running kernels; it must not change while a collective is in flight.
-func (c *Comm) SetTracer(t Tracer) {
-	c.tracer = t
-	c.planTracer, _ = t.(PlanTracer)
-	c.chaosTracer, _ = t.(ChaosTracer)
-}
+func (c *Comm) SetTracer(t Tracer) { c.tracer = t }
 
 // checkLive panics with a classified ErrMisuse when this Comm's geometry
 // is stale: its runtime was retired by an eviction, or th belongs to a

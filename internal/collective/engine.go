@@ -97,8 +97,8 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedAr
 			c.tr.Expose(pgas.Win{Kind: pgas.WinPlanVal2, ID: p.wid, Sub: int32(th.ID)}, pt.val2[:k])
 		}
 	}
-	if c.planTracer != nil && pt.execs >= 1 {
-		c.planTracer.PlanReuse(th.ID, int64(k))
+	if c.tracer != nil && pt.execs >= 1 {
+		c.tracer.PlanReuse(th.ID, int64(k))
 	}
 
 	th.Barrier()
@@ -160,8 +160,8 @@ func (c *Comm) serveRetry(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.Sh
 					d1.CopyOwnedIn(th.ID, st.snap[:owned])
 				}
 			}
-			if c.chaosTracer != nil {
-				c.chaosTracer.ServeRetry(th.ID, op.kind, attempt-1)
+			if c.tracer != nil {
+				c.tracer.ServeRetry(th.ID, op.kind, attempt-1)
 			}
 		}
 		if err = op.serve(c, th, p, d1, d2, opts); err == nil {

@@ -1,0 +1,66 @@
+package collective
+
+import (
+	"fmt"
+
+	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/sim"
+)
+
+// maxJumpLevels bounds PointerJump: a forest of n vertices collapses in
+// O(log n) levels, so hitting the bound means d holds a cycle — a kernel
+// bug — and panics.
+const maxJumpLevels = 512
+
+// PointerJump applies synchronous pointer jumping (D[i] <- D[D[i]] in
+// lock step, "we insert artificial synchronizations into pointer-jumping",
+// §IV.A) over the caller's ThreadCover block until all trees are rooted
+// stars, using one GetD per level. Only vertices not yet pointing at a
+// root stay active: no hooks happen during the phase, so a root can never
+// move and a vertex whose label did not change is finished. d must be a
+// forest (hooks need not be monotone in label order, as long as they are
+// acyclic). Every thread must call it; jumpIdx/jumpVal are scratch buffers
+// sized to the block and dLo is the block base.
+func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
+	red *pgas.OrReducer, jumpIdx, jumpVal []int64, dLo int64) {
+	span := int64(len(jumpIdx))
+	raw := d.Raw()
+	active := make([]int64, span)
+	for i := int64(0); i < span; i++ {
+		active[i] = dLo + i
+	}
+	th.ChargeSeq(sim.CatWork, span)
+	for level := 0; ; level++ {
+		if level >= maxJumpLevels {
+			panic(fmt.Sprintf("collective: PointerJump exceeded %d levels", maxJumpLevels))
+		}
+		// Read the active vertices' labels (private pointer arithmetic
+		// when localcpy is on, shared-pointer overhead otherwise).
+		k := int64(len(active))
+		for j, v := range active {
+			jumpIdx[j] = raw[v]
+		}
+		th.ChargeSeq(sim.CatCopy, k)
+		if !opts.LocalCpy {
+			th.ChargeSharedPtr(sim.CatCopy, k)
+		}
+		// One jump level: fetch the label of every label.
+		c.GetD(th, d, jumpIdx[:k], jumpVal[:k], opts, nil)
+		w := 0
+		for j, v := range active {
+			if jumpVal[j] != jumpIdx[j] {
+				d.StoreRaw(v, jumpVal[j])
+				active[w] = v
+				w++
+			}
+		}
+		active = active[:w]
+		th.ChargeSeq(sim.CatCopy, 2*k)
+		if !opts.LocalCpy {
+			th.ChargeSharedPtr(sim.CatCopy, k)
+		}
+		if !red.Reduce(th, w > 0) {
+			return
+		}
+	}
+}

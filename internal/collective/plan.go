@@ -136,8 +136,8 @@ func (p *Plan) planInto(th *pgas.Thread, d *pgas.SharedArray, indices []int64, o
 		c.tr.Expose(pgas.Win{Kind: pgas.WinPlanVal, ID: p.wid, Sub: int32(th.ID)}, pt.val[:k])
 	}
 	c.publishInto(th, p, pt.offs)
-	if c.planTracer != nil {
-		c.planTracer.PlanBuild(th.ID, int64(k))
+	if c.tracer != nil {
+		c.tracer.PlanBuild(th.ID, int64(k))
 	}
 }
 

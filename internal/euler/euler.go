@@ -48,6 +48,12 @@ type TreeStats struct {
 // must be acyclic (a spanning forest, e.g. from cc.SpanningTree); Tour
 // panics on graphs whose edge count makes acyclicity impossible and the
 // tests verify full structural correctness.
+//
+// Recoverable state (pgas.Registrar): none. The tour is a multi-phase
+// pipeline (successor linking, list ranking, prefix extraction) whose
+// intermediate arrays only mean anything relative to the phase that built
+// them; a cross-phase snapshot cut is unresumable. After an eviction the
+// tour recovers by full deterministic re-execution.
 func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, colOpts *collective.Options) *TreeStats {
 	n := forest.N
 	m := forest.M()

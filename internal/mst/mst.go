@@ -103,7 +103,7 @@ func checkInput(g *graph.Graph) {
 // Naive runs the literal translation: per-edge Get of both endpoint
 // labels, lock-guarded AtomicMin per supervertex, owner-side grafting, and
 // asynchronous short-cutting — every irregular access an individual
-// one-sided operation.
+// one-sided operation. Recovery: by re-execution, as for Coalesced.
 func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 	checkInput(g)
 	d := rt.NewSharedArray("D", g.N)
@@ -216,6 +216,12 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 // Like cc.Coalesced, the graft gather's request vector is identical every
 // iteration when compaction is off, so that GetD runs through a reused
 // collective.Plan — phase 1 of Algorithm 2 paid once per run.
+//
+// Recoverable state (pgas.Registrar): none. Borůvka rounds accumulate
+// chosen edges in host-side slices outside any shared array; a restored
+// component labeling without the matching edge set would double-pick or
+// drop tree edges. After an eviction MST recovers by full deterministic
+// re-execution.
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
 	checkInput(g)
 	d := rt.NewSharedArray("D", g.N)
@@ -346,8 +352,11 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			th.ChargeOps(sim.CatWork, 3*int64(len(candR)))
 			th.Barrier()
 
-			// Synchronous pointer jumping until rooted stars.
-			shortcutSync(th, comm, d, col, red, jumpIdx, jumpVal, dLo)
+			// Synchronous pointer jumping until rooted stars. Unlike CC's
+			// hooks, Borůvka hooks can point upward in label order, but
+			// the hook digraph is acyclic after mutual-pair breaking, so
+			// plain jumping converges.
+			comm.PointerJump(th, d, col, red, jumpIdx, jumpVal, dLo)
 
 			// Compact settled edges.
 			if compact {
@@ -374,53 +383,6 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		}
 	})
 	return collect(g, chosen, iterations, run)
-}
-
-// shortcutSync applies synchronous pointer jumping until no label changes.
-// Unlike CC's monotone shortcut, Borůvka hooks can point upward in label
-// order, but the hook digraph is acyclic after mutual-pair breaking, so
-// plain jumping converges.
-func shortcutSync(th *pgas.Thread, comm *collective.Comm, d *pgas.SharedArray,
-	col *collective.Options, red *pgas.OrReducer, jumpIdx, jumpVal []int64, dLo int64) {
-	span := int64(len(jumpIdx))
-	raw := d.Raw()
-	// Only vertices not yet pointing at a root stay active (no hooks
-	// happen during a shortcut phase, so roots cannot move).
-	active := make([]int64, span)
-	for i := int64(0); i < span; i++ {
-		active[i] = dLo + i
-	}
-	th.ChargeSeq(sim.CatWork, span)
-	for level := 0; ; level++ {
-		if level >= maxIterations {
-			panic(fmt.Sprintf("mst: shortcut exceeded %d levels", maxIterations))
-		}
-		k := int64(len(active))
-		for j, v := range active {
-			jumpIdx[j] = raw[v]
-		}
-		th.ChargeSeq(sim.CatCopy, k)
-		if !col.LocalCpy {
-			th.ChargeSharedPtr(sim.CatCopy, k)
-		}
-		comm.GetD(th, d, jumpIdx[:k], jumpVal[:k], col, nil)
-		w := 0
-		for j, v := range active {
-			if jumpVal[j] != jumpIdx[j] {
-				d.StoreRaw(v, jumpVal[j])
-				active[w] = v
-				w++
-			}
-		}
-		active = active[:w]
-		th.ChargeSeq(sim.CatCopy, 2*k)
-		if !col.LocalCpy {
-			th.ChargeSharedPtr(sim.CatCopy, k)
-		}
-		if !red.Reduce(th, w > 0) {
-			return
-		}
-	}
 }
 
 // collect merges per-thread edge choices into the final Result.

@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// The runtime's failure classes. A hardened kernel never sees a bare panic
+// The runtime's failure classes. A kernel never sees a bare panic
 // for a runtime-level failure: every such failure is an *Error carrying one
 // of these classes, raised through the barrier-poisoning path and converted
 // into an error return by Runtime.RunE. Callers classify with errors.Is:
@@ -125,11 +125,12 @@ func Classified(v interface{}) (*Error, bool) {
 }
 
 // Recover converts a classified runtime panic into an error return; it is
-// the one-line hardening seam of the kernels' error-returning variants:
+// the one-line seam between the panicking kernels and callers that want
+// error values (serve.RunKernel, the recovery supervisor's body runner):
 //
-//	func CoalescedE(...) (res *Result, err error) {
+//	func run(...) (res *cc.Result, err error) {
 //		defer pgas.Recover(&err)
-//		return Coalesced(...), nil
+//		return cc.Coalesced(...), nil
 //	}
 //
 // Unclassified panics (kernel bugs) propagate unchanged. Must be called

@@ -460,7 +460,7 @@ func (rt *Runtime) Run(fn func(th *Thread)) *Result {
 // RunE is Run returning classified runtime failures as error values: when
 // a thread's panic value is (or wraps) a *Error — a transport fault, an
 // exhausted retry budget, a detected corruption, an API misuse — RunE
-// returns it instead of re-panicking, so hardened kernels can propagate
+// returns it instead of re-panicking, so callers can propagate
 // operational faults through their signatures instead of tearing down the
 // process. Unclassified panics (a kernel bug, an index out of a private
 // slice's range) still propagate as panics.

@@ -83,19 +83,17 @@ func ReadBenchReport(path string) (*BenchReport, error) {
 // Tolerances for CompareBench. Wall-clock numbers cross machines, so Wall
 // is loose (CI uses 3x); simulated time is deterministic, so Sim is tight.
 // AllocSlack absorbs the few amortized setup allocations that land
-// differently run to run around an allocs/op near zero. SimAsync applies
-// to records marked Async (scheduling-dependent simulated time) that lack
-// RacyOps on either side; zero falls back to Sim. Async records carrying
-// RacyOps in both baseline and current use a computed tolerance instead:
-// SimRacy scaled by the racy-work ratio (floored at 1), so the bound
-// tracks the schedule the run actually took rather than a worst case.
-// SimRacy sits between Sim and SimAsync: it absorbs the within-iteration
-// variance of a racy schedule (cache behavior depends on the racing
-// values) but not iteration-count swings, which the ratio covers.
+// differently run to run around an allocs/op near zero. Records marked
+// Async (scheduling-dependent simulated time) carry RacyOps and use a
+// computed tolerance: SimRacy scaled by the racy-work ratio (floored at
+// 1), so the bound tracks the schedule the run actually took rather than
+// a worst case. SimRacy absorbs the within-iteration variance of a racy
+// schedule (cache behavior depends on the racing values) but not
+// iteration-count swings, which the ratio covers. An Async record missing
+// RacyOps on either side is held to Sim.
 type Tolerances struct {
 	Wall       float64 // current ns/op may be up to Wall x baseline
 	Sim        float64 // current sim_ms may be up to Sim x baseline
-	SimAsync   float64 // like Sim, for Async records (0 = use Sim)
 	SimRacy    float64 // per-racy-work-unit factor for Async records with RacyOps (0 = use Sim)
 	AllocSlack float64 // current allocs/op may exceed Wall x baseline by this
 }
@@ -125,8 +123,7 @@ func CompareBench(baseline, current *BenchReport, tol Tolerances) []string {
 				b.Name, c.AllocsPerOp, tol.Wall, b.AllocsPerOp, tol.AllocSlack))
 		}
 		simTol := tol.Sim
-		switch {
-		case b.Async && b.RacyOps > 0 && c.RacyOps > 0:
+		if b.Async && b.RacyOps > 0 && c.RacyOps > 0 {
 			// Scheduling-dependent record with measured racy work on both
 			// sides: the per-unit budget grows with the racy-work ratio
 			// (never shrinks below one baseline's worth).
@@ -136,8 +133,6 @@ func CompareBench(baseline, current *BenchReport, tol Tolerances) []string {
 			if ratio := c.RacyOps / b.RacyOps; ratio > 1 {
 				simTol *= ratio
 			}
-		case b.Async && tol.SimAsync > 0:
-			simTol = tol.SimAsync
 		}
 		if b.SimMS > 0 && c.SimMS > b.SimMS*simTol {
 			bad = append(bad, fmt.Sprintf("%s: sim %.3f ms > %.2fx baseline %.3f",

@@ -63,36 +63,16 @@ func TestCompareBench(t *testing.T) {
 		t.Fatalf("want 3 regressions, got %v", bad)
 	}
 
-	// Async records use the loose SimAsync factor: a 1.5x sim drift
-	// passes where a deterministic record would fail, but a 3x one is
-	// still a regression.
-	asyncBase := sampleReport()
-	asyncBase.Records[1].Async = true
-	asyncTol := Tolerances{Wall: 3, Sim: 1.05, SimAsync: 2, AllocSlack: 2}
-	drift := sampleReport()
-	drift.Records[1].SimMS = 150
-	if bad := CompareBench(asyncBase, drift, asyncTol); len(bad) != 0 {
-		t.Fatalf("async drift within SimAsync flagged: %v", bad)
-	}
-	drift.Records[1].SimMS = 300
-	if bad := CompareBench(asyncBase, drift, asyncTol); len(bad) != 1 {
-		t.Fatalf("async regression beyond SimAsync not caught: %v", bad)
-	}
-	// SimAsync of zero falls back to the tight factor.
-	if bad := CompareBench(asyncBase, drift, tol); len(bad) != 1 {
-		t.Fatalf("zero SimAsync did not fall back to Sim: %v", bad)
-	}
-
 	// Async records with measured racy work on both sides use the
-	// computed tolerance SimRacy * (racy-work ratio) instead of SimAsync.
-	racyTol := Tolerances{Wall: 3, Sim: 1.05, SimAsync: 2, SimRacy: 1.2, AllocSlack: 2}
+	// computed tolerance SimRacy * (racy-work ratio).
+	racyTol := Tolerances{Wall: 3, Sim: 1.05, SimRacy: 1.2, AllocSlack: 2}
 	racyBase := sampleReport()
 	racyBase.Records[1].Async = true
 	racyBase.Records[1].RacyOps = 1000
 
-	// Same racy work: held to the SimRacy factor even though SimAsync
-	// would have allowed 2x. This is the PR3 flake fix — a run whose
-	// schedule did no extra work gets only the per-unit budget.
+	// Same racy work: held to the SimRacy factor. This is the PR3 flake
+	// fix — a run whose schedule did no extra work gets only the per-unit
+	// budget.
 	racy := sampleReport()
 	racy.Records[1].Async = true
 	racy.Records[1].RacyOps = 1000
@@ -128,20 +108,19 @@ func TestCompareBench(t *testing.T) {
 	}
 
 	// Zero SimRacy falls back to the tight Sim factor for the computed path.
-	noRacyFactor := Tolerances{Wall: 3, Sim: 1.05, SimAsync: 2, AllocSlack: 2}
+	noRacyFactor := Tolerances{Wall: 3, Sim: 1.05, AllocSlack: 2}
 	racy.Records[1].RacyOps = 1000
 	racy.Records[1].SimMS = 115
 	if bad := CompareBench(racyBase, racy, noRacyFactor); len(bad) != 1 {
 		t.Fatalf("zero SimRacy did not fall back to Sim: %v", bad)
 	}
 
-	// Either side missing RacyOps falls back to SimAsync (old baselines
-	// keep comparing as before).
+	// Either side missing RacyOps is held to the tight Sim factor.
 	legacy := sampleReport()
 	legacy.Records[1].Async = true
-	legacy.Records[1].SimMS = 150
-	if bad := CompareBench(racyBase, legacy, racyTol); len(bad) != 0 {
-		t.Fatalf("RacyOps-less current did not fall back to SimAsync: %v", bad)
+	legacy.Records[1].SimMS = 115
+	if bad := CompareBench(racyBase, legacy, racyTol); len(bad) != 1 {
+		t.Fatalf("RacyOps-less current not held to Sim: %v", bad)
 	}
 
 	// Rounds are one-sided exact: fewer rounds than baseline pass (an

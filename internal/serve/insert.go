@@ -89,7 +89,7 @@ func (s *Service) Insert(edges []Edge) (*InsertReport, error) {
 		return rep, nil
 	}
 
-	res, err := cc.IncrementalE(s.rt, s.comm, s.labels, eu, ev, &cc.Options{Col: s.labelSpec.Col})
+	res, err := s.incremental(eu, ev)
 	if err == nil {
 		rep.Incremental = true
 		rep.Rounds = res.Iterations
@@ -109,6 +109,14 @@ func (s *Service) Insert(edges []Edge) (*InsertReport, error) {
 		rep.Verified = true
 	}
 	return rep, nil
+}
+
+// incremental grafts the new edges onto the resident labels, returning a
+// classified runtime failure as an error so Insert can fall back to the
+// supervised full recompute when the update is cut down by a fault.
+func (s *Service) incremental(eu, ev []int64) (res *cc.Result, err error) {
+	defer pgas.Recover(&err)
+	return cc.Incremental(s.rt, s.comm, s.labels, eu, ev, &cc.Options{Col: s.labelSpec.Col}), nil
 }
 
 // superviseRecompute is the fallback label path: full re-execution of the

@@ -128,6 +128,12 @@ func Degrees(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *c
 // Count runs the distributed kernel: a SetDAdd degree phase feeds the
 // degree-ordered orientation, then wedge-closing queries route through
 // ExchangePairs.
+//
+// Recoverable state (pgas.Registrar): none. The per-thread partial counts
+// live in host scalars folded at the end; a restored count without its
+// edge cursor would double-count. After an eviction the count recovers by
+// full deterministic re-execution (it is a single pass, so re-execution is
+// the checkpoint-optimal policy anyway).
 func Count(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *collective.Options) *Result {
 	if g.N >= 1<<31 {
 		panic("triangle: vertex ids overflow wedge packing")
