@@ -7,6 +7,7 @@ import (
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/pgas/wiretransport"
 	"pgasgraph/internal/report"
 	"pgasgraph/internal/serve"
 	"pgasgraph/internal/verify"
@@ -68,10 +69,11 @@ func runWireTable(seed uint64, nodes, rounds int, emit func(*report.Table) error
 
 	tb := report.NewTable(
 		fmt.Sprintf("Transport comparison: in-process vs %d-node unix-socket wire (tpn=%d)", nodes, tpn),
-		"round", "kernel", "n", "m", "sim_ms", "wall_inproc", "wall_wire", "identical")
+		"round", "kernel", "n", "m", "sim_ms", "wall_inproc", "wall_wire", "bytes", "narrow%", "identical")
 	tb.AddNote("sim time is charged below the transport seam and must match exactly;")
 	tb.AddNote("wire wall-clock includes mesh connect and per-region replica sync.")
 	tb.AddNote("identity: BFS distance sum / CC label sum per node, MST weight summed over nodes.")
+	tb.AddNote("bytes: what the nodes put on their sockets, headers included; narrow%%: payload frames sent as 4-byte words.")
 
 	failures := 0
 	for round := 0; round < rounds; round++ {
@@ -95,6 +97,7 @@ func runWireTable(seed uint64, nodes, rounds int, emit func(*report.Table) error
 			// The wire cluster: every node computes, node sums fold the
 			// distributed MST result; any divergence fails the row.
 			sums := make([]int64, nodes)
+			stats := make([]wiretransport.Stats, nodes)
 			var simDiverged bool
 			wireStart := time.Now()
 			errs := verify.RunWireCluster(t, nil, verify.WireTimeout,
@@ -104,6 +107,7 @@ func runWireTable(seed uint64, nodes, rounds int, emit func(*report.Table) error
 						return err
 					}
 					sums[node] = k.sum(r)
+					stats[node] = rt.Transport().(*wiretransport.Transport).Stats()
 					if r.Run.SimNS != want.Run.SimNS {
 						simDiverged = true
 					}
@@ -119,6 +123,17 @@ func runWireTable(seed uint64, nodes, rounds int, emit func(*report.Table) error
 			if !identical {
 				failures++
 			}
+			var wireBytes, payloads, narrow uint64
+			for _, st := range stats {
+				_, b := st.SentWire()
+				wireBytes += b
+				payloads += st.PayloadFrames
+				narrow += st.NarrowFrames
+			}
+			narrowPct := 0.0
+			if payloads > 0 {
+				narrowPct = 100 * float64(narrow) / float64(payloads)
+			}
 			g := k.spec(t).Graph
 			tb.AddRow(
 				fmt.Sprintf("%d", round),
@@ -128,6 +143,8 @@ func runWireTable(seed uint64, nodes, rounds int, emit func(*report.Table) error
 				fmt.Sprintf("%.3f", float64(want.Run.SimNS)/1e6),
 				inWall.Round(10*time.Microsecond).String(),
 				wireWall.Round(10*time.Microsecond).String(),
+				fmt.Sprintf("%d", wireBytes),
+				fmt.Sprintf("%.0f", narrowPct),
 				fmt.Sprintf("%v", identical),
 			)
 		}

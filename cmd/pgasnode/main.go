@@ -331,6 +331,7 @@ func runBattery(o options, tr *wiretransport.Transport) int {
 			}
 		}
 	}
+	fmt.Printf("pgasnode %d: battery passed (%d rounds); wire: %v\n", o.node, o.rounds, tr.Stats())
 	return 0
 }
 
@@ -416,7 +417,7 @@ func runCCJob(o options, tr *wiretransport.Transport) int {
 			mix(uint64(l))
 		}
 	}
-	fmt.Printf("pgasnode %d: cc digest=%#x (%d rounds)\n", o.node, h, o.rounds)
+	fmt.Printf("pgasnode %d: cc digest=%#x (%d rounds); wire: %v\n", o.node, h, o.rounds, tr.Stats())
 	if evictedEver {
 		return 3
 	}

@@ -39,13 +39,18 @@ type Runtime struct {
 	tr      Transport      // the fabric; shared (in-process) by default
 	node    int            // this process's node id (0 on a shared transport)
 	winc    uint32         // symmetric window-id counter (host-side allocation only)
-	arrays  []*SharedArray // wire replicas to refresh after each region (nil when shared)
+	arrays  []*SharedArray // live wire replicas, refreshed after each region (nil when shared)
 	bar     *barrier
 	chaos   *chaosState   // fault injector; nil (free) when disarmed
 	ckpt    *Checkpointer // superstep checkpoint manager; nil when disarmed
 	part    PartitionSpec // default partition scheme for new shared arrays
 	retired bool          // geometry invalidated by Evict; see Retired
-	evicted []int         // cumulative evicted thread ids (original numbering first)
+	// draining is set when a wire region failed with an eviction: the
+	// transport is still live and a slower survivor may still be inside the
+	// region, reading this node's windows. They stay exposed until Evict's
+	// membership agreement proves every survivor has left it.
+	draining bool
+	evicted  []int // cumulative evicted thread ids (original numbering first)
 }
 
 // New validates cfg and returns a runtime with cfg.TotalThreads() threads
@@ -189,7 +194,44 @@ func (rt *Runtime) NewWinID() uint32 {
 	return rt.winc
 }
 
-// syncReplicas refreshes every shared array's remote blocks from their
+// Mark names a point in the runtime's host-side allocation sequence; see
+// Release.
+type Mark struct {
+	arrays int
+	win    uint32
+}
+
+// Mark returns the current point in the allocation sequence.
+func (rt *Runtime) Mark() Mark { return Mark{arrays: len(rt.arrays), win: rt.winc} }
+
+// Release ends the lifetime of everything allocated since m — shared
+// arrays, collective plans, reducers: the arrays leave the post-region
+// replica sync and every window id drawn since m is dropped from the
+// transport in one range. A kernel entry takes a Mark before dispatch and
+// releases it once the results are copied out to host slices, so a
+// long-lived cluster syncs and exposes only what is still in use. Nothing
+// allocated since m may be used afterwards. No-op on a shared fabric,
+// where nothing is registered.
+//
+// Release is host-side and SPMD-symmetric like allocation. It relies on the
+// region protocol for safety: after a region's closing rendezvous no peer
+// holds an unanswered request or an unflushed write against this node.
+// After a failed region that only holds once the failure is settled — see
+// draining.
+func (rt *Runtime) Release(m Mark) {
+	if rt.tr.Shared() {
+		return
+	}
+	for i := m.arrays; i < len(rt.arrays); i++ {
+		rt.arrays[i] = nil
+	}
+	rt.arrays = rt.arrays[:m.arrays]
+	if !rt.draining {
+		rt.tr.Unexpose(m.win, rt.winc)
+	}
+}
+
+// syncReplicas refreshes every live shared array's remote blocks from their
 // owning processes after a successful region: one rendezvous to quiesce the
 // region everywhere, one coalesced Get per (array, remote node), one more
 // rendezvous so no process re-enters host code while a peer still serves.
@@ -341,6 +383,12 @@ func (rt *Runtime) evictWire(dead []int) (*Runtime, error) {
 				"node %d evicted from the wire cluster by peer agreement", rt.node)
 		}
 	}
+	// The agreement commits only after every survivor has proposed, which
+	// each does after leaving its failed region, and their earlier frames
+	// are ahead of their proposals on the wire: nothing can address the
+	// retired geometry's windows any more. Drop them; the remapped runtime
+	// draws its ids from the start again.
+	rt.tr.Unexpose(0, rt.winc)
 	p := rt.cfg.Nodes - len(agreed)
 	if p < 1 || rt.tr.Nodes() != p {
 		return nil, Errorf(ErrTransport, -1, "Evict",
@@ -485,6 +533,7 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 		// the same names. No wire op may leave a node before every node has
 		// entered the region.
 		if _, err := rt.tr.Rendezvous(0); err != nil {
+			rt.draining = rt.draining || Evicted(err) != nil
 			return nil, err
 		}
 	}
@@ -573,15 +622,20 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 	if firstUnclassified != nil || len(evicted) > 0 || firstClassified != nil || fallback != nil {
 		rt.bar = rt.newRegionBarrier()
 		evicting := firstUnclassified == nil && len(evicted) > 0
-		if !rt.tr.Shared() && !evicting {
-			// Poison the cluster: peers blocked in a rendezvous this
-			// process will never reach must unwind with a classified error
-			// rather than wait out their deadlines. The transport stays
-			// poisoned; a failed wire region retires the whole cluster.
-			// Eviction is the exception — it is the recoverable class, and
-			// the transport has already agreed (or will agree, via the
-			// supervisor's Evict) on the survivor geometry.
-			rt.tr.Abort(fmt.Sprintf("node %d: region failed", rt.node))
+		if !rt.tr.Shared() {
+			if evicting {
+				rt.draining = true
+			} else {
+				// Poison the cluster: peers blocked in a rendezvous this
+				// process will never reach must unwind with a classified
+				// error rather than wait out their deadlines. The transport
+				// stays poisoned; a failed wire region retires the whole
+				// cluster. Eviction is the exception — it is the
+				// recoverable class, and the transport has already agreed
+				// (or will agree, via the supervisor's Evict) on the
+				// survivor geometry.
+				rt.tr.Abort(fmt.Sprintf("node %d: region failed", rt.node))
+			}
 		}
 		switch {
 		case firstUnclassified != nil:
@@ -610,6 +664,7 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 	if !rt.tr.Shared() {
 		if err := rt.syncReplicas(); err != nil {
 			rt.bar = rt.newRegionBarrier()
+			rt.draining = rt.draining || Evicted(err) != nil
 			return nil, err
 		}
 	}

@@ -64,7 +64,11 @@ type Win struct {
 //
 // Contract:
 //   - Expose registers a window before any remote access; callers only
-//     re-Expose a window when its backing slice is reallocated.
+//     re-Expose a window when its backing slice is reallocated. Unexpose
+//     drops windows by id range once their owner is done with them; it is
+//     host-side like Expose and is only called when no peer can still
+//     address them (after a region's closing rendezvous). Access to a
+//     dropped window fails like access to one never exposed.
 //   - Get/Put/PutMin address element offsets within the window; th is the
 //     issuing thread for error attribution and may be nil for host-side
 //     calls. Errors are always classified (ErrTransport for a lost or
@@ -87,6 +91,8 @@ type Transport interface {
 	Node() int
 	// Expose registers (or re-registers, after reallocation) a window.
 	Expose(w Win, data []int64)
+	// Unexpose drops every window whose id lies in (lo, hi].
+	Unexpose(lo, hi uint32)
 	// Get reads len(dst) elements of node's window w starting at off.
 	Get(th *Thread, node int, w Win, off int64, dst []int64) error
 	// Put writes src into node's window w starting at off. Delivery may be
@@ -151,6 +157,16 @@ func (t *winTable) expose(w Win, data []int64) {
 	t.mu.Unlock()
 }
 
+func (t *winTable) unexpose(lo, hi uint32) {
+	t.mu.Lock()
+	for w := range t.m {
+		if w.ID > lo && w.ID <= hi {
+			delete(t.m, w)
+		}
+	}
+	t.mu.Unlock()
+}
+
 func (t *winTable) lookup(w Win) ([]int64, bool) {
 	t.mu.RLock()
 	data, ok := t.m[w]
@@ -181,6 +197,7 @@ func (t *inprocTransport) Nodes() int   { return t.nodes }
 func (t *inprocTransport) Node() int    { return 0 }
 
 func (t *inprocTransport) Expose(w Win, data []int64) { t.wins.expose(w, data) }
+func (t *inprocTransport) Unexpose(lo, hi uint32)     { t.wins.unexpose(lo, hi) }
 
 func (t *inprocTransport) window(th *Thread, op string, node int, w Win, off, k int64) ([]int64, error) {
 	id := -1

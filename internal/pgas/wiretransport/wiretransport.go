@@ -8,19 +8,45 @@
 // observes the same schedule of charges and injected faults on the wire as
 // in process.
 //
-// Wire protocol. Every frame is a fixed 40-byte little-endian header and an
-// optional payload of 8-byte words:
+// Wire protocol (version 2). Every frame is a fixed 40-byte little-endian
+// header and an optional payload of words:
 //
 //	[0]     frame type
 //	[1]     window kind
-//	[2:4]   status / flags (responses)
+//	[2]     status (responses)
+//	[3]     flags: bit 0 = the payload travels as 4-byte words
 //	[4:8]   window id; membership epoch for BARRIER
-//	[8:12]  window sub
-//	[12:20] offset (elements); rendezvous generation for BARRIER and
-//	        membership epoch for EVICT
-//	[20:28] payload count (elements; bytes for ABORT)
+//	[8:12]  window sub; the dialing seat for HELLO
+//	[12:20] offset (elements); rendezvous generation for BARRIER,
+//	        membership epoch for EVICT, cause length in bytes for ABORT,
+//	        protocol version for HELLO
+//	[20:28] payload count (words); request length for GET
 //	[28:36] request id; float64 bits of the clock maximum for BARRIER
-//	[36:40] CRC-32C of the payload
+//	[36:40] CRC-32C of the payload bytes as they travel
+//
+// Payload width is chosen per frame from the payload itself: when every
+// word round-trips through int32 — vertex ids, labels, request keys and
+// matrix cells do — the words travel as 4 bytes each and the flag says
+// so; one word that does not (an Unreached sentinel) keeps the frame at 8.
+// The choice cannot be configured and is invisible above the seam; the
+// simulated Bytes counters keep charging the paper's 8-byte words.
+//
+// HELLO carries the protocol version; an acceptor refuses a dialer that
+// speaks another one, so a mixed-binary mesh fails at Connect with both
+// versions and the peer's address instead of dying mid-run on checksum
+// aborts.
+//
+// Receive rule: validate, read, verify, apply. The reader bounds a payload
+// from its header before reading a byte of it — a PUT must fit its exposed
+// window, a GETRESP must match its pending request's length, PUTMIN, EVICT
+// and ABORT payloads have fixed caps — and a header that fails is a
+// protocol violation (Abort naming the edge), never an allocation. The
+// payload is read into a reader-owned scratch and its CRC checked there;
+// only then are words decoded, straight into their destination: a PUT into
+// its window, a GETRESP into the waiter's buffer. A corrupt frame never
+// touches a window or a caller's buffer, and a waiter that gave up is
+// never written to — the reader claims the pending request before it
+// decodes, and a waiter that loses that race waits for the decode to end.
 //
 // PUT frames coalesce: they are buffered per destination connection and
 // flushed by the next frame on that connection that needs an answer (GET,
@@ -28,6 +54,12 @@
 // pushes to one peer ride the wire together. Per-connection FIFO plus the
 // flush-before-BARRIER rule realizes the seam's ordering contract: a Put is
 // applied at its destination before any later Rendezvous completes.
+//
+// Window lifetime. Windows are exposed by host-side allocation and dropped
+// by id range (Unexpose) when the runtime releases the scope that drew the
+// ids — a kernel's shared state lives until its entry returns. A frame
+// that names a dropped window is handled like any unexposed one: a GET is
+// refused, a PUT is a protocol violation.
 //
 // Failure model. Real wire failures surface through the runtime's
 // classified taxonomy and the transport never hangs. Three teardown classes
@@ -83,29 +115,6 @@ import (
 	"pgasgraph/internal/pgas"
 )
 
-// frame types
-const (
-	frHello uint8 = iota + 1
-	frGet
-	frGetResp
-	frPut
-	frPutMin
-	frPutMinResp
-	frBarrier
-	frAbort
-	frGoodbye
-	frEvict
-)
-
-// response status codes ([2:4] of the header)
-const (
-	stOK uint16 = iota
-	stStored
-	stBadWindow
-)
-
-const headerLen = 40
-
 // DefaultTimeout bounds every blocking wire operation when Config.Timeout
 // is zero. It is deliberately generous: it only fires when a peer process
 // is dead or wedged, and then it converts a hang into a classified
@@ -118,8 +127,6 @@ const (
 	dialBackoffMin = 5 * time.Millisecond
 	dialBackoffMax = 250 * time.Millisecond
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Config describes one node's seat in the cluster.
 type Config struct {
@@ -168,13 +175,14 @@ func SocketPath(dir string, node int) string {
 
 // peerConn is one mesh edge: the connection, its buffered writer, and the
 // scratch the writer reuses. wmu serializes frame writes from the node's
-// threads and from reader goroutines answering GETs.
+// threads and from the goroutines answering GETs.
 type peerConn struct {
 	conn net.Conn
 	wmu  sync.Mutex
 	bw   *bufio.Writer
 	hdr  [headerLen]byte
 	pay  []byte
+	puts uint64 // PUT frames buffered since the last flush
 }
 
 // rdvKey names one rendezvous generation within one membership epoch.
@@ -223,14 +231,17 @@ type viewState struct {
 	vnode int
 }
 
+// pendReq is one request awaiting its response. The reader decodes a
+// verified GETRESP straight into dst, so whoever removes the entry from
+// the table owns dst until it has sent on ch.
 type pendReq struct {
 	ch   chan wireResp
-	seat int // destination original seat, so a crash can resolve it
+	seat int     // destination original seat, so a crash can resolve it
+	dst  []int64 // a GET's destination; nil for PUTMIN
 }
 
 type wireResp struct {
-	vals   []int64
-	status uint16
+	status uint8
 	err    error
 }
 
@@ -275,6 +286,8 @@ type Transport struct {
 
 	closed   atomic.Bool
 	departed []atomic.Bool // peers that announced a clean shutdown
+
+	ctr counters
 }
 
 // Connect joins the mesh: listen on this node's socket, dial every lower
@@ -300,27 +313,7 @@ func Connect(cfg Config) (*Transport, error) {
 		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "wire Connect",
 			"unknown network %q (unix, tcp)", cfg.Network)
 	}
-	tpn := cfg.ThreadsPerNode
-	if tpn <= 0 {
-		tpn = 1
-	}
-	t := &Transport{
-		cfg:      cfg,
-		tpn:      tpn,
-		peers:    make([]*peerConn, cfg.Nodes),
-		wins:     make(map[pgas.Win][]int64),
-		rdv:      make(map[rdvKey]*rdvState),
-		gone:     make([]uint8, cfg.Nodes),
-		evs:      make(map[uint64]*evState),
-		pend:     make(map[uint64]pendReq),
-		abortCh:  make(chan struct{}),
-		departed: make([]atomic.Bool, cfg.Nodes),
-	}
-	seats := make([]int, cfg.Nodes)
-	for i := range seats {
-		seats[i] = i
-	}
-	t.liveView.Store(&viewState{seats: seats, vnode: cfg.Node})
+	t := newEndpoint(cfg)
 
 	laddr := cfg.addr(cfg.Node)
 	if cfg.network() == "unix" {
@@ -359,6 +352,33 @@ func Connect(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
+// newEndpoint returns cfg's seat with all of its state and none of its
+// sockets: every seat alive, no windows, no edges.
+func newEndpoint(cfg Config) *Transport {
+	tpn := cfg.ThreadsPerNode
+	if tpn <= 0 {
+		tpn = 1
+	}
+	t := &Transport{
+		cfg:      cfg,
+		tpn:      tpn,
+		peers:    make([]*peerConn, cfg.Nodes),
+		wins:     make(map[pgas.Win][]int64),
+		rdv:      make(map[rdvKey]*rdvState),
+		gone:     make([]uint8, cfg.Nodes),
+		evs:      make(map[uint64]*evState),
+		pend:     make(map[uint64]pendReq),
+		abortCh:  make(chan struct{}),
+		departed: make([]atomic.Bool, cfg.Nodes),
+	}
+	seats := make([]int, cfg.Nodes)
+	for i := range seats {
+		seats[i] = i
+	}
+	t.liveView.Store(&viewState{seats: seats, vnode: cfg.Node})
+	return t
+}
+
 // dialPeer connects to a lower seat, retrying with capped exponential
 // backoff until the deadline: the peer process may not have started
 // listening yet, and over TCP the first connect can be refused outright.
@@ -384,8 +404,8 @@ func (t *Transport) dialPeer(nd int, deadline time.Time) error {
 	}
 	p := &peerConn{conn: conn, bw: bufio.NewWriter(conn)}
 	t.peers[nd] = p
-	// Identify this seat to the acceptor.
-	return t.sendFrame(nd, frHello, pgas.Win{Sub: int32(t.cfg.Node)}, 0, 0, 0, nil, true)
+	// Identify this seat, and the wire format it speaks, to the acceptor.
+	return t.send(nd, header{typ: frHello, w: pgas.Win{Sub: int32(t.cfg.Node)}, off: protoVersion}, nil, true)
 }
 
 func (t *Transport) acceptPeers(deadline time.Time) error {
@@ -400,14 +420,26 @@ func (t *Transport) acceptPeers(deadline time.Time) error {
 				"node %d: %d of %d higher seats connected: %v", t.cfg.Node, got, want, err)
 		}
 		conn.SetReadDeadline(deadline)
-		var hdr [headerLen]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil || hdr[0] != frHello {
+		var raw [headerLen]byte
+		if _, err := io.ReadFull(conn, raw[:]); err != nil || raw[0] != frHello {
 			conn.Close()
 			return pgas.Errorf(pgas.ErrTransport, -1, "wire Connect",
 				"node %d: bad hello from peer: %v", t.cfg.Node, err)
 		}
 		conn.SetReadDeadline(time.Time{})
-		nd := int(int32(binary.LittleEndian.Uint32(hdr[8:12])))
+		hello := parseHeader(raw[:])
+		t.ctr.recvFrames[frHello].Add(1)
+		nd := int(hello.w.Sub)
+		if hello.off != protoVersion {
+			err := pgas.Errorf(pgas.ErrTransport, -1, "wire Connect",
+				"node %d: peer node %d (%s %s) speaks wire protocol v%d, this node v%d",
+				t.cfg.Node, nd, t.cfg.network(), t.cfg.addr(nd), hello.off, protoVersion)
+			// Tell the dialer why before hanging up (best effort), so its
+			// side unwinds with the cause instead of classifying a crash.
+			_ = t.sendAbort(&peerConn{conn: conn, bw: bufio.NewWriter(conn)}, nd, err.Error())
+			conn.Close()
+			return err
+		}
 		if nd <= t.cfg.Node || nd >= t.cfg.Nodes || t.peers[nd] != nil {
 			conn.Close()
 			return pgas.Errorf(pgas.ErrTransport, -1, "wire Connect",
@@ -449,11 +481,24 @@ func (t *Transport) Expose(w pgas.Win, data []int64) {
 	t.winMu.Unlock()
 }
 
+// Unexpose drops every window whose id lies in (lo, hi]: one pass over the
+// table, whatever kinds and subs the ids were exposed under.
+func (t *Transport) Unexpose(lo, hi uint32) {
+	t.winMu.Lock()
+	for w := range t.wins {
+		if w.ID > lo && w.ID <= hi {
+			delete(t.wins, w)
+		}
+	}
+	t.winMu.Unlock()
+}
+
+// window returns w's backing slice when [off, off+k) lies inside it.
 func (t *Transport) window(w pgas.Win, off, k int64) ([]int64, bool) {
 	t.winMu.RLock()
 	data, ok := t.wins[w]
 	t.winMu.RUnlock()
-	if !ok || off < 0 || off+k > int64(len(data)) {
+	if !ok || off < 0 || k < 0 || off > int64(len(data)) || k > int64(len(data))-off {
 		return nil, false
 	}
 	return data, true
@@ -466,44 +511,43 @@ func tid(th *pgas.Thread) int {
 	return th.ID
 }
 
-// sendFrame encodes and writes one frame to original seat nd under its
-// connection's write lock. flush pushes the connection's buffered frames
-// (earlier coalesced PUTs included) onto the wire with a write deadline, so
-// a wedged peer surfaces as an error here rather than a hang.
-func (t *Transport) sendFrame(nd int, typ uint8, w pgas.Win, off, count int64, reqID uint64, payload []int64, flush bool) error {
-	p := t.peers[nd]
+// send encodes one frame and writes it to original seat nd; see sendOn.
+func (t *Transport) send(nd int, h header, payload []int64, flush bool) error {
+	return t.sendOn(t.peers[nd], nd, h, payload, flush)
+}
+
+// sendOn is the one frame encoder: header, payload at the narrowest width
+// that carries it (encodePayload), CRC-32C over exactly the payload bytes,
+// written to p under its write lock. flush pushes the connection's buffered
+// frames (earlier coalesced PUTs included) onto the wire with a write
+// deadline, so a wedged peer surfaces as an error here rather than a hang.
+func (t *Transport) sendOn(p *peerConn, nd int, h header, payload []int64, flush bool) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 
-	var crc uint32
+	var pay []byte
 	if len(payload) > 0 {
-		need := len(payload) * 8
-		if cap(p.pay) < need {
-			p.pay = make([]byte, need)
-		}
-		buf := p.pay[:need]
-		for j, v := range payload {
-			binary.LittleEndian.PutUint64(buf[j*8:], uint64(v))
-		}
-		crc = crc32.Checksum(buf, castagnoli)
+		p.pay, h.narrow = encodePayload(p.pay, payload)
+		pay = p.pay
+		h.crc = crc32.Checksum(pay, castagnoli)
 	}
-	hdr := p.hdr[:]
-	hdr[0] = typ
-	hdr[1] = byte(w.Kind)
-	binary.LittleEndian.PutUint16(hdr[2:4], 0)
-	binary.LittleEndian.PutUint32(hdr[4:8], w.ID)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(w.Sub))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(off))
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(count))
-	binary.LittleEndian.PutUint64(hdr[28:36], reqID)
-	binary.LittleEndian.PutUint32(hdr[36:40], crc)
-	if _, err := p.bw.Write(hdr); err != nil {
+	h.put(p.hdr[:])
+	if _, err := p.bw.Write(p.hdr[:]); err != nil {
 		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
 	}
-	if len(payload) > 0 {
-		if _, err := p.bw.Write(p.pay[:len(payload)*8]); err != nil {
-			return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
+	if _, err := p.bw.Write(pay); err != nil {
+		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
+	}
+	t.ctr.sentFrames[h.typ].Add(1)
+	if len(pay) > 0 {
+		t.ctr.sentBytes[h.typ].Add(uint64(len(pay)))
+		t.ctr.payloadSent.Add(1)
+		if h.narrow {
+			t.ctr.narrowSent.Add(1)
 		}
+	}
+	if h.typ == frPut {
+		p.puts++
 	}
 	if flush {
 		p.conn.SetWriteDeadline(time.Now().Add(t.cfg.Timeout))
@@ -513,6 +557,11 @@ func (t *Transport) sendFrame(nd int, typ uint8, w pgas.Win, off, count int64, r
 				class = pgas.ErrTimeout
 			}
 			return pgas.Errorf(class, -1, "wire send", "flush %s: %v", t.edge(nd), err)
+		}
+		if p.puts > 0 {
+			t.ctr.puts.Add(p.puts)
+			t.ctr.putFlushes.Add(1)
+			p.puts = 0
 		}
 	}
 	return nil
@@ -535,74 +584,43 @@ func (t *Transport) sendFailed(seat int, err error) error {
 	return t.evictErrLocked(seat)
 }
 
-// sendStatus is sendFrame for responses, which carry a status code.
-func (t *Transport) sendStatus(nd int, typ uint8, status uint16, count int64, reqID uint64, payload []int64) error {
-	p := t.peers[nd]
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-
-	var crc uint32
-	if len(payload) > 0 {
-		need := len(payload) * 8
-		if cap(p.pay) < need {
-			p.pay = make([]byte, need)
-		}
-		buf := p.pay[:need]
-		for j, v := range payload {
-			binary.LittleEndian.PutUint64(buf[j*8:], uint64(v))
-		}
-		crc = crc32.Checksum(buf, castagnoli)
-	}
-	hdr := p.hdr[:]
-	for j := range hdr {
-		hdr[j] = 0
-	}
-	hdr[0] = typ
-	binary.LittleEndian.PutUint16(hdr[2:4], status)
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(count))
-	binary.LittleEndian.PutUint64(hdr[28:36], reqID)
-	binary.LittleEndian.PutUint32(hdr[36:40], crc)
-	if _, err := p.bw.Write(hdr); err != nil {
-		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
-	}
-	if len(payload) > 0 {
-		if _, err := p.bw.Write(p.pay[:len(payload)*8]); err != nil {
-			return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
-		}
-	}
-	p.conn.SetWriteDeadline(time.Now().Add(t.cfg.Timeout))
-	if err := p.bw.Flush(); err != nil {
-		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "flush %s: %v", t.edge(nd), err)
-	}
-	return nil
-}
-
-func (t *Transport) register(seat int) (uint64, chan wireResp) {
+func (t *Transport) register(seat int, dst []int64) (uint64, chan wireResp) {
 	ch := make(chan wireResp, 1)
 	t.pendMu.Lock()
 	t.reqSeq++
 	id := t.reqSeq
-	t.pend[id] = pendReq{ch: ch, seat: seat}
+	t.pend[id] = pendReq{ch: ch, seat: seat, dst: dst}
 	t.pendMu.Unlock()
 	return id, ch
 }
 
-func (t *Transport) resolve(id uint64, r wireResp) {
+// claim removes request id from the table. Whoever claims an entry sends
+// exactly one wireResp on its channel.
+func (t *Transport) claim(id uint64) (pendReq, bool) {
 	t.pendMu.Lock()
 	pr, ok := t.pend[id]
 	if ok {
 		delete(t.pend, id)
 	}
 	t.pendMu.Unlock()
-	if ok {
+	return pr, ok
+}
+
+func (t *Transport) resolve(id uint64, r wireResp) {
+	if pr, ok := t.claim(id); ok {
 		pr.ch <- r
 	}
 }
 
-func (t *Transport) drop(id uint64) {
-	t.pendMu.Lock()
-	delete(t.pend, id)
-	t.pendMu.Unlock()
+// abandon withdraws a request its waiter has given up on. When the entry
+// is already claimed — the reader is decoding the response into dst, or a
+// crash is resolving it — abandon waits for the claimant's send, so dst is
+// never written after the waiter returns. The wait is bounded: claimants
+// only touch memory between claiming and sending.
+func (t *Transport) abandon(id uint64, ch chan wireResp) {
+	if _, ok := t.claim(id); !ok {
+		<-ch
+	}
 }
 
 func (t *Transport) aborted() bool {
@@ -671,27 +689,28 @@ func (t *Transport) Get(th *pgas.Thread, node int, w pgas.Win, off int64, dst []
 	if err := t.crashedFast(seat); err != nil {
 		return err
 	}
-	id, ch := t.register(seat)
-	if err := t.sendFrame(seat, frGet, w, off, int64(len(dst)), id, nil, true); err != nil {
-		t.drop(id)
+	id, ch := t.register(seat, dst)
+	if err := t.send(seat, header{typ: frGet, w: w, off: off, count: int64(len(dst)), reqID: id}, nil, true); err != nil {
+		t.abandon(id, ch)
 		return t.sendFailed(seat, err)
 	}
+	timer := time.NewTimer(t.cfg.Timeout)
+	defer timer.Stop()
 	select {
 	case r := <-ch:
 		if r.err != nil {
 			return r.err
 		}
-		if r.status == stBadWindow || len(r.vals) != len(dst) {
+		if r.status != stOK {
 			return pgas.Errorf(pgas.ErrMisuse, tid(th), op,
 				"node %d rejected window %+v [%d,%d)", node, w, off, off+int64(len(dst)))
 		}
-		copy(dst, r.vals)
 		return nil
 	case <-t.abortCh:
-		t.drop(id)
+		t.abandon(id, ch)
 		return t.abortErr(th, op)
-	case <-time.After(t.cfg.Timeout):
-		t.drop(id)
+	case <-timer.C:
+		t.abandon(id, ch)
 		if ee := t.crashedFast(seat); ee != nil {
 			return ee
 		}
@@ -721,7 +740,7 @@ func (t *Transport) Put(th *pgas.Thread, node int, w pgas.Win, off int64, src []
 	if err := t.crashedFast(seat); err != nil {
 		return err
 	}
-	if err := t.sendFrame(seat, frPut, w, off, int64(len(src)), 0, src, false); err != nil {
+	if err := t.send(seat, header{typ: frPut, w: w, off: off, count: int64(len(src))}, src, false); err != nil {
 		return t.sendFailed(seat, err)
 	}
 	return nil
@@ -744,11 +763,13 @@ func (t *Transport) PutMin(th *pgas.Thread, node int, w pgas.Win, off int64, v i
 	if err := t.crashedFast(seat); err != nil {
 		return false, err
 	}
-	id, ch := t.register(seat)
-	if err := t.sendFrame(seat, frPutMin, w, off, 1, id, []int64{v}, true); err != nil {
-		t.drop(id)
+	id, ch := t.register(seat, nil)
+	if err := t.send(seat, header{typ: frPutMin, w: w, off: off, count: 1, reqID: id}, []int64{v}, true); err != nil {
+		t.abandon(id, ch)
 		return false, t.sendFailed(seat, err)
 	}
+	timer := time.NewTimer(t.cfg.Timeout)
+	defer timer.Stop()
 	select {
 	case r := <-ch:
 		if r.err != nil {
@@ -760,10 +781,10 @@ func (t *Transport) PutMin(th *pgas.Thread, node int, w pgas.Win, off int64, v i
 		}
 		return r.status == stStored, nil
 	case <-t.abortCh:
-		t.drop(id)
+		t.abandon(id, ch)
 		return false, t.abortErr(th, op)
-	case <-time.After(t.cfg.Timeout):
-		t.drop(id)
+	case <-timer.C:
+		t.abandon(id, ch)
 		if ee := t.crashedFast(seat); ee != nil {
 			return false, ee
 		}
@@ -849,7 +870,8 @@ func (t *Transport) Rendezvous(localMax float64) (float64, error) {
 		if s == t.cfg.Node {
 			continue
 		}
-		if err := t.sendFrame(s, frBarrier, pgas.Win{ID: uint32(k.epoch)}, int64(gen), 0, math.Float64bits(localMax), nil, true); err != nil {
+		bar := header{typ: frBarrier, w: pgas.Win{ID: uint32(k.epoch)}, off: int64(gen), reqID: math.Float64bits(localMax)}
+		if err := t.send(s, bar, nil, true); err != nil {
 			if errors.Is(err, pgas.ErrTimeout) || t.departed[s].Load() {
 				t.Abort(err.Error())
 				return 0, err
@@ -861,6 +883,8 @@ func (t *Transport) Rendezvous(localMax float64) (float64, error) {
 			continue
 		}
 	}
+	timer := time.NewTimer(t.cfg.Timeout)
+	defer timer.Stop()
 	select {
 	case <-st.done:
 		t.rdvMu.Lock()
@@ -877,7 +901,7 @@ func (t *Transport) Rendezvous(localMax float64) (float64, error) {
 		return g, nil
 	case <-t.abortCh:
 		return 0, t.abortErr(nil, op)
-	case <-time.After(t.cfg.Timeout):
+	case <-timer.C:
 		t.rdvMu.Lock()
 		var goneErr error
 		for _, s := range vs.seats {
@@ -1028,7 +1052,7 @@ func (t *Transport) EvictNodes(dead []int) ([]int, error) {
 	}
 	st.self = true
 	t.markLeavingLocked(st)
-	words := make([]int64, (t.cfg.Nodes+63)/64)
+	words := make([]int64, t.evictWords())
 	for s, dead := range st.union {
 		if dead {
 			words[s/64] |= 1 << (s % 64)
@@ -1044,7 +1068,7 @@ func (t *Transport) EvictNodes(dead []int) ([]int, error) {
 	t.rdvMu.Unlock()
 
 	for _, s := range targets {
-		if err := t.sendFrame(s, frEvict, pgas.Win{}, int64(epoch), int64(len(words)), 0, words, true); err != nil {
+		if err := t.send(s, header{typ: frEvict, off: int64(epoch), count: int64(len(words))}, words, true); err != nil {
 			if errors.Is(err, pgas.ErrTimeout) || t.departed[s].Load() {
 				t.Abort(err.Error())
 				return nil, err
@@ -1053,6 +1077,8 @@ func (t *Transport) EvictNodes(dead []int) ([]int, error) {
 			continue
 		}
 	}
+	timer := time.NewTimer(t.cfg.Timeout)
+	defer timer.Stop()
 	select {
 	case <-st.done:
 		t.rdvMu.Lock()
@@ -1069,7 +1095,7 @@ func (t *Transport) EvictNodes(dead []int) ([]int, error) {
 		return out, nil
 	case <-t.abortCh:
 		return nil, t.abortErr(nil, op)
-	case <-time.After(t.cfg.Timeout):
+	case <-timer.C:
 		err := pgas.Errorf(pgas.ErrTimeout, -1, op,
 			"node %d: membership epoch %d incomplete after %v", t.cfg.Node, epoch, t.cfg.Timeout)
 		t.Abort(err.Error())
@@ -1138,19 +1164,28 @@ func (t *Transport) Abort(cause string) {
 		t.cause = cause
 		t.causeMu.Unlock()
 		close(t.abortCh)
-		payload := make([]int64, (len(cause)+7)/8)
-		b := make([]byte, len(payload)*8)
-		copy(b, cause)
-		for j := range payload {
-			payload[j] = int64(binary.LittleEndian.Uint64(b[j*8:]))
-		}
-		for nd := range t.peers {
-			if nd == t.cfg.Node || t.peers[nd] == nil {
-				continue
+		for nd, p := range t.peers {
+			if nd != t.cfg.Node && p != nil {
+				_ = t.sendAbort(p, nd, cause)
 			}
-			_ = t.sendFrame(nd, frAbort, pgas.Win{}, int64(len(cause)), int64(len(payload)), 0, payload, true)
 		}
 	})
+}
+
+// sendAbort writes an ABORT frame carrying cause (truncated to the
+// protocol's cap) to p: the text packed into words, its byte length in the
+// offset field.
+func (t *Transport) sendAbort(p *peerConn, nd int, cause string) error {
+	if len(cause) > maxAbortWords*8 {
+		cause = cause[:maxAbortWords*8]
+	}
+	payload := make([]int64, (len(cause)+7)/8)
+	b := make([]byte, len(payload)*8)
+	copy(b, cause)
+	for j := range payload {
+		payload[j] = int64(binary.LittleEndian.Uint64(b[j*8:]))
+	}
+	return t.sendOn(p, nd, header{typ: frAbort, off: int64(len(cause)), count: int64(len(payload))}, payload, true)
 }
 
 // Close tears the mesh down: announce a clean departure to every peer
@@ -1162,7 +1197,7 @@ func (t *Transport) Close() error {
 	t.closed.Store(true)
 	for nd, p := range t.peers {
 		if nd != t.cfg.Node && p != nil {
-			_ = t.sendFrame(nd, frGoodbye, pgas.Win{}, 0, 0, 0, nil, true)
+			_ = t.send(nd, header{typ: frGoodbye}, nil, true)
 		}
 	}
 	if t.ln != nil {
@@ -1279,90 +1314,159 @@ func (t *Transport) connDown(nd int, err error) {
 	t.peerCrashed(nd, err)
 }
 
+// evictWords is the length of an EVICT frame's dead-seat bitmap.
+func (t *Transport) evictWords() int { return (t.cfg.Nodes + 63) / 64 }
+
+// rxScratch is one reader's reusable buffers: the header, the payload
+// bytes as read (checksummed here before any word is applied), and the
+// decoded words of control frames.
+type rxScratch struct {
+	hdr   [headerLen]byte
+	raw   []byte
+	words []int64
+}
+
 // readLoop drains one mesh edge. Every frame is applied under rmu; answers
 // (GETRESP, PUTMINRESP) are sent from fresh goroutines over snapshots so a
 // reader never blocks on a send — the mesh cannot deadlock on mutual
 // bulk responses.
 func (t *Transport) readLoop(nd int, p *peerConn) {
 	br := bufio.NewReader(p.conn)
-	hdr := make([]byte, headerLen)
-	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
+	var sc rxScratch
+	for t.readFrame(nd, br, &sc) {
+	}
+}
+
+// readFrame receives and applies one frame from seat nd, in the order
+// validate → read → verify → apply (see the package comment). It reports
+// whether the edge is still worth reading.
+func (t *Transport) readFrame(nd int, br io.Reader, sc *rxScratch) bool {
+	if _, err := io.ReadFull(br, sc.hdr[:]); err != nil {
+		t.connDown(nd, err)
+		return false
+	}
+	h := parseHeader(sc.hdr[:])
+	if h.typ < frHello || int(h.typ) >= numFrameTypes {
+		t.Abort(fmt.Sprintf("%s: unknown frame type %d", t.edge(nd), h.typ))
+		return false
+	}
+	t.ctr.recvFrames[h.typ].Add(1)
+
+	var raw []byte
+	if h.hasPayload() {
+		if !t.admit(nd, &h) {
+			return false
+		}
+		need := int(h.count * h.wordBytes())
+		if cap(sc.raw) < need {
+			sc.raw = make([]byte, need)
+		}
+		raw = sc.raw[:need]
+		if _, err := io.ReadFull(br, raw); err != nil {
 			t.connDown(nd, err)
-			return
+			return false
 		}
-		typ := hdr[0]
-		w := pgas.Win{
-			Kind: pgas.WinKind(hdr[1]),
-			ID:   binary.LittleEndian.Uint32(hdr[4:8]),
-			Sub:  int32(binary.LittleEndian.Uint32(hdr[8:12])),
-		}
-		status := binary.LittleEndian.Uint16(hdr[2:4])
-		off := int64(binary.LittleEndian.Uint64(hdr[12:20]))
-		count := int64(binary.LittleEndian.Uint64(hdr[20:28]))
-		reqID := binary.LittleEndian.Uint64(hdr[28:36])
-		crc := binary.LittleEndian.Uint32(hdr[36:40])
-
-		var payload []int64
-		hasPayload := typ == frPut || typ == frPutMin || typ == frAbort || typ == frEvict ||
-			(typ == frGetResp && count > 0)
-		if hasPayload {
-			if count < 0 || count > (1<<31) {
-				t.Abort(fmt.Sprintf("%s: frame type %d count %d out of range", t.edge(nd), typ, count))
-				return
-			}
-			n := int(count)
-			raw := make([]byte, n*8)
-			if _, err := io.ReadFull(br, raw); err != nil {
-				t.connDown(nd, err)
-				return
-			}
-			if crc32.Checksum(raw, castagnoli) != crc {
-				t.frameCorrupt(nd, typ, reqID)
-				continue
-			}
-			payload = make([]int64, n)
-			for j := range payload {
-				payload[j] = int64(binary.LittleEndian.Uint64(raw[j*8:]))
-			}
-		}
-
-		switch typ {
-		case frPut:
-			t.applyPut(nd, w, off, payload)
-		case frGet:
-			t.serveGet(nd, w, off, count, reqID)
-		case frPutMin:
-			t.servePutMin(nd, w, off, payload, reqID)
-		case frGetResp:
-			t.resolve(reqID, wireResp{vals: payload, status: status})
-		case frPutMinResp:
-			t.resolve(reqID, wireResp{status: status})
-		case frBarrier:
-			t.applyBarrier(uint64(w.ID), uint64(off), math.Float64frombits(reqID))
-		case frEvict:
-			t.applyEvict(nd, uint64(off), payload)
-		case frAbort:
-			b := make([]byte, len(payload)*8)
-			for j, v := range payload {
-				binary.LittleEndian.PutUint64(b[j*8:], uint64(v))
-			}
-			n := off // byte length rides the offset field
-			if n < 0 || n > int64(len(b)) {
-				n = int64(len(b))
-			}
-			t.Abort(fmt.Sprintf("node %d aborted: %s", nd, string(b[:n])))
-		case frGoodbye:
-			t.departed[nd].Store(true)
-		case frHello:
-			// Late HELLO is a protocol violation, not a crash.
-			t.Abort(fmt.Sprintf("%s: unexpected HELLO", t.edge(nd)))
-			return
-		default:
-			t.Abort(fmt.Sprintf("%s: unknown frame type %d", t.edge(nd), typ))
-			return
+		t.ctr.recvBytes[h.typ].Add(uint64(need))
+		if crc32.Checksum(raw, castagnoli) != h.crc {
+			t.frameCorrupt(nd, h.typ, h.reqID)
+			return true
 		}
 	}
+
+	switch h.typ {
+	case frPut:
+		t.applyPut(nd, &h, raw)
+	case frGet:
+		t.serveGet(nd, &h)
+	case frPutMin:
+		t.servePutMin(nd, &h, sc.decode(&h, raw)[0])
+	case frGetResp:
+		t.deliver(&h, raw)
+	case frPutMinResp:
+		t.resolve(h.reqID, wireResp{status: h.status})
+	case frBarrier:
+		t.applyBarrier(uint64(h.w.ID), uint64(h.off), math.Float64frombits(h.reqID))
+	case frEvict:
+		t.applyEvict(nd, uint64(h.off), sc.decode(&h, raw))
+	case frAbort:
+		words := sc.decode(&h, raw)
+		b := make([]byte, len(words)*8)
+		for j, v := range words {
+			binary.LittleEndian.PutUint64(b[j*8:], uint64(v))
+		}
+		n := h.off // the text's byte length rides the offset field
+		if n < 0 || n > int64(len(b)) {
+			n = int64(len(b))
+		}
+		t.Abort(fmt.Sprintf("node %d aborted: %s", nd, string(b[:n])))
+	case frGoodbye:
+		t.departed[nd].Store(true)
+	case frHello:
+		// Late HELLO is a protocol violation, not a crash.
+		t.Abort(fmt.Sprintf("%s: unexpected HELLO", t.edge(nd)))
+		return false
+	}
+	return true
+}
+
+// decode returns a verified control payload's words in the reader's
+// scratch (valid until the next frame).
+func (sc *rxScratch) decode(h *header, raw []byte) []int64 {
+	if int64(cap(sc.words)) < h.count {
+		sc.words = make([]int64, h.count)
+	}
+	words := sc.words[:h.count]
+	decodePayload(words, raw, h.narrow, false)
+	return words
+}
+
+// admit bounds a payload from its header alone, before a byte of it is
+// read or a buffer is sized for it: a PUT must fit its exposed window, a
+// GETRESP must answer a pending GET of exactly its length, and PUTMIN,
+// EVICT and ABORT payloads have fixed sizes. Anything else is a protocol
+// violation: the transport aborts with a cause naming the edge and the
+// edge is dropped. The one quiet refusal is a response whose waiter is
+// already gone for a classified reason (the transport aborted, or the
+// seat was declared crashed from the write side) — nothing is left to
+// deliver it to.
+func (t *Transport) admit(nd int, h *header) bool {
+	violation := func(format string, args ...interface{}) bool {
+		t.Abort(fmt.Sprintf("%s: protocol violation: %s", t.edge(nd), fmt.Sprintf(format, args...)))
+		return false
+	}
+	switch h.typ {
+	case frPut:
+		if _, ok := t.window(h.w, h.off, h.count); !ok {
+			return violation("PUT of %d words at offset %d outside any exposed window %+v", h.count, h.off, h.w)
+		}
+	case frPutMin:
+		if h.count != 1 {
+			return violation("PUTMIN carrying %d words, want 1", h.count)
+		}
+	case frEvict:
+		if h.count != int64(t.evictWords()) {
+			return violation("EVICT bitmap of %d words, want %d", h.count, t.evictWords())
+		}
+	case frAbort:
+		if h.count < 0 || h.count > maxAbortWords {
+			return violation("ABORT cause of %d words, cap %d", h.count, maxAbortWords)
+		}
+	case frGetResp:
+		t.pendMu.Lock()
+		pr, ok := t.pend[h.reqID]
+		t.pendMu.Unlock()
+		if !ok {
+			if t.aborted() || t.crashedFast(nd) != nil {
+				return false
+			}
+			return violation("GETRESP of %d words for unknown request %d", h.count, h.reqID)
+		}
+		if pr.seat != nd || h.status != stOK || h.count != int64(len(pr.dst)) {
+			return violation("GETRESP of %d words (status %d) for request %d, which asked node %d for %d",
+				h.count, h.status, h.reqID, pr.seat, len(pr.dst))
+		}
+	}
+	return true
 }
 
 // frameCorrupt reports a checksum mismatch. A corrupt response is delivered
@@ -1379,55 +1483,95 @@ func (t *Transport) frameCorrupt(nd int, typ uint8, reqID uint64) {
 	t.Abort(err.Error())
 }
 
-func (t *Transport) applyPut(nd int, w pgas.Win, off int64, src []int64) {
+// applyPut decodes a verified PUT payload straight into its window. The
+// window is looked up again under rmu: admit's lookup only bounded the
+// read.
+func (t *Transport) applyPut(nd int, h *header, raw []byte) {
 	t.rmu.Lock()
-	data, ok := t.window(w, off, int64(len(src)))
+	data, ok := t.window(h.w, h.off, h.count)
 	if ok {
-		writeWin(w, data, off, src)
+		decodePayload(data[h.off:h.off+h.count], raw, h.narrow, h.w.Kind == pgas.WinArray)
 	}
 	t.rmu.Unlock()
 	if !ok {
-		t.Abort(fmt.Sprintf("node %d put to unexposed window %+v [%d,%d) at node %d", nd, w, off, off+int64(len(src)), t.cfg.Node))
+		t.Abort(fmt.Sprintf("node %d put to unexposed window %+v [%d,%d) at node %d", nd, h.w, h.off, h.off+h.count, t.cfg.Node))
 	}
 }
 
-func (t *Transport) serveGet(nd int, w pgas.Win, off, count int64, reqID uint64) {
+// deliver completes a GET: it claims the pending request, then decodes the
+// verified payload into the waiter's buffer. A waiter that gave up first
+// has already taken the entry, and its buffer is left alone.
+func (t *Transport) deliver(h *header, raw []byte) {
+	pr, ok := t.claim(h.reqID)
+	if !ok {
+		return
+	}
+	r := wireResp{status: h.status}
+	if h.status == stOK {
+		if h.count == int64(len(pr.dst)) {
+			decodePayload(pr.dst, raw, h.narrow, false)
+		} else {
+			r.status = stBadWindow
+		}
+	}
+	pr.ch <- r
+}
+
+// snapshots recycles the GET serve path's snapshot buffers across
+// requests and connections.
+var snapshots sync.Pool
+
+func getSnapshot(n int64) *[]int64 {
+	if s, _ := snapshots.Get().(*[]int64); s != nil && int64(cap(*s)) >= n {
+		*s = (*s)[:n]
+		return s
+	}
+	s := make([]int64, n)
+	return &s
+}
+
+// serveGet snapshots the requested words under rmu and answers off the
+// reader goroutine over the snapshot: the reader keeps draining while bulk
+// responses flow the other way. On an aborted transport requests go
+// unanswered — the requester unwinds on the abort it was sent, not on a
+// refusal that only reflects this node tearing down.
+func (t *Transport) serveGet(nd int, h *header) {
+	if t.aborted() {
+		return
+	}
+	resp := header{typ: frGetResp, status: stBadWindow, reqID: h.reqID}
+	var snap *[]int64
 	t.rmu.Lock()
-	data, ok := t.window(w, off, count)
-	var snap []int64
-	if ok {
-		snap = make([]int64, count)
-		readWin(w, data, off, snap)
+	if data, ok := t.window(h.w, h.off, h.count); ok {
+		snap = getSnapshot(h.count)
+		readWin(h.w, data, h.off, *snap)
+		resp.status, resp.count = stOK, h.count
 	}
 	t.rmu.Unlock()
-	// Answer off the reader goroutine over the snapshot: the reader keeps
-	// draining while bulk responses flow the other way.
 	go func() {
-		if !ok {
-			_ = t.sendStatus(nd, frGetResp, stBadWindow, 0, reqID, nil)
+		if snap == nil {
+			_ = t.send(nd, resp, nil, true)
 			return
 		}
-		_ = t.sendStatus(nd, frGetResp, stOK, count, reqID, snap)
+		_ = t.send(nd, resp, *snap, true)
+		snapshots.Put(snap)
 	}()
 }
 
-func (t *Transport) servePutMin(nd int, w pgas.Win, off int64, payload []int64, reqID uint64) {
-	status := stBadWindow
-	if len(payload) == 1 {
-		t.rmu.Lock()
-		data, ok := t.window(w, off, 1)
-		if ok {
-			if minWin(data, off, payload[0]) {
-				status = stStored
-			} else {
-				status = stOK
-			}
-		}
-		t.rmu.Unlock()
+func (t *Transport) servePutMin(nd int, h *header, v int64) {
+	if t.aborted() {
+		return
 	}
-	go func() {
-		_ = t.sendStatus(nd, frPutMinResp, status, 0, reqID, nil)
-	}()
+	resp := header{typ: frPutMinResp, status: stBadWindow, reqID: h.reqID}
+	t.rmu.Lock()
+	if data, ok := t.window(h.w, h.off, 1); ok {
+		resp.status = stOK
+		if minWin(data, h.off, v) {
+			resp.status = stStored
+		}
+	}
+	t.rmu.Unlock()
+	go func() { _ = t.send(nd, resp, nil, true) }()
 }
 
 func (t *Transport) applyBarrier(epoch, gen uint64, v float64) {

@@ -13,7 +13,9 @@
 //	   └─ ErrEvicted(threads T)
 //	        │  budget left and enough survivors?
 //	        ├─ no ──────────────────────────────▶ fail loudly (classified)
-//	        └─ yes: Evict(T) → remapped runtime
+//	        └─ yes: Evict(T) → remapped runtime (on a wire cluster the
+//	                  agreement also drops every window of the failed
+//	                  attempt: its arrays, plans and reducers are gone)
 //	                re-arm chaos (same seed)
 //	                Rebind checkpoints (restore-on-register)
 //	                fresh Comm (plans must rebuild: geometry changed)

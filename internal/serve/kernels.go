@@ -213,6 +213,11 @@ func lookup(name string) (*kernelEntry, error) {
 // range — returns a classified pgas.ErrMisuse; classified runtime
 // failures (chaos faults, evictions) come back as their own classes.
 // Kernel bugs still panic.
+//
+// The kernel's shared state — its arrays, plans and reducers — lives until
+// RunKernel returns: the result holds host slices only, so everything the
+// run allocated on rt is released on the way out (pgas.Runtime.Release),
+// panic or not, and a long-lived cluster carries no trace of finished runs.
 func RunKernel(rt *pgas.Runtime, comm *collective.Comm, spec KernelSpec) (res *KernelResult, err error) {
 	entry, err := lookup(spec.Kernel)
 	if err != nil {
@@ -238,6 +243,7 @@ func RunKernel(rt *pgas.Runtime, comm *collective.Comm, spec KernelSpec) (res *K
 	if err := collective.Sanitize(spec.Col, true).Validate(); err != nil {
 		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "serve.run", "%s: %v", spec.Kernel, err)
 	}
+	defer rt.Release(rt.Mark())
 	defer pgas.Recover(&err)
 	return entry.run(rt, comm, &spec), nil
 }

@@ -1,0 +1,247 @@
+package serve
+
+import (
+	"bytes"
+	"os"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"pgasgraph/internal/collective"
+	"pgasgraph/internal/graph"
+	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/pgas/wiretransport"
+	"pgasgraph/internal/seq"
+)
+
+// wireSeat is one hosted node of a unix-socket cluster.
+type wireSeat struct {
+	tr   *wiretransport.Transport
+	rt   *pgas.Runtime
+	comm *collective.Comm
+}
+
+// hostWire assembles a nodes×tpn wire cluster inside the test process, one
+// transport endpoint, runtime and Comm per node.
+func hostWire(t *testing.T, nodes, tpn int) []*wireSeat {
+	t.Helper()
+	dir := t.TempDir()
+	seats := make([]*wireSeat, nodes)
+	errs := make([]error, nodes)
+	var wg sync.WaitGroup
+	for nd := range seats {
+		wg.Add(1)
+		go func(nd int) {
+			defer wg.Done()
+			tr, err := wiretransport.Connect(wiretransport.Config{
+				Nodes: nodes, Node: nd, ThreadsPerNode: tpn, Dir: dir, Timeout: 20 * time.Second,
+			})
+			if err != nil {
+				errs[nd] = err
+				return
+			}
+			rt, err := pgas.NewOnTransport(testMachine(nodes, tpn), tr)
+			if err != nil {
+				tr.Close()
+				errs[nd] = err
+				return
+			}
+			seats[nd] = &wireSeat{tr: tr, rt: rt, comm: collective.NewComm(rt)}
+		}(nd)
+	}
+	wg.Wait()
+	for nd, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", nd, err)
+		}
+	}
+	t.Cleanup(func() {
+		for _, s := range seats {
+			s.tr.Close()
+		}
+	})
+	return seats
+}
+
+// onEvery runs fn as every node concurrently and returns the per-node
+// errors.
+func onEvery(seats []*wireSeat, fn func(nd int, s *wireSeat) error) []error {
+	errs := make([]error, len(seats))
+	var wg sync.WaitGroup
+	for nd, s := range seats {
+		wg.Add(1)
+		go func(nd int, s *wireSeat) {
+			defer wg.Done()
+			errs[nd] = fn(nd, s)
+		}(nd, s)
+	}
+	wg.Wait()
+	return errs
+}
+
+// sentBytes is what the whole cluster has put on its sockets so far.
+func sentBytes(seats []*wireSeat) (total uint64) {
+	for _, s := range seats {
+		_, b := s.tr.Stats().SentWire()
+		total += b
+	}
+	return total
+}
+
+func exposedWindows(seats []*wireSeat) []int {
+	ws := make([]int, len(seats))
+	for nd, s := range seats {
+		ws[nd] = s.tr.Stats().Windows
+	}
+	return ws
+}
+
+// TestWireClusterDoesNotGrow: a kernel's shared state lives until RunKernel
+// returns. On a long-lived cluster an empty region after the sixth
+// cc/coalesced run moves exactly the bytes it moved after the first — no
+// dead array is synced — the same windows are exposed (the Comm's own
+// one-shot plan, which every run reuses), and the first run's labels, host
+// slices, are untouched by the releases that followed.
+func TestWireClusterDoesNotGrow(t *testing.T) {
+	const nodes = 4
+	seats := hostWire(t, nodes, 2)
+	g := graph.Random(1<<12, 1<<14, 41)
+	want := seq.Canonical(seq.CC(g))
+	spec := KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: collective.Optimized(2), Compact: true}
+
+	run := func() []*KernelResult {
+		t.Helper()
+		results := make([]*KernelResult, nodes)
+		for nd, err := range onEvery(seats, func(nd int, s *wireSeat) (err error) {
+			results[nd], err = RunKernel(s.rt, s.comm, spec)
+			return err
+		}) {
+			if err != nil {
+				t.Fatalf("node %d: %v", nd, err)
+			}
+		}
+		return results
+	}
+	emptyRegion := func() uint64 {
+		t.Helper()
+		before := sentBytes(seats)
+		for nd, err := range onEvery(seats, func(_ int, s *wireSeat) error {
+			_, err := s.rt.RunE(func(*pgas.Thread) {})
+			return err
+		}) {
+			if err != nil {
+				t.Fatalf("node %d: empty region: %v", nd, err)
+			}
+		}
+		return sentBytes(seats) - before
+	}
+
+	first := run()
+	bytes1, windows1 := emptyRegion(), exposedWindows(seats)
+	for k := 0; k < 5; k++ {
+		run()
+	}
+	bytes6, windows6 := emptyRegion(), exposedWindows(seats)
+
+	if bytes1 != bytes6 {
+		t.Errorf("an empty region moved %d bytes after 1 run and %d after 6", bytes1, bytes6)
+	}
+	for nd := range seats {
+		if windows1[nd] != windows6[nd] {
+			t.Errorf("node %d: %d windows exposed after 1 run, %d after 6", nd, windows1[nd], windows6[nd])
+		}
+	}
+	for nd, r := range first {
+		if len(r.Labels) != len(want) {
+			t.Fatalf("node %d: %d labels, want %d", nd, len(r.Labels), len(want))
+		}
+		for i := range want {
+			if r.Labels[i] != want[i] {
+				t.Fatalf("node %d: run 1's label[%d] = %d after run 6, want %d", nd, i, r.Labels[i], want[i])
+			}
+		}
+	}
+}
+
+// TestFailedKernelStillReleases: a kernel that dies mid-region — here on an
+// exhausted retry budget, every transfer dropped — leaves through
+// RunKernel's release like one that finished: no window of the failed run
+// stays exposed on any node.
+func TestFailedKernelStillReleases(t *testing.T) {
+	seats := hostWire(t, 2, 2)
+	for _, s := range seats {
+		s.rt.ArmChaos(pgas.ChaosConfig{Seed: 9, DropRate: 1, MaxAttempts: 1})
+	}
+	idle := exposedWindows(seats)
+	spec := KernelSpec{Kernel: "cc/coalesced", Graph: graph.Random(512, 2048, 5), Col: collective.Optimized(2)}
+	for nd, err := range onEvery(seats, func(_ int, s *wireSeat) error {
+		_, err := RunKernel(s.rt, s.comm, spec)
+		return err
+	}) {
+		if _, classified := pgas.Classified(err); !classified {
+			t.Fatalf("node %d: RunKernel under total loss: %v, want a classified failure", nd, err)
+		}
+	}
+	for nd, got := range exposedWindows(seats) {
+		if got != idle[nd] {
+			t.Errorf("node %d: %d windows exposed after the failed run, %d before it", nd, got, idle[nd])
+		}
+	}
+}
+
+// procWchar reads this process's cumulative write-syscall byte count.
+func procWchar(t *testing.T) uint64 {
+	t.Helper()
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("no /proc/self/io: %v", err)
+	}
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if rest, ok := bytes.CutPrefix(line, []byte("wchar: ")); ok {
+			v, err := strconv.ParseUint(string(rest), 10, 64)
+			if err != nil {
+				t.Fatalf("/proc/self/io: %v", err)
+			}
+			return v
+		}
+	}
+	t.Skip("/proc/self/io has no wchar")
+	return 0
+}
+
+// TestWireStatsAccountForSocketBytes: the transport's counters are the
+// bytes on the wire. Over one cc/coalesced run on a hosted cluster, what
+// the nodes sent is what they received, and payload bytes plus 40 per frame
+// account for the process's write-syscall growth to within 1 %. Must not
+// run in parallel with anything that writes.
+func TestWireStatsAccountForSocketBytes(t *testing.T) {
+	seats := hostWire(t, 4, 2)
+	spec := KernelSpec{Kernel: "cc/coalesced", Graph: graph.Random(1<<14, 1<<16, 77), Col: collective.Optimized(2), Compact: true}
+
+	sent0, wchar0 := sentBytes(seats), procWchar(t)
+	for nd, err := range onEvery(seats, func(_ int, s *wireSeat) error {
+		_, err := RunKernel(s.rt, s.comm, spec)
+		return err
+	}) {
+		if err != nil {
+			t.Fatalf("node %d: %v", nd, err)
+		}
+	}
+	wchar, sent := procWchar(t)-wchar0, sentBytes(seats)-sent0
+
+	var sentAll, recvAll uint64
+	for _, s := range seats {
+		st := s.tr.Stats()
+		_, sb := st.SentWire()
+		_, rb := st.RecvWire()
+		sentAll, recvAll = sentAll+sb, recvAll+rb
+	}
+	if sentAll != recvAll {
+		t.Errorf("cluster sent %d bytes and received %d", sentAll, recvAll)
+	}
+	if diff := float64(wchar) - float64(sent); diff < -0.01*float64(wchar) || diff > 0.01*float64(wchar) {
+		t.Errorf("counters say %d bytes left over sockets; the process wrote %d (off by %.2f%%)",
+			sent, wchar, 100*diff/float64(wchar))
+	}
+}
