@@ -195,19 +195,24 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 // becomes synchronous pointer jumping in lock step ("we insert artificial
 // synchronizations into pointer-jumping", §IV.A) so it coalesces too.
 //
+// Round 0 starts from the identity fill, where every endpoint is its own
+// label: it copies instead of gathering (identityGather) unless Register
+// restored a snapshot.
+//
 // Without edge compaction the graft gather requests the same 2m endpoint
-// indices every iteration, so the kernel builds one collective.Plan up
-// front and re-executes it per iteration: the grouping sort and matrix
-// publish are paid once for the whole run instead of once per iteration,
-// with bit-identical labels. Compaction shrinks the request vector, so
-// that variant stays on the one-shot path (with its warm IDCache).
+// indices every iteration, so the kernel builds one collective.Plan when
+// it first gathers and re-executes it per iteration: the grouping sort and
+// matrix publish are paid once for the whole run instead of once per
+// iteration, with bit-identical labels. Compaction shrinks the request
+// vector — the endpoint pairs, compacted in place — so that variant stays
+// on the one-shot path.
 //
 // Recoverable state (pgas.Registrar): D, under CkptCoalescedD, for the
 // same reason as Naive.
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
-	pgas.Register(rt, CkptCoalescedD, d)
+	identity := !pgas.Register(rt, CkptCoalescedD, d)
 	red := pgas.NewOrReducer(rt)
 	col := opts.col()
 	compact := opts.compact()
@@ -217,21 +222,22 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := th.Span(m)
-		live := make([]int64, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			live = append(live, e)
-		}
 		dLo, dHi := d.ThreadCover(th.ID)
 		span := dHi - dLo
 		th.ChargeSeq(sim.CatWork, span)
 
-		gatherIdx := make([]int64, 0, 2*len(live))
-		gatherVal := make([]int64, 0, 2*len(live))
-		setIdx := make([]int64, 0, len(live))
-		setVal := make([]int64, 0, len(live))
-		jumpIdx := make([]int64, span)
-		jumpVal := make([]int64, span)
-		var graftCache collective.IDCache
+		// The live edges as (u, v) endpoint pairs: the graft gather's
+		// request vector.
+		ends := make([]int64, 0, 2*(hi-lo))
+		for e := lo; e < hi; e++ {
+			ends = append(ends, int64(g.U[e]), int64(g.V[e]))
+		}
+		th.ChargeSeq(sim.CatWork, int64(len(ends)))
+		labels := make([]int64, len(ends))
+		setIdx := make([]int64, 0, hi-lo)
+		setVal := make([]int64, 0, hi-lo)
+		jump := collective.NewJumpScratch(span)
+		planned := false
 		th.Barrier()
 
 		for iter := 0; ; iter++ {
@@ -239,36 +245,28 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 				panic(fmt.Sprintf("cc: Coalesced exceeded %d iterations", maxIterations))
 			}
 			// Fetch both endpoint labels of every live edge.
-			k := len(live)
-			if compact {
-				gatherIdx = gatherIdx[:0]
-				for _, e := range live {
-					gatherIdx = append(gatherIdx, int64(g.U[e]), int64(g.V[e]))
-				}
-				gatherVal = gatherVal[:2*k]
-				th.ChargeSeq(sim.CatWork, 2*int64(k))
-				comm.GetD(th, d, gatherIdx, gatherVal, col, &graftCache)
-			} else {
+			labels = labels[:len(ends)]
+			switch {
+			case iter == 0 && identity:
+				identityGather(th, ends, labels)
+			case compact:
+				comm.GetD(th, d, ends, labels, col, nil)
+			default:
 				// The live set never shrinks: the endpoint request vector
 				// is identical every iteration, so build the plan once and
 				// reuse it for every graft gather.
-				if iter == 0 {
-					gatherIdx = gatherIdx[:0]
-					for _, e := range live {
-						gatherIdx = append(gatherIdx, int64(g.U[e]), int64(g.V[e]))
-					}
-					gatherVal = gatherVal[:2*k]
-					th.ChargeSeq(sim.CatWork, 2*int64(k))
-					graftPlan.PlanRequests(th, d, gatherIdx, col, nil)
+				if !planned {
+					graftPlan.PlanRequests(th, d, ends, col, nil)
+					planned = true
 				}
-				graftPlan.GetD(th, d, gatherVal)
+				graftPlan.GetD(th, d, labels)
 			}
 
 			// Build the hook list: D[max(du,dv)] <- min(du,dv).
 			grafted := false
 			setIdx, setVal = setIdx[:0], setVal[:0]
-			for j := 0; j < k; j++ {
-				du, dv := gatherVal[2*j], gatherVal[2*j+1]
+			for j := 0; j < len(labels); j += 2 {
+				du, dv := labels[j], labels[j+1]
 				if du == dv {
 					continue
 				}
@@ -279,28 +277,25 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 				setVal = append(setVal, du)
 				grafted = true
 			}
-			th.ChargeOps(sim.CatWork, int64(k))
+			th.ChargeOps(sim.CatWork, int64(len(labels)/2))
 			comm.SetDMin(th, d, setIdx, setVal, col, nil)
 
 			// Synchronous pointer jumping until all trees are rooted
 			// stars.
-			comm.PointerJump(th, d, col, red, jumpIdx, jumpVal, dLo)
+			comm.PointerJump(th, d, col, red, jump, dLo)
 
 			// Compact: an edge whose endpoints shared a label this
 			// iteration is dead forever (labels merge monotonically).
 			if compact {
 				w := 0
-				for j := 0; j < k; j++ {
-					if gatherVal[2*j] != gatherVal[2*j+1] {
-						live[w] = live[j]
-						w++
+				for j := 0; j < len(labels); j += 2 {
+					if labels[j] != labels[j+1] {
+						ends[w], ends[w+1] = ends[j], ends[j+1]
+						w += 2
 					}
 				}
-				if w != k {
-					live = live[:w]
-					graftCache.Invalidate()
-				}
-				th.ChargeSeq(sim.CatWork, int64(k))
+				th.ChargeSeq(sim.CatWork, int64(len(ends)))
+				ends = ends[:w]
 			}
 
 			if !red.Reduce(th, grafted) {
@@ -312,6 +307,14 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		}
 	})
 	return finish(d, iterations, run)
+}
+
+// identityGather is the gather out[j] = D[idx[j]] against an
+// identity-filled D: every index is its own label, so the answer is a
+// local copy and no collective runs. Charged as the copy it is.
+func identityGather(th *pgas.Thread, idx, out []int64) {
+	copy(out, idx)
+	th.ChargeSeq(sim.CatCopy, int64(len(idx)))
 }
 
 // SV runs the Shiloach-Vishkin algorithm rewritten with collectives: per

@@ -57,8 +57,7 @@ func Incremental(rt *pgas.Runtime, comm *collective.Comm, d *pgas.SharedArray, e
 		gatherVal := make([]int64, 2*k)
 		setIdx := make([]int64, 0, k)
 		setVal := make([]int64, 0, k)
-		jumpIdx := make([]int64, span)
-		jumpVal := make([]int64, span)
+		jump := collective.NewJumpScratch(span)
 		th.ChargeSeq(sim.CatWork, 2*int64(k))
 		th.Barrier()
 
@@ -94,7 +93,7 @@ func Incremental(rt *pgas.Runtime, comm *collective.Comm, d *pgas.SharedArray, e
 			// Re-collapse to rooted stars so the array stays directly
 			// servable (same-component is one gather) and the next round's
 			// endpoint labels are roots again.
-			comm.PointerJump(th, d, col, red, jumpIdx, jumpVal, dLo)
+			comm.PointerJump(th, d, col, red, jump, dLo)
 
 			if !red.Reduce(th, grafted) {
 				if th.ID == 0 {

@@ -62,6 +62,10 @@ var roundProbe func(kernel string, round int, labels []int64)
 //	hooks         rule.hooks       one SetDMin
 //	shortcut      D[i] <- D[D[i]]  one GetD + local stores
 //
+// Round 0 starts from the identity fill, where parents and grandparents
+// are the endpoints themselves: it copies instead of gathering
+// (identityGather) unless Register restored a snapshot.
+//
 // All writes are minimum writes from the identity fill, so labels only
 // decrease and the terminal state is the same component-minimum rooted
 // stars every monotone kernel converges to: labels are bit-identical
@@ -76,16 +80,17 @@ var roundProbe func(kernel string, round int, labels []int64)
 func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options, rule *hookRule) *Result {
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
-	pgas.Register(rt, rule.ckpt, d)
+	identity := !pgas.Register(rt, rule.ckpt, d)
 	red := pgas.NewOrReducer(rt)
 	col := opts.col()
 	// Compaction drops an edge once both endpoints gather equal parents,
 	// which is sound only when equal parents imply merged trees.
 	compact := opts.compact() && !rule.directWrite
 	// Without compaction the live set is static, so the endpoint gather
-	// runs through one reused Plan; compaction shrinks the request vector,
-	// so that variant stays on the one-shot path with a warm IDCache.
-	planned := !compact && !rule.perCallSort
+	// runs through one reused Plan, built when it first gathers; compaction
+	// shrinks the request vector, so that variant stays on the one-shot
+	// path with a warm IDCache.
+	usePlan := !compact && !rule.perCallSort
 	endPlan := comm.NewPlan()
 	m := g.M()
 	iterations := 0
@@ -113,6 +118,7 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 		jumpVal := make([]int64, span)
 		prev := make([]int64, span)
 		var endpointCache collective.IDCache
+		planned := false
 		th.Barrier()
 
 		for iter := 0; ; iter++ {
@@ -125,7 +131,8 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 
 			// Parents of both endpoints.
 			k := len(live)
-			if !planned || iter == 0 {
+			fresh := iter == 0 && identity
+			if !usePlan || iter == 0 {
 				endIdx = endIdx[:0]
 				for _, e := range live {
 					endIdx = append(endIdx, int64(g.U[e]), int64(g.V[e]))
@@ -133,19 +140,27 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 				parVal = parVal[:2*k]
 				th.ChargeSeq(sim.CatWork, 2*int64(k))
 			}
-			if planned {
-				if iter == 0 {
+			switch {
+			case fresh:
+				identityGather(th, endIdx, parVal)
+			case usePlan:
+				if !planned {
 					endPlan.PlanRequests(th, d, endIdx, col, nil)
+					planned = true
 				}
 				endPlan.GetD(th, d, parVal)
-			} else {
+			default:
 				comm.GetD(th, d, endIdx, parVal, col, &endpointCache)
 			}
 
 			// Grandparents: labels of the parent values.
 			if rule.grandparents {
 				gpVal = gpVal[:2*k]
-				comm.GetD(th, d, parVal, gpVal, col, nil)
+				if fresh {
+					identityGather(th, parVal, gpVal)
+				} else {
+					comm.GetD(th, d, parVal, gpVal, col, nil)
+				}
 			}
 
 			setIdx, setVal = rule.hooks(endIdx, parVal, gpVal, setIdx[:0], setVal[:0])

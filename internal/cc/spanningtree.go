@@ -77,8 +77,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		gatherVal := make([]int64, 0, 2*len(live))
 		setIdx := make([]int64, 0, len(live))
 		setVal := make([]int64, 0, len(live))
-		jumpIdx := make([]int64, span)
-		jumpVal := make([]int64, span)
+		jump := collective.NewJumpScratch(span)
 		var graftCache collective.IDCache
 		th.Barrier()
 
@@ -101,7 +100,13 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 			}
 			gatherVal = gatherVal[:2*k]
 			th.ChargeSeq(sim.CatWork, 2*int64(k))
-			comm.GetD(th, d, gatherIdx, gatherVal, col, &graftCache)
+			if iter == 0 {
+				// D is registered nowhere, so round 0 always starts from
+				// the identity fill.
+				identityGather(th, gatherIdx, gatherVal)
+			} else {
+				comm.GetD(th, d, gatherIdx, gatherVal, col, &graftCache)
+			}
 
 			// Elect hooks: Hook[max(du,dv)] <- min over (min(du,dv), e).
 			grafted := false
@@ -137,7 +142,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 			th.Barrier()
 
 			// Collapse to rooted stars.
-			comm.PointerJump(th, d, col, red, jumpIdx, jumpVal, dLo)
+			comm.PointerJump(th, d, col, red, jump, dLo)
 
 			if compact {
 				w := 0

@@ -205,6 +205,7 @@ type threadState struct {
 	snap       []int64 // pre-serve local-block snapshot for chaos replay (grown only when chaos is armed)
 	stage      []int64 // wire-transport staging for a remote peer's request segment (grown only on a wire fabric)
 	segs       []segment
+	comb       *combineTable // SetDMin request filter memory, allocated by the thread's first one-shot SetDMin
 	scr        sched.Scratch
 	scr2       sched.Scratch // second first-touch tracker for GetDPair
 	routeTotal int64         // element count of the last route-op receive
@@ -236,12 +237,15 @@ type segment struct {
 // use by all runtime threads.
 type Tracer interface {
 	// Collective reports one thread's participation in one call: the
-	// simulated-time delta by category, the thread's request count, the
-	// host wall-clock time the call took on that thread's goroutine, and
-	// how many scratch backing-array growths it triggered (zero in steady
+	// simulated-time delta by category, the thread's request count as
+	// offered by the caller (elements) and as delivered to the owners after
+	// the request filter (kept <= elements; lower when the offloaded index
+	// was requested or a one-shot SetDMin combined duplicates), the host
+	// wall-clock time the call took on that thread's goroutine, and how
+	// many scratch backing-array growths it triggered (zero in steady
 	// state — a nonzero count after warmup flags an allocation regression
 	// on the hot path).
-	Collective(kind string, thread int, delta sim.Breakdown, elements int64, wall time.Duration, scratchGrowths int64)
+	Collective(kind string, thread int, delta sim.Breakdown, elements, kept int64, wall time.Duration, scratchGrowths int64)
 	// Transfer reports one coalesced transfer of elems elements between
 	// server and requester.
 	Transfer(server, requester int, elems int64)
@@ -293,10 +297,11 @@ func (c *Comm) checkLive(th *pgas.Thread) {
 	}
 }
 
-// traced wraps a collective body with per-call profiling: simulated-time
-// deltas, host wall-clock time, and scratch-growth counts. It is on every
-// collective execution path, so it also carries the stale-geometry guard.
-func (c *Comm) traced(kind string, th *pgas.Thread, elements int, body func()) {
+// traced wraps one execution of plan p with per-call profiling:
+// simulated-time deltas, offered and delivered request counts, host
+// wall-clock time, and scratch-growth counts. It is on every collective
+// execution path, so it also carries the stale-geometry guard.
+func (c *Comm) traced(kind string, th *pgas.Thread, p *Plan, body func()) {
 	c.checkLive(th)
 	if c.tracer == nil {
 		body()
@@ -309,7 +314,8 @@ func (c *Comm) traced(kind string, th *pgas.Thread, elements int, body func()) {
 	body()
 	wall := time.Since(start)
 	delta := th.Clock.ByCategory.Sub(&before)
-	c.tracer.Collective(kind, th.ID, delta, int64(elements), wall, st.growths-growthsBefore)
+	pt := &p.pts[th.ID]
+	c.tracer.Collective(kind, th.ID, delta, int64(pt.n), int64(pt.k), wall, st.growths-growthsBefore)
 }
 
 // NewComm allocates collective state for rt. It panics on a geometry the
@@ -428,8 +434,8 @@ func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, 
 	}
 	checkRequests("GetD", d, indices)
 	opts = orDefaults(opts)
-	c.traced("GetD", th, len(indices), func() {
-		c.splan.planInto(th, d, indices, opts, cache, true)
+	c.traced("GetD", th, c.splan, func() {
+		c.splan.planInto(th, d, indices, opts, cache, true, nil)
 		c.exec(th, c.splan, opGetD, d, nil, nil, out, nil)
 	})
 }
@@ -438,7 +444,7 @@ func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, 
 // concurrent write: when several requests target one location, the owner
 // applies them in a deterministic order and the last wins).
 func (c *Comm) SetD(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.setOneShot(th, d, indices, values, opts, cache, opSetD, false)
+	c.setOneShot(th, d, indices, values, opts, cache, opSetD)
 }
 
 // SetDMin scatters D[indices[j]] = min(D[indices[j]], values[j])
@@ -446,8 +452,13 @@ func (c *Comm) SetD(th *pgas.Thread, d *pgas.SharedArray, indices, values []int6
 // replacement for the MST minimum-edge update. With Offload enabled,
 // writes against the offloaded location are no-ops for a priority write
 // when its value is pinned at the minimum; they are dropped client-side.
+// So is a request that cannot win: one whose target this thread already
+// sent, in this call, a value at least as small (see planFilter). The
+// owners may therefore see fewer requests than were offered; D after the
+// call is the same. cache is not consulted: which requests survive depends
+// on the values, not on the index list alone.
 func (c *Comm) SetDMin(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.setOneShot(th, d, indices, values, opts, cache, opSetDMin, true)
+	c.setOneShot(th, d, indices, values, opts, cache, opSetDMin)
 }
 
 // SetDAdd scatters D[indices[j]] += values[j] collectively (additive
@@ -456,20 +467,28 @@ func (c *Comm) SetDMin(th *pgas.Thread, d *pgas.SharedArray, indices, values []i
 // histogram-style reductions use it in place of a gather-modify-scatter
 // round trip.
 func (c *Comm) SetDAdd(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.setOneShot(th, d, indices, values, opts, cache, opSetDAdd, false)
+	c.setOneShot(th, d, indices, values, opts, cache, opSetDAdd)
 }
 
 // setOneShot runs one scatter-style collective: build the scratch plan,
-// execute the op once. filter selects whether the op honors opts.Offload
-// (only SetDMin's drop semantics do).
-func (c *Comm) setOneShot(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache, op *serveOp, filter bool) {
+// execute the op once. Only SetDMin's drop semantics survive the request
+// filter, which then takes the values too and combines duplicates.
+func (c *Comm) setOneShot(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache, op *serveOp) {
 	if len(values) != len(indices) {
 		panic("collective: Set* value length mismatch")
 	}
 	checkRequests(op.kind, d, indices)
 	opts = orDefaults(opts)
-	c.traced(op.kind, th, len(indices), func() {
-		c.splan.planInto(th, d, indices, opts, cache, filter)
+	var minVals []int64
+	if op == opSetDMin {
+		// What combining keeps depends on the values, so two calls with one
+		// index list can keep different requests — even equally many — and
+		// an IDCache, valid per index list, would hand the second call the
+		// first one's owners.
+		minVals, cache = values, nil
+	}
+	c.traced(op.kind, th, c.splan, func() {
+		c.splan.planInto(th, d, indices, opts, cache, op.allowFiltered, minVals)
 		c.exec(th, c.splan, op, d, nil, values, nil, nil)
 	})
 }

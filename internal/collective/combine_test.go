@@ -1,0 +1,343 @@
+package collective
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"pgasgraph/internal/machine"
+	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/sim"
+	"pgasgraph/internal/xrand"
+)
+
+// These tests pin the one-shot SetDMin's requester-side combining (see
+// planFilter): whatever the filter drops, D after the call is the
+// sequential min-scatter of every offered request, and the delivered
+// count reported to the Tracer obeys the filter's own laws — never more
+// than offered, exactly one request per target when values ascend and the
+// targets fit the table without collisions, every request when they
+// descend.
+
+// requestCounts is the slice of Tracer this file needs: per-thread offered
+// and kept request counts of SetDMin calls.
+type requestCounts struct {
+	mu            sync.Mutex
+	offered, kept []int64
+}
+
+func newRequestCounts(s int) *requestCounts {
+	return &requestCounts{offered: make([]int64, s), kept: make([]int64, s)}
+}
+
+func (r *requestCounts) Collective(kind string, thread int, _ sim.Breakdown, elements, kept int64, _ time.Duration, _ int64) {
+	if kind != "SetDMin" {
+		return
+	}
+	r.mu.Lock()
+	r.offered[thread] += elements
+	r.kept[thread] += kept
+	r.mu.Unlock()
+}
+func (*requestCounts) Transfer(int, int, int64)    {}
+func (*requestCounts) PlanBuild(int, int64)        {}
+func (*requestCounts) PlanReuse(int, int64)        {}
+func (*requestCounts) ServeRetry(int, string, int) {}
+func (r *requestCounts) totals() (offered, kept int64) {
+	for i := range r.offered {
+		offered += r.offered[i]
+		kept += r.kept[i]
+	}
+	return offered, kept
+}
+
+// combineInit is every slot's value before the scatter; slot 0 holds 0 so
+// the Offload variants' pinned-minimum premise holds.
+const combineInit = int64(1) << 40
+
+// minScatter is the sequential oracle: D after applying every (idx, val)
+// of every thread as D[idx] = min(D[idx], val).
+func minScatter(n int64, idxs, vals [][]int64) []int64 {
+	want := make([]int64, n)
+	for i := range want {
+		want[i] = combineInit
+	}
+	want[0] = 0
+	for i := range idxs {
+		for j, ix := range idxs[i] {
+			if vals[i][j] < want[ix] {
+				want[ix] = vals[i][j]
+			}
+		}
+	}
+	return want
+}
+
+// runSetDMin issues one one-shot SetDMin per thread and returns D and the
+// per-thread request counts.
+func runSetDMin(rt *pgas.Runtime, spec pgas.PartitionSpec, opts *Options, n int64, idxs, vals [][]int64) ([]int64, *requestCounts) {
+	d := rt.NewSharedArrayPart("D", n, spec)
+	for i := int64(1); i < n; i++ {
+		d.Raw()[i] = combineInit
+	}
+	comm := NewComm(rt)
+	counts := newRequestCounts(rt.NumThreads())
+	comm.SetTracer(counts)
+	rt.Run(func(th *pgas.Thread) {
+		o := *opts
+		comm.SetDMin(th, d, idxs[th.ID], vals[th.ID], &o, nil)
+	})
+	return d.Raw(), counts
+}
+
+// distinctTargets counts the distinct indices of one list, leaving out the
+// offloaded index 0 when offload is set.
+func distinctTargets(idx []int64, offload bool) int64 {
+	seen := map[int64]bool{}
+	for _, ix := range idx {
+		if ix == 0 && offload {
+			continue
+		}
+		seen[ix] = true
+	}
+	return int64(len(seen))
+}
+
+func TestSetDMinCombineLaws(t *testing.T) {
+	// shape builds one thread's request list; exact says what the kept
+	// count must be, given the thread's offered and distinct-target counts
+	// (nil: only kept <= offered is known).
+	type shape struct {
+		name  string
+		n     int64
+		build func(r *xrand.Rand, n int64) (idx, val []int64)
+		exact func(offered, distinct int64) int64
+	}
+	one := func(_, distinct int64) int64 { return distinct }
+	all := func(offered, _ int64) int64 { return offered }
+	shapes := []shape{
+		{"random-heavy-dup", 97, func(r *xrand.Rand, n int64) (idx, val []int64) {
+			for j := 0; j < 400; j++ {
+				idx = append(idx, r.Int64n(n))
+				val = append(val, r.Int64n(1<<20))
+			}
+			return
+		}, nil},
+		{"offloaded-index-dups", 50, func(r *xrand.Rand, n int64) (idx, val []int64) {
+			for j := 0; j < 200; j++ {
+				ix := int64(0)
+				if j%3 == 2 {
+					ix = r.Int64n(n)
+				}
+				idx = append(idx, ix)
+				val = append(val, r.Int64n(1<<20))
+			}
+			return
+		}, nil},
+		{"equal-values", 64, func(r *xrand.Rand, n int64) (idx, val []int64) {
+			for j := 0; j < 300; j++ {
+				ix := r.Int64n(n)
+				idx = append(idx, ix)
+				val = append(val, 1000+ix) // one value per target
+			}
+			return
+		}, one},
+		{"ascending-runs", 4096, func(r *xrand.Rand, n int64) (idx, val []int64) {
+			for j := 0; j < 1500; j++ {
+				idx = append(idx, r.Int64n(300)*13%n)
+				val = append(val, int64(j))
+			}
+			return
+		}, one},
+		{"descending-runs", 4096, func(r *xrand.Rand, n int64) (idx, val []int64) {
+			// Targets stay clear of 0: under Offload those drop first.
+			for j := 0; j < 1500; j++ {
+				idx = append(idx, 1+r.Int64n(300))
+				val = append(val, int64(5000-j))
+			}
+			return
+		}, all},
+		{"more-targets-than-slots", 3 * combineSlots, func(r *xrand.Rand, n int64) (idx, val []int64) {
+			// Pairs of targets one table-length apart evict each other
+			// between repeats: the filter forgets, and must still be right.
+			for j := 0; j < 3000; j++ {
+				ix := r.Int64n(combineSlots/8) + int64(j%3)*combineSlots
+				idx = append(idx, ix)
+				val = append(val, r.Int64n(64))
+			}
+			for ix := int64(0); ix < n; ix += 2 { // > combineSlots distinct targets
+				idx = append(idx, ix)
+				val = append(val, 100+ix%7)
+			}
+			return
+		}, nil},
+	}
+	for _, geo := range []struct{ nodes, tpn int }{{1, 1}, {3, 2}} {
+		rt := testRT(t, geo.nodes, geo.tpn)
+		s := rt.NumThreads()
+		for _, sh := range shapes {
+			idxs, vals := make([][]int64, s), make([][]int64, s)
+			for i := 0; i < s; i++ {
+				idxs[i], vals[i] = sh.build(xrand.New(uint64(31+i)), sh.n)
+			}
+			want := minScatter(sh.n, idxs, vals)
+			for _, part := range lawPartitions {
+				for _, offload := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%dx%d/%s/%s/offload=%v", geo.nodes, geo.tpn, sh.name, part.name, offload), func(t *testing.T) {
+						opts := &Options{VirtualThreads: 2, Circular: true, Offload: offload}
+						got, counts := runSetDMin(rt, part.spec(sh.n), opts, sh.n, idxs, vals)
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("D[%d] = %d, sequential min-scatter gives %d", i, got[i], want[i])
+							}
+						}
+						for i := 0; i < s; i++ {
+							offered, kept := counts.offered[i], counts.kept[i]
+							if offered != int64(len(idxs[i])) {
+								t.Errorf("thread %d: tracer saw %d offered requests, the call passed %d", i, offered, len(idxs[i]))
+							}
+							if kept > offered {
+								t.Errorf("thread %d: %d requests delivered of %d offered", i, kept, offered)
+							}
+							if sh.exact == nil {
+								continue
+							}
+							if want := sh.exact(offered, distinctTargets(idxs[i], offload)); kept != want {
+								t.Errorf("thread %d: %d requests delivered of %d offered, want %d", i, kept, offered, want)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestPlannedSetDMinDeliversEverything: combining belongs to the one-shot
+// call only. A planned SetDMin's indices are fixed at build while its
+// values change per execution, so it delivers every planned request on
+// every execution.
+func TestPlannedSetDMinDeliversEverything(t *testing.T) {
+	rt := testRT(t, 2, 2)
+	s := rt.NumThreads()
+	const n = 64
+	d := rt.NewSharedArray("D", n)
+	for i := range d.Raw() {
+		d.Raw()[i] = combineInit
+	}
+	comm := NewComm(rt)
+	counts := newRequestCounts(s)
+	comm.SetTracer(counts)
+	plan := comm.NewPlan()
+	rt.Run(func(th *pgas.Thread) {
+		idx := make([]int64, 100)
+		val := make([]int64, 100)
+		for j := range idx {
+			idx[j] = int64(j % 5) // ascending values per target: the one-shot would keep 5
+			val[j] = int64(j)
+		}
+		plan.PlanRequests(th, d, idx, Base(), nil)
+		plan.SetDMin(th, d, val)
+		plan.SetDMin(th, d, val)
+	})
+	if offered, kept := counts.totals(); kept != offered || offered != int64(2*100*s) {
+		t.Fatalf("planned SetDMin delivered %d of %d requests, want all %d", kept, offered, 2*100*s)
+	}
+}
+
+// FuzzSetDMinCombine feeds the one-shot SetDMin arbitrary index/value
+// lists — geometry, partition scheme, options and table pressure all
+// drawn from the input — and holds D against the sequential min-scatter.
+func FuzzSetDMinCombine(f *testing.F) {
+	f.Add(byte(0), byte(9), byte(0), []byte{0, 0, 0, 1, 0, 0})
+	f.Add(byte(5), byte(200), byte(0x4f), []byte("the same few roots, asked again and again and again"))
+	f.Add(byte(2), byte(33), byte(0xa9), []byte{4, 1, 9, 8, 1, 7, 4, 1, 6, 12, 1, 5, 0, 1, 4, 8, 1, 3})
+	f.Fuzz(func(t *testing.T, geoRaw, nRaw, optBits byte, data []byte) {
+		geos := [][2]int{{1, 1}, {1, 2}, {1, 4}, {2, 1}, {2, 2}, {3, 2}}
+		geo := geos[int(geoRaw)%len(geos)]
+		cfg := machine.PaperCluster()
+		cfg.Nodes, cfg.ThreadsPerNode = geo[0], geo[1]
+		rt, err := pgas.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := rt.NumThreads()
+		n := int64(nRaw)*7 + int64(4*s)
+		if optBits&64 != 0 {
+			n += 2 * combineSlots // targets a table length apart: evictions
+		}
+		opts := &Options{
+			VirtualThreads: 1 + int(optBits>>4)&3,
+			Circular:       optBits&1 != 0,
+			LocalCpy:       optBits&2 != 0,
+			CachedIDs:      optBits&4 != 0,
+			Offload:        optBits&8 != 0,
+		}
+		part := lawPartitions[int(optBits>>7)+int(geoRaw>>7)].spec(n)
+
+		// Three bytes a request: a coarse and a fine index byte (the coarse
+		// one strides a quarter table), and a small signed value.
+		idxs, vals := make([][]int64, s), make([][]int64, s)
+		for r := 0; 3*r+2 < len(data); r++ {
+			i := r % s
+			ix := (int64(data[3*r])*(combineSlots/4) + int64(data[3*r+1])) % n
+			v := int64(int8(data[3*r+2]))
+			if opts.Offload && v < 0 {
+				v = -v // slot 0 is pinned at the minimum, 0
+			}
+			idxs[i] = append(idxs[i], ix)
+			vals[i] = append(vals[i], v)
+		}
+		want := minScatter(n, idxs, vals)
+		got, counts := runSetDMin(rt, part, opts, n, idxs, vals)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("D[%d] = %d, sequential min-scatter gives %d", i, got[i], want[i])
+			}
+		}
+		if offered, kept := counts.totals(); kept > offered {
+			t.Fatalf("%d requests delivered of %d offered", kept, offered)
+		}
+	})
+}
+
+// TestSetDMinCombineIgnoresIDCache: which requests combining keeps depends
+// on the values, so one index list can survive as different sub-lists of
+// equal length on two calls. An IDCache is keyed by the index list; were
+// it consulted, the second call would route its kept requests with the
+// first call's owners.
+func TestSetDMinCombineIgnoresIDCache(t *testing.T) {
+	rt := testRT(t, 2, 2)
+	s := rt.NumThreads()
+	const n = 64
+	a, b := int64(3), int64(n-2) // first and last thread's blocks
+	idx := []int64{a, b, a, b}
+	calls := [][]int64{
+		{5, 3, 3, 5}, // keeps (a,5) (b,3) (a,3)
+		{3, 5, 5, 3}, // keeps (a,3) (b,5) (b,3)
+	}
+	d := rt.NewSharedArray("D", n)
+	for i := range d.Raw() {
+		d.Raw()[i] = combineInit
+	}
+	comm := NewComm(rt)
+	caches := make([]IDCache, s)
+	opts := &Options{VirtualThreads: 1, CachedIDs: true}
+	for c, vals := range calls {
+		rt.Run(func(th *pgas.Thread) {
+			o := *opts
+			comm.SetDMin(th, d, idx, vals, &o, &caches[th.ID])
+		})
+		for i, v := range d.Raw() {
+			want := combineInit
+			if int64(i) == a || int64(i) == b {
+				want = 3
+			}
+			if v != want {
+				t.Fatalf("call %d: D[%d] = %d, want %d", c, i, v, want)
+			}
+		}
+		d.Raw()[a], d.Raw()[b] = combineInit, combineInit
+	}
+}

@@ -20,8 +20,8 @@ func (c *Comm) Exchange(th *pgas.Thread, d *pgas.SharedArray, items []int64, opt
 	checkRequests("Exchange", d, items)
 	opts = orDefaults(opts)
 	var out []int64
-	c.traced("Exchange", th, len(items), func() {
-		c.splan.planInto(th, d, items, opts, cache, false)
+	c.traced("Exchange", th, c.splan, func() {
+		c.splan.planInto(th, d, items, opts, cache, false, nil)
 		c.exec(th, c.splan, opExchange, d, nil, nil, nil, nil)
 		st := &c.ts[th.ID]
 		out = st.inVal[:st.routeTotal]
@@ -44,8 +44,8 @@ func (c *Comm) ExchangePairs(th *pgas.Thread, d *pgas.SharedArray, items, values
 	}
 	checkRequests("ExchangePairs", d, items)
 	opts = orDefaults(opts)
-	c.traced("ExchangePairs", th, len(items), func() {
-		c.splan.planInto(th, d, items, opts, cache, false)
+	c.traced("ExchangePairs", th, c.splan, func() {
+		c.splan.planInto(th, d, items, opts, cache, false, nil)
 		c.exec(th, c.splan, opExchangePairs, d, nil, values, nil, nil)
 		st := &c.ts[th.ID]
 		recvItems, recvValues = st.local[:st.routeTotal], st.inVal[:st.routeTotal]

@@ -12,6 +12,19 @@ import (
 // bug — and panics.
 const maxJumpLevels = 512
 
+// JumpScratch owns PointerJump's three block-sized buffers: the active
+// vertex list, their labels, and the labels' labels. A kernel allocates
+// one per thread per run and passes it to every PointerJump of that run.
+type JumpScratch struct {
+	idx, val, active []int64
+}
+
+// NewJumpScratch returns the scratch for a covered block of span vertices.
+func NewJumpScratch(span int64) *JumpScratch {
+	buf := make([]int64, 3*span)
+	return &JumpScratch{idx: buf[:span], val: buf[span : 2*span], active: buf[2*span:]}
+}
+
 // PointerJump applies synchronous pointer jumping (D[i] <- D[D[i]] in
 // lock step, "we insert artificial synchronizations into pointer-jumping",
 // §IV.A) over the caller's ThreadCover block until all trees are rooted
@@ -19,15 +32,15 @@ const maxJumpLevels = 512
 // root stay active: no hooks happen during the phase, so a root can never
 // move and a vertex whose label did not change is finished. d must be a
 // forest (hooks need not be monotone in label order, as long as they are
-// acyclic). Every thread must call it; jumpIdx/jumpVal are scratch buffers
-// sized to the block and dLo is the block base.
+// acyclic). Every thread must call it; js is scratch sized to the block
+// and dLo is the block base.
 func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
-	red *pgas.OrReducer, jumpIdx, jumpVal []int64, dLo int64) {
-	span := int64(len(jumpIdx))
+	red *pgas.OrReducer, js *JumpScratch, dLo int64) {
+	jumpIdx, jumpVal, active := js.idx, js.val, js.active
+	span := int64(len(active))
 	raw := d.Raw()
-	active := make([]int64, span)
-	for i := int64(0); i < span; i++ {
-		active[i] = dLo + i
+	for i := range active {
+		active[i] = dLo + int64(i)
 	}
 	th.ChargeSeq(sim.CatWork, span)
 	for level := 0; ; level++ {

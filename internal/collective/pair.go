@@ -24,8 +24,8 @@ func (c *Comm) GetDPair(th *pgas.Thread, d1, d2 *pgas.SharedArray, indices, out1
 	}
 	checkRequests("GetDPair", d1, indices)
 	opts = orDefaults(opts)
-	c.traced("GetDPair", th, len(indices), func() {
-		c.splan.planInto(th, d1, indices, opts, cache, false)
+	c.traced("GetDPair", th, c.splan, func() {
+		c.splan.planInto(th, d1, indices, opts, cache, false, nil)
 		c.exec(th, c.splan, opGetDPair, d1, d2, nil, out1, out2)
 	})
 }

@@ -32,7 +32,10 @@ import (
 // When the plan is built with Offload enabled, the offloaded index is
 // filtered out at build time and only GetD (substitute the pinned value)
 // and SetDMin (drop the no-op write) may execute it; other ops panic,
-// since their semantics cannot honor a filtered request list.
+// since their semantics cannot honor a filtered request list. A planned
+// SetDMin always delivers every remaining request: duplicate combining
+// needs the values, which change per execution while the plan's indices
+// are fixed at build, so only the one-shot SetDMin combines.
 type Plan struct {
 	c    *Comm
 	pts  []planThread
@@ -52,14 +55,14 @@ type planThread struct {
 	val2     []int64 // second receive buffer (GetDPair)
 	pos      []int32 // inverse permutation of the grouping sort
 	offs     []int64 // per-owner segment offsets, len s+1
-	outIdx   []int32 // offload filter: filtered position -> original position
-	dropIdx  []int32 // offload filter: original positions of dropped requests
+	outIdx   []int32 // request filter: filtered position -> original position
+	dropIdx  []int32 // request filter: original positions of dropped offload requests
 	filt     []int64 // filtered request list (backing for the grouped sort input)
 	opts     Options // options captured at build time
 	arrLen   int64   // length of the array the plan was built against (0 = unbuilt)
 	n        int     // original request count
 	k        int     // grouped request count (post-filter)
-	filtered bool    // build applied the offload filter
+	filtered bool    // build applied the request filter
 	execs    int     // executions since the last build
 }
 
@@ -98,13 +101,14 @@ func (p *Plan) PlanRequests(th *pgas.Thread, d *pgas.SharedArray, indices []int6
 	if opts == nil {
 		opts = Defaults()
 	}
-	p.planInto(th, d, indices, opts, cache, opts.Offload)
+	p.planInto(th, d, indices, opts, cache, true, nil)
 }
 
 // planInto is PlanRequests without validation, shared with the one-shot
 // wrappers (which have already validated and decide filtering by op
-// semantics: only GetD and SetDMin honor Offload).
-func (p *Plan) planInto(th *pgas.Thread, d *pgas.SharedArray, indices []int64, opts *Options, cache *IDCache, filter bool) {
+// semantics: only GetD and SetDMin honor Offload — allowOffload — and only
+// the one-shot SetDMin hands over its values, minVals, for combining).
+func (p *Plan) planInto(th *pgas.Thread, d *pgas.SharedArray, indices []int64, opts *Options, cache *IDCache, allowOffload bool, minVals []int64) {
 	c := p.c
 	c.checkLive(th)
 	st := &c.ts[th.ID]
@@ -113,10 +117,11 @@ func (p *Plan) planInto(th *pgas.Thread, d *pgas.SharedArray, indices []int64, o
 	pt.arrLen = d.Len()
 	pt.n = len(indices)
 	pt.execs = 0
-	pt.filtered = filter && opts.Offload
+	offload := allowOffload && opts.Offload
+	pt.filtered = offload || minVals != nil
 	work := indices
 	if pt.filtered {
-		work = p.planFilter(th, pt, st, indices, opts)
+		work = p.planFilter(th, pt, st, indices, opts, offload, minVals)
 	}
 	k := len(work)
 	pt.k = k
@@ -141,28 +146,76 @@ func (p *Plan) planInto(th *pgas.Thread, d *pgas.SharedArray, indices []int64, o
 	}
 }
 
-// planFilter removes requests for the offloaded index at build time,
-// recording both the surviving positions (outIdx, for permuting results
-// and aligning per-execution values) and the dropped ones (dropIdx, so
-// GetD executions can substitute the pinned value). One charged pass,
-// exactly like the one-shot filter.
-func (p *Plan) planFilter(th *pgas.Thread, pt *planThread, st *threadState, indices []int64, opts *Options) []int64 {
+// combineSlots is the size of the per-thread direct-mapped table the
+// request filter remembers kept SetDMin requests in: 2 x 8 192 words,
+// 128 KB, cache-resident beside the request stream.
+const combineSlots = 1 << 13
+
+// combineTable maps a target index (slot index & (combineSlots-1)) to the
+// smallest value this call has kept for it. key holds index+1, so the
+// zero value is an empty table.
+type combineTable struct {
+	key, val [combineSlots]int64
+}
+
+// planFilter is the one pass between a caller's request list and the
+// grouping sort. It drops requests the owners need not see, recording the
+// surviving positions (outIdx, for permuting results and aligning
+// per-execution values):
+//
+//   - offload: requests for the offloaded index. Their positions are kept
+//     too (dropIdx) so GetD executions can substitute the pinned value.
+//   - minVals non-nil (the one-shot SetDMin): a request (i, v) when an
+//     earlier request of this list to the same i with a value <= v was
+//     kept. Min is idempotent and commutative, so D after the call is
+//     unchanged. The memory is direct-mapped: a colliding index evicts the
+//     slot's entry, which only forgets — the filter can fail to drop, never
+//     drop wrongly.
+//
+// The offload compare is a charged streaming pass, the table probe one
+// charged op per offered request.
+func (p *Plan) planFilter(th *pgas.Thread, pt *planThread, st *threadState, indices []int64, opts *Options, offload bool, minVals []int64) []int64 {
 	n := len(indices)
 	pt.filt = sched.Grow64(pt.filt, n, &st.growths)
 	pt.outIdx = sched.Grow32(pt.outIdx, n, &st.growths)
-	pt.dropIdx = sched.Grow32(pt.dropIdx, n, &st.growths)
+	offIdx := int64(-1) // no valid index
+	if offload {
+		offIdx = opts.OffloadIndex
+		th.ChargeSeq(sim.CatWork, int64(n))
+	}
+	var tab *combineTable // non-nil: combine
+	if minVals != nil {
+		if st.comb == nil {
+			st.comb = new(combineTable)
+			st.growths++
+		}
+		tab = st.comb
+		clear(tab.key[:])
+		th.ChargeOps(sim.CatWork, int64(n))
+	} else {
+		pt.dropIdx = sched.Grow32(pt.dropIdx, n, &st.growths)
+	}
 	w, drops := 0, 0
 	for j, ix := range indices {
-		if ix == opts.OffloadIndex {
-			pt.dropIdx[drops] = int32(j)
-			drops++
+		if ix == offIdx {
+			if tab == nil {
+				pt.dropIdx[drops] = int32(j)
+				drops++
+			}
 			continue
+		}
+		if tab != nil {
+			h := ix & (combineSlots - 1)
+			v := minVals[j]
+			if tab.key[h] == ix+1 && tab.val[h] <= v {
+				continue
+			}
+			tab.key[h], tab.val[h] = ix+1, v
 		}
 		pt.filt[w] = ix
 		pt.outIdx[w] = int32(j)
 		w++
 	}
-	th.ChargeSeq(sim.CatWork, int64(n))
 	return pt.filt[:w]
 }
 
@@ -298,7 +351,7 @@ func (p *Plan) GetD(th *pgas.Thread, d *pgas.SharedArray, out []int64) {
 		panic("collective: GetD output length mismatch")
 	}
 	p.checkExec(opGetD, pt, d)
-	p.c.traced("GetD", th, pt.n, func() { p.c.exec(th, p, opGetD, d, nil, nil, out, nil) })
+	p.c.traced("GetD", th, p, func() { p.c.exec(th, p, opGetD, d, nil, nil, out, nil) })
 }
 
 // SetD executes the plan as an arbitrary concurrent write: D[indices[j]]
@@ -326,7 +379,7 @@ func (p *Plan) setExec(th *pgas.Thread, op *serveOp, d *pgas.SharedArray, values
 		panic("collective: Set* value length mismatch")
 	}
 	p.checkExec(op, pt, d)
-	p.c.traced(op.kind, th, pt.n, func() { p.c.exec(th, p, op, d, nil, values, nil, nil) })
+	p.c.traced(op.kind, th, p, func() { p.c.exec(th, p, op, d, nil, values, nil, nil) })
 }
 
 // GetDPair executes the plan as a fused gather from two equally
@@ -341,7 +394,7 @@ func (p *Plan) GetDPair(th *pgas.Thread, d1, d2 *pgas.SharedArray, out1, out2 []
 		panic("collective: GetDPair arrays must share a distribution")
 	}
 	p.checkExec(opGetDPair, pt, d1)
-	p.c.traced("GetDPair", th, pt.n, func() { p.c.exec(th, p, opGetDPair, d1, d2, nil, out1, out2) })
+	p.c.traced("GetDPair", th, p, func() { p.c.exec(th, p, opGetDPair, d1, d2, nil, out1, out2) })
 }
 
 // Exchange executes the plan as the personalized all-to-all: every
@@ -353,7 +406,7 @@ func (p *Plan) Exchange(th *pgas.Thread, d *pgas.SharedArray) []int64 {
 	pt := &p.pts[th.ID]
 	p.checkExec(opExchange, pt, d)
 	c := p.c
-	c.traced("Exchange", th, pt.n, func() { c.exec(th, p, opExchange, d, nil, nil, nil, nil) })
+	c.traced("Exchange", th, p, func() { c.exec(th, p, opExchange, d, nil, nil, nil, nil) })
 	st := &c.ts[th.ID]
 	return st.inVal[:st.routeTotal]
 }
@@ -368,7 +421,7 @@ func (p *Plan) ExchangePairs(th *pgas.Thread, d *pgas.SharedArray, values []int6
 	}
 	p.checkExec(opExchangePairs, pt, d)
 	c := p.c
-	c.traced("ExchangePairs", th, pt.n, func() { c.exec(th, p, opExchangePairs, d, nil, values, nil, nil) })
+	c.traced("ExchangePairs", th, p, func() { c.exec(th, p, opExchangePairs, d, nil, values, nil, nil) })
 	st := &c.ts[th.ID]
 	return st.local[:st.routeTotal], st.inVal[:st.routeTotal]
 }

@@ -14,7 +14,9 @@ import (
 //
 //   - building a plan and executing it once is indistinguishable — in
 //     results AND simulated-time charges — from the one-shot collective
-//     (charge invariance, the analogue of TestParallelismInvariance);
+//     (charge invariance, the analogue of TestParallelismInvariance), but
+//     for the one-shot SetDMin's duplicate combining: it pays one probe op
+//     per offered request and never more than the plan beyond that;
 //   - re-executing an unchanged plan returns bit-identical results while
 //     charging strictly less simulated time (the skipped grouping sort
 //     and matrix publish), and performs zero scratch growths once warm;
@@ -46,102 +48,133 @@ func planReqs(s int, k int, n int64) [][]int64 {
 	return reqs
 }
 
+// distinctReqs is planReqs without repeats inside a thread's list: the
+// first k entries of a per-thread shuffle of [0,n).
+func distinctReqs(s int, k int, n int64) [][]int64 {
+	reqs := make([][]int64, s)
+	for i := 0; i < s; i++ {
+		reqs[i] = xrand.New(uint64(7 + i)).Perm(int(n))[:k]
+	}
+	return reqs
+}
+
 // TestPlanChargeInvariance: PlanRequests + one execution must equal the
 // one-shot collective in outputs, array effects, and the simulated-time
 // total — the rebuild path is the same code charged the same way, so a
-// kernel can switch to plans without perturbing any figure.
+// kernel can switch to plans without perturbing any figure. The one-shot
+// SetDMin differs by its request filter, and only by it: on duplicate-free
+// lists it charges what the rebuilt plan charges plus the probe (one op per
+// offered request), and on a list with this many repeats (3000 draws from
+// 4096 targets) the combining more than pays for the probe.
 func TestPlanChargeInvariance(t *testing.T) {
 	const n = 1 << 12
+	const k = 3000
 	for _, geo := range lawGeometries {
 		for name, opts := range planVariants() {
 			t.Run(fmt.Sprintf("%dx%d/%s", geo.nodes, geo.tpn, name), func(t *testing.T) {
-				data := make([]int64, n)
-				r := xrand.New(11)
-				for i := range data {
-					data[i] = r.Int64n(1 << 30)
-				}
-				data[0] = 0 // offload pins slot 0
-
-				run := func(usePlan bool) (simNS float64, getOuts, p1, p2 [][]int64, minRaw []int64, exTotals []int) {
-					rt := testRT(t, geo.nodes, geo.tpn)
-					s := rt.NumThreads()
-					d := rt.NewSharedArray("D", n)
-					copy(d.Raw(), data)
-					d2 := rt.NewSharedArray("D2", n)
+				// distinct: the SetDMin request lists have no repeats.
+				for _, distinct := range []bool{true, false} {
+					data := make([]int64, n)
+					r := xrand.New(11)
 					for i := range data {
-						d2.Raw()[i] = data[i]*3 + 1
+						data[i] = r.Int64n(1 << 30)
 					}
-					d2.Raw()[0] = 0
-					comm := NewComm(rt)
-					reqs := planReqs(s, 3000, n)
-					vals := make([][]int64, s)
-					for i := range vals {
-						r := xrand.New(uint64(900 + i))
-						vals[i] = make([]int64, len(reqs[i]))
-						for j := range vals[i] {
-							vals[i][j] = r.Int64n(1 << 29)
-						}
-					}
-					getOuts = make([][]int64, s)
-					p1 = make([][]int64, s)
-					p2 = make([][]int64, s)
-					exTotals = make([]int, s)
-					// Plans are collective objects: one instance shared by
-					// all threads, each publishing its own column. Pair and
-					// route ops reject filtered plans, so theirs build
-					// without offload — exactly what the one-shot wrappers
-					// do internally.
-					gp, pp, ep, mp := comm.NewPlan(), comm.NewPlan(), comm.NewPlan(), comm.NewPlan()
-					res := rt.Run(func(th *pgas.Thread) {
-						o := *opts
-						no := o
-						no.Offload = false
-						i := th.ID
-						out := make([]int64, len(reqs[i]))
-						o1 := make([]int64, len(reqs[i]))
-						o2 := make([]int64, len(reqs[i]))
-						if usePlan {
-							gp.PlanRequests(th, d, reqs[i], &o, nil)
-							gp.GetD(th, d, out)
-							pp.PlanRequests(th, d, reqs[i], &no, nil)
-							pp.GetDPair(th, d, d2, o1, o2)
-							ep.PlanRequests(th, d, reqs[i], &no, nil)
-							ex := ep.Exchange(th, d)
-							exTotals[i] = len(ex)
-							mp.PlanRequests(th, d, reqs[i], &o, nil)
-							mp.SetDMin(th, d, vals[i])
-						} else {
-							comm.GetD(th, d, reqs[i], out, &o, nil)
-							comm.GetDPair(th, d, d2, reqs[i], o1, o2, &o, nil)
-							ex := comm.Exchange(th, d, reqs[i], &o, nil)
-							exTotals[i] = len(ex)
-							comm.SetDMin(th, d, reqs[i], vals[i], &o, nil)
-						}
-						getOuts[i] = out
-						p1[i] = o1
-						p2[i] = o2
-					})
-					return res.SimNS, getOuts, p1, p2, append([]int64(nil), d.Raw()...), exTotals
-				}
+					data[0] = 0 // offload pins slot 0
 
-				simA, getA, pa1, pa2, rawA, exA := run(false)
-				simB, getB, pb1, pb2, rawB, exB := run(true)
-				if simA != simB {
-					t.Errorf("one-shot sim %v != plan rebuild sim %v", simA, simB)
-				}
-				for i := range getA {
-					for j := range getA[i] {
-						if getA[i][j] != getB[i][j] || pa1[i][j] != pb1[i][j] || pa2[i][j] != pb2[i][j] {
-							t.Fatalf("thread %d output %d differs between one-shot and plan", i, j)
+					var probeNS float64
+					run := func(usePlan bool) (simNS float64, getOuts, p1, p2 [][]int64, minRaw []int64, exTotals []int) {
+						rt := testRT(t, geo.nodes, geo.tpn)
+						s := rt.NumThreads()
+						probeNS = rt.Model().Ops(k)
+						d := rt.NewSharedArray("D", n)
+						copy(d.Raw(), data)
+						d2 := rt.NewSharedArray("D2", n)
+						for i := range data {
+							d2.Raw()[i] = data[i]*3 + 1
+						}
+						d2.Raw()[0] = 0
+						comm := NewComm(rt)
+						reqs := planReqs(s, k, n)
+						minReqs := reqs
+						if distinct {
+							minReqs = distinctReqs(s, k, n)
+						}
+						vals := make([][]int64, s)
+						for i := range vals {
+							r := xrand.New(uint64(900 + i))
+							vals[i] = make([]int64, len(reqs[i]))
+							for j := range vals[i] {
+								vals[i][j] = r.Int64n(1 << 29)
+							}
+						}
+						getOuts = make([][]int64, s)
+						p1 = make([][]int64, s)
+						p2 = make([][]int64, s)
+						exTotals = make([]int, s)
+						// Plans are collective objects: one instance shared by
+						// all threads, each publishing its own column. Pair and
+						// route ops reject filtered plans, so theirs build
+						// without offload — exactly what the one-shot wrappers
+						// do internally.
+						gp, pp, ep, mp := comm.NewPlan(), comm.NewPlan(), comm.NewPlan(), comm.NewPlan()
+						res := rt.Run(func(th *pgas.Thread) {
+							o := *opts
+							no := o
+							no.Offload = false
+							i := th.ID
+							out := make([]int64, len(reqs[i]))
+							o1 := make([]int64, len(reqs[i]))
+							o2 := make([]int64, len(reqs[i]))
+							if usePlan {
+								gp.PlanRequests(th, d, reqs[i], &o, nil)
+								gp.GetD(th, d, out)
+								pp.PlanRequests(th, d, reqs[i], &no, nil)
+								pp.GetDPair(th, d, d2, o1, o2)
+								ep.PlanRequests(th, d, reqs[i], &no, nil)
+								ex := ep.Exchange(th, d)
+								exTotals[i] = len(ex)
+								mp.PlanRequests(th, d, minReqs[i], &o, nil)
+								mp.SetDMin(th, d, vals[i])
+							} else {
+								comm.GetD(th, d, reqs[i], out, &o, nil)
+								comm.GetDPair(th, d, d2, reqs[i], o1, o2, &o, nil)
+								ex := comm.Exchange(th, d, reqs[i], &o, nil)
+								exTotals[i] = len(ex)
+								comm.SetDMin(th, d, minReqs[i], vals[i], &o, nil)
+							}
+							getOuts[i] = out
+							p1[i] = o1
+							p2[i] = o2
+						})
+						return res.SimNS, getOuts, p1, p2, append([]int64(nil), d.Raw()...), exTotals
+					}
+
+					simA, getA, pa1, pa2, rawA, exA := run(false)
+					simB, getB, pb1, pb2, rawB, exB := run(true)
+					if distinct {
+						// Every thread offers k requests, so the probe moves every
+						// clock, and with them the total, by the same amount.
+						const roundoff = 1e-3 // ns; the totals are ~1e6 ns float64 sums
+						if extra := simA - simB - probeNS; extra > roundoff || extra < -roundoff {
+							t.Errorf("distinct lists: one-shot sim %v != plan rebuild sim %v + probe %v (off by %v)", simA, simB, probeNS, extra)
+						}
+					} else if simA > simB {
+						t.Errorf("one-shot sim %v > plan rebuild sim %v on a list with repeats", simA, simB)
+					}
+					for i := range getA {
+						for j := range getA[i] {
+							if getA[i][j] != getB[i][j] || pa1[i][j] != pb1[i][j] || pa2[i][j] != pb2[i][j] {
+								t.Fatalf("thread %d output %d differs between one-shot and plan", i, j)
+							}
+						}
+						if exA[i] != exB[i] {
+							t.Fatalf("thread %d exchange received %d items one-shot, %d via plan", i, exA[i], exB[i])
 						}
 					}
-					if exA[i] != exB[i] {
-						t.Fatalf("thread %d exchange received %d items one-shot, %d via plan", i, exA[i], exB[i])
-					}
-				}
-				for i := range rawA {
-					if rawA[i] != rawB[i] {
-						t.Fatalf("D[%d] differs after SetDMin: %d one-shot, %d via plan", i, rawA[i], rawB[i])
+					for i := range rawA {
+						if rawA[i] != rawB[i] {
+							t.Fatalf("D[%d] differs after SetDMin: %d one-shot, %d via plan", i, rawA[i], rawB[i])
+						}
 					}
 				}
 			})

@@ -250,8 +250,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		gatherVal := make([]int64, 0, 2*len(live))
 		setIdx := make([]int64, 0, 2*len(live))
 		setVal := make([]int64, 0, 2*len(live))
-		jumpIdx := make([]int64, span)
-		jumpVal := make([]int64, span)
+		jump := collective.NewJumpScratch(span)
 		var graftCache collective.IDCache
 		th.Barrier()
 
@@ -356,7 +355,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			// hooks, Borůvka hooks can point upward in label order, but
 			// the hook digraph is acyclic after mutual-pair breaking, so
 			// plain jumping converges.
-			comm.PointerJump(th, d, col, red, jumpIdx, jumpVal, dLo)
+			comm.PointerJump(th, d, col, red, jump, dLo)
 
 			// Compact settled edges.
 			if compact {

@@ -45,18 +45,19 @@ import (
 // (frontiers, buckets, accumulated edge lists) register nothing and
 // recover by deterministic re-execution instead.
 type Registrar interface {
-	Register(name string, a *SharedArray)
+	Register(name string, a *SharedArray) (restored bool)
 }
 
 // Register declares a named shared array as recoverable kernel state.
 // No-op when rt has no armed checkpoint manager, so kernels declare
 // unconditionally. Call it outside SPMD regions, after the array's
 // initial fill: in a recovery round this is where the rollback state
-// lands in the fresh array.
-func Register(rt *Runtime, name string, a *SharedArray) {
-	if rt.ckpt != nil {
-		rt.ckpt.Register(name, a)
-	}
+// lands in the fresh array. It reports whether that happened: restored
+// true means a no longer holds the caller's initial fill but the last
+// committed snapshot, so a kernel that shortcuts work on freshly filled
+// state (the CC kernels' identity round) must not.
+func Register(rt *Runtime, name string, a *SharedArray) (restored bool) {
+	return rt.ckpt != nil && rt.ckpt.Register(name, a)
 }
 
 // ckptEntry is one registered array with its double-buffered shadows.
@@ -138,8 +139,8 @@ func (rt *Runtime) Checkpointer() *Checkpointer { return rt.ckpt }
 // first Register of a name whose snapshot survived restores the last
 // committed contents into the new array: the array was re-created on the
 // remapped geometry with a different block size, and the flat copy is
-// precisely the ownership remap.
-func (ck *Checkpointer) Register(name string, a *SharedArray) {
+// precisely the ownership remap. Reports whether it restored.
+func (ck *Checkpointer) Register(name string, a *SharedArray) (restored bool) {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	e := ck.byName[name]
@@ -166,12 +167,14 @@ func (ck *Checkpointer) Register(name string, a *SharedArray) {
 		}
 	}
 	e.arr = a
-	if e.pendingRestore {
-		copy(a.data, e.snaps[e.buf])
-		e.pendingRestore = false
-		ck.restores.Add(1)
-		ck.restoredBytes.Add(a.Len() * sim.ElemBytes)
+	if !e.pendingRestore {
+		return false
 	}
+	copy(a.data, e.snaps[e.buf])
+	e.pendingRestore = false
+	ck.restores.Add(1)
+	ck.restoredBytes.Add(a.Len() * sim.ElemBytes)
+	return true
 }
 
 // Rebind moves the manager — with every committed snapshot — onto the

@@ -16,11 +16,16 @@
 // under the same reasoning as before, since an element still has exactly
 // one owner, and naturally penalized by the cache model through NodeSpan.
 //
-// Block and cyclic ownership are pure arithmetic (one division or one
+// Block and cyclic ownership are pure arithmetic (one multiply or one
 // modulo per index — the paper's "id" optimization survives both); only
 // the hub scheme pays for a per-index owner table, which is the price of
 // placing individual high-degree vertices.
 package pgas
+
+import (
+	"math"
+	"math/bits"
+)
 
 // SchemeKind names a partition scheme.
 type SchemeKind int
@@ -122,10 +127,40 @@ func (a *SharedArray) FillOwnerKeys(indices []int64, keys []int32) {
 			keys[j] = a.ownerTab[ix]
 		}
 	default:
-		blk := a.blk
+		fillBlockKeys(indices, keys, a.blk, a.recip)
+	}
+}
+
+// blockRecip returns ⌈2^64/blk⌉, the multiplier that turns ix/blk into
+// the high word of one multiply, or 0 when the division must stay. With
+// e = recip - 2^64/blk in [0, 1), the high word is floor(ix/blk +
+// ix*e/2^64); the error term is below 2^-32 for ix < 2^32 and cannot carry
+// the quotient's fraction (at most 1 - 1/blk) over 1 while blk <= 2^32 —
+// both hold for every in-range index of an array of at most 2^32
+// elements. Larger arrays keep the division, and so does blk == 1, whose
+// reciprocal does not fit a word.
+func blockRecip(n, blk int64) uint64 {
+	if n > 1<<32 || blk < 2 {
+		return 0
+	}
+	return math.MaxUint64/uint64(blk) + 1
+}
+
+// fillBlockKeys is the block scheme's owner-key loop: keys[j] =
+// indices[j] / blk, by multiplication when recip (see blockRecip) is set.
+// A 64-bit divide costs tens of cycles and does not pipeline; the multiply
+// is what the paper's id optimization ("compute the sort keys
+// arithmetically") assumes.
+func fillBlockKeys(indices []int64, keys []int32, blk int64, recip uint64) {
+	if recip == 0 {
 		for j, ix := range indices {
 			keys[j] = int32(ix / blk)
 		}
+		return
+	}
+	for j, ix := range indices {
+		hi, _ := bits.Mul64(uint64(ix), recip)
+		keys[j] = int32(hi)
 	}
 }
 

@@ -884,13 +884,16 @@ func (th *Thread) Span(total int64) (lo, hi int64) {
 // distribution — with cyclic and hub-aware schemes selectable per array
 // (see partition.go).
 type SharedArray struct {
-	rt   *Runtime
-	n    int64
-	blk  int64
-	data []int64
-	name string
-	win  Win           // transport window name; zero on a shared fabric
-	part PartitionSpec // ownership scheme; zero value = block
+	rt  *Runtime
+	n   int64
+	blk int64
+	// recip is blockRecip(n, blk): the block scheme's owner keys by
+	// multiplication; 0 keeps the division.
+	recip uint64
+	data  []int64
+	name  string
+	win   Win           // transport window name; zero on a shared fabric
+	part  PartitionSpec // ownership scheme; zero value = block
 	// Hub-scheme tables (nil otherwise): per-index owner, and indices
 	// grouped by owner for the owned-set snapshot walk.
 	ownerTab []int32
@@ -926,7 +929,7 @@ func (rt *Runtime) NewSharedArrayPart(name string, n int64, spec PartitionSpec) 
 	if n > 0 {
 		blk = (n + int64(rt.s) - 1) / int64(rt.s)
 	}
-	a := &SharedArray{rt: rt, n: n, blk: blk, data: make([]int64, n), name: name, part: spec}
+	a := &SharedArray{rt: rt, n: n, blk: blk, recip: blockRecip(n, blk), data: make([]int64, n), name: name, part: spec}
 	if spec.Kind == SchemeHub {
 		a.buildHubTables()
 	}

@@ -532,12 +532,10 @@ func (t *Transport) sendOn(p *peerConn, nd int, h header, payload []int64, flush
 		h.crc = crc32.Checksum(pay, castagnoli)
 	}
 	h.put(p.hdr[:])
-	if _, err := p.bw.Write(p.hdr[:]); err != nil {
-		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
-	}
-	if _, err := p.bw.Write(pay); err != nil {
-		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
-	}
+	// Count before the bytes can leave: a Write that overflows the buffer
+	// pushes the frame to the peer, whose reader counts it at once, and a
+	// Stats() taken in between must never see more received than sent. A
+	// failed write poisons the transport, so counting it is harmless.
 	t.ctr.sentFrames[h.typ].Add(1)
 	if len(pay) > 0 {
 		t.ctr.sentBytes[h.typ].Add(uint64(len(pay)))
@@ -545,6 +543,12 @@ func (t *Transport) sendOn(p *peerConn, nd int, h header, payload []int64, flush
 		if h.narrow {
 			t.ctr.narrowSent.Add(1)
 		}
+	}
+	if _, err := p.bw.Write(p.hdr[:]); err != nil {
+		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
+	}
+	if _, err := p.bw.Write(pay); err != nil {
+		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
 	}
 	if h.typ == frPut {
 		p.puts++

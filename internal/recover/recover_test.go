@@ -11,6 +11,7 @@ import (
 	"pgasgraph/internal/pgas"
 	recovery "pgasgraph/internal/recover"
 	"pgasgraph/internal/seq"
+	"pgasgraph/internal/trace"
 )
 
 func newRuntime(t *testing.T, nodes, tpn int) *pgas.Runtime {
@@ -150,5 +151,59 @@ func TestRecoverBudgets(t *testing.T) {
 	}
 	if rep.Rollbacks != 0 {
 		t.Fatalf("MinThreads=%d permitted a rollback: %+v", rcfg.MinThreads, rep)
+	}
+}
+
+// TestRecoveryRoundGathersFromRestoredState: the CC kernels skip round 0's
+// endpoint gather when D was just identity-filled (every endpoint is its
+// own label). A recovery round must not: Register restores the last
+// committed snapshot over the fresh fill, so round 0 of the retry starts
+// from real labels and has to read them. lt-pus makes the difference
+// countable — each of its rounds is one endpoint GetD, one SetDMin and one
+// shortcut GetD, so a run that gathered in every round shows GetD = 2 x
+// SetDMin and a run that skipped round 0's shows one fewer. The retry ends
+// on the labels a from-scratch run on the survivor geometry produces.
+func TestRecoveryRoundGathersFromRestoredState(t *testing.T) {
+	const killSeed = 8
+	g := graph.Hybrid(600, 1500, 0x5EED)
+	run := func(rt *pgas.Runtime, comm *collective.Comm) (labels []int64, getD, setDMin int64) {
+		col := trace.NewCollector(rt.NumThreads())
+		comm.SetTracer(col)
+		labels = cc.LiuTarjan(rt, comm, g, cc.LTPUS, nil).Labels
+		return labels, col.Calls("GetD"), col.Calls("SetDMin")
+	}
+
+	rt := newRuntime(t, 4, 2)
+	rt.ArmChaos(killChaos(killSeed, 0.0015))
+	var labels []int64
+	var getD, setDMin int64 // of the last attempt
+	rep, err := recovery.Run(rt, nil, func(rt *pgas.Runtime, comm *collective.Comm) error {
+		labels, getD, setDMin = run(rt, comm)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("supervised run failed: %v", err)
+	}
+	if rep.Rollbacks != 1 || rep.Chaos.Kills != 1 || rep.Restores != 1 {
+		t.Fatalf("seed %d no longer yields one kill, one rollback, one restore: %d kills, %d rollbacks, %d restores",
+			killSeed, rep.Chaos.Kills, rep.Rollbacks, rep.Restores)
+	}
+	if getD != 2*setDMin {
+		t.Errorf("retry on restored D: %d GetD for %d SetDMin, want %d (a gather in every round, the first included)",
+			getD, setDMin, 2*setDMin)
+	}
+
+	// From scratch on the same survivor geometry: identity fill, so round 0
+	// copies.
+	survivors, err := newRuntime(t, 4, 2).Evict(rep.Evicted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, getD, setDMin := run(survivors, collective.NewComm(survivors))
+	if getD != 2*setDMin-1 {
+		t.Errorf("from scratch: %d GetD for %d SetDMin, want %d (round 0 copies)", getD, setDMin, 2*setDMin-1)
+	}
+	if !reflect.DeepEqual(labels, want) {
+		t.Error("recovered labels differ from a from-scratch run on the survivors")
 	}
 }

@@ -170,15 +170,26 @@ func TestWireClusterDoesNotGrow(t *testing.T) {
 // stays exposed on any node.
 func TestFailedKernelStillReleases(t *testing.T) {
 	seats := hostWire(t, 2, 2)
+	spec := KernelSpec{Kernel: "cc/coalesced", Graph: graph.Random(512, 2048, 5), Col: collective.Optimized(2)}
+	run := func() []error {
+		return onEvery(seats, func(_ int, s *wireSeat) error {
+			_, err := RunKernel(s.rt, s.comm, spec)
+			return err
+		})
+	}
+	// One clean run first: it exposes the Comm's own one-shot plan buffers,
+	// which outlive every run (TestWireClusterDoesNotGrow) and which the
+	// failing collective below — the first round's SetDMin — also uses.
+	for nd, err := range run() {
+		if err != nil {
+			t.Fatalf("node %d: clean run: %v", nd, err)
+		}
+	}
+	idle := exposedWindows(seats)
 	for _, s := range seats {
 		s.rt.ArmChaos(pgas.ChaosConfig{Seed: 9, DropRate: 1, MaxAttempts: 1})
 	}
-	idle := exposedWindows(seats)
-	spec := KernelSpec{Kernel: "cc/coalesced", Graph: graph.Random(512, 2048, 5), Col: collective.Optimized(2)}
-	for nd, err := range onEvery(seats, func(_ int, s *wireSeat) error {
-		_, err := RunKernel(s.rt, s.comm, spec)
-		return err
-	}) {
+	for nd, err := range run() {
 		if _, classified := pgas.Classified(err); !classified {
 			t.Fatalf("node %d: RunKernel under total loss: %v, want a classified failure", nd, err)
 		}

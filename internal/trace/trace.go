@@ -44,7 +44,8 @@ type Collector struct {
 type callStats struct {
 	count     int64
 	breakdown sim.Breakdown
-	elements  int64
+	elements  int64 // requests offered by the callers
+	kept      int64 // requests delivered to the owners after the request filter
 	wallNS    int64 // summed host wall-clock across participants
 	growths   int64 // summed scratch backing-array allocations
 }
@@ -62,10 +63,10 @@ func NewCollector(threads int) *Collector {
 }
 
 // Collective records one thread's participation in one collective call:
-// simulated-time breakdown, request count, host wall-clock duration, and
-// scratch growths (backing-array allocations — zero once the Comm is
-// warm).
-func (c *Collector) Collective(kind string, thread int, delta sim.Breakdown, elements int64, wall time.Duration, scratchGrowths int64) {
+// simulated-time breakdown, offered and delivered request counts, host
+// wall-clock duration, and scratch growths (backing-array allocations —
+// zero once the Comm is warm).
+func (c *Collector) Collective(kind string, thread int, delta sim.Breakdown, elements, kept int64, wall time.Duration, scratchGrowths int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.calls[kind]
@@ -76,6 +77,7 @@ func (c *Collector) Collective(kind string, thread int, delta sim.Breakdown, ele
 	st.count++
 	st.breakdown.Add(&delta)
 	st.elements += elements
+	st.kept += kept
 	st.wallNS += wall.Nanoseconds()
 	st.growths += scratchGrowths
 }
@@ -227,7 +229,7 @@ func (c *Collector) CollectiveTable() *report.Table {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := report.NewTable("Collective profile (per-participant averages, ms)",
-		"collective", "calls", "elems/call", "comm", "sort", "copy", "irregular", "setup", "work", "wait", "wall µs", "grows")
+		"collective", "calls", "elems/call", "kept %", "comm", "sort", "copy", "irregular", "setup", "work", "wait", "wall µs", "grows")
 	kinds := make([]string, 0, len(c.calls))
 	for k := range c.calls {
 		kinds = append(kinds, k)
@@ -240,6 +242,7 @@ func (c *Collector) CollectiveTable() *report.Table {
 		t.AddRow(k,
 			fmt.Sprint(st.count/int64(c.threads)),
 			report.Count(st.elements/st.count),
+			keptPercent(st),
 			report.MS(avg[sim.CatComm]),
 			report.MS(avg[sim.CatSort]),
 			report.MS(avg[sim.CatCopy]),
@@ -251,6 +254,28 @@ func (c *Collector) CollectiveTable() *report.Table {
 			fmt.Sprint(st.growths))
 	}
 	return t
+}
+
+// keptPercent renders the share of offered requests that reached the
+// owners: below 100 where the offload filter or SetDMin combining dropped
+// some.
+func keptPercent(st *callStats) string {
+	if st.elements == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f", 100*float64(st.kept)/float64(st.elements))
+}
+
+// Requests returns, for kind and summed over all participants, the
+// requests the callers offered and the requests delivered to the owners
+// after the request filter (offload drops, one-shot SetDMin combining).
+func (c *Collector) Requests(kind string) (offered, kept int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st, ok := c.calls[kind]; ok {
+		return st.elements, st.kept
+	}
+	return 0, 0
 }
 
 // WallNS returns the summed host wall-clock nanoseconds recorded for kind

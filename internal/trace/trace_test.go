@@ -30,8 +30,8 @@ func TestCollectorDirect(t *testing.T) {
 	c := NewCollector(4)
 	var d sim.Breakdown
 	d[sim.CatComm] = 1e6
-	c.Collective("GetD", 0, d, 100, 1500*time.Nanosecond, 2)
-	c.Collective("GetD", 1, d, 100, 500*time.Nanosecond, 1)
+	c.Collective("GetD", 0, d, 100, 100, 1500*time.Nanosecond, 2)
+	c.Collective("GetD", 1, d, 100, 60, 500*time.Nanosecond, 1)
 	c.Transfer(0, 1, 50)
 	c.Transfer(0, 2, 70)
 	c.Transfer(3, 0, 10)
@@ -40,8 +40,8 @@ func TestCollectorDirect(t *testing.T) {
 		// 2 participations / 4 threads rounds down; record the rest.
 		_ = got
 	}
-	c.Collective("GetD", 2, d, 100, 0, 0)
-	c.Collective("GetD", 3, d, 100, 0, 0)
+	c.Collective("GetD", 2, d, 100, 100, 0, 0)
+	c.Collective("GetD", 3, d, 100, 100, 0, 0)
 	if got := c.Calls("GetD"); got != 1 {
 		t.Fatalf("Calls = %d, want 1", got)
 	}
@@ -51,6 +51,9 @@ func TestCollectorDirect(t *testing.T) {
 	if got := c.Growths("GetD"); got != 3 {
 		t.Fatalf("Growths = %d, want 3", got)
 	}
+	if offered, kept := c.Requests("GetD"); offered != 400 || kept != 360 {
+		t.Fatalf("Requests = %d offered / %d kept, want 400 / 360", offered, kept)
+	}
 	if imb := c.Imbalance(); imb <= 1 {
 		t.Fatalf("skewed loads must show imbalance > 1, got %v", imb)
 	}
@@ -59,8 +62,8 @@ func TestCollectorDirect(t *testing.T) {
 	if err := c.CollectiveTable().Fprint(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "GetD") {
-		t.Fatal("collective table missing kind")
+	if !strings.Contains(sb.String(), "GetD") || !strings.Contains(sb.String(), "90.0") {
+		t.Fatalf("collective table missing kind or kept %%:\n%s", sb.String())
 	}
 	sb.Reset()
 	if err := c.LoadTable(2).Fprint(&sb); err != nil {
