@@ -191,78 +191,79 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 }
 
 // Coalesced runs CC rewritten with the collectives: grafting fetches both
-// endpoint labels with one GetD and hooks with one SetDMin; short-cutting
+// endpoint labels with one gather and hooks with one SetDMin; short-cutting
 // becomes synchronous pointer jumping in lock step ("we insert artificial
 // synchronizations into pointer-jumping", §IV.A) so it coalesces too.
 //
-// Round 0 starts from the identity fill, where every endpoint is its own
-// label: it copies instead of gathering (identityGather) unless Register
-// restored a snapshot.
-//
-// Without edge compaction the graft gather requests the same 2m endpoint
-// indices every iteration, so the kernel builds one collective.Plan when
-// it first gathers and re-executes it per iteration: the grouping sort and
-// matrix publish are paid once for the whole run instead of once per
-// iteration, with bit-identical labels. Compaction shrinks the request
-// vector — the endpoint pairs, compacted in place — so that variant stays
-// on the one-shot path.
+// The graft gather goes through the run's collective.LiveEdges: round 0
+// copies instead of gathering unless Register restored a snapshot, a list
+// that is not compacted builds one Plan and re-executes it, and a
+// compacted one shrinks in place — with bit-identical labels either way.
 //
 // Recoverable state (pgas.Registrar): D, under CkptCoalescedD, for the
 // same reason as Naive.
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
-	identity := !pgas.Register(rt, CkptCoalescedD, d)
+	return graftRounds(rt, comm, opts.col(), &graftRun{
+		name: "Coalesced", ckpt: CkptCoalescedD,
+		d: d, fresh: true, compact: opts.compact(),
+		m: g.M(), ends: endsOf(g),
+	})
+}
+
+// endsOf fills a collective.LiveEdges list with g's edges.
+func endsOf(g *graph.Graph) func(lo, hi int64, ends []int64) {
+	return func(lo, hi int64, ends []int64) {
+		for e := lo; e < hi; e++ {
+			ends[2*(e-lo)], ends[2*(e-lo)+1] = int64(g.U[e]), int64(g.V[e])
+		}
+	}
+}
+
+// graftRun is what tells one graftRounds kernel from the other: where D
+// and the edges come from.
+type graftRun struct {
+	name, ckpt string // for the non-convergence panic and the checkpoint registration
+	d          *pgas.SharedArray
+	// fresh says d is this run's own identity fill: the fill is charged,
+	// and round 0 need not gather unless Register restores a snapshot.
+	fresh   bool
+	compact bool
+	m       int64
+	ends    func(lo, hi int64, ends []int64)
+}
+
+// graftRounds runs graft-and-collapse rounds over r's edges until no edge
+// joins two trees: gather both endpoint labels of every live edge, hook
+// D[max] <- min with one SetDMin, collapse every tree to a rooted star.
+func graftRounds(rt *pgas.Runtime, comm *collective.Comm, col *collective.Options, r *graftRun) *Result {
+	d := r.d
+	identity := !pgas.Register(rt, r.ckpt, d) && r.fresh
 	red := pgas.NewOrReducer(rt)
-	col := opts.col()
-	compact := opts.compact()
-	graftPlan := comm.NewPlan()
-	m := g.M()
+	live := comm.NewLiveEdges(r.compact, false)
 	iterations := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
-		lo, hi := th.Span(m)
 		dLo, dHi := d.ThreadCover(th.ID)
 		span := dHi - dLo
-		th.ChargeSeq(sim.CatWork, span)
-
-		// The live edges as (u, v) endpoint pairs: the graft gather's
-		// request vector.
-		ends := make([]int64, 0, 2*(hi-lo))
-		for e := lo; e < hi; e++ {
-			ends = append(ends, int64(g.U[e]), int64(g.V[e]))
+		if r.fresh {
+			th.ChargeSeq(sim.CatWork, span)
 		}
-		th.ChargeSeq(sim.CatWork, int64(len(ends)))
-		labels := make([]int64, len(ends))
-		setIdx := make([]int64, 0, hi-lo)
-		setVal := make([]int64, 0, hi-lo)
+		el := live.List(th, r.m, r.ends, false)
+		setIdx := make([]int64, 0, len(el.Ends)/2)
+		setVal := make([]int64, 0, len(el.Ends)/2)
 		jump := collective.NewJumpScratch(span)
-		planned := false
 		th.Barrier()
 
 		for iter := 0; ; iter++ {
 			if iter >= maxIterations {
-				panic(fmt.Sprintf("cc: Coalesced exceeded %d iterations", maxIterations))
+				panic(fmt.Sprintf("cc: %s exceeded %d iterations", r.name, maxIterations))
 			}
-			// Fetch both endpoint labels of every live edge.
-			labels = labels[:len(ends)]
-			switch {
-			case iter == 0 && identity:
-				identityGather(th, ends, labels)
-			case compact:
-				comm.GetD(th, d, ends, labels, col, nil)
-			default:
-				// The live set never shrinks: the endpoint request vector
-				// is identical every iteration, so build the plan once and
-				// reuse it for every graft gather.
-				if !planned {
-					graftPlan.PlanRequests(th, d, ends, col, nil)
-					planned = true
-				}
-				graftPlan.GetD(th, d, labels)
-			}
+			el.Gather(th, d, col, iter == 0 && identity)
 
 			// Build the hook list: D[max(du,dv)] <- min(du,dv).
+			labels := el.Labels
 			grafted := false
 			setIdx, setVal = setIdx[:0], setVal[:0]
 			for j := 0; j < len(labels); j += 2 {
@@ -280,23 +281,11 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			th.ChargeOps(sim.CatWork, int64(len(labels)/2))
 			comm.SetDMin(th, d, setIdx, setVal, col, nil)
 
-			// Synchronous pointer jumping until all trees are rooted
-			// stars.
+			// Synchronous pointer jumping until all trees are rooted stars:
+			// the next round's endpoint labels are roots again, and D stays
+			// directly servable.
 			comm.PointerJump(th, d, col, red, jump, dLo)
-
-			// Compact: an edge whose endpoints shared a label this
-			// iteration is dead forever (labels merge monotonically).
-			if compact {
-				w := 0
-				for j := 0; j < len(labels); j += 2 {
-					if labels[j] != labels[j+1] {
-						ends[w], ends[w+1] = ends[j], ends[j+1]
-						w += 2
-					}
-				}
-				th.ChargeSeq(sim.CatWork, int64(len(ends)))
-				ends = ends[:w]
-			}
+			el.Compact(th)
 
 			if !red.Reduce(th, grafted) {
 				if th.ID == 0 {
@@ -307,14 +296,6 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		}
 	})
 	return finish(d, iterations, run)
-}
-
-// identityGather is the gather out[j] = D[idx[j]] against an
-// identity-filled D: every index is its own label, so the answer is a
-// local copy and no collective runs. Charged as the copy it is.
-func identityGather(th *pgas.Thread, idx, out []int64) {
-	copy(out, idx)
-	th.ChargeSeq(sim.CatCopy, int64(len(idx)))
 }
 
 // SV runs the Shiloach-Vishkin algorithm rewritten with collectives: per

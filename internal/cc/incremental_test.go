@@ -7,6 +7,7 @@ import (
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/trace"
 	"pgasgraph/internal/xrand"
 )
 
@@ -131,6 +132,36 @@ func TestIncrementalNoOpBatch(t *testing.T) {
 	for i, v := range d.Raw() {
 		if v != before[i] {
 			t.Fatalf("no-op batch moved label[%d]: %d -> %d", i, before[i], v)
+		}
+	}
+}
+
+// TestIncrementalPlansOncePerBatch: the batch never changes, so every
+// round after the first re-executes the plan the first one built.
+func TestIncrementalPlansOncePerBatch(t *testing.T) {
+	g := graph.Random(600, 300, 21)
+	rt, err := pgas.New(incrMachine(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm := collective.NewComm(rt)
+	opts := &Options{Col: collective.Optimized(2), Compact: true}
+	d := residentLabels(t, rt, comm, g, opts)
+	col := trace.NewCollector(rt.NumThreads())
+	comm.SetTracer(col)
+	rng := xrand.New(9)
+	for batch := 0; batch < 3; batch++ {
+		eu, ev := make([]int64, 64), make([]int64, 64)
+		for i := range eu {
+			eu[i], ev[i] = int64(rng.Intn(int(g.N))), int64(rng.Intn(int(g.N)))
+		}
+		col.Reset()
+		res := Incremental(rt, comm, d, eu, ev, opts)
+		if res.Iterations < 2 {
+			t.Fatalf("batch %d: %d iterations, nothing to reuse", batch, res.Iterations)
+		}
+		if got, want := col.PlanReuses(), int64(res.Iterations-1); got != want {
+			t.Errorf("batch %d: %d plan reuses per thread over %d iterations, want %d", batch, got, res.Iterations, want)
 		}
 	}
 }

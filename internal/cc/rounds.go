@@ -62,9 +62,10 @@ var roundProbe func(kernel string, round int, labels []int64)
 //	hooks         rule.hooks       one SetDMin
 //	shortcut      D[i] <- D[D[i]]  one GetD + local stores
 //
-// Round 0 starts from the identity fill, where parents and grandparents
-// are the endpoints themselves: it copies instead of gathering
-// (identityGather) unless Register restored a snapshot.
+// The endpoint gather goes through the run's collective.LiveEdges. Round 0
+// starts from the identity fill, where parents and grandparents are the
+// endpoints themselves: it copies instead of gathering unless Register
+// restored a snapshot.
 //
 // All writes are minimum writes from the identity fill, so labels only
 // decrease and the terminal state is the same component-minimum rooted
@@ -85,40 +86,25 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 	col := opts.col()
 	// Compaction drops an edge once both endpoints gather equal parents,
 	// which is sound only when equal parents imply merged trees.
-	compact := opts.compact() && !rule.directWrite
-	// Without compaction the live set is static, so the endpoint gather
-	// runs through one reused Plan, built when it first gathers; compaction
-	// shrinks the request vector, so that variant stays on the one-shot
-	// path with a warm IDCache.
-	usePlan := !compact && !rule.perCallSort
-	endPlan := comm.NewPlan()
-	m := g.M()
+	live := comm.NewLiveEdges(opts.compact() && !rule.directWrite, rule.perCallSort)
 	iterations := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
-		lo, hi := th.Span(m)
-		live := make([]int64, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			live = append(live, e)
-		}
 		dLo, dHi := d.ThreadCover(th.ID)
 		span := dHi - dLo
 		block := d.Raw()[dLo:dHi] // this thread's covered labels
 		th.ChargeSeq(sim.CatWork, span)
 
-		endIdx := make([]int64, 0, 2*len(live))
-		parVal := make([]int64, 0, 2*len(live))
+		el := live.List(th, g.M(), endsOf(g), false)
 		var gpVal []int64
 		if rule.grandparents {
-			gpVal = make([]int64, 0, 2*len(live))
+			gpVal = make([]int64, len(el.Ends))
 		}
-		setIdx := make([]int64, 0, 2*len(live))
-		setVal := make([]int64, 0, 2*len(live))
+		setIdx := make([]int64, 0, len(el.Ends))
+		setVal := make([]int64, 0, len(el.Ends))
 		jumpIdx := make([]int64, span)
 		jumpVal := make([]int64, span)
 		prev := make([]int64, span)
-		var endpointCache collective.IDCache
-		planned := false
 		th.Barrier()
 
 		for iter := 0; ; iter++ {
@@ -130,41 +116,23 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 			th.ChargeSeq(sim.CatWork, span)
 
 			// Parents of both endpoints.
-			k := len(live)
 			fresh := iter == 0 && identity
-			if !usePlan || iter == 0 {
-				endIdx = endIdx[:0]
-				for _, e := range live {
-					endIdx = append(endIdx, int64(g.U[e]), int64(g.V[e]))
-				}
-				parVal = parVal[:2*k]
-				th.ChargeSeq(sim.CatWork, 2*int64(k))
-			}
-			switch {
-			case fresh:
-				identityGather(th, endIdx, parVal)
-			case usePlan:
-				if !planned {
-					endPlan.PlanRequests(th, d, endIdx, col, nil)
-					planned = true
-				}
-				endPlan.GetD(th, d, parVal)
-			default:
-				comm.GetD(th, d, endIdx, parVal, col, &endpointCache)
-			}
+			el.Gather(th, d, col, fresh)
+			parVal := el.Labels
 
 			// Grandparents: labels of the parent values.
 			if rule.grandparents {
-				gpVal = gpVal[:2*k]
+				gpVal = gpVal[:len(parVal)]
 				if fresh {
-					identityGather(th, parVal, gpVal)
+					copy(gpVal, parVal)
+					th.ChargeSeq(sim.CatCopy, int64(len(parVal)))
 				} else {
 					comm.GetD(th, d, parVal, gpVal, col, nil)
 				}
 			}
 
-			setIdx, setVal = rule.hooks(endIdx, parVal, gpVal, setIdx[:0], setVal[:0])
-			th.ChargeOps(sim.CatWork, rule.opsPerEdge*int64(k))
+			setIdx, setVal = rule.hooks(el.Ends, parVal, gpVal, setIdx[:0], setVal[:0])
+			th.ChargeOps(sim.CatWork, rule.opsPerEdge*int64(len(parVal)/2))
 			comm.SetDMin(th, d, setIdx, setVal, col, nil)
 
 			// Shortcut: a single pointer-jump level over the covered block.
@@ -178,22 +146,9 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 			}
 			th.ChargeSeq(sim.CatCopy, 2*span)
 
-			// Compact dead edges (equal parents mean the endpoints'
-			// components have merged, which is permanent).
-			if compact {
-				w := 0
-				for j := 0; j < k; j++ {
-					if parVal[2*j] != parVal[2*j+1] {
-						live[w] = live[j]
-						w++
-					}
-				}
-				if w != k {
-					live = live[:w]
-					endpointCache.Invalidate()
-				}
-				th.ChargeSeq(sim.CatWork, int64(k))
-			}
+			// Equal parents mean the endpoints' components have merged,
+			// which is permanent.
+			el.Compact(th)
 
 			// Change detection: did any covered label move this round?
 			th.ChargeSeq(sim.CatWork, span)

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"math"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
@@ -29,6 +30,17 @@ type SpanningForest struct {
 	Run *pgas.Result
 }
 
+// noHook is the empty hook bucket. Every packed key is below it: labels
+// are vertex ids and n < 2^31 (SpanningTree checks), so the label field
+// never reaches 2^31 - 1.
+const noHook = int64(math.MaxInt64)
+
+// packHook orders a bucket's candidates by the label they would hook
+// under, then by edge id, so the winning SetDMin write names its edge.
+func packHook(label, e int64) int64 { return label<<32 | e }
+
+func unpackHook(key int64) (label, e int64) { return key >> 32, key & 0xffffffff }
+
 // SpanningTree runs the spanning-forest kernel. opts configures the
 // collectives exactly as for Coalesced; the offload optimization is
 // force-disabled because the hook array's slot 0 is written (vertex 0's
@@ -55,30 +67,19 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 	col := opts.col()
 	colHook := *col
 	colHook.Offload = false
-	compact := opts.compact()
-	m := g.M()
-	s := rt.NumThreads()
-	chosen := make([][]int64, s)
+	live := comm.NewLiveEdges(opts.compact(), false)
+	chosen := make([][]int64, rt.NumThreads())
 	iterations := 0
 
-	const noHook = int64(1)<<62 - 1
-
 	run := rt.Run(func(th *pgas.Thread) {
-		lo, hi := th.Span(m)
-		live := make([]int64, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			live = append(live, e)
-		}
 		dLo, dHi := d.ThreadCover(th.ID)
 		span := dHi - dLo
 		th.ChargeSeq(sim.CatWork, span)
 
-		gatherIdx := make([]int64, 0, 2*len(live))
-		gatherVal := make([]int64, 0, 2*len(live))
-		setIdx := make([]int64, 0, len(live))
-		setVal := make([]int64, 0, len(live))
+		el := live.List(th, g.M(), endsOf(g), true)
+		setIdx := make([]int64, 0, len(el.IDs))
+		setVal := make([]int64, 0, len(el.IDs))
 		jump := collective.NewJumpScratch(span)
-		var graftCache collective.IDCache
 		th.Barrier()
 
 		for iter := 0; ; iter++ {
@@ -92,27 +93,16 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 			th.ChargeSeq(sim.CatWork, span)
 			th.Barrier()
 
-			// Fetch endpoint labels of live edges.
-			k := len(live)
-			gatherIdx = gatherIdx[:0]
-			for _, e := range live {
-				gatherIdx = append(gatherIdx, int64(g.U[e]), int64(g.V[e]))
-			}
-			gatherVal = gatherVal[:2*k]
-			th.ChargeSeq(sim.CatWork, 2*int64(k))
-			if iter == 0 {
-				// D is registered nowhere, so round 0 always starts from
-				// the identity fill.
-				identityGather(th, gatherIdx, gatherVal)
-			} else {
-				comm.GetD(th, d, gatherIdx, gatherVal, col, &graftCache)
-			}
+			// Fetch endpoint labels of live edges. D is registered nowhere,
+			// so round 0 always starts from the identity fill.
+			el.Gather(th, d, col, iter == 0)
+			labels := el.Labels
 
 			// Elect hooks: Hook[max(du,dv)] <- min over (min(du,dv), e).
 			grafted := false
 			setIdx, setVal = setIdx[:0], setVal[:0]
-			for j := 0; j < k; j++ {
-				du, dv := gatherVal[2*j], gatherVal[2*j+1]
+			for j, e := range el.IDs {
+				du, dv := labels[2*j], labels[2*j+1]
 				if du == dv {
 					continue
 				}
@@ -120,10 +110,10 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 					du, dv = dv, du
 				}
 				setIdx = append(setIdx, dv)
-				setVal = append(setVal, du<<32|live[j])
+				setVal = append(setVal, packHook(du, e))
 				grafted = true
 			}
-			th.ChargeOps(sim.CatWork, int64(k))
+			th.ChargeOps(sim.CatWork, int64(len(el.IDs)))
 			comm.SetDMin(th, hook, setIdx, setVal, &colHook, nil)
 
 			// Apply winning hooks on owned slots, recording tree edges.
@@ -132,8 +122,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 				if key == noHook {
 					continue
 				}
-				target := key >> 32
-				e := key & 0xffffffff
+				target, e := unpackHook(key)
 				d.StoreRaw(r, target)
 				chosen[th.ID] = append(chosen[th.ID], e)
 				th.ChargeIrregular(sim.CatCopy, 2, span)
@@ -143,21 +132,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 
 			// Collapse to rooted stars.
 			comm.PointerJump(th, d, col, red, jump, dLo)
-
-			if compact {
-				w := 0
-				for j := 0; j < k; j++ {
-					if gatherVal[2*j] != gatherVal[2*j+1] {
-						live[w] = live[j]
-						w++
-					}
-				}
-				if w != k {
-					live = live[:w]
-					graftCache.Invalidate()
-				}
-				th.ChargeSeq(sim.CatWork, int64(k))
-			}
+			el.Compact(th)
 
 			if !red.Reduce(th, grafted) {
 				if th.ID == 0 {

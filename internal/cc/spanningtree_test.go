@@ -6,6 +6,7 @@ import (
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/seq"
+	"pgasgraph/internal/trace"
 	"pgasgraph/internal/unionfind"
 )
 
@@ -72,5 +73,47 @@ func TestSpanningTreeDeterministic(t *testing.T) {
 		if !seen[e] {
 			t.Fatalf("edge %d only in second run", e)
 		}
+	}
+}
+
+// TestSpanningTreeReusesItsPlan: a list that is not compacted never
+// changes, so the endpoint gather builds one plan when it first gathers
+// (round 1: round 0 copies) and re-executes it in every later round. No
+// other collective of the kernel reuses a plan, so the reuse count is the
+// whole statement.
+func TestSpanningTreeReusesItsPlan(t *testing.T) {
+	g := graph.Random(512, 2048, 3)
+	rt := newRuntime(t, 4, 2)
+	comm := collective.NewComm(rt)
+	col := trace.NewCollector(rt.NumThreads())
+	comm.SetTracer(col)
+	sf := SpanningTree(rt, comm, g, &Options{Col: collective.Optimized(2)})
+	checkSpanningForest(t, g, sf)
+	if sf.CC.Iterations < 3 {
+		t.Fatalf("%d iterations: the input never reaches a reused round", sf.CC.Iterations)
+	}
+	if got, want := col.PlanReuses(), int64(sf.CC.Iterations-2); got != want {
+		t.Errorf("%d plan reuses per thread over %d iterations, want %d", got, sf.CC.Iterations, want)
+	}
+}
+
+// TestSpanningTreeHookKeys pins the packed-key arithmetic at the guard's
+// edge: the largest admissible label and edge id still order below the
+// empty-bucket sentinel and unpack to themselves.
+func TestSpanningTreeHookKeys(t *testing.T) {
+	const maxLabel, maxEdge = int64(1)<<31 - 2, int64(1)<<32 - 1 // n < 2^31, m < 2^32
+	for _, label := range []int64{0, 1, 1 << 30, maxLabel} {
+		for _, e := range []int64{0, 1, maxEdge} {
+			key := packHook(label, e)
+			if key < 0 || key >= noHook {
+				t.Errorf("packHook(%d, %d) = %d does not beat the sentinel %d", label, e, key, noHook)
+			}
+			if l, id := unpackHook(key); l != label || id != e {
+				t.Errorf("unpackHook(packHook(%d, %d)) = %d, %d", label, e, l, id)
+			}
+		}
+	}
+	if a, b := packHook(5, maxEdge), packHook(6, 0); a >= b {
+		t.Error("keys do not order by label first")
 	}
 }

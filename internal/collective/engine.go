@@ -80,11 +80,11 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedAr
 	if op.hasValues {
 		// Align this execution's values with the grouped request layout —
 		// the pass groupByOwner used to run, charged identically.
+		align := move{kind: moveAlign, pos: pt.pos[:k], a: values, out: pt.val[:k]}
 		if pt.filtered {
-			c.parGatherPermuteVia(pt.pos[:k], pt.outIdx, values, pt.val[:k])
-		} else {
-			c.parGatherPermute(pt.pos[:k], values, pt.val[:k])
+			align.via = pt.outIdx
 		}
+		c.moveAll(align, k)
 		ns, misses := th.Runtime().Model().DensePermute(int64(k))
 		th.Clock.Charge(sim.CatSort, ns)
 		th.Clock.CacheMisses += misses
@@ -289,7 +289,7 @@ func (c *Comm) pullSegment(th *pgas.Thread, reqSeg, dst []int64, lo int64, peer 
 		}
 	} else {
 		// Chunks of one segment touch disjoint dst slots.
-		c.parTranslate(reqSeg, dst, lo)
+		c.moveAll(move{kind: moveTranslate, a: reqSeg, out: dst, base: lo}, len(reqSeg))
 	}
 	th.ChargeOps(sim.CatWork, int64(len(reqSeg)))
 	return c.xferFault(th, peer, dst)
@@ -512,13 +512,13 @@ func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, opts *Opti
 	}
 	// pt.pos is a permutation of [0,k): chunks write disjoint out slots,
 	// so the permute parallelizes safely across host workers.
+	back := move{kind: movePermute, pos: pt.pos[:k], a: pt.val, out: out1}
 	if pt.filtered {
 		// pt.pos indexes the filtered list; pt.outIdx maps it back to
 		// original request positions.
-		c.parPermuteVia(pt.pos[:k], pt.outIdx, pt.val, out1)
-	} else {
-		c.parPermute(pt.pos[:k], pt.val, out1)
+		back.via = pt.outIdx
 	}
+	c.moveAll(back, k)
 }
 
 // finishPair permutes both receive buffers back to request order.
@@ -527,5 +527,5 @@ func finishPair(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, opts *Options
 	ns, misses := th.Runtime().Model().DensePermute(int64(k))
 	th.Clock.Charge(sim.CatIrregular, 2*ns)
 	th.Clock.CacheMisses += 2 * misses
-	c.parPermute2(pt.pos[:k], pt.val, out1, pt.val2, out2)
+	c.moveAll(move{kind: movePermute2, pos: pt.pos[:k], a: pt.val, out: out1, a2: pt.val2, out2: out2}, k)
 }

@@ -67,6 +67,3 @@ func (f Fault) String() string {
 // InjectFault arms f on this Comm (FaultNone disarms). It must only be
 // called between Run regions — never while a collective is in flight.
 func (c *Comm) InjectFault(f Fault) { c.fault = f }
-
-// InjectedFault returns the currently armed fault.
-func (c *Comm) InjectedFault() Fault { return c.fault }

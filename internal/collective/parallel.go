@@ -26,30 +26,9 @@ func defaultParallelism(procs, s int) int {
 	return w
 }
 
-// SetParallelism overrides the number of host worker goroutines each
-// runtime thread may use for serve/permute data movement. n < 1 disables
-// extra workers. It must not change while a collective is in flight.
-// Results and simulated-time charges are identical at any setting; only
-// wall-clock time changes.
-func (c *Comm) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.par = n
-}
-
-// Parallelism returns the current per-thread worker count.
-func (c *Comm) Parallelism() int { return c.par }
-
 // chunksFor returns how many worker chunks an n-element loop should split
 // into: 1 (run inline) unless extra workers are configured and the loop is
 // long enough to amortize goroutine spawns.
-//
-// The helpers below are deliberately named functions taking explicit
-// arguments, not parDo(fn)-style closures: a closure passed to a spawning
-// helper escapes to the heap at every call site — even when the serial
-// path runs — and the whole point of this file is a zero-allocation
-// steady state.
 func (c *Comm) chunksFor(n int) int {
 	w := c.par
 	if m := n / parGrain; w > m {
@@ -61,207 +40,102 @@ func (c *Comm) chunksFor(n int) int {
 	return w
 }
 
-// parPermute writes out[pos[p]] = val[p] for p in [0, len(pos)): the
-// permute-back of Algorithm 2 step 6. pos is a permutation, so chunks
-// write disjoint out slots and parallelize safely.
-func (c *Comm) parPermute(pos []int32, val, out []int64) {
-	n := len(pos)
+// moveKind names one of the engine's element-wise data movements.
+type moveKind uint8
+
+const (
+	// movePermute writes out[pos[p]] = a[p]: the permute-back of
+	// Algorithm 2 step 6. pos is a permutation, so chunks write disjoint
+	// out slots.
+	movePermute moveKind = iota
+	// movePermute2 is movePermute over two aligned value/output pairs at
+	// once (GetDPair's fused permute-back).
+	movePermute2
+	// moveAlign writes out[p] = a[pos[p]]: the value-alignment pass of the
+	// grouping sort (Set* collectives). Chunks write disjoint out ranges.
+	moveAlign
+	// moveTranslate writes out[j] = a[j] - base: the serve phase's
+	// global-to-block-local index translation of one peer segment.
+	moveTranslate
+)
+
+// move is one data movement and its operands. With via set, movePermute
+// and moveAlign go through it — out[via[pos[p]]], a[via[pos[p]]] — for a
+// filtered plan, where pos indexes the filtered request list and via maps
+// filtered positions to original ones; via∘pos is still injective.
+//
+// It is a plain value handed to a named function, not a closure handed to
+// a spawning helper: a closure would escape to the heap at every call
+// site, even when the serial path runs, and the point of this file is a
+// zero-allocation steady state.
+type move struct {
+	kind     moveKind
+	pos, via []int32
+	a, out   []int64
+	a2, out2 []int64
+	base     int64
+}
+
+// run performs elements [lo, hi) of m.
+func (m move) run(lo, hi int) {
+	via := m.via
+	switch m.kind {
+	case movePermute:
+		pos, a, out := m.pos[lo:hi], m.a[lo:hi], m.out
+		if via != nil {
+			for p, j := range pos {
+				out[via[j]] = a[p]
+			}
+			return
+		}
+		for p, j := range pos {
+			out[j] = a[p]
+		}
+	case movePermute2:
+		pos, a, out, a2, out2 := m.pos[lo:hi], m.a[lo:hi], m.out, m.a2[lo:hi], m.out2
+		for p, j := range pos {
+			out[j] = a[p]
+			out2[j] = a2[p]
+		}
+	case moveAlign:
+		pos, a, out := m.pos[lo:hi], m.a, m.out[lo:hi]
+		if via != nil {
+			for p, j := range pos {
+				out[p] = a[via[j]]
+			}
+			return
+		}
+		for p, j := range pos {
+			out[p] = a[j]
+		}
+	case moveTranslate:
+		a, out, base := m.a[lo:hi], m.out[lo:hi], m.base
+		for j, gix := range a {
+			out[j] = gix - base
+		}
+	}
+}
+
+// moveAll performs all n elements of m, split across this thread's host
+// workers when the loop is long enough. Results and simulated-time charges
+// are identical at any worker count; only wall-clock time changes.
+func (c *Comm) moveAll(m move, n int) {
 	w := c.chunksFor(n)
 	if w <= 1 {
-		permuteChunk(nil, pos, val, out)
+		m.run(0, n)
 		return
 	}
 	chunk := (n + w - 1) / w
 	var wg sync.WaitGroup
-	for i := 1; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for lo := chunk; lo < n; lo += chunk {
 		wg.Add(1)
-		go permuteChunk(&wg, pos[lo:hi], val[lo:hi], out)
+		go moveChunk(&wg, m, lo, min(lo+chunk, n))
 	}
-	permuteChunk(nil, pos[:chunk], val[:chunk], out)
+	m.run(0, chunk)
 	wg.Wait()
 }
 
-func permuteChunk(wg *sync.WaitGroup, pos []int32, val, out []int64) {
-	if wg != nil {
-		defer wg.Done()
-	}
-	for p, j := range pos {
-		out[j] = val[p]
-	}
-}
-
-// parPermuteVia is parPermute through an extra index map: out[via[pos[p]]]
-// = val[p] (the offload path, where pos indexes the filtered request list
-// and via maps filtered positions to original ones). via∘pos is still
-// injective, so chunks stay disjoint.
-func (c *Comm) parPermuteVia(pos []int32, via []int32, val, out []int64) {
-	n := len(pos)
-	w := c.chunksFor(n)
-	if w <= 1 {
-		permuteViaChunk(nil, pos, via, val, out)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for i := 1; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go permuteViaChunk(&wg, pos[lo:hi], via, val[lo:hi], out)
-	}
-	permuteViaChunk(nil, pos[:chunk], via, val[:chunk], out)
-	wg.Wait()
-}
-
-func permuteViaChunk(wg *sync.WaitGroup, pos []int32, via []int32, val, out []int64) {
-	if wg != nil {
-		defer wg.Done()
-	}
-	for p, j := range pos {
-		out[via[j]] = val[p]
-	}
-}
-
-// parGatherPermute writes dst[p] = src[pos[p]]: the value-alignment pass
-// of the grouping sort (Set* collectives). Chunks write disjoint dst
-// ranges.
-func (c *Comm) parGatherPermute(pos []int32, src, dst []int64) {
-	n := len(pos)
-	w := c.chunksFor(n)
-	if w <= 1 {
-		gatherPermuteChunk(nil, pos, src, dst)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for i := 1; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go gatherPermuteChunk(&wg, pos[lo:hi], src, dst[lo:hi])
-	}
-	gatherPermuteChunk(nil, pos[:chunk], src, dst[:chunk])
-	wg.Wait()
-}
-
-func gatherPermuteChunk(wg *sync.WaitGroup, pos []int32, src, dst []int64) {
-	if wg != nil {
-		defer wg.Done()
-	}
-	for p, j := range pos {
-		dst[p] = src[j]
-	}
-}
-
-// parGatherPermuteVia is parGatherPermute through an extra index map:
-// dst[p] = src[via[pos[p]]] (the value alignment of an offload-filtered
-// plan, where pos indexes the filtered request list and via maps filtered
-// positions to original ones). Chunks write disjoint dst ranges.
-func (c *Comm) parGatherPermuteVia(pos []int32, via []int32, src, dst []int64) {
-	n := len(pos)
-	w := c.chunksFor(n)
-	if w <= 1 {
-		gatherPermuteViaChunk(nil, pos, via, src, dst)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for i := 1; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go gatherPermuteViaChunk(&wg, pos[lo:hi], via, src, dst[lo:hi])
-	}
-	gatherPermuteViaChunk(nil, pos[:chunk], via, src, dst[:chunk])
-	wg.Wait()
-}
-
-func gatherPermuteViaChunk(wg *sync.WaitGroup, pos []int32, via []int32, src, dst []int64) {
-	if wg != nil {
-		defer wg.Done()
-	}
-	for p, j := range pos {
-		dst[p] = src[via[j]]
-	}
-}
-
-// parTranslate writes dst[j] = src[j] - base: the serve phase's
-// global-to-block-local index translation of one peer segment.
-func (c *Comm) parTranslate(src, dst []int64, base int64) {
-	n := len(src)
-	w := c.chunksFor(n)
-	if w <= 1 {
-		translateChunk(nil, src, dst, base)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for i := 1; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go translateChunk(&wg, src[lo:hi], dst[lo:hi], base)
-	}
-	translateChunk(nil, src[:chunk], dst[:chunk], base)
-	wg.Wait()
-}
-
-func translateChunk(wg *sync.WaitGroup, src, dst []int64, base int64) {
-	if wg != nil {
-		defer wg.Done()
-	}
-	for j, gix := range src {
-		dst[j] = gix - base
-	}
-}
-
-// parPermute2 is parPermute over two aligned value/output pairs at once
-// (GetDPair's fused permute-back).
-func (c *Comm) parPermute2(pos []int32, val1, out1, val2, out2 []int64) {
-	n := len(pos)
-	w := c.chunksFor(n)
-	if w <= 1 {
-		permute2Chunk(nil, pos, val1, out1, val2, out2)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for i := 1; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go permute2Chunk(&wg, pos[lo:hi], val1[lo:hi], out1, val2[lo:hi], out2)
-	}
-	permute2Chunk(nil, pos[:chunk], val1[:chunk], out1, val2[:chunk], out2)
-	wg.Wait()
-}
-
-func permute2Chunk(wg *sync.WaitGroup, pos []int32, val1, out1, val2, out2 []int64) {
-	if wg != nil {
-		defer wg.Done()
-	}
-	for p, j := range pos {
-		out1[j] = val1[p]
-		out2[j] = val2[p]
-	}
+func moveChunk(wg *sync.WaitGroup, m move, lo, hi int) {
+	defer wg.Done()
+	m.run(lo, hi)
 }

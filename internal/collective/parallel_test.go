@@ -23,19 +23,6 @@ func TestDefaultParallelism(t *testing.T) {
 	}
 }
 
-func TestSetParallelism(t *testing.T) {
-	rt := testRT(t, 2, 2)
-	comm := NewComm(rt)
-	comm.SetParallelism(5)
-	if comm.Parallelism() != 5 {
-		t.Fatalf("Parallelism = %d", comm.Parallelism())
-	}
-	comm.SetParallelism(0)
-	if comm.Parallelism() != 1 {
-		t.Fatal("SetParallelism(0) should clamp to 1")
-	}
-}
-
 // TestParallelismInvariance runs every collective with request lists large
 // enough to cross the parallel grain and asserts the results are
 // bit-identical to the serial configuration — the parallel serve/permute
@@ -58,7 +45,7 @@ func TestParallelismInvariance(t *testing.T) {
 			d2.Raw()[i] = data[i] * 3
 		}
 		comm := NewComm(rt)
-		comm.SetParallelism(par)
+		comm.par = par
 
 		// Deterministic per-thread request lists, long enough that every
 		// per-peer segment and the final permute exceed 2*parGrain.
@@ -96,7 +83,7 @@ func TestParallelismInvariance(t *testing.T) {
 		dd := rt2.NewSharedArray("D", n)
 		copy(dd.Raw(), data)
 		comm2 := NewComm(rt2)
-		comm2.SetParallelism(par)
+		comm2.par = par
 		rt2.Run(func(th *pgas.Thread) {
 			comm2.SetD(th, dd, reqs[th.ID], vals[th.ID], opts, nil)
 		})
@@ -141,12 +128,12 @@ func eq64(a, b []int64) bool {
 	return true
 }
 
-// TestParHelpersChunking drives the chunked helpers directly across the
+// TestParHelpersChunking drives the chunked mover directly across the
 // grain boundary with a forced worker count.
 func TestParHelpersChunking(t *testing.T) {
 	rt := testRT(t, 1, 2)
 	comm := NewComm(rt)
-	comm.SetParallelism(3)
+	comm.par = 3
 	rng := xrand.New(7)
 	for _, n := range []int{0, 1, parGrain - 1, parGrain, 3*parGrain + 17, 5 * parGrain} {
 		pos := make([]int32, n)
@@ -163,10 +150,10 @@ func TestParHelpersChunking(t *testing.T) {
 			val[i] = rng.Int64n(1 << 40)
 		}
 		out := make([]int64, n)
-		comm.parPermute(pos, val, out)
+		comm.moveAll(move{kind: movePermute, pos: pos, a: val, out: out}, n)
 		for p, j := range pos {
 			if out[j] != val[p] {
-				t.Fatalf("n=%d: parPermute wrong at %d", n, p)
+				t.Fatalf("n=%d: movePermute wrong at %d", n, p)
 			}
 		}
 
@@ -175,18 +162,18 @@ func TestParHelpersChunking(t *testing.T) {
 			src[i] = rng.Int64n(1 << 40)
 		}
 		dst := make([]int64, n)
-		comm.parGatherPermute(pos, src, dst)
+		comm.moveAll(move{kind: moveAlign, pos: pos, a: src, out: dst}, n)
 		for p, j := range pos {
 			if dst[p] != src[j] {
-				t.Fatalf("n=%d: parGatherPermute wrong at %d", n, p)
+				t.Fatalf("n=%d: moveAlign wrong at %d", n, p)
 			}
 		}
 
 		tr := make([]int64, n)
-		comm.parTranslate(src, tr, 11)
+		comm.moveAll(move{kind: moveTranslate, a: src, out: tr, base: 11}, n)
 		for i := range src {
 			if tr[i] != src[i]-11 {
-				t.Fatalf("n=%d: parTranslate wrong at %d", n, i)
+				t.Fatalf("n=%d: moveTranslate wrong at %d", n, i)
 			}
 		}
 	}

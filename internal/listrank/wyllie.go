@@ -27,6 +27,18 @@ const maxRounds = 128
 // not (or vice versa) double-counts or loses distance. After an eviction
 // list ranking recovers by full deterministic re-execution.
 func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options) *Result {
+	return wyllie(rt, comm, l, colOpts, "Wyllie", false)
+}
+
+// WyllieFused is Wyllie with the fused GetDPair collective: each round
+// fetches S[S[i]] and R[S[i]] through one grouping and one setup exchange
+// instead of two — the beyond-paper optimization measured by
+// BenchmarkAblationFusedPair, applied to a full kernel.
+func WyllieFused(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options) *Result {
+	return wyllie(rt, comm, l, colOpts, "WyllieFused", true)
+}
+
+func wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options, name string, fused bool) *Result {
 	col := sanitize(colOpts)
 	s := rt.NewSharedArray("S", l.N)
 	r := rt.NewSharedArray("R", l.N)
@@ -59,7 +71,7 @@ func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collectiv
 
 		for round := 0; ; round++ {
 			if round >= maxRounds {
-				panic(fmt.Sprintf("listrank: Wyllie exceeded %d rounds", maxRounds))
+				panic(fmt.Sprintf("listrank: %s exceeded %d rounds", name, maxRounds))
 			}
 			k := len(active)
 			for j, i := range active {
@@ -68,8 +80,12 @@ func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collectiv
 			th.ChargeSeq(sim.CatCopy, int64(k))
 
 			// Fetch S[S[i]] and R[S[i]] for every active node.
-			comm.GetD(th, s, idx[:k], ss[:k], col, nil)
-			comm.GetD(th, r, idx[:k], rs[:k], col, nil)
+			if fused {
+				comm.GetDPair(th, s, r, idx[:k], ss[:k], rs[:k], col, nil)
+			} else {
+				comm.GetD(th, s, idx[:k], ss[:k], col, nil)
+				comm.GetD(th, r, idx[:k], rs[:k], col, nil)
+			}
 
 			// Double: R[i] += R[S[i]]; S[i] = S[S[i]]. Retire nodes whose
 			// successor was already a tail (no change).
@@ -167,74 +183,4 @@ func WyllieNaive(rt *pgas.Runtime, l *List) *Result {
 // sanitize copies opts and disables offload (inapplicable to list ranking).
 func sanitize(opts *collective.Options) *collective.Options {
 	return collective.Sanitize(opts, false)
-}
-
-// WyllieFused is Wyllie with the fused GetDPair collective: each round
-// fetches S[S[i]] and R[S[i]] through one grouping and one setup exchange
-// instead of two — the beyond-paper optimization measured by
-// BenchmarkAblationFusedPair, applied to a full kernel.
-func WyllieFused(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options) *Result {
-	col := sanitize(colOpts)
-	s := rt.NewSharedArray("S", l.N)
-	r := rt.NewSharedArray("R", l.N)
-	for i := int64(0); i < l.N; i++ {
-		s.StoreRaw(i, int64(l.Succ[i]))
-		if int64(l.Succ[i]) != i {
-			r.StoreRaw(i, 1)
-		}
-	}
-	red := pgas.NewOrReducer(rt)
-	rounds := 0
-
-	run := rt.Run(func(th *pgas.Thread) {
-		lo, hi := s.ThreadCover(th.ID)
-		span := hi - lo
-		th.ChargeSeq(sim.CatWork, 2*span)
-		active := make([]int64, 0, span)
-		for i := lo; i < hi; i++ {
-			if s.LoadRaw(i) != i {
-				active = append(active, i)
-			}
-		}
-		th.ChargeSeq(sim.CatWork, span)
-		idx := make([]int64, span)
-		ss := make([]int64, span)
-		rs := make([]int64, span)
-		th.Barrier()
-
-		for round := 0; ; round++ {
-			if round >= maxRounds {
-				panic(fmt.Sprintf("listrank: WyllieFused exceeded %d rounds", maxRounds))
-			}
-			k := len(active)
-			for j, i := range active {
-				idx[j] = s.LoadRaw(i)
-			}
-			th.ChargeSeq(sim.CatCopy, int64(k))
-
-			comm.GetDPair(th, s, r, idx[:k], ss[:k], rs[:k], col, nil)
-
-			w := 0
-			for j, i := range active {
-				if ss[j] == idx[j] {
-					continue
-				}
-				r.StoreRaw(i, r.LoadRaw(i)+rs[j])
-				s.StoreRaw(i, ss[j])
-				active[w] = i
-				w++
-			}
-			active = active[:w]
-			th.ChargeSeq(sim.CatCopy, 3*int64(k))
-
-			if !red.Reduce(th, w > 0) {
-				if th.ID == 0 {
-					rounds = round + 1
-				}
-				return
-			}
-		}
-	})
-
-	return &Result{Ranks: append([]int64(nil), r.Raw()...), Rounds: rounds, Run: run}
 }

@@ -211,11 +211,11 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 }
 
 // Coalesced runs the rewritten kernel: endpoint labels arrive through one
-// GetD, the minimum-edge election is a single SetDMin (priority concurrent
-// write — no locks), and short-cutting is synchronous pointer jumping.
-// Like cc.Coalesced, the graft gather's request vector is identical every
-// iteration when compaction is off, so that GetD runs through a reused
-// collective.Plan — phase 1 of Algorithm 2 paid once per run.
+// gather of the run's collective.LiveEdges (a reused Plan when compaction
+// is off — phase 1 of Algorithm 2 paid once per run — a shrinking one-shot
+// request when it is on), the minimum-edge election is a single SetDMin
+// (priority concurrent write — no locks), and short-cutting is synchronous
+// pointer jumping.
 //
 // Recoverable state (pgas.Registrar): none. Borůvka rounds accumulate
 // chosen edges in host-side slices outside any shared array; a restored
@@ -229,29 +229,29 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	minE := rt.NewSharedArray("MinE", g.N)
 	red := pgas.NewOrReducer(rt)
 	col := opts.col()
-	compact := opts.compact()
-	graftPlan := comm.NewPlan()
-	s := rt.NumThreads()
-	chosen := make([][]int64, s)
-	m := g.M()
+	live := comm.NewLiveEdges(opts.compact(), false)
+	chosen := make([][]int64, rt.NumThreads())
 	iterations := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
-		lo, hi := th.Span(m)
-		live := make([]int64, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			live = append(live, e)
-		}
 		dLo, dHi := d.ThreadCover(th.ID)
 		span := dHi - dLo
 		th.ChargeSeq(sim.CatWork, span)
 
-		gatherIdx := make([]int64, 0, 2*len(live))
-		gatherVal := make([]int64, 0, 2*len(live))
-		setIdx := make([]int64, 0, 2*len(live))
-		setVal := make([]int64, 0, 2*len(live))
+		el := live.List(th, g.M(), func(lo, hi int64, ends []int64) {
+			for e := lo; e < hi; e++ {
+				ends[2*(e-lo)], ends[2*(e-lo)+1] = int64(g.U[e]), int64(g.V[e])
+			}
+		}, true)
+		setIdx := make([]int64, 0, len(el.Ends))
+		setVal := make([]int64, 0, len(el.Ends))
 		jump := collective.NewJumpScratch(span)
-		var graftCache collective.IDCache
+		// The owned buckets that hold a candidate this round, at most span:
+		// their vertices and keys, the labels of the candidate edges'
+		// endpoints, and the peer bucket each would hook to.
+		candR, candKey := make([]int64, 0, span), make([]int64, 0, span)
+		endpointIdx, endpointLab := make([]int64, 0, 2*span), make([]int64, 2*span)
+		otherIdx, otherKey := make([]int64, span), make([]int64, span)
 		th.Barrier()
 
 		for iter := 0; ; iter++ {
@@ -265,49 +265,30 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			th.ChargeSeq(sim.CatWork, span)
 			th.Barrier()
 
-			// Fetch both endpoint labels of every live edge.
-			k := len(live)
-			if compact {
-				gatherIdx = gatherIdx[:0]
-				for _, e := range live {
-					gatherIdx = append(gatherIdx, int64(g.U[e]), int64(g.V[e]))
-				}
-				gatherVal = gatherVal[:2*k]
-				th.ChargeSeq(sim.CatWork, 2*int64(k))
-				comm.GetD(th, d, gatherIdx, gatherVal, col, &graftCache)
-			} else {
-				if iter == 0 {
-					gatherIdx = gatherIdx[:0]
-					for _, e := range live {
-						gatherIdx = append(gatherIdx, int64(g.U[e]), int64(g.V[e]))
-					}
-					gatherVal = gatherVal[:2*k]
-					th.ChargeSeq(sim.CatWork, 2*int64(k))
-					graftPlan.PlanRequests(th, d, gatherIdx, col, nil)
-				}
-				graftPlan.GetD(th, d, gatherVal)
-			}
+			// Fetch both endpoint labels of every live edge. Round 0 gathers
+			// too: copying instead drops a collective the chaos digests
+			// count, so that saving belongs to a change with its own record.
+			el.Gather(th, d, col, false)
+			labels := el.Labels
 
 			// Minimum-edge election: one priority concurrent write per
 			// live endpoint pair.
 			setIdx, setVal = setIdx[:0], setVal[:0]
-			for j := 0; j < k; j++ {
-				du, dv := gatherVal[2*j], gatherVal[2*j+1]
+			for j, e := range el.IDs {
+				du, dv := labels[2*j], labels[2*j+1]
 				if du == dv {
 					continue
 				}
-				e := live[j]
 				key := pack(g.W[e], e)
 				setIdx = append(setIdx, du, dv)
 				setVal = append(setVal, key, key)
 			}
-			th.ChargeOps(sim.CatWork, 2*int64(k))
+			th.ChargeOps(sim.CatWork, 2*int64(len(el.IDs)))
 			comm.SetDMin(th, minE, setIdx, setVal, col, nil)
 
 			// Scan owned buckets; claim edges and hook. The labels and
 			// the peer bucket values arrive through two more GetDs.
-			candR := make([]int64, 0, span)
-			candKey := make([]int64, 0, span)
+			candR, candKey = candR[:0], candKey[:0]
 			for r := dLo; r < dHi; r++ {
 				key := minE.LoadRaw(r)
 				if key != noEdge {
@@ -318,19 +299,18 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			th.ChargeSeq(sim.CatWork, span)
 			found := len(candR) > 0
 
-			endpointIdx := make([]int64, 0, 2*len(candR))
+			endpointIdx = endpointIdx[:0]
 			for _, key := range candKey {
 				e := unpack(key)
 				endpointIdx = append(endpointIdx, int64(g.U[e]), int64(g.V[e]))
 			}
-			endpointLab := make([]int64, len(endpointIdx))
+			endpointLab = endpointLab[:len(endpointIdx)]
 			comm.GetD(th, d, endpointIdx, endpointLab, col, nil)
 
-			otherIdx := make([]int64, len(candR))
+			otherIdx, otherKey = otherIdx[:len(candR)], otherKey[:len(candR)]
 			for j, r := range candR {
 				otherIdx[j] = endpointLab[2*j] + endpointLab[2*j+1] - r
 			}
-			otherKey := make([]int64, len(candR))
 			comm.GetD(th, minE, otherIdx, otherKey, col, nil)
 
 			for j, r := range candR {
@@ -356,22 +336,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			// the hook digraph is acyclic after mutual-pair breaking, so
 			// plain jumping converges.
 			comm.PointerJump(th, d, col, red, jump, dLo)
-
-			// Compact settled edges.
-			if compact {
-				w := 0
-				for j := 0; j < k; j++ {
-					if gatherVal[2*j] != gatherVal[2*j+1] {
-						live[w] = live[j]
-						w++
-					}
-				}
-				if w != k {
-					live = live[:w]
-					graftCache.Invalidate()
-				}
-				th.ChargeSeq(sim.CatWork, int64(k))
-			}
+			el.Compact(th)
 
 			if !red.Reduce(th, found) {
 				if th.ID == 0 {

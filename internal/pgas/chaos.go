@@ -140,10 +140,6 @@ func (rt *Runtime) ArmChaos(cfg ChaosConfig) {
 	rt.chaos = &chaosState{cfg: cfg, pts: make([]chaosThread, rt.s)}
 }
 
-// DisarmChaos removes the injector; the runtime returns to the fault-free
-// transport.
-func (rt *Runtime) DisarmChaos() { rt.chaos = nil }
-
 // ChaosArmed reports whether fault injection is active.
 func (rt *Runtime) ChaosArmed() bool { return rt.chaos != nil }
 

@@ -964,11 +964,6 @@ func (a *SharedArray) Len() int64 { return a.n }
 // Name returns the diagnostic name the array was allocated with.
 func (a *SharedArray) Name() string { return a.name }
 
-// BlockSize returns the per-thread block size of the block scheme's
-// layout (computed for every array; meaningful ownership math only when
-// the scheme is block).
-func (a *SharedArray) BlockSize() int64 { return a.blk }
-
 // Owner returns the thread id owning element i under the array's
 // partition scheme. Out-of-range indices are a classified misuse, never
 // a silently mis-attributed owner.

@@ -26,7 +26,6 @@ type Collector struct {
 	serveLoad  []int64          // per server thread
 	planBuilds int64            // phase-1 runs (grouping sort + matrix publish)
 	planReuses int64            // plan executions that skipped phase 1
-	retries    map[string]int64 // serve-phase replays per collective kind (chaos)
 
 	// Recovery accounting, recorded once per supervised run (see Recovery):
 	// superstep snapshots committed and their payload, snapshot restores
@@ -58,7 +57,6 @@ func NewCollector(threads int) *Collector {
 		calls:     map[string]*callStats{},
 		pairElems: map[[2]int]int64{},
 		serveLoad: make([]int64, threads),
-		retries:   map[string]int64{},
 	}
 }
 
@@ -112,30 +110,9 @@ func (c *Collector) PlanReuse(thread int, elements int64) {
 	c.mu.Unlock()
 }
 
-// ServeRetry records one serve-phase replay forced by an injected
-// transport fault — the chaos layer's recovery activity, attributed to the
-// collective kind that absorbed it.
-func (c *Collector) ServeRetry(thread int, kind string, attempt int) {
-	c.mu.Lock()
-	c.retries[kind]++
-	c.mu.Unlock()
-}
-
-// ServeRetries returns the recorded serve-phase replays for kind (all
-// threads), or the total across kinds when kind is empty. Zero unless the
-// runtime ran with chaos armed.
-func (c *Collector) ServeRetries(kind string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if kind != "" {
-		return c.retries[kind]
-	}
-	var total int64
-	for _, v := range c.retries {
-		total += v
-	}
-	return total
-}
+// ServeRetry is part of collective.Tracer; the Collector keeps no count of
+// serve-phase replays (the runtime's ChaosStats has the totals).
+func (c *Collector) ServeRetry(thread int, kind string, attempt int) {}
 
 // Recovery folds one supervised run's recovery accounting into the
 // collector — typically straight from a recover.Report:
@@ -217,7 +194,6 @@ func (c *Collector) Reset() {
 	}
 	c.planBuilds = 0
 	c.planReuses = 0
-	c.retries = map[string]int64{}
 	c.checkpoints, c.checkpointBytes = 0, 0
 	c.restores, c.restoredBytes = 0, 0
 	c.rollbacks, c.evictions, c.reexecSupersteps = 0, 0, 0
