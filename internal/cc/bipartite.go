@@ -48,15 +48,18 @@ func Bipartite(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	coverLabel := cc.Labels
 
 	res := &BipartiteResult{
-		Component:          seq.CC(g),
+		Component:          make([]int64, n),
 		ComponentBipartite: map[int64]bool{},
 		Side:               make([]int8, n),
 		Run:                cc.Run,
 	}
 	// A component with canonical label r is bipartite iff r's two copies
-	// are in different cover components; colors follow r's copy A.
+	// are in different cover components; colors follow r's copy A. One of
+	// v's two copies always shares a cover component with r's copy A, whose
+	// label is r (nothing in it is smaller); the other copy's is larger.
 	for v := int64(0); v < n; v++ {
-		r := res.Component[v]
+		r := min(coverLabel[v], coverLabel[v+n])
+		res.Component[v] = r
 		bip, seen := res.ComponentBipartite[r]
 		if !seen {
 			bip = coverLabel[r] != coverLabel[r+n]

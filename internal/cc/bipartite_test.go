@@ -1,15 +1,21 @@
 package cc
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
+	"pgasgraph/internal/seq"
 )
 
 func checkBipartite(t *testing.T, g *graph.Graph, res *BipartiteResult) {
 	t.Helper()
+	// Component comes from the cover run; union-find on g is independent.
+	if !slices.Equal(res.Component, seq.CC(g)) {
+		t.Fatalf("Component = %v, want %v", res.Component, seq.CC(g))
+	}
 	want := SeqBipartite(g)
 	for r, bip := range want {
 		if res.ComponentBipartite[r] != bip {
@@ -79,7 +85,7 @@ func TestBipartiteProperty(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return slices.Equal(res.Component, seq.CC(g))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -20,11 +20,11 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/pgas"
-	"pgasgraph/internal/seq"
 	"pgasgraph/internal/sim"
 )
 
@@ -88,32 +88,31 @@ func (o *Options) col() *collective.Options {
 
 func (o *Options) compact() bool { return o != nil && o.Compact }
 
-// finish converts a converged D array into a Result. The collective
-// kernels terminate with D fully collapsed to rooted stars; the naive
-// kernel's asynchronous short-cutting can leave residual parent chains
-// (a race the paper's arbitrary-CRCW model permits), so labels are
-// resolved by walking D to its roots — every kernel maintains D[i] <= i,
-// so walks strictly decrease and terminate.
-func finish(d *pgas.SharedArray, iters int, run *pgas.Result) *Result {
-	parent := append([]int64(nil), d.Raw()...)
-	for i := range parent {
-		r := int64(i)
-		for parent[r] != r {
-			r = parent[r]
-		}
-		// Path-compress the walked chain for linear total work.
-		j := int64(i)
-		for parent[j] != r {
-			j, parent[j] = parent[j], r
+// finish resolves a converged label slice in place and reports it. Every
+// kernel writes D only by minimum writes from the identity fill, so
+// D[i] <= i always holds, a tree's root is its smallest vertex, and the
+// resolved slice *is* the canonical component-minimum labeling with one
+// root (labels[i] == i) per component — no renaming pass, no recount. The
+// collective kernels end collapsed; Naive's asynchronous short-cutting can
+// leave parent chains (a race the paper's arbitrary-CRCW model permits).
+// Either way one ascending pass resolves everything: when vertex i is
+// reached every smaller vertex already points at its root, so i's parent's
+// label is i's root. The pass checks the invariant it relies on — a label
+// outside [0, i] panics naming the vertex instead of mislabelling — and
+// writes nothing to a slice that is already collapsed.
+func finish(labels []int64, iters int, run *pgas.Result) *Result {
+	var components int64
+	for i, p := range labels {
+		switch {
+		case uint64(p) > uint64(i):
+			panic(fmt.Sprintf("cc: vertex %d carries label %d: the D[i] <= i invariant is broken", i, p))
+		case p == int64(i):
+			components++
+		case labels[p] != p:
+			labels[i] = labels[p]
 		}
 	}
-	labels := seq.Canonical(parent)
-	return &Result{
-		Labels:     labels,
-		Components: seq.CountComponents(labels),
-		Iterations: iters,
-		Run:        run,
-	}
+	return &Result{Labels: labels, Components: components, Iterations: iters, Run: run}
 }
 
 // Naive runs the literal translation of the shared-memory CC code: every
@@ -187,7 +186,7 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 			}
 		}
 	})
-	return finish(d, iterations, run)
+	return finish(slices.Clone(d.Raw()), iterations, run)
 }
 
 // Coalesced runs CC rewritten with the collectives: grafting fetches both
@@ -295,7 +294,13 @@ func graftRounds(rt *pgas.Runtime, comm *collective.Comm, col *collective.Option
 			}
 		}
 	})
-	return finish(d, iterations, run)
+	// A fresh run's array goes back to the runtime with the kernel's scope;
+	// a caller's resident array is the result.
+	labels := d.Raw()
+	if r.fresh {
+		labels = slices.Clone(labels)
+	}
+	return finish(labels, iterations, run)
 }
 
 // SV runs the Shiloach-Vishkin algorithm rewritten with collectives: per

@@ -15,8 +15,12 @@ const CkptIncrementalD = "cc.incremental.D"
 // edges without rescanning the old graph. d must hold a *converged*
 // labeling: every entry is the smallest vertex id of its component (the
 // collapsed-star state Coalesced, SV, and a previous Incremental all
-// terminate in, and the state finish() certifies). eu/ev list the new
-// edges' endpoints.
+// terminate in, and the state finish checks). eu/ev list the new edges'
+// endpoints.
+//
+// The update happens in d, and Result.Labels is d's storage, not a copy:
+// it is valid until the next write to d, and a caller that keeps d
+// resident has nothing to install.
 //
 // The algorithm is Coalesced's graft-and-collapse loop (graftRounds)
 // restricted to the new edges. Because the resident labeling is the

@@ -108,6 +108,10 @@ func TestIncrementalChainInOneBatch(t *testing.T) {
 	if res.Components != 6 {
 		t.Fatalf("components = %d, want 6", res.Components)
 	}
+	// The result is the resident array, not a per-batch copy of it.
+	if &res.Labels[0] != &d.Raw()[0] {
+		t.Fatal("Incremental's Result.Labels does not share storage with d")
+	}
 }
 
 // TestIncrementalNoOpBatch: edges internal to existing components must

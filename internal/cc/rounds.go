@@ -164,5 +164,5 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 			}
 		}
 	})
-	return finish(d, iterations, run)
+	return finish(slices.Clone(d.Raw()), iterations, run)
 }

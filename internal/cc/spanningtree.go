@@ -3,6 +3,7 @@ package cc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
@@ -143,7 +144,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		}
 	})
 
-	sf := &SpanningForest{CC: finish(d, iterations, run), Run: run}
+	sf := &SpanningForest{CC: finish(slices.Clone(d.Raw()), iterations, run), Run: run}
 	for _, part := range chosen {
 		sf.Edges = append(sf.Edges, part...)
 	}

@@ -2,178 +2,120 @@ package pgas
 
 import "pgasgraph/internal/sim"
 
-// OrReducer is a barrier-based global boolean OR over all threads, the
-// runtime's equivalent of the "did any thread graft?" convergence test the
-// paper's kernels run each iteration. Each thread publishes its local flag,
-// everyone rendezvous at a barrier, and all threads read the disjunction.
+// slots is the one mechanism behind the barrier-based reducers: each
+// thread publishes one word, everyone meets at a barrier, and all threads
+// read the whole vector back.
 //
-// Flag vectors are double-buffered by round parity so one barrier per
-// reduction suffices: a thread racing ahead into round r+1 writes the
-// other buffer, never the one its peers are still scanning.
+// Vectors are double-buffered by round parity so one barrier per reduction
+// suffices: a thread racing ahead into round r+1 writes the other buffer,
+// never the one its peers are still scanning.
 //
-// On a wire transport each process holds a replica of both slot vectors:
-// a thread publishes its slot locally and pushes the single word to every
+// On a wire transport each process holds a replica of both vectors: a
+// thread publishes its slot locally and pushes the single word to every
 // peer process before arriving at the barrier, whose rendezvous orders the
-// deliveries before any reader's scan. The pushes ride the same barrier the
-// reduction already pays for, so no extra simulated time is charged.
-type OrReducer struct {
-	flags [2][]int64
+// deliveries before any reader's scan. The pushes are the physical
+// realization of the reduction the cost model already charges as a scan
+// plus the enclosing barrier, so they charge nothing extra.
+type slots struct {
+	vals  [2][]int64
 	round []int64 // per-thread round counter (each slot written by one thread)
 	wins  [2]Win  // transport windows; zero on a shared fabric
-	rt    *Runtime
 }
 
-// NewOrReducer returns a reducer for rt's thread count.
-func NewOrReducer(rt *Runtime) *OrReducer {
+func newSlots(rt *Runtime) slots {
 	s := rt.NumThreads()
-	r := &OrReducer{
-		flags: [2][]int64{make([]int64, s), make([]int64, s)},
-		round: make([]int64, s),
-		rt:    rt,
+	r := slots{vals: [2][]int64{make([]int64, s), make([]int64, s)}, round: make([]int64, s)}
+	if !rt.tr.Shared() {
+		id := rt.NewWinID()
+		for b := range r.vals {
+			r.wins[b] = Win{Kind: WinReduce, ID: id, Sub: int32(b)}
+			rt.tr.Expose(r.wins[b], r.vals[b])
+		}
 	}
-	r.wins = exposeReducer(rt, r.flags)
 	return r
 }
 
-// SumReducer is a barrier-based global sum over all threads, used for
-// global size tracking (e.g. how many list nodes remain active during
-// contraction). Double-buffered like OrReducer.
-type SumReducer struct {
-	vals  [2][]int64
-	round []int64
-	wins  [2]Win
-	rt    *Runtime
-}
-
-// NewSumReducer returns a reducer for rt's thread count.
-func NewSumReducer(rt *Runtime) *SumReducer {
-	s := rt.NumThreads()
-	r := &SumReducer{
-		vals:  [2][]int64{make([]int64, s), make([]int64, s)},
-		round: make([]int64, s),
-		rt:    rt,
-	}
-	r.wins = exposeReducer(rt, r.vals)
-	return r
-}
-
-// exposeReducer registers a reducer's double-buffered slot vectors with a
-// wire transport (no-op on a shared fabric) and returns their window names.
-func exposeReducer(rt *Runtime, bufs [2][]int64) [2]Win {
-	var wins [2]Win
-	if rt.tr.Shared() {
-		return wins
-	}
-	id := rt.NewWinID()
-	for b := 0; b < 2; b++ {
-		wins[b] = Win{Kind: WinReduce, ID: id, Sub: int32(b)}
-		rt.tr.Expose(wins[b], bufs[b])
-	}
-	return wins
-}
-
-// publishSlot pushes a thread's freshly written reducer slot to every peer
-// process's replica of the active buffer. No-op on a shared fabric. The
-// wire traffic is the physical realization of the reduction the cost model
-// already charges as a scan plus the enclosing barrier, so it charges
-// nothing extra.
-func publishSlot(th *Thread, w Win, v int64) {
-	tr := th.rt.tr
-	if tr.Shared() {
-		return
-	}
-	src := [1]int64{v}
-	for nd := 0; nd < tr.Nodes(); nd++ {
-		if nd == tr.Node() {
-			continue
-		}
-		if err := tr.Put(th, nd, w, int64(th.ID), src[:]); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// Reduce publishes local and returns the sum over all threads. All
-// threads must call it the same number of times (it contains a barrier).
-func (r *SumReducer) Reduce(th *Thread, local int64) int64 {
+// exchange publishes v as th's word of this round and returns every
+// thread's. All threads must call it the same number of times (it contains
+// a barrier); the caller's fold over the vector is charged here as local
+// work.
+func (r *slots) exchange(th *Thread, v int64) []int64 {
 	parity := r.round[th.ID] & 1
 	buf := r.vals[parity]
 	r.round[th.ID]++
-	buf[th.ID] = local
-	publishSlot(th, r.wins[parity], local)
-	th.Barrier()
-	var sum int64
-	for _, v := range buf {
-		sum += v
+	// Disjoint plain writes; the barrier's lock provides the
+	// happens-before edge to the readers.
+	buf[th.ID] = v
+	if tr := th.rt.tr; !tr.Shared() {
+		src := [1]int64{v}
+		for nd := 0; nd < tr.Nodes(); nd++ {
+			if nd == tr.Node() {
+				continue
+			}
+			if err := tr.Put(th, nd, r.wins[parity], int64(th.ID), src[:]); err != nil {
+				panic(err)
+			}
+		}
 	}
+	th.Barrier()
 	th.ChargeOps(sim.CatWork, int64(len(buf)))
-	return sum
+	return buf
 }
 
+// OrReducer is a global boolean OR over all threads, the runtime's
+// equivalent of the "did any thread graft?" convergence test the paper's
+// kernels run each iteration.
+type OrReducer struct{ slots }
+
+// NewOrReducer returns a reducer for rt's thread count.
+func NewOrReducer(rt *Runtime) *OrReducer { return &OrReducer{newSlots(rt)} }
+
 // Reduce publishes local and returns the OR over all threads. All threads
-// must call it the same number of times (it contains a barrier). The scan
-// over the flag vector is charged as local work.
+// must call it the same number of times (it contains a barrier).
 func (r *OrReducer) Reduce(th *Thread, local bool) bool {
-	parity := r.round[th.ID] & 1
-	buf := r.flags[parity]
-	r.round[th.ID]++
 	v := int64(0)
 	if local {
 		v = 1
 	}
-	// Disjoint plain writes; the barrier's lock provides the
-	// happens-before edge to the readers below.
-	buf[th.ID] = v
-	publishSlot(th, r.wins[parity], v)
-	th.Barrier()
-	any := false
-	for _, f := range buf {
+	for _, f := range r.exchange(th, v) {
 		if f != 0 {
-			any = true
-			break
+			return true
 		}
 	}
-	th.ChargeOps(sim.CatWork, int64(len(buf)))
-	return any
+	return false
 }
 
-// MinReducer is a barrier-based global minimum over all threads, used to
-// agree on the next non-empty bucket in delta-stepping-style algorithms.
-// Double-buffered like OrReducer.
-type MinReducer struct {
-	vals  [2][]int64
-	round []int64
-	wins  [2]Win
-	rt    *Runtime
+// SumReducer is a global sum over all threads, used for global size
+// tracking (e.g. how many list nodes remain active during contraction).
+type SumReducer struct{ slots }
+
+// NewSumReducer returns a reducer for rt's thread count.
+func NewSumReducer(rt *Runtime) *SumReducer { return &SumReducer{newSlots(rt)} }
+
+// Reduce publishes local and returns the sum over all threads. All
+// threads must call it the same number of times (it contains a barrier).
+func (r *SumReducer) Reduce(th *Thread, local int64) int64 {
+	var sum int64
+	for _, v := range r.exchange(th, local) {
+		sum += v
+	}
+	return sum
 }
+
+// MinReducer is a global minimum over all threads, used to agree on the
+// next non-empty bucket in delta-stepping-style algorithms.
+type MinReducer struct{ slots }
 
 // NewMinReducer returns a reducer for rt's thread count.
-func NewMinReducer(rt *Runtime) *MinReducer {
-	s := rt.NumThreads()
-	r := &MinReducer{
-		vals:  [2][]int64{make([]int64, s), make([]int64, s)},
-		round: make([]int64, s),
-		rt:    rt,
-	}
-	r.wins = exposeReducer(rt, r.vals)
-	return r
-}
+func NewMinReducer(rt *Runtime) *MinReducer { return &MinReducer{newSlots(rt)} }
 
 // Reduce publishes local and returns the minimum over all threads. All
 // threads must call it the same number of times (it contains a barrier).
 func (r *MinReducer) Reduce(th *Thread, local int64) int64 {
-	parity := r.round[th.ID] & 1
-	buf := r.vals[parity]
-	r.round[th.ID]++
-	buf[th.ID] = local
-	publishSlot(th, r.wins[parity], local)
-	th.Barrier()
-	min := buf[0]
+	buf := r.exchange(th, local)
+	lo := buf[0]
 	for _, v := range buf[1:] {
-		if v < min {
-			min = v
-		}
+		lo = min(lo, v)
 	}
-	th.ChargeOps(sim.CatWork, int64(len(buf)))
-	return min
+	return lo
 }

@@ -1,0 +1,217 @@
+package serve
+
+import (
+	"errors"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"pgasgraph/internal/collective"
+	"pgasgraph/internal/graph"
+	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/trace"
+	"pgasgraph/internal/xrand"
+)
+
+// TestInsertCost guards what an insertion batch may allocate, stated in
+// vertices so it does not depend on the host: the label update's own
+// scratch is about three n-word arrays, and nothing on the host side of it
+// (epilogue, recount) may add more. Hash-map canonicalization and counting
+// took a 64-edge batch to 8.4 words per vertex. The labels run with the
+// paper's optimized collectives, as pgasd's do: without offload thread 0's
+// serve buffers regrow with every merge into the giant component, another
+// 3.4 words that are the region's, not the host's.
+func TestInsertCost(t *testing.T) {
+	const n, batches, perVertex = 1 << 16, 20, 5
+	s := newTestService(t, graph.Random(n, n, 41), 4, 2)
+	if _, err := s.Run(KernelSpec{Kernel: "cc/coalesced", Col: collective.Optimized(2)}); err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(43)
+	batch := make([]Edge, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b := 0; b < batches; b++ {
+		for i := range batch {
+			batch[i] = Edge{U: rng.Int64n(n), V: rng.Int64n(n)}
+		}
+		if rep, err := s.Insert(batch); err != nil || !rep.Incremental {
+			t.Fatalf("batch %d: report %+v, err %v", b, rep, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	words := float64(after.TotalAlloc-before.TotalAlloc) / 8 / batches / n
+	t.Logf("%.2f words allocated per vertex per 64-edge batch", words)
+	if words > perVertex {
+		t.Fatalf("a 64-edge insert allocates %.2f words per vertex, budget %d", words, perVertex)
+	}
+}
+
+// preloaded is a 2x2 service over g with the specs' results resident.
+func preloaded(t *testing.T, g *graph.Graph, specs ...KernelSpec) *Service {
+	t.Helper()
+	s := newTestService(t, g, 2, 2)
+	for _, spec := range specs {
+		if _, err := s.Run(spec); err != nil {
+			t.Fatalf("%s: %v", spec.Kernel, err)
+		}
+	}
+	return s
+}
+
+// everyColumn is a service with all four kinds of result resident (two
+// trees) and a batch that reads every column.
+func everyColumn(t *testing.T) (*Service, []Query) {
+	t.Helper()
+	s := preloaded(t, graph.Random(200, 420, 7),
+		KernelSpec{Kernel: "cc/coalesced"},
+		KernelSpec{Kernel: "bfs/coalesced", Src: 9},
+		KernelSpec{Kernel: "bfs/coalesced", Src: 3},
+		KernelSpec{Kernel: "spanning-forest"})
+	return s, []Query{
+		{Op: TreeParent, U: 60},
+		{Op: Distance, U: 3, V: 100},
+		{Op: SameComponent, U: 0, V: 199},
+		{Op: ComponentSize, U: 42},
+		{Op: Distance, U: 150, V: 9},
+		{Op: SameComponent, U: 17, V: 17},
+		{Op: ComponentSize, U: 0},
+		{Op: Distance, U: 77, V: 3},
+	}
+}
+
+// planCounts runs qs and returns its answers with the plan builds and
+// reuses the batch cost.
+func planCounts(t *testing.T, s *Service, col *trace.Collector, qs []Query) (ans []int64, builds, reuses int64) {
+	t.Helper()
+	b0, r0 := col.PlanBuilds(), col.PlanReuses()
+	ans, err := s.Query(qs)
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	return ans, col.PlanBuilds() - b0, col.PlanReuses() - r0
+}
+
+// TestColumnsKeepTheirOwnState: a column's plan lives and dies with its
+// array, and a batch leaves nothing behind in any column however it ends.
+// The one build every batch with a ComponentSize lookup pays is the
+// dependent sizes gather, which is one-shot by nature.
+func TestColumnsKeepTheirOwnState(t *testing.T) {
+	s, qs := everyColumn(t)
+	col := trace.NewCollector(s.Runtime().NumThreads())
+	s.Comm().SetTracer(col)
+	if got, want := s.Resident(), []string{"labels", "sizes", "dist[3]", "dist[9]", "parent"}; !slices.Equal(got, want) {
+		t.Fatalf("Resident() = %v, want %v", got, want)
+	}
+	const columns = 5 // same, size, dist[3], dist[9], parent
+
+	first, builds, reuses := planCounts(t, s, col, qs)
+	if builds != columns+1 || reuses != 0 {
+		t.Fatalf("first batch: %d builds, %d reuses; want %d, 0", builds, reuses, columns+1)
+	}
+
+	// Rejected at the last lookup, after every column has taken requests.
+	bad := append(slices.Clone(qs), Query{Op: TreeParent, U: 200})
+	if _, err := s.Query(bad); !errors.Is(err, pgas.ErrMisuse) {
+		t.Fatalf("bad batch: %v, want ErrMisuse", err)
+	}
+	for i, c := range s.columns() {
+		if len(c.req) != 0 || c.next != 0 {
+			t.Fatalf("column %d after a rejected batch: %d requests left, cursor %d", i, len(c.req), c.next)
+		}
+	}
+	again, builds, reuses := planCounts(t, s, col, qs)
+	if !slices.Equal(again, first) {
+		t.Fatalf("after a rejected batch: answers %v, want %v", again, first)
+	}
+	if builds != 1 || reuses != columns {
+		t.Fatalf("after a rejected batch: %d builds, %d reuses; want 1, %d", builds, reuses, columns)
+	}
+
+	// Insert drops the trees and the forest. Bringing one result back
+	// builds that column's plan and no other.
+	if _, err := s.Insert([]Edge{{U: 2, V: 117}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Resident(), []string{"labels", "sizes"}; !slices.Equal(got, want) {
+		t.Fatalf("Resident() after Insert = %v, want %v", got, want)
+	}
+	var labelsOnly, noParent []Query
+	for _, q := range qs {
+		if q.Op <= ComponentSize {
+			labelsOnly = append(labelsOnly, q)
+		}
+		if q.Op != TreeParent && q.U != 9 && q.V != 9 {
+			noParent = append(noParent, q)
+		}
+	}
+	if _, builds, reuses = planCounts(t, s, col, labelsOnly); builds != 1 || reuses != 2 {
+		t.Fatalf("label streams after Insert: %d builds, %d reuses; want 1, 2", builds, reuses)
+	}
+	if _, err := s.Run(KernelSpec{Kernel: "bfs/coalesced", Src: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, builds, reuses = planCounts(t, s, col, noParent); builds != 2 || reuses != 2 {
+		t.Fatalf("tree 3 back: %d builds, %d reuses; want 2 (its plan, sizes), 2", builds, reuses)
+	}
+	if _, err := s.Run(KernelSpec{Kernel: "spanning-forest"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(KernelSpec{Kernel: "bfs/coalesced", Src: 9}); err != nil {
+		t.Fatal(err)
+	}
+	// spanning-forest installs its own labels along with the parents, so
+	// the two label streams plan again too; tree 3 alone carries on.
+	if _, builds, reuses = planCounts(t, s, col, qs); builds != 5 || reuses != 1 {
+		t.Fatalf("forest and tree 9 back: %d builds, %d reuses; want 5 (labels twice, forest, tree 9, sizes), 1", builds, reuses)
+	}
+}
+
+// TestQueryErrorPrecedence pins which complaint a lookup with several
+// things wrong gets, and which tree answers a Distance both of whose
+// endpoints are resident sources.
+func TestQueryErrorPrecedence(t *testing.T) {
+	g := graph.WithRandomWeights(graph.Random(150, 400, 29), 31)
+	bare := preloaded(t, g)
+	full := preloaded(t, g,
+		KernelSpec{Kernel: "cc/coalesced"},
+		KernelSpec{Kernel: "bfs/coalesced", Src: 10},
+		KernelSpec{Kernel: "sssp/delta-stepping", Src: 33})
+	for _, tc := range []struct {
+		s    *Service
+		q    Query
+		want string
+	}{
+		{full, Query{Op: Op(99), U: -5}, "unknown op"},
+		{bare, Query{Op: Op(0), U: 1 << 40}, "unknown op"},
+		{bare, Query{Op: SameComponent, U: -1, V: 2}, "no resident labels"},
+		{bare, Query{Op: ComponentSize, U: 150}, "no resident labels"},
+		{bare, Query{Op: TreeParent, U: 150}, "no resident forest"},
+		{full, Query{Op: TreeParent, U: 150}, "no resident forest"},
+		{bare, Query{Op: Distance, U: 0, V: 150}, "vertex 150 out of range"},
+		{full, Query{Op: Distance, U: 10, V: -1}, "vertex -1 out of range"},
+		{full, Query{Op: Distance, U: 0, V: 1}, "no resident tree rooted at 0 or 1"},
+		{full, Query{Op: SameComponent, U: 150, V: -1}, "vertex 150 out of range"},
+		{full, Query{Op: ComponentSize, U: -1}, "vertex -1 out of range"},
+	} {
+		_, err := tc.s.Query([]Query{tc.q})
+		if !errors.Is(err, pgas.ErrMisuse) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want misuse mentioning %q", tc.q, err, tc.want)
+		}
+	}
+
+	// 10's tree counts hops and 33's sums weights, so which tree answered
+	// shows in the answer: U's.
+	ans, err := full.Query([]Query{{Op: Distance, U: 10, V: 33}, {Op: Distance, U: 33, V: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hops, weighted := full.dist[10].arr.Raw()[33], full.dist[33].arr.Raw()[10]
+	if hops == weighted {
+		t.Fatalf("test graph cannot tell the trees apart: both say %d", hops)
+	}
+	if ans[0] != hops || ans[1] != weighted {
+		t.Fatalf("distance(10,33), distance(33,10) = %v, want %d (10's tree), %d (33's tree)", ans, hops, weighted)
+	}
+}

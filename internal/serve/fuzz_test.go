@@ -1,0 +1,94 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"slices"
+	"testing"
+
+	"pgasgraph/internal/graph"
+)
+
+// fuzzServer is a Server over a fresh 64-vertex service with every kind of
+// result resident. One per dispatched frame: a crasher must reproduce from
+// its input alone, not from the inserts and plans of earlier inputs.
+func fuzzServer(t *testing.T) *Server {
+	t.Helper()
+	return &Server{svc: preloaded(t, graph.Random(64, 96, 5),
+		KernelSpec{Kernel: "cc/coalesced"},
+		KernelSpec{Kernel: "bfs/coalesced", Src: 0},
+		KernelSpec{Kernel: "spanning-forest"})}
+}
+
+// FuzzServeFrame: arbitrary bytes at pgasd's front door never panic the
+// frame reader and never get a payload past MaxFrame out of it; whatever
+// decodes as a query or an insert is answered — FrameOK, or FrameError with
+// a class from the taxonomy — never with a panic. FrameLoad is left out:
+// its sizes are an operator's to choose. A mutated frame almost never
+// carries a matching checksum, so one that fails is tried again with its
+// length and CRC fields made right, which is what lets the fuzzer reach
+// the payload decoders and the dispatch behind them.
+func FuzzServeFrame(f *testing.F) {
+	frame := func(typ byte, v interface{}) []byte {
+		var buf bytes.Buffer
+		if err := WriteMsg(&buf, typ, v); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	query := frame(FrameQuery, &QueryReq{Queries: []Query{
+		{Op: SameComponent, U: 1, V: 63}, {Op: ComponentSize, U: 7},
+		{Op: Distance, U: 0, V: 40}, {Op: TreeParent, U: 12},
+	}})
+	f.Add(frame(FrameLoad, &LoadReq{Family: "random", N: 64, M: 96, Seed: 5}))
+	f.Add(frame(FrameRun, &RunReq{Spec: KernelSpec{Kernel: "cc/fastsv", Compact: true}}))
+	f.Add(query)
+	f.Add(frame(FrameInsert, &InsertReq{Edges: []Edge{{U: 3, V: 60}, {U: 60, V: 9, W: 4}}}))
+	f.Add(frame(FrameInfo, struct{}{}))
+	f.Add(frame(FrameOK, &QueryResp{Answers: []int64{1, 0, -1}}))
+	f.Add(frame(FrameError, &ErrorResp{Class: "misuse", Msg: "no"}))
+	f.Add(query[:headerSize-3]) // truncated header
+	corrupt := func(at int, v byte) []byte {
+		b := slices.Clone(query)
+		b[at] = v
+		return b
+	}
+	f.Add(corrupt(0, 'X'))     // wrong magic
+	f.Add(corrupt(11, 0x7f))   // announces ~2 GiB, over MaxFrame
+	f.Add(corrupt(12, 0xff))   // bad CRC
+	f.Add(corrupt(5, FrameOK)) // a response where a request belongs
+
+	known := map[string]bool{}
+	for _, c := range classes {
+		known[c.name] = true
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		typ, payload, err := ReadFrame(bytes.NewReader(data))
+		if err != nil && len(data) >= headerSize {
+			sealed := slices.Clone(data)
+			binary.LittleEndian.PutUint32(sealed[8:12], uint32(len(data)-headerSize))
+			binary.LittleEndian.PutUint32(sealed[12:16], crc32.Checksum(data[headerSize:], castagnoli))
+			typ, payload, err = ReadFrame(bytes.NewReader(sealed))
+		}
+		if err != nil {
+			return
+		}
+		if len(payload) > MaxFrame {
+			t.Fatalf("ReadFrame returned a %d-byte payload, MaxFrame is %d", len(payload), MaxFrame)
+		}
+		if typ != FrameQuery && typ != FrameInsert {
+			return
+		}
+		respType, resp := fuzzServer(t).dispatch(typ, payload)
+		switch respType {
+		case FrameOK:
+		case FrameError:
+			if e := resp.(*ErrorResp); !known[e.Class] {
+				t.Fatalf("frame type %d, payload %q: unclassified error %q (class %q)", typ, payload, e.Msg, e.Class)
+			}
+		default:
+			t.Fatalf("frame type %d answered with frame type %d", typ, respType)
+		}
+	})
+}

@@ -7,7 +7,6 @@ import (
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/pgas"
 	rec "pgasgraph/internal/recover"
-	"pgasgraph/internal/seq"
 )
 
 // Edge is one inserted edge. W is used only when the resident graph is
@@ -78,14 +77,10 @@ func (s *Service) Insert(edges []Edge) (*InsertReport, error) {
 
 	// Trees and forests have no incremental contract: a new edge can
 	// shorten any distance and re-root any subtree. Drop them.
-	for src := range s.trees {
-		delete(s.trees, src)
-		delete(s.distGroup, src)
-	}
+	clear(s.dist)
 	s.parent = nil
-	s.parGroup = gatherGroup{}
 
-	if s.labels == nil {
+	if s.same == nil {
 		return rep, nil
 	}
 
@@ -94,7 +89,7 @@ func (s *Service) Insert(edges []Edge) (*InsertReport, error) {
 		rep.Incremental = true
 		rep.Rounds = res.Iterations
 		rep.Run = res.Run
-		s.refreshSizes()
+		s.recount()
 	} else {
 		if err = s.superviseRecompute(rep); err != nil {
 			return nil, err
@@ -116,7 +111,7 @@ func (s *Service) Insert(edges []Edge) (*InsertReport, error) {
 // supervised full recompute when the update is cut down by a fault.
 func (s *Service) incremental(eu, ev []int64) (res *cc.Result, err error) {
 	defer pgas.Recover(&err)
-	return cc.Incremental(s.rt, s.comm, s.labels, eu, ev, &cc.Options{Col: s.labelSpec.Col}), nil
+	return cc.Incremental(s.rt, s.comm, s.same.arr, eu, ev, &cc.Options{Col: s.labelSpec.Col}), nil
 }
 
 // superviseRecompute is the fallback label path: full re-execution of the
@@ -136,35 +131,19 @@ func (s *Service) superviseRecompute(rep *InsertReport) error {
 		return err
 	})
 	// The supervisor may have evicted threads: adopt its final runtime
-	// and collective state, and rebuild everything resident — arrays and
-	// plans are bound to the old geometry.
+	// and collective state. Arrays and plans are bound to the old
+	// geometry; Insert already dropped the trees and the forest, and the
+	// label columns are replaced or dropped here.
 	s.rt, s.comm = rrep.Runtime, rrep.Comm
-	s.invalidatePlans()
 	rep.Rollbacks = rrep.Rollbacks
 	if err != nil {
-		s.labels, s.sizes, s.components = nil, nil, 0
+		s.same, s.size, s.sizes, s.components = nil, nil, nil, 0
 		return err
 	}
 	s.installLabels(full.Labels)
 	rep.Rounds = full.Iterations
 	rep.Run = full.Run
 	return nil
-}
-
-// refreshSizes rebuilds the resident size array and component count from
-// the (just updated) resident labels. Labels merged but the array object
-// is unchanged, so cached query plans stay valid — they re-gather live
-// values on the next execution.
-func (s *Service) refreshSizes() {
-	labels := s.labels.Raw()
-	raw := s.sizes.Raw()
-	for i := range raw {
-		raw[i] = 0
-	}
-	for _, l := range labels {
-		raw[l]++
-	}
-	s.components = seq.CountComponents(labels)
 }
 
 // verifyLabels differentially checks the resident labeling against a
@@ -182,7 +161,7 @@ func (s *Service) verifyLabels() error {
 	if err != nil {
 		return fmt.Errorf("serve: verify recompute: %w", err)
 	}
-	got := s.labels.Raw()
+	got := s.same.arr.Raw()
 	for i, want := range full.Labels {
 		if got[i] != want {
 			return fmt.Errorf(

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 
 	"pgasgraph/internal/pgas"
 )
@@ -47,33 +47,6 @@ type Query struct {
 	V  int64 `json:"v,omitempty"`
 }
 
-// batchLayout partitions one batch into per-array gather streams, kept on
-// the Service so a steady query load reuses its buffers.
-type batchLayout struct {
-	scPos  []int // answer slot per same-component pair
-	szPos  []int
-	parPos []int
-	dPos   map[int64][]int // source -> answer slots
-	szIdx  []int64
-	parIdx []int64
-	dIdx   map[int64][]int64
-	scIdx  []int64
-	srcs   []int64 // active Distance sources, sorted (deterministic order)
-}
-
-func (l *batchLayout) reset() {
-	l.scPos, l.szPos, l.parPos = l.scPos[:0], l.szPos[:0], l.parPos[:0]
-	l.scIdx, l.szIdx, l.parIdx = l.scIdx[:0], l.szIdx[:0], l.parIdx[:0]
-	l.srcs = l.srcs[:0]
-	if l.dPos == nil {
-		l.dPos, l.dIdx = map[int64][]int{}, map[int64][]int64{}
-	}
-	for k := range l.dPos {
-		delete(l.dPos, k)
-		delete(l.dIdx, k)
-	}
-}
-
 // misuse builds the classified error every query-validation failure uses.
 func misuse(format string, args ...interface{}) error {
 	return pgas.Errorf(pgas.ErrMisuse, -1, "serve.query", format, args...)
@@ -89,166 +62,157 @@ func (s *Service) checkVertex(q int, v int64) error {
 	return nil
 }
 
-// Query answers a batch of point lookups. The whole batch coalesces into
-// O(1) bulk gathers — one planned GetD per touched resident array (plus
-// one dependent gather for component sizes) — never per-query scalar
-// reads; a batch with the same shape as the previous one re-executes the
-// cached plans with zero steady-state allocations in the collective
-// layer. Answers land in query order. Validation failures (bad op, id out
-// of range, missing resident state) classify as pgas.ErrMisuse before any
-// communication happens.
+// route validates lookup i and names the column it reads and the k
+// indices it asks of it.
+func (s *Service) route(i int, q Query) (c *column, idx [2]int64, k int, err error) {
+	idx = [2]int64{q.U, q.V}
+	const noLabels = "no resident labels; run a cc kernel first"
+	var missing string // the complaint when c is not resident
+	switch q.Op {
+	case SameComponent:
+		c, k, missing = s.same, 2, noLabels
+	case ComponentSize:
+		c, k, missing = s.size, 1, noLabels
+	case TreeParent:
+		c, k, missing = s.parent, 1, "no resident forest; run spanning-forest first"
+	case Distance:
+		k = 2 // both endpoints are checked before either names a tree
+	default:
+		return nil, idx, 0, misuse("query %d: unknown op %d", i, q.Op)
+	}
+	if c == nil && missing != "" {
+		return nil, idx, 0, misuse("query %d: %s", i, missing)
+	}
+	for _, v := range idx[:k] {
+		if err := s.checkVertex(i, v); err != nil {
+			return nil, idx, 0, err
+		}
+	}
+	if q.Op == Distance {
+		// One endpoint must be a resident source (U's tree if both are);
+		// the tree is asked for the other.
+		if c = s.dist[q.U]; c != nil {
+			idx[0] = q.V
+		} else if c = s.dist[q.V]; c == nil {
+			return nil, idx, 0, misuse("query %d: no resident tree rooted at %d or %d; run bfs/sssp first",
+				i, q.U, q.V)
+		}
+		k = 1
+	}
+	return c, idx, k, nil
+}
+
+// columns lists every resident column in the order a batch gathers them:
+// same-component labels, size labels, distance trees by source, parents.
+func (s *Service) columns() []*column {
+	var cs []*column
+	if s.same != nil {
+		cs = append(cs, s.same, s.size)
+	}
+	for _, src := range s.sources() {
+		cs = append(cs, s.dist[src])
+	}
+	if s.parent != nil {
+		cs = append(cs, s.parent)
+	}
+	return cs
+}
+
+// Query answers a batch of point lookups: route every lookup to its
+// column, gather, replay. The whole batch coalesces into O(1) bulk gathers
+// — one planned GetD per touched column (plus one dependent gather for
+// component sizes) — never per-query scalar reads; a batch with the same
+// shape as the previous one re-executes the cached plans with zero
+// steady-state allocations in the collective layer. Answers land in query
+// order. Validation failures (bad op, id out of range, missing resident
+// state) classify as pgas.ErrMisuse before any communication happens.
 func (s *Service) Query(qs []Query) (ans []int64, err error) {
 	if len(qs) == 0 {
 		return []int64{}, nil
 	}
-	l := &s.lay
-	l.reset()
-	for i := range qs {
-		q := qs[i]
-		switch q.Op {
-		case SameComponent:
-			if s.labels == nil {
-				return nil, misuse("query %d: no resident labels; run a cc kernel first", i)
-			}
-			if err := s.checkVertex(i, q.U); err != nil {
-				return nil, err
-			}
-			if err := s.checkVertex(i, q.V); err != nil {
-				return nil, err
-			}
-			l.scPos = append(l.scPos, i)
-			l.scIdx = append(l.scIdx, q.U, q.V)
-		case ComponentSize:
-			if s.labels == nil {
-				return nil, misuse("query %d: no resident labels; run a cc kernel first", i)
-			}
-			if err := s.checkVertex(i, q.U); err != nil {
-				return nil, err
-			}
-			l.szPos = append(l.szPos, i)
-			l.szIdx = append(l.szIdx, q.U)
-		case Distance:
-			if err := s.checkVertex(i, q.U); err != nil {
-				return nil, err
-			}
-			if err := s.checkVertex(i, q.V); err != nil {
-				return nil, err
-			}
-			src, leaf := q.U, q.V
-			if _, ok := s.trees[src]; !ok {
-				src, leaf = q.V, q.U
-			}
-			if _, ok := s.trees[src]; !ok {
-				return nil, misuse("query %d: no resident tree rooted at %d or %d; run bfs/sssp first",
-					i, q.U, q.V)
-			}
-			if _, seen := l.dPos[src]; !seen {
-				l.srcs = append(l.srcs, src)
-			}
-			l.dPos[src] = append(l.dPos[src], i)
-			l.dIdx[src] = append(l.dIdx[src], leaf)
-		case TreeParent:
-			if s.parent == nil {
-				return nil, misuse("query %d: no resident forest; run spanning-forest first", i)
-			}
-			if err := s.checkVertex(i, q.U); err != nil {
-				return nil, err
-			}
-			l.parPos = append(l.parPos, i)
-			l.parIdx = append(l.parIdx, q.U)
-		default:
-			return nil, misuse("query %d: unknown op %d", i, q.Op)
-		}
-	}
-	sort.Slice(l.srcs, func(a, b int) bool { return l.srcs[a] < l.srcs[b] })
-
-	// Assemble the gather set: each group is one planned bulk GetD.
 	type gather struct {
-		g       *gatherGroup
+		c       *column
 		rebuild bool
 	}
 	var gathers []gather
-	add := func(gr *gatherGroup, arr *pgas.SharedArray, idx []int64) {
-		if len(idx) == 0 {
-			return
-		}
-		rebuild := gr.planFor(arr, idx)
-		if gr.plan == nil {
-			gr.plan = s.comm.NewPlan()
-			rebuild = true
-		}
-		gr.out = grow(gr.out, len(idx))
-		gathers = append(gathers, gather{gr, rebuild})
-	}
-	add(&s.scGroup, s.labels, l.scIdx)
-	add(&s.szGroup, s.labels, l.szIdx)
-	for _, src := range l.srcs {
-		gr, ok := s.distGroup[src]
-		if !ok {
-			gr = &gatherGroup{}
-			s.distGroup[src] = gr
-		}
-		add(gr, s.trees[src].arr, l.dIdx[src])
-	}
-	add(&s.parGroup, s.parent, l.parIdx)
-	s.sizeOut = grow(s.sizeOut, len(l.szIdx))
-
-	// One SPMD region answers the whole batch. A fault mid-region leaves
-	// the cached plans half-built, so any classified failure invalidates
-	// them before it is returned.
+	all := s.columns()
 	defer func() {
+		// However the batch ends — rejected half-way through routing
+		// included — it leaves no requests behind.
+		for _, c := range all {
+			c.req, c.next = c.req[:0], 0
+		}
+		// A fault mid-region leaves the plans it ran half-built.
 		if err != nil {
-			s.invalidatePlans()
+			for _, ga := range gathers {
+				ga.c.plan = nil
+			}
 		}
 	}()
+	for i, q := range qs {
+		c, idx, k, err := s.route(i, q)
+		if err != nil {
+			return nil, err
+		}
+		c.req = append(c.req, idx[:k]...)
+	}
+	for _, c := range all {
+		if len(c.req) == 0 {
+			continue
+		}
+		rebuild := c.plan == nil || !slices.Equal(c.idx, c.req)
+		if rebuild {
+			c.idx = append(c.idx[:0], c.req...)
+		}
+		if c.plan == nil {
+			c.plan = s.comm.NewPlan()
+		}
+		c.out = grow(c.out, len(c.idx))
+		gathers = append(gathers, gather{c, rebuild})
+	}
+	nsize := 0
+	if s.size != nil {
+		nsize = len(s.size.req)
+	}
+	s.sizeOut = grow(s.sizeOut, nsize)
+
+	// One SPMD region answers the whole batch.
 	defer pgas.Recover(&err)
 	s.rt.Run(func(th *pgas.Thread) {
 		for _, ga := range gathers {
-			lo, hi := th.Span(int64(len(ga.g.idx)))
+			c := ga.c
+			lo, hi := th.Span(int64(len(c.idx)))
 			if ga.rebuild {
-				ga.g.plan.PlanRequests(th, ga.g.arr, ga.g.idx[lo:hi], s.col, nil)
+				c.plan.PlanRequests(th, c.arr, c.idx[lo:hi], s.col, nil)
 			}
-			ga.g.plan.GetD(th, ga.g.arr, ga.g.out[lo:hi])
+			c.plan.GetD(th, c.arr, c.out[lo:hi])
 		}
 		// Component sizes are a dependent gather: indices are the labels
 		// just fetched, so this stage cannot reuse a plan across batches
 		// — but it is still one bulk gather for the whole batch.
-		if len(l.szIdx) > 0 {
-			lo, hi := th.Span(int64(len(l.szIdx)))
-			s.comm.GetD(th, s.sizes, s.szGroup.out[lo:hi], s.sizeOut[lo:hi], s.col, nil)
+		if nsize > 0 {
+			lo, hi := th.Span(int64(nsize))
+			s.comm.GetD(th, s.sizes, s.size.out[lo:hi], s.sizeOut[lo:hi], s.col, nil)
 		}
 	})
 
+	// Replay the batch: each lookup's values sit at its column's cursor.
 	ans = make([]int64, len(qs))
-	for j, pos := range l.scPos {
-		if s.scGroup.out[2*j] == s.scGroup.out[2*j+1] {
-			ans[pos] = 1
+	for i, q := range qs {
+		c, _, k, _ := s.route(i, q)
+		switch q.Op {
+		case SameComponent:
+			if c.out[c.next] == c.out[c.next+1] {
+				ans[i] = 1
+			}
+		case ComponentSize:
+			ans[i] = s.sizeOut[c.next]
+		default:
+			ans[i] = c.out[c.next]
 		}
-	}
-	for j, pos := range l.szPos {
-		ans[pos] = s.sizeOut[j]
-	}
-	for _, src := range l.srcs {
-		out := s.distGroup[src].out
-		for j, pos := range l.dPos[src] {
-			ans[pos] = out[j]
-		}
-	}
-	for j, pos := range l.parPos {
-		ans[pos] = s.parGroup.out[j]
+		c.next += k
 	}
 	return ans, nil
-}
-
-// invalidatePlans drops every cached gather plan (geometry change, failed
-// region, replaced arrays). The next batch rebuilds from scratch.
-func (s *Service) invalidatePlans() {
-	s.scGroup = gatherGroup{}
-	s.szGroup = gatherGroup{}
-	s.parGroup = gatherGroup{}
-	for k := range s.distGroup {
-		delete(s.distGroup, k)
-	}
 }
 
 // grow returns b resized to n, reallocating only on capacity growth.

@@ -2,13 +2,13 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
 	rec "pgasgraph/internal/recover"
-	"pgasgraph/internal/seq"
 )
 
 // Config parameterizes a Service.
@@ -30,41 +30,26 @@ type Config struct {
 	Verify bool
 }
 
-// distTree is one resident single-source distance array.
-type distTree struct {
-	arr      *pgas.SharedArray
-	weighted bool
-}
-
-// gatherGroup caches the plan for one query-gather stream so an unchanged
-// batch re-executes without the grouping sort and matrix publish — the
-// serving hot path rides collective.Plan reuse exactly like a kernel's
-// inner loop.
-type gatherGroup struct {
-	plan *collective.Plan
+// column is one resident result array together with its query stream: the
+// batch's requests against it, the plan that gathers them and the values
+// gathered. The plan belongs to the array — replacing or dropping a column
+// drops its plan — and an unchanged request vector re-executes it without
+// the grouping sort and matrix publish, so the serving hot path rides
+// collective.Plan reuse exactly like a kernel's inner loop.
+type column struct {
 	arr  *pgas.SharedArray
-	idx  []int64 // the planned request vector (all threads, Span-partitioned)
-	out  []int64 // gathered values, same positions
+	plan *collective.Plan // nil until the first batch, and after a failed region
+	req  []int64          // this batch's request vector; empty between batches
+	idx  []int64          // the request vector plan was built for
+	out  []int64          // gathered values, at idx's positions
+	next int              // answer cursor into out; 0 between batches
 }
 
-// planFor returns whether the cached plan matches (arr, idx) and, when it
-// does not, re-captures the request vector for the rebuild path.
-func (g *gatherGroup) planFor(arr *pgas.SharedArray, idx []int64) (rebuild bool) {
-	if g.arr == arr && len(g.idx) == len(idx) {
-		same := true
-		for i, v := range idx {
-			if g.idx[i] != v {
-				same = false
-				break
-			}
-		}
-		if same {
-			return false
-		}
-	}
-	g.arr = arr
-	g.idx = append(g.idx[:0], idx...)
-	return true
+// newColumn makes vals resident as a fresh array named name.
+func (s *Service) newColumn(name string, vals []int64) *column {
+	c := &column{arr: s.rt.NewSharedArray(name, s.g.N)}
+	copy(c.arr.Raw(), vals)
+	return c
 }
 
 // Service is a resident graph plus the kernel results serving point
@@ -77,21 +62,17 @@ type Service struct {
 	col  *collective.Options
 	g    *graph.Graph
 
-	labels     *pgas.SharedArray // collapsed component-min labels, nil until a cc kernel ran
+	// same and size are the two query streams over the one resident label
+	// array (collapsed component-min labels); nil until a cc kernel ran.
+	same, size *column
 	sizes      *pgas.SharedArray // sizes[l] = |component l| for canonical labels l
 	components int64
 	labelSpec  KernelSpec // how labels were produced (supervised recompute re-runs it)
 
-	trees  map[int64]*distTree // src -> resident distances
-	parent *pgas.SharedArray   // tree parents, -1 for roots
+	dist   map[int64]*column // src -> resident single-source distances
+	parent *column           // tree parents, -1 for roots
 
-	scGroup   gatherGroup // same-component label gather
-	szGroup   gatherGroup // component-size label gather (stage 1)
-	parGroup  gatherGroup // tree-parent gather
-	distGroup map[int64]*gatherGroup
-
-	lay     batchLayout // batch partition scratch, reused across batches
-	sizeOut []int64     // stage-2 scratch: sizes gathered at stage-1 labels
+	sizeOut []int64 // sizes gathered at the size stream's labels
 }
 
 // New builds a Service with its own cluster. The graph is cloned: edge
@@ -126,12 +107,11 @@ func NewOn(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, cfg Config) 
 		rt:   rt,
 		comm: comm,
 		cfg:  cfg,
-		col:  collective.Sanitize(cfg.Col, false),
-		g:    g.Clone(),
 		// Offload pins an (index, value) pair; query streams have no such
 		// constant, so serving always gathers unfiltered.
-		trees:     map[int64]*distTree{},
-		distGroup: map[int64]*gatherGroup{},
+		col:  collective.Sanitize(cfg.Col, false),
+		g:    g.Clone(),
+		dist: map[int64]*column{},
 	}, nil
 }
 
@@ -149,19 +129,29 @@ func (s *Service) Components() int64 { return s.components }
 
 // Labels returns a copy of the resident labeling, or nil if none.
 func (s *Service) Labels() []int64 {
-	if s.labels == nil {
+	if s.same == nil {
 		return nil
 	}
-	return append([]int64(nil), s.labels.Raw()...)
+	return slices.Clone(s.same.arr.Raw())
+}
+
+// sources lists the resident distance trees' sources in ascending order.
+func (s *Service) sources() []int64 {
+	srcs := make([]int64, 0, len(s.dist))
+	for src := range s.dist {
+		srcs = append(srcs, src)
+	}
+	slices.Sort(srcs)
+	return srcs
 }
 
 // Resident names the resident result arrays, for introspection.
 func (s *Service) Resident() []string {
 	var r []string
-	if s.labels != nil {
+	if s.same != nil {
 		r = append(r, "labels", "sizes")
 	}
-	for src := range s.trees {
+	for _, src := range s.sources() {
 		r = append(r, fmt.Sprintf("dist[%d]", src))
 	}
 	if s.parent != nil {
@@ -195,35 +185,32 @@ func (s *Service) adopt(spec KernelSpec, res *KernelResult) {
 		s.labelSpec = spec
 	}
 	if res.Dist != nil {
-		t := &distTree{
-			arr:      s.rt.NewSharedArray(fmt.Sprintf("serve.dist.%d", spec.Src), s.g.N),
-			weighted: spec.Kernel == "sssp/delta-stepping",
-		}
-		copy(t.arr.Raw(), res.Dist)
-		s.trees[spec.Src] = t
-		delete(s.distGroup, spec.Src)
+		s.dist[spec.Src] = s.newColumn(fmt.Sprintf("serve.dist.%d", spec.Src), res.Dist)
 	}
 	if res.Parent != nil {
-		s.parent = s.rt.NewSharedArray("serve.parent", s.g.N)
-		copy(s.parent.Raw(), res.Parent)
-		s.parGroup = gatherGroup{}
+		s.parent = s.newColumn("serve.parent", res.Parent)
 	}
 }
 
-// installLabels (re)builds the resident label and size arrays from a
-// host-side labeling and invalidates the label-dependent plan caches.
+// installLabels makes a host-side labeling resident, with its sizes.
 func (s *Service) installLabels(labels []int64) {
-	s.labels = s.rt.NewSharedArray("serve.labels", s.g.N)
-	copy(s.labels.Raw(), labels)
+	s.same = s.newColumn("serve.labels", labels)
+	s.size = &column{arr: s.same.arr}
 	s.sizes = s.rt.NewSharedArray("serve.sizes", s.g.N)
-	raw := s.sizes.Raw()
-	for i := range raw {
-		raw[i] = 0
+	s.recount()
+}
+
+// recount rebuilds the size array and the component count from the
+// resident labels. Labels are canonical — each names a vertex — so the
+// first vertex counted under a label is a new component.
+func (s *Service) recount() {
+	sizes := s.sizes.Raw()
+	clear(sizes)
+	s.components = 0
+	for _, l := range s.same.arr.Raw() {
+		if sizes[l] == 0 {
+			s.components++
+		}
+		sizes[l]++
 	}
-	for _, l := range labels {
-		raw[l]++
-	}
-	s.components = seq.CountComponents(labels)
-	s.scGroup = gatherGroup{}
-	s.szGroup = gatherGroup{}
 }

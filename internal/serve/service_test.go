@@ -11,6 +11,8 @@ import (
 	"pgasgraph/internal/seq"
 	"pgasgraph/internal/sssp"
 	"pgasgraph/internal/trace"
+	"pgasgraph/internal/unionfind"
+	"pgasgraph/internal/xrand"
 )
 
 func testMachine(nodes, tpn int) machine.Config {
@@ -264,11 +266,30 @@ func TestInsertIncrementalMatchesRecompute(t *testing.T) {
 	before := s.Components()
 
 	// A chain of inserts that merges several components at once,
-	// including a chain (a-b, b-c) within one batch.
+	// including a chain (a-b, b-c) within one batch — then random batches,
+	// twenty in all.
 	batches := [][]Edge{
 		{{U: 0, V: 239}},
 		{{U: 1, V: 100}, {U: 100, V: 200}, {U: 200, V: 5}},
 		{{U: 3, V: 3}, {U: 7, V: 9}}, // self-loop + normal
+	}
+	rng := xrand.New(0x51e5)
+	for len(batches) < 20 {
+		batch := make([]Edge, 1+rng.Intn(4))
+		for i := range batch {
+			batch[i] = Edge{U: rng.Int64n(g.N), V: rng.Int64n(g.N)}
+		}
+		batches = append(batches, batch)
+	}
+	// The test's own union-find follows the inserts; the component count
+	// and every component size must agree with it after each batch.
+	uf := unionfind.New(g.N)
+	for i := range g.U {
+		uf.Union(g.U[i], g.V[i])
+	}
+	sizeOf := make([]Query, g.N)
+	for v := range sizeOf {
+		sizeOf[v] = Query{Op: ComponentSize, U: int64(v)}
 	}
 	for _, batch := range batches {
 		rep, err := s.Insert(batch)
@@ -280,6 +301,27 @@ func TestInsertIncrementalMatchesRecompute(t *testing.T) {
 		}
 		if !rep.Verified {
 			t.Fatalf("Insert(%v) skipped differential verification", batch)
+		}
+		for _, e := range batch {
+			uf.Union(int32(e.U), int32(e.V))
+		}
+		if s.Components() != uf.Sets() || rep.Components != uf.Sets() {
+			t.Fatalf("after Insert(%v): %d components (report %d), union-find has %d",
+				batch, s.Components(), rep.Components, uf.Sets())
+		}
+		want := map[int32]int64{}
+		for v := int32(0); int64(v) < g.N; v++ {
+			want[uf.Find(v)]++
+		}
+		sizes, err := s.Query(sizeOf)
+		if err != nil {
+			t.Fatalf("sizes after Insert(%v): %v", batch, err)
+		}
+		for v, got := range sizes {
+			if got != want[uf.Find(int32(v))] {
+				t.Fatalf("after Insert(%v): component-size(%d) = %d, union-find says %d",
+					batch, v, got, want[uf.Find(int32(v))])
+			}
 		}
 	}
 	if s.Components() >= before {
