@@ -1,14 +1,11 @@
-// Benchmarks regenerating the paper's evaluation: one benchmark per figure
-// (the paper reports no result tables), plus ablation benchmarks for the
-// design choices DESIGN.md calls out and micro-benchmarks of the
-// substrates. Each figure benchmark reports the key simulated-time metric
-// alongside Go's wall-clock numbers.
+// Ablation benchmarks for the design choices DESIGN.md calls out and
+// micro-benchmarks of the substrates.
 //
 //	go test -bench=. -benchmem
 //
-// Figure benchmarks run at a small scale (-0.2% of the paper's inputs) so
-// the whole suite completes in minutes; `pgasbench -scale 0.01 -check all`
-// is the validated reproduction configuration.
+// The per-figure benchmarks (one per figure of the paper's evaluation,
+// each reporting its key simulated-time metric) sit with the experiments
+// they run: go test -bench=. ./internal/experiments.
 package pgasgraph
 
 import (
@@ -16,7 +13,6 @@ import (
 
 	"pgasgraph/internal/cc"
 	"pgasgraph/internal/collective"
-	"pgasgraph/internal/experiments"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/mst"
 	"pgasgraph/internal/pgas"
@@ -24,77 +20,6 @@ import (
 	"pgasgraph/internal/seq"
 	"pgasgraph/internal/xrand"
 )
-
-// benchScale keeps each figure run around a second of wall time.
-const benchScale = 0.002
-
-func benchCfg() experiments.Config {
-	return experiments.Config{Scale: benchScale}
-}
-
-func BenchmarkFig02NaiveVsSMP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig02(benchCfg())
-		b.ReportMetric(f.Rows[0].NaiveNS/f.Rows[0].SMPNS, "slowdown")
-	}
-}
-
-func BenchmarkFig03Coalescing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig03(benchCfg())
-		b.ReportMetric(f.OrigNS/f.CCNS, "speedup")
-	}
-}
-
-func BenchmarkFig04VirtualThreads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig04(benchCfg())
-		in := f.Inputs[0]
-		b.ReportMetric(in.SMPNS/in.NS[in.Best()], "best-vs-smp")
-	}
-}
-
-func BenchmarkFig05AblationRandom(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig05(benchCfg())
-		b.ReportMetric(f.Bars[0].TotalNS/f.Bars[len(f.Bars)-1].TotalNS, "base-vs-opt")
-	}
-}
-
-func BenchmarkFig06AblationHybrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig06(benchCfg())
-		b.ReportMetric(f.Bars[0].TotalNS/f.Bars[len(f.Bars)-1].TotalNS, "base-vs-opt")
-	}
-}
-
-func BenchmarkFig07CCScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig07(benchCfg())
-		b.ReportMetric(f.SMPNS/f.NS[f.Best()], "best-vs-smp")
-	}
-}
-
-func BenchmarkFig08CCScalingDense(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig08(benchCfg())
-		b.ReportMetric(f.SMPNS/f.NS[f.Best()], "best-vs-smp")
-	}
-}
-
-func BenchmarkFig09MSTScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig09(benchCfg())
-		b.ReportMetric(f.SMPNS/f.NS[f.Best()], "best-vs-smp")
-	}
-}
-
-func BenchmarkFig10MSTScalingDense(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := experiments.RunFig10(benchCfg())
-		b.ReportMetric(f.SMPNS/f.NS[f.Best()], "best-vs-smp")
-	}
-}
 
 // Ablation benchmarks: each §V optimization toggled alone against the
 // fully optimized configuration, on a fixed cluster and input.
@@ -434,21 +359,6 @@ func BenchmarkSortQuick(b *testing.B) {
 	}
 }
 
-func BenchmarkSortRadix(b *testing.B) {
-	rng := xrand.New(1)
-	const k = 1 << 16
-	src := make([]int64, k)
-	for i := range src {
-		src[i] = rng.Int63()
-	}
-	buf := make([]int64, k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		psort.RadixSort(buf)
-	}
-}
-
 // Kernel micro-benchmarks on a small fixed cluster.
 
 func kernelBench(b *testing.B, run func(c *Cluster, g *Graph)) {
@@ -531,38 +441,16 @@ func BenchmarkListRankCGM(b *testing.B) {
 	}
 }
 
-func BenchmarkListRankExperiment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := experiments.RunListRank(benchCfg())
-		last := len(e.Nodes) - 1
-		b.ReportMetric(e.Wyllie[last]/e.CGM[last], "wyllie-vs-cgm")
-	}
-}
-
 func BenchmarkBFSCoalesced(b *testing.B) {
 	kernelBench(b, func(c *Cluster, g *Graph) {
 		c.BFSCoalesced(g, 0, OptimizedCollectives(2))
 	})
 }
 
-func BenchmarkBFSDiameterExperiment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := experiments.RunBFS(benchCfg())
-		b.ReportMetric(e.Rows[1].BFSNS/e.Rows[0].BFSNS, "grid-vs-random")
-	}
-}
-
 func BenchmarkKernelCCMerge(b *testing.B) {
 	kernelBench(b, func(c *Cluster, g *Graph) {
 		c.CCMerge(g)
 	})
-}
-
-func BenchmarkCCMergeExperiment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := experiments.RunCCMerge(benchCfg())
-		b.ReportMetric(e.Rows[0].MergeNS/e.Rows[0].CoalescedNS, "merge-vs-coalesced")
-	}
 }
 
 func BenchmarkEulerTour(b *testing.B) {
@@ -584,18 +472,6 @@ func BenchmarkEulerTour(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.EulerTour(forest, OptimizedCollectives(2))
-	}
-}
-
-func BenchmarkOutOfCoreExperiment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := experiments.RunOutOfCore(benchCfg())
-		last := e.Rows[len(e.Rows)-1]
-		best := last.SMPNS
-		if last.ExternalNS < best {
-			best = last.ExternalNS
-		}
-		b.ReportMetric(best/last.ClusterNS, "cluster-speedup")
 	}
 }
 
@@ -646,14 +522,6 @@ func BenchmarkAblationFusedPair(b *testing.B) {
 			}
 			b.ReportMetric(sim, "sim-ms")
 		})
-	}
-}
-
-func BenchmarkScalingExperiment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := experiments.RunScaling(benchCfg())
-		first, last := e.Rows[0], e.Rows[len(e.Rows)-1]
-		b.ReportMetric(first.StrongNS/last.StrongNS, "strong-speedup")
 	}
 }
 

@@ -36,51 +36,16 @@ import (
 	"strings"
 
 	"pgasgraph/internal/bench"
-	"pgasgraph/internal/cliflag"
 	"pgasgraph/internal/experiments"
 	"pgasgraph/internal/report"
 )
 
-// figure couples a runner with its printable result.
-type figure struct {
-	name string
-	run  func(experiments.Config) result
-}
-
-// result is what every experiment yields.
-type result interface {
-	Table() *report.Table
-	CheckShape() error
-}
-
-func figures() []figure {
-	return []figure{
-		{"fig2", func(c experiments.Config) result { return experiments.RunFig02(c) }},
-		{"fig3", func(c experiments.Config) result { return experiments.RunFig03(c) }},
-		{"fig4", func(c experiments.Config) result { return experiments.RunFig04(c) }},
-		{"fig5", func(c experiments.Config) result { return experiments.RunFig05(c) }},
-		{"fig6", func(c experiments.Config) result { return experiments.RunFig06(c) }},
-		{"fig7", func(c experiments.Config) result { return experiments.RunFig07(c) }},
-		{"fig8", func(c experiments.Config) result { return experiments.RunFig08(c) }},
-		{"fig9", func(c experiments.Config) result { return experiments.RunFig09(c) }},
-		{"fig10", func(c experiments.Config) result { return experiments.RunFig10(c) }},
-		{"listrank", func(c experiments.Config) result { return experiments.RunListRank(c) }},
-		{"bfs", func(c experiments.Config) result { return experiments.RunBFS(c) }},
-		{"ccmerge", func(c experiments.Config) result { return experiments.RunCCMerge(c) }},
-		{"outofcore", func(c experiments.Config) result { return experiments.RunOutOfCore(c) }},
-		{"scaling", func(c experiments.Config) result { return experiments.RunScaling(c) }},
-		{"sensitivity", func(c experiments.Config) result { return experiments.RunSensitivity(c) }},
-		{"sssp", func(c experiments.Config) result { return experiments.RunSSSP(c) }},
-		{"hybrid", func(c experiments.Config) result { return experiments.RunHybrid(c) }},
-	}
-}
-
 // usageLine builds the figure list from the registry, so the usage text
 // cannot drift from the figures the binary actually knows.
 func usageLine() string {
-	names := make([]string, 0, len(figures())+1)
-	for _, f := range figures() {
-		names = append(names, f.name)
+	var names []string
+	for _, e := range experiments.All() {
+		names = append(names, e.Name)
 	}
 	names = append(names, "all")
 	return "usage: pgasbench [flags] " + strings.Join(names, "|")
@@ -98,10 +63,6 @@ func main() {
 	baseline := flag.String("baseline", "", "compare the -json run against this baseline file")
 	tol := flag.Float64("tol", 3, "wall-clock tolerance factor for -baseline")
 	calls := flag.Int("calls", 256, "collective calls per thread in -json mode")
-	transport := cliflag.Transport(nil,
-		"fabric backend: inproc, or wire for the in-process vs unix-socket comparison table",
-		"inproc", "wire")
-	wireRounds := flag.Int("wirerounds", 2, "sampled graphs per kernel with -transport wire")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, usageLine())
 		fmt.Fprintln(os.Stderr, "       pgasbench -json [-out f] [-baseline f [-tol x]]")
@@ -113,21 +74,6 @@ func main() {
 		os.Exit(runJSON(*out, *baseline, *tol, *calls, *seed))
 	}
 
-	// cliflag validated -transport at parse time; only wire needs a branch.
-	if *transport == "wire" {
-		emit := func(t *report.Table) error {
-			switch {
-			case *csv:
-				return t.CSV(os.Stdout)
-			case *markdown:
-				return t.Markdown(os.Stdout)
-			default:
-				return t.Fprint(os.Stdout)
-			}
-		}
-		os.Exit(runWireTable(*seed, *nodes, *wireRounds, emit))
-	}
-
 	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
@@ -135,16 +81,15 @@ func main() {
 
 	// Resolve every name before running anything: a typo in the last
 	// argument must not cost the full run of the first.
+	all := experiments.All()
 	known := map[string]bool{}
-	for _, f := range figures() {
-		known[f.name] = true
+	for _, e := range all {
+		known[e.Name] = true
 	}
 	want := map[string]bool{}
 	for _, arg := range flag.Args() {
 		if strings.EqualFold(arg, "all") {
-			for _, f := range figures() {
-				want[f.name] = true
-			}
+			want = known
 			continue
 		}
 		name := strings.ToLower(arg)
@@ -157,11 +102,11 @@ func main() {
 
 	cfg := experiments.Config{Scale: *scale, Nodes: *nodes, Seed: *seed}
 	failures := 0
-	for _, f := range figures() {
-		if !want[f.name] {
+	for _, f := range all {
+		if !want[f.Name] {
 			continue
 		}
-		res := f.run(cfg)
+		res := f.Run(cfg)
 		t := res.Table()
 		var err error
 		switch {
@@ -173,7 +118,7 @@ func main() {
 			err = t.Fprint(os.Stdout)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pgasbench: writing %s: %v\n", f.name, err)
+			fmt.Fprintf(os.Stderr, "pgasbench: writing %s: %v\n", f.Name, err)
 			os.Exit(1)
 		}
 		if *check {
@@ -181,7 +126,7 @@ func main() {
 				fmt.Printf("SHAPE FAIL: %v\n", err)
 				failures++
 			} else {
-				fmt.Printf("shape ok: %s\n", f.name)
+				fmt.Printf("shape ok: %s\n", f.Name)
 			}
 		}
 		fmt.Println()

@@ -52,7 +52,7 @@ const inf = int64(math.MaxInt64)
 // TarjanVishkin computes the decomposition of g. opts configures the
 // collectives of every distributed phase (nil for defaults).
 //
-// Recoverable state (pgas.Registrar): none. The pipeline chains four
+// Recoverable state (pgas.Register): none. The pipeline chains four
 // sub-kernels (spanning forest, Euler tour, extrema, auxiliary CC) whose
 // outputs feed each other through host-side staging; no single superstep
 // boundary captures a resumable whole-pipeline state, so after an

@@ -72,7 +72,7 @@ func SeqDistances(g *graph.Graph, src int64) []int64 {
 // routes the neighbor candidates to their owners, which claim unvisited
 // vertices into the next frontier.
 //
-// Recoverable state (pgas.Registrar): none, for Naive as well. dist is
+// Recoverable state (pgas.Register): none, for Naive as well. dist is
 // monotone, but the frontier is not reconstructible from an arbitrary
 // superstep cut — a restored dist with no frontier strands the traversal
 // short of the fringe and would silently truncate distances. After an

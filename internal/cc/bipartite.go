@@ -32,7 +32,7 @@ type BipartiteResult struct {
 // A self-loop is an odd cycle of length one, so its component is reported
 // non-bipartite — matching the parity-BFS verifier in the tests.
 //
-// Recoverable state (pgas.Registrar): only what the cover run registers
+// Recoverable state (pgas.Register): only what the cover run registers
 // (Coalesced's D); the side assignment is host post-processing recomputed
 // from the final labels.
 func Bipartite(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *BipartiteResult {

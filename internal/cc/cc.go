@@ -120,7 +120,7 @@ func finish(labels []int64, iters int, run *pgas.Result) *Result {
 // single-node runtime this is the paper's CC-SMP baseline; with a
 // multi-node runtime it is CC-UPC of Figure 2.
 //
-// Recoverable state (pgas.Registrar): D, under CkptNaiveD — monotone
+// Recoverable state (pgas.Register): D, under CkptNaiveD — monotone
 // labels over a fully rescanned edge list, so a restored snapshot (also
 // one re-blocked over fewer threads) converges to the same answer.
 func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
@@ -199,7 +199,7 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 // that is not compacted builds one Plan and re-executes it, and a
 // compacted one shrinks in place — with bit-identical labels either way.
 //
-// Recoverable state (pgas.Registrar): D, under CkptCoalescedD, for the
+// Recoverable state (pgas.Register): D, under CkptCoalescedD, for the
 // same reason as Naive.
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
 	d := rt.NewSharedArray("D", g.N)

@@ -22,7 +22,7 @@ import (
 // last round runs entirely on thread 0 while s-1 threads idle at the
 // barrier. Compare against Coalesced via the ccmerge experiment.
 //
-// Recoverable state (pgas.Registrar): none. Merge rounds accumulate forest
+// Recoverable state (pgas.Register): none. Merge rounds accumulate forest
 // edges in host-side slices outside any shared array, which no superstep
 // cut captures; after an eviction MergeCGM recovers by full deterministic
 // re-execution.

@@ -74,7 +74,7 @@ var roundProbe func(kernel string, round int, labels []int64)
 // are local loops over ThreadCover, so all partition schemes work
 // unchanged.
 //
-// Recoverable state (pgas.Registrar): D, under rule.ckpt. It qualifies
+// Recoverable state (pgas.Register): D, under rule.ckpt. It qualifies
 // because D is monotone and every round rescans the live edge list, so any
 // quiesced intermediate labeling converges to the same answer — including
 // a restored snapshot re-blocked over fewer threads.

@@ -48,7 +48,7 @@ func unpackHook(key int64) (label, e int64) { return key >> 32, key & 0xffffffff
 // component never hooks, but packed keys at other slots do not preserve
 // the D[0]-is-constant argument for the hook array itself).
 //
-// Recoverable state (pgas.Registrar): none. The chosen edges live in
+// Recoverable state (pgas.Register): none. The chosen edges live in
 // host-side slices and must stay consistent with D across barriers; a
 // restored labeling without the matching edge set would double-pick or
 // drop tree edges, so after an eviction the kernel recovers by full

@@ -33,7 +33,6 @@ package collective
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"pgasgraph/internal/pgas"
@@ -87,12 +86,15 @@ type Options struct {
 	// of via runtime intrinsics, and reuses them across iterations
 	// through the IDCache passed per call.
 	CachedIDs bool
-	// Offload drops requests for OffloadIndex and substitutes
-	// OffloadValue locally: the paper's hotspot fix for D[0], whose
-	// value is pinned at 0 for CC.
+	// Offload drops requests for index 0 and substitutes 0 locally: the
+	// paper's hotspot fix for D[0], whose value is pinned at 0 for CC.
+	// It is the one sound pin — no minimum write can lower D[0] below 0
+	// from the identity labeling — so Validate rejects any other
+	// OffloadIndex; the field is only still here because benchmark/
+	// compiles against it (like IDCache's trailing parameter, it waits
+	// for a benchmark-archetype PR).
 	Offload      bool
 	OffloadIndex int64
-	OffloadValue int64
 	// Sort selects the grouping sort.
 	Sort SortKind
 }
@@ -106,8 +108,6 @@ func Optimized(virtualThreads int) *Options {
 		LocalCpy:       true,
 		CachedIDs:      true,
 		Offload:        true,
-		OffloadIndex:   0,
-		OffloadValue:   0,
 	}
 }
 
@@ -126,7 +126,8 @@ func Defaults() *Options { return Base() }
 // selects Defaults). VirtualThreads must be >= 1 (legacy zero values are
 // still normalized by Sanitize for compatibility, but new configurations
 // should spell "no blocking" as 1), Sort must be a known kind, and an
-// enabled Offload needs a non-negative OffloadIndex.
+// enabled Offload pins index 0 (the only pair the engine substitutes is
+// D[0] = 0; any other index would make GetD lie about a live label).
 func (o *Options) Validate() error {
 	if o == nil {
 		return nil
@@ -137,8 +138,8 @@ func (o *Options) Validate() error {
 	if o.Sort != CountSort && o.Sort != QuickSort {
 		return fmt.Errorf("collective: unknown sort kind %d", o.Sort)
 	}
-	if o.Offload && o.OffloadIndex < 0 {
-		return fmt.Errorf("collective: OffloadIndex must be >= 0, got %d", o.OffloadIndex)
+	if o.Offload && o.OffloadIndex != 0 {
+		return fmt.Errorf("collective: Offload pins D[0] = 0 only, got OffloadIndex %d", o.OffloadIndex)
 	}
 	return nil
 }
@@ -178,15 +179,11 @@ func ValidateGeometry(threads int) error {
 }
 
 // IDCache caches owner ids across collective calls for one thread and one
-// index list. Invalidate it whenever the index list changes (e.g. after
-// edge compaction).
+// index list.
 type IDCache struct {
 	keys  []int32
 	valid bool
 }
-
-// Invalidate marks the cache stale.
-func (c *IDCache) Invalidate() { c.valid = false }
 
 // threadState is the per-thread scratch arena of a Comm: the serve-phase
 // buffers of the exchange engine plus the grouping sort's key and cursor
@@ -253,11 +250,6 @@ type Tracer interface {
 	// matrix publish); PlanReuse one plan execution that skipped it.
 	PlanBuild(thread int, elements int64)
 	PlanReuse(thread int, elements int64)
-	// ServeRetry reports one serve-phase replay on a thread under fault
-	// injection (attempt is the retry ordinal within the call, starting
-	// at 1). The transport-level fault counts live on the runtime
-	// (pgas.ChaosStats); this stream attributes recoveries to collectives.
-	ServeRetry(thread int, kind string, attempt int)
 }
 
 // Comm holds the shared state of the collectives for one runtime: the
@@ -267,7 +259,6 @@ type Tracer interface {
 type Comm struct {
 	rt     *pgas.Runtime
 	s      int
-	par    int // host worker goroutines per thread for serve/permute data movement
 	tr     pgas.Transport
 	wire   bool // the fabric spans processes: peer plan buffers need transport access
 	tpn    int  // threads per node, cached for peer -> node mapping
@@ -333,10 +324,6 @@ func NewComm(rt *pgas.Runtime) *Comm {
 		c.ts[i].cursor = make([]int64, s)
 	}
 	c.splan = c.NewPlan()
-	// Host parallelism left over after one goroutine per runtime thread:
-	// extra workers accelerate the serve/permute data movement without
-	// changing results or simulated-time charges.
-	c.par = defaultParallelism(runtime.GOMAXPROCS(0), s)
 	return c
 }
 

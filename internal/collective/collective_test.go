@@ -31,7 +31,7 @@ func optionVariants() map[string]*Options {
 		"circular":   {Circular: true},
 		"localcpy":   {LocalCpy: true},
 		"cachedids":  {CachedIDs: true},
-		"offload":    {Offload: true, OffloadIndex: 0, OffloadValue: 0},
+		"offload":    {Offload: true},
 		"vt8":        {VirtualThreads: 8},
 		"quicksort":  {Sort: QuickSort},
 		"vtq":        {VirtualThreads: 3, Sort: QuickSort, Circular: true},
@@ -221,13 +221,13 @@ func TestIDCacheReuse(t *testing.T) {
 				t.Errorf("cached GetD wrong at %d", j)
 			}
 		}
-		// Changed list of the same length requires invalidation.
+		// Changed list of the same length requires a fresh cache.
 		idx2 := []int64{0, 1, 2}
-		cache.Invalidate()
+		cache = IDCache{}
 		comm.GetD(th, d, idx2, out, opts, &cache)
 		for j := range idx2 {
 			if out[j] != idx2[j] {
-				t.Errorf("post-invalidate GetD wrong at %d", j)
+				t.Errorf("post-reset GetD wrong at %d", j)
 			}
 		}
 	})

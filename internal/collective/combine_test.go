@@ -40,10 +40,9 @@ func (r *requestCounts) Collective(kind string, thread int, _ sim.Breakdown, ele
 	r.kept[thread] += kept
 	r.mu.Unlock()
 }
-func (*requestCounts) Transfer(int, int, int64)    {}
-func (*requestCounts) PlanBuild(int, int64)        {}
-func (*requestCounts) PlanReuse(int, int64)        {}
-func (*requestCounts) ServeRetry(int, string, int) {}
+func (*requestCounts) Transfer(int, int, int64) {}
+func (*requestCounts) PlanBuild(int, int64)     {}
+func (*requestCounts) PlanReuse(int, int64)     {}
 func (r *requestCounts) totals() (offered, kept int64) {
 	for i := range r.offered {
 		offered += r.offered[i]

@@ -41,7 +41,7 @@ type serveOp struct {
 	// chaos (nil always, on the fault-free transport): the whole phase is
 	// re-executable from the published matrices, so the engine replays it.
 	serve  func(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error
-	finish func(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, opts *Options, out1, out2 []int64)
+	finish func(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64)
 }
 
 var (
@@ -79,12 +79,18 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedAr
 
 	if op.hasValues {
 		// Align this execution's values with the grouped request layout —
-		// the pass groupByOwner used to run, charged identically.
-		align := move{kind: moveAlign, pos: pt.pos[:k], a: values, out: pt.val[:k]}
-		if pt.filtered {
-			align.via = pt.outIdx
+		// the pass groupByOwner used to run, charged identically. On a
+		// filtered plan pt.pos indexes the filtered request list and
+		// pt.outIdx maps it back to original request positions.
+		if pos, out, via := pt.pos[:k], pt.val[:k], pt.outIdx; pt.filtered {
+			for pp, j := range pos {
+				out[pp] = values[via[j]]
+			}
+		} else {
+			for pp, j := range pos {
+				out[pp] = values[j]
+			}
 		}
-		c.moveAll(align, k)
 		ns, misses := th.Runtime().Model().DensePermute(int64(k))
 		th.Clock.Charge(sim.CatSort, ns)
 		th.Clock.CacheMisses += misses
@@ -104,7 +110,7 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedAr
 	th.Barrier()
 	c.serveRetry(th, p, op, d1, d2, opts)
 	th.Barrier()
-	op.finish(c, th, p, pt, opts, out1, out2)
+	op.finish(c, th, p, pt, out1, out2)
 	pt.execs++
 }
 
@@ -159,9 +165,6 @@ func (c *Comm) serveRetry(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.Sh
 				} else {
 					d1.CopyOwnedIn(th.ID, st.snap[:owned])
 				}
-			}
-			if c.tracer != nil {
-				c.tracer.ServeRetry(th.ID, op.kind, attempt-1)
 			}
 		}
 		if err = op.serve(c, th, p, d1, d2, opts); err == nil {
@@ -288,8 +291,9 @@ func (c *Comm) pullSegment(th *pgas.Thread, reqSeg, dst []int64, lo int64, peer 
 			dst[j] = reqSeg[(j+1)%len(reqSeg)] - lo
 		}
 	} else {
-		// Chunks of one segment touch disjoint dst slots.
-		c.moveAll(move{kind: moveTranslate, a: reqSeg, out: dst, base: lo}, len(reqSeg))
+		for j, gix := range reqSeg {
+			dst[j] = gix - lo
+		}
 	}
 	th.ChargeOps(sim.CatWork, int64(len(reqSeg)))
 	return c.xferFault(th, peer, dst)
@@ -323,7 +327,7 @@ func serveGather(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, op
 	// The block stays cache-warm across the concatenated serve, so
 	// first-touch tracking resets once per collective.
 	st.scr.Reset(int64(len(local)))
-	sched.GatherPar(th, local, st.local[:total], st.vals[:total], opts.VirtualThreads, opts.LocalCpy, &st.scr, c.par)
+	sched.Gather(th, local, st.local[:total], st.vals[:total], opts.VirtualThreads, opts.LocalCpy, &st.scr)
 
 	for _, seg := range st.segs {
 		c.transferCost(th, int(seg.peer), seg.k, false, opts)
@@ -413,13 +417,13 @@ func servePair(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts
 		}
 
 		st.vals = st.grow(st.vals, int(k))
-		sched.GatherPar(th, local1, st.local[:k], st.vals[:k], opts.VirtualThreads, opts.LocalCpy, &st.scr, c.par)
+		sched.Gather(th, local1, st.local[:k], st.vals[:k], opts.VirtualThreads, opts.LocalCpy, &st.scr)
 		c.transferCost(th, int(seg.peer), k, false, opts)
 		if err := c.pushPeer(th, p, seg, pgas.WinPlanVal, st.vals[:k]); err != nil {
 			return err
 		}
 
-		sched.GatherPar(th, local2, st.local[:k], st.vals[:k], opts.VirtualThreads, opts.LocalCpy, &st.scr2, c.par)
+		sched.Gather(th, local2, st.local[:k], st.vals[:k], opts.VirtualThreads, opts.LocalCpy, &st.scr2)
 		c.transferCost(th, int(seg.peer), k, false, opts)
 		if err := c.pushPeer(th, p, seg, pgas.WinPlanVal2, st.vals[:k]); err != nil {
 			return err
@@ -480,13 +484,13 @@ func serveRoutePairs(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray
 
 // finishNone is the finish phase of ops whose results are the array
 // mutation (Set*) or the thread's receive scratch (Exchange*).
-func finishNone(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, opts *Options, out1, out2 []int64) {
+func finishNone(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64) {
 }
 
 // finishPermute is GetD's finish phase: permute received values back to
 // request order (Algorithm 2 step 6) — a dense permutation of the receive
-// buffer — and substitute the pinned value at offload-dropped positions.
-func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, opts *Options, out1, out2 []int64) {
+// buffer — and substitute the pinned D[0] = 0 at offload-dropped positions.
+func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64) {
 	k := pt.k
 	ns, misses := th.Runtime().Model().DensePermute(int64(k))
 	th.Clock.Charge(sim.CatIrregular, ns)
@@ -495,7 +499,7 @@ func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, opts *Opti
 		// The filter already paid for this pass at build time; delivering
 		// the pinned value is part of it.
 		for _, j := range pt.dropIdx[:pt.n-k] {
-			out1[j] = opts.OffloadValue
+			out1[j] = 0
 		}
 	}
 	if c.fault == FaultDropPermute {
@@ -510,22 +514,28 @@ func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, opts *Opti
 		copy(out1[:k], pt.val[:k])
 		return
 	}
-	// pt.pos is a permutation of [0,k): chunks write disjoint out slots,
-	// so the permute parallelizes safely across host workers.
-	back := move{kind: movePermute, pos: pt.pos[:k], a: pt.val, out: out1}
-	if pt.filtered {
+	if pos, val, via := pt.pos[:k], pt.val[:k], pt.outIdx; pt.filtered {
 		// pt.pos indexes the filtered list; pt.outIdx maps it back to
 		// original request positions.
-		back.via = pt.outIdx
+		for pp, j := range pos {
+			out1[via[j]] = val[pp]
+		}
+	} else {
+		for pp, j := range pos {
+			out1[j] = val[pp]
+		}
 	}
-	c.moveAll(back, k)
 }
 
 // finishPair permutes both receive buffers back to request order.
-func finishPair(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, opts *Options, out1, out2 []int64) {
+func finishPair(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64) {
 	k := pt.k
 	ns, misses := th.Runtime().Model().DensePermute(int64(k))
 	th.Clock.Charge(sim.CatIrregular, 2*ns)
 	th.Clock.CacheMisses += 2 * misses
-	c.moveAll(move{kind: movePermute2, pos: pt.pos[:k], a: pt.val, out: out1, a2: pt.val2, out2: out2}, k)
+	val, val2 := pt.val[:k], pt.val2[:k]
+	for pp, j := range pt.pos[:k] {
+		out1[j] = val[pp]
+		out2[j] = val2[pp]
+	}
 }

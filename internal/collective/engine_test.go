@@ -1,0 +1,179 @@
+package collective
+
+import (
+	"slices"
+	"testing"
+
+	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/xrand"
+)
+
+// TestEngineLargeRound runs one GetD / GetDPair / SetDMin / Exchange round
+// on 3x2 threads with 3*4096+17 requests per thread — long enough that
+// every align, translate, permute and pair-permute loop of the engine runs
+// over thousands of elements per peer segment — and compares every result
+// with the sequential oracle (direct reads, a min-scatter, the owner
+// partition). Optimized options put the offload filter's index
+// indirection on the align and permute loops; Base leaves it off.
+func TestEngineLargeRound(t *testing.T) {
+	const n, k = 1 << 15, 3*4096 + 17
+	for name, opts := range map[string]*Options{"base": Base(), "optimized": Optimized(4)} {
+		t.Run(name, func(t *testing.T) {
+			rt := testRT(t, 3, 2)
+			s := rt.NumThreads()
+			d := rt.NewSharedArray("D", n)
+			d2 := rt.NewSharedArray("D2", n)
+			rng := xrand.New(20)
+			data := d.Raw()
+			for i := range data {
+				// D[0] = 0 is the pin Offload substitutes.
+				data[i] = int64(i) * (1 + rng.Int64n(1<<20))
+				d2.Raw()[i] = data[i]*3 + 1
+			}
+			before, want := slices.Clone(data), slices.Clone(data)
+			reqs, vals := make([][]int64, s), make([][]int64, s)
+			owned := make([][]int64, s)
+			for i := range reqs {
+				reqs[i], vals[i] = make([]int64, k), make([]int64, k)
+				for j := range reqs[i] {
+					ix := rng.Int64n(n)
+					reqs[i][j] = ix
+					vals[i][j] = data[ix] - rng.Int64n(3) + 1
+					if !(opts.Offload && ix == 0) {
+						want[ix] = min(want[ix], vals[i][j])
+					}
+					owned[d.Owner(ix)] = append(owned[d.Owner(ix)], ix)
+				}
+			}
+			comm := NewComm(rt)
+			get, p1, p2, routed := make([][]int64, s), make([][]int64, s), make([][]int64, s), make([][]int64, s)
+			rt.Run(func(th *pgas.Thread) {
+				i := th.ID
+				get[i], p1[i], p2[i] = make([]int64, k), make([]int64, k), make([]int64, k)
+				comm.GetD(th, d, reqs[i], get[i], opts, nil)
+				comm.GetDPair(th, d, d2, reqs[i], p1[i], p2[i], opts, nil)
+				routed[i] = slices.Clone(comm.Exchange(th, d, reqs[i], opts, nil))
+				comm.SetDMin(th, d, reqs[i], vals[i], opts, nil)
+			})
+			for i := 0; i < s; i++ {
+				for j, ix := range reqs[i] {
+					if w := before[ix]; get[i][j] != w || p1[i][j] != w || p2[i][j] != w*3+1 {
+						t.Fatalf("thread %d request %d (D[%d]): GetD %d, GetDPair (%d, %d), want %d and (%d, %d)",
+							i, j, ix, get[i][j], p1[i][j], p2[i][j], w, w, w*3+1)
+					}
+				}
+				slices.Sort(routed[i])
+				slices.Sort(owned[i])
+				if !slices.Equal(routed[i], owned[i]) {
+					t.Fatalf("thread %d: Exchange delivered %d items, its owner partition holds %d (or contents differ)",
+						i, len(routed[i]), len(owned[i]))
+				}
+			}
+			if !slices.Equal(data, want) {
+				t.Fatal("SetDMin result differs from the sequential min-scatter")
+			}
+		})
+	}
+}
+
+// TestSteadyStateNoGrowth asserts the arena contract directly: after a
+// warmup call, repeated collectives of the same shape perform zero scratch
+// growths.
+func TestSteadyStateNoGrowth(t *testing.T) {
+	const n = 1 << 12
+	rt := testRT(t, 2, 2)
+	s := rt.NumThreads()
+	d := rt.NewSharedArray("D", n)
+	d.FillIdentity()
+	comm := NewComm(rt)
+
+	reqs := make([][]int64, s)
+	vals := make([][]int64, s)
+	for i := 0; i < s; i++ {
+		r := xrand.New(uint64(i + 1))
+		reqs[i] = make([]int64, 2000)
+		vals[i] = make([]int64, 2000)
+		for j := range reqs[i] {
+			reqs[i][j] = r.Int64n(n)
+			vals[i][j] = r.Int64n(1 << 20)
+		}
+	}
+	round := func() {
+		rt.Run(func(th *pgas.Thread) {
+			out := make([]int64, len(reqs[th.ID]))
+			comm.GetD(th, d, reqs[th.ID], out, Optimized(4), nil)
+			comm.SetDMin(th, d, reqs[th.ID], vals[th.ID], Optimized(4), nil)
+			comm.Exchange(th, d, reqs[th.ID], Optimized(4), nil)
+		})
+	}
+	round() // warm the arenas
+	var warm int64
+	for i := range comm.ts {
+		warm += comm.ts[i].growths
+	}
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	var after int64
+	for i := range comm.ts {
+		after += comm.ts[i].growths
+	}
+	if after != warm {
+		t.Fatalf("steady-state collectives grew scratch: %d new growths", after-warm)
+	}
+}
+
+// TestValidateTable pins Validate's accept/reject behavior.
+func TestValidateTable(t *testing.T) {
+	valid := []*Options{nil, Base(), Defaults(), Optimized(4), {VirtualThreads: 1, Sort: QuickSort}}
+	for _, o := range valid {
+		if err := o.Validate(); err != nil {
+			t.Errorf("valid options rejected: %+v: %v", o, err)
+		}
+	}
+	invalid := []*Options{
+		{},
+		{VirtualThreads: -1},
+		{VirtualThreads: 2, Sort: SortKind(7)},
+		{VirtualThreads: 2, Offload: true, OffloadIndex: -5},
+		{VirtualThreads: 2, Offload: true, OffloadIndex: 5},
+	}
+	for _, o := range invalid {
+		if err := o.Validate(); err == nil {
+			t.Errorf("invalid options accepted: %+v", o)
+		}
+	}
+}
+
+// TestSanitize pins the nil / legacy-zero-value normalization.
+func TestSanitize(t *testing.T) {
+	if o := Sanitize(nil, true); *o != *Defaults() {
+		t.Fatalf("Sanitize(nil) = %+v", o)
+	}
+	legacy := &Options{Circular: true} // VirtualThreads 0: pre-Defaults spelling
+	o := Sanitize(legacy, true)
+	if o.VirtualThreads != 1 || !o.Circular {
+		t.Fatalf("legacy normalization wrong: %+v", o)
+	}
+	if legacy.VirtualThreads != 0 {
+		t.Fatal("Sanitize must not mutate its argument")
+	}
+	off := Optimized(4)
+	if o := Sanitize(off, false); o.Offload {
+		t.Fatal("Sanitize(allowOffload=false) kept Offload")
+	}
+	if !off.Offload {
+		t.Fatal("Sanitize must not mutate its argument")
+	}
+}
+
+func TestValidateGeometry(t *testing.T) {
+	if err := ValidateGeometry(16); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{0, -4, MaxThreads + 1} {
+		if err := ValidateGeometry(bad); err == nil {
+			t.Errorf("geometry %d accepted", bad)
+		}
+	}
+}

@@ -16,8 +16,8 @@ import (
 //   - GetD after SetD reads back exactly what was written (roundtrip);
 //   - SetDMin equals the sequential min-scatter oracle, including on
 //     duplicate-heavy request lists where many writers race per index;
-//   - a warm IDCache is honored, and Invalidate() makes a changed index
-//     list safe to reuse with the same cache.
+//   - a warm IDCache is honored, and a changed index list is safe once the
+//     cache is reset to its zero value.
 
 // lawGeometries exercises single-thread, single-node-SMP, all-remote,
 // and mixed ownership.
@@ -161,9 +161,10 @@ func TestSetDMinMatchesMinScatter(t *testing.T) {
 }
 
 // TestIDCacheInvalidation: a warm IDCache must keep GetD exact across
-// repeated calls with the same index list, and Invalidate() must make a
-// *different* index list safe with the same cache object. (Without the
-// invalidation, stale owner keys would group the new indices wrongly.)
+// repeated calls with the same index list, and resetting it to the zero
+// value must make a *different* index list safe with the same cache
+// variable. (Without the reset, stale owner keys would group the new
+// indices wrongly.)
 func TestIDCacheInvalidation(t *testing.T) {
 	const n = 200
 	rt := testRT(t, 3, 2)
@@ -201,8 +202,8 @@ func TestIDCacheInvalidation(t *testing.T) {
 		comm.GetD(th, d, first[th.ID], out, &o, &cache)
 		warm := make([]int64, len(first[th.ID]))
 		comm.GetD(th, d, first[th.ID], warm, &o, &cache)
-		// Switch lists: invalidate first, as the contract requires.
-		cache.Invalidate()
+		// Switch lists: reset first, as the contract requires.
+		cache = IDCache{}
 		fresh := make([]int64, len(second[th.ID]))
 		comm.GetD(th, d, second[th.ID], fresh, &o, &cache)
 		results[th.ID] = result{warm: warm, fresh: fresh}
@@ -215,7 +216,7 @@ func TestIDCacheInvalidation(t *testing.T) {
 		}
 		for j, ix := range second[i] {
 			if results[i].fresh[j] != data[ix] {
-				t.Fatalf("after Invalidate: thread %d read D[%d] = %d, want %d", i, ix, results[i].fresh[j], data[ix])
+				t.Fatalf("after reset: thread %d read D[%d] = %d, want %d", i, ix, results[i].fresh[j], data[ix])
 			}
 		}
 	}

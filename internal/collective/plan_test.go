@@ -30,7 +30,7 @@ func planVariants() map[string]*Options {
 		"base":      Base(),
 		"optimized": Optimized(4),
 		"quicksort": {Sort: QuickSort, Circular: true},
-		"offload":   {Offload: true, OffloadIndex: 0, OffloadValue: 0},
+		"offload":   {Offload: true},
 	}
 }
 

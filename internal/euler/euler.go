@@ -49,7 +49,7 @@ type TreeStats struct {
 // panics on graphs whose edge count makes acyclicity impossible and the
 // tests verify full structural correctness.
 //
-// Recoverable state (pgas.Registrar): none. The tour is a multi-phase
+// Recoverable state (pgas.Register): none. The tour is a multi-phase
 // pipeline (successor linking, list ranking, prefix extraction) whose
 // intermediate arrays only mean anything relative to the phase that built
 // them; a cross-phase snapshot cut is unresumable. After an eviction the

@@ -11,20 +11,20 @@ import (
 	"pgasgraph/internal/report"
 )
 
-// ExpBFS quantifies the paper's §I argument for preferring poly-log PRAM
+// expBFS quantifies the paper's §I argument for preferring poly-log PRAM
 // kernels over BFS-style traversal: level-synchronous BFS needs Ω(d)
 // rounds (d the diameter), so its distributed running time degrades on
 // high-diameter inputs, while the paper's CC runs in O(log n)-ish rounds
 // regardless of topology. Two inputs with identical n and m — a random
 // graph (d ~ log n) and a 2D grid (d ~ 2*sqrt(n)) — make the contrast
 // directly visible.
-type ExpBFS struct {
+type expBFS struct {
 	Cfg  Config
-	Rows []ExpBFSRow
+	Rows []expBFSRow
 }
 
-// ExpBFSRow is one topology's measurements.
-type ExpBFSRow struct {
+// expBFSRow is one topology's measurements.
+type expBFSRow struct {
 	Name      string
 	N, M      int64
 	BFSNS     float64
@@ -33,10 +33,10 @@ type ExpBFSRow struct {
 	CCIters   int
 }
 
-// RunBFS executes the comparison.
-func RunBFS(cfg Config) *ExpBFS {
+// runBFS executes the comparison.
+func runBFS(cfg Config) *expBFS {
 	cfg = cfg.WithDefaults()
-	e := &ExpBFS{Cfg: cfg}
+	e := &expBFS{Cfg: cfg}
 
 	// A square grid and a same-size random graph (grids have m ~ 2n).
 	side := int64(math.Sqrt(float64(cfg.N(paper100M) / 4)))
@@ -67,7 +67,7 @@ func RunBFS(cfg Config) *ExpBFS {
 		rtC := cfg.Runtime(cfg.Nodes, tpn)
 		c := cc.Coalesced(rtC, collective.NewComm(rtC), in.g, ccOpts)
 
-		e.Rows = append(e.Rows, ExpBFSRow{
+		e.Rows = append(e.Rows, expBFSRow{
 			Name:      in.name,
 			N:         in.g.N,
 			M:         in.g.M(),
@@ -81,7 +81,7 @@ func RunBFS(cfg Config) *ExpBFS {
 }
 
 // Table renders the comparison.
-func (e *ExpBFS) Table() *report.Table {
+func (e *expBFS) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("BFS vs CC under diameter (§I) — %d nodes x 8 threads; simulated ms", e.Cfg.Nodes),
 		"input", "n", "m", "BFS", "BFS levels", "CC", "CC iterations")
@@ -95,7 +95,7 @@ func (e *ExpBFS) Table() *report.Table {
 }
 
 // CheckShape asserts the diameter sensitivity.
-func (e *ExpBFS) CheckShape() error {
+func (e *expBFS) CheckShape() error {
 	if len(e.Rows) != 2 {
 		return fmt.Errorf("bfs: %d rows, want 2", len(e.Rows))
 	}

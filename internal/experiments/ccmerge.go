@@ -9,7 +9,7 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// ExpCCMerge stages the paper's concluding argument directly: the
+// expCCMerge stages the paper's concluding argument directly: the
 // coalesced shared-memory-style CC ("coordinate multiple processors to
 // process the same input in parallel") against a communication-efficient
 // forest-merging CC (local union-find, then a binomial reduction of
@@ -18,13 +18,13 @@ import (
 // round) regardless of m, while its sequential tail and idle processors
 // are fixed costs; the coalesced kernel's traffic grows with m but every
 // processor stays busy.
-type ExpCCMerge struct {
+type expCCMerge struct {
 	Cfg  Config
-	Rows []ExpCCMergeRow
+	Rows []expCCMergeRow
 }
 
-// ExpCCMergeRow is one density's measurements.
-type ExpCCMergeRow struct {
+// expCCMergeRow is one density's measurements.
+type expCCMergeRow struct {
 	Density     int64 // m/n
 	N, M        int64
 	CoalescedNS float64
@@ -32,10 +32,10 @@ type ExpCCMergeRow struct {
 	MergeIdleNS float64 // average per-thread wait in the merge run
 }
 
-// RunCCMerge executes the density sweep.
-func RunCCMerge(cfg Config) *ExpCCMerge {
+// runCCMerge executes the density sweep.
+func runCCMerge(cfg Config) *expCCMerge {
 	cfg = cfg.WithDefaults()
-	e := &ExpCCMerge{Cfg: cfg}
+	e := &expCCMerge{Cfg: cfg}
 	n := cfg.N(paper10M)
 	tpn := 8
 	if cfg.Base.ThreadsPerNode < tpn {
@@ -51,7 +51,7 @@ func RunCCMerge(cfg Config) *ExpCCMerge {
 		rtM := cfg.Runtime(cfg.Nodes, tpn)
 		mg := cc.MergeCGM(rtM, g)
 
-		e.Rows = append(e.Rows, ExpCCMergeRow{
+		e.Rows = append(e.Rows, expCCMergeRow{
 			Density:     d,
 			N:           n,
 			M:           g.M(),
@@ -64,7 +64,7 @@ func RunCCMerge(cfg Config) *ExpCCMerge {
 }
 
 // Table renders the sweep.
-func (e *ExpCCMerge) Table() *report.Table {
+func (e *expCCMerge) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("CC: coalesced vs communication-efficient forest merging — n=%s, %d nodes x 8 threads; simulated ms",
 			report.Count(e.Rows[0].N), e.Cfg.Nodes),
@@ -80,7 +80,7 @@ func (e *ExpCCMerge) Table() *report.Table {
 }
 
 // CheckShape asserts the structural relationships.
-func (e *ExpCCMerge) CheckShape() error {
+func (e *expCCMerge) CheckShape() error {
 	if len(e.Rows) < 3 {
 		return fmt.Errorf("ccmerge: only %d rows", len(e.Rows))
 	}

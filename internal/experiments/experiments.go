@@ -1,6 +1,6 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (Figures 2-10; the paper reports no result tables) at a configurable
-// scale. Each RunFigNN function executes the real kernels on the simulated
+// scale. Each experiment in All executes the real kernels on the simulated
 // cluster and returns the same series the paper plots; Table() renders
 // them and CheckShape() asserts the paper's qualitative findings — who
 // wins, by roughly what factor, where the extrema fall — which is what
@@ -18,7 +18,53 @@ import (
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/report"
 )
+
+// Result is what every experiment yields: the table of the series it
+// measured, and the check of the paper's qualitative finding on them.
+type Result interface {
+	Table() *report.Table
+	CheckShape() error
+}
+
+// Experiment is one figure or extension experiment under the name
+// pgasbench takes on its command line.
+type Experiment struct {
+	Name string
+	Run  func(Config) Result
+}
+
+// experiment registers a runner under its concrete result type: the
+// package's own tests and internal/bench read those types field by field,
+// and a func returning *Fig02 is not a func returning Result.
+func experiment[R Result](name string, run func(Config) R) Experiment {
+	return Experiment{name, func(c Config) Result { return run(c) }}
+}
+
+// All lists every experiment: the paper's Figures 2-10 in order, then the
+// extension experiments.
+func All() []Experiment {
+	return []Experiment{
+		experiment("fig2", RunFig02),
+		experiment("fig3", runFig03),
+		experiment("fig4", RunFig04),
+		experiment("fig5", runFig05),
+		experiment("fig6", RunFig06),
+		experiment("fig7", runFig07),
+		experiment("fig8", runFig08),
+		experiment("fig9", runFig09),
+		experiment("fig10", runFig10),
+		experiment("listrank", runListRank),
+		experiment("bfs", runBFS),
+		experiment("ccmerge", runCCMerge),
+		experiment("outofcore", runOutOfCore),
+		experiment("scaling", runScaling),
+		experiment("sensitivity", runSensitivity),
+		experiment("sssp", runSSSP),
+		experiment("hybrid", runHybrid),
+	}
+}
 
 // Config controls experiment scale and the modeled machine.
 type Config struct {

@@ -75,7 +75,7 @@ func TestFig03Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	f := RunFig03(smokeCfg())
+	f := runFig03(smokeCfg())
 	if f.CCNS >= f.OrigNS {
 		t.Fatalf("coalesced CC (%.0f) not faster than naive (%.0f)", f.CCNS, f.OrigNS)
 	}
@@ -91,7 +91,7 @@ func TestFig05Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	f := RunFig05(smokeCfg())
+	f := runFig05(smokeCfg())
 	if len(f.Bars) != 6 {
 		t.Fatalf("%d bars, want 6", len(f.Bars))
 	}
@@ -109,7 +109,7 @@ func TestFig06HybridComparable(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := smokeCfg()
-	r := RunFig05(cfg)
+	r := runFig05(cfg)
 	h := RunFig06(cfg)
 	// The paper: hubs create no hotspot; optimized totals stay within a
 	// small factor of the random graph's.
@@ -124,7 +124,7 @@ func TestFig07Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	f := RunFig07(smokeCfg())
+	f := runFig07(smokeCfg())
 	if len(f.NS) != len(f.Threads) {
 		t.Fatal("series length mismatch")
 	}
@@ -146,7 +146,7 @@ func TestFig09Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	f := RunFig09(smokeCfg())
+	f := runFig09(smokeCfg())
 	b := f.Best()
 	if f.NS[b] >= f.SMPNS {
 		t.Fatalf("best MST (%.0f) not faster than MST-SMP (%.0f)", f.NS[b], f.SMPNS)
@@ -181,11 +181,11 @@ func TestFig08And10Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	f8 := RunFig08(smokeCfg())
+	f8 := runFig08(smokeCfg())
 	if f8.NS[4] <= f8.NS[3] {
 		t.Fatal("fig8: no 16-thread degradation")
 	}
-	f10 := RunFig10(smokeCfg())
+	f10 := runFig10(smokeCfg())
 	if f10.Best() > 4 || f10.NS[f10.Best()] >= f10.SMPNS {
 		t.Fatal("fig10: cluster should beat MST-SMP somewhere")
 	}
@@ -198,7 +198,7 @@ func TestListRankSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	e := RunListRank(smokeCfg())
+	e := runListRank(smokeCfg())
 	if len(e.Wyllie) != len(e.Nodes) || len(e.CGM) != len(e.Nodes) {
 		t.Fatal("series length mismatch")
 	}
@@ -214,7 +214,7 @@ func TestBFSExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	e := RunBFS(smokeCfg())
+	e := runBFS(smokeCfg())
 	if err := e.CheckShape(); err != nil {
 		t.Fatalf("bfs shape should hold at any scale: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestCCMergeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	e := RunCCMerge(smokeCfg())
+	e := runCCMerge(smokeCfg())
 	if len(e.Rows) != 5 {
 		t.Fatalf("%d rows, want 5", len(e.Rows))
 	}
@@ -242,7 +242,7 @@ func TestOutOfCoreSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	e := RunOutOfCore(smokeCfg())
+	e := runOutOfCore(smokeCfg())
 	if err := e.CheckShape(); err != nil {
 		t.Fatalf("out-of-core shape should hold at any scale: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestScalingSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	e := RunScaling(smokeCfg())
+	e := runScaling(smokeCfg())
 	if len(e.Rows) != 5 {
 		t.Fatalf("%d rows, want 5", len(e.Rows))
 	}
@@ -271,7 +271,7 @@ func TestSSSPExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	e := RunSSSP(smokeCfg())
+	e := runSSSP(smokeCfg())
 	if err := e.CheckShape(); err != nil {
 		t.Fatalf("sssp delta shape should hold at any scale: %v", err)
 	}

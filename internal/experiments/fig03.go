@@ -8,14 +8,14 @@ import (
 	"pgasgraph/internal/report"
 )
 
-// Fig03 reproduces Figure 3: the impact of communication coalescing alone.
+// fig03 reproduces Figure 3: the impact of communication coalescing alone.
 // Input is a random graph (paper: 10M vertices, 40M edges) with one thread
 // per node; the rewritten CC and SV use *unoptimized* collectives with
 // quicksort grouping (the paper stresses coalescing wins even with a sort
 // "more than 50 times slower than count sort"). Findings: rewritten CC is
 // ~70x faster than the naive code, and SV is slower than CC because it
 // issues more collective calls per iteration.
-type Fig03 struct {
+type fig03 struct {
 	Cfg                    Config
 	N, M                   int64
 	OrigNS, CCNS, SVNS     float64
@@ -23,11 +23,11 @@ type Fig03 struct {
 	CCMessages, SVMessages int64
 }
 
-// RunFig03 executes the experiment.
-func RunFig03(cfg Config) *Fig03 {
+// runFig03 executes the experiment.
+func runFig03(cfg Config) *fig03 {
 	cfg = cfg.WithDefaults()
 	g := cfg.RandomGraph(paper10M, paper40M)
-	f := &Fig03{Cfg: cfg, N: g.N, M: g.M()}
+	f := &fig03{Cfg: cfg, N: g.N, M: g.M()}
 
 	// One thread per node, as in the paper's Figure 3.
 	col := collective.Base()
@@ -50,7 +50,7 @@ func RunFig03(cfg Config) *Fig03 {
 }
 
 // Table renders the figure's series.
-func (f *Fig03) Table() *report.Table {
+func (f *fig03) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Figure 3: communication coalescing (random n=%s m=%s, %d nodes x 1 thread)",
 			report.Count(f.N), report.Count(f.M), f.Cfg.Nodes),
@@ -63,7 +63,7 @@ func (f *Fig03) Table() *report.Table {
 }
 
 // CheckShape asserts coalescing's dominance and the CC-vs-SV ordering.
-func (f *Fig03) CheckShape() error {
+func (f *fig03) CheckShape() error {
 	if f.OrigNS/f.CCNS < 10 {
 		return fmt.Errorf("fig03: CC speedup over naive %.1f, want >= 10", f.OrigNS/f.CCNS)
 	}

@@ -60,8 +60,8 @@ func ladder(tprime int) []struct {
 	}
 }
 
-// RunFig05 executes the ablation on the random graph.
-func RunFig05(cfg Config) *Fig05 {
+// runFig05 executes the ablation on the random graph.
+func runFig05(cfg Config) *Fig05 {
 	cfg = cfg.WithDefaults()
 	g := cfg.RandomGraph(paper100M, paper400M)
 	return runAblation(cfg, g, "Figure 5: optimization impact on CC (random graph)", false)

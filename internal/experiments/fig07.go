@@ -10,13 +10,13 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// Fig07 reproduces Figures 7 (m=400M) and 8 (m=1G): the fully optimized
+// fig07 reproduces Figures 7 (m=400M) and 8 (m=1G): the fully optimized
 // CC on all 16 nodes, sweeping threads per node, against the horizontal
 // reference lines of CC-SMP (16 threads, one node) and the best
 // sequential implementation. Paper findings: fastest at 8 threads/node
 // (2.2x / 3x over SMP, ~9x / ~11x over sequential); at 16 threads/node
 // the SMatrix/PMatrix all-to-all burst degrades performance ~10x.
-type Fig07 struct {
+type fig07 struct {
 	Cfg     Config
 	tag     string
 	Title   string
@@ -29,7 +29,7 @@ type Fig07 struct {
 }
 
 // Best returns the index of the fastest thread count.
-func (f *Fig07) Best() int {
+func (f *fig07) Best() int {
 	best := 0
 	for i, v := range f.NS {
 		if v < f.NS[best] {
@@ -39,24 +39,24 @@ func (f *Fig07) Best() int {
 	return best
 }
 
-// RunFig07 executes the sweep on the 400M-edge-scale random graph.
-func RunFig07(cfg Config) *Fig07 {
+// runFig07 executes the sweep on the 400M-edge-scale random graph.
+func runFig07(cfg Config) *fig07 {
 	return runCCScaling(cfg, paper400M, "Figure 7: optimized CC, random n=100M m=400M scale", false)
 }
 
-// RunFig08 executes the sweep on the 1G-edge-scale random graph.
-func RunFig08(cfg Config) *Fig07 {
+// runFig08 executes the sweep on the 1G-edge-scale random graph.
+func runFig08(cfg Config) *fig07 {
 	return runCCScaling(cfg, paper1G, "Figure 8: optimized CC, random n=100M m=1G scale", true)
 }
 
-func runCCScaling(cfg Config, paperM int64, title string, dense bool) *Fig07 {
+func runCCScaling(cfg Config, paperM int64, title string, dense bool) *fig07 {
 	cfg = cfg.WithDefaults()
 	g := cfg.RandomGraph(paper100M, paperM)
 	tag := "fig07"
 	if dense {
 		tag = "fig08"
 	}
-	f := &Fig07{
+	f := &fig07{
 		Cfg:     cfg,
 		tag:     tag,
 		Title:   title,
@@ -90,7 +90,7 @@ func runCCScaling(cfg Config, paperM int64, title string, dense bool) *Fig07 {
 }
 
 // Table renders the figure's series.
-func (f *Fig07) Table() *report.Table {
+func (f *fig07) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("%s — n=%s m=%s, %d nodes; simulated ms",
 			f.Title, report.Count(f.N), report.Count(f.M), f.Cfg.Nodes),
@@ -110,7 +110,7 @@ func (f *Fig07) Table() *report.Table {
 }
 
 // CheckShape asserts the paper's qualitative findings.
-func (f *Fig07) CheckShape() error {
+func (f *fig07) CheckShape() error {
 	b := f.Best()
 	if f.Threads[b] != 8 {
 		return fmt.Errorf("%s: best at %d threads/node, want 8", f.tag, f.Threads[b])

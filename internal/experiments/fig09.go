@@ -11,13 +11,13 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// Fig09 reproduces Figures 9 (m=400M) and 10 (m=1G): the optimized MST on
+// fig09 reproduces Figures 9 (m=400M) and 10 (m=1G): the optimized MST on
 // all 16 nodes, sweeping threads per node, against MST-SMP (one node, 16
 // threads, fine-grained locks) and sequential Kruskal with cache-friendly
 // merge sort. Paper findings: best speedups 5.5x / 10.2x at 8 threads per
 // node; at these input sizes MST-SMP is barely faster (or slower) than
 // Kruskal because of the overhead of 100M locks.
-type Fig09 struct {
+type fig09 struct {
 	Cfg       Config
 	tag       string
 	Title     string
@@ -30,7 +30,7 @@ type Fig09 struct {
 }
 
 // Best returns the index of the fastest thread count.
-func (f *Fig09) Best() int {
+func (f *fig09) Best() int {
 	best := 0
 	for i, v := range f.NS {
 		if v < f.NS[best] {
@@ -40,24 +40,24 @@ func (f *Fig09) Best() int {
 	return best
 }
 
-// RunFig09 executes the sweep on the 400M-edge-scale weighted graph.
-func RunFig09(cfg Config) *Fig09 {
+// runFig09 executes the sweep on the 400M-edge-scale weighted graph.
+func runFig09(cfg Config) *fig09 {
 	return runMSTScaling(cfg, paper400M, "Figure 9: optimized MST, random n=100M m=400M scale", false)
 }
 
-// RunFig10 executes the sweep on the 1G-edge-scale weighted graph.
-func RunFig10(cfg Config) *Fig09 {
+// runFig10 executes the sweep on the 1G-edge-scale weighted graph.
+func runFig10(cfg Config) *fig09 {
 	return runMSTScaling(cfg, paper1G, "Figure 10: optimized MST, random n=100M m=1G scale", true)
 }
 
-func runMSTScaling(cfg Config, paperM int64, title string, dense bool) *Fig09 {
+func runMSTScaling(cfg Config, paperM int64, title string, dense bool) *fig09 {
 	cfg = cfg.WithDefaults()
 	g := graph.WithRandomWeights(cfg.RandomGraph(paper100M, paperM), cfg.Seed+1)
 	tag := "fig09"
 	if dense {
 		tag = "fig10"
 	}
-	f := &Fig09{
+	f := &fig09{
 		Cfg:     cfg,
 		tag:     tag,
 		Title:   title,
@@ -89,7 +89,7 @@ func runMSTScaling(cfg Config, paperM int64, title string, dense bool) *Fig09 {
 }
 
 // Table renders the figure's series.
-func (f *Fig09) Table() *report.Table {
+func (f *fig09) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("%s — n=%s m=%s, %d nodes; simulated ms",
 			f.Title, report.Count(f.N), report.Count(f.M), f.Cfg.Nodes),
@@ -108,7 +108,7 @@ func (f *Fig09) Table() *report.Table {
 }
 
 // CheckShape asserts the paper's qualitative findings.
-func (f *Fig09) CheckShape() error {
+func (f *fig09) CheckShape() error {
 	b := f.Best()
 	if f.Threads[b] != 8 {
 		return fmt.Errorf("%s: best at %d threads/node, want 8", f.tag, f.Threads[b])

@@ -12,20 +12,20 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// ExpHybrid reproduces the §VI prose results the figures do not plot: on
+// expHybrid reproduces the §VI prose results the figures do not plot: on
 // hybrid (scale-free kernel + random) graphs of the same sizes as Figures
 // 7-10, optimized CC achieves speedups of 2.5x and 2.8x over CC-SMP (about
 // 9x and 10x over sequential), and optimized MST 5.1x and 6.7x over the
 // sequential baseline — close to the random-graph numbers, because hubs
 // create neither load imbalance nor hotspots (§V).
-type ExpHybrid struct {
+type expHybrid struct {
 	Cfg  Config
-	Rows []ExpHybridRow
+	Rows []expHybridRow
 }
 
-// ExpHybridRow is one (kernel, size) measurement at the paper's best
+// expHybridRow is one (kernel, size) measurement at the paper's best
 // configuration (8 threads per node).
-type ExpHybridRow struct {
+type expHybridRow struct {
 	Kernel   string
 	N, M     int64
 	NS       float64
@@ -34,11 +34,11 @@ type ExpHybridRow struct {
 	RandomNS float64 // same kernel on a same-size uniform random graph
 }
 
-// RunHybrid executes CC and MST on hybrid graphs at the 400M- and
+// runHybrid executes CC and MST on hybrid graphs at the 400M- and
 // 1G-edge scales.
-func RunHybrid(cfg Config) *ExpHybrid {
+func runHybrid(cfg Config) *expHybrid {
 	cfg = cfg.WithDefaults()
-	e := &ExpHybrid{Cfg: cfg}
+	e := &expHybrid{Cfg: cfg}
 	tpn := 8
 	if cfg.Base.ThreadsPerNode < tpn {
 		tpn = cfg.Base.ThreadsPerNode
@@ -58,7 +58,7 @@ func RunHybrid(cfg Config) *ExpHybrid {
 		rtS := cfg.Runtime(1, cfg.Base.ThreadsPerNode)
 		smp := cc.Naive(rtS, hyb)
 		_, seqNS := seq.CCTimed(hyb, sim.NewModel(cfg.Machine(1, 1)))
-		e.Rows = append(e.Rows, ExpHybridRow{
+		e.Rows = append(e.Rows, expHybridRow{
 			Kernel: "CC", N: hyb.N, M: hyb.M(),
 			NS: h.Run.SimNS, SMPNS: smp.Run.SimNS, SeqNS: seqNS, RandomNS: r.Run.SimNS,
 		})
@@ -73,7 +73,7 @@ func RunHybrid(cfg Config) *ExpHybrid {
 		rtMS := cfg.Runtime(1, cfg.Base.ThreadsPerNode)
 		msmp := mst.Naive(rtMS, whyb)
 		_, kruskalNS := seq.KruskalTimed(whyb, sim.NewModel(cfg.Machine(1, 1)))
-		e.Rows = append(e.Rows, ExpHybridRow{
+		e.Rows = append(e.Rows, expHybridRow{
 			Kernel: "MST", N: whyb.N, M: whyb.M(),
 			NS: mh.Run.SimNS, SMPNS: msmp.Run.SimNS, SeqNS: kruskalNS, RandomNS: mr.Run.SimNS,
 		})
@@ -82,7 +82,7 @@ func RunHybrid(cfg Config) *ExpHybrid {
 }
 
 // Table renders the prose results.
-func (e *ExpHybrid) Table() *report.Table {
+func (e *expHybrid) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Hybrid-graph results (§VI prose) — %d nodes x 8 threads; simulated ms", e.Cfg.Nodes),
 		"kernel", "n", "m", "hybrid", "vs SMP", "vs sequential", "vs same-size random")
@@ -97,7 +97,7 @@ func (e *ExpHybrid) Table() *report.Table {
 }
 
 // CheckShape asserts the prose findings' structure.
-func (e *ExpHybrid) CheckShape() error {
+func (e *expHybrid) CheckShape() error {
 	if len(e.Rows) != 4 {
 		return fmt.Errorf("hybrid: %d rows, want 4", len(e.Rows))
 	}

@@ -9,7 +9,7 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// ExpListRank is the auxiliary experiment behind the paper's §I-§II
+// expListRank is the auxiliary experiment behind the paper's §I-§II
 // discussion: distributed list ranking solved two ways —
 //
 //   - Wyllie pointer jumping with coalesced collectives: O(log n) rounds,
@@ -23,7 +23,7 @@ import (
 // handles n/p elements of growing size: its share of CGM's total time is
 // the paper's "poor cache performance in the sequential processing step"
 // made measurable.
-type ExpListRank struct {
+type expListRank struct {
 	Cfg     Config
 	N       int64
 	Nodes   []int
@@ -34,12 +34,12 @@ type ExpListRank struct {
 	SeqNS   float64
 }
 
-// RunListRank executes the sweep.
-func RunListRank(cfg Config) *ExpListRank {
+// runListRank executes the sweep.
+func runListRank(cfg Config) *expListRank {
 	cfg = cfg.WithDefaults()
 	n := cfg.N(paper100M)
 	l := listrank.RandomList(n, cfg.Seed)
-	e := &ExpListRank{Cfg: cfg, N: n, Nodes: []int{2, 4, 8, 16}}
+	e := &expListRank{Cfg: cfg, N: n, Nodes: []int{2, 4, 8, 16}}
 	col := collective.Optimized(2)
 
 	for _, p := range e.Nodes {
@@ -66,7 +66,7 @@ func RunListRank(cfg Config) *ExpListRank {
 }
 
 // Table renders the series.
-func (e *ExpListRank) Table() *report.Table {
+func (e *expListRank) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("List ranking (§I-§II): Wyllie vs communication-efficient CGM — n=%s, 8 threads/node; simulated ms",
 			report.Count(e.N)),
@@ -85,7 +85,7 @@ func (e *ExpListRank) Table() *report.Table {
 }
 
 // CheckShape asserts the relationships that hold at any scale.
-func (e *ExpListRank) CheckShape() error {
+func (e *expListRank) CheckShape() error {
 	last := len(e.Nodes) - 1
 	// Coalescing wins massively over the naive translation.
 	if e.NaiveNS < 5*e.Wyllie[last] {

@@ -12,7 +12,7 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// ExpOutOfCore measures the paper's §VI closing argument: the cluster
+// expOutOfCore measures the paper's §VI closing argument: the cluster
 // speedups of Figures 7-10 are measured on inputs that *fit one node*; once
 // the input outgrows a node's memory, the single-node options are paging
 // (catastrophic) or a redesigned external-memory algorithm (disk-streaming
@@ -21,14 +21,14 @@ import (
 //
 // The sweep grows the input past a modeled node memory sized so the
 // crossover happens mid-sweep; the cluster's per-node share always fits.
-type ExpOutOfCore struct {
+type expOutOfCore struct {
 	Cfg      Config
 	MemBytes int64
-	Rows     []ExpOutOfCoreRow
+	Rows     []expOutOfCoreRow
 }
 
-// ExpOutOfCoreRow is one input size's measurements.
-type ExpOutOfCoreRow struct {
+// expOutOfCoreRow is one input size's measurements.
+type expOutOfCoreRow struct {
 	N, M       int64
 	Fits       bool
 	ClusterNS  float64
@@ -36,8 +36,8 @@ type ExpOutOfCoreRow struct {
 	ExternalNS float64 // redesigned external-memory baseline
 }
 
-// RunOutOfCore executes the sweep.
-func RunOutOfCore(cfg Config) *ExpOutOfCore {
+// runOutOfCore executes the sweep.
+func runOutOfCore(cfg Config) *expOutOfCore {
 	cfg = cfg.WithDefaults()
 	baseN := cfg.N(paper10M)
 	// Node memory sized so the *randomly accessed* structure — the label
@@ -45,7 +45,7 @@ func RunOutOfCore(cfg Config) *ExpOutOfCore {
 	// list streams sequentially and is out-of-core-friendly either way;
 	// it is D's pointer chasing that pages.)
 	memBytes := baseN * sim.ElemBytes * 3 / 2
-	e := &ExpOutOfCore{Cfg: cfg, MemBytes: memBytes}
+	e := &expOutOfCore{Cfg: cfg, MemBytes: memBytes}
 
 	tpn := 8
 	if cfg.Base.ThreadsPerNode < tpn {
@@ -76,7 +76,7 @@ func RunOutOfCore(cfg Config) *ExpOutOfCore {
 		seqCfg.NodeMemoryBytes = memBytes
 		_, extNS := seq.CCExternalTimed(g, sim.NewModel(seqCfg), memBytes)
 
-		e.Rows = append(e.Rows, ExpOutOfCoreRow{
+		e.Rows = append(e.Rows, expOutOfCoreRow{
 			N:          n,
 			M:          g.M(),
 			Fits:       workingSet <= memBytes,
@@ -89,7 +89,7 @@ func RunOutOfCore(cfg Config) *ExpOutOfCore {
 }
 
 // Table renders the sweep.
-func (e *ExpOutOfCore) Table() *report.Table {
+func (e *expOutOfCore) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Out-of-core crossover (§VI closing argument) — node memory %d MB; simulated ms",
 			e.MemBytes>>20),
@@ -110,11 +110,11 @@ func (e *ExpOutOfCore) Table() *report.Table {
 }
 
 // CheckShape asserts the crossover.
-func (e *ExpOutOfCore) CheckShape() error {
+func (e *expOutOfCore) CheckShape() error {
 	if len(e.Rows) < 3 {
 		return fmt.Errorf("outofcore: only %d rows", len(e.Rows))
 	}
-	var inMem, outMem *ExpOutOfCoreRow
+	var inMem, outMem *expOutOfCoreRow
 	for i := range e.Rows {
 		if e.Rows[i].Fits && inMem == nil {
 			inMem = &e.Rows[i]
@@ -126,7 +126,7 @@ func (e *ExpOutOfCore) CheckShape() error {
 	if inMem == nil || outMem == nil {
 		return fmt.Errorf("outofcore: sweep did not cross the memory boundary")
 	}
-	speedup := func(r *ExpOutOfCoreRow) float64 {
+	speedup := func(r *expOutOfCoreRow) float64 {
 		best := r.SMPNS
 		if r.ExternalNS < best {
 			best = r.ExternalNS

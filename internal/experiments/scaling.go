@@ -9,7 +9,7 @@ import (
 	"pgasgraph/internal/report"
 )
 
-// ExpScaling holds the two classic cluster-scaling studies the paper's
+// expScaling holds the two classic cluster-scaling studies the paper's
 // future work points at ("we plan to study the performance of these
 // algorithms on machines with a very large number of processors"):
 //
@@ -17,24 +17,24 @@ import (
 //     nodes cut the time of one problem;
 //   - weak scaling: input grows with the node count — does per-node
 //     efficiency survive as the machine grows.
-type ExpScaling struct {
+type expScaling struct {
 	Cfg  Config
-	Rows []ExpScalingRow
+	Rows []expScalingRow
 }
 
-// ExpScalingRow is one node count's measurements.
-type ExpScalingRow struct {
+// expScalingRow is one node count's measurements.
+type expScalingRow struct {
 	Nodes    int
 	StrongNS float64 // fixed input
 	WeakNS   float64 // input proportional to nodes
 	WeakN    int64
 }
 
-// RunScaling executes both sweeps with the optimized CC kernel at 8
+// runScaling executes both sweeps with the optimized CC kernel at 8
 // threads per node.
-func RunScaling(cfg Config) *ExpScaling {
+func runScaling(cfg Config) *expScaling {
 	cfg = cfg.WithDefaults()
-	e := &ExpScaling{Cfg: cfg}
+	e := &expScaling{Cfg: cfg}
 	tpn := 8
 	if cfg.Base.ThreadsPerNode < tpn {
 		tpn = cfg.Base.ThreadsPerNode
@@ -54,7 +54,7 @@ func RunScaling(cfg Config) *ExpScaling {
 		rtW := cfg.Runtime(p, tpn)
 		weakRes := cc.Coalesced(rtW, collective.NewComm(rtW), weak, opts)
 
-		e.Rows = append(e.Rows, ExpScalingRow{
+		e.Rows = append(e.Rows, expScalingRow{
 			Nodes:    p,
 			StrongNS: strong.Run.SimNS,
 			WeakNS:   weakRes.Run.SimNS,
@@ -65,7 +65,7 @@ func RunScaling(cfg Config) *ExpScaling {
 }
 
 // Table renders both studies.
-func (e *ExpScaling) Table() *report.Table {
+func (e *expScaling) Table() *report.Table {
 	base := e.Rows[0]
 	t := report.NewTable(
 		fmt.Sprintf("Strong & weak scaling of optimized CC — 8 threads/node; simulated ms (strong input n=%s)",
@@ -86,7 +86,7 @@ func (e *ExpScaling) Table() *report.Table {
 }
 
 // CheckShape asserts that scaling behaves like a working distributed code.
-func (e *ExpScaling) CheckShape() error {
+func (e *expScaling) CheckShape() error {
 	if len(e.Rows) < 3 {
 		return fmt.Errorf("scaling: only %d rows", len(e.Rows))
 	}

@@ -7,19 +7,19 @@ import (
 	"pgasgraph/internal/report"
 )
 
-// ExpSensitivity re-runs the Figure 7 experiment under alternative machine
+// expSensitivity re-runs the Figure 7 experiment under alternative machine
 // calibrations. The paper's conclusions are ratio-driven (§III); if they
 // only held for one parameter set the reproduction would be fragile, so
 // this experiment asserts the headline shape — 8 threads/node optimal,
 // beats SMP, 16 threads collapses — on the paper's platform, a modern
 // calibration (100 Gb/s-class fabric, DDR4), and an RDMA-enabled variant.
-type ExpSensitivity struct {
+type expSensitivity struct {
 	Cfg  Config
-	Rows []ExpSensitivityRow
+	Rows []expSensitivityRow
 }
 
-// ExpSensitivityRow is one calibration's Figure-7 summary.
-type ExpSensitivityRow struct {
+// expSensitivityRow is one calibration's Figure-7 summary.
+type expSensitivityRow struct {
 	Name      string
 	BestTPN   int
 	BestNS    float64
@@ -28,10 +28,10 @@ type ExpSensitivityRow struct {
 	ShapeHold bool
 }
 
-// RunSensitivity executes Figure 7 under each calibration.
-func RunSensitivity(cfg Config) *ExpSensitivity {
+// runSensitivity executes Figure 7 under each calibration.
+func runSensitivity(cfg Config) *expSensitivity {
 	cfg = cfg.WithDefaults()
-	e := &ExpSensitivity{Cfg: cfg}
+	e := &expSensitivity{Cfg: cfg}
 
 	paper := machine.PaperCluster()
 	modern := machine.ModernCluster()
@@ -50,7 +50,7 @@ func RunSensitivity(cfg Config) *ExpSensitivity {
 		sub.Base = &variant.base
 		f := runCCScaling(sub, paper400M, "", false)
 		b := f.Best()
-		row := ExpSensitivityRow{
+		row := expSensitivityRow{
 			Name:    variant.name,
 			BestTPN: f.Threads[b],
 			BestNS:  f.NS[b],
@@ -64,7 +64,7 @@ func RunSensitivity(cfg Config) *ExpSensitivity {
 }
 
 // Table renders the comparison.
-func (e *ExpSensitivity) Table() *report.Table {
+func (e *expSensitivity) Table() *report.Table {
 	t := report.NewTable(
 		"Calibration sensitivity: Figure 7's shape under alternative machines",
 		"machine", "best threads/node", "best ms", "vs SMP", "16-thread cliff", "shape holds")
@@ -78,7 +78,7 @@ func (e *ExpSensitivity) Table() *report.Table {
 }
 
 // CheckShape asserts the headline shape under every calibration.
-func (e *ExpSensitivity) CheckShape() error {
+func (e *expSensitivity) CheckShape() error {
 	for _, r := range e.Rows {
 		if !r.ShapeHold {
 			return fmt.Errorf("sensitivity: shape broke under %q (best tpn %d, vs SMP %.2fx, cliff %.2fx)",

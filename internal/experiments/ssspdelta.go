@@ -9,13 +9,13 @@ import (
 	"pgasgraph/internal/sssp"
 )
 
-// ExpSSSP sweeps delta-stepping's bucket width on the distributed
+// expSSSP sweeps delta-stepping's bucket width on the distributed
 // shortest-paths kernel. The trade-off is the classic one: tiny buckets
 // degenerate toward Dijkstra (many phases, each a synchronized collective
 // round — the diameter-style cost the §I BFS discussion warns about);
 // huge buckets degenerate toward Bellman-Ford (few phases, wasted
 // re-relaxations). The sweet spot sits between, like Figure 4's t'.
-type ExpSSSP struct {
+type expSSSP struct {
 	Cfg    Config
 	N, M   int64
 	Deltas []int64
@@ -24,13 +24,13 @@ type ExpSSSP struct {
 	Relax  []int64
 }
 
-// RunSSSP executes the sweep on a connected weighted graph.
-func RunSSSP(cfg Config) *ExpSSSP {
+// runSSSP executes the sweep on a connected weighted graph.
+func runSSSP(cfg Config) *expSSSP {
 	cfg = cfg.WithDefaults()
 	n := cfg.N(paper10M)
 	g := graph.WithRandomWeights(graph.RandomConnected(n, 4*n, cfg.Seed), cfg.Seed+1)
 	def := sssp.DefaultDelta(g)
-	e := &ExpSSSP{
+	e := &expSSSP{
 		Cfg: cfg, N: g.N, M: g.M(),
 		Deltas: []int64{def / 16, def / 4, def, def * 4, def * 16, def * 256},
 	}
@@ -54,7 +54,7 @@ func RunSSSP(cfg Config) *ExpSSSP {
 }
 
 // Best returns the index of the fastest delta.
-func (e *ExpSSSP) Best() int {
+func (e *expSSSP) Best() int {
 	best := 0
 	for i, v := range e.NS {
 		if v < e.NS[best] {
@@ -65,7 +65,7 @@ func (e *ExpSSSP) Best() int {
 }
 
 // Table renders the sweep.
-func (e *ExpSSSP) Table() *report.Table {
+func (e *expSSSP) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Delta-stepping bucket-width sweep — connected random n=%s m=%s, %d nodes x 8 threads; simulated ms",
 			report.Count(e.N), report.Count(e.M), e.Cfg.Nodes),
@@ -79,7 +79,7 @@ func (e *ExpSSSP) Table() *report.Table {
 }
 
 // CheckShape asserts the bucket-width trade-off.
-func (e *ExpSSSP) CheckShape() error {
+func (e *expSSSP) CheckShape() error {
 	if len(e.NS) < 4 {
 		return fmt.Errorf("sssp: only %d points", len(e.NS))
 	}

@@ -5,37 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzReadEdgeList exercises the text parser: it must never panic, and any
-// accepted graph must validate and round-trip.
-func FuzzReadEdgeList(f *testing.F) {
-	f.Add([]byte("# n 5\n0 1\n1 2\n"))
-	f.Add([]byte("0 1 7\n2 3 9\n"))
-	f.Add([]byte("# comment\n\n"))
-	f.Add([]byte("0 0\n"))
-	f.Add([]byte("999999 1\n"))
-	f.Add([]byte("a b c\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadEdgeList(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if verr := g.Validate(); verr != nil {
-			t.Fatalf("accepted graph fails validation: %v", verr)
-		}
-		var buf bytes.Buffer
-		if werr := WriteEdgeList(&buf, g); werr != nil {
-			t.Fatalf("cannot re-encode accepted graph: %v", werr)
-		}
-		g2, rerr := ReadEdgeList(&buf)
-		if rerr != nil {
-			t.Fatalf("round trip rejected: %v", rerr)
-		}
-		if g2.N != g.N || g2.M() != g.M() {
-			t.Fatalf("round trip changed dimensions: %v vs %v", g2, g)
-		}
-	})
-}
-
 // FuzzReadBinary exercises the binary decoder: arbitrary bytes must never
 // panic or allocate absurdly, and accepted graphs must validate.
 func FuzzReadBinary(f *testing.F) {

@@ -185,56 +185,3 @@ func (c *CSR) Neighbors(v int64) []int32 {
 func (c *CSR) Degree(v int64) int64 {
 	return c.Offs[v+1] - c.Offs[v]
 }
-
-// ClusteringCoefficient estimates the average local clustering coefficient
-// by exact per-vertex triangle counting over up to sample vertices (all of
-// them when sample <= 0 or exceeds n). Watts-Strogatz small worlds keep it
-// high at low rewiring; uniform random graphs drive it toward d/n.
-func (g *Graph) ClusteringCoefficient(sample int64) float64 {
-	csr := BuildCSR(g)
-	if sample <= 0 || sample > g.N {
-		sample = g.N
-	}
-	if sample == 0 {
-		return 0
-	}
-	// Deterministic stride sample.
-	stride := g.N / sample
-	if stride < 1 {
-		stride = 1
-	}
-	neighbors := map[int64]struct{}{}
-	var sum float64
-	var counted int64
-	for v := int64(0); v < g.N && counted < sample; v += stride {
-		row := csr.Neighbors(v)
-		// Distinct non-loop neighbors.
-		for k := range neighbors {
-			delete(neighbors, k)
-		}
-		for _, u := range row {
-			if int64(u) != v {
-				neighbors[int64(u)] = struct{}{}
-			}
-		}
-		deg := int64(len(neighbors))
-		counted++
-		if deg < 2 {
-			continue
-		}
-		links := int64(0)
-		for u := range neighbors {
-			for _, w := range csr.Neighbors(u) {
-				if int64(w) == u || int64(w) == v {
-					continue
-				}
-				if _, ok := neighbors[int64(w)]; ok {
-					links++
-				}
-			}
-		}
-		// Each triangle edge counted twice (once from each endpoint).
-		sum += float64(links) / float64(deg*(deg-1))
-	}
-	return sum / float64(counted)
-}

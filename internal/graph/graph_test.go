@@ -166,22 +166,3 @@ func TestCSRSelfLoop(t *testing.T) {
 		t.Fatalf("SelfLoops %d, want 1", g.SelfLoops())
 	}
 }
-
-func TestClusteringCoefficient(t *testing.T) {
-	// A triangle clusters perfectly; a star not at all.
-	if c := Complete(3).ClusteringCoefficient(0); c != 1 {
-		t.Fatalf("triangle clustering %v, want 1", c)
-	}
-	if c := Star(10).ClusteringCoefficient(0); c != 0 {
-		t.Fatalf("star clustering %v, want 0", c)
-	}
-	// Watts-Strogatz at low rewiring clusters far above uniform random.
-	sw := SmallWorld(2000, 8, 0.05, 3).ClusteringCoefficient(500)
-	rnd := Random(2000, 8000, 3).ClusteringCoefficient(500)
-	if sw < 5*rnd {
-		t.Fatalf("small-world clustering %v not far above random %v", sw, rnd)
-	}
-	if Empty(3).ClusteringCoefficient(0) != 0 {
-		t.Fatal("edgeless clustering should be 0")
-	}
-}

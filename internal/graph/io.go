@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Binary graph format:
@@ -141,83 +139,6 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadEdgeList parses the text edge-list format produced by WriteEdgeList.
-// Lines starting with '#' other than the "# n" header are comments. When no
-// header is present, N is one more than the largest endpoint. Weighted and
-// unweighted lines must not be mixed.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	g := &Graph{N: -1}
-	sawWeight := false
-	var maxV int64 = -1
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			fields := strings.Fields(text)
-			if len(fields) == 3 && fields[1] == "n" {
-				n, err := strconv.ParseInt(fields[2], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("graph: line %d: bad header: %v", line, err)
-				}
-				g.N = n
-			}
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 && len(fields) != 3 {
-			return nil, fmt.Errorf("graph: line %d: want 2 or 3 fields, got %d", line, len(fields))
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", line, err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", line, err)
-		}
-		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative vertex id", line)
-		}
-		if len(fields) == 3 {
-			w, err := strconv.ParseUint(fields[2], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", line, err)
-			}
-			if len(g.U) > 0 && !sawWeight {
-				return nil, fmt.Errorf("graph: line %d: mixed weighted/unweighted edges", line)
-			}
-			sawWeight = true
-			g.W = append(g.W, uint32(w))
-		} else if sawWeight {
-			return nil, fmt.Errorf("graph: line %d: mixed weighted/unweighted edges", line)
-		}
-		g.U = append(g.U, int32(u))
-		g.V = append(g.V, int32(v))
-		if u > maxV {
-			maxV = u
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if g.N < 0 {
-		g.N = maxV + 1
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // WriteDOT writes g in Graphviz DOT format (strict graph, weights as edge

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -65,6 +66,32 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	}
 }
 
+// parseEdgeList reads back what WriteEdgeList wrote — a "# n <N>" header,
+// then "u v" or "u v w" per line — so the writer is checked against the
+// graph it was given. (The program itself only writes this format;
+// pgasrun reads the binary one.)
+func parseEdgeList(t *testing.T, text string) *Graph {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	g := &Graph{}
+	if _, err := fmt.Sscanf(lines[0], "# n %d", &g.N); err != nil {
+		t.Fatalf("header %q: %v", lines[0], err)
+	}
+	for _, line := range lines[1:] {
+		var u, v int32
+		var w uint32
+		switch k, _ := fmt.Sscanf(line, "%d %d %d", &u, &v, &w); k {
+		case 3:
+			g.W = append(g.W, w)
+		case 2:
+		default:
+			t.Fatalf("edge line %q has %d fields", line, k)
+		}
+		g.U, g.V = append(g.U, u), append(g.V, v)
+	}
+	return g
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	for name, g := range map[string]*Graph{
 		"unweighted": Random(50, 120, 3),
@@ -76,50 +103,8 @@ func TestEdgeListRoundTrip(t *testing.T) {
 			if err := WriteEdgeList(&buf, g); err != nil {
 				t.Fatal(err)
 			}
-			out, err := ReadEdgeList(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !graphsEqual(g, out) {
+			if !graphsEqual(g, parseEdgeList(t, buf.String())) {
 				t.Fatal("edge-list round trip changed the graph")
-			}
-		})
-	}
-}
-
-func TestEdgeListNoHeader(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 1\n1 2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N != 3 || g.M() != 2 {
-		t.Fatalf("inferred n=%d m=%d, want 3, 2", g.N, g.M())
-	}
-}
-
-func TestEdgeListComments(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("# a comment\n# n 5\n\n0 4\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N != 5 || g.M() != 1 {
-		t.Fatalf("n=%d m=%d, want 5, 1", g.N, g.M())
-	}
-}
-
-func TestEdgeListErrors(t *testing.T) {
-	cases := map[string]string{
-		"too many fields": "0 1 2 3\n",
-		"non-numeric":     "a b\n",
-		"negative":        "-1 0\n",
-		"mixed weighted":  "0 1 5\n1 2\n",
-		"mixed other way": "0 1\n1 2 5\n",
-		"out of range":    "# n 2\n0 5\n",
-	}
-	for name, text := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadEdgeList(strings.NewReader(text)); err == nil {
-				t.Fatal("bad input accepted")
 			}
 		})
 	}

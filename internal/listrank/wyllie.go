@@ -21,7 +21,7 @@ const maxRounds = 128
 // The offload optimization does not apply (no list location is constant),
 // so it is force-disabled.
 //
-// Recoverable state (pgas.Registrar): none, here and in every other
+// Recoverable state (pgas.Register): none, here and in every other
 // ranking kernel of the package. The rank and next arrays must advance in
 // lock step — restoring a cut where rank has absorbed a jump that next has
 // not (or vice versa) double-counts or loses distance. After an eviction

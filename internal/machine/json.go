@@ -38,16 +38,3 @@ func LoadFile(path string) (Config, error) {
 	defer f.Close()
 	return ReadJSON(f)
 }
-
-// SaveFile writes cfg to a JSON file.
-func SaveFile(path string, cfg *Config) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteJSON(f, cfg); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -123,7 +125,11 @@ func TestJSONRejectsBad(t *testing.T) {
 func TestJSONFileRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/m.json"
 	cfg := ModernCluster()
-	if err := SaveFile(path, &cfg); err != nil {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(path)

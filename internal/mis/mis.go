@@ -58,7 +58,7 @@ func priority(round int, v int64) uint64 {
 // Luby runs the distributed algorithm. Self-loops exclude their vertex
 // from the set (it is adjacent to itself) without blocking termination.
 //
-// Recoverable state (pgas.Registrar): none. The per-round random
+// Recoverable state (pgas.Register): none. The per-round random
 // priorities and the in/out/undecided partition are coupled within a
 // round; a snapshot cut between the draw and the resolution is not a
 // state the algorithm ever quiesces in. After an eviction MIS recovers by
@@ -177,29 +177,6 @@ func Luby(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *coll
 		res.InSet[v] = state.LoadRaw(v) == stateInSet
 	}
 	return res
-}
-
-// SeqGreedy is the sequential baseline: scan vertices in id order, adding
-// each whose neighbors are all outside the set.
-func SeqGreedy(g *graph.Graph) []bool {
-	csr := graph.BuildCSR(g)
-	in := make([]bool, g.N)
-	blocked := make([]bool, g.N)
-	for i := range g.U {
-		if g.U[i] == g.V[i] {
-			blocked[g.U[i]] = true
-		}
-	}
-	for v := int64(0); v < g.N; v++ {
-		if blocked[v] {
-			continue
-		}
-		in[v] = true
-		for _, u := range csr.Neighbors(v) {
-			blocked[u] = true
-		}
-	}
-	return in
 }
 
 // Check verifies inSet is a maximal independent set of g (self-loop

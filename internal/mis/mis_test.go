@@ -22,23 +22,6 @@ func newRuntime(t testing.TB, nodes, tpn int) *pgas.Runtime {
 	return rt
 }
 
-func TestSeqGreedyIsMIS(t *testing.T) {
-	for name, g := range map[string]*graph.Graph{
-		"path":     graph.Path(20),
-		"cycle":    graph.Cycle(9),
-		"star":     graph.Star(12),
-		"complete": graph.Complete(8),
-		"random":   graph.Random(200, 600, 3),
-		"empty":    graph.Empty(7),
-	} {
-		t.Run(name, func(t *testing.T) {
-			if err := Check(g, SeqGreedy(g)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 func TestCheckRejectsBad(t *testing.T) {
 	g := graph.Path(4)
 	// Adjacent pair.

@@ -217,7 +217,7 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 // (priority concurrent write — no locks), and short-cutting is synchronous
 // pointer jumping.
 //
-// Recoverable state (pgas.Registrar): none. Borůvka rounds accumulate
+// Recoverable state (pgas.Register): none. Borůvka rounds accumulate
 // chosen edges in host-side slices outside any shared array; a restored
 // component labeling without the matching edge set would double-pick or
 // drop tree edges. After an eviction MST recovers by full deterministic

@@ -28,14 +28,18 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// Registrar is the interface kernels declare their recoverable state
-// through: Register enrolls a named shared array for superstep
-// checkpointing, and — when the registrar is in a post-eviction recovery
-// round — restores the last committed snapshot into the (re-blocked)
-// array, which is what turns "re-execute from the start" into "resume
-// from the last superstep boundary". Kernels reach it through the
-// package-level Register helper so the declaration is a no-op when no
-// checkpoint manager is armed.
+// Register declares a named shared array as recoverable kernel state:
+// it enrolls the array for superstep checkpointing, and — in a
+// post-eviction recovery round — restores the last committed snapshot
+// into the (re-blocked) array, which is what turns "re-execute from the
+// start" into "resume from the last superstep boundary". No-op when rt
+// has no armed checkpoint manager, so kernels declare unconditionally.
+// Call it outside SPMD regions, after the array's initial fill: in a
+// recovery round this is where the rollback state lands in the fresh
+// array. It reports whether that happened: restored true means a no
+// longer holds the caller's initial fill but the last committed snapshot,
+// so a kernel that shortcuts work on freshly filled state (the CC
+// kernels' identity round) must not.
 //
 // Only state that is resumable from an arbitrary superstep boundary may
 // be registered: the label-propagation kernels qualify because their
@@ -44,18 +48,6 @@ import (
 // same answer. Kernels whose loop state cannot be cut at a barrier
 // (frontiers, buckets, accumulated edge lists) register nothing and
 // recover by deterministic re-execution instead.
-type Registrar interface {
-	Register(name string, a *SharedArray) (restored bool)
-}
-
-// Register declares a named shared array as recoverable kernel state.
-// No-op when rt has no armed checkpoint manager, so kernels declare
-// unconditionally. Call it outside SPMD regions, after the array's
-// initial fill: in a recovery round this is where the rollback state
-// lands in the fresh array. It reports whether that happened: restored
-// true means a no longer holds the caller's initial fill but the last
-// committed snapshot, so a kernel that shortcuts work on freshly filled
-// state (the CC kernels' identity round) must not.
 func Register(rt *Runtime, name string, a *SharedArray) (restored bool) {
 	return rt.ckpt != nil && rt.ckpt.Register(name, a)
 }

@@ -103,15 +103,7 @@ func NewOnTransport(cfg machine.Config, tr Transport) (*Runtime, error) {
 		tr:    tr,
 		node:  tr.Node(),
 	}
-	rt.threads = make([]*Thread, s)
-	for i := 0; i < s; i++ {
-		rt.threads[i] = &Thread{
-			rt:    rt,
-			ID:    i,
-			Node:  i / cfg.ThreadsPerNode,
-			Local: i % cfg.ThreadsPerNode,
-		}
-	}
+	rt.threads = newThreads(rt, s, cfg.ThreadsPerNode)
 	if tr.Shared() {
 		rt.locals = rt.threads
 	} else {
@@ -120,6 +112,16 @@ func NewOnTransport(cfg machine.Config, tr Transport) (*Runtime, error) {
 	}
 	rt.bar = rt.newRegionBarrier()
 	return rt, nil
+}
+
+// newThreads builds the thread table of an s-thread runtime with tpn
+// threads per node.
+func newThreads(rt *Runtime, s, tpn int) []*Thread {
+	threads := make([]*Thread, s)
+	for i := range threads {
+		threads[i] = &Thread{rt: rt, ID: i, Node: i / tpn, Local: i % tpn}
+	}
+	return threads
 }
 
 // newRegionBarrier builds the barrier for the threads this process drives,
@@ -180,9 +182,6 @@ func (rt *Runtime) SetPartition(spec PartitionSpec) error {
 	rt.part = spec
 	return nil
 }
-
-// Partition returns the runtime's default partition scheme.
-func (rt *Runtime) Partition() PartitionSpec { return rt.part }
 
 // NewWinID draws the next symmetric window id. Allocation sites (shared
 // arrays, collective plans, reducers) are all host-side and execute in the
@@ -315,15 +314,7 @@ func (rt *Runtime) Evict(dead []int) (*Runtime, error) {
 		part:    rt.part, // recovery re-creates arrays under the same scheme
 		evicted: append(rt.EvictedThreads(), dead...),
 	}
-	nrt.threads = make([]*Thread, s)
-	for i := 0; i < s; i++ {
-		nrt.threads[i] = &Thread{
-			rt:    nrt,
-			ID:    i,
-			Node:  i / rt.cfg.ThreadsPerNode,
-			Local: i % rt.cfg.ThreadsPerNode,
-		}
-	}
+	nrt.threads = newThreads(nrt, s, rt.cfg.ThreadsPerNode)
 	nrt.locals = nrt.threads
 	return nrt, nil
 }
@@ -414,15 +405,7 @@ func (rt *Runtime) evictWire(dead []int) (*Runtime, error) {
 		part:    rt.part, // recovery re-creates arrays under the same scheme
 		evicted: append(rt.EvictedThreads(), deadThreads...),
 	}
-	nrt.threads = make([]*Thread, nrt.s)
-	for i := 0; i < nrt.s; i++ {
-		nrt.threads[i] = &Thread{
-			rt:    nrt,
-			ID:    i,
-			Node:  i / tpn,
-			Local: i % tpn,
-		}
-	}
+	nrt.threads = newThreads(nrt, nrt.s, tpn)
 	lo := nrt.node * tpn
 	nrt.locals = nrt.threads[lo : lo+tpn]
 	nrt.bar = nrt.newRegionBarrier()

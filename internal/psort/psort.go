@@ -2,9 +2,8 @@
 // the linear-time count sort (bucketing) used inside the GetD/SetD
 // collectives and Algorithm 1's group phase, quicksort (the paper's Figure
 // 3 deliberately uses it to show coalescing wins even with a sort that is
-// "more than 50 times slower than count sort"), the cache-friendly
-// bottom-up merge sort the paper's sequential Kruskal baseline uses, and an
-// LSD radix sort used for wide key spaces.
+// "more than 50 times slower than count sort"), and the cache-friendly
+// bottom-up merge sort the paper's sequential Kruskal baseline uses.
 package psort
 
 import "fmt"
@@ -178,59 +177,4 @@ func merge(a, b, out []int64) {
 		j++
 		k++
 	}
-}
-
-// RadixSort sorts s in place by unsigned 64-bit value using an LSD radix
-// sort with 11-bit digits. Values must be non-negative (the packed
-// weight|id keys used by the MST kernels always are).
-func RadixSort(s []int64) {
-	const bits = 11
-	const buckets = 1 << bits
-	const mask = buckets - 1
-	n := len(s)
-	if n < 2 {
-		return
-	}
-	buf := make([]int64, n)
-	src, dst := s, buf
-	var count [buckets]int
-	for shift := uint(0); shift < 64; shift += bits {
-		for i := range count {
-			count[i] = 0
-		}
-		var seen int64
-		for _, v := range src {
-			d := (uint64(v) >> shift) & mask
-			count[d]++
-			seen |= v >> shift
-		}
-		if seen == 0 && shift > 0 {
-			break // all remaining digits zero
-		}
-		sum := 0
-		for i := 0; i < buckets; i++ {
-			c := count[i]
-			count[i] = sum
-			sum += c
-		}
-		for _, v := range src {
-			d := (uint64(v) >> shift) & mask
-			dst[count[d]] = v
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &s[0] {
-		copy(s, src)
-	}
-}
-
-// IsSorted reports whether s is non-decreasing.
-func IsSorted(s []int64) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			return false
-		}
-	}
-	return true
 }

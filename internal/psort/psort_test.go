@@ -1,6 +1,7 @@
 package psort
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -42,7 +43,7 @@ func TestQuicksortAdversarial(t *testing.T) {
 	for name, s := range cases {
 		t.Run(name, func(t *testing.T) {
 			Quicksort(s)
-			if !IsSorted(s) {
+			if !slices.IsSorted(s) {
 				t.Fatalf("not sorted: %v", s)
 			}
 		})
@@ -100,39 +101,6 @@ func TestMergeSortStability(t *testing.T) {
 	for i := range s {
 		if s[i] != want[i] {
 			t.Fatalf("stability broken at %d: %v", i, s)
-		}
-	}
-}
-
-func TestRadixSortMatchesStdlib(t *testing.T) {
-	check := func(raw []uint32) bool {
-		s := make([]int64, len(raw))
-		for i, v := range raw {
-			s[i] = int64(v) << 16 // spread across digits
-		}
-		std := append([]int64(nil), s...)
-		RadixSort(s)
-		sort.Slice(std, func(i, j int) bool { return std[i] < std[j] })
-		for i := range s {
-			if s[i] != std[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRadixSortLargeValues(t *testing.T) {
-	s := randomSlice(5000, 99) // full 63-bit values
-	std := append([]int64(nil), s...)
-	RadixSort(s)
-	sort.Slice(std, func(i, j int) bool { return std[i] < std[j] })
-	for i := range s {
-		if s[i] != std[i] {
-			t.Fatalf("mismatch at %d", i)
 		}
 	}
 }
@@ -231,51 +199,4 @@ func TestBucketByKeyPanics(t *testing.T) {
 	expectPanic("bad offs", func() {
 		BucketByKey([]int64{1}, []int32{0}, 2, make([]int64, 1), make([]int32, 1), make([]int64, 2))
 	})
-}
-
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]int64{}) || !IsSorted([]int64{1}) || !IsSorted([]int64{1, 1, 2}) {
-		t.Fatal("IsSorted false negative")
-	}
-	if IsSorted([]int64{2, 1}) {
-		t.Fatal("IsSorted false positive")
-	}
-}
-
-func TestParallelMergeSortMatches(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 1023, 1024, 5000, 100000} {
-		for _, p := range []int{1, 2, 3, 4, 8, 17} {
-			got := randomSlice(n, uint64(n*31+p))
-			want := append([]int64(nil), got...)
-			ParallelMergeSort(got, p)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d p=%d: mismatch at %d", n, p, i)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelMergeSortProperty(t *testing.T) {
-	check := func(raw []int32, pRaw uint8) bool {
-		p := int(pRaw%8) + 1
-		s := make([]int64, len(raw))
-		for i, v := range raw {
-			s[i] = int64(v)
-		}
-		std := append([]int64(nil), s...)
-		ParallelMergeSort(s, p)
-		sort.Slice(std, func(i, j int) bool { return std[i] < std[j] })
-		for i := range s {
-			if s[i] != std[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -22,7 +22,7 @@
 //	                run body again          ──▶ loop
 //
 // The body is re-executed whole on the remapped geometry; kernels that
-// registered monotone per-vertex state through the pgas.Registrar get it
+// registered monotone per-vertex state through pgas.Register get it
 // restored at registration time — the last committed superstep snapshot,
 // re-blocked over the survivors — so re-execution resumes from the last
 // checkpoint rather than from scratch. Everything is deterministic under

@@ -18,7 +18,6 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/psort"
@@ -299,74 +298,6 @@ func Gather(th *pgas.Thread, local []int64, idx []int64, out []int64, vt int, lo
 		out[j] = local[ix]
 	}
 	chargeBlocked(th, k, distinct, nb, vt, localcpy)
-}
-
-// gatherParGrain is the smallest per-worker chunk worth a helper
-// goroutine (see collective's serve-phase sizing, which uses the same
-// threshold).
-const gatherParGrain = 4096
-
-// GatherPar is Gather with the data movement split across up to workers
-// host goroutines. The first-touch accounting pass stays on th's
-// goroutine (it is inherently sequential and also hoists any out-of-range
-// panic off the helper goroutines), so results and simulated-time charges
-// are identical to Gather at any worker count; only wall-clock time
-// changes. Scatter has no parallel form: concurrent chunks may target the
-// same location, and OpSet's deterministic last-writer-wins order would be
-// lost.
-func GatherPar(th *pgas.Thread, local []int64, idx []int64, out []int64, vt int, localcpy bool, scr *Scratch, workers int) {
-	k := int64(len(idx))
-	if workers <= 1 || k < 2*gatherParGrain {
-		Gather(th, local, idx, out, vt, localcpy, scr)
-		return
-	}
-	if int64(len(out)) != k {
-		panic("sched: Gather output length mismatch")
-	}
-	nb := int64(len(local))
-	scr = orNew(scr)
-	scr.ensure(nb)
-	// Accounting pass first: it validates every index on this goroutine
-	// before any worker dereferences one (a panic on a helper goroutine
-	// could not be recovered by the runtime's barrier poisoning).
-	distinct := int64(0)
-	for _, ix := range idx {
-		if ix < 0 || ix >= nb {
-			panic(fmt.Sprintf("sched: gather index %d out of range [0,%d)", ix, nb))
-		}
-		if scr.touch(ix) {
-			distinct++
-		}
-	}
-	w := int(k / gatherParGrain)
-	if w > workers {
-		w = workers
-	}
-	chunk := (k + int64(w) - 1) / int64(w)
-	var wg sync.WaitGroup
-	for c := 1; c < w; c++ {
-		lo := int64(c) * chunk
-		hi := lo + chunk
-		if hi > k {
-			hi = k
-		}
-		wg.Add(1)
-		go gatherChunk(&wg, local, idx[lo:hi], out[lo:hi])
-	}
-	gatherRange(local, idx[:chunk], out[:chunk])
-	wg.Wait()
-	chargeBlocked(th, k, distinct, nb, vt, localcpy)
-}
-
-func gatherChunk(wg *sync.WaitGroup, local, idx, out []int64) {
-	defer wg.Done()
-	gatherRange(local, idx, out)
-}
-
-func gatherRange(local, idx, out []int64) {
-	for j, ix := range idx {
-		out[j] = local[ix]
-	}
 }
 
 // Scatter applies local[idx[j]] op= vals[j], the write-side counterpart of

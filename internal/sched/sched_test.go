@@ -249,58 +249,6 @@ func TestGatherPanicsOnLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestGatherParMatchesGather checks the parallel gather against the serial
-// form for worker counts and sizes on both sides of the spawn threshold,
-// including the charging (identical distinct-touch accounting).
-func TestGatherParMatchesGather(t *testing.T) {
-	for _, nr := range []int{100, 2*gatherParGrain - 1, 2 * gatherParGrain, 4*gatherParGrain + 33} {
-		d, r := randomRequests(3000, nr, uint64(nr))
-		want := direct(d, r)
-		var serialClock, parClock sim.Clock
-		serial := make([]int64, nr)
-		serialClock = withThread(t, func(th *pgas.Thread) {
-			Gather(th, d, r, serial, 4, true, nil)
-		})
-		for _, workers := range []int{1, 2, 3, 8} {
-			out := make([]int64, nr)
-			parClock = withThread(t, func(th *pgas.Thread) {
-				GatherPar(th, d, r, out, 4, true, nil, workers)
-			})
-			for i := range want {
-				if out[i] != want[i] {
-					t.Fatalf("nr=%d workers=%d: mismatch at %d", nr, workers, i)
-				}
-			}
-			if parClock.NS != serialClock.NS {
-				t.Fatalf("nr=%d workers=%d: charge differs from serial: %v vs %v",
-					nr, workers, parClock.NS, serialClock.NS)
-			}
-		}
-		_ = serial
-	}
-}
-
-// TestGatherParOutOfRange verifies the accounting pass traps bad indices
-// on the calling goroutine (recoverable), not on a helper.
-func TestGatherParOutOfRange(t *testing.T) {
-	d := make([]int64, 100)
-	r := make([]int64, 3*gatherParGrain)
-	r[len(r)-1] = 100 // out of range
-	out := make([]int64, len(r))
-	panicked := false
-	withThread(t, func(th *pgas.Thread) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		GatherPar(th, d, r, out, 1, true, nil, 4)
-	})
-	if !panicked {
-		t.Fatal("out-of-range index did not panic")
-	}
-}
-
 // TestReferenceIntoArenaReuse verifies the arena form matches Reference
 // and stops allocating once warm.
 func TestReferenceIntoArenaReuse(t *testing.T) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"slices"
 	"testing"
@@ -15,17 +16,21 @@ import (
 // its input alone, not from the inserts and plans of earlier inputs.
 func fuzzServer(t *testing.T) *Server {
 	t.Helper()
-	return &Server{svc: preloaded(t, graph.Random(64, 96, 5),
-		KernelSpec{Kernel: "cc/coalesced"},
-		KernelSpec{Kernel: "bfs/coalesced", Src: 0},
-		KernelSpec{Kernel: "spanning-forest"})}
+	return &Server{
+		mk: func(g *graph.Graph) (*Service, error) { return New(Config{Machine: testMachine(2, 2)}, g) },
+		svc: preloaded(t, graph.Random(64, 96, 5),
+			KernelSpec{Kernel: "cc/coalesced"},
+			KernelSpec{Kernel: "bfs/coalesced", Src: 0},
+			KernelSpec{Kernel: "spanning-forest"}),
+	}
 }
 
 // FuzzServeFrame: arbitrary bytes at pgasd's front door never panic the
 // frame reader and never get a payload past MaxFrame out of it; whatever
-// decodes as a query or an insert is answered — FrameOK, or FrameError with
-// a class from the taxonomy — never with a panic. FrameLoad is left out:
-// its sizes are an operator's to choose. A mutated frame almost never
+// frame comes out is answered — FrameOK, or FrameError with a class from
+// the taxonomy — never with a panic. A Load's sizes are clamped to 256
+// (memory and time are an operator's to spend; which sizes are feasible
+// below that is the server's to check). A mutated frame almost never
 // carries a matching checksum, so one that fails is tried again with its
 // length and CRC fields made right, which is what lets the fuzzer reach
 // the payload decoders and the dispatch behind them.
@@ -42,7 +47,16 @@ func FuzzServeFrame(f *testing.F) {
 		{Op: Distance, U: 0, V: 40}, {Op: TreeParent, U: 12},
 	}})
 	f.Add(frame(FrameLoad, &LoadReq{Family: "random", N: 64, M: 96, Seed: 5}))
+	f.Add(frame(FrameLoad, &LoadReq{Family: "random", N: 4, M: 7}))
+	f.Add(frame(FrameLoad, &LoadReq{Family: "hybrid", N: 3, M: 9}))
 	f.Add(frame(FrameRun, &RunReq{Spec: KernelSpec{Kernel: "cc/fastsv", Compact: true}}))
+	for _, pin := range []string{`"OffloadValue":7`, `"OffloadIndex":5,"OffloadValue":99`} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, FrameRun, []byte(runWithPin(pin))); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Add(query)
 	f.Add(frame(FrameInsert, &InsertReq{Edges: []Edge{{U: 3, V: 60}, {U: 60, V: 9, W: 4}}}))
 	f.Add(frame(FrameInfo, struct{}{}))
@@ -77,8 +91,12 @@ func FuzzServeFrame(f *testing.F) {
 		if len(payload) > MaxFrame {
 			t.Fatalf("ReadFrame returned a %d-byte payload, MaxFrame is %d", len(payload), MaxFrame)
 		}
-		if typ != FrameQuery && typ != FrameInsert {
-			return
+		if typ == FrameLoad {
+			var req LoadReq
+			if json.Unmarshal(payload, &req) == nil {
+				req.N, req.M = min(req.N, 256), min(req.M, 256)
+				payload, _ = json.Marshal(&req)
+			}
 		}
 		respType, resp := fuzzServer(t).dispatch(typ, payload)
 		switch respType {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"sync"
 
@@ -191,10 +192,14 @@ func unmarshal(payload []byte, v interface{}) error {
 
 // Generate builds the requested generator graph. Shared by the server and
 // offline oracle runs (the serve-smoke asserts both sides see the same
-// input bit-for-bit).
+// input bit-for-bit). Sizes no simple graph has are refused here: the
+// generators panic on them (or never finish drawing unique edges), and a
+// Load frame must not be able to take the server down.
 func Generate(req *LoadReq) (*graph.Graph, error) {
-	if req.N <= 0 || req.M < 0 {
-		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "pgasd.load", "bad size n=%d m=%d", req.N, req.M)
+	// Vertex ids are int32; with n bounded so, n(n-1)/2 cannot overflow.
+	if req.N <= 0 || req.N > math.MaxInt32 || req.M < 0 || req.M > req.N*(req.N-1)/2 {
+		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "pgasd.load",
+			"bad size n=%d m=%d (want 0 < n <= %d, 0 <= m <= n(n-1)/2)", req.N, req.M, math.MaxInt32)
 	}
 	var g *graph.Graph
 	switch req.Family {

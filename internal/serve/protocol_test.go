@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"net"
 	"testing"
@@ -192,6 +193,74 @@ func TestServerExchange(t *testing.T) {
 	if err := request(t, client, 200, struct{}{}, &info); !errors.Is(err, pgas.ErrMisuse) {
 		t.Fatalf("unknown frame type: err = %v, want ErrMisuse", err)
 	}
+}
+
+// TestHostileFramesAreAnsweredNotFatal: request frames that used to panic
+// on the connection goroutine — with Server.mu held, so pgasd died — get a
+// classified answer, and the same connection keeps serving. Load: sizes no
+// simple graph has reached graph.Random's capacity panic. Run: a col that
+// pinned anything but D[0] = 0 made GetD lie about a live label and
+// cc/coalesced blew its iteration bound, which pgas.Recover re-raises.
+func TestHostileFramesAreAnsweredNotFatal(t *testing.T) {
+	srv := NewServer(func(g *graph.Graph) (*Service, error) {
+		return New(Config{Machine: testMachine(2, 2)}, g)
+	})
+	client, server := net.Pipe()
+	defer client.Close()
+	go srv.handleConn(server)
+
+	// exchange sends one raw frame and requires the named answer, then an
+	// Info round trip on the same connection.
+	var info InfoResp
+	exchange := func(name string, typ byte, payload string, misuse bool) {
+		t.Helper()
+		if err := WriteFrame(client, typ, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, resp, err := ReadFrame(client)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if misuse {
+			var e ErrorResp
+			if rtyp != FrameError || json.Unmarshal(resp, &e) != nil || e.Class != "misuse" {
+				t.Fatalf("%s: answered frame type %d %s, want FrameError class misuse", name, rtyp, resp)
+			}
+		} else if rtyp != FrameOK {
+			t.Fatalf("%s: answered frame type %d %s, want FrameOK", name, rtyp, resp)
+		}
+		if err := request(t, client, FrameInfo, struct{}{}, &info); err != nil {
+			t.Fatalf("%s: server did not keep serving: %v", name, err)
+		}
+	}
+
+	if err := request(t, client, FrameLoad, &LoadReq{Family: "random", N: 64, M: 48, Seed: 7}, &LoadResp{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []string{
+		`{"family":"random","n":4,"m":7}`,
+		`{"family":"random","n":1,"m":5}`,
+		`{"family":"hybrid","n":3,"m":9}`,
+		`{"family":"hybrid","n":4,"m":7}`, // past Random's check this one never returned
+		`{"family":"random","n":4294967296,"m":1}`,
+		`{"family":"random","n":9223372036854775807,"m":9223372036854775807}`,
+	} {
+		exchange("load "+size, FrameLoad, size, true)
+	}
+	if info.N != 64 || info.M != 48 {
+		t.Fatalf("a refused load replaced the resident graph: %+v", info)
+	}
+	exchange("run pinning D[5]", FrameRun, runWithPin(`"OffloadIndex":5,"OffloadValue":99`), true)
+	// OffloadValue is no longer a field; encoding/json drops the name and
+	// what is left is the sound pin.
+	exchange("run naming OffloadValue", FrameRun, runWithPin(`"OffloadValue":7`), false)
+}
+
+// runWithPin is a Run payload for cc/coalesced whose col turns Offload on
+// and carries pin verbatim — raw JSON, because the pairs that crashed
+// pgasd name a field the Options struct no longer has.
+func runWithPin(pin string) string {
+	return `{"spec":{"kernel":"cc/coalesced","col":{"VirtualThreads":1,"Offload":true,` + pin + `}}}`
 }
 
 func TestGenerateValidates(t *testing.T) {

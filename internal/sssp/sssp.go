@@ -120,7 +120,7 @@ func DefaultDelta(g *graph.Graph) int64 {
 // relaxes light edges (w <= delta) of the bucket's vertices until it
 // drains, then relaxes heavy edges of everything the phase removed.
 //
-// Recoverable state (pgas.Registrar): none. The tentative distances are
+// Recoverable state (pgas.Register): none. The tentative distances are
 // monotone, but the bucket structure is derived state the loop would
 // re-enter empty after a restore — the scan finds no bucket to settle and
 // terminates with unrelaxed vertices. After an eviction SSSP recovers by

@@ -26,18 +26,6 @@ type Collector struct {
 	serveLoad  []int64          // per server thread
 	planBuilds int64            // phase-1 runs (grouping sort + matrix publish)
 	planReuses int64            // plan executions that skipped phase 1
-
-	// Recovery accounting, recorded once per supervised run (see Recovery):
-	// superstep snapshots committed and their payload, snapshot restores
-	// performed by recovery rounds, rollbacks taken, threads evicted, and
-	// supersteps re-executed after rollbacks.
-	checkpoints      int64
-	checkpointBytes  int64
-	restores         int64
-	restoredBytes    int64
-	rollbacks        int64
-	evictions        int64
-	reexecSupersteps int64
 }
 
 type callStats struct {
@@ -110,65 +98,6 @@ func (c *Collector) PlanReuse(thread int, elements int64) {
 	c.mu.Unlock()
 }
 
-// ServeRetry is part of collective.Tracer; the Collector keeps no count of
-// serve-phase replays (the runtime's ChaosStats has the totals).
-func (c *Collector) ServeRetry(thread int, kind string, attempt int) {}
-
-// Recovery folds one supervised run's recovery accounting into the
-// collector — typically straight from a recover.Report:
-//
-//	col.Recovery(rep.Checkpoints, rep.CheckpointBytes, rep.Restores,
-//	    rep.RestoredBytes, rep.Rollbacks, len(rep.Evicted), rep.ReexecSupersteps)
-func (c *Collector) Recovery(checkpoints uint64, checkpointBytes, restores, restoredBytes int64, rollbacks, evicted int, reexecSupersteps uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.checkpoints += int64(checkpoints)
-	c.checkpointBytes += checkpointBytes
-	c.restores += restores
-	c.restoredBytes += restoredBytes
-	c.rollbacks += int64(rollbacks)
-	c.evictions += int64(evicted)
-	c.reexecSupersteps += int64(reexecSupersteps)
-}
-
-// Rollbacks returns the recorded eviction rollbacks.
-func (c *Collector) Rollbacks() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rollbacks
-}
-
-// CheckpointBytes returns the recorded checkpoint payload.
-func (c *Collector) CheckpointBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.checkpointBytes
-}
-
-// ReexecSupersteps returns the supersteps re-executed after rollbacks.
-func (c *Collector) ReexecSupersteps() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reexecSupersteps
-}
-
-// RecoveryTable renders the checkpoint/rollback accounting — the cost
-// side of the recovery design: snapshot volume paid every run, rollback
-// and re-execution volume paid only on eviction.
-func (c *Collector) RecoveryTable() *report.Table {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := report.NewTable("Checkpoint/recovery profile", "metric", "value")
-	t.AddRow("checkpoints committed", report.Count(c.checkpoints))
-	t.AddRow("checkpoint payload bytes", report.Count(c.checkpointBytes))
-	t.AddRow("snapshot restores", report.Count(c.restores))
-	t.AddRow("restored bytes", report.Count(c.restoredBytes))
-	t.AddRow("rollbacks", report.Count(c.rollbacks))
-	t.AddRow("threads evicted", report.Count(c.evictions))
-	t.AddRow("supersteps re-executed", report.Count(c.reexecSupersteps))
-	return t
-}
-
 // PlanBuilds returns the recorded phase-1 runs (per thread).
 func (c *Collector) PlanBuilds() int64 {
 	c.mu.Lock()
@@ -194,9 +123,6 @@ func (c *Collector) Reset() {
 	}
 	c.planBuilds = 0
 	c.planReuses = 0
-	c.checkpoints, c.checkpointBytes = 0, 0
-	c.restores, c.restoredBytes = 0, 0
-	c.rollbacks, c.evictions, c.reexecSupersteps = 0, 0, 0
 }
 
 // CollectiveTable renders per-kind call counts and category breakdowns

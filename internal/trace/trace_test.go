@@ -10,7 +10,6 @@ import (
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
-	recovery "pgasgraph/internal/recover"
 	"pgasgraph/internal/sim"
 )
 
@@ -130,43 +129,5 @@ func TestTracerSeesHotspot(t *testing.T) {
 	cc.Coalesced(rt, comm, g, opts)
 	if imb := col.Imbalance(); imb < 1.5 {
 		t.Fatalf("star-graph hotspot not visible: imbalance %v", imb)
-	}
-}
-
-// TestRecoveryCounters: a supervised run's recovery accounting folds into
-// the collector and renders; Reset clears it.
-func TestRecoveryCounters(t *testing.T) {
-	rt := newRuntime(t, 4, 2)
-	rt.ArmChaos(pgas.ChaosConfig{Seed: 3, KillRate: 0.0015, MaxAttempts: 8})
-	g := graph.Hybrid(400, 1000, 0xD0D0)
-	rep, err := recovery.Run(rt, nil, func(rt *pgas.Runtime, comm *collective.Comm) error {
-		cc.Coalesced(rt, comm, g, nil)
-		return nil
-	})
-	if err != nil {
-		t.Skipf("supervised run exhausted its budget under this seed: %v", err)
-	}
-	c := NewCollector(rt.NumThreads())
-	c.Recovery(rep.Checkpoints, rep.CheckpointBytes, rep.Restores,
-		rep.RestoredBytes, rep.Rollbacks, len(rep.Evicted), rep.ReexecSupersteps)
-	if c.CheckpointBytes() == 0 {
-		t.Fatal("checkpoint payload not recorded")
-	}
-	if int(c.Rollbacks()) != rep.Rollbacks {
-		t.Fatalf("Rollbacks = %d, want %d", c.Rollbacks(), rep.Rollbacks)
-	}
-	if rep.Rollbacks > 0 && c.ReexecSupersteps() == 0 {
-		t.Fatal("rollbacks recorded but no re-executed supersteps")
-	}
-	var sb strings.Builder
-	if err := c.RecoveryTable().Fprint(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "rollbacks") || !strings.Contains(sb.String(), "checkpoints committed") {
-		t.Fatal("recovery table missing rows")
-	}
-	c.Reset()
-	if c.Rollbacks() != 0 || c.CheckpointBytes() != 0 {
-		t.Fatal("Reset did not clear recovery counters")
 	}
 }

@@ -129,7 +129,7 @@ func Degrees(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *c
 // degree-ordered orientation, then wedge-closing queries route through
 // ExchangePairs.
 //
-// Recoverable state (pgas.Registrar): none. The per-thread partial counts
+// Recoverable state (pgas.Register): none. The per-thread partial counts
 // live in host scalars folded at the end; a restored count without its
 // edge cursor would double-count. After an eviction the count recovers by
 // full deterministic re-execution (it is a single pass, so re-execution is

@@ -195,30 +195,14 @@ func sampleChaosConfig(rng *xrand.Rand, kill bool) pgas.ChaosConfig {
 // counters alongside the check verdict so callers can confirm the
 // schedule actually fired.
 func RunCheckChaos(c Check, t *Trial, ccfg pgas.ChaosConfig) (stats pgas.ChaosStats, err error) {
-	var rt *pgas.Runtime
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("panic: %w", e)
-			} else {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}
-		if rt != nil {
-			stats = rt.ChaosStats()
-		}
-	}()
-	rt, e := pgas.New(t.Machine)
-	if e != nil {
-		return stats, fmt.Errorf("machine config: %v", e)
+	defer recoverCheck(&err)
+	rt, err := trialRuntime(t)
+	if err != nil {
+		return stats, err
 	}
-	if e := rt.SetPartition(t.PartitionSpec()); e != nil {
-		return stats, fmt.Errorf("partition spec: %v", e)
-	}
+	defer func() { stats = rt.ChaosStats() }()
 	rt.ArmChaos(ccfg)
-	comm := collective.NewComm(rt)
-	err = c.Run(t, rt, comm)
-	return stats, err
+	return stats, c.Run(t, rt, collective.NewComm(rt))
 }
 
 // RunCheckRecover is RunCheckChaos under the eviction-recovery
@@ -230,29 +214,19 @@ func RunCheckChaos(c Check, t *Trial, ccfg pgas.ChaosConfig) (stats pgas.ChaosSt
 // ladder and the soak digest.
 func RunCheckRecover(c Check, t *Trial, ccfg pgas.ChaosConfig, rcfg *recovery.Config) (rep *recovery.Report, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("panic: %w", e)
-			} else {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}
 		if rep == nil {
 			rep = &recovery.Report{}
 		}
 	}()
-	rt, e := pgas.New(t.Machine)
-	if e != nil {
-		return &recovery.Report{}, fmt.Errorf("machine config: %v", e)
-	}
-	if e := rt.SetPartition(t.PartitionSpec()); e != nil {
-		return &recovery.Report{}, fmt.Errorf("partition spec: %v", e)
+	defer recoverCheck(&err)
+	rt, err := trialRuntime(t)
+	if err != nil {
+		return nil, err
 	}
 	rt.ArmChaos(ccfg)
-	rep, err = recovery.Run(rt, rcfg, func(rt *pgas.Runtime, comm *collective.Comm) error {
+	return recovery.Run(rt, rcfg, func(rt *pgas.Runtime, comm *collective.Comm) error {
 		return c.Run(t, rt, comm)
 	})
-	return rep, err
 }
 
 // ChaosRun executes the chaos soak: each trial samples a matrix point

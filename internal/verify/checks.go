@@ -102,16 +102,26 @@ func Checks() []Check {
 // goroutine, so a blow-up on any simulated thread is caught here.
 func RunCheck(c Check, t *Trial, fault collective.Fault) (err error) {
 	defer recoverCheck(&err)
-	rt, e := pgas.New(t.Machine)
-	if e != nil {
-		return fmt.Errorf("machine config: %v", e)
-	}
-	if e := rt.SetPartition(t.PartitionSpec()); e != nil {
-		return fmt.Errorf("partition spec: %v", e)
+	rt, err := trialRuntime(t)
+	if err != nil {
+		return err
 	}
 	comm := collective.NewComm(rt)
 	comm.InjectFault(fault)
 	return c.Run(t, rt, comm)
+}
+
+// trialRuntime builds the fresh in-process runtime of trial t under its
+// partition scheme.
+func trialRuntime(t *Trial) (*pgas.Runtime, error) {
+	rt, err := pgas.New(t.Machine)
+	if err != nil {
+		return nil, fmt.Errorf("machine config: %v", err)
+	}
+	if err := rt.SetPartition(t.PartitionSpec()); err != nil {
+		return nil, fmt.Errorf("partition spec: %v", err)
+	}
+	return rt, nil
 }
 
 // recoverCheck converts a panic escaping a check into an error, preserving

@@ -43,7 +43,9 @@ func TestWireBattery(t *testing.T) {
 // TestWireKernelIdentity: BFS, CC (both schemes), and MST computed on a
 // wire cluster are identical to the in-process run on the same graph and
 // seed — distances and labels element-for-element on every node, the MST
-// forest as the union of the nodes' chosen edges.
+// forest as the union of the nodes' chosen edges — and so is each run's
+// simulated time on every node: the cost model charges below the
+// transport seam, so the backend must not be visible in it.
 func TestWireKernelIdentity(t *testing.T) {
 	tr := wireTrial(0x51de, 3, 300, 2, 2)
 	rt, err := pgas.New(tr.Machine)
@@ -53,10 +55,19 @@ func TestWireKernelIdentity(t *testing.T) {
 	comm := collective.NewComm(rt)
 	o := tr.Opts
 	ccO := &cc.Options{Col: &o, Compact: tr.Compact}
-	wantCC := cc.Coalesced(rt, comm, tr.Graph, ccO).Labels
-	wantSV := cc.SV(rt, comm, tr.Graph, ccO).Labels
-	wantBFS := bfs.Coalesced(rt, comm, tr.Graph, tr.Src, &o).Dist
+	wantCC := cc.Coalesced(rt, comm, tr.Graph, ccO)
+	wantSV := cc.SV(rt, comm, tr.Graph, ccO)
+	wantBFS := bfs.Coalesced(rt, comm, tr.Graph, tr.Src, &o)
 	wantMST := mst.Coalesced(rt, comm, tr.WGraph, &mst.Options{Col: &o, Compact: tr.Compact})
+	same := func(kernel string, got, want []int64, gotNS, wantNS float64) error {
+		if !eq64(got, want) {
+			return fmt.Errorf("%s answer diverges from in-process", kernel)
+		}
+		if gotNS != wantNS {
+			return fmt.Errorf("%s simulated time %v ns on the wire, %v ns in-process", kernel, gotNS, wantNS)
+		}
+		return nil
+	}
 
 	type nodeOut struct {
 		mstEdges []int64
@@ -66,18 +77,22 @@ func TestWireKernelIdentity(t *testing.T) {
 	errs := RunWireCluster(tr, nil, WireTimeout, func(node int, rt *pgas.Runtime, comm *collective.Comm) error {
 		o := tr.Opts
 		ccO := &cc.Options{Col: &o, Compact: tr.Compact}
-		if got := cc.Coalesced(rt, comm, tr.Graph, ccO).Labels; !eq64(got, wantCC) {
-			return fmt.Errorf("cc/coalesced labels diverge from in-process")
+		c := cc.Coalesced(rt, comm, tr.Graph, ccO)
+		if err := same("cc/coalesced", c.Labels, wantCC.Labels, c.Run.SimNS, wantCC.Run.SimNS); err != nil {
+			return err
 		}
-		if got := cc.SV(rt, comm, tr.Graph, ccO).Labels; !eq64(got, wantSV) {
-			return fmt.Errorf("cc/sv labels diverge from in-process")
+		sv := cc.SV(rt, comm, tr.Graph, ccO)
+		if err := same("cc/sv", sv.Labels, wantSV.Labels, sv.Run.SimNS, wantSV.Run.SimNS); err != nil {
+			return err
 		}
-		if got := bfs.Coalesced(rt, comm, tr.Graph, tr.Src, &o).Dist; !eq64(got, wantBFS) {
-			return fmt.Errorf("bfs distances diverge from in-process")
+		b := bfs.Coalesced(rt, comm, tr.Graph, tr.Src, &o)
+		if err := same("bfs/coalesced", b.Dist, wantBFS.Dist, b.Run.SimNS, wantBFS.Run.SimNS); err != nil {
+			return err
 		}
+		// The forest is compared as a union below; each node's clock here.
 		m := mst.Coalesced(rt, comm, tr.WGraph, &mst.Options{Col: &o, Compact: tr.Compact})
 		outs[node] = nodeOut{mstEdges: m.Edges, mstW: m.Weight}
-		return nil
+		return same("mst/coalesced", nil, nil, m.Run.SimNS, wantMST.Run.SimNS)
 	})
 	if err := firstNodeError(errs); err != nil {
 		t.Fatal(err)

@@ -13,8 +13,6 @@
 // and a 2^256-1 period.
 package xrand
 
-import "math"
-
 // Rand is a deterministic pseudo-random number generator. It is not safe for
 // concurrent use; give each goroutine its own Rand via Split.
 type Rand struct {
@@ -129,17 +127,6 @@ func (r *Rand) Intn(n int) int {
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// ExpFloat64 returns an exponentially distributed value with rate 1, via
-// inverse-transform sampling. Used by generators that need skewed degrees.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
 }
 
 // Perm returns a uniformly random permutation of [0, n) as a slice,

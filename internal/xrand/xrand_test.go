@@ -124,22 +124,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Positive(t *testing.T) {
-	r := New(13)
-	sum := 0.0
-	const draws = 50000
-	for i := 0; i < draws; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 = %v negative", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-1) > 0.05 {
-		t.Fatalf("ExpFloat64 mean %.3f too far from 1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
 		p := New(seed).Perm(int(n))
