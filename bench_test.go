@@ -11,10 +11,8 @@ package pgasgraph
 import (
 	"testing"
 
-	"pgasgraph/internal/cc"
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
-	"pgasgraph/internal/mst"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/psort"
 	"pgasgraph/internal/seq"
@@ -36,14 +34,22 @@ func ablationCluster(b *testing.B) (*Cluster, *Graph) {
 	return c, RandomGraph(100_000, 400_000, 42)
 }
 
+// benchRun is Cluster.Run for a benchmark body: no oracle, errors fatal.
+func benchRun(b *testing.B, c *Cluster, spec KernelSpec) *KernelResult {
+	res, err := c.Run(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func benchCCVariant(b *testing.B, mutate func(*CollectiveOptions)) {
 	c, g := ablationCluster(b)
 	var sim float64
 	for i := 0; i < b.N; i++ {
 		col := collective.Optimized(2)
 		mutate(col)
-		res := c.CCCoalesced(g, &CCOptions{Col: col, Compact: true})
-		sim = res.Run.SimMS()
+		sim = benchRun(b, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: col, Compact: true}).Run.SimMS()
 	}
 	b.ReportMetric(sim, "sim-ms")
 }
@@ -80,8 +86,7 @@ func BenchmarkAblationNoCompact(b *testing.B) {
 	c, g := ablationCluster(b)
 	var sim float64
 	for i := 0; i < b.N; i++ {
-		res := c.CCCoalesced(g, &CCOptions{Col: collective.Optimized(2), Compact: false})
-		sim = res.Run.SimMS()
+		sim = benchRun(b, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: collective.Optimized(2)}).Run.SimMS()
 	}
 	b.ReportMetric(sim, "sim-ms")
 }
@@ -98,8 +103,7 @@ func BenchmarkAblationRDMA(b *testing.B) {
 	g := RandomGraph(100_000, 400_000, 42)
 	var sim float64
 	for i := 0; i < b.N; i++ {
-		res := c.CCCoalesced(g, OptimizedCC(2))
-		sim = res.Run.SimMS()
+		sim = benchRun(b, c, optimized("cc/coalesced", g, 2)).Run.SimMS()
 	}
 	b.ReportMetric(sim, "sim-ms")
 }
@@ -123,8 +127,7 @@ func BenchmarkAblationHierarchicalA2A(b *testing.B) {
 			g := RandomGraph(100_000, 400_000, 42)
 			var sim float64
 			for i := 0; i < b.N; i++ {
-				res := c.CCCoalesced(g, OptimizedCC(1))
-				sim = res.Run.SimMS()
+				sim = benchRun(b, c, optimized("cc/coalesced", g, 1)).Run.SimMS()
 			}
 			b.ReportMetric(sim, "sim-ms")
 		})
@@ -359,9 +362,11 @@ func BenchmarkSortQuick(b *testing.B) {
 	}
 }
 
-// Kernel micro-benchmarks on a small fixed cluster.
+// Kernel micro-benchmarks on a small fixed cluster: every registry row,
+// fully optimized, on one random graph (its weighted twin, or one random
+// chain, where the row needs it).
 
-func kernelBench(b *testing.B, run func(c *Cluster, g *Graph)) {
+func BenchmarkKernel(b *testing.B) {
 	cfg := PaperCluster()
 	cfg.Nodes = 4
 	cfg.ThreadsPerNode = 4
@@ -369,116 +374,16 @@ func kernelBench(b *testing.B, run func(c *Cluster, g *Graph)) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := RandomGraph(50_000, 200_000, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(c, g)
+	spec := optimized("", WithRandomWeights(RandomGraph(50_000, 200_000, 3), 4), 2)
+	spec.List = RandomChainList(50_000, 7)
+	for _, name := range Kernels() {
+		spec.Kernel = name
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchRun(b, c, spec)
+			}
+		})
 	}
-}
-
-func BenchmarkKernelCCCoalesced(b *testing.B) {
-	kernelBench(b, func(c *Cluster, g *Graph) {
-		cc.Coalesced(c.Runtime(), c.Comm(), g, OptimizedCC(2))
-	})
-}
-
-func BenchmarkKernelCCSV(b *testing.B) {
-	kernelBench(b, func(c *Cluster, g *Graph) {
-		cc.SV(c.Runtime(), c.Comm(), g, OptimizedCC(2))
-	})
-}
-
-func BenchmarkKernelMSTCoalesced(b *testing.B) {
-	wg := WithRandomWeights(RandomGraph(50_000, 200_000, 3), 4)
-	cfg := PaperCluster()
-	cfg.Nodes = 4
-	cfg.ThreadsPerNode = 4
-	c, err := NewCluster(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mst.Coalesced(c.Runtime(), c.Comm(), wg, OptimizedMST(2))
-	}
-}
-
-// Extension benchmarks: spanning forest, list ranking, BFS.
-
-func BenchmarkKernelSpanningForest(b *testing.B) {
-	kernelBench(b, func(c *Cluster, g *Graph) {
-		c.SpanningForest(g, OptimizedCC(2))
-	})
-}
-
-func BenchmarkListRankWyllie(b *testing.B) {
-	cfg := PaperCluster()
-	cfg.Nodes = 4
-	cfg.ThreadsPerNode = 4
-	c, err := NewCluster(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := RandomChainList(50_000, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ListRankWyllie(l, OptimizedCollectives(2))
-	}
-}
-
-func BenchmarkListRankCGM(b *testing.B) {
-	cfg := PaperCluster()
-	cfg.Nodes = 4
-	cfg.ThreadsPerNode = 4
-	c, err := NewCluster(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := RandomChainList(50_000, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ListRankCGM(l, OptimizedCollectives(2))
-	}
-}
-
-func BenchmarkBFSCoalesced(b *testing.B) {
-	kernelBench(b, func(c *Cluster, g *Graph) {
-		c.BFSCoalesced(g, 0, OptimizedCollectives(2))
-	})
-}
-
-func BenchmarkKernelCCMerge(b *testing.B) {
-	kernelBench(b, func(c *Cluster, g *Graph) {
-		c.CCMerge(g)
-	})
-}
-
-func BenchmarkEulerTour(b *testing.B) {
-	cfg := PaperCluster()
-	cfg.Nodes = 4
-	cfg.ThreadsPerNode = 4
-	c, err := NewCluster(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A random spanning tree over 20k vertices.
-	g := RandomGraph(20_000, 60_000, 3)
-	sf := c.SpanningForest(g, OptimizedCC(2))
-	forest := &Graph{N: g.N}
-	for _, e := range sf.Edges {
-		forest.U = append(forest.U, g.U[e])
-		forest.V = append(forest.V, g.V[e])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.EulerTour(forest, OptimizedCollectives(2))
-	}
-}
-
-func BenchmarkKernelBCC(b *testing.B) {
-	kernelBench(b, func(c *Cluster, g *Graph) {
-		c.BiconnectedComponents(g, OptimizedCollectives(2))
-	})
 }
 
 // BenchmarkAblationFusedPair compares two separate GetDs against the fused
@@ -523,31 +428,4 @@ func BenchmarkAblationFusedPair(b *testing.B) {
 			b.ReportMetric(sim, "sim-ms")
 		})
 	}
-}
-
-func BenchmarkKernelSSSP(b *testing.B) {
-	wg := WithRandomWeights(RandomGraph(50_000, 200_000, 3), 4)
-	cfg := PaperCluster()
-	cfg.Nodes = 4
-	cfg.ThreadsPerNode = 4
-	c, err := NewCluster(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.SSSPDeltaStepping(wg, 0, 0, OptimizedCollectives(2))
-	}
-}
-
-func BenchmarkKernelMIS(b *testing.B) {
-	kernelBench(b, func(c *Cluster, g *Graph) {
-		c.MISLuby(g, OptimizedCollectives(2))
-	})
-}
-
-func BenchmarkKernelTriangles(b *testing.B) {
-	kernelBench(b, func(c *Cluster, g *Graph) {
-		c.TriangleCount(g, OptimizedCollectives(2))
-	})
 }

@@ -8,18 +8,19 @@
 //	pgasrun -kernel cc/naive -nodes 1 -threads 16 graph.pgg   # CC-SMP baseline
 //	pgasrun -kernel cc/fastsv graph.pgg                       # fewest supersteps
 //	pgasrun -kernel mst/coalesced weighted.pgg
+//	pgasrun -kernel listrank/wyllie graph.pgg   # ranks a random chain over the file's n vertices
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 
 	"pgasgraph"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/machine"
+	"pgasgraph/internal/serve"
 	"pgasgraph/internal/sim"
 	"pgasgraph/internal/trace"
 )
@@ -30,7 +31,7 @@ func main() {
 	threads := flag.Int("threads", 8, "threads per node")
 	tprime := flag.Int("tprime", 2, "virtual threads t'")
 	base := flag.Bool("base", false, "disable all optimizations (unoptimized collectives, no compaction)")
-	verify := flag.Bool("verify", true, "verify against the sequential oracle for what the result carries")
+	verify := flag.Bool("verify", true, "verify the result against the kernel's sequential oracle")
 	machineFile := flag.String("machine", "", "machine model JSON file (default: paper cluster)")
 	profile := flag.Bool("profile", false, "print the collective profile and serve-load distribution")
 	flag.Parse()
@@ -67,8 +68,12 @@ func main() {
 		fatal(err)
 	}
 
-	spec := pgasgraph.KernelSpec{Kernel: *kernel, Graph: g,
-		Col: pgasgraph.OptimizedCollectives(*tprime), Compact: true}
+	spec := pgasgraph.KernelSpec{Kernel: *kernel, Graph: g, Col: pgasgraph.OptimizedCollectives(*tprime), Compact: true}
+	if serve.TakesList(*kernel) {
+		// The list kernels take no graph: they rank one random chain over the
+		// file's vertex count, so every registry row runs from one input file.
+		spec.List = pgasgraph.RandomChainList(g.N, 1)
+	}
 	if *base {
 		spec.Col, spec.Compact = pgasgraph.BaseCollectives(), false
 	}
@@ -104,6 +109,12 @@ func main() {
 		}
 		fmt.Printf("reached:     %d of %d vertices from source %d\n", reached, g.N, spec.Src)
 	}
+	switch d := res.Detail.(type) { // the headline numbers no uniform field carries
+	case *pgasgraph.TriangleResult:
+		fmt.Printf("triangles:   %d\n", d.Triangles)
+	case *pgasgraph.BCCResult:
+		fmt.Printf("blocks:      %d\n", d.Blocks)
+	}
 	fmt.Printf("iterations:  %d\n", res.Iterations)
 	fmt.Printf("simulated:   %.2f ms\n", res.Run.SimMS())
 	fmt.Printf("wall:        %v\n", res.Run.Wall)
@@ -126,32 +137,11 @@ func main() {
 	}
 
 	if *verify {
-		oracle, ok := check(g, spec.Src, res)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "pgasrun: VERIFICATION FAILED against %s\n", oracle)
+		if err := pgasgraph.Verify(spec, res); err != nil {
+			fmt.Fprintf(os.Stderr, "pgasrun: VERIFICATION FAILED: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("verified against %s\n", oracle)
-	}
-}
-
-// check verifies res by what it carries, not by which kernel produced it:
-// labels against union-find, distances against BFS (hops) or Dijkstra
-// (weights), and a bare edge set against Kruskal's forest weight.
-func check(g *pgasgraph.Graph, src int64, res *pgasgraph.KernelResult) (oracle string, ok bool) {
-	switch {
-	case res.Labels != nil:
-		return "sequential union-find", pgasgraph.SamePartition(pgasgraph.SequentialCC(g), res.Labels)
-	case res.Dist != nil:
-		if slices.Equal(res.Dist, pgasgraph.SequentialBFS(g, src)) {
-			return "sequential BFS", true
-		}
-		if !g.Weighted() {
-			return "sequential BFS", false
-		}
-		return "sequential Dijkstra", slices.Equal(res.Dist, pgasgraph.SequentialDijkstra(g, src))
-	default:
-		return "sequential Kruskal", res.Weight == pgasgraph.Kruskal(g).Weight
+		fmt.Println("verified against the sequential oracle")
 	}
 }
 

@@ -38,12 +38,6 @@ func TestKernelsAcrossMachineConfigs(t *testing.T) {
 	g := RandomGraph(400, 1200, 77)
 	wg := WithRandomWeights(g, 78)
 	l := RandomChainList(300, 79)
-	wantCC := SequentialCC(g)
-	wantMSF := Kruskal(wg)
-	wantBFS := SequentialBFS(g, 3)
-	wantSSSP := SequentialDijkstra(wg, 3)
-	wantRanks := SequentialListRank(l)
-
 	for name, mk := range variants {
 		t.Run(name, func(t *testing.T) {
 			cfg := mk()
@@ -53,35 +47,18 @@ func TestKernelsAcrossMachineConfigs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res := c.CCCoalesced(g, OptimizedCC(2)); !SamePartition(wantCC, res.Labels) {
-				t.Fatal("CC wrong")
-			}
-			if res := c.MSFCoalesced(wg, OptimizedMST(2)); res.Weight != wantMSF.Weight {
-				t.Fatal("MSF wrong")
-			}
-			if res := c.BFSCoalesced(g, 3, OptimizedCollectives(2)); !int64sEqual(res.Dist, wantBFS) {
-				t.Fatal("BFS wrong")
-			}
-			if res := c.SSSPDeltaStepping(wg, 3, 0, OptimizedCollectives(2)); !int64sEqual(res.Dist, wantSSSP) {
-				t.Fatal("SSSP wrong")
-			}
-			if res := c.ListRankWyllie(l, OptimizedCollectives(2)); !int64sEqual(res.Ranks, wantRanks) {
-				t.Fatal("list ranking wrong")
-			}
+			// run checks each answer against the kernel's oracle.
+			run(t, c, optimized("cc/coalesced", g, 2))
+			run(t, c, optimized("mst/coalesced", wg, 2))
+			bfs := optimized("bfs/coalesced", g, 2)
+			bfs.Src = 3
+			run(t, c, bfs)
+			sssp := optimized("sssp/delta-stepping", wg, 2)
+			sssp.Src = 3
+			run(t, c, sssp)
+			run(t, c, KernelSpec{Kernel: "listrank/wyllie", List: l, Col: OptimizedCollectives(2)})
 		})
 	}
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestSimulatedTimeDeterministic asserts the collective kernels charge
@@ -97,7 +74,7 @@ func TestSimulatedTimeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.CCCoalesced(g, OptimizedCC(2)).Run.SimNS
+		return run(t, c, optimized("cc/coalesced", g, 2)).Run.SimNS
 	}
 	a, b := run(), run()
 	if a != b {
@@ -120,11 +97,7 @@ func TestPagingSlowsSimulatedTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := c.CCNaive(g)
-		if !SamePartition(SequentialCC(g), res.Labels) {
-			t.Fatal("paging changed answers")
-		}
-		return res.Run.SimNS
+		return run(t, c, KernelSpec{Kernel: "cc/naive", Graph: g}).Run.SimNS // run: paging must not change answers
 	}
 	fits := run(0)
 	paged := run(4096)

@@ -1,6 +1,7 @@
 package pgasgraph
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -17,6 +18,8 @@ import (
 //     weight >= 1) and agree exactly on reachability;
 //   - the MIS is independent and maximal against the same adjacency;
 //   - MSF weight matches Kruskal and its edges span exactly the components.
+//
+// Every run also passes its own kernel's oracle (run calls Verify).
 func TestCrossKernelConsistency(t *testing.T) {
 	cfg := PaperCluster()
 	cfg.Nodes = 4
@@ -32,20 +35,25 @@ func TestCrossKernelConsistency(t *testing.T) {
 		wg.W[i] = uint32(1 + (i*2654435761)%1000) // >= 1, deterministic
 	}
 
-	cc := c.CCCoalesced(g, OptimizedCC(2))
-	sf := c.SpanningForest(g, OptimizedCC(2))
-	msf := c.MSFCoalesced(wg, OptimizedMST(2))
-	misRes := c.MISLuby(g, OptimizedCollectives(2))
+	cc := run(t, c, optimized("cc/coalesced", g, 2))
+	sf := run(t, c, optimized("spanning-forest", g, 2))
+	msf := run(t, c, optimized("mst/coalesced", wg, 2))
+	run(t, c, optimized("mis/luby", g, 2)) // the MIS against the same adjacency: its oracle is the definition
 
 	// CC vs BFS reachability, per component representative.
+	bfsFrom := func(g *Graph, src int64) []int64 {
+		spec := optimized("bfs/coalesced", g, 2)
+		spec.Src = src
+		return run(t, c, spec).Dist
+	}
 	reps := map[int64]bool{}
 	for _, l := range cc.Labels {
 		reps[l] = true
 	}
 	for rep := range reps {
-		dist := c.BFSCoalesced(g, rep, OptimizedCollectives(2))
+		dist := bfsFrom(g, rep)
 		for v := int64(0); v < g.N; v++ {
-			reached := dist.Dist[v] != BFSUnreached
+			reached := dist[v] != BFSUnreached
 			sameComp := cc.Labels[v] == cc.Labels[rep]
 			if reached != sameComp {
 				t.Fatalf("BFS from %d and CC disagree at vertex %d", rep, v)
@@ -63,20 +71,20 @@ func TestCrossKernelConsistency(t *testing.T) {
 		}
 	}
 
-	// Euler tour over the forest agrees with CC and with BFS depths in
+	// The Euler tour over the forest agrees with CC and with BFS depths in
 	// the forest.
 	forest := &Graph{N: g.N}
 	for _, e := range sf.Edges {
 		forest.U = append(forest.U, g.U[e])
 		forest.V = append(forest.V, g.V[e])
 	}
-	ts := c.EulerTour(forest, OptimizedCollectives(2))
-	if !SamePartition(ts.Root, cc.Labels) {
+	ts := sf.Detail.(*TreeStats)
+	if !slices.Equal(ts.Root, cc.Labels) {
 		t.Fatal("Euler-tour roots disagree with CC")
 	}
 	for v := int64(0); v < g.N; v++ {
 		if ts.Root[v] == v {
-			fd := SequentialBFS(forest, v)
+			fd := bfsFrom(forest, v)
 			for u := int64(0); u < g.N; u++ {
 				if ts.Root[u] == v && ts.Depth[u] != fd[u] {
 					t.Fatalf("tour depth[%d]=%d, forest BFS says %d", u, ts.Depth[u], fd[u])
@@ -88,29 +96,22 @@ func TestCrossKernelConsistency(t *testing.T) {
 	// SSSP vs BFS: weights >= 1 imply dist_w >= dist_hops, with equal
 	// reachability.
 	rep := cc.Labels[0]
-	hops := c.BFSCoalesced(g, rep, OptimizedCollectives(2))
-	weighted := c.SSSPDeltaStepping(wg, rep, 0, OptimizedCollectives(2))
+	hops := bfsFrom(g, rep)
+	sssp := optimized("sssp/delta-stepping", wg, 2)
+	sssp.Src = rep
+	weighted := run(t, c, sssp).Dist
 	for v := int64(0); v < g.N; v++ {
-		hReached := hops.Dist[v] != BFSUnreached
-		wReached := weighted.Dist[v] != SSSPUnreached
+		hReached := hops[v] != BFSUnreached
+		wReached := weighted[v] != SSSPUnreached
 		if hReached != wReached {
 			t.Fatalf("reachability disagrees at %d", v)
 		}
-		if wReached && weighted.Dist[v] < hops.Dist[v] {
-			t.Fatalf("weighted dist %d below hop count %d at %d",
-				weighted.Dist[v], hops.Dist[v], v)
+		if wReached && weighted[v] < hops[v] {
+			t.Fatalf("weighted dist %d below hop count %d at %d", weighted[v], hops[v], v)
 		}
 	}
 
-	// MIS against the same adjacency.
-	if err := CheckMIS(g, misRes.InSet); err != nil {
-		t.Fatal(err)
-	}
-
-	// MSF against Kruskal and CC.
-	if msf.Weight != Kruskal(wg).Weight {
-		t.Fatal("MSF weight differs from Kruskal")
-	}
+	// MSF (its weight checked against Kruskal by run) against CC.
 	if int64(len(msf.Edges)) != g.N-cc.Components {
 		t.Fatal("MSF edge count inconsistent with components")
 	}
@@ -119,9 +120,8 @@ func TestCrossKernelConsistency(t *testing.T) {
 // TestCCFamilyAcrossSchemes is the fast-converging family's differential
 // wall at the public surface: on every partition scheme, every CC kernel
 // (Bader-Cong/Coalesced, SV, FastSV, and each Liu-Tarjan variant) must
-// produce bit-identical canonical labels — both dispatched by name
-// through Cluster.Run and via the direct methods, with edge compaction on
-// and off — and the labels must not depend on the scheme either. The
+// produce bit-identical canonical labels, with edge compaction on and
+// off, and the labels must not depend on the scheme either. The
 // sparse input (m = n) is the one FastSV with Compact used to mislabel.
 func TestCCFamilyAcrossSchemes(t *testing.T) {
 	g := Disjoint3(t)
@@ -156,37 +156,15 @@ func TestCCFamilyAcrossSchemes(t *testing.T) {
 				}
 				return c
 			}
-			kernels := []struct {
-				name string
-				run  func(c *Cluster, o *CCOptions) *CCResult
-			}{
-				{"coalesced", func(c *Cluster, o *CCOptions) *CCResult { return c.CCCoalesced(tg.g, o) }},
-				{"sv", func(c *Cluster, o *CCOptions) *CCResult { return c.CCSV(tg.g, o) }},
-				{"fastsv", func(c *Cluster, o *CCOptions) *CCResult { return c.CCFastSV(tg.g, o) }},
-				{"lt-prs", func(c *Cluster, o *CCOptions) *CCResult { return c.CCLiuTarjan(tg.g, LTPRS, o) }},
-				{"lt-pus", func(c *Cluster, o *CCOptions) *CCResult { return c.CCLiuTarjan(tg.g, LTPUS, o) }},
-				{"lt-ers", func(c *Cluster, o *CCOptions) *CCResult { return c.CCLiuTarjan(tg.g, LTERS, o) }},
-			}
-			for _, k := range kernels {
+			for _, k := range []string{"coalesced", "sv", "fastsv", "lt-prs", "lt-pus", "lt-ers"} {
 				for _, compact := range []bool{false, true} {
-					res := k.run(newCluster(), &CCOptions{Col: OptimizedCollectives(2), Compact: compact})
+					res := run(t, newCluster(), KernelSpec{
+						Kernel: "cc/" + k, Graph: tg.g, Col: OptimizedCollectives(2), Compact: compact,
+					})
 					for i := range ref {
 						if res.Labels[i] != ref[i] {
-							t.Fatalf("%s/%s compact=%v on %s: label[%d] = %d, reference labeling says %d",
-								k.name, scheme.name, compact, tg.name, i, res.Labels[i], ref[i])
-						}
-					}
-					// The same kernel dispatched by name must agree too.
-					disp, err := newCluster().Run(KernelSpec{
-						Kernel: "cc/" + k.name, Graph: tg.g, Col: OptimizedCollectives(2), Compact: compact,
-					})
-					if err != nil {
-						t.Fatalf("%s/%s on %s: dispatch: %v", k.name, scheme.name, tg.name, err)
-					}
-					for i := range ref {
-						if disp.Labels[i] != ref[i] {
-							t.Fatalf("cc/%s compact=%v dispatched on %s/%s: label[%d] = %d, want %d",
-								k.name, compact, scheme.name, tg.name, i, disp.Labels[i], ref[i])
+							t.Fatalf("cc/%s compact=%v on %s/%s: label[%d] = %d, reference labeling says %d",
+								k, compact, scheme.name, tg.name, i, res.Labels[i], ref[i])
 						}
 					}
 				}

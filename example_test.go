@@ -6,127 +6,113 @@ import (
 	"pgasgraph"
 )
 
-// Example demonstrates the basic flow: build a cluster, generate a graph,
-// run the paper's optimized connected components, verify.
-func Example() {
+// exampleCluster builds the small cluster the examples run on.
+func exampleCluster(nodes int) *pgasgraph.Cluster {
 	cfg := pgasgraph.PaperCluster()
-	cfg.Nodes = 4
+	cfg.Nodes = nodes
 	cfg.ThreadsPerNode = 2
 	cluster, err := pgasgraph.NewCluster(cfg)
 	if err != nil {
 		panic(err)
 	}
+	return cluster
+}
+
+// Example demonstrates the basic flow: build a cluster, generate a graph,
+// run the paper's optimized connected components, verify.
+func Example() {
+	cluster := exampleCluster(4)
 	g := pgasgraph.RandomGraph(10_000, 40_000, 42)
-	res := cluster.CCCoalesced(g, pgasgraph.OptimizedCC(2))
-	ok := pgasgraph.SamePartition(res.Labels, pgasgraph.SequentialCC(g))
+	spec := pgasgraph.KernelSpec{Kernel: "cc/coalesced", Graph: g,
+		Col: pgasgraph.OptimizedCollectives(2), Compact: true}
+	res, err := cluster.Run(spec)
+	if err != nil {
+		panic(err)
+	}
+	ok := pgasgraph.Verify(spec, res) == nil // against sequential union-find
 	fmt.Println(res.Components, ok)
 	// Output: 4 true
 }
 
-// ExampleCluster_MSFCoalesced shows the lock-free distributed Borůvka and
-// its exact agreement with sequential Kruskal.
-func ExampleCluster_MSFCoalesced() {
-	cfg := pgasgraph.PaperCluster()
-	cfg.Nodes = 4
-	cfg.ThreadsPerNode = 2
-	cluster, _ := pgasgraph.NewCluster(cfg)
+// ExampleCluster_Run_mst shows the lock-free distributed Borůvka and its
+// exact agreement with sequential Kruskal.
+func ExampleCluster_Run_mst() {
 	g := pgasgraph.WithRandomWeights(pgasgraph.RandomGraph(5_000, 20_000, 7), 8)
-	msf := cluster.MSFCoalesced(g, pgasgraph.OptimizedMST(2))
-	kruskal := pgasgraph.Kruskal(g)
+	msf, _ := exampleCluster(4).Run(pgasgraph.KernelSpec{Kernel: "mst/coalesced", Graph: g,
+		Col: pgasgraph.OptimizedCollectives(2), Compact: true})
+	kruskal, _ := pgasgraph.KruskalTime(g, pgasgraph.SequentialMachine())
 	fmt.Println(len(msf.Edges) == len(kruskal.Edges), msf.Weight == kruskal.Weight)
 	// Output: true true
 }
 
-// ExampleCluster_BFS shows hop distances from a source vertex.
-func ExampleCluster_BFSCoalesced() {
-	cfg := pgasgraph.PaperCluster()
-	cfg.Nodes = 2
-	cfg.ThreadsPerNode = 2
-	cluster, _ := pgasgraph.NewCluster(cfg)
+// ExampleCluster_Run_bfs shows hop distances from a source vertex.
+func ExampleCluster_Run_bfs() {
 	// Path 0-1-2-3.
 	g := &pgasgraph.Graph{N: 4, U: []int32{0, 1, 2}, V: []int32{1, 2, 3}}
-	res := cluster.BFSCoalesced(g, 0, nil)
+	res, _ := exampleCluster(2).Run(pgasgraph.KernelSpec{Kernel: "bfs/coalesced", Graph: g, Src: 0})
 	fmt.Println(res.Dist)
 	// Output: [0 1 2 3]
 }
 
-// ExampleCluster_RankList shows distributed list ranking.
-func ExampleCluster_ListRankWyllie() {
-	cfg := pgasgraph.PaperCluster()
-	cfg.Nodes = 2
-	cfg.ThreadsPerNode = 2
-	cluster, _ := pgasgraph.NewCluster(cfg)
+// ExampleCluster_Run_listRank shows distributed list ranking: the list
+// kernels take KernelSpec.List instead of a graph, and their ranks come
+// back in Detail.
+func ExampleCluster_Run_listRank() {
 	// Chain 0 -> 1 -> 2 -> 3 (3 is the tail).
 	l := &pgasgraph.List{N: 4, Succ: []int32{1, 2, 3, 3}}
-	res := cluster.ListRankWyllie(l, nil)
-	fmt.Println(res.Ranks)
+	res, _ := exampleCluster(2).Run(pgasgraph.KernelSpec{Kernel: "listrank/wyllie", List: l})
+	fmt.Println(res.Detail.(*pgasgraph.ListRankResult).Ranks)
 	// Output: [3 2 1 0]
 }
 
-// ExampleCluster_EulerTour shows rooted-tree statistics from the Euler
-// tour technique over a path.
-func ExampleCluster_EulerTour() {
-	cfg := pgasgraph.PaperCluster()
-	cfg.Nodes = 2
-	cfg.ThreadsPerNode = 2
-	cluster, _ := pgasgraph.NewCluster(cfg)
+// ExampleCluster_Run_eulerTour shows rooted-tree statistics from the Euler
+// tour technique over a path: spanning-forest roots its forest with the
+// tour and returns the statistics as Detail.
+func ExampleCluster_Run_eulerTour() {
 	forest := &pgasgraph.Graph{N: 4, U: []int32{0, 1, 2}, V: []int32{1, 2, 3}}
-	st := cluster.EulerTour(forest, nil)
+	res, _ := exampleCluster(2).Run(pgasgraph.KernelSpec{Kernel: "spanning-forest", Graph: forest})
+	st := res.Detail.(*pgasgraph.TreeStats)
 	fmt.Println(st.Depth, st.SubtreeSize)
 	// Output: [0 1 2 3] [4 3 2 1]
 }
 
-// ExampleCluster_ShortestPaths shows weighted distances via delta-stepping.
-func ExampleCluster_SSSPDeltaStepping() {
-	cfg := pgasgraph.PaperCluster()
-	cfg.Nodes = 2
-	cfg.ThreadsPerNode = 2
-	cluster, _ := pgasgraph.NewCluster(cfg)
+// ExampleCluster_Run_sssp shows weighted distances via delta-stepping.
+func ExampleCluster_Run_sssp() {
 	// Path 0-1-2 with weights 5 and 7, plus a costly shortcut 0-2.
 	g := &pgasgraph.Graph{N: 3, U: []int32{0, 1, 0}, V: []int32{1, 2, 2}, W: []uint32{5, 7, 20}}
-	res := cluster.SSSPDeltaStepping(g, 0, 0, nil)
+	res, _ := exampleCluster(2).Run(pgasgraph.KernelSpec{Kernel: "sssp/delta-stepping", Graph: g, Src: 0})
 	fmt.Println(res.Dist)
 	// Output: [0 5 12]
 }
 
-// ExampleCluster_Bipartite shows two-colorability per component.
-func ExampleCluster_Bipartite() {
-	cfg := pgasgraph.PaperCluster()
-	cfg.Nodes = 2
-	cfg.ThreadsPerNode = 2
-	cluster, _ := pgasgraph.NewCluster(cfg)
+// ExampleCluster_Run_bipartite shows two-colorability per component.
+func ExampleCluster_Run_bipartite() {
 	// An even cycle (bipartite) next to a triangle (not).
 	g := &pgasgraph.Graph{
 		N: 7,
 		U: []int32{0, 1, 2, 3, 4, 5, 6},
 		V: []int32{1, 2, 3, 0, 5, 6, 4},
 	}
-	res := cluster.Bipartite(g, nil)
-	fmt.Println(res.ComponentBipartite[0], res.ComponentBipartite[4])
+	res, _ := exampleCluster(2).Run(pgasgraph.KernelSpec{Kernel: "cc/bipartite", Graph: g})
+	verdict := res.Detail.(*pgasgraph.BipartiteResult).ComponentBipartite
+	fmt.Println(verdict[0], verdict[4])
 	// Output: true false
 }
 
-// ExampleCluster_MaximalIndependentSet shows Luby's algorithm with the
-// certificate checker.
-func ExampleCluster_MISLuby() {
-	cfg := pgasgraph.PaperCluster()
-	cfg.Nodes = 2
-	cfg.ThreadsPerNode = 2
-	cluster, _ := pgasgraph.NewCluster(cfg)
-	g := pgasgraph.RandomGraph(1000, 4000, 7)
-	res := cluster.MISLuby(g, nil)
-	fmt.Println(pgasgraph.CheckMIS(g, res.InSet) == nil)
+// ExampleCluster_Run_mis shows Luby's algorithm with the certificate
+// checker: Verify tests the set against the definition (independent and
+// maximal), since maximal independent sets are not unique.
+func ExampleCluster_Run_mis() {
+	spec := pgasgraph.KernelSpec{Kernel: "mis/luby", Graph: pgasgraph.RandomGraph(1000, 4000, 7)}
+	res, _ := exampleCluster(2).Run(spec)
+	fmt.Println(pgasgraph.Verify(spec, res) == nil)
 	// Output: true
 }
 
-// ExampleCluster_SpanningForest shows forest extraction riding on CC.
-func ExampleCluster_SpanningForest() {
-	cfg := pgasgraph.PaperCluster()
-	cfg.Nodes = 2
-	cfg.ThreadsPerNode = 2
-	cluster, _ := pgasgraph.NewCluster(cfg)
-	g := pgasgraph.RandomGraph(100, 300, 9) // connected w.h.p.? use components
-	sf := cluster.SpanningForest(g, nil)
-	fmt.Println(int64(len(sf.Edges)) == g.N-sf.CC.Components)
+// ExampleCluster_Run_spanningForest shows forest extraction riding on CC.
+func ExampleCluster_Run_spanningForest() {
+	g := pgasgraph.RandomGraph(100, 300, 9)
+	sf, _ := exampleCluster(2).Run(pgasgraph.KernelSpec{Kernel: "spanning-forest", Graph: g})
+	fmt.Println(int64(len(sf.Edges)) == g.N-sf.Components)
 	// Output: true
 }

@@ -29,7 +29,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dist := cluster.MSFCoalesced(g, pgasgraph.OptimizedMST(2))
+	dist, err := cluster.Run(pgasgraph.KernelSpec{Kernel: "mst/coalesced", Graph: g,
+		Col: pgasgraph.OptimizedCollectives(2), Compact: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ndistributed Borůvka (SetDMin): %8.1f simulated ms, %d rounds\n",
 		dist.Run.SimMS(), dist.Iterations)
 
@@ -38,7 +42,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lockBased := smp.MSFNaive(g)
+	lockBased, err := smp.Run(pgasgraph.KernelSpec{Kernel: "mst/naive", Graph: g})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("MST-SMP (fine-grained locks):  %8.1f simulated ms\n", lockBased.Run.SimMS())
 
 	// Sequential Kruskal with the cache-friendly merge sort.

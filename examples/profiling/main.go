@@ -29,9 +29,12 @@ func main() {
 		collector := trace.NewCollector(cluster.Threads())
 		cluster.Comm().SetTracer(collector)
 
-		opts := pgasgraph.OptimizedCC(2)
-		opts.Col.Offload = offload
-		res := cluster.CCCoalesced(g, opts)
+		col := pgasgraph.OptimizedCollectives(2)
+		col.Offload = offload
+		res, err := cluster.Run(pgasgraph.KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: col, Compact: true})
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		label := "WITHOUT offload"
 		if offload {

@@ -29,23 +29,31 @@ func main() {
 	fmt.Printf("input: %v on %d threads\n", g, cluster.Threads())
 
 	// The naive translation: every irregular access is one remote op.
-	naive := cluster.CCNaive(g)
+	naive, err := cluster.Run(pgasgraph.KernelSpec{Kernel: "cc/naive", Graph: g})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("naive CC-UPC:    %8.1f simulated ms, %d components, %d iterations\n",
 		naive.Run.SimMS(), naive.Components, naive.Iterations)
 
 	// The paper's optimized implementation: GetD/SetDMin collectives,
 	// compact + offload + circular + localcpy + id, t' = 2 virtual
 	// threads per thread.
-	opt := cluster.CCCoalesced(g, pgasgraph.OptimizedCC(2))
+	spec := pgasgraph.KernelSpec{Kernel: "cc/coalesced", Graph: g,
+		Col: pgasgraph.OptimizedCollectives(2), Compact: true}
+	opt, err := cluster.Run(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("optimized CC:    %8.1f simulated ms, %d components, %d iterations\n",
 		opt.Run.SimMS(), opt.Components, opt.Iterations)
 
 	// Best sequential baseline (union-find) on one modeled CPU.
-	seqLabels, seqNS := pgasgraph.SequentialCCTime(g, pgasgraph.SequentialMachine())
+	_, seqNS := pgasgraph.SequentialCCTime(g, pgasgraph.SequentialMachine())
 	fmt.Printf("sequential:      %8.1f simulated ms\n", seqNS/1e6)
 
-	if !pgasgraph.SamePartition(opt.Labels, seqLabels) {
-		log.Fatal("BUG: parallel and sequential labelings disagree")
+	if err := pgasgraph.Verify(spec, opt); err != nil {
+		log.Fatal("BUG: parallel and sequential labelings disagree: ", err)
 	}
 	fmt.Printf("\nspeedup over naive:      %6.1fx\n", naive.Run.SimNS/opt.Run.SimNS)
 	fmt.Printf("speedup over sequential: %6.1fx\n", seqNS/opt.Run.SimNS)

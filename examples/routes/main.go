@@ -33,20 +33,22 @@ func main() {
 	def := sssp.DefaultDelta(g)
 	fmt.Printf("network: %d cities, %d roads; default bucket width %d\n\n", cities, roads, def)
 	fmt.Println("delta-stepping from city 0:")
-	var best *pgasgraph.SSSPResult
+	spec := pgasgraph.KernelSpec{Kernel: "sssp/delta-stepping", Graph: g, Col: pgasgraph.OptimizedCollectives(2)}
+	var best *pgasgraph.KernelResult
 	for _, delta := range []int64{def / 4, def, def * 16} {
-		res := cluster.SSSPDeltaStepping(g, 0, delta, pgasgraph.OptimizedCollectives(2))
+		spec.Delta = delta
+		res, err := cluster.Run(spec)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  delta %-12d %8.1f simulated ms, %4d bucket phases, %d relaxations\n",
-			delta, res.Run.SimMS(), res.Buckets, res.Relaxations)
+			delta, res.Run.SimMS(), res.Iterations, res.Detail.(*pgasgraph.SSSPResult).Relaxations)
 		best = res
 	}
 
 	// Verify and report a few routes.
-	want := pgasgraph.SequentialDijkstra(g, 0)
-	for i := range want {
-		if best.Dist[i] != want[i] {
-			log.Fatal("BUG: distances disagree with Dijkstra")
-		}
+	if err := pgasgraph.Verify(spec, best); err != nil {
+		log.Fatal("BUG: distances disagree with Dijkstra: ", err)
 	}
 	fmt.Println("\nverified against sequential Dijkstra")
 	var farthest int64

@@ -29,7 +29,7 @@ func main() {
 	side := int64(math.Sqrt(users))
 	mesh := meshGraph(side)
 
-	opts := pgasgraph.OptimizedCollectives(2)
+	col := pgasgraph.OptimizedCollectives(2)
 	for _, in := range []struct {
 		name string
 		g    *pgasgraph.Graph
@@ -37,13 +37,14 @@ func main() {
 		{"social network", social},
 		{fmt.Sprintf("%dx%d mesh", side, side), mesh},
 	} {
-		res := cluster.BFSCoalesced(in.g, 0, opts)
-		if want := pgasgraph.SequentialBFS(in.g, 0); !equal(res.Dist, want) {
-			log.Fatalf("BUG: %s distances disagree with sequential BFS", in.name)
+		bfs := pgasgraph.KernelSpec{Kernel: "bfs/coalesced", Graph: in.g, Col: col}
+		res := run(cluster, bfs)
+		if err := pgasgraph.Verify(bfs, res); err != nil {
+			log.Fatalf("BUG: %s distances disagree with sequential BFS: %v", in.name, err)
 		}
-		cc := cluster.CCCoalesced(in.g, pgasgraph.OptimizedCC(2))
+		cc := run(cluster, pgasgraph.KernelSpec{Kernel: "cc/coalesced", Graph: in.g, Col: col, Compact: true})
 		fmt.Printf("%-16s n=%-8d BFS: %7.1f ms in %4d levels | CC: %6.1f ms in %d iterations\n",
-			in.name, in.g.N, res.Run.SimMS(), res.Levels, cc.Run.SimMS(), cc.Iterations)
+			in.name, in.g.N, res.Run.SimMS(), res.Iterations, cc.Run.SimMS(), cc.Iterations)
 
 		if in.g == social {
 			printSeparation(res.Dist)
@@ -51,6 +52,15 @@ func main() {
 	}
 	fmt.Println("\nBFS pays one synchronized round per level (Ω(diameter), §I);")
 	fmt.Println("the PRAM-style CC kernel is topology-indifferent.")
+}
+
+// run dispatches spec on c; a misconfigured spec is this program's bug.
+func run(c *pgasgraph.Cluster, spec pgasgraph.KernelSpec) *pgasgraph.KernelResult {
+	res, err := c.Run(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }
 
 // printSeparation summarizes the distance histogram from the seed.
@@ -90,16 +100,4 @@ func meshGraph(side int64) *pgasgraph.Graph {
 		}
 	}
 	return g
-}
-
-func equal(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -39,10 +39,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := pgasgraph.OptimizedCC(2)
-
-	resSocial := cluster.CCCoalesced(social, opts)
-	resUniform := cluster.CCCoalesced(uniform, opts)
+	spec := pgasgraph.KernelSpec{Kernel: "cc/coalesced", Graph: social,
+		Col: pgasgraph.OptimizedCollectives(2), Compact: true}
+	resSocial, err := cluster.Run(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resUniform, err := cluster.Run(pgasgraph.KernelSpec{Kernel: spec.Kernel, Graph: uniform, Col: spec.Col, Compact: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\ncommunities (connected components): %d\n", resSocial.Components)
 	fmt.Printf("hybrid graph:  %8.1f simulated ms (%d iterations)\n",
@@ -69,8 +75,8 @@ func main() {
 	}
 	fmt.Printf("\nlargest communities: %v of %d total\n", top, len(bySize))
 
-	if want := pgasgraph.SequentialCC(social); !pgasgraph.SamePartition(want, resSocial.Labels) {
-		log.Fatal("BUG: verification against union-find failed")
+	if err := pgasgraph.Verify(spec, resSocial); err != nil {
+		log.Fatal("BUG: verification against union-find failed: ", err)
 	}
 	fmt.Println("verified against sequential union-find")
 }

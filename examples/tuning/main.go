@@ -27,17 +27,13 @@ func main() {
 	smpCfg.CacheBytes = 64 << 10
 	bestTP, bestTPNS := 0, 0.0
 	for _, tp := range []int{1, 2, 4, 8, 12, 16, 24} {
-		cluster, err := pgasgraph.NewCluster(smpCfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := cluster.CCCoalesced(g, pgasgraph.OptimizedCC(tp))
+		run := simulate(smpCfg, g, tp)
 		marker := ""
-		if bestTP == 0 || res.Run.SimNS < bestTPNS {
-			bestTP, bestTPNS = tp, res.Run.SimNS
+		if bestTP == 0 || run.SimNS < bestTPNS {
+			bestTP, bestTPNS = tp, run.SimNS
 			marker = "  <- best so far"
 		}
-		fmt.Printf("  t'=%-3d %9.1f ms%s\n", tp, res.Run.SimMS(), marker)
+		fmt.Printf("  t'=%-3d %9.1f ms%s\n", tp, run.SimMS(), marker)
 	}
 	fmt.Printf("best t' = %d\n\n", bestTP)
 
@@ -47,24 +43,30 @@ func main() {
 	for _, tpn := range []int{1, 2, 4, 8, 16} {
 		cfg := pgasgraph.PaperCluster()
 		cfg.ThreadsPerNode = tpn
-		cluster, err := pgasgraph.NewCluster(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tp := 16 / tpn
-		if tp < 1 {
-			tp = 1
-		}
-		res := cluster.CCCoalesced(g, pgasgraph.OptimizedCC(tp))
+		run := simulate(cfg, g, max(16/tpn, 1))
 		marker := ""
-		if bestT == 0 || res.Run.SimNS < bestTNS {
-			bestT, bestTNS = tpn, res.Run.SimNS
+		if bestT == 0 || run.SimNS < bestTNS {
+			bestT, bestTNS = tpn, run.SimNS
 			marker = "  <- best so far"
 		}
-		fmt.Printf("  t=%-3d %9.1f ms  (%d messages)%s\n",
-			tpn, res.Run.SimMS(), res.Run.Messages, marker)
+		fmt.Printf("  t=%-3d %9.1f ms  (%d messages)%s\n", tpn, run.SimMS(), run.Messages, marker)
 	}
 	fmt.Printf("best threads/node = %d\n", bestT)
 	fmt.Println("\nthe paper's finding: 8 threads/node is fastest; 16 collapses under")
 	fmt.Println("the SMatrix/PMatrix all-to-all burst (a UPC flat-thread-model cost).")
+}
+
+// simulate runs the fully optimized CC kernel with t' virtual threads on a
+// fresh cluster of the given shape and returns the run's accounting.
+func simulate(cfg pgasgraph.MachineConfig, g *pgasgraph.Graph, tprime int) *pgasgraph.RunStats {
+	cluster, err := pgasgraph.NewCluster(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := cluster.Run(pgasgraph.KernelSpec{Kernel: "cc/coalesced", Graph: g,
+		Col: pgasgraph.OptimizedCollectives(tprime), Compact: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Run
 }

@@ -1,39 +1,32 @@
 package pgasgraph
 
 import (
+	"slices"
 	"testing"
 )
 
+// The per-kernel tests below run through Cluster.Run like every caller;
+// run checks each result against the kernel's sequential oracle (the
+// union-find, chain-walk, queue-BFS, Dijkstra, Hopcroft-Tarjan, parity-BFS
+// and exact-count comparisons these tests used to spell out by hand), so
+// what is left in each body is what the oracle does not say.
+
 func TestSpanningForestAPI(t *testing.T) {
-	c := smallCluster(t)
 	g := RandomGraph(400, 1200, 17)
-	sf := c.SpanningForest(g, OptimizedCC(2))
-	want := SequentialCC(g)
-	if !SamePartition(want, sf.CC.Labels) {
-		t.Fatal("spanning forest CC labels wrong")
-	}
-	comps := CountComponents(want)
-	if int64(len(sf.Edges)) != g.N-comps {
-		t.Fatalf("forest has %d edges, want %d", len(sf.Edges), g.N-comps)
+	sf := run(t, smallCluster(t), optimized("spanning-forest", g, 2))
+	comps := CountComponents(SequentialCC(g))
+	if sf.Components != comps || int64(len(sf.Edges)) != g.N-comps {
+		t.Fatalf("forest has %d edges over %d components, want %d over %d", len(sf.Edges), sf.Components, g.N-comps, comps)
 	}
 }
 
 func TestListRankAPI(t *testing.T) {
 	c := smallCluster(t)
 	l := RandomChainList(500, 3)
-	want := SequentialListRank(l)
-
-	w := c.ListRankWyllie(l, OptimizedCollectives(2))
-	for i := range want {
-		if w.Ranks[i] != want[i] {
-			t.Fatalf("Wyllie rank[%d] = %d, want %d", i, w.Ranks[i], want[i])
-		}
-	}
-	g := c.ListRankCGM(l, OptimizedCollectives(2))
-	for i := range want {
-		if g.Ranks[i] != want[i] {
-			t.Fatalf("CGM rank[%d] = %d, want %d", i, g.Ranks[i], want[i])
-		}
+	w := run(t, c, KernelSpec{Kernel: "listrank/wyllie", List: l, Col: OptimizedCollectives(2)})
+	g := run(t, c, KernelSpec{Kernel: "listrank/cgm", List: l, Col: OptimizedCollectives(2)})
+	if !slices.Equal(w.Detail.(*ListRankResult).Ranks, g.Detail.(*ListRankResult).Ranks) {
+		t.Fatal("Wyllie and CGM ranks differ")
 	}
 	if w.Run.SimNS <= 0 || g.Run.SimNS <= 0 {
 		t.Fatal("missing run stats")
@@ -45,36 +38,37 @@ func TestChainsListAPI(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ranks := SequentialListRank(l)
-	if len(ranks) != 100 {
-		t.Fatal("rank length wrong")
+	res := run(t, smallCluster(t), KernelSpec{Kernel: "listrank/wyllie", List: l})
+	ranks := res.Detail.(*ListRankResult).Ranks
+	tails := 0
+	for _, r := range ranks {
+		if r == 0 {
+			tails++
+		}
+	}
+	if len(ranks) != 100 || tails != 4 {
+		t.Fatalf("%d ranks with %d tails, want 100 with 4", len(ranks), tails)
 	}
 }
 
 func TestBFSAPI(t *testing.T) {
 	c := smallCluster(t)
-	g := HybridGraph(600, 1800, 4)
-	want := SequentialBFS(g, 3)
-
-	res := c.BFSCoalesced(g, 3, OptimizedCollectives(2))
-	for i := range want {
-		if res.Dist[i] != want[i] {
-			t.Fatalf("BFS dist[%d] = %d, want %d", i, res.Dist[i], want[i])
-		}
+	spec := optimized("bfs/coalesced", HybridGraph(600, 1800, 4), 2)
+	spec.Src = 3
+	res := run(t, c, spec)
+	spec.Kernel = "bfs/naive"
+	if naive := run(t, c, spec); !slices.Equal(naive.Dist, res.Dist) {
+		t.Fatal("naive and coalesced BFS distances differ")
 	}
-	naive := c.BFSNaive(g, 3)
-	for i := range want {
-		if naive.Dist[i] != want[i] {
-			t.Fatalf("naive BFS dist[%d] wrong", i)
-		}
+	if res.Dist[3] != 0 || res.Iterations != res.Detail.(*BFSResult).Levels {
+		t.Fatalf("dist[src] = %d, iterations %d", res.Dist[3], res.Iterations)
 	}
 }
 
 func TestBFSUnreachedConstant(t *testing.T) {
-	g := Disjoint2ForTest()
-	d := SequentialBFS(g, 0)
-	if d[2] != BFSUnreached {
-		t.Fatalf("unreachable vertex distance %d", d[2])
+	res := run(t, smallCluster(t), KernelSpec{Kernel: "bfs/coalesced", Graph: Disjoint2ForTest()})
+	if res.Dist[2] != BFSUnreached {
+		t.Fatalf("unreachable vertex distance %d", res.Dist[2])
 	}
 }
 
@@ -84,17 +78,14 @@ func Disjoint2ForTest() *Graph {
 }
 
 func TestEulerTourAPI(t *testing.T) {
-	c := smallCluster(t)
 	g := RandomGraph(300, 900, 21)
-	sf := c.SpanningForest(g, OptimizedCC(2))
-	forest := &Graph{N: g.N}
-	for _, e := range sf.Edges {
-		forest.U = append(forest.U, g.U[e])
-		forest.V = append(forest.V, g.V[e])
-	}
-	st := c.EulerTour(forest, OptimizedCollectives(2))
+	res := run(t, smallCluster(t), optimized("spanning-forest", g, 2))
+	st := res.Detail.(*TreeStats)
 	// Depth/parent consistency: depth(parent)+1 == depth(child).
 	for v := int64(0); v < g.N; v++ {
+		if st.Parent[v] != res.Parent[v] {
+			t.Fatalf("uniform Parent[%d] = %d, tour says %d", v, res.Parent[v], st.Parent[v])
+		}
 		if p := st.Parent[v]; p >= 0 {
 			if st.Depth[v] != st.Depth[p]+1 {
 				t.Fatalf("depth chain broken at %d", v)
@@ -116,69 +107,52 @@ func TestEulerTourAPI(t *testing.T) {
 }
 
 func TestCCMergeAPI(t *testing.T) {
-	c := smallCluster(t)
 	g := RandomGraph(400, 1000, 8)
-	res := c.CCMerge(g)
-	if !SamePartition(SequentialCC(g), res.Labels) {
-		t.Fatal("merge CC labels wrong")
+	res := run(t, smallCluster(t), KernelSpec{Kernel: "cc/merge-cgm", Graph: g})
+	if !slices.Equal(res.Labels, SequentialCC(g)) {
+		t.Fatal("merge CC labels are not the canonical minima")
 	}
 }
 
 func TestBCCAPI(t *testing.T) {
-	c := smallCluster(t)
 	g := RandomGraph(150, 350, 31)
-	res := c.BiconnectedComponents(g, OptimizedCollectives(2))
-	want := SequentialBCC(g)
-	if res.Blocks != want.Blocks {
-		t.Fatalf("blocks = %d, want %d", res.Blocks, want.Blocks)
-	}
-	for v := int64(0); v < g.N; v++ {
-		if res.Articulation[v] != want.Articulation[v] {
-			t.Fatalf("articulation[%d] differs", v)
-		}
-	}
-	for e := int64(0); e < g.M(); e++ {
-		if res.Bridge[e] != want.Bridge[e] {
-			t.Fatalf("bridge[%d] differs", e)
-		}
+	res := run(t, smallCluster(t), optimized("bcc/tarjan-vishkin", g, 2))
+	d := res.Detail.(*BCCResult)
+	if d.Blocks <= 0 || int64(len(d.EdgeBlock)) != g.M() || int64(len(d.Articulation)) != g.N {
+		t.Fatalf("blocks = %d over %d edge labels, %d vertex flags", d.Blocks, len(d.EdgeBlock), len(d.Articulation))
 	}
 }
 
 func TestShortestPathsAPI(t *testing.T) {
-	c := smallCluster(t)
-	g := WithRandomWeights(RandomGraph(300, 900, 41), 42)
-	res := c.SSSPDeltaStepping(g, 5, 0, OptimizedCollectives(2))
-	want := SequentialDijkstra(g, 5)
-	for i := range want {
-		if res.Dist[i] != want[i] {
-			t.Fatalf("dist[%d] = %d, want %d", i, res.Dist[i], want[i])
-		}
+	spec := optimized("sssp/delta-stepping", WithRandomWeights(RandomGraph(300, 900, 41), 42), 2)
+	spec.Src = 5
+	res := run(t, smallCluster(t), spec)
+	if res.Dist[5] != 0 || res.Detail.(*SSSPResult).Relaxations <= 0 {
+		t.Fatalf("dist[src] = %d, %d relaxations", res.Dist[5], res.Detail.(*SSSPResult).Relaxations)
 	}
 }
 
 func TestMISAPI(t *testing.T) {
-	c := smallCluster(t)
-	g := HybridGraph(500, 1500, 51)
-	res := c.MISLuby(g, OptimizedCollectives(2))
-	if err := CheckMIS(g, res.InSet); err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds <= 0 {
+	res := run(t, smallCluster(t), optimized("mis/luby", HybridGraph(500, 1500, 51), 2))
+	if res.Iterations <= 0 || res.Iterations != res.Detail.(*MISResult).Rounds {
 		t.Fatal("no rounds recorded")
 	}
 }
 
 func TestBipartiteAPI(t *testing.T) {
-	c := smallCluster(t)
 	g := Disjoint2ForTest() // two isolated edges: bipartite everywhere
-	res := c.Bipartite(g, OptimizedCC(2))
-	for _, bip := range res.ComponentBipartite {
+	res := run(t, smallCluster(t), optimized("cc/bipartite", g, 2))
+	d := res.Detail.(*BipartiteResult)
+	if res.Components != 2 || len(d.ComponentBipartite) != 2 {
+		t.Fatalf("%d components, %d verdicts, want 2 and 2", res.Components, len(d.ComponentBipartite))
+	}
+	for _, bip := range d.ComponentBipartite {
 		if !bip {
 			t.Fatal("matching reported non-bipartite")
 		}
 	}
 	for i := range g.U {
-		if res.Side[g.U[i]] == res.Side[g.V[i]] {
+		if d.Side[g.U[i]] == d.Side[g.V[i]] {
 			t.Fatal("coloring not proper")
 		}
 	}
@@ -186,9 +160,10 @@ func TestBipartiteAPI(t *testing.T) {
 
 func TestTrianglesAPI(t *testing.T) {
 	c := smallCluster(t)
-	g := HybridGraph(250, 1200, 61)
-	res := c.TriangleCount(g, OptimizedCollectives(2))
-	if res.Triangles != SequentialTriangles(g) {
-		t.Fatalf("triangles = %d, want %d", res.Triangles, SequentialTriangles(g))
+	// K4 has four triangles; a hybrid graph is checked by run's oracle.
+	k4 := &Graph{N: 4, U: []int32{0, 0, 0, 1, 1, 2}, V: []int32{1, 2, 3, 2, 3, 3}}
+	if res := run(t, c, KernelSpec{Kernel: "triangle/count", Graph: k4}); res.Detail.(*TriangleResult).Triangles != 4 {
+		t.Fatalf("K4 has %d triangles, want 4", res.Detail.(*TriangleResult).Triangles)
 	}
+	run(t, c, optimized("triangle/count", HybridGraph(250, 1200, 61), 2))
 }

@@ -76,18 +76,15 @@ func TarjanVishkin(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts
 	// Phase 1: spanning forest.
 	ccOpts := &cc.Options{Col: opts, Compact: true}
 	sf := cc.SpanningTree(rt, comm, g, ccOpts)
-	accumulate(res.Run, sf.CC.Run)
+	res.Run.Add(sf.CC.Run)
 	isTree := make([]bool, m)
-	forest := &graph.Graph{N: n}
 	for _, e := range sf.Edges {
 		isTree[e] = true
-		forest.U = append(forest.U, g.U[e])
-		forest.V = append(forest.V, g.V[e])
 	}
 
 	// Phase 2: rooted-forest statistics.
-	ts := euler.Tour(rt, comm, forest, opts)
-	accumulate(res.Run, ts.Run)
+	ts := euler.Tour(rt, comm, sf.Forest(g), sf.CC.Labels, opts)
+	res.Run.Add(ts.Run)
 
 	// Global preorder positions: trees laid out consecutively in root-id
 	// order, so subtree(v) occupies [num[v], num[v]+size[v]) globally and
@@ -118,7 +115,7 @@ func TarjanVishkin(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts
 	negMaxNT := rt.NewSharedArray("negMaxNT", n)
 	minNT.Fill(inf)
 	negMaxNT.Fill(inf)
-	col := sanitize(opts)
+	col := collective.Sanitize(opts, false) // no offload: the extrema arrays' slot 0 is mutable
 	extremaPlan := comm.NewPlan()
 	run3 := rt.Run(func(th *pgas.Thread) {
 		lo, hi := th.Span(m)
@@ -137,7 +134,7 @@ func TarjanVishkin(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts
 		extremaPlan.SetDMin(th, minNT, valMin)
 		extremaPlan.SetDMin(th, negMaxNT, valMax)
 	})
-	accumulate(res.Run, run3)
+	res.Run.Add(run3)
 
 	// Phase 4 (host): subtree low/high over preorder intervals with
 	// sparse tables. byPos holds each vertex's key at its global
@@ -200,7 +197,7 @@ func TarjanVishkin(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts
 	}
 
 	auxCC := cc.Coalesced(rt, comm, aux, ccOpts)
-	accumulate(res.Run, auxCC.Run)
+	res.Run.Add(auxCC.Run)
 	labels := auxCC.Labels
 
 	// Edge block assignment and dense relabeling.
@@ -260,27 +257,6 @@ func TarjanVishkin(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts
 		res.Articulation[v] = len(set) >= 2
 	}
 	return res
-}
-
-// sanitize copies opts and disables the CC-specific offload (the extrema
-// arrays' slot 0 is mutable).
-func sanitize(opts *collective.Options) *collective.Options {
-	return collective.Sanitize(opts, false)
-}
-
-// accumulate folds one phase's accounting into the total.
-func accumulate(total, part *pgas.Result) {
-	total.SimNS += part.SimNS
-	total.Wall += part.Wall
-	total.SumByCategory.Add(&part.SumByCategory)
-	total.Messages += part.Messages
-	total.Bytes += part.Bytes
-	total.RemoteOps += part.RemoteOps
-	total.CacheMisses += part.CacheMisses
-	total.Faults += part.Faults
-	total.Retries += part.Retries
-	total.Checkpoints += part.Checkpoints
-	total.CheckpointBytes += part.CheckpointBytes
 }
 
 // sparseTable answers static range extremum queries in O(1) after

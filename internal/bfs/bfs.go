@@ -78,7 +78,7 @@ func SeqDistances(g *graph.Graph, src int64) []int64 {
 // short of the fringe and would silently truncate distances. After an
 // eviction BFS recovers by full deterministic re-execution.
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src int64, colOpts *collective.Options) *Result {
-	col := sanitize(colOpts)
+	col := collective.Sanitize(colOpts, false) // no offload: vertex 0's distance is not constant
 	csr := graph.BuildCSR(g)
 	dist := rt.NewSharedArray("Dist", g.N)
 	dist.Fill(Unreached)
@@ -200,10 +200,4 @@ func Naive(rt *pgas.Runtime, g *graph.Graph, src int64) *Result {
 	})
 
 	return &Result{Dist: append([]int64(nil), dist.Raw()...), Levels: levels, Run: run}
-}
-
-// sanitize copies opts and disables offload (vertex 0's distance is not
-// constant).
-func sanitize(opts *collective.Options) *collective.Options {
-	return collective.Sanitize(opts, false)
 }

@@ -77,9 +77,9 @@ func Bipartite(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	return res
 }
 
-// SeqBipartite is the sequential verifier: BFS two-coloring per component,
+// seqBipartite is the sequential verifier: BFS two-coloring per component,
 // returning per-component bipartiteness keyed by canonical label.
-func SeqBipartite(g *graph.Graph) map[int64]bool {
+func seqBipartite(g *graph.Graph) map[int64]bool {
 	labels := seq.CC(g)
 	csr := graph.BuildCSR(g)
 	color := make([]int8, g.N)

@@ -16,7 +16,7 @@ func checkBipartite(t *testing.T, g *graph.Graph, res *BipartiteResult) {
 	if !slices.Equal(res.Component, seq.CC(g)) {
 		t.Fatalf("Component = %v, want %v", res.Component, seq.CC(g))
 	}
-	want := SeqBipartite(g)
+	want := seqBipartite(g)
 	for r, bip := range want {
 		if res.ComponentBipartite[r] != bip {
 			t.Fatalf("component %d: bipartite = %v, want %v", r, res.ComponentBipartite[r], bip)
@@ -79,7 +79,7 @@ func TestBipartiteProperty(t *testing.T) {
 		m := int64(dRaw) % (maxM + 1)
 		g := graph.Random(n, m, seed)
 		res := Bipartite(rt, comm, g, &Options{Col: collective.Optimized(2), Compact: true})
-		want := SeqBipartite(g)
+		want := seqBipartite(g)
 		for r, bip := range want {
 			if res.ComponentBipartite[r] != bip {
 				return false
@@ -108,6 +108,30 @@ func TestBipartiteGridColoring(t *testing.T) {
 			if res.Side[r*7+c] != want {
 				t.Fatalf("grid cell (%d,%d) side %d, want %d", r, c, res.Side[r*7+c], want)
 			}
+		}
+	}
+}
+
+// TestVerifyBipartiteRejects: the oracle the registry row and the chaos
+// battery run must refuse a flipped verdict, a missing one, and an extra one
+// under a label that names no component.
+func TestVerifyBipartiteRejects(t *testing.T) {
+	g := graph.Disjoint(graph.Cycle(4), graph.Cycle(5)) // components 0 (bipartite) and 4 (not)
+	rt := newRuntime(t, 2, 2)
+	run := func() *BipartiteResult { return Bipartite(rt, collective.NewComm(rt), g, nil) }
+	if err := VerifyBipartite(g, run()); err != nil {
+		t.Fatal(err)
+	}
+	for name, spoil := range map[string]func(*BipartiteResult){
+		"flipped verdict": func(r *BipartiteResult) { r.ComponentBipartite[4] = true },
+		"missing verdict": func(r *BipartiteResult) { delete(r.ComponentBipartite, 0) },
+		"extra verdict":   func(r *BipartiteResult) { r.ComponentBipartite[2] = true },
+		"wrong label":     func(r *BipartiteResult) { r.Component[5] = 0 },
+	} {
+		res := run()
+		spoil(res)
+		if err := VerifyBipartite(g, res); err == nil {
+			t.Errorf("%s accepted", name)
 		}
 	}
 }

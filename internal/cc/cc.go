@@ -56,7 +56,7 @@ type Result struct {
 }
 
 // Options configures the collective-based kernels. Nil Options (or a nil
-// Col field) select Defaults().
+// Col field) select base collectives, no compaction.
 type Options struct {
 	// Col configures the collectives (virtual threads, circular,
 	// localcpy, id, offload). Nil means collective.Defaults().
@@ -64,19 +64,6 @@ type Options struct {
 	// Compact filters edges whose endpoints already share a component
 	// from the live list each iteration (§V).
 	Compact bool
-}
-
-// Defaults returns the configuration selected when a caller passes nil
-// Options: base collectives, no compaction.
-func Defaults() *Options { return &Options{Col: collective.Defaults()} }
-
-// Validate reports whether o is a usable configuration; nil is valid (it
-// selects Defaults).
-func (o *Options) Validate() error {
-	if o == nil {
-		return nil
-	}
-	return o.Col.Validate()
 }
 
 func (o *Options) col() *collective.Options {
@@ -207,17 +194,8 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	return graftRounds(rt, comm, opts.col(), &graftRun{
 		name: "Coalesced", ckpt: CkptCoalescedD,
 		d: d, fresh: true, compact: opts.compact(),
-		m: g.M(), ends: endsOf(g),
+		m: g.M(), ends: g.Ends,
 	})
-}
-
-// endsOf fills a collective.LiveEdges list with g's edges.
-func endsOf(g *graph.Graph) func(lo, hi int64, ends []int64) {
-	return func(lo, hi int64, ends []int64) {
-		for e := lo; e < hi; e++ {
-			ends[2*(e-lo)], ends[2*(e-lo)+1] = int64(g.U[e]), int64(g.V[e])
-		}
-	}
 }
 
 // graftRun is what tells one graftRounds kernel from the other: where D

@@ -95,7 +95,7 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 		block := d.Raw()[dLo:dHi] // this thread's covered labels
 		th.ChargeSeq(sim.CatWork, span)
 
-		el := live.List(th, g.M(), endsOf(g), false)
+		el := live.List(th, g.M(), g.Ends, false)
 		var gpVal []int64
 		if rule.grandparents {
 			gpVal = make([]int64, len(el.Ends))

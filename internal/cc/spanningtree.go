@@ -31,6 +31,16 @@ type SpanningForest struct {
 	Run *pgas.Result
 }
 
+// Forest materializes the chosen edges as a graph on g's vertex set — the
+// shape euler.Tour consumes, whose component roots are CC.Labels.
+func (sf *SpanningForest) Forest(g *graph.Graph) *graph.Graph {
+	f := &graph.Graph{N: g.N, U: make([]int32, len(sf.Edges)), V: make([]int32, len(sf.Edges))}
+	for i, e := range sf.Edges {
+		f.U[i], f.V[i] = g.U[e], g.V[e]
+	}
+	return f
+}
+
 // noHook is the empty hook bucket. Every packed key is below it: labels
 // are vertex ids and n < 2^31 (SpanningTree checks), so the label field
 // never reaches 2^31 - 1.
@@ -77,7 +87,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		span := dHi - dLo
 		th.ChargeSeq(sim.CatWork, span)
 
-		el := live.List(th, g.M(), endsOf(g), true)
+		el := live.List(th, g.M(), g.Ends, true)
 		setIdx := make([]int64, 0, len(el.IDs))
 		setVal := make([]int64, 0, len(el.IDs))
 		jump := collective.NewJumpScratch(span)

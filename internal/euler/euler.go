@@ -18,7 +18,6 @@ import (
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/listrank"
 	"pgasgraph/internal/pgas"
-	"pgasgraph/internal/seq"
 )
 
 // TreeStats are rooted-forest statistics per vertex. Every tree is rooted
@@ -44,25 +43,24 @@ type TreeStats struct {
 	Run *pgas.Result
 }
 
-// Tour computes TreeStats for a forest given as an edge list. The input
-// must be acyclic (a spanning forest, e.g. from cc.SpanningTree); Tour
-// panics on graphs whose edge count makes acyclicity impossible and the
-// tests verify full structural correctness.
+// Tour computes TreeStats for a forest given as an edge list together with
+// its component roots, roots[v] the smallest vertex id of v's tree — what
+// the caller that built the forest already holds (cc.SpanningForest's
+// Forest and CC.Labels); Tour keeps roots as the result's Root. The input
+// must be acyclic; Tour panics on graphs whose edge count makes acyclicity
+// impossible and the tests verify full structural correctness.
 //
 // Recoverable state (pgas.Register): none. The tour is a multi-phase
 // pipeline (successor linking, list ranking, prefix extraction) whose
 // intermediate arrays only mean anything relative to the phase that built
 // them; a cross-phase snapshot cut is unresumable. After an eviction the
 // tour recovers by full deterministic re-execution.
-func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, colOpts *collective.Options) *TreeStats {
+func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, roots []int64, colOpts *collective.Options) *TreeStats {
 	n := forest.N
 	m := forest.M()
 	if m >= n && n > 0 {
 		panic(fmt.Sprintf("euler: %d edges on %d vertices cannot be a forest", m, n))
 	}
-
-	// Component roots: the canonical (minimum-id) labels.
-	roots := seq.CC(forest)
 
 	st := &TreeStats{
 		Root:        roots,
@@ -142,7 +140,7 @@ func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, colOpts 
 	}
 	list := &listrank.List{N: arcs, Succ: succ}
 	r1 := listrank.WyllieMulti(rt, comm, list, ones, colOpts)
-	accumulate(st.Run, r1.Run)
+	st.Run.Add(r1.Run)
 	rounds := r1.Rounds
 
 	// down[p] reports whether arc p runs parent -> child.
@@ -167,7 +165,7 @@ func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, colOpts 
 		}
 	}
 	r2 := listrank.WyllieMulti(rt, comm, list, w, colOpts)
-	accumulate(st.Run, r2.Run)
+	st.Run.Add(r2.Run)
 	rounds += r2.Rounds
 	st.Rounds = rounds
 
@@ -213,19 +211,4 @@ func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, colOpts 
 		st.Preorder[v] = (pos + st.Depth[v] + 3) / 2
 	}
 	return st
-}
-
-// accumulate folds one ranking run's accounting into the total.
-func accumulate(total, part *pgas.Result) {
-	total.SimNS += part.SimNS
-	total.Wall += part.Wall
-	total.SumByCategory.Add(&part.SumByCategory)
-	total.Messages += part.Messages
-	total.Bytes += part.Bytes
-	total.RemoteOps += part.RemoteOps
-	total.CacheMisses += part.CacheMisses
-	total.Faults += part.Faults
-	total.Retries += part.Retries
-	total.Checkpoints += part.Checkpoints
-	total.CheckpointBytes += part.CheckpointBytes
 }

@@ -152,7 +152,7 @@ func TestTourKnownShapes(t *testing.T) {
 		for _, geo := range []struct{ nodes, tpn int }{{1, 2}, {4, 2}} {
 			t.Run(name, func(t *testing.T) {
 				rt := newRuntime(t, geo.nodes, geo.tpn)
-				st := Tour(rt, collective.NewComm(rt), f, collective.Optimized(2))
+				st := Tour(rt, collective.NewComm(rt), f, seq.CC(f), collective.Optimized(2))
 				checkStats(t, f, st)
 			})
 		}
@@ -162,7 +162,7 @@ func TestTourKnownShapes(t *testing.T) {
 func TestTourPathDepths(t *testing.T) {
 	// Path 0-1-2-3-4 rooted at 0: depth[i] = i, size[i] = 5-i.
 	rt := newRuntime(t, 2, 2)
-	st := Tour(rt, collective.NewComm(rt), graph.Path(5), nil)
+	st := Tour(rt, collective.NewComm(rt), graph.Path(5), make([]int64, 5), nil)
 	for i := int64(0); i < 5; i++ {
 		if st.Depth[i] != i {
 			t.Fatalf("depth[%d] = %d", i, st.Depth[i])
@@ -183,7 +183,7 @@ func TestTourProperty(t *testing.T) {
 		n := int64(nRaw%80) + 1
 		k := int64(kRaw)%n + 1
 		f := randomForest(n, k, seed)
-		st := Tour(rt, comm, f, collective.Optimized(2))
+		st := Tour(rt, comm, f, seq.CC(f), collective.Optimized(2))
 		parent, depth, size, _ := refStats(f)
 		for v := int64(0); v < n; v++ {
 			if st.Parent[v] != parent[v] || st.Depth[v] != depth[v] || st.SubtreeSize[v] != size[v] {
@@ -204,12 +204,8 @@ func TestTourOnSpanningForest(t *testing.T) {
 	rt := newRuntime(t, 4, 2)
 	comm := collective.NewComm(rt)
 	sf := cc.SpanningTree(rt, comm, g, &cc.Options{Col: collective.Optimized(2), Compact: true})
-	forest := &graph.Graph{N: g.N}
-	for _, e := range sf.Edges {
-		forest.U = append(forest.U, g.U[e])
-		forest.V = append(forest.V, g.V[e])
-	}
-	st := Tour(rt, comm, forest, collective.Optimized(2))
+	forest := sf.Forest(g)
+	st := Tour(rt, comm, forest, sf.CC.Labels, collective.Optimized(2))
 	checkStats(t, forest, st)
 	// The tour's roots must agree with the graph's components.
 	if !seq.SamePartition(st.Root, seq.CC(g)) {
@@ -224,5 +220,5 @@ func TestTourRejectsNonForest(t *testing.T) {
 			t.Fatal("cyclic input did not panic")
 		}
 	}()
-	Tour(rt, collective.NewComm(rt), graph.Cycle(4), nil)
+	Tour(rt, collective.NewComm(rt), graph.Cycle(4), make([]int64, 4), nil)
 }

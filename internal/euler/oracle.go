@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"pgasgraph/internal/graph"
-	"pgasgraph/internal/seq"
 )
 
 // VerifyStats checks TreeStats structurally against the input forest —
 // an exact oracle without re-running the tour. Trees have unique paths,
 // so local consistency pins every field globally:
 //
-//   - Root induces the same partition as sequential CC on the forest and
-//     is the minimum id of each component (the documented rooting);
+//   - Root is the forest's component partition named by minimum ids (the
+//     documented rooting): constant along every edge, a fixed point no
+//     larger than any vertex carrying it, and n - m distinct values — as
+//     many as an acyclic graph has trees, so no two trees share one;
 //   - Parent edges exist in the forest, roots (and only roots) have
 //     Parent = -1, and Depth increases by exactly one along each parent
 //     link (which makes Depth the unique root distance);
@@ -26,15 +27,26 @@ func VerifyStats(forest *graph.Graph, ts *TreeStats) error {
 	if int64(len(ts.Root)) != n {
 		return fmt.Errorf("euler: %d roots for %d vertices", len(ts.Root), n)
 	}
-	labels := seq.CC(forest)
-	if !seq.SamePartition(labels, ts.Root) {
-		return fmt.Errorf("euler: tour roots induce a different partition than CC on the forest")
-	}
 	adj := map[[2]int64]bool{}
 	for e := range forest.U {
 		u, v := int64(forest.U[e]), int64(forest.V[e])
+		if ts.Root[u] != ts.Root[v] {
+			return fmt.Errorf("euler: forest edge (%d,%d) joins roots %d and %d", u, v, ts.Root[u], ts.Root[v])
+		}
 		adj[[2]int64{u, v}] = true
 		adj[[2]int64{v, u}] = true
+	}
+	trees := int64(0)
+	for v, r := range ts.Root {
+		if r < 0 || r > int64(v) || ts.Root[r] != r {
+			return fmt.Errorf("euler: root[%d] = %d is not the minimum id of a tree", v, r)
+		}
+		if r == int64(v) {
+			trees++
+		}
+	}
+	if trees != n-forest.M() {
+		return fmt.Errorf("euler: %d distinct roots over a forest of %d trees", trees, n-forest.M())
 	}
 	size := make(map[int64]int64) // vertices per root
 	childSum := make([]int64, n)  // sum of children's subtree sizes

@@ -30,6 +30,14 @@ func (g *Graph) M() int64 { return int64(len(g.U)) }
 // Weighted reports whether the graph carries edge weights.
 func (g *Graph) Weighted() bool { return g.W != nil }
 
+// Ends writes the endpoints of edges [lo, hi) to ends as (u, v) pairs, two
+// words an edge — the fill collective.LiveEdges.List takes.
+func (g *Graph) Ends(lo, hi int64, ends []int64) {
+	for e := lo; e < hi; e++ {
+		ends[2*(e-lo)], ends[2*(e-lo)+1] = int64(g.U[e]), int64(g.V[e])
+	}
+}
+
 // Validate checks structural invariants: matching slice lengths and
 // endpoints within [0, N).
 func (g *Graph) Validate() error {

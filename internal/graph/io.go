@@ -101,23 +101,16 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 // allocation grows only as data actually arrives.
 func readInt32s(r io.Reader, m int64, name string) ([]int32, error) {
 	const chunk = 1 << 20
-	out := make([]int32, 0, min64(m, chunk))
-	buf := make([]int32, min64(m, chunk))
+	out := make([]int32, 0, min(m, chunk))
+	buf := make([]int32, min(m, chunk))
 	for int64(len(out)) < m {
-		k := min64(m-int64(len(out)), chunk)
+		k := min(m-int64(len(out)), chunk)
 		if err := binary.Read(r, binary.LittleEndian, buf[:k]); err != nil {
 			return nil, fmt.Errorf("graph: reading %s: %w", name, err)
 		}
 		out = append(out, buf[:k]...)
 	}
 	return out, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // WriteEdgeList writes g as a text edge list: a header line "# n <N>"

@@ -20,7 +20,7 @@ import (
 // W[u] += W[v], S[u] = S[v], and v remembers (u, old W[u]) so that
 // rank[v] = rank[u] - oldW after u's rank is known.
 func CGM(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options) *Result {
-	col := sanitize(colOpts)
+	col := collective.Sanitize(colOpts, false) // no offload: inapplicable to list ranking
 	n := l.N
 	s := rt.NewSharedArray("S", n)
 	w := rt.NewSharedArray("W", n)

@@ -33,33 +33,40 @@ type List struct {
 }
 
 // Validate checks structural sanity: successors in range and every node
-// reaching a tail (no cycles other than tail self-loops).
+// reaching a tail (no cycles other than tail self-loops). It is linear in
+// n, so RunKernel can afford it on every dispatch.
 func (l *List) Validate() error {
 	if int64(len(l.Succ)) != l.N {
 		return fmt.Errorf("listrank: len(Succ)=%d != n=%d", len(l.Succ), l.N)
 	}
-	indeg := make([]int8, l.N)
+	hasPred := make([]bool, l.N)
 	for i, s := range l.Succ {
 		if int64(s) >= l.N || s < 0 {
 			return fmt.Errorf("listrank: succ[%d]=%d out of range", i, s)
 		}
 		if int64(s) != int64(i) {
-			if indeg[s] == 1 {
+			if hasPred[s] {
 				return fmt.Errorf("listrank: node %d has two predecessors", s)
 			}
-			indeg[s] = 1
+			hasPred[s] = true
 		}
 	}
-	// Acyclicity: ranks computable iff every walk terminates; SeqRank
-	// panics on cycles, so walk with a step bound here.
-	for i := int64(0); i < l.N; i++ {
-		steps := int64(0)
-		for j := i; int64(l.Succ[j]) != j; j = int64(l.Succ[j]) {
-			steps++
-			if steps > l.N {
-				return fmt.Errorf("listrank: cycle reachable from node %d", i)
-			}
+	// Acyclicity. With one successor and at most one predecessor each, the
+	// nodes form disjoint paths that end in a tail, plus cycles; no path
+	// enters a cycle (its nodes' one predecessor is on the cycle). So the
+	// walks from the heads visit every node exactly once, or a cycle exists.
+	reached := int64(0)
+	for h := int64(0); h < l.N; h++ {
+		if hasPred[h] {
+			continue
 		}
+		reached++
+		for j := h; int64(l.Succ[j]) != j; j = int64(l.Succ[j]) {
+			reached++
+		}
+	}
+	if reached != l.N {
+		return fmt.Errorf("listrank: %d of %d nodes lie on a cycle", l.N-reached, l.N)
 	}
 	return nil
 }
@@ -163,17 +170,4 @@ type Result struct {
 	Rounds int
 	// Run carries the simulated-time accounting.
 	Run *pgas.Result
-}
-
-// RanksEqual reports whether two rank vectors agree.
-func RanksEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,10 @@
 package listrank
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/machine"
@@ -47,6 +49,7 @@ func TestValidate(t *testing.T) {
 		fixedList(1, 2, 0),       // 3-cycle
 		{N: 1, Succ: []int32{5}}, // out of range
 		fixedList(2, 2, 2),       // node 2 has two predecessors
+		fixedList(1, 1, 3, 4, 2), // chain 0->1 beside a 3-cycle
 	}
 	for i, l := range bad {
 		if err := l.Validate(); err == nil {
@@ -55,22 +58,43 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateIsLinear: RunKernel validates the list on every dispatch, so
+// one chain over a million nodes — the worst case of a walk per node — must
+// cost a pass, not n²/2 pointer chases (which would not finish).
+func TestValidateIsLinear(t *testing.T) {
+	const n = 1 << 20
+	l := RandomList(n, 5)
+	start := time.Now()
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Validate took %v on one %d-node chain", d, n)
+	}
+	ranks := SeqRank(l)
+	head, tail := slices.Index(ranks, n-1), slices.Index(ranks, 0)
+	l.Succ[tail] = int32(head) // close the chain into one n-cycle
+	if err := l.Validate(); err == nil {
+		t.Fatal("a cycle through every node accepted")
+	}
+}
+
 func TestSeqRankKnown(t *testing.T) {
 	// Chain 0 -> 1 -> 2: rank measures distance to the tail (2).
 	ranks := SeqRank(fixedList(1, 2, 2))
 	want := []int64{2, 1, 0}
-	if !RanksEqual(ranks, want) {
+	if !slices.Equal(ranks, want) {
 		t.Fatalf("ranks = %v, want %v", ranks, want)
 	}
 	// Two chains: 0->1 and 3->2.
 	ranks = SeqRank(fixedList(1, 1, 2, 2))
 	want = []int64{1, 0, 0, 1}
-	if !RanksEqual(ranks, want) {
+	if !slices.Equal(ranks, want) {
 		t.Fatalf("ranks = %v, want %v", ranks, want)
 	}
 	// All singletons.
 	ranks = SeqRank(fixedList(0, 1, 2))
-	if !RanksEqual(ranks, []int64{0, 0, 0}) {
+	if !slices.Equal(ranks, []int64{0, 0, 0}) {
 		t.Fatalf("singleton ranks = %v", ranks)
 	}
 }
@@ -144,7 +168,7 @@ func TestDistributedMatchSequential(t *testing.T) {
 				t.Run(lname+"/"+vname, func(t *testing.T) {
 					rt := newRuntime(t, geo.nodes, geo.tpn)
 					res := run(rt, l)
-					if !RanksEqual(res.Ranks, want) {
+					if !slices.Equal(res.Ranks, want) {
 						t.Fatalf("ranks differ from sequential\n got %v\nwant %v",
 							head(res.Ranks), head(want))
 					}
@@ -171,7 +195,7 @@ func TestDistributedProperty(t *testing.T) {
 		want := SeqRank(l)
 		w := Wyllie(rt, comm, l, collective.Optimized(2))
 		c := CGM(rt, comm, l, collective.Optimized(2))
-		return RanksEqual(w.Ranks, want) && RanksEqual(c.Ranks, want)
+		return slices.Equal(w.Ranks, want) && slices.Equal(c.Ranks, want)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -205,7 +229,7 @@ func TestSeqRankTimed(t *testing.T) {
 	if ns <= 0 {
 		t.Fatal("no time charged")
 	}
-	if !RanksEqual(ranks, SeqRank(l)) {
+	if !slices.Equal(ranks, SeqRank(l)) {
 		t.Fatal("timed ranks differ")
 	}
 }
@@ -223,7 +247,7 @@ func TestWyllieMultiInvariants(t *testing.T) {
 
 	// Count must equal the plain ranks.
 	want := SeqRank(l)
-	if !RanksEqual(res.Count, want) {
+	if !slices.Equal(res.Count, want) {
 		t.Fatal("multi Count differs from plain ranks")
 	}
 	// Tail must be each node's chain tail; Weighted must be the suffix
@@ -259,7 +283,7 @@ func TestCGMMatchesAtManyGeometries(t *testing.T) {
 	for _, geo := range []struct{ nodes, tpn int }{{2, 1}, {2, 4}, {8, 1}, {4, 4}} {
 		rt := newRuntime(t, geo.nodes, geo.tpn)
 		res := CGM(rt, collective.NewComm(rt), l, collective.Optimized(2))
-		if !RanksEqual(res.Ranks, want) {
+		if !slices.Equal(res.Ranks, want) {
 			t.Fatalf("p=%d t=%d: CGM ranks wrong", geo.nodes, geo.tpn)
 		}
 	}
@@ -276,7 +300,7 @@ func TestWyllieFusedMatches(t *testing.T) {
 		} {
 			want := SeqRank(l)
 			res := WyllieFused(rt, comm, l, collective.Optimized(2))
-			if !RanksEqual(res.Ranks, want) {
+			if !slices.Equal(res.Ranks, want) {
 				t.Fatalf("%s: fused ranks wrong", name)
 			}
 		}
@@ -289,7 +313,7 @@ func TestWyllieFusedCheaper(t *testing.T) {
 	l := RandomList(20000, 9)
 	plain := Wyllie(rt, comm, l, collective.Optimized(2))
 	fused := WyllieFused(rt, comm, l, collective.Optimized(2))
-	if !RanksEqual(plain.Ranks, fused.Ranks) {
+	if !slices.Equal(plain.Ranks, fused.Ranks) {
 		t.Fatal("variants disagree")
 	}
 	if fused.Run.SimNS >= plain.Run.SimNS {

@@ -42,7 +42,7 @@ func WyllieMulti(rt *pgas.Runtime, comm *collective.Comm, l *List, weights []int
 	if int64(len(weights)) != l.N {
 		panic(fmt.Sprintf("listrank: %d weights for %d nodes", len(weights), l.N))
 	}
-	col := sanitize(colOpts)
+	col := collective.Sanitize(colOpts, false) // no offload: inapplicable to list ranking
 	s := rt.NewSharedArray("S", l.N)
 	cnt := rt.NewSharedArray("Count", l.N)
 	wgt := rt.NewSharedArray("Weighted", l.N)

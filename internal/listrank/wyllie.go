@@ -39,7 +39,7 @@ func WyllieFused(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *coll
 }
 
 func wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options, name string, fused bool) *Result {
-	col := sanitize(colOpts)
+	col := collective.Sanitize(colOpts, false) // no offload: inapplicable to list ranking
 	s := rt.NewSharedArray("S", l.N)
 	r := rt.NewSharedArray("R", l.N)
 	for i := int64(0); i < l.N; i++ {
@@ -178,9 +178,4 @@ func WyllieNaive(rt *pgas.Runtime, l *List) *Result {
 	})
 
 	return &Result{Ranks: append([]int64(nil), r.Raw()...), Rounds: rounds, Run: run}
-}
-
-// sanitize copies opts and disables offload (inapplicable to list ranking).
-func sanitize(opts *collective.Options) *collective.Options {
-	return collective.Sanitize(opts, false)
 }

@@ -67,7 +67,7 @@ func Luby(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *coll
 	if g.N >= 1<<20<<20 {
 		panic("mis: vertex ids overflow priority packing")
 	}
-	col := sanitize(colOpts)
+	col := collective.Sanitize(colOpts, false) // no offload: states are mutable
 	csr := graph.BuildCSR(g)
 	state := rt.NewSharedArray("State", g.N)
 	red := pgas.NewOrReducer(rt)
@@ -179,9 +179,13 @@ func Luby(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *coll
 	return res
 }
 
-// Check verifies inSet is a maximal independent set of g (self-loop
-// vertices are exempt from both conditions except exclusion).
-func Check(g *graph.Graph, inSet []bool) error {
+// VerifySet checks a result directly against the definition: no two set
+// members are adjacent, and every excluded vertex has a set neighbor
+// (self-loop vertices are exempt from both conditions except exclusion).
+// MIS solutions are not unique, so this certificate check — not a
+// comparison against a sequential run — is the kernel's oracle.
+func VerifySet(g *graph.Graph, res *Result) error {
+	inSet := res.InSet
 	if int64(len(inSet)) != g.N {
 		return fmt.Errorf("mis: %d flags for %d vertices", len(inSet), g.N)
 	}
@@ -216,9 +220,4 @@ func Check(g *graph.Graph, inSet []bool) error {
 		}
 	}
 	return nil
-}
-
-// sanitize copies opts and disables offload (states are mutable).
-func sanitize(opts *collective.Options) *collective.Options {
-	return collective.Sanitize(opts, false)
 }

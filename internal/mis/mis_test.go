@@ -25,21 +25,21 @@ func newRuntime(t testing.TB, nodes, tpn int) *pgas.Runtime {
 func TestCheckRejectsBad(t *testing.T) {
 	g := graph.Path(4)
 	// Adjacent pair.
-	if Check(g, []bool{true, true, false, true}) == nil {
+	if VerifySet(g, &Result{InSet: []bool{true, true, false, true}}) == nil {
 		t.Fatal("dependent set accepted")
 	}
 	// Not maximal: vertex 3 uncovered.
-	if Check(g, []bool{true, false, true, false}) == nil {
+	if VerifySet(g, &Result{InSet: []bool{true, false, true, false}}) == nil {
 		// 0-1-2-3 path: {0,2} leaves 3 uncovered by a set member? 3's
 		// neighbor is 2 which IS in set — so this IS valid. Use a truly
 		// non-maximal one instead below.
 		t.Log("{0,2} is actually valid on a path; fine")
 	}
-	if Check(g, []bool{true, false, false, false}) == nil {
+	if VerifySet(g, &Result{InSet: []bool{true, false, false, false}}) == nil {
 		t.Fatal("non-maximal set accepted")
 	}
 	// Wrong length.
-	if Check(g, []bool{true}) == nil {
+	if VerifySet(g, &Result{InSet: []bool{true}}) == nil {
 		t.Fatal("wrong length accepted")
 	}
 }
@@ -63,7 +63,7 @@ func TestLubyKnownShapes(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				rt := newRuntime(t, geo.nodes, geo.tpn)
 				res := Luby(rt, collective.NewComm(rt), g, collective.Optimized(2))
-				if err := Check(g, res.InSet); err != nil {
+				if err := VerifySet(g, res); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -78,7 +78,7 @@ func TestLubySelfLoops(t *testing.T) {
 	if res.InSet[0] {
 		t.Fatal("self-loop vertex joined the set")
 	}
-	if err := Check(g, res.InSet); err != nil {
+	if err := VerifySet(g, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,7 +114,7 @@ func TestLubyProperty(t *testing.T) {
 		m := int64(dRaw) % (maxM + 1)
 		g := graph.Random(n, m, seed)
 		res := Luby(rt, comm, g, collective.Optimized(2))
-		return Check(g, res.InSet) == nil
+		return VerifySet(g, res) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

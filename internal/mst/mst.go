@@ -46,7 +46,7 @@ type Result struct {
 }
 
 // Options configures the coalesced kernel. Nil Options (or a nil Col
-// field) select Defaults().
+// field) select base collectives, no compaction.
 type Options struct {
 	// Col configures the collectives. The offload optimization is
 	// CC-specific (it relies on D[0] being constant, which Borůvka
@@ -54,19 +54,6 @@ type Options struct {
 	Col *collective.Options
 	// Compact filters settled edges from the live list each round.
 	Compact bool
-}
-
-// Defaults returns the configuration selected when a caller passes nil
-// Options: base collectives, no compaction.
-func Defaults() *Options { return &Options{Col: collective.Defaults()} }
-
-// Validate reports whether o is a usable configuration; nil is valid (it
-// selects Defaults).
-func (o *Options) Validate() error {
-	if o == nil {
-		return nil
-	}
-	return o.Col.Validate()
 }
 
 func (o *Options) col() *collective.Options {
@@ -238,11 +225,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		span := dHi - dLo
 		th.ChargeSeq(sim.CatWork, span)
 
-		el := live.List(th, g.M(), func(lo, hi int64, ends []int64) {
-			for e := lo; e < hi; e++ {
-				ends[2*(e-lo)], ends[2*(e-lo)+1] = int64(g.U[e]), int64(g.V[e])
-			}
-		}, true)
+		el := live.List(th, g.M(), g.Ends, true)
 		setIdx := make([]int64, 0, len(el.Ends))
 		setVal := make([]int64, 0, len(el.Ends))
 		jump := collective.NewJumpScratch(span)

@@ -467,6 +467,22 @@ func (r *Result) AvgByCategory() sim.Breakdown {
 // SimMS returns the simulated makespan in milliseconds.
 func (r *Result) SimMS() float64 { return r.SimNS / 1e6 }
 
+// Add folds part, the accounting of a region that ran after r's on the same
+// geometry, into r — how a multi-region kernel reports one Result.
+func (r *Result) Add(part *Result) {
+	r.SimNS += part.SimNS
+	r.Wall += part.Wall
+	r.SumByCategory.Add(&part.SumByCategory)
+	r.Messages += part.Messages
+	r.Bytes += part.Bytes
+	r.RemoteOps += part.RemoteOps
+	r.CacheMisses += part.CacheMisses
+	r.Faults += part.Faults
+	r.Retries += part.Retries
+	r.Checkpoints += part.Checkpoints
+	r.CheckpointBytes += part.CheckpointBytes
+}
+
 // Run executes fn on every thread concurrently (one goroutine per thread),
 // waits for all of them, and returns the aggregated result. Clocks and
 // counters are reset at region entry. Run must not be called reentrantly.
@@ -837,19 +853,12 @@ func Span(total int64, parts, idx int) (lo, hi int64) {
 	i := int64(idx)
 	base := total / p
 	rem := total % p
-	lo = i*base + min64(i, rem)
+	lo = i*base + min(i, rem)
 	hi = lo + base
 	if i < rem {
 		hi++
 	}
 	return lo, hi
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Span returns this thread's block of a total-item iteration space divided

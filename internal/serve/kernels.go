@@ -7,23 +7,28 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
+	"pgasgraph/internal/bcc"
 	"pgasgraph/internal/bfs"
 	"pgasgraph/internal/cc"
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/euler"
 	"pgasgraph/internal/graph"
+	"pgasgraph/internal/listrank"
+	"pgasgraph/internal/mis"
 	"pgasgraph/internal/mst"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/sssp"
+	"pgasgraph/internal/triangle"
 )
 
-// KernelSpec names one kernel run: which kernel, on which graph, with
-// which options. It is the uniform dispatch currency shared by
-// Cluster.Run, the Service, pgasd's wire protocol, and the spec-driven
-// tables in cmd/pgasbench — one registry instead of per-tool switch
-// statements.
+// KernelSpec names one kernel run: which kernel, on which input, with
+// which options. It is the one way to invoke a kernel — Cluster.Run, the
+// Service, pgasd's wire protocol, pgasrun, internal/bench and benchmark/
+// all enter through RunKernel with one.
 type KernelSpec struct {
 	// Kernel is the registry name (see Kernels): "cc/coalesced",
 	// "bfs/coalesced", "sssp/delta-stepping", "mst/coalesced", ...
@@ -31,10 +36,14 @@ type KernelSpec struct {
 	// Graph is the input. The Service fills it with its resident graph;
 	// direct Cluster.Run callers pass their own.
 	Graph *graph.Graph `json:"-"`
+	// List is the input of the list kernels (listrank/*), which take no
+	// graph. Like Graph it does not travel, and the Service holds none: a
+	// list kernel asked for over pgasd answers misuse.
+	List *listrank.List `json:"-"`
 	// Col configures the collectives; nil means collective.Defaults().
 	Col *collective.Options `json:"col,omitempty"`
 	// Compact enables edge compaction where the kernel supports it
-	// (cc/*, mst/coalesced).
+	// (the collective cc/* rows, spanning-forest, mst/coalesced).
 	Compact bool `json:"compact,omitempty"`
 	// Src is the BFS/SSSP source vertex.
 	Src int64 `json:"src,omitempty"`
@@ -43,7 +52,7 @@ type KernelSpec struct {
 }
 
 // KernelResult is the uniform outcome of a dispatched kernel run. Fields
-// not produced by the kernel stay zero/nil; Run is always set.
+// not produced by the kernel stay zero/nil; Run and Detail are always set.
 type KernelResult struct {
 	// Kernel echoes the spec's registry name.
 	Kernel string
@@ -62,10 +71,16 @@ type KernelResult struct {
 	// Weight is the forest weight (mst/*).
 	Weight uint64
 	// Iterations counts outer rounds (kernel-specific: grafts, Borůvka
-	// rounds, BFS levels, SSSP buckets).
+	// rounds, BFS levels, SSSP buckets, jump or Luby rounds).
 	Iterations int
 	// Run carries the simulated-time accounting.
 	Run *pgas.Result
+	// Detail is the kernel package's own result, the row's type
+	// (*cc.Result, *bcc.Result, *euler.TreeStats for spanning-forest, ...;
+	// docs/API.md has the table) — everything the uniform fields above do
+	// not carry. It never travels: the Service and the wire read only the
+	// uniform fields.
+	Detail any
 }
 
 // Sum is a deterministic content checksum over the result's payload
@@ -88,86 +103,169 @@ func (r *KernelResult) Sum() int64 {
 	return s + int64(r.Weight) + r.Components
 }
 
-// kernelEntry is one registry row.
+// kernelEntry is one registry row: the definition of a kernel. What
+// RunKernel must validate before the kernel may run is data on the row; the
+// kernel and its oracle are the row's two functions.
 type kernelEntry struct {
 	name     string
 	weighted bool // requires edge weights
+	list     bool // ranks spec.List; every other row runs on spec.Graph
 	// racy marks kernels that perform a scheduling-dependent NUMBER of
 	// runtime operations by design (benign arbitrary-CRCW races that
 	// change iteration counts, not answers). The verify harness derives
 	// its chaos-rotation exclusion from this flag — a new kernel declares
 	// it here instead of being name-matched into a string list.
 	racy bool
-	run  func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult
+	// run calls the kernel and returns its package's own result type,
+	// which uniform lays out as a KernelResult; verify checks that outcome
+	// against the package's sequential oracle.
+	run    runFunc
+	verify verifyFunc
 }
 
-func ccResult(name string, res *cc.Result) *KernelResult {
-	return &KernelResult{Kernel: name, Labels: res.Labels, Components: res.Components,
-		Iterations: res.Iterations, Run: res.Run}
+type (
+	runFunc    = func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any
+	verifyFunc = func(s *KernelSpec, res *KernelResult) error
+)
+
+// uniform lays a kernel package's result out as a KernelResult: the package
+// result whole as Detail, what it carries that the Service, Sum and the
+// wire read copied (by reference) into the uniform fields.
+func uniform(kernel string, detail any) *KernelResult {
+	res := &KernelResult{Kernel: kernel, Detail: detail}
+	switch r := detail.(type) {
+	case *cc.Result:
+		res.Labels, res.Components, res.Iterations, res.Run = r.Labels, r.Components, r.Iterations, r.Run
+	case *cc.BipartiteResult: // the cover run's component labels are canonical like any cc row's
+		res.Labels, res.Components, res.Run = r.Component, int64(len(r.ComponentBipartite)), r.Run
+	case *rootedForest:
+		res = uniform(kernel, r.sf.CC)
+		res.Parent, res.Edges, res.Detail = r.tour.Parent, r.sf.Edges, r.tour
+	case *bfs.Result:
+		res.Dist, res.Iterations, res.Run = r.Dist, r.Levels, r.Run
+	case *sssp.Result:
+		res.Dist, res.Iterations, res.Run = r.Dist, r.Buckets, r.Run
+	case *mst.Result:
+		res.Edges, res.Weight, res.Iterations, res.Run = r.Edges, r.Weight, r.Iterations, r.Run
+	case *listrank.Result:
+		res.Iterations, res.Run = r.Rounds, r.Run
+	case *mis.Result:
+		res.Iterations, res.Run = r.Rounds, r.Run
+	case *triangle.Result:
+		res.Run = r.Run
+	case *bcc.Result:
+		res.Run = r.Run
+	default:
+		panic(fmt.Sprintf("serve: %s returned a %T, which uniform does not lay out", kernel, detail))
+	}
+	return res
 }
 
-func ccOpts(spec *KernelSpec) *cc.Options {
-	return &cc.Options{Col: spec.Col, Compact: spec.Compact}
+// rootedForest is what the spanning-forest row runs: the forest kernel,
+// then the Euler tour — the building block that roots it — over its edges.
+// The tour's statistics are the row's Detail; the run accounted is the
+// forest's.
+type rootedForest struct {
+	sf   *cc.SpanningForest
+	tour *euler.TreeStats
 }
 
-// registry is the kernel dispatch table. Order is the presentation order
-// of Kernels().
+// The kernels come in a few shapes; one adapter per shape makes a row's run
+// the kernel function itself, R its package's result type.
+
+// labeling: the collective CC kernels' shape, options from Col and Compact.
+func labeling[R any](k func(*pgas.Runtime, *collective.Comm, *graph.Graph, *cc.Options) R) runFunc {
+	return func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
+		return k(rt, comm, s.Graph, &cc.Options{Col: s.Col, Compact: s.Compact})
+	}
+}
+
+// liuTarjan: the labeling kernel of one Liu-Tarjan rule triple.
+func liuTarjan(v cc.LTVariant) runFunc {
+	return labeling(func(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, o *cc.Options) *cc.Result {
+		return cc.LiuTarjan(rt, comm, g, v, o)
+	})
+}
+
+// oneSided: the literal translations, which use no collective and no option.
+func oneSided[R any](k func(*pgas.Runtime, *graph.Graph) R) runFunc {
+	return func(rt *pgas.Runtime, _ *collective.Comm, s *KernelSpec) any { return k(rt, s.Graph) }
+}
+
+// onGraph: a graph in, the collectives configured by Col.
+func onGraph[R any](k func(*pgas.Runtime, *collective.Comm, *graph.Graph, *collective.Options) R) runFunc {
+	return func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any { return k(rt, comm, s.Graph, s.Col) }
+}
+
+// onList: the same over the list.
+func onList[R any](k func(*pgas.Runtime, *collective.Comm, *listrank.List, *collective.Options) R) runFunc {
+	return func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any { return k(rt, comm, s.List, s.Col) }
+}
+
+// onDetail adapts an oracle that reads the package's own result type.
+func onDetail[R any](check func(*graph.Graph, R) error) verifyFunc {
+	return func(s *KernelSpec, res *KernelResult) error { return check(s.Graph, res.Detail.(R)) }
+}
+
+func verifyLabels(s *KernelSpec, res *KernelResult) error {
+	return cc.VerifyLabels(s.Graph, res.Labels)
+}
+
+// onDist adapts a single-source oracle.
+func onDist(check func(g *graph.Graph, src int64, dist []int64) error) verifyFunc {
+	return func(s *KernelSpec, res *KernelResult) error { return check(s.Graph, s.Src, res.Dist) }
+}
+
+func verifyRanks(s *KernelSpec, res *KernelResult) error {
+	return listrank.VerifyRanks(s.List, res.Detail.(*listrank.Result).Ranks)
+}
+
+// registry is the kernel table. Order is the presentation order of
+// Kernels().
 var registry = []kernelEntry{
-	{"cc/coalesced", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		return ccResult(spec.Kernel, cc.Coalesced(rt, comm, spec.Graph, ccOpts(spec)))
-	}},
-	{"cc/sv", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		return ccResult(spec.Kernel, cc.SV(rt, comm, spec.Graph, ccOpts(spec)))
-	}},
-	{"cc/fastsv", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		return ccResult(spec.Kernel, cc.FastSV(rt, comm, spec.Graph, ccOpts(spec)))
-	}},
-	{"cc/lt-prs", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		return ccResult(spec.Kernel, cc.LiuTarjan(rt, comm, spec.Graph, cc.LTPRS, ccOpts(spec)))
-	}},
-	{"cc/lt-pus", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		return ccResult(spec.Kernel, cc.LiuTarjan(rt, comm, spec.Graph, cc.LTPUS, ccOpts(spec)))
-	}},
-	{"cc/lt-ers", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		return ccResult(spec.Kernel, cc.LiuTarjan(rt, comm, spec.Graph, cc.LTERS, ccOpts(spec)))
-	}},
+	{name: "cc/coalesced", run: labeling(cc.Coalesced), verify: verifyLabels},
+	{name: "cc/sv", run: labeling(cc.SV), verify: verifyLabels},
+	{name: "cc/fastsv", run: labeling(cc.FastSV), verify: verifyLabels},
+	{name: "cc/lt-prs", run: liuTarjan(cc.LTPRS), verify: verifyLabels},
+	{name: "cc/lt-pus", run: liuTarjan(cc.LTPUS), verify: verifyLabels},
+	{name: "cc/lt-ers", run: liuTarjan(cc.LTERS), verify: verifyLabels},
 	// cc/naive's graft test re-reads labels mid-phase while peers PutMin
 	// them, so its iteration count is scheduling-dependent: racy.
-	{"cc/naive", false, true, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		return ccResult(spec.Kernel, cc.Naive(rt, spec.Graph))
-	}},
-	{"spanning-forest", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		sf := cc.SpanningTree(rt, comm, spec.Graph, ccOpts(spec))
-		forest := forestGraph(spec.Graph, sf.Edges)
-		tour := euler.Tour(rt, comm, forest, spec.Col)
-		res := ccResult(spec.Kernel, sf.CC)
-		res.Parent = tour.Parent
-		res.Edges = sf.Edges
-		res.Run = sf.Run
-		return res
-	}},
-	{"bfs/coalesced", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		r := bfs.Coalesced(rt, comm, spec.Graph, spec.Src, spec.Col)
-		return &KernelResult{Kernel: spec.Kernel, Dist: r.Dist, Iterations: r.Levels, Run: r.Run}
-	}},
-	{"bfs/naive", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		r := bfs.Naive(rt, spec.Graph, spec.Src)
-		return &KernelResult{Kernel: spec.Kernel, Dist: r.Dist, Iterations: r.Levels, Run: r.Run}
-	}},
-	{"sssp/delta-stepping", true, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		r := sssp.DeltaStepping(rt, comm, spec.Graph, spec.Src, spec.Delta, spec.Col)
-		return &KernelResult{Kernel: spec.Kernel, Dist: r.Dist, Iterations: r.Buckets, Run: r.Run}
-	}},
-	{"mst/coalesced", true, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		r := mst.Coalesced(rt, comm, spec.Graph, &mst.Options{Col: spec.Col, Compact: spec.Compact})
-		return &KernelResult{Kernel: spec.Kernel, Edges: r.Edges, Weight: r.Weight,
-			Iterations: r.Iterations, Run: r.Run}
-	}},
-	{"mst/naive", true, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
-		r := mst.Naive(rt, spec.Graph)
-		return &KernelResult{Kernel: spec.Kernel, Edges: r.Edges, Weight: r.Weight,
-			Iterations: r.Iterations, Run: r.Run}
-	}},
+	{name: "cc/naive", racy: true, run: oneSided(cc.Naive), verify: verifyLabels},
+	{name: "cc/merge-cgm", run: oneSided(cc.MergeCGM), verify: verifyLabels},
+	{name: "cc/bipartite", run: labeling(cc.Bipartite), verify: onDetail(cc.VerifyBipartite)},
+	{name: "spanning-forest",
+		run: labeling(func(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, o *cc.Options) *rootedForest {
+			sf := cc.SpanningTree(rt, comm, g, o)
+			return &rootedForest{sf, euler.Tour(rt, comm, sf.Forest(g), sf.CC.Labels, o.Col)}
+		}),
+		verify: func(s *KernelSpec, res *KernelResult) error {
+			sf := &cc.SpanningForest{Edges: res.Edges, CC: &cc.Result{Labels: res.Labels, Components: res.Components}}
+			if err := cc.VerifySpanningForest(s.Graph, sf); err != nil {
+				return err
+			}
+			return euler.VerifyStats(sf.Forest(s.Graph), res.Detail.(*euler.TreeStats))
+		}},
+	{name: "bfs/coalesced", verify: onDist(bfs.VerifyDistances),
+		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
+			return bfs.Coalesced(rt, comm, s.Graph, s.Src, s.Col)
+		}},
+	{name: "bfs/naive", verify: onDist(bfs.VerifyDistances),
+		run: func(rt *pgas.Runtime, _ *collective.Comm, s *KernelSpec) any { return bfs.Naive(rt, s.Graph, s.Src) }},
+	{name: "sssp/delta-stepping", weighted: true, verify: onDist(sssp.VerifyDistances),
+		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
+			return sssp.DeltaStepping(rt, comm, s.Graph, s.Src, s.Delta, s.Col)
+		}},
+	{name: "mst/coalesced", weighted: true, verify: onDetail(mst.VerifyForest),
+		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
+			return mst.Coalesced(rt, comm, s.Graph, &mst.Options{Col: s.Col, Compact: s.Compact})
+		}},
+	{name: "mst/naive", weighted: true, run: oneSided(mst.Naive), verify: onDetail(mst.VerifyForest)},
+	{name: "listrank/wyllie", list: true, run: onList(listrank.Wyllie), verify: verifyRanks},
+	{name: "listrank/cgm", list: true, run: onList(listrank.CGM), verify: verifyRanks},
+	{name: "mis/luby", run: onGraph(mis.Luby), verify: onDetail(mis.VerifySet)},
+	{name: "triangle/count", run: onGraph(triangle.Count), verify: onDetail(triangle.Verify)},
+	{name: "bcc/tarjan-vishkin", run: onGraph(bcc.TarjanVishkin), verify: onDetail(bcc.Verify)},
 }
 
 // RacyOps reports whether the named kernel performs a scheduling-
@@ -176,12 +274,15 @@ var registry = []kernelEntry{
 // chaos soak's bit-for-bit fault-schedule replay — must skip such
 // kernels. Unknown names report false.
 func RacyOps(name string) bool {
-	for i := range registry {
-		if registry[i].name == name {
-			return registry[i].racy
-		}
-	}
-	return false
+	entry, err := lookup(name)
+	return err == nil && entry.racy
+}
+
+// TakesList reports whether the named kernel ranks KernelSpec.List instead
+// of running on KernelSpec.Graph. Unknown names report false.
+func TakesList(name string) bool {
+	entry, err := lookup(name)
+	return err == nil && entry.list
 }
 
 // Kernels returns the registry names in presentation order.
@@ -207,10 +308,47 @@ func lookup(name string) (*kernelEntry, error) {
 		"unknown kernel %q (known: %v)", name, known)
 }
 
-// RunKernel validates spec and dispatches it on the given cluster.
-// Misconfiguration — unknown kernel name, nil or invalid graph, invalid
-// options, a weighted kernel on an unweighted graph, a source out of
-// range — returns a classified pgas.ErrMisuse; classified runtime
+// admit finds spec's row and checks everything that must hold before the
+// kernel may run, as the row states it: the input it runs on present and
+// valid, weights, source range, options. Every refusal is ErrMisuse.
+func admit(spec *KernelSpec) (*kernelEntry, error) {
+	entry, err := lookup(spec.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	switch g := spec.Graph; {
+	case entry.list && spec.List == nil:
+		err = errors.New("ranks KernelSpec.List, and none was given")
+	case entry.list:
+		err = spec.List.Validate()
+	case g == nil:
+		err = errors.New("nil graph")
+	default:
+		err = g.Validate()
+		if err == nil && entry.weighted && !g.Weighted() {
+			err = errors.New("needs edge weights; the loaded graph has none")
+		}
+		if err == nil && (spec.Src < 0 || spec.Src >= g.N) {
+			err = fmt.Errorf("source %d out of range [0,%d)", spec.Src, g.N)
+		}
+	}
+	if err == nil {
+		// Validate the sanitized form: the kernels themselves accept
+		// VirtualThreads 0 as "disabled" (Sanitize maps it to 1), so dispatch
+		// must not be stricter than the kernels it fronts.
+		err = collective.Sanitize(spec.Col, true).Validate()
+	}
+	if err != nil {
+		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "serve.run", "%s: %v", spec.Kernel, err)
+	}
+	return entry, nil
+}
+
+// RunKernel validates spec against its row and dispatches it on the given
+// cluster. Misconfiguration — unknown kernel name, a missing or invalid
+// input (a graph kernel without a graph, a list kernel without a list),
+// invalid options, a weighted kernel on an unweighted graph, a source out
+// of range — returns a classified pgas.ErrMisuse; classified runtime
 // failures (chaos faults, evictions) come back as their own classes.
 // Kernel bugs still panic.
 //
@@ -219,41 +357,28 @@ func lookup(name string) (*kernelEntry, error) {
 // run allocated on rt is released on the way out (pgas.Runtime.Release),
 // panic or not, and a long-lived cluster carries no trace of finished runs.
 func RunKernel(rt *pgas.Runtime, comm *collective.Comm, spec KernelSpec) (res *KernelResult, err error) {
-	entry, err := lookup(spec.Kernel)
+	entry, err := admit(&spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Graph == nil {
-		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "serve.run", "%s: nil graph", spec.Kernel)
-	}
-	if err := spec.Graph.Validate(); err != nil {
-		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "serve.run", "%s: %v", spec.Kernel, err)
-	}
-	if entry.weighted && !spec.Graph.Weighted() {
-		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "serve.run",
-			"%s needs edge weights; the loaded graph has none", spec.Kernel)
-	}
-	if spec.Src < 0 || spec.Src >= spec.Graph.N {
-		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "serve.run",
-			"%s: source %d out of range [0,%d)", spec.Kernel, spec.Src, spec.Graph.N)
-	}
-	// Validate the sanitized form: the kernels themselves accept
-	// VirtualThreads 0 as "disabled" (Sanitize maps it to 1), so dispatch
-	// must not be stricter than the kernels it fronts.
-	if err := collective.Sanitize(spec.Col, true).Validate(); err != nil {
-		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "serve.run", "%s: %v", spec.Kernel, err)
-	}
 	defer rt.Release(rt.Mark())
 	defer pgas.Recover(&err)
-	return entry.run(rt, comm, &spec), nil
+	return uniform(spec.Kernel, entry.run(rt, comm, &spec)), nil
 }
 
-// forestGraph materializes chosen edge ids as a graph on g's vertex set
-// (the shape euler.Tour consumes).
-func forestGraph(g *graph.Graph, edges []int64) *graph.Graph {
-	f := &graph.Graph{N: g.N, U: make([]int32, len(edges)), V: make([]int32, len(edges))}
-	for i, e := range edges {
-		f.U[i], f.V[i] = g.U[e], g.V[e]
+// Verify checks res, the outcome of RunKernel(spec), against the sequential
+// oracle of spec's kernel — the one its package exports and the verify
+// harness runs. It re-derives the answer on the host: for tests, pgasrun
+// and examples, not for a serving path. A spec RunKernel would refuse (a
+// Service.Run caller's spec holds no Graph: hand it the graph) or a res
+// that is not a run of spec's kernel is ErrMisuse, not a panic.
+func Verify(spec KernelSpec, res *KernelResult) error {
+	entry, err := admit(&spec)
+	if err != nil {
+		return err
 	}
-	return f
+	if res == nil || res.Kernel != spec.Kernel {
+		return pgas.Errorf(pgas.ErrMisuse, -1, "serve.verify", "%s: the result is not a run of this kernel", spec.Kernel)
+	}
+	return entry.verify(&spec, res)
 }

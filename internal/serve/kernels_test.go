@@ -1,13 +1,18 @@
 package serve
 
 import (
+	"reflect"
 	"testing"
 
+	"pgasgraph/internal/bcc"
 	"pgasgraph/internal/cc"
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
+	"pgasgraph/internal/listrank"
+	"pgasgraph/internal/mis"
 	"pgasgraph/internal/mst"
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/triangle"
 )
 
 func testGraph(n, m int64, seed uint64) *graph.Graph {
@@ -20,61 +25,84 @@ func testWeightedGraph(n, m int64, seed uint64) *graph.Graph {
 
 // TestRunKernelMatchesDirect pins dispatch fidelity on a clean cluster:
 // registry dispatch must be observationally identical to calling the
-// kernel directly — bit-identical answers AND bit-identical simulated
-// time (the harness's serve/dispatch check drops the sim comparison
-// because chaos retries legitimately skew it; this is the clean twin).
+// kernel directly — the kernel package's result bit-identical field for
+// field AND bit-identical simulated time (the harness's serve/dispatch
+// check drops the sim comparison because chaos retries legitimately skew
+// it; this is the clean twin). The paper's two headline kernels, then the
+// seven rows that were reachable only through Cluster methods.
 func TestRunKernelMatchesDirect(t *testing.T) {
 	g := testGraph(300, 650, 21)
+	wg := testWeightedGraph(200, 500, 5)
+	l := listrank.Chains(240, 3, 9)
 	col := collective.Optimized(2)
-
-	rt1, err := pgas.New(testMachine(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunKernel(rt1, collective.NewComm(rt1), KernelSpec{
-		Kernel: "cc/coalesced", Graph: g, Col: col, Compact: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rt2, err := pgas.New(testMachine(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := cc.Coalesced(rt2, collective.NewComm(rt2), g, &cc.Options{Col: col, Compact: true})
-
-	if res.Components != direct.Components || res.Run.SimNS != direct.Run.SimNS {
-		t.Fatalf("dispatch diverged: components %d vs %d, sim %v vs %v",
-			res.Components, direct.Components, res.Run.SimNS, direct.Run.SimNS)
-	}
-	for i := range direct.Labels {
-		if res.Labels[i] != direct.Labels[i] {
-			t.Fatalf("label[%d]: dispatched %d, direct %d", i, res.Labels[i], direct.Labels[i])
+	opts := &cc.Options{Col: col, Compact: true}
+	for _, row := range []struct {
+		spec   KernelSpec
+		direct func(rt *pgas.Runtime, comm *collective.Comm) any
+	}{
+		{KernelSpec{Kernel: "cc/coalesced", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return cc.Coalesced(rt, comm, g, opts) }},
+		{KernelSpec{Kernel: "mst/coalesced", Graph: wg}, func(rt *pgas.Runtime, comm *collective.Comm) any {
+			return mst.Coalesced(rt, comm, wg, &mst.Options{Col: col, Compact: true})
+		}},
+		{KernelSpec{Kernel: "cc/merge-cgm", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return cc.MergeCGM(rt, g) }},
+		{KernelSpec{Kernel: "cc/bipartite", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return cc.Bipartite(rt, comm, g, opts) }},
+		{KernelSpec{Kernel: "listrank/wyllie", List: l}, func(rt *pgas.Runtime, comm *collective.Comm) any { return listrank.Wyllie(rt, comm, l, col) }},
+		{KernelSpec{Kernel: "listrank/cgm", List: l}, func(rt *pgas.Runtime, comm *collective.Comm) any { return listrank.CGM(rt, comm, l, col) }},
+		{KernelSpec{Kernel: "mis/luby", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return mis.Luby(rt, comm, g, col) }},
+		{KernelSpec{Kernel: "triangle/count", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return triangle.Count(rt, comm, g, col) }},
+		{KernelSpec{Kernel: "bcc/tarjan-vishkin", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return bcc.TarjanVishkin(rt, comm, g, col) }},
+	} {
+		rt1, err := pgas.New(testMachine(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		row.spec.Col, row.spec.Compact = col, true
+		res, err := RunKernel(rt1, collective.NewComm(rt1), row.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", row.spec.Kernel, err)
+		}
+		rt2, err := pgas.New(testMachine(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := row.direct(rt2, collective.NewComm(rt2))
+		got, gotRun := splitRun(res.Detail)
+		want, wantRun := splitRun(direct)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: dispatched result differs from the direct call's", row.spec.Kernel)
+		}
+		if res.Run != gotRun || gotRun.SimNS != wantRun.SimNS || gotRun.Messages != wantRun.Messages {
+			t.Errorf("%s: dispatched sim %v in %d messages, direct %v in %d",
+				row.spec.Kernel, gotRun.SimNS, gotRun.Messages, wantRun.SimNS, wantRun.Messages)
+		}
+		if err := Verify(row.spec, res); err != nil {
+			t.Errorf("%s: %v", row.spec.Kernel, err)
 		}
 	}
+}
 
-	// And the weighted path, through mst.
-	wg := testWeightedGraph(200, 500, 5)
-	rt3, err := pgas.New(testMachine(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres, err := RunKernel(rt3, collective.NewComm(rt3), KernelSpec{
-		Kernel: "mst/coalesced", Graph: wg, Col: col,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt4, err := pgas.New(testMachine(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdirect := mst.Coalesced(rt4, collective.NewComm(rt4), wg, &mst.Options{Col: col})
-	if mres.Weight != mdirect.Weight || mres.Run.SimNS != mdirect.Run.SimNS {
-		t.Fatalf("mst dispatch diverged: weight %d vs %d, sim %v vs %v",
-			mres.Weight, mdirect.Weight, mres.Run.SimNS, mdirect.Run.SimNS)
-	}
+// TestUniformRefusesAnUnmappedResult: a row whose kernel returns a type
+// uniform does not lay out must fail at its first run, loudly — not hand
+// back a KernelResult whose Run is nil.
+func TestUniformRefusesAnUnmappedResult(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("uniform laid out a type it has no case for")
+		}
+	}()
+	uniform("new/row", &struct{ Run *pgas.Result }{})
+}
+
+// splitRun takes a kernel package's result (a pointer to a struct with a
+// Run field) apart: a copy with Run cleared, comparable across runs, and
+// the accounting (whose Wall never repeats).
+func splitRun(result any) (answer any, run *pgas.Result) {
+	v := reflect.New(reflect.TypeOf(result).Elem()).Elem()
+	v.Set(reflect.ValueOf(result).Elem())
+	f := v.FieldByName("Run")
+	run = f.Interface().(*pgas.Result)
+	f.SetZero()
+	return v.Interface(), run
 }
 
 // TestFastFamilyDispatchMatchesDirect pins dispatch fidelity for the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"slices"
 	"testing"
 
 	"pgasgraph/internal/graph"
@@ -254,6 +255,40 @@ func TestHostileFramesAreAnsweredNotFatal(t *testing.T) {
 	// OffloadValue is no longer a field; encoding/json drops the name and
 	// what is left is the sound pin.
 	exchange("run naming OffloadValue", FrameRun, runWithPin(`"OffloadValue":7`), false)
+}
+
+// TestEveryRowOverAConnection: a FrameRun per registry name on a loaded
+// (weighted) graph is answered on the connection that asked — FrameOK, or
+// FrameError class misuse for the list kernels, whose input does not travel
+// and which the Service has none of — and the connection serves the Info
+// that follows. No row is a way to crash the server.
+func TestEveryRowOverAConnection(t *testing.T) {
+	srv := NewServer(func(g *graph.Graph) (*Service, error) {
+		return New(Config{Machine: testMachine(2, 2)}, g)
+	})
+	client, server := net.Pipe()
+	defer client.Close()
+	go srv.handleConn(server)
+	if err := request(t, client, FrameLoad, &LoadReq{Family: "random", N: 64, M: 96, Seed: 5, Weighted: true}, &LoadResp{}); err != nil {
+		t.Fatal(err)
+	}
+	var info InfoResp
+	for _, name := range Kernels() {
+		var run RunResp
+		err := request(t, client, FrameRun, &RunReq{Spec: KernelSpec{Kernel: name, Compact: true}}, &run)
+		if list := TakesList(name); list != errors.Is(err, pgas.ErrMisuse) || (!list && err != nil) {
+			t.Errorf("%s: answered %v; want misuse from the list kernels and OK from the rest", name, err)
+		}
+		if err == nil && (run.Kernel != name || run.SimMS <= 0) {
+			t.Errorf("%s: answered %+v", name, run)
+		}
+		if err := request(t, client, FrameInfo, struct{}{}, &info); err != nil {
+			t.Fatalf("%s: server did not keep serving: %v", name, err)
+		}
+	}
+	if want := []string{"labels", "sizes", "dist[0]", "parent"}; !slices.Equal(info.Resident, want) {
+		t.Errorf("resident after every row = %v, want %v", info.Resident, want)
+	}
 }
 
 // runWithPin is a Run payload for cc/coalesced whose col turns Offload on

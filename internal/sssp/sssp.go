@@ -132,7 +132,7 @@ func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src 
 	if delta <= 0 {
 		delta = DefaultDelta(g)
 	}
-	col := sanitize(colOpts)
+	col := collective.Sanitize(colOpts, false) // no offload: distances are all mutable
 	csr := graph.BuildCSR(g)
 	dist := rt.NewSharedArray("Dist", g.N)
 	dist.Fill(Unreached)
@@ -266,8 +266,3 @@ func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src 
 
 // relaxAny merges the local progress signals of one light round.
 func relaxAny(changed, pending bool) bool { return changed || pending }
-
-// sanitize copies opts and disables offload (distances are all mutable).
-func sanitize(opts *collective.Options) *collective.Options {
-	return collective.Sanitize(opts, false)
-}

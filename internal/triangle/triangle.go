@@ -108,8 +108,8 @@ func hasOut(offs []int64, adj []int32, u, w int64) bool {
 // competing writers accumulate, order-independent). Self-loops count
 // twice and duplicate edges all contribute, matching graph.Degrees.
 func Degrees(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *collective.Options) ([]int64, *pgas.Result) {
-	col := sanitize(colOpts)
-	degArr := rt.NewSharedArray("Deg", maxInt64(g.N, 1))
+	col := collective.Sanitize(colOpts, false) // no offload: no pinned values here
+	degArr := rt.NewSharedArray("Deg", max(g.N, 1))
 	m := int64(len(g.U))
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := th.Span(m)
@@ -138,12 +138,12 @@ func Count(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *col
 	if g.N >= 1<<31 {
 		panic("triangle: vertex ids overflow wedge packing")
 	}
-	col := sanitize(colOpts)
+	col := collective.Sanitize(colOpts, false) // no offload: no pinned values here
 	deg, degRun := Degrees(rt, comm, g, colOpts)
 	offs, adj := orient(g, deg)
 	// A shared array only to define the owner distribution of wedge
 	// queries (keyed by the wedge tip vertex).
-	dist := rt.NewSharedArray("Owner", maxInt64(g.N, 1))
+	dist := rt.NewSharedArray("Owner", max(g.N, 1))
 	sum := pgas.NewSumReducer(rt)
 	or := pgas.NewOrReducer(rt)
 	s := rt.NumThreads()
@@ -207,13 +207,7 @@ func Count(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *col
 	})
 
 	res := &Result{Run: degRun}
-	res.Run.SimNS += run.SimNS
-	res.Run.Wall += run.Wall
-	res.Run.SumByCategory.Add(&run.SumByCategory)
-	res.Run.Messages += run.Messages
-	res.Run.Bytes += run.Bytes
-	res.Run.RemoteOps += run.RemoteOps
-	res.Run.CacheMisses += run.CacheMisses
+	res.Run.Add(run)
 	for i := range counts {
 		res.Triangles += counts[i]
 		res.Wedges += wedges[i]
@@ -240,19 +234,10 @@ func SeqCount(g *graph.Graph) int64 {
 	return total
 }
 
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
+// Verify checks a distributed count against the sequential exact counter.
+func Verify(g *graph.Graph, res *Result) error {
+	if want := SeqCount(g); res.Triangles != want {
+		return fmt.Errorf("triangle: %d triangles, sequential count says %d", res.Triangles, want)
 	}
-	return b
-}
-
-// sanitize copies opts and disables offload (no pinned values here).
-func sanitize(opts *collective.Options) *collective.Options {
-	return collective.Sanitize(opts, false)
-}
-
-// String summarizes the result.
-func (r *Result) String() string {
-	return fmt.Sprintf("triangles{count=%d wedges=%d simMS=%.1f}", r.Triangles, r.Wedges, r.Run.SimMS())
+	return nil
 }

@@ -100,11 +100,12 @@ func TestChaosSoakSmall(t *testing.T) {
 // and recover by rollback (otherwise the rotation is inert), and the
 // whole soak must replay digest-identical.
 func TestChaosKillSoak(t *testing.T) {
-	trials := 12
-	if !testing.Short() {
-		trials = 30
+	cfg := ChaosRunConfig{Seed: 0x51CC, Trials: 30, MaxN: 200, Kill: true}
+	if testing.Short() {
+		// Seed 0x51CC draws its first kill after trial 12; this pair draws
+		// four kills and three rollbacks in 12.
+		cfg.Seed, cfg.Trials = 0x51D1, 12
 	}
-	cfg := ChaosRunConfig{Seed: 0x51CC, Trials: trials, MaxN: 200, Kill: true}
 	a := ChaosRun(cfg)
 	if !a.OK() {
 		for i := range a.Trials {

@@ -2,13 +2,13 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"pgasgraph/internal/bcc"
 	"pgasgraph/internal/bfs"
 	"pgasgraph/internal/cc"
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/euler"
-	"pgasgraph/internal/graph"
 	"pgasgraph/internal/listrank"
 	"pgasgraph/internal/mis"
 	"pgasgraph/internal/mst"
@@ -281,7 +281,7 @@ func checkSetDMinLaw(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 	want[0] = 0 // offload semantics pin the slot-0 value at the minimum
 	idxs := make([][]int64, s)
 	vals := make([][]int64, s)
-	alphabet := min64(n, 1+rng.Int64n(24)) // duplicate-heavy index pool
+	alphabet := min(n, 1+rng.Int64n(24)) // duplicate-heavy index pool
 	for i := 0; i < s; i++ {
 		k := int(rng.Int64n(300))
 		idxs[i] = make([]int64, k)
@@ -327,7 +327,7 @@ func checkPlanReuse(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 	// Thread i requests k distinct indices striding the whole array, so
 	// every thread sends a segment to every owner and the published
 	// offsets are nonzero — the layout the stale-matrix seam perturbs.
-	k := int(min64(n, 96))
+	k := int(min(n, 96))
 	stride := n / int64(k)
 	reqs := make([][]int64, s)
 	for i := 0; i < s; i++ {
@@ -501,19 +501,7 @@ func checkSpanningForest(t *Trial, rt *pgas.Runtime, comm *collective.Comm) erro
 }
 
 func checkBipartite(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	res := cc.Bipartite(rt, comm, t.Graph, ccOpts(t))
-	want := cc.SeqBipartite(t.Graph)
-	if len(res.ComponentBipartite) != len(want) {
-		return fmt.Errorf("bipartite: %d component verdicts, oracle has %d",
-			len(res.ComponentBipartite), len(want))
-	}
-	for label, bip := range want {
-		if got, ok := res.ComponentBipartite[label]; !ok || got != bip {
-			return fmt.Errorf("bipartite: component %d reported %v (present=%v), oracle says %v",
-				label, got, ok, bip)
-		}
-	}
-	return nil
+	return cc.VerifyBipartite(t.Graph, cc.Bipartite(rt, comm, t.Graph, ccOpts(t)))
 }
 
 func checkMSTCoalesced(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
@@ -562,7 +550,7 @@ func checkCGM(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 		return fmt.Errorf("CGM vs oracle: %w", err)
 	}
 	wy := listrank.Wyllie(rt, comm, t.List, &o)
-	if !listrank.RanksEqual(cgm.Ranks, wy.Ranks) {
+	if !slices.Equal(cgm.Ranks, wy.Ranks) {
 		return fmt.Errorf("CGM and Wyllie disagree on the same cluster")
 	}
 	return nil
@@ -577,13 +565,9 @@ func checkFused(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 // first two stages — and verifies the tree statistics structurally.
 func checkEuler(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 	sf := cc.SpanningTree(rt, comm, t.Graph, ccOpts(t))
-	forest := &graph.Graph{N: t.Graph.N}
-	for _, e := range sf.Edges {
-		forest.U = append(forest.U, t.Graph.U[e])
-		forest.V = append(forest.V, t.Graph.V[e])
-	}
+	forest := sf.Forest(t.Graph)
 	o := t.Opts
-	return euler.VerifyStats(forest, euler.Tour(rt, comm, forest, &o))
+	return euler.VerifyStats(forest, euler.Tour(rt, comm, forest, sf.CC.Labels, &o))
 }
 
 func checkBCC(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"pgasgraph/internal/serve"
@@ -28,6 +30,33 @@ func TestRacyOpsDerivedFromRegistry(t *testing.T) {
 	}
 	if covered < 7 {
 		t.Errorf("only %d battery checks share a registry kernel name; expected the CC family + naive", covered)
+	}
+}
+
+// TestPinnedKernelNames: the two hand-kept kernel name lists — ccFamily,
+// whose length and order the chaos digests mix, and the kernel-named part
+// of WireChecks — stay what they are pinned to, and every name in them is
+// a registered, non-racy row, so neither list can rot as the registry
+// grows or renames.
+func TestPinnedKernelNames(t *testing.T) {
+	if want := []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers"}; !slices.Equal(ccFamily, want) {
+		t.Errorf("ccFamily = %v, pinned to %v (the chaos digests mix Seed %% len)", ccFamily, want)
+	}
+	wire := WireChecks()
+	if len(wire) != 9 {
+		t.Errorf("WireChecks has %d checks, want 9: a listed name left the battery", len(wire))
+	}
+	names := slices.Clone(ccFamily)
+	for _, c := range wire {
+		if !strings.HasPrefix(c.Name, "collective/") {
+			names = append(names, c.Name)
+		}
+	}
+	for _, name := range names {
+		if !slices.Contains(serve.Kernels(), name) || serve.RacyOps(name) {
+			t.Errorf("%s: registered %v, racy %v; want a registered, non-racy row",
+				name, slices.Contains(serve.Kernels(), name), serve.RacyOps(name))
+		}
 	}
 }
 

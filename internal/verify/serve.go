@@ -19,9 +19,11 @@ import (
 // bit-identical to a from-scratch recompute across the whole randomized
 // trial matrix (geometry × options × graph family).
 
-// ccFamily is the rotation pool for the serving checks: every collective
-// CC kernel in the registry. A trial picks deterministically by Seed, so
-// the chaos digest stays reproducible while the soak sweeps the family.
+// ccFamily is the rotation pool for the serving checks: the six collective
+// labeling kernels. A trial picks by Seed % len(ccFamily), which the chaos
+// digests mix — so the list is a pinned literal, never derived from the
+// registry's cc/ prefix (cc/bipartite and cc/merge-cgm share it), and
+// TestPinnedKernelNames keeps every name a registered, non-racy row.
 var ccFamily = []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers"}
 
 func ccFamilyPick(t *Trial) string { return ccFamily[t.Seed%uint64(len(ccFamily))] }

@@ -144,12 +144,12 @@ var graphFamilies = []struct {
 }{
 	{"random", func(r *xrand.Rand, maxN int64) *graph.Graph {
 		n := 2 + r.Int64n(maxN)
-		m := r.Int64n(min64(3*n, n*(n-1)/2) + 1)
+		m := r.Int64n(min(3*n, n*(n-1)/2) + 1)
 		return graph.Random(n, m, r.Uint64())
 	}},
 	{"hybrid", func(r *xrand.Rand, maxN int64) *graph.Graph {
 		n := 16 + r.Int64n(maxN)
-		m := r.Int64n(min64(3*n, n*(n-1)/2) + 1)
+		m := r.Int64n(min(3*n, n*(n-1)/2) + 1)
 		return graph.Hybrid(n, m, r.Uint64())
 	}},
 	{"rmat", func(r *xrand.Rand, maxN int64) *graph.Graph {
@@ -187,7 +187,7 @@ var graphFamilies = []struct {
 	{"disjoint", func(r *xrand.Rand, maxN int64) *graph.Graph {
 		third := maxN/3 + 2
 		blobN := 2 + r.Int64n(third)
-		blobM := r.Int64n(min64(3*blobN, blobN*(blobN-1)/2) + 1)
+		blobM := r.Int64n(min(3*blobN, blobN*(blobN-1)/2) + 1)
 		return graph.Disjoint(
 			graph.Random(blobN, blobM, r.Uint64()),
 			graph.Grid(1+r.Int64n(8), 1+r.Int64n(8)),
@@ -196,7 +196,7 @@ var graphFamilies = []struct {
 	}},
 	{"permuted-hybrid", func(r *xrand.Rand, maxN int64) *graph.Graph {
 		n := 16 + r.Int64n(maxN)
-		m := r.Int64n(min64(3*n, n*(n-1)/2) + 1)
+		m := r.Int64n(min(3*n, n*(n-1)/2) + 1)
 		return graph.PermuteVertices(graph.Hybrid(n, m, r.Uint64()), r.Uint64())
 	}},
 	{"smallworld", func(r *xrand.Rand, maxN int64) *graph.Graph {
@@ -290,11 +290,4 @@ func SampleTrial(rng *xrand.Rand, round int, maxN int64) *Trial {
 		t.Scheme = pgas.SchemeBlock
 	}
 	return t
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -468,7 +469,7 @@ func wireKillOutcome(reps []*recovery.Report, errs []error) (ChaosOutcome, strin
 			}
 			continue
 		}
-		if reps[nd].Rollbacks != ref.Rollbacks || !equalInts(reps[nd].Evicted, ref.Evicted) {
+		if reps[nd].Rollbacks != ref.Rollbacks || !slices.Equal(reps[nd].Evicted, ref.Evicted) {
 			return ChaosWrongAnswer, fmt.Sprintf(
 				"survivors diverge: node %d rollbacks=%d evicted=%v vs node %d rollbacks=%d evicted=%v",
 				survivor, ref.Rollbacks, ref.Evicted, nd, reps[nd].Rollbacks, reps[nd].Evicted)
@@ -478,18 +479,6 @@ func wireKillOutcome(reps []*recovery.Report, errs []error) (ChaosOutcome, strin
 		return ChaosRecoveredByRollback, fmt.Sprintf("rollbacks=%d evicted=%v", ref.Rollbacks, ref.Evicted)
 	}
 	return ChaosRecovered, "no kills fired"
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // underWatchdog runs f, reporting a hang when it outlives the budget.

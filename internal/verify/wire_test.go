@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -198,7 +199,7 @@ func TestWireKillRecovery(t *testing.T) {
 					seed, nd, errs[nd], errs2[nd])
 			}
 			if errs[nd] == nil {
-				if reps2[nd].Rollbacks != reps[nd].Rollbacks || !equalInts(reps2[nd].Evicted, reps[nd].Evicted) {
+				if reps2[nd].Rollbacks != reps[nd].Rollbacks || !slices.Equal(reps2[nd].Evicted, reps[nd].Evicted) {
 					t.Fatalf("seed %d: node %d history not replay-stable: rollbacks %d/%d evicted %v/%v",
 						seed, nd, reps[nd].Rollbacks, reps2[nd].Rollbacks, reps[nd].Evicted, reps2[nd].Evicted)
 				}
@@ -206,7 +207,7 @@ func TestWireKillRecovery(t *testing.T) {
 		}
 		// Survivors agree with each other.
 		for nd, e := range errs {
-			if e == nil && (reps[nd].Rollbacks != ref.Rollbacks || !equalInts(reps[nd].Evicted, ref.Evicted)) {
+			if e == nil && (reps[nd].Rollbacks != ref.Rollbacks || !slices.Equal(reps[nd].Evicted, ref.Evicted)) {
 				t.Fatalf("seed %d: survivors diverge: node %d %d/%v vs node %d %d/%v",
 					seed, nd, reps[nd].Rollbacks, reps[nd].Evicted, survivor, ref.Rollbacks, ref.Evicted)
 			}

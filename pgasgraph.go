@@ -16,8 +16,13 @@
 //
 //	cluster, err := pgasgraph.NewCluster(pgasgraph.PaperCluster())
 //	g := pgasgraph.RandomGraph(1_000_000, 4_000_000, 42)
-//	res := cluster.CCCoalesced(g, pgasgraph.OptimizedCC(8))
+//	res, err := cluster.Run(pgasgraph.KernelSpec{Kernel: "cc/coalesced", Graph: g,
+//		Col: pgasgraph.OptimizedCollectives(8), Compact: true})
 //	fmt.Println(res.Components, res.Run.SimMS())
+//
+// Every kernel is a row of one registry (Kernels lists the names) and
+// Cluster.Run is the one way to invoke it; Verify checks a result against
+// the kernel's sequential oracle. See docs/API.md.
 package pgasgraph
 
 import (
@@ -43,32 +48,43 @@ import (
 type (
 	// Graph is an undirected graph in edge-list form.
 	Graph = graph.Graph
-	// CSR is a compressed-sparse-row adjacency view.
-	CSR = graph.CSR
+	// List is a collection of disjoint linked chains (KernelSpec.List).
+	List = listrank.List
 	// MachineConfig describes the modeled cluster hardware.
 	MachineConfig = machine.Config
 	// CollectiveOptions selects the paper's collective optimizations.
 	CollectiveOptions = collective.Options
-	// CCOptions configures the connected-components kernels.
-	CCOptions = cc.Options
-	// CCResult is a connected-components outcome.
-	CCResult = cc.Result
-	// LTVariant selects a Liu-Tarjan rule combination for CCLiuTarjan.
-	LTVariant = cc.LTVariant
-	// MSTOptions configures the minimum-spanning-forest kernels.
-	MSTOptions = mst.Options
-	// MSFResult is a minimum-spanning-forest outcome.
-	MSFResult = mst.Result
 	// MSF is a sequential minimum-spanning-forest result.
 	MSF = seq.MSF
 	// RunStats carries a run's simulated-time accounting.
 	RunStats = pgas.Result
-	// Breakdown is simulated time per execution category.
-	Breakdown = sim.Breakdown
 	// PartitionSpec selects how shared-array elements map onto threads.
 	PartitionSpec = pgas.PartitionSpec
-	// SchemeKind names a partition scheme.
-	SchemeKind = pgas.SchemeKind
+)
+
+// What KernelResult.Detail holds, by registry row (docs/API.md has the
+// table): the kernel package's own result type.
+type (
+	// CCResult is a connected-components outcome (cc/* but cc/bipartite).
+	CCResult = cc.Result
+	// BipartiteResult is a two-colorability outcome (cc/bipartite).
+	BipartiteResult = cc.BipartiteResult
+	// TreeStats are per-vertex rooted-forest statistics (spanning-forest).
+	TreeStats = euler.TreeStats
+	// BFSResult is a breadth-first-search outcome (bfs/*).
+	BFSResult = bfs.Result
+	// SSSPResult is a shortest-paths outcome (sssp/delta-stepping).
+	SSSPResult = sssp.Result
+	// MSFResult is a minimum-spanning-forest outcome (mst/*).
+	MSFResult = mst.Result
+	// ListRankResult is a list-ranking outcome (listrank/*).
+	ListRankResult = listrank.Result
+	// MISResult is a maximal-independent-set outcome (mis/luby).
+	MISResult = mis.Result
+	// TriangleResult is a triangle-counting outcome (triangle/count).
+	TriangleResult = triangle.Result
+	// BCCResult is a biconnected-components outcome (bcc/tarjan-vishkin).
+	BCCResult = bcc.Result
 )
 
 // Partition schemes selectable through PartitionSpec.
@@ -80,17 +96,6 @@ const (
 	// SchemeHub spreads listed hub elements round-robin and
 	// block-distributes the tail.
 	SchemeHub = pgas.SchemeHub
-)
-
-// Liu-Tarjan rule combinations selectable through CCLiuTarjan (hook rule
-// × update gate × shortcut rule; see docs/MODEL.md for the taxonomy).
-const (
-	// LTPRS: parent hook, root-gated, single shortcut.
-	LTPRS = cc.LTPRS
-	// LTPUS: parent hook, unconditional, single shortcut.
-	LTPUS = cc.LTPUS
-	// LTERS: extended hook, root-gated, single shortcut.
-	LTERS = cc.LTERS
 )
 
 // Machine presets.
@@ -128,9 +133,10 @@ func WithRandomWeights(g *Graph, seed uint64) *Graph { return graph.WithRandomWe
 // PermuteVertices relabels g's vertices by a random permutation.
 func PermuteVertices(g *Graph, seed uint64) *Graph { return graph.PermuteVertices(g, seed) }
 
-// Collective option presets. Every kernel method on Cluster accepts nil
-// options, which select the matching Defaults(); passing Defaults()
-// explicitly produces identical results (tested by TestNilOptionsMatchDefaults).
+// Collective option presets. A KernelSpec with a nil Col runs on
+// DefaultCollectives(); passing them explicitly produces identical results
+// (tested by TestNilOptionsMatchDefaults). The paper's fully optimized run
+// is KernelSpec{Col: OptimizedCollectives(t'), Compact: true}.
 
 // OptimizedCollectives returns the paper's fully optimized collective
 // configuration with t' virtual threads.
@@ -146,26 +152,6 @@ func BaseCollectives() *CollectiveOptions { return collective.Base() }
 // DefaultCollectives returns the configuration used when a kernel is
 // called with nil *CollectiveOptions. Currently the base configuration.
 func DefaultCollectives() *CollectiveOptions { return collective.Defaults() }
-
-// DefaultCC returns the configuration used when a CC kernel is called
-// with nil *CCOptions: default collectives, no compaction.
-func DefaultCC() *CCOptions { return cc.Defaults() }
-
-// DefaultMST returns the configuration used when an MSF kernel is called
-// with nil *MSTOptions: default collectives, no compaction.
-func DefaultMST() *MSTOptions { return mst.Defaults() }
-
-// OptimizedCC returns fully optimized CC options (all collective
-// optimizations plus compact) with t' virtual threads.
-func OptimizedCC(virtualThreads int) *CCOptions {
-	return &CCOptions{Col: collective.Optimized(virtualThreads), Compact: true}
-}
-
-// OptimizedMST returns fully optimized MST options with t' virtual
-// threads (offload is CC-specific and disabled internally).
-func OptimizedMST(virtualThreads int) *MSTOptions {
-	return &MSTOptions{Col: collective.Optimized(virtualThreads), Compact: true}
-}
 
 // Cluster is a handle to one simulated PGAS machine. It owns the runtime
 // and the collective communication state; create it once and run any
@@ -219,169 +205,6 @@ func (c *Cluster) SetPartition(spec PartitionSpec) error { return c.rt.SetPartit
 // deterministic) — the natural hub list for a SchemeHub PartitionSpec.
 func Hubs(g *Graph, max int) []int64 { return graph.Hubs(g, max) }
 
-// Kernel methods. The names form one family: <Problem><Variant>, where
-// the variant is Naive (literal per-element translation), Coalesced
-// (collective-based, the paper's optimized path), or an algorithm name
-// (SV, CGM, Luby, DeltaStepping, Wyllie). Every kernel accepts nil
-// options ≡ the matching Defaults(), and every result type exposes a
-// `Run RunStats` field with the run's simulated-time accounting.
-
-// CCNaive runs the literal PGAS translation of shared-memory CC (CC-UPC of
-// Figure 2; with a single-node cluster it is the paper's CC-SMP baseline).
-func (c *Cluster) CCNaive(g *Graph) *CCResult { return cc.Naive(c.rt, g) }
-
-// CCCoalesced runs CC rewritten with the GetD/SetDMin collectives, the
-// paper's optimized implementation. opts may be nil for defaults.
-func (c *Cluster) CCCoalesced(g *Graph, opts *CCOptions) *CCResult {
-	return cc.Coalesced(c.rt, c.comm, g, opts)
-}
-
-// CCSV runs the Shiloach-Vishkin algorithm rewritten with collectives.
-// opts may be nil for defaults.
-func (c *Cluster) CCSV(g *Graph, opts *CCOptions) *CCResult {
-	return cc.SV(c.rt, c.comm, g, opts)
-}
-
-// CCFastSV runs the FastSV algorithm (SV with stochastic and aggressive
-// hooking on grandparent values), converging in fewer supersteps than
-// CCSV with bit-identical labels. opts may be nil for defaults.
-func (c *Cluster) CCFastSV(g *Graph, opts *CCOptions) *CCResult {
-	return cc.FastSV(c.rt, c.comm, g, opts)
-}
-
-// CCLiuTarjan runs one Liu-Tarjan concurrent-labeling variant (LTPRS,
-// LTPUS, or LTERS), bit-identical in labels to the other collective CC
-// kernels. opts may be nil for defaults.
-func (c *Cluster) CCLiuTarjan(g *Graph, v LTVariant, opts *CCOptions) *CCResult {
-	return cc.LiuTarjan(c.rt, c.comm, g, v, opts)
-}
-
-// MSFNaive runs the literal lock-based parallel Borůvka translation.
-func (c *Cluster) MSFNaive(g *Graph) *MSFResult { return mst.Naive(c.rt, g) }
-
-// MSFCoalesced runs the lock-free Borůvka rewritten with SetDMin. opts
-// may be nil for defaults.
-func (c *Cluster) MSFCoalesced(g *Graph, opts *MSTOptions) *MSFResult {
-	return mst.Coalesced(c.rt, c.comm, g, opts)
-}
-
-// SpanningForest runs the spanning-forest variant of coalesced CC (the
-// paper's "closely related spanning tree problem", §V): the SetDMin
-// election records which edge won each hook, so the forest falls out of
-// the same collective traffic. opts may be nil for defaults.
-func (c *Cluster) SpanningForest(g *Graph, opts *CCOptions) *SpanningForestResult {
-	return cc.SpanningTree(c.rt, c.comm, g, opts)
-}
-
-// ListRankWyllie runs Wyllie pointer-jumping list ranking with coalesced
-// collectives (see the listrank experiment for the §I-§II context). opts
-// may be nil for defaults.
-func (c *Cluster) ListRankWyllie(l *List, opts *CollectiveOptions) *ListRankResult {
-	return listrank.Wyllie(c.rt, c.comm, l, opts)
-}
-
-// ListRankCGM runs the communication-efficient (contraction-based) list
-// ranking the paper's §II surveys. opts may be nil for defaults.
-func (c *Cluster) ListRankCGM(l *List, opts *CollectiveOptions) *ListRankResult {
-	return listrank.CGM(c.rt, c.comm, l, opts)
-}
-
-// BFSCoalesced runs coalesced level-synchronous breadth-first search from
-// src. opts may be nil for defaults.
-func (c *Cluster) BFSCoalesced(g *Graph, src int64, opts *CollectiveOptions) *BFSResult {
-	return bfs.Coalesced(c.rt, c.comm, g, src, opts)
-}
-
-// BFSNaive runs the per-edge one-sided translation of BFS.
-func (c *Cluster) BFSNaive(g *Graph, src int64) *BFSResult {
-	return bfs.Naive(c.rt, g, src)
-}
-
-// SSSPDeltaStepping runs distributed delta-stepping single-source
-// shortest paths from src. delta <= 0 selects the classic default bucket
-// width. opts may be nil for defaults.
-func (c *Cluster) SSSPDeltaStepping(g *Graph, src, delta int64, opts *CollectiveOptions) *SSSPResult {
-	return sssp.DeltaStepping(c.rt, c.comm, g, src, delta, opts)
-}
-
-// SequentialDijkstra returns weighted distances via binary-heap Dijkstra.
-func SequentialDijkstra(g *Graph, src int64) []int64 { return sssp.SeqDijkstra(g, src) }
-
-// MISLuby runs distributed Luby's maximal-independent-set algorithm.
-// opts may be nil for defaults.
-func (c *Cluster) MISLuby(g *Graph, opts *CollectiveOptions) *MISResult {
-	return mis.Luby(c.rt, c.comm, g, opts)
-}
-
-// CheckMIS verifies a maximal-independent-set certificate directly against
-// the definition (independence and maximality).
-func CheckMIS(g *Graph, inSet []bool) error { return mis.Check(g, inSet) }
-
-// Bipartite tests every component for two-colorability via the bipartite
-// double cover (one distributed CC over 2n vertices). opts may be nil
-// for defaults.
-func (c *Cluster) Bipartite(g *Graph, opts *CCOptions) *BipartiteResult {
-	return cc.Bipartite(c.rt, c.comm, g, opts)
-}
-
-// TriangleCount counts the graph's triangles with the distributed
-// degree-ordered wedge kernel. opts may be nil for defaults.
-func (c *Cluster) TriangleCount(g *Graph, opts *CollectiveOptions) *TriangleResult {
-	return triangle.Count(c.rt, c.comm, g, opts)
-}
-
-// SequentialTriangles counts triangles sequentially (exact).
-func SequentialTriangles(g *Graph) int64 { return triangle.SeqCount(g) }
-
-// EulerTour computes rooted-forest statistics (parent, depth, preorder,
-// subtree size) for a spanning forest via the Euler tour technique:
-// distributed list ranking over the tour's arc chain. Composes with
-// SpanningForest. opts may be nil for defaults.
-func (c *Cluster) EulerTour(forest *Graph, opts *CollectiveOptions) *TreeStats {
-	return euler.Tour(c.rt, c.comm, forest, opts)
-}
-
-// CCMerge runs the communication-efficient forest-merging CC (the
-// round-minimizing approach the paper's conclusion argues against).
-func (c *Cluster) CCMerge(g *Graph) *CCResult { return cc.MergeCGM(c.rt, g) }
-
-// BiconnectedComponents runs distributed Tarjan-Vishkin: spanning forest,
-// Euler tour, priority-write extrema, and CC on the auxiliary graph — the
-// full PRAM pipeline over this library's collectives. opts may be nil
-// for defaults.
-func (c *Cluster) BiconnectedComponents(g *Graph, opts *CollectiveOptions) *BCCResult {
-	return bcc.TarjanVishkin(c.rt, c.comm, g, opts)
-}
-
-// SequentialBCC computes the decomposition with Hopcroft-Tarjan.
-func SequentialBCC(g *Graph) *SeqBCC { return seq.BiconnectedComponents(g) }
-
-// Extension types.
-type (
-	// TreeStats are per-vertex rooted-forest statistics.
-	TreeStats = euler.TreeStats
-	// BCCResult is a distributed biconnected-components outcome.
-	BCCResult = bcc.Result
-	// SSSPResult is a shortest-paths outcome.
-	SSSPResult = sssp.Result
-	// MISResult is a maximal-independent-set outcome.
-	MISResult = mis.Result
-	// BipartiteResult is a two-colorability outcome.
-	BipartiteResult = cc.BipartiteResult
-	// TriangleResult is a triangle-counting outcome.
-	TriangleResult = triangle.Result
-	// SeqBCC is a sequential biconnected-components outcome.
-	SeqBCC = seq.BCC
-	// SpanningForestResult is a spanning-forest outcome.
-	SpanningForestResult = cc.SpanningForest
-	// List is a collection of disjoint linked chains.
-	List = listrank.List
-	// ListRankResult is a list-ranking outcome.
-	ListRankResult = listrank.Result
-	// BFSResult is a breadth-first-search outcome.
-	BFSResult = bfs.Result
-)
-
 // BFSUnreached marks vertices a BFS did not reach.
 const BFSUnreached = bfs.Unreached
 
@@ -394,12 +217,6 @@ func RandomChainList(n int64, seed uint64) *List { return listrank.RandomList(n,
 // ChainsList builds k disjoint random chains over n nodes.
 func ChainsList(n, k int64, seed uint64) *List { return listrank.Chains(n, k, seed) }
 
-// SequentialListRank ranks a list with the sequential baseline.
-func SequentialListRank(l *List) []int64 { return listrank.SeqRank(l) }
-
-// SequentialBFS returns hop distances from src via textbook queue BFS.
-func SequentialBFS(g *Graph, src int64) []int64 { return bfs.SeqDistances(g, src) }
-
 // Sequential baselines.
 
 // SequentialCC returns canonical component labels via union-find.
@@ -411,17 +228,12 @@ func SequentialCCTime(g *Graph, cfg MachineConfig) ([]int64, float64) {
 	return seq.CCTimed(g, sim.NewModel(cfg))
 }
 
-// Kruskal returns the minimum spanning forest via sequential Kruskal with
-// the cache-friendly merge sort (the paper's best sequential MST).
-func Kruskal(g *Graph) *MSF { return seq.Kruskal(g) }
-
-// KruskalTime returns the forest plus the simulated sequential time.
+// KruskalTime returns the minimum spanning forest via sequential Kruskal
+// with the cache-friendly merge sort (the paper's best sequential MST) plus
+// its simulated sequential time.
 func KruskalTime(g *Graph, cfg MachineConfig) (*MSF, float64) {
 	return seq.KruskalTimed(g, sim.NewModel(cfg))
 }
 
 // CountComponents returns the number of distinct labels in a labeling.
 func CountComponents(labels []int64) int64 { return seq.CountComponents(labels) }
-
-// SamePartition reports whether two labelings induce the same partition.
-func SamePartition(a, b []int64) bool { return seq.SamePartition(a, b) }

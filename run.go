@@ -4,16 +4,17 @@ import (
 	"pgasgraph/internal/serve"
 )
 
-// Uniform kernel dispatch and the graph service, re-exported from
-// internal/serve. A KernelSpec names a kernel run ("cc/coalesced",
-// "bfs/naive", "sssp/delta-stepping", ...); Cluster.Run dispatches it
-// through one registry instead of callers switching over per-kernel
-// methods — the same currency cmd/pgasd accepts over its socket and
-// cmd/pgasbench's tables are built from.
+// Kernel dispatch and the graph service, re-exported from internal/serve.
+// A KernelSpec names a kernel run ("cc/coalesced", "bfs/naive",
+// "listrank/wyllie", ...) and Cluster.Run dispatches it through the one
+// registry every program enters by: cmd/pgasd over its socket, cmd/pgasrun,
+// internal/bench's tables and the benchmark/ workloads.
 type (
-	// KernelSpec names one kernel run: kernel, graph, options.
+	// KernelSpec names one kernel run: kernel, input (Graph, or List for
+	// the listrank/* rows), options.
 	KernelSpec = serve.KernelSpec
-	// KernelResult is the uniform outcome of a dispatched kernel run.
+	// KernelResult is the uniform outcome of a dispatched kernel run; its
+	// Detail holds the kernel's own result type (CCResult, BCCResult, ...).
 	KernelResult = serve.KernelResult
 	// Service is a resident graph service: kernel results stay in the
 	// cluster and answer batched point queries as coalesced bulk gathers.
@@ -30,11 +31,13 @@ type (
 // order.
 func Kernels() []string { return serve.Kernels() }
 
-// Run dispatches a kernel by name on this cluster. Misconfiguration —
-// unknown kernel, nil or invalid graph, a weighted kernel on an
-// unweighted graph, a source out of range — returns a classified
-// error (errors.Is(err, ...) against the pgas taxonomy) instead of
-// panicking; kernel-internal invariant violations still panic.
+// Run dispatches a kernel by name on this cluster — the one way to run
+// one. Misconfiguration — unknown kernel, a missing or invalid input (a
+// list kernel without a List, any other without a Graph), a weighted
+// kernel on an unweighted graph, a source out of range — returns a
+// classified error (errors.Is(err, pgas.ErrMisuse)), as do classified
+// runtime failures under their own classes; kernel-internal invariant
+// violations panic.
 //
 //	res, err := cluster.Run(pgasgraph.KernelSpec{
 //	    Kernel: "cc/coalesced", Graph: g, Compact: true,
@@ -42,6 +45,11 @@ func Kernels() []string { return serve.Kernels() }
 func (c *Cluster) Run(spec KernelSpec) (*KernelResult, error) {
 	return serve.RunKernel(c.rt, c.comm, spec)
 }
+
+// Verify checks res, the outcome of Run(spec), against the sequential
+// oracle of spec's kernel (union-find, queue BFS, Dijkstra, Kruskal,
+// Hopcroft-Tarjan, ...; docs/API.md lists them by row).
+func Verify(spec KernelSpec, res *KernelResult) error { return serve.Verify(spec, res) }
 
 // Serve turns this cluster into a resident graph service for g: run
 // kernels with Service.Run, answer batched point queries with
