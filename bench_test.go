@@ -273,6 +273,31 @@ func BenchmarkCollectivePlanReuse(b *testing.B) {
 	})
 }
 
+// BenchmarkCollectiveGetDCombined is BenchmarkCollectiveGetD on a
+// label-valued request vector — the same lists folded onto 64 roots, a
+// late pointer-jumping level — through the combining entry. The warm-up
+// call allocates the filter's table; steady state is 0 allocs/op.
+func BenchmarkCollectiveGetDCombined(b *testing.B) {
+	c, idx, _, out := collectiveSteadyCluster(b)
+	rt := c.Runtime()
+	d := rt.NewSharedArray("D", 1<<16)
+	d.FillIdentity()
+	opts := collective.Optimized(4)
+	rt.Run(func(th *pgas.Thread) {
+		roots := idx[th.ID]
+		for j := range roots {
+			roots[j] %= 64
+		}
+		c.Comm().GetDCombined(th, d, roots, out[th.ID], opts)
+	})
+	b.ResetTimer()
+	rt.Run(func(th *pgas.Thread) {
+		for i := 0; i < b.N; i++ {
+			c.Comm().GetDCombined(th, d, idx[th.ID], out[th.ID], opts)
+		}
+	})
+}
+
 // Substrate micro-benchmarks.
 
 func BenchmarkGetD(b *testing.B) {
@@ -341,9 +366,10 @@ func BenchmarkSortCount(b *testing.B) {
 	sorted := make([]int64, k)
 	pos := make([]int32, k)
 	offs := make([]int64, 129)
+	cursor := make([]int64, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		psort.BucketByKey(items, keys, 128, sorted, pos, offs)
+		psort.BucketByKeyInto(items, keys, 128, sorted, pos, offs, cursor)
 	}
 }
 

@@ -91,17 +91,20 @@ func Collectives(cfg Config) ([]report.BenchRecord, error) {
 	d.FillIdentity()
 	d2.FillIdentity()
 	idx := make([][]int64, s)
+	roots := make([][]int64, s) // idx folded onto 64 roots: a late pointer-jumping level
 	vals := make([][]int64, s)
 	out := make([][]int64, s)
 	out2 := make([][]int64, s)
 	for t := 0; t < s; t++ {
 		rng := xrand.New(cfg.Seed + uint64(t) + 1)
 		idx[t] = make([]int64, k)
+		roots[t] = make([]int64, k)
 		vals[t] = make([]int64, k)
 		out[t] = make([]int64, k)
 		out2[t] = make([]int64, k)
 		for j := range idx[t] {
 			idx[t][j] = rng.Int64n(n)
+			roots[t][j] = idx[t][j] % 64
 			vals[t][j] = rng.Int63()
 		}
 	}
@@ -136,6 +139,9 @@ func Collectives(cfg Config) ([]report.BenchRecord, error) {
 		}},
 		{"collective/PlanReuse", func(th *pgas.Thread) {
 			plan.GetD(th, d, out[th.ID])
+		}},
+		{"collective/GetD+combine", func(th *pgas.Thread) {
+			comm.GetDCombined(th, d, roots[th.ID], out[th.ID], opts)
 		}},
 	}
 

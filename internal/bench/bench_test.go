@@ -19,7 +19,7 @@ func TestCollectivesRecords(t *testing.T) {
 	want := map[string]bool{
 		"collective/GetD": true, "collective/SetD": true, "collective/SetDMin": true,
 		"collective/Exchange": true, "collective/GetDPair": true, "collective/PlanReuse": true,
-		"collective/GetD+ckpt": true,
+		"collective/GetD+ckpt": true, "collective/GetD+combine": true,
 	}
 	if len(recs) != len(want) {
 		t.Fatalf("got %d records, want %d", len(recs), len(want))
@@ -46,6 +46,12 @@ func TestCollectivesRecords(t *testing.T) {
 	if byName["collective/PlanReuse"] >= byName["collective/GetD"] {
 		t.Errorf("PlanReuse sim %f ms/op not below rebuilding GetD %f ms/op",
 			byName["collective/PlanReuse"], byName["collective/GetD"])
+	}
+	// 2 048 requests for 64 roots: combining delivers a thirty-second of
+	// them, which must outweigh its probe and fan-out.
+	if byName["collective/GetD+combine"] >= byName["collective/GetD"] {
+		t.Errorf("combined GetD on 64 roots sim %f ms/op not below plain GetD %f ms/op",
+			byName["collective/GetD+combine"], byName["collective/GetD"])
 	}
 	// The checkpointed record pays the snapshot tax (commit barrier +
 	// block copy) on top of the identical GetD, and nothing else.

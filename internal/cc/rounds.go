@@ -58,9 +58,9 @@ var roundProbe func(kernel string, round int, labels []int64)
 // with the collectives, one round is
 //
 //	parents       f(u), f(v)       GetD over the live endpoints
-//	grandparents  g(u) = f(f(u))   one GetD on the parent values (optional)
+//	grandparents  g(u) = f(f(u))   one GetDCombined on the parent values (optional)
 //	hooks         rule.hooks       one SetDMin
-//	shortcut      D[i] <- D[D[i]]  one GetD + local stores
+//	shortcut      D[i] <- D[D[i]]  one GetDCombined + local stores
 //
 // The endpoint gather goes through the run's collective.LiveEdges. Round 0
 // starts from the identity fill, where parents and grandparents are the
@@ -127,7 +127,7 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 					copy(gpVal, parVal)
 					th.ChargeSeq(sim.CatCopy, int64(len(parVal)))
 				} else {
-					comm.GetD(th, d, parVal, gpVal, col, nil)
+					comm.GetDCombined(th, d, parVal, gpVal, col)
 				}
 			}
 
@@ -138,7 +138,7 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 			// Shortcut: a single pointer-jump level over the covered block.
 			copy(jumpIdx, block)
 			th.ChargeSeq(sim.CatCopy, span)
-			comm.GetD(th, d, jumpIdx, jumpVal, col, nil)
+			comm.GetDCombined(th, d, jumpIdx, jumpVal, col)
 			for i := int64(0); i < span; i++ {
 				if jumpVal[i] != jumpIdx[i] {
 					d.StoreRaw(dLo+i, jumpVal[i])

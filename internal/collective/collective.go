@@ -202,7 +202,7 @@ type threadState struct {
 	snap       []int64 // pre-serve local-block snapshot for chaos replay (grown only when chaos is armed)
 	stage      []int64 // wire-transport staging for a remote peer's request segment (grown only on a wire fabric)
 	segs       []segment
-	comb       *combineTable // SetDMin request filter memory, allocated by the thread's first one-shot SetDMin
+	comb       *combineTable // request filter memory, allocated by the thread's first combining call (one-shot SetDMin, GetDCombined)
 	scr        sched.Scratch
 	scr2       sched.Scratch // second first-touch tracker for GetDPair
 	routeTotal int64         // element count of the last route-op receive
@@ -237,7 +237,8 @@ type Tracer interface {
 	// simulated-time delta by category, the thread's request count as
 	// offered by the caller (elements) and as delivered to the owners after
 	// the request filter (kept <= elements; lower when the offloaded index
-	// was requested or a one-shot SetDMin combined duplicates), the host
+	// was requested, a one-shot SetDMin combined duplicates, or a
+	// GetDCombined — reported as GetD — asked each index once), the host
 	// wall-clock time the call took on that thread's goroutine, and how
 	// many scratch backing-array growths it triggered (zero in steady
 	// state — a nonzero count after warmup flags an allocation regression
@@ -393,22 +394,33 @@ func (c *Comm) transferCost(th *pgas.Thread, peer int, k int64, pull bool, opts 
 	th.Clock.RemoteOps++
 }
 
-// checkRequests validates one thread's request list up front: the list
-// must fit the int32 position packing (see MaxRequests) and every index
-// must lie in d's bounds. Without this, a bad index flows through the
-// grouping sort and surfaces as an opaque slice-bounds panic deep in the
-// serve phase; a too-long list silently truncates positions.
+// checkRequests validates one thread's request list: the list must fit
+// the int32 position packing (see MaxRequests) and every index must lie in
+// d's bounds. Without this, a bad index flows through the grouping sort and
+// surfaces as an opaque slice-bounds panic deep in the serve phase; a
+// too-long list silently truncates positions. A list that goes through the
+// request filter is checked there, in the filter's own pass (planFilter).
 func checkRequests(kind string, d *pgas.SharedArray, indices []int64) {
-	if len(indices) > MaxRequests {
-		panic(fmt.Sprintf("collective: %s request list of %d elements exceeds the %d-element limit in %s",
-			kind, len(indices), MaxRequests, d.Name()))
-	}
-	n := d.Len()
+	checkLen(kind, d, len(indices))
+	n := uint64(d.Len())
 	for _, ix := range indices {
-		if ix < 0 || ix >= n {
-			panic(fmt.Sprintf("collective: %s index %d out of range [0,%d) in %s", kind, ix, n, d.Name()))
+		if uint64(ix) >= n {
+			badIndex(kind, d, ix)
 		}
 	}
+}
+
+// checkLen panics when a request list of n elements is too long to plan.
+func checkLen(kind string, d *pgas.SharedArray, n int) {
+	if n > MaxRequests {
+		panic(fmt.Sprintf("collective: %s request list of %d elements exceeds the %d-element limit in %s",
+			kind, n, MaxRequests, d.Name()))
+	}
+}
+
+// badIndex panics naming the collective, the out-of-bounds index and d.
+func badIndex(kind string, d *pgas.SharedArray, ix int64) {
+	panic(fmt.Sprintf("collective: %s index %d out of range [0,%d) in %s", kind, ix, d.Len(), d.Name()))
 }
 
 // GetD gathers out[j] = D[indices[j]] collectively. All threads of the
@@ -416,13 +428,30 @@ func checkRequests(kind string, d *pgas.SharedArray, indices []int64) {
 // barriers. cache may be nil. Requests must be in-bounds for d and at most
 // MaxRequests long (both checked).
 func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options, cache *IDCache) {
+	c.getOneShot(th, d, indices, out, opts, cache, false)
+}
+
+// GetDCombined is GetD, result for result, for a request vector the caller
+// knows to be label-valued: read out of d itself (the labels' labels of
+// pointer jumping, the grandparents of a hook round), so that as trees
+// flatten thousands of requests name the same few roots. The request
+// filter delivers the first request per index and the finish phase copies
+// its answer to the rest (see planFilter). The probe is paid on every
+// offered request, which is why endpoint gathers — a few percent
+// duplicates — stay on GetD.
+func (c *Comm) GetDCombined(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options) {
+	c.getOneShot(th, d, indices, out, opts, nil, true)
+}
+
+// getOneShot builds the scratch plan for a gather, combining or not, and
+// executes it once.
+func (c *Comm) getOneShot(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options, cache *IDCache, combine bool) {
 	if len(out) != len(indices) {
 		panic("collective: GetD output length mismatch")
 	}
-	checkRequests("GetD", d, indices)
 	opts = orDefaults(opts)
 	c.traced("GetD", th, c.splan, func() {
-		c.splan.planInto(th, d, indices, opts, cache, true, nil)
+		c.splan.planInto("GetD", th, d, indices, opts, cache, true, combine, nil)
 		c.exec(th, c.splan, opGetD, d, nil, nil, out, nil)
 	})
 }
@@ -464,7 +493,6 @@ func (c *Comm) setOneShot(th *pgas.Thread, d *pgas.SharedArray, indices, values 
 	if len(values) != len(indices) {
 		panic("collective: Set* value length mismatch")
 	}
-	checkRequests(op.kind, d, indices)
 	opts = orDefaults(opts)
 	var minVals []int64
 	if op == opSetDMin {
@@ -475,7 +503,7 @@ func (c *Comm) setOneShot(th *pgas.Thread, d *pgas.SharedArray, indices, values 
 		minVals, cache = values, nil
 	}
 	c.traced(op.kind, th, c.splan, func() {
-		c.splan.planInto(th, d, indices, opts, cache, op.allowFiltered, minVals)
+		c.splan.planInto(op.kind, th, d, indices, opts, cache, op.allowFiltered, false, minVals)
 		c.exec(th, c.splan, op, d, nil, values, nil, nil)
 	})
 }

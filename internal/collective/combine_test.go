@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -21,18 +22,19 @@ import (
 // descend.
 
 // requestCounts is the slice of Tracer this file needs: per-thread offered
-// and kept request counts of SetDMin calls.
+// and kept request counts of the calls of one kind.
 type requestCounts struct {
+	kind          string
 	mu            sync.Mutex
 	offered, kept []int64
 }
 
-func newRequestCounts(s int) *requestCounts {
-	return &requestCounts{offered: make([]int64, s), kept: make([]int64, s)}
+func newRequestCounts(kind string, s int) *requestCounts {
+	return &requestCounts{kind: kind, offered: make([]int64, s), kept: make([]int64, s)}
 }
 
 func (r *requestCounts) Collective(kind string, thread int, _ sim.Breakdown, elements, kept int64, _ time.Duration, _ int64) {
-	if kind != "SetDMin" {
+	if kind != r.kind {
 		return
 	}
 	r.mu.Lock()
@@ -81,7 +83,7 @@ func runSetDMin(rt *pgas.Runtime, spec pgas.PartitionSpec, opts *Options, n int6
 		d.Raw()[i] = combineInit
 	}
 	comm := NewComm(rt)
-	counts := newRequestCounts(rt.NumThreads())
+	counts := newRequestCounts("SetDMin", rt.NumThreads())
 	comm.SetTracer(counts)
 	rt.Run(func(th *pgas.Thread) {
 		o := *opts
@@ -226,7 +228,7 @@ func TestPlannedSetDMinDeliversEverything(t *testing.T) {
 		d.Raw()[i] = combineInit
 	}
 	comm := NewComm(rt)
-	counts := newRequestCounts(s)
+	counts := newRequestCounts("SetDMin", s)
 	comm.SetTracer(counts)
 	plan := comm.NewPlan()
 	rt.Run(func(th *pgas.Thread) {
@@ -339,4 +341,289 @@ func TestSetDMinCombineIgnoresIDCache(t *testing.T) {
 		}
 		d.Raw()[a], d.Raw()[b] = combineInit, combineInit
 	}
+}
+
+// The tests below pin GetDCombined, the request filter's combining for a
+// read (see planFilter): out is the direct gather D[idx] whatever was
+// folded away, exactly what GetD returns; the delivered count never exceeds
+// the offered one and is one request per distinct index when the indices
+// fit the table without collisions.
+
+// runGetDCombined issues one GetDCombined per thread against D = data and
+// returns every thread's answers and request counts.
+func runGetDCombined(rt *pgas.Runtime, spec pgas.PartitionSpec, opts *Options, data []int64, idxs [][]int64) ([][]int64, *requestCounts) {
+	d := rt.NewSharedArrayPart("D", int64(len(data)), spec)
+	copy(d.Raw(), data)
+	comm := NewComm(rt)
+	counts := newRequestCounts("GetD", rt.NumThreads())
+	comm.SetTracer(counts)
+	outs := make([][]int64, rt.NumThreads())
+	rt.Run(func(th *pgas.Thread) {
+		o := *opts
+		outs[th.ID] = make([]int64, len(idxs[th.ID]))
+		comm.GetDCombined(th, d, idxs[th.ID], outs[th.ID], &o)
+	})
+	return outs, counts
+}
+
+// combineData fills D with values that name their slot; slot 0 holds 0,
+// the Offload variants' pinned value.
+func combineData(n int64) []int64 {
+	data := make([]int64, n)
+	for i := range data {
+		data[i] = int64(i) * 1_000_003
+	}
+	return data
+}
+
+func TestGetDCombineLaws(t *testing.T) {
+	// exact: the indices fit the table without collisions, so every thread
+	// delivers exactly one request per distinct index.
+	type shape struct {
+		name  string
+		n     int64
+		exact bool
+		build func(r *xrand.Rand, n int64) []int64
+	}
+	shapes := []shape{
+		{"all-equal", 64, true, func(r *xrand.Rand, n int64) (idx []int64) {
+			root := 1 + r.Int64n(n-1)
+			for j := 0; j < 300; j++ {
+				idx = append(idx, root)
+			}
+			return
+		}},
+		{"ascending-runs", 4096, true, func(r *xrand.Rand, n int64) (idx []int64) {
+			for j := int64(0); j < 1500; j++ {
+				idx = append(idx, j/5*13%n)
+			}
+			return
+		}},
+		{"few-roots-many-repeats", 4096, true, func(r *xrand.Rand, n int64) (idx []int64) {
+			roots := []int64{0, 3, 700, 701, n - 1}
+			for j := 0; j < 2000; j++ {
+				idx = append(idx, roots[r.Intn(len(roots))])
+			}
+			return
+		}},
+		{"offloaded-index-repeats", 50, true, func(r *xrand.Rand, n int64) (idx []int64) {
+			// Two requests in three ask for D[0]: under Offload they are
+			// dropped and answered locally, never duplicates of one
+			// another; without it they fold onto the first.
+			for j := 0; j < 200; j++ {
+				ix := int64(0)
+				if j%3 == 2 {
+					ix = r.Int64n(n)
+				}
+				idx = append(idx, ix)
+			}
+			return
+		}},
+		{"more-distinct-than-slots", 3 * combineSlots, false, func(r *xrand.Rand, n int64) (idx []int64) {
+			// Indices one table-length apart evict each other between
+			// repeats: the filter forgets, and must still be right.
+			for j := 0; j < 3000; j++ {
+				idx = append(idx, r.Int64n(combineSlots/8)+int64(j%3)*combineSlots)
+			}
+			for ix := int64(0); ix < n; ix += 2 { // > combineSlots distinct indices
+				idx = append(idx, ix, ix)
+			}
+			return
+		}},
+		{"empty", 16, true, func(*xrand.Rand, int64) []int64 { return nil }},
+	}
+	for _, geo := range []struct{ nodes, tpn int }{{1, 1}, {3, 2}, {4, 2}} {
+		rt := testRT(t, geo.nodes, geo.tpn)
+		s := rt.NumThreads()
+		for _, sh := range shapes {
+			data := combineData(sh.n)
+			idxs := make([][]int64, s)
+			for i := 0; i < s; i++ {
+				idxs[i] = sh.build(xrand.New(uint64(57+i)), sh.n)
+			}
+			for _, part := range lawPartitions {
+				for _, offload := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%dx%d/%s/%s/offload=%v", geo.nodes, geo.tpn, sh.name, part.name, offload), func(t *testing.T) {
+						opts := &Options{VirtualThreads: 2, Circular: true, Offload: offload}
+						outs, counts := runGetDCombined(rt, part.spec(sh.n), opts, data, idxs)
+						for i := 0; i < s; i++ {
+							for j, ix := range idxs[i] {
+								if outs[i][j] != data[ix] {
+									t.Fatalf("thread %d: out[%d] = %d, D[%d] = %d", i, j, outs[i][j], ix, data[ix])
+								}
+							}
+							offered, kept := counts.offered[i], counts.kept[i]
+							if offered != int64(len(idxs[i])) {
+								t.Errorf("thread %d: tracer saw %d offered requests, the call passed %d", i, offered, len(idxs[i]))
+							}
+							if kept > offered {
+								t.Errorf("thread %d: %d requests delivered of %d offered", i, kept, offered)
+							}
+							if want := distinctTargets(idxs[i], offload); sh.exact && kept != want {
+								t.Errorf("thread %d: %d requests delivered of %d offered, want one per distinct index, %d", i, kept, offered, want)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestGetDCombinedChargesTheProbeAndTheFanOut: on a list without repeats
+// GetDCombined costs what GetD costs plus one op per offered request; on a
+// list where every index is asked twice it costs a GetD of the distinct
+// half plus the probe over the whole list and the fan-out of the other
+// half, a dense permutation. Nothing else moves.
+func TestGetDCombinedChargesTheProbeAndTheFanOut(t *testing.T) {
+	const n, k = 1 << 12, 3000
+	for _, geo := range lawGeometries {
+		for _, offload := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%dx%d/offload=%v", geo.nodes, geo.tpn, offload), func(t *testing.T) {
+				opts := &Options{VirtualThreads: 2, Circular: true, LocalCpy: true, Offload: offload}
+				s := geo.nodes * geo.tpn
+				// Index 0 stays out: under Offload its repeat is a drop, not a
+				// duplicate.
+				once, twice := make([][]int64, s), make([][]int64, s)
+				for i := range once {
+					once[i] = xrand.New(uint64(7 + i)).Perm(n - 1)[:k]
+					for j := range once[i] {
+						once[i][j]++
+					}
+					twice[i] = append(slices.Clone(once[i]), once[i]...)
+				}
+				sim := func(reqs [][]int64, combined bool) float64 {
+					rt := testRT(t, geo.nodes, geo.tpn)
+					d := rt.NewSharedArray("D", n)
+					copy(d.Raw(), combineData(n))
+					comm := NewComm(rt)
+					return rt.Run(func(th *pgas.Thread) {
+						o := *opts
+						out := make([]int64, len(reqs[th.ID]))
+						if combined {
+							comm.GetDCombined(th, d, reqs[th.ID], out, &o)
+						} else {
+							comm.GetD(th, d, reqs[th.ID], out, &o, nil)
+						}
+					}).SimNS
+				}
+				model := testRT(t, 1, 1).Model()
+				const roundoff = 1e-3 // ns; the totals are ~1e6 ns float64 sums
+				plain := sim(once, false)
+				if extra := sim(once, true) - plain - model.Ops(k); extra > roundoff || extra < -roundoff {
+					t.Errorf("no repeats: GetDCombined is off GetD + probe by %v ns", extra)
+				}
+				// Every thread offers 2k requests; under Offload the filter's
+				// streaming compare runs over 2k of them instead of k.
+				want := plain + model.Ops(2*k)
+				if offload {
+					want += model.SeqScan(2*k) - model.SeqScan(k)
+				}
+				fan, _ := model.DensePermute(k)
+				if extra := sim(twice, true) - want - fan; extra > roundoff || extra < -roundoff {
+					t.Errorf("every index twice: GetDCombined is off GetD(distinct) + probe + fan-out by %v ns", extra)
+				}
+			})
+		}
+	}
+}
+
+// TestPlannedGetDDeliversEverything: combining is a fact about a call
+// site, not about GetD. A planned GetD and the live edge list's gathers —
+// planned or one-shot — deliver every request they are given, however
+// often the list repeats itself.
+func TestPlannedGetDDeliversEverything(t *testing.T) {
+	rt := testRT(t, 2, 2)
+	s := rt.NumThreads()
+	const n, k = 64, 100
+	d := rt.NewSharedArray("D", n)
+	copy(d.Raw(), combineData(n))
+	comm := NewComm(rt)
+	counts := newRequestCounts("GetD", s)
+	comm.SetTracer(counts)
+	plan := comm.NewPlan()
+	static, shrinking := comm.NewLiveEdges(false, false), comm.NewLiveEdges(true, false)
+	fill := func(lo, hi int64, ends []int64) {
+		for j := range ends {
+			ends[j] = 1 + int64(j%5) // five endpoints, k pairs
+		}
+	}
+	rt.Run(func(th *pgas.Thread) {
+		idx, out := make([]int64, k), make([]int64, k)
+		for j := range idx {
+			idx[j] = int64(j % 5)
+		}
+		plan.PlanRequests(th, d, idx, Base(), nil)
+		plan.GetD(th, d, out)
+		plan.GetD(th, d, out)
+		for j, ix := range idx {
+			if out[j] != d.Raw()[ix] {
+				t.Errorf("thread %d: planned out[%d] = %d, D[%d] = %d", th.ID, j, out[j], ix, d.Raw()[ix])
+			}
+		}
+		for _, live := range []*LiveEdges{static, shrinking} {
+			el := live.List(th, int64(k*s), fill, false)
+			el.Gather(th, d, Base(), false)
+			el.Gather(th, d, Base(), false)
+		}
+	})
+	want := int64(2*k*s + 2*2*2*k*s) // two planned executions; two lists x two gathers x 2k endpoints
+	if offered, kept := counts.totals(); kept != offered || offered != want {
+		t.Fatalf("planned GetD and LiveEdges.Gather delivered %d of %d requests, want all %d", kept, offered, want)
+	}
+}
+
+// FuzzGetDCombine feeds GetDCombined arbitrary index lists — geometry,
+// partition scheme, options and table pressure all drawn from the input —
+// and holds every answer against the direct gather.
+func FuzzGetDCombine(f *testing.F) {
+	f.Add(byte(0), byte(9), byte(0), []byte{0, 0, 0, 1, 0, 0})
+	f.Add(byte(5), byte(200), byte(0x4f), []byte("the same few roots, asked again and again and again"))
+	f.Add(byte(2), byte(33), byte(0xa9), []byte{4, 1, 4, 1, 8, 1, 4, 1, 12, 1, 0, 0, 8, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, geoRaw, nRaw, optBits byte, data []byte) {
+		geos := [][2]int{{1, 1}, {1, 2}, {1, 4}, {2, 1}, {2, 2}, {3, 2}}
+		geo := geos[int(geoRaw)%len(geos)]
+		cfg := machine.PaperCluster()
+		cfg.Nodes, cfg.ThreadsPerNode = geo[0], geo[1]
+		rt, err := pgas.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := rt.NumThreads()
+		n := int64(nRaw)*7 + int64(4*s)
+		if optBits&64 != 0 {
+			n += 2 * combineSlots // indices a table length apart: evictions
+		}
+		opts := &Options{
+			VirtualThreads: 1 + int(optBits>>4)&3,
+			Circular:       optBits&1 != 0,
+			LocalCpy:       optBits&2 != 0,
+			CachedIDs:      optBits&4 != 0,
+			Offload:        optBits&8 != 0,
+		}
+		if optBits&32 != 0 {
+			opts.Sort = QuickSort
+		}
+		part := lawPartitions[int(optBits>>7)+int(geoRaw>>7)].spec(n)
+
+		// Two bytes a request: a coarse index byte striding a quarter table
+		// and a fine one.
+		idxs := make([][]int64, s)
+		for r := 0; 2*r+1 < len(data); r++ {
+			ix := (int64(data[2*r])*(combineSlots/4) + int64(data[2*r+1])) % n
+			idxs[r%s] = append(idxs[r%s], ix)
+		}
+		d := combineData(n)
+		outs, counts := runGetDCombined(rt, part, opts, d, idxs)
+		for i := range idxs {
+			for j, ix := range idxs[i] {
+				if outs[i][j] != d[ix] {
+					t.Fatalf("thread %d: out[%d] = %d, D[%d] = %d", i, j, outs[i][j], ix, d[ix])
+				}
+			}
+		}
+		if offered, kept := counts.totals(); kept > offered {
+			t.Fatalf("%d requests delivered of %d offered", kept, offered)
+		}
+	})
 }

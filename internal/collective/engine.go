@@ -79,21 +79,12 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedAr
 
 	if op.hasValues {
 		// Align this execution's values with the grouped request layout —
-		// the pass groupByOwner used to run, charged identically. On a
-		// filtered plan pt.pos indexes the filtered request list and
-		// pt.outIdx maps it back to original request positions.
-		if pos, out, via := pt.pos[:k], pt.val[:k], pt.outIdx; pt.filtered {
-			for pp, j := range pos {
-				out[pp] = values[via[j]]
-			}
-		} else {
-			for pp, j := range pos {
-				out[pp] = values[j]
-			}
+		// the pass groupByOwner used to run, charged identically.
+		out := pt.val[:k]
+		for pp, j := range pt.pos[:k] {
+			out[pp] = values[j]
 		}
-		ns, misses := th.Runtime().Model().DensePermute(int64(k))
-		th.Clock.Charge(sim.CatSort, ns)
-		th.Clock.CacheMisses += misses
+		chargePermute(th, sim.CatSort, int64(k))
 	}
 	if op.pairRecv {
 		// Second receive buffer, aligned with pt.val, sized before peers
@@ -489,42 +480,52 @@ func finishNone(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []
 
 // finishPermute is GetD's finish phase: permute received values back to
 // request order (Algorithm 2 step 6) — a dense permutation of the receive
-// buffer — and substitute the pinned D[0] = 0 at offload-dropped positions.
+// buffer — then answer what the request filter kept from the owners: the
+// pinned D[0] = 0 at offload-dropped positions (the filter paid for that
+// pass at build time), and at every combined duplicate its keeper's value,
+// a second, shorter dense permutation.
 func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64) {
 	k := pt.k
-	ns, misses := th.Runtime().Model().DensePermute(int64(k))
-	th.Clock.Charge(sim.CatIrregular, ns)
-	th.Clock.CacheMisses += misses
-	if pt.filtered {
-		// The filter already paid for this pass at build time; delivering
-		// the pinned value is part of it.
-		for _, j := range pt.dropIdx[:pt.n-k] {
-			out1[j] = 0
-		}
-	}
-	if c.fault == FaultDropPermute {
-		// Values land in owner-grouped order, as if the permute were
-		// missing.
-		if pt.filtered {
-			for pp := 0; pp < k; pp++ {
-				out1[pt.outIdx[pp]] = pt.val[pp]
-			}
-			return
-		}
-		copy(out1[:k], pt.val[:k])
-		return
-	}
-	if pos, val, via := pt.pos[:k], pt.val[:k], pt.outIdx; pt.filtered {
-		// pt.pos indexes the filtered list; pt.outIdx maps it back to
-		// original request positions.
-		for pp, j := range pos {
-			out1[via[j]] = val[pp]
-		}
-	} else {
-		for pp, j := range pos {
+	chargePermute(th, sim.CatIrregular, int64(k))
+	val := pt.val[:k]
+	switch {
+	case c.fault != FaultDropPermute:
+		for pp, j := range pt.pos[:k] {
 			out1[j] = val[pp]
 		}
+	case pt.filtered:
+		// Values land in owner-grouped order, as if the permute were
+		// missing.
+		for pp, j := range pt.outIdx[:k] {
+			out1[j] = val[pp]
+		}
+	default:
+		copy(out1[:k], val)
 	}
+	for _, j := range pt.dropIdx[:pt.drops] {
+		out1[j] = 0
+	}
+	if pt.dups == 0 {
+		return
+	}
+	chargePermute(th, sim.CatIrregular, int64(pt.dups))
+	// The filter wrote its records from the end of the tails backwards:
+	// walking them down visits the duplicates in request order.
+	dup, keeper := pt.dropIdx[pt.n-pt.dups:pt.n], pt.outIdx[pt.n-pt.dups:pt.n]
+	for r := len(dup) - 1; r >= 0; r-- {
+		from := keeper[r]
+		if c.fault == FaultWrongKeeper {
+			from = keeper[(r+1)%len(keeper)]
+		}
+		out1[dup[r]] = out1[from]
+	}
+}
+
+// chargePermute charges th a dense permutation of k words under cat.
+func chargePermute(th *pgas.Thread, cat sim.Category, k int64) {
+	ns, misses := th.Runtime().Model().DensePermute(k)
+	th.Clock.Charge(cat, ns)
+	th.Clock.CacheMisses += misses
 }
 
 // finishPair permutes both receive buffers back to request order.

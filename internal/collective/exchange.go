@@ -17,11 +17,10 @@ import (
 // All threads must call it (it contains barriers). The returned slice is
 // valid until the thread's next collective call on this Comm.
 func (c *Comm) Exchange(th *pgas.Thread, d *pgas.SharedArray, items []int64, opts *Options, cache *IDCache) []int64 {
-	checkRequests("Exchange", d, items)
 	opts = orDefaults(opts)
 	var out []int64
 	c.traced("Exchange", th, c.splan, func() {
-		c.splan.planInto(th, d, items, opts, cache, false, nil)
+		c.splan.planInto("Exchange", th, d, items, opts, cache, false, false, nil)
 		c.exec(th, c.splan, opExchange, d, nil, nil, nil, nil)
 		st := &c.ts[th.ID]
 		out = st.inVal[:st.routeTotal]
@@ -42,10 +41,9 @@ func (c *Comm) ExchangePairs(th *pgas.Thread, d *pgas.SharedArray, items, values
 	if len(values) != len(items) {
 		panic("collective: ExchangePairs value length mismatch")
 	}
-	checkRequests("ExchangePairs", d, items)
 	opts = orDefaults(opts)
 	c.traced("ExchangePairs", th, c.splan, func() {
-		c.splan.planInto(th, d, items, opts, cache, false, nil)
+		c.splan.planInto("ExchangePairs", th, d, items, opts, cache, false, false, nil)
 		c.exec(th, c.splan, opExchangePairs, d, nil, values, nil, nil)
 		st := &c.ts[th.ID]
 		recvItems, recvValues = st.local[:st.routeTotal], st.inVal[:st.routeTotal]

@@ -37,12 +37,16 @@ const (
 	// re-publish after a request vector changed. Like
 	// FaultCorruptPlanPermute it is reuse-gated.
 	FaultStalePlanMatrices
+	// FaultWrongKeeper answers each duplicate a GetDCombined folded away
+	// with the value fetched for the next duplicate's index instead of its
+	// own — the fan-out reading the wrong record.
+	FaultWrongKeeper
 )
 
 // AllFaults lists every injectable fault, for iterating a mutation run.
 func AllFaults() []Fault {
 	return []Fault{FaultDropPermute, FaultMaxInsteadOfMin, FaultSegmentOffByOne,
-		FaultCorruptPlanPermute, FaultStalePlanMatrices}
+		FaultCorruptPlanPermute, FaultStalePlanMatrices, FaultWrongKeeper}
 }
 
 // String returns the fault's stable name.
@@ -60,6 +64,8 @@ func (f Fault) String() string {
 		return "corrupt-plan-permute"
 	case FaultStalePlanMatrices:
 		return "stale-plan-matrices"
+	case FaultWrongKeeper:
+		return "wrong-keeper"
 	}
 	return "unknown"
 }

@@ -28,9 +28,9 @@ func NewJumpScratch(span int64) *JumpScratch {
 // PointerJump applies synchronous pointer jumping (D[i] <- D[D[i]] in
 // lock step, "we insert artificial synchronizations into pointer-jumping",
 // §IV.A) over the caller's ThreadCover block until all trees are rooted
-// stars, using one GetD per level. Only vertices not yet pointing at a
-// root stay active: no hooks happen during the phase, so a root can never
-// move and a vertex whose label did not change is finished. d must be a
+// stars, using one GetDCombined per level. Only vertices not yet pointing
+// at a root stay active: no hooks happen during the phase, so a root can
+// never move and a vertex whose label did not change is finished. d must be a
 // forest (hooks need not be monotone in label order, as long as they are
 // acyclic). Every thread must call it; js is scratch sized to the block
 // and dLo is the block base.
@@ -57,8 +57,8 @@ func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
 		if !opts.LocalCpy {
 			th.ChargeSharedPtr(sim.CatCopy, k)
 		}
-		// One jump level: fetch the label of every label.
-		c.GetD(th, d, jumpIdx[:k], jumpVal[:k], opts, nil)
+		// One jump level: fetch the label of every label, each root once.
+		c.GetDCombined(th, d, jumpIdx[:k], jumpVal[:k], opts)
 		w := 0
 		for j, v := range active {
 			if jumpVal[j] != jumpIdx[j] {

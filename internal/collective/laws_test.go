@@ -422,6 +422,18 @@ func TestRequestValidation(t *testing.T) {
 		{"SetDMin/too-large", func(comm *Comm, th *pgas.Thread, d *pgas.SharedArray) {
 			comm.SetDMin(th, d, []int64{9999999}, []int64{1}, Base(), nil)
 		}},
+		// Lists that go through the request filter are validated in its pass.
+		{"GetD/offload/too-large", func(comm *Comm, th *pgas.Thread, d *pgas.SharedArray) {
+			out := make([]int64, 3)
+			comm.GetD(th, d, []int64{0, 4, 10}, out, Optimized(2), nil)
+		}},
+		{"GetDCombined/negative", func(comm *Comm, th *pgas.Thread, d *pgas.SharedArray) {
+			out := make([]int64, 3)
+			comm.GetDCombined(th, d, []int64{3, 3, -1}, out, Base())
+		}},
+		{"PlanRequests/offload/negative", func(comm *Comm, th *pgas.Thread, d *pgas.SharedArray) {
+			comm.NewPlan().PlanRequests(th, d, []int64{2, -5}, Optimized(2), nil)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -434,8 +446,12 @@ func TestRequestValidation(t *testing.T) {
 					t.Fatal("no panic for out-of-range request index")
 				}
 				msg := fmt.Sprint(r)
-				if !strings.Contains(msg, "out of range") || !strings.Contains(msg, "Label") {
-					t.Fatalf("panic message %q does not name the bound and the array", msg)
+				kind, _, _ := strings.Cut(tc.name, "/")
+				if kind == "GetDCombined" {
+					kind = "GetD"
+				}
+				if !strings.Contains(msg, "collective: "+kind+" index ") || !strings.Contains(msg, "out of range [0,10) in Label") {
+					t.Fatalf("panic message %q does not name the collective, the bound and the array", msg)
 				}
 			}()
 			rt.Run(func(th *pgas.Thread) { tc.run(comm, th, d) })

@@ -22,10 +22,9 @@ func (c *Comm) GetDPair(th *pgas.Thread, d1, d2 *pgas.SharedArray, indices, out1
 	if d1.Len() != d2.Len() {
 		panic("collective: GetDPair arrays must share a distribution")
 	}
-	checkRequests("GetDPair", d1, indices)
 	opts = orDefaults(opts)
 	c.traced("GetDPair", th, c.splan, func() {
-		c.splan.planInto(th, d1, indices, opts, cache, false, nil)
+		c.splan.planInto("GetDPair", th, d1, indices, opts, cache, false, false, nil)
 		c.exec(th, c.splan, opGetDPair, d1, d2, nil, out1, out2)
 	})
 }

@@ -35,7 +35,9 @@ import (
 // since their semantics cannot honor a filtered request list. A planned
 // SetDMin always delivers every remaining request: duplicate combining
 // needs the values, which change per execution while the plan's indices
-// are fixed at build, so only the one-shot SetDMin combines.
+// are fixed at build, so only the one-shot SetDMin combines. A planned GetD
+// delivers every remaining request too: whether a request vector repeats
+// itself is something a call site knows (GetDCombined), not the plan.
 type Plan struct {
 	c    *Comm
 	pts  []planThread
@@ -53,15 +55,17 @@ type planThread struct {
 	req      []int64 // request indices grouped by owner (read by peers)
 	val      []int64 // grouped values (Set*) / receive buffer (GetD, pair 1st)
 	val2     []int64 // second receive buffer (GetDPair)
-	pos      []int32 // inverse permutation of the grouping sort
+	pos      []int32 // grouped position -> position in the caller's request list
 	offs     []int64 // per-owner segment offsets, len s+1
-	outIdx   []int32 // request filter: filtered position -> original position
-	dropIdx  []int32 // request filter: original positions of dropped offload requests
+	outIdx   []int32 // request filter: [0,k) kept position -> original position; [n-dups,n) the keeper's original position, per combined duplicate
+	dropIdx  []int32 // request filter: [0,drops) original positions of dropped offload requests; [n-dups,n) original positions of combined duplicates
 	filt     []int64 // filtered request list (backing for the grouped sort input)
 	opts     Options // options captured at build time
 	arrLen   int64   // length of the array the plan was built against (0 = unbuilt)
 	n        int     // original request count
 	k        int     // grouped request count (post-filter)
+	drops    int     // offload requests recorded in dropIdx (GetD builds only)
+	dups     int     // combined duplicates recorded in the dropIdx/outIdx tails (GetDCombined only)
 	filtered bool    // build applied the request filter
 	execs    int     // executions since the last build
 }
@@ -97,18 +101,16 @@ func (c *Comm) NewPlan() *Plan {
 // a one-shot call. When opts.Offload is set the offloaded index is
 // filtered here, restricting the plan to GetD/SetDMin execution.
 func (p *Plan) PlanRequests(th *pgas.Thread, d *pgas.SharedArray, indices []int64, opts *Options, cache *IDCache) {
-	checkRequests("PlanRequests", d, indices)
-	if opts == nil {
-		opts = Defaults()
-	}
-	p.planInto(th, d, indices, opts, cache, true, nil)
+	p.planInto("PlanRequests", th, d, indices, orDefaults(opts), cache, true, false, nil)
 }
 
-// planInto is PlanRequests without validation, shared with the one-shot
-// wrappers (which have already validated and decide filtering by op
-// semantics: only GetD and SetDMin honor Offload — allowOffload — and only
-// the one-shot SetDMin hands over its values, minVals, for combining).
-func (p *Plan) planInto(th *pgas.Thread, d *pgas.SharedArray, indices []int64, opts *Options, cache *IDCache, allowOffload bool, minVals []int64) {
+// planInto is PlanRequests for the caller named kind, shared with the
+// one-shot wrappers, which decide filtering by op semantics: only GetD and
+// SetDMin honor Offload (allowOffload), only GetDCombined declares its
+// requests label-valued (combine), and only the one-shot SetDMin hands over
+// its values (minVals). It validates the request list — inside the filter's
+// pass when there is one, with a sweep of its own otherwise.
+func (p *Plan) planInto(kind string, th *pgas.Thread, d *pgas.SharedArray, indices []int64, opts *Options, cache *IDCache, allowOffload, combine bool, minVals []int64) {
 	c := p.c
 	c.checkLive(th)
 	st := &c.ts[th.ID]
@@ -117,11 +119,15 @@ func (p *Plan) planInto(th *pgas.Thread, d *pgas.SharedArray, indices []int64, o
 	pt.arrLen = d.Len()
 	pt.n = len(indices)
 	pt.execs = 0
+	pt.drops, pt.dups = 0, 0
 	offload := allowOffload && opts.Offload
-	pt.filtered = offload || minVals != nil
-	work := indices
+	pt.filtered = offload || combine || minVals != nil
+	work, via := indices, []int32(nil)
 	if pt.filtered {
-		work = p.planFilter(th, pt, st, indices, opts, offload, minVals)
+		work = p.planFilter(kind, th, d, pt, st, indices, opts, offload, combine, minVals)
+		via = pt.outIdx[:len(work)]
+	} else {
+		checkRequests(kind, d, indices)
 	}
 	k := len(work)
 	pt.k = k
@@ -129,7 +135,7 @@ func (p *Plan) planInto(th *pgas.Thread, d *pgas.SharedArray, indices []int64, o
 	c.ownerKeys(th, d, work, opts, cache, st)
 	pt.req = sched.Grow64(pt.req, k, &st.growths)
 	pt.pos = sched.Grow32(pt.pos, k, &st.growths)
-	c.groupInto(th, work, opts, st, pt.req[:k], pt.pos[:k], pt.offs)
+	c.groupInto(th, work, via, opts, st, pt.req[:k], pt.pos[:k], pt.offs)
 	// The value buffer is sized with the plan so peers can deliver into it
 	// right after the first barrier; its contents are per-execution.
 	pt.val = sched.Grow64(pt.val, k, &st.growths)
@@ -147,35 +153,43 @@ func (p *Plan) planInto(th *pgas.Thread, d *pgas.SharedArray, indices []int64, o
 }
 
 // combineSlots is the size of the per-thread direct-mapped table the
-// request filter remembers kept SetDMin requests in: 2 x 8 192 words,
-// 128 KB, cache-resident beside the request stream.
+// request filter remembers kept requests in: 2 x 8 192 words, 128 KB,
+// cache-resident beside the request stream.
 const combineSlots = 1 << 13
 
-// combineTable maps a target index (slot index & (combineSlots-1)) to the
-// smallest value this call has kept for it. key holds index+1, so the
-// zero value is an empty table.
+// combineTable maps a target index (slot index & (combineSlots-1)) to what
+// the filter needs to know about the request this call kept for it: the
+// smallest value sent (SetDMin) or the request's position (GetDCombined).
+// key holds index+1, so the zero value is an empty table.
 type combineTable struct {
 	key, val [combineSlots]int64
 }
 
-// planFilter is the one pass between a caller's request list and the
-// grouping sort. It drops requests the owners need not see, recording the
-// surviving positions (outIdx, for permuting results and aligning
-// per-execution values):
+// planFilter is the one pass over a caller's request list before the
+// grouping sort. It validates the list (length and every index, as
+// checkRequests does) and drops requests the owners need not see,
+// recording the surviving positions (outIdx, which the grouping sort folds
+// into pos):
 //
 //   - offload: requests for the offloaded index. Their positions are kept
 //     too (dropIdx) so GetD executions can substitute the pinned value.
+//   - combine (GetDCombined): a request for an index an earlier request of
+//     this list already asks for. Its position and the earlier request's —
+//     its keeper's — go to the tails of dropIdx and outIdx, which kept and
+//     dropped requests cannot reach (k + drops + dups = n), and the finish
+//     phase copies the keeper's answer.
 //   - minVals non-nil (the one-shot SetDMin): a request (i, v) when an
 //     earlier request of this list to the same i with a value <= v was
 //     kept. Min is idempotent and commutative, so D after the call is
-//     unchanged. The memory is direct-mapped: a colliding index evicts the
-//     slot's entry, which only forgets — the filter can fail to drop, never
-//     drop wrongly.
+//     unchanged.
 //
+// The table is direct-mapped: a colliding index evicts the slot's entry,
+// which only forgets — the filter can fail to drop, never drop wrongly.
 // The offload compare is a charged streaming pass, the table probe one
 // charged op per offered request.
-func (p *Plan) planFilter(th *pgas.Thread, pt *planThread, st *threadState, indices []int64, opts *Options, offload bool, minVals []int64) []int64 {
+func (p *Plan) planFilter(kind string, th *pgas.Thread, d *pgas.SharedArray, pt *planThread, st *threadState, indices []int64, opts *Options, offload, combine bool, minVals []int64) []int64 {
 	n := len(indices)
+	checkLen(kind, d, n)
 	pt.filt = sched.Grow64(pt.filt, n, &st.growths)
 	pt.outIdx = sched.Grow32(pt.outIdx, n, &st.growths)
 	offIdx := int64(-1) // no valid index
@@ -183,8 +197,8 @@ func (p *Plan) planFilter(th *pgas.Thread, pt *planThread, st *threadState, indi
 		offIdx = opts.OffloadIndex
 		th.ChargeSeq(sim.CatWork, int64(n))
 	}
-	var tab *combineTable // non-nil: combine
-	if minVals != nil {
+	var tab *combineTable // non-nil: combine, by position or by value
+	if combine || minVals != nil {
 		if st.comb == nil {
 			st.comb = new(combineTable)
 			st.growths++
@@ -192,48 +206,64 @@ func (p *Plan) planFilter(th *pgas.Thread, pt *planThread, st *threadState, indi
 		tab = st.comb
 		clear(tab.key[:])
 		th.ChargeOps(sim.CatWork, int64(n))
-	} else {
+	}
+	if minVals == nil {
 		pt.dropIdx = sched.Grow32(pt.dropIdx, n, &st.growths)
 	}
-	w, drops := 0, 0
+	filt, outIdx, dropIdx := pt.filt[:n], pt.outIdx[:n], pt.dropIdx
+	arrLen := uint64(d.Len())
+	w, drops, dups := 0, 0, 0
 	for j, ix := range indices {
+		if uint64(ix) >= arrLen {
+			badIndex(kind, d, ix)
+		}
 		if ix == offIdx {
-			if tab == nil {
-				pt.dropIdx[drops] = int32(j)
+			if minVals == nil {
+				dropIdx[drops] = int32(j)
 				drops++
 			}
 			continue
 		}
 		if tab != nil {
 			h := ix & (combineSlots - 1)
-			v := minVals[j]
-			if tab.key[h] == ix+1 && tab.val[h] <= v {
-				continue
+			if minVals != nil {
+				v := minVals[j]
+				if tab.key[h] == ix+1 && tab.val[h] <= v {
+					continue
+				}
+				tab.key[h], tab.val[h] = ix+1, v
+			} else {
+				if tab.key[h] == ix+1 {
+					dups++
+					dropIdx[n-dups], outIdx[n-dups] = int32(j), int32(tab.val[h])
+					continue
+				}
+				tab.key[h], tab.val[h] = ix+1, int64(j)
 			}
-			tab.key[h], tab.val[h] = ix+1, v
 		}
-		pt.filt[w] = ix
-		pt.outIdx[w] = int32(j)
+		filt[w] = ix
+		outIdx[w] = int32(j)
 		w++
 	}
-	return pt.filt[:w]
+	pt.drops, pt.dups = drops, dups
+	return filt[:w]
 }
 
 // groupInto sorts indices by owner (st.keys) into req, filling the
 // inverse permutation pos and the per-owner offsets offs, and charging
-// the grouping sort. req/pos must have length len(indices); offs length
+// the grouping sort. via, when the request filter ran, holds where each
+// index stood in the caller's list, and pos records that instead of the
+// position in indices. req/pos must have length len(indices); offs length
 // s+1. Scratch (packed keys, bucket cursors) comes from st.
-func (c *Comm) groupInto(th *pgas.Thread, indices []int64, opts *Options, st *threadState, req []int64, pos []int32, offs []int64) {
+func (c *Comm) groupInto(th *pgas.Thread, indices []int64, via []int32, opts *Options, st *threadState, req []int64, pos []int32, offs []int64) {
 	k := len(indices)
 	switch opts.Sort {
 	case CountSort:
-		psort.BucketByKeyInto(indices, st.keys[:k], c.s, req, pos, offs, st.cursor)
+		psort.BucketByKeyVia(indices, st.keys[:k], c.s, req, pos, offs, st.cursor, via)
 		// Counting pass (streaming) plus a bucketed distribution pass
 		// (dense permutation into the grouped layout).
 		th.ChargeSeq(sim.CatSort, int64(k))
-		ns, misses := th.Runtime().Model().DensePermute(int64(k))
-		th.Clock.Charge(sim.CatSort, ns)
-		th.Clock.CacheMisses += misses
+		chargePermute(th, sim.CatSort, int64(k))
 		th.ChargeOps(sim.CatSort, 2*int64(k)+int64(c.s))
 	case QuickSort:
 		// Pack (owner, position) and comparison-sort: the slow path of
@@ -251,6 +281,9 @@ func (c *Comm) groupInto(th *pgas.Thread, indices []int64, opts *Options, st *th
 		for p, pk := range packed {
 			j := int32(pk & (1<<40 - 1))
 			pos[p] = j
+			if via != nil {
+				pos[p] = via[j]
+			}
 			req[p] = indices[j]
 			offs[pk>>40+1]++
 		}

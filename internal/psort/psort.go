@@ -8,8 +8,8 @@ package psort
 
 import "fmt"
 
-// BucketByKey stably groups items by keys[i], which must lie in [0, k).
-// It fills:
+// BucketByKeyInto stably groups items by keys[i], which must lie in
+// [0, k). It fills:
 //
 //	sorted — items grouped by key (stable within each bucket),
 //	pos    — pos[j] = original index of sorted[j] (the inverse permutation
@@ -17,24 +17,26 @@ import "fmt"
 //	offs   — bucket boundaries, len k+1: bucket b is sorted[offs[b]:offs[b+1]].
 //
 // sorted and pos must have len(items); offs must have len k+1. This is the
-// two-pass count sort the paper's collectives run per superstep.
-//
-// BucketByKey allocates a k-word bucket cursor per call; steady-state
-// callers (the collectives run one of these per thread per superstep) use
-// BucketByKeyInto with a reused cursor instead.
-func BucketByKey(items []int64, keys []int32, k int, sorted []int64, pos []int32, offs []int64) {
-	BucketByKeyInto(items, keys, k, sorted, pos, offs, make([]int64, k))
+// two-pass count sort the paper's collectives run per superstep. cursor is
+// the caller's bucket-cursor scratch (len >= k, contents overwritten), so
+// the sort allocates nothing.
+func BucketByKeyInto(items []int64, keys []int32, k int, sorted []int64, pos []int32, offs []int64, cursor []int64) {
+	BucketByKeyVia(items, keys, k, sorted, pos, offs, cursor, nil)
 }
 
-// BucketByKeyInto is BucketByKey with a caller-provided bucket-cursor
-// scratch buffer (len >= k), making the sort allocation-free. The cursor
-// contents are overwritten.
-func BucketByKeyInto(items []int64, keys []int32, k int, sorted []int64, pos []int32, offs []int64, cursor []int64) {
+// BucketByKeyVia is BucketByKeyInto for items that were themselves selected
+// from a longer list: via[i] is where items[i] stood in that list, and pos
+// records via[i] in place of i, so a consumer of pos reaches the longer
+// list's positions without a second lookup. A nil via is the identity.
+func BucketByKeyVia(items []int64, keys []int32, k int, sorted []int64, pos []int32, offs []int64, cursor []int64, via []int32) {
 	if len(keys) != len(items) {
 		panic(fmt.Sprintf("psort: len(keys)=%d != len(items)=%d", len(keys), len(items)))
 	}
 	if len(sorted) != len(items) || len(pos) != len(items) {
 		panic("psort: output buffers must match input length")
+	}
+	if via != nil && len(via) != len(items) {
+		panic(fmt.Sprintf("psort: len(via)=%d != len(items)=%d", len(via), len(items)))
 	}
 	if len(offs) != k+1 {
 		panic(fmt.Sprintf("psort: len(offs)=%d, want k+1=%d", len(offs), k+1))
@@ -55,12 +57,22 @@ func BucketByKeyInto(items []int64, keys []int32, k int, sorted []int64, pos []i
 		offs[b+1] += offs[b]
 	}
 	copy(cursor[:k], offs[:k])
+	if via == nil {
+		for i, item := range items {
+			b := keys[i]
+			p := cursor[b]
+			cursor[b]++
+			sorted[p] = item
+			pos[p] = int32(i)
+		}
+		return
+	}
 	for i, item := range items {
 		b := keys[i]
 		p := cursor[b]
 		cursor[b]++
 		sorted[p] = item
-		pos[p] = int32(i)
+		pos[p] = via[i]
 	}
 }
 

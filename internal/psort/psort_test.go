@@ -105,6 +105,11 @@ func TestMergeSortStability(t *testing.T) {
 	}
 }
 
+// BucketByKey is BucketByKeyInto with a fresh cursor per call.
+func BucketByKey(items []int64, keys []int32, k int, sorted []int64, pos []int32, offs []int64) {
+	BucketByKeyInto(items, keys, k, sorted, pos, offs, make([]int64, k))
+}
+
 func TestBucketByKey(t *testing.T) {
 	items := []int64{10, 20, 30, 40, 50, 60}
 	keys := []int32{2, 0, 1, 2, 0, 1}
@@ -129,6 +134,17 @@ func TestBucketByKey(t *testing.T) {
 	for j := range sorted {
 		if items[pos[j]] != sorted[j] {
 			t.Fatalf("pos[%d] = %d does not route back", j, pos[j])
+		}
+	}
+
+	// Via: the items were positions 3, 5, 6, 8, 9, 11 of a longer list, and
+	// pos names those.
+	via := []int32{3, 5, 6, 8, 9, 11}
+	viaPos := make([]int32, 6)
+	BucketByKeyVia(items, keys, 3, sorted, viaPos, offs, make([]int64, 3), via)
+	for j := range sorted {
+		if sorted[j] != wantSorted[j] || viaPos[j] != via[pos[j]] {
+			t.Fatalf("via: sorted[%d], pos[%d] = %d, %d, want %d, %d", j, j, sorted[j], viaPos[j], wantSorted[j], via[pos[j]])
 		}
 	}
 }

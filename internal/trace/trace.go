@@ -159,8 +159,9 @@ func (c *Collector) CollectiveTable() *report.Table {
 }
 
 // keptPercent renders the share of offered requests that reached the
-// owners: below 100 where the offload filter or SetDMin combining dropped
-// some.
+// owners: below 100 where the offload filter dropped some, a one-shot
+// SetDMin combined duplicates, or a GetD on label values (GetDCombined)
+// asked each index once.
 func keptPercent(st *callStats) string {
 	if st.elements == 0 {
 		return "-"
@@ -170,7 +171,8 @@ func keptPercent(st *callStats) string {
 
 // Requests returns, for kind and summed over all participants, the
 // requests the callers offered and the requests delivered to the owners
-// after the request filter (offload drops, one-shot SetDMin combining).
+// after the request filter (offload drops, one-shot SetDMin combining,
+// GetDCombined's one request per index — counted under GetD).
 func (c *Collector) Requests(kind string) (offered, kept int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
