@@ -1,16 +1,16 @@
 // Package client is the Go client for a pgasd graph service: it dials the
-// server's unix socket, speaks the length-prefixed frame protocol, and
-// exposes the batched query API as plain method calls. The request and
-// payload types are shared with the server (aliases into internal/serve),
-// so a query batch built against this package is byte-identical to one
-// the Service answers in-process, and classified errors round-trip —
+// server's unix socket, speaks the length-prefixed frame protocol (through
+// serve.Conn, the framing both ends share), and exposes the batched query
+// API as plain method calls. The request and payload types are shared with
+// the server (aliases into internal/serve), so a query batch built against
+// this package is the one the Service answers in-process, and classified
+// errors round-trip —
 // errors.Is(err, pgas.ErrMisuse) holds across the socket. One Client is
 // one connection; it is not goroutine-safe (the protocol is strictly
 // request/response). See docs/SERVING.md.
 package client
 
 import (
-	"encoding/json"
 	"net"
 
 	"pgasgraph/internal/serve"
@@ -33,7 +33,7 @@ type (
 	// RunResp summarizes a kernel run (arrays stay server-resident).
 	RunResp = serve.RunResp
 	// InsertResp reports how an insertion batch was applied.
-	InsertResp = serve.InsertResp
+	InsertResp = serve.InsertReport
 	// InfoResp describes the server's resident state.
 	InfoResp = serve.InfoResp
 )
@@ -49,6 +49,7 @@ const (
 // Client is one connection to a pgasd server.
 type Client struct {
 	conn net.Conn
+	fr   *serve.Conn // conn, framed
 }
 
 // Dial connects to the pgasd unix socket.
@@ -57,79 +58,52 @@ func Dial(socket string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return &Client{conn: conn, fr: serve.NewConn(conn)}, nil
 }
 
 // Close hangs up.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip performs one request/response exchange. A FrameError response
-// is reconstructed with its error class intact.
-func (c *Client) roundTrip(typ byte, req, resp interface{}) error {
-	if err := serve.WriteMsg(c.conn, typ, req); err != nil {
-		return err
+// call performs one exchange whose answer is a T.
+func call[T any](c *Client, typ byte, req interface{}) (*T, error) {
+	resp := new(T)
+	if err := c.fr.Call(typ, req, resp); err != nil {
+		return nil, err
 	}
-	rtyp, payload, err := serve.ReadFrame(c.conn)
-	if err != nil {
-		return err
-	}
-	if rtyp == serve.FrameError {
-		var e serve.ErrorResp
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return err
-		}
-		return e.AsError()
-	}
-	return json.Unmarshal(payload, resp)
+	return resp, nil
 }
 
 // Load asks the server to generate and load a graph, replacing any
 // resident one.
 func (c *Client) Load(req LoadReq) (*LoadResp, error) {
-	var resp LoadResp
-	if err := c.roundTrip(serve.FrameLoad, &req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[LoadResp](c, serve.FrameLoad, &req)
 }
 
 // Run dispatches a kernel on the resident graph. Result arrays stay
 // resident server-side for querying; the response carries the summary and
 // a deterministic content checksum.
 func (c *Client) Run(spec KernelSpec) (*RunResp, error) {
-	var resp RunResp
-	if err := c.roundTrip(serve.FrameRun, &serve.RunReq{Spec: spec}, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[RunResp](c, serve.FrameRun, &serve.RunReq{Spec: spec})
 }
 
 // Query answers a batch of point lookups; answers land in query order.
-// The server coalesces the whole batch into O(1) bulk gathers.
+// The server coalesces the whole batch into one bulk gather per stage.
 func (c *Client) Query(qs []Query) ([]int64, error) {
-	var resp serve.QueryResp
-	if err := c.roundTrip(serve.FrameQuery, &serve.QueryReq{Queries: qs}, &resp); err != nil {
+	ans, err := call[[]int64](c, serve.FrameQuery, qs)
+	if err != nil {
 		return nil, err
 	}
-	return resp.Answers, nil
+	return *ans, nil
 }
 
 // Insert applies an edge-insertion batch. Resident component labels
 // update incrementally (or by supervised recompute on a fault); resident
 // distance/parent trees are dropped as stale.
 func (c *Client) Insert(edges []Edge) (*InsertResp, error) {
-	var resp InsertResp
-	if err := c.roundTrip(serve.FrameInsert, &serve.InsertReq{Edges: edges}, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[InsertResp](c, serve.FrameInsert, edges)
 }
 
 // Info describes the server's graph, geometry, and resident arrays.
 func (c *Client) Info() (*InfoResp, error) {
-	var resp InfoResp
-	if err := c.roundTrip(serve.FrameInfo, struct{}{}, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[InfoResp](c, serve.FrameInfo, struct{}{})
 }

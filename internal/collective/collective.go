@@ -383,7 +383,7 @@ func (c *Comm) transferCost(th *pgas.Thread, peer int, k int64, pull bool, opts 
 	bytes := k * sim.ElemBytes
 	ns := model.Message(bytes, th.Runtime().ThreadsPerNode())
 	if pull {
-		ns += th.Runtime().Config().NetLatency
+		ns += model.Config().NetLatency
 	}
 	if !opts.Circular {
 		ns *= model.LinearPenalty()

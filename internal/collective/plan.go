@@ -320,7 +320,7 @@ func (c *Comm) groupInto(th *pgas.Thread, indices []int64, via []int32, opts *Op
 func (c *Comm) publishInto(th *pgas.Thread, p *Plan, offs []int64) {
 	i := th.ID
 	smat, pmat := p.smat, p.pmat
-	hier := th.Runtime().Config().HierarchicalA2A
+	hier := th.Runtime().Model().Config().HierarchicalA2A
 	tpn := th.Runtime().ThreadsPerNode()
 	for j := 0; j < c.s; j++ {
 		smat[j*c.s+i] = offs[j+1] - offs[j]

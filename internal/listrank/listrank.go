@@ -115,7 +115,7 @@ func SeqRank(l *List) []int64 {
 
 // SeqRankTimed runs SeqRank and charges its pointer chasing against the
 // model, returning ranks and simulated nanoseconds.
-func SeqRankTimed(l *List, model sim.Model) ([]int64, float64) {
+func SeqRankTimed(l *List, model *sim.Model) ([]int64, float64) {
 	ranks, touches := seqRankCounted(l)
 	var clk sim.Clock
 	clk.Charge(sim.CatWork, model.SeqScan(l.N)) // head scan

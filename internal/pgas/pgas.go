@@ -32,7 +32,7 @@ import (
 // regions with Run.
 type Runtime struct {
 	cfg     machine.Config
-	model   sim.Model
+	model   *sim.Model
 	s       int
 	threads []*Thread      // all s thread contexts (metadata for every node)
 	locals  []*Thread      // the threads this process actually drives
@@ -138,7 +138,7 @@ func (rt *Runtime) newRegionBarrier() *barrier {
 func (rt *Runtime) Config() machine.Config { return rt.cfg }
 
 // Model returns the cost model.
-func (rt *Runtime) Model() sim.Model { return rt.model }
+func (rt *Runtime) Model() *sim.Model { return rt.model }
 
 // NumThreads returns the total thread count s = p*t.
 func (rt *Runtime) NumThreads() int { return rt.s }

@@ -3,7 +3,6 @@ package wiretransport
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"sync/atomic"
 
 	"pgasgraph/internal/pgas"
 )
@@ -120,61 +119,4 @@ func (h *header) wordBytes() int64 {
 		return 4
 	}
 	return 8
-}
-
-// encodePayload writes words into buf (reallocated when too small) at the
-// narrowest width that carries them exactly: 4 bytes each when every word
-// round-trips through int32, 8 otherwise. One out-of-range word — an
-// Unreached sentinel, a packed key — keeps the whole frame wide.
-func encodePayload(buf []byte, words []int64) (out []byte, narrow bool) {
-	narrow = true
-	for _, v := range words {
-		if int64(int32(v)) != v {
-			narrow = false
-			break
-		}
-	}
-	need := len(words) * 8
-	if narrow {
-		need = len(words) * 4
-	}
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	if narrow {
-		for j, v := range words {
-			binary.LittleEndian.PutUint32(buf[j*4:], uint32(v))
-		}
-	} else {
-		for j, v := range words {
-			binary.LittleEndian.PutUint64(buf[j*8:], uint64(v))
-		}
-	}
-	return buf, narrow
-}
-
-// decodePayload fills dst from a verified payload of len(dst) words. With
-// atomicStores set the words land with atomic stores — a SharedArray
-// window is concurrently read by its owner's threads through the
-// runtime's atomic fast paths.
-func decodePayload(dst []int64, raw []byte, narrow, atomicStores bool) {
-	switch {
-	case narrow && atomicStores:
-		for j := range dst {
-			atomic.StoreInt64(&dst[j], int64(int32(binary.LittleEndian.Uint32(raw[j*4:]))))
-		}
-	case narrow:
-		for j := range dst {
-			dst[j] = int64(int32(binary.LittleEndian.Uint32(raw[j*4:])))
-		}
-	case atomicStores:
-		for j := range dst {
-			atomic.StoreInt64(&dst[j], int64(binary.LittleEndian.Uint64(raw[j*8:])))
-		}
-	default:
-		for j := range dst {
-			dst[j] = int64(binary.LittleEndian.Uint64(raw[j*8:]))
-		}
-	}
 }

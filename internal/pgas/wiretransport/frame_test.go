@@ -39,7 +39,7 @@ func TestPayloadWidthBoundary(t *testing.T) {
 		{"one unreached", []int64{5, unreached, 6}, false},
 	}
 	for _, c := range cases {
-		raw, narrow := encodePayload(nil, c.words)
+		raw, narrow := pgas.AppendWords(nil, c.words)
 		if narrow != c.narrow {
 			t.Errorf("%s: narrow = %v, want %v", c.name, narrow, c.narrow)
 		}
@@ -52,7 +52,7 @@ func TestPayloadWidthBoundary(t *testing.T) {
 		}
 		for _, atomicStores := range []bool{false, true} {
 			got := make([]int64, len(c.words))
-			decodePayload(got, raw, narrow, atomicStores)
+			pgas.DecodeWords(got, raw, narrow, atomicStores)
 			for i := range got {
 				if got[i] != c.words[i] {
 					t.Errorf("%s (atomic=%v): word %d = %d, want %d", c.name, atomicStores, i, got[i], c.words[i])
@@ -80,7 +80,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 func frameBytes(h header, payload []int64) []byte {
 	var pay []byte
 	if len(payload) > 0 {
-		pay, h.narrow = encodePayload(nil, payload)
+		pay, h.narrow = pgas.AppendWords(nil, payload)
 		h.crc = crc32.Checksum(pay, castagnoli)
 	}
 	b := make([]byte, headerLen, headerLen+len(pay))

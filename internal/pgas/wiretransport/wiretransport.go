@@ -517,7 +517,7 @@ func (t *Transport) send(nd int, h header, payload []int64, flush bool) error {
 }
 
 // sendOn is the one frame encoder: header, payload at the narrowest width
-// that carries it (encodePayload), CRC-32C over exactly the payload bytes,
+// that carries it (pgas.AppendWords), CRC-32C over exactly the payload bytes,
 // written to p under its write lock. flush pushes the connection's buffered
 // frames (earlier coalesced PUTs included) onto the wire with a write
 // deadline, so a wedged peer surfaces as an error here rather than a hang.
@@ -527,7 +527,7 @@ func (t *Transport) sendOn(p *peerConn, nd int, h header, payload []int64, flush
 
 	var pay []byte
 	if len(payload) > 0 {
-		p.pay, h.narrow = encodePayload(p.pay, payload)
+		p.pay, h.narrow = pgas.AppendWords(p.pay[:0], payload)
 		pay = p.pay
 		h.crc = crc32.Checksum(pay, castagnoli)
 	}
@@ -1420,7 +1420,7 @@ func (sc *rxScratch) decode(h *header, raw []byte) []int64 {
 		sc.words = make([]int64, h.count)
 	}
 	words := sc.words[:h.count]
-	decodePayload(words, raw, h.narrow, false)
+	pgas.DecodeWords(words, raw, h.narrow, false)
 	return words
 }
 
@@ -1494,7 +1494,7 @@ func (t *Transport) applyPut(nd int, h *header, raw []byte) {
 	t.rmu.Lock()
 	data, ok := t.window(h.w, h.off, h.count)
 	if ok {
-		decodePayload(data[h.off:h.off+h.count], raw, h.narrow, h.w.Kind == pgas.WinArray)
+		pgas.DecodeWords(data[h.off:h.off+h.count], raw, h.narrow, h.w.Kind == pgas.WinArray)
 	}
 	t.rmu.Unlock()
 	if !ok {
@@ -1513,7 +1513,7 @@ func (t *Transport) deliver(h *header, raw []byte) {
 	r := wireResp{status: h.status}
 	if h.status == stOK {
 		if h.count == int64(len(pr.dst)) {
-			decodePayload(pr.dst, raw, h.narrow, false)
+			pgas.DecodeWords(pr.dst, raw, h.narrow, false)
 		} else {
 			r.status = stBadWindow
 		}

@@ -22,7 +22,7 @@ func CC(g *graph.Graph) []int64 {
 
 // CCTimed runs CC and charges its actual access counts against the model,
 // returning the labels and the simulated time in nanoseconds.
-func CCTimed(g *graph.Graph, model sim.Model) ([]int64, float64) {
+func CCTimed(g *graph.Graph, model *sim.Model) ([]int64, float64) {
 	labels, touches := ccCounted(g)
 	var clk sim.Clock
 	// Initialization: one streaming pass over the parent array.

@@ -15,7 +15,7 @@ import (
 // with O(log(n/M)) contraction rounds.
 //
 // memBytes is the node's memory; inputs that fit are charged like CCTimed.
-func CCExternalTimed(g *graph.Graph, model sim.Model, memBytes int64) ([]int64, float64) {
+func CCExternalTimed(g *graph.Graph, model *sim.Model, memBytes int64) ([]int64, float64) {
 	labels, touches := ccCounted(g)
 	workingSet := (g.N + 2*g.M()) * sim.ElemBytes
 	if workingSet <= memBytes {

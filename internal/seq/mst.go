@@ -27,7 +27,7 @@ func Kruskal(g *graph.Graph) *MSF {
 
 // KruskalTimed runs Kruskal and charges its actual work against the model,
 // returning the forest and the simulated nanoseconds.
-func KruskalTimed(g *graph.Graph, model sim.Model) (*MSF, float64) {
+func KruskalTimed(g *graph.Graph, model *sim.Model) (*MSF, float64) {
 	msf, passes, touches := kruskalCounted(g)
 	var clk sim.Clock
 	m := g.M()

@@ -93,10 +93,11 @@ func planCounts(t *testing.T, s *Service, col *trace.Collector, qs []Query) (ans
 	return ans, col.PlanBuilds() - b0, col.PlanReuses() - r0
 }
 
-// TestColumnsKeepTheirOwnState: a column's plan lives and dies with its
-// array, and a batch leaves nothing behind in any column however it ends.
-// The one build every batch with a ComponentSize lookup pays is the
-// dependent sizes gather, which is one-shot by nature.
+// TestColumnsKeepTheirOwnState: a batch is one gather per stage — the label
+// stream, the table stream, and the dependent sizes gather, which is
+// one-shot by nature and so the one build every batch with a ComponentSize
+// lookup pays — a stream's plan lives and dies with its array, and a batch
+// leaves nothing behind in either stream however it ends.
 func TestColumnsKeepTheirOwnState(t *testing.T) {
 	s, qs := everyColumn(t)
 	col := trace.NewCollector(s.Runtime().NumThreads())
@@ -104,38 +105,40 @@ func TestColumnsKeepTheirOwnState(t *testing.T) {
 	if got, want := s.Resident(), []string{"labels", "sizes", "dist[3]", "dist[9]", "parent"}; !slices.Equal(got, want) {
 		t.Fatalf("Resident() = %v, want %v", got, want)
 	}
-	const columns = 5 // same, size, dist[3], dist[9], parent
-
-	first, builds, reuses := planCounts(t, s, col, qs)
-	if builds != columns+1 || reuses != 0 {
-		t.Fatalf("first batch: %d builds, %d reuses; want %d, 0", builds, reuses, columns+1)
+	if got, want := s.table.arr.Len(), 3*s.g.N; got != want {
+		t.Fatalf("table holds %d words, want %d (two trees and the forest, once)", got, want)
 	}
 
-	// Rejected at the last lookup, after every column has taken requests.
+	g0 := col.Calls("GetD")
+	first, builds, reuses := planCounts(t, s, col, qs)
+	if gathers := col.Calls("GetD") - g0; gathers != 3 || builds != 3 || reuses != 0 {
+		t.Fatalf("first batch: %d gathers, %d builds, %d reuses; want 3 (labels, table, sizes), 3, 0", gathers, builds, reuses)
+	}
+
+	// Rejected at the last lookup, after both streams have taken requests.
 	bad := append(slices.Clone(qs), Query{Op: TreeParent, U: 200})
 	if _, err := s.Query(bad); !errors.Is(err, pgas.ErrMisuse) {
 		t.Fatalf("bad batch: %v, want ErrMisuse", err)
 	}
-	for i, c := range s.columns() {
-		if len(c.req) != 0 || c.next != 0 {
-			t.Fatalf("column %d after a rejected batch: %d requests left, cursor %d", i, len(c.req), c.next)
-		}
+	if nl, nt := len(s.labels.req), len(s.table.req); nl != 0 || nt != 0 {
+		t.Fatalf("after a rejected batch: %d label and %d table requests left", nl, nt)
 	}
 	again, builds, reuses := planCounts(t, s, col, qs)
 	if !slices.Equal(again, first) {
 		t.Fatalf("after a rejected batch: answers %v, want %v", again, first)
 	}
-	if builds != 1 || reuses != columns {
-		t.Fatalf("after a rejected batch: %d builds, %d reuses; want 1, %d", builds, reuses, columns)
+	if builds != 1 || reuses != 2 {
+		t.Fatalf("after a rejected batch: %d builds, %d reuses; want 1 (sizes), 2", builds, reuses)
 	}
 
-	// Insert drops the trees and the forest. Bringing one result back
-	// builds that column's plan and no other.
+	// Insert drops the table whole. The label stream of the lookups that
+	// remain answerable is the one it was, so its plan carries on; bringing
+	// a tree back builds the new table's plan and no other.
 	if _, err := s.Insert([]Edge{{U: 2, V: 117}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Resident(), []string{"labels", "sizes"}; !slices.Equal(got, want) {
-		t.Fatalf("Resident() after Insert = %v, want %v", got, want)
+	if got, want := s.Resident(), []string{"labels", "sizes"}; !slices.Equal(got, want) || s.table != nil {
+		t.Fatalf("after Insert: Resident() = %v, table %v; want %v and none", got, s.table, want)
 	}
 	var labelsOnly, noParent []Query
 	for _, q := range qs {
@@ -146,14 +149,14 @@ func TestColumnsKeepTheirOwnState(t *testing.T) {
 			noParent = append(noParent, q)
 		}
 	}
-	if _, builds, reuses = planCounts(t, s, col, labelsOnly); builds != 1 || reuses != 2 {
-		t.Fatalf("label streams after Insert: %d builds, %d reuses; want 1, 2", builds, reuses)
+	if _, builds, reuses = planCounts(t, s, col, labelsOnly); builds != 1 || reuses != 1 {
+		t.Fatalf("label stream after Insert: %d builds, %d reuses; want 1 (sizes), 1", builds, reuses)
 	}
 	if _, err := s.Run(KernelSpec{Kernel: "bfs/coalesced", Src: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, builds, reuses = planCounts(t, s, col, noParent); builds != 2 || reuses != 2 {
-		t.Fatalf("tree 3 back: %d builds, %d reuses; want 2 (its plan, sizes), 2", builds, reuses)
+	if _, builds, reuses = planCounts(t, s, col, noParent); builds != 2 || reuses != 1 {
+		t.Fatalf("tree 3 back: %d builds, %d reuses; want 2 (table, sizes), 1", builds, reuses)
 	}
 	if _, err := s.Run(KernelSpec{Kernel: "spanning-forest"}); err != nil {
 		t.Fatal(err)
@@ -162,10 +165,105 @@ func TestColumnsKeepTheirOwnState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// spanning-forest installs its own labels along with the parents, so
-	// the two label streams plan again too; tree 3 alone carries on.
-	if _, builds, reuses = planCounts(t, s, col, qs); builds != 5 || reuses != 1 {
-		t.Fatalf("forest and tree 9 back: %d builds, %d reuses; want 5 (labels twice, forest, tree 9, sizes), 1", builds, reuses)
+	// every stage plans again.
+	if _, builds, reuses = planCounts(t, s, col, qs); builds != 3 || reuses != 0 {
+		t.Fatalf("forest and tree 9 back: %d builds, %d reuses; want 3, 0", builds, reuses)
 	}
+}
+
+// TestTableAnswersMatchHostArrays: random mixed batches are answered from
+// the table exactly as the kernels' own host-side result arrays would
+// answer them, across Run → Query → Insert (table dropped) → Run → Query,
+// with a tree replaced in place and results arriving in every order.
+func TestTableAnswersMatchHostArrays(t *testing.T) {
+	g := graph.WithRandomWeights(graph.Random(300, 500, 71), 73)
+	s := newTestService(t, g, 2, 2)
+	dist := map[int64][]int64{}
+	var parent []int64
+	run := func(spec KernelSpec) {
+		t.Helper()
+		res, err := s.Run(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Kernel, err)
+		}
+		if res.Dist != nil {
+			dist[spec.Src] = slices.Clone(res.Dist)
+		}
+		if res.Parent != nil {
+			parent = slices.Clone(res.Parent)
+		}
+	}
+	rng := xrand.New(79)
+	check := func(stage string) {
+		t.Helper()
+		labels := s.Labels()
+		sizes := map[int64]int64{}
+		for _, l := range labels {
+			sizes[l]++
+		}
+		var srcs []int64
+		for src := range dist {
+			srcs = append(srcs, src)
+		}
+		slices.Sort(srcs)
+		for b := 0; b < 4; b++ {
+			qs := make([]Query, 1+rng.Intn(96))
+			want := make([]int64, len(qs))
+			for i := range qs {
+				u, v := rng.Int64n(g.N), rng.Int64n(g.N)
+				switch op := Op(1 + rng.Intn(4)); {
+				case op == Distance && len(srcs) > 0:
+					src := srcs[rng.Intn(len(srcs))]
+					qs[i], want[i] = Query{Op: Distance, U: src, V: v}, dist[src][v]
+					if _, both := dist[v]; rng.Intn(2) == 0 && !both {
+						qs[i].U, qs[i].V = v, src
+					}
+				case op == TreeParent && parent != nil:
+					qs[i], want[i] = Query{Op: TreeParent, U: u}, parent[u]
+				case op == ComponentSize:
+					qs[i], want[i] = Query{Op: ComponentSize, U: u}, sizes[labels[u]]
+				default:
+					qs[i], want[i] = Query{Op: SameComponent, U: u, V: v}, b2i(labels[u] == labels[v])
+				}
+			}
+			got, err := s.Query(qs)
+			if err != nil {
+				t.Fatalf("%s, batch %d: %v", stage, b, err)
+			}
+			for i := range qs {
+				if got[i] != want[i] {
+					t.Fatalf("%s, batch %d: lookup %d %+v = %d, host arrays say %d", stage, b, i, qs[i], got[i], want[i])
+				}
+			}
+		}
+	}
+
+	run(KernelSpec{Kernel: "cc/coalesced"})
+	check("labels only")
+	run(KernelSpec{Kernel: "sssp/delta-stepping", Src: 200})
+	run(KernelSpec{Kernel: "spanning-forest"})
+	run(KernelSpec{Kernel: "bfs/coalesced", Src: 5})
+	check("forest between two trees")
+	run(KernelSpec{Kernel: "bfs/coalesced", Src: 200}) // hops replace weights, in place
+	run(KernelSpec{Kernel: "bfs/coalesced", Src: 299})
+	check("tree 200 replaced, tree 299 appended")
+
+	edges := make([]Edge, 24)
+	for i := range edges {
+		edges[i] = Edge{U: rng.Int64n(g.N), V: rng.Int64n(g.N), W: uint32(1 + rng.Intn(9))}
+	}
+	if _, err := s.Insert(edges); err != nil {
+		t.Fatal(err)
+	}
+	clear(dist)
+	parent = nil
+	if _, err := s.Query([]Query{{Op: Distance, U: 5, V: 1}}); !errors.Is(err, pgas.ErrMisuse) {
+		t.Fatalf("distance after Insert: %v, want ErrMisuse (table dropped)", err)
+	}
+	check("after Insert")
+	run(KernelSpec{Kernel: "spanning-forest"})
+	run(KernelSpec{Kernel: "sssp/delta-stepping", Src: 0})
+	check("table rebuilt on the grown graph")
 }
 
 // TestQueryErrorPrecedence pins which complaint a lookup with several
@@ -207,7 +305,8 @@ func TestQueryErrorPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hops, weighted := full.dist[10].arr.Raw()[33], full.dist[33].arr.Raw()[10]
+	// Two trees: row v is (10's tree, 33's tree).
+	hops, weighted := full.table.arr.Raw()[33*2+0], full.table.arr.Raw()[10*2+1]
 	if hops == weighted {
 		t.Fatalf("test graph cannot tell the trees apart: both say %d", hops)
 	}

@@ -35,17 +35,20 @@ func fuzzServer(t *testing.T) *Server {
 // length and CRC fields made right, which is what lets the fuzzer reach
 // the payload decoders and the dispatch behind them.
 func FuzzServeFrame(f *testing.F) {
+	// frame encodes v as the client and server do: batches binary, the
+	// rest JSON.
 	frame := func(typ byte, v interface{}) []byte {
 		var buf bytes.Buffer
-		if err := WriteMsg(&buf, typ, v); err != nil {
+		if err := (&Conn{w: &buf}).send(typ, v); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	query := frame(FrameQuery, &QueryReq{Queries: []Query{
+	lookups := []Query{
 		{Op: SameComponent, U: 1, V: 63}, {Op: ComponentSize, U: 7},
 		{Op: Distance, U: 0, V: 40}, {Op: TreeParent, U: 12},
-	}})
+	}
+	query := frame(FrameQuery, lookups)
 	f.Add(frame(FrameLoad, &LoadReq{Family: "random", N: 64, M: 96, Seed: 5}))
 	f.Add(frame(FrameLoad, &LoadReq{Family: "random", N: 4, M: 7}))
 	f.Add(frame(FrameLoad, &LoadReq{Family: "hybrid", N: 3, M: 9}))
@@ -55,15 +58,15 @@ func FuzzServeFrame(f *testing.F) {
 	}
 	for _, pin := range []string{`"OffloadValue":7`, `"OffloadIndex":5,"OffloadValue":99`} {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, FrameRun, []byte(runWithPin(pin))); err != nil {
+		if err := writeFrame(&buf, FrameRun, []byte(runWithPin(pin))); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
 	f.Add(query)
-	f.Add(frame(FrameInsert, &InsertReq{Edges: []Edge{{U: 3, V: 60}, {U: 60, V: 9, W: 4}}}))
+	f.Add(frame(FrameInsert, []Edge{{U: 3, V: 60}, {U: 60, V: 9, W: 4}}))
 	f.Add(frame(FrameInfo, struct{}{}))
-	f.Add(frame(FrameOK, &QueryResp{Answers: []int64{1, 0, -1}}))
+	f.Add(frame(FrameOK, []int64{1, 0, -1}))
 	f.Add(frame(FrameError, &ErrorResp{Class: "misuse", Msg: "no"}))
 	f.Add(query[:headerSize-3]) // truncated header
 	corrupt := func(at int, v byte) []byte {
@@ -75,6 +78,15 @@ func FuzzServeFrame(f *testing.F) {
 	f.Add(corrupt(11, 0x7f))   // announces ~2 GiB, over MaxFrame
 	f.Add(corrupt(12, 0xff))   // bad CRC
 	f.Add(corrupt(5, FrameOK)) // a response where a request belongs
+	// Version 1's JSON body in a sealed FrameQuery: TestBatchDecoderRefuses
+	// pins its answer, FrameError class corrupt.
+	var v1 bytes.Buffer
+	if err := WriteMsg(&v1, FrameQuery, &QueryReq{Queries: lookups}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1.Bytes())
+	f.Add(frame(FrameQuery, []Query{{Op: Distance, U: 1 << 40, V: -3}})) // wide words
+	f.Add(frame(FrameInsert, []Edge{{U: 5, V: 6}}))                      // two columns
 
 	known := map[string]bool{}
 	for _, c := range classes {
@@ -101,7 +113,7 @@ func FuzzServeFrame(f *testing.F) {
 				payload, _ = json.Marshal(&req)
 			}
 		}
-		respType, resp := fuzzServer(t).dispatch(typ, payload)
+		respType, resp := fuzzServer(t).dispatch(new(Conn), typ, payload)
 		switch respType {
 		case FrameOK:
 		case FrameError:

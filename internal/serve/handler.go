@@ -53,41 +53,39 @@ func (s *Server) Serve(l net.Listener) error {
 // keep serving.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
+	c := NewConn(conn)
 	for {
-		typ, payload, err := ReadFrame(conn)
+		typ, payload, err := c.read()
 		if err != nil {
 			if err != io.EOF {
-				_ = WriteMsg(conn, FrameError, &ErrorResp{Class: ErrorClass(err), Msg: err.Error()})
+				_ = c.send(FrameError, &ErrorResp{Class: errorClass(err), Msg: err.Error()})
 			}
 			return
 		}
-		respType, resp := s.dispatch(typ, payload)
-		if err := WriteMsg(conn, respType, resp); err != nil {
+		if err := c.send(s.dispatch(c, typ, payload)); err != nil {
 			return
 		}
 	}
 }
 
-// dispatch answers one request frame.
-func (s *Server) dispatch(typ byte, payload []byte) (byte, interface{}) {
-	resp, err := s.answer(typ, payload)
+// dispatch answers one request frame read from c with the response frame's
+// type and what it carries: a query batch's []int64 answers travel as a
+// batch, everything else as JSON.
+func (s *Server) dispatch(c *Conn, typ byte, payload []byte) (byte, interface{}) {
+	resp, err := s.answer(c, typ, payload)
 	if err != nil {
-		return FrameError, &ErrorResp{Class: ErrorClass(err), Msg: err.Error()}
+		return FrameError, &ErrorResp{Class: errorClass(err), Msg: err.Error()}
 	}
 	return FrameOK, resp
 }
 
-// loaded returns the resident service or a classified not-loaded error.
-func (s *Server) loaded() (*Service, error) {
-	if s.svc == nil {
-		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "pgasd", "no graph loaded; send a load request first")
-	}
-	return s.svc, nil
-}
-
-func (s *Server) answer(typ byte, payload []byte) (interface{}, error) {
+func (s *Server) answer(c *Conn, typ byte, payload []byte) (interface{}, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	svc := s.svc
+	if svc == nil && typ != FrameLoad {
+		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "pgasd", "no graph loaded; send a load request first")
+	}
 	switch typ {
 	case FrameLoad:
 		var req LoadReq
@@ -98,8 +96,7 @@ func (s *Server) answer(typ byte, payload []byte) (interface{}, error) {
 		if err != nil {
 			return nil, err
 		}
-		svc, err := s.mk(g)
-		if err != nil {
+		if svc, err = s.mk(g); err != nil {
 			return nil, err
 		}
 		s.svc = svc
@@ -108,10 +105,6 @@ func (s *Server) answer(typ byte, payload []byte) (interface{}, error) {
 	case FrameRun:
 		var req RunReq
 		if err := unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		svc, err := s.loaded()
-		if err != nil {
 			return nil, err
 		}
 		res, err := svc.Run(req.Spec)
@@ -128,47 +121,20 @@ func (s *Server) answer(typ byte, payload []byte) (interface{}, error) {
 		}, nil
 
 	case FrameQuery:
-		var req QueryReq
-		if err := unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		svc, err := s.loaded()
+		qs, err := c.queries(payload)
 		if err != nil {
 			return nil, err
 		}
-		ans, err := svc.Query(req.Queries)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResp{Answers: ans}, nil
+		return svc.Query(qs)
 
 	case FrameInsert:
-		var req InsertReq
-		if err := unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		svc, err := s.loaded()
+		edges, err := c.edges(payload)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := svc.Insert(req.Edges)
-		if err != nil {
-			return nil, err
-		}
-		return &InsertResp{
-			Edges:       rep.Edges,
-			Incremental: rep.Incremental,
-			Rounds:      rep.Rounds,
-			Rollbacks:   rep.Rollbacks,
-			Components:  rep.Components,
-			Verified:    rep.Verified,
-		}, nil
+		return svc.Insert(edges)
 
 	case FrameInfo:
-		svc, err := s.loaded()
-		if err != nil {
-			return nil, err
-		}
 		g := svc.Graph()
 		return &InfoResp{
 			N:          g.N,

@@ -12,33 +12,33 @@ import (
 // Edge is one inserted edge. W is used only when the resident graph is
 // weighted.
 type Edge struct {
-	U int64  `json:"u"`
-	V int64  `json:"v"`
-	W uint32 `json:"w,omitempty"`
+	U, V int64
+	W    uint32
 }
 
-// InsertReport describes how an insertion batch was absorbed.
+// InsertReport describes how an insertion batch was absorbed; it is also
+// FrameInsert's JSON answer.
 type InsertReport struct {
 	// Edges is the number of edges appended.
-	Edges int
+	Edges int `json:"edges"`
 	// Incremental is true when the resident labels were updated by the
 	// graft/propagate kernel; false when they were rebuilt from scratch
 	// (no labels resident, or the supervised fallback ran).
-	Incremental bool
+	Incremental bool `json:"incremental"`
 	// Rounds is the update's graft/shortcut round count (incremental) or
 	// the recompute kernel's iteration count.
-	Rounds int
+	Rounds int `json:"rounds"`
 	// Rollbacks counts recovery rollbacks taken by the supervised
 	// fallback (0 on the incremental path).
-	Rollbacks int
+	Rollbacks int `json:"rollbacks,omitempty"`
 	// Components is the post-insertion component count.
-	Components int64
+	Components int64 `json:"components"`
 	// Verified is true when Config.Verify differentially checked the
 	// update against a from-scratch recompute.
-	Verified bool
+	Verified bool `json:"verified,omitempty"`
 	// Run carries the label update's simulated-time accounting (nil when
-	// no labels were resident).
-	Run *pgas.Result
+	// no labels were resident). It does not travel.
+	Run *pgas.Result `json:"-"`
 }
 
 // Insert appends edges to the resident graph and brings the resident
@@ -77,10 +77,9 @@ func (s *Service) Insert(edges []Edge) (*InsertReport, error) {
 
 	// Trees and forests have no incremental contract: a new edge can
 	// shorten any distance and re-root any subtree. Drop them.
-	clear(s.dist)
-	s.parent = nil
+	s.table, s.cols = nil, nil
 
-	if s.same == nil {
+	if s.labels == nil {
 		return rep, nil
 	}
 
@@ -111,7 +110,7 @@ func (s *Service) Insert(edges []Edge) (*InsertReport, error) {
 // supervised full recompute when the update is cut down by a fault.
 func (s *Service) incremental(eu, ev []int64) (res *cc.Result, err error) {
 	defer pgas.Recover(&err)
-	return cc.Incremental(s.rt, s.comm, s.same.arr, eu, ev, &cc.Options{Col: s.labelSpec.Col}), nil
+	return cc.Incremental(s.rt, s.comm, s.labels.arr, eu, ev, &cc.Options{Col: s.labelSpec.Col}), nil
 }
 
 // superviseRecompute is the fallback label path: full re-execution of the
@@ -137,7 +136,7 @@ func (s *Service) superviseRecompute(rep *InsertReport) error {
 	s.rt, s.comm = rrep.Runtime, rrep.Comm
 	rep.Rollbacks = rrep.Rollbacks
 	if err != nil {
-		s.same, s.size, s.sizes, s.components = nil, nil, nil, 0
+		s.labels, s.sizes, s.components = nil, nil, 0
 		return err
 	}
 	s.installLabels(full.Labels)
@@ -161,7 +160,7 @@ func (s *Service) verifyLabels() error {
 	if err != nil {
 		return fmt.Errorf("serve: verify recompute: %w", err)
 	}
-	got := s.same.arr.Raw()
+	got := s.labels.arr.Raw()
 	for i, want := range full.Labels {
 		if got[i] != want {
 			return fmt.Errorf(

@@ -5,19 +5,31 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
+	"io"
+	"math"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 
+	"pgasgraph/internal/bfs"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/sssp"
+	"pgasgraph/internal/xrand"
 )
+
+// writeFrame writes one frame around payload as it is.
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	return (&Conn{w: w}).send(typ, payload)
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xab}, 4096)}
 	for i, p := range payloads {
-		if err := WriteFrame(&buf, FrameQuery, p); err != nil {
+		if err := writeFrame(&buf, FrameQuery, p); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
@@ -35,7 +47,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameCorruptionClassifies(t *testing.T) {
 	frame := func() []byte {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, FrameInfo, []byte(`{"queries":[]}`)); err != nil {
+		if err := writeFrame(&buf, FrameInfo, []byte(`{"queries":[]}`)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -73,39 +85,25 @@ func TestErrorClassRoundTrip(t *testing.T) {
 	sentinels := []error{pgas.ErrTransport, pgas.ErrTimeout, pgas.ErrCorrupt, pgas.ErrMisuse, pgas.ErrEvicted}
 	for _, s := range sentinels {
 		orig := pgas.Errorf(s, 3, "op", "boom")
-		resp := ErrorResp{Class: ErrorClass(orig), Msg: orig.Error()}
-		back := resp.AsError()
+		resp := ErrorResp{Class: errorClass(orig), Msg: orig.Error()}
+		back := resp.asError()
 		if !errors.Is(back, s) {
 			t.Fatalf("class %q did not round-trip: %v", resp.Class, back)
 		}
 	}
 	unclassified := ErrorResp{Msg: "plain"}
-	if err := unclassified.AsError(); err == nil || errors.Is(err, pgas.ErrMisuse) {
+	if err := unclassified.asError(); err == nil || errors.Is(err, pgas.ErrMisuse) {
 		t.Fatalf("unclassified error mis-restored: %v", err)
 	}
 }
 
-// request is a test helper speaking one request/response exchange.
-func request(t *testing.T, conn net.Conn, typ byte, req, resp interface{}) error {
+// pipeTo serves one end of an in-memory pipe with srv and frames the other.
+func pipeTo(t *testing.T, srv *Server) (net.Conn, *Conn) {
 	t.Helper()
-	if err := WriteMsg(conn, typ, req); err != nil {
-		t.Fatal(err)
-	}
-	rtyp, payload, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rtyp == FrameError {
-		var e ErrorResp
-		if err := unmarshal(payload, &e); err != nil {
-			t.Fatal(err)
-		}
-		return e.AsError()
-	}
-	if err := unmarshal(payload, resp); err != nil {
-		t.Fatal(err)
-	}
-	return nil
+	client, server := net.Pipe()
+	t.Cleanup(func() { client.Close() })
+	go srv.handleConn(server)
+	return client, NewConn(client)
 }
 
 // TestServerExchange drives a Server end-to-end over an in-memory pipe:
@@ -115,18 +113,16 @@ func TestServerExchange(t *testing.T) {
 	srv := NewServer(func(g *graph.Graph) (*Service, error) {
 		return New(Config{Machine: testMachine(2, 2)}, g)
 	})
-	client, server := net.Pipe()
-	defer client.Close()
-	go srv.handleConn(server)
+	_, client := pipeTo(t, srv)
 
 	// Requests before a load are classified misuse, not crashes.
 	var info InfoResp
-	if err := request(t, client, FrameInfo, struct{}{}, &info); !errors.Is(err, pgas.ErrMisuse) {
+	if err := client.Call(FrameInfo, struct{}{}, &info); !errors.Is(err, pgas.ErrMisuse) {
 		t.Fatalf("pre-load info: err = %v, want ErrMisuse", err)
 	}
 
 	var load LoadResp
-	if err := request(t, client, FrameLoad,
+	if err := client.Call(FrameLoad,
 		&LoadReq{Family: "random", N: 64, M: 48, Seed: 7}, &load); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +131,7 @@ func TestServerExchange(t *testing.T) {
 	}
 
 	var run RunResp
-	if err := request(t, client, FrameRun,
+	if err := client.Call(FrameRun,
 		&RunReq{Spec: KernelSpec{Kernel: "cc/coalesced"}}, &run); err != nil {
 		t.Fatal(err)
 	}
@@ -149,33 +145,30 @@ func TestServerExchange(t *testing.T) {
 		t.Fatalf("components over wire = %d, oracle %d", run.Components, len(comps))
 	}
 
-	var q QueryResp
-	if err := request(t, client, FrameQuery,
-		&QueryReq{Queries: []Query{{Op: SameComponent, U: 0, V: 1}, {Op: ComponentSize, U: 0}}}, &q); err != nil {
+	var ans []int64
+	if err := client.Call(FrameQuery,
+		[]Query{{Op: SameComponent, U: 0, V: 1}, {Op: ComponentSize, U: 0}}, &ans); err != nil {
 		t.Fatal(err)
 	}
-	want := []int64{b2i(o.labels[0] == o.labels[1]), o.sizes[o.labels[0]]}
-	if len(q.Answers) != 2 || q.Answers[0] != want[0] || q.Answers[1] != want[1] {
-		t.Fatalf("answers = %v, want %v", q.Answers, want)
+	if want := []int64{b2i(o.labels[0] == o.labels[1]), o.sizes[o.labels[0]]}; !slices.Equal(ans, want) {
+		t.Fatalf("answers = %v, want %v", ans, want)
 	}
 
-	var ins InsertResp
-	if err := request(t, client, FrameInsert,
-		&InsertReq{Edges: []Edge{{U: 0, V: 1}}}, &ins); err != nil {
+	var ins InsertReport
+	if err := client.Call(FrameInsert, []Edge{{U: 0, V: 1}}, &ins); err != nil {
 		t.Fatal(err)
 	}
 	if !ins.Incremental {
 		t.Fatalf("insert fell back to recompute: %+v", ins)
 	}
-	if err := request(t, client, FrameQuery,
-		&QueryReq{Queries: []Query{{Op: SameComponent, U: 0, V: 1}}}, &q); err != nil {
+	if err := client.Call(FrameQuery, []Query{{Op: SameComponent, U: 0, V: 1}}, &ans); err != nil {
 		t.Fatal(err)
 	}
-	if q.Answers[0] != 1 {
+	if ans[0] != 1 {
 		t.Fatal("vertices 0 and 1 not merged after inserting (0,1)")
 	}
 
-	if err := request(t, client, FrameInfo, struct{}{}, &info); err != nil {
+	if err := client.Call(FrameInfo, struct{}{}, &info); err != nil {
 		t.Fatal(err)
 	}
 	if info.N != 64 || info.M != 49 || info.Threads != 4 || len(info.Kernels) == 0 {
@@ -183,15 +176,14 @@ func TestServerExchange(t *testing.T) {
 	}
 
 	// Unknown kernel and out-of-range query classify over the wire.
-	if err := request(t, client, FrameRun,
+	if err := client.Call(FrameRun,
 		&RunReq{Spec: KernelSpec{Kernel: "nope"}}, &run); !errors.Is(err, pgas.ErrMisuse) {
 		t.Fatalf("unknown kernel: err = %v, want ErrMisuse", err)
 	}
-	if err := request(t, client, FrameQuery,
-		&QueryReq{Queries: []Query{{Op: ComponentSize, U: 9999}}}, &q); !errors.Is(err, pgas.ErrMisuse) {
+	if err := client.Call(FrameQuery, []Query{{Op: ComponentSize, U: 9999}}, &ans); !errors.Is(err, pgas.ErrMisuse) {
 		t.Fatalf("out-of-range query: err = %v, want ErrMisuse", err)
 	}
-	if err := request(t, client, 200, struct{}{}, &info); !errors.Is(err, pgas.ErrMisuse) {
+	if err := client.Call(200, struct{}{}, &info); !errors.Is(err, pgas.ErrMisuse) {
 		t.Fatalf("unknown frame type: err = %v, want ErrMisuse", err)
 	}
 }
@@ -206,19 +198,17 @@ func TestHostileFramesAreAnsweredNotFatal(t *testing.T) {
 	srv := NewServer(func(g *graph.Graph) (*Service, error) {
 		return New(Config{Machine: testMachine(2, 2)}, g)
 	})
-	client, server := net.Pipe()
-	defer client.Close()
-	go srv.handleConn(server)
+	raw, client := pipeTo(t, srv)
 
 	// exchange sends one raw frame and requires the named answer, then an
 	// Info round trip on the same connection.
 	var info InfoResp
 	exchange := func(name string, typ byte, payload string, misuse bool) {
 		t.Helper()
-		if err := WriteFrame(client, typ, []byte(payload)); err != nil {
+		if err := writeFrame(raw, typ, []byte(payload)); err != nil {
 			t.Fatal(err)
 		}
-		rtyp, resp, err := ReadFrame(client)
+		rtyp, resp, err := client.read()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -230,12 +220,12 @@ func TestHostileFramesAreAnsweredNotFatal(t *testing.T) {
 		} else if rtyp != FrameOK {
 			t.Fatalf("%s: answered frame type %d %s, want FrameOK", name, rtyp, resp)
 		}
-		if err := request(t, client, FrameInfo, struct{}{}, &info); err != nil {
+		if err := client.Call(FrameInfo, struct{}{}, &info); err != nil {
 			t.Fatalf("%s: server did not keep serving: %v", name, err)
 		}
 	}
 
-	if err := request(t, client, FrameLoad, &LoadReq{Family: "random", N: 64, M: 48, Seed: 7}, &LoadResp{}); err != nil {
+	if err := client.Call(FrameLoad, &LoadReq{Family: "random", N: 64, M: 48, Seed: 7}, &LoadResp{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, size := range []string{
@@ -266,23 +256,21 @@ func TestEveryRowOverAConnection(t *testing.T) {
 	srv := NewServer(func(g *graph.Graph) (*Service, error) {
 		return New(Config{Machine: testMachine(2, 2)}, g)
 	})
-	client, server := net.Pipe()
-	defer client.Close()
-	go srv.handleConn(server)
-	if err := request(t, client, FrameLoad, &LoadReq{Family: "random", N: 64, M: 96, Seed: 5, Weighted: true}, &LoadResp{}); err != nil {
+	_, client := pipeTo(t, srv)
+	if err := client.Call(FrameLoad, &LoadReq{Family: "random", N: 64, M: 96, Seed: 5, Weighted: true}, &LoadResp{}); err != nil {
 		t.Fatal(err)
 	}
 	var info InfoResp
 	for _, name := range Kernels() {
 		var run RunResp
-		err := request(t, client, FrameRun, &RunReq{Spec: KernelSpec{Kernel: name, Compact: true}}, &run)
+		err := client.Call(FrameRun, &RunReq{Spec: KernelSpec{Kernel: name, Compact: true}}, &run)
 		if list := TakesList(name); list != errors.Is(err, pgas.ErrMisuse) || (!list && err != nil) {
 			t.Errorf("%s: answered %v; want misuse from the list kernels and OK from the rest", name, err)
 		}
 		if err == nil && (run.Kernel != name || run.SimMS <= 0) {
 			t.Errorf("%s: answered %+v", name, run)
 		}
-		if err := request(t, client, FrameInfo, struct{}{}, &info); err != nil {
+		if err := client.Call(FrameInfo, struct{}{}, &info); err != nil {
 			t.Fatalf("%s: server did not keep serving: %v", name, err)
 		}
 	}
@@ -311,5 +299,185 @@ func TestGenerateValidates(t *testing.T) {
 	}
 	if !g.Weighted() {
 		t.Fatal("weighted load produced unweighted graph")
+	}
+}
+
+// loopback is a Conn whose frames land in a buffer it then reads back.
+func loopback() *Conn {
+	var buf bytes.Buffer
+	return NewConn(&buf)
+}
+
+// TestBatchCodecRoundTrip: every batch comes back as it went out, at the
+// width its widest word needs — across the ±2^31 boundary, negative ids,
+// Unreached answers, empty, one-lookup and 65 536-lookup batches, weighted
+// and unweighted edges, and random batches of random widths.
+func TestBatchCodecRoundTrip(t *testing.T) {
+	c := loopback()
+	roundTrip := func(typ byte, v interface{}) (width byte, payload []byte) {
+		t.Helper()
+		if err := c.send(typ, v); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, payload, err := c.read()
+		if err != nil || rtyp != typ {
+			t.Fatalf("read back frame type %d, err %v; sent type %d", rtyp, err, typ)
+		}
+		return payload[4], payload
+	}
+	queries := func(name string, qs []Query, width byte) {
+		t.Helper()
+		w, payload := roundTrip(FrameQuery, qs)
+		got, err := c.queries(payload)
+		if err != nil || !slices.Equal(got, qs) || w != width {
+			t.Fatalf("%s: %d lookups came back as %d at width %d (want %d), err %v", name, len(qs), len(got), w, width, err)
+		}
+		if want := batchHeader + len(qs)*(1+2*int(width)); len(payload) != want {
+			t.Fatalf("%s: payload is %d bytes, want %d", name, len(payload), want)
+		}
+	}
+	queries("empty", []Query{}, 4)
+	queries("one", []Query{{Op: ComponentSize, U: 7}}, 4)
+	queries("max32", []Query{{Op: SameComponent, U: math.MaxInt32, V: math.MinInt32}}, 4)
+	queries("max32+1", []Query{{Op: SameComponent, U: 1, V: 2}, {Op: Distance, U: math.MaxInt32 + 1, V: 0}}, 8)
+	queries("min32-1", []Query{{Op: TreeParent, U: math.MinInt32 - 1}}, 8)
+	queries("negative ids and bad ops", []Query{{Op: 0, U: -1, V: -2}, {Op: 255, U: -3}}, 4)
+	big := make([]Query, 65536)
+	for i := range big {
+		big[i] = Query{Op: Op(1 + i%4), U: int64(i), V: int64(65535 - i)}
+	}
+	queries("65536 lookups", big, 4)
+
+	answers := func(name string, ans []int64, width byte) {
+		t.Helper()
+		w, payload := roundTrip(FrameOK, ans)
+		_, _, err := c.batch(payload, 1, false)
+		if got := c.words; err != nil || !slices.Equal(got, ans) || w != width {
+			t.Fatalf("%s: %v came back as %v at width %d (want %d), err %v", name, ans, got, w, width, err)
+		}
+	}
+	answers("empty", []int64{}, 4)
+	answers("narrow", []int64{1, 0, -1, math.MaxInt32}, 4)
+	answers("bfs unreached", []int64{3, bfs.Unreached, 4}, 8)
+	answers("sssp unreached", []int64{sssp.Unreached}, 8)
+
+	edges := func(name string, es []Edge, width byte) {
+		t.Helper()
+		w, payload := roundTrip(FrameInsert, es)
+		got, err := c.edges(payload)
+		if err != nil || !slices.Equal(got, es) || w != width {
+			t.Fatalf("%s: %v came back as %v at width %d (want %d), err %v", name, es, got, w, width, err)
+		}
+	}
+	edges("empty", []Edge{}, 4)
+	edges("unweighted", []Edge{{U: 3, V: 60}, {U: 60, V: 9}}, 4)
+	edges("weighted", []Edge{{U: 3, V: 60}, {U: 60, V: 9, W: 4}}, 4)
+	edges("heavy", []Edge{{U: 1, V: 2, W: math.MaxUint32}}, 8)
+	edges("wide ids", []Edge{{U: -1 << 40, V: 1 << 40}}, 8)
+
+	rng := xrand.New(0xc0dec)
+	for trial := 0; trial < 200; trial++ {
+		span := int64(1) << (1 + rng.Intn(40)) // ids up to 2^40: both widths come up
+		qs := make([]Query, rng.Intn(300))
+		for i := range qs {
+			qs[i] = Query{Op: Op(rng.Intn(6)), U: rng.Int64n(span) - span/2, V: rng.Int64n(span) - span/2}
+		}
+		_, payload := roundTrip(FrameQuery, qs)
+		if got, err := c.queries(payload); err != nil || !slices.Equal(got, qs) {
+			t.Fatalf("trial %d: %d random lookups below 2^%d did not round-trip: %v", trial, len(qs), span, err)
+		}
+	}
+}
+
+// TestBatchDecoderRefuses: a batch payload whose claims its bytes do not
+// back is pgas.ErrCorrupt before anything is sized from it, what only the
+// Service can judge (an op outside 1..4, an id out of range) is
+// pgas.ErrMisuse from route, and version 1 — header or body — is refused.
+func TestBatchDecoderRefuses(t *testing.T) {
+	c := loopback()
+	good := func(typ byte, v interface{}) []byte {
+		t.Helper()
+		if err := c.send(typ, v); err != nil {
+			t.Fatal(err)
+		}
+		_, payload, err := c.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Clone(payload)
+	}
+	query := good(FrameQuery, []Query{{Op: SameComponent, U: 1, V: 2}, {Op: ComponentSize, U: 3}})
+	weighted := good(FrameInsert, []Edge{{U: 1, V: 2, W: 3}})
+	patch := func(b []byte, at int, v byte) []byte {
+		b = slices.Clone(b)
+		b[at] = v
+		return b
+	}
+	huge := slices.Clone(query)
+	binary.LittleEndian.PutUint32(huge, math.MaxUint32) // 2^32-1 lookups in 26 bytes
+	negative := slices.Clone(weighted)
+	negative[4] = 8 // the width the words below travel at
+	negative = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(
+		binary.LittleEndian.AppendUint64(negative[:batchHeader], 1), 2), 1<<32) // W = 2^32
+	for name, tc := range map[string]struct {
+		decode  func([]byte) error
+		payload []byte
+	}{
+		"no header":         {func(b []byte) error { _, err := c.queries(b); return err }, query[:batchHeader-1]},
+		"missing byte":      {func(b []byte) error { _, err := c.queries(b); return err }, query[:len(query)-1]},
+		"trailing byte":     {func(b []byte) error { _, err := c.queries(b); return err }, append(slices.Clone(query), 0)},
+		"count past bytes":  {func(b []byte) error { _, err := c.queries(b); return err }, huge},
+		"width 5":           {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 4, 5)},
+		"width 8 claimed":   {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 4, 8)},
+		"three columns":     {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 5, 3)},
+		"two edge columns":  {func(b []byte) error { _, err := c.edges(b); return err }, patch(weighted[:len(weighted)-4], 5, 2)},
+		"reserved set":      {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 7, 1)},
+		"edges as queries":  {func(b []byte) error { _, err := c.queries(b); return err }, weighted},
+		"queries as edges":  {func(b []byte) error { _, err := c.edges(b); return err }, query},
+		"four edge columns": {func(b []byte) error { _, err := c.edges(b); return err }, patch(weighted, 5, 4)},
+		"weight 2^32":       {func(b []byte) error { _, err := c.edges(b); return err }, negative},
+		"answers, 3 cols":   {func(b []byte) error { _, _, err := c.batch(b, 1, false); return err }, weighted},
+		"version 1 body":    {func(b []byte) error { _, err := c.queries(b); return err }, []byte(`{"queries":[{"op":1,"u":1,"v":2}]}`)},
+	} {
+		if err := tc.decode(tc.payload); !errors.Is(err, pgas.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	// Through a served connection: the JSON body and the hand-built v1
+	// header are refused by name, a bad op and a bad id by route.
+	srv := NewServer(func(g *graph.Graph) (*Service, error) {
+		return New(Config{Machine: testMachine(2, 2)}, g)
+	})
+	raw, client := pipeTo(t, srv)
+	if err := client.Call(FrameLoad, &LoadReq{Family: "random", N: 64, M: 48, Seed: 7}, &LoadResp{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Call(FrameRun, &RunReq{Spec: KernelSpec{Kernel: "cc/coalesced"}}, &RunResp{}); err != nil {
+		t.Fatal(err)
+	}
+	var ans []int64
+	if err := client.Call(FrameQuery, &QueryReq{Queries: []Query{{Op: SameComponent, U: 0, V: 1}}}, &ans); !errors.Is(err, pgas.ErrCorrupt) {
+		t.Errorf("JSON-bodied FrameQuery: err = %v, want ErrCorrupt", err)
+	}
+	for name, qs := range map[string][]Query{
+		"op 0": {{Op: 0, U: 1}}, "op 5": {{Op: 5, U: 1}}, "id 64": {{Op: ComponentSize, U: 64}}, "id -1": {{Op: SameComponent, U: 0, V: -1}},
+	} {
+		if err := client.Call(FrameQuery, qs, &ans); !errors.Is(err, pgas.ErrMisuse) {
+			t.Errorf("%s: err = %v, want ErrMisuse", name, err)
+		}
+	}
+	if err := client.Call(FrameInsert, []Edge{{U: 0, V: 64}}, &InsertReport{}); !errors.Is(err, pgas.ErrMisuse) {
+		t.Errorf("edge to vertex 64: err = %v, want ErrMisuse", err)
+	}
+	v1 := []byte("pgsd\x01\x05\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00{}") // version 1 FrameInfo
+	binary.LittleEndian.PutUint32(v1[12:16], crc32.Checksum(v1[headerSize:], castagnoli))
+	go raw.Write(v1) // the pipe is synchronous: the refusal is read below
+	rtyp, payload, err := client.read()
+	if err != nil || rtyp != FrameError {
+		t.Fatalf("a version-1 frame was answered with frame type %d, err %v; want FrameError", rtyp, err)
+	}
+	if msg := string(payload); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 2") {
+		t.Fatalf("a version-1 frame was answered %s, want a refusal naming versions 1 and 2", msg)
 	}
 }

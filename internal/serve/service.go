@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"pgasgraph/internal/collective"
@@ -30,26 +31,19 @@ type Config struct {
 	Verify bool
 }
 
-// column is one resident result array together with its query stream: the
+// column is one resident array together with its query stream: the
 // batch's requests against it, the plan that gathers them and the values
 // gathered. The plan belongs to the array — replacing or dropping a column
 // drops its plan — and an unchanged request vector re-executes it without
 // the grouping sort and matrix publish, so the serving hot path rides
-// collective.Plan reuse exactly like a kernel's inner loop.
+// collective.Plan reuse exactly like a kernel's inner loop. A Service has
+// two: the labels, and the table of everything else.
 type column struct {
 	arr  *pgas.SharedArray
 	plan *collective.Plan // nil until the first batch, and after a failed region
 	req  []int64          // this batch's request vector; empty between batches
 	idx  []int64          // the request vector plan was built for
 	out  []int64          // gathered values, at idx's positions
-	next int              // answer cursor into out; 0 between batches
-}
-
-// newColumn makes vals resident as a fresh array named name.
-func (s *Service) newColumn(name string, vals []int64) *column {
-	c := &column{arr: s.rt.NewSharedArray(name, s.g.N)}
-	copy(c.arr.Raw(), vals)
-	return c
 }
 
 // Service is a resident graph plus the kernel results serving point
@@ -62,17 +56,30 @@ type Service struct {
 	col  *collective.Options
 	g    *graph.Graph
 
-	// same and size are the two query streams over the one resident label
-	// array (collapsed component-min labels); nil until a cc kernel ran.
-	same, size *column
+	// labels is the resident label array (collapsed component-min labels)
+	// with the one stream both same-component and component-size lookups
+	// ask for labels; nil until a cc kernel ran. It is an array of its own
+	// because cc.Incremental updates it in place.
+	labels     *column
 	sizes      *pgas.SharedArray // sizes[l] = |component l| for canonical labels l
 	components int64
 	labelSpec  KernelSpec // how labels were produced (supervised recompute re-runs it)
 
-	dist   map[int64]*column // src -> resident single-source distances
-	parent *column           // tree parents, -1 for roots
+	// table holds every immutable per-vertex result, row-major, and is the
+	// only copy of it: vertex v's entry in column c is table[v·k + c] for
+	// the k = len(cols) resident columns, and block ownership of k·n words
+	// keeps a vertex's row on the vertex's owner. cols[c] says what column
+	// c holds — a distance tree's source, or forestCol for the tree parents
+	// (-1 for roots) — in ascending order. Built by adopt, dropped whole by
+	// Insert; nil while nothing of the kind is resident.
+	table *column
+	cols  []int64
 
-	sizeOut []int64 // sizes gathered at the size stream's labels
+	// Batch scratch. at[i] is where lookup i's answer sits in its stream's
+	// out (for a component-size lookup, in sizeOut); sizeAt[j] is where the
+	// j-th size lookup's label sits in labels.out, whence sizeIdx[j].
+	at, sizeAt       []int
+	sizeIdx, sizeOut []int64
 }
 
 // New builds a Service with its own cluster. The graph is cloned: edge
@@ -109,9 +116,8 @@ func NewOn(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, cfg Config) 
 		cfg:  cfg,
 		// Offload pins an (index, value) pair; query streams have no such
 		// constant, so serving always gathers unfiltered.
-		col:  collective.Sanitize(cfg.Col, false),
-		g:    g.Clone(),
-		dist: map[int64]*column{},
+		col: collective.Sanitize(cfg.Col, false),
+		g:   g.Clone(),
 	}, nil
 }
 
@@ -129,33 +135,24 @@ func (s *Service) Components() int64 { return s.components }
 
 // Labels returns a copy of the resident labeling, or nil if none.
 func (s *Service) Labels() []int64 {
-	if s.same == nil {
+	if s.labels == nil {
 		return nil
 	}
-	return slices.Clone(s.same.arr.Raw())
+	return slices.Clone(s.labels.arr.Raw())
 }
 
-// sources lists the resident distance trees' sources in ascending order.
-func (s *Service) sources() []int64 {
-	srcs := make([]int64, 0, len(s.dist))
-	for src := range s.dist {
-		srcs = append(srcs, src)
-	}
-	slices.Sort(srcs)
-	return srcs
-}
-
-// Resident names the resident result arrays, for introspection.
+// Resident names the resident results, for introspection.
 func (s *Service) Resident() []string {
 	var r []string
-	if s.same != nil {
+	if s.labels != nil {
 		r = append(r, "labels", "sizes")
 	}
-	for _, src := range s.sources() {
-		r = append(r, fmt.Sprintf("dist[%d]", src))
-	}
-	if s.parent != nil {
-		r = append(r, "parent")
+	for _, col := range s.cols {
+		if col == forestCol {
+			r = append(r, "parent")
+		} else {
+			r = append(r, fmt.Sprintf("dist[%d]", col))
+		}
 	}
 	return r
 }
@@ -184,18 +181,46 @@ func (s *Service) adopt(spec KernelSpec, res *KernelResult) {
 		s.installLabels(res.Labels)
 		s.labelSpec = spec
 	}
-	if res.Dist != nil {
-		s.dist[spec.Src] = s.newColumn(fmt.Sprintf("serve.dist.%d", spec.Src), res.Dist)
+	if res.Dist != nil || res.Parent != nil {
+		s.retable(spec.Src, res.Dist, res.Parent)
 	}
-	if res.Parent != nil {
-		s.parent = s.newColumn("serve.parent", res.Parent)
+}
+
+// forestCol names the tree parents' column; it sorts after every source.
+const forestCol = math.MaxInt64
+
+// retable rebuilds the table around a new result — dist as src's tree,
+// parent as the forest, either nil when the result has none — carrying the
+// other resident columns over from the old table. A new array, so a new
+// plan: the row length, and with it every index, may have changed.
+func (s *Service) retable(src int64, dist, parent []int64) {
+	fresh := map[int64][]int64{src: dist, forestCol: parent}
+	old, oldCols := s.table, s.cols
+	s.cols = slices.Clone(oldCols)
+	for col, vals := range fresh {
+		if at, had := slices.BinarySearch(s.cols, col); vals != nil && !had {
+			s.cols = slices.Insert(s.cols, at, col)
+		}
+	}
+	k, oldK := int64(len(s.cols)), int64(len(oldCols))
+	s.table = &column{arr: s.rt.NewSharedArray("serve.table", k*s.g.N)}
+	raw := s.table.arr.Raw()
+	for c, col := range s.cols {
+		from, fk, fc := fresh[col], int64(1), 0
+		if from == nil {
+			fc, _ = slices.BinarySearch(oldCols, col)
+			from, fk = old.arr.Raw(), oldK
+		}
+		for v := int64(0); v < s.g.N; v++ {
+			raw[v*k+int64(c)] = from[v*fk+int64(fc)]
+		}
 	}
 }
 
 // installLabels makes a host-side labeling resident, with its sizes.
 func (s *Service) installLabels(labels []int64) {
-	s.same = s.newColumn("serve.labels", labels)
-	s.size = &column{arr: s.same.arr}
+	s.labels = &column{arr: s.rt.NewSharedArray("serve.labels", s.g.N)}
+	copy(s.labels.arr.Raw(), labels)
 	s.sizes = s.rt.NewSharedArray("serve.sizes", s.g.N)
 	s.recount()
 }
@@ -207,7 +232,7 @@ func (s *Service) recount() {
 	sizes := s.sizes.Raw()
 	clear(sizes)
 	s.components = 0
-	for _, l := range s.same.arr.Raw() {
+	for _, l := range s.labels.arr.Raw() {
 		if sizes[l] == 0 {
 			s.components++
 		}

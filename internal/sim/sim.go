@@ -127,16 +127,19 @@ func (c *Clock) Reset() {
 
 // Model computes operation costs from a machine configuration. The methods
 // implement the cost terms of the paper's §III and §IV analyses. Model is
-// immutable and safe for concurrent use.
+// immutable and safe for concurrent use; it travels by pointer, so a charge
+// does not copy the configuration.
 type Model struct {
 	cfg machine.Config
 }
 
 // NewModel returns a cost model over cfg.
-func NewModel(cfg machine.Config) Model { return Model{cfg: cfg} }
+func NewModel(cfg machine.Config) *Model { return &Model{cfg: cfg} }
 
-// Config returns the underlying machine configuration.
-func (m Model) Config() machine.Config { return m.cfg }
+// Config returns the underlying machine configuration, read-only: it is
+// the model's own copy, handed out by pointer because callers on charge
+// paths read one field of it per peer.
+func (m *Model) Config() *machine.Config { return &m.cfg }
 
 // ElemBytes is the modeled element width: every shared-array element is a
 // 64-bit word, matching the paper's D arrays.
@@ -144,7 +147,7 @@ const ElemBytes = 8
 
 // SeqScan returns the cost of sequentially accessing k elements
 // (equation 4's prefetch/bulk-transfer term): L_M + 8k/B_M.
-func (m Model) SeqScan(k int64) float64 {
+func (m *Model) SeqScan(k int64) float64 {
 	if k <= 0 {
 		return 0
 	}
@@ -154,7 +157,7 @@ func (m Model) SeqScan(k int64) float64 {
 // MissFraction returns the steady-state probability that a uniformly random
 // access into a resident block of blockElems elements misses the per-thread
 // cache. Zero when the block fits.
-func (m Model) MissFraction(blockElems int64) float64 {
+func (m *Model) MissFraction(blockElems int64) float64 {
 	bytes := float64(blockElems * ElemBytes)
 	z := float64(m.cfg.CacheBytes)
 	if bytes <= z {
@@ -163,10 +166,10 @@ func (m Model) MissFraction(blockElems int64) float64 {
 	return 1 - z/bytes
 }
 
-// IrregularMisses estimates the cache misses of k random accesses into a
+// irregularMisses estimates the cache misses of k random accesses into a
 // block of blockElems elements: the resident fraction pays compulsory
 // misses once, the remainder misses at the steady-state rate (§IV.B).
-func (m Model) IrregularMisses(k, blockElems int64) float64 {
+func (m *Model) irregularMisses(k, blockElems int64) float64 {
 	if k <= 0 || blockElems <= 0 {
 		return 0
 	}
@@ -178,7 +181,7 @@ func (m Model) IrregularMisses(k, blockElems int64) float64 {
 // missCost prices one random-access miss, paging a fraction of misses to
 // disk when the working set exceeds the node's memory (the regime the
 // paper's §VI closing argument concerns for single-node runs).
-func (m Model) missCost(blockElems int64) float64 {
+func (m *Model) missCost(blockElems int64) float64 {
 	dram := m.cfg.MemLatency + m.cfg.TLBMissCost
 	bytes := float64(blockElems * ElemBytes)
 	mem := float64(m.cfg.NodeMemoryBytes)
@@ -194,11 +197,11 @@ func (m Model) missCost(blockElems int64) float64 {
 // IrregularAccess returns (cost, misses) of k random single-element
 // accesses into a block of blockElems elements:
 // misses*L_M + k*(8/B_M + op).
-func (m Model) IrregularAccess(k, blockElems int64) (ns, misses float64) {
+func (m *Model) IrregularAccess(k, blockElems int64) (ns, misses float64) {
 	if k <= 0 {
 		return 0, 0
 	}
-	misses = m.IrregularMisses(k, blockElems)
+	misses = m.irregularMisses(k, blockElems)
 	ns = misses*m.missCost(blockElems) + float64(k)*(ElemBytes/m.cfg.MemBandwidth+m.cfg.OpCost)
 	return ns, misses
 }
@@ -210,7 +213,7 @@ func (m Model) IrregularAccess(k, blockElems int64) (ns, misses float64) {
 // a hot location in a cache-resident block is free — the paper notes
 // exactly this for D[0] on SMPs, §V — but a revisit within a block far
 // larger than the cache has likely been evicted).
-func (m Model) IrregularAccessDistinct(k, distinct, blockElems int64) (ns, misses float64) {
+func (m *Model) IrregularAccessDistinct(k, distinct, blockElems int64) (ns, misses float64) {
 	if k <= 0 {
 		return 0, 0
 	}
@@ -226,7 +229,7 @@ func (m Model) IrregularAccessDistinct(k, distinct, blockElems int64) (ns, misse
 // into a k-element buffer where every slot is written exactly once: with
 // write-combining lines fill completely, so the latency term pays one miss
 // per cache line rather than per element.
-func (m Model) DensePermute(k int64) (ns, misses float64) {
+func (m *Model) DensePermute(k int64) (ns, misses float64) {
 	if k <= 0 {
 		return 0, 0
 	}
@@ -244,7 +247,7 @@ func (m Model) DensePermute(k int64) (ns, misses float64) {
 // the k request keys (4-byte owner ids) selecting its own (§IV.B, "each
 // thread simulates t' virtual threads"). Linear in vt — the rising arm of
 // Figure 4's U-curve.
-func (m Model) SelectionPasses(k int64, vt int) float64 {
+func (m *Model) SelectionPasses(k int64, vt int) float64 {
 	if k <= 0 || vt <= 0 {
 		return 0
 	}
@@ -254,7 +257,7 @@ func (m Model) SelectionPasses(k int64, vt int) float64 {
 }
 
 // Ops returns the cost of k simple local operations.
-func (m Model) Ops(k int64) float64 {
+func (m *Model) Ops(k int64) float64 {
 	if k <= 0 {
 		return 0
 	}
@@ -263,7 +266,7 @@ func (m Model) Ops(k int64) float64 {
 
 // Intrinsics returns the cost of k runtime-intrinsic invocations (owner-id
 // computation before the "id" optimization).
-func (m Model) Intrinsics(k int64) float64 {
+func (m *Model) Intrinsics(k int64) float64 {
 	if k <= 0 {
 		return 0
 	}
@@ -273,7 +276,7 @@ func (m Model) Intrinsics(k int64) float64 {
 // SharedPtrAccess returns the cost of k accesses to the local portion of a
 // shared array through shared (fat) pointers; the "localcpy" optimization
 // replaces it with plain accesses costing Ops(k) on top of the memory terms.
-func (m Model) SharedPtrAccess(k int64) float64 {
+func (m *Model) SharedPtrAccess(k int64) float64 {
 	if k <= 0 {
 		return 0
 	}
@@ -286,7 +289,7 @@ func (m Model) SharedPtrAccess(k int64) float64 {
 // the sharing threads (§III's blocking-communication serialization).
 // RDMA-capable configurations replace the software overhead for messages at
 // or above the RDMA threshold.
-func (m Model) Message(bytes int64, sharers int) float64 {
+func (m *Model) Message(bytes int64, sharers int) float64 {
 	if sharers < 1 {
 		sharers = 1
 	}
@@ -302,7 +305,7 @@ func (m Model) Message(bytes int64, sharers int) float64 {
 }
 
 // congestion returns (s/threshold)^exp past the threshold, else 1.
-func (m Model) congestion(totalThreads int, exp float64) float64 {
+func (m *Model) congestion(totalThreads int, exp float64) float64 {
 	if m.cfg.A2AThreshold <= 0 || totalThreads <= m.cfg.A2AThreshold {
 		return 1
 	}
@@ -313,14 +316,14 @@ func (m Model) congestion(totalThreads int, exp float64) float64 {
 // translation's per-element remote traffic — the paper's "network
 // congestion incurred by numerous small messages" (§III). It grows with
 // the milder scattered-traffic exponent.
-func (m Model) SmallMsgFactor(totalThreads int) float64 {
+func (m *Model) SmallMsgFactor(totalThreads int) float64 {
 	return m.congestion(totalThreads, m.cfg.SmallOpCongestionExp)
 }
 
 // A2ABurstFactor returns the congestion multiplier for the synchronized
 // SMatrix/PMatrix all-to-all burst — the cliff the paper measures at 16
 // threads per node (§VI).
-func (m Model) A2ABurstFactor(totalThreads int) float64 {
+func (m *Model) A2ABurstFactor(totalThreads int) float64 {
 	return m.congestion(totalThreads, m.cfg.A2AExponent)
 }
 
@@ -330,7 +333,7 @@ func (m Model) A2ABurstFactor(totalThreads int) float64 {
 // operations from the threads of one node serialize through the node's
 // communication stack (§III: "the messages from the t threads on one node
 // are serialized"), so the software term scales with sharers.
-func (m Model) SmallOp(sharers, totalThreads, wireLegs int) float64 {
+func (m *Model) SmallOp(sharers, totalThreads, wireLegs int) float64 {
 	if sharers < 1 {
 		sharers = 1
 	}
@@ -344,19 +347,19 @@ func (m Model) SmallOp(sharers, totalThreads, wireLegs int) float64 {
 // other thread (the SMatrix/PMatrix setup). Small puts are asynchronous and
 // pipeline through the adapter, so no NIC serialization term applies; the
 // congestion factor does.
-func (m Model) SmallRemoteWrite(sharers, totalThreads int) float64 {
+func (m *Model) SmallRemoteWrite(sharers, totalThreads int) float64 {
 	o := m.cfg.MsgOverhead
 	base := m.cfg.NetLatency + o + ElemBytes/m.cfg.NetBandwidth
 	return base * m.A2ABurstFactor(totalThreads)
 }
 
 // Barrier returns the cost of one full barrier over s threads.
-func (m Model) Barrier(s int) float64 {
+func (m *Model) Barrier(s int) float64 {
 	return m.cfg.BarrierBase + m.cfg.BarrierPerThread*float64(s)
 }
 
 // Lock returns the cost of one acquire+release pair.
-func (m Model) Lock(contended bool) float64 {
+func (m *Model) Lock(contended bool) float64 {
 	if contended {
 		return m.cfg.LockBase + m.cfg.LockContended
 	}
@@ -365,4 +368,4 @@ func (m Model) Lock(contended bool) float64 {
 
 // LinearPenalty returns the multiplier applied to bulk-transfer time when
 // the peer-service schedule is the naive linear order instead of circular.
-func (m Model) LinearPenalty() float64 { return m.cfg.LinearSchedulePenalty }
+func (m *Model) LinearPenalty() float64 { return m.cfg.LinearSchedulePenalty }

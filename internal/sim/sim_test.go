@@ -8,7 +8,7 @@ import (
 	"pgasgraph/internal/machine"
 )
 
-func model() Model { return NewModel(machine.PaperCluster()) }
+func model() *Model { return NewModel(machine.PaperCluster()) }
 
 func TestCategoryString(t *testing.T) {
 	want := map[Category]string{
