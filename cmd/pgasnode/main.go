@@ -51,7 +51,6 @@ import (
 	"strings"
 	"time"
 
-	"pgasgraph/internal/cc"
 	"pgasgraph/internal/cliflag"
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
@@ -59,6 +58,7 @@ import (
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/pgas/wiretransport"
 	recovery "pgasgraph/internal/recover"
+	"pgasgraph/internal/serve"
 	"pgasgraph/internal/verify"
 	"pgasgraph/internal/xrand"
 )
@@ -296,18 +296,15 @@ func runBattery(o options, tr *wiretransport.Transport) int {
 			filter[name] = true
 		}
 	}
-	battery := verify.WireChecks()
+	battery := verify.Checks()
 	for round := 0; round < o.rounds; round++ {
 		rng := xrand.New(o.seed).Split(0x31e70 ^ uint64(round))
 		t := verify.SampleTrial(rng, round, o.maxN).WithMachine(o.nodes, o.tpn)
 		for _, c := range battery {
-			if len(filter) > 0 && !filter[c.Name] {
+			if !c.Wire || (len(filter) > 0 && !filter[c.Name]) || !c.Applicable(t) {
 				continue
 			}
-			if !c.Applicable(t) {
-				continue
-			}
-			if err := runOneCheck(c, t, tr); err != nil {
+			if err := verify.RunCheck(c, t, verify.Env{Seat: tr}).Err; err != nil {
 				if tr.SelfEvicted() {
 					fmt.Fprintf(os.Stderr, "pgasnode %d: evicted from the cluster during %s\n", o.node, c.Name)
 					return 4
@@ -317,12 +314,8 @@ func runBattery(o options, tr *wiretransport.Transport) int {
 						o.node, c.Name, dead)
 					return 3
 				}
-				class := "UNCLASSIFIED"
-				if ce, ok := pgas.Classified(err); ok {
-					class = ce.Class.Error()
-				}
 				fmt.Fprintf(os.Stderr, "pgasnode %d: FAIL round %d %s [%s]: %v\n",
-					o.node, round, c.Name, class, err)
+					o.node, round, c.Name, errClass(err), err)
 				tr.Abort(fmt.Sprintf("node %d: %s failed: %v", o.node, c.Name, err))
 				return 1
 			}
@@ -335,24 +328,12 @@ func runBattery(o options, tr *wiretransport.Transport) int {
 	return 0
 }
 
-// runOneCheck executes one battery check on a fresh runtime over the
-// shared mesh, converting classified panics into errors like the in-process
-// harness does.
-func runOneCheck(c verify.Check, t *verify.Trial, tr pgas.Transport) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("panic: %w", e)
-			} else {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}
-	}()
-	rt, err := pgas.NewOnTransport(t.Machine, tr)
-	if err != nil {
-		return fmt.Errorf("machine config: %v", err)
+// errClass names err's pgas error class for a failure line.
+func errClass(err error) string {
+	if ce, ok := pgas.Classified(err); ok {
+		return ce.Class.Error()
 	}
-	return c.Run(t, rt, collective.NewComm(rt))
+	return "UNCLASSIFIED"
 }
 
 // runCCJob is the supervised soak: every round builds a fresh hybrid graph
@@ -388,23 +369,19 @@ func runCCJob(o options, tr *wiretransport.Transport) int {
 		if o.killRate > 0 {
 			rt.ArmChaos(pgas.ChaosConfig{Seed: o.seed + uint64(round), KillRate: o.killRate})
 		}
-		var res *cc.Result
-		rep, err := recovery.Run(rt, &recovery.Config{MinThreads: 1}, func(rt *pgas.Runtime, comm *collective.Comm) error {
-			// A classified failure panics out of the kernel; the
-			// supervisor turns it into the rollback or the error below.
-			res = cc.Coalesced(rt, comm, g, &cc.Options{})
-			return nil
+		var res *serve.KernelResult
+		rep, err := recovery.Run(rt, &recovery.Config{MinThreads: 1}, func(rt *pgas.Runtime, comm *collective.Comm) (err error) {
+			// A classified failure comes back as the error; the supervisor
+			// turns it into the rollback or the failure below.
+			res, err = serve.RunKernel(rt, comm, serve.KernelSpec{Kernel: "cc/coalesced", Graph: g})
+			return err
 		})
 		if err != nil {
 			if tr.SelfEvicted() {
 				fmt.Fprintf(os.Stderr, "pgasnode %d: evicted from the cluster (cc round %d)\n", o.node, round)
 				return 4
 			}
-			class := "UNCLASSIFIED"
-			if ce, ok := pgas.Classified(err); ok {
-				class = ce.Class.Error()
-			}
-			fmt.Fprintf(os.Stderr, "pgasnode %d: cc round %d failed [%s]: %v\n", o.node, round, class, err)
+			fmt.Fprintf(os.Stderr, "pgasnode %d: cc round %d failed [%s]: %v\n", o.node, round, errClass(err), err)
 			return 1
 		}
 		if len(rep.Evicted) > 0 {

@@ -34,6 +34,42 @@ import (
 	"pgasgraph/internal/verify"
 )
 
+// selection is the subset of the flags that picks what verifyrun runs.
+type selection struct {
+	check, scheme, transport string
+	mutate, chaos, kill      bool
+}
+
+// mode names the one mode the flags select — wire, chaos, mutate or clean
+// — or refuses, naming the pair, a flag the selected mode would silently
+// ignore.
+func (s selection) mode() (string, error) {
+	mode, flag := "clean", ""
+	switch {
+	case s.transport == "wire":
+		mode, flag = "wire", "-transport wire"
+	case s.chaos:
+		mode, flag = "chaos", "-chaos"
+	case s.mutate:
+		mode, flag = "mutate", "-mutate"
+	}
+	switch {
+	case s.mutate && mode != "mutate":
+		return "", fmt.Errorf("-mutate does not apply with %s", flag)
+	case s.check != "" && mode != "clean":
+		return "", fmt.Errorf("-check does not apply with %s", flag)
+	case s.scheme != "" && mode == "mutate":
+		return "", fmt.Errorf("-scheme does not apply with -mutate")
+	case s.kill && mode == "mutate":
+		return "", fmt.Errorf("-kill does not apply with -mutate")
+	case s.kill && mode == "clean":
+		return "", fmt.Errorf("-kill needs -chaos or -transport wire; alone it would run the clean matrix")
+	case mode == "wire" && s.scheme != "" && s.scheme != "block":
+		return "", fmt.Errorf("the wire transport is block-only; -scheme cyclic/hub requires -transport inproc")
+	}
+	return mode, nil
+}
+
 func main() {
 	seed := flag.Uint64("seed", 1, "harness seed (replays exactly)")
 	rounds := flag.Int("rounds", 16, "trials to sample")
@@ -82,12 +118,14 @@ func main() {
 		return
 	}
 
-	// cliflag validated -transport at parse time; only wire needs a branch.
-	if *transport == "wire" {
-		if forceScheme != nil && *forceScheme != pgas.SchemeBlock {
-			fmt.Fprintln(os.Stderr, "verifyrun: the wire transport is block-only; -scheme cyclic/hub requires -transport inproc")
-			os.Exit(2)
-		}
+	mode, err := selection{check: *check, scheme: *scheme, transport: *transport,
+		mutate: *mutate, chaos: *chaos, kill: *kill}.mode()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "verifyrun: %v\n", err)
+		os.Exit(2)
+	}
+	switch mode {
+	case "wire":
 		wcfg := verify.WireRunConfig{
 			Seed:     *seed,
 			Rounds:   *rounds,
@@ -125,9 +163,7 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-
-	if *chaos {
+	case "chaos":
 		ccfg := verify.ChaosRunConfig{
 			Seed:        *seed,
 			Trials:      *trials,
@@ -159,9 +195,7 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-
-	if *mutate {
+	case "mutate":
 		ok := true
 		for _, res := range verify.MutationSelfTest(*seed, *mutRounds) {
 			fmt.Println(res)

@@ -15,10 +15,12 @@ package experiments
 import (
 	"fmt"
 
+	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/report"
+	"pgasgraph/internal/serve"
 )
 
 // Result is what every experiment yields: the table of the series it
@@ -136,6 +138,17 @@ func (c Config) Runtime(nodes, threadsPerNode int) *pgas.Runtime {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	return rt
+}
+
+// run runs one registry kernel on a fresh scaled nodes x threadsPerNode
+// machine, panicking on a refused spec like Runtime on a bad geometry.
+func (c Config) run(nodes, threadsPerNode int, spec serve.KernelSpec) *serve.KernelResult {
+	rt := c.Runtime(nodes, threadsPerNode)
+	res, err := serve.RunKernel(rt, collective.NewComm(rt), spec)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return res
 }
 
 // RandomGraph generates the scaled uniform random graph for the given

@@ -48,7 +48,7 @@ func runSensitivity(cfg Config) *expSensitivity {
 	} {
 		sub := cfg
 		sub.Base = &variant.base
-		f := runCCScaling(sub, paper400M, "", false)
+		f := runFig07(sub)
 		b := f.Best()
 		row := expSensitivityRow{
 			Name:    variant.name,

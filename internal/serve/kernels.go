@@ -285,6 +285,13 @@ func TakesList(name string) bool {
 	return err == nil && entry.list
 }
 
+// Weighted reports whether the named kernel needs edge weights on
+// KernelSpec.Graph. Unknown names report false.
+func Weighted(name string) bool {
+	entry, err := lookup(name)
+	return err == nil && entry.weighted
+}
+
 // Kernels returns the registry names in presentation order.
 func Kernels() []string {
 	names := make([]string, len(registry))

@@ -1,12 +1,10 @@
 package verify
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
 
-	"pgasgraph/internal/collective"
 	"pgasgraph/internal/pgas"
 	recovery "pgasgraph/internal/recover"
 	"pgasgraph/internal/xrand"
@@ -133,33 +131,21 @@ func (r *ChaosReport) OK() bool { return r.Wrong == 0 && r.Hangs == 0 }
 // fingerprint. Two soaks with the same config must produce the same
 // digest — this is the determinism guarantee the regression test pins.
 func (r *ChaosReport) Digest() uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 0x100000001B3
-		h ^= h >> 29
-	}
+	h := digestSeed
 	for i := range r.Trials {
 		tr := &r.Trials[i]
-		mix(uint64(tr.Round))
-		mix(uint64(tr.Outcome))
-		for _, c := range tr.Check {
-			mix(uint64(c))
+		h.mix(uint64(tr.Round))
+		h.mix(uint64(tr.Outcome))
+		h.mixString(tr.Check)
+		for _, v := range []int64{tr.Stats.Ops, tr.Stats.Delays, tr.Stats.Dups, tr.Stats.Drops,
+			tr.Stats.Corrupts, tr.Stats.Stalls, tr.Stats.Retries, tr.Stats.Kills, int64(tr.Rollbacks)} {
+			h.mix(uint64(v))
 		}
-		mix(uint64(tr.Stats.Ops))
-		mix(uint64(tr.Stats.Delays))
-		mix(uint64(tr.Stats.Dups))
-		mix(uint64(tr.Stats.Drops))
-		mix(uint64(tr.Stats.Corrupts))
-		mix(uint64(tr.Stats.Stalls))
-		mix(uint64(tr.Stats.Retries))
-		mix(uint64(tr.Stats.Kills))
-		mix(uint64(tr.Rollbacks))
 		for _, id := range tr.Evicted {
-			mix(uint64(id))
+			h.mix(uint64(id))
 		}
 	}
-	return h
+	return uint64(h)
 }
 
 // sampleChaosConfig draws a fault schedule for one trial: the default
@@ -187,46 +173,6 @@ func sampleChaosConfig(rng *xrand.Rand, kill bool) pgas.ChaosConfig {
 		cfg.KillRate = []float64{0.0002, 0.0005, 0.001, 0.002}[rng.Intn(4)]
 	}
 	return cfg
-}
-
-// RunCheckChaos is RunCheck with the chaos layer armed on the fresh
-// runtime: faults are injected into every remote bulk transfer and
-// collective serve phase the check performs. It returns the fault
-// counters alongside the check verdict so callers can confirm the
-// schedule actually fired.
-func RunCheckChaos(c Check, t *Trial, ccfg pgas.ChaosConfig) (stats pgas.ChaosStats, err error) {
-	defer recoverCheck(&err)
-	rt, err := trialRuntime(t)
-	if err != nil {
-		return stats, err
-	}
-	defer func() { stats = rt.ChaosStats() }()
-	rt.ArmChaos(ccfg)
-	return stats, c.Run(t, rt, collective.NewComm(rt))
-}
-
-// RunCheckRecover is RunCheckChaos under the eviction-recovery
-// supervisor: the chaos schedule may permanently kill threads, and the
-// supervisor remaps the dead threads' blocks onto the survivors, rolls
-// registered kernel state back to the last committed superstep
-// checkpoint, and re-executes the check body on the degraded geometry.
-// The report carries the rollback count and evicted ids for the outcome
-// ladder and the soak digest.
-func RunCheckRecover(c Check, t *Trial, ccfg pgas.ChaosConfig, rcfg *recovery.Config) (rep *recovery.Report, err error) {
-	defer func() {
-		if rep == nil {
-			rep = &recovery.Report{}
-		}
-	}()
-	defer recoverCheck(&err)
-	rt, err := trialRuntime(t)
-	if err != nil {
-		return nil, err
-	}
-	rt.ArmChaos(ccfg)
-	return recovery.Run(rt, rcfg, func(rt *pgas.Runtime, comm *collective.Comm) error {
-		return c.Run(t, rt, comm)
-	})
 }
 
 // ChaosRun executes the chaos soak: each trial samples a matrix point
@@ -268,48 +214,20 @@ func ChaosRun(cfg ChaosRunConfig) *ChaosReport {
 		}
 
 		res := ChaosTrialResult{Round: round, Check: c.Name, Trial: t}
-		type finished struct {
-			stats     pgas.ChaosStats
-			rollbacks int
-			evicted   []int
-			err       error
+		env := Env{Chaos: &ccfg}
+		if cfg.Kill {
+			env.Recover = &recovery.Config{} // the supervisor's defaults
 		}
-		done := make(chan finished, 1)
-		go func() {
-			if cfg.Kill {
-				rrep, err := RunCheckRecover(c, t, ccfg, nil)
-				done <- finished{rrep.Chaos, rrep.Rollbacks, rrep.Evicted, err}
-				return
-			}
-			stats, err := RunCheckChaos(c, t, ccfg)
-			done <- finished{stats: stats, err: err}
-		}()
-		select {
-		case fin := <-done:
-			res.Stats = fin.stats
-			res.Rollbacks = fin.rollbacks
-			res.Evicted = fin.evicted
-			res.Err = fin.err
-			switch {
-			case fin.err == nil && fin.rollbacks > 0:
-				res.Outcome = ChaosRecoveredByRollback
-			case fin.err == nil:
-				res.Outcome = ChaosRecovered
-			case errors.Is(fin.err, pgas.ErrTransport),
-				errors.Is(fin.err, pgas.ErrTimeout),
-				errors.Is(fin.err, pgas.ErrCorrupt),
-				errors.Is(fin.err, pgas.ErrEvicted):
-				res.Outcome = ChaosClassified
-			default:
-				res.Outcome = ChaosWrongAnswer
-			}
-			rep.Stats.Add(fin.stats)
-			rep.Rollbacks += fin.rollbacks
-		case <-time.After(cfg.Timeout):
+		if ran, hung := watched(cfg.Timeout, c, t, env); hung {
 			res.Outcome = ChaosHang
 			res.Err = fmt.Errorf("trial still running after %v watchdog", cfg.Timeout)
+		} else {
+			res.Stats, res.Err = ran.Stats, ran.Err
+			res.Rollbacks, res.Evicted = ran.Reports[0].Rollbacks, ran.Reports[0].Evicted
+			res.Outcome = outcomeOf(res.Err, res.Rollbacks)
+			rep.Stats.Add(res.Stats)
+			rep.Rollbacks += res.Rollbacks
 		}
-
 		switch res.Outcome {
 		case ChaosRecovered:
 			rep.Recovered++

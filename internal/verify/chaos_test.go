@@ -148,35 +148,45 @@ func TestChaosKillOffPreservesSchedules(t *testing.T) {
 // drop rate, a multi-node trial must fail loudly with a classified
 // transport error — never silently, never unclassified.
 func TestRunCheckChaosClassified(t *testing.T) {
-	var c Check
-	for _, cand := range Checks() {
-		if cand.Name == "cc/coalesced" {
-			c = cand
-			break
-		}
-	}
-	if c.Run == nil {
-		t.Fatal("cc/coalesced check not found")
-	}
+	c := batteryRow(t, "cc/coalesced")
 	ccfg := pgas.DefaultChaos(7)
 	ccfg.DropRate = 0.9
 	ccfg.MaxAttempts = 1
 	seen := false
 	for round := 0; round < 8 && !seen; round++ {
 		tr := sampleMultiNodeTrial(t, uint64(round))
-		stats, err := RunCheckChaos(c, tr, ccfg)
-		if err == nil {
+		ran := RunCheck(c, tr, Env{Chaos: &ccfg})
+		if ran.Err == nil {
 			continue // graph landed entirely node-local; no remote traffic
 		}
-		if !errors.Is(err, pgas.ErrTimeout) && !errors.Is(err, pgas.ErrTransport) && !errors.Is(err, pgas.ErrCorrupt) {
-			t.Fatalf("failure not classified: %v", err)
-		}
-		if stats.Drops == 0 {
-			t.Fatalf("classified failure with no recorded drops: %+v", stats)
-		}
+		assertClassifiedDrop(t, ran)
 		seen = true
 	}
 	if !seen {
 		t.Fatal("no trial produced remote traffic under a 0.9 drop rate")
 	}
+}
+
+// assertClassifiedDrop: a run that failed under a drop-heavy schedule failed
+// loudly — a classified transport error, with the drops on record.
+func assertClassifiedDrop(t *testing.T, ran *CheckResult) {
+	t.Helper()
+	if !errors.Is(ran.Err, pgas.ErrTimeout) && !errors.Is(ran.Err, pgas.ErrTransport) && !errors.Is(ran.Err, pgas.ErrCorrupt) {
+		t.Fatalf("failure not classified: %v", ran.Err)
+	}
+	if ran.Stats.Drops == 0 {
+		t.Fatalf("classified failure with no recorded drops: %+v", ran.Stats)
+	}
+}
+
+// batteryRow returns the battery row of that name.
+func batteryRow(t *testing.T, name string) Check {
+	t.Helper()
+	for _, c := range Checks() {
+		if c.Name == name {
+			return c
+		}
+	}
+	t.Fatalf("%s missing from the battery", name)
+	return Check{}
 }

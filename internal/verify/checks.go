@@ -2,27 +2,21 @@ package verify
 
 import (
 	"fmt"
-	"slices"
 
-	"pgasgraph/internal/bcc"
-	"pgasgraph/internal/bfs"
 	"pgasgraph/internal/cc"
 	"pgasgraph/internal/collective"
-	"pgasgraph/internal/euler"
 	"pgasgraph/internal/listrank"
-	"pgasgraph/internal/mis"
-	"pgasgraph/internal/mst"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/seq"
 	"pgasgraph/internal/serve"
-	"pgasgraph/internal/sssp"
 	"pgasgraph/internal/xrand"
 )
 
-// A Check is one oracle comparison or cross-kernel differential test,
-// runnable against any trial. Checks receive a freshly built runtime and
-// collective state so kernels never observe another check's scratch and an
-// injected fault stays scoped to one execution.
+// A Check is one row of the battery: an oracle comparison or cross-kernel
+// differential test, runnable against any trial (see the package comment
+// for what a row's fields mean together). Every execution gets a freshly
+// built runtime and collective state, so kernels never observe another
+// check's scratch and an injected fault stays scoped to one execution.
 type Check struct {
 	// Name identifies the check (kernel/variant).
 	Name string
@@ -35,13 +29,30 @@ type Check struct {
 	// NUMBER of runtime operations by design (benign arbitrary-CRCW
 	// races that change iteration counts, not answers). The chaos soak
 	// skips them: its bit-for-bit fault-schedule replay guarantee needs
-	// a deterministic per-thread operation stream.
+	// a deterministic per-thread operation stream. Declared once, on the
+	// serve registry; Checks derives it from the kernels the row names.
 	RacyOps bool
+	// Wire marks the subset that is well-defined on a wire cluster and must
+	// pass identically on both backends. Left out are the racy-by-design
+	// kernels, the kernels that read raw remote state host-side between
+	// regions (listrank/cgm), and the slow small-graph baselines.
+	Wire bool
 	// Applicable gates the check on trial shape (expensive baselines
 	// stay off big trials; source-based checks need vertices).
 	Applicable func(t *Trial) bool
-	// Run executes the check and returns a description of the first
-	// mismatch (nil = pass).
+	// Kernel is the registry row the check runs through serve.RunKernel on
+	// the trial's inputs and holds to that row's own oracle (serve.Verify).
+	Kernel string
+	// Twin is a second registry kernel run afterwards on the same cluster;
+	// its labels (ranks, for listrank) and component count must be
+	// bit-identical to Kernel's.
+	Twin string
+	// Canonical demands Kernel's labels equal seq.CC exactly: every monotone
+	// collective kernel terminates in component-minimum rooted stars, so
+	// equality — not just the same partition — is the contract.
+	Canonical bool
+	// Run, on the rows that name no Kernel, executes the check and returns
+	// a description of the first mismatch (nil = pass).
 	Run func(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error
 }
 
@@ -51,42 +62,45 @@ func always(*Trial) bool { return true }
 func small(t *Trial) bool { return t.Graph.N <= 600 && t.Graph.M() <= 1800 }
 
 // Checks returns the harness battery: the collective algebraic laws, then
-// every kernel against its sequential oracle, then the cross-kernel
-// differentials. Order matters for mutation runs — the laws pinpoint a
-// collective fault directly before any kernel interprets it.
+// every kernel against its sequential oracle and its twin, then the serving
+// checks. Order matters for mutation runs — the laws pinpoint a collective
+// fault directly before any kernel interprets it — and for every digest:
+// the chaos rotation is (round+j) % len(battery), so a changed list moves
+// them all (TestBatteryPinned).
 func Checks() []Check {
-	return []Check{
-		{Name: "collective/getd-law", Mutation: true, Applicable: always, Run: checkGetDLaw},
-		{Name: "collective/setd-roundtrip", Mutation: true, Applicable: always, Run: checkSetDRoundtrip},
-		{Name: "collective/setdmin-law", Mutation: true, Applicable: always, Run: checkSetDMinLaw},
-		{Name: "collective/plan-reuse", Mutation: true, Applicable: always, Run: checkPlanReuse},
-		{Name: "cc/coalesced", Mutation: true, Applicable: always, Run: checkCCCoalesced},
-		{Name: "cc/sv", Mutation: true, Applicable: always, Run: checkCCSV},
-		{Name: "cc/fastsv", Mutation: true, RacyOps: serve.RacyOps("cc/fastsv"), Applicable: always, Run: checkCCFastSV},
-		{Name: "cc/lt-prs", RacyOps: serve.RacyOps("cc/lt-prs"), Applicable: always, Run: checkCCLT(cc.LTPRS)},
-		{Name: "cc/lt-pus", RacyOps: serve.RacyOps("cc/lt-pus"), Applicable: always, Run: checkCCLT(cc.LTPUS)},
-		{Name: "cc/lt-ers", RacyOps: serve.RacyOps("cc/lt-ers"), Applicable: always, Run: checkCCLT(cc.LTERS)},
-		// cc/naive's graft test re-reads labels mid-phase while peers
-		// PutMin them (asynchronous short-cutting, Figure 2), so its
-		// iteration count — and with it the per-thread op stream — is
-		// scheduling-dependent even though the labels are not. The flag is
-		// declared once, on the serve kernel registry, and derived here —
-		// TestRacyOpsDerivedFromRegistry pins the correspondence.
-		{Name: "cc/naive", RacyOps: serve.RacyOps("cc/naive"), Applicable: small, Run: checkCCNaive},
-		{Name: "cc/merge-cgm", Applicable: small, Run: checkCCMerge},
+	battery := []Check{
+		// The laws exercise the collectives themselves; no kernel to name.
+		{Name: "collective/getd-law", Mutation: true, Wire: true, Applicable: always, Run: checkGetDLaw},
+		{Name: "collective/setd-roundtrip", Mutation: true, Wire: true, Applicable: always, Run: checkSetDRoundtrip},
+		{Name: "collective/setdmin-law", Mutation: true, Wire: true, Applicable: always, Run: checkSetDMinLaw},
+		{Name: "collective/plan-reuse", Mutation: true, Wire: true, Applicable: always, Run: checkPlanReuse},
+		{Name: "cc/coalesced", Mutation: true, Wire: true, Applicable: always, Kernel: "cc/coalesced"},
+		{Name: "cc/sv", Mutation: true, Wire: true, Applicable: always, Kernel: "cc/sv", Twin: "cc/coalesced"},
+		{Name: "cc/fastsv", Mutation: true, Wire: true, Applicable: always, Kernel: "cc/fastsv", Twin: "cc/sv", Canonical: true},
+		{Name: "cc/lt-prs", Applicable: always, Kernel: "cc/lt-prs", Twin: "cc/coalesced", Canonical: true},
+		{Name: "cc/lt-pus", Applicable: always, Kernel: "cc/lt-pus", Twin: "cc/coalesced", Canonical: true},
+		{Name: "cc/lt-ers", Wire: true, Applicable: always, Kernel: "cc/lt-ers", Twin: "cc/coalesced", Canonical: true},
+		{Name: "cc/naive", Applicable: small, Kernel: "cc/naive"},
+		{Name: "cc/merge-cgm", Applicable: small, Kernel: "cc/merge-cgm"},
+		// The forest kernel WITHOUT the tour: the registry's spanning-forest
+		// row always roots its forest (that is euler/tour below), and the
+		// mutation self-test needs the bare kernel's op stream.
 		{Name: "cc/spanning-forest", Mutation: true, Applicable: always, Run: checkSpanningForest},
-		{Name: "cc/bipartite", Applicable: small, Run: checkBipartite},
-		{Name: "mst/coalesced", Mutation: true, Applicable: always, Run: checkMSTCoalesced},
-		{Name: "mst/naive", Applicable: small, Run: checkMSTNaive},
-		{Name: "bfs/coalesced", Applicable: always, Run: checkBFS},
-		{Name: "bfs/naive", Applicable: small, Run: checkBFSNaive},
-		{Name: "sssp/delta-stepping", Applicable: always, Run: checkSSSP},
-		{Name: "mis/luby", Applicable: always, Run: checkMIS},
-		{Name: "listrank/wyllie", Applicable: always, Run: checkWyllie},
-		{Name: "listrank/cgm", Applicable: always, Run: checkCGM},
+		{Name: "cc/bipartite", Applicable: small, Kernel: "cc/bipartite"},
+		{Name: "mst/coalesced", Mutation: true, Applicable: always, Kernel: "mst/coalesced"},
+		{Name: "mst/naive", Applicable: small, Kernel: "mst/naive"},
+		{Name: "bfs/coalesced", Wire: true, Applicable: always, Kernel: "bfs/coalesced"},
+		{Name: "bfs/naive", Applicable: small, Kernel: "bfs/naive"},
+		{Name: "sssp/delta-stepping", Applicable: always, Kernel: "sssp/delta-stepping"},
+		{Name: "mis/luby", Applicable: always, Kernel: "mis/luby"},
+		{Name: "listrank/wyllie", Applicable: always, Kernel: "listrank/wyllie"},
+		{Name: "listrank/cgm", Applicable: always, Kernel: "listrank/cgm", Twin: "listrank/wyllie"},
+		// WyllieFused is a variant of the wyllie row, not a row of its own.
 		{Name: "listrank/fused", Applicable: always, Run: checkFused},
-		{Name: "euler/tour", Applicable: always, Run: checkEuler},
-		{Name: "bcc/tarjan-vishkin", Applicable: small, Run: checkBCC},
+		// Spanning forest then Euler tour — the BCC pipeline's first two
+		// stages — is what the registry's spanning-forest row runs.
+		{Name: "euler/tour", Applicable: always, Kernel: "spanning-forest"},
+		{Name: "bcc/tarjan-vishkin", Applicable: small, Kernel: "bcc/tarjan-vishkin"},
 		// The graph-service layer: registry dispatch fidelity, batched
 		// point queries against the oracles, and the incremental-CC
 		// contract, all over the same randomized trial matrix.
@@ -94,47 +108,73 @@ func Checks() []Check {
 		{Name: "serve/query-batch", Applicable: serveTrialGraphs, Run: checkServeQueryBatch},
 		{Name: "serve/incremental-cc", Applicable: serveTrialGraphs, Run: checkServeIncremental},
 	}
+	for i := range battery {
+		battery[i].RacyOps = serve.RacyOps(battery[i].Kernel) || serve.RacyOps(battery[i].Twin)
+	}
+	return battery
 }
 
-// RunCheck builds a fresh cluster for t, arms fault, and executes c,
-// converting kernel panics (iteration-bound blow-ups, index validation)
-// into check failures. The pgas runtime propagates thread panics to this
-// goroutine, so a blow-up on any simulated thread is caught here.
-func RunCheck(c Check, t *Trial, fault collective.Fault) (err error) {
-	defer recoverCheck(&err)
-	rt, err := trialRuntime(t)
+// run executes the row on one cluster: its Run func where it keeps one,
+// else Kernel through the registry on the trial's inputs, held to the row's
+// oracle, to the canonical labeling and to its Twin as the row asks.
+func (c Check) run(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
+	if c.Kernel == "" {
+		return c.Run(t, rt, comm)
+	}
+	spec := t.spec(c.Kernel)
+	res, err := serve.RunKernel(rt, comm, spec)
 	if err != nil {
 		return err
 	}
-	comm := collective.NewComm(rt)
-	comm.InjectFault(fault)
-	return c.Run(t, rt, comm)
-}
-
-// trialRuntime builds the fresh in-process runtime of trial t under its
-// partition scheme.
-func trialRuntime(t *Trial) (*pgas.Runtime, error) {
-	rt, err := pgas.New(t.Machine)
-	if err != nil {
-		return nil, fmt.Errorf("machine config: %v", err)
+	if err := serve.Verify(spec, res); err != nil {
+		return fmt.Errorf("%s vs oracle: %w", c.Kernel, err)
 	}
-	if err := rt.SetPartition(t.PartitionSpec()); err != nil {
-		return nil, fmt.Errorf("partition spec: %v", err)
-	}
-	return rt, nil
-}
-
-// recoverCheck converts a panic escaping a check into an error, preserving
-// the error chain when the panic value is itself an error so callers can
-// still classify it with errors.Is (pgas.ErrTransport and friends).
-func recoverCheck(err *error) {
-	if r := recover(); r != nil {
-		if e, ok := r.(error); ok {
-			*err = fmt.Errorf("panic: %w", e)
-		} else {
-			*err = fmt.Errorf("panic: %v", r)
+	if c.Canonical {
+		for i, want := range seq.CC(t.Graph) {
+			if res.Labels[i] != want {
+				return fmt.Errorf("%s label[%d] = %d, canonical oracle says %d", c.Kernel, i, res.Labels[i], want)
+			}
 		}
 	}
+	if c.Twin == "" {
+		return nil
+	}
+	twin, err := serve.RunKernel(rt, comm, t.spec(c.Twin))
+	if err != nil {
+		return err
+	}
+	got, want := answer(res), answer(twin)
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("%s answer[%d] = %d, %s on the same cluster says %d", c.Kernel, i, got[i], c.Twin, want[i])
+		}
+	}
+	if res.Components != twin.Components {
+		return fmt.Errorf("%s found %d components, %s %d", c.Kernel, res.Components, c.Twin, twin.Components)
+	}
+	return nil
+}
+
+// spec names one registry run on the trial's inputs: the weighted twin for
+// the rows that need weights, the list for the list rows, and a private
+// copy of the option vector so no kernel can edit the trial's.
+func (t *Trial) spec(kernel string) serve.KernelSpec {
+	o := t.Opts
+	spec := serve.KernelSpec{Kernel: kernel, Graph: t.Graph, List: t.List,
+		Col: &o, Compact: t.Compact, Src: t.Src, Delta: t.Delta}
+	if serve.Weighted(kernel) {
+		spec.Graph = t.WGraph
+	}
+	return spec
+}
+
+// answer is the array a Twin must reproduce bit for bit: a listrank row's
+// ranks, any other row's labels.
+func answer(res *serve.KernelResult) []int64 {
+	if lr, ok := res.Detail.(*listrank.Result); ok {
+		return lr.Ranks
+	}
+	return res.Labels
 }
 
 // --- Collective algebraic laws -----------------------------------------
@@ -409,168 +449,15 @@ func checkPlanReuse(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 	return nil
 }
 
-// --- Kernel oracle checks ----------------------------------------------
-
-func ccOpts(t *Trial) *cc.Options {
-	o := t.Opts
-	return &cc.Options{Col: &o, Compact: t.Compact}
-}
-
-func checkCCCoalesced(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	return cc.VerifyLabels(t.Graph, cc.Coalesced(rt, comm, t.Graph, ccOpts(t)).Labels)
-}
-
-// checkCCSV verifies Shiloach-Vishkin against the oracle AND against
-// coalesced CC on the same cluster — the FastSV-style cross-validation of
-// independent label-propagation schemes sharing one collective layer.
-func checkCCSV(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	sv := cc.SV(rt, comm, t.Graph, ccOpts(t))
-	if err := cc.VerifyLabels(t.Graph, sv.Labels); err != nil {
-		return fmt.Errorf("SV vs oracle: %w", err)
-	}
-	co := cc.Coalesced(rt, comm, t.Graph, ccOpts(t))
-	if !seq.SamePartition(sv.Labels, co.Labels) {
-		return fmt.Errorf("SV and coalesced CC disagree on the same cluster")
-	}
-	if sv.Components != co.Components {
-		return fmt.Errorf("SV found %d components, coalesced CC %d", sv.Components, co.Components)
-	}
-	return nil
-}
-
-// checkCCFastSV verifies FastSV bit-identically against the canonical
-// sequential labeling (every monotone collective kernel terminates in
-// component-minimum rooted stars, so exact equality — not just same
-// partition — is the contract) and against SV on the same cluster.
-func checkCCFastSV(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	fs := cc.FastSV(rt, comm, t.Graph, ccOpts(t))
-	want := seq.CC(t.Graph)
-	for i := range want {
-		if fs.Labels[i] != want[i] {
-			return fmt.Errorf("FastSV label[%d] = %d, canonical oracle says %d", i, fs.Labels[i], want[i])
-		}
-	}
-	sv := cc.SV(rt, comm, t.Graph, ccOpts(t))
-	for i := range sv.Labels {
-		if fs.Labels[i] != sv.Labels[i] {
-			return fmt.Errorf("FastSV label[%d] = %d, SV on the same cluster says %d", i, fs.Labels[i], sv.Labels[i])
-		}
-	}
-	if fs.Components != sv.Components {
-		return fmt.Errorf("FastSV found %d components, SV %d", fs.Components, sv.Components)
-	}
-	return nil
-}
-
-// checkCCLT builds the differential check for one Liu-Tarjan variant:
-// bit-identical against the canonical oracle and against Bader-Cong
-// (Coalesced) on the same cluster.
-func checkCCLT(v cc.LTVariant) func(*Trial, *pgas.Runtime, *collective.Comm) error {
-	return func(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-		lt := cc.LiuTarjan(rt, comm, t.Graph, v, ccOpts(t))
-		want := seq.CC(t.Graph)
-		for i := range want {
-			if lt.Labels[i] != want[i] {
-				return fmt.Errorf("%s label[%d] = %d, canonical oracle says %d", v, i, lt.Labels[i], want[i])
-			}
-		}
-		co := cc.Coalesced(rt, comm, t.Graph, ccOpts(t))
-		for i := range co.Labels {
-			if lt.Labels[i] != co.Labels[i] {
-				return fmt.Errorf("%s label[%d] = %d, coalesced CC on the same cluster says %d",
-					v, i, lt.Labels[i], co.Labels[i])
-			}
-		}
-		if lt.Components != co.Components {
-			return fmt.Errorf("%s found %d components, coalesced CC %d", v, lt.Components, co.Components)
-		}
-		return nil
-	}
-}
-
-func checkCCNaive(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	return cc.VerifyLabels(t.Graph, cc.Naive(rt, t.Graph).Labels)
-}
-
-func checkCCMerge(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	return cc.VerifyLabels(t.Graph, cc.MergeCGM(rt, t.Graph).Labels)
-}
+// --- The two kernels without a registry row ----------------------------
 
 func checkSpanningForest(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	return cc.VerifySpanningForest(t.Graph, cc.SpanningTree(rt, comm, t.Graph, ccOpts(t)))
-}
-
-func checkBipartite(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	return cc.VerifyBipartite(t.Graph, cc.Bipartite(rt, comm, t.Graph, ccOpts(t)))
-}
-
-func checkMSTCoalesced(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 	o := t.Opts
-	return mst.VerifyForest(t.WGraph,
-		mst.Coalesced(rt, comm, t.WGraph, &mst.Options{Col: &o, Compact: t.Compact}))
-}
-
-func checkMSTNaive(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	return mst.VerifyForest(t.WGraph, mst.Naive(rt, t.WGraph))
-}
-
-func checkBFS(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	o := t.Opts
-	return bfs.VerifyDistances(t.Graph, t.Src,
-		bfs.Coalesced(rt, comm, t.Graph, t.Src, &o).Dist)
-}
-
-func checkBFSNaive(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	return bfs.VerifyDistances(t.Graph, t.Src, bfs.Naive(rt, t.Graph, t.Src).Dist)
-}
-
-func checkSSSP(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	o := t.Opts
-	return sssp.VerifyDistances(t.WGraph, t.Src,
-		sssp.DeltaStepping(rt, comm, t.WGraph, t.Src, t.Delta, &o).Dist)
-}
-
-func checkMIS(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	o := t.Opts
-	return mis.VerifySet(t.Graph, mis.Luby(rt, comm, t.Graph, &o))
-}
-
-func checkWyllie(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	o := t.Opts
-	return listrank.VerifyRanks(t.List, listrank.Wyllie(rt, comm, t.List, &o).Ranks)
-}
-
-// checkCGM verifies the contraction-based ranking against the oracle AND
-// against Wyllie on the same cluster (independent algorithms, shared
-// collective layer).
-func checkCGM(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	o := t.Opts
-	cgm := listrank.CGM(rt, comm, t.List, &o)
-	if err := listrank.VerifyRanks(t.List, cgm.Ranks); err != nil {
-		return fmt.Errorf("CGM vs oracle: %w", err)
-	}
-	wy := listrank.Wyllie(rt, comm, t.List, &o)
-	if !slices.Equal(cgm.Ranks, wy.Ranks) {
-		return fmt.Errorf("CGM and Wyllie disagree on the same cluster")
-	}
-	return nil
+	return cc.VerifySpanningForest(t.Graph,
+		cc.SpanningTree(rt, comm, t.Graph, &cc.Options{Col: &o, Compact: t.Compact}))
 }
 
 func checkFused(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 	o := t.Opts
 	return listrank.VerifyRanks(t.List, listrank.WyllieFused(rt, comm, t.List, &o).Ranks)
-}
-
-// checkEuler composes spanning forest and Euler tour — the BCC pipeline's
-// first two stages — and verifies the tree statistics structurally.
-func checkEuler(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	sf := cc.SpanningTree(rt, comm, t.Graph, ccOpts(t))
-	forest := sf.Forest(t.Graph)
-	o := t.Opts
-	return euler.VerifyStats(forest, euler.Tour(rt, comm, forest, sf.CC.Labels, &o))
-}
-
-func checkBCC(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	o := t.Opts
-	return bcc.Verify(t.Graph, bcc.TarjanVishkin(rt, comm, t.Graph, &o))
 }

@@ -89,7 +89,7 @@ func MutationSelfTest(seed uint64, rounds int) []*MutationResult {
 				if !c.Mutation || !c.Applicable(t) {
 					continue
 				}
-				if err := RunCheck(c, t, f); err != nil {
+				if err := RunCheck(c, t, Env{Fault: f}).Err; err != nil {
 					res.Detected = true
 					res.Check = c.Name
 					res.Detail = err

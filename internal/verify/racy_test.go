@@ -35,16 +35,16 @@ func TestRacyOpsDerivedFromRegistry(t *testing.T) {
 
 // TestPinnedKernelNames: the two hand-kept kernel name lists — ccFamily,
 // whose length and order the chaos digests mix, and the kernel-named part
-// of WireChecks — stay what they are pinned to, and every name in them is
+// of the wire battery — stay what they are pinned to, and every name in them is
 // a registered, non-racy row, so neither list can rot as the registry
 // grows or renames.
 func TestPinnedKernelNames(t *testing.T) {
 	if want := []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers"}; !slices.Equal(ccFamily, want) {
 		t.Errorf("ccFamily = %v, pinned to %v (the chaos digests mix Seed %% len)", ccFamily, want)
 	}
-	wire := WireChecks()
+	wire := wireChecks()
 	if len(wire) != 9 {
-		t.Errorf("WireChecks has %d checks, want 9: a listed name left the battery", len(wire))
+		t.Errorf("the wire battery has %d checks, want 9: a listed name left the battery", len(wire))
 	}
 	names := slices.Clone(ccFamily)
 	for _, c := range wire {

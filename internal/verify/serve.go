@@ -36,12 +36,12 @@ func ccFamilyPick(t *Trial) string { return ccFamily[t.Seed%uint64(len(ccFamily)
 // sim time to the dispatched run only; clean sim-time identity is pinned
 // by TestRunKernelMatchesDirect.)
 func checkServeDispatch(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	spec := serve.KernelSpec{Kernel: ccFamilyPick(t), Graph: t.Graph, Col: &t.Opts, Compact: t.Compact}
+	spec := t.spec(ccFamilyPick(t))
 	res, err := serve.RunKernel(rt, comm, spec)
 	if err != nil {
 		return fmt.Errorf("dispatch: %w", err)
 	}
-	rt2, err := pgas.New(t.Machine)
+	rt2, err := trialRuntime(t, nil) // the twin must run under the trial's partition too
 	if err != nil {
 		return err
 	}
@@ -180,7 +180,10 @@ func checkServeIncremental(t *Trial, rt *pgas.Runtime, comm *collective.Comm) er
 }
 
 // ccKernel is the direct-call twin of the CC-family registry rows: the
-// same kernel the registry would dispatch, invoked without the seam.
+// same kernel the registry would dispatch, invoked without the seam. It is
+// the one place in the harness where a direct call is the point — every
+// battery row runs its kernel through the registry, and this switch is what
+// serve/dispatch holds the registry to.
 func ccKernel(t *Trial, name string, rt *pgas.Runtime, comm *collective.Comm) *cc.Result {
 	opts := &cc.Options{Col: &t.Opts, Compact: t.Compact}
 	switch name {

@@ -19,7 +19,7 @@ func Shrink(c Check, t *Trial, budget int) (*Trial, int) {
 			return false
 		}
 		runs++
-		return cand.Applicable(c) && RunCheck(c, cand, collective.FaultNone) != nil
+		return c.Applicable(cand) && RunCheck(c, cand, Env{}).Err != nil
 	}
 	cur := t
 	for {
@@ -30,9 +30,6 @@ func Shrink(c Check, t *Trial, budget int) (*Trial, int) {
 		cur = next
 	}
 }
-
-// Applicable reports whether check c can run on this trial.
-func (t *Trial) Applicable(c Check) bool { return c.Applicable(t) }
 
 // shrinkOnce returns the first accepted reduction of t, or nil when every
 // candidate passes (or the budget ran out).

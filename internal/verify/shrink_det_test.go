@@ -45,7 +45,7 @@ func TestShrinkDeterministic(t *testing.T) {
 			t.Fatal("no failing trial sampled in 200 rounds")
 		}
 		cand := SampleTrial(xrand.New(0x5EED).Split(uint64(round)), round, 300)
-		if RunCheck(synthetic, cand, collective.FaultNone) != nil {
+		if RunCheck(synthetic, cand, Env{}).Err != nil {
 			start = cand
 			break
 		}
@@ -58,7 +58,7 @@ func TestShrinkDeterministic(t *testing.T) {
 	var first string
 	for i := 0; i < 10; i++ {
 		min, runs := Shrink(synthetic, start, 500)
-		if RunCheck(synthetic, min, collective.FaultNone) == nil {
+		if RunCheck(synthetic, min, Env{}).Err == nil {
 			t.Fatalf("run %d: shrunk trial no longer fails: %s", i, min)
 		}
 		fp := fingerprint(min, runs)

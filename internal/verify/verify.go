@@ -3,6 +3,22 @@
 // pairs against each other — across a randomized matrix of machine
 // configurations, collective option vectors, and graph families.
 //
+// The battery (Checks) is rows of data over the serve kernel registry, and
+// RunCheck is the one way to run a row. A row's Kernel is run through
+// serve.RunKernel on the trial's inputs and held to the registry row's own
+// oracle (serve.Verify); its Twin, a second registry kernel run on the same
+// cluster, must reproduce Kernel's labels or ranks bit for bit; Canonical
+// demands the labels equal seq.CC exactly; Wire puts the row in the subset
+// that must pass identically over the socket transport. Four kinds of row
+// keep a Run func because there is no registry row to name: the collective
+// laws (they test the collectives, not a kernel), the serve/* checks (they
+// test the Service and the dispatch seam itself), cc/spanning-forest (the
+// forest kernel without the Euler tour the registry row appends) and
+// listrank/fused (a variant of the wyllie row). Where a row runs is an Env:
+// collective fault, chaos schedule, recovery supervisor, in process or as a
+// hosted wire cluster or on a connected seat — Run, MutationSelfTest,
+// ChaosRun, WireRun and cmd/pgasnode differ only in the Env they pass.
+//
 // Three layers of evidence back each run:
 //
 //  1. Oracle checks: each kernel's output is compared exactly against a
@@ -23,7 +39,6 @@ import (
 	"fmt"
 	"io"
 
-	"pgasgraph/internal/collective"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/xrand"
 )
@@ -119,14 +134,14 @@ func Run(cfg Config) *Report {
 				continue
 			}
 			rep.ChecksRun++
-			err := RunCheck(c, t, collective.FaultNone)
+			err := RunCheck(c, t, Env{}).Err
 			if err == nil {
 				continue
 			}
 			f := &Failure{Check: c.Name, Err: err, Trial: t, Original: t}
 			if cfg.MaxShrinkRuns > 0 {
 				f.Trial, f.ShrinkRuns = Shrink(c, t, cfg.MaxShrinkRuns)
-				if e2 := RunCheck(c, f.Trial, collective.FaultNone); e2 != nil {
+				if e2 := RunCheck(c, f.Trial, Env{}).Err; e2 != nil {
 					f.Err = e2
 				}
 			}

@@ -70,7 +70,7 @@ func TestShrinkReducesCounterexample(t *testing.T) {
 	if runs == 0 {
 		t.Fatal("shrinking ran no predicates")
 	}
-	if err := RunCheck(c, shrunk, collective.FaultNone); err == nil {
+	if err := RunCheck(c, shrunk, Env{}).Err; err == nil {
 		t.Fatal("shrunk trial no longer fails the check")
 	}
 	if got := shrunk.Graph.M(); got > tr.Graph.M()/2 && tr.Graph.M() > 2 {
@@ -101,7 +101,7 @@ func TestRunCheckRecoversPanics(t *testing.T) {
 		},
 	}
 	tr := SampleTrial(xrand.New(1), 0, 50)
-	err := RunCheck(c, tr, collective.FaultNone)
+	err := RunCheck(c, tr, Env{}).Err
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestRunCheckRecoversThreadPanics(t *testing.T) {
 		},
 	}
 	tr := SampleTrial(xrand.New(2), 0, 50).WithMachine(2, 2)
-	err := RunCheck(c, tr, collective.FaultNone)
+	err := RunCheck(c, tr, Env{}).Err
 	if err == nil || !strings.Contains(err.Error(), "thread kaboom") {
 		t.Fatalf("thread panic not converted to error: %v", err)
 	}

@@ -30,11 +30,11 @@ func TestWireBattery(t *testing.T) {
 	geoms := [][2]int{{2, 2}, {3, 1}}
 	for round, geom := range geoms {
 		tr := wireTrial(0x9a7, round, 200, geom[0], geom[1])
-		for _, c := range WireChecks() {
+		for _, c := range wireChecks() {
 			if !c.Applicable(tr) {
 				continue
 			}
-			if err := RunWireCheck(c, tr, WireTimeout); err != nil {
+			if err := RunCheck(c, tr, Env{Wire: true}).Err; err != nil {
 				t.Fatalf("wire %dx%d %s: %v", geom[0], geom[1], c.Name, err)
 			}
 		}
@@ -75,7 +75,7 @@ func TestWireKernelIdentity(t *testing.T) {
 		mstW     uint64
 	}
 	outs := make([]nodeOut, tr.Machine.Nodes)
-	errs := RunWireCluster(tr, nil, WireTimeout, func(node int, rt *pgas.Runtime, comm *collective.Comm) error {
+	identity := Check{Name: "synthetic/kernel-identity", Run: func(tr *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 		o := tr.Opts
 		ccO := &cc.Options{Col: &o, Compact: tr.Compact}
 		c := cc.Coalesced(rt, comm, tr.Graph, ccO)
@@ -92,10 +92,10 @@ func TestWireKernelIdentity(t *testing.T) {
 		}
 		// The forest is compared as a union below; each node's clock here.
 		m := mst.Coalesced(rt, comm, tr.WGraph, &mst.Options{Col: &o, Compact: tr.Compact})
-		outs[node] = nodeOut{mstEdges: m.Edges, mstW: m.Weight}
+		outs[rt.LocalNode()] = nodeOut{mstEdges: m.Edges, mstW: m.Weight}
 		return same("mst/coalesced", nil, nil, m.Run.SimNS, wantMST.Run.SimNS)
-	})
-	if err := firstNodeError(errs); err != nil {
+	}}
+	if err := RunCheck(identity, tr, Env{Wire: true}).Err; err != nil {
 		t.Fatal(err)
 	}
 
@@ -140,22 +140,16 @@ func eq64(a, b []int64) bool {
 // geometry). The dying node self-evicts. Re-running the same seed must
 // reproduce the identical rollback history on every survivor.
 func TestWireKillRecovery(t *testing.T) {
-	var c Check
-	for _, wc := range WireChecks() {
-		if wc.Name == "cc/coalesced" {
-			c = wc
-			break
-		}
-	}
-	if c.Name == "" {
+	c := batteryRow(t, "cc/coalesced")
+	if !c.Wire {
 		t.Fatal("cc/coalesced missing from the wire battery")
 	}
 	run := func(seed uint64) ([]*recovery.Report, []error, *Trial) {
 		tr := wireTrial(seed, 1, 200, 3, 1)
 		tr.Scheme = pgas.SchemeBlock
 		ccfg := pgas.ChaosConfig{Seed: seed, KillRate: 0.05}
-		reps, errs := RunWireKillRecover(c, tr, ccfg, &recovery.Config{MinThreads: 1}, WireTimeout)
-		return reps, errs, tr
+		ran := RunCheck(c, tr, Env{Chaos: &ccfg, Recover: &recovery.Config{MinThreads: 1}, Wire: true})
+		return ran.Reports, ran.Errs, tr
 	}
 	// Scan a few seeds for the interesting shape: at least one survivor
 	// completing after a rollback. High kill rates can also take every
@@ -251,7 +245,7 @@ func TestWireKillSweepDigest(t *testing.T) {
 // a trial both backends survive must report identical fault counters — the
 // per-thread draw streams are backend-independent by construction.
 func TestWireChaosConformance(t *testing.T) {
-	battery := WireChecks()
+	battery := wireChecks()
 	const rounds = 6
 	for round := 0; round < rounds; round++ {
 		rng := xrand.New(0xc0fa7e).Split(uint64(round))
@@ -263,39 +257,29 @@ func TestWireChaosConformance(t *testing.T) {
 			continue
 		}
 
-		inStats, inErr := RunCheckChaos(c, tr, ccfg)
-		type wireDone struct {
-			stats pgas.ChaosStats
-			err   error
-		}
-		done := make(chan wireDone, 1)
-		go func() {
-			s, e := RunWireCheckChaos(c, tr, ccfg, WireTimeout)
-			done <- wireDone{s, e}
-		}()
-		var wire wireDone
-		select {
-		case wire = <-done:
-		case <-time.After(90 * time.Second):
+		in := RunCheck(c, tr, Env{Chaos: &ccfg})
+		inStats, inErr := in.Stats, in.Err
+		wire, hung := watched(90*time.Second, c, tr, Env{Chaos: &ccfg, Wire: true})
+		if hung {
 			t.Fatalf("round %d %s: wire trial hung", round, c.Name)
 		}
 
-		if (inErr == nil) != (wire.err == nil) {
+		if (inErr == nil) != (wire.Err == nil) {
 			t.Fatalf("round %d %s: outcomes diverge: in-process err=%v, wire err=%v",
-				round, c.Name, inErr, wire.err)
+				round, c.Name, inErr, wire.Err)
 		}
 		if inErr != nil {
 			if !classifiedErr(inErr) {
 				t.Fatalf("round %d %s: in-process failure unclassified: %v", round, c.Name, inErr)
 			}
-			if !classifiedErr(wire.err) {
-				t.Fatalf("round %d %s: wire failure unclassified: %v", round, c.Name, wire.err)
+			if !classifiedErr(wire.Err) {
+				t.Fatalf("round %d %s: wire failure unclassified: %v", round, c.Name, wire.Err)
 			}
 			continue
 		}
-		if inStats != wire.stats {
+		if inStats != wire.Stats {
 			t.Fatalf("round %d %s: fault counters diverge:\n  in-process %+v\n  wire       %+v",
-				round, c.Name, inStats, wire.stats)
+				round, c.Name, inStats, wire.Stats)
 		}
 	}
 }
