@@ -15,57 +15,13 @@ import (
 )
 
 // unreached is the kernels' "no value" sentinel (bfs.Unreached,
-// sssp.Unreached): the word that keeps real frames wide.
+// sssp.Unreached): the word that widens the run it is in to 8 bytes.
 const unreached = int64(math.MaxInt64)
-
-// TestPayloadWidthBoundary: the encoder picks 4-byte words exactly when
-// every word round-trips through int32, and both widths decode to the
-// words that went in — plainly and through the atomic-store path.
-func TestPayloadWidthBoundary(t *testing.T) {
-	cases := []struct {
-		name   string
-		words  []int64
-		narrow bool
-	}{
-		{"empty", nil, true},
-		{"min32", []int64{math.MinInt32}, true},
-		{"max32", []int64{math.MaxInt32}, true},
-		{"min32-1", []int64{math.MinInt32 - 1}, false},
-		{"max32+1", []int64{math.MaxInt32 + 1}, false},
-		{"small", []int64{0, 1, -1, 807, 1 << 18}, true},
-		{"mixed", []int64{3, math.MaxInt32, math.MaxInt32 + 1, -7}, false},
-		{"last word wide", []int64{1, 2, 3, math.MinInt64}, false},
-		{"all unreached", []int64{unreached, unreached, unreached}, false},
-		{"one unreached", []int64{5, unreached, 6}, false},
-	}
-	for _, c := range cases {
-		raw, narrow := pgas.AppendWords(nil, c.words)
-		if narrow != c.narrow {
-			t.Errorf("%s: narrow = %v, want %v", c.name, narrow, c.narrow)
-		}
-		width := 8
-		if narrow {
-			width = 4
-		}
-		if len(raw) != width*len(c.words) {
-			t.Errorf("%s: %d bytes for %d words at width %d", c.name, len(raw), len(c.words), width)
-		}
-		for _, atomicStores := range []bool{false, true} {
-			got := make([]int64, len(c.words))
-			pgas.DecodeWords(got, raw, narrow, atomicStores)
-			for i := range got {
-				if got[i] != c.words[i] {
-					t.Errorf("%s (atomic=%v): word %d = %d, want %d", c.name, atomicStores, i, got[i], c.words[i])
-				}
-			}
-		}
-	}
-}
 
 // TestHeaderRoundTrip: every header field survives put/parse.
 func TestHeaderRoundTrip(t *testing.T) {
 	h := header{
-		typ: frGetResp, status: stBadWindow, narrow: true,
+		typ: frGetResp, status: stBadWindow, width: 5,
 		w:   pgas.Win{Kind: pgas.WinPlanVal2, ID: 0xdeadbeef, Sub: -3},
 		off: -1 << 40, count: 1 << 33, reqID: math.MaxUint64, crc: 0x1234abcd,
 	}
@@ -80,7 +36,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 func frameBytes(h header, payload []int64) []byte {
 	var pay []byte
 	if len(payload) > 0 {
-		pay, h.narrow = pgas.AppendWords(nil, payload)
+		pay, h.width = pgas.AppendWords(nil, payload)
 		h.crc = crc32.Checksum(pay, castagnoli)
 	}
 	b := make([]byte, headerLen, headerLen+len(pay))
@@ -111,7 +67,8 @@ func feed(tr *Transport, sc *rxScratch, frames ...[]byte) {
 	}
 }
 
-// TestCorruptNarrowFrames: a flipped payload bit in a narrow frame is
+// TestCorruptNarrowFrames: a flipped payload bit in a narrow frame (one
+// byte a word behind the base) is
 // ErrCorrupt to a GET's waiter, whose buffer stays untouched, and a sticky
 // abort on a PUT, whose window stays untouched.
 func TestCorruptNarrowFrames(t *testing.T) {
@@ -120,10 +77,10 @@ func TestCorruptNarrowFrames(t *testing.T) {
 		dst := []int64{-1, -1, -1}
 		id, ch := tr.register(1, dst)
 		fr := frameBytes(header{typ: frGetResp, count: 3, reqID: id}, []int64{10, 20, 30})
-		if !parseHeader(fr).narrow || len(fr) != headerLen+12 {
-			t.Fatalf("fixture is not a narrow frame (%d bytes)", len(fr))
+		if parseHeader(fr).width != 1 || len(fr) != headerLen+8+3 {
+			t.Fatalf("fixture is not a frame of one-byte words (%d bytes)", len(fr))
 		}
-		fr[headerLen+5] ^= 0x10
+		fr[headerLen+9] ^= 0x10
 		feed(tr, new(rxScratch), fr)
 		select {
 		case r := <-ch:
@@ -162,25 +119,27 @@ func TestCorruptNarrowFrames(t *testing.T) {
 	})
 }
 
-// TestVerifiedFramesApplyInPlace: clean narrow and wide frames land
-// directly in their destinations — the window for a PUT, the waiter's
+// TestVerifiedFramesApplyInPlace: clean frames at widths 0, 1, 3 and 8
+// land directly in their destinations — the window for a PUT, the waiter's
 // buffer for a GETRESP.
 func TestVerifiedFramesApplyInPlace(t *testing.T) {
 	tr := bareEndpoint(t)
 	w := pgas.Win{Kind: pgas.WinPlanVal, ID: 2, Sub: 1}
-	data := make([]int64, 6)
+	data := make([]int64, 10)
 	tr.Expose(w, data)
 	dst := make([]int64, 2)
 	id, ch := tr.register(1, dst)
 	feed(tr, new(rxScratch),
 		frameBytes(header{typ: frPut, w: w, off: 0, count: 3}, []int64{1, 2, 3}),
 		frameBytes(header{typ: frPut, w: w, off: 3, count: 3}, []int64{4, unreached, 6}),
+		frameBytes(header{typ: frPut, w: w, off: 6, count: 2}, []int64{7, 7}),
+		frameBytes(header{typ: frPut, w: w, off: 8, count: 2}, []int64{1 << 20, -9}),
 		frameBytes(header{typ: frGetResp, count: 2, reqID: id}, []int64{-9, unreached}),
 	)
 	if tr.aborted() {
 		t.Fatalf("clean frames aborted the transport: %v", tr.abortErr(nil, "test"))
 	}
-	want := []int64{1, 2, 3, 4, unreached, 6}
+	want := []int64{1, 2, 3, 4, unreached, 6, 7, 7, 1 << 20, -9}
 	for i := range want {
 		if data[i] != want[i] {
 			t.Fatalf("window = %v, want %v", data, want)
@@ -196,9 +155,9 @@ func TestVerifiedFramesApplyInPlace(t *testing.T) {
 // 64-word window, a pending 16-word GET, and the protocol's fixed caps.
 func FuzzWireFrame(f *testing.F) {
 	w := pgas.Win{Kind: pgas.WinArray, ID: 1}
-	f.Add(frameBytes(header{typ: frPut, w: w, off: 4, count: 3}, []int64{1, 2, 3}))
-	f.Add(frameBytes(header{typ: frPut, w: w, off: 60, count: 4}, []int64{1, unreached, 3, 4}))
-	f.Add(frameBytes(header{typ: frGetResp, count: 16, reqID: 1}, make([]int64, 16)))
+	f.Add(frameBytes(header{typ: frPut, w: w, off: 4, count: 3}, []int64{1, 2, 3}))             // width 1
+	f.Add(frameBytes(header{typ: frPut, w: w, off: 60, count: 4}, []int64{1, unreached, 3, 4})) // width 8
+	f.Add(frameBytes(header{typ: frGetResp, count: 16, reqID: 1}, make([]int64, 16)))           // width 0
 	f.Add(frameBytes(header{typ: frGet, w: w, off: 0, count: 64, reqID: 9}, nil))
 	f.Add(frameBytes(header{typ: frPutMin, w: w, off: 2, count: 1, reqID: 3}, []int64{-5}))
 	f.Add(frameBytes(header{typ: frEvict, off: 1, count: 1}, []int64{2}))
@@ -207,6 +166,10 @@ func FuzzWireFrame(f *testing.F) {
 	hostile := frameBytes(header{typ: frPut, w: w, count: 1 << 31}, nil)
 	f.Add(hostile)
 	f.Add(append(frameBytes(header{typ: frGetResp, count: 1 << 40, reqID: 1}, nil), 1, 2, 3))
+	f.Add(frameBytes(header{typ: frPut, w: w, off: 8, count: 3}, []int64{1 << 20, -9, 0})) // width 3
+	wide := frameBytes(header{typ: frPut, w: w, count: 3}, []int64{1, 2, 3})
+	wide[3] = 9 // no width holds more than 8 bytes
+	f.Add(wide)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := bareEndpoint(t)
@@ -214,7 +177,7 @@ func FuzzWireFrame(f *testing.F) {
 		tr.register(1, make([]int64, 16))
 		var sc rxScratch
 		feed(tr, &sc, data)
-		if bound := maxAbortWords * 8; cap(sc.raw) > bound {
+		if bound := 8 + maxAbortWords*8; cap(sc.raw) > bound {
 			t.Fatalf("reader sized a %d-byte payload buffer; nothing admitted exceeds %d", cap(sc.raw), bound)
 		}
 		if cap(sc.words) > maxAbortWords {

@@ -82,6 +82,9 @@ func TestHostileHeaderAbortsBeforeAllocating(t *testing.T) {
 		{"oversized putmin", header{typ: frPutMin, w: exposed, count: 1 << 31, reqID: 1}},
 		{"oversized evict", header{typ: frEvict, off: 1, count: 1 << 31}},
 		{"oversized abort", header{typ: frAbort, count: maxAbortWords + 1}},
+		{"width 9", header{typ: frPut, w: exposed, count: 2, width: 9}},
+		{"width on an empty put", header{typ: frPut, w: exposed, count: 0, width: 2}},
+		{"width on a get", header{typ: frGet, w: exposed, count: 4, width: 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -121,7 +124,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatalf("Connect with a v%d dialer: tr=%v err=%v, want ErrTransport", hello.off, tr, err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"v2", "v3", "node 1", "node-1.sock"} {
+	for _, want := range []string{"v3", "v4", "node 1", "node-1.sock"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("mismatch error %q does not mention %q", msg, want)
 		}
@@ -213,8 +216,9 @@ func TestUnexposeDropsIDRange(t *testing.T) {
 }
 
 // TestStatsBalance: after a quiescent point, what the mesh sent is what it
-// received, frame type by frame type; small-valued payloads travelled
-// narrow; buffered PUTs left in one flush.
+// received, frame type by frame type; every payload is its 8-byte base
+// plus its words at the width of their range; buffered PUTs left in one
+// flush.
 func TestStatsBalance(t *testing.T) {
 	const n = 3
 	trs := connectMesh(t, n, 5*time.Second)
@@ -248,7 +252,7 @@ func TestStatsBalance(t *testing.T) {
 
 	sent := map[string]FrameCount{}
 	recv := map[string]FrameCount{}
-	var puts, flushes, payloads, narrow uint64
+	var puts, flushes, payloads, words uint64
 	for _, tr := range trs {
 		s := tr.Stats()
 		for _, r := range s.Sent {
@@ -260,7 +264,7 @@ func TestStatsBalance(t *testing.T) {
 			recv[r.Type] = FrameCount{r.Type, c.Frames + r.Frames, c.Bytes + r.Bytes}
 		}
 		puts, flushes = puts+s.Puts, flushes+s.PutFlushes
-		payloads, narrow = payloads+s.PayloadFrames, narrow+s.NarrowFrames
+		payloads, words = payloads+s.PayloadFrames, words+s.PayloadWords
 		if s.Windows != 1 {
 			t.Errorf("%d windows exposed, want 1", s.Windows)
 		}
@@ -270,16 +274,22 @@ func TestStatsBalance(t *testing.T) {
 			t.Errorf("%s: sent %+v, received %+v", typ, s, r)
 		}
 	}
-	if got := sent["PUT"]; got.Frames != 5*n || got.Bytes != n*(4*4+8) {
-		t.Errorf("PUT traffic %+v, want %d frames / %d bytes (four narrow words and one wide per node)", got, 5*n, n*(4*4+8))
+	// A one-word run is its base alone at width 0: each of a node's five
+	// one-word PUTs is 8 bytes, sentinel or not (protocol 2 sent four of
+	// them at 4 bytes; on cc-wire the few-word matrix and reducer PUTs this
+	// makes dearer add ≈ 9 KB to a 24.4 MB op). The window a GET reads
+	// holds 0..3 and a sentinel, a range of 2^63 - 1: 8 + 16×8 bytes
+	// (protocol 2: 16×8, no base).
+	if got := sent["PUT"]; got.Frames != 5*n || got.Bytes != n*5*8 {
+		t.Errorf("PUT traffic %+v, want %d frames / %d bytes (five bare bases per node)", got, 5*n, n*5*8)
 	}
-	if got := sent["GETRESP"]; got.Frames != n || got.Bytes != n*16*8 {
-		t.Errorf("GETRESP traffic %+v, want %d frames of 16 wide words (the window holds a sentinel)", got, n)
+	if got := sent["GETRESP"]; got.Frames != n || got.Bytes != n*(8+16*8) {
+		t.Errorf("GETRESP traffic %+v, want %d frames of a base and 16 words at width 8 (the window holds a sentinel)", got, n)
 	}
 	if puts != 5*n || flushes != n {
 		t.Errorf("%d puts in %d flushes, want %d in %d (one GET flushes a node's five)", puts, flushes, 5*n, n)
 	}
-	if payloads != 6*n || narrow != 4*n {
-		t.Errorf("%d of %d payload frames narrow, want %d of %d", narrow, payloads, 4*n, 6*n)
+	if payloads != 6*n || words != (5+16)*n {
+		t.Errorf("%d payload frames carrying %d words, want %d carrying %d", payloads, words, 6*n, (5+16)*n)
 	}
 }

@@ -7,13 +7,13 @@ import (
 
 // counters are the transport's live wire counters: plain atomics bumped on
 // the send and receive paths, always on. Frame and byte counts are indexed
-// by frame type; bytes are payload bytes as they travel (after width
-// selection), so bytes + headerLen×frames is what the sockets carried.
+// by frame type; bytes are payload bytes as they travel (base and words at
+// the run's width), so bytes + headerLen×frames is what the sockets carried.
 type counters struct {
 	sentFrames, sentBytes [numFrameTypes]atomic.Uint64
 	recvFrames, recvBytes [numFrameTypes]atomic.Uint64
 	payloadSent           atomic.Uint64 // payload-carrying frames sent
-	narrowSent            atomic.Uint64 // ... of which at 4-byte words
+	payloadWords          atomic.Uint64 // ... and the words they carried
 	puts                  atomic.Uint64 // PUT frames that reached the wire
 	putFlushes            atomic.Uint64 // flushes that carried at least one PUT
 }
@@ -29,9 +29,10 @@ type FrameCount struct {
 type Stats struct {
 	// Sent and Recv hold one row per frame type, in protocol order.
 	Sent, Recv []FrameCount
-	// PayloadFrames counts sent frames that carried a payload;
-	// NarrowFrames those of them that travelled as 4-byte words.
-	PayloadFrames, NarrowFrames uint64
+	// PayloadFrames counts sent frames that carried a payload and
+	// PayloadWords the words in them: sent payload bytes / PayloadWords is
+	// what a word cost on the wire, base included.
+	PayloadFrames, PayloadWords uint64
 	// Puts counts PUT frames flushed to the wire and PutFlushes the
 	// flushes that carried them: Puts/PutFlushes is the coalescing ratio.
 	Puts, PutFlushes uint64
@@ -46,7 +47,7 @@ func (t *Transport) Stats() Stats {
 	c := &t.ctr
 	s := Stats{
 		PayloadFrames: c.payloadSent.Load(),
-		NarrowFrames:  c.narrowSent.Load(),
+		PayloadWords:  c.payloadWords.Load(),
 		Puts:          c.puts.Load(),
 		PutFlushes:    c.putFlushes.Load(),
 	}
@@ -79,13 +80,13 @@ func (s Stats) RecvWire() (frames, bytes uint64) { return wireBytes(s.Recv) }
 func (s Stats) String() string {
 	sf, sb := s.SentWire()
 	rf, rb := s.RecvWire()
-	narrow, perFlush := 0.0, 0.0
-	if s.PayloadFrames > 0 {
-		narrow = 100 * float64(s.NarrowFrames) / float64(s.PayloadFrames)
+	perWord, perFlush := 0.0, 0.0
+	if s.PayloadWords > 0 {
+		perWord = float64(sb-headerLen*sf) / float64(s.PayloadWords)
 	}
 	if s.PutFlushes > 0 {
 		perFlush = float64(s.Puts) / float64(s.PutFlushes)
 	}
-	return fmt.Sprintf("sent %d B/%d frames, recv %d B/%d frames, narrow %.0f%%, %.1f puts/flush, %d windows",
-		sb, sf, rb, rf, narrow, perFlush, s.Windows)
+	return fmt.Sprintf("sent %d B/%d frames, recv %d B/%d frames, %.2f B/word, %.1f puts/flush, %d windows",
+		sb, sf, rb, rf, perWord, perFlush, s.Windows)
 }

@@ -8,13 +8,13 @@
 // observes the same schedule of charges and injected faults on the wire as
 // in process.
 //
-// Wire protocol (version 2). Every frame is a fixed 40-byte little-endian
+// Wire protocol (version 3). Every frame is a fixed 40-byte little-endian
 // header and an optional payload of words:
 //
 //	[0]     frame type
 //	[1]     window kind
 //	[2]     status (responses)
-//	[3]     flags: bit 0 = the payload travels as 4-byte words
+//	[3]     payload word width in bytes, 0..8
 //	[4:8]   window id; membership epoch for BARRIER
 //	[8:12]  window sub; the dialing seat for HELLO
 //	[12:20] offset (elements); rendezvous generation for BARRIER,
@@ -24,12 +24,16 @@
 //	[28:36] request id; float64 bits of the clock maximum for BARRIER
 //	[36:40] CRC-32C of the payload bytes as they travel
 //
-// Payload width is chosen per frame from the payload itself: when every
-// word round-trips through int32 — vertex ids, labels, request keys and
-// matrix cells do — the words travel as 4 bytes each and the flag says
-// so; one word that does not (an Unreached sentinel) keeps the frame at 8.
-// The choice cannot be configured and is invisible above the seam; the
-// simulated Bytes counters keep charging the paper's 8-byte words.
+// The payload is pgas.AppendWords' frame of reference: count > 0 words
+// travel as 8 + count·width bytes — their minimum as an 8-byte base, then
+// every word minus the base in width bytes, the fewest that hold the
+// frame's range (0 when every word is equal) — and count = 0 as no bytes
+// at width 0. An owner's index segment spans one owner block and a label
+// run one component's ids, so a word costs its range, not its magnitude.
+// The width cannot be configured and is invisible above the seam; the
+// simulated Bytes counters keep charging the paper's 8-byte words. A width
+// above 8, or one on a frame without payload bytes, is a protocol
+// violation decided from the header.
 //
 // HELLO carries the protocol version; an acceptor refuses a dialer that
 // speaks another one, so a mixed-binary mesh fails at Connect with both
@@ -102,7 +106,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"net"
@@ -514,61 +517,6 @@ func tid(th *pgas.Thread) int {
 // send encodes one frame and writes it to original seat nd; see sendOn.
 func (t *Transport) send(nd int, h header, payload []int64, flush bool) error {
 	return t.sendOn(t.peers[nd], nd, h, payload, flush)
-}
-
-// sendOn is the one frame encoder: header, payload at the narrowest width
-// that carries it (pgas.AppendWords), CRC-32C over exactly the payload bytes,
-// written to p under its write lock. flush pushes the connection's buffered
-// frames (earlier coalesced PUTs included) onto the wire with a write
-// deadline, so a wedged peer surfaces as an error here rather than a hang.
-func (t *Transport) sendOn(p *peerConn, nd int, h header, payload []int64, flush bool) error {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-
-	var pay []byte
-	if len(payload) > 0 {
-		p.pay, h.narrow = pgas.AppendWords(p.pay[:0], payload)
-		pay = p.pay
-		h.crc = crc32.Checksum(pay, castagnoli)
-	}
-	h.put(p.hdr[:])
-	// Count before the bytes can leave: a Write that overflows the buffer
-	// pushes the frame to the peer, whose reader counts it at once, and a
-	// Stats() taken in between must never see more received than sent. A
-	// failed write poisons the transport, so counting it is harmless.
-	t.ctr.sentFrames[h.typ].Add(1)
-	if len(pay) > 0 {
-		t.ctr.sentBytes[h.typ].Add(uint64(len(pay)))
-		t.ctr.payloadSent.Add(1)
-		if h.narrow {
-			t.ctr.narrowSent.Add(1)
-		}
-	}
-	if _, err := p.bw.Write(p.hdr[:]); err != nil {
-		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
-	}
-	if _, err := p.bw.Write(pay); err != nil {
-		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
-	}
-	if h.typ == frPut {
-		p.puts++
-	}
-	if flush {
-		p.conn.SetWriteDeadline(time.Now().Add(t.cfg.Timeout))
-		if err := p.bw.Flush(); err != nil {
-			class := pgas.ErrTransport
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				class = pgas.ErrTimeout
-			}
-			return pgas.Errorf(class, -1, "wire send", "flush %s: %v", t.edge(nd), err)
-		}
-		if p.puts > 0 {
-			t.ctr.puts.Add(p.puts)
-			t.ctr.putFlushes.Add(1)
-			p.puts = 0
-		}
-	}
-	return nil
 }
 
 // sendFailed classifies a failed write to seat. A deadline is a wedged but
@@ -1320,263 +1268,6 @@ func (t *Transport) connDown(nd int, err error) {
 
 // evictWords is the length of an EVICT frame's dead-seat bitmap.
 func (t *Transport) evictWords() int { return (t.cfg.Nodes + 63) / 64 }
-
-// rxScratch is one reader's reusable buffers: the header, the payload
-// bytes as read (checksummed here before any word is applied), and the
-// decoded words of control frames.
-type rxScratch struct {
-	hdr   [headerLen]byte
-	raw   []byte
-	words []int64
-}
-
-// readLoop drains one mesh edge. Every frame is applied under rmu; answers
-// (GETRESP, PUTMINRESP) are sent from fresh goroutines over snapshots so a
-// reader never blocks on a send — the mesh cannot deadlock on mutual
-// bulk responses.
-func (t *Transport) readLoop(nd int, p *peerConn) {
-	br := bufio.NewReader(p.conn)
-	var sc rxScratch
-	for t.readFrame(nd, br, &sc) {
-	}
-}
-
-// readFrame receives and applies one frame from seat nd, in the order
-// validate → read → verify → apply (see the package comment). It reports
-// whether the edge is still worth reading.
-func (t *Transport) readFrame(nd int, br io.Reader, sc *rxScratch) bool {
-	if _, err := io.ReadFull(br, sc.hdr[:]); err != nil {
-		t.connDown(nd, err)
-		return false
-	}
-	h := parseHeader(sc.hdr[:])
-	if h.typ < frHello || int(h.typ) >= numFrameTypes {
-		t.Abort(fmt.Sprintf("%s: unknown frame type %d", t.edge(nd), h.typ))
-		return false
-	}
-	t.ctr.recvFrames[h.typ].Add(1)
-
-	var raw []byte
-	if h.hasPayload() {
-		if !t.admit(nd, &h) {
-			return false
-		}
-		need := int(h.count * h.wordBytes())
-		if cap(sc.raw) < need {
-			sc.raw = make([]byte, need)
-		}
-		raw = sc.raw[:need]
-		if _, err := io.ReadFull(br, raw); err != nil {
-			t.connDown(nd, err)
-			return false
-		}
-		t.ctr.recvBytes[h.typ].Add(uint64(need))
-		if crc32.Checksum(raw, castagnoli) != h.crc {
-			t.frameCorrupt(nd, h.typ, h.reqID)
-			return true
-		}
-	}
-
-	switch h.typ {
-	case frPut:
-		t.applyPut(nd, &h, raw)
-	case frGet:
-		t.serveGet(nd, &h)
-	case frPutMin:
-		t.servePutMin(nd, &h, sc.decode(&h, raw)[0])
-	case frGetResp:
-		t.deliver(&h, raw)
-	case frPutMinResp:
-		t.resolve(h.reqID, wireResp{status: h.status})
-	case frBarrier:
-		t.applyBarrier(uint64(h.w.ID), uint64(h.off), math.Float64frombits(h.reqID))
-	case frEvict:
-		t.applyEvict(nd, uint64(h.off), sc.decode(&h, raw))
-	case frAbort:
-		words := sc.decode(&h, raw)
-		b := make([]byte, len(words)*8)
-		for j, v := range words {
-			binary.LittleEndian.PutUint64(b[j*8:], uint64(v))
-		}
-		n := h.off // the text's byte length rides the offset field
-		if n < 0 || n > int64(len(b)) {
-			n = int64(len(b))
-		}
-		t.Abort(fmt.Sprintf("node %d aborted: %s", nd, string(b[:n])))
-	case frGoodbye:
-		t.departed[nd].Store(true)
-	case frHello:
-		// Late HELLO is a protocol violation, not a crash.
-		t.Abort(fmt.Sprintf("%s: unexpected HELLO", t.edge(nd)))
-		return false
-	}
-	return true
-}
-
-// decode returns a verified control payload's words in the reader's
-// scratch (valid until the next frame).
-func (sc *rxScratch) decode(h *header, raw []byte) []int64 {
-	if int64(cap(sc.words)) < h.count {
-		sc.words = make([]int64, h.count)
-	}
-	words := sc.words[:h.count]
-	pgas.DecodeWords(words, raw, h.narrow, false)
-	return words
-}
-
-// admit bounds a payload from its header alone, before a byte of it is
-// read or a buffer is sized for it: a PUT must fit its exposed window, a
-// GETRESP must answer a pending GET of exactly its length, and PUTMIN,
-// EVICT and ABORT payloads have fixed sizes. Anything else is a protocol
-// violation: the transport aborts with a cause naming the edge and the
-// edge is dropped. The one quiet refusal is a response whose waiter is
-// already gone for a classified reason (the transport aborted, or the
-// seat was declared crashed from the write side) — nothing is left to
-// deliver it to.
-func (t *Transport) admit(nd int, h *header) bool {
-	violation := func(format string, args ...interface{}) bool {
-		t.Abort(fmt.Sprintf("%s: protocol violation: %s", t.edge(nd), fmt.Sprintf(format, args...)))
-		return false
-	}
-	switch h.typ {
-	case frPut:
-		if _, ok := t.window(h.w, h.off, h.count); !ok {
-			return violation("PUT of %d words at offset %d outside any exposed window %+v", h.count, h.off, h.w)
-		}
-	case frPutMin:
-		if h.count != 1 {
-			return violation("PUTMIN carrying %d words, want 1", h.count)
-		}
-	case frEvict:
-		if h.count != int64(t.evictWords()) {
-			return violation("EVICT bitmap of %d words, want %d", h.count, t.evictWords())
-		}
-	case frAbort:
-		if h.count < 0 || h.count > maxAbortWords {
-			return violation("ABORT cause of %d words, cap %d", h.count, maxAbortWords)
-		}
-	case frGetResp:
-		t.pendMu.Lock()
-		pr, ok := t.pend[h.reqID]
-		t.pendMu.Unlock()
-		if !ok {
-			if t.aborted() || t.crashedFast(nd) != nil {
-				return false
-			}
-			return violation("GETRESP of %d words for unknown request %d", h.count, h.reqID)
-		}
-		if pr.seat != nd || h.status != stOK || h.count != int64(len(pr.dst)) {
-			return violation("GETRESP of %d words (status %d) for request %d, which asked node %d for %d",
-				h.count, h.status, h.reqID, pr.seat, len(pr.dst))
-		}
-	}
-	return true
-}
-
-// frameCorrupt reports a checksum mismatch. A corrupt response is delivered
-// to its waiter as ErrCorrupt (the caller decides whether to retry above
-// the seam); a corrupt one-way frame poisons the transport — its effect is
-// lost and the region cannot be trusted.
-func (t *Transport) frameCorrupt(nd int, typ uint8, reqID uint64) {
-	err := pgas.Errorf(pgas.ErrCorrupt, -1, "wire recv",
-		"checksum mismatch on frame type %d from node %d at node %d", typ, nd, t.cfg.Node)
-	if typ == frGetResp {
-		t.resolve(reqID, wireResp{err: err})
-		return
-	}
-	t.Abort(err.Error())
-}
-
-// applyPut decodes a verified PUT payload straight into its window. The
-// window is looked up again under rmu: admit's lookup only bounded the
-// read.
-func (t *Transport) applyPut(nd int, h *header, raw []byte) {
-	t.rmu.Lock()
-	data, ok := t.window(h.w, h.off, h.count)
-	if ok {
-		pgas.DecodeWords(data[h.off:h.off+h.count], raw, h.narrow, h.w.Kind == pgas.WinArray)
-	}
-	t.rmu.Unlock()
-	if !ok {
-		t.Abort(fmt.Sprintf("node %d put to unexposed window %+v [%d,%d) at node %d", nd, h.w, h.off, h.off+h.count, t.cfg.Node))
-	}
-}
-
-// deliver completes a GET: it claims the pending request, then decodes the
-// verified payload into the waiter's buffer. A waiter that gave up first
-// has already taken the entry, and its buffer is left alone.
-func (t *Transport) deliver(h *header, raw []byte) {
-	pr, ok := t.claim(h.reqID)
-	if !ok {
-		return
-	}
-	r := wireResp{status: h.status}
-	if h.status == stOK {
-		if h.count == int64(len(pr.dst)) {
-			pgas.DecodeWords(pr.dst, raw, h.narrow, false)
-		} else {
-			r.status = stBadWindow
-		}
-	}
-	pr.ch <- r
-}
-
-// snapshots recycles the GET serve path's snapshot buffers across
-// requests and connections.
-var snapshots sync.Pool
-
-func getSnapshot(n int64) *[]int64 {
-	if s, _ := snapshots.Get().(*[]int64); s != nil && int64(cap(*s)) >= n {
-		*s = (*s)[:n]
-		return s
-	}
-	s := make([]int64, n)
-	return &s
-}
-
-// serveGet snapshots the requested words under rmu and answers off the
-// reader goroutine over the snapshot: the reader keeps draining while bulk
-// responses flow the other way. On an aborted transport requests go
-// unanswered — the requester unwinds on the abort it was sent, not on a
-// refusal that only reflects this node tearing down.
-func (t *Transport) serveGet(nd int, h *header) {
-	if t.aborted() {
-		return
-	}
-	resp := header{typ: frGetResp, status: stBadWindow, reqID: h.reqID}
-	var snap *[]int64
-	t.rmu.Lock()
-	if data, ok := t.window(h.w, h.off, h.count); ok {
-		snap = getSnapshot(h.count)
-		readWin(h.w, data, h.off, *snap)
-		resp.status, resp.count = stOK, h.count
-	}
-	t.rmu.Unlock()
-	go func() {
-		if snap == nil {
-			_ = t.send(nd, resp, nil, true)
-			return
-		}
-		_ = t.send(nd, resp, *snap, true)
-		snapshots.Put(snap)
-	}()
-}
-
-func (t *Transport) servePutMin(nd int, h *header, v int64) {
-	if t.aborted() {
-		return
-	}
-	resp := header{typ: frPutMinResp, status: stBadWindow, reqID: h.reqID}
-	t.rmu.Lock()
-	if data, ok := t.window(h.w, h.off, 1); ok {
-		resp.status = stOK
-		if minWin(data, h.off, v) {
-			resp.status = stStored
-		}
-	}
-	t.rmu.Unlock()
-	go func() { _ = t.send(nd, resp, nil, true) }()
-}
 
 func (t *Transport) applyBarrier(epoch, gen uint64, v float64) {
 	t.rdvMu.Lock()

@@ -25,25 +25,27 @@ import (
 //
 //	off size  field
 //	0   4     magic "pgsd"
-//	4   1     protocol version (2)
+//	4   1     protocol version (3)
 //	5   1     frame type
 //	6   2     reserved (0)
 //	8   4     payload length (bytes)
 //	12  4     CRC-32C of payload
 //
-// Batch payload: n items as k columns of words, column-major, every word
-// at the one width pgas.AppendWords chose for the frame.
+// Batch payload: n items as k columns of words, column-major, all k·n
+// words one run in pgas.AppendWords' form — the run's minimum as a base,
+// then every word minus it at the width the run's range needs.
 //
 //	off size   field
 //	0   4      n
-//	4   1      word width w: 4 or 8 bytes
+//	4   1      word width w: 0 to 8 bytes
 //	5   1      columns k: 2 (lookups' U, V), 3 (edges' U, V, W), 1 (answers)
 //	6   2      reserved (0)
 //	8   n      one op byte per lookup — FrameQuery only
+//	..  8      base — when n > 0
 //	..  k·n·w  the columns
 const (
 	protoMagic   = "pgsd"
-	protoVersion = 2
+	protoVersion = 3
 	headerSize   = 16
 	batchHeader  = 8
 	// MaxFrame bounds a frame's payload; a larger announced length is a
@@ -175,12 +177,9 @@ func (c *Conn) beginBatch(n, k int) {
 }
 
 func (c *Conn) endBatch(words []int64) {
-	var narrow bool
-	c.out, narrow = pgas.AppendWords(c.out, words)
-	c.out[headerSize+4] = 8
-	if narrow {
-		c.out[headerSize+4] = 4
-	}
+	var width uint8
+	c.out, width = pgas.AppendWords(c.out, words)
+	c.out[headerSize+4] = width
 }
 
 // read reads one frame into the connection's buffer.
@@ -199,13 +198,16 @@ func (c *Conn) batch(payload []byte, k int, ops bool) (n int, opBytes []byte, er
 			"%d-byte payload is shorter than a batch header", len(payload))
 	}
 	count, w := uint64(binary.LittleEndian.Uint32(payload)), uint64(payload[4])
-	want := batchHeader + uint64(k)*count*w
+	want := uint64(batchHeader)
 	if ops {
 		want += count
 	}
-	if (w != 4 && w != 8) || int(payload[5]) != k || payload[6] != 0 || payload[7] != 0 || uint64(len(payload)) != want {
+	if count > 0 {
+		want += 8 + uint64(k)*count*w
+	}
+	if w > 8 || (w != 0 && count == 0) || int(payload[5]) != k || payload[6] != 0 || payload[7] != 0 || uint64(len(payload)) != want {
 		return 0, nil, pgas.Errorf(pgas.ErrCorrupt, -1, "pgasd.batch",
-			"header % x on %d bytes: want %d columns of 4- or 8-byte words, reserved 0, and %d bytes",
+			"header % x on %d bytes: want %d columns of 0- to 8-byte words (0 when empty), reserved 0, and %d bytes",
 			payload[:batchHeader], len(payload), k, want)
 	}
 	n = int(count)
@@ -214,7 +216,7 @@ func (c *Conn) batch(payload []byte, k int, ops bool) (n int, opBytes []byte, er
 		opBytes, body = body[:n], body[n:]
 	}
 	c.words = slices.Grow(c.words[:0], k*n)[:k*n]
-	pgas.DecodeWords(c.words, body, w == 4, false)
+	pgas.DecodeWords(c.words, body, uint8(w), false)
 	return n, opBytes, nil
 }
 

@@ -308,13 +308,18 @@ func loopback() *Conn {
 	return NewConn(&buf)
 }
 
-// TestBatchCodecRoundTrip: every batch comes back as it went out, at the
-// width its widest word needs — across the ±2^31 boundary, negative ids,
-// Unreached answers, empty, one-lookup and 65 536-lookup batches, weighted
-// and unweighted edges, and random batches of random widths.
+// TestBatchCodecRoundTrip: every batch comes back as it went out, in
+// exactly 8 header bytes, n op bytes for lookups, and (n > 0) an 8-byte
+// base and k·n words at the width the batch's range needs — equal words,
+// ranges on both sides of 2^32, negative ids, Unreached answers, empty,
+// one-lookup and 65 536-lookup batches, weighted and unweighted edges, and
+// random batches of random widths. Protocol 2 pinned 4 or 8 bytes a word
+// and no base: the one-lookup and small-edge batches shrink from 4 to 1
+// byte a word, the 65 536 lookups from 4 to 2 (ids below 2^16), a heavy
+// weight from 8 to 4, and a lone Unreached answer from 8 to 0.
 func TestBatchCodecRoundTrip(t *testing.T) {
 	c := loopback()
-	roundTrip := func(typ byte, v interface{}) (width byte, payload []byte) {
+	roundTrip := func(name string, typ byte, v interface{}, n, k int, width byte) []byte {
 		t.Helper()
 		if err := c.send(typ, v); err != nil {
 			t.Fatal(err)
@@ -323,66 +328,79 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		if err != nil || rtyp != typ {
 			t.Fatalf("read back frame type %d, err %v; sent type %d", rtyp, err, typ)
 		}
-		return payload[4], payload
+		want := batchHeader
+		if typ == FrameQuery {
+			want += n
+		}
+		if n > 0 {
+			want += 8 + k*n*int(width)
+		}
+		if payload[4] != width || len(payload) != want {
+			t.Fatalf("%s: %d bytes at width %d, want %d at width %d", name, len(payload), payload[4], want, width)
+		}
+		return payload
 	}
 	queries := func(name string, qs []Query, width byte) {
 		t.Helper()
-		w, payload := roundTrip(FrameQuery, qs)
-		got, err := c.queries(payload)
-		if err != nil || !slices.Equal(got, qs) || w != width {
-			t.Fatalf("%s: %d lookups came back as %d at width %d (want %d), err %v", name, len(qs), len(got), w, width, err)
-		}
-		if want := batchHeader + len(qs)*(1+2*int(width)); len(payload) != want {
-			t.Fatalf("%s: payload is %d bytes, want %d", name, len(payload), want)
+		got, err := c.queries(roundTrip(name, FrameQuery, qs, len(qs), 2, width))
+		if err != nil || !slices.Equal(got, qs) {
+			t.Fatalf("%s: %d lookups came back as %d, err %v", name, len(qs), len(got), err)
 		}
 	}
-	queries("empty", []Query{}, 4)
-	queries("one", []Query{{Op: ComponentSize, U: 7}}, 4)
+	queries("empty", []Query{}, 0)
+	queries("equal", []Query{{Op: SameComponent, U: 5, V: 5}, {Op: Distance, U: 5, V: 5}}, 0)
+	queries("one", []Query{{Op: ComponentSize, U: 7}}, 1)
 	queries("max32", []Query{{Op: SameComponent, U: math.MaxInt32, V: math.MinInt32}}, 4)
-	queries("max32+1", []Query{{Op: SameComponent, U: 1, V: 2}, {Op: Distance, U: math.MaxInt32 + 1, V: 0}}, 8)
-	queries("min32-1", []Query{{Op: TreeParent, U: math.MinInt32 - 1}}, 8)
-	queries("negative ids and bad ops", []Query{{Op: 0, U: -1, V: -2}, {Op: 255, U: -3}}, 4)
+	queries("max32+1", []Query{{Op: SameComponent, U: 1, V: 2}, {Op: Distance, U: math.MaxInt32 + 1, V: 0}}, 4)
+	queries("min32-1", []Query{{Op: TreeParent, U: math.MinInt32 - 1}}, 4)
+	queries("2^32", []Query{{Op: TreeParent, U: 1 << 32}}, 5)
+	queries("negative ids and bad ops", []Query{{Op: 0, U: -1, V: -2}, {Op: 255, U: -3}}, 1)
 	big := make([]Query, 65536)
 	for i := range big {
 		big[i] = Query{Op: Op(1 + i%4), U: int64(i), V: int64(65535 - i)}
 	}
-	queries("65536 lookups", big, 4)
+	queries("65536 lookups", big, 2)
 
 	answers := func(name string, ans []int64, width byte) {
 		t.Helper()
-		w, payload := roundTrip(FrameOK, ans)
-		_, _, err := c.batch(payload, 1, false)
-		if got := c.words; err != nil || !slices.Equal(got, ans) || w != width {
-			t.Fatalf("%s: %v came back as %v at width %d (want %d), err %v", name, ans, got, w, width, err)
+		_, _, err := c.batch(roundTrip(name, FrameOK, ans, len(ans), 1, width), 1, false)
+		if got := c.words; err != nil || !slices.Equal(got, ans) {
+			t.Fatalf("%s: %v came back as %v, err %v", name, ans, got, err)
 		}
 	}
-	answers("empty", []int64{}, 4)
-	answers("narrow", []int64{1, 0, -1, math.MaxInt32}, 4)
+	answers("empty", []int64{}, 0)
+	answers("int32", []int64{1, 0, -1, math.MaxInt32}, 4)
 	answers("bfs unreached", []int64{3, bfs.Unreached, 4}, 8)
-	answers("sssp unreached", []int64{sssp.Unreached}, 8)
+	answers("sssp unreached", []int64{sssp.Unreached}, 0)
+	answers("extremes", []int64{math.MinInt64, sssp.Unreached, -1}, 8)
 
 	edges := func(name string, es []Edge, width byte) {
 		t.Helper()
-		w, payload := roundTrip(FrameInsert, es)
-		got, err := c.edges(payload)
-		if err != nil || !slices.Equal(got, es) || w != width {
-			t.Fatalf("%s: %v came back as %v at width %d (want %d), err %v", name, es, got, w, width, err)
+		got, err := c.edges(roundTrip(name, FrameInsert, es, len(es), 3, width))
+		if err != nil || !slices.Equal(got, es) {
+			t.Fatalf("%s: %v came back as %v, err %v", name, es, got, err)
 		}
 	}
-	edges("empty", []Edge{}, 4)
-	edges("unweighted", []Edge{{U: 3, V: 60}, {U: 60, V: 9}}, 4)
-	edges("weighted", []Edge{{U: 3, V: 60}, {U: 60, V: 9, W: 4}}, 4)
-	edges("heavy", []Edge{{U: 1, V: 2, W: math.MaxUint32}}, 8)
-	edges("wide ids", []Edge{{U: -1 << 40, V: 1 << 40}}, 8)
+	edges("empty", []Edge{}, 0)
+	edges("unweighted", []Edge{{U: 3, V: 60}, {U: 60, V: 9}}, 1)
+	edges("weighted", []Edge{{U: 3, V: 60}, {U: 60, V: 9, W: 4}}, 1)
+	edges("heavy", []Edge{{U: 1, V: 2, W: math.MaxUint32}}, 4)
+	edges("wide ids", []Edge{{U: -1 << 40, V: 1 << 40}}, 6)
 
 	rng := xrand.New(0xc0dec)
 	for trial := 0; trial < 200; trial++ {
-		span := int64(1) << (1 + rng.Intn(40)) // ids up to 2^40: both widths come up
+		span := int64(1) << (1 + rng.Intn(40)) // ids up to 2^40: widths 1 to 6 come up
 		qs := make([]Query, rng.Intn(300))
 		for i := range qs {
 			qs[i] = Query{Op: Op(rng.Intn(6)), U: rng.Int64n(span) - span/2, V: rng.Int64n(span) - span/2}
 		}
-		_, payload := roundTrip(FrameQuery, qs)
+		if err := c.send(FrameQuery, qs); err != nil {
+			t.Fatal(err)
+		}
+		_, payload, err := c.read()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got, err := c.queries(payload); err != nil || !slices.Equal(got, qs) {
 			t.Fatalf("trial %d: %d random lookups below 2^%d did not round-trip: %v", trial, len(qs), span, err)
 		}
@@ -414,11 +432,12 @@ func TestBatchDecoderRefuses(t *testing.T) {
 		return b
 	}
 	huge := slices.Clone(query)
-	binary.LittleEndian.PutUint32(huge, math.MaxUint32) // 2^32-1 lookups in 26 bytes
-	negative := slices.Clone(weighted)
-	negative[4] = 8 // the width the words below travel at
-	negative = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(
-		binary.LittleEndian.AppendUint64(negative[:batchHeader], 1), 2), 1<<32) // W = 2^32
+	binary.LittleEndian.PutUint32(huge, math.MaxUint32) // 2^32-1 lookups in 22 bytes
+	// One edge whose weight, 2^32, is no uint32.
+	negative, width := pgas.AppendWords(slices.Clone(weighted[:batchHeader]), []int64{1, 2, 1 << 32})
+	negative[4] = width
+	width9 := append(patch(query, 4, 9)[:batchHeader+2+8], make([]byte, 2*2*9)...) // sized as if 9 bytes a word held
+	empty := good(FrameQuery, []Query{})
 	for name, tc := range map[string]struct {
 		decode  func([]byte) error
 		payload []byte
@@ -429,8 +448,10 @@ func TestBatchDecoderRefuses(t *testing.T) {
 		"count past bytes":  {func(b []byte) error { _, err := c.queries(b); return err }, huge},
 		"width 5":           {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 4, 5)},
 		"width 8 claimed":   {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 4, 8)},
+		"width 9":           {func(b []byte) error { _, err := c.queries(b); return err }, width9},
+		"width, no items":   {func(b []byte) error { _, err := c.queries(b); return err }, patch(empty, 4, 1)},
 		"three columns":     {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 5, 3)},
-		"two edge columns":  {func(b []byte) error { _, err := c.edges(b); return err }, patch(weighted[:len(weighted)-4], 5, 2)},
+		"two edge columns":  {func(b []byte) error { _, err := c.edges(b); return err }, patch(weighted[:len(weighted)-1], 5, 2)},
 		"reserved set":      {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 7, 1)},
 		"edges as queries":  {func(b []byte) error { _, err := c.queries(b); return err }, weighted},
 		"queries as edges":  {func(b []byte) error { _, err := c.edges(b); return err }, query},
@@ -477,7 +498,7 @@ func TestBatchDecoderRefuses(t *testing.T) {
 	if err != nil || rtyp != FrameError {
 		t.Fatalf("a version-1 frame was answered with frame type %d, err %v; want FrameError", rtyp, err)
 	}
-	if msg := string(payload); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 2") {
-		t.Fatalf("a version-1 frame was answered %s, want a refusal naming versions 1 and 2", msg)
+	if msg := string(payload); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 3") {
+		t.Fatalf("a version-1 frame was answered %s, want a refusal naming versions 1 and 3", msg)
 	}
 }
