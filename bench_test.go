@@ -3,9 +3,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// The per-figure benchmarks (one per figure of the paper's evaluation,
-// each reporting its key simulated-time metric) sit with the experiments
-// they run: go test -bench=. ./internal/experiments.
+// The per-row benchmarks (BenchmarkRows, one sub-benchmark per figure and
+// extension experiment, each reporting its simulated ms) sit with the
+// rows they run: go test -bench=. ./internal/experiments.
 package pgasgraph
 
 import (

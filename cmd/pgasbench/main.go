@@ -1,32 +1,22 @@
 // Command pgasbench regenerates the paper's evaluation figures (2-10) and
 // this repository's extension experiments at a configurable scale,
 // printing each as a text table (optionally CSV or markdown). With -json
-// it instead runs the collective micro-benchmarks and figure kernels and
-// emits a machine-readable benchmark report (the BENCH_collectives.json
-// baseline format), optionally comparing against a committed baseline.
+// it instead runs the collective micro-benchmarks and the baseline's
+// experiment rows and emits a machine-readable benchmark report (the
+// BENCH_collectives.json baseline format), optionally comparing against a
+// committed baseline.
 //
 // Usage:
 //
-//	pgasbench [flags] <figure>... | all
-//	pgasbench -json [-out f] [-baseline f [-tol x]]
+//	pgasbench -scale 0.01 -check all            # every row and its shape check
+//	pgasbench -markdown fig7 fig8               # EXPERIMENTS.md's format
+//	pgasbench -json -baseline BENCH_collectives.json -tol 3   # CI's check
+//	pgasbench -json -out BENCH_collectives.json # regenerate the baseline
 //
 // The figure list is printed by -h (it is generated from the experiment
-// registry). Unknown figure names exit with status 2 before anything
-// runs.
-//
-// Flags:
-//
-//	-scale f      input-size fraction of the paper's graphs (default 0.01)
-//	-nodes n      cluster nodes (default 16)
-//	-seed s       generator seed (default 42)
-//	-csv          emit CSV instead of aligned tables
-//	-markdown     emit GitHub-flavored markdown tables
-//	-check        run the shape assertions and report pass/fail
-//	-json         emit the machine-readable benchmark report
-//	-out f        write -json output to f instead of stdout
-//	-baseline f   compare the -json run against baseline f
-//	-tol x        wall-clock tolerance factor for -baseline (default 3)
-//	-calls n      collective calls per thread in -json mode (default 256)
+// rows). Unknown figure names exit with status 2 before anything runs, as
+// do figure names, -scale, -nodes, -csv, -markdown and -check with -json,
+// which always runs the baseline's configuration.
 package main
 
 import (
@@ -71,6 +61,12 @@ func main() {
 	flag.Parse()
 
 	if *jsonMode {
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if err := refusal(set, flag.Args()); err != nil {
+			fmt.Fprintf(os.Stderr, "pgasbench: %v\n", err)
+			os.Exit(2)
+		}
 		os.Exit(runJSON(*out, *baseline, *tol, *calls, *seed))
 	}
 
@@ -134,6 +130,20 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
+}
+
+// refusal names a flag or argument -json would silently ignore: it runs
+// the baseline's fixed configuration and takes no figure names.
+func refusal(set map[string]bool, args []string) error {
+	for _, f := range []string{"scale", "nodes", "csv", "markdown", "check"} {
+		if set[f] {
+			return fmt.Errorf("-%s does not apply with -json, which runs the baseline configuration", f)
+		}
+	}
+	if len(args) > 0 {
+		return fmt.Errorf("-json takes no figure names, got %q", args)
+	}
+	return nil
 }
 
 // runJSON runs the benchmark suite and returns the process exit code.

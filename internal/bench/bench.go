@@ -1,21 +1,23 @@
 // Package bench produces the machine-readable benchmark records behind
 // BENCH_collectives.json: steady-state wall-clock and allocation numbers
-// for the collective hot path, plus the deterministic simulated times of
-// the paper's key figures at a small scale. `pgasbench -json` writes
+// for the collective hot path — the one measurement here that is not an
+// experiment row, because it times the host — plus named selections of
+// experiment rows' cells: the deterministic simulated times of the paper's
+// key figures at a small scale, of the collective hot path per partition
+// scheme, and of the CC kernels' convergence. `pgasbench -json` writes
 // them; CI compares a fresh run against the committed baseline.
 package bench
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 
 	"pgasgraph"
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/experiments"
-	"pgasgraph/internal/graph"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/report"
+	"pgasgraph/internal/serve"
 	"pgasgraph/internal/xrand"
 )
 
@@ -41,43 +43,100 @@ func Defaults() Config {
 	return Config{Nodes: 4, ThreadsPerNode: 4, Calls: 256, Scale: 0.002, Seed: 42}
 }
 
-// Run produces the full record set: collective micro-benchmarks and
-// figure simulated times.
+// Run produces the full record set: collective micro-benchmarks and the
+// selected row cells.
 func Run(cfg Config) (*report.BenchReport, error) {
-	rep := &report.BenchReport{
+	col, err := collectives(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := records(selections(cfg))
+	if err != nil {
+		return nil, err
+	}
+	return &report.BenchReport{
 		Schema:         report.BenchSchema,
 		Nodes:          cfg.Nodes,
 		ThreadsPerNode: cfg.ThreadsPerNode,
 		Calls:          cfg.Calls,
 		Scale:          cfg.Scale,
 		Seed:           cfg.Seed,
-	}
-	col, err := Collectives(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep.Records = append(rep.Records, col...)
-	rep.Records = append(rep.Records, Figures(cfg)...)
-	part, err := Partitions(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep.Records = append(rep.Records, part...)
-	conv, err := Convergence(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep.Records = append(rep.Records, conv...)
-	return rep, nil
+		Records:        append(col, rows...),
+	}, nil
 }
 
-// Collectives measures the steady-state collective hot path: per-thread
+// selection names the row cells that become records: the series recorded
+// at every point (nil: the row's one series, named by the point alone), and
+// whether the row's shape check gates the run.
+type selection struct {
+	row    experiments.Sweep
+	cfg    experiments.Config
+	series []string
+	check  bool
+}
+
+// selections are the baseline's rows: the figures at cfg.Scale on the
+// paper's 16 nodes; partition and converge, whose inputs have a fixed size,
+// at the steady-state geometry on the unscaled preset (Scale and
+// CacheScale 1 leave its cache as it is).
+func selections(cfg Config) []selection {
+	figures := experiments.Config{Scale: cfg.Scale, Seed: cfg.Seed}
+	base := clusterConfig(cfg)
+	fixed := experiments.Config{Scale: 1, CacheScale: 1, Nodes: cfg.Nodes, Seed: cfg.Seed, Base: &base}
+	return []selection{
+		{experiments.Row("fig2"), figures, []string{"naive", "smp"}, false},
+		{experiments.Row("fig4"), figures, []string{"best", "smp"}, false},
+		{experiments.Row("fig6"), figures, nil, false},
+		{experiments.Row("partition"), fixed, nil, false},
+		{experiments.Row("converge"), fixed, nil, true},
+	}
+}
+
+// records runs every selected row and lays its cells out as records named
+// row/point[/series]. A kernel that races by design (serve.RacyOps: naive
+// CC's simulated time varies with goroutine scheduling) gives an Async
+// record with its iterations as RacyOps — its per-iteration work is a fixed
+// edge scan, so CompareBench scales the tolerance by them. Any other
+// kernel's iterations are Rounds, held to a one-sided exact bound.
+func records(sels []selection) ([]report.BenchRecord, error) {
+	var out []report.BenchRecord
+	add := func(name string, m experiments.Measure) {
+		rec := report.BenchRecord{Name: name, SimMS: m.NS / 1e6}
+		switch {
+		case serve.RacyOps(m.Kernel):
+			rec.Async, rec.RacyOps = true, float64(m.Iterations)
+		case m.Kernel != "":
+			rec.Rounds = float64(m.Iterations)
+		}
+		out = append(out, rec)
+	}
+	for _, sel := range sels {
+		r := sel.row.Run(sel.cfg)
+		if sel.check {
+			if err := r.CheckShape(); err != nil {
+				return nil, err
+			}
+		}
+		for i, p := range r.Points {
+			name := sel.row.Name + "/" + p.Label
+			if sel.series == nil {
+				add(name, r.Measures[i][0])
+			}
+			for _, s := range sel.series {
+				add(name+"/"+s, r.Cell(i, s))
+			}
+		}
+	}
+	return out, nil
+}
+
+// collectives measures the steady-state collective hot path: per-thread
 // request lists of 2^11 indices on a 2^16-element array, every call
 // inside one SPMD region after a warmup round, exactly like the
 // BenchmarkCollective* suite. One "op" is one collective superstep (all
 // threads calling once); allocations are a whole-process Mallocs delta
 // with the empty-region overhead subtracted.
-func Collectives(cfg Config) ([]report.BenchRecord, error) {
+func collectives(cfg Config) ([]report.BenchRecord, error) {
 	c, err := pgasgraph.NewCluster(clusterConfig(cfg))
 	if err != nil {
 		return nil, err
@@ -196,7 +255,7 @@ func clusterConfig(cfg Config) pgasgraph.MachineConfig {
 }
 
 // emptyRegionMallocs measures the fixed allocation cost of one SPMD
-// region (goroutine spawns, result assembly) so Collectives can subtract
+// region (goroutine spawns, result assembly) so collectives can subtract
 // it and report the hot path's own behavior.
 func emptyRegionMallocs(rt *pgas.Runtime) float64 {
 	const rounds = 8
@@ -208,167 +267,4 @@ func emptyRegionMallocs(rt *pgas.Runtime) float64 {
 	}
 	runtime.ReadMemStats(&m1)
 	return float64(m1.Mallocs-m0.Mallocs) / rounds
-}
-
-// Partitions records the simulated cost of the collective hot path under
-// each partition scheme on the two skewed graph families (hybrid
-// scale-free and RMAT). Each thread's request list is the endpoint ids of
-// its share of the edges — the access pattern every kernel generates — so
-// these records capture how ownership placement shifts remote traffic on
-// skewed degree distributions. Simulated time is deterministic, making
-// the records a tight regression signal for the partition dispatch path.
-func Partitions(cfg Config) ([]report.BenchRecord, error) {
-	inputs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"hybrid", graph.Hybrid(1<<12, 1<<14, cfg.Seed)},
-		{"rmat", graph.RMAT(12, 1<<14, 0.45, 0.25, 0.15, 0.15, cfg.Seed)},
-	}
-	schemes := []struct {
-		name string
-		spec func(g *graph.Graph) pgas.PartitionSpec
-	}{
-		{"block", func(*graph.Graph) pgas.PartitionSpec {
-			return pgas.PartitionSpec{Kind: pgas.SchemeBlock}
-		}},
-		{"cyclic", func(*graph.Graph) pgas.PartitionSpec {
-			return pgas.PartitionSpec{Kind: pgas.SchemeCyclic}
-		}},
-		{"hub", func(g *graph.Graph) pgas.PartitionSpec {
-			return pgas.PartitionSpec{Kind: pgas.SchemeHub, Hubs: graph.Hubs(g, 64)}
-		}},
-	}
-
-	var records []report.BenchRecord
-	for _, in := range inputs {
-		for _, sc := range schemes {
-			c, err := pgasgraph.NewCluster(clusterConfig(cfg))
-			if err != nil {
-				return nil, err
-			}
-			rt := c.Runtime()
-			if err := rt.SetPartition(sc.spec(in.g)); err != nil {
-				return nil, fmt.Errorf("partition %s: %v", sc.name, err)
-			}
-			s := c.Threads()
-			d := rt.NewSharedArray("D", in.g.N)
-			d.FillIdentity()
-			// Deal edges round-robin; a thread requests both endpoints of
-			// each of its edges.
-			idx := make([][]int64, s)
-			vals := make([][]int64, s)
-			for e := 0; e < int(in.g.M()); e++ {
-				t := e % s
-				idx[t] = append(idx[t], int64(in.g.U[e]), int64(in.g.V[e]))
-				vals[t] = append(vals[t], int64(in.g.V[e]), int64(in.g.U[e]))
-			}
-			out := make([][]int64, s)
-			for t := 0; t < s; t++ {
-				out[t] = make([]int64, len(idx[t]))
-			}
-			opts := collective.Optimized(4)
-			caches := make([]collective.IDCache, s)
-			comm := c.Comm()
-			res := rt.Run(func(th *pgas.Thread) {
-				comm.GetD(th, d, idx[th.ID], out[th.ID], opts, &caches[th.ID])
-				comm.SetDMin(th, d, idx[th.ID], vals[th.ID], opts, &caches[th.ID])
-			})
-			records = append(records, report.BenchRecord{
-				Name:  fmt.Sprintf("partition/%s/%s", in.name, sc.name),
-				SimMS: res.SimMS(),
-			})
-		}
-	}
-	return records, nil
-}
-
-// Convergence records the convergence round count and simulated time of
-// every collective CC kernel on the two skewed graph families, dispatched
-// through the uniform Cluster.Run registry. Round counts are
-// deterministic (label evolution under monotone minimum writes does not
-// depend on geometry or scheduling), so the Rounds column is an exact
-// one-sided regression signal in CompareBench — and this function itself
-// enforces the headline claim: FastSV must converge in strictly fewer
-// rounds than Shiloach-Vishkin on RMAT (and never more on hybrid).
-func Convergence(cfg Config) ([]report.BenchRecord, error) {
-	inputs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"hybrid", graph.Hybrid(1<<12, 1<<14, cfg.Seed)},
-		{"rmat", graph.RMAT(12, 1<<14, 0.45, 0.25, 0.15, 0.15, cfg.Seed)},
-	}
-	kernels := []string{"cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers"}
-
-	var records []report.BenchRecord
-	rounds := map[string]int{}
-	for _, in := range inputs {
-		for _, k := range kernels {
-			c, err := pgasgraph.NewCluster(clusterConfig(cfg))
-			if err != nil {
-				return nil, err
-			}
-			res, err := c.Run(pgasgraph.KernelSpec{
-				Kernel: k, Graph: in.g, Col: collective.Optimized(4), Compact: true,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("converge %s on %s: %v", k, in.name, err)
-			}
-			short := k[len("cc/"):]
-			rounds[in.name+"/"+short] = res.Iterations
-			records = append(records, report.BenchRecord{
-				Name:   fmt.Sprintf("converge/%s/%s", in.name, short),
-				SimMS:  res.Run.SimMS(),
-				Rounds: float64(res.Iterations),
-			})
-		}
-	}
-	if fs, sv := rounds["rmat/fastsv"], rounds["rmat/sv"]; fs >= sv {
-		return nil, fmt.Errorf("convergence claim violated: FastSV took %d rounds on rmat, SV %d (want strictly fewer)", fs, sv)
-	}
-	if fs, sv := rounds["hybrid/fastsv"], rounds["hybrid/sv"]; fs > sv {
-		return nil, fmt.Errorf("convergence claim violated: FastSV took %d rounds on hybrid, SV %d (want no more)", fs, sv)
-	}
-	return records, nil
-}
-
-// Figures records the simulated milliseconds of the figure-2, figure-4,
-// and figure-6 kernels at cfg.Scale: the headline series of the paper's
-// evaluation, usable as a tight regression signal because simulated time
-// does not depend on the host. The exception is the cc.Naive-derived
-// series (fig2 naive/smp, fig4 smp): naive CC races unsynchronized
-// one-sided ops, so its simulated time varies with goroutine scheduling —
-// those records are marked Async and carry the run's convergence
-// iteration count as RacyOps — naive CC's per-iteration work is a fixed
-// edge scan, so simulated time scales with iterations — and CompareBench
-// scales their tolerance by the racy-work ratio the schedule produced.
-func Figures(cfg Config) []report.BenchRecord {
-	ecfg := experiments.Config{Scale: cfg.Scale, Seed: cfg.Seed}
-	var records []report.BenchRecord
-	simRec := func(name string, ns float64) {
-		records = append(records, report.BenchRecord{Name: name, SimMS: ns / 1e6})
-	}
-	asyncRec := func(name string, ns float64, racyIters int) {
-		records = append(records, report.BenchRecord{
-			Name: name, SimMS: ns / 1e6, Async: true, RacyOps: float64(racyIters),
-		})
-	}
-
-	f2 := experiments.RunFig02(ecfg)
-	for _, row := range f2.Rows {
-		asyncRec(fmt.Sprintf("fig2/%s/naive", row.Name), row.NaiveNS, row.NaiveIters)
-		asyncRec(fmt.Sprintf("fig2/%s/smp", row.Name), row.SMPNS, row.SMPIters)
-	}
-	f4 := experiments.RunFig04(ecfg)
-	for i := range f4.Inputs {
-		in := &f4.Inputs[i]
-		simRec(fmt.Sprintf("fig4/%s/best", in.Name), in.NS[in.Best()])
-		asyncRec(fmt.Sprintf("fig4/%s/smp", in.Name), in.SMPNS, in.SMPIters)
-	}
-	f6 := experiments.RunFig06(ecfg)
-	for _, bar := range f6.Bars {
-		simRec(fmt.Sprintf("fig6/%s", bar.Name), bar.TotalNS)
-	}
-	return records
 }

@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"pgasgraph/internal/experiments"
+	"pgasgraph/internal/report"
 )
 
 // TestCollectivesRecords runs the micro-benchmark harness at a tiny call
@@ -12,7 +16,7 @@ import (
 func TestCollectivesRecords(t *testing.T) {
 	cfg := Defaults()
 	cfg.Calls = 8
-	recs, err := Collectives(cfg)
+	recs, err := collectives(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,31 +65,71 @@ func TestCollectivesRecords(t *testing.T) {
 	}
 }
 
-// TestFigureRecordNames pins the figure record namespace without running
-// the (slower) experiments: names come from Collectives' sibling, so a
-// rename here must be deliberate (it invalidates committed baselines).
+// TestFigureRecordNames pins the row records to the committed baseline's
+// names at a smaller scale: a rename invalidates the baseline, so it must
+// be deliberate.
 func TestFigureRecordNames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure kernels are slow")
 	}
 	cfg := Defaults()
 	cfg.Scale = 0.001
-	recs := Figures(cfg)
-	if len(recs) == 0 {
-		t.Fatal("no figure records")
+	recs, err := records(selections(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := report.ReadBenchReport("../../BENCH_collectives.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, r := range base.Records {
+		if !strings.HasPrefix(r.Name, "collective/") {
+			want = append(want, r.Name)
+		}
 	}
 	for _, r := range recs {
-		if !strings.HasPrefix(r.Name, "fig2/") && !strings.HasPrefix(r.Name, "fig4/") && !strings.HasPrefix(r.Name, "fig6/") {
-			t.Errorf("unexpected figure record %q", r.Name)
-		}
+		got = append(got, r.Name)
 		if r.SimMS <= 0 {
 			t.Errorf("%s: non-positive sim time", r.Name)
 		}
 		// cc.Naive-derived series are scheduling-dependent and must carry
-		// the async marker; the coalesced series must not.
+		// the async marker and their racy work; the others their rounds,
+		// except partition's, which runs no kernel.
 		fromNaive := strings.HasPrefix(r.Name, "fig2/") || strings.HasSuffix(r.Name, "/smp")
-		if r.Async != fromNaive {
-			t.Errorf("%s: async=%v, want %v", r.Name, r.Async, fromNaive)
+		if r.Async != fromNaive || fromNaive != (r.RacyOps > 0) {
+			t.Errorf("%s: async=%v racy_ops=%v, want async %v", r.Name, r.Async, r.RacyOps, fromNaive)
 		}
+		if kernel := !strings.HasPrefix(r.Name, "partition/"); !fromNaive && kernel != (r.Rounds > 0) {
+			t.Errorf("%s: rounds=%v", r.Name, r.Rounds)
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("row records\n %v\nwant the baseline's\n %v", got, want)
+	}
+}
+
+// TestConvergeCheckFailsTheRun: the converge row's shape — FastSV in
+// strictly fewer rounds than SV on RMAT — gates `pgasbench -json`. Running
+// SV in FastSV's place breaks it.
+func TestConvergeCheckFailsTheRun(t *testing.T) {
+	sels := selections(Defaults())
+	conv := sels[slices.IndexFunc(sels, func(s selection) bool { return s.row.Name == "converge" })]
+	if _, err := records([]selection{conv}); err != nil {
+		t.Fatalf("converge as committed: %v", err)
+	}
+	points := conv.row.Points
+	conv.row.Points = func(c experiments.Config, yield func(experiments.Point)) {
+		points(c, func(p experiments.Point) {
+			if p.Kernel == "cc/fastsv" {
+				p.Kernel = "cc/sv"
+			}
+			yield(p)
+		})
+	}
+	_, err := records([]selection{conv})
+	if err == nil || !strings.HasPrefix(err.Error(), "converge: FastSV took") {
+		t.Fatalf("SV in FastSV's place: %v, want the converge check's failure", err)
 	}
 }

@@ -1,21 +1,17 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"pgasgraph/internal/machine"
 )
 
-// smokeCfg is a tiny, fast configuration. Full shape assertions are
-// validated at -scale 0.01 by `pgasbench -check all`; these tests assert
-// the orderings that must hold at any scale.
-func smokeCfg() Config {
-	return Config{Scale: 0.002}
-}
-
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.WithDefaults()
+	c := Config{}.withDefaults()
 	if c.Scale != 0.01 || c.Nodes != 16 || c.Seed != 42 || c.CacheScale != 3.5 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
@@ -25,18 +21,20 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestConfigN(t *testing.T) {
-	c := Config{Scale: 0.01}.WithDefaults()
-	if c.N(100_000_000) != 1_000_000 {
-		t.Fatalf("N scaling wrong: %d", c.N(100_000_000))
+	c := Config{Scale: 0.01}.withDefaults()
+	if c.n(100_000_000) != 1_000_000 {
+		t.Fatalf("N scaling wrong: %d", c.n(100_000_000))
 	}
-	if c.N(1000) != 256 {
-		t.Fatalf("floor not applied: %d", c.N(1000))
+	if c.n(1000) != 256 {
+		t.Fatalf("floor not applied: %d", c.n(1000))
 	}
 }
 
 func TestConfigMachineScalesCache(t *testing.T) {
-	c := Config{Scale: 0.01}.WithDefaults()
-	m := c.Machine(4, 2)
+	c := Config{Scale: 0.01}.withDefaults()
+	p := c.point("geometry")
+	p.Nodes, p.Threads = 4, 2
+	m := c.machine(&p)
 	if m.Nodes != 4 || m.ThreadsPerNode != 2 {
 		t.Fatal("geometry not applied")
 	}
@@ -49,230 +47,133 @@ func TestConfigMachineScalesCache(t *testing.T) {
 	}
 }
 
-func TestFig02Smoke(t *testing.T) {
+// The golden test renders every row at goldenScale as `pgasbench
+// -markdown` does and compares it with goldenFile, the output of
+// `pgasbench -scale 0.001 -markdown all`. Cells and notes read from a naive
+// kernel's run print "~": their simulated time varies between two runs of
+// the same binary.
+const (
+	goldenScale = 0.001
+	goldenFile  = "testdata/rows_0.001.md"
+)
+
+var update = flag.Bool("update", false, "rewrite "+goldenFile+" from this build")
+
+// naive names the kernels whose simulated time varies from run to run:
+// cc/naive races by design (serve.RacyOps), and mst/naive's AtomicMin
+// charges Lock(contended) from real CAS races.
+func naive(kernel string) bool { return kernel == "cc/naive" || kernel == "mst/naive" }
+
+// anyScale lists the rows whose shape checks hold at any scale; the others
+// are validated at -scale 0.01 by `pgasbench -check all`.
+var anyScale = []string{"fig2", "fig3", "fig4", "bfs", "outofcore", "sssp", "hybrid"}
+
+// results memoizes each row's run at goldenScale, so the per-row entry
+// points and TestRowsGolden share one run of each row.
+var results = map[string]*Result{}
+
+func result(t *testing.T, name string) *Result {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("short mode")
+		t.Skip("rows run the real kernels")
 	}
-	f := RunFig02(smokeCfg())
-	if len(f.Rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(f.Rows))
+	if r, ok := results[name]; ok {
+		return r
 	}
-	for _, r := range f.Rows {
-		if r.NaiveNS < 5*r.SMPNS {
-			t.Errorf("%s: naive (%.0f) not clearly slower than SMP (%.0f)", r.Name, r.NaiveNS, r.SMPNS)
-		}
-	}
-	var sb strings.Builder
-	if err := f.Table().Fprint(&sb); err != nil {
+	results[name] = Row(name).Run(Config{Scale: goldenScale})
+	return results[name]
+}
+
+func render(t *testing.T, name string) string {
+	var b strings.Builder
+	if err := result(t, name).table(naive).Markdown(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "Figure 2") {
-		t.Fatal("table missing title")
-	}
+	return b.String() + "\n"
 }
 
-func TestFig03Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+// checkGolden holds one row to its section of the golden file.
+func checkGolden(t *testing.T, name string) {
+	t.Helper()
+	data, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
 	}
-	f := runFig03(smokeCfg())
-	if f.CCNS >= f.OrigNS {
-		t.Fatalf("coalesced CC (%.0f) not faster than naive (%.0f)", f.CCNS, f.OrigNS)
+	// A row's section runs from its "### " title to the next one.
+	sections := strings.Split(string(data), "\n### ")
+	if len(sections) != len(All()) {
+		t.Fatalf("%s has %d sections, want one per row (%d)", goldenFile, len(sections), len(All()))
 	}
-	if f.SVNS <= f.CCNS {
-		t.Fatalf("SV (%.0f) should be slower than CC (%.0f)", f.SVNS, f.CCNS)
+	i := slices.IndexFunc(All(), func(s Sweep) bool { return s.Name == name })
+	want := sections[i]
+	if i > 0 {
+		want = "### " + want
 	}
-	if f.Table().Rows() != 3 {
-		t.Fatal("table should have 3 rows")
+	if i < len(sections)-1 {
+		want += "\n"
 	}
-}
-
-func TestFig05Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	got := render(t, name)
+	if got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for j := range min(len(gl), len(wl)) {
+			if gl[j] != wl[j] {
+				t.Fatalf("%s differs from %s at its line %d:\n got %s\nwant %s", name, goldenFile, j+1, gl[j], wl[j])
+			}
+		}
+		t.Fatalf("%s: %d lines, %s has %d", name, len(gl), goldenFile, len(wl))
 	}
-	f := runFig05(smokeCfg())
-	if len(f.Bars) != 6 {
-		t.Fatalf("%d bars, want 6", len(f.Bars))
-	}
-	first, last := f.Bars[0], f.Bars[len(f.Bars)-1]
-	if last.TotalNS >= first.TotalNS {
-		t.Fatalf("full optimization (%.0f) not faster than base (%.0f)", last.TotalNS, first.TotalNS)
-	}
-	if f.Table().Rows() != 6 {
-		t.Fatal("table rows wrong")
-	}
-}
-
-func TestFig06HybridComparable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := smokeCfg()
-	r := runFig05(cfg)
-	h := RunFig06(cfg)
-	// The paper: hubs create no hotspot; optimized totals stay within a
-	// small factor of the random graph's.
-	rOpt := r.Bars[len(r.Bars)-1].TotalNS
-	hOpt := h.Bars[len(h.Bars)-1].TotalNS
-	if hOpt > 3*rOpt || rOpt > 3*hOpt {
-		t.Fatalf("hybrid (%.0f) and random (%.0f) optimized times diverge", hOpt, rOpt)
-	}
-}
-
-func TestFig07Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	f := runFig07(smokeCfg())
-	if len(f.NS) != len(f.Threads) {
-		t.Fatal("series length mismatch")
-	}
-	for i, v := range f.NS {
-		if v <= 0 {
-			t.Fatalf("threads=%d: non-positive time", f.Threads[i])
+	if slices.Contains(anyScale, name) {
+		if err := result(t, name).CheckShape(); err != nil {
+			t.Errorf("%s: shape should hold at any scale: %v", name, err)
 		}
 	}
-	if f.SMPNS <= 0 || f.SeqNS <= 0 {
-		t.Fatal("reference lines missing")
-	}
-	// The cliff: 16 threads/node must be worse than 8.
-	if f.NS[4] <= f.NS[3] {
-		t.Fatalf("no degradation at 16 threads/node: %.0f vs %.0f", f.NS[4], f.NS[3])
-	}
 }
 
-func TestFig09Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	f := runFig09(smokeCfg())
-	b := f.Best()
-	if f.NS[b] >= f.SMPNS {
-		t.Fatalf("best MST (%.0f) not faster than MST-SMP (%.0f)", f.NS[b], f.SMPNS)
-	}
-	if f.SeqNS <= 0 {
-		t.Fatal("Kruskal line missing")
-	}
-}
-
-func TestFig04Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	f := RunFig04(smokeCfg())
-	if len(f.Inputs) != 3 {
-		t.Fatalf("%d inputs, want 3", len(f.Inputs))
-	}
-	for _, in := range f.Inputs {
-		if len(in.NS) != len(f.TPrimes) {
-			t.Fatal("sweep length mismatch")
+// TestRowsGolden is the golden test over every row of All(); -update
+// rewrites the file from this build instead (review the diff: only masked
+// cells may move unless a change means to move numbers).
+func TestRowsGolden(t *testing.T) {
+	if *update {
+		var b strings.Builder
+		for _, row := range All() {
+			b.WriteString(render(t, row.Name))
 		}
-		if in.SMPNS <= 0 {
-			t.Fatal("missing SMP reference")
+		if err := os.WriteFile(goldenFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		return
 	}
-	if f.Table().Rows() != 3 {
-		t.Fatal("table rows wrong")
-	}
-}
-
-func TestFig08And10Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	f8 := runFig08(smokeCfg())
-	if f8.NS[4] <= f8.NS[3] {
-		t.Fatal("fig8: no 16-thread degradation")
-	}
-	f10 := runFig10(smokeCfg())
-	if f10.Best() > 4 || f10.NS[f10.Best()] >= f10.SMPNS {
-		t.Fatal("fig10: cluster should beat MST-SMP somewhere")
-	}
-	if f8.Table().Rows() == 0 || f10.Table().Rows() == 0 {
-		t.Fatal("tables empty")
+	for _, row := range All() {
+		checkGolden(t, row.Name)
 	}
 }
 
-func TestListRankSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	e := runListRank(smokeCfg())
-	if len(e.Wyllie) != len(e.Nodes) || len(e.CGM) != len(e.Nodes) {
-		t.Fatal("series length mismatch")
-	}
-	if e.NaiveNS <= e.Wyllie[len(e.Wyllie)-1] {
-		t.Fatal("naive should be slowest")
-	}
-	if e.Table().Rows() != len(e.Nodes)+2 {
-		t.Fatal("table rows wrong")
-	}
-}
+// One row's part of the golden test each: `go test -run TestFig07Smoke`
+// runs Figure 7 alone.
+func TestFig02Smoke(t *testing.T)            { checkGolden(t, "fig2") }
+func TestFig03Smoke(t *testing.T)            { checkGolden(t, "fig3") }
+func TestFig04Smoke(t *testing.T)            { checkGolden(t, "fig4") }
+func TestFig05Smoke(t *testing.T)            { checkGolden(t, "fig5") }
+func TestFig06HybridComparable(t *testing.T) { checkGolden(t, "fig6") }
+func TestFig07Smoke(t *testing.T)            { checkGolden(t, "fig7") }
+func TestFig08And10Smoke(t *testing.T)       { checkGolden(t, "fig8"); checkGolden(t, "fig10") }
+func TestFig09Smoke(t *testing.T)            { checkGolden(t, "fig9") }
+func TestListRankSmoke(t *testing.T)         { checkGolden(t, "listrank") }
+func TestBFSExperimentSmoke(t *testing.T)    { checkGolden(t, "bfs") }
+func TestCCMergeSmoke(t *testing.T)          { checkGolden(t, "ccmerge") }
+func TestOutOfCoreSmoke(t *testing.T)        { checkGolden(t, "outofcore") }
+func TestScalingSmoke(t *testing.T)          { checkGolden(t, "scaling") }
+func TestSSSPExperimentSmoke(t *testing.T)   { checkGolden(t, "sssp") }
 
-func TestBFSExperimentSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	e := runBFS(smokeCfg())
-	if err := e.CheckShape(); err != nil {
-		t.Fatalf("bfs shape should hold at any scale: %v", err)
-	}
-}
-
-func TestCCMergeSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	e := runCCMerge(smokeCfg())
-	if len(e.Rows) != 5 {
-		t.Fatalf("%d rows, want 5", len(e.Rows))
-	}
-	for _, r := range e.Rows {
-		if r.CoalescedNS <= 0 || r.MergeNS <= 0 {
-			t.Fatal("missing measurements")
-		}
-	}
-	if e.Table().Rows() != 5 {
-		t.Fatal("table rows wrong")
-	}
-}
-
-func TestOutOfCoreSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	e := runOutOfCore(smokeCfg())
-	if err := e.CheckShape(); err != nil {
-		t.Fatalf("out-of-core shape should hold at any scale: %v", err)
-	}
-	if e.Table().Rows() != len(e.Rows) {
-		t.Fatal("table rows wrong")
-	}
-}
-
-func TestScalingSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	e := runScaling(smokeCfg())
-	if len(e.Rows) != 5 {
-		t.Fatalf("%d rows, want 5", len(e.Rows))
-	}
-	if e.Rows[0].Nodes != 1 || e.Rows[4].Nodes != 16 {
-		t.Fatal("node sweep wrong")
-	}
-	if e.Table().Rows() != 5 {
-		t.Fatal("table rows wrong")
-	}
-}
-
-func TestSSSPExperimentSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	e := runSSSP(smokeCfg())
-	if err := e.CheckShape(); err != nil {
-		t.Fatalf("sssp delta shape should hold at any scale: %v", err)
+// A shape failure names the row it belongs to, not the code it shares:
+// Figure 6 runs Figure 5's ablation.
+func TestShapeFailureNamesRow(t *testing.T) {
+	r := *result(t, "fig6")
+	r.Measures = slices.Clone(r.Measures)
+	r.Measures[1] = slices.Clone(r.Measures[1])
+	r.Measures[1][0].NS = r.Measures[0][0].NS // +compact no faster than base
+	err := r.CheckShape()
+	if err == nil || !strings.HasPrefix(err.Error(), "fig6: ") {
+		t.Fatalf("failing fig6 check: %v, want an error starting %q", err, "fig6: ")
 	}
 }

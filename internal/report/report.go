@@ -35,9 +35,6 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Fprint writes the table as aligned text.
 func (t *Table) Fprint(w io.Writer) error {
 	widths := make([]int, len(t.Columns))

@@ -97,12 +97,12 @@ func TestCount(t *testing.T) {
 
 func TestRows(t *testing.T) {
 	tb := NewTable("t", "a")
-	if tb.Rows() != 0 {
+	if len(tb.rows) != 0 {
 		t.Fatal("fresh table has rows")
 	}
 	tb.AddRow("x")
-	if tb.Rows() != 1 {
-		t.Fatal("Rows wrong")
+	if len(tb.rows) != 1 {
+		t.Fatal("AddRow did not add one row")
 	}
 }
 

@@ -251,14 +251,6 @@ func orNew(scr *Scratch) *Scratch {
 	return scr
 }
 
-// chargeDistinct charges k accesses with distinct first touches into a
-// blockElems-sized block.
-func chargeDistinct(th *pgas.Thread, cat sim.Category, k, distinct, blockElems int64) {
-	ns, misses := th.Runtime().Model().IrregularAccessDistinct(k, distinct, blockElems)
-	th.Clock.Charge(cat, ns)
-	th.Clock.CacheMisses += misses
-}
-
 // Gather reads out[j] = local[idx[j]] for block-local indices idx, charging
 // simulated time to th. vt is the virtual-thread count t'.
 //
