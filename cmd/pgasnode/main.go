@@ -99,22 +99,30 @@ func main() {
 	flag.Parse()
 	o.nodes, o.tpn, o.job, o.network = *nodes, *tpn, *job, *network
 
-	if *launch {
-		if *kill >= 0 && o.job != "cc" {
-			fmt.Fprintln(os.Stderr, "pgasnode: -kill needs -job cc (the battery is not supervised)")
-			os.Exit(2)
-		}
-		if *kill >= o.nodes {
-			fmt.Fprintf(os.Stderr, "pgasnode: -kill %d out of range for %d nodes\n", *kill, o.nodes)
-			os.Exit(2)
-		}
-		os.Exit(runLauncher(o, *kill, *killAfter))
-	}
-	if o.node < 0 || (o.network == "unix" && o.dir == "") || (o.network == "tcp" && o.addrs == "") {
-		fmt.Fprintln(os.Stderr, "pgasnode: worker mode needs -node and -dir (unix) or -addrs (tcp); or use -launch")
+	if err := o.usage(*launch, *kill); err != nil {
+		fmt.Fprintf(os.Stderr, "pgasnode: %v\n", err)
 		os.Exit(2)
 	}
+	if *launch {
+		os.Exit(runLauncher(o, *kill, *killAfter))
+	}
 	os.Exit(runWorker(o))
+}
+
+// usage refuses flag combinations that cannot run: a -kill the job cannot
+// survive or that names no seat, a worker without its mesh, and a -checks
+// name that is not a wire battery row (it would run nothing).
+func (o options) usage(launch bool, kill int) error {
+	switch {
+	case launch && kill >= 0 && o.job != "cc":
+		return fmt.Errorf("-kill needs -job cc (the battery is not supervised)")
+	case launch && kill >= o.nodes:
+		return fmt.Errorf("-kill %d out of range for %d nodes", kill, o.nodes)
+	case !launch && (o.node < 0 || (o.network == "unix" && o.dir == "") || (o.network == "tcp" && o.addrs == "")):
+		return fmt.Errorf("worker mode needs -node and -dir (unix) or -addrs (tcp); or use -launch")
+	}
+	_, err := verify.Named(o.checks, true)
+	return err
 }
 
 // reservePorts grabs n free loopback ports by listening and immediately
@@ -282,50 +290,44 @@ func runWorker(o options) int {
 	return runBattery(o, tr)
 }
 
-// runBattery runs every sampled trial's applicable checks. Each check gets
-// a fresh runtime on the shared transport — window names and rendezvous
-// generations stay aligned because every allocation is replayed identically
-// on every node. The battery is unsupervised, so a peer crash mid-check
-// cannot be recovered from — but it is still classified: the worker exits 3
-// (peer evicted) or 4 (self evicted) instead of poisoning the mesh with an
-// abort the way a genuine local failure does.
+// runBattery runs the Seat row: every sampled trial's applicable wire
+// checks, each on a fresh runtime over the shared transport — window names
+// and rendezvous generations stay aligned because every allocation is
+// replayed identically on every node. The battery is unsupervised, so a
+// peer crash mid-check cannot be recovered from — but it is still
+// classified: the worker exits 3 (peer evicted) or 4 (self evicted) instead
+// of poisoning the mesh with an abort the way a genuine local failure does.
 func runBattery(o options, tr *wiretransport.Transport) int {
-	filter := map[string]bool{}
-	for _, name := range strings.Split(o.checks, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			filter[name] = true
-		}
+	names, _ := verify.Named(o.checks, true) // refused at startup
+	seat := verify.Seat
+	seat.Trials, seat.Geometries, seat.Env.Seat = o.rounds, [][2]int{{o.nodes, o.tpn}}, tr
+	cfg := verify.Config{Seed: o.seed, MaxN: o.maxN, Checks: names}
+	if o.node == 0 {
+		cfg.Log = os.Stdout
 	}
-	battery := verify.Checks()
-	for round := 0; round < o.rounds; round++ {
-		rng := xrand.New(o.seed).Split(0x31e70 ^ uint64(round))
-		t := verify.SampleTrial(rng, round, o.maxN).WithMachine(o.nodes, o.tpn)
-		for _, c := range battery {
-			if !c.Wire || (len(filter) > 0 && !filter[c.Name]) || !c.Applicable(t) {
-				continue
-			}
-			if err := verify.RunCheck(c, t, verify.Env{Seat: tr}).Err; err != nil {
-				if tr.SelfEvicted() {
-					fmt.Fprintf(os.Stderr, "pgasnode %d: evicted from the cluster during %s\n", o.node, c.Name)
-					return 4
-				}
-				if dead := pgas.Evicted(err); dead != nil {
-					fmt.Fprintf(os.Stderr, "pgasnode %d: peer evicted during %s (threads %v); battery cannot continue\n",
-						o.node, c.Name, dead)
-					return 3
-				}
-				fmt.Fprintf(os.Stderr, "pgasnode %d: FAIL round %d %s [%s]: %v\n",
-					o.node, round, c.Name, errClass(err), err)
-				tr.Abort(fmt.Sprintf("node %d: %s failed: %v", o.node, c.Name, err))
-				return 1
-			}
-			if o.node == 0 {
-				fmt.Printf("pgasnode: round %d %s ok (%dx%d)\n", round, c.Name, o.nodes, o.tpn)
-			}
-		}
+	rep := seat.Run(cfg)
+	if rep.OK() {
+		fmt.Printf("pgasnode %d: battery passed (%d rounds, %d checks); wire: %v\n", o.node, o.rounds, rep.Checks, tr.Stats())
+		return 0
 	}
-	fmt.Printf("pgasnode %d: battery passed (%d rounds); wire: %v\n", o.node, o.rounds, tr.Stats())
-	return 0
+	if rep.Checks == 0 {
+		fmt.Fprintf(os.Stderr, "pgasnode %d: the battery ran no checks\n", o.node)
+		return 1
+	}
+	rec := rep.Records[len(rep.Records)-1]
+	if tr.SelfEvicted() {
+		fmt.Fprintf(os.Stderr, "pgasnode %d: evicted from the cluster during %s\n", o.node, rec.Check)
+		return 4
+	}
+	if dead := pgas.Evicted(rec.Err); dead != nil {
+		fmt.Fprintf(os.Stderr, "pgasnode %d: peer evicted during %s (threads %v); battery cannot continue\n",
+			o.node, rec.Check, dead)
+		return 3
+	}
+	fmt.Fprintf(os.Stderr, "pgasnode %d: FAIL round %d %s [%s]: %v\n",
+		o.node, rec.Round, rec.Check, errClass(rec.Err), rec.Err)
+	tr.Abort(fmt.Sprintf("node %d: %s failed: %v", o.node, rec.Check, rec.Err))
+	return 1
 }
 
 // errClass names err's pgas error class for a failure line.

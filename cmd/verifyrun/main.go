@@ -4,6 +4,8 @@
 // and selected kernels against each other, shrinks any failure to a
 // minimal counterexample, and (optionally) runs the mutation self-test
 // that certifies the battery detects known collective-layer faults.
+// Each mode runs a list of rows of the soak table (verify.Soak) and
+// prints one summary line per row.
 //
 // Usage:
 //
@@ -20,12 +22,15 @@
 //	                                               #   chaos evictions on
 //	                                               #   hosted wire clusters,
 //	                                               #   recovered per node
+//
+// A flag the selected mode does not read is refused (exit 2), naming it.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,80 +39,123 @@ import (
 	"pgasgraph/internal/verify"
 )
 
-// selection is the subset of the flags that picks what verifyrun runs.
-type selection struct {
-	check, scheme, transport string
-	mutate, chaos, kill      bool
+// options are verifyrun's flags, on their own FlagSet so the mode selection
+// can see which were set.
+type options struct {
+	fs                               *flag.FlagSet
+	seed                             *uint64
+	rounds, shrink, mutRounds        *int
+	trials                           *int
+	maxN                             *int64
+	check, scheme, transport         *string
+	mutate, chaos, kill, quiet, list *bool
+	watchdog                         *time.Duration
 }
 
-// mode names the one mode the flags select — wire, chaos, mutate or clean
-// — or refuses, naming the pair, a flag the selected mode would silently
-// ignore.
-func (s selection) mode() (string, error) {
-	mode, flag := "clean", ""
-	switch {
-	case s.transport == "wire":
-		mode, flag = "wire", "-transport wire"
-	case s.chaos:
-		mode, flag = "chaos", "-chaos"
-	case s.mutate:
-		mode, flag = "mutate", "-mutate"
+func newOptions(handling flag.ErrorHandling) *options {
+	fs := flag.NewFlagSet("verifyrun", handling)
+	return &options{
+		fs:        fs,
+		seed:      fs.Uint64("seed", 1, "harness seed (replays exactly)"),
+		rounds:    fs.Int("rounds", 16, "trials to sample (clean matrix, wire conformance)"),
+		maxN:      fs.Int64("maxn", 400, "max input size (vertices / list nodes)"),
+		shrink:    fs.Int("shrink", 120, "predicate-run budget for shrinking each failure (0 = off)"),
+		check:     fs.String("check", "", "comma-separated check names to run (default: all)"),
+		mutate:    fs.Bool("mutate", false, "run the mutation self-test instead of the clean matrix"),
+		mutRounds: fs.Int("mutrounds", 6, "trials per fault in the mutation self-test"),
+		chaos:     fs.Bool("chaos", false, "run the chaos soak: the matrix under deterministic fault injection"),
+		kill:      fs.Bool("kill", false, "with -chaos or -transport wire: also evict threads permanently; trials run under the checkpoint/rollback recovery supervisor"),
+		trials:    fs.Int("trials", 200, "chaos and kill trials to run (with -chaos, or -transport wire with -chaos or -kill)"),
+		watchdog:  fs.Duration("watchdog", 60*time.Second, "per-run hang timeout (with -chaos or -transport wire)"),
+		quiet:     fs.Bool("quiet", false, "suppress per-run progress lines"),
+		scheme:    fs.String("scheme", "", "pin every trial to one partition scheme: block, cyclic, or hub (default: rotate)"),
+		list:      fs.Bool("list", false, "list check names and exit"),
+		transport: cliflag.Transport(fs,
+			"fabric backend: inproc (shared memory) or wire (unix-socket cluster conformance sweep)",
+			"inproc", "wire"),
 	}
+}
+
+// reads names the flags each mode reads. -transport, which selects the
+// mode, and -list, which runs none, go with every mode.
+var reads = map[string][]string{
+	"clean":  {"seed", "rounds", "maxn", "shrink", "check", "scheme", "quiet"},
+	"mutate": {"seed", "mutate", "mutrounds", "quiet"},
+	"chaos":  {"seed", "chaos", "kill", "trials", "maxn", "watchdog", "scheme", "quiet"},
+	"wire":   {"seed", "rounds", "chaos", "kill", "maxn", "watchdog", "scheme", "quiet"},
+}
+
+// mode names the one mode the flags select — wire, chaos, mutate or clean —
+// or refuses, by name, every set flag the selected mode would silently
+// ignore.
+func (o *options) mode() (string, error) {
+	mode, by := "clean", "the clean matrix (it runs without -chaos, -mutate or -transport wire)"
 	switch {
-	case s.mutate && mode != "mutate":
-		return "", fmt.Errorf("-mutate does not apply with %s", flag)
-	case s.check != "" && mode != "clean":
-		return "", fmt.Errorf("-check does not apply with %s", flag)
-	case s.scheme != "" && mode == "mutate":
-		return "", fmt.Errorf("-scheme does not apply with -mutate")
-	case s.kill && mode == "mutate":
-		return "", fmt.Errorf("-kill does not apply with -mutate")
-	case s.kill && mode == "clean":
-		return "", fmt.Errorf("-kill needs -chaos or -transport wire; alone it would run the clean matrix")
-	case mode == "wire" && s.scheme != "" && s.scheme != "block":
+	case *o.transport == "wire" && !*o.chaos && !*o.kill:
+		mode, by = "wire", "-transport wire without -chaos or -kill"
+	case *o.transport == "wire":
+		mode, by = "wire", "-transport wire"
+	case *o.chaos:
+		mode, by = "chaos", "-chaos"
+	case *o.mutate:
+		mode, by = "mutate", "-mutate"
+	}
+	read := reads[mode]
+	if mode == "wire" && (*o.chaos || *o.kill) {
+		read = append(read[:len(read):len(read)], "trials") // sizes the chaos and kill rows
+	}
+	var ignored []string
+	o.fs.Visit(func(f *flag.Flag) {
+		if f.Name != "transport" && f.Name != "list" && !slices.Contains(read, f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	switch {
+	case len(ignored) > 0:
+		return "", fmt.Errorf("%s: not read by %s", strings.Join(ignored, ", "), by)
+	case mode == "wire" && *o.scheme != "" && *o.scheme != "block":
 		return "", fmt.Errorf("the wire transport is block-only; -scheme cyclic/hub requires -transport inproc")
 	}
 	return mode, nil
 }
 
-func main() {
-	seed := flag.Uint64("seed", 1, "harness seed (replays exactly)")
-	rounds := flag.Int("rounds", 16, "trials to sample")
-	maxN := flag.Int64("maxn", 400, "max input size (vertices / list nodes)")
-	shrink := flag.Int("shrink", 120, "predicate-run budget for shrinking each failure (0 = off)")
-	check := flag.String("check", "", "comma-separated check names to run (default: all)")
-	mutate := flag.Bool("mutate", false, "run the mutation self-test instead of the clean matrix")
-	mutRounds := flag.Int("mutrounds", 6, "trials per fault in the mutation self-test")
-	chaos := flag.Bool("chaos", false, "run the chaos soak: the matrix under deterministic fault injection")
-	kill := flag.Bool("kill", false, "with -chaos: also evict threads permanently; trials run under the checkpoint/rollback recovery supervisor")
-	trials := flag.Int("trials", 200, "chaos trials to run (with -chaos)")
-	watchdog := flag.Duration("watchdog", 60*time.Second, "per-trial hang timeout (with -chaos)")
-	quiet := flag.Bool("quiet", false, "suppress per-round progress lines")
-	scheme := flag.String("scheme", "", "pin every trial to one partition scheme: block, cyclic, or hub (default: rotate)")
-	list := flag.Bool("list", false, "list check names and exit")
-	transport := cliflag.Transport(nil,
-		"fabric backend: inproc (shared memory) or wire (unix-socket cluster conformance sweep)",
-		"inproc", "wire")
-	flag.Parse()
-
-	var forceScheme *pgas.SchemeKind
-	if *scheme != "" {
-		var k pgas.SchemeKind
-		switch *scheme {
-		case "block":
-			k = pgas.SchemeBlock
-		case "cyclic":
-			k = pgas.SchemeCyclic
-		case "hub":
-			k = pgas.SchemeHub
-		default:
-			fmt.Fprintf(os.Stderr, "verifyrun: unknown -scheme %q (block, cyclic, hub)\n", *scheme)
-			os.Exit(2)
-		}
-		forceScheme = &k
+// rows is the list of soak rows the mode runs, sized by the flags.
+func (o *options) rows(mode string) []verify.Soak {
+	sized := func(s verify.Soak, trials int) verify.Soak {
+		s.Trials = trials
+		return s
 	}
+	switch mode {
+	case "mutate":
+		var rows []verify.Soak
+		for _, s := range verify.Mutations {
+			rows = append(rows, sized(s, *o.mutRounds))
+		}
+		return rows
+	case "chaos":
+		if *o.kill {
+			return []verify.Soak{sized(verify.ChaosKill, *o.trials)}
+		}
+		return []verify.Soak{sized(verify.Chaos, *o.trials)}
+	case "wire":
+		// Without -chaos the dual-backend soak keeps its small conformance
+		// budget; -kill appends the kill rotation on hosted clusters.
+		rows := []verify.Soak{sized(verify.WireClean, *o.rounds), sized(verify.WireChaos, 16)}
+		if *o.chaos {
+			rows[1].Trials = *o.trials
+		}
+		if *o.kill {
+			rows = append(rows, sized(verify.WireKill, *o.trials))
+		}
+		return rows
+	}
+	return []verify.Soak{sized(verify.Clean, *o.rounds)}
+}
 
-	if *list {
+func main() {
+	o := newOptions(flag.ExitOnError)
+	o.fs.Parse(os.Args[1:])
+	if *o.list {
 		for _, c := range verify.Checks() {
 			tag := ""
 			if c.Mutation {
@@ -117,132 +165,55 @@ func main() {
 		}
 		return
 	}
-
-	mode, err := selection{check: *check, scheme: *scheme, transport: *transport,
-		mutate: *mutate, chaos: *chaos, kill: *kill}.mode()
+	mode, err := o.mode()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "verifyrun: %v\n", err)
 		os.Exit(2)
 	}
-	switch mode {
-	case "wire":
-		wcfg := verify.WireRunConfig{
-			Seed:     *seed,
-			Rounds:   *rounds,
-			MaxN:     *maxN,
-			Watchdog: *watchdog,
-		}
-		if *chaos {
-			// Scale the dual-backend soak with -trials; without -chaos the
-			// sweep keeps its small default conformance budget.
-			wcfg.ChaosTrials = *trials
-		}
-		if *kill {
-			// The kill rotation: hosted multi-node clusters with real chaos
-			// evictions, recovered per-node by the supervisor; survivors must
-			// agree on the rollback history. -trials scales it alongside the
-			// chaos soak; standalone -kill keeps the conformance default.
-			wcfg.KillTrials = *trials
-		}
-		if !*quiet {
-			wcfg.Log = os.Stdout
-		}
-		rep := verify.WireRun(wcfg)
-		line := fmt.Sprintf("verifyrun: wire clean=%d/%d chaos=%d recovered=%d classified=%d mismatches=%d hangs=%d",
-			rep.CleanRuns-rep.CleanFailures, rep.CleanRuns, rep.ChaosRuns,
-			rep.Recovered, rep.Classified, rep.Mismatches, rep.Hangs)
-		if *kill {
-			line += fmt.Sprintf(" kills=%d kill-recovered=%d kill-rollbacks=%d kill-classified=%d digest=%#x",
-				rep.KillRuns, rep.KillRecovered, rep.KillRollbacks, rep.KillClassified, rep.KillDigest)
-		}
-		fmt.Println(line)
-		if !rep.OK() {
-			for _, f := range rep.Failures {
-				fmt.Fprintf(os.Stderr, "FAIL %s\n", f)
-			}
-			os.Exit(1)
-		}
-		return
-	case "chaos":
-		ccfg := verify.ChaosRunConfig{
-			Seed:        *seed,
-			Trials:      *trials,
-			MaxN:        *maxN,
-			Timeout:     *watchdog,
-			Kill:        *kill,
-			ForceScheme: forceScheme,
-		}
-		if !*quiet {
-			ccfg.Log = os.Stdout
-		}
-		rep := verify.ChaosRun(ccfg)
-		line := fmt.Sprintf("verifyrun: chaos trials=%d recovered=%d classified=%d wrong=%d hangs=%d faults=%d retries=%d",
-			len(rep.Trials), rep.Recovered, rep.Classified, rep.Wrong, rep.Hangs,
-			rep.Stats.Faults(), rep.Stats.Retries)
-		if *kill {
-			line += fmt.Sprintf(" kills=%d recovered-by-rollback=%d rollbacks=%d",
-				rep.Stats.Kills, rep.RecoveredByRollback, rep.Rollbacks)
-		}
-		fmt.Printf("%s digest=%#x\n", line, rep.Digest())
-		if !rep.OK() {
-			for i := range rep.Trials {
-				tr := &rep.Trials[i]
-				if tr.Outcome == verify.ChaosWrongAnswer || tr.Outcome == verify.ChaosHang {
-					fmt.Fprintf(os.Stderr, "FAIL chaos trial %d (%s): %s: %v\n  trial: %s\n",
-						tr.Round, tr.Check, tr.Outcome, tr.Err, tr.Trial)
-				}
-			}
-			os.Exit(1)
-		}
-		return
-	case "mutate":
-		ok := true
-		for _, res := range verify.MutationSelfTest(*seed, *mutRounds) {
-			fmt.Println(res)
-			if !res.Detected {
-				ok = false
-			}
-		}
+	cfg := verify.Config{Seed: *o.seed, MaxN: *o.maxN, Shrink: *o.shrink, Watchdog: *o.watchdog}
+	if *o.scheme != "" {
+		k, ok := map[string]pgas.SchemeKind{"block": pgas.SchemeBlock, "cyclic": pgas.SchemeCyclic, "hub": pgas.SchemeHub}[*o.scheme]
 		if !ok {
-			fmt.Fprintln(os.Stderr, "verifyrun: FAULT ESCAPED — the battery failed its self-test")
-			os.Exit(1)
+			fmt.Fprintf(os.Stderr, "verifyrun: unknown -scheme %q (block, cyclic, hub)\n", *o.scheme)
+			os.Exit(2)
 		}
-		fmt.Println("verifyrun: all seeded faults detected")
-		return
+		cfg.Scheme = &k
 	}
-
-	cfg := verify.Config{
-		Seed:          *seed,
-		Rounds:        *rounds,
-		MaxN:          *maxN,
-		MaxShrinkRuns: *shrink,
-		ForceScheme:   forceScheme,
+	if cfg.Checks, err = verify.Named(*o.check, false); err != nil {
+		fmt.Fprintf(os.Stderr, "verifyrun: %v\n", err)
+		os.Exit(2)
 	}
-	if !*quiet {
+	if !*o.quiet {
 		cfg.Log = os.Stdout
 	}
-	if *check != "" {
-		known := map[string]bool{}
-		for _, c := range verify.Checks() {
-			known[c.Name] = true
+
+	rows := o.rows(mode)
+	ok, detected := len(rows) > 0, 0
+	for _, row := range rows {
+		rep := row.Run(cfg)
+		fmt.Println("verifyrun:", rep)
+		if rep.Count[verify.Detected] > 0 {
+			detected++
 		}
-		cfg.Checks = map[string]bool{}
-		for _, name := range strings.Split(*check, ",") {
-			name = strings.TrimSpace(name)
-			if !known[name] {
-				fmt.Fprintf(os.Stderr, "verifyrun: unknown check %q (see -list)\n", name)
-				os.Exit(2)
+		if rep.OK() {
+			continue
+		}
+		ok = false
+		fmt.Fprintf(os.Stderr, "FAIL %s (%d checks run)\n", rep.Soak, rep.Checks)
+		for _, rec := range rep.Records {
+			if rec.Outcome == verify.Wrong || rec.Outcome == verify.Hang {
+				fmt.Fprintf(os.Stderr, "FAIL %s round %d %s: %s: %v\n  trial: %s\n",
+					rep.Soak, rec.Round, rec.Check, rec.Outcome, rec.Err, rec.Trial)
+				if rec.Shrunk != nil {
+					fmt.Fprintf(os.Stderr, "  shrunk in %d runs to: %s\n", rec.ShrinkRuns, rec.Shrunk)
+				}
 			}
-			cfg.Checks[name] = true
 		}
 	}
-	rep := verify.Run(cfg)
-	fmt.Printf("verifyrun: rounds=%d checks=%d skipped=%d failures=%d\n",
-		rep.Rounds, rep.ChecksRun, rep.Skipped, len(rep.Failures))
-	if !rep.OK() {
-		for _, f := range rep.Failures {
-			fmt.Fprintf(os.Stderr, "FAIL %s\n", f)
-		}
+	if mode == "mutate" {
+		fmt.Printf("verifyrun: mutate detected=%d/%d\n", detected, len(rows))
+	}
+	if !ok {
 		os.Exit(1)
 	}
 }

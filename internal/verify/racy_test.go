@@ -42,7 +42,7 @@ func TestPinnedKernelNames(t *testing.T) {
 	if want := []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers"}; !slices.Equal(ccFamily, want) {
 		t.Errorf("ccFamily = %v, pinned to %v (the chaos digests mix Seed %% len)", ccFamily, want)
 	}
-	wire := wireChecks()
+	wire := battery(wireRow, nil)
 	if len(wire) != 9 {
 		t.Errorf("the wire battery has %d checks, want 9: a listed name left the battery", len(wire))
 	}
@@ -73,13 +73,13 @@ func TestChaosRotationSkipsRacy(t *testing.T) {
 	if !any {
 		t.Fatal("battery declares no RacyOps checks; the exclusion is untestable")
 	}
-	rep := ChaosRun(ChaosRunConfig{Seed: 0x5afe, Trials: 2 * len(Checks()), MaxN: 60})
-	if len(rep.Trials) == 0 {
-		t.Fatal("soak produced no trials")
+	rep := soak(Chaos, 2*len(Checks()), Config{Seed: 0x5afe, MaxN: 60})
+	if len(rep.Records) == 0 {
+		t.Fatal("soak produced no runs")
 	}
-	for _, res := range rep.Trials {
-		if racy[res.Check] {
-			t.Errorf("round %d: chaos rotation selected RacyOps check %s", res.Round, res.Check)
+	for _, rec := range rep.Records {
+		if racy[rec.Check] {
+			t.Errorf("round %d: chaos rotation selected RacyOps check %s", rec.Round, rec.Check)
 		}
 	}
 }

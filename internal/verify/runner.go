@@ -199,8 +199,11 @@ func firstNodeError(errs []error) error {
 }
 
 // watched is RunCheck under a watchdog: it reports a hang (and no result)
-// when the run outlives d.
+// when the run outlives d. A zero d runs unwatched.
 func watched(d time.Duration, c Check, t *Trial, env Env) (res *CheckResult, hung bool) {
+	if d == 0 {
+		return RunCheck(c, t, env), false
+	}
 	done := make(chan *CheckResult, 1)
 	go func() { done <- RunCheck(c, t, env) }()
 	select {
@@ -216,34 +219,4 @@ func watched(d time.Duration, c Check, t *Trial, env Env) (res *CheckResult, hun
 func classifiedErr(err error) bool {
 	return errors.Is(err, pgas.ErrTransport) || errors.Is(err, pgas.ErrTimeout) ||
 		errors.Is(err, pgas.ErrCorrupt) || errors.Is(err, pgas.ErrEvicted)
-}
-
-// outcomeOf places one finished run on the chaos outcome ladder.
-func outcomeOf(err error, rollbacks int) ChaosOutcome {
-	switch {
-	case err == nil && rollbacks > 0:
-		return ChaosRecoveredByRollback
-	case err == nil:
-		return ChaosRecovered
-	case classifiedErr(err):
-		return ChaosClassified
-	}
-	return ChaosWrongAnswer
-}
-
-// digest is the fold both soak fingerprints are built from.
-type digest uint64
-
-const digestSeed digest = 0x9E3779B97F4A7C15
-
-func (h *digest) mix(v uint64) {
-	*h ^= digest(v)
-	*h *= 0x100000001B3
-	*h ^= *h >> 29
-}
-
-func (h *digest) mixString(s string) {
-	for _, c := range s {
-		h.mix(uint64(c))
-	}
 }

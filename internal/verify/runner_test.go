@@ -38,7 +38,7 @@ func TestBatteryPinned(t *testing.T) {
 	if got := names(Checks()); !slices.Equal(got, want) {
 		t.Errorf("battery = %v\npinned to %v", got, want)
 	}
-	if got := names(wireChecks()); !slices.Equal(got, wantWire) {
+	if got := names(battery(wireRow, nil)); !slices.Equal(got, wantWire) {
 		t.Errorf("wire battery = %v\npinned to %v", got, wantWire)
 	}
 	for _, c := range Checks() {

@@ -18,14 +18,16 @@ func TestCleanMatrix(t *testing.T) {
 	if testing.Short() {
 		rounds, maxN = 3, 120
 	}
-	rep := Run(Config{Seed: 0xc0ffee, Rounds: rounds, MaxN: maxN, MaxShrinkRuns: 60})
-	if rep.ChecksRun == 0 {
-		t.Fatal("no checks ran")
+	rep := soak(Clean, rounds, Config{Seed: 0xc0ffee, MaxN: maxN, Shrink: 60})
+	for _, rec := range rep.Records {
+		if rec.Outcome != Passed {
+			t.Errorf("%s\n  trial: %s\n  original: %s (shrunk in %d runs)", rec.line(), rec.Shrunk, rec.Trial, rec.ShrinkRuns)
+		}
 	}
-	for _, f := range rep.Failures {
-		t.Errorf("%s", f)
+	if !rep.OK() {
+		t.Fatalf("clean matrix failed: %s", rep)
 	}
-	t.Logf("rounds=%d checks=%d skipped=%d", rep.Rounds, rep.ChecksRun, rep.Skipped)
+	t.Log(rep)
 }
 
 // TestMutationSelfTest asserts every seeded collective fault is caught by
@@ -36,10 +38,14 @@ func TestMutationSelfTest(t *testing.T) {
 	if testing.Short() {
 		rounds = 4
 	}
-	for _, res := range MutationSelfTest(0xbead, rounds) {
-		t.Log(res)
-		if !res.Detected {
-			t.Errorf("fault %s escaped the battery", res.Fault)
+	if len(Mutations) == 0 {
+		t.Fatal("no mutation rows: collective.AllFaults lists no fault")
+	}
+	for _, row := range Mutations {
+		rep := soak(row, rounds, Config{Seed: 0xbead})
+		t.Log(rep)
+		if !rep.OK() {
+			t.Errorf("%s escaped the battery", row.Name)
 		}
 	}
 }

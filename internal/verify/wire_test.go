@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"pgasgraph/internal/bfs"
 	"pgasgraph/internal/cc"
@@ -30,7 +29,7 @@ func TestWireBattery(t *testing.T) {
 	geoms := [][2]int{{2, 2}, {3, 1}}
 	for round, geom := range geoms {
 		tr := wireTrial(0x9a7, round, 200, geom[0], geom[1])
-		for _, c := range wireChecks() {
+		for _, c := range battery(wireRow, nil) {
 			if !c.Applicable(tr) {
 				continue
 			}
@@ -211,75 +210,27 @@ func TestWireKillRecovery(t *testing.T) {
 	t.Fatal("no seed in 1..24 produced a survivor-completes-after-rollback trial")
 }
 
-// TestWireKillSweepDigest: the kill rotation's digest is replay-stable —
-// two sweeps of the same seed walk the same trials to the same outcomes.
+// TestWireKillSweepDigest: the kill rotation's digest is replay-stable — a
+// sweep of the seed walks the same trials to the same outcomes as the run
+// that pinned it.
 func TestWireKillSweepDigest(t *testing.T) {
-	sweep := func() *WireReport {
-		return WireRun(WireRunConfig{
-			Seed:        0x4b11,
-			Rounds:      -1, // kill rotation only
-			ChaosTrials: -1,
-			KillTrials:  3,
-			MaxN:        160,
-		})
-	}
-	a := sweep()
-	if !a.OK() {
-		t.Fatalf("kill sweep failed: %v", a.Failures)
-	}
-	if a.KillRuns == 0 {
-		t.Fatal("kill sweep ran no trials")
-	}
-	b := sweep()
-	if a.KillDigest != b.KillDigest {
-		t.Fatalf("kill digest not replay-stable: %#x vs %#x", a.KillDigest, b.KillDigest)
-	}
-	if a.KillRecovered != b.KillRecovered || a.KillRollbacks != b.KillRollbacks || a.KillClassified != b.KillClassified {
-		t.Fatalf("kill outcomes not replay-stable: %+v vs %+v", a, b)
+	rep := soak(WireKill, 3, Config{Seed: 0x4b11, MaxN: 160})
+	assertSoakOK(t, rep)
+	if got, pinned := rep.Digest(), uint64(0x4557bbdb19694989); got != pinned {
+		t.Fatalf("kill digest %#x, pinned %#x: %s", got, pinned, rep)
 	}
 }
 
-// TestWireChaosConformance is the transport conformance soak: the same
-// trials under the same chaos schedules on both backends. Every trial must
-// end in an acceptable state on both (recovered, or loudly classified), and
-// a trial both backends survive must report identical fault counters — the
-// per-thread draw streams are backend-independent by construction.
+// TestWireChaosConformance is the transport conformance soak: the wire-chaos
+// row's trials under the same chaos schedules on both backends, here all on
+// 2x2 clusters. Every trial must end in an acceptable state on both
+// (recovered, or loudly classified), and a trial both backends survive must
+// report identical fault counters — the per-thread draw streams are
+// backend-independent by construction.
 func TestWireChaosConformance(t *testing.T) {
-	battery := wireChecks()
-	const rounds = 6
-	for round := 0; round < rounds; round++ {
-		rng := xrand.New(0xc0fa7e).Split(uint64(round))
-		tr := SampleTrial(rng, round, 160).WithMachine(2, 2)
-		tr.Scheme = pgas.SchemeBlock // wire backend is block-only
-		ccfg := sampleChaosConfig(rng, false)
-		c := battery[round%len(battery)]
-		if !c.Applicable(tr) {
-			continue
-		}
-
-		in := RunCheck(c, tr, Env{Chaos: &ccfg})
-		inStats, inErr := in.Stats, in.Err
-		wire, hung := watched(90*time.Second, c, tr, Env{Chaos: &ccfg, Wire: true})
-		if hung {
-			t.Fatalf("round %d %s: wire trial hung", round, c.Name)
-		}
-
-		if (inErr == nil) != (wire.Err == nil) {
-			t.Fatalf("round %d %s: outcomes diverge: in-process err=%v, wire err=%v",
-				round, c.Name, inErr, wire.Err)
-		}
-		if inErr != nil {
-			if !classifiedErr(inErr) {
-				t.Fatalf("round %d %s: in-process failure unclassified: %v", round, c.Name, inErr)
-			}
-			if !classifiedErr(wire.Err) {
-				t.Fatalf("round %d %s: wire failure unclassified: %v", round, c.Name, wire.Err)
-			}
-			continue
-		}
-		if inStats != wire.Stats {
-			t.Fatalf("round %d %s: fault counters diverge:\n  in-process %+v\n  wire       %+v",
-				round, c.Name, inStats, wire.Stats)
-		}
-	}
+	row := WireChaos
+	row.Salt, row.Geometries = 0, [][2]int{{2, 2}}
+	rep := soak(row, 6, Config{Seed: 0xc0fa7e, MaxN: 160})
+	assertSoakOK(t, rep)
+	t.Log(rep)
 }
