@@ -31,8 +31,8 @@ func TestBulkRetransmitChargeInvariance(t *testing.T) {
 		})
 		a := rt.NewSharedArray("inv", 16)
 		start := int64(8) // node 1's block: remote for thread 0
-		if a.OwnerNode(start) != 1 {
-			t.Fatalf("start %d owned by node %d, want 1", start, a.OwnerNode(start))
+		if a.ownerNode(start) != 1 {
+			t.Fatalf("start %d owned by node %d, want 1", start, a.ownerNode(start))
 		}
 
 		var ns float64
@@ -52,7 +52,7 @@ func TestBulkRetransmitChargeInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		stats := rt.ChaosThreadStats()[0]
+		stats := rt.chaosThreadStats()[0]
 		retries := stats.Retries
 		if stats.Drops != retries {
 			t.Fatalf("drops=%d retries=%d: with only drops armed they must match", stats.Drops, retries)
@@ -119,7 +119,7 @@ func TestBulkRetransmitBudgetExhaustion(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("exhausted budget returned %v, want ErrTimeout", err)
 	}
-	if got := rt.ChaosThreadStats()[0].Retries; got != 2 {
+	if got := rt.chaosThreadStats()[0].Retries; got != 2 {
 		t.Fatalf("retries=%d, want MaxAttempts-1=2", got)
 	}
 }

@@ -174,9 +174,9 @@ func (rt *Runtime) ChaosStats() ChaosStats {
 	return total
 }
 
-// ChaosThreadStats returns a copy of every thread's injector statistics —
+// chaosThreadStats returns a copy of every thread's injector statistics —
 // the determinism tests compare these across same-seed runs.
-func (rt *Runtime) ChaosThreadStats() []ChaosStats {
+func (rt *Runtime) chaosThreadStats() []ChaosStats {
 	if rt.chaos == nil {
 		return nil
 	}

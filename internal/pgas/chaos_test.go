@@ -41,7 +41,7 @@ func TestBarrierClockInvariantUnderStalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stats := rt.ChaosThreadStats()
+			stats := rt.chaosThreadStats()
 			expected := 0.0
 			for i := 0; i < s; i++ {
 				arrive := pre[i] + float64(stats[i].Stalls)*cfg.StallNS

@@ -56,7 +56,7 @@ func partRT(t *testing.T, nodes, tpn int) *Runtime {
 }
 
 // TestPartitionLaws checks the ownership laws every scheme must satisfy:
-// owners in range, OwnerNode consistent with Owner, ThreadCover a disjoint
+// owners in range, ownerNode consistent with Owner, ThreadCover a disjoint
 // exact cover, owned counts summing to n and agreeing with Owner, and
 // FillOwnerKeys agreeing with Owner element-wise.
 func TestPartitionLaws(t *testing.T) {
@@ -67,15 +67,15 @@ func TestPartitionLaws(t *testing.T) {
 			a := rt.NewSharedArrayPart("p", tc.n, tc.spec)
 			s := tc.nodes * tc.tpn
 
-			// Owner in range; OwnerNode consistent.
+			// Owner in range; ownerNode consistent.
 			counts := make([]int64, s)
 			for i := int64(0); i < tc.n; i++ {
 				o := a.Owner(i)
 				if o < 0 || o >= s {
 					t.Fatalf("Owner(%d) = %d out of [0,%d)", i, o, s)
 				}
-				if nd := a.OwnerNode(i); nd != o/tc.tpn {
-					t.Fatalf("OwnerNode(%d) = %d, want %d", i, nd, o/tc.tpn)
+				if nd := a.ownerNode(i); nd != o/tc.tpn {
+					t.Fatalf("ownerNode(%d) = %d, want %d", i, nd, o/tc.tpn)
 				}
 				counts[o]++
 			}
@@ -226,7 +226,7 @@ func TestPartitionMisuse(t *testing.T) {
 		a := rt.NewSharedArrayPart("m"+spec.Kind.String(), 8, spec)
 		mustPanicMisuse(t, spec.Kind.String()+" Owner(-1)", func() { a.Owner(-1) })
 		mustPanicMisuse(t, spec.Kind.String()+" Owner(n)", func() { a.Owner(8) })
-		mustPanicMisuse(t, spec.Kind.String()+" OwnerNode(n)", func() { a.OwnerNode(8) })
+		mustPanicMisuse(t, spec.Kind.String()+" ownerNode(n)", func() { a.ownerNode(8) })
 		for _, id := range []int{-1, 2} {
 			mustPanicMisuse(t, fmt.Sprintf("%s ThreadCover(%d)", spec.Kind, id), func() { a.ThreadCover(id) })
 			mustPanicMisuse(t, fmt.Sprintf("%s ServeView(%d)", spec.Kind, id), func() { _, _ = a.ServeView(id) })

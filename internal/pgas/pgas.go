@@ -426,6 +426,14 @@ type Thread struct {
 // Runtime returns the owning runtime.
 func (th *Thread) Runtime() *Runtime { return th.rt }
 
+// id is th's thread id for error attribution, -1 for a host-side call.
+func (th *Thread) id() int {
+	if th == nil {
+		return -1
+	}
+	return th.ID
+}
+
 // Result summarizes one SPMD region execution.
 type Result struct {
 	// SimNS is the simulated makespan: the maximum thread clock.
@@ -973,8 +981,8 @@ func (a *SharedArray) Owner(i int64) int {
 	}
 }
 
-// OwnerNode returns the node id owning element i.
-func (a *SharedArray) OwnerNode(i int64) int {
+// ownerNode returns the node id owning element i.
+func (a *SharedArray) ownerNode(i int64) int {
 	return a.Owner(i) / a.rt.cfg.ThreadsPerNode
 }
 
@@ -1036,21 +1044,6 @@ func (a *SharedArray) LoadRaw(i int64) int64 { return atomic.LoadInt64(&a.data[i
 // StoreRaw atomically writes element i without charging.
 func (a *SharedArray) StoreRaw(i int64, v int64) { atomic.StoreInt64(&a.data[i], v) }
 
-// MinRaw atomically lowers element i to v if v is smaller, returning
-// whether it stored and whether the CAS contended. Uncharged.
-func (a *SharedArray) MinRaw(i int64, v int64) (stored, contended bool) {
-	for {
-		cur := atomic.LoadInt64(&a.data[i])
-		if v >= cur {
-			return false, contended
-		}
-		if atomic.CompareAndSwapInt64(&a.data[i], cur, v) {
-			return true, contended
-		}
-		contended = true
-	}
-}
-
 // Fill sets every element to v without charging.
 func (a *SharedArray) Fill(v int64) {
 	for i := range a.data {
@@ -1067,7 +1060,7 @@ func (a *SharedArray) FillIdentity() {
 
 // remote reports whether element i of a lives on a different node than th.
 func (th *Thread) remote(a *SharedArray, i int64) bool {
-	return a.OwnerNode(i) != th.Node
+	return a.ownerNode(i) != th.Node
 }
 
 // Get performs a single-element one-sided read, charging either an
@@ -1083,7 +1076,7 @@ func (th *Thread) Get(a *SharedArray, i int64, cat sim.Category) int64 {
 		th.Clock.RemoteOps++
 		if !th.rt.tr.Shared() {
 			var buf [1]int64
-			if err := th.rt.tr.Get(th, a.OwnerNode(i), a.win, i, buf[:]); err != nil {
+			if err := th.rt.tr.Get(th, a.ownerNode(i), a.win, i, buf[:]); err != nil {
 				panic(err)
 			}
 			return buf[0]
@@ -1107,7 +1100,7 @@ func (th *Thread) Put(a *SharedArray, i int64, v int64, cat sim.Category) {
 		th.Clock.RemoteOps++
 		if !th.rt.tr.Shared() {
 			buf := [1]int64{v}
-			if err := th.rt.tr.Put(th, a.OwnerNode(i), a.win, i, buf[:]); err != nil {
+			if err := th.rt.tr.Put(th, a.ownerNode(i), a.win, i, buf[:]); err != nil {
 				panic(err)
 			}
 			return
@@ -1129,12 +1122,12 @@ func (th *Thread) PutMin(a *SharedArray, i int64, v int64, cat sim.Category) boo
 	var stored bool
 	if th.remote(a, i) && !th.rt.tr.Shared() {
 		var err error
-		stored, err = th.rt.tr.PutMin(th, a.OwnerNode(i), a.win, i, v)
+		stored, err = th.rt.tr.PutMin(th, a.ownerNode(i), a.win, i, v)
 		if err != nil {
 			panic(err)
 		}
 	} else {
-		stored, _ = a.MinRaw(i, v)
+		stored, _ = casMin(&a.data[i], v)
 	}
 	if th.remote(a, i) {
 		th.Clock.Charge(cat, m.SmallOp(th.rt.cfg.ThreadsPerNode, th.rt.s, 1))
@@ -1160,12 +1153,12 @@ func (th *Thread) AtomicMin(a *SharedArray, i int64, v int64, cat sim.Category) 
 		// The owner process applies the min; contention is not observable
 		// from here, so the lock charge models the uncontended case.
 		var err error
-		stored, err = th.rt.tr.PutMin(th, a.OwnerNode(i), a.win, i, v)
+		stored, err = th.rt.tr.PutMin(th, a.ownerNode(i), a.win, i, v)
 		if err != nil {
 			panic(err)
 		}
 	} else {
-		stored, contended = a.MinRaw(i, v)
+		stored, contended = casMin(&a.data[i], v)
 	}
 	if th.remote(a, i) {
 		// Remote lock + read + conditional write: two round trips.
@@ -1249,8 +1242,8 @@ func (th *Thread) chargeTransfer(cat sim.Category, k int64, roundTrip bool) {
 // barrier-poisoning path — unlike an injected verdict it is not
 // retryable, because a failed wire region poisons the whole cluster.
 func (th *Thread) deliverGet(a *SharedArray, start int64, dst []int64) {
-	if !th.rt.tr.Shared() && a.OwnerNode(start) != th.rt.node {
-		if err := th.rt.tr.Get(th, a.OwnerNode(start), a.win, start, dst); err != nil {
+	if !th.rt.tr.Shared() && a.ownerNode(start) != th.rt.node {
+		if err := th.rt.tr.Get(th, a.ownerNode(start), a.win, start, dst); err != nil {
 			panic(err)
 		}
 		return
@@ -1262,8 +1255,8 @@ func (th *Thread) deliverGet(a *SharedArray, start int64, dst []int64) {
 
 // deliverPut is deliverGet's write-side twin.
 func (th *Thread) deliverPut(a *SharedArray, start int64, src []int64) {
-	if !th.rt.tr.Shared() && a.OwnerNode(start) != th.rt.node {
-		if err := th.rt.tr.Put(th, a.OwnerNode(start), a.win, start, src); err != nil {
+	if !th.rt.tr.Shared() && a.ownerNode(start) != th.rt.node {
+		if err := th.rt.tr.Put(th, a.ownerNode(start), a.win, start, src); err != nil {
 			panic(err)
 		}
 		return

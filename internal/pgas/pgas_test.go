@@ -90,8 +90,8 @@ func TestSharedArrayOwnership(t *testing.T) {
 	if lo != 6 || hi != 9 {
 		t.Fatalf("LocalRange(2) = [%d,%d)", lo, hi)
 	}
-	if a.OwnerNode(0) != 0 || a.OwnerNode(9) != 1 {
-		t.Fatal("OwnerNode wrong")
+	if a.ownerNode(0) != 0 || a.ownerNode(9) != 1 {
+		t.Fatal("ownerNode wrong")
 	}
 }
 

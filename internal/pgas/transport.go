@@ -56,11 +56,11 @@ type Win struct {
 // and barrier rendezvous across processes.
 //
 // A shared transport (Shared() == true) means every node lives in this
-// process and the runtime keeps its direct-memory fast paths; the data
-// plane methods still work (they are the reference implementation the
-// conformance suite checks the wire backend against) but the runtime never
-// needs them. A non-shared transport holds only this process's node; the
-// runtime routes every cross-process access through it.
+// process and the runtime keeps its direct-memory fast paths; its data
+// plane, a node check in front of the WinTable the wire backend keeps too,
+// obeys the same window laws but the runtime never needs it. A non-shared
+// transport holds only this process's node; the runtime routes every
+// cross-process access through it.
 //
 // Contract:
 //   - Expose registers a window before any remote access; callers only
@@ -141,23 +141,31 @@ type NodeEvictor interface {
 	Fail() error
 }
 
-// winTable is the window registry backends share.
-type winTable struct {
+// WinTable is the window registry both backends keep, and the one place a
+// window's words are read, written and min-combined. WinArray windows are
+// accessed atomically — the owner's threads touch them concurrently through
+// the runtime's fast paths; plan and reducer windows are only accessed in
+// barrier-separated phases and copy plainly. The table guards its map, not
+// the words: a backend applying frames from several goroutines orders them
+// itself. The zero value is an empty table.
+type WinTable struct {
 	mu sync.RWMutex
 	m  map[Win][]int64
 }
 
-func newWinTable() *winTable {
-	return &winTable{m: make(map[Win][]int64)}
-}
-
-func (t *winTable) expose(w Win, data []int64) {
+// Expose registers w, or rebinds it to data after a reallocation.
+func (t *WinTable) Expose(w Win, data []int64) {
 	t.mu.Lock()
+	if t.m == nil {
+		t.m = make(map[Win][]int64)
+	}
 	t.m[w] = data
 	t.mu.Unlock()
 }
 
-func (t *winTable) unexpose(lo, hi uint32) {
+// Unexpose drops every window whose id lies in (lo, hi]: one pass over the
+// table, whatever kinds and subs the ids were exposed under.
+func (t *WinTable) Unexpose(lo, hi uint32) {
 	t.mu.Lock()
 	for w := range t.m {
 		if w.ID > lo && w.ID <= hi {
@@ -167,21 +175,94 @@ func (t *winTable) unexpose(lo, hi uint32) {
 	t.mu.Unlock()
 }
 
-func (t *winTable) lookup(w Win) ([]int64, bool) {
+// Len reports how many windows are exposed.
+func (t *WinTable) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.m)
+}
+
+// Window returns the words [off, off+k) of w, or an ErrMisuse charged to th
+// and op when w is not exposed or the range leaves it.
+func (t *WinTable) Window(th *Thread, op string, w Win, off, k int64) ([]int64, error) {
 	t.mu.RLock()
 	data, ok := t.m[w]
 	t.mu.RUnlock()
-	return data, ok
+	if !ok {
+		return nil, Errorf(ErrMisuse, th.id(), op, "window %+v not exposed", w)
+	}
+	if off < 0 || k < 0 || off > int64(len(data)) || k > int64(len(data))-off {
+		return nil, Errorf(ErrMisuse, th.id(), op, "range [%d,%d) out of window %+v len %d", off, off+k, w, len(data))
+	}
+	return data[off : off+k], nil
+}
+
+// Read copies len(dst) words of w starting at off into dst.
+func (t *WinTable) Read(th *Thread, op string, w Win, off int64, dst []int64) error {
+	src, err := t.Window(th, op, w, off, int64(len(dst)))
+	if err != nil {
+		return err
+	}
+	if w.Kind != WinArray {
+		copy(dst, src)
+		return nil
+	}
+	for j := range dst {
+		dst[j] = atomic.LoadInt64(&src[j])
+	}
+	return nil
+}
+
+// Write copies src into w starting at off.
+func (t *WinTable) Write(th *Thread, op string, w Win, off int64, src []int64) error {
+	dst, err := t.Window(th, op, w, off, int64(len(src)))
+	if err != nil {
+		return err
+	}
+	if w.Kind != WinArray {
+		copy(dst, src)
+		return nil
+	}
+	for j, v := range src {
+		atomic.StoreInt64(&dst[j], v)
+	}
+	return nil
+}
+
+// Min lowers w's word at off to v if smaller, reporting whether it stored.
+func (t *WinTable) Min(th *Thread, op string, w Win, off int64, v int64) (bool, error) {
+	word, err := t.Window(th, op, w, off, 1)
+	if err != nil {
+		return false, err
+	}
+	stored, _ := casMin(&word[0], v)
+	return stored, nil
+}
+
+// casMin is the one atomic lower-to-minimum: it stores v at *p while v is
+// below the word there, reporting whether it stored and whether a
+// concurrent store made it retry.
+func casMin(p *int64, v int64) (stored, contended bool) {
+	for {
+		cur := atomic.LoadInt64(p)
+		if v >= cur {
+			return false, contended
+		}
+		if atomic.CompareAndSwapInt64(p, cur, v) {
+			return true, contended
+		}
+		contended = true
+	}
 }
 
 // inprocTransport is the reference Transport: all nodes in one process, all
-// windows in one registry, data moved with the same atomics the direct fast
-// paths use, rendezvous a no-op (the runtime's own barrier already spans
-// every thread). It never fails: the in-process fabric is reliable by
-// construction, so the only error source above it is the chaos injector.
+// windows in one table, rendezvous a no-op (the runtime's own barrier
+// already spans every thread). It never fails: the in-process fabric is
+// reliable by construction, so the only error source above it is the chaos
+// injector.
 type inprocTransport struct {
+	WinTable
 	nodes int
-	wins  *winTable
 }
 
 // NewInprocTransport returns the in-process reference transport for p nodes.
@@ -189,70 +270,40 @@ type inprocTransport struct {
 // transport conformance suite can drive the reference implementation through
 // the same interface as a wire backend.
 func NewInprocTransport(nodes int) Transport {
-	return &inprocTransport{nodes: nodes, wins: newWinTable()}
+	return &inprocTransport{nodes: nodes}
 }
 
 func (t *inprocTransport) Shared() bool { return true }
 func (t *inprocTransport) Nodes() int   { return t.nodes }
 func (t *inprocTransport) Node() int    { return 0 }
 
-func (t *inprocTransport) Expose(w Win, data []int64) { t.wins.expose(w, data) }
-func (t *inprocTransport) Unexpose(lo, hi uint32)     { t.wins.unexpose(lo, hi) }
-
-func (t *inprocTransport) window(th *Thread, op string, node int, w Win, off, k int64) ([]int64, error) {
-	id := -1
-	if th != nil {
-		id = th.ID
-	}
+// checkNode refuses a node id outside the fabric.
+func (t *inprocTransport) checkNode(th *Thread, op string, node int) error {
 	if node < 0 || node >= t.nodes {
-		return nil, Errorf(ErrMisuse, id, op, "node %d out of range [0,%d)", node, t.nodes)
+		return Errorf(ErrMisuse, th.id(), op, "node %d out of range [0,%d)", node, t.nodes)
 	}
-	data, ok := t.wins.lookup(w)
-	if !ok {
-		return nil, Errorf(ErrMisuse, id, op, "window %+v not exposed", w)
-	}
-	if off < 0 || off+k > int64(len(data)) {
-		return nil, Errorf(ErrMisuse, id, op, "range [%d,%d) out of window %+v len %d", off, off+k, w, len(data))
-	}
-	return data, nil
+	return nil
 }
 
 func (t *inprocTransport) Get(th *Thread, node int, w Win, off int64, dst []int64) error {
-	data, err := t.window(th, "transport Get", node, w, off, int64(len(dst)))
-	if err != nil {
+	if err := t.checkNode(th, "transport Get", node); err != nil {
 		return err
 	}
-	for j := range dst {
-		dst[j] = atomic.LoadInt64(&data[off+int64(j)])
-	}
-	return nil
+	return t.Read(th, "transport Get", w, off, dst)
 }
 
 func (t *inprocTransport) Put(th *Thread, node int, w Win, off int64, src []int64) error {
-	data, err := t.window(th, "transport Put", node, w, off, int64(len(src)))
-	if err != nil {
+	if err := t.checkNode(th, "transport Put", node); err != nil {
 		return err
 	}
-	for j := range src {
-		atomic.StoreInt64(&data[off+int64(j)], src[j])
-	}
-	return nil
+	return t.Write(th, "transport Put", w, off, src)
 }
 
 func (t *inprocTransport) PutMin(th *Thread, node int, w Win, off int64, v int64) (bool, error) {
-	data, err := t.window(th, "transport PutMin", node, w, off, 1)
-	if err != nil {
+	if err := t.checkNode(th, "transport PutMin", node); err != nil {
 		return false, err
 	}
-	for {
-		cur := atomic.LoadInt64(&data[off])
-		if v >= cur {
-			return false, nil
-		}
-		if atomic.CompareAndSwapInt64(&data[off], cur, v) {
-			return true, nil
-		}
-	}
+	return t.Min(th, "transport PutMin", w, off, v)
 }
 
 func (t *inprocTransport) Rendezvous(localMax float64) (float64, error) { return localMax, nil }

@@ -302,7 +302,7 @@ func (t *Transport) violation(nd int, format string, args ...interface{}) bool {
 func (t *Transport) admit(nd int, h *header) bool {
 	switch h.typ {
 	case frPut:
-		if _, ok := t.window(h.w, h.off, h.count); !ok {
+		if _, err := t.Window(nil, "wire recv", h.w, h.off, h.count); err != nil {
 			return t.violation(nd, "PUT of %d words at offset %d outside any exposed window %+v", h.count, h.off, h.w)
 		}
 	case frPutMin:
@@ -354,12 +354,12 @@ func (t *Transport) frameCorrupt(nd int, typ uint8, reqID uint64) {
 // read.
 func (t *Transport) applyPut(nd int, h *header, raw []byte) {
 	t.rmu.Lock()
-	data, ok := t.window(h.w, h.off, h.count)
-	if ok {
-		pgas.DecodeWords(data[h.off:h.off+h.count], raw, h.width, h.w.Kind == pgas.WinArray)
+	data, err := t.Window(nil, "wire recv", h.w, h.off, h.count)
+	if err == nil {
+		pgas.DecodeWords(data, raw, h.width, h.w.Kind == pgas.WinArray)
 	}
 	t.rmu.Unlock()
-	if !ok {
+	if err != nil {
 		t.Abort(fmt.Sprintf("node %d put to unexposed window %+v [%d,%d) at node %d", nd, h.w, h.off, h.off+h.count, t.cfg.Node))
 	}
 }
@@ -408,9 +408,11 @@ func (t *Transport) serveGet(nd int, h *header) {
 	resp := header{typ: frGetResp, status: stBadWindow, reqID: h.reqID}
 	var snap *[]int64
 	t.rmu.Lock()
-	if data, ok := t.window(h.w, h.off, h.count); ok {
+	if _, err := t.Window(nil, "wire recv", h.w, h.off, h.count); err == nil {
+		// Bounded before the snapshot is sized; the Read cannot fail, as
+		// windows change only when no peer can address them.
 		snap = getSnapshot(h.count)
-		readWin(h.w, data, h.off, *snap)
+		_ = t.Read(nil, "wire recv", h.w, h.off, *snap)
 		resp.status, resp.count = stOK, h.count
 	}
 	t.rmu.Unlock()
@@ -430,11 +432,10 @@ func (t *Transport) servePutMin(nd int, h *header, v int64) {
 	}
 	resp := header{typ: frPutMinResp, status: stBadWindow, reqID: h.reqID}
 	t.rmu.Lock()
-	if data, ok := t.window(h.w, h.off, 1); ok {
+	if stored, err := t.Min(nil, "wire recv", h.w, h.off, v); stored {
+		resp.status = stStored
+	} else if err == nil {
 		resp.status = stOK
-		if minWin(data, h.off, v) {
-			resp.status = stStored
-		}
 	}
 	t.rmu.Unlock()
 	go func() { _ = t.send(nd, resp, nil, true) }()

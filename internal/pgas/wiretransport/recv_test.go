@@ -14,9 +14,10 @@ import (
 )
 
 // rawPeer connects node 0 of a two-seat cluster and plays seat 1 from a
-// bare socket that has sent hello (a complete 40-byte HELLO header). It
-// returns the socket and whatever Connect returned on node 0.
-func rawPeer(t *testing.T, hello header) (*Transport, net.Conn, error) {
+// bare socket that has sent hello (a complete 40-byte HELLO header), with
+// node 0's operations bounded by timeout. It returns the socket and
+// whatever Connect returned on node 0.
+func rawPeer(t *testing.T, hello header, timeout time.Duration) (*Transport, net.Conn, error) {
 	t.Helper()
 	dir := t.TempDir()
 	type result struct {
@@ -25,13 +26,13 @@ func rawPeer(t *testing.T, hello header) (*Transport, net.Conn, error) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		tr, err := Connect(Config{Nodes: 2, Node: 0, Dir: dir, Timeout: 5 * time.Second})
+		tr, err := Connect(Config{Nodes: 2, Node: 0, Dir: dir, Timeout: timeout})
 		done <- result{tr, err}
 	}()
 	var conn net.Conn
 	var err error
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-		if conn, err = net.Dial("unix", SocketPath(dir, 0)); err == nil {
+		if conn, err = net.Dial("unix", socketPath(dir, 0)); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -88,7 +89,7 @@ func TestHostileHeaderAbortsBeforeAllocating(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tr, conn, err := rawPeer(t, validHello())
+			tr, conn, err := rawPeer(t, validHello(), 5*time.Second)
 			if err != nil {
 				t.Fatalf("Connect: %v", err)
 			}
@@ -119,7 +120,7 @@ func TestHostileHeaderAbortsBeforeAllocating(t *testing.T) {
 func TestHelloVersionMismatch(t *testing.T) {
 	hello := validHello()
 	hello.off = protoVersion + 1
-	tr, conn, err := rawPeer(t, hello)
+	tr, conn, err := rawPeer(t, hello, 5*time.Second)
 	if tr != nil || !errors.Is(err, pgas.ErrTransport) {
 		t.Fatalf("Connect with a v%d dialer: tr=%v err=%v, want ErrTransport", hello.off, tr, err)
 	}

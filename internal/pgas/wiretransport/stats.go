@@ -55,9 +55,7 @@ func (t *Transport) Stats() Stats {
 		s.Sent = append(s.Sent, FrameCount{frameNames[typ], c.sentFrames[typ].Load(), c.sentBytes[typ].Load()})
 		s.Recv = append(s.Recv, FrameCount{frameNames[typ], c.recvFrames[typ].Load(), c.recvBytes[typ].Load()})
 	}
-	t.winMu.RLock()
-	s.Windows = len(t.wins)
-	t.winMu.RUnlock()
+	s.Windows = t.Len()
 	return s
 }
 

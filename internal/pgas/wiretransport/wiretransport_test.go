@@ -2,6 +2,7 @@ package wiretransport
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -130,6 +131,113 @@ func TestGetRemoteWindow(t *testing.T) {
 	}
 }
 
+// TestWindowLaws holds both backends to the same window laws through the
+// Transport interface: Get after Put, the PutMin law, misuse classified as
+// ErrMisuse, re-Expose rebinding and Unexpose by id range — on the
+// in-process transport, and on a wire mesh both at the calling node (served
+// from its own table) and at a remote one (served by its reader). The one
+// intended difference is a remote Put outside any window: the owner reads
+// it as a protocol violation and aborts (package doc, "Window lifetime"),
+// so the caller sees ErrTransport at its next flushing call, not ErrMisuse.
+func TestWindowLaws(t *testing.T) {
+	in := pgas.NewInprocTransport(2)
+	if !in.Shared() || in.Nodes() != 2 || in.Node() != 0 {
+		t.Fatalf("inproc geometry: shared=%v nodes=%d node=%d, want true/2/0", in.Shared(), in.Nodes(), in.Node())
+	}
+	if got, err := in.Rendezvous(12.5); err != nil || got != 12.5 {
+		t.Fatalf("inproc Rendezvous: %v/%v, want the identity", got, err)
+	}
+	rows := []struct {
+		name string
+		// fabric returns the transport issuing the calls, the one owning
+		// the windows, and the owner's node id as the caller names it.
+		fabric func(t *testing.T) (caller, owner pgas.Transport, node int)
+		remote bool
+	}{
+		{"inproc", func(*testing.T) (pgas.Transport, pgas.Transport, int) { return in, in, 1 }, false},
+		{"wire-local", func(t *testing.T) (pgas.Transport, pgas.Transport, int) {
+			trs := connectMesh(t, 2, 5*time.Second)
+			return trs[0], trs[0], 0
+		}, false},
+		{"wire-remote", func(t *testing.T) (pgas.Transport, pgas.Transport, int) {
+			trs := connectMesh(t, 2, 5*time.Second)
+			return trs[0], trs[1], 1
+		}, true},
+	}
+	misuse := func(t *testing.T, what string, err error) {
+		t.Helper()
+		if !errors.Is(err, pgas.ErrMisuse) {
+			t.Fatalf("%s: %v, want ErrMisuse", what, err)
+		}
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tr, owner, node := row.fabric(t)
+			w := pgas.Win{Kind: pgas.WinArray, ID: 7, Sub: 3}
+			owner.Expose(w, []int64{10, 20, 30, 40, 50, 60, 70, 80})
+			got := make([]int64, 4)
+			if err := tr.Put(nil, node, w, 2, []int64{-5, -6}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Get(nil, node, w, 1, got); err != nil || fmt.Sprint(got) != "[20 -5 -6 50]" {
+				t.Fatalf("Get after Put: %v err=%v, want [20 -5 -6 50]", got, err)
+			}
+
+			// PutMin stores exactly when strictly smaller, and says so.
+			if stored, err := tr.PutMin(nil, node, w, 0, 3); err != nil || !stored {
+				t.Fatalf("PutMin smaller: stored=%v err=%v, want true/nil", stored, err)
+			}
+			if stored, err := tr.PutMin(nil, node, w, 0, 9); err != nil || stored {
+				t.Fatalf("PutMin larger: stored=%v err=%v, want false/nil", stored, err)
+			}
+			if err := tr.Get(nil, node, w, 0, got[:1]); err != nil || got[0] != 3 {
+				t.Fatalf("after PutMin: %d err=%v, want 3", got[0], err)
+			}
+
+			// Unknown windows and ranges that leave one are misuse, never a
+			// slice panic.
+			misuse(t, "unexposed Get", tr.Get(nil, node, pgas.Win{Kind: pgas.WinArray, ID: 999}, 0, got))
+			misuse(t, "out-of-range Get", tr.Get(nil, node, w, 6, got))
+			_, err := tr.PutMin(nil, node, w, 8, 0)
+			misuse(t, "out-of-range PutMin", err)
+
+			// Re-Expose rebinds the name to the new, shorter slice.
+			owner.Expose(w, []int64{1, 2})
+			if err := tr.Put(nil, node, w, 0, []int64{42}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Get(nil, node, w, 0, got[:2]); err != nil || got[0] != 42 || got[1] != 2 {
+				t.Fatalf("after re-Expose: %v err=%v, want [42 2]", got[:2], err)
+			}
+			misuse(t, "Get past the rebound window", tr.Get(nil, node, w, 1, got[:2]))
+
+			// Unexpose drops the ids in (lo, hi], every kind and sub under
+			// them, and nothing else.
+			other, below := pgas.Win{Kind: pgas.WinReduce, ID: 7, Sub: 1}, pgas.Win{Kind: pgas.WinArray, ID: 6}
+			owner.Expose(other, []int64{1})
+			owner.Expose(below, []int64{1})
+			owner.Unexpose(6, 7)
+			misuse(t, "Get of a dropped window", tr.Get(nil, node, w, 0, got[:1]))
+			misuse(t, "Get of a dropped kind", tr.Get(nil, node, other, 0, got[:1]))
+			if err := tr.Get(nil, node, below, 0, got[:1]); err != nil {
+				t.Fatalf("Unexpose(6,7) dropped id 6: %v", err)
+			}
+
+			err = tr.Put(nil, node, below, -1, got[:1])
+			if !row.remote {
+				misuse(t, "negative-offset Put", err)
+				return
+			}
+			if err != nil {
+				t.Fatalf("a remote Put is buffered, yet it failed at once: %v", err)
+			}
+			if err := tr.Get(nil, node, below, 0, got[:1]); !errors.Is(err, pgas.ErrTransport) {
+				t.Fatalf("after a remote Put outside its window: %v, want ErrTransport", err)
+			}
+		})
+	}
+}
+
 func TestGetUnexposedIsMisuse(t *testing.T) {
 	trs := connectMesh(t, 2, 10*time.Second)
 	dst := make([]int64, 1)
@@ -214,6 +322,83 @@ func TestCrashEvicts(t *testing.T) {
 	}
 	if trs[0].aborted() {
 		t.Fatal("peer crash poisoned the transport; crashes must stay recoverable")
+	}
+}
+
+// TestFailureClassesPerOperation pins, for every blocking operation, the
+// class each way of failing surfaces as:
+//
+//   - peer crashed (Fail, no GOODBYE): *pgas.EvictionError naming the
+//     peer's threads, well inside the deadline, with the transport still
+//     usable. EvictNodes is the exception by design: a crash is the
+//     agreement's input, so it commits with the peer in the dead set;
+//   - peer wedged (connected and HELLOed, never answering): ErrTimeout,
+//     which poisons the transport, so the next call is ErrTransport;
+//   - local Abort: ErrTransport.
+//
+// Put is buffered, so its row reads the class at the Get that flushes it.
+func TestFailureClassesPerOperation(t *testing.T) {
+	w := pgas.Win{Kind: pgas.WinArray, ID: 1}
+	ops := []struct {
+		name string
+		run  func(tr *Transport) error
+	}{
+		{"Get", func(tr *Transport) error { return tr.Get(nil, 1, w, 0, make([]int64, 1)) }},
+		{"PutMin", func(tr *Transport) error { _, err := tr.PutMin(nil, 1, w, 0, 1); return err }},
+		{"Put", func(tr *Transport) error {
+			if err := tr.Put(nil, 1, w, 0, []int64{1}); err != nil {
+				return err
+			}
+			return tr.Get(nil, 1, w, 0, make([]int64, 1))
+		}},
+		{"Rendezvous", func(tr *Transport) error { _, err := tr.Rendezvous(0); return err }},
+		{"EvictNodes", func(tr *Transport) error {
+			agreed, err := tr.EvictNodes(nil)
+			if err == nil && (len(agreed) != 1 || agreed[0] != 1) {
+				err = fmt.Errorf("agreed %v, want [1]", agreed)
+			}
+			return err
+		}},
+	}
+	for _, op := range ops {
+		t.Run(op.name+"/crashed", func(t *testing.T) {
+			trs := connectMesh(t, 2, 5*time.Second)
+			trs[1].Fail()
+			start := time.Now()
+			err := op.run(trs[0])
+			if op.name == "EvictNodes" {
+				if err != nil {
+					t.Fatalf("agreement over a crashed peer: %v", err)
+				}
+			} else if ths := pgas.Evicted(err); !errors.Is(err, pgas.ErrEvicted) || len(ths) != 1 || ths[0] != 1 {
+				t.Fatalf("against a crashed peer: %v (threads %v), want ErrEvicted naming [1]", err, ths)
+			}
+			if took := time.Since(start); took > 2*time.Second {
+				t.Fatalf("crash took %v to classify; the deadline is 5s", took)
+			}
+			if trs[0].aborted() {
+				t.Fatal("a peer crash poisoned the transport")
+			}
+		})
+		t.Run(op.name+"/wedged", func(t *testing.T) {
+			tr, _, err := rawPeer(t, validHello(), 300*time.Millisecond)
+			if err != nil {
+				t.Fatalf("Connect: %v", err)
+			}
+			if err := op.run(tr); !errors.Is(err, pgas.ErrTimeout) {
+				t.Fatalf("against a wedged peer: %v, want ErrTimeout", err)
+			}
+			if err := op.run(tr); !errors.Is(err, pgas.ErrTransport) {
+				t.Fatalf("after the timeout: %v, want ErrTransport", err)
+			}
+		})
+		t.Run(op.name+"/aborted", func(t *testing.T) {
+			trs := connectMesh(t, 2, 5*time.Second)
+			trs[0].Abort("local region failed")
+			if err := op.run(trs[0]); !errors.Is(err, pgas.ErrTransport) {
+				t.Fatalf("after a local Abort: %v, want ErrTransport", err)
+			}
+		})
 	}
 }
 
