@@ -16,7 +16,6 @@
 package bfs
 
 import (
-	"fmt"
 	"math"
 
 	"pgasgraph/internal/collective"
@@ -86,7 +85,6 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src int6
 		dist.StoreRaw(src, 0)
 	}
 	red := pgas.NewOrReducer(rt)
-	levels := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := dist.ThreadCover(th.ID)
@@ -99,10 +97,8 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src int6
 		cands := make([]int64, 0, 4096)
 		th.Barrier()
 
-		for level := int64(1); ; level++ {
-			if level >= maxLevels {
-				panic(fmt.Sprintf("bfs: exceeded %d levels", maxLevels))
-			}
+		red.Loop(th, "bfs.Coalesced", maxLevels, func(i int) bool {
+			level := int64(i) + 1
 			// Expand: stream the frontier's adjacency rows.
 			cands = cands[:0]
 			var scanned int64
@@ -128,17 +124,11 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src int6
 				}
 			}
 			th.ChargeIrregular(sim.CatCopy, int64(len(recv)), hi-lo)
-
-			if !red.Reduce(th, len(frontier) > 0) {
-				if th.ID == 0 {
-					levels = int(level)
-				}
-				return
-			}
-		}
+			return len(frontier) > 0
+		})
 	})
 
-	return &Result{Dist: append([]int64(nil), dist.Raw()...), Levels: levels, Run: run}
+	return &Result{Dist: append([]int64(nil), dist.Raw()...), Levels: run.Rounds, Run: run}
 }
 
 // Naive runs the literal translation: one one-sided read (and conditional
@@ -153,7 +143,6 @@ func Naive(rt *pgas.Runtime, g *graph.Graph, src int64) *Result {
 		dist.StoreRaw(src, 0)
 	}
 	red := pgas.NewOrReducer(rt)
-	levels := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := dist.ThreadCover(th.ID)
@@ -165,10 +154,8 @@ func Naive(rt *pgas.Runtime, g *graph.Graph, src int64) *Result {
 		}
 		th.Barrier()
 
-		for level := int64(1); ; level++ {
-			if level >= maxLevels {
-				panic(fmt.Sprintf("bfs: naive exceeded %d levels", maxLevels))
-			}
+		red.Loop(th, "bfs.Naive", maxLevels, func(i int) bool {
+			level := int64(i) + 1
 			// Expand with per-edge one-sided accesses. PutMin keeps the
 			// concurrent claims monotone (every writer offers the same
 			// level, so any winner is correct).
@@ -189,15 +176,9 @@ func Naive(rt *pgas.Runtime, g *graph.Graph, src int64) *Result {
 				}
 			}
 			th.ChargeSeq(sim.CatWork, hi-lo)
-
-			if !red.Reduce(th, len(frontier) > 0) {
-				if th.ID == 0 {
-					levels = int(level)
-				}
-				return
-			}
-		}
+			return len(frontier) > 0
+		})
 	})
 
-	return &Result{Dist: append([]int64(nil), dist.Raw()...), Levels: levels, Run: run}
+	return &Result{Dist: append([]int64(nil), dist.Raw()...), Levels: run.Rounds, Run: run}
 }

@@ -86,8 +86,9 @@ func (o *Options) compact() bool { return o != nil && o.Compact }
 // reached every smaller vertex already points at its root, so i's parent's
 // label is i's root. The pass checks the invariant it relies on — a label
 // outside [0, i] panics naming the vertex instead of mislabelling — and
-// writes nothing to a slice that is already collapsed.
-func finish(labels []int64, iters int, run *pgas.Result) *Result {
+// writes nothing to a slice that is already collapsed. The round count is
+// the run's.
+func finish(labels []int64, run *pgas.Result) *Result {
 	var components int64
 	for i, p := range labels {
 		switch {
@@ -99,7 +100,7 @@ func finish(labels []int64, iters int, run *pgas.Result) *Result {
 			labels[i] = labels[p]
 		}
 	}
-	return &Result{Labels: labels, Components: components, Iterations: iters, Run: run}
+	return &Result{Labels: labels, Components: components, Iterations: run.Rounds, Run: run}
 }
 
 // Naive runs the literal translation of the shared-memory CC code: every
@@ -116,7 +117,6 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 	pgas.Register(rt, CkptNaiveD, d)
 	red := pgas.NewOrReducer(rt)
 	m := g.M()
-	iterations := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := th.Span(m)
@@ -125,10 +125,7 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 		th.ChargeSeq(sim.CatWork, dHi-dLo)
 		th.Barrier()
 
-		for iter := 0; ; iter++ {
-			if iter >= maxIterations {
-				panic(fmt.Sprintf("cc: Naive exceeded %d iterations", maxIterations))
-			}
+		red.Loop(th, "cc.Naive", maxIterations, func(int) bool {
 			// Graft phase: inspect every local edge and hook the
 			// larger root below the smaller label.
 			grafted := false
@@ -164,16 +161,10 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 					th.PutMin(d, i, ddi, sim.CatComm)
 				}
 			}
-
-			if !red.Reduce(th, grafted) {
-				if th.ID == 0 {
-					iterations = iter + 1
-				}
-				return
-			}
-		}
+			return grafted
+		})
 	})
-	return finish(slices.Clone(d.Raw()), iterations, run)
+	return finish(slices.Clone(d.Raw()), run)
 }
 
 // Coalesced runs CC rewritten with the collectives: grafting fetches both
@@ -192,7 +183,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
 	return graftRounds(rt, comm, opts.col(), &graftRun{
-		name: "Coalesced", ckpt: CkptCoalescedD,
+		name: "cc.Coalesced", ckpt: CkptCoalescedD,
 		d: d, fresh: true, compact: opts.compact(),
 		m: g.M(), ends: g.Ends,
 	})
@@ -219,7 +210,6 @@ func graftRounds(rt *pgas.Runtime, comm *collective.Comm, col *collective.Option
 	identity := !pgas.Register(rt, r.ckpt, d) && r.fresh
 	red := pgas.NewOrReducer(rt)
 	live := comm.NewLiveEdges(r.compact, false)
-	iterations := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)
@@ -233,10 +223,7 @@ func graftRounds(rt *pgas.Runtime, comm *collective.Comm, col *collective.Option
 		jump := collective.NewJumpScratch(span)
 		th.Barrier()
 
-		for iter := 0; ; iter++ {
-			if iter >= maxIterations {
-				panic(fmt.Sprintf("cc: %s exceeded %d iterations", r.name, maxIterations))
-			}
+		red.Loop(th, r.name, maxIterations, func(iter int) bool {
 			el.Gather(th, d, col, iter == 0 && identity)
 
 			// Build the hook list: D[max(du,dv)] <- min(du,dv).
@@ -263,14 +250,8 @@ func graftRounds(rt *pgas.Runtime, comm *collective.Comm, col *collective.Option
 			// directly servable.
 			comm.PointerJump(th, d, col, red, jump, dLo)
 			el.Compact(th)
-
-			if !red.Reduce(th, grafted) {
-				if th.ID == 0 {
-					iterations = iter + 1
-				}
-				return
-			}
-		}
+			return grafted
+		})
 	})
 	// A fresh run's array goes back to the runtime with the kernel's scope;
 	// a caller's resident array is the result.
@@ -278,7 +259,7 @@ func graftRounds(rt *pgas.Runtime, comm *collective.Comm, col *collective.Option
 	if r.fresh {
 		labels = slices.Clone(labels)
 	}
-	return finish(labels, iterations, run)
+	return finish(labels, run)
 }
 
 // SV runs the Shiloach-Vishkin algorithm rewritten with collectives: per

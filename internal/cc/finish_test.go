@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/seq"
 	"pgasgraph/internal/xrand"
 )
@@ -47,7 +48,7 @@ func TestFinishResolvesForests(t *testing.T) {
 			}
 			walked[i] = r
 		}
-		res := finish(slices.Clone(d), 3, nil)
+		res := finish(slices.Clone(d), &pgas.Result{Rounds: 3})
 		if want := seq.Canonical(walked); !slices.Equal(res.Labels, want) {
 			t.Fatalf("trial %d: finish(%v) = %v, want %v", trial, d, res.Labels, want)
 		}
@@ -58,7 +59,7 @@ func TestFinishResolvesForests(t *testing.T) {
 			t.Fatalf("trial %d: iterations %d, want 3", trial, res.Iterations)
 		}
 		// A resolved labeling is a fixpoint, and finish leaves it alone.
-		again := finish(slices.Clone(res.Labels), 0, nil)
+		again := finish(slices.Clone(res.Labels), &pgas.Result{})
 		if !slices.Equal(again.Labels, res.Labels) || again.Components != res.Components {
 			t.Fatalf("trial %d: finish is not idempotent on %v", trial, res.Labels)
 		}
@@ -79,7 +80,7 @@ func TestFinishNamesABrokenInvariant(t *testing.T) {
 		}
 		msg := func() (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
-			finish(d, 0, nil)
+			finish(d, &pgas.Result{})
 			return
 		}()
 		if !strings.Contains(msg, fmt.Sprintf("vertex %d ", k)) {

@@ -40,7 +40,7 @@ func Incremental(rt *pgas.Runtime, comm *collective.Comm, d *pgas.SharedArray, e
 		panic(fmt.Sprintf("cc: Incremental endpoint lists disagree: %d u vs %d v", len(eu), len(ev)))
 	}
 	return graftRounds(rt, comm, opts.col(), &graftRun{
-		name: "Incremental", ckpt: CkptIncrementalD,
+		name: "cc.Incremental", ckpt: CkptIncrementalD,
 		d: d, m: int64(len(eu)),
 		ends: func(lo, hi int64, ends []int64) {
 			for e := lo; e < hi; e++ {

@@ -1,6 +1,8 @@
 package cc
 
 import (
+	"math/bits"
+
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/seq"
@@ -35,7 +37,6 @@ func MergeCGM(rt *pgas.Runtime, g *graph.Graph) *Result {
 	// partner after a barrier.
 	forests := make([][]int64, s)
 	labels := make([]int64, n)
-	rounds := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		model := th.Runtime().Model()
@@ -62,7 +63,6 @@ func MergeCGM(rt *pgas.Runtime, g *graph.Graph) *Result {
 		// Merge phase: binomial-tree reduction. In round r, threads whose
 		// id is a multiple of 2^(r+1) absorb the forest of the partner
 		// 2^r above them; everyone else has finished working and waits.
-		myRounds := 0
 		for stride := 1; stride < s; stride *= 2 {
 			if th.ID%(2*stride) == 0 {
 				partner := th.ID + stride
@@ -92,7 +92,6 @@ func MergeCGM(rt *pgas.Runtime, g *graph.Graph) *Result {
 					forests[th.ID] = append(forests[th.ID], merged...)
 				}
 			}
-			myRounds++
 			th.Barrier()
 		}
 
@@ -108,13 +107,13 @@ func MergeCGM(rt *pgas.Runtime, g *graph.Graph) *Result {
 			for peer := 1; peer < rt.Nodes(); peer++ {
 				th.ChargeMessage(sim.CatComm, n*sim.ElemBytes)
 			}
-			rounds = myRounds
 		}
 		th.Barrier()
 	})
 
-	// Canonicalize outside the timed region like the other kernels.
-	res := &Result{Iterations: rounds, Run: run}
+	// Canonicalize outside the timed region like the other kernels. The
+	// merge tree over s threads is ceil(log2 s) rounds deep.
+	res := &Result{Iterations: bits.Len(uint(s - 1)), Run: run}
 	res.Labels = seq.Canonical(labels)
 	res.Components = seq.CountComponents(res.Labels)
 	return res

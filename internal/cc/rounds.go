@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"fmt"
 	"slices"
 
 	"pgasgraph/internal/collective"
@@ -48,9 +47,10 @@ type hookRule struct {
 // roundProbe, when non-nil, receives a snapshot of the label array after
 // every labelRounds superstep round. The convergence property tests hook
 // it to assert per-round monotonicity and fixpoint stability; production
-// runs leave it nil. Thread 0 invokes it right after the round's change
-// reduction — a barrier — and no thread writes D again before the next
-// round's SetDMin serve phase (which waits for all threads, thread 0
+// runs leave it nil. Thread 0 takes round i's snapshot at the top of round
+// i+1, and the last round's once Loop returns: both follow the round's
+// change reduction — a barrier — and no thread writes D again before the
+// next round's SetDMin serve phase (which waits for all threads, thread 0
 // included), so the read is race-free.
 var roundProbe func(kernel string, round int, labels []int64)
 
@@ -87,7 +87,6 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 	// Compaction drops an edge once both endpoints gather equal parents,
 	// which is sound only when equal parents imply merged trees.
 	live := comm.NewLiveEdges(opts.compact() && !rule.directWrite, rule.perCallSort)
-	iterations := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)
@@ -105,12 +104,19 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 		jumpIdx := make([]int64, span)
 		jumpVal := make([]int64, span)
 		prev := make([]int64, span)
+		probe := func(round int) {
+			if roundProbe != nil && th.ID == 0 {
+				roundProbe(rule.name, round, append([]int64(nil), d.Raw()...))
+			}
+		}
+		last := 0
 		th.Barrier()
 
-		for iter := 0; ; iter++ {
-			if iter >= maxIterations {
-				panic(fmt.Sprintf("cc: %s exceeded %d iterations", rule.name, maxIterations))
+		red.Loop(th, rule.name, maxIterations, func(iter int) bool {
+			if iter > 0 {
+				probe(iter - 1)
 			}
+			last = iter
 			// Snapshot the covered block to detect global change later.
 			copy(prev, block)
 			th.ChargeSeq(sim.CatWork, span)
@@ -152,17 +158,9 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 
 			// Change detection: did any covered label move this round?
 			th.ChargeSeq(sim.CatWork, span)
-			done := !red.Reduce(th, !slices.Equal(block, prev))
-			if roundProbe != nil && th.ID == 0 {
-				roundProbe(rule.name, iter, append([]int64(nil), d.Raw()...))
-			}
-			if done {
-				if th.ID == 0 {
-					iterations = iter + 1
-				}
-				return
-			}
-		}
+			return !slices.Equal(block, prev)
+		})
+		probe(last)
 	})
-	return finish(slices.Clone(d.Raw()), iterations, run)
+	return finish(slices.Clone(d.Raw()), run)
 }

@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -80,7 +79,6 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 	colHook.Offload = false
 	live := comm.NewLiveEdges(opts.compact(), false)
 	chosen := make([][]int64, rt.NumThreads())
-	iterations := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)
@@ -93,10 +91,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		jump := collective.NewJumpScratch(span)
 		th.Barrier()
 
-		for iter := 0; ; iter++ {
-			if iter >= maxIterations {
-				panic(fmt.Sprintf("cc: SpanningTree exceeded %d iterations", maxIterations))
-			}
+		red.Loop(th, "cc.SpanningTree", maxIterations, func(iter int) bool {
 			// Reset this round's hook buckets (own block).
 			for i := dLo; i < dHi; i++ {
 				hook.StoreRaw(i, noHook)
@@ -144,17 +139,11 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 			// Collapse to rooted stars.
 			comm.PointerJump(th, d, col, red, jump, dLo)
 			el.Compact(th)
-
-			if !red.Reduce(th, grafted) {
-				if th.ID == 0 {
-					iterations = iter + 1
-				}
-				return
-			}
-		}
+			return grafted
+		})
 	})
 
-	sf := &SpanningForest{CC: finish(slices.Clone(d.Raw()), iterations, run), Run: run}
+	sf := &SpanningForest{CC: finish(slices.Clone(d.Raw()), run), Run: run}
 	for _, part := range chosen {
 		sf.Edges = append(sf.Edges, part...)
 	}

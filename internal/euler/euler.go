@@ -141,7 +141,6 @@ func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, roots []
 	list := &listrank.List{N: arcs, Succ: succ}
 	r1 := listrank.WyllieMulti(rt, comm, list, ones, colOpts)
 	st.Run.Add(r1.Run)
-	rounds := r1.Rounds
 
 	// down[p] reports whether arc p runs parent -> child.
 	down := make([]bool, arcs)
@@ -166,8 +165,7 @@ func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, roots []
 	}
 	r2 := listrank.WyllieMulti(rt, comm, list, w, colOpts)
 	st.Run.Add(r2.Run)
-	rounds += r2.Rounds
-	st.Rounds = rounds
+	st.Rounds = st.Run.Rounds
 
 	// Arithmetic phase: derive the statistics.
 	// Tree length for positions: head arc h has Count = len-1, so

@@ -2,6 +2,7 @@ package listrank
 
 import (
 	"fmt"
+	"slices"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/pgas"
@@ -71,7 +72,9 @@ func CGM(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.O
 	if target < minAchievable {
 		target = minAchievable
 	}
-	totalRounds := 0
+	// Every thread counts the same contraction rounds; each records its own
+	// and the maximum is reported, so every process of a wire cluster agrees.
+	rounds := make([]int, rt.NumThreads())
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := s.ThreadCover(th.ID)
@@ -204,12 +207,10 @@ func CGM(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.O
 			th.Barrier()
 		}
 
-		if th.ID == 0 {
-			totalRounds = 2 * len(removedByRound) // contraction + expansion
-		}
+		rounds[th.ID] = 2 * len(removedByRound) // contraction + expansion
 	})
 
-	return &Result{Ranks: append([]int64(nil), rank.Raw()...), Rounds: totalRounds, Run: run}
+	return &Result{Ranks: append([]int64(nil), rank.Raw()...), Rounds: slices.Max(rounds), Run: run}
 }
 
 // sequentialRank is the CGM's sequential step, run by thread 0 alone: pull

@@ -55,7 +55,6 @@ func WyllieMulti(rt *pgas.Runtime, comm *collective.Comm, l *List, weights []int
 	}
 	red := pgas.NewOrReducer(rt)
 	plan := comm.NewPlan() // shared: rebuilt each round, executed 3x
-	rounds := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := s.ThreadCover(th.ID)
@@ -75,10 +74,7 @@ func WyllieMulti(rt *pgas.Runtime, comm *collective.Comm, l *List, weights []int
 		ws := make([]int64, span)
 		th.Barrier()
 
-		for round := 0; ; round++ {
-			if round >= maxRounds {
-				panic(fmt.Sprintf("listrank: WyllieMulti exceeded %d rounds", maxRounds))
-			}
+		red.Loop(th, "listrank.WyllieMulti", maxRounds, func(int) bool {
 			k := len(active)
 			for j, i := range active {
 				idx[j] = s.LoadRaw(i)
@@ -105,21 +101,15 @@ func WyllieMulti(rt *pgas.Runtime, comm *collective.Comm, l *List, weights []int
 			}
 			active = active[:w]
 			th.ChargeSeq(sim.CatCopy, 4*int64(k))
-
-			if !red.Reduce(th, w > 0) {
-				if th.ID == 0 {
-					rounds = round + 1
-				}
-				return
-			}
-		}
+			return w > 0
+		})
 	})
 
 	return &MultiResult{
 		Count:    append([]int64(nil), cnt.Raw()...),
 		Weighted: append([]int64(nil), wgt.Raw()...),
 		Tail:     append([]int64(nil), s.Raw()...),
-		Rounds:   rounds,
+		Rounds:   run.Rounds,
 		Run:      run,
 	}
 }

@@ -1,8 +1,6 @@
 package listrank
 
 import (
-	"fmt"
-
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/sim"
@@ -27,7 +25,7 @@ const maxRounds = 128
 // not (or vice versa) double-counts or loses distance. After an eviction
 // list ranking recovers by full deterministic re-execution.
 func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options) *Result {
-	return wyllie(rt, comm, l, colOpts, "Wyllie", false)
+	return wyllie(rt, comm, l, colOpts, "listrank.Wyllie", false)
 }
 
 // WyllieFused is Wyllie with the fused GetDPair collective: each round
@@ -35,7 +33,7 @@ func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collectiv
 // instead of two — the beyond-paper optimization measured by
 // BenchmarkAblationFusedPair, applied to a full kernel.
 func WyllieFused(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options) *Result {
-	return wyllie(rt, comm, l, colOpts, "WyllieFused", true)
+	return wyllie(rt, comm, l, colOpts, "listrank.WyllieFused", true)
 }
 
 func wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options, name string, fused bool) *Result {
@@ -49,7 +47,6 @@ func wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collectiv
 		}
 	}
 	red := pgas.NewOrReducer(rt)
-	rounds := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := s.ThreadCover(th.ID)
@@ -69,10 +66,7 @@ func wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collectiv
 		rs := make([]int64, span)
 		th.Barrier()
 
-		for round := 0; ; round++ {
-			if round >= maxRounds {
-				panic(fmt.Sprintf("listrank: %s exceeded %d rounds", name, maxRounds))
-			}
+		red.Loop(th, name, maxRounds, func(int) bool {
 			k := len(active)
 			for j, i := range active {
 				idx[j] = s.LoadRaw(i)
@@ -101,17 +95,11 @@ func wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collectiv
 			}
 			active = active[:w]
 			th.ChargeSeq(sim.CatCopy, 3*int64(k))
-
-			if !red.Reduce(th, w > 0) {
-				if th.ID == 0 {
-					rounds = round + 1
-				}
-				return
-			}
-		}
+			return w > 0
+		})
 	})
 
-	return &Result{Ranks: append([]int64(nil), r.Raw()...), Rounds: rounds, Run: run}
+	return &Result{Ranks: append([]int64(nil), r.Raw()...), Rounds: run.Rounds, Run: run}
 }
 
 // WyllieNaive is the literal translation: per-element one-sided reads and
@@ -126,7 +114,6 @@ func WyllieNaive(rt *pgas.Runtime, l *List) *Result {
 		}
 	}
 	red := pgas.NewOrReducer(rt)
-	rounds := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := s.ThreadCover(th.ID)
@@ -142,10 +129,7 @@ func WyllieNaive(rt *pgas.Runtime, l *List) *Result {
 		rs := make([]int64, span)
 		th.Barrier()
 
-		for round := 0; ; round++ {
-			if round >= maxRounds {
-				panic(fmt.Sprintf("listrank: WyllieNaive exceeded %d rounds", maxRounds))
-			}
+		red.Loop(th, "listrank.WyllieNaive", maxRounds, func(int) bool {
 			// Read phase: fetch every active node's S[S[i]] and R[S[i]]
 			// with individual one-sided reads — a synchronous PRAM step,
 			// so no writes may interleave.
@@ -168,14 +152,9 @@ func WyllieNaive(rt *pgas.Runtime, l *List) *Result {
 				w++
 			}
 			active = active[:w]
-			if !red.Reduce(th, w > 0) {
-				if th.ID == 0 {
-					rounds = round + 1
-				}
-				return
-			}
-		}
+			return w > 0
+		})
 	})
 
-	return &Result{Ranks: append([]int64(nil), r.Raw()...), Rounds: rounds, Run: run}
+	return &Result{Ranks: append([]int64(nil), r.Raw()...), Rounds: run.Rounds, Run: run}
 }

@@ -71,7 +71,6 @@ func Luby(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *coll
 	csr := graph.BuildCSR(g)
 	state := rt.NewSharedArray("State", g.N)
 	red := pgas.NewOrReducer(rt)
-	rounds := 0
 
 	// Vertices with self-loops can never join; retire them up front.
 	selfLoop := make([]bool, g.N)
@@ -95,10 +94,7 @@ func Luby(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *coll
 		var nbrIdx, nbrState, notify []int64
 		th.Barrier()
 
-		for round := 0; ; round++ {
-			if round >= maxRounds {
-				panic(fmt.Sprintf("mis: exceeded %d rounds", maxRounds))
-			}
+		red.Loop(th, "mis.Luby", maxRounds, func(round int) bool {
 			// Fetch the liveness of every active vertex's neighborhood.
 			nbrIdx = nbrIdx[:0]
 			offsets := make([]int, len(active)+1)
@@ -162,17 +158,11 @@ func Luby(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *coll
 			}
 			active = active[:w]
 			th.ChargeSeq(sim.CatWork, int64(len(active)))
-
-			if !red.Reduce(th, w > 0) {
-				if th.ID == 0 {
-					rounds = round + 1
-				}
-				return
-			}
-		}
+			return w > 0
+		})
 	})
 
-	res := &Result{InSet: make([]bool, g.N), Rounds: rounds, Run: run}
+	res := &Result{InSet: make([]bool, g.N), Rounds: run.Rounds, Run: run}
 	for v := int64(0); v < g.N; v++ {
 		res.InSet[v] = state.LoadRaw(v) == stateInSet
 	}

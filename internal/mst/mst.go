@@ -100,7 +100,6 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 	s := rt.NumThreads()
 	chosen := make([][]int64, s)
 	m := g.M()
-	iterations := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := th.Span(m)
@@ -108,10 +107,7 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 		th.ChargeSeq(sim.CatWork, dHi-dLo)
 		th.Barrier()
 
-		for iter := 0; ; iter++ {
-			if iter >= maxIterations {
-				panic(fmt.Sprintf("mst: Naive exceeded %d iterations", maxIterations))
-			}
+		red.Loop(th, "mst.Naive", maxIterations, func(int) bool {
 			// Reset this round's candidate buckets (own block).
 			for i := dLo; i < dHi; i++ {
 				minE.StoreRaw(i, noEdge)
@@ -185,16 +181,10 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 					th.Put(d, i, ddi, sim.CatComm)
 				}
 			}
-
-			if !red.Reduce(th, found) {
-				if th.ID == 0 {
-					iterations = iter + 1
-				}
-				return
-			}
-		}
+			return found
+		})
 	})
-	return collect(g, chosen, iterations, run)
+	return collect(g, chosen, run)
 }
 
 // Coalesced runs the rewritten kernel: endpoint labels arrive through one
@@ -218,7 +208,6 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	col := opts.col()
 	live := comm.NewLiveEdges(opts.compact(), false)
 	chosen := make([][]int64, rt.NumThreads())
-	iterations := 0
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)
@@ -237,10 +226,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		otherIdx, otherKey := make([]int64, span), make([]int64, span)
 		th.Barrier()
 
-		for iter := 0; ; iter++ {
-			if iter >= maxIterations {
-				panic(fmt.Sprintf("mst: Coalesced exceeded %d iterations", maxIterations))
-			}
+		red.Loop(th, "mst.Coalesced", maxIterations, func(int) bool {
 			// Reset this round's candidate buckets (own block).
 			for i := dLo; i < dHi; i++ {
 				minE.StoreRaw(i, noEdge)
@@ -320,21 +306,15 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			// plain jumping converges.
 			comm.PointerJump(th, d, col, red, jump, dLo)
 			el.Compact(th)
-
-			if !red.Reduce(th, found) {
-				if th.ID == 0 {
-					iterations = iter + 1
-				}
-				return
-			}
-		}
+			return found
+		})
 	})
-	return collect(g, chosen, iterations, run)
+	return collect(g, chosen, run)
 }
 
 // collect merges per-thread edge choices into the final Result.
-func collect(g *graph.Graph, chosen [][]int64, iterations int, run *pgas.Result) *Result {
-	res := &Result{Iterations: iterations, Run: run}
+func collect(g *graph.Graph, chosen [][]int64, run *pgas.Result) *Result {
+	res := &Result{Iterations: run.Rounds, Run: run}
 	for _, part := range chosen {
 		for _, e := range part {
 			res.Edges = append(res.Edges, e)

@@ -7,11 +7,10 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// TestBulkRetransmitChargeInvariance pins the exact accounting of the
-// retransmit loop shared by GetBulk and PutBulk through chargeTransfer:
-// every attempt recharges the full wire cost (message + request-leg latency
-// for the read's round trip, message only for the write), every retry is
-// preceded by exactly one exponential backoff, and the logical RemoteOps
+// TestBulkRetransmitChargeInvariance pins the exact accounting of GetBulk's
+// retransmit loop through chargeTransfer: every attempt recharges the full
+// wire cost (message + request-leg latency for the read's round trip),
+// every retry is preceded by exactly one exponential backoff, and the logical RemoteOps
 // count never inflates. The expected clock is reconstructed charge by
 // charge in the same order the runtime issues them, so the comparison is
 // bit-exact — any drift in the shared helper (double-charging, a lost
@@ -21,7 +20,7 @@ func TestBulkRetransmitChargeInvariance(t *testing.T) {
 		k       = 8
 		backoff = 750.0
 	)
-	run := func(t *testing.T, put bool, seed uint64) int64 {
+	run := func(t *testing.T, seed uint64) int64 {
 		rt := testRT(t, 2, 1)
 		rt.ArmChaos(ChaosConfig{
 			Seed:        seed,
@@ -42,11 +41,7 @@ func TestBulkRetransmitChargeInvariance(t *testing.T) {
 			if th.ID != 0 {
 				return
 			}
-			if put {
-				th.PutBulk(a, start, buf, sim.CatComm)
-			} else {
-				th.GetBulk(a, start, buf, sim.CatComm)
-			}
+			th.GetBulk(a, start, buf, sim.CatComm)
 			ns, msgs, bytes, rops = th.Clock.NS, th.Clock.Messages, th.Clock.Bytes, th.Clock.RemoteOps
 		}); err != nil {
 			t.Fatal(err)
@@ -60,10 +55,7 @@ func TestBulkRetransmitChargeInvariance(t *testing.T) {
 
 		// Reconstruct the clock in issue order: initial transfer, then per
 		// retry one backoff (doubling from attempt 1) and one retransmit.
-		transfer := rt.model.Message(k*sim.ElemBytes, rt.cfg.ThreadsPerNode)
-		if !put {
-			transfer += rt.cfg.NetLatency // a read is a round trip
-		}
+		transfer := rt.model.Message(k*sim.ElemBytes, rt.cfg.ThreadsPerNode) + rt.cfg.NetLatency // a read is a round trip
 		want := transfer
 		for r := int64(1); r <= retries; r++ {
 			want += backoff * float64(int64(1)<<(r-1))
@@ -86,20 +78,15 @@ func TestBulkRetransmitChargeInvariance(t *testing.T) {
 	// The invariant must hold at every sampled retry count, and the seed
 	// sweep must actually exercise retransmits (a 0.5 drop rate passes a
 	// lone first draw on many seeds).
-	for _, sub := range []struct {
-		name string
-		put  bool
-	}{{"GetBulk", false}, {"PutBulk", true}} {
-		t.Run(sub.name, func(t *testing.T) {
-			var total int64
-			for seed := uint64(1); seed <= 20; seed++ {
-				total += run(t, sub.put, seed)
-			}
-			if total == 0 {
-				t.Fatal("no seed in the sweep injected a drop; the retransmit path went untested")
-			}
-		})
-	}
+	t.Run("GetBulk", func(t *testing.T) {
+		var total int64
+		for seed := uint64(1); seed <= 20; seed++ {
+			total += run(t, seed)
+		}
+		if total == 0 {
+			t.Fatal("no seed in the sweep injected a drop; the retransmit path went untested")
+		}
+	})
 }
 
 // TestBulkRetransmitBudgetExhaustion: DropRate 1 can never deliver, so the

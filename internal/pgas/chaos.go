@@ -1,7 +1,7 @@
 // Deterministic transport-level fault injection.
 //
 // The chaos layer sits underneath the one-sided bulk transfers and the
-// barrier: when armed, every remote GetBulk/PutBulk (and every engine-level
+// barrier: when armed, every remote GetBulk (and every engine-level
 // coalesced transfer that consults TransportFault) draws a fault verdict —
 // delay, duplicate, drop, or corrupt — and every barrier arrival may stall
 // first. Verdicts come from a counter-mode hash of (seed, thread id,

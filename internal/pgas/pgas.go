@@ -4,8 +4,8 @@
 // The runtime presents the UPC surface the paper's Figure 1 and Algorithm 2
 // rely on: a fixed set of threads spread over nodes, shared arrays with a
 // blocked distribution and an owner thread per element, one-sided Get/Put
-// (upc_memget/upc_memput) in single-element and bulk forms, and full
-// barriers (upc_barrier).
+// in single-element form and bulk reads (upc_memget), and full barriers
+// (upc_barrier).
 //
 // Threads are real goroutines and data movement is real (algorithms compute
 // real, verifiable answers). Execution *time* is simulated: every operation
@@ -421,6 +421,8 @@ type Thread struct {
 	Node  int // node id in [0, p)
 	Local int // thread id within the node, in [0, t)
 	Clock sim.Clock
+	// rounds counts the OrReducer.Loop rounds of the current region.
+	rounds int
 }
 
 // Runtime returns the owning runtime.
@@ -461,6 +463,10 @@ type Result struct {
 	// payload copied into them. Zero when checkpointing is disarmed.
 	Checkpoints     int64
 	CheckpointBytes int64
+	// Rounds is the number of OrReducer.Loop rounds the region ran. Every
+	// thread runs the same rounds, so it is read from a thread this
+	// process drives and every node of a wire cluster reports it alike.
+	Rounds int
 }
 
 // AvgByCategory returns the per-thread average category breakdown.
@@ -489,6 +495,7 @@ func (r *Result) Add(part *Result) {
 	r.Retries += part.Retries
 	r.Checkpoints += part.Checkpoints
 	r.CheckpointBytes += part.CheckpointBytes
+	r.Rounds += part.Rounds
 }
 
 // Run executes fn on every thread concurrently (one goroutine per thread),
@@ -563,6 +570,7 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 	}
 	for _, th := range rt.locals {
 		th.Clock.Reset()
+		th.rounds = 0
 		go func(th *Thread) {
 			defer wg.Done()
 			defer func() {
@@ -675,7 +683,7 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 			return nil, err
 		}
 	}
-	res := &Result{Wall: time.Since(start), Threads: len(rt.locals)}
+	res := &Result{Wall: time.Since(start), Threads: len(rt.locals), Rounds: rt.locals[0].rounds}
 	for _, th := range rt.locals {
 		if th.Clock.NS > res.SimNS {
 			res.SimNS = th.Clock.NS
@@ -1192,7 +1200,7 @@ func (th *Thread) GetBulk(a *SharedArray, start int64, dst []int64, cat sim.Cate
 	th.checkRange("GetBulk", a, start, k)
 	isRemote := th.remote(a, start)
 	if isRemote {
-		th.chargeTransfer(cat, k, true)
+		th.chargeTransfer(cat, k)
 		th.Clock.RemoteOps++
 	} else {
 		th.Clock.Charge(cat, th.rt.model.SeqScan(k))
@@ -1213,25 +1221,20 @@ func (th *Thread) GetBulk(a *SharedArray, start int64, dst []int64, cat sim.Cate
 		}
 		th.ChaosBackoff(attempt)
 		// Retransmit: recharge the wire and redeliver the payload.
-		th.chargeTransfer(cat, k, true)
+		th.chargeTransfer(cat, k)
 		th.deliverGet(a, start, dst)
 	}
 }
 
-// chargeTransfer charges one coalesced bulk transfer of k elements to the
-// wire: the modeled message time (plus the request leg's latency when the
-// transfer is a round trip, as a read is), one message, and the payload
-// bytes. GetBulk and PutBulk share it between the initial send and every
-// retransmit, so the two paths' transfer accounting cannot drift.
+// chargeTransfer charges one coalesced bulk read of k elements to the wire:
+// the modeled message time plus the request leg's latency (a read is a
+// round trip), one message, and the payload bytes. GetBulk shares it
+// between the initial send and every retransmit, so the two cannot drift.
 // RemoteOps is deliberately not counted here: it counts logical one-sided
 // operations, which a retransmit repeats rather than adds to.
-func (th *Thread) chargeTransfer(cat sim.Category, k int64, roundTrip bool) {
+func (th *Thread) chargeTransfer(cat sim.Category, k int64) {
 	bytes := k * sim.ElemBytes
-	ns := th.rt.model.Message(bytes, th.rt.cfg.ThreadsPerNode)
-	if roundTrip {
-		ns += th.rt.cfg.NetLatency
-	}
-	th.Clock.Charge(cat, ns)
+	th.Clock.Charge(cat, th.rt.model.Message(bytes, th.rt.cfg.ThreadsPerNode)+th.rt.cfg.NetLatency)
 	th.Clock.Messages++
 	th.Clock.Bytes += bytes
 }
@@ -1250,62 +1253,6 @@ func (th *Thread) deliverGet(a *SharedArray, start int64, dst []int64) {
 	}
 	for j := range dst {
 		dst[j] = a.LoadRaw(start + int64(j))
-	}
-}
-
-// deliverPut is deliverGet's write-side twin.
-func (th *Thread) deliverPut(a *SharedArray, start int64, src []int64) {
-	if !th.rt.tr.Shared() && a.ownerNode(start) != th.rt.node {
-		if err := th.rt.tr.Put(th, a.ownerNode(start), a.win, start, src); err != nil {
-			panic(err)
-		}
-		return
-	}
-	for j := range src {
-		a.StoreRaw(start+int64(j), src[j])
-	}
-}
-
-// PutBulk writes src to the contiguous range starting at start, coalesced
-// into one message when remote. Under armed chaos a remote transfer may
-// be dropped or corrupted in flight (the receiver discards a damaged
-// write, so the destination is never silently poisoned); PutBulk
-// retransmits like GetBulk and raises a classified ErrTimeout when the
-// attempt budget runs out.
-func (th *Thread) PutBulk(a *SharedArray, start int64, src []int64, cat sim.Category) {
-	k := int64(len(src))
-	if k == 0 {
-		return
-	}
-	th.checkRange("PutBulk", a, start, k)
-	isRemote := th.remote(a, start)
-	if isRemote {
-		th.chargeTransfer(cat, k, false)
-		th.Clock.RemoteOps++
-	} else {
-		th.Clock.Charge(cat, th.rt.model.SeqScan(k))
-	}
-	th.deliverPut(a, start, src)
-	if th.rt.chaos == nil || !isRemote {
-		return
-	}
-	max := th.rt.ChaosMaxAttempts()
-	for attempt := 1; ; attempt++ {
-		// The destination range may be concurrently visible to its owner,
-		// so a corrupt verdict cannot damage it in place (nil payload):
-		// the modeled receiver CRC-checks and discards the damaged write,
-		// and the retransmit below re-stores the clean words.
-		err := th.TransportFault(cat, nil)
-		if err == nil {
-			return
-		}
-		if attempt >= max {
-			panic(Errorf(ErrTimeout, th.ID, "PutBulk",
-				"%s[%d,%d): no clean delivery after %d attempts: %v", a.name, start, start+k, attempt, err))
-		}
-		th.ChaosBackoff(attempt)
-		th.chargeTransfer(cat, k, false)
-		th.deliverPut(a, start, src)
 	}
 }
 

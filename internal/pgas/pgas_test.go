@@ -139,12 +139,7 @@ func TestBulkMatchesSingles(t *testing.T) {
 				t.Errorf("GetBulk[%d] = %d", j, v)
 			}
 		}
-		src := []int64{-1, -2, -3}
-		th.PutBulk(a, 40, src, sim.CatComm)
 	})
-	if a.LoadRaw(40) != -1 || a.LoadRaw(42) != -3 {
-		t.Fatal("PutBulk did not store")
-	}
 }
 
 func TestPutMinMonotone(t *testing.T) {

@@ -1,6 +1,10 @@
 package pgas
 
-import "pgasgraph/internal/sim"
+import (
+	"fmt"
+
+	"pgasgraph/internal/sim"
+)
 
 // slots is the one mechanism behind the barrier-based reducers: each
 // thread publishes one word, everyone meets at a barrier, and all threads
@@ -83,6 +87,23 @@ func (r *OrReducer) Reduce(th *Thread, local bool) bool {
 		}
 	}
 	return false
+}
+
+// Loop is the superstep loop of every kernel that repeats until no thread
+// changed anything: it runs round(0), round(1), … on th, OR-reduces each
+// round's local progress through Reduce, and returns after the first round
+// in which no thread made progress. The rounds it ran add to the region's
+// Result.Rounds, so every process of a wire cluster reports the same count.
+// A kernel still making progress after max rounds has a bug: Loop panics
+// naming it. All threads must call Loop together.
+func (r *OrReducer) Loop(th *Thread, kernel string, max int, round func(i int) bool) {
+	for i := 0; i < max; i++ {
+		if !r.Reduce(th, round(i)) {
+			th.rounds += i + 1
+			return
+		}
+	}
+	panic(fmt.Sprintf("%s exceeded %d rounds", kernel, max))
 }
 
 // SumReducer is a global sum over all threads, used for global size

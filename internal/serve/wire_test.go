@@ -201,6 +201,47 @@ func TestFailedKernelStillReleases(t *testing.T) {
 	}
 }
 
+// TestWireRoundCounts: a round count is the cluster's, not node 0's. On a
+// hosted 2 × 2 cluster every node reports, for each wire-battery kernel,
+// the Iterations of the same kernel run in process on the same geometry.
+func TestWireRoundCounts(t *testing.T) {
+	const nodes, tpn = 2, 2
+	seats := hostWire(t, nodes, tpn)
+	inproc, err := pgas.New(testMachine(nodes, tpn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inComm := collective.NewComm(inproc)
+	g := graph.Random(1<<10, 1<<12, 29)
+	for _, kernel := range []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-ers", "bfs/coalesced"} {
+		spec := KernelSpec{Kernel: kernel, Graph: g, Col: collective.Optimized(2), Compact: true, Src: 3}
+		want, err := RunKernel(inproc, inComm, spec)
+		if err != nil {
+			t.Fatalf("%s in process: %v", kernel, err)
+		}
+		if want.Iterations == 0 {
+			t.Fatalf("%s in process: 0 iterations", kernel)
+		}
+		got := make([]int, nodes)
+		for nd, err := range onEvery(seats, func(nd int, s *wireSeat) error {
+			res, err := RunKernel(s.rt, s.comm, spec)
+			if err == nil {
+				got[nd] = res.Iterations
+			}
+			return err
+		}) {
+			if err != nil {
+				t.Fatalf("%s on node %d: %v", kernel, nd, err)
+			}
+		}
+		for nd, it := range got {
+			if it != want.Iterations {
+				t.Errorf("%s: node %d reports %d iterations, in process %d", kernel, nd, it, want.Iterations)
+			}
+		}
+	}
+}
+
 // procWchar reads this process's cumulative write-syscall byte count.
 func procWchar(t *testing.T) uint64 {
 	t.Helper()

@@ -15,6 +15,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
@@ -143,7 +144,7 @@ func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src 
 	orRed := pgas.NewOrReducer(rt)
 	s := rt.NumThreads()
 	relaxCounts := make([]int64, s)
-	phases := 0
+	phases := make([]int, s) // every thread agrees; each records its own
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := dist.ThreadCover(th.ID)
@@ -213,9 +214,7 @@ func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src 
 			th.ChargeOps(sim.CatWork, int64(len(buckets)))
 			cur := minRed.Reduce(th, myMin)
 			if cur == int64(math.MaxInt64) {
-				if th.ID == 0 {
-					phases = phase
-				}
+				phases[th.ID] = phase
 				relaxCounts[th.ID] = relaxed
 				return
 			}
@@ -255,7 +254,7 @@ func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src 
 
 	res := &Result{
 		Dist:    append([]int64(nil), dist.Raw()...),
-		Buckets: phases,
+		Buckets: slices.Max(phases),
 		Run:     run,
 	}
 	for _, c := range relaxCounts {
