@@ -20,10 +20,10 @@
 //     message). A final local permute restores request order.
 //
 // Phase 1 is reified as a Plan (plan.go) and phase 2 as a serveOp run by
-// the exchange engine (engine.go); the collectives here are thin wrappers
-// that build a scratch plan and execute it once. Kernels whose request
-// vector is stable across iterations hold their own Plan and re-execute
-// it, skipping phase 1 entirely.
+// the exchange engine (engine.go); the collectives here are one-line calls
+// into Comm.once, which builds a scratch plan and executes it once. Kernels
+// whose request vector is stable across iterations hold their own Plan and
+// re-execute it (GetD or SetDMin), skipping phase 1 entirely.
 //
 // The paper's optimizations — circular, localcpy, id, offload — are
 // selectable through Options; compact lives in the algorithms (it changes
@@ -428,7 +428,7 @@ func badIndex(kind string, d *pgas.SharedArray, ix int64) {
 // barriers. cache may be nil. Requests must be in-bounds for d and at most
 // MaxRequests long (both checked).
 func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options, cache *IDCache) {
-	c.getOneShot(th, d, indices, out, opts, cache, false)
+	c.once(th, opGetD, d, nil, indices, nil, out, nil, opts, cache)
 }
 
 // GetDCombined is GetD, result for result, for a request vector the caller
@@ -438,29 +438,16 @@ func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, 
 // filter delivers the first request per index and the finish phase copies
 // its answer to the rest (see planFilter). The probe is paid on every
 // offered request, which is why endpoint gathers — a few percent
-// duplicates — stay on GetD.
+// duplicates — stay on GetD. It traces as GetD.
 func (c *Comm) GetDCombined(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options) {
-	c.getOneShot(th, d, indices, out, opts, nil, true)
-}
-
-// getOneShot builds the scratch plan for a gather, combining or not, and
-// executes it once.
-func (c *Comm) getOneShot(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options, cache *IDCache, combine bool) {
-	if len(out) != len(indices) {
-		panic("collective: GetD output length mismatch")
-	}
-	opts = orDefaults(opts)
-	c.traced("GetD", th, c.splan, func() {
-		c.splan.planInto("GetD", th, d, indices, opts, cache, true, combine, nil)
-		c.exec(th, c.splan, opGetD, d, nil, nil, out, nil)
-	})
+	c.once(th, opGetDCombined, d, nil, indices, nil, out, nil, opts, nil)
 }
 
 // SetD scatters D[indices[j]] = values[j] collectively (arbitrary
 // concurrent write: when several requests target one location, the owner
 // applies them in a deterministic order and the last wins).
 func (c *Comm) SetD(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.setOneShot(th, d, indices, values, opts, cache, opSetD)
+	c.once(th, opSetD, d, nil, indices, values, nil, nil, opts, cache)
 }
 
 // SetDMin scatters D[indices[j]] = min(D[indices[j]], values[j])
@@ -474,7 +461,7 @@ func (c *Comm) SetD(th *pgas.Thread, d *pgas.SharedArray, indices, values []int6
 // call is the same. cache is not consulted: which requests survive depends
 // on the values, not on the index list alone.
 func (c *Comm) SetDMin(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.setOneShot(th, d, indices, values, opts, cache, opSetDMin)
+	c.once(th, opSetDMin, d, nil, indices, values, nil, nil, opts, cache)
 }
 
 // SetDAdd scatters D[indices[j]] += values[j] collectively (additive
@@ -483,29 +470,85 @@ func (c *Comm) SetDMin(th *pgas.Thread, d *pgas.SharedArray, indices, values []i
 // histogram-style reductions use it in place of a gather-modify-scatter
 // round trip.
 func (c *Comm) SetDAdd(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.setOneShot(th, d, indices, values, opts, cache, opSetDAdd)
+	c.once(th, opSetDAdd, d, nil, indices, values, nil, nil, opts, cache)
 }
 
-// setOneShot runs one scatter-style collective: build the scratch plan,
-// execute the op once. Only SetDMin's drop semantics survive the request
-// filter, which then takes the values too and combines duplicates.
-func (c *Comm) setOneShot(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache, op *serveOp) {
-	if len(values) != len(indices) {
-		panic("collective: Set* value length mismatch")
+// GetDPair gathers from two equally-distributed shared arrays at the same
+// indices in one collective: out1[j] = d1[indices[j]], out2[j] =
+// d2[indices[j]]. Pointer-jumping kernels fetch S[S[i]] and R[S[i]] at
+// identical indices every round; fusing the calls halves the grouping
+// work and the SMatrix/PMatrix setup traffic — the all-to-all burst that
+// dominates at high thread counts (§VI). A beyond-paper optimization,
+// measured by BenchmarkAblationFusedPair. It is the engine's fused pair
+// op: one grouping and one setup serve both gathers (offload does not
+// apply: two arrays cannot share one pinned value).
+//
+// d1 and d2 must have the same length (hence the same distribution).
+func (c *Comm) GetDPair(th *pgas.Thread, d1, d2 *pgas.SharedArray, indices, out1, out2 []int64, opts *Options, cache *IDCache) {
+	c.once(th, opGetDPair, d1, d2, indices, nil, out1, out2, opts, cache)
+}
+
+// Exchange is the personalized all-to-all underlying the paper's
+// collectives, exposed directly: every thread contributes items routed to
+// the owner of item's index under d's partition (items are element
+// indices, e.g. vertex ids), and receives the concatenation of everything
+// routed to it. Level-synchronous algorithms (BFS frontier exchange) use it
+// to push work to data owners with one coalesced message per thread pair.
+// It is the engine's route op: grouping and matrix publish as usual, but
+// the serve phase delivers the grouped items themselves instead of
+// accessing a local block.
+//
+// All threads must call it (it contains barriers). The returned slice is
+// valid until the thread's next collective call on this Comm.
+func (c *Comm) Exchange(th *pgas.Thread, d *pgas.SharedArray, items []int64, opts *Options, cache *IDCache) []int64 {
+	c.once(th, opExchange, d, nil, items, nil, nil, nil, opts, cache)
+	st := &c.ts[th.ID]
+	return st.inVal[:st.routeTotal]
+}
+
+// ExchangePairs is Exchange carrying a value alongside every routed item:
+// thread-local (index, value) pairs are delivered to the index's owner,
+// which receives both slices aligned. Relaxation-style algorithms (SSSP)
+// use it to push tentative distances to vertex owners, which then apply
+// them with full knowledge of what changed — something the fire-and-forget
+// SetDMin cannot report.
+//
+// All threads must call it (it contains barriers). The returned slices are
+// valid until the thread's next collective call on this Comm.
+func (c *Comm) ExchangePairs(th *pgas.Thread, d *pgas.SharedArray, items, values []int64, opts *Options, cache *IDCache) (recvItems, recvValues []int64) {
+	c.once(th, opExchangePairs, d, nil, items, values, nil, nil, opts, cache)
+	st := &c.ts[th.ID]
+	return st.local[:st.routeTotal], st.inVal[:st.routeTotal]
+}
+
+// once is every one-shot collective: check the caller's slices against the
+// request list, build the scratch plan for op (which says what the build
+// may drop) and execute it once.
+func (c *Comm) once(th *pgas.Thread, op *serveOp, d1, d2 *pgas.SharedArray, indices, values, out1, out2 []int64, opts *Options, cache *IDCache) {
+	checkArgs(op, len(indices), values, out1, out2)
+	if d2 != nil && d1.Len() != d2.Len() {
+		panic("collective: " + op.kind + " arrays must share a distribution")
 	}
 	opts = orDefaults(opts)
-	var minVals []int64
-	if op == opSetDMin {
-		// What combining keeps depends on the values, so two calls with one
-		// index list can keep different requests — even equally many — and
-		// an IDCache, valid per index list, would hand the second call the
-		// first one's owners.
-		minVals, cache = values, nil
-	}
 	c.traced(op.kind, th, c.splan, func() {
-		c.splan.planInto(op.kind, th, d, indices, opts, cache, op.allowFiltered, false, minVals)
-		c.exec(th, c.splan, op, d, nil, values, nil, nil)
+		c.splan.planInto(op.kind, th, op, d1, indices, values, opts, cache)
+		c.exec(th, c.splan, op, d1, d2, values, out1, out2)
 	})
+}
+
+// checkArgs panics when op's values or result streams do not hold one
+// element per request of an n-element list.
+func checkArgs(op *serveOp, n int, values, out1, out2 []int64) {
+	if op.hasValues && len(values) != n {
+		kind := op.kind
+		if op.mutates {
+			kind = "Set*" // one text for the three scatters
+		}
+		panic("collective: " + kind + " value length mismatch")
+	}
+	if op.outs >= 1 && len(out1) != n || op.outs == 2 && len(out2) != n {
+		panic("collective: " + op.kind + " output length mismatch")
+	}
 }
 
 // orDefaults maps a nil options pointer to the package defaults.

@@ -3,12 +3,13 @@
 // Every collective is phase 2 of Algorithm 2 run against a built Plan —
 // barrier, serve every peer, barrier, finish — and the collectives differ
 // only in how a peer's segment is served (gather, scatter with a combining
-// rule, fused pair gather, or plain routing) and how results reach the
-// caller (permute back, nothing, or a concatenated receive buffer). Those
-// two choices are a serveOp; exec is the engine that runs one. The six
-// public collectives in collective.go/exchange.go/pair.go are thin
-// wrappers that build a scratch plan and exec it; Plan's execution methods
-// exec a caller-held plan, skipping the rebuild.
+// rule, fused pair gather, or plain routing), how results reach the caller
+// (permute back, nothing, or a concatenated receive buffer), and which
+// requests a one-shot build may leave out. Those choices are a serveOp;
+// exec is the engine that runs one. The eight public collectives in
+// collective.go are one-line calls into Comm.once, which builds the scratch
+// plan as the op says and execs it; a caller-held Plan execs GetD and
+// SetDMin, skipping the rebuild.
 package collective
 
 import (
@@ -20,20 +21,26 @@ import (
 )
 
 // serveOp is one pluggable collective: a serve-phase body, a finish-phase
-// body, and the flags the engine needs to stage its inputs and outputs.
-// Descriptors are package-level values so dispatching through them never
-// allocates.
+// body, the flags the engine needs to stage its inputs and outputs, and
+// what a one-shot build of the op may drop. Descriptors are package-level
+// values so dispatching through them never allocates.
 type serveOp struct {
 	kind string // trace/diagnostic name
 	// hasValues: the caller passes per-request values, aligned into the
 	// plan's grouped layout before the first barrier on every execution.
 	hasValues bool
-	// pairRecv: the op delivers a second value stream (GetDPair), so the
-	// plan's second receive buffer is sized before the first barrier.
-	pairRecv bool
+	// outs is how many result streams finish permutes into the caller's
+	// out1 (and out2): 1 for a gather, 2 for GetDPair, whose second receive
+	// buffer is sized before the first barrier.
+	outs int
 	// allowFiltered: the op's semantics survive the offload filter (GetD
-	// substitutes the pinned value, SetDMin drops the no-op write).
+	// substitutes the pinned value, SetDMin drops the no-op write), so a
+	// build for it honors Options.Offload.
 	allowFiltered bool
+	// combine is what a one-shot build drops beyond offload (see
+	// planFilter): repeats by position (GetDCombined), or writes that
+	// cannot win by value (SetDMin, whose build then skips the IDCache).
+	combine combineRule
 	// mutates: the serve phase writes the local block of d1 (the Set*
 	// scatters), so a chaos-armed replay snapshots and restores it.
 	mutates bool
@@ -44,12 +51,22 @@ type serveOp struct {
 	finish func(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64)
 }
 
+// combineRule selects the request filter's combining (see planFilter).
+type combineRule uint8
+
+const (
+	combineNone  combineRule = iota
+	combineIndex             // a repeated index is asked once; finish copies the keeper's answer
+	combineMin               // a write beaten by an earlier one to its index is dropped
+)
+
 var (
-	opGetD          = &serveOp{kind: "GetD", allowFiltered: true, serve: serveGather, finish: finishPermute}
+	opGetD          = &serveOp{kind: "GetD", outs: 1, allowFiltered: true, serve: serveGather, finish: finishPermute}
+	opGetDCombined  = &serveOp{kind: "GetD", outs: 1, allowFiltered: true, combine: combineIndex, serve: serveGather, finish: finishPermute}
 	opSetD          = &serveOp{kind: "SetD", hasValues: true, mutates: true, serve: serveScatterSet, finish: finishNone}
-	opSetDMin       = &serveOp{kind: "SetDMin", hasValues: true, allowFiltered: true, mutates: true, serve: serveScatterMin, finish: finishNone}
+	opSetDMin       = &serveOp{kind: "SetDMin", hasValues: true, allowFiltered: true, combine: combineMin, mutates: true, serve: serveScatterMin, finish: finishNone}
 	opSetDAdd       = &serveOp{kind: "SetDAdd", hasValues: true, mutates: true, serve: serveScatterAdd, finish: finishNone}
-	opGetDPair      = &serveOp{kind: "GetDPair", pairRecv: true, serve: servePair, finish: finishPair}
+	opGetDPair      = &serveOp{kind: "GetDPair", outs: 2, serve: servePair, finish: finishPair}
 	opExchange      = &serveOp{kind: "Exchange", serve: serveRoute, finish: finishNone}
 	opExchangePairs = &serveOp{kind: "ExchangePairs", hasValues: true, serve: serveRoutePairs, finish: finishNone}
 )
@@ -86,7 +103,7 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedAr
 		}
 		chargePermute(th, sim.CatSort, int64(k))
 	}
-	if op.pairRecv {
+	if op.outs == 2 {
 		// Second receive buffer, aligned with pt.val, sized before peers
 		// can deliver into it.
 		pt.val2 = sched.Grow64(pt.val2, k, &st.growths)

@@ -13,31 +13,27 @@ import (
 // keys resolved, indices count-sorted by owner, the inverse permutation,
 // and the published SMatrix/PMatrix columns — separated from the serve
 // phase that consumes it. Building a Plan (PlanRequests) performs and
-// charges phase 1 of Algorithm 2; executing it (plan.GetD, plan.SetDMin,
-// …) performs phase 2. A Plan built once may be executed many times: the
+// charges phase 1 of Algorithm 2; executing it (GetD or SetDMin) performs
+// phase 2. A Plan built once may be executed many times: the
 // pointer-jumping kernels issue the same request vector every iteration,
 // and reuse skips the grouping sort and the all-to-all matrix publish —
 // the setup cost that dominates at high thread counts (§VI) — while
-// producing bit-identical results. Values passed to Set*-style executions
-// are re-aligned on every call, so reuse only requires the *indices* to be
-// unchanged.
+// producing bit-identical results. Values passed to SetDMin are re-aligned
+// on every call, so reuse only requires the *indices* to be unchanged.
 //
 // A Plan is tied to one Comm, one request vector per thread, and one array
 // distribution (length); executing it against an array of a different
-// length panics. Like the collectives themselves, PlanRequests and every
-// execution method are collective: all threads of the runtime must call
-// them, and they contain barriers. A Plan must not be shared between
-// concurrent runtime Run regions.
+// length panics. Like the collectives themselves, PlanRequests, GetD and
+// SetDMin are collective: all threads of the runtime must call them, and
+// they contain barriers. A Plan must not be shared between concurrent
+// runtime Run regions.
 //
-// When the plan is built with Offload enabled, the offloaded index is
-// filtered out at build time and only GetD (substitute the pinned value)
-// and SetDMin (drop the no-op write) may execute it; other ops panic,
-// since their semantics cannot honor a filtered request list. A planned
-// SetDMin always delivers every remaining request: duplicate combining
-// needs the values, which change per execution while the plan's indices
-// are fixed at build, so only the one-shot SetDMin combines. A planned GetD
-// delivers every remaining request too: whether a request vector repeats
-// itself is something a call site knows (GetDCombined), not the plan.
+// With Offload enabled the build filters out the offloaded index, which
+// both executions honor: GetD substitutes the pinned value, SetDMin drops
+// the no-op write. A plan combines nothing else — SetDMin's combining
+// judges the values, which change per execution, and whether a request
+// vector repeats itself is something a call site knows (GetDCombined) — so
+// only the one-shot collectives combine.
 type Plan struct {
 	c    *Comm
 	pts  []planThread
@@ -99,18 +95,17 @@ func (c *Comm) NewPlan() *Plan {
 // collectives pay for the same phase. It contains no barrier: the first
 // execution's pre-serve barrier separates setup from serving, just as in
 // a one-shot call. When opts.Offload is set the offloaded index is
-// filtered here, restricting the plan to GetD/SetDMin execution.
+// filtered here, as a one-shot GetD's build would.
 func (p *Plan) PlanRequests(th *pgas.Thread, d *pgas.SharedArray, indices []int64, opts *Options, cache *IDCache) {
-	p.planInto("PlanRequests", th, d, indices, orDefaults(opts), cache, true, false, nil)
+	p.planInto("PlanRequests", th, opGetD, d, indices, nil, orDefaults(opts), cache)
 }
 
-// planInto is PlanRequests for the caller named kind, shared with the
-// one-shot wrappers, which decide filtering by op semantics: only GetD and
-// SetDMin honor Offload (allowOffload), only GetDCombined declares its
-// requests label-valued (combine), and only the one-shot SetDMin hands over
-// its values (minVals). It validates the request list — inside the filter's
-// pass when there is one, with a sweep of its own otherwise.
-func (p *Plan) planInto(kind string, th *pgas.Thread, d *pgas.SharedArray, indices []int64, opts *Options, cache *IDCache, allowOffload, combine bool, minVals []int64) {
+// planInto is PlanRequests for the caller named kind, building for op:
+// the offload filter applies when op allows it, and op's combine rule says
+// what else the filter drops (combineMin judges values, the one-shot
+// SetDMin's). It validates the request list — inside the filter's pass
+// when there is one, with a sweep of its own otherwise.
+func (p *Plan) planInto(kind string, th *pgas.Thread, op *serveOp, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
 	c := p.c
 	c.checkLive(th)
 	st := &c.ts[th.ID]
@@ -120,11 +115,18 @@ func (p *Plan) planInto(kind string, th *pgas.Thread, d *pgas.SharedArray, indic
 	pt.n = len(indices)
 	pt.execs = 0
 	pt.drops, pt.dups = 0, 0
-	offload := allowOffload && opts.Offload
-	pt.filtered = offload || combine || minVals != nil
+	offload := op.allowFiltered && opts.Offload
+	pt.filtered = offload || op.combine != combineNone
+	if op.combine == combineMin {
+		// What combining keeps depends on the values, so two calls with one
+		// index list can keep different requests — even equally many — and
+		// an IDCache, valid per index list, would hand the second call the
+		// first one's owners.
+		cache = nil
+	}
 	work, via := indices, []int32(nil)
 	if pt.filtered {
-		work = p.planFilter(kind, th, d, pt, st, indices, opts, offload, combine, minVals)
+		work = p.planFilter(kind, th, d, pt, st, indices, values, opts, offload, op.combine)
 		via = pt.outIdx[:len(work)]
 	} else {
 		checkRequests(kind, d, indices)
@@ -173,21 +175,21 @@ type combineTable struct {
 //
 //   - offload: requests for the offloaded index. Their positions are kept
 //     too (dropIdx) so GetD executions can substitute the pinned value.
-//   - combine (GetDCombined): a request for an index an earlier request of
-//     this list already asks for. Its position and the earlier request's —
-//     its keeper's — go to the tails of dropIdx and outIdx, which kept and
-//     dropped requests cannot reach (k + drops + dups = n), and the finish
-//     phase copies the keeper's answer.
-//   - minVals non-nil (the one-shot SetDMin): a request (i, v) when an
-//     earlier request of this list to the same i with a value <= v was
-//     kept. Min is idempotent and commutative, so D after the call is
-//     unchanged.
+//   - combineIndex (GetDCombined): a request for an index an earlier
+//     request of this list already asks for. Its position and the earlier
+//     request's — its keeper's — go to the tails of dropIdx and outIdx,
+//     which kept and dropped requests cannot reach (k + drops + dups = n),
+//     and the finish phase copies the keeper's answer.
+//   - combineMin (the one-shot SetDMin, whose values arrive in vals): a
+//     request (i, v) when an earlier request of this list to the same i
+//     with a value <= v was kept. Min is idempotent and commutative, so D
+//     after the call is unchanged.
 //
 // The table is direct-mapped: a colliding index evicts the slot's entry,
 // which only forgets — the filter can fail to drop, never drop wrongly.
 // The offload compare is a charged streaming pass, the table probe one
 // charged op per offered request.
-func (p *Plan) planFilter(kind string, th *pgas.Thread, d *pgas.SharedArray, pt *planThread, st *threadState, indices []int64, opts *Options, offload, combine bool, minVals []int64) []int64 {
+func (p *Plan) planFilter(kind string, th *pgas.Thread, d *pgas.SharedArray, pt *planThread, st *threadState, indices, vals []int64, opts *Options, offload bool, rule combineRule) []int64 {
 	n := len(indices)
 	checkLen(kind, d, n)
 	pt.filt = sched.Grow64(pt.filt, n, &st.growths)
@@ -197,8 +199,9 @@ func (p *Plan) planFilter(kind string, th *pgas.Thread, d *pgas.SharedArray, pt 
 		offIdx = opts.OffloadIndex
 		th.ChargeSeq(sim.CatWork, int64(n))
 	}
+	byMin := rule == combineMin
 	var tab *combineTable // non-nil: combine, by position or by value
-	if combine || minVals != nil {
+	if rule != combineNone {
 		if st.comb == nil {
 			st.comb = new(combineTable)
 			st.growths++
@@ -207,7 +210,7 @@ func (p *Plan) planFilter(kind string, th *pgas.Thread, d *pgas.SharedArray, pt 
 		clear(tab.key[:])
 		th.ChargeOps(sim.CatWork, int64(n))
 	}
-	if minVals == nil {
+	if !byMin {
 		pt.dropIdx = sched.Grow32(pt.dropIdx, n, &st.growths)
 	}
 	filt, outIdx, dropIdx := pt.filt[:n], pt.outIdx[:n], pt.dropIdx
@@ -218,7 +221,7 @@ func (p *Plan) planFilter(kind string, th *pgas.Thread, d *pgas.SharedArray, pt 
 			badIndex(kind, d, ix)
 		}
 		if ix == offIdx {
-			if minVals == nil {
+			if !byMin {
 				dropIdx[drops] = int32(j)
 				drops++
 			}
@@ -226,8 +229,8 @@ func (p *Plan) planFilter(kind string, th *pgas.Thread, d *pgas.SharedArray, pt 
 		}
 		if tab != nil {
 			h := ix & (combineSlots - 1)
-			if minVals != nil {
-				v := minVals[j]
+			if byMin {
+				v := vals[j]
 				if tab.key[h] == ix+1 && tab.val[h] <= v {
 					continue
 				}
@@ -360,8 +363,28 @@ func (c *Comm) publishInto(th *pgas.Thread, p *Plan, offs []int64) {
 	}
 }
 
-// checkExec validates one execution of op against d on this thread.
-func (p *Plan) checkExec(op *serveOp, pt *planThread, d *pgas.SharedArray) {
+// GetD executes the plan as a coordinated concurrent read: out[j] =
+// D[indices[j]] for the planned indices, identical in results and
+// simulated-time serve charges to Comm.GetD — minus the phase-1 rebuild
+// when the plan is reused. len(out) must equal the planned request count.
+func (p *Plan) GetD(th *pgas.Thread, d *pgas.SharedArray, out []int64) {
+	p.run(th, opGetD, d, nil, out)
+}
+
+// SetDMin executes the plan as a priority (minimum-wins) concurrent write:
+// D[indices[j]] = min(D[indices[j]], values[j]). values are re-aligned to
+// the grouped layout on every call, so only the indices need be unchanged
+// for reuse; every planned request is delivered (a plan does not combine).
+func (p *Plan) SetDMin(th *pgas.Thread, d *pgas.SharedArray, values []int64) {
+	p.run(th, opSetDMin, d, values, nil)
+}
+
+// run executes op on the built plan against d, after checking the caller's
+// slices against the planned request count and d against the planned
+// length.
+func (p *Plan) run(th *pgas.Thread, op *serveOp, d *pgas.SharedArray, values, out []int64) {
+	pt := &p.pts[th.ID]
+	checkArgs(op, pt.n, values, out, nil)
 	if pt.arrLen == 0 {
 		panic(fmt.Sprintf("collective: %s on an unbuilt plan (call PlanRequests first)", op.kind))
 	}
@@ -369,92 +392,5 @@ func (p *Plan) checkExec(op *serveOp, pt *planThread, d *pgas.SharedArray) {
 		panic(fmt.Sprintf("collective: plan %s against %s of length %d, planned for length %d",
 			op.kind, d.Name(), d.Len(), pt.arrLen))
 	}
-	if pt.filtered && !op.allowFiltered {
-		panic(fmt.Sprintf("collective: plan %s on a plan built with offload filtering (only GetD and SetDMin honor the filter)", op.kind))
-	}
-}
-
-// GetD executes the plan as a coordinated concurrent read: out[j] =
-// D[indices[j]] for the planned indices, identical in results and
-// simulated-time serve charges to Comm.GetD — minus the phase-1 rebuild
-// when the plan is reused. len(out) must equal the planned request count.
-func (p *Plan) GetD(th *pgas.Thread, d *pgas.SharedArray, out []int64) {
-	pt := &p.pts[th.ID]
-	if len(out) != pt.n {
-		panic("collective: GetD output length mismatch")
-	}
-	p.checkExec(opGetD, pt, d)
-	p.c.traced("GetD", th, p, func() { p.c.exec(th, p, opGetD, d, nil, nil, out, nil) })
-}
-
-// SetD executes the plan as an arbitrary concurrent write: D[indices[j]]
-// = values[j]. values are re-aligned to the grouped layout on every call,
-// so only the indices need be unchanged for reuse.
-func (p *Plan) SetD(th *pgas.Thread, d *pgas.SharedArray, values []int64) {
-	p.setExec(th, opSetD, d, values)
-}
-
-// SetDMin executes the plan as a priority (minimum-wins) concurrent
-// write.
-func (p *Plan) SetDMin(th *pgas.Thread, d *pgas.SharedArray, values []int64) {
-	p.setExec(th, opSetDMin, d, values)
-}
-
-// SetDAdd executes the plan as an additive concurrent write:
-// D[indices[j]] += values[j], every request contributing.
-func (p *Plan) SetDAdd(th *pgas.Thread, d *pgas.SharedArray, values []int64) {
-	p.setExec(th, opSetDAdd, d, values)
-}
-
-func (p *Plan) setExec(th *pgas.Thread, op *serveOp, d *pgas.SharedArray, values []int64) {
-	pt := &p.pts[th.ID]
-	if len(values) != pt.n {
-		panic("collective: Set* value length mismatch")
-	}
-	p.checkExec(op, pt, d)
-	p.c.traced(op.kind, th, p, func() { p.c.exec(th, p, op, d, nil, values, nil, nil) })
-}
-
-// GetDPair executes the plan as a fused gather from two equally
-// distributed arrays at the planned indices: out1[j] = d1[indices[j]],
-// out2[j] = d2[indices[j]] — one grouping and one setup serving both.
-func (p *Plan) GetDPair(th *pgas.Thread, d1, d2 *pgas.SharedArray, out1, out2 []int64) {
-	pt := &p.pts[th.ID]
-	if len(out1) != pt.n || len(out2) != pt.n {
-		panic("collective: GetDPair output length mismatch")
-	}
-	if d1.Len() != d2.Len() {
-		panic("collective: GetDPair arrays must share a distribution")
-	}
-	p.checkExec(opGetDPair, pt, d1)
-	p.c.traced("GetDPair", th, p, func() { p.c.exec(th, p, opGetDPair, d1, d2, nil, out1, out2) })
-}
-
-// Exchange executes the plan as the personalized all-to-all: every
-// thread's planned items are routed to their owners under d's
-// distribution, and the thread receives the concatenation of everything
-// routed to it. The returned slice is valid until the thread's next
-// collective call on this Comm.
-func (p *Plan) Exchange(th *pgas.Thread, d *pgas.SharedArray) []int64 {
-	pt := &p.pts[th.ID]
-	p.checkExec(opExchange, pt, d)
-	c := p.c
-	c.traced("Exchange", th, p, func() { c.exec(th, p, opExchange, d, nil, nil, nil, nil) })
-	st := &c.ts[th.ID]
-	return st.inVal[:st.routeTotal]
-}
-
-// ExchangePairs executes the plan as Exchange carrying a value alongside
-// every routed item; values are re-aligned on each call. The returned
-// slices are valid until the thread's next collective call on this Comm.
-func (p *Plan) ExchangePairs(th *pgas.Thread, d *pgas.SharedArray, values []int64) (recvItems, recvValues []int64) {
-	pt := &p.pts[th.ID]
-	if len(values) != pt.n {
-		panic("collective: ExchangePairs value length mismatch")
-	}
-	p.checkExec(opExchangePairs, pt, d)
-	c := p.c
-	c.traced("ExchangePairs", th, p, func() { c.exec(th, p, opExchangePairs, d, nil, values, nil, nil) })
-	st := &c.ts[th.ID]
-	return st.local[:st.routeTotal], st.inVal[:st.routeTotal]
+	p.c.traced(op.kind, th, p, func() { p.c.exec(th, p, op, d, nil, values, out, nil) })
 }

@@ -20,8 +20,8 @@ import (
 //   - re-executing an unchanged plan returns bit-identical results while
 //     charging strictly less simulated time (the skipped grouping sort
 //     and matrix publish), and performs zero scratch growths once warm;
-//   - a plan built with offload filtering only serves the ops whose
-//     semantics survive the filter.
+//   - executing an unbuilt plan, or one against a differently sized
+//     array, fails fast.
 
 // planVariants is the subset of option vectors worth re-running the plan
 // laws under: the extremes, the slow-sort path, and the filtered build.
@@ -82,17 +82,12 @@ func TestPlanChargeInvariance(t *testing.T) {
 					data[0] = 0 // offload pins slot 0
 
 					var probeNS float64
-					run := func(usePlan bool) (simNS float64, getOuts, p1, p2 [][]int64, minRaw []int64, exTotals []int) {
+					run := func(usePlan bool) (simNS float64, getOuts [][]int64, minRaw []int64) {
 						rt := testRT(t, geo.nodes, geo.tpn)
 						s := rt.NumThreads()
 						probeNS = rt.Model().Ops(k)
 						d := rt.NewSharedArray("D", n)
 						copy(d.Raw(), data)
-						d2 := rt.NewSharedArray("D2", n)
-						for i := range data {
-							d2.Raw()[i] = data[i]*3 + 1
-						}
-						d2.Raw()[0] = 0
 						comm := NewComm(rt)
 						reqs := planReqs(s, k, n)
 						minReqs := reqs
@@ -108,49 +103,29 @@ func TestPlanChargeInvariance(t *testing.T) {
 							}
 						}
 						getOuts = make([][]int64, s)
-						p1 = make([][]int64, s)
-						p2 = make([][]int64, s)
-						exTotals = make([]int, s)
 						// Plans are collective objects: one instance shared by
-						// all threads, each publishing its own column. Pair and
-						// route ops reject filtered plans, so theirs build
-						// without offload — exactly what the one-shot wrappers
-						// do internally.
-						gp, pp, ep, mp := comm.NewPlan(), comm.NewPlan(), comm.NewPlan(), comm.NewPlan()
+						// all threads, each publishing its own column.
+						gp, mp := comm.NewPlan(), comm.NewPlan()
 						res := rt.Run(func(th *pgas.Thread) {
 							o := *opts
-							no := o
-							no.Offload = false
 							i := th.ID
 							out := make([]int64, len(reqs[i]))
-							o1 := make([]int64, len(reqs[i]))
-							o2 := make([]int64, len(reqs[i]))
 							if usePlan {
 								gp.PlanRequests(th, d, reqs[i], &o, nil)
 								gp.GetD(th, d, out)
-								pp.PlanRequests(th, d, reqs[i], &no, nil)
-								pp.GetDPair(th, d, d2, o1, o2)
-								ep.PlanRequests(th, d, reqs[i], &no, nil)
-								ex := ep.Exchange(th, d)
-								exTotals[i] = len(ex)
 								mp.PlanRequests(th, d, minReqs[i], &o, nil)
 								mp.SetDMin(th, d, vals[i])
 							} else {
 								comm.GetD(th, d, reqs[i], out, &o, nil)
-								comm.GetDPair(th, d, d2, reqs[i], o1, o2, &o, nil)
-								ex := comm.Exchange(th, d, reqs[i], &o, nil)
-								exTotals[i] = len(ex)
 								comm.SetDMin(th, d, minReqs[i], vals[i], &o, nil)
 							}
 							getOuts[i] = out
-							p1[i] = o1
-							p2[i] = o2
 						})
-						return res.SimNS, getOuts, p1, p2, append([]int64(nil), d.Raw()...), exTotals
+						return res.SimNS, getOuts, append([]int64(nil), d.Raw()...)
 					}
 
-					simA, getA, pa1, pa2, rawA, exA := run(false)
-					simB, getB, pb1, pb2, rawB, exB := run(true)
+					simA, getA, rawA := run(false)
+					simB, getB, rawB := run(true)
 					if distinct {
 						// Every thread offers k requests, so the probe moves every
 						// clock, and with them the total, by the same amount.
@@ -163,12 +138,9 @@ func TestPlanChargeInvariance(t *testing.T) {
 					}
 					for i := range getA {
 						for j := range getA[i] {
-							if getA[i][j] != getB[i][j] || pa1[i][j] != pb1[i][j] || pa2[i][j] != pb2[i][j] {
+							if getA[i][j] != getB[i][j] {
 								t.Fatalf("thread %d output %d differs between one-shot and plan", i, j)
 							}
-						}
-						if exA[i] != exB[i] {
-							t.Fatalf("thread %d exchange received %d items one-shot, %d via plan", i, exA[i], exB[i])
 						}
 					}
 					for i := range rawA {
@@ -252,8 +224,8 @@ func TestPlanReuse(t *testing.T) {
 	}
 }
 
-// TestPlanValueReuse: the scatter and route ops re-align fresh values on
-// every execution of an unchanged plan.
+// TestPlanValueReuse: SetDMin re-aligns fresh values on every execution of
+// an unchanged (offload-filtered) plan.
 func TestPlanValueReuse(t *testing.T) {
 	const n = 512
 	rt := testRT(t, 2, 2)
@@ -262,47 +234,28 @@ func TestPlanValueReuse(t *testing.T) {
 	comm := NewComm(rt)
 	reqs := planReqs(s, 300, n)
 	plan := comm.NewPlan()
-	opts := Optimized(2)
-	opts.Offload = false // route and add ops reject filtered plans
 	for round := 0; round < 3; round++ {
-		want := make([]int64, n)
 		vals := make([][]int64, s)
 		for i := 0; i < s; i++ {
+			r := xrand.New(uint64(round*100 + i))
 			vals[i] = make([]int64, len(reqs[i]))
-			for j, ix := range reqs[i] {
-				vals[i][j] = int64(round*1000 + i*100 + j)
-				want[ix] += vals[i][j]
+			for j := range vals[i] {
+				vals[i][j] = r.Int64n(1 << 30)
 			}
 		}
-		d.Fill(0)
-		pairTotals := make([]int64, s)
+		want := minScatter(n, reqs, vals)
+		d.Fill(combineInit)
+		d.Raw()[0] = 0
 		rt.Run(func(th *pgas.Thread) {
 			if round == 0 {
-				o := *opts
-				plan.PlanRequests(th, d, reqs[th.ID], &o, nil)
+				plan.PlanRequests(th, d, reqs[th.ID], Optimized(2), nil)
 			}
-			plan.SetDAdd(th, d, vals[th.ID])
-			_, vs := plan.ExchangePairs(th, d, vals[th.ID])
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			pairTotals[th.ID] = sum
+			plan.SetDMin(th, d, vals[th.ID])
 		})
 		for i := int64(0); i < n; i++ {
 			if got := d.Raw()[i]; got != want[i] {
-				t.Fatalf("round %d: D[%d] = %d after SetDAdd, add-scatter oracle says %d", round, i, got, want[i])
+				t.Fatalf("round %d: D[%d] = %d after SetDMin, min-scatter oracle says %d", round, i, got, want[i])
 			}
-		}
-		var gotSum, wantSum int64
-		for i := 0; i < s; i++ {
-			gotSum += pairTotals[i]
-			for _, v := range vals[i] {
-				wantSum += v
-			}
-		}
-		if gotSum != wantSum {
-			t.Fatalf("round %d: ExchangePairs delivered value sum %d, sent %d", round, gotSum, wantSum)
 		}
 	}
 }
@@ -346,8 +299,7 @@ func TestPlanSteadyStateNoGrowth(t *testing.T) {
 }
 
 // TestPlanGuards: the engine fails fast on misuse — executing an unbuilt
-// plan, executing against a differently-sized array, and running a
-// filter-incompatible op on an offload-filtered plan.
+// plan, and executing against a differently-sized array.
 func TestPlanGuards(t *testing.T) {
 	cases := []struct {
 		name string
@@ -361,11 +313,6 @@ func TestPlanGuards(t *testing.T) {
 			p := comm.NewPlan()
 			p.PlanRequests(th, d, []int64{1}, Base(), nil)
 			p.GetD(th, other, make([]int64, 1))
-		}},
-		{"filtered-setd", "offload filtering", func(comm *Comm, th *pgas.Thread, d, other *pgas.SharedArray) {
-			p := comm.NewPlan()
-			p.PlanRequests(th, d, []int64{0, 1}, &Options{Offload: true}, nil)
-			p.SetD(th, d, []int64{5, 6})
 		}},
 	}
 	for _, tc := range cases {

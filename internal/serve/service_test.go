@@ -224,7 +224,7 @@ func TestQueryBatchGathersAreBulk(t *testing.T) {
 		t.Fatalf("Query: %v", err)
 	}
 	builds1, reuses1 := col.PlanBuilds(), col.PlanReuses()
-	getds1 := col.Calls("GetD") + col.Calls("plan.GetD")
+	getds1 := col.Calls("GetD")
 	if getds1 == 0 || getds1 > 2 {
 		t.Fatalf("batch of %d lookups issued %d bulk gathers, want O(1) (1-2)", B, getds1)
 	}
