@@ -51,6 +51,8 @@ type Result struct {
 	Components int64
 	// Iterations is the number of outer graft/shortcut rounds.
 	Iterations int
+	// Merged is Incremental's (old root, new root) pairs, by old root.
+	Merged [][2]int64
 	// Run carries the simulated-time accounting.
 	Run *pgas.Result
 }
@@ -93,7 +95,7 @@ func finish(labels []int64, run *pgas.Result) *Result {
 	for i, p := range labels {
 		switch {
 		case uint64(p) > uint64(i):
-			panic(fmt.Sprintf("cc: vertex %d carries label %d: the D[i] <= i invariant is broken", i, p))
+			panic(invariantBroken(int64(i), p))
 		case p == int64(i):
 			components++
 		case labels[p] != p:
@@ -101,6 +103,11 @@ func finish(labels []int64, run *pgas.Result) *Result {
 		}
 	}
 	return &Result{Labels: labels, Components: components, Iterations: run.Rounds, Run: run}
+}
+
+// invariantBroken is the panic text of a label outside [0, i] at vertex i.
+func invariantBroken(i, label int64) string {
+	return fmt.Sprintf("cc: vertex %d carries label %d: the D[i] <= i invariant is broken", i, label)
 }
 
 // Naive runs the literal translation of the shared-memory CC code: every
@@ -182,48 +189,24 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
-	return graftRounds(rt, comm, opts.col(), &graftRun{
-		name: "cc.Coalesced", ckpt: CkptCoalescedD,
-		d: d, fresh: true, compact: opts.compact(),
-		m: g.M(), ends: g.Ends,
-	})
-}
-
-// graftRun is what tells one graftRounds kernel from the other: where D
-// and the edges come from.
-type graftRun struct {
-	name, ckpt string // for the non-convergence panic and the checkpoint registration
-	d          *pgas.SharedArray
-	// fresh says d is this run's own identity fill: the fill is charged,
-	// and round 0 need not gather unless Register restores a snapshot.
-	fresh   bool
-	compact bool
-	m       int64
-	ends    func(lo, hi int64, ends []int64)
-}
-
-// graftRounds runs graft-and-collapse rounds over r's edges until no edge
-// joins two trees: gather both endpoint labels of every live edge, hook
-// D[max] <- min with one SetDMin, collapse every tree to a rooted star.
-func graftRounds(rt *pgas.Runtime, comm *collective.Comm, col *collective.Options, r *graftRun) *Result {
-	d := r.d
-	identity := !pgas.Register(rt, r.ckpt, d) && r.fresh
+	col := opts.col()
+	identity := !pgas.Register(rt, CkptCoalescedD, d)
 	red := pgas.NewOrReducer(rt)
-	live := comm.NewLiveEdges(r.compact, false)
+	live := comm.NewLiveEdges(opts.compact(), false)
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)
 		span := dHi - dLo
-		if r.fresh {
-			th.ChargeSeq(sim.CatWork, span)
-		}
-		el := live.List(th, r.m, r.ends, false)
+		th.ChargeSeq(sim.CatWork, span)
+		el := live.List(th, g.M(), g.Ends, false)
 		setIdx := make([]int64, 0, len(el.Ends)/2)
 		setVal := make([]int64, 0, len(el.Ends)/2)
 		jump := collective.NewJumpScratch(span)
 		th.Barrier()
 
-		red.Loop(th, r.name, maxIterations, func(iter int) bool {
+		// Rounds until no edge joins two trees: gather every live edge's
+		// endpoint labels, hook, collapse every tree to a rooted star.
+		red.Loop(th, "cc.Coalesced", maxIterations, func(iter int) bool {
 			el.Gather(th, d, col, iter == 0 && identity)
 
 			// Build the hook list: D[max(du,dv)] <- min(du,dv).
@@ -246,20 +229,13 @@ func graftRounds(rt *pgas.Runtime, comm *collective.Comm, col *collective.Option
 			comm.SetDMin(th, d, setIdx, setVal, col, nil)
 
 			// Synchronous pointer jumping until all trees are rooted stars:
-			// the next round's endpoint labels are roots again, and D stays
-			// directly servable.
+			// the next round's endpoint labels are roots again.
 			comm.PointerJump(th, d, col, red, jump, dLo)
 			el.Compact(th)
 			return grafted
 		})
 	})
-	// A fresh run's array goes back to the runtime with the kernel's scope;
-	// a caller's resident array is the result.
-	labels := d.Raw()
-	if r.fresh {
-		labels = slices.Clone(labels)
-	}
-	return finish(labels, run)
+	return finish(slices.Clone(d.Raw()), run)
 }
 
 // SV runs the Shiloach-Vishkin algorithm rewritten with collectives: per

@@ -1,10 +1,16 @@
 package cc
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/sim"
+	"pgasgraph/internal/unionfind"
 )
 
 // CkptIncrementalD is the checkpoint registration name Incremental
@@ -14,38 +20,95 @@ const CkptIncrementalD = "cc.incremental.D"
 // Incremental updates a resident component labeling for newly inserted
 // edges without rescanning the old graph. d must hold a *converged*
 // labeling: every entry is the smallest vertex id of its component (the
-// collapsed-star state Coalesced, SV, and a previous Incremental all
-// terminate in, and the state finish checks). eu/ev list the new edges'
-// endpoints.
+// collapsed-star state every CC kernel terminates in). eu/ev list the new
+// edges' endpoints. The update happens in d, and Result.Labels is d's
+// storage, not a copy: it is valid until the next write to d.
 //
-// The update happens in d, and Result.Labels is d's storage, not a copy:
-// it is valid until the next write to d, and a caller that keeps d
-// resident has nothing to install.
-//
-// The algorithm is Coalesced's graft-and-collapse loop (graftRounds)
-// restricted to the new edges. Because the resident labeling is the
-// component-minimum star labeling and hooks are monotone minimum writes,
-// the loop converges to exactly the labeling a from-scratch run computes
-// on the mutated graph — label-for-label, not just partition-equal (the
-// differential harness asserts bit-identity). An insertion batch whose
-// edges chain k old components together needs O(log k) rounds, independent
-// of the resident graph's size. The batch is never compacted: it is small,
-// and a list that does not change keeps its plan for every round.
-//
-// The monotone-only-decreasing invariant also keeps the update compatible
-// with superstep checkpointing: d re-registers under CkptIncrementalD, so
-// a supervised caller resumes from the last committed snapshot.
+// A batch of k edges can only merge the at most 2k components its
+// endpoints sit in, so the update is one region with one collective and
+// no rounds: every thread gathers all 2k endpoint labels (GetDCombined),
+// runs the same union-find over them, the smaller root winning, and
+// applies the result to its ThreadCover block, checking D[v] <= v and
+// counting its roots for a SumReducer. The labels are exactly a
+// from-scratch run's on the mutated graph; Iterations is 1, and Merged
+// lets per-component state update in O(merges). Each thread pays
+// O(k + n/s), and every snapshot of d (registered under
+// CkptIncrementalD) falls before or after the relabel (docs/MODEL.md).
 func Incremental(rt *pgas.Runtime, comm *collective.Comm, d *pgas.SharedArray, eu, ev []int64, opts *Options) *Result {
 	if len(eu) != len(ev) {
 		panic(fmt.Sprintf("cc: Incremental endpoint lists disagree: %d u vs %d v", len(eu), len(ev)))
 	}
-	return graftRounds(rt, comm, opts.col(), &graftRun{
-		name: "cc.Incremental", ckpt: CkptIncrementalD,
-		d: d, m: int64(len(eu)),
-		ends: func(lo, hi int64, ends []int64) {
-			for e := lo; e < hi; e++ {
-				ends[2*(e-lo)], ends[2*(e-lo)+1] = eu[e], ev[e]
+	pgas.Register(rt, CkptIncrementalD, d)
+	col := opts.col()
+	sum := pgas.NewSumReducer(rt)
+	ends := make([]int64, 0, 2*len(eu))
+	for e := range eu {
+		ends = append(ends, eu[e], ev[e])
+	}
+	res := &Result{Labels: d.Raw(), Iterations: 1}
+	var once sync.Once // every process reads out from one of its threads
+
+	res.Run = rt.Run(func(th *pgas.Thread) {
+		labels := make([]int64, len(ends))
+		comm.GetDCombined(th, d, ends, labels, col)
+		merged := contract(labels)
+		th.ChargeOps(sim.CatWork, int64(len(labels)*bits.Len(uint(len(labels)))))
+
+		// A 2^16-bit filter over the merged roots: a label whose bit is
+		// clear is none of them, one whose bit is set is looked up.
+		var maybe [1 << 10]uint64
+		for _, m := range merged {
+			maybe[m[0]>>6&1023] |= 1 << (m[0] & 63)
+		}
+		dLo, dHi := d.ThreadCover(th.ID)
+		var roots int64
+		for v := dLo; v < dHi; v++ {
+			l := d.Raw()[v]
+			if uint64(l) > uint64(v) {
+				panic(invariantBroken(v, l))
 			}
-		},
+			if maybe[l>>6&1023]&(1<<(l&63)) != 0 {
+				if i, ok := slices.BinarySearchFunc(merged, l, func(m [2]int64, l int64) int { return cmp.Compare(m[0], l) }); ok {
+					l = merged[i][1]
+					d.StoreRaw(v, l)
+				}
+			}
+			if l == v {
+				roots++
+			}
+		}
+		th.ChargeSeq(sim.CatWork, dHi-dLo)
+		th.ChargeOps(sim.CatWork, dHi-dLo)
+		components := sum.Reduce(th, roots)
+		once.Do(func() { res.Components, res.Merged = components, merged })
 	})
+	return res
+}
+
+// contract is a batch's union-find. Over the distinct labels its endpoints
+// carry — at most 2k, whatever n is — it unions each edge's two and
+// returns every (old root, new root) pair that made, the new root being
+// its set's smallest label, sorted by old root. A label breaking D[i] <= i
+// is its vertex's thread's to report: every vertex is checked in the
+// relabel before the table touches it.
+func contract(labels []int64) (merged [][2]int64) {
+	roots := slices.Clone(labels)
+	slices.Sort(roots)
+	roots = slices.Compact(roots)
+	at := func(l int64) int32 { i, _ := slices.BinarySearch(roots, l); return int32(i) }
+	uf := unionfind.New(int64(len(roots)))
+	for j := 0; j < len(labels); j += 2 {
+		uf.Union(at(labels[j]), at(labels[j+1]))
+	}
+	// The roots ascend, so the first member of a set met is its smallest.
+	first := make([]int32, len(roots)) // 1 + the index of set r's smallest member
+	for i := range roots {
+		r := uf.Find(int32(i))
+		if first[r] == 0 {
+			first[r] = int32(i) + 1
+		} else {
+			merged = append(merged, [2]int64{roots[i], roots[first[r]-1]})
+		}
+	}
+	return merged
 }

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"slices"
 	"testing"
 
 	"pgasgraph/internal/collective"
@@ -140,9 +141,11 @@ func TestIncrementalNoOpBatch(t *testing.T) {
 	}
 }
 
-// TestIncrementalPlansOncePerBatch: the batch never changes, so every
-// round after the first re-executes the plan the first one built.
-func TestIncrementalPlansOncePerBatch(t *testing.T) {
+// TestIncrementalTraceContract: a batch is one gather and no rounds. Per
+// thread per batch the update issues exactly one GetD-kind collective (the
+// endpoint labels, built once and never re-executed) and no SetDMin, and
+// reports one iteration.
+func TestIncrementalTraceContract(t *testing.T) {
 	g := graph.Random(600, 300, 21)
 	rt, err := pgas.New(incrMachine(4, 2))
 	if err != nil {
@@ -161,11 +164,103 @@ func TestIncrementalPlansOncePerBatch(t *testing.T) {
 		}
 		col.Reset()
 		res := Incremental(rt, comm, d, eu, ev, opts)
-		if res.Iterations < 2 {
-			t.Fatalf("batch %d: %d iterations, nothing to reuse", batch, res.Iterations)
+		if len(res.Merged) == 0 {
+			t.Fatalf("batch %d merged nothing: the contract is not exercised", batch)
 		}
-		if got, want := col.PlanReuses(), int64(res.Iterations-1); got != want {
-			t.Errorf("batch %d: %d plan reuses per thread over %d iterations, want %d", batch, got, res.Iterations, want)
+		if res.Iterations != 1 {
+			t.Errorf("batch %d: %d iterations, want 1", batch, res.Iterations)
+		}
+		if got := col.Calls("GetD"); got != 1 {
+			t.Errorf("batch %d: %d GetD calls per thread, want 1", batch, got)
+		}
+		if got := col.Calls("SetDMin"); got != 0 {
+			t.Errorf("batch %d: %d SetDMin calls per thread, want 0", batch, got)
+		}
+		if got := col.PlanReuses(); got != 0 {
+			t.Errorf("batch %d: %d plan reuses per thread, want 0", batch, got)
 		}
 	}
+}
+
+// FuzzIncremental draws a small graph and a run of insert batches from the
+// input — geometry, partition scheme, collective options and batch sizes
+// included — and holds every batch to two things: labels bit-identical to
+// a from-scratch Coalesced on the mutated graph, and component sizes that,
+// updated from Merged alone, equal a recount of those labels.
+func FuzzIncremental(f *testing.F) {
+	f.Add(byte(0), byte(7), byte(3), []byte{5, 3, 5, 1, 0, 2})
+	f.Add(byte(4), byte(40), byte(0x21), []byte("chains of merges across the batch, a-b b-c c-d d-a"))
+	f.Add(byte(0x85), byte(255), byte(0xf0), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 2, 4, 6, 8, 10, 12, 1, 12})
+	f.Fuzz(func(t *testing.T, geoRaw, nRaw, bits byte, data []byte) {
+		geos := [][2]int{{1, 1}, {1, 4}, {2, 2}, {3, 1}, {4, 2}}
+		geo := geos[int(geoRaw&0x7f)%len(geos)]
+		n := 1 + int64(nRaw)%96
+		rt, err := pgas.New(incrMachine(geo[0], geo[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if geoRaw&0x80 != 0 {
+			if err := rt.SetPartition(pgas.PartitionSpec{Kind: pgas.SchemeCyclic}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opts := &Options{Col: collective.Base()}
+		if bits&1 != 0 {
+			opts.Col = collective.Optimized(2)
+		}
+
+		// Two bytes an edge, at most 48 edges. The first base edges are the
+		// resident graph; the rest arrive in batches of batch edges.
+		data = data[:min(len(data), 96)]
+		var eu, ev []int64
+		for j := 0; j+1 < len(data); j += 2 {
+			eu, ev = append(eu, int64(data[j])%n), append(ev, int64(data[j+1])%n)
+		}
+		base := min(int(bits>>1)&7, len(eu))
+		batch := 1 + int(bits>>4)
+		g := &graph.Graph{N: n}
+		for e := 0; e < base; e++ {
+			g.U, g.V = append(g.U, int32(eu[e])), append(g.V, int32(ev[e]))
+		}
+		comm := collective.NewComm(rt)
+		d := residentLabels(t, rt, comm, g, opts)
+		recount := func(labels []int64) []int64 {
+			sizes := make([]int64, n)
+			for _, l := range labels {
+				sizes[l]++
+			}
+			return sizes
+		}
+		sizes := recount(d.Raw())
+
+		for lo := base; lo < len(eu); lo += batch {
+			hi := min(lo+batch, len(eu))
+			for e := lo; e < hi; e++ {
+				g.U, g.V = append(g.U, int32(eu[e])), append(g.V, int32(ev[e]))
+			}
+			res := Incremental(rt, comm, d, eu[lo:hi], ev[lo:hi], opts)
+
+			rt2, err := pgas.New(incrMachine(geo[0], geo[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Coalesced(rt2, collective.NewComm(rt2), g, opts)
+			if !slices.Equal(res.Labels, want.Labels) {
+				t.Fatalf("edges [%d,%d): labels %v, from scratch %v", lo, hi, res.Labels, want.Labels)
+			}
+			if res.Components != want.Components {
+				t.Fatalf("edges [%d,%d): %d components, from scratch %d", lo, hi, res.Components, want.Components)
+			}
+			for j, m := range res.Merged {
+				if j > 0 && res.Merged[j-1][0] >= m[0] {
+					t.Fatalf("edges [%d,%d): Merged %v not sorted by old root", lo, hi, res.Merged)
+				}
+				sizes[m[1]] += sizes[m[0]]
+				sizes[m[0]] = 0
+			}
+			if wantSizes := recount(want.Labels); !slices.Equal(sizes, wantSizes) {
+				t.Fatalf("edges [%d,%d): sizes from Merged %v, recount %v", lo, hi, sizes, wantSizes)
+			}
+		}
+	})
 }

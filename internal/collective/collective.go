@@ -437,7 +437,7 @@ func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, 
 // flatten thousands of requests name the same few roots. The request
 // filter delivers the first request per index and the finish phase copies
 // its answer to the rest (see planFilter). The probe is paid on every
-// offered request, which is why endpoint gathers — a few percent
+// offered request, which is why edge-list gathers — a few percent
 // duplicates — stay on GetD. It traces as GetD.
 func (c *Comm) GetDCombined(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options) {
 	c.once(th, opGetDCombined, d, nil, indices, nil, out, nil, opts, nil)

@@ -15,15 +15,15 @@ import (
 )
 
 // TestInsertCost guards what an insertion batch may allocate, stated in
-// vertices so it does not depend on the host: the label update's own
-// scratch is about three n-word arrays, and nothing on the host side of it
-// (epilogue, recount) may add more. Hash-map canonicalization and counting
-// took a 64-edge batch to 8.4 words per vertex. The labels run with the
-// paper's optimized collectives, as pgasd's do: without offload thread 0's
-// serve buffers regrow with every merge into the giant component, another
-// 3.4 words that are the region's, not the host's.
+// vertices so it does not depend on the host. The label update contracts
+// the batch, not the graph: its scratch is a few words per inserted edge,
+// and the sizes follow the merges, so nothing may allocate in proportion
+// to n. What is left is the resident graph's edge lists growing by
+// append. A graft-and-jump update with a host-side recount took 3.1 words
+// per vertex, hash-map canonicalization 8.4. The labels run with the
+// paper's optimized collectives, as pgasd's do.
 func TestInsertCost(t *testing.T) {
-	const n, batches, perVertex = 1 << 16, 20, 5
+	const n, batches, perVertex = 1 << 16, 20, 0.25
 	s := newTestService(t, graph.Random(n, n, 41), 4, 2)
 	if _, err := s.Run(KernelSpec{Kernel: "cc/coalesced", Col: collective.Optimized(2)}); err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestInsertCost(t *testing.T) {
 	words := float64(after.TotalAlloc-before.TotalAlloc) / 8 / batches / n
 	t.Logf("%.2f words allocated per vertex per 64-edge batch", words)
 	if words > perVertex {
-		t.Fatalf("a 64-edge insert allocates %.2f words per vertex, budget %d", words, perVertex)
+		t.Fatalf("a 64-edge insert allocates %.2f words per vertex, budget %.2f", words, perVertex)
 	}
 }
 

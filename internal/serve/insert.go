@@ -22,11 +22,11 @@ type InsertReport struct {
 	// Edges is the number of edges appended.
 	Edges int `json:"edges"`
 	// Incremental is true when the resident labels were updated by the
-	// graft/propagate kernel; false when they were rebuilt from scratch
+	// batch contraction; false when they were rebuilt from scratch
 	// (no labels resident, or the supervised fallback ran).
 	Incremental bool `json:"incremental"`
-	// Rounds is the update's graft/shortcut round count (incremental) or
-	// the recompute kernel's iteration count.
+	// Rounds is 1 on the incremental path (one region, no rounds) or the
+	// recompute kernel's iteration count.
 	Rounds int `json:"rounds"`
 	// Rollbacks counts recovery rollbacks taken by the supervised
 	// fallback (0 on the incremental path).
@@ -43,13 +43,13 @@ type InsertReport struct {
 
 // Insert appends edges to the resident graph and brings the resident
 // results up to date. Component labels update incrementally: the labels
-// array is the monotone component-minimum labeling, so an insertion batch
-// is a graft plus label-min propagation over only the new edges
-// (cc.Incremental) — bit-identical to a from-scratch recompute on the
-// mutated graph. If the incremental update is cut down by a classified
-// runtime failure, the fallback re-executes the full labeling kernel
-// under the internal/recover supervisor. Distance trees and the spanning
-// forest do not update incrementally; they are dropped and must be re-run
+// array is the component-minimum labeling, so a batch is a union-find over
+// only the roots its endpoints carry plus one relabel pass (cc.Incremental)
+// — bit-identical to a from-scratch recompute — and the sizes follow the
+// merges it reports. If the update is cut down by a classified runtime
+// failure, the fallback re-executes the full labeling kernel under the
+// internal/recover supervisor. Distance trees and the spanning forest do
+// not update incrementally; they are dropped and must be re-run
 // (documented contract, docs/SERVING.md).
 func (s *Service) Insert(edges []Edge) (*InsertReport, error) {
 	rep := &InsertReport{Edges: len(edges)}
@@ -88,7 +88,13 @@ func (s *Service) Insert(edges []Edge) (*InsertReport, error) {
 		rep.Incremental = true
 		rep.Rounds = res.Iterations
 		rep.Run = res.Run
-		s.recount()
+		// A merged root's component moves under its new root.
+		sizes := s.sizes.Raw()
+		for _, m := range res.Merged {
+			sizes[m[1]] += sizes[m[0]]
+			sizes[m[0]] = 0
+		}
+		s.components = res.Components
 	} else {
 		if err = s.superviseRecompute(rep); err != nil {
 			return nil, err
@@ -148,7 +154,8 @@ func (s *Service) superviseRecompute(rep *InsertReport) error {
 // verifyLabels differentially checks the resident labeling against a
 // from-scratch run of the resident labeling spec on a scratch cluster of
 // the same geometry: label-for-label bit identity, not just the same
-// partition. A mismatch is an incremental-update bug, reported loudly.
+// partition — and the count and every size Insert keeps against a recount
+// of it. A mismatch is an incremental-update bug, reported loudly.
 func (s *Service) verifyLabels() error {
 	rt, err := pgas.New(s.cfg.Machine)
 	if err != nil {
@@ -161,11 +168,25 @@ func (s *Service) verifyLabels() error {
 		return fmt.Errorf("serve: verify recompute: %w", err)
 	}
 	got := s.labels.arr.Raw()
-	for i, want := range full.Labels {
-		if got[i] != want {
+	sizes := make([]int64, len(full.Labels))
+	var components int64
+	for i, l := range full.Labels {
+		if got[i] != l {
 			return fmt.Errorf(
 				"serve: incremental labels diverge from recompute at vertex %d: got %d, want %d",
-				i, got[i], want)
+				i, got[i], l)
+		}
+		if sizes[l] == 0 {
+			components++
+		}
+		sizes[l]++
+	}
+	if s.components != components {
+		return fmt.Errorf("serve: resident component count %d, recompute says %d", s.components, components)
+	}
+	for l, size := range s.sizes.Raw() {
+		if size != sizes[l] {
+			return fmt.Errorf("serve: resident size of label %d is %d, recompute says %d", l, size, sizes[l])
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"pgasgraph/internal/bfs"
@@ -335,6 +336,29 @@ func TestInsertIncrementalMatchesRecompute(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("label[%d] = %d, want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestVerifyCatchesCorruptSizes: a verified Insert holds the sizes it
+// maintains from the merges to a recount of the recompute, not only the
+// labels. One corrupted size entry, of a component the batch does not
+// touch, fails the insert.
+func TestVerifyCatchesCorruptSizes(t *testing.T) {
+	g := &graph.Graph{N: 8, U: []int32{3, 0}, V: []int32{4, 1}}
+	s, err := New(Config{Machine: testMachine(2, 2), Verify: true}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(KernelSpec{Kernel: "cc/coalesced"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Insert([]Edge{{U: 5, V: 6}}); err != nil {
+		t.Fatalf("clean verified insert: %v", err)
+	}
+	s.sizes.Raw()[3]++
+	_, err = s.Insert([]Edge{{U: 6, V: 7}})
+	if want := "size of label 3 is 3, recompute says 2"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("verified insert over a corrupted size: err %v, want one saying %q", err, want)
 	}
 }
 

@@ -3,16 +3,19 @@ package serve
 import (
 	"bytes"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"pgasgraph/internal/cc"
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/pgas/wiretransport"
 	"pgasgraph/internal/seq"
+	"pgasgraph/internal/xrand"
 )
 
 // wireSeat is one hosted node of a unix-socket cluster.
@@ -237,6 +240,79 @@ func TestWireRoundCounts(t *testing.T) {
 		for nd, it := range got {
 			if it != want.Iterations {
 				t.Errorf("%s: node %d reports %d iterations, in process %d", kernel, nd, it, want.Iterations)
+			}
+		}
+	}
+}
+
+// TestWireIncremental: an insert's read-out is every process's. On hosted
+// 2 × 2 and 3 × 1 clusters every node runs cc.Incremental over its replica
+// of the same resident labels, batch after batch, and reports the Labels,
+// Components and Merged of the same update run in process.
+func TestWireIncremental(t *testing.T) {
+	g := graph.Random(1<<10, 1<<9, 31) // sparse: many components to merge
+	for _, geo := range [][2]int{{2, 2}, {3, 1}} {
+		nodes, tpn := geo[0], geo[1]
+		seats := hostWire(t, nodes, tpn)
+		inproc, err := pgas.New(testMachine(nodes, tpn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: collective.Optimized(2)}
+		resident := func(rt *pgas.Runtime, comm *collective.Comm) (*pgas.SharedArray, error) {
+			res, err := RunKernel(rt, comm, spec)
+			if err != nil {
+				return nil, err
+			}
+			d := rt.NewSharedArray("labels", g.N)
+			copy(d.Raw(), res.Labels)
+			return d, nil
+		}
+		inComm := collective.NewComm(inproc)
+		inD, err := resident(inproc, inComm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := make([]*pgas.SharedArray, nodes)
+		for nd, err := range onEvery(seats, func(nd int, s *wireSeat) (err error) {
+			ds[nd], err = resident(s.rt, s.comm)
+			return err
+		}) {
+			if err != nil {
+				t.Fatalf("%dx%d node %d: %v", nodes, tpn, nd, err)
+			}
+		}
+
+		rng := xrand.New(37)
+		for batch := 0; batch < 3; batch++ {
+			eu, ev := make([]int64, 64), make([]int64, 64)
+			for i := range eu {
+				eu[i], ev[i] = rng.Int64n(g.N), rng.Int64n(g.N)
+			}
+			opts := &cc.Options{Col: collective.Optimized(2)}
+			want := cc.Incremental(inproc, inComm, inD, eu, ev, opts)
+			if len(want.Merged) == 0 {
+				t.Fatalf("%dx%d batch %d merged nothing", nodes, tpn, batch)
+			}
+			got := make([]*cc.Result, nodes)
+			for nd, err := range onEvery(seats, func(nd int, s *wireSeat) (err error) {
+				defer pgas.Recover(&err)
+				got[nd] = cc.Incremental(s.rt, s.comm, ds[nd], eu, ev, opts)
+				return nil
+			}) {
+				if err != nil {
+					t.Fatalf("%dx%d batch %d node %d: %v", nodes, tpn, batch, nd, err)
+				}
+			}
+			for nd, r := range got {
+				switch {
+				case !slices.Equal(r.Labels, want.Labels):
+					t.Errorf("%dx%d batch %d: node %d's labels differ from the in-process run", nodes, tpn, batch, nd)
+				case r.Components != want.Components:
+					t.Errorf("%dx%d batch %d: node %d reports %d components, in process %d", nodes, tpn, batch, nd, r.Components, want.Components)
+				case !slices.Equal(r.Merged, want.Merged):
+					t.Errorf("%dx%d batch %d: node %d reports merges %v, in process %v", nodes, tpn, batch, nd, r.Merged, want.Merged)
+				}
 			}
 		}
 	}
