@@ -178,10 +178,15 @@ func ValidateGeometry(threads int) error {
 	return nil
 }
 
-// IDCache caches owner ids across collective calls for one thread and one
-// index list.
+// IDCache is the id optimization's reuse of owner ids across collective
+// calls for one thread and one index list: a warm cache charges the keys
+// as one streaming reload instead of computing them again. The build
+// computes every key anyway, in the pass that checks and filters the list,
+// where a block or cyclic key costs the host one multiply or modulo — less
+// than reloading it — so a cache changes what a call is charged, never
+// which owner serves a request. A changed index list needs a fresh cache.
 type IDCache struct {
-	keys  []int32
+	k     int // kept request count the cache was warmed with
 	valid bool
 }
 
@@ -192,15 +197,21 @@ type IDCache struct {
 // growths counts the backing-array (re)allocations — including those of
 // plan-owned buffers grown on this thread — for the trace layer's
 // allocs-per-call column.
+//
+// A serve reads a peer that shares this process straight out of the
+// peer's plan buffers and writes a gather's answers straight into them;
+// stage, inVal and vals hold only the segments of peers in another OS
+// process, so on a shared fabric they stay empty.
 type threadState struct {
-	keys       []int32 // owner keys of the current request list
-	local      []int64 // block-local index scratch for serving / routed items
-	vals       []int64 // gathered-value scratch for serving
-	inVal      []int64 // pulled value scratch for serving Set* / routed values
+	keys       []int32 // owner key per request of the current list, -1 where the filter dropped it
+	stage      []int64 // wire staging: remote peers' request segments
+	inVal      []int64 // wire staging: remote peers' value segments (Set*)
+	vals       []int64 // wire staging: answers bound for remote peers
+	recv       []int64 // route-op receive: routed items
+	recv2      []int64 // route-op receive: routed values (ExchangePairs)
 	packed     []int64 // (owner, position) keys for the QuickSort path
 	cursor     []int64 // bucket cursors for the count-sort, len s
 	snap       []int64 // pre-serve local-block snapshot for chaos replay (grown only when chaos is armed)
-	stage      []int64 // wire-transport staging for a remote peer's request segment (grown only on a wire fabric)
 	segs       []segment
 	comb       *combineTable // request filter memory, allocated by the thread's first combining call (one-shot SetDMin, GetDCombined)
 	scr        sched.Scratch
@@ -220,12 +231,12 @@ func (st *threadState) grow32(buf []int32, k int) []int32 {
 	return sched.Grow32(buf, k, &st.growths)
 }
 
-// segment records where one peer's request slice sits in the concatenated
-// serve buffers.
+// segment records where one peer's request slice sits in the peer's plan
+// buffers and, for a peer in another process, in the wire staging.
 type segment struct {
 	peer int32
 	off  int64 // offset in the peer's req/val buffers
-	pos  int64 // offset in the concatenated serve buffers
+	pos  int64 // offset in the wire staging (remote peers only)
 	k    int64
 }
 
@@ -328,35 +339,6 @@ func NewComm(rt *pgas.Runtime) *Comm {
 	return c
 }
 
-// ownerKeys fills st.keys with the owner thread of every index, honoring
-// the id optimization and cache.
-func (c *Comm) ownerKeys(th *pgas.Thread, d *pgas.SharedArray, indices []int64, opts *Options, cache *IDCache, st *threadState) {
-	k := len(indices)
-	st.keys = st.grow32(st.keys, k)
-	if opts.CachedIDs && cache != nil && cache.valid && len(cache.keys) == k {
-		copy(st.keys, cache.keys)
-		th.ChargeSeq(sim.CatWork, int64(k))
-		return
-	}
-	// Partition-dispatched owner computation; block and cyclic stay tight
-	// arithmetic loops (the paper's id optimization), only the hub scheme
-	// reads a table.
-	d.FillOwnerKeys(indices, st.keys[:k])
-	if opts.CachedIDs {
-		// Direct, vectorizable arithmetic.
-		th.ChargeOps(sim.CatWork, int64(k))
-		if cache != nil {
-			cache.keys = sched.Grow32(cache.keys, k, nil)
-			copy(cache.keys, st.keys)
-			cache.valid = true
-			th.ChargeSeq(sim.CatWork, int64(k))
-		}
-	} else {
-		// One runtime intrinsic per element, every iteration.
-		th.ChargeIntrinsics(sim.CatWork, int64(k))
-	}
-}
-
 // peerAt returns the peer served at step r under the selected schedule.
 func peerAt(i, r, s int, circular bool) int {
 	if circular {
@@ -394,22 +376,6 @@ func (c *Comm) transferCost(th *pgas.Thread, peer int, k int64, pull bool, opts 
 	th.Clock.RemoteOps++
 }
 
-// checkRequests validates one thread's request list: the list must fit
-// the int32 position packing (see MaxRequests) and every index must lie in
-// d's bounds. Without this, a bad index flows through the grouping sort and
-// surfaces as an opaque slice-bounds panic deep in the serve phase; a
-// too-long list silently truncates positions. A list that goes through the
-// request filter is checked there, in the filter's own pass (planFilter).
-func checkRequests(kind string, d *pgas.SharedArray, indices []int64) {
-	checkLen(kind, d, len(indices))
-	n := uint64(d.Len())
-	for _, ix := range indices {
-		if uint64(ix) >= n {
-			badIndex(kind, d, ix)
-		}
-	}
-}
-
 // checkLen panics when a request list of n elements is too long to plan.
 func checkLen(kind string, d *pgas.SharedArray, n int) {
 	if n > MaxRequests {
@@ -436,7 +402,7 @@ func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, 
 // pointer jumping, the grandparents of a hook round), so that as trees
 // flatten thousands of requests name the same few roots. The request
 // filter delivers the first request per index and the finish phase copies
-// its answer to the rest (see planFilter). The probe is paid on every
+// its answer to the rest (see keyPass). The probe is paid on every
 // offered request, which is why edge-list gathers — a few percent
 // duplicates — stay on GetD. It traces as GetD.
 func (c *Comm) GetDCombined(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options) {
@@ -456,7 +422,7 @@ func (c *Comm) SetD(th *pgas.Thread, d *pgas.SharedArray, indices, values []int6
 // writes against the offloaded location are no-ops for a priority write
 // when its value is pinned at the minimum; they are dropped client-side.
 // So is a request that cannot win: one whose target this thread already
-// sent, in this call, a value at least as small (see planFilter). The
+// sent, in this call, a value at least as small (see keyPass). The
 // owners may therefore see fewer requests than were offered; D after the
 // call is the same. cache is not consulted: which requests survive depends
 // on the values, not on the index list alone.
@@ -503,7 +469,7 @@ func (c *Comm) GetDPair(th *pgas.Thread, d1, d2 *pgas.SharedArray, indices, out1
 func (c *Comm) Exchange(th *pgas.Thread, d *pgas.SharedArray, items []int64, opts *Options, cache *IDCache) []int64 {
 	c.once(th, opExchange, d, nil, items, nil, nil, nil, opts, cache)
 	st := &c.ts[th.ID]
-	return st.inVal[:st.routeTotal]
+	return st.recv[:st.routeTotal]
 }
 
 // ExchangePairs is Exchange carrying a value alongside every routed item:
@@ -518,7 +484,7 @@ func (c *Comm) Exchange(th *pgas.Thread, d *pgas.SharedArray, items []int64, opt
 func (c *Comm) ExchangePairs(th *pgas.Thread, d *pgas.SharedArray, items, values []int64, opts *Options, cache *IDCache) (recvItems, recvValues []int64) {
 	c.once(th, opExchangePairs, d, nil, items, values, nil, nil, opts, cache)
 	st := &c.ts[th.ID]
-	return st.local[:st.routeTotal], st.inVal[:st.routeTotal]
+	return st.recv[:st.routeTotal], st.recv2[:st.routeTotal]
 }
 
 // once is every one-shot collective: check the caller's slices against the

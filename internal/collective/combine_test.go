@@ -14,7 +14,7 @@ import (
 )
 
 // These tests pin the one-shot SetDMin's requester-side combining (see
-// planFilter): whatever the filter drops, D after the call is the
+// keyPass): whatever the filter drops, D after the call is the
 // sequential min-scatter of every offered request, and the delivered
 // count reported to the Tracer obeys the filter's own laws — never more
 // than offered, exactly one request per target when values ascend and the
@@ -344,7 +344,7 @@ func TestSetDMinCombineIgnoresIDCache(t *testing.T) {
 }
 
 // The tests below pin GetDCombined, the request filter's combining for a
-// read (see planFilter): out is the direct gather D[idx] whatever was
+// read (see keyPass): out is the direct gather D[idx] whatever was
 // folded away, exactly what GetD returns; the delivered count never exceeds
 // the offered one and is one request per distinct index when the indices
 // fit the table without collisions.

@@ -14,6 +14,7 @@ package collective
 
 import (
 	"errors"
+	"slices"
 
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/sched"
@@ -38,7 +39,7 @@ type serveOp struct {
 	// build for it honors Options.Offload.
 	allowFiltered bool
 	// combine is what a one-shot build drops beyond offload (see
-	// planFilter): repeats by position (GetDCombined), or writes that
+	// keyPass): repeats by position (GetDCombined), or writes that
 	// cannot win by value (SetDMin, whose build then skips the IDCache).
 	combine combineRule
 	// mutates: the serve phase writes the local block of d1 (the Set*
@@ -51,7 +52,7 @@ type serveOp struct {
 	finish func(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64)
 }
 
-// combineRule selects the request filter's combining (see planFilter).
+// combineRule selects the request filter's combining (see keyPass).
 type combineRule uint8
 
 const (
@@ -184,11 +185,16 @@ func (c *Comm) serveRetry(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.Sh
 }
 
 // xferFault consults the chaos injector for one coalesced engine transfer
-// whose received payload is dst. Engine payloads are private scratch or
-// plan-buffer segments written only by this thread and read only after the
-// post-serve barrier, so a corrupt verdict may damage them in place — the
-// replay rewrites the same slots with clean words. Same-node transfers
-// ride shared memory and never fault.
+// whose received payload is dst. A push's payload is the requester's plan
+// receive segment (or the staged answers bound for it), and a route op's
+// pull lands in this thread's receive buffer: both are written only by
+// this thread and read only after the post-serve barrier, so a corrupt
+// verdict may damage them in place — the replay rewrites the same slots
+// with clean words. A serve that reads the pulled words in place, out of
+// the peer's own request and value buffers, passes nil: a verdict must
+// never touch those, and a corrupt pull aborts the attempt before any of
+// its words is used. Same-node transfers ride shared memory and never
+// fault.
 func (c *Comm) xferFault(th *pgas.Thread, peer int, dst []int64) error {
 	if th.SameNode(peer) {
 		return nil
@@ -202,73 +208,14 @@ func (c *Comm) sameProcess(peer int) bool {
 	return !c.wire || peer/c.tpn == c.node
 }
 
-// peerReq returns the peer's request segment for direct reading: the plan
-// buffer itself when the peer shares this process, a wire read into the
-// thread's staging scratch otherwise. The charge and the chaos verdict for
-// the pull stay at the call sites (pullSegment), exactly as on the shared
-// fabric; a real wire failure is classified and aborts the serve attempt.
-func (c *Comm) peerReq(th *pgas.Thread, p *Plan, st *threadState, seg segment) ([]int64, error) {
-	if c.sameProcess(int(seg.peer)) {
-		return p.pts[seg.peer].req[seg.off : seg.off+seg.k], nil
-	}
-	st.stage = st.grow(st.stage, int(seg.k))
-	dst := st.stage[:seg.k]
-	err := c.tr.Get(th, int(seg.peer)/c.tpn, pgas.Win{Kind: pgas.WinPlanReq, ID: p.wid, Sub: seg.peer}, seg.off, dst)
-	return dst, err
-}
-
-// peerCopy copies the peer's plan-window segment into dst: a memory copy
-// when the peer shares this process, one wire read otherwise.
-func (c *Comm) peerCopy(th *pgas.Thread, p *Plan, seg segment, kind pgas.WinKind, dst []int64) error {
-	if c.sameProcess(int(seg.peer)) {
-		pt := &p.pts[seg.peer]
-		src := pt.req
-		if kind == pgas.WinPlanVal {
-			src = pt.val
-		}
-		copy(dst, src[seg.off:seg.off+seg.k])
-		return nil
-	}
-	return c.tr.Get(th, int(seg.peer)/c.tpn, pgas.Win{Kind: kind, ID: p.wid, Sub: seg.peer}, seg.off, dst)
-}
-
-// pushPeer delivers src into the peer's plan receive window (val or val2).
-// When the peer shares this process the words are copied and the chaos
-// verdict lands on the destination, as always. Over the wire the verdict
-// is drawn on the staged source before the frame leaves: a drop withholds
-// the frame entirely, a corruption sends the damaged payload (the peer's
-// CRC catches it — delivered-but-detected), and the serve replay re-sends
-// clean words either way. The draw order and count are identical to the
-// shared fabric, so the fault schedule is backend-independent.
-func (c *Comm) pushPeer(th *pgas.Thread, p *Plan, seg segment, kind pgas.WinKind, src []int64) error {
-	if c.sameProcess(int(seg.peer)) {
-		pt := &p.pts[seg.peer]
-		buf := pt.val
-		if kind == pgas.WinPlanVal2 {
-			buf = pt.val2
-		}
-		dst := buf[seg.off : seg.off+seg.k]
-		copy(dst, src)
-		return c.xferFault(th, int(seg.peer), dst)
-	}
-	verdict := c.xferFault(th, int(seg.peer), src)
-	if verdict != nil && errors.Is(verdict, pgas.ErrTransport) {
-		return verdict
-	}
-	if err := c.tr.Put(th, int(seg.peer)/c.tpn, pgas.Win{Kind: kind, ID: p.wid, Sub: seg.peer}, seg.off, src); err != nil {
-		panic(err)
-	}
-	return verdict
-}
-
 // planSegments fills st.segs with the peer segments thread th serves under
-// the plan's published matrices, in schedule order, and returns the total
-// element count. The stale-matrix fault perturbs a reused plan's offsets
-// here (see fault.go).
-func (c *Comm) planSegments(th *pgas.Thread, p *Plan, st *threadState, opts *Options) int64 {
+// the plan's published matrices, in schedule order, and returns their
+// total element count and how many of them belong to peers in another
+// process (the wire staging a serve needs). The stale-matrix fault
+// perturbs a reused plan's offsets here (see fault.go).
+func (c *Comm) planSegments(th *pgas.Thread, p *Plan, st *threadState, opts *Options) (total, staged int64) {
 	i := th.ID
 	stale := c.fault == FaultStalePlanMatrices && p.pts[i].execs >= 1
-	total := int64(0)
 	st.segs = st.segs[:0]
 	for r := 0; r < c.s; r++ {
 		peer := peerAt(i, r, c.s, opts.Circular)
@@ -280,66 +227,126 @@ func (c *Comm) planSegments(th *pgas.Thread, p *Plan, st *threadState, opts *Opt
 		if stale && off > 0 {
 			off--
 		}
-		st.segs = append(st.segs, segment{peer: int32(peer), off: off, pos: total, k: k})
+		seg := segment{peer: int32(peer), off: off, k: k}
+		if !c.sameProcess(peer) {
+			seg.pos = staged
+			staged += k
+		}
+		st.segs = append(st.segs, seg)
 		total += k
 	}
-	return total
+	return total, staged
 }
 
-// pullSegment charges one coalesced index pull and translates the peer's
-// global indices to block-local ones (honoring the segment-misalignment
-// fault). Under armed chaos the pull may fault: the translated indices are
-// then unusable and the caller must abort the serve attempt.
-func (c *Comm) pullSegment(th *pgas.Thread, reqSeg, dst []int64, lo int64, peer int, opts *Options) error {
-	c.transferCost(th, peer, int64(len(reqSeg)), true, opts)
-	if c.fault == FaultSegmentOffByOne {
-		// Misaligned segment view: slot j takes the index of slot j+1
-		// (rotated within the segment to stay in bounds).
-		for j := range reqSeg {
-			dst[j] = reqSeg[(j+1)%len(reqSeg)] - lo
-		}
-	} else {
-		for j, gix := range reqSeg {
-			dst[j] = gix - lo
-		}
+// segBuf returns seg's words of the peer's plan buffer of the given kind
+// when the peer shares this process, and seg's slot of the wire staging
+// buf otherwise.
+func (c *Comm) segBuf(p *Plan, seg segment, kind pgas.WinKind, staging []int64) []int64 {
+	if !c.sameProcess(int(seg.peer)) {
+		return staging[seg.pos : seg.pos+seg.k]
 	}
-	th.ChargeOps(sim.CatWork, int64(len(reqSeg)))
-	return c.xferFault(th, peer, dst)
+	pt := &p.pts[seg.peer]
+	buf := pt.req
+	switch kind {
+	case pgas.WinPlanVal:
+		buf = pt.val
+	case pgas.WinPlanVal2:
+		buf = pt.val2
+	}
+	return buf[seg.off : seg.off+seg.k]
+}
+
+// fetch reads seg's words of the peer's plan window of the given kind into
+// the wire staging when the peer lives in another process; a peer in this
+// one is read in place, so there is nothing to fetch. A real wire failure
+// is classified and aborts the serve attempt.
+func (c *Comm) fetch(th *pgas.Thread, p *Plan, seg segment, kind pgas.WinKind, staging []int64) error {
+	if c.sameProcess(int(seg.peer)) {
+		return nil
+	}
+	return c.peerCopy(th, p, seg, kind, staging[seg.pos:seg.pos+seg.k])
+}
+
+// pull fetches seg's request words and charges the coalesced index pull
+// and their translation to block-local indices, which the serve's segment
+// primitive performs as it reads them. Under armed chaos the pull may
+// fault: the caller must then abort the serve attempt.
+func (c *Comm) pull(th *pgas.Thread, p *Plan, st *threadState, seg segment, opts *Options) error {
+	if err := c.fetch(th, p, seg, pgas.WinPlanReq, st.stage); err != nil {
+		return err
+	}
+	c.transferCost(th, int(seg.peer), seg.k, true, opts)
+	th.ChargeOps(sim.CatWork, seg.k)
+	return c.xferFault(th, int(seg.peer), nil)
+}
+
+// push delivers seg's answers into the requester's plan receive window
+// (val or val2). A requester in this process already holds them — the
+// gather wrote into its buffer — and the chaos verdict lands there. Over
+// the wire the verdict is drawn on the staged answers before the frame
+// leaves: a drop withholds the frame entirely, a corruption sends the
+// damaged payload (the peer's CRC catches it — delivered-but-detected),
+// and the serve replay re-sends clean words either way. The draw order and
+// count are identical to the shared fabric, so the fault schedule is
+// backend-independent.
+func (c *Comm) push(th *pgas.Thread, p *Plan, st *threadState, seg segment, kind pgas.WinKind) error {
+	out := c.segBuf(p, seg, kind, st.vals)
+	verdict := c.xferFault(th, int(seg.peer), out)
+	if c.sameProcess(int(seg.peer)) || verdict != nil && errors.Is(verdict, pgas.ErrTransport) {
+		return verdict
+	}
+	if err := c.tr.Put(th, int(seg.peer)/c.tpn, pgas.Win{Kind: kind, ID: p.wid, Sub: seg.peer}, seg.off, out); err != nil {
+		panic(err)
+	}
+	return verdict
+}
+
+// access serves one peer segment with op — a gather into vals, or a
+// scatter of vals — and returns its first touches. Under the
+// segment-misalignment fault the serve reads the segment rotated by one,
+// so slot j takes the index of slot j+1 and the indices stay in bounds.
+func (c *Comm) access(local, req []int64, base int64, vals []int64, op sched.Op, scr *sched.Scratch) int64 {
+	if c.fault != FaultSegmentOffByOne {
+		return sched.Access(local, req, base, vals, op, scr)
+	}
+	return sched.Access(local, req[1:], base, vals, op, scr) +
+		sched.Access(local, req[:1], base, vals[len(req)-1:], op, scr)
 }
 
 // serveGather is GetD's serve phase: this thread answers every peer's
 // request segment against its own block of d1. All peers' segments are
-// pulled first (one coalesced message each, in schedule order), the whole
-// concatenated request list is served with one blocked gather — the local
-// block is loaded at most once per collective, matching equation 5's
-// n*L_M term — and the per-peer value slices are pushed back into each
-// requester's plan receive buffer.
+// pulled first (one coalesced message each, in schedule order), then
+// served in place — each answer written straight into the requester's
+// plan receive buffer — and charged as one blocked gather over their
+// concatenation: the local block is loaded at most once per collective,
+// matching equation 5's n*L_M term. The pushes back follow.
 func serveGather(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
 	i := th.ID
 	local, base := d1.ServeView(i)
 	st := &c.ts[i]
 
-	total := c.planSegments(th, p, st, opts)
-	st.local = st.grow(st.local, int(total))
-	st.vals = st.grow(st.vals, int(total))
+	total, staged := c.planSegments(th, p, st, opts)
+	st.stage = st.grow(st.stage, int(staged))
+	st.vals = st.grow(st.vals, int(staged))
 	for _, seg := range st.segs {
-		reqSeg, err := c.peerReq(th, p, st, seg)
-		if err != nil {
-			return err
-		}
-		if err := c.pullSegment(th, reqSeg, st.local[seg.pos:seg.pos+seg.k], base, int(seg.peer), opts); err != nil {
+		if err := c.pull(th, p, st, seg, opts); err != nil {
 			return err
 		}
 	}
 
-	// The block stays cache-warm across the concatenated serve, so
-	// first-touch tracking resets once per collective.
+	// The block stays cache-warm across the segments, so first-touch
+	// tracking resets once per collective.
 	st.scr.Reset(int64(len(local)))
-	sched.Gather(th, local, st.local[:total], st.vals[:total], opts.VirtualThreads, opts.LocalCpy, &st.scr)
+	distinct := int64(0)
+	for _, seg := range st.segs {
+		req, out := c.segBuf(p, seg, pgas.WinPlanReq, st.stage), c.segBuf(p, seg, pgas.WinPlanVal, st.vals)
+		distinct += c.access(local, req, base, out, sched.OpGet, &st.scr)
+	}
+	sched.ChargeAccess(th, total, distinct, int64(len(local)), opts.VirtualThreads, opts.LocalCpy)
 
 	for _, seg := range st.segs {
 		c.transferCost(th, int(seg.peer), seg.k, false, opts)
-		if err := c.pushPeer(th, p, seg, pgas.WinPlanVal, st.vals[seg.pos:seg.pos+seg.k]); err != nil {
+		if err := c.push(th, p, st, seg, pgas.WinPlanVal); err != nil {
 			return err
 		}
 	}
@@ -347,37 +354,37 @@ func serveGather(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, op
 }
 
 // serveScatter is the Set* serve phase: pull every peer's index and value
-// segments, then apply one blocked scatter with the op's combining rule
-// over the concatenated list.
+// segments, then apply them in place, in schedule order, with the op's
+// combining rule, charged as one blocked scatter over their concatenation.
 func (c *Comm) serveScatter(th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options, op sched.Op) error {
 	i := th.ID
 	local, base := d.ServeView(i)
 	st := &c.ts[i]
 
-	total := c.planSegments(th, p, st, opts)
-	st.local = st.grow(st.local, int(total))
-	st.inVal = st.grow(st.inVal, int(total))
+	total, staged := c.planSegments(th, p, st, opts)
+	st.stage = st.grow(st.stage, int(staged))
+	st.inVal = st.grow(st.inVal, int(staged))
 	for _, seg := range st.segs {
-		reqSeg, err := c.peerReq(th, p, st, seg)
-		if err != nil {
-			return err
-		}
-		if err := c.pullSegment(th, reqSeg, st.local[seg.pos:seg.pos+seg.k], base, int(seg.peer), opts); err != nil {
+		if err := c.pull(th, p, st, seg, opts); err != nil {
 			return err
 		}
 		// Pull the peer's value segment alongside the indices.
 		c.transferCost(th, int(seg.peer), seg.k, true, opts)
-		dst := st.inVal[seg.pos : seg.pos+seg.k]
-		if err := c.peerCopy(th, p, seg, pgas.WinPlanVal, dst); err != nil {
+		if err := c.fetch(th, p, seg, pgas.WinPlanVal, st.inVal); err != nil {
 			return err
 		}
-		if err := c.xferFault(th, int(seg.peer), dst); err != nil {
+		if err := c.xferFault(th, int(seg.peer), nil); err != nil {
 			return err
 		}
 	}
 
 	st.scr.Reset(int64(len(local)))
-	sched.Scatter(th, local, st.local[:total], st.inVal[:total], op, opts.VirtualThreads, opts.LocalCpy, &st.scr)
+	distinct := int64(0)
+	for _, seg := range st.segs {
+		req, vals := c.segBuf(p, seg, pgas.WinPlanReq, st.stage), c.segBuf(p, seg, pgas.WinPlanVal, st.inVal)
+		distinct += c.access(local, req, base, vals, op, &st.scr)
+	}
+	sched.ChargeAccess(th, total, distinct, int64(len(local)), opts.VirtualThreads, opts.LocalCpy)
 	return nil
 }
 
@@ -400,8 +407,8 @@ func serveScatterAdd(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray
 // servePair is GetDPair's serve phase: pull each peer's indices once,
 // gather from both local blocks, push both value streams back (into the
 // requester's val and val2 plan buffers). Segments are served one peer at
-// a time with per-array first-touch trackers, preserving the fused
-// collective's original charge structure.
+// a time with per-array first-touch trackers, each gather charged on its
+// own, preserving the fused collective's original charge structure.
 func servePair(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
 	i := th.ID
 	// The pair arrays are allocated together and share a partition scheme,
@@ -410,47 +417,45 @@ func servePair(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts
 	local2, _ := d2.ServeView(i)
 	st := &c.ts[i]
 
-	c.planSegments(th, p, st, opts)
+	_, staged := c.planSegments(th, p, st, opts)
+	st.stage = st.grow(st.stage, int(staged))
+	st.vals = st.grow(st.vals, int(staged))
 	st.scr.Reset(int64(len(local1)))
 	st.scr2.Reset(int64(len(local2)))
 	for _, seg := range st.segs {
-		k := seg.k
-		st.local = st.grow(st.local, int(k))
-		reqSeg, err := c.peerReq(th, p, st, seg)
-		if err != nil {
+		if err := c.pull(th, p, st, seg, opts); err != nil {
 			return err
 		}
-		if err := c.pullSegment(th, reqSeg, st.local[:k], base, int(seg.peer), opts); err != nil {
-			return err
-		}
-
-		st.vals = st.grow(st.vals, int(k))
-		sched.Gather(th, local1, st.local[:k], st.vals[:k], opts.VirtualThreads, opts.LocalCpy, &st.scr)
-		c.transferCost(th, int(seg.peer), k, false, opts)
-		if err := c.pushPeer(th, p, seg, pgas.WinPlanVal, st.vals[:k]); err != nil {
-			return err
-		}
-
-		sched.Gather(th, local2, st.local[:k], st.vals[:k], opts.VirtualThreads, opts.LocalCpy, &st.scr2)
-		c.transferCost(th, int(seg.peer), k, false, opts)
-		if err := c.pushPeer(th, p, seg, pgas.WinPlanVal2, st.vals[:k]); err != nil {
-			return err
+		req := c.segBuf(p, seg, pgas.WinPlanReq, st.stage)
+		for _, half := range [2]struct {
+			local []int64
+			kind  pgas.WinKind
+			scr   *sched.Scratch
+		}{{local1, pgas.WinPlanVal, &st.scr}, {local2, pgas.WinPlanVal2, &st.scr2}} {
+			distinct := c.access(half.local, req, base, c.segBuf(p, seg, half.kind, st.vals), sched.OpGet, half.scr)
+			sched.ChargeAccess(th, seg.k, distinct, int64(len(half.local)), opts.VirtualThreads, opts.LocalCpy)
+			c.transferCost(th, int(seg.peer), seg.k, false, opts)
+			if err := c.push(th, p, st, seg, half.kind); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// serveRoute is Exchange's serve phase: pull every peer's grouped segment
-// destined for this thread into the receive scratch, concatenated in
+// serveRoute is Exchange's serve phase: copy every peer's grouped segment
+// destined for this thread into the receive buffer, concatenated in
 // schedule order. There is no local array access — the routed items are
 // the payload.
 func serveRoute(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
 	st := &c.ts[th.ID]
-	total := c.planSegments(th, p, st, opts)
-	st.inVal = st.grow(st.inVal, int(total))
+	total, _ := c.planSegments(th, p, st, opts)
+	st.recv = st.grow(st.recv, int(total))
+	at := int64(0)
 	for _, seg := range st.segs {
 		c.transferCost(th, int(seg.peer), seg.k, true, opts)
-		dst := st.inVal[seg.pos : seg.pos+seg.k]
+		dst := st.recv[at : at+seg.k]
+		at += seg.k
 		if err := c.peerCopy(th, p, seg, pgas.WinPlanReq, dst); err != nil {
 			return err
 		}
@@ -467,15 +472,17 @@ func serveRoute(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opt
 // per peer carries indices and values together, delivered aligned.
 func serveRoutePairs(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
 	st := &c.ts[th.ID]
-	total := c.planSegments(th, p, st, opts)
-	st.local = st.grow(st.local, int(total))
-	st.inVal = st.grow(st.inVal, int(total))
+	total, _ := c.planSegments(th, p, st, opts)
+	st.recv = st.grow(st.recv, int(total))
+	st.recv2 = st.grow(st.recv2, int(total))
+	at := int64(0)
 	for _, seg := range st.segs {
 		c.transferCost(th, int(seg.peer), 2*seg.k, true, opts)
-		if err := c.peerCopy(th, p, seg, pgas.WinPlanReq, st.local[seg.pos:seg.pos+seg.k]); err != nil {
+		dst, dstVal := st.recv[at:at+seg.k], st.recv2[at:at+seg.k]
+		at += seg.k
+		if err := c.peerCopy(th, p, seg, pgas.WinPlanReq, dst); err != nil {
 			return err
 		}
-		dstVal := st.inVal[seg.pos : seg.pos+seg.k]
 		if err := c.peerCopy(th, p, seg, pgas.WinPlanVal, dstVal); err != nil {
 			return err
 		}
@@ -488,6 +495,17 @@ func serveRoutePairs(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray
 	}
 	st.routeTotal = total
 	return nil
+}
+
+// peerCopy copies seg's words of the peer's plan window of the given kind
+// into dst: a memory copy when the peer shares this process, one wire read
+// otherwise.
+func (c *Comm) peerCopy(th *pgas.Thread, p *Plan, seg segment, kind pgas.WinKind, dst []int64) error {
+	if c.sameProcess(int(seg.peer)) {
+		copy(dst, c.segBuf(p, seg, kind, nil))
+		return nil
+	}
+	return c.tr.Get(th, int(seg.peer)/c.tpn, pgas.Win{Kind: kind, ID: p.wid, Sub: seg.peer}, seg.off, dst)
 }
 
 // finishNone is the finish phase of ops whose results are the array
@@ -504,20 +522,16 @@ func finishNone(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []
 func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64) {
 	k := pt.k
 	chargePermute(th, sim.CatIrregular, int64(k))
-	val := pt.val[:k]
-	switch {
-	case c.fault != FaultDropPermute:
-		for pp, j := range pt.pos[:k] {
-			out1[j] = val[pp]
-		}
-	case pt.filtered:
+	val, pos := pt.val[:k], pt.pos[:k]
+	if c.fault == FaultDropPermute {
 		// Values land in owner-grouped order, as if the permute were
-		// missing.
-		for pp, j := range pt.outIdx[:k] {
-			out1[j] = val[pp]
-		}
-	default:
-		copy(out1[:k], val)
+		// missing: the pp-th kept position, in request order, takes the
+		// pp-th grouped value.
+		pos = slices.Clone(pos)
+		slices.Sort(pos)
+	}
+	for pp, j := range pos {
+		out1[j] = val[pp]
 	}
 	for _, j := range pt.dropIdx[:pt.drops] {
 		out1[j] = 0
@@ -528,7 +542,7 @@ func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2
 	chargePermute(th, sim.CatIrregular, int64(pt.dups))
 	// The filter wrote its records from the end of the tails backwards:
 	// walking them down visits the duplicates in request order.
-	dup, keeper := pt.dropIdx[pt.n-pt.dups:pt.n], pt.outIdx[pt.n-pt.dups:pt.n]
+	dup, keeper := pt.dropIdx[pt.n-pt.dups:pt.n], pt.keeper[pt.n-pt.dups:pt.n]
 	for r := len(dup) - 1; r >= 0; r-- {
 		from := keeper[r]
 		if c.fault == FaultWrongKeeper {

@@ -177,3 +177,67 @@ func TestValidateGeometry(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptPullLeavesPeerBuffersAlone: on a shared fabric a serve reads
+// a remote node's request and value segments in place, out of the
+// requester's plan buffers, so a pull's chaos verdict is drawn with no
+// payload — a corrupt one aborts the attempt without damaging words the
+// requester still owns — and the replay answers every request right.
+// Corruption is armed at a rate that hits pulls of both nodes many times
+// over; the planned GetD's grouped requests are compared word for
+// word after the call, its answers with D, and the one-shot SetDAdd's D
+// with the sequential add-scatter (an add, unlike a min-write, shows any
+// damaged value it applies).
+func TestCorruptPullLeavesPeerBuffersAlone(t *testing.T) {
+	const n, k = 1 << 12, 2000
+	rt := testRT(t, 2, 2)
+	rt.ArmChaos(pgas.ChaosConfig{Seed: 3, CorruptRate: 0.2, MaxAttempts: 64, BackoffNS: 1})
+	s := rt.NumThreads()
+	d := rt.NewSharedArray("D", n)
+	rng := xrand.New(41)
+	for i := range d.Raw() {
+		d.Raw()[i] = rng.Int64n(1 << 30)
+	}
+	data, want := slices.Clone(d.Raw()), slices.Clone(d.Raw())
+	reqs, vals := planReqs(s, k, n), make([][]int64, s)
+	for i := range vals {
+		vals[i] = make([]int64, k)
+		for j, ix := range reqs[i] {
+			vals[i][j] = rng.Int64n(1 << 30)
+			want[ix] += 8 * vals[i][j]
+		}
+	}
+	comm := NewComm(rt)
+	plan := comm.NewPlan()
+	rt.Run(func(th *pgas.Thread) { plan.PlanRequests(th, d, reqs[th.ID], Base(), nil) })
+	grouped := make([][]int64, s)
+	for i := range grouped {
+		grouped[i] = slices.Clone(plan.pts[i].req[:plan.pts[i].k])
+	}
+	outs := make([][]int64, s)
+	rt.Run(func(th *pgas.Thread) {
+		outs[th.ID] = make([]int64, k)
+		for range 8 { // a re-executed plan changes nothing
+			plan.GetD(th, d, outs[th.ID])
+		}
+		for range 8 {
+			comm.SetDAdd(th, d, reqs[th.ID], vals[th.ID], Base(), nil)
+		}
+	})
+	if c := rt.ChaosStats().Corrupts; c < 20 {
+		t.Fatalf("%d corrupt verdicts drawn: the test exercises too little", c)
+	}
+	for i := 0; i < s; i++ {
+		if !slices.Equal(plan.pts[i].req[:plan.pts[i].k], grouped[i]) {
+			t.Fatalf("thread %d: grouped requests changed under corrupt pulls", i)
+		}
+		for j, ix := range reqs[i] {
+			if outs[i][j] != data[ix] {
+				t.Fatalf("thread %d request %d: GetD D[%d] = %d, want %d", i, j, ix, outs[i][j], data[ix])
+			}
+		}
+	}
+	if !slices.Equal(d.Raw(), want) {
+		t.Fatal("SetDAdd under corrupt pulls differs from the sequential add-scatter")
+	}
+}

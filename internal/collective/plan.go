@@ -48,22 +48,20 @@ type Plan struct {
 // growth counter, so plan reuse participates in the same steady-state
 // zero-allocation accounting as the Comm scratch.
 type planThread struct {
-	req      []int64 // request indices grouped by owner (read by peers)
-	val      []int64 // grouped values (Set*) / receive buffer (GetD, pair 1st)
-	val2     []int64 // second receive buffer (GetDPair)
-	pos      []int32 // grouped position -> position in the caller's request list
-	offs     []int64 // per-owner segment offsets, len s+1
-	outIdx   []int32 // request filter: [0,k) kept position -> original position; [n-dups,n) the keeper's original position, per combined duplicate
-	dropIdx  []int32 // request filter: [0,drops) original positions of dropped offload requests; [n-dups,n) original positions of combined duplicates
-	filt     []int64 // filtered request list (backing for the grouped sort input)
-	opts     Options // options captured at build time
-	arrLen   int64   // length of the array the plan was built against (0 = unbuilt)
-	n        int     // original request count
-	k        int     // grouped request count (post-filter)
-	drops    int     // offload requests recorded in dropIdx (GetD builds only)
-	dups     int     // combined duplicates recorded in the dropIdx/outIdx tails (GetDCombined only)
-	filtered bool    // build applied the request filter
-	execs    int     // executions since the last build
+	req     []int64 // request indices grouped by owner (read by peers)
+	val     []int64 // grouped values (Set*) / receive buffer (GetD, pair 1st)
+	val2    []int64 // second receive buffer (GetDPair)
+	pos     []int32 // grouped position -> position in the caller's request list
+	offs    []int64 // per-owner segment offsets, len s+1
+	dropIdx []int32 // request filter: [0,drops) positions of dropped offload requests; [n-dups,n) positions of combined duplicates
+	keeper  []int32 // request filter: [n-dups,n) the keeper's position, per combined duplicate
+	opts    Options // options captured at build time
+	arrLen  int64   // length of the array the plan was built against (0 = unbuilt)
+	n       int     // original request count
+	k       int     // grouped request count (post-filter)
+	drops   int     // offload requests recorded in dropIdx (GetD builds only)
+	dups    int     // combined duplicates recorded in the dropIdx/keeper tails (GetDCombined only)
+	execs   int     // executions since the last build
 }
 
 // NewPlan allocates an empty Plan bound to c. Build it with PlanRequests.
@@ -103,8 +101,8 @@ func (p *Plan) PlanRequests(th *pgas.Thread, d *pgas.SharedArray, indices []int6
 // planInto is PlanRequests for the caller named kind, building for op:
 // the offload filter applies when op allows it, and op's combine rule says
 // what else the filter drops (combineMin judges values, the one-shot
-// SetDMin's). It validates the request list — inside the filter's pass
-// when there is one, with a sweep of its own otherwise.
+// SetDMin's). The build reads the caller's list twice — keyPass, then the
+// grouping's distribution — and copies nothing else out of it.
 func (p *Plan) planInto(kind string, th *pgas.Thread, op *serveOp, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
 	c := p.c
 	c.checkLive(th)
@@ -114,30 +112,19 @@ func (p *Plan) planInto(kind string, th *pgas.Thread, op *serveOp, d *pgas.Share
 	pt.arrLen = d.Len()
 	pt.n = len(indices)
 	pt.execs = 0
-	pt.drops, pt.dups = 0, 0
-	offload := op.allowFiltered && opts.Offload
-	pt.filtered = offload || op.combine != combineNone
 	if op.combine == combineMin {
 		// What combining keeps depends on the values, so two calls with one
 		// index list can keep different requests — even equally many — and
-		// an IDCache, valid per index list, would hand the second call the
-		// first one's owners.
+		// an IDCache, valid per index list, would charge the second call a
+		// reload of keys it never stored.
 		cache = nil
 	}
-	work, via := indices, []int32(nil)
-	if pt.filtered {
-		work = p.planFilter(kind, th, d, pt, st, indices, values, opts, offload, op.combine)
-		via = pt.outIdx[:len(work)]
-	} else {
-		checkRequests(kind, d, indices)
-	}
-	k := len(work)
+	k := c.keyPass(kind, th, d, pt, st, indices, values, op.allowFiltered && opts.Offload, op.combine)
 	pt.k = k
-
-	c.ownerKeys(th, d, work, opts, cache, st)
+	chargeKeys(th, k, opts, cache)
 	pt.req = sched.Grow64(pt.req, k, &st.growths)
 	pt.pos = sched.Grow32(pt.pos, k, &st.growths)
-	c.groupInto(th, work, via, opts, st, pt.req[:k], pt.pos[:k], pt.offs)
+	c.groupInto(th, indices, opts, st, pt)
 	// The value buffer is sized with the plan so peers can deliver into it
 	// right after the first barrier; its contents are per-execution.
 	pt.val = sched.Grow64(pt.val, k, &st.growths)
@@ -167,19 +154,20 @@ type combineTable struct {
 	key, val [combineSlots]int64
 }
 
-// planFilter is the one pass over a caller's request list before the
-// grouping sort. It validates the list (length and every index, as
-// checkRequests does) and drops requests the owners need not see,
-// recording the surviving positions (outIdx, which the grouping sort folds
-// into pos):
+// keyPass is the build's first pass over the caller's request list. For
+// every request it checks the index (and the list's length, as MaxRequests
+// bounds it), applies the request filter, and writes the owner key to
+// st.keys — -1 for a request the owners will not see — counting the
+// buckets into pt.offs, which it leaves as the per-owner segment offsets.
+// It returns the number of requests kept. The filter drops:
 //
 //   - offload: requests for the offloaded index. Their positions are kept
 //     too (dropIdx) so GetD executions can substitute the pinned value.
 //   - combineIndex (GetDCombined): a request for an index an earlier
 //     request of this list already asks for. Its position and the earlier
-//     request's — its keeper's — go to the tails of dropIdx and outIdx,
-//     which kept and dropped requests cannot reach (k + drops + dups = n),
-//     and the finish phase copies the keeper's answer.
+//     request's — its keeper's — go to the tails of dropIdx and keeper,
+//     which offload drops cannot reach (drops + dups <= n), and the finish
+//     phase copies the keeper's answer.
 //   - combineMin (the one-shot SetDMin, whose values arrive in vals): a
 //     request (i, v) when an earlier request of this list to the same i
 //     with a value <= v was kept. Min is idempotent and commutative, so D
@@ -188,15 +176,14 @@ type combineTable struct {
 // The table is direct-mapped: a colliding index evicts the slot's entry,
 // which only forgets — the filter can fail to drop, never drop wrongly.
 // The offload compare is a charged streaming pass, the table probe one
-// charged op per offered request.
-func (p *Plan) planFilter(kind string, th *pgas.Thread, d *pgas.SharedArray, pt *planThread, st *threadState, indices, vals []int64, opts *Options, offload bool, rule combineRule) []int64 {
+// charged op per offered request; the keys are charged by chargeKeys.
+func (c *Comm) keyPass(kind string, th *pgas.Thread, d *pgas.SharedArray, pt *planThread, st *threadState, indices, vals []int64, offload bool, rule combineRule) int {
 	n := len(indices)
 	checkLen(kind, d, n)
-	pt.filt = sched.Grow64(pt.filt, n, &st.growths)
-	pt.outIdx = sched.Grow32(pt.outIdx, n, &st.growths)
+	st.keys = st.grow32(st.keys, n)
 	offIdx := int64(-1) // no valid index
 	if offload {
-		offIdx = opts.OffloadIndex
+		offIdx = pt.opts.OffloadIndex
 		th.ChargeSeq(sim.CatWork, int64(n))
 	}
 	byMin := rule == combineMin
@@ -210,16 +197,21 @@ func (p *Plan) planFilter(kind string, th *pgas.Thread, d *pgas.SharedArray, pt 
 		clear(tab.key[:])
 		th.ChargeOps(sim.CatWork, int64(n))
 	}
-	if !byMin {
+	if offload && !byMin || rule == combineIndex {
 		pt.dropIdx = sched.Grow32(pt.dropIdx, n, &st.growths)
 	}
-	filt, outIdx, dropIdx := pt.filt[:n], pt.outIdx[:n], pt.dropIdx
+	if rule == combineIndex {
+		pt.keeper = sched.Grow32(pt.keeper, n, &st.growths)
+	}
+	keys, dropIdx, keeper, counts := st.keys[:n], pt.dropIdx, pt.keeper, pt.offs
+	clear(counts)
 	arrLen := uint64(d.Len())
-	w, drops, dups := 0, 0, 0
+	drops, dups := 0, 0
 	for j, ix := range indices {
 		if uint64(ix) >= arrLen {
 			badIndex(kind, d, ix)
 		}
+		keys[j] = -1
 		if ix == offIdx {
 			if !byMin {
 				dropIdx[drops] = int32(j)
@@ -238,31 +230,63 @@ func (p *Plan) planFilter(kind string, th *pgas.Thread, d *pgas.SharedArray, pt 
 			} else {
 				if tab.key[h] == ix+1 {
 					dups++
-					dropIdx[n-dups], outIdx[n-dups] = int32(j), int32(tab.val[h])
+					dropIdx[n-dups], keeper[n-dups] = int32(j), int32(tab.val[h])
 					continue
 				}
 				tab.key[h], tab.val[h] = ix+1, int64(j)
 			}
 		}
-		filt[w] = ix
-		outIdx[w] = int32(j)
-		w++
+		key := d.OwnerKey(ix)
+		keys[j] = key
+		counts[key+1]++
+	}
+	for b := 0; b < c.s; b++ {
+		counts[b+1] += counts[b]
 	}
 	pt.drops, pt.dups = drops, dups
-	return filt[:w]
+	return int(counts[c.s])
 }
 
-// groupInto sorts indices by owner (st.keys) into req, filling the
-// inverse permutation pos and the per-owner offsets offs, and charging
-// the grouping sort. via, when the request filter ran, holds where each
-// index stood in the caller's list, and pos records that instead of the
-// position in indices. req/pos must have length len(indices); offs length
-// s+1. Scratch (packed keys, bucket cursors) comes from st.
-func (c *Comm) groupInto(th *pgas.Thread, indices []int64, via []int32, opts *Options, st *threadState, req []int64, pos []int32, offs []int64) {
-	k := len(indices)
+// chargeKeys charges the owner keys of k kept requests, honoring the id
+// optimization and cache: a warm cache's reload, or the arithmetic (and,
+// into a cold cache, the store), or one runtime intrinsic per key.
+func chargeKeys(th *pgas.Thread, k int, opts *Options, cache *IDCache) {
+	switch {
+	case opts.CachedIDs && cache != nil && cache.valid && cache.k == k:
+		th.ChargeSeq(sim.CatWork, int64(k))
+	case opts.CachedIDs:
+		// Direct, vectorizable arithmetic.
+		th.ChargeOps(sim.CatWork, int64(k))
+		if cache != nil {
+			cache.k, cache.valid = k, true
+			th.ChargeSeq(sim.CatWork, int64(k))
+		}
+	default:
+		th.ChargeIntrinsics(sim.CatWork, int64(k))
+	}
+}
+
+// groupInto is the build's second pass: it distributes the requests
+// keyPass kept into pt.req by owner, recording each one's position in the
+// caller's list in pt.pos, and charges the grouping sort.
+func (c *Comm) groupInto(th *pgas.Thread, indices []int64, opts *Options, st *threadState, pt *planThread) {
+	k := pt.k
+	keys, req, pos, offs := st.keys[:len(indices)], pt.req[:k], pt.pos[:k], pt.offs
 	switch opts.Sort {
 	case CountSort:
-		psort.BucketByKeyVia(indices, st.keys[:k], c.s, req, pos, offs, st.cursor, via)
+		// keyPass counted the buckets; distribute every kept request to
+		// the next slot of its owner's segment.
+		cursor := st.cursor
+		copy(cursor, offs[:c.s])
+		for j, key := range keys {
+			if key < 0 {
+				continue
+			}
+			p := cursor[key]
+			cursor[key]++
+			req[p] = indices[j]
+			pos[p] = int32(j)
+		}
 		// Counting pass (streaming) plus a bucketed distribution pass
 		// (dense permutation into the grouped layout).
 		th.ChargeSeq(sim.CatSort, int64(k))
@@ -273,25 +297,17 @@ func (c *Comm) groupInto(th *pgas.Thread, indices []int64, via []int32, opts *Op
 		// Figure 3. Positions keep the sort stable and recover the
 		// permutation.
 		st.packed = st.grow(st.packed, k)
-		packed := st.packed[:k]
-		for j := range indices {
-			packed[j] = int64(st.keys[j])<<40 | int64(j)
+		packed := st.packed[:0]
+		for j, key := range keys {
+			if key >= 0 {
+				packed = append(packed, int64(key)<<40|int64(j))
+			}
 		}
 		psort.Quicksort(packed)
-		for i := range offs {
-			offs[i] = 0
-		}
 		for p, pk := range packed {
-			j := int32(pk & (1<<40 - 1))
-			pos[p] = j
-			if via != nil {
-				pos[p] = via[j]
-			}
+			j := pk & (1<<40 - 1)
+			pos[p] = int32(j)
 			req[p] = indices[j]
-			offs[pk>>40+1]++
-		}
-		for b := 0; b < c.s; b++ {
-			offs[b+1] += offs[b]
 		}
 		// Quicksort's partition passes stream each segment sequentially:
 		// ~lg k passes over k elements, each element paying a compare,

@@ -109,28 +109,6 @@ func (a *SharedArray) checkThread(op string, id int) {
 	}
 }
 
-// FillOwnerKeys writes the owner thread of every index into keys (which
-// must be at least len(indices) long). This is the collectives' phase-1
-// owner-key computation: the switch is hoisted out of the loop so block
-// and cyclic stay tight arithmetic loops (vectorizable, no per-index
-// table lookup), preserving the paper's id optimization; only the hub
-// scheme reads its owner table.
-func (a *SharedArray) FillOwnerKeys(indices []int64, keys []int32) {
-	switch a.part.Kind {
-	case SchemeCyclic:
-		s := int64(a.rt.s)
-		for j, ix := range indices {
-			keys[j] = int32(ix % s)
-		}
-	case SchemeHub:
-		for j, ix := range indices {
-			keys[j] = a.ownerTab[ix]
-		}
-	default:
-		fillBlockKeys(indices, keys, a.blk, a.recip)
-	}
-}
-
 // blockRecip returns ⌈2^64/blk⌉, the multiplier that turns ix/blk into
 // the high word of one multiply, or 0 when the division must stay. With
 // e = recip - 2^64/blk in [0, 1), the high word is floor(ix/blk +
@@ -146,22 +124,16 @@ func blockRecip(n, blk int64) uint64 {
 	return math.MaxUint64/uint64(blk) + 1
 }
 
-// fillBlockKeys is the block scheme's owner-key loop: keys[j] =
-// indices[j] / blk, by multiplication when recip (see blockRecip) is set.
-// A 64-bit divide costs tens of cycles and does not pipeline; the multiply
-// is what the paper's id optimization ("compute the sort keys
-// arithmetically") assumes.
-func fillBlockKeys(indices []int64, keys []int32, blk int64, recip uint64) {
+// blockKey is the block scheme's owner key: ix / blk, by one multiply
+// when recip (see blockRecip) is set. A 64-bit divide costs tens of cycles
+// and does not pipeline; the multiply is what the paper's id optimization
+// ("compute the sort keys arithmetically") assumes.
+func blockKey(ix, blk int64, recip uint64) int32 {
 	if recip == 0 {
-		for j, ix := range indices {
-			keys[j] = int32(ix / blk)
-		}
-		return
+		return int32(ix / blk)
 	}
-	for j, ix := range indices {
-		hi, _ := bits.Mul64(uint64(ix), recip)
-		keys[j] = int32(hi)
-	}
+	hi, _ := bits.Mul64(uint64(ix), recip)
+	return int32(hi)
 }
 
 // ThreadCover returns a half-open range assigned to thread id such that

@@ -58,7 +58,7 @@ func partRT(t *testing.T, nodes, tpn int) *Runtime {
 // TestPartitionLaws checks the ownership laws every scheme must satisfy:
 // owners in range, ownerNode consistent with Owner, ThreadCover a disjoint
 // exact cover, owned counts summing to n and agreeing with Owner, and
-// FillOwnerKeys agreeing with Owner element-wise.
+// Owner agreeing with the block and cyclic rules computed directly.
 func TestPartitionLaws(t *testing.T) {
 	for _, tc := range partCases() {
 		name := fmt.Sprintf("%s/%dx%d/n=%d", tc.spec.Kind, tc.nodes, tc.tpn, tc.n)
@@ -112,17 +112,18 @@ func TestPartitionLaws(t *testing.T) {
 				t.Fatalf("owned counts sum to %d, want %d", total, tc.n)
 			}
 
-			// FillOwnerKeys element-wise equals Owner, including repeats and
-			// non-monotone index lists.
-			var idx []int64
-			for i := tc.n - 1; i >= 0; i -= 2 {
-				idx = append(idx, i, i)
-			}
-			keys := make([]int32, len(idx))
-			a.FillOwnerKeys(idx, keys)
-			for j, ix := range idx {
-				if int(keys[j]) != a.Owner(ix) {
-					t.Fatalf("FillOwnerKeys[%d]=%d, Owner(%d)=%d", j, keys[j], ix, a.Owner(ix))
+			// Block and cyclic Owner equal their rules by division and
+			// modulo.
+			if kind := tc.spec.Kind; kind != SchemeHub {
+				blk := (tc.n + int64(s) - 1) / int64(s)
+				for i := int64(0); i < tc.n; i++ {
+					want := int(i % int64(s))
+					if kind == SchemeBlock {
+						want = int(i / blk)
+					}
+					if got := a.Owner(i); got != want {
+						t.Fatalf("Owner(%d) = %d, the %s rule says %d", i, got, kind, want)
+					}
 				}
 			}
 
@@ -259,14 +260,12 @@ func TestPartitionMisuse(t *testing.T) {
 // sizes around 2^31, the largest index below 2^32, and the fallback at and
 // above 2^32 elements.
 func TestBlockKeysMultiplyEqualsDivide(t *testing.T) {
-	keys := make([]int32, 4096)
 	check := func(n, blk int64, indices []int64) {
 		t.Helper()
-		fillBlockKeys(indices, keys, blk, blockRecip(n, blk))
-		for j, ix := range indices {
-			if want := int32(ix / blk); keys[j] != want {
+		for _, ix := range indices {
+			if got, want := blockKey(ix, blk, blockRecip(n, blk)), int32(ix/blk); got != want {
 				t.Fatalf("n=%d blk=%d: key of index %d = %d, want %d (recip %#x)",
-					n, blk, ix, keys[j], want, blockRecip(n, blk))
+					n, blk, ix, got, want, blockRecip(n, blk))
 			}
 		}
 	}

@@ -979,14 +979,27 @@ func (a *SharedArray) Owner(i int64) int {
 	if i < 0 || i >= a.n {
 		panic(Errorf(ErrMisuse, -1, "Owner", "index %d out of range [0,%d) in %s", i, a.n, a.name))
 	}
+	return int(a.OwnerKey(i))
+}
+
+// OwnerKey is Owner as the int32 sort key of the collectives' plan build,
+// cheap enough to call once per request: it inlines, block and cyclic keys
+// stay pure arithmetic (the paper's id optimization) — a block key one
+// multiply where the reciprocal is exact (see blockRecip) — and only the
+// hub scheme reads its owner table. A caller keying requests checks them
+// first, with a message of its own; an index that slips past still panics,
+// unclassified, before it reaches the table.
+func (a *SharedArray) OwnerKey(i int64) int32 {
+	if uint64(i) >= uint64(a.n) {
+		panic("pgas: OwnerKey index out of range")
+	}
 	switch a.part.Kind {
 	case SchemeCyclic:
-		return int(i % int64(a.rt.s))
+		return int32(i % int64(a.rt.s))
 	case SchemeHub:
-		return int(a.ownerTab[i])
-	default:
-		return int(i / a.blk)
+		return a.ownerTab[i]
 	}
+	return blockKey(i, a.blk, a.recip)
 }
 
 // ownerNode returns the node id owning element i.

@@ -21,22 +21,11 @@ import "fmt"
 // the caller's bucket-cursor scratch (len >= k, contents overwritten), so
 // the sort allocates nothing.
 func BucketByKeyInto(items []int64, keys []int32, k int, sorted []int64, pos []int32, offs []int64, cursor []int64) {
-	BucketByKeyVia(items, keys, k, sorted, pos, offs, cursor, nil)
-}
-
-// BucketByKeyVia is BucketByKeyInto for items that were themselves selected
-// from a longer list: via[i] is where items[i] stood in that list, and pos
-// records via[i] in place of i, so a consumer of pos reaches the longer
-// list's positions without a second lookup. A nil via is the identity.
-func BucketByKeyVia(items []int64, keys []int32, k int, sorted []int64, pos []int32, offs []int64, cursor []int64, via []int32) {
 	if len(keys) != len(items) {
 		panic(fmt.Sprintf("psort: len(keys)=%d != len(items)=%d", len(keys), len(items)))
 	}
 	if len(sorted) != len(items) || len(pos) != len(items) {
 		panic("psort: output buffers must match input length")
-	}
-	if via != nil && len(via) != len(items) {
-		panic(fmt.Sprintf("psort: len(via)=%d != len(items)=%d", len(via), len(items)))
 	}
 	if len(offs) != k+1 {
 		panic(fmt.Sprintf("psort: len(offs)=%d, want k+1=%d", len(offs), k+1))
@@ -44,9 +33,7 @@ func BucketByKeyVia(items []int64, keys []int32, k int, sorted []int64, pos []in
 	if len(cursor) < k {
 		panic(fmt.Sprintf("psort: len(cursor)=%d, want >= k=%d", len(cursor), k))
 	}
-	for i := range offs {
-		offs[i] = 0
-	}
+	clear(offs)
 	for _, key := range keys {
 		if key < 0 || int(key) >= k {
 			panic(fmt.Sprintf("psort: key %d out of range [0,%d)", key, k))
@@ -57,22 +44,12 @@ func BucketByKeyVia(items []int64, keys []int32, k int, sorted []int64, pos []in
 		offs[b+1] += offs[b]
 	}
 	copy(cursor[:k], offs[:k])
-	if via == nil {
-		for i, item := range items {
-			b := keys[i]
-			p := cursor[b]
-			cursor[b]++
-			sorted[p] = item
-			pos[p] = int32(i)
-		}
-		return
-	}
 	for i, item := range items {
 		b := keys[i]
 		p := cursor[b]
 		cursor[b]++
 		sorted[p] = item
-		pos[p] = via[i]
+		pos[p] = int32(i)
 	}
 }
 

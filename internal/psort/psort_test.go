@@ -136,17 +136,6 @@ func TestBucketByKey(t *testing.T) {
 			t.Fatalf("pos[%d] = %d does not route back", j, pos[j])
 		}
 	}
-
-	// Via: the items were positions 3, 5, 6, 8, 9, 11 of a longer list, and
-	// pos names those.
-	via := []int32{3, 5, 6, 8, 9, 11}
-	viaPos := make([]int32, 6)
-	BucketByKeyVia(items, keys, 3, sorted, viaPos, offs, make([]int64, 3), via)
-	for j := range sorted {
-		if sorted[j] != wantSorted[j] || viaPos[j] != via[pos[j]] {
-			t.Fatalf("via: sorted[%d], pos[%d] = %d, %d, want %d, %d", j, j, sorted[j], viaPos[j], wantSorted[j], via[pos[j]])
-		}
-	}
 }
 
 func TestBucketByKeyStable(t *testing.T) {

@@ -12,9 +12,10 @@ import (
 //
 //   - Gather equals the direct loop out[j] = local[idx[j]] and equals
 //     Algorithm 1's recursive Reference at every (w, depth);
-//   - Scatter's data result is invariant under the virtual-thread count
-//     and localcpy flag (they change charges, never values), and matches
-//     the combining-rule oracle for every Op.
+//   - Access over the requests cut into two segments behind a base offset
+//     gathers what Gather does, scatters what the combining-rule oracle
+//     says for every Op, and counts each distinct index as one first
+//     touch.
 func FuzzGatherScatter(f *testing.F) {
 	f.Add(uint16(1), byte(0), byte(0), byte(1), byte(0), byte(0), []byte{0})
 	f.Add(uint16(100), byte(4), byte(1), byte(7), byte(3), byte(1), []byte("fuzzing the access phase"))
@@ -58,7 +59,33 @@ func FuzzGatherScatter(f *testing.F) {
 				}
 			}
 
-			// Scatter: oracle semantics, and schedule invariance.
+			// Access, as a serve runs it: the requests cut into two
+			// segments read through a base offset, one Scratch across
+			// both. The gather equals Gather, a scatter the combining-rule
+			// oracle for its Op, and the first touches add up to the
+			// distinct indices.
+			const base = 1 << 20
+			cut := int(wRaw) % (k + 1)
+			shifted := make([]int64, k)
+			distinct := map[int64]bool{}
+			for j, ix := range idx {
+				shifted[j] = ix + base
+				distinct[ix] = true
+			}
+			segments := func(local, vals []int64, op Op) int64 {
+				var scr Scratch
+				return Access(local, shifted[:cut], base, vals[:cut], op, &scr) +
+					Access(local, shifted[cut:], base, vals[cut:], op, &scr)
+			}
+			got := make([]int64, k)
+			if touched := segments(local, got, OpGet); touched != int64(len(distinct)) {
+				t.Fatalf("Access OpGet counted %d first touches, %d distinct indices", touched, len(distinct))
+			}
+			for j := range got {
+				if got[j] != out[j] {
+					t.Fatalf("Access OpGet[%d] = %d, Gather = %d (cut %d)", j, got[j], out[j], cut)
+				}
+			}
 			want := append([]int64(nil), local...)
 			for j, ix := range idx {
 				switch op {
@@ -76,16 +103,13 @@ func FuzzGatherScatter(f *testing.F) {
 					want[ix] += vals[j]
 				}
 			}
-			got := append([]int64(nil), local...)
-			Scatter(th, got, idx, vals, op, vt, localcpy, nil)
-			direct := append([]int64(nil), local...)
-			Scatter(th, direct, idx, vals, op, 0, false, nil)
+			got = append([]int64(nil), local...)
+			if touched := segments(got, vals, op); touched != int64(len(distinct)) {
+				t.Fatalf("Access op=%d counted %d first touches, %d distinct indices", op, touched, len(distinct))
+			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("Scatter op=%d [%d] = %d, want %d (vt=%d)", op, i, got[i], want[i], vt)
-				}
-				if direct[i] != got[i] {
-					t.Fatalf("Scatter vt-variance at [%d]: direct %d vs vt=%d %d", i, direct[i], vt, got[i])
+					t.Fatalf("Access op=%d [%d] = %d, want %d (cut %d)", op, i, got[i], want[i], cut)
 				}
 			}
 		})

@@ -11,9 +11,11 @@
 //
 //   - Reference: a pure, uncharged, literally-recursive implementation of
 //     Algorithm 1 used by tests as executable specification.
-//   - Gather/Scatter: the production form used inside the collectives —
-//     one recursion level over t' virtual blocks (the paper's "each thread
-//     simulates t' virtual threads", §IV.B), with simulated-time charging.
+//   - Access plus ChargeAccess: the production form used inside the
+//     collectives — one recursion level over t' virtual blocks (the
+//     paper's "each thread simulates t' virtual threads", §IV.B), the data
+//     movement per peer segment and the simulated-time charge once per
+//     serve. Gather is the two over one segment.
 package sched
 
 import (
@@ -174,7 +176,8 @@ func referenceArena(d, r []int64, w, depth int, c []int64, arena *Arena) {
 	}
 }
 
-// Op selects the combining rule of Scatter.
+// Op selects what Access does at each requested location: read it
+// (OpGet), or write it under a combining rule.
 type Op int
 
 const (
@@ -193,18 +196,20 @@ const (
 	// collective layer's SetDAdd semantics — all competing writers
 	// contribute, order-independent over integers).
 	OpAdd
+	// OpGet reads the location (the gather of GetD and GetDPair).
+	OpGet
 )
 
-// Scratch is reusable first-touch tracking state for Gather/Scatter. The
-// bitmap records which block locations have already been touched while the
+// Scratch is reusable first-touch tracking state for Gather and Access.
+// The bitmap records which block locations have already been touched while the
 // block is cache-warm, so the cost model charges misses for *distinct*
 // locations only — repeated requests for a hot label (the paper's D[0])
 // are cache hits, and a block read by several consecutive peer serves
 // within one collective is loaded once, not once per peer (equation 5's
 // n·L_M term). Callers that serve many requests against one warm block
-// call Reset once, then pass the Scratch to every Gather/Scatter in the
-// phase. A nil *Scratch is allowed; the routines then track first touches
-// for that single call only.
+// call Reset once, then pass the Scratch to every Access in the phase.
+// Gather allows a nil *Scratch; it then tracks first touches for that
+// single call only.
 type Scratch struct {
 	bitmap []uint64
 	warmNB int64
@@ -244,13 +249,6 @@ func (s *Scratch) touch(ix int64) bool {
 	return true
 }
 
-func orNew(scr *Scratch) *Scratch {
-	if scr == nil {
-		return &Scratch{}
-	}
-	return scr
-}
-
 // Gather reads out[j] = local[idx[j]] for block-local indices idx, charging
 // simulated time to th. vt is the virtual-thread count t'.
 //
@@ -271,54 +269,57 @@ func orNew(scr *Scratch) *Scratch {
 // portion; without it every touch pays the shared-pointer overhead.
 // Category attribution follows Figure 5: grouping is sort time, block
 // access and value movement are copy time.
+//
+// Gather is one Access with OpGet followed by its ChargeAccess.
 func Gather(th *pgas.Thread, local []int64, idx []int64, out []int64, vt int, localcpy bool, scr *Scratch) {
-	k := int64(len(idx))
-	if int64(len(out)) != k {
+	if len(out) != len(idx) {
 		panic("sched: Gather output length mismatch")
 	}
-	if k == 0 {
+	if len(idx) == 0 {
 		return
 	}
-	nb := int64(len(local))
-	scr = orNew(scr)
-	scr.ensure(nb)
-	distinct := int64(0)
-	for j, ix := range idx {
-		if scr.touch(ix) {
-			distinct++
-		}
-		out[j] = local[ix]
+	if scr == nil {
+		scr = &Scratch{}
 	}
-	chargeBlocked(th, k, distinct, nb, vt, localcpy)
+	ChargeAccess(th, int64(len(idx)), Access(local, idx, 0, out, OpGet, scr), int64(len(local)), vt, localcpy)
 }
 
-// Scatter applies local[idx[j]] op= vals[j], the write-side counterpart of
-// Gather with the same scheduling and charging. With OpSet, later entries
-// in idx order win ties (the serving thread is the sole writer of its
-// block, so this is deterministic given the request order). With OpMin,
-// the minimum value wins regardless of order.
-func Scatter(th *pgas.Thread, local []int64, idx []int64, vals []int64, op Op, vt int, localcpy bool, scr *Scratch) {
-	k := int64(len(idx))
-	if int64(len(vals)) != k {
-		panic("sched: Scatter value length mismatch")
-	}
-	if k == 0 {
-		return
-	}
-	nb := int64(len(local))
-	scr = orNew(scr)
-	scr.ensure(nb)
-	distinct := int64(0)
+// Access is the data movement of one segment of a serve that may span
+// several, charging nothing. With OpGet it gathers vals[j] =
+// local[idx[j]-base]; with any other op it scatters local[idx[j]-base] op=
+// vals[j] in idx order, so with OpSet later entries win ties (the serving
+// thread is the sole writer of its block, so this is deterministic given
+// the request order) and with OpMin the minimum wins regardless of order.
+// idx may be a peer's grouped request list read in place — base
+// translates its global indices to block-local ones. First touches are
+// tracked in scr (sized for local on first use, and kept warm across the
+// segments of one serve), and Access returns the segment's count of them:
+// the serve charges its total request and first-touch counts with one
+// ChargeAccess, exactly what Gather over the segments' concatenation
+// charges.
+func Access(local, idx []int64, base int64, vals []int64, op Op, scr *Scratch) (distinct int64) {
+	scr.ensure(int64(len(local)))
+	vals = vals[:len(idx)]
 	switch op {
+	case OpGet:
+		for j, gix := range idx {
+			ix := gix - base
+			if scr.touch(ix) {
+				distinct++
+			}
+			vals[j] = local[ix]
+		}
 	case OpSet:
-		for j, ix := range idx {
+		for j, gix := range idx {
+			ix := gix - base
 			if scr.touch(ix) {
 				distinct++
 			}
 			local[ix] = vals[j]
 		}
 	case OpMin:
-		for j, ix := range idx {
+		for j, gix := range idx {
+			ix := gix - base
 			if scr.touch(ix) {
 				distinct++
 			}
@@ -327,7 +328,8 @@ func Scatter(th *pgas.Thread, local []int64, idx []int64, vals []int64, op Op, v
 			}
 		}
 	case OpMax:
-		for j, ix := range idx {
+		for j, gix := range idx {
+			ix := gix - base
 			if scr.touch(ix) {
 				distinct++
 			}
@@ -336,7 +338,8 @@ func Scatter(th *pgas.Thread, local []int64, idx []int64, vals []int64, op Op, v
 			}
 		}
 	case OpAdd:
-		for j, ix := range idx {
+		for j, gix := range idx {
+			ix := gix - base
 			if scr.touch(ix) {
 				distinct++
 			}
@@ -345,13 +348,17 @@ func Scatter(th *pgas.Thread, local []int64, idx []int64, vals []int64, op Op, v
 	default:
 		panic(fmt.Sprintf("sched: unknown op %d", op))
 	}
-	chargeBlocked(th, k, distinct, nb, vt, localcpy)
+	return distinct
 }
 
-// chargeBlocked charges one blocked (or direct, vt <= 1) irregular access
-// phase of k requests with the given distinct first-touch count against a
-// block of nb elements split into vt virtual blocks.
-func chargeBlocked(th *pgas.Thread, k, distinct, nb int64, vt int, localcpy bool) {
+// ChargeAccess charges th one blocked (or direct, vt <= 1) irregular
+// access phase of k requests, distinct of them first touches, against a
+// block of nb elements split into vt virtual blocks. An empty phase costs
+// nothing.
+func ChargeAccess(th *pgas.Thread, k, distinct, nb int64, vt int, localcpy bool) {
+	if k == 0 {
+		return
+	}
 	m := th.Runtime().Model()
 	if !localcpy {
 		th.ChargeSharedPtr(sim.CatCopy, k)

@@ -148,9 +148,7 @@ func TestScatterSet(t *testing.T) {
 	local := make([]int64, 100)
 	idx := []int64{5, 10, 5, 99}
 	vals := []int64{1, 2, 3, 4}
-	withThread(t, func(th *pgas.Thread) {
-		Scatter(th, local, idx, vals, OpSet, 4, true, nil)
-	})
+	Access(local, idx, 0, vals, OpSet, &Scratch{})
 	// Later entries win for OpSet.
 	if local[5] != 3 || local[10] != 2 || local[99] != 4 {
 		t.Fatalf("OpSet results wrong: %v %v %v", local[5], local[10], local[99])
@@ -164,9 +162,7 @@ func TestScatterMin(t *testing.T) {
 	}
 	idx := []int64{3, 3, 3, 7, 8}
 	vals := []int64{50, 20, 80, 200, 0}
-	withThread(t, func(th *pgas.Thread) {
-		Scatter(th, local, idx, vals, OpMin, 2, true, nil)
-	})
+	Access(local, idx, 0, vals, OpMin, &Scratch{})
 	if local[3] != 20 {
 		t.Fatalf("OpMin did not keep the minimum: %d", local[3])
 	}
@@ -179,7 +175,7 @@ func TestScatterMin(t *testing.T) {
 }
 
 func TestScatterMinMatchesSequentialMin(t *testing.T) {
-	check := func(seed uint64, vt uint8) bool {
+	check := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		local := make([]int64, 50)
 		want := make([]int64, 50)
@@ -198,9 +194,7 @@ func TestScatterMinMatchesSequentialMin(t *testing.T) {
 			}
 		}
 		ok := true
-		withThread(t, func(th *pgas.Thread) {
-			Scatter(th, local, idx, vals, OpMin, int(vt%20), true, nil)
-		})
+		Access(local, idx, 0, vals, OpMin, &Scratch{})
 		for i := range want {
 			if local[i] != want[i] {
 				ok = false
