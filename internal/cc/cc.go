@@ -61,7 +61,7 @@ type Result struct {
 // Col field) select base collectives, no compaction.
 type Options struct {
 	// Col configures the collectives (virtual threads, circular,
-	// localcpy, id, offload). Nil means collective.Defaults().
+	// localcpy, id, offload). Nil means collective.Base().
 	Col *collective.Options
 	// Compact filters edges whose endpoints already share a component
 	// from the live list each iteration (§V).
@@ -70,7 +70,7 @@ type Options struct {
 
 func (o *Options) col() *collective.Options {
 	if o == nil {
-		return collective.Defaults()
+		return collective.Base()
 	}
 	return collective.Sanitize(o.Col, true)
 }

@@ -117,13 +117,8 @@ func Optimized(virtualThreads int) *Options {
 // canonical spelling of "no cache blocking" that Validate accepts.
 func Base() *Options { return &Options{VirtualThreads: 1} }
 
-// Defaults returns the configuration selected when a caller passes nil
-// options: the base configuration. Every kernel treats nil opts and
-// Defaults() identically.
-func Defaults() *Options { return Base() }
-
 // Validate reports whether o is a usable configuration. nil is valid (it
-// selects Defaults). VirtualThreads must be >= 1 (legacy zero values are
+// selects Base, the configuration every kernel runs nil options with). VirtualThreads must be >= 1 (legacy zero values are
 // still normalized by Sanitize for compatibility, but new configurations
 // should spell "no blocking" as 1), Sort must be a known kind, and an
 // enabled Offload pins index 0 (the only pair the engine substitutes is
@@ -145,13 +140,13 @@ func (o *Options) Validate() error {
 }
 
 // Sanitize maps opts to the private copy a kernel actually runs with: nil
-// becomes Defaults(), the legacy VirtualThreads zero value is normalized
+// becomes Base(), the legacy VirtualThreads zero value is normalized
 // to 1, and Offload is force-disabled when the kernel cannot honor it
 // (allowOffload false). Kernels call this once at their boundary so the
-// nil ≡ Defaults contract holds everywhere.
+// nil ≡ Base contract holds everywhere.
 func Sanitize(opts *Options, allowOffload bool) *Options {
 	if opts == nil {
-		return Defaults()
+		return Base()
 	}
 	o := *opts
 	if o.VirtualThreads < 1 {
@@ -517,10 +512,10 @@ func checkArgs(op *serveOp, n int, values, out1, out2 []int64) {
 	}
 }
 
-// orDefaults maps a nil options pointer to the package defaults.
+// orDefaults maps a nil options pointer to Base.
 func orDefaults(opts *Options) *Options {
 	if opts == nil {
-		return Defaults()
+		return Base()
 	}
 	return opts
 }

@@ -42,8 +42,8 @@ type serveOp struct {
 	// keyPass): repeats by position (GetDCombined), or writes that
 	// cannot win by value (SetDMin, whose build then skips the IDCache).
 	combine combineRule
-	// mutates: the serve phase writes the local block of d1 (the Set*
-	// scatters), so a chaos-armed replay snapshots and restores it.
+	// mutates: the serve phase writes d1's owned elements (the Set*
+	// scatters), so a chaos-armed replay snapshots and restores them.
 	mutates bool
 	// serve returns a classified error when a transfer faults under armed
 	// chaos (nil always, on the fault-free transport): the whole phase is
@@ -123,65 +123,39 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedAr
 	pt.execs++
 }
 
-// serveRetry runs op's serve phase, replaying it when a transfer faults
-// under armed chaos. A serve phase is a pure function of the published
-// matrices and the peers' grouped request/value buffers — none of which it
-// consumes — so re-execution is safe: a gather re-pulls and re-pushes the
-// same segments (overwriting any partially delivered or damaged words with
-// identical clean ones), and a scatter's local-block mutation is rolled
-// back from a pre-serve snapshot before each replay, making SetD, SetDMin,
-// and SetDAdd idempotent under retry. Exhausting the attempt budget raises
-// a classified ErrTimeout through the barrier-poisoning path, so peers
-// unwind instead of hanging at the post-serve barrier.
+// serveRetry runs op's serve phase through pgas's one retry loop,
+// replaying it when a transfer faults under armed chaos. A serve phase is a
+// pure function of the published matrices and the peers' grouped
+// request/value buffers — none of which it consumes — so re-execution is
+// safe: a gather re-pulls and re-pushes the same segments (overwriting any
+// partially delivered or damaged words with identical clean ones), and a
+// scatter's mutation of its owned elements is rolled back from a pre-serve
+// snapshot before each replay, making SetD, SetDMin, and SetDAdd idempotent
+// under retry. Exhausting the attempt budget raises a classified ErrTimeout
+// through the barrier-poisoning path, so peers unwind instead of hanging at
+// the post-serve barrier.
 //
-// On the fault-free transport (chaos disarmed) serve never errors and this
-// reduces to one direct call — no snapshot, no extra work.
+// On the fault-free transport (chaos disarmed) there is no snapshot and
+// the serve runs once.
 func (c *Comm) serveRetry(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedArray, opts *Options) {
-	rt := th.Runtime()
-	if !rt.ChaosArmed() {
-		if err := op.serve(c, th, p, d1, d2, opts); err != nil {
-			panic(err)
-		}
-		return
-	}
 	st := &c.ts[th.ID]
-	var lo, hi, owned int64
-	contig := d1 != nil && d1.Contiguous()
-	if op.mutates {
+	var owned int64
+	if op.mutates && th.Runtime().ChaosArmed() {
 		// Only the owner touches its owned elements during serve, so the
-		// snapshot is race-free here between the surrounding barriers. A
-		// contiguous (block) owner snapshots its slab with one copy; a
-		// scattered owner walks exactly its owned set — restoring anything
-		// wider would race peers serving their own interleaved elements.
-		if contig {
-			lo, hi = d1.LocalRange(th.ID)
-			st.snap = sched.Grow64(st.snap, int(hi-lo), nil)
-			copy(st.snap[:hi-lo], d1.Raw()[lo:hi])
-		} else {
-			owned = d1.OwnedCount(th.ID)
-			st.snap = sched.Grow64(st.snap, int(owned), nil)
-			d1.CopyOwnedOut(th.ID, st.snap[:owned])
-		}
+		// snapshot is race-free here between the surrounding barriers; it
+		// walks exactly the owned set (a block owner's slab in one copy) —
+		// restoring anything wider would race peers serving their own
+		// interleaved elements.
+		owned = d1.OwnedCount(th.ID)
+		st.snap = sched.Grow64(st.snap, int(owned), nil)
+		d1.CopyOwnedOut(th.ID, st.snap[:owned])
 	}
-	max := rt.ChaosMaxAttempts()
-	var err error
-	for attempt := 1; attempt <= max; attempt++ {
-		if attempt > 1 {
-			th.ChaosBackoff(attempt - 1)
-			if op.mutates {
-				if contig {
-					copy(d1.Raw()[lo:hi], st.snap[:hi-lo])
-				} else {
-					d1.CopyOwnedIn(th.ID, st.snap[:owned])
-				}
-			}
+	th.Retry(func(attempt int) error {
+		if attempt > 1 && op.mutates {
+			d1.CopyOwnedIn(th.ID, st.snap[:owned])
 		}
-		if err = op.serve(c, th, p, d1, d2, opts); err == nil {
-			return
-		}
-	}
-	panic(pgas.Errorf(pgas.ErrTimeout, th.ID, "serve "+op.kind,
-		"serve phase gave up after %d attempts: %v", max, err))
+		return op.serve(c, th, p, d1, d2, opts)
+	}, func() (string, string) { return "serve " + op.kind, "serve phase gave up" })
 }
 
 // xferFault consults the chaos injector for one coalesced engine transfer

@@ -125,7 +125,7 @@ func TestSteadyStateNoGrowth(t *testing.T) {
 
 // TestValidateTable pins Validate's accept/reject behavior.
 func TestValidateTable(t *testing.T) {
-	valid := []*Options{nil, Base(), Defaults(), Optimized(4), {VirtualThreads: 1, Sort: QuickSort}}
+	valid := []*Options{nil, Base(), Optimized(4), {VirtualThreads: 1, Sort: QuickSort}}
 	for _, o := range valid {
 		if err := o.Validate(); err != nil {
 			t.Errorf("valid options rejected: %+v: %v", o, err)
@@ -147,7 +147,7 @@ func TestValidateTable(t *testing.T) {
 
 // TestSanitize pins the nil / legacy-zero-value normalization.
 func TestSanitize(t *testing.T) {
-	if o := Sanitize(nil, true); *o != *Defaults() {
+	if o := Sanitize(nil, true); *o != *Base() {
 		t.Fatalf("Sanitize(nil) = %+v", o)
 	}
 	legacy := &Options{Circular: true} // VirtualThreads 0: pre-Defaults spelling

@@ -114,9 +114,8 @@ func TestBulkRetransmitBudgetExhaustion(t *testing.T) {
 // TestChaosBackoffClampBoundary pins the doubling clamp at
 // chaosBackoffShiftCap: attempt 17 is the first capped attempt, and every
 // attempt beyond it charges exactly the same — while attempt 16 still sits
-// one doubling below. Also pins the low clamp: serve replays call with
-// attempt-1, so attempt 0 (and below) must charge the attempt-1 amount
-// rather than shift negatively.
+// one doubling below. Also pins the low clamp: attempt 0 (and below) must
+// charge the attempt-1 amount rather than shift negatively.
 func TestChaosBackoffClampBoundary(t *testing.T) {
 	const backoff = 500.0
 	rt := testRT(t, 1, 1)
@@ -125,7 +124,7 @@ func TestChaosBackoffClampBoundary(t *testing.T) {
 	if _, err := rt.RunE(func(th *Thread) {
 		for _, attempt := range []int{-1, 0, 1, 16, 17, 18, 1000} {
 			pre := th.Clock.NS
-			th.ChaosBackoff(attempt)
+			th.chaosBackoff(attempt)
 			charge[attempt] = th.Clock.NS - pre
 		}
 	}); err != nil {

@@ -153,15 +153,6 @@ func (rt *Runtime) ChaosConfig() (ChaosConfig, bool) {
 	return rt.chaos.cfg, true
 }
 
-// ChaosMaxAttempts returns the armed retry budget (1 when disarmed: a
-// single attempt, no retries).
-func (rt *Runtime) ChaosMaxAttempts() int {
-	if rt.chaos == nil {
-		return 1
-	}
-	return rt.chaos.cfg.MaxAttempts
-}
-
 // ChaosStats sums the per-thread injector statistics. Zero when disarmed.
 func (rt *Runtime) ChaosStats() ChaosStats {
 	var total ChaosStats
@@ -218,8 +209,7 @@ func chaosUnit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 // classified error: ErrTransport for a dropped transfer (payload must be
 // ignored) or ErrCorrupt for a damaged one (a payload word has been
 // flipped in place, and the damage was CRC-detected). Callers retransmit
-// on error; see GetBulk for the canonical loop. No-op returning nil when
-// chaos is disarmed.
+// on error through Retry. No-op returning nil when chaos is disarmed.
 func (th *Thread) TransportFault(cat sim.Category, payload []int64) error {
 	ch := th.rt.chaos
 	if ch == nil {
@@ -264,16 +254,37 @@ func (th *Thread) TransportFault(cat sim.Category, payload []int64) error {
 // transfer).
 const chaosBackoffShiftCap = 16
 
-// ChaosBackoff charges the exponential retry backoff before the next
-// attempt and counts one retry. Callers invoke it only once they have
-// decided a retransmit (or serve replay) WILL be issued — after the
-// attempt-budget check — so Retries counts retries actually taken, never a
-// final failing attempt. No-op when disarmed.
-func (th *Thread) ChaosBackoff(attempt int) {
-	ch := th.rt.chaos
-	if ch == nil {
-		return
+// Retry is the one chaos retry loop: GetBulk's retransmit and the
+// collectives' serve replay both run through it. It calls try(1), try(2), …
+// until an attempt returns nil, charging the exponential backoff and
+// counting one retry before each further attempt — so Retries counts
+// retries actually taken, never a final failing attempt. Once the armed
+// budget (ChaosConfig.MaxAttempts) is spent it raises a classified
+// ErrTimeout through the barrier-poisoning path, with the op and detail
+// prefix gaveUp names (called only then, so a clean attempt formats
+// nothing). With chaos disarmed no fault is injected, and a failed attempt
+// — a real transport failure — is raised as it is: only injected faults
+// are retried.
+func (th *Thread) Retry(try func(attempt int) error, gaveUp func() (op, what string)) {
+	for attempt := 1; ; attempt++ {
+		err := try(attempt)
+		switch {
+		case err == nil:
+			return
+		case th.rt.chaos == nil:
+			panic(err)
+		case attempt >= th.rt.chaos.cfg.MaxAttempts:
+			op, what := gaveUp()
+			panic(Errorf(ErrTimeout, th.ID, op, "%s after %d attempts: %v", what, attempt, err))
+		}
+		th.chaosBackoff(attempt)
 	}
+}
+
+// chaosBackoff charges Retry's exponential backoff after failed attempt
+// attempt and counts one retry.
+func (th *Thread) chaosBackoff(attempt int) {
+	ch := th.rt.chaos
 	shift := attempt - 1
 	if shift < 0 {
 		shift = 0

@@ -118,7 +118,7 @@ func TestBulkRetryRecovers(t *testing.T) {
 		a.Raw()[i] = i * 3
 	}
 	_, err := rt.RunE(func(th *Thread) {
-		lo, hi := a.LocalRange(1 - th.ID) // read the REMOTE block
+		lo, hi := a.ThreadCover(1 - th.ID) // read the REMOTE block
 		dst := make([]int64, hi-lo)
 		for round := 0; round < 16; round++ {
 			th.GetBulk(a, lo, dst, sim.CatComm)
@@ -142,7 +142,7 @@ func TestBulkRetryRecovers(t *testing.T) {
 	rt2.ArmChaos(ChaosConfig{Seed: 42, DropRate: 1.0, MaxAttempts: 3, BackoffNS: 1e3})
 	b := rt2.NewSharedArray("B", 512)
 	_, err = rt2.RunE(func(th *Thread) {
-		lo, hi := b.LocalRange(1 - th.ID)
+		lo, hi := b.ThreadCover(1 - th.ID)
 		dst := make([]int64, hi-lo)
 		th.GetBulk(b, lo, dst, sim.CatComm)
 	})
@@ -156,13 +156,13 @@ func TestBulkRetryRecovers(t *testing.T) {
 func TestChaosDisarmedIsFree(t *testing.T) {
 	rt := testRT(t, 2, 2)
 	a := rt.NewSharedArray("A", 256)
-	res := rt.Run(func(th *Thread) {
+	rt.Run(func(th *Thread) {
 		dst := make([]int64, 8)
 		th.GetBulk(a, 0, dst, sim.CatComm)
 		th.Barrier()
 	})
-	if res.Faults != 0 || res.Retries != 0 {
-		t.Fatalf("disarmed run recorded chaos activity: faults=%d retries=%d", res.Faults, res.Retries)
+	if st := rt.ChaosStats(); st != (ChaosStats{}) {
+		t.Fatalf("disarmed run recorded chaos activity: %+v", st)
 	}
 	if rt.ChaosArmed() {
 		t.Fatal("chaos armed without ArmChaos")

@@ -192,19 +192,11 @@ func (ck *Checkpointer) Rebind(rt *Runtime) {
 // difference it around failed attempts to report re-executed supersteps.
 func (ck *Checkpointer) Barriers() uint64 { return ck.barriers }
 
-// Committed returns the number of committed checkpoints.
-func (ck *Checkpointer) Committed() uint64 { return ck.committedSeq.Load() }
-
 // Stats returns cumulative checkpoint activity: committed snapshots,
 // bytes copied into snapshots, arrays restored during recovery, and bytes
 // restored.
 func (ck *Checkpointer) Stats() (checkpoints uint64, bytes int64, restores int64, restoredBytes int64) {
 	return ck.committedSeq.Load(), ck.bytes.Load(), ck.restores.Load(), ck.restoredBytes.Load()
-}
-
-// snapStats returns the counters Result deltas are computed from.
-func (ck *Checkpointer) snapStats() (checkpoints, bytes int64) {
-	return int64(ck.committedSeq.Load()), ck.bytes.Load()
 }
 
 // onArrive runs under the barrier lock when the first rendezvous of a

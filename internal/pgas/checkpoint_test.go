@@ -34,12 +34,12 @@ func TestCheckpointCostExact(t *testing.T) {
 		rt := ckptRT(t, geo[0], geo[1])
 		const n, K = 1000, 7
 		d := rt.NewSharedArray("D", n)
-		rt.ArmCheckpoints(1)
+		ck := rt.ArmCheckpoints(1)
 		pgas.Register(rt, "test.D", d)
 
 		var maxWords int64
 		for id := 0; id < rt.NumThreads(); id++ {
-			if lo, hi := d.LocalRange(id); hi-lo > maxWords {
+			if lo, hi := d.ThreadCover(id); hi-lo > maxWords {
 				maxWords = hi - lo
 			}
 		}
@@ -53,11 +53,9 @@ func TestCheckpointCostExact(t *testing.T) {
 		if res.SimNS != want {
 			t.Errorf("geometry %dx%d: makespan %v, want exactly %v", geo[0], geo[1], res.SimNS, want)
 		}
-		if res.Checkpoints != K {
-			t.Errorf("geometry %dx%d: %d checkpoints committed, want %d", geo[0], geo[1], res.Checkpoints, K)
-		}
-		if res.CheckpointBytes != K*n*sim.ElemBytes {
-			t.Errorf("geometry %dx%d: checkpoint bytes %d, want %d", geo[0], geo[1], res.CheckpointBytes, K*n*sim.ElemBytes)
+		if ckpts, bytes, _, _ := ck.Stats(); ckpts != K || bytes != K*n*sim.ElemBytes {
+			t.Errorf("geometry %dx%d: %d checkpoints of %d bytes committed, want %d of %d",
+				geo[0], geo[1], ckpts, bytes, K, K*n*sim.ElemBytes)
 		}
 		// Checkpoint traffic is node-local: it must never inflate the
 		// transfer counters.
@@ -73,11 +71,11 @@ func TestCheckpointCadence(t *testing.T) {
 	rt := ckptRT(t, 2, 2)
 	const n, K, every = 600, 12, 3
 	d := rt.NewSharedArray("D", n)
-	rt.ArmCheckpoints(every)
+	ck := rt.ArmCheckpoints(every)
 	pgas.Register(rt, "test.D", d)
 	var maxWords int64
 	for id := 0; id < rt.NumThreads(); id++ {
-		if lo, hi := d.LocalRange(id); hi-lo > maxWords {
+		if lo, hi := d.ThreadCover(id); hi-lo > maxWords {
 			maxWords = hi - lo
 		}
 	}
@@ -92,8 +90,8 @@ func TestCheckpointCadence(t *testing.T) {
 	if res.SimNS != want {
 		t.Errorf("makespan %v, want exactly %v", res.SimNS, want)
 	}
-	if res.Checkpoints != ckpts {
-		t.Errorf("%d checkpoints, want %d", res.Checkpoints, ckpts)
+	if got, _, _, _ := ck.Stats(); got != uint64(ckpts) {
+		t.Errorf("%d checkpoints, want %d", got, ckpts)
 	}
 }
 
@@ -103,12 +101,16 @@ func TestCheckpointCadence(t *testing.T) {
 // counters. This is what makes "checkpointing on by default" safe.
 func TestCheckpointTransparency(t *testing.T) {
 	g := graph.Hybrid(500, 1200, 0xABCD)
+	var ckpts uint64
 	run := func(arm bool) *cc.Result {
 		rt := ckptRT(t, 3, 2)
-		if arm {
-			rt.ArmCheckpoints(1)
+		if !arm {
+			return cc.Coalesced(rt, collective.NewComm(rt), g, nil)
 		}
-		return cc.Coalesced(rt, collective.NewComm(rt), g, nil)
+		ck := rt.ArmCheckpoints(1)
+		res := cc.Coalesced(rt, collective.NewComm(rt), g, nil)
+		ckpts, _, _, _ = ck.Stats()
+		return res
 	}
 	plain, armed := run(false), run(true)
 	if !reflect.DeepEqual(plain.Labels, armed.Labels) {
@@ -124,8 +126,8 @@ func TestCheckpointTransparency(t *testing.T) {
 			plain.Run.Messages, plain.Run.Bytes, plain.Run.RemoteOps,
 			armed.Run.Messages, armed.Run.Bytes, armed.Run.RemoteOps)
 	}
-	if plain.Run.Checkpoints != 0 || armed.Run.Checkpoints == 0 {
-		t.Fatalf("checkpoint accounting wrong: plain=%d armed=%d", plain.Run.Checkpoints, armed.Run.Checkpoints)
+	if ckpts == 0 {
+		t.Fatal("armed run committed no checkpoints")
 	}
 	if armed.Run.SimNS <= plain.Run.SimNS {
 		t.Fatal("armed run not charged for its checkpoints")
@@ -150,7 +152,7 @@ func TestEvictRebindRestore(t *testing.T) {
 	// Superstep 1 doubles every element and checkpoints; the post-barrier
 	// writes (value -7) must NOT be in the committed snapshot.
 	rt.Run(func(th *pgas.Thread) {
-		lo, hi := d.LocalRange(th.ID)
+		lo, hi := d.ThreadCover(th.ID)
 		for i := lo; i < hi; i++ {
 			d.StoreRaw(i, 2*i)
 		}
@@ -159,7 +161,7 @@ func TestEvictRebindRestore(t *testing.T) {
 			d.StoreRaw(i, -7)
 		}
 	})
-	if got := ck.Committed(); got != 1 {
+	if got, _, _, _ := ck.Stats(); got != 1 {
 		t.Fatalf("committed %d checkpoints, want 1", got)
 	}
 
@@ -195,13 +197,13 @@ func TestEvictRebindRestore(t *testing.T) {
 	// The remapped runtime keeps checkpointing: the next committed
 	// snapshot supersedes the restored one.
 	nrt.Run(func(th *pgas.Thread) {
-		lo, hi := nd.LocalRange(th.ID)
+		lo, hi := nd.ThreadCover(th.ID)
 		for i := lo; i < hi; i++ {
 			nd.StoreRaw(i, 3*i)
 		}
 		th.Barrier()
 	})
-	if got := ck.Committed(); got != 2 {
+	if got, _, _, _ := ck.Stats(); got != 2 {
 		t.Fatalf("committed %d checkpoints after recovery, want 2", got)
 	}
 }

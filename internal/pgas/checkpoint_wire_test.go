@@ -42,7 +42,7 @@ func TestCheckpointWireSeedsRemoteBlocks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if ck.Committed() == 0 {
+	if committed, _, _, _ := ck.Stats(); committed == 0 {
 		t.Fatal("no checkpoint committed")
 	}
 

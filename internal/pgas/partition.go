@@ -89,15 +89,6 @@ func (ps PartitionSpec) validate() error {
 	return nil
 }
 
-// Scheme returns the array's partition scheme.
-func (a *SharedArray) Scheme() SchemeKind { return a.part.Kind }
-
-// Contiguous reports whether each thread's owned elements form one
-// contiguous range (true only for the block scheme). Code that exploits
-// a contiguous owned window — subslice serve views, slab snapshots —
-// checks this and falls back to the owned-element walk otherwise.
-func (a *SharedArray) Contiguous() bool { return a.part.Kind == SchemeBlock }
-
 // checkThread validates a thread id against the runtime's thread count
 // with a classified misuse error. Shared by every per-thread accessor so
 // an out-of-range id (a stale geometry after eviction, an off-by-one in
@@ -138,12 +129,11 @@ func blockKey(ix, blk int64, recip uint64) int32 {
 
 // ThreadCover returns a half-open range assigned to thread id such that
 // the s ranges exactly cover [0, n) disjointly. For the block scheme it
-// is the owned range (identical to LocalRange); for scattered schemes it
-// is an even Span cover — not ownership, but any disjoint cover is valid
-// for the two uses that need one: dividing per-element work across
-// threads inside an SPMD region, and the checkpoint copy window (which
-// sits between two full barriers, so which thread copies which slab is
-// immaterial).
+// is the owned range; for scattered schemes it is an even Span cover —
+// not ownership, but any disjoint cover is valid for the two uses that
+// need one: dividing per-element work across threads inside an SPMD
+// region, and the checkpoint copy window (which sits between two full
+// barriers, so which thread copies which slab is immaterial).
 func (a *SharedArray) ThreadCover(id int) (lo, hi int64) {
 	a.checkThread("ThreadCover", id)
 	if a.part.Kind == SchemeBlock {
@@ -186,9 +176,10 @@ func (a *SharedArray) OwnedCount(id int) int64 {
 
 // CopyOwnedOut copies thread id's owned elements, in ascending index
 // order, into dst (which must be at least OwnedCount(id) long). With
-// CopyOwnedIn it gives the chaos replay a snapshot/restore pair that
-// touches only the owned set — restoring anything wider would race
-// peers concurrently serving their own scattered elements.
+// CopyOwnedIn it is the chaos replay's one snapshot/restore pair: it
+// touches only the owned set — restoring anything wider would race peers
+// concurrently serving their own scattered elements — and a block owner's
+// set is its slab, copied in one piece.
 func (a *SharedArray) CopyOwnedOut(id int, dst []int64) {
 	a.checkThread("CopyOwnedOut", id)
 	switch a.part.Kind {

@@ -88,10 +88,12 @@ func TestPartitionLaws(t *testing.T) {
 					t.Fatalf("ThreadCover(%d) = [%d,%d), want lo=%d", id, lo, hi, at)
 				}
 				at = hi
-				if a.Contiguous() {
-					blo, bhi := a.LocalRange(id)
-					if blo != lo || bhi != hi {
-						t.Fatalf("block ThreadCover(%d) = [%d,%d) != LocalRange [%d,%d)", id, lo, hi, blo, bhi)
+				if tc.spec.Kind == SchemeBlock {
+					// Under the block scheme the cover is the owned range.
+					for i := lo; i < hi; i++ {
+						if o := a.Owner(i); o != id {
+							t.Fatalf("block ThreadCover(%d) = [%d,%d) holds element %d of thread %d", id, lo, hi, i, o)
+						}
 					}
 				}
 			}
@@ -219,8 +221,8 @@ func mustPanicMisuse(t *testing.T, what string, f func()) {
 
 // TestPartitionMisuse pins the classified-misuse contract: out-of-range
 // element indices and thread ids fail loudly with ErrMisuse on every
-// accessor (never a silently empty or aliased range), LocalRange refuses
-// scattered schemes, and invalid specs are rejected up front.
+// accessor (never a silently empty or aliased range), and invalid specs
+// are rejected up front.
 func TestPartitionMisuse(t *testing.T) {
 	rt := partRT(t, 1, 2)
 	for _, spec := range []PartitionSpec{{Kind: SchemeBlock}, {Kind: SchemeCyclic}, {Kind: SchemeHub, Hubs: []int64{3}}} {
@@ -234,10 +236,6 @@ func TestPartitionMisuse(t *testing.T) {
 			mustPanicMisuse(t, fmt.Sprintf("%s OwnedCount(%d)", spec.Kind, id), func() { a.OwnedCount(id) })
 			mustPanicMisuse(t, fmt.Sprintf("%s CopyOwnedOut(%d)", spec.Kind, id), func() { a.CopyOwnedOut(id, make([]int64, 8)) })
 			mustPanicMisuse(t, fmt.Sprintf("%s CopyOwnedIn(%d)", spec.Kind, id), func() { a.CopyOwnedIn(id, make([]int64, 8)) })
-			mustPanicMisuse(t, fmt.Sprintf("%s LocalRange(%d)", spec.Kind, id), func() { a.LocalRange(id) })
-		}
-		if spec.Kind != SchemeBlock {
-			mustPanicMisuse(t, spec.Kind.String()+" LocalRange scattered", func() { a.LocalRange(0) })
 		}
 	}
 

@@ -95,43 +95,27 @@ func NewOnTransport(cfg machine.Config, tr Transport) (*Runtime, error) {
 			}
 		}
 	}
-	s := cfg.TotalThreads()
-	rt := &Runtime{
-		cfg:   cfg,
-		model: sim.NewModel(cfg),
-		s:     s,
-		tr:    tr,
-		node:  tr.Node(),
-	}
-	rt.threads = newThreads(rt, s, cfg.ThreadsPerNode)
-	if tr.Shared() {
-		rt.locals = rt.threads
-	} else {
-		lo := rt.node * cfg.ThreadsPerNode
-		rt.locals = rt.threads[lo : lo+cfg.ThreadsPerNode]
-	}
-	rt.bar = rt.newRegionBarrier()
-	return rt, nil
+	return newRuntime(cfg, cfg.TotalThreads(), sim.NewModel(cfg), tr, PartitionSpec{}, nil), nil
 }
 
-// newThreads builds the thread table of an s-thread runtime with tpn
-// threads per node.
-func newThreads(rt *Runtime, s, tpn int) []*Thread {
-	threads := make([]*Thread, s)
-	for i := range threads {
-		threads[i] = &Thread{rt: rt, ID: i, Node: i / tpn, Local: i % tpn}
+// newRuntime builds an s-thread runtime on tr with cfg's threads per node:
+// the thread table, the threads this process drives (every one on a shared
+// transport, node tr.Node()'s otherwise) and the region barrier over them.
+// New, Evict and its wire form all build through it; part and evicted are
+// what a remapped runtime inherits.
+func newRuntime(cfg machine.Config, s int, model *sim.Model, tr Transport, part PartitionSpec, evicted []int) *Runtime {
+	rt := &Runtime{cfg: cfg, model: model, s: s, tr: tr, node: tr.Node(), part: part, evicted: evicted}
+	tpn := cfg.ThreadsPerNode
+	rt.threads = make([]*Thread, s)
+	for i := range rt.threads {
+		rt.threads[i] = &Thread{rt: rt, ID: i, Node: i / tpn, Local: i % tpn}
 	}
-	return threads
-}
-
-// newRegionBarrier builds the barrier for the threads this process drives,
-// hooked into the transport rendezvous when the fabric spans processes.
-func (rt *Runtime) newRegionBarrier() *barrier {
-	b := newBarrier(len(rt.locals))
-	if !rt.tr.Shared() {
-		b.rdv = rt.tr.Rendezvous
+	rt.locals = rt.threads
+	if !tr.Shared() {
+		rt.locals = rt.threads[rt.node*tpn : (rt.node+1)*tpn]
 	}
-	return b
+	rt.bar = newBarrier(rt)
+	return rt
 }
 
 // Config returns the machine configuration.
@@ -305,18 +289,8 @@ func (rt *Runtime) Evict(dead []int) (*Runtime, error) {
 		return nil, Errorf(ErrMisuse, -1, "Evict", "no survivors (evicting %d of %d threads)", len(gone), rt.s)
 	}
 	rt.retired = true
-	nrt := &Runtime{
-		cfg:     rt.cfg,
-		model:   rt.model,
-		s:       s,
-		tr:      rt.tr,
-		bar:     newBarrier(s),
-		part:    rt.part, // recovery re-creates arrays under the same scheme
-		evicted: append(rt.EvictedThreads(), dead...),
-	}
-	nrt.threads = newThreads(nrt, s, rt.cfg.ThreadsPerNode)
-	nrt.locals = nrt.threads
-	return nrt, nil
+	// Recovery re-creates arrays under the same partition scheme.
+	return newRuntime(rt.cfg, s, rt.model, rt.tr, rt.part, append(rt.EvictedThreads(), dead...)), nil
 }
 
 // evictWire is Evict on a multi-process fabric. The wire constraint is node
@@ -396,20 +370,7 @@ func (rt *Runtime) evictWire(dead []int) (*Runtime, error) {
 	}
 	cfg := rt.cfg
 	cfg.Nodes = p
-	nrt := &Runtime{
-		cfg:     cfg,
-		model:   rt.model,
-		s:       p * tpn,
-		tr:      rt.tr,
-		node:    rt.tr.Node(),
-		part:    rt.part, // recovery re-creates arrays under the same scheme
-		evicted: append(rt.EvictedThreads(), deadThreads...),
-	}
-	nrt.threads = newThreads(nrt, nrt.s, tpn)
-	lo := nrt.node * tpn
-	nrt.locals = nrt.threads[lo : lo+tpn]
-	nrt.bar = nrt.newRegionBarrier()
-	return nrt, nil
+	return newRuntime(cfg, p*tpn, rt.model, rt.tr, rt.part, append(rt.EvictedThreads(), deadThreads...)), nil
 }
 
 // Thread is one PGAS execution context. Each Thread is driven by exactly
@@ -452,17 +413,6 @@ type Result struct {
 	Bytes       int64
 	RemoteOps   int64
 	CacheMisses float64
-	// Faults and Retries count the chaos injector's activity during the
-	// region: faults injected (drops, corruptions, duplicates, delays,
-	// stalls, kills) and backoff-and-retry rounds they caused. Zero when
-	// chaos is disarmed.
-	Faults  int64
-	Retries int64
-	// Checkpoints and CheckpointBytes count the checkpoint manager's
-	// activity during the region: committed superstep snapshots and the
-	// payload copied into them. Zero when checkpointing is disarmed.
-	Checkpoints     int64
-	CheckpointBytes int64
 	// Rounds is the number of OrReducer.Loop rounds the region ran. Every
 	// thread runs the same rounds, so it is read from a thread this
 	// process drives and every node of a wire cluster reports it alike.
@@ -491,10 +441,6 @@ func (r *Result) Add(part *Result) {
 	r.Bytes += part.Bytes
 	r.RemoteOps += part.RemoteOps
 	r.CacheMisses += part.CacheMisses
-	r.Faults += part.Faults
-	r.Retries += part.Retries
-	r.Checkpoints += part.Checkpoints
-	r.CheckpointBytes += part.CheckpointBytes
 	r.Rounds += part.Rounds
 }
 
@@ -557,17 +503,6 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 	var mu sync.Mutex
 	var fallback interface{} // a peer's wrapped cause, if no breaker recorded
 	causes := make([]interface{}, rt.s)
-	var chaosBase []ChaosStats
-	if rt.chaos != nil {
-		chaosBase = make([]ChaosStats, rt.s)
-		for i := range rt.chaos.pts {
-			chaosBase[i] = rt.chaos.pts[i].stats
-		}
-	}
-	var ckptBase, ckptBytesBase int64
-	if rt.ckpt != nil {
-		ckptBase, ckptBytesBase = rt.ckpt.snapStats()
-	}
 	for _, th := range rt.locals {
 		th.Clock.Reset()
 		th.rounds = 0
@@ -635,7 +570,7 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 		}
 	}
 	if firstUnclassified != nil || len(evicted) > 0 || firstClassified != nil || fallback != nil {
-		rt.bar = rt.newRegionBarrier()
+		rt.bar = newBarrier(rt)
 		evicting := firstUnclassified == nil && len(evicted) > 0
 		if !rt.tr.Shared() {
 			if evicting {
@@ -678,7 +613,7 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 	}
 	if !rt.tr.Shared() {
 		if err := rt.syncReplicas(); err != nil {
-			rt.bar = rt.newRegionBarrier()
+			rt.bar = newBarrier(rt)
 			rt.draining = rt.draining || Evicted(err) != nil
 			return nil, err
 		}
@@ -693,18 +628,6 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 		res.Bytes += th.Clock.Bytes
 		res.RemoteOps += th.Clock.RemoteOps
 		res.CacheMisses += th.Clock.CacheMisses
-	}
-	if rt.chaos != nil {
-		for i := range rt.chaos.pts {
-			d := rt.chaos.pts[i].stats
-			res.Faults += d.Faults() - chaosBase[i].Faults()
-			res.Retries += d.Retries - chaosBase[i].Retries
-		}
-	}
-	if rt.ckpt != nil {
-		seq, bytes := rt.ckpt.snapStats()
-		res.Checkpoints = seq - ckptBase
-		res.CheckpointBytes = bytes - ckptBytesBase
 	}
 	return res, nil
 }
@@ -778,8 +701,14 @@ type barrier struct {
 	cause   interface{} // the breaking participant's panic value
 }
 
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
+// newBarrier builds the barrier over the threads rt drives, hooked into
+// the transport rendezvous when the fabric spans processes. A region that
+// failed replaces its broken barrier with a fresh one.
+func newBarrier(rt *Runtime) *barrier {
+	b := &barrier{n: len(rt.locals)}
+	if !rt.tr.Shared() {
+		b.rdv = rt.tr.Rendezvous
+	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -1007,20 +936,6 @@ func (a *SharedArray) ownerNode(i int64) int {
 	return a.Owner(i) / a.rt.cfg.ThreadsPerNode
 }
 
-// LocalRange returns the half-open element range owned by thread id
-// under the block scheme. It is undefined for scattered schemes — those
-// owned sets are not ranges — and panics with a classified misuse there;
-// callers that want a disjoint per-thread work cover valid under every
-// scheme use ThreadCover, and serving code uses ServeView.
-func (a *SharedArray) LocalRange(id int) (lo, hi int64) {
-	a.checkThread("LocalRange", id)
-	if a.part.Kind != SchemeBlock {
-		panic(Errorf(ErrMisuse, -1, "LocalRange",
-			"%s-partitioned %s has no contiguous owned range; use ThreadCover or ServeView", a.part.Kind, a.name))
-	}
-	return a.localRange(id)
-}
-
 // localRange is the block-scheme owned range, without validation.
 func (a *SharedArray) localRange(id int) (lo, hi int64) {
 	lo = int64(id) * a.blk
@@ -1079,33 +994,39 @@ func (a *SharedArray) FillIdentity() {
 	}
 }
 
-// remote reports whether element i of a lives on a different node than th.
-func (th *Thread) remote(a *SharedArray, i int64) bool {
-	return a.ownerNode(i) != th.Node
+// word is the one single-word access under Get, Put, PutMin and AtomicMin.
+// It decides once whether element i of a lives on another node and charges
+// the access as one sum: msgs small messages of legs wire legs each when it
+// does, one irregular local access otherwise. It returns the owner's node
+// when the word must cross the transport, -1 when it is in this process's
+// memory.
+func (th *Thread) word(a *SharedArray, i int64, cat sim.Category, legs int, msgs int64) int {
+	nd := a.ownerNode(i)
+	if nd == th.Node {
+		th.ChargeIrregular(cat, 1, a.NodeSpan())
+		return -1
+	}
+	th.Clock.Charge(cat, float64(msgs)*th.rt.model.SmallOp(th.rt.cfg.ThreadsPerNode, th.rt.s, legs))
+	th.Clock.Messages += msgs
+	th.Clock.Bytes += msgs * sim.ElemBytes
+	th.Clock.RemoteOps++
+	if th.rt.tr.Shared() {
+		return -1
+	}
+	return nd
 }
 
 // Get performs a single-element one-sided read, charging either an
-// intra-node irregular access or a small-message round trip. This is the
-// access the paper's naive (literally translated) codes issue per edge.
+// intra-node irregular access or a small-message round trip (request plus
+// response). This is the access the paper's naive (literally translated)
+// codes issue per edge.
 func (th *Thread) Get(a *SharedArray, i int64, cat sim.Category) int64 {
-	m := th.rt.model
-	if th.remote(a, i) {
-		// Blocking read: request plus response.
-		th.Clock.Charge(cat, m.SmallOp(th.rt.cfg.ThreadsPerNode, th.rt.s, 2))
-		th.Clock.Messages++
-		th.Clock.Bytes += sim.ElemBytes
-		th.Clock.RemoteOps++
-		if !th.rt.tr.Shared() {
-			var buf [1]int64
-			if err := th.rt.tr.Get(th, a.ownerNode(i), a.win, i, buf[:]); err != nil {
-				panic(err)
-			}
-			return buf[0]
+	if nd := th.word(a, i, cat, 2, 1); nd >= 0 {
+		var buf [1]int64
+		if err := th.rt.tr.Get(th, nd, a.win, i, buf[:]); err != nil {
+			panic(err)
 		}
-	} else {
-		ns, misses := m.IrregularAccess(1, a.NodeSpan())
-		th.Clock.Charge(cat, ns)
-		th.Clock.CacheMisses += misses
+		return buf[0]
 	}
 	return a.LoadRaw(i)
 }
@@ -1113,23 +1034,12 @@ func (th *Thread) Get(a *SharedArray, i int64, cat sim.Category) int64 {
 // Put performs a single-element one-sided write with the same cost
 // structure as Get (one-way, so no return leg).
 func (th *Thread) Put(a *SharedArray, i int64, v int64, cat sim.Category) {
-	m := th.rt.model
-	if th.remote(a, i) {
-		th.Clock.Charge(cat, m.SmallOp(th.rt.cfg.ThreadsPerNode, th.rt.s, 1))
-		th.Clock.Messages++
-		th.Clock.Bytes += sim.ElemBytes
-		th.Clock.RemoteOps++
-		if !th.rt.tr.Shared() {
-			buf := [1]int64{v}
-			if err := th.rt.tr.Put(th, a.ownerNode(i), a.win, i, buf[:]); err != nil {
-				panic(err)
-			}
-			return
+	if nd := th.word(a, i, cat, 1, 1); nd >= 0 {
+		buf := [1]int64{v}
+		if err := th.rt.tr.Put(th, nd, a.win, i, buf[:]); err != nil {
+			panic(err)
 		}
-	} else {
-		ns, misses := m.IrregularAccess(1, a.NodeSpan())
-		th.Clock.Charge(cat, ns)
-		th.Clock.CacheMisses += misses
+		return
 	}
 	a.StoreRaw(i, v)
 }
@@ -1139,104 +1049,61 @@ func (th *Thread) Put(a *SharedArray, i int64, v int64, cat sim.Category) {
 // the monotone min makes deterministic in outcome). Reports whether the
 // element was updated.
 func (th *Thread) PutMin(a *SharedArray, i int64, v int64, cat sim.Category) bool {
-	m := th.rt.model
-	var stored bool
-	if th.remote(a, i) && !th.rt.tr.Shared() {
-		var err error
-		stored, err = th.rt.tr.PutMin(th, a.ownerNode(i), a.win, i, v)
-		if err != nil {
-			panic(err)
-		}
-	} else {
-		stored, _ = casMin(&a.data[i], v)
-	}
-	if th.remote(a, i) {
-		th.Clock.Charge(cat, m.SmallOp(th.rt.cfg.ThreadsPerNode, th.rt.s, 1))
-		th.Clock.Messages++
-		th.Clock.Bytes += sim.ElemBytes
-		th.Clock.RemoteOps++
-	} else {
-		ns, misses := m.IrregularAccess(1, a.NodeSpan())
-		th.Clock.Charge(cat, ns)
-		th.Clock.CacheMisses += misses
-	}
+	stored, _ := th.putMin(a, i, v, cat, 1, 1)
 	return stored
 }
 
 // AtomicMin lowers element i to v if smaller, charging a Get-like access
 // plus a lock acquire (the paper's MST guards min-edge updates with
-// fine-grained locks; contended attempts cost extra). Reports whether the
+// fine-grained locks; contended attempts cost extra). Remotely the lock,
+// read and conditional write are two round trips. Reports whether the
 // element was updated.
 func (th *Thread) AtomicMin(a *SharedArray, i int64, v int64, cat sim.Category) bool {
-	m := th.rt.model
-	var stored, contended bool
-	if th.remote(a, i) && !th.rt.tr.Shared() {
-		// The owner process applies the min; contention is not observable
-		// from here, so the lock charge models the uncontended case.
-		var err error
-		stored, err = th.rt.tr.PutMin(th, a.ownerNode(i), a.win, i, v)
-		if err != nil {
-			panic(err)
-		}
-	} else {
-		stored, contended = casMin(&a.data[i], v)
-	}
-	if th.remote(a, i) {
-		// Remote lock + read + conditional write: two round trips.
-		th.Clock.Charge(cat, m.SmallOp(th.rt.cfg.ThreadsPerNode, th.rt.s, 2)+
-			m.SmallOp(th.rt.cfg.ThreadsPerNode, th.rt.s, 2))
-		th.Clock.Messages += 2
-		th.Clock.Bytes += 2 * sim.ElemBytes
-		th.Clock.RemoteOps++
-	} else {
-		ns, misses := m.IrregularAccess(1, a.NodeSpan())
-		th.Clock.Charge(cat, ns)
-		th.Clock.CacheMisses += misses
-	}
-	th.Clock.Charge(cat, m.Lock(contended))
+	stored, contended := th.putMin(a, i, v, cat, 2, 2)
+	th.Clock.Charge(cat, th.rt.model.Lock(contended))
 	return stored
+}
+
+// putMin is PutMin and AtomicMin's access: word's charge, then the min at
+// the owner process, whose contention is not observable from here (the
+// uncontended case), or in place.
+func (th *Thread) putMin(a *SharedArray, i int64, v int64, cat sim.Category, legs int, msgs int64) (stored, contended bool) {
+	nd := th.word(a, i, cat, legs, msgs)
+	if nd < 0 {
+		return casMin(&a.data[i], v)
+	}
+	stored, err := th.rt.tr.PutMin(th, nd, a.win, i, v)
+	if err != nil {
+		panic(err)
+	}
+	return stored, false
 }
 
 // GetBulk reads len(dst) contiguous elements starting at start into dst,
 // coalesced into one message when the range is remote. Ranges must not
 // span node boundaries for remote access (callers align transfers to the
 // block distribution, as Algorithm 2 does). Under armed chaos a remote
-// transfer may be dropped or corrupted; GetBulk retransmits (recharging
-// the wire plus backoff) up to the configured attempt budget and raises a
-// classified ErrTimeout through the barrier-poisoning path if the budget
-// runs out.
+// transfer may be dropped or corrupted; GetBulk retransmits through Retry,
+// recharging the wire on every attempt.
 func (th *Thread) GetBulk(a *SharedArray, start int64, dst []int64, cat sim.Category) {
 	k := int64(len(dst))
 	if k == 0 {
 		return
 	}
 	th.checkRange("GetBulk", a, start, k)
-	isRemote := th.remote(a, start)
-	if isRemote {
-		th.chargeTransfer(cat, k)
-		th.Clock.RemoteOps++
-	} else {
+	if a.ownerNode(start) == th.Node {
 		th.Clock.Charge(cat, th.rt.model.SeqScan(k))
-	}
-	th.deliverGet(a, start, dst)
-	if th.rt.chaos == nil || !isRemote {
+		th.deliverGet(a, start, dst)
 		return
 	}
-	max := th.rt.ChaosMaxAttempts()
-	for attempt := 1; ; attempt++ {
-		err := th.TransportFault(cat, dst)
-		if err == nil {
-			return
-		}
-		if attempt >= max {
-			panic(Errorf(ErrTimeout, th.ID, "GetBulk",
-				"%s[%d,%d): no clean delivery after %d attempts: %v", a.name, start, start+k, attempt, err))
-		}
-		th.ChaosBackoff(attempt)
-		// Retransmit: recharge the wire and redeliver the payload.
+	th.Clock.RemoteOps++
+	th.Retry(func(int) error {
 		th.chargeTransfer(cat, k)
 		th.deliverGet(a, start, dst)
-	}
+		return th.TransportFault(cat, dst)
+	}, func() (string, string) {
+		return "GetBulk", fmt.Sprintf("%s[%d,%d): no clean delivery", a.name, start, start+k)
+	})
 }
 
 // chargeTransfer charges one coalesced bulk read of k elements to the wire:

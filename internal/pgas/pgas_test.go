@@ -82,13 +82,13 @@ func TestSharedArrayOwnership(t *testing.T) {
 			t.Fatalf("Owner(%d) = %d, want %d", i, got, w)
 		}
 	}
-	lo, hi := a.LocalRange(3)
+	lo, hi := a.ThreadCover(3)
 	if lo != 9 || hi != 10 {
-		t.Fatalf("LocalRange(3) = [%d,%d), want [9,10)", lo, hi)
+		t.Fatalf("ThreadCover(3) = [%d,%d), want [9,10)", lo, hi)
 	}
-	lo, hi = a.LocalRange(2)
+	lo, hi = a.ThreadCover(2)
 	if lo != 6 || hi != 9 {
-		t.Fatalf("LocalRange(2) = [%d,%d)", lo, hi)
+		t.Fatalf("ThreadCover(2) = [%d,%d)", lo, hi)
 	}
 	if a.ownerNode(0) != 0 || a.ownerNode(9) != 1 {
 		t.Fatal("ownerNode wrong")
@@ -273,6 +273,81 @@ func TestRemoteVsLocalCost(t *testing.T) {
 	}
 }
 
+// TestSingleWordCharges pins the exact clock each single-word access leaves,
+// local and remote, on a 2-node runtime: a remote access is one SmallOp
+// charge (AtomicMin's lock, read and conditional write sum two round trips
+// into one) plus its messages, bytes and one remote op; a local access is one
+// irregular access and its misses; AtomicMin then charges the uncontended
+// lock. Every field is compared with ==, and the clock already holds an
+// offset whose rounding changes if the round trips are charged apart.
+func TestSingleWordCharges(t *testing.T) {
+	rt := testRT(t, 2, 2)
+	a := rt.NewSharedArray("w", 40)
+	a.Fill(100)
+	m := rt.Model()
+	tpn, s := rt.ThreadsPerNode(), rt.NumThreads()
+	const cat = sim.CatIrregular
+	const offset = 1.0 / 3 // (offset+a)+a != offset+2a for this model's SmallOp(2)
+	start := func() sim.Clock {
+		var c sim.Clock
+		c.Charge(cat, offset)
+		return c
+	}
+	local := func(lock bool) sim.Clock {
+		c := start()
+		ns, misses := m.IrregularAccess(1, a.NodeSpan())
+		c.Charge(cat, ns)
+		c.CacheMisses += misses
+		if lock {
+			c.Charge(cat, m.Lock(false))
+		}
+		return c
+	}
+	remote := func(legs int, msgs int64, lock bool) sim.Clock {
+		c := start()
+		ns := m.SmallOp(tpn, s, legs)
+		if msgs == 2 {
+			ns += m.SmallOp(tpn, s, legs)
+		}
+		c.Charge(cat, ns)
+		c.Messages += msgs
+		c.Bytes += msgs * sim.ElemBytes
+		c.RemoteOps++
+		if lock {
+			c.Charge(cat, m.Lock(false))
+		}
+		return c
+	}
+	// Thread 0 lives on node 0, which owns [0,20); element 30 is node 1's.
+	for _, tc := range []struct {
+		name string
+		i    int64
+		op   func(th *Thread, i int64)
+		want sim.Clock
+	}{
+		{"Get/local", 5, func(th *Thread, i int64) { th.Get(a, i, cat) }, local(false)},
+		{"Get/remote", 30, func(th *Thread, i int64) { th.Get(a, i, cat) }, remote(2, 1, false)},
+		{"Put/local", 5, func(th *Thread, i int64) { th.Put(a, i, 7, cat) }, local(false)},
+		{"Put/remote", 30, func(th *Thread, i int64) { th.Put(a, i, 7, cat) }, remote(1, 1, false)},
+		{"PutMin/local", 6, func(th *Thread, i int64) { th.PutMin(a, i, 3, cat) }, local(false)},
+		{"PutMin/remote", 31, func(th *Thread, i int64) { th.PutMin(a, i, 3, cat) }, remote(1, 1, false)},
+		{"AtomicMin/local", 7, func(th *Thread, i int64) { th.AtomicMin(a, i, 3, cat) }, local(true)},
+		{"AtomicMin/remote", 32, func(th *Thread, i int64) { th.AtomicMin(a, i, 3, cat) }, remote(2, 2, true)},
+	} {
+		var got sim.Clock
+		rt.Run(func(th *Thread) {
+			if th.ID == 0 {
+				th.Clock.Charge(cat, offset)
+				tc.op(th, tc.i)
+				got = th.Clock
+			}
+		})
+		if got != tc.want {
+			t.Errorf("%s: clock %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSameNode(t *testing.T) {
 	rt := testRT(t, 2, 2)
 	rt.Run(func(th *Thread) {
@@ -339,9 +414,9 @@ func TestEmptySharedArray(t *testing.T) {
 	if a.Len() != 0 {
 		t.Fatal("empty array length wrong")
 	}
-	lo, hi := a.LocalRange(3)
+	lo, hi := a.ThreadCover(3)
 	if lo != 0 || hi != 0 {
-		t.Fatalf("empty array LocalRange = [%d,%d)", lo, hi)
+		t.Fatalf("empty array ThreadCover = [%d,%d)", lo, hi)
 	}
 }
 

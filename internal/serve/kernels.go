@@ -40,7 +40,7 @@ type KernelSpec struct {
 	// graph. Like Graph it does not travel, and the Service holds none: a
 	// list kernel asked for over pgasd answers misuse.
 	List *listrank.List `json:"-"`
-	// Col configures the collectives; nil means collective.Defaults().
+	// Col configures the collectives; nil means collective.Base().
 	Col *collective.Options `json:"col,omitempty"`
 	// Compact enables edge compaction where the kernel supports it
 	// (the collective cc/* rows, spanning-forest, mst/coalesced).

@@ -19,7 +19,7 @@ type Config struct {
 	Machine machine.Config
 	// Col configures the collectives for query gathers and is the
 	// default for kernel specs that carry none. Nil means
-	// collective.Defaults().
+	// collective.Base().
 	Col *collective.Options
 	// Recover bounds the supervised full-recompute fallback (rollback
 	// budget, minimum survivors, checkpoint cadence). Nil selects the

@@ -134,7 +134,7 @@ func WithRandomWeights(g *Graph, seed uint64) *Graph { return graph.WithRandomWe
 func PermuteVertices(g *Graph, seed uint64) *Graph { return graph.PermuteVertices(g, seed) }
 
 // Collective option presets. A KernelSpec with a nil Col runs on
-// DefaultCollectives(); passing them explicitly produces identical results
+// BaseCollectives(); passing them explicitly produces identical results
 // (tested by TestNilOptionsMatchDefaults). The paper's fully optimized run
 // is KernelSpec{Col: OptimizedCollectives(t'), Compact: true}.
 
@@ -144,14 +144,11 @@ func OptimizedCollectives(virtualThreads int) *CollectiveOptions {
 	return collective.Optimized(virtualThreads)
 }
 
-// BaseCollectives returns the unoptimized (coalescing-only) configuration.
-// VirtualThreads is 1 (the canonical "no cache blocking" spelling that
+// BaseCollectives returns the unoptimized (coalescing-only) configuration,
+// the one a kernel called with nil *CollectiveOptions runs. VirtualThreads
+// is 1 (the canonical "no cache blocking" spelling that
 // (*CollectiveOptions).Validate accepts).
 func BaseCollectives() *CollectiveOptions { return collective.Base() }
-
-// DefaultCollectives returns the configuration used when a kernel is
-// called with nil *CollectiveOptions. Currently the base configuration.
-func DefaultCollectives() *CollectiveOptions { return collective.Defaults() }
 
 // Cluster is a handle to one simulated PGAS machine. It owns the runtime
 // and the collective communication state; create it once and run any

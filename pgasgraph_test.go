@@ -153,10 +153,7 @@ func TestOptionPresets(t *testing.T) {
 	if o := BaseCollectives(); o.Circular || o.VirtualThreads != 1 {
 		t.Fatalf("BaseCollectives wrong: %+v", o)
 	}
-	if o := DefaultCollectives(); *o != *BaseCollectives() {
-		t.Fatalf("DefaultCollectives differs from BaseCollectives: %+v", o)
-	}
-	for _, o := range []*CollectiveOptions{BaseCollectives(), DefaultCollectives(), OptimizedCollectives(8), nil} {
+	for _, o := range []*CollectiveOptions{BaseCollectives(), OptimizedCollectives(8), nil} {
 		if err := o.Validate(); err != nil {
 			t.Fatalf("preset %+v rejected: %v", o, err)
 		}
@@ -187,8 +184,8 @@ func TestValidateRejectsBadVectors(t *testing.T) {
 }
 
 // TestNilOptionsMatchDefaults runs every registry kernel once with a nil
-// Col and once with DefaultCollectives() and asserts the answers are
-// identical — the nil ≡ defaults contract of the API.
+// Col and once with BaseCollectives() and asserts the answers are
+// identical — the nil ≡ base contract of the API.
 func TestNilOptionsMatchDefaults(t *testing.T) {
 	c := smallCluster(t)
 	g := WithRandomWeights(HybridGraph(400, 1200, 21), 22)
@@ -198,8 +195,8 @@ func TestNilOptionsMatchDefaults(t *testing.T) {
 			res := run(t, c, KernelSpec{Kernel: name, Graph: g, List: l, Col: col})
 			return []any{res.Labels, res.Components, res.Dist, res.Parent, res.Edges, res.Weight, detailAnswer(res)}
 		}
-		if !reflect.DeepEqual(answer(nil), answer(DefaultCollectives())) {
-			t.Errorf("%s: nil Col and DefaultCollectives() disagree", name)
+		if !reflect.DeepEqual(answer(nil), answer(BaseCollectives())) {
+			t.Errorf("%s: nil Col and BaseCollectives() disagree", name)
 		}
 	}
 }
