@@ -205,26 +205,6 @@ func BenchmarkCollectiveExchange(b *testing.B) {
 	})
 }
 
-func BenchmarkCollectiveGetDPair(b *testing.B) {
-	c, idx, _, out := collectiveSteadyCluster(b)
-	rt := c.Runtime()
-	d1 := rt.NewSharedArray("D1", 1<<16)
-	d2 := rt.NewSharedArray("D2", 1<<16)
-	d1.FillIdentity()
-	d2.FillIdentity()
-	opts := collective.Optimized(4)
-	out2 := make([][]int64, c.Threads())
-	for t := range out2 {
-		out2[t] = make([]int64, len(out[t]))
-	}
-	b.ResetTimer()
-	rt.Run(func(th *pgas.Thread) {
-		for i := 0; i < b.N; i++ {
-			c.Comm().GetDPair(th, d1, d2, idx[th.ID], out[th.ID], out2[th.ID], opts, nil)
-		}
-	})
-}
-
 // BenchmarkCollectiveGetDCheckpointed is BenchmarkCollectiveGetD with the
 // superstep checkpoint manager armed (snapshot at every barrier, chaos
 // disarmed) and D registered. The steady state must stay 0 allocs/op:
@@ -408,50 +388,6 @@ func BenchmarkKernel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				benchRun(b, c, spec)
 			}
-		})
-	}
-}
-
-// BenchmarkAblationFusedPair compares two separate GetDs against the fused
-// GetDPair at the thread count where the setup all-to-all matters.
-func BenchmarkAblationFusedPair(b *testing.B) {
-	for _, fused := range []bool{false, true} {
-		name := "separate"
-		if fused {
-			name = "fused"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := PaperCluster()
-			c, err := NewCluster(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rt := c.Runtime()
-			n := int64(1 << 18)
-			d1 := rt.NewSharedArray("D1", n)
-			d2 := rt.NewSharedArray("D2", n)
-			rng := xrand.New(1)
-			idx := make([]int64, 1<<12)
-			for j := range idx {
-				idx[j] = rng.Int64n(n)
-			}
-			opts := collective.Optimized(2)
-			var sim float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := rt.Run(func(th *pgas.Thread) {
-					o1 := make([]int64, len(idx))
-					o2 := make([]int64, len(idx))
-					if fused {
-						c.Comm().GetDPair(th, d1, d2, idx, o1, o2, opts, nil)
-					} else {
-						c.Comm().GetD(th, d1, idx, o1, opts, nil)
-						c.Comm().GetD(th, d2, idx, o2, opts, nil)
-					}
-				})
-				sim = res.SimMS()
-			}
-			b.ReportMetric(sim, "sim-ms")
 		})
 	}
 }

@@ -146,21 +146,17 @@ func collectives(cfg Config) ([]report.BenchRecord, error) {
 	const n = 1 << 16
 	const k = 1 << 11
 	d := rt.NewSharedArray("D", n)
-	d2 := rt.NewSharedArray("D2", n)
 	d.FillIdentity()
-	d2.FillIdentity()
 	idx := make([][]int64, s)
 	roots := make([][]int64, s) // idx folded onto 64 roots: a late pointer-jumping level
 	vals := make([][]int64, s)
 	out := make([][]int64, s)
-	out2 := make([][]int64, s)
 	for t := 0; t < s; t++ {
 		rng := xrand.New(cfg.Seed + uint64(t) + 1)
 		idx[t] = make([]int64, k)
 		roots[t] = make([]int64, k)
 		vals[t] = make([]int64, k)
 		out[t] = make([]int64, k)
-		out2[t] = make([]int64, k)
 		for j := range idx[t] {
 			idx[t][j] = rng.Int64n(n)
 			roots[t][j] = idx[t][j] % 64
@@ -192,9 +188,6 @@ func collectives(cfg Config) ([]report.BenchRecord, error) {
 		}},
 		{"collective/Exchange", func(th *pgas.Thread) {
 			comm.Exchange(th, d, idx[th.ID], opts, &caches[th.ID])
-		}},
-		{"collective/GetDPair", func(th *pgas.Thread) {
-			comm.GetDPair(th, d, d2, idx[th.ID], out[th.ID], out2[th.ID], opts, nil)
 		}},
 		{"collective/PlanReuse", func(th *pgas.Thread) {
 			plan.GetD(th, d, out[th.ID])

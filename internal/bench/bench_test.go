@@ -22,7 +22,7 @@ func TestCollectivesRecords(t *testing.T) {
 	}
 	want := map[string]bool{
 		"collective/GetD": true, "collective/SetD": true, "collective/SetDMin": true,
-		"collective/Exchange": true, "collective/GetDPair": true, "collective/PlanReuse": true,
+		"collective/Exchange": true, "collective/PlanReuse": true,
 		"collective/GetD+ckpt": true, "collective/GetD+combine": true,
 	}
 	if len(recs) != len(want) {

@@ -210,9 +210,8 @@ type threadState struct {
 	segs       []segment
 	comb       *combineTable // request filter memory, allocated by the thread's first combining call (one-shot SetDMin, GetDCombined)
 	scr        sched.Scratch
-	scr2       sched.Scratch // second first-touch tracker for GetDPair
-	routeTotal int64         // element count of the last route-op receive
-	growths    int64         // scratch backing-array allocations (monotonic)
+	routeTotal int64 // element count of the last route-op receive
+	growths    int64 // scratch backing-array allocations (monotonic)
 }
 
 // grow returns buf resized to k elements through the shared arena
@@ -389,7 +388,7 @@ func badIndex(kind string, d *pgas.SharedArray, ix int64) {
 // barriers. cache may be nil. Requests must be in-bounds for d and at most
 // MaxRequests long (both checked).
 func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options, cache *IDCache) {
-	c.once(th, opGetD, d, nil, indices, nil, out, nil, opts, cache)
+	c.once(th, opGetD, d, indices, nil, out, opts, cache)
 }
 
 // GetDCombined is GetD, result for result, for a request vector the caller
@@ -401,14 +400,14 @@ func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, 
 // offered request, which is why edge-list gathers — a few percent
 // duplicates — stay on GetD. It traces as GetD.
 func (c *Comm) GetDCombined(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options) {
-	c.once(th, opGetDCombined, d, nil, indices, nil, out, nil, opts, nil)
+	c.once(th, opGetDCombined, d, indices, nil, out, opts, nil)
 }
 
 // SetD scatters D[indices[j]] = values[j] collectively (arbitrary
 // concurrent write: when several requests target one location, the owner
 // applies them in a deterministic order and the last wins).
 func (c *Comm) SetD(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.once(th, opSetD, d, nil, indices, values, nil, nil, opts, cache)
+	c.once(th, opSetD, d, indices, values, nil, opts, cache)
 }
 
 // SetDMin scatters D[indices[j]] = min(D[indices[j]], values[j])
@@ -422,7 +421,7 @@ func (c *Comm) SetD(th *pgas.Thread, d *pgas.SharedArray, indices, values []int6
 // call is the same. cache is not consulted: which requests survive depends
 // on the values, not on the index list alone.
 func (c *Comm) SetDMin(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.once(th, opSetDMin, d, nil, indices, values, nil, nil, opts, cache)
+	c.once(th, opSetDMin, d, indices, values, nil, opts, cache)
 }
 
 // SetDAdd scatters D[indices[j]] += values[j] collectively (additive
@@ -431,22 +430,7 @@ func (c *Comm) SetDMin(th *pgas.Thread, d *pgas.SharedArray, indices, values []i
 // histogram-style reductions use it in place of a gather-modify-scatter
 // round trip.
 func (c *Comm) SetDAdd(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.once(th, opSetDAdd, d, nil, indices, values, nil, nil, opts, cache)
-}
-
-// GetDPair gathers from two equally-distributed shared arrays at the same
-// indices in one collective: out1[j] = d1[indices[j]], out2[j] =
-// d2[indices[j]]. Pointer-jumping kernels fetch S[S[i]] and R[S[i]] at
-// identical indices every round; fusing the calls halves the grouping
-// work and the SMatrix/PMatrix setup traffic — the all-to-all burst that
-// dominates at high thread counts (§VI). A beyond-paper optimization,
-// measured by BenchmarkAblationFusedPair. It is the engine's fused pair
-// op: one grouping and one setup serve both gathers (offload does not
-// apply: two arrays cannot share one pinned value).
-//
-// d1 and d2 must have the same length (hence the same distribution).
-func (c *Comm) GetDPair(th *pgas.Thread, d1, d2 *pgas.SharedArray, indices, out1, out2 []int64, opts *Options, cache *IDCache) {
-	c.once(th, opGetDPair, d1, d2, indices, nil, out1, out2, opts, cache)
+	c.once(th, opSetDAdd, d, indices, values, nil, opts, cache)
 }
 
 // Exchange is the personalized all-to-all underlying the paper's
@@ -462,7 +446,7 @@ func (c *Comm) GetDPair(th *pgas.Thread, d1, d2 *pgas.SharedArray, indices, out1
 // All threads must call it (it contains barriers). The returned slice is
 // valid until the thread's next collective call on this Comm.
 func (c *Comm) Exchange(th *pgas.Thread, d *pgas.SharedArray, items []int64, opts *Options, cache *IDCache) []int64 {
-	c.once(th, opExchange, d, nil, items, nil, nil, nil, opts, cache)
+	c.once(th, opExchange, d, items, nil, nil, opts, cache)
 	st := &c.ts[th.ID]
 	return st.recv[:st.routeTotal]
 }
@@ -477,7 +461,7 @@ func (c *Comm) Exchange(th *pgas.Thread, d *pgas.SharedArray, items []int64, opt
 // All threads must call it (it contains barriers). The returned slices are
 // valid until the thread's next collective call on this Comm.
 func (c *Comm) ExchangePairs(th *pgas.Thread, d *pgas.SharedArray, items, values []int64, opts *Options, cache *IDCache) (recvItems, recvValues []int64) {
-	c.once(th, opExchangePairs, d, nil, items, values, nil, nil, opts, cache)
+	c.once(th, opExchangePairs, d, items, values, nil, opts, cache)
 	st := &c.ts[th.ID]
 	return st.recv[:st.routeTotal], st.recv2[:st.routeTotal]
 }
@@ -485,21 +469,18 @@ func (c *Comm) ExchangePairs(th *pgas.Thread, d *pgas.SharedArray, items, values
 // once is every one-shot collective: check the caller's slices against the
 // request list, build the scratch plan for op (which says what the build
 // may drop) and execute it once.
-func (c *Comm) once(th *pgas.Thread, op *serveOp, d1, d2 *pgas.SharedArray, indices, values, out1, out2 []int64, opts *Options, cache *IDCache) {
-	checkArgs(op, len(indices), values, out1, out2)
-	if d2 != nil && d1.Len() != d2.Len() {
-		panic("collective: " + op.kind + " arrays must share a distribution")
-	}
+func (c *Comm) once(th *pgas.Thread, op *serveOp, d *pgas.SharedArray, indices, values, out []int64, opts *Options, cache *IDCache) {
+	checkArgs(op, len(indices), values, out)
 	opts = orDefaults(opts)
 	c.traced(op.kind, th, c.splan, func() {
-		c.splan.planInto(op.kind, th, op, d1, indices, values, opts, cache)
-		c.exec(th, c.splan, op, d1, d2, values, out1, out2)
+		c.splan.planInto(op.kind, th, op, d, indices, values, opts, cache)
+		c.exec(th, c.splan, op, d, values, out)
 	})
 }
 
-// checkArgs panics when op's values or result streams do not hold one
-// element per request of an n-element list.
-func checkArgs(op *serveOp, n int, values, out1, out2 []int64) {
+// checkArgs panics when op's values or results do not hold one element per
+// request of an n-element list.
+func checkArgs(op *serveOp, n int, values, out []int64) {
 	if op.hasValues && len(values) != n {
 		kind := op.kind
 		if op.mutates {
@@ -507,7 +488,7 @@ func checkArgs(op *serveOp, n int, values, out1, out2 []int64) {
 		}
 		panic("collective: " + kind + " value length mismatch")
 	}
-	if op.outs >= 1 && len(out1) != n || op.outs == 2 && len(out2) != n {
+	if op.gathers && len(out) != n {
 		panic("collective: " + op.kind + " output length mismatch")
 	}
 }

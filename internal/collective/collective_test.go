@@ -431,102 +431,6 @@ func TestExchangeEmptyAndSkewed(t *testing.T) {
 	}
 }
 
-func TestGetDPairMatchesTwoGetDs(t *testing.T) {
-	rt := testRT(t, 3, 2)
-	n := int64(300)
-	d1 := rt.NewSharedArray("D1", n)
-	d2 := rt.NewSharedArray("D2", n)
-	rng := xrand.New(3)
-	for i := int64(0); i < n; i++ {
-		d1.StoreRaw(i, rng.Int63())
-		d2.StoreRaw(i, rng.Int63())
-	}
-	// The optimized variant's offload pins index 0's value at 0; honor
-	// its precondition so plain GetD with offload is exact.
-	d1.StoreRaw(0, 0)
-	d2.StoreRaw(0, 0)
-	comm := NewComm(rt)
-	s := rt.NumThreads()
-	reqs := make([][]int64, s)
-	for i := range reqs {
-		k := int(rng.Int64n(200))
-		reqs[i] = make([]int64, k)
-		for j := range reqs[i] {
-			reqs[i][j] = rng.Int64n(n)
-		}
-	}
-	for name, opts := range map[string]*Options{
-		"base":      Base(),
-		"optimized": Optimized(4),
-	} {
-		t.Run(name, func(t *testing.T) {
-			rt.Run(func(th *pgas.Thread) {
-				idx := reqs[th.ID]
-				a1 := make([]int64, len(idx))
-				a2 := make([]int64, len(idx))
-				comm.GetDPair(th, d1, d2, idx, a1, a2, opts, nil)
-				b1 := make([]int64, len(idx))
-				b2 := make([]int64, len(idx))
-				comm.GetD(th, d1, idx, b1, opts, nil)
-				comm.GetD(th, d2, idx, b2, opts, nil)
-				for j := range idx {
-					if a1[j] != b1[j] || a2[j] != b2[j] {
-						t.Errorf("thread %d: fused pair differs at %d", th.ID, j)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
-func TestGetDPairCheaperSetup(t *testing.T) {
-	rt := testRT(t, 4, 2)
-	n := int64(4096)
-	d1 := rt.NewSharedArray("D1", n)
-	d2 := rt.NewSharedArray("D2", n)
-	comm := NewComm(rt)
-	rng := xrand.New(9)
-	idx := make([]int64, 1024)
-	for j := range idx {
-		idx[j] = rng.Int64n(n)
-	}
-	opts := &Options{Circular: true}
-	fused := rt.Run(func(th *pgas.Thread) {
-		o1 := make([]int64, len(idx))
-		o2 := make([]int64, len(idx))
-		comm.GetDPair(th, d1, d2, idx, o1, o2, opts, nil)
-	})
-	separate := rt.Run(func(th *pgas.Thread) {
-		o1 := make([]int64, len(idx))
-		o2 := make([]int64, len(idx))
-		comm.GetD(th, d1, idx, o1, opts, nil)
-		comm.GetD(th, d2, idx, o2, opts, nil)
-	})
-	if fused.SumByCategory[sim.CatSetup] >= separate.SumByCategory[sim.CatSetup] {
-		t.Fatalf("fused setup (%v) not cheaper than separate (%v)",
-			fused.SumByCategory[sim.CatSetup], separate.SumByCategory[sim.CatSetup])
-	}
-	if fused.SimNS >= separate.SimNS {
-		t.Fatalf("fused total (%v) not cheaper than separate (%v)", fused.SimNS, separate.SimNS)
-	}
-}
-
-func TestGetDPairPanics(t *testing.T) {
-	rt := testRT(t, 1, 1)
-	d1 := rt.NewSharedArray("D1", 8)
-	d2 := rt.NewSharedArray("D2", 9)
-	comm := NewComm(rt)
-	panicked := false
-	rt.Run(func(th *pgas.Thread) {
-		defer func() { panicked = recover() != nil }()
-		comm.GetDPair(th, d1, d2, []int64{0}, make([]int64, 1), make([]int64, 1), Base(), nil)
-	})
-	if !panicked {
-		t.Fatal("mismatched distributions did not panic")
-	}
-}
-
 func TestExchangePairs(t *testing.T) {
 	rt := testRT(t, 2, 2)
 	d := rt.NewSharedArray("D", 40)

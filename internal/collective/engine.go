@@ -3,13 +3,14 @@
 // Every collective is phase 2 of Algorithm 2 run against a built Plan —
 // barrier, serve every peer, barrier, finish — and the collectives differ
 // only in how a peer's segment is served (gather, scatter with a combining
-// rule, fused pair gather, or plain routing), how results reach the caller
-// (permute back, nothing, or a concatenated receive buffer), and which
-// requests a one-shot build may leave out. Those choices are a serveOp;
-// exec is the engine that runs one. The eight public collectives in
-// collective.go are one-line calls into Comm.once, which builds the scratch
-// plan as the op says and execs it; a caller-held Plan execs GetD and
-// SetDMin, skipping the rebuild.
+// rule, or plain routing), how results reach the caller (permute back,
+// nothing, or a concatenated receive buffer), and which requests a one-shot
+// build may leave out. Those choices are a serveOp; exec is the engine that
+// runs one. The seven public one-shot collectives in collective.go are
+// one-line calls into Comm.once, which builds the scratch plan as the op
+// says and execs it; a caller-held Plan execs GetD and SetDMin, skipping
+// the rebuild — and gathers several arrays at the same indices by
+// executing one build once per array.
 package collective
 
 import (
@@ -30,10 +31,8 @@ type serveOp struct {
 	// hasValues: the caller passes per-request values, aligned into the
 	// plan's grouped layout before the first barrier on every execution.
 	hasValues bool
-	// outs is how many result streams finish permutes into the caller's
-	// out1 (and out2): 1 for a gather, 2 for GetDPair, whose second receive
-	// buffer is sized before the first barrier.
-	outs int
+	// gathers: finish permutes the answers into the caller's out.
+	gathers bool
 	// allowFiltered: the op's semantics survive the offload filter (GetD
 	// substitutes the pinned value, SetDMin drops the no-op write), so a
 	// build for it honors Options.Offload.
@@ -48,8 +47,8 @@ type serveOp struct {
 	// serve returns a classified error when a transfer faults under armed
 	// chaos (nil always, on the fault-free transport): the whole phase is
 	// re-executable from the published matrices, so the engine replays it.
-	serve  func(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error
-	finish func(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64)
+	serve  func(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error
+	finish func(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out []int64)
 }
 
 // combineRule selects the request filter's combining (see keyPass).
@@ -62,12 +61,11 @@ const (
 )
 
 var (
-	opGetD          = &serveOp{kind: "GetD", outs: 1, allowFiltered: true, serve: serveGather, finish: finishPermute}
-	opGetDCombined  = &serveOp{kind: "GetD", outs: 1, allowFiltered: true, combine: combineIndex, serve: serveGather, finish: finishPermute}
+	opGetD          = &serveOp{kind: "GetD", gathers: true, allowFiltered: true, serve: serveGather, finish: finishPermute}
+	opGetDCombined  = &serveOp{kind: "GetD", gathers: true, allowFiltered: true, combine: combineIndex, serve: serveGather, finish: finishPermute}
 	opSetD          = &serveOp{kind: "SetD", hasValues: true, mutates: true, serve: serveScatterSet, finish: finishNone}
 	opSetDMin       = &serveOp{kind: "SetDMin", hasValues: true, allowFiltered: true, combine: combineMin, mutates: true, serve: serveScatterMin, finish: finishNone}
 	opSetDAdd       = &serveOp{kind: "SetDAdd", hasValues: true, mutates: true, serve: serveScatterAdd, finish: finishNone}
-	opGetDPair      = &serveOp{kind: "GetDPair", outs: 2, serve: servePair, finish: finishPair}
 	opExchange      = &serveOp{kind: "Exchange", serve: serveRoute, finish: finishNone}
 	opExchangePairs = &serveOp{kind: "ExchangePairs", hasValues: true, serve: serveRoutePairs, finish: finishNone}
 )
@@ -78,12 +76,10 @@ var (
 // the value alignment that the grouping sort used to do moves here (it
 // must rerun per execution), but stays in the same pre-serve interval.
 //
-// d2 is the second array of pair ops (nil otherwise); values the input
-// values of hasValues ops; out1/out2 the gather destinations (nil for
-// scatter and route ops, whose results are the array mutation or the
-// thread's receive scratch).
-func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedArray, values []int64, out1, out2 []int64) {
-	st := &c.ts[th.ID]
+// values are the input values of hasValues ops; out the gather destination
+// (nil for scatter and route ops, whose results are the array mutation or
+// the thread's receive scratch).
+func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.SharedArray, values, out []int64) {
 	pt := &p.pts[th.ID]
 	opts := &pt.opts
 	k := pt.k
@@ -104,22 +100,14 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedAr
 		}
 		chargePermute(th, sim.CatSort, int64(k))
 	}
-	if op.outs == 2 {
-		// Second receive buffer, aligned with pt.val, sized before peers
-		// can deliver into it.
-		pt.val2 = sched.Grow64(pt.val2, k, &st.growths)
-		if c.wire {
-			c.tr.Expose(pgas.Win{Kind: pgas.WinPlanVal2, ID: p.wid, Sub: int32(th.ID)}, pt.val2[:k])
-		}
-	}
 	if c.tracer != nil && pt.execs >= 1 {
 		c.tracer.PlanReuse(th.ID, int64(k))
 	}
 
 	th.Barrier()
-	c.serveRetry(th, p, op, d1, d2, opts)
+	c.serveRetry(th, p, op, d, opts)
 	th.Barrier()
-	op.finish(c, th, p, pt, out1, out2)
+	op.finish(c, th, p, pt, out)
 	pt.execs++
 }
 
@@ -137,7 +125,7 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedAr
 //
 // On the fault-free transport (chaos disarmed) there is no snapshot and
 // the serve runs once.
-func (c *Comm) serveRetry(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.SharedArray, opts *Options) {
+func (c *Comm) serveRetry(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.SharedArray, opts *Options) {
 	st := &c.ts[th.ID]
 	var owned int64
 	if op.mutates && th.Runtime().ChaosArmed() {
@@ -146,15 +134,15 @@ func (c *Comm) serveRetry(th *pgas.Thread, p *Plan, op *serveOp, d1, d2 *pgas.Sh
 		// walks exactly the owned set (a block owner's slab in one copy) —
 		// restoring anything wider would race peers serving their own
 		// interleaved elements.
-		owned = d1.OwnedCount(th.ID)
+		owned = d.OwnedCount(th.ID)
 		st.snap = sched.Grow64(st.snap, int(owned), nil)
-		d1.CopyOwnedOut(th.ID, st.snap[:owned])
+		d.CopyOwnedOut(th.ID, st.snap[:owned])
 	}
 	th.Retry(func(attempt int) error {
 		if attempt > 1 && op.mutates {
-			d1.CopyOwnedIn(th.ID, st.snap[:owned])
+			d.CopyOwnedIn(th.ID, st.snap[:owned])
 		}
-		return op.serve(c, th, p, d1, d2, opts)
+		return op.serve(c, th, p, d, opts)
 	}, func() (string, string) { return "serve " + op.kind, "serve phase gave up" })
 }
 
@@ -221,11 +209,8 @@ func (c *Comm) segBuf(p *Plan, seg segment, kind pgas.WinKind, staging []int64) 
 	}
 	pt := &p.pts[seg.peer]
 	buf := pt.req
-	switch kind {
-	case pgas.WinPlanVal:
+	if kind == pgas.WinPlanVal {
 		buf = pt.val
-	case pgas.WinPlanVal2:
-		buf = pt.val2
 	}
 	return buf[seg.off : seg.off+seg.k]
 }
@@ -254,8 +239,8 @@ func (c *Comm) pull(th *pgas.Thread, p *Plan, st *threadState, seg segment, opts
 	return c.xferFault(th, int(seg.peer), nil)
 }
 
-// push delivers seg's answers into the requester's plan receive window
-// (val or val2). A requester in this process already holds them — the
+// push delivers seg's answers into the requester's plan receive window.
+// A requester in this process already holds them — the
 // gather wrote into its buffer — and the chaos verdict lands there. Over
 // the wire the verdict is drawn on the staged answers before the frame
 // leaves: a drop withholds the frame entirely, a corruption sends the
@@ -263,13 +248,13 @@ func (c *Comm) pull(th *pgas.Thread, p *Plan, st *threadState, seg segment, opts
 // and the serve replay re-sends clean words either way. The draw order and
 // count are identical to the shared fabric, so the fault schedule is
 // backend-independent.
-func (c *Comm) push(th *pgas.Thread, p *Plan, st *threadState, seg segment, kind pgas.WinKind) error {
-	out := c.segBuf(p, seg, kind, st.vals)
+func (c *Comm) push(th *pgas.Thread, p *Plan, st *threadState, seg segment) error {
+	out := c.segBuf(p, seg, pgas.WinPlanVal, st.vals)
 	verdict := c.xferFault(th, int(seg.peer), out)
 	if c.sameProcess(int(seg.peer)) || verdict != nil && errors.Is(verdict, pgas.ErrTransport) {
 		return verdict
 	}
-	if err := c.tr.Put(th, int(seg.peer)/c.tpn, pgas.Win{Kind: kind, ID: p.wid, Sub: seg.peer}, seg.off, out); err != nil {
+	if err := c.tr.Put(th, int(seg.peer)/c.tpn, pgas.Win{Kind: pgas.WinPlanVal, ID: p.wid, Sub: seg.peer}, seg.off, out); err != nil {
 		panic(err)
 	}
 	return verdict
@@ -294,9 +279,9 @@ func (c *Comm) access(local, req []int64, base int64, vals []int64, op sched.Op,
 // plan receive buffer — and charged as one blocked gather over their
 // concatenation: the local block is loaded at most once per collective,
 // matching equation 5's n*L_M term. The pushes back follow.
-func serveGather(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
+func serveGather(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
 	i := th.ID
-	local, base := d1.ServeView(i)
+	local, base := d.ServeView(i)
 	st := &c.ts[i]
 
 	total, staged := c.planSegments(th, p, st, opts)
@@ -320,7 +305,7 @@ func serveGather(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, op
 
 	for _, seg := range st.segs {
 		c.transferCost(th, int(seg.peer), seg.k, false, opts)
-		if err := c.push(th, p, st, seg, pgas.WinPlanVal); err != nil {
+		if err := c.push(th, p, st, seg); err != nil {
 			return err
 		}
 	}
@@ -362,66 +347,27 @@ func (c *Comm) serveScatter(th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts 
 	return nil
 }
 
-func serveScatterSet(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
-	return c.serveScatter(th, p, d1, opts, sched.OpSet)
+func serveScatterSet(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
+	return c.serveScatter(th, p, d, opts, sched.OpSet)
 }
 
-func serveScatterMin(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
+func serveScatterMin(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
 	op := sched.OpMin
 	if c.fault == FaultMaxInsteadOfMin {
 		op = sched.OpMax
 	}
-	return c.serveScatter(th, p, d1, opts, op)
+	return c.serveScatter(th, p, d, opts, op)
 }
 
-func serveScatterAdd(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
-	return c.serveScatter(th, p, d1, opts, sched.OpAdd)
-}
-
-// servePair is GetDPair's serve phase: pull each peer's indices once,
-// gather from both local blocks, push both value streams back (into the
-// requester's val and val2 plan buffers). Segments are served one peer at
-// a time with per-array first-touch trackers, each gather charged on its
-// own, preserving the fused collective's original charge structure.
-func servePair(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
-	i := th.ID
-	// The pair arrays are allocated together and share a partition scheme,
-	// so d1's translation base serves both views.
-	local1, base := d1.ServeView(i)
-	local2, _ := d2.ServeView(i)
-	st := &c.ts[i]
-
-	_, staged := c.planSegments(th, p, st, opts)
-	st.stage = st.grow(st.stage, int(staged))
-	st.vals = st.grow(st.vals, int(staged))
-	st.scr.Reset(int64(len(local1)))
-	st.scr2.Reset(int64(len(local2)))
-	for _, seg := range st.segs {
-		if err := c.pull(th, p, st, seg, opts); err != nil {
-			return err
-		}
-		req := c.segBuf(p, seg, pgas.WinPlanReq, st.stage)
-		for _, half := range [2]struct {
-			local []int64
-			kind  pgas.WinKind
-			scr   *sched.Scratch
-		}{{local1, pgas.WinPlanVal, &st.scr}, {local2, pgas.WinPlanVal2, &st.scr2}} {
-			distinct := c.access(half.local, req, base, c.segBuf(p, seg, half.kind, st.vals), sched.OpGet, half.scr)
-			sched.ChargeAccess(th, seg.k, distinct, int64(len(half.local)), opts.VirtualThreads, opts.LocalCpy)
-			c.transferCost(th, int(seg.peer), seg.k, false, opts)
-			if err := c.push(th, p, st, seg, half.kind); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+func serveScatterAdd(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
+	return c.serveScatter(th, p, d, opts, sched.OpAdd)
 }
 
 // serveRoute is Exchange's serve phase: copy every peer's grouped segment
 // destined for this thread into the receive buffer, concatenated in
 // schedule order. There is no local array access — the routed items are
 // the payload.
-func serveRoute(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
+func serveRoute(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
 	st := &c.ts[th.ID]
 	total, _ := c.planSegments(th, p, st, opts)
 	st.recv = st.grow(st.recv, int(total))
@@ -444,7 +390,7 @@ func serveRoute(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opt
 
 // serveRoutePairs is ExchangePairs' serve phase: one coalesced message
 // per peer carries indices and values together, delivered aligned.
-func serveRoutePairs(c *Comm, th *pgas.Thread, p *Plan, d1, d2 *pgas.SharedArray, opts *Options) error {
+func serveRoutePairs(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
 	st := &c.ts[th.ID]
 	total, _ := c.planSegments(th, p, st, opts)
 	st.recv = st.grow(st.recv, int(total))
@@ -484,7 +430,7 @@ func (c *Comm) peerCopy(th *pgas.Thread, p *Plan, seg segment, kind pgas.WinKind
 
 // finishNone is the finish phase of ops whose results are the array
 // mutation (Set*) or the thread's receive scratch (Exchange*).
-func finishNone(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64) {
+func finishNone(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out []int64) {
 }
 
 // finishPermute is GetD's finish phase: permute received values back to
@@ -493,7 +439,7 @@ func finishNone(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []
 // pinned D[0] = 0 at offload-dropped positions (the filter paid for that
 // pass at build time), and at every combined duplicate its keeper's value,
 // a second, shorter dense permutation.
-func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64) {
+func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out []int64) {
 	k := pt.k
 	chargePermute(th, sim.CatIrregular, int64(k))
 	val, pos := pt.val[:k], pt.pos[:k]
@@ -505,10 +451,10 @@ func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2
 		slices.Sort(pos)
 	}
 	for pp, j := range pos {
-		out1[j] = val[pp]
+		out[j] = val[pp]
 	}
 	for _, j := range pt.dropIdx[:pt.drops] {
-		out1[j] = 0
+		out[j] = 0
 	}
 	if pt.dups == 0 {
 		return
@@ -522,7 +468,7 @@ func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2
 		if c.fault == FaultWrongKeeper {
 			from = keeper[(r+1)%len(keeper)]
 		}
-		out1[dup[r]] = out1[from]
+		out[dup[r]] = out[from]
 	}
 }
 
@@ -531,17 +477,4 @@ func chargePermute(th *pgas.Thread, cat sim.Category, k int64) {
 	ns, misses := th.Runtime().Model().DensePermute(k)
 	th.Clock.Charge(cat, ns)
 	th.Clock.CacheMisses += misses
-}
-
-// finishPair permutes both receive buffers back to request order.
-func finishPair(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out1, out2 []int64) {
-	k := pt.k
-	ns, misses := th.Runtime().Model().DensePermute(int64(k))
-	th.Clock.Charge(sim.CatIrregular, 2*ns)
-	th.Clock.CacheMisses += 2 * misses
-	val, val2 := pt.val[:k], pt.val2[:k]
-	for pp, j := range pt.pos[:k] {
-		out1[j] = val[pp]
-		out2[j] = val2[pp]
-	}
 }

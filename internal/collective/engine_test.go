@@ -8,9 +8,9 @@ import (
 	"pgasgraph/internal/xrand"
 )
 
-// TestEngineLargeRound runs one GetD / GetDPair / SetDMin / Exchange round
-// on 3x2 threads with 3*4096+17 requests per thread — long enough that
-// every align, translate, permute and pair-permute loop of the engine runs
+// TestEngineLargeRound runs one GetD / SetDMin / Exchange round on 3x2
+// threads with 3*4096+17 requests per thread — long enough that every
+// align, translate and permute loop of the engine runs
 // over thousands of elements per peer segment — and compares every result
 // with the sequential oracle (direct reads, a min-scatter, the owner
 // partition). Optimized options put the offload filter's index
@@ -22,13 +22,11 @@ func TestEngineLargeRound(t *testing.T) {
 			rt := testRT(t, 3, 2)
 			s := rt.NumThreads()
 			d := rt.NewSharedArray("D", n)
-			d2 := rt.NewSharedArray("D2", n)
 			rng := xrand.New(20)
 			data := d.Raw()
 			for i := range data {
 				// D[0] = 0 is the pin Offload substitutes.
 				data[i] = int64(i) * (1 + rng.Int64n(1<<20))
-				d2.Raw()[i] = data[i]*3 + 1
 			}
 			before, want := slices.Clone(data), slices.Clone(data)
 			reqs, vals := make([][]int64, s), make([][]int64, s)
@@ -46,20 +44,18 @@ func TestEngineLargeRound(t *testing.T) {
 				}
 			}
 			comm := NewComm(rt)
-			get, p1, p2, routed := make([][]int64, s), make([][]int64, s), make([][]int64, s), make([][]int64, s)
+			get, routed := make([][]int64, s), make([][]int64, s)
 			rt.Run(func(th *pgas.Thread) {
 				i := th.ID
-				get[i], p1[i], p2[i] = make([]int64, k), make([]int64, k), make([]int64, k)
+				get[i] = make([]int64, k)
 				comm.GetD(th, d, reqs[i], get[i], opts, nil)
-				comm.GetDPair(th, d, d2, reqs[i], p1[i], p2[i], opts, nil)
 				routed[i] = slices.Clone(comm.Exchange(th, d, reqs[i], opts, nil))
 				comm.SetDMin(th, d, reqs[i], vals[i], opts, nil)
 			})
 			for i := 0; i < s; i++ {
 				for j, ix := range reqs[i] {
-					if w := before[ix]; get[i][j] != w || p1[i][j] != w || p2[i][j] != w*3+1 {
-						t.Fatalf("thread %d request %d (D[%d]): GetD %d, GetDPair (%d, %d), want %d and (%d, %d)",
-							i, j, ix, get[i][j], p1[i][j], p2[i][j], w, w, w*3+1)
+					if get[i][j] != before[ix] {
+						t.Fatalf("thread %d request %d (D[%d]): GetD %d, want %d", i, j, ix, get[i][j], before[ix])
 					}
 				}
 				slices.Sort(routed[i])

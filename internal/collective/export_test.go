@@ -19,7 +19,7 @@ func (c *Comm) RetainedWords() (staging, total int64) {
 	total += staging + int64(len(c.splan.smat)+len(c.splan.pmat))
 	for i := range c.splan.pts {
 		pt := &c.splan.pts[i]
-		total += int64(cap(pt.req)+cap(pt.val)+cap(pt.val2)+cap(pt.offs)) +
+		total += int64(cap(pt.req)+cap(pt.val)+cap(pt.offs)) +
 			half(pt.pos) + half(pt.dropIdx) + half(pt.keeper)
 	}
 	return staging, total

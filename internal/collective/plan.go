@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/psort"
@@ -22,8 +23,11 @@ import (
 // on every call, so reuse only requires the *indices* to be unchanged.
 //
 // A Plan is tied to one Comm, one request vector per thread, and one array
-// distribution (length); executing it against an array of a different
-// length panics. Like the collectives themselves, PlanRequests, GetD and
+// distribution — length and partition scheme, and for the hub scheme its
+// hub list — but not to one array: executing a plan against each of
+// several equally distributed arrays gathers them all at the same indices
+// for one phase-1 cost, and executing it against an array of another
+// distribution panics. Like the collectives themselves, PlanRequests, GetD and
 // SetDMin are collective: all threads of the runtime must call them, and
 // they contain barriers. A Plan must not be shared between concurrent
 // runtime Run regions.
@@ -48,20 +52,20 @@ type Plan struct {
 // growth counter, so plan reuse participates in the same steady-state
 // zero-allocation accounting as the Comm scratch.
 type planThread struct {
-	req     []int64 // request indices grouped by owner (read by peers)
-	val     []int64 // grouped values (Set*) / receive buffer (GetD, pair 1st)
-	val2    []int64 // second receive buffer (GetDPair)
-	pos     []int32 // grouped position -> position in the caller's request list
-	offs    []int64 // per-owner segment offsets, len s+1
-	dropIdx []int32 // request filter: [0,drops) positions of dropped offload requests; [n-dups,n) positions of combined duplicates
-	keeper  []int32 // request filter: [n-dups,n) the keeper's position, per combined duplicate
-	opts    Options // options captured at build time
-	arrLen  int64   // length of the array the plan was built against (0 = unbuilt)
-	n       int     // original request count
-	k       int     // grouped request count (post-filter)
-	drops   int     // offload requests recorded in dropIdx (GetD builds only)
-	dups    int     // combined duplicates recorded in the dropIdx/keeper tails (GetDCombined only)
-	execs   int     // executions since the last build
+	req     []int64            // request indices grouped by owner (read by peers)
+	val     []int64            // grouped values (Set*) / receive buffer (GetD)
+	pos     []int32            // grouped position -> position in the caller's request list
+	offs    []int64            // per-owner segment offsets, len s+1
+	dropIdx []int32            // request filter: [0,drops) positions of dropped offload requests; [n-dups,n) positions of combined duplicates
+	keeper  []int32            // request filter: [n-dups,n) the keeper's position, per combined duplicate
+	opts    Options            // options captured at build time
+	arrLen  int64              // length of the array the plan was built against (-1 = unbuilt)
+	part    pgas.PartitionSpec // partition of the array the plan was built against
+	n       int                // original request count
+	k       int                // grouped request count (post-filter)
+	drops   int                // offload requests recorded in dropIdx (GetD builds only)
+	dups    int                // combined duplicates recorded in the dropIdx/keeper tails (GetDCombined only)
+	execs   int                // executions since the last build
 }
 
 // NewPlan allocates an empty Plan bound to c. Build it with PlanRequests.
@@ -77,6 +81,7 @@ func (c *Comm) NewPlan() *Plan {
 	}
 	for i := range p.pts {
 		p.pts[i].offs = make([]int64, c.s+1)
+		p.pts[i].arrLen = -1
 	}
 	if c.wire {
 		p.wid = c.rt.NewWinID()
@@ -110,6 +115,7 @@ func (p *Plan) planInto(kind string, th *pgas.Thread, op *serveOp, d *pgas.Share
 	pt := &p.pts[th.ID]
 	pt.opts = *opts
 	pt.arrLen = d.Len()
+	pt.part = d.Partition()
 	pt.n = len(indices)
 	pt.execs = 0
 	if op.combine == combineMin {
@@ -397,16 +403,21 @@ func (p *Plan) SetDMin(th *pgas.Thread, d *pgas.SharedArray, values []int64) {
 
 // run executes op on the built plan against d, after checking the caller's
 // slices against the planned request count and d against the planned
-// length.
+// distribution: the grouped layout names owners under the planned
+// partition, so any other one would serve requests from the wrong blocks.
 func (p *Plan) run(th *pgas.Thread, op *serveOp, d *pgas.SharedArray, values, out []int64) {
 	pt := &p.pts[th.ID]
-	checkArgs(op, pt.n, values, out, nil)
-	if pt.arrLen == 0 {
+	checkArgs(op, pt.n, values, out)
+	if pt.arrLen < 0 {
 		panic(fmt.Sprintf("collective: %s on an unbuilt plan (call PlanRequests first)", op.kind))
 	}
 	if d.Len() != pt.arrLen {
 		panic(fmt.Sprintf("collective: plan %s against %s of length %d, planned for length %d",
 			op.kind, d.Name(), d.Len(), pt.arrLen))
 	}
-	p.c.traced(op.kind, th, p, func() { p.c.exec(th, p, op, d, nil, values, out, nil) })
+	if part := d.Partition(); part.Kind != pt.part.Kind || part.Kind == pgas.SchemeHub && !slices.Equal(part.Hubs, pt.part.Hubs) {
+		panic(fmt.Sprintf("collective: plan %s against %s, whose %s partition is not the %s partition the plan was built for",
+			op.kind, d.Name(), part.Kind, pt.part.Kind))
+	}
+	p.c.traced(op.kind, th, p, func() { p.c.exec(th, p, op, d, values, out) })
 }

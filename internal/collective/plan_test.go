@@ -20,8 +20,9 @@ import (
 //   - re-executing an unchanged plan returns bit-identical results while
 //     charging strictly less simulated time (the skipped grouping sort
 //     and matrix publish), and performs zero scratch growths once warm;
-//   - executing an unbuilt plan, or one against a differently sized
-//     array, fails fast.
+//   - executing an unbuilt plan, or one against a differently sized or
+//     differently partitioned array, fails fast; one against another array
+//     of the planned distribution gathers that array at the planned indices.
 
 // planVariants is the subset of option vectors worth re-running the plan
 // laws under: the extremes, the slow-sort path, and the filtered build.
@@ -331,6 +332,68 @@ func TestPlanGuards(t *testing.T) {
 				}
 			}()
 			rt.Run(func(th *pgas.Thread) { tc.run(comm, th, d, other) })
+		})
+	}
+}
+
+// TestPlanPartitionGuard: a plan's grouped layout names owners under the
+// partition it was built against, so executing it against an equally long
+// array under another partition — another scheme, or the hub scheme over
+// other hubs — is refused before any barrier: served, its requests would
+// reach owners that do not hold them (cyclic -> block indexes past a
+// 16-element block). An array of the planned distribution is served, the
+// reuse every same-index gather of several arrays relies on.
+func TestPlanPartitionGuard(t *testing.T) {
+	block := pgas.PartitionSpec{}
+	cyclic := pgas.PartitionSpec{Kind: pgas.SchemeCyclic}
+	hubA := pgas.PartitionSpec{Kind: pgas.SchemeHub, Hubs: []int64{5, 40, 63}}
+	hubB := pgas.PartitionSpec{Kind: pgas.SchemeHub, Hubs: []int64{5, 41, 63}}
+	cases := []struct {
+		name           string
+		planned, other pgas.PartitionSpec
+		refused        bool
+	}{
+		{"block-to-cyclic", block, cyclic, true},
+		{"cyclic-to-block", cyclic, block, true},
+		{"hub-to-other-hubs", hubA, hubB, true},
+		{"block-to-block", block, block, false},
+		{"cyclic-to-cyclic", cyclic, cyclic, false},
+		{"hub-to-same-hubs", hubA, pgas.PartitionSpec{Kind: pgas.SchemeHub, Hubs: []int64{5, 40, 63}}, false},
+	}
+	const n = 64
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := testRT(t, 2, 2)
+			d := rt.NewSharedArrayPart("D", n, tc.planned)
+			other := rt.NewSharedArrayPart("Other", n, tc.other)
+			for i := int64(0); i < n; i++ {
+				other.StoreRaw(i, 3*i+1)
+			}
+			reqs := planReqs(rt.NumThreads(), 50, n)
+			comm := NewComm(rt)
+			p := comm.NewPlan()
+			var msg any
+			func() {
+				defer func() { msg = recover() }()
+				rt.Run(func(th *pgas.Thread) {
+					out := make([]int64, len(reqs[th.ID]))
+					p.PlanRequests(th, d, reqs[th.ID], Base(), nil) // no offload: D[0] is no pin here
+					p.GetD(th, other, out)
+					for j, ix := range reqs[th.ID] {
+						if out[j] != 3*ix+1 {
+							panic(fmt.Sprintf("thread %d: Other[%d] = %d, want %d", th.ID, ix, out[j], 3*ix+1))
+						}
+					}
+				})
+			}()
+			switch {
+			case !tc.refused && msg != nil:
+				t.Fatalf("same distribution refused or served wrong: %v", msg)
+			case tc.refused && msg == nil:
+				t.Fatal("a plan ran against another partition")
+			case tc.refused && !strings.Contains(fmt.Sprint(msg), "partition the plan was built for"):
+				t.Fatalf("panic %q is not the plan's partition refusal", fmt.Sprint(msg))
+			}
 		})
 	}
 }

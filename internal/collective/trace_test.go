@@ -83,7 +83,7 @@ func keptByMin(idx, vals []int64) int64 {
 	return k
 }
 
-// TestTraceContract: each of the eight one-shot collectives records, per
+// TestTraceContract: each of the seven one-shot collectives records, per
 // participant, one PlanBuild of the delivered count and then one
 // Collective under its kind (GetDCombined reports as GetD) with the
 // offered and delivered counts its filter implies; a caller-held plan
@@ -94,7 +94,6 @@ func TestTraceContract(t *testing.T) {
 	rt := testRT(t, 3, 2)
 	s := rt.NumThreads()
 	d := rt.NewSharedArray("D", n)
-	d2 := rt.NewSharedArray("D2", n)
 	reqs, vals := make([][]int64, s), make([][]int64, s)
 	for i := range reqs {
 		r := xrand.New(uint64(31 + i))
@@ -111,30 +110,27 @@ func TestTraceContract(t *testing.T) {
 	entries := []struct {
 		name, kind string
 		kept       func(idx, vals []int64) int64
-		call       func(th *pgas.Thread, idx, vals, out1, out2 []int64)
+		call       func(th *pgas.Thread, idx, vals, out []int64)
 	}{
-		{"GetD", "GetD", func(idx, _ []int64) int64 { return nonZero(idx) }, func(th *pgas.Thread, idx, _, out1, _ []int64) {
-			comm.GetD(th, d, idx, out1, opts, nil)
+		{"GetD", "GetD", func(idx, _ []int64) int64 { return nonZero(idx) }, func(th *pgas.Thread, idx, _, out []int64) {
+			comm.GetD(th, d, idx, out, opts, nil)
 		}},
-		{"GetDCombined", "GetD", func(idx, _ []int64) int64 { return distinctTargets(idx, true) }, func(th *pgas.Thread, idx, _, out1, _ []int64) {
-			comm.GetDCombined(th, d, idx, out1, opts)
+		{"GetDCombined", "GetD", func(idx, _ []int64) int64 { return distinctTargets(idx, true) }, func(th *pgas.Thread, idx, _, out []int64) {
+			comm.GetDCombined(th, d, idx, out, opts)
 		}},
-		{"SetD", "SetD", all, func(th *pgas.Thread, idx, vals, _, _ []int64) {
+		{"SetD", "SetD", all, func(th *pgas.Thread, idx, vals, _ []int64) {
 			comm.SetD(th, d, idx, vals, opts, nil)
 		}},
-		{"SetDMin", "SetDMin", keptByMin, func(th *pgas.Thread, idx, vals, _, _ []int64) {
+		{"SetDMin", "SetDMin", keptByMin, func(th *pgas.Thread, idx, vals, _ []int64) {
 			comm.SetDMin(th, d, idx, vals, opts, nil)
 		}},
-		{"SetDAdd", "SetDAdd", all, func(th *pgas.Thread, idx, vals, _, _ []int64) {
+		{"SetDAdd", "SetDAdd", all, func(th *pgas.Thread, idx, vals, _ []int64) {
 			comm.SetDAdd(th, d, idx, vals, opts, nil)
 		}},
-		{"GetDPair", "GetDPair", all, func(th *pgas.Thread, idx, _, out1, out2 []int64) {
-			comm.GetDPair(th, d, d2, idx, out1, out2, opts, nil)
-		}},
-		{"Exchange", "Exchange", all, func(th *pgas.Thread, idx, _, _, _ []int64) {
+		{"Exchange", "Exchange", all, func(th *pgas.Thread, idx, _, _ []int64) {
 			comm.Exchange(th, d, idx, opts, nil)
 		}},
-		{"ExchangePairs", "ExchangePairs", all, func(th *pgas.Thread, idx, vals, _, _ []int64) {
+		{"ExchangePairs", "ExchangePairs", all, func(th *pgas.Thread, idx, vals, _ []int64) {
 			comm.ExchangePairs(th, d, idx, vals, opts, nil)
 		}},
 	}
@@ -145,7 +141,7 @@ func TestTraceContract(t *testing.T) {
 			defer comm.SetTracer(nil)
 			rt.Run(func(th *pgas.Thread) {
 				i := th.ID
-				e.call(th, reqs[i], vals[i], make([]int64, k), make([]int64, k))
+				e.call(th, reqs[i], vals[i], make([]int64, k))
 			})
 			for i := 0; i < s; i++ {
 				kept := e.kept(reqs[i], vals[i])

@@ -6,9 +6,9 @@
 // parent, depth, preorder interval, and subtree size.
 //
 // The package composes three of this repository's systems: the spanning
-// forest (internal/cc), the multi-accumulator Wyllie ranking
-// (internal/listrank — whose per-round collective.Plan serves three
-// gathers from one grouping), and the exchange engine underneath both.
+// forest (internal/cc), the weighted Wyllie ranking (internal/listrank —
+// whose per-round collective.Plan serves both of a round's gathers from
+// one grouping), and the exchange engine underneath both.
 package euler
 
 import (
@@ -134,12 +134,8 @@ func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, roots []
 
 	// Phase 1: unweighted ranking orders the tour and decides arc
 	// directions (the earlier arc of each twin pair is the downward one).
-	ones := make([]int64, arcs)
-	for i := range ones {
-		ones[i] = 1
-	}
 	list := &listrank.List{N: arcs, Succ: succ}
-	r1 := listrank.WyllieMulti(rt, comm, list, ones, colOpts)
+	r1 := listrank.Wyllie(rt, comm, list, nil, colOpts)
 	st.Run.Add(r1.Run)
 
 	// down[p] reports whether arc p runs parent -> child.
@@ -149,7 +145,7 @@ func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, roots []
 		// Higher suffix count = earlier tour position. Process each
 		// pair once from its first CSR position.
 		if q > p {
-			down[p] = r1.Count[p] > r1.Count[q]
+			down[p] = r1.Ranks[p] > r1.Ranks[q]
 			down[q] = !down[p]
 		}
 	}
@@ -163,13 +159,13 @@ func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, roots []
 			w[p] = -1
 		}
 	}
-	r2 := listrank.WyllieMulti(rt, comm, list, w, colOpts)
+	r2 := listrank.Wyllie(rt, comm, list, w, colOpts)
 	st.Run.Add(r2.Run)
 	st.Rounds = st.Run.Rounds
 
 	// Arithmetic phase: derive the statistics.
-	// Tree length for positions: head arc h has Count = len-1, so
-	// pos(p) = Count(h) - Count(p).
+	// Tree length for positions: head arc h has rank len-1, so
+	// pos(p) = rank(h) - rank(p).
 	for p := int64(0); p < arcs; p++ {
 		if !down[p] {
 			continue
@@ -177,15 +173,15 @@ func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, roots []
 		u, v := rowOf[p], int64(csr.Adj[p])
 		q := twin[p]
 		st.Parent[v] = u
-		// Depth: prefix sum including p. The weighted suffix excludes
-		// the tail, whose weight w(tail) completes the telescoping:
-		// total per tree is 0, so depth(v) = w(p) - S_incl(p)
-		//                                  = 1 - (Weighted(p) + w(tail)).
+		// Depth: prefix sum including p. Phase 2's rank of p, the
+		// weighted suffix, excludes the tail, whose weight w(tail)
+		// completes the telescoping: total per tree is 0, so
+		// depth(v) = w(p) - S_incl(p) = 1 - (rank2(p) + w(tail)).
 		tailW := w[r2.Tail[p]]
-		st.Depth[v] = 1 - (r2.Weighted[p] + tailW)
+		st.Depth[v] = 1 - (r2.Ranks[p] + tailW)
 		// Subtree size from the two arcs' positions:
-		// size = (pos(q) - pos(p) + 1) / 2 = (Count(p) - Count(q) + 1) / 2.
-		st.SubtreeSize[v] = (r1.Count[p] - r1.Count[q] + 1) / 2
+		// size = (pos(q) - pos(p) + 1) / 2 = (rank(p) - rank(q) + 1) / 2.
+		st.SubtreeSize[v] = (r1.Ranks[p] - r1.Ranks[q] + 1) / 2
 	}
 	// Roots span their whole tree.
 	treeSize := make(map[int64]int64, len(headOf))
@@ -205,7 +201,7 @@ func Tour(rt *pgas.Runtime, comm *collective.Comm, forest *graph.Graph, roots []
 		}
 		v := int64(csr.Adj[p])
 		head := headOf[roots[v]]
-		pos := r1.Count[head] - r1.Count[p]
+		pos := r1.Ranks[head] - r1.Ranks[p]
 		st.Preorder[v] = (pos + st.Depth[v] + 3) / 2
 	}
 	return st

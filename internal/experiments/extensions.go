@@ -53,7 +53,7 @@ var listRank = Sweep{
 		{"CGM seq-step", func(v *view) string { return report.MS(seqStep(v)) }},
 		{"seq-step share", func(v *view) string { return fmt.Sprintf("%.0f%%", 100*seqStep(v)/v.ns("cgm")) }},
 		{"Wyllie/CGM", ratio("wyllie", "cgm")}},
-	notes: []string{"CGM's O(n) work beats Wyllie's O(n log n) here; the paper's criticism — the sequential",
+	notes: []string{"CGM's O(n) work beats Wyllie's O(n log n) up to 8 nodes; the paper's criticism — the sequential",
 		"step's cache-hostile share — grows as nodes shrink (left column up, share up)"},
 	check: func(v *view) error {
 		first, last := v, v.at(len(v.r.Points)-1)

@@ -1,7 +1,9 @@
 package listrank
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/sim"
+	"pgasgraph/internal/trace"
 )
 
 func newRuntime(t *testing.T, nodes, tpn int) *pgas.Runtime {
@@ -135,10 +138,10 @@ func distributedVariants() map[string]func(rt *pgas.Runtime, l *List) *Result {
 	opt := collective.Optimized(4)
 	return map[string]func(rt *pgas.Runtime, l *List) *Result{
 		"wyllie-base": func(rt *pgas.Runtime, l *List) *Result {
-			return Wyllie(rt, collective.NewComm(rt), l, nil)
+			return Wyllie(rt, collective.NewComm(rt), l, nil, nil)
 		},
 		"wyllie-optimized": func(rt *pgas.Runtime, l *List) *Result {
-			return Wyllie(rt, collective.NewComm(rt), l, opt)
+			return Wyllie(rt, collective.NewComm(rt), l, nil, opt)
 		},
 		"wyllie-naive": func(rt *pgas.Runtime, l *List) *Result {
 			return WyllieNaive(rt, l)
@@ -193,7 +196,7 @@ func TestDistributedProperty(t *testing.T) {
 		k := int64(kRaw)%n + 1
 		l := Chains(n, k, seed)
 		want := SeqRank(l)
-		w := Wyllie(rt, comm, l, collective.Optimized(2))
+		w := Wyllie(rt, comm, l, nil, collective.Optimized(2))
 		c := CGM(rt, comm, l, collective.Optimized(2))
 		return slices.Equal(w.Ranks, want) && slices.Equal(c.Ranks, want)
 	}
@@ -205,7 +208,7 @@ func TestDistributedProperty(t *testing.T) {
 func TestWyllieRoundsLogarithmic(t *testing.T) {
 	rt := newRuntime(t, 4, 2)
 	l := RandomList(1024, 3)
-	res := Wyllie(rt, collective.NewComm(rt), l, collective.Optimized(2))
+	res := Wyllie(rt, collective.NewComm(rt), l, nil, collective.Optimized(2))
 	// ceil(log2(1024)) = 10; allow slack for the retirement round.
 	if res.Rounds > 12 {
 		t.Fatalf("Wyllie took %d rounds for n=1024, want ~10", res.Rounds)
@@ -234,35 +237,48 @@ func TestSeqRankTimed(t *testing.T) {
 	}
 }
 
+// TestWyllieMultiInvariants: with weights, Ranks is the weighted suffix
+// sum over [i, tail) and Tail each node's chain tail — with any weights,
+// the ±1 of the Euler tour's depth pass among them — and with nil weights
+// Ranks is the plain rank.
 func TestWyllieMultiInvariants(t *testing.T) {
 	rt := newRuntime(t, 3, 2)
 	comm := collective.NewComm(rt)
 	l := Chains(120, 3, 9)
-	w := make([]int64, l.N)
-	rng := func(i int64) int64 { return (i*7919 + 13) % 101 }
-	for i := range w {
-		w[i] = rng(int64(i))
+	mod := make([]int64, l.N)
+	pm := make([]int64, l.N)
+	for i := range mod {
+		mod[i] = (int64(i)*7919 + 13) % 101
+		pm[i] = int64(i%3)%2*2 - 1 // -1, 1, -1, -1, 1, -1, ...
 	}
-	res := WyllieMulti(rt, comm, l, w, collective.Optimized(2))
-
-	// Count must equal the plain ranks.
-	want := SeqRank(l)
-	if !slices.Equal(res.Count, want) {
-		t.Fatal("multi Count differs from plain ranks")
+	plain := Wyllie(rt, comm, l, nil, collective.Optimized(2))
+	if want := SeqRank(l); !slices.Equal(plain.Ranks, want) {
+		t.Fatal("unit-weight ranks differ from the sequential ranks")
 	}
-	// Tail must be each node's chain tail; Weighted must be the suffix
-	// sum excluding the tail.
-	for i := int64(0); i < l.N; i++ {
-		tail, sum := i, int64(0)
-		for int64(l.Succ[tail]) != tail {
-			sum += w[tail]
-			tail = int64(l.Succ[tail])
+	for name, w := range map[string][]int64{"unit": nil, "mod101": mod, "plusminus": pm} {
+		res := plain
+		if w != nil {
+			res = Wyllie(rt, comm, l, w, collective.Optimized(2))
 		}
-		if res.Tail[i] != tail {
-			t.Fatalf("Tail[%d] = %d, want %d", i, res.Tail[i], tail)
+		for i := int64(0); i < l.N; i++ {
+			tail, sum := i, int64(0)
+			for int64(l.Succ[tail]) != tail {
+				if w == nil {
+					sum++
+				} else {
+					sum += w[tail]
+				}
+				tail = int64(l.Succ[tail])
+			}
+			if res.Tail[i] != tail {
+				t.Fatalf("%s: Tail[%d] = %d, want %d", name, i, res.Tail[i], tail)
+			}
+			if res.Ranks[i] != sum {
+				t.Fatalf("%s: Ranks[%d] = %d, want the suffix sum %d", name, i, res.Ranks[i], sum)
+			}
 		}
-		if res.Weighted[i] != sum {
-			t.Fatalf("Weighted[%d] = %d, want %d", i, res.Weighted[i], sum)
+		if res.Rounds != plain.Rounds {
+			t.Fatalf("%s: %d rounds, unit weights took %d", name, res.Rounds, plain.Rounds)
 		}
 	}
 }
@@ -270,11 +286,30 @@ func TestWyllieMultiInvariants(t *testing.T) {
 func TestWyllieMultiRejectsBadWeights(t *testing.T) {
 	rt := newRuntime(t, 1, 2)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("weight length mismatch did not panic")
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "1 weights for 2 nodes") {
+			t.Fatalf("weight length mismatch: recovered %v", r)
 		}
 	}()
-	WyllieMulti(rt, collective.NewComm(rt), fixedList(1, 1), []int64{1}, nil)
+	Wyllie(rt, collective.NewComm(rt), fixedList(1, 1), []int64{1}, nil)
+}
+
+// TestWylliePlansOncePerRound: a round gathers S[S[i]] and R[S[i]] at the
+// same indices, so every thread builds one plan per round and executes it
+// twice — one build and one reuse a round, two GetDs.
+func TestWylliePlansOncePerRound(t *testing.T) {
+	rt := newRuntime(t, 4, 2)
+	comm := collective.NewComm(rt)
+	tr := trace.NewCollector(rt.NumThreads())
+	comm.SetTracer(tr)
+	res := Wyllie(rt, comm, RandomList(1024, 3), nil, collective.Optimized(2))
+	rounds := int64(res.Rounds)
+	if rounds == 0 {
+		t.Fatal("no rounds ran")
+	}
+	if b, r, g := tr.PlanBuilds(), tr.PlanReuses(), tr.Calls("GetD"); b != rounds || r != rounds || g != 2*rounds {
+		t.Fatalf("%d rounds: %d plan builds, %d reuses and %d GetDs per thread; want %d, %d and %d",
+			rounds, b, r, g, rounds, rounds, 2*rounds)
+	}
 }
 
 func TestCGMMatchesAtManyGeometries(t *testing.T) {
@@ -286,37 +321,5 @@ func TestCGMMatchesAtManyGeometries(t *testing.T) {
 		if !slices.Equal(res.Ranks, want) {
 			t.Fatalf("p=%d t=%d: CGM ranks wrong", geo.nodes, geo.tpn)
 		}
-	}
-}
-
-func TestWyllieFusedMatches(t *testing.T) {
-	for _, geo := range []struct{ nodes, tpn int }{{1, 2}, {4, 2}} {
-		rt := newRuntime(t, geo.nodes, geo.tpn)
-		comm := collective.NewComm(rt)
-		for name, l := range map[string]*List{
-			"random": RandomList(400, 5),
-			"chains": Chains(300, 6, 7),
-			"tiny":   fixedList(1, 1),
-		} {
-			want := SeqRank(l)
-			res := WyllieFused(rt, comm, l, collective.Optimized(2))
-			if !slices.Equal(res.Ranks, want) {
-				t.Fatalf("%s: fused ranks wrong", name)
-			}
-		}
-	}
-}
-
-func TestWyllieFusedCheaper(t *testing.T) {
-	rt := newRuntime(t, 8, 2)
-	comm := collective.NewComm(rt)
-	l := RandomList(20000, 9)
-	plain := Wyllie(rt, comm, l, collective.Optimized(2))
-	fused := WyllieFused(rt, comm, l, collective.Optimized(2))
-	if !slices.Equal(plain.Ranks, fused.Ranks) {
-		t.Fatal("variants disagree")
-	}
-	if fused.Run.SimNS >= plain.Run.SimNS {
-		t.Fatalf("fused (%.0f) not cheaper than plain (%.0f)", fused.Run.SimNS, plain.Run.SimNS)
 	}
 }

@@ -1,6 +1,8 @@
 package listrank
 
 import (
+	"fmt"
+
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/sim"
@@ -11,10 +13,17 @@ import (
 const maxRounds = 128
 
 // Wyllie runs the classic pointer-jumping list ranking on the PGAS
-// runtime with coalesced collectives: per round, every active node fetches
-// its successor's successor and rank contribution through two GetD calls,
-// then doubles locally. The invariant R[i] = distance(i -> S[i]) holds
-// throughout; a node retires once its successor is a tail.
+// runtime with coalesced collectives, carrying a weighted suffix sum: per
+// round, every active node fetches its successor's successor and rank
+// contribution, then doubles locally. Both fetches read at the same
+// indices, so each round builds one collective.Plan over the active
+// successors and executes it against S and then R: the grouping sort and
+// matrix publish are paid once for the two gathers. The invariant
+//
+//	R[i] = sum of w over [i, S[i])   (i inclusive, S[i] exclusive)
+//
+// holds throughout; a node retires once its successor is a tail. A nil w
+// means unit weights, for which R is the hop count: the list rank.
 //
 // The offload optimization does not apply (no list location is constant),
 // so it is force-disabled.
@@ -24,29 +33,25 @@ const maxRounds = 128
 // lock step — restoring a cut where rank has absorbed a jump that next has
 // not (or vice versa) double-counts or loses distance. After an eviction
 // list ranking recovers by full deterministic re-execution.
-func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options) *Result {
-	return wyllie(rt, comm, l, colOpts, "listrank.Wyllie", false)
-}
-
-// WyllieFused is Wyllie with the fused GetDPair collective: each round
-// fetches S[S[i]] and R[S[i]] through one grouping and one setup exchange
-// instead of two — the beyond-paper optimization measured by
-// BenchmarkAblationFusedPair, applied to a full kernel.
-func WyllieFused(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options) *Result {
-	return wyllie(rt, comm, l, colOpts, "listrank.WyllieFused", true)
-}
-
-func wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options, name string, fused bool) *Result {
+func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, w []int64, colOpts *collective.Options) *Result {
+	if w != nil && int64(len(w)) != l.N {
+		panic(fmt.Sprintf("listrank: %d weights for %d nodes", len(w), l.N))
+	}
 	col := collective.Sanitize(colOpts, false) // no offload: inapplicable to list ranking
 	s := rt.NewSharedArray("S", l.N)
 	r := rt.NewSharedArray("R", l.N)
 	for i := int64(0); i < l.N; i++ {
 		s.StoreRaw(i, int64(l.Succ[i]))
 		if int64(l.Succ[i]) != i {
-			r.StoreRaw(i, 1)
+			if w == nil {
+				r.StoreRaw(i, 1)
+			} else {
+				r.StoreRaw(i, w[i])
+			}
 		}
 	}
 	red := pgas.NewOrReducer(rt)
+	plan := comm.NewPlan() // rebuilt each round, executed against S and R
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := s.ThreadCover(th.ID)
@@ -66,7 +71,7 @@ func wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collectiv
 		rs := make([]int64, span)
 		th.Barrier()
 
-		red.Loop(th, name, maxRounds, func(int) bool {
+		red.Loop(th, "listrank.Wyllie", maxRounds, func(int) bool {
 			k := len(active)
 			for j, i := range active {
 				idx[j] = s.LoadRaw(i)
@@ -74,32 +79,34 @@ func wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collectiv
 			th.ChargeSeq(sim.CatCopy, int64(k))
 
 			// Fetch S[S[i]] and R[S[i]] for every active node.
-			if fused {
-				comm.GetDPair(th, s, r, idx[:k], ss[:k], rs[:k], col, nil)
-			} else {
-				comm.GetD(th, s, idx[:k], ss[:k], col, nil)
-				comm.GetD(th, r, idx[:k], rs[:k], col, nil)
-			}
+			plan.PlanRequests(th, s, idx[:k], col, nil)
+			plan.GetD(th, s, ss[:k])
+			plan.GetD(th, r, rs[:k])
 
 			// Double: R[i] += R[S[i]]; S[i] = S[S[i]]. Retire nodes whose
 			// successor was already a tail (no change).
-			w := 0
+			live := 0
 			for j, i := range active {
 				if ss[j] == idx[j] {
 					continue // S[i] is a tail: i is finished
 				}
 				r.StoreRaw(i, r.LoadRaw(i)+rs[j])
 				s.StoreRaw(i, ss[j])
-				active[w] = i
-				w++
+				active[live] = i
+				live++
 			}
-			active = active[:w]
+			active = active[:live]
 			th.ChargeSeq(sim.CatCopy, 3*int64(k))
-			return w > 0
+			return live > 0
 		})
 	})
 
-	return &Result{Ranks: append([]int64(nil), r.Raw()...), Rounds: run.Rounds, Run: run}
+	return &Result{
+		Ranks:  append([]int64(nil), r.Raw()...),
+		Tail:   append([]int64(nil), s.Raw()...),
+		Rounds: run.Rounds,
+		Run:    run,
+	}
 }
 
 // WyllieNaive is the literal translation: per-element one-sided reads and

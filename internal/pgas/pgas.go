@@ -901,6 +901,11 @@ func (a *SharedArray) Len() int64 { return a.n }
 // Name returns the diagnostic name the array was allocated with.
 func (a *SharedArray) Name() string { return a.name }
 
+// Partition returns the array's partition scheme. Two arrays of one length
+// and one runtime share their owners exactly when their specs have the same
+// kind and, for the hub scheme, the same hub list.
+func (a *SharedArray) Partition() PartitionSpec { return a.part }
+
 // Owner returns the thread id owning element i under the array's
 // partition scheme. Out-of-range indices are a classified misuse, never
 // a silently mis-attributed owner.

@@ -32,9 +32,6 @@ const (
 	// WinPlanVal is one thread's value receive/serve buffer of a plan
 	// (Sub = owning thread id).
 	WinPlanVal
-	// WinPlanVal2 is one thread's secondary value buffer, used by the
-	// pair-receiving collectives (Sub = owning thread id).
-	WinPlanVal2
 	// WinMatS is a plan's SMatrix (request counts, Sub unused).
 	WinMatS
 	// WinMatP is a plan's PMatrix (request offsets, Sub unused).

@@ -22,7 +22,7 @@ const unreached = int64(math.MaxInt64)
 func TestHeaderRoundTrip(t *testing.T) {
 	h := header{
 		typ: frGetResp, status: stBadWindow, width: 5,
-		w:   pgas.Win{Kind: pgas.WinPlanVal2, ID: 0xdeadbeef, Sub: -3},
+		w:   pgas.Win{Kind: pgas.WinReduce, ID: 0xdeadbeef, Sub: -3},
 		off: -1 << 40, count: 1 << 33, reqID: math.MaxUint64, crc: 0x1234abcd,
 	}
 	var b [headerLen]byte

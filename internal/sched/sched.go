@@ -196,7 +196,7 @@ const (
 	// collective layer's SetDAdd semantics — all competing writers
 	// contribute, order-independent over integers).
 	OpAdd
-	// OpGet reads the location (the gather of GetD and GetDPair).
+	// OpGet reads the location (the gather of GetD).
 	OpGet
 )
 

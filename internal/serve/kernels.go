@@ -197,11 +197,6 @@ func onGraph[R any](k func(*pgas.Runtime, *collective.Comm, *graph.Graph, *colle
 	return func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any { return k(rt, comm, s.Graph, s.Col) }
 }
 
-// onList: the same over the list.
-func onList[R any](k func(*pgas.Runtime, *collective.Comm, *listrank.List, *collective.Options) R) runFunc {
-	return func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any { return k(rt, comm, s.List, s.Col) }
-}
-
 // onDetail adapts an oracle that reads the package's own result type.
 func onDetail[R any](check func(*graph.Graph, R) error) verifyFunc {
 	return func(s *KernelSpec, res *KernelResult) error { return check(s.Graph, res.Detail.(R)) }
@@ -261,8 +256,14 @@ var registry = []kernelEntry{
 			return mst.Coalesced(rt, comm, s.Graph, &mst.Options{Col: s.Col, Compact: s.Compact})
 		}},
 	{name: "mst/naive", weighted: true, run: oneSided(mst.Naive), verify: onDetail(mst.VerifyForest)},
-	{name: "listrank/wyllie", list: true, run: onList(listrank.Wyllie), verify: verifyRanks},
-	{name: "listrank/cgm", list: true, run: onList(listrank.CGM), verify: verifyRanks},
+	{name: "listrank/wyllie", list: true, verify: verifyRanks,
+		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
+			return listrank.Wyllie(rt, comm, s.List, nil, s.Col)
+		}},
+	{name: "listrank/cgm", list: true, verify: verifyRanks,
+		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
+			return listrank.CGM(rt, comm, s.List, s.Col)
+		}},
 	{name: "mis/luby", run: onGraph(mis.Luby), verify: onDetail(mis.VerifySet)},
 	{name: "triangle/count", run: onGraph(triangle.Count), verify: onDetail(triangle.Verify)},
 	{name: "bcc/tarjan-vishkin", run: onGraph(bcc.TarjanVishkin), verify: onDetail(bcc.Verify)},

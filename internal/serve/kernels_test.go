@@ -46,7 +46,7 @@ func TestRunKernelMatchesDirect(t *testing.T) {
 		}},
 		{KernelSpec{Kernel: "cc/merge-cgm", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return cc.MergeCGM(rt, g) }},
 		{KernelSpec{Kernel: "cc/bipartite", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return cc.Bipartite(rt, comm, g, opts) }},
-		{KernelSpec{Kernel: "listrank/wyllie", List: l}, func(rt *pgas.Runtime, comm *collective.Comm) any { return listrank.Wyllie(rt, comm, l, col) }},
+		{KernelSpec{Kernel: "listrank/wyllie", List: l}, func(rt *pgas.Runtime, comm *collective.Comm) any { return listrank.Wyllie(rt, comm, l, nil, col) }},
 		{KernelSpec{Kernel: "listrank/cgm", List: l}, func(rt *pgas.Runtime, comm *collective.Comm) any { return listrank.CGM(rt, comm, l, col) }},
 		{KernelSpec{Kernel: "mis/luby", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return mis.Luby(rt, comm, g, col) }},
 		{KernelSpec{Kernel: "triangle/count", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return triangle.Count(rt, comm, g, col) }},

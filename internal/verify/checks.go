@@ -95,8 +95,7 @@ func Checks() []Check {
 		{Name: "mis/luby", Applicable: always, Kernel: "mis/luby"},
 		{Name: "listrank/wyllie", Applicable: always, Kernel: "listrank/wyllie"},
 		{Name: "listrank/cgm", Applicable: always, Kernel: "listrank/cgm", Twin: "listrank/wyllie"},
-		// WyllieFused is a variant of the wyllie row, not a row of its own.
-		{Name: "listrank/fused", Applicable: always, Run: checkFused},
+		{Name: "triangle/count", Applicable: always, Kernel: "triangle/count"},
 		// Spanning forest then Euler tour — the BCC pipeline's first two
 		// stages — is what the registry's spanning-forest row runs.
 		{Name: "euler/tour", Applicable: always, Kernel: "spanning-forest"},
@@ -449,15 +448,10 @@ func checkPlanReuse(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 	return nil
 }
 
-// --- The two kernels without a registry row ----------------------------
+// --- The kernel without a registry row ----------------------------------
 
 func checkSpanningForest(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 	o := t.Opts
 	return cc.VerifySpanningForest(t.Graph,
 		cc.SpanningTree(rt, comm, t.Graph, &cc.Options{Col: &o, Compact: t.Compact}))
-}
-
-func checkFused(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
-	o := t.Opts
-	return listrank.VerifyRanks(t.List, listrank.WyllieFused(rt, comm, t.List, &o).Ranks)
 }

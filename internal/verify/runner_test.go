@@ -22,7 +22,7 @@ func TestBatteryPinned(t *testing.T) {
 		"collective/getd-law", "collective/setd-roundtrip", "collective/setdmin-law", "collective/plan-reuse",
 		"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers", "cc/naive", "cc/merge-cgm",
 		"cc/spanning-forest", "cc/bipartite", "mst/coalesced", "mst/naive", "bfs/coalesced", "bfs/naive",
-		"sssp/delta-stepping", "mis/luby", "listrank/wyllie", "listrank/cgm", "listrank/fused", "euler/tour",
+		"sssp/delta-stepping", "mis/luby", "listrank/wyllie", "listrank/cgm", "triangle/count", "euler/tour",
 		"bcc/tarjan-vishkin", "serve/dispatch", "serve/query-batch", "serve/incremental-cc",
 	}
 	wantWire := []string{
@@ -56,11 +56,7 @@ func TestBatteryPinned(t *testing.T) {
 // be silently left out of the harness — and every kernel a row names is a
 // registry row.
 func TestBatteryCoversRegistry(t *testing.T) {
-	excluded := map[string]bool{
-		// Appending a row moves the chaos rotation (TestBatteryPinned); the
-		// kernel is held to its oracle by the root TestRunEveryKernel.
-		"triangle/count": true,
-	}
+	excluded := map[string]bool{}
 	named := map[string]bool{}
 	for _, c := range Checks() {
 		for _, k := range []string{c.Kernel, c.Twin} {

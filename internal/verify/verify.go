@@ -9,12 +9,12 @@
 // oracle (serve.Verify); its Twin, a second registry kernel run on the same
 // cluster, must reproduce Kernel's labels or ranks bit for bit; Canonical
 // demands the labels equal seq.CC exactly; Wire puts the row in the subset
-// that must pass identically over the socket transport. Four kinds of row
+// that must pass identically over the socket transport. Three kinds of row
 // keep a Run func because there is no registry row to name: the collective
 // laws (they test the collectives, not a kernel), the serve/* checks (they
-// test the Service and the dispatch seam itself), cc/spanning-forest (the
-// forest kernel without the Euler tour the registry row appends) and
-// listrank/fused (a variant of the wyllie row). Where a row runs is an Env:
+// test the Service and the dispatch seam itself) and cc/spanning-forest (the
+// forest kernel without the Euler tour the registry row appends). Where a
+// row runs is an Env:
 // collective fault, chaos schedule, recovery supervisor, in process or as a
 // hosted wire cluster or on a connected seat.
 //
