@@ -109,12 +109,6 @@ func main() {
 		}
 		fmt.Printf("reached:     %d of %d vertices from source %d\n", reached, g.N, spec.Src)
 	}
-	switch d := res.Detail.(type) { // the headline numbers no uniform field carries
-	case *pgasgraph.TriangleResult:
-		fmt.Printf("triangles:   %d\n", d.Triangles)
-	case *pgasgraph.BCCResult:
-		fmt.Printf("blocks:      %d\n", d.Blocks)
-	}
 	fmt.Printf("iterations:  %d\n", res.Iterations)
 	fmt.Printf("simulated:   %.2f ms\n", res.Run.SimMS())
 	fmt.Printf("wall:        %v\n", res.Run.Wall)

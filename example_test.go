@@ -85,30 +85,6 @@ func ExampleCluster_Run_sssp() {
 	// Output: [0 5 12]
 }
 
-// ExampleCluster_Run_bipartite shows two-colorability per component.
-func ExampleCluster_Run_bipartite() {
-	// An even cycle (bipartite) next to a triangle (not).
-	g := &pgasgraph.Graph{
-		N: 7,
-		U: []int32{0, 1, 2, 3, 4, 5, 6},
-		V: []int32{1, 2, 3, 0, 5, 6, 4},
-	}
-	res, _ := exampleCluster(2).Run(pgasgraph.KernelSpec{Kernel: "cc/bipartite", Graph: g})
-	verdict := res.Detail.(*pgasgraph.BipartiteResult).ComponentBipartite
-	fmt.Println(verdict[0], verdict[4])
-	// Output: true false
-}
-
-// ExampleCluster_Run_mis shows Luby's algorithm with the certificate
-// checker: Verify tests the set against the definition (independent and
-// maximal), since maximal independent sets are not unique.
-func ExampleCluster_Run_mis() {
-	spec := pgasgraph.KernelSpec{Kernel: "mis/luby", Graph: pgasgraph.RandomGraph(1000, 4000, 7)}
-	res, _ := exampleCluster(2).Run(spec)
-	fmt.Println(pgasgraph.Verify(spec, res) == nil)
-	// Output: true
-}
-
 // ExampleCluster_Run_spanningForest shows forest extraction riding on CC.
 func ExampleCluster_Run_spanningForest() {
 	g := pgasgraph.RandomGraph(100, 300, 9)

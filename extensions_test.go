@@ -7,9 +7,9 @@ import (
 
 // The per-kernel tests below run through Cluster.Run like every caller;
 // run checks each result against the kernel's sequential oracle (the
-// union-find, chain-walk, queue-BFS, Dijkstra, Hopcroft-Tarjan, parity-BFS
-// and exact-count comparisons these tests used to spell out by hand), so
-// what is left in each body is what the oracle does not say.
+// union-find, chain-walk, queue-BFS and Dijkstra comparisons these tests
+// used to spell out by hand), so what is left in each body is what the
+// oracle does not say.
 
 func TestSpanningForestAPI(t *testing.T) {
 	g := RandomGraph(400, 1200, 17)
@@ -114,15 +114,6 @@ func TestCCMergeAPI(t *testing.T) {
 	}
 }
 
-func TestBCCAPI(t *testing.T) {
-	g := RandomGraph(150, 350, 31)
-	res := run(t, smallCluster(t), optimized("bcc/tarjan-vishkin", g, 2))
-	d := res.Detail.(*BCCResult)
-	if d.Blocks <= 0 || int64(len(d.EdgeBlock)) != g.M() || int64(len(d.Articulation)) != g.N {
-		t.Fatalf("blocks = %d over %d edge labels, %d vertex flags", d.Blocks, len(d.EdgeBlock), len(d.Articulation))
-	}
-}
-
 func TestShortestPathsAPI(t *testing.T) {
 	spec := optimized("sssp/delta-stepping", WithRandomWeights(RandomGraph(300, 900, 41), 42), 2)
 	spec.Src = 5
@@ -130,40 +121,4 @@ func TestShortestPathsAPI(t *testing.T) {
 	if res.Dist[5] != 0 || res.Detail.(*SSSPResult).Relaxations <= 0 {
 		t.Fatalf("dist[src] = %d, %d relaxations", res.Dist[5], res.Detail.(*SSSPResult).Relaxations)
 	}
-}
-
-func TestMISAPI(t *testing.T) {
-	res := run(t, smallCluster(t), optimized("mis/luby", HybridGraph(500, 1500, 51), 2))
-	if res.Iterations <= 0 || res.Iterations != res.Detail.(*MISResult).Rounds {
-		t.Fatal("no rounds recorded")
-	}
-}
-
-func TestBipartiteAPI(t *testing.T) {
-	g := Disjoint2ForTest() // two isolated edges: bipartite everywhere
-	res := run(t, smallCluster(t), optimized("cc/bipartite", g, 2))
-	d := res.Detail.(*BipartiteResult)
-	if res.Components != 2 || len(d.ComponentBipartite) != 2 {
-		t.Fatalf("%d components, %d verdicts, want 2 and 2", res.Components, len(d.ComponentBipartite))
-	}
-	for _, bip := range d.ComponentBipartite {
-		if !bip {
-			t.Fatal("matching reported non-bipartite")
-		}
-	}
-	for i := range g.U {
-		if d.Side[g.U[i]] == d.Side[g.V[i]] {
-			t.Fatal("coloring not proper")
-		}
-	}
-}
-
-func TestTrianglesAPI(t *testing.T) {
-	c := smallCluster(t)
-	// K4 has four triangles; a hybrid graph is checked by run's oracle.
-	k4 := &Graph{N: 4, U: []int32{0, 0, 0, 1, 1, 2}, V: []int32{1, 2, 3, 2, 3, 3}}
-	if res := run(t, c, KernelSpec{Kernel: "triangle/count", Graph: k4}); res.Detail.(*TriangleResult).Triangles != 4 {
-		t.Fatalf("K4 has %d triangles, want 4", res.Detail.(*TriangleResult).Triangles)
-	}
-	run(t, c, optimized("triangle/count", HybridGraph(250, 1200, 61), 2))
 }

@@ -51,25 +51,3 @@ func VerifySpanningForest(g *graph.Graph, sf *SpanningForest) error {
 	}
 	return nil
 }
-
-// VerifyBipartite checks a Bipartite result against the sequential
-// parity-BFS oracle: the component labels against union-find, one verdict
-// per component — none under a label that names no component — and each
-// verdict against the oracle's.
-func VerifyBipartite(g *graph.Graph, res *BipartiteResult) error {
-	if err := VerifyLabels(g, res.Component); err != nil {
-		return err
-	}
-	want := seqBipartite(g)
-	if len(res.ComponentBipartite) != len(want) {
-		return fmt.Errorf("bipartite: %d component verdicts, oracle has %d",
-			len(res.ComponentBipartite), len(want))
-	}
-	for label, bip := range want {
-		if got, ok := res.ComponentBipartite[label]; !ok || got != bip {
-			return fmt.Errorf("bipartite: component %d reported %v (present=%v), oracle says %v",
-				label, got, ok, bip)
-		}
-	}
-	return nil
-}

@@ -3,9 +3,8 @@
 // accesses into bulk-synchronous, coalesced communication.
 //
 // GetD is a coordinated concurrent read, SetD an arbitrary concurrent
-// write, SetDMin a priority (minimum-wins) concurrent write — the
-// primitive that lets the MST kernel drop its fine-grained locks (§IV.A) —
-// and SetDAdd an additive concurrent write.
+// write, and SetDMin a priority (minimum-wins) concurrent write — the
+// primitive that lets the MST kernel drop its fine-grained locks (§IV.A).
 //
 // Every collective call runs in two phases separated by a barrier:
 //
@@ -422,15 +421,6 @@ func (c *Comm) SetD(th *pgas.Thread, d *pgas.SharedArray, indices, values []int6
 // on the values, not on the index list alone.
 func (c *Comm) SetDMin(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
 	c.once(th, opSetDMin, d, indices, values, nil, opts, cache)
-}
-
-// SetDAdd scatters D[indices[j]] += values[j] collectively (additive
-// concurrent write: unlike SetD's arbitrary write, every request
-// contributes, and the result is order-independent). Degree counting and
-// histogram-style reductions use it in place of a gather-modify-scatter
-// round trip.
-func (c *Comm) SetDAdd(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.once(th, opSetDAdd, d, indices, values, nil, opts, cache)
 }
 
 // Exchange is the personalized all-to-all underlying the paper's

@@ -65,7 +65,6 @@ var (
 	opGetDCombined  = &serveOp{kind: "GetD", gathers: true, allowFiltered: true, combine: combineIndex, serve: serveGather, finish: finishPermute}
 	opSetD          = &serveOp{kind: "SetD", hasValues: true, mutates: true, serve: serveScatterSet, finish: finishNone}
 	opSetDMin       = &serveOp{kind: "SetDMin", hasValues: true, allowFiltered: true, combine: combineMin, mutates: true, serve: serveScatterMin, finish: finishNone}
-	opSetDAdd       = &serveOp{kind: "SetDAdd", hasValues: true, mutates: true, serve: serveScatterAdd, finish: finishNone}
 	opExchange      = &serveOp{kind: "Exchange", serve: serveRoute, finish: finishNone}
 	opExchangePairs = &serveOp{kind: "ExchangePairs", hasValues: true, serve: serveRoutePairs, finish: finishNone}
 )
@@ -118,8 +117,8 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.SharedArray, 
 // safe: a gather re-pulls and re-pushes the same segments (overwriting any
 // partially delivered or damaged words with identical clean ones), and a
 // scatter's mutation of its owned elements is rolled back from a pre-serve
-// snapshot before each replay, making SetD, SetDMin, and SetDAdd idempotent
-// under retry. Exhausting the attempt budget raises a classified ErrTimeout
+// snapshot before each replay, making SetD and SetDMin idempotent under
+// retry. Exhausting the attempt budget raises a classified ErrTimeout
 // through the barrier-poisoning path, so peers unwind instead of hanging at
 // the post-serve barrier.
 //
@@ -357,10 +356,6 @@ func serveScatterMin(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opt
 		op = sched.OpMax
 	}
 	return c.serveScatter(th, p, d, opts, op)
-}
-
-func serveScatterAdd(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
-	return c.serveScatter(th, p, d, opts, sched.OpAdd)
 }
 
 // serveRoute is Exchange's serve phase: copy every peer's grouped segment

@@ -181,9 +181,9 @@ func TestValidateGeometry(t *testing.T) {
 // requester still owns — and the replay answers every request right.
 // Corruption is armed at a rate that hits pulls of both nodes many times
 // over; the planned GetD's grouped requests are compared word for
-// word after the call, its answers with D, and the one-shot SetDAdd's D
-// with the sequential add-scatter (an add, unlike a min-write, shows any
-// damaged value it applies).
+// word after the call, its answers with D, and the one-shot SetD's D with
+// the values written (each index is written once, by one thread, so D
+// shows any damaged value the scatter applies).
 func TestCorruptPullLeavesPeerBuffersAlone(t *testing.T) {
 	const n, k = 1 << 12, 2000
 	rt := testRT(t, 2, 2)
@@ -195,13 +195,13 @@ func TestCorruptPullLeavesPeerBuffersAlone(t *testing.T) {
 		d.Raw()[i] = rng.Int64n(1 << 30)
 	}
 	data, want := slices.Clone(d.Raw()), slices.Clone(d.Raw())
-	reqs, vals := planReqs(s, k, n), make([][]int64, s)
-	for i := range vals {
-		vals[i] = make([]int64, k)
-		for j, ix := range reqs[i] {
-			vals[i][j] = rng.Int64n(1 << 30)
-			want[ix] += 8 * vals[i][j]
-		}
+	reqs := planReqs(s, k, n)
+	writes, vals := make([][]int64, s), make([][]int64, s)
+	for ix := int64(0); ix < n; ix++ {
+		i := rng.Intn(s)
+		writes[i] = append(writes[i], ix)
+		vals[i] = append(vals[i], rng.Int64n(1<<30))
+		want[ix] = vals[i][len(vals[i])-1]
 	}
 	comm := NewComm(rt)
 	plan := comm.NewPlan()
@@ -217,7 +217,7 @@ func TestCorruptPullLeavesPeerBuffersAlone(t *testing.T) {
 			plan.GetD(th, d, outs[th.ID])
 		}
 		for range 8 {
-			comm.SetDAdd(th, d, reqs[th.ID], vals[th.ID], Base(), nil)
+			comm.SetD(th, d, writes[th.ID], vals[th.ID], Base(), nil)
 		}
 	})
 	if c := rt.ChaosStats().Corrupts; c < 20 {
@@ -234,6 +234,6 @@ func TestCorruptPullLeavesPeerBuffersAlone(t *testing.T) {
 		}
 	}
 	if !slices.Equal(d.Raw(), want) {
-		t.Fatal("SetDAdd under corrupt pulls differs from the sequential add-scatter")
+		t.Fatal("SetD under corrupt pulls differs from the values written")
 	}
 }

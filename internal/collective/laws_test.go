@@ -347,59 +347,6 @@ func TestExchangePairsStayAligned(t *testing.T) {
 	}
 }
 
-// TestSetDAddMatchesAddScatter: concurrent additive writes over
-// duplicate-heavy index lists must equal the sequential add-scatter
-// oracle — addition is commutative, so every writer contributes exactly
-// once regardless of serve order. SetDAdd never offload-filters (dropping
-// a contribution would change the sum), so index 0 participates normally
-// even under the offload variants.
-func TestSetDAddMatchesAddScatter(t *testing.T) {
-	const n = 120
-	for _, geo := range lawGeometries {
-		rt := testRT(t, geo.nodes, geo.tpn)
-		s := rt.NumThreads()
-		for name, opts := range optionVariants() {
-			t.Run(fmt.Sprintf("%dx%d/%s", geo.nodes, geo.tpn, name), func(t *testing.T) {
-				rng := xrand.New(271).Split(uint64(s))
-				alphabet := 1 + rng.Int64n(12) // duplicate-heavy pool
-				idxs := make([][]int64, s)
-				vals := make([][]int64, s)
-				want := make([]int64, n)
-				for i := 0; i < s; i++ {
-					k := int(rng.Int64n(220))
-					idxs[i] = make([]int64, k)
-					vals[i] = make([]int64, k)
-					for j := 0; j < k; j++ {
-						ix := rng.Int64n(n)
-						if rng.Intn(2) == 0 {
-							ix = rng.Int64n(alphabet)
-						}
-						v := rng.Int64n(1 << 20)
-						idxs[i][j] = ix
-						vals[i][j] = v
-						want[ix] += v
-					}
-				}
-				for _, part := range lawPartitions {
-					t.Run(part.name, func(t *testing.T) {
-						d := rt.NewSharedArrayPart("D", n, part.spec(n))
-						comm := NewComm(rt)
-						rt.Run(func(th *pgas.Thread) {
-							o := *opts
-							comm.SetDAdd(th, d, idxs[th.ID], vals[th.ID], &o, nil)
-						})
-						for i := int64(0); i < n; i++ {
-							if got := d.Raw()[i]; got != want[i] {
-								t.Fatalf("D[%d] = %d, add-scatter oracle says %d", i, got, want[i])
-							}
-						}
-					})
-				}
-			})
-		}
-	}
-}
-
 // TestRequestValidation: out-of-range request indices must fail fast with
 // a panic naming the collective, the bad index, and the array — not
 // corrupt memory or misroute silently.

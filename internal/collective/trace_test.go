@@ -124,9 +124,6 @@ func TestTraceContract(t *testing.T) {
 		{"SetDMin", "SetDMin", keptByMin, func(th *pgas.Thread, idx, vals, _ []int64) {
 			comm.SetDMin(th, d, idx, vals, opts, nil)
 		}},
-		{"SetDAdd", "SetDAdd", all, func(th *pgas.Thread, idx, vals, _ []int64) {
-			comm.SetDAdd(th, d, idx, vals, opts, nil)
-		}},
 		{"Exchange", "Exchange", all, func(th *pgas.Thread, idx, _, _ []int64) {
 			comm.Exchange(th, d, idx, opts, nil)
 		}},

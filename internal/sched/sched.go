@@ -192,10 +192,6 @@ const (
 	// flips SetDMin's combining rule to prove the verification harness
 	// notices.
 	OpMax
-	// OpAdd accumulates the value (additive concurrent write; the
-	// collective layer's SetDAdd semantics — all competing writers
-	// contribute, order-independent over integers).
-	OpAdd
 	// OpGet reads the location (the gather of GetD).
 	OpGet
 )
@@ -336,14 +332,6 @@ func Access(local, idx []int64, base int64, vals []int64, op Op, scr *Scratch) (
 			if vals[j] > local[ix] {
 				local[ix] = vals[j]
 			}
-		}
-	case OpAdd:
-		for j, gix := range idx {
-			ix := gix - base
-			if scr.touch(ix) {
-				distinct++
-			}
-			local[ix] += vals[j]
 		}
 	default:
 		panic(fmt.Sprintf("sched: unknown op %d", op))

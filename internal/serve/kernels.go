@@ -11,18 +11,15 @@ import (
 	"fmt"
 	"sort"
 
-	"pgasgraph/internal/bcc"
 	"pgasgraph/internal/bfs"
 	"pgasgraph/internal/cc"
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/euler"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/listrank"
-	"pgasgraph/internal/mis"
 	"pgasgraph/internal/mst"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/sssp"
-	"pgasgraph/internal/triangle"
 )
 
 // KernelSpec names one kernel run: which kernel, on which input, with
@@ -71,12 +68,12 @@ type KernelResult struct {
 	// Weight is the forest weight (mst/*).
 	Weight uint64
 	// Iterations counts outer rounds (kernel-specific: grafts, Borůvka
-	// rounds, BFS levels, SSSP buckets, jump or Luby rounds).
+	// rounds, BFS levels, SSSP buckets, jump rounds).
 	Iterations int
 	// Run carries the simulated-time accounting.
 	Run *pgas.Result
 	// Detail is the kernel package's own result, the row's type
-	// (*cc.Result, *bcc.Result, *euler.TreeStats for spanning-forest, ...;
+	// (*cc.Result, *euler.TreeStats for spanning-forest, *mst.Result, ...;
 	// docs/API.md has the table) — everything the uniform fields above do
 	// not carry. It never travels: the Service and the wire read only the
 	// uniform fields.
@@ -136,8 +133,6 @@ func uniform(kernel string, detail any) *KernelResult {
 	switch r := detail.(type) {
 	case *cc.Result:
 		res.Labels, res.Components, res.Iterations, res.Run = r.Labels, r.Components, r.Iterations, r.Run
-	case *cc.BipartiteResult: // the cover run's component labels are canonical like any cc row's
-		res.Labels, res.Components, res.Run = r.Component, int64(len(r.ComponentBipartite)), r.Run
 	case *rootedForest:
 		res = uniform(kernel, r.sf.CC)
 		res.Parent, res.Edges, res.Detail = r.tour.Parent, r.sf.Edges, r.tour
@@ -149,12 +144,6 @@ func uniform(kernel string, detail any) *KernelResult {
 		res.Edges, res.Weight, res.Iterations, res.Run = r.Edges, r.Weight, r.Iterations, r.Run
 	case *listrank.Result:
 		res.Iterations, res.Run = r.Rounds, r.Run
-	case *mis.Result:
-		res.Iterations, res.Run = r.Rounds, r.Run
-	case *triangle.Result:
-		res.Run = r.Run
-	case *bcc.Result:
-		res.Run = r.Run
 	default:
 		panic(fmt.Sprintf("serve: %s returned a %T, which uniform does not lay out", kernel, detail))
 	}
@@ -192,11 +181,6 @@ func oneSided[R any](k func(*pgas.Runtime, *graph.Graph) R) runFunc {
 	return func(rt *pgas.Runtime, _ *collective.Comm, s *KernelSpec) any { return k(rt, s.Graph) }
 }
 
-// onGraph: a graph in, the collectives configured by Col.
-func onGraph[R any](k func(*pgas.Runtime, *collective.Comm, *graph.Graph, *collective.Options) R) runFunc {
-	return func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any { return k(rt, comm, s.Graph, s.Col) }
-}
-
 // onDetail adapts an oracle that reads the package's own result type.
 func onDetail[R any](check func(*graph.Graph, R) error) verifyFunc {
 	return func(s *KernelSpec, res *KernelResult) error { return check(s.Graph, res.Detail.(R)) }
@@ -228,7 +212,6 @@ var registry = []kernelEntry{
 	// them, so its iteration count is scheduling-dependent: racy.
 	{name: "cc/naive", racy: true, run: oneSided(cc.Naive), verify: verifyLabels},
 	{name: "cc/merge-cgm", run: oneSided(cc.MergeCGM), verify: verifyLabels},
-	{name: "cc/bipartite", run: labeling(cc.Bipartite), verify: onDetail(cc.VerifyBipartite)},
 	{name: "spanning-forest",
 		run: labeling(func(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, o *cc.Options) *rootedForest {
 			sf := cc.SpanningTree(rt, comm, g, o)
@@ -264,9 +247,6 @@ var registry = []kernelEntry{
 		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
 			return listrank.CGM(rt, comm, s.List, s.Col)
 		}},
-	{name: "mis/luby", run: onGraph(mis.Luby), verify: onDetail(mis.VerifySet)},
-	{name: "triangle/count", run: onGraph(triangle.Count), verify: onDetail(triangle.Verify)},
-	{name: "bcc/tarjan-vishkin", run: onGraph(bcc.TarjanVishkin), verify: onDetail(bcc.Verify)},
 }
 
 // RacyOps reports whether the named kernel performs a scheduling-

@@ -426,6 +426,13 @@ func TestRunUnknownKernelClassifiesMisuse(t *testing.T) {
 	if !errors.Is(err, pgas.ErrMisuse) {
 		t.Fatalf("negative source: %v, want ErrMisuse", err)
 	}
+	// None of these names is a registry row: each is refused like any
+	// unknown name, before anything runs.
+	for _, gone := range []string{"mis/luby", "triangle/count", "bcc/tarjan-vishkin", "cc/bipartite"} {
+		if _, err := s.Run(KernelSpec{Kernel: gone}); !errors.Is(err, pgas.ErrMisuse) {
+			t.Errorf("deleted kernel %s: %v, want ErrMisuse", gone, err)
+		}
+	}
 }
 
 func TestSSSPTreeServesWeightedDistance(t *testing.T) {

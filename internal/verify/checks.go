@@ -86,20 +86,16 @@ func Checks() []Check {
 		// row always roots its forest (that is euler/tour below), and the
 		// mutation self-test needs the bare kernel's op stream.
 		{Name: "cc/spanning-forest", Mutation: true, Applicable: always, Run: checkSpanningForest},
-		{Name: "cc/bipartite", Applicable: small, Kernel: "cc/bipartite"},
 		{Name: "mst/coalesced", Mutation: true, Applicable: always, Kernel: "mst/coalesced"},
 		{Name: "mst/naive", Applicable: small, Kernel: "mst/naive"},
 		{Name: "bfs/coalesced", Wire: true, Applicable: always, Kernel: "bfs/coalesced"},
 		{Name: "bfs/naive", Applicable: small, Kernel: "bfs/naive"},
 		{Name: "sssp/delta-stepping", Applicable: always, Kernel: "sssp/delta-stepping"},
-		{Name: "mis/luby", Applicable: always, Kernel: "mis/luby"},
 		{Name: "listrank/wyllie", Applicable: always, Kernel: "listrank/wyllie"},
 		{Name: "listrank/cgm", Applicable: always, Kernel: "listrank/cgm", Twin: "listrank/wyllie"},
-		{Name: "triangle/count", Applicable: always, Kernel: "triangle/count"},
-		// Spanning forest then Euler tour — the BCC pipeline's first two
-		// stages — is what the registry's spanning-forest row runs.
+		// Spanning forest then Euler tour, which roots it for the service's
+		// tree queries, is what the registry's spanning-forest row runs.
 		{Name: "euler/tour", Applicable: always, Kernel: "spanning-forest"},
-		{Name: "bcc/tarjan-vishkin", Applicable: small, Kernel: "bcc/tarjan-vishkin"},
 		// The graph-service layer: registry dispatch fidelity, batched
 		// point queries against the oracles, and the incremental-CC
 		// contract, all over the same randomized trial matrix.

@@ -22,7 +22,7 @@ import (
 // ccFamily is the rotation pool for the serving checks: the six collective
 // labeling kernels. A trial picks by Seed % len(ccFamily), which the chaos
 // digests mix — so the list is a pinned literal, never derived from the
-// registry's cc/ prefix (cc/bipartite and cc/merge-cgm share it), and
+// registry's cc/ prefix (cc/naive and cc/merge-cgm share it), and
 // TestPinnedKernelNames keeps every name a registered, non-racy row.
 var ccFamily = []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers"}
 

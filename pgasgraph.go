@@ -26,7 +26,6 @@
 package pgasgraph
 
 import (
-	"pgasgraph/internal/bcc"
 	"pgasgraph/internal/bfs"
 	"pgasgraph/internal/cc"
 	"pgasgraph/internal/collective"
@@ -34,13 +33,11 @@ import (
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/listrank"
 	"pgasgraph/internal/machine"
-	"pgasgraph/internal/mis"
 	"pgasgraph/internal/mst"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/seq"
 	"pgasgraph/internal/sim"
 	"pgasgraph/internal/sssp"
-	"pgasgraph/internal/triangle"
 )
 
 // Core re-exported types. The aliases make the internal packages' types
@@ -65,10 +62,8 @@ type (
 // What KernelResult.Detail holds, by registry row (docs/API.md has the
 // table): the kernel package's own result type.
 type (
-	// CCResult is a connected-components outcome (cc/* but cc/bipartite).
+	// CCResult is a connected-components outcome (cc/*).
 	CCResult = cc.Result
-	// BipartiteResult is a two-colorability outcome (cc/bipartite).
-	BipartiteResult = cc.BipartiteResult
 	// TreeStats are per-vertex rooted-forest statistics (spanning-forest).
 	TreeStats = euler.TreeStats
 	// BFSResult is a breadth-first-search outcome (bfs/*).
@@ -79,12 +74,6 @@ type (
 	MSFResult = mst.Result
 	// ListRankResult is a list-ranking outcome (listrank/*).
 	ListRankResult = listrank.Result
-	// MISResult is a maximal-independent-set outcome (mis/luby).
-	MISResult = mis.Result
-	// TriangleResult is a triangle-counting outcome (triangle/count).
-	TriangleResult = triangle.Result
-	// BCCResult is a biconnected-components outcome (bcc/tarjan-vishkin).
-	BCCResult = bcc.Result
 )
 
 // Partition schemes selectable through PartitionSpec.

@@ -47,8 +47,8 @@ func (c *Cluster) Run(spec KernelSpec) (*KernelResult, error) {
 }
 
 // Verify checks res, the outcome of Run(spec), against the sequential
-// oracle of spec's kernel (union-find, queue BFS, Dijkstra, Kruskal,
-// Hopcroft-Tarjan, ...; docs/API.md lists them by row).
+// oracle of spec's kernel (union-find, queue BFS, Dijkstra, Kruskal, chain
+// walk, ...; docs/API.md lists them by row).
 func Verify(spec KernelSpec, res *KernelResult) error { return serve.Verify(spec, res) }
 
 // Serve turns this cluster into a resident graph service for g: run
