@@ -1,9 +1,6 @@
 package pgasgraph
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // TestCrossKernelConsistency runs every public kernel on one shared input
 // and checks the invariants that tie their answers together — a web of
@@ -12,8 +9,8 @@ import (
 //   - BFS reachability from a component's representative covers exactly
 //     that component (CC vs BFS);
 //   - spanning forest edges stay within components and count n - #comps;
-//   - Euler-tour roots agree with CC labels; depths agree with BFS-in-the-
-//     forest distances;
+//   - Euler-tour parents are the forest's BFS predecessors from each CC
+//     label;
 //   - weighted SSSP distances are bounded below by hop distances (every
 //     weight >= 1) and agree exactly on reachability;
 //   - MSF weight matches Kruskal and its edges span exactly the components.
@@ -69,24 +66,27 @@ func TestCrossKernelConsistency(t *testing.T) {
 		}
 	}
 
-	// The Euler tour over the forest agrees with CC and with BFS depths in
-	// the forest.
+	// The Euler tour roots each forest tree at its CC label: a vertex's
+	// tour parent is its BFS predecessor in the forest — the one forest
+	// neighbor a hop nearer the label.
 	forest := &Graph{N: g.N}
+	edge := map[[2]int64]bool{}
 	for _, e := range sf.Edges {
-		forest.U = append(forest.U, g.U[e])
-		forest.V = append(forest.V, g.V[e])
+		u, v := g.U[e], g.V[e]
+		forest.U, forest.V = append(forest.U, u), append(forest.V, v)
+		edge[[2]int64{int64(u), int64(v)}], edge[[2]int64{int64(v), int64(u)}] = true, true
 	}
-	ts := sf.Detail.(*TreeStats)
-	if !slices.Equal(ts.Root, cc.Labels) {
-		t.Fatal("Euler-tour roots disagree with CC")
-	}
-	for v := int64(0); v < g.N; v++ {
-		if ts.Root[v] == v {
-			fd := bfsFrom(forest, v)
-			for u := int64(0); u < g.N; u++ {
-				if ts.Root[u] == v && ts.Depth[u] != fd[u] {
-					t.Fatalf("tour depth[%d]=%d, forest BFS says %d", u, ts.Depth[u], fd[u])
-				}
+	for r := int64(0); r < g.N; r++ {
+		if cc.Labels[r] != r {
+			continue
+		}
+		fd := bfsFrom(forest, r)
+		for v := int64(0); v < g.N; v++ {
+			if cc.Labels[v] != r {
+				continue
+			}
+			if p := sf.Parent[v]; v == r && p != -1 || v != r && (p < 0 || !edge[[2]int64{v, p}] || fd[p] != fd[v]-1) {
+				t.Fatalf("tour parent[%d]=%d is not its predecessor in a forest BFS from %d", v, p, r)
 			}
 		}
 	}

@@ -65,15 +65,14 @@ func ExampleCluster_Run_listRank() {
 	// Output: [3 2 1 0]
 }
 
-// ExampleCluster_Run_eulerTour shows rooted-tree statistics from the Euler
-// tour technique over a path: spanning-forest roots its forest with the
-// tour and returns the statistics as Detail.
+// ExampleCluster_Run_eulerTour shows the Euler tour technique rooting a
+// path: spanning-forest roots its forest at each tree's smallest id with
+// the tour and returns every vertex's parent.
 func ExampleCluster_Run_eulerTour() {
 	forest := &pgasgraph.Graph{N: 4, U: []int32{0, 1, 2}, V: []int32{1, 2, 3}}
 	res, _ := exampleCluster(2).Run(pgasgraph.KernelSpec{Kernel: "spanning-forest", Graph: forest})
-	st := res.Detail.(*pgasgraph.TreeStats)
-	fmt.Println(st.Depth, st.SubtreeSize)
-	// Output: [0 1 2 3] [4 3 2 1]
+	fmt.Println(res.Parent)
+	// Output: [-1 0 1 2]
 }
 
 // ExampleCluster_Run_sssp shows weighted distances via delta-stepping.

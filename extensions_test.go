@@ -80,29 +80,15 @@ func Disjoint2ForTest() *Graph {
 func TestEulerTourAPI(t *testing.T) {
 	g := RandomGraph(300, 900, 21)
 	res := run(t, smallCluster(t), optimized("spanning-forest", g, 2))
-	st := res.Detail.(*TreeStats)
-	// Depth/parent consistency: depth(parent)+1 == depth(child).
-	for v := int64(0); v < g.N; v++ {
-		if st.Parent[v] != res.Parent[v] {
-			t.Fatalf("uniform Parent[%d] = %d, tour says %d", v, res.Parent[v], st.Parent[v])
-		}
-		if p := st.Parent[v]; p >= 0 {
-			if st.Depth[v] != st.Depth[p]+1 {
-				t.Fatalf("depth chain broken at %d", v)
-			}
-		} else if st.Depth[v] != 0 {
-			t.Fatalf("root %d has nonzero depth", v)
-		}
+	sf := res.Detail.(*SpanningForest)
+	if !slices.Equal(sf.Edges, res.Edges) || !slices.Equal(sf.CC.Labels, res.Labels) || sf.Run != res.Run {
+		t.Fatal("uniform Edges, Labels or Run differ from the forest Detail")
 	}
-	// Subtree sizes sum to n when restricted to roots.
-	var total int64
+	// Every root is its component's label; every other vertex has a parent.
 	for v := int64(0); v < g.N; v++ {
-		if st.Parent[v] == -1 {
-			total += st.SubtreeSize[v]
+		if (res.Parent[v] == -1) != (res.Labels[v] == v) {
+			t.Fatalf("vertex %d: parent %d under label %d", v, res.Parent[v], res.Labels[v])
 		}
-	}
-	if total != g.N {
-		t.Fatalf("root subtree sizes sum to %d, want %d", total, g.N)
 	}
 }
 

@@ -1,6 +1,8 @@
 package euler
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -43,21 +45,16 @@ func randomForest(n, k int64, seed uint64) *graph.Graph {
 	return g
 }
 
-// refStats computes reference statistics sequentially: parents and depths
-// by BFS from each root, subtree sizes by aggregation.
-func refStats(f *graph.Graph) (parent, depth, size, root []int64) {
+// refParents computes reference parents sequentially, by BFS from each
+// tree's smallest id.
+func refParents(f *graph.Graph) []int64 {
 	n := f.N
 	csr := graph.BuildCSR(f)
 	roots := seq.CC(f)
-	parent = make([]int64, n)
-	depth = make([]int64, n)
-	size = make([]int64, n)
-	for v := int64(0); v < n; v++ {
+	parent := make([]int64, n)
+	for v := range parent {
 		parent[v] = -1
-		size[v] = 1
 	}
-	// BFS per root in id order.
-	order := make([]int64, 0, n)
 	for r := int64(0); r < n; r++ {
 		if roots[r] != r {
 			continue
@@ -66,75 +63,33 @@ func refStats(f *graph.Graph) (parent, depth, size, root []int64) {
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
-			order = append(order, v)
 			for _, wv := range csr.Neighbors(v) {
 				w := int64(wv)
 				if w != r && parent[w] == -1 && roots[w] == r && w != v && parent[v] != w {
 					parent[w] = v
-					depth[w] = depth[v] + 1
 					queue = append(queue, w)
 				}
 			}
 		}
 	}
-	// Subtree sizes: children accumulate into parents in reverse BFS order.
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if parent[v] >= 0 {
-			size[parent[v]] += size[v]
-		}
-	}
-	return parent, depth, size, roots
+	return parent
 }
 
-func checkStats(t *testing.T, f *graph.Graph, st *TreeStats) {
+func checkParents(t *testing.T, f *graph.Graph, parent []int64) {
 	t.Helper()
-	parent, depth, size, roots := refStats(f)
-	for v := int64(0); v < f.N; v++ {
-		if st.Root[v] != roots[v] {
-			t.Fatalf("root[%d] = %d, want %d", v, st.Root[v], roots[v])
-		}
-		if st.Parent[v] != parent[v] {
-			t.Fatalf("parent[%d] = %d, want %d", v, st.Parent[v], parent[v])
-		}
-		if st.Depth[v] != depth[v] {
-			t.Fatalf("depth[%d] = %d, want %d", v, st.Depth[v], depth[v])
-		}
-		if st.SubtreeSize[v] != size[v] {
-			t.Fatalf("size[%d] = %d, want %d", v, st.SubtreeSize[v], size[v])
-		}
+	if want := refParents(f); !slices.Equal(parent, want) {
+		t.Fatalf("parents %v, want %v", head(parent), head(want))
 	}
-	// Preorder invariants (visit order is tour-specific, so check
-	// structure, not exact values): within each tree the indices are a
-	// permutation of 1..treeSize, parents precede children, and every
-	// subtree occupies a contiguous interval.
-	byTree := map[int64][]int64{}
-	for v := int64(0); v < f.N; v++ {
-		byTree[roots[v]] = append(byTree[roots[v]], v)
+	if err := VerifyParents(f, parent); err != nil {
+		t.Fatal(err)
 	}
-	for r, vs := range byTree {
-		seen := map[int64]bool{}
-		for _, v := range vs {
-			p := st.Preorder[v]
-			if p < 1 || p > int64(len(vs)) || seen[p] {
-				t.Fatalf("tree %d: preorder %d invalid or repeated (vertex %d)", r, p, v)
-			}
-			seen[p] = true
-			if st.Parent[v] >= 0 && st.Preorder[st.Parent[v]] >= p {
-				t.Fatalf("vertex %d precedes its parent in preorder", v)
-			}
-			// Subtree interval containment.
-			if st.Parent[v] >= 0 {
-				pv := st.Parent[v]
-				if p < st.Preorder[pv] || p+st.SubtreeSize[v]-1 > st.Preorder[pv]+st.SubtreeSize[pv]-1 {
-					t.Fatalf("vertex %d's interval escapes its parent's", v)
-				}
-			}
-		}
-		if st.Preorder[r] != 1 {
-			t.Fatalf("root %d has preorder %d", r, st.Preorder[r])
-		}
+}
+
+func head(s []int64) []int64 {
+	if len(s) > 16 {
+		return s[:16]
 	}
+	return s
 }
 
 func TestTourKnownShapes(t *testing.T) {
@@ -152,27 +107,18 @@ func TestTourKnownShapes(t *testing.T) {
 		for _, geo := range []struct{ nodes, tpn int }{{1, 2}, {4, 2}} {
 			t.Run(name, func(t *testing.T) {
 				rt := newRuntime(t, geo.nodes, geo.tpn)
-				st := Tour(rt, collective.NewComm(rt), f, seq.CC(f), collective.Optimized(2))
-				checkStats(t, f, st)
+				checkParents(t, f, Tour(rt, collective.NewComm(rt), f, seq.CC(f), collective.Optimized(2)))
 			})
 		}
 	}
 }
 
-func TestTourPathDepths(t *testing.T) {
-	// Path 0-1-2-3-4 rooted at 0: depth[i] = i, size[i] = 5-i.
+func TestTourPathParents(t *testing.T) {
+	// Path 0-1-2-3-4 rooted at 0: parent[i] = i-1.
 	rt := newRuntime(t, 2, 2)
-	st := Tour(rt, collective.NewComm(rt), graph.Path(5), make([]int64, 5), nil)
-	for i := int64(0); i < 5; i++ {
-		if st.Depth[i] != i {
-			t.Fatalf("depth[%d] = %d", i, st.Depth[i])
-		}
-		if st.SubtreeSize[i] != 5-i {
-			t.Fatalf("size[%d] = %d", i, st.SubtreeSize[i])
-		}
-		if st.Preorder[i] != i+1 {
-			t.Fatalf("preorder[%d] = %d", i, st.Preorder[i])
-		}
+	parent := Tour(rt, collective.NewComm(rt), graph.Path(5), make([]int64, 5), nil)
+	if want := []int64{-1, 0, 1, 2, 3}; !slices.Equal(parent, want) {
+		t.Fatalf("parents %v, want %v", parent, want)
 	}
 }
 
@@ -183,14 +129,7 @@ func TestTourProperty(t *testing.T) {
 		n := int64(nRaw%80) + 1
 		k := int64(kRaw)%n + 1
 		f := randomForest(n, k, seed)
-		st := Tour(rt, comm, f, seq.CC(f), collective.Optimized(2))
-		parent, depth, size, _ := refStats(f)
-		for v := int64(0); v < n; v++ {
-			if st.Parent[v] != parent[v] || st.Depth[v] != depth[v] || st.SubtreeSize[v] != size[v] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(Tour(rt, comm, f, seq.CC(f), collective.Optimized(2)), refParents(f))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -198,18 +137,20 @@ func TestTourProperty(t *testing.T) {
 }
 
 func TestTourOnSpanningForest(t *testing.T) {
-	// End-to-end composition: spanning forest from CC, tree statistics
-	// from the Euler tour.
+	// End-to-end composition: spanning forest from CC, rooted by the
+	// Euler tour.
 	g := graph.Random(300, 900, 5)
 	rt := newRuntime(t, 4, 2)
 	comm := collective.NewComm(rt)
 	sf := cc.SpanningTree(rt, comm, g, &cc.Options{Col: collective.Optimized(2), Compact: true})
 	forest := sf.Forest(g)
-	st := Tour(rt, comm, forest, sf.CC.Labels, collective.Optimized(2))
-	checkStats(t, forest, st)
-	// The tour's roots must agree with the graph's components.
-	if !seq.SamePartition(st.Root, seq.CC(g)) {
-		t.Fatal("tour roots disagree with the graph's components")
+	parent := Tour(rt, comm, forest, sf.CC.Labels, collective.Optimized(2))
+	checkParents(t, forest, parent)
+	// The tour's roots are the labeling's: each component's minimum id.
+	for v, l := range sf.CC.Labels {
+		if (parent[v] == -1) != (l == int64(v)) {
+			t.Fatalf("vertex %d: parent %d under label %d", v, parent[v], l)
+		}
 	}
 }
 
@@ -221,4 +162,30 @@ func TestTourRejectsNonForest(t *testing.T) {
 		}
 	}()
 	Tour(rt, collective.NewComm(rt), graph.Cycle(4), make([]int64, 4), nil)
+}
+
+// TestVerifyParentsRejects hands the oracle wrong parent arrays over one
+// small forest — a tree 0-1, 1-2, 1-3 and a path 4-5-6, whose parents are
+// [-1 0 1 1 -1 4 5] — and requires each rejection to name its vertex.
+func TestVerifyParentsRejects(t *testing.T) {
+	f := &graph.Graph{N: 7, U: []int32{0, 1, 1, 4, 5}, V: []int32{1, 2, 3, 5, 6}}
+	if err := VerifyParents(f, []int64{-1, 0, 1, 1, -1, 4, 5}); err != nil {
+		t.Fatalf("right parents rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		parent []int64
+		want   string
+	}{
+		{"two-cycle on a forest edge", []int64{-1, 2, 1, 1, -1, 4, 5}, "parent[1] = 2 points away from the root"},
+		{"parent not a forest edge", []int64{-1, 0, 1, 2, -1, 4, 5}, "parent link 3 -> 2 is not a forest edge"},
+		{"root with a parent", []int64{-1, 0, 1, 1, 0, 4, 5}, "vertex 4 is its tree's smallest id"},
+		{"non-root without a parent", []int64{-1, 0, 1, 1, -1, 4, -1}, "vertex 6 has no parent"},
+		{"tree rooted at its maximum", []int64{-1, 0, 1, 1, 5, 6, -1}, "vertex 4 is its tree's smallest id"},
+	} {
+		err := VerifyParents(f, tc.parent)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v accepted or misnamed: err %v, want %q", tc.name, tc.parent, err, tc.want)
+		}
+	}
 }

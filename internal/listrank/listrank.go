@@ -163,12 +163,8 @@ func seqRankCounted(l *List) (ranks []int64, touches int64) {
 
 // Result is the outcome of a distributed list-ranking run.
 type Result struct {
-	// Ranks[i] is node i's distance to its chain's tail — for Wyllie with
-	// weights, the sum of the weights over [i, tail).
+	// Ranks[i] is node i's distance to its chain's tail.
 	Ranks []int64
-	// Tail[i] is the tail of node i's chain (Wyllie only: its final jump
-	// pointer).
-	Tail []int64
 	// Rounds counts communication rounds (jump levels for Wyllie;
 	// contraction plus expansion rounds for CGM).
 	Rounds int

@@ -1,9 +1,7 @@
 package listrank
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -138,10 +136,10 @@ func distributedVariants() map[string]func(rt *pgas.Runtime, l *List) *Result {
 	opt := collective.Optimized(4)
 	return map[string]func(rt *pgas.Runtime, l *List) *Result{
 		"wyllie-base": func(rt *pgas.Runtime, l *List) *Result {
-			return Wyllie(rt, collective.NewComm(rt), l, nil, nil)
+			return Wyllie(rt, collective.NewComm(rt), l, nil)
 		},
 		"wyllie-optimized": func(rt *pgas.Runtime, l *List) *Result {
-			return Wyllie(rt, collective.NewComm(rt), l, nil, opt)
+			return Wyllie(rt, collective.NewComm(rt), l, opt)
 		},
 		"wyllie-naive": func(rt *pgas.Runtime, l *List) *Result {
 			return WyllieNaive(rt, l)
@@ -196,7 +194,7 @@ func TestDistributedProperty(t *testing.T) {
 		k := int64(kRaw)%n + 1
 		l := Chains(n, k, seed)
 		want := SeqRank(l)
-		w := Wyllie(rt, comm, l, nil, collective.Optimized(2))
+		w := Wyllie(rt, comm, l, collective.Optimized(2))
 		c := CGM(rt, comm, l, collective.Optimized(2))
 		return slices.Equal(w.Ranks, want) && slices.Equal(c.Ranks, want)
 	}
@@ -208,7 +206,7 @@ func TestDistributedProperty(t *testing.T) {
 func TestWyllieRoundsLogarithmic(t *testing.T) {
 	rt := newRuntime(t, 4, 2)
 	l := RandomList(1024, 3)
-	res := Wyllie(rt, collective.NewComm(rt), l, nil, collective.Optimized(2))
+	res := Wyllie(rt, collective.NewComm(rt), l, collective.Optimized(2))
 	// ceil(log2(1024)) = 10; allow slack for the retirement round.
 	if res.Rounds > 12 {
 		t.Fatalf("Wyllie took %d rounds for n=1024, want ~10", res.Rounds)
@@ -237,62 +235,6 @@ func TestSeqRankTimed(t *testing.T) {
 	}
 }
 
-// TestWyllieMultiInvariants: with weights, Ranks is the weighted suffix
-// sum over [i, tail) and Tail each node's chain tail — with any weights,
-// the ±1 of the Euler tour's depth pass among them — and with nil weights
-// Ranks is the plain rank.
-func TestWyllieMultiInvariants(t *testing.T) {
-	rt := newRuntime(t, 3, 2)
-	comm := collective.NewComm(rt)
-	l := Chains(120, 3, 9)
-	mod := make([]int64, l.N)
-	pm := make([]int64, l.N)
-	for i := range mod {
-		mod[i] = (int64(i)*7919 + 13) % 101
-		pm[i] = int64(i%3)%2*2 - 1 // -1, 1, -1, -1, 1, -1, ...
-	}
-	plain := Wyllie(rt, comm, l, nil, collective.Optimized(2))
-	if want := SeqRank(l); !slices.Equal(plain.Ranks, want) {
-		t.Fatal("unit-weight ranks differ from the sequential ranks")
-	}
-	for name, w := range map[string][]int64{"unit": nil, "mod101": mod, "plusminus": pm} {
-		res := plain
-		if w != nil {
-			res = Wyllie(rt, comm, l, w, collective.Optimized(2))
-		}
-		for i := int64(0); i < l.N; i++ {
-			tail, sum := i, int64(0)
-			for int64(l.Succ[tail]) != tail {
-				if w == nil {
-					sum++
-				} else {
-					sum += w[tail]
-				}
-				tail = int64(l.Succ[tail])
-			}
-			if res.Tail[i] != tail {
-				t.Fatalf("%s: Tail[%d] = %d, want %d", name, i, res.Tail[i], tail)
-			}
-			if res.Ranks[i] != sum {
-				t.Fatalf("%s: Ranks[%d] = %d, want the suffix sum %d", name, i, res.Ranks[i], sum)
-			}
-		}
-		if res.Rounds != plain.Rounds {
-			t.Fatalf("%s: %d rounds, unit weights took %d", name, res.Rounds, plain.Rounds)
-		}
-	}
-}
-
-func TestWyllieMultiRejectsBadWeights(t *testing.T) {
-	rt := newRuntime(t, 1, 2)
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "1 weights for 2 nodes") {
-			t.Fatalf("weight length mismatch: recovered %v", r)
-		}
-	}()
-	Wyllie(rt, collective.NewComm(rt), fixedList(1, 1), []int64{1}, nil)
-}
-
 // TestWylliePlansOncePerRound: a round gathers S[S[i]] and R[S[i]] at the
 // same indices, so every thread builds one plan per round and executes it
 // twice — one build and one reuse a round, two GetDs.
@@ -301,7 +243,7 @@ func TestWylliePlansOncePerRound(t *testing.T) {
 	comm := collective.NewComm(rt)
 	tr := trace.NewCollector(rt.NumThreads())
 	comm.SetTracer(tr)
-	res := Wyllie(rt, comm, RandomList(1024, 3), nil, collective.Optimized(2))
+	res := Wyllie(rt, comm, RandomList(1024, 3), collective.Optimized(2))
 	rounds := int64(res.Rounds)
 	if rounds == 0 {
 		t.Fatal("no rounds ran")

@@ -1,8 +1,6 @@
 package listrank
 
 import (
-	"fmt"
-
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/sim"
@@ -13,17 +11,16 @@ import (
 const maxRounds = 128
 
 // Wyllie runs the classic pointer-jumping list ranking on the PGAS
-// runtime with coalesced collectives, carrying a weighted suffix sum: per
-// round, every active node fetches its successor's successor and rank
-// contribution, then doubles locally. Both fetches read at the same
-// indices, so each round builds one collective.Plan over the active
-// successors and executes it against S and then R: the grouping sort and
-// matrix publish are paid once for the two gathers. The invariant
+// runtime with coalesced collectives: per round, every active node fetches
+// its successor's successor and rank, then doubles locally. Both fetches
+// read at the same indices, so each round builds one collective.Plan over
+// the active successors and executes it against S and then R: the
+// grouping sort and matrix publish are paid once for the two gathers. The
+// invariant
 //
-//	R[i] = sum of w over [i, S[i])   (i inclusive, S[i] exclusive)
+//	R[i] = hops from i to S[i]
 //
-// holds throughout; a node retires once its successor is a tail. A nil w
-// means unit weights, for which R is the hop count: the list rank.
+// holds throughout; a node retires once its successor is a tail.
 //
 // The offload optimization does not apply (no list location is constant),
 // so it is force-disabled.
@@ -33,21 +30,14 @@ const maxRounds = 128
 // lock step — restoring a cut where rank has absorbed a jump that next has
 // not (or vice versa) double-counts or loses distance. After an eviction
 // list ranking recovers by full deterministic re-execution.
-func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, w []int64, colOpts *collective.Options) *Result {
-	if w != nil && int64(len(w)) != l.N {
-		panic(fmt.Sprintf("listrank: %d weights for %d nodes", len(w), l.N))
-	}
+func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options) *Result {
 	col := collective.Sanitize(colOpts, false) // no offload: inapplicable to list ranking
 	s := rt.NewSharedArray("S", l.N)
 	r := rt.NewSharedArray("R", l.N)
 	for i := int64(0); i < l.N; i++ {
 		s.StoreRaw(i, int64(l.Succ[i]))
 		if int64(l.Succ[i]) != i {
-			if w == nil {
-				r.StoreRaw(i, 1)
-			} else {
-				r.StoreRaw(i, w[i])
-			}
+			r.StoreRaw(i, 1)
 		}
 	}
 	red := pgas.NewOrReducer(rt)
@@ -103,7 +93,6 @@ func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, w []int64, colOpts
 
 	return &Result{
 		Ranks:  append([]int64(nil), r.Raw()...),
-		Tail:   append([]int64(nil), s.Raw()...),
 		Rounds: run.Rounds,
 		Run:    run,
 	}

@@ -73,7 +73,7 @@ type KernelResult struct {
 	// Run carries the simulated-time accounting.
 	Run *pgas.Result
 	// Detail is the kernel package's own result, the row's type
-	// (*cc.Result, *euler.TreeStats for spanning-forest, *mst.Result, ...;
+	// (*cc.Result, *cc.SpanningForest for spanning-forest, *mst.Result, ...;
 	// docs/API.md has the table) — everything the uniform fields above do
 	// not carry. It never travels: the Service and the wire read only the
 	// uniform fields.
@@ -135,7 +135,7 @@ func uniform(kernel string, detail any) *KernelResult {
 		res.Labels, res.Components, res.Iterations, res.Run = r.Labels, r.Components, r.Iterations, r.Run
 	case *rootedForest:
 		res = uniform(kernel, r.sf.CC)
-		res.Parent, res.Edges, res.Detail = r.tour.Parent, r.sf.Edges, r.tour
+		res.Parent, res.Edges, res.Detail = r.parent, r.sf.Edges, r.sf
 	case *bfs.Result:
 		res.Dist, res.Iterations, res.Run = r.Dist, r.Levels, r.Run
 	case *sssp.Result:
@@ -152,11 +152,11 @@ func uniform(kernel string, detail any) *KernelResult {
 
 // rootedForest is what the spanning-forest row runs: the forest kernel,
 // then the Euler tour — the building block that roots it — over its edges.
-// The tour's statistics are the row's Detail; the run accounted is the
-// forest's.
+// The forest is the row's Detail and its run the run accounted; the tour
+// contributes the parents.
 type rootedForest struct {
-	sf   *cc.SpanningForest
-	tour *euler.TreeStats
+	sf     *cc.SpanningForest
+	parent []int64
 }
 
 // The kernels come in a few shapes; one adapter per shape makes a row's run
@@ -222,7 +222,7 @@ var registry = []kernelEntry{
 			if err := cc.VerifySpanningForest(s.Graph, sf); err != nil {
 				return err
 			}
-			return euler.VerifyStats(sf.Forest(s.Graph), res.Detail.(*euler.TreeStats))
+			return euler.VerifyParents(sf.Forest(s.Graph), res.Parent)
 		}},
 	{name: "bfs/coalesced", verify: onDist(bfs.VerifyDistances),
 		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
@@ -241,7 +241,7 @@ var registry = []kernelEntry{
 	{name: "mst/naive", weighted: true, run: oneSided(mst.Naive), verify: onDetail(mst.VerifyForest)},
 	{name: "listrank/wyllie", list: true, verify: verifyRanks,
 		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
-			return listrank.Wyllie(rt, comm, s.List, nil, s.Col)
+			return listrank.Wyllie(rt, comm, s.List, s.Col)
 		}},
 	{name: "listrank/cgm", list: true, verify: verifyRanks,
 		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {

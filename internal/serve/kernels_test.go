@@ -42,7 +42,7 @@ func TestRunKernelMatchesDirect(t *testing.T) {
 			return mst.Coalesced(rt, comm, wg, &mst.Options{Col: col, Compact: true})
 		}},
 		{KernelSpec{Kernel: "cc/merge-cgm", Graph: g}, func(rt *pgas.Runtime, comm *collective.Comm) any { return cc.MergeCGM(rt, g) }},
-		{KernelSpec{Kernel: "listrank/wyllie", List: l}, func(rt *pgas.Runtime, comm *collective.Comm) any { return listrank.Wyllie(rt, comm, l, nil, col) }},
+		{KernelSpec{Kernel: "listrank/wyllie", List: l}, func(rt *pgas.Runtime, comm *collective.Comm) any { return listrank.Wyllie(rt, comm, l, col) }},
 		{KernelSpec{Kernel: "listrank/cgm", List: l}, func(rt *pgas.Runtime, comm *collective.Comm) any { return listrank.CGM(rt, comm, l, col) }},
 	} {
 		rt1, err := pgas.New(testMachine(2, 2))

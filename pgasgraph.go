@@ -29,7 +29,6 @@ import (
 	"pgasgraph/internal/bfs"
 	"pgasgraph/internal/cc"
 	"pgasgraph/internal/collective"
-	"pgasgraph/internal/euler"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/listrank"
 	"pgasgraph/internal/machine"
@@ -64,8 +63,8 @@ type (
 type (
 	// CCResult is a connected-components outcome (cc/*).
 	CCResult = cc.Result
-	// TreeStats are per-vertex rooted-forest statistics (spanning-forest).
-	TreeStats = euler.TreeStats
+	// SpanningForest is a spanning-forest outcome (spanning-forest).
+	SpanningForest = cc.SpanningForest
 	// BFSResult is a breadth-first-search outcome (bfs/*).
 	BFSResult = bfs.Result
 	// SSSPResult is a shortest-paths outcome (sssp/delta-stepping).

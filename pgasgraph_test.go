@@ -204,8 +204,6 @@ func TestNilOptionsMatchDefaults(t *testing.T) {
 // detailAnswer is the part of a result's answer that only Detail carries.
 func detailAnswer(res *KernelResult) any {
 	switch d := res.Detail.(type) {
-	case *TreeStats:
-		return d.Preorder
 	case *ListRankResult:
 		return d.Ranks
 	}
