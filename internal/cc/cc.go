@@ -192,7 +192,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	col := opts.col()
 	identity := !pgas.Register(rt, CkptCoalescedD, d)
 	red := pgas.NewOrReducer(rt)
-	live := comm.NewLiveEdges(opts.compact(), false)
+	live := comm.NewLiveEdges(opts.compact(), false, true)
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)

@@ -77,7 +77,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 	col := opts.col()
 	colHook := *col
 	colHook.Offload = false
-	live := comm.NewLiveEdges(opts.compact(), false)
+	live := comm.NewLiveEdges(opts.compact(), false, true)
 	chosen := make([][]int64, rt.NumThreads())
 
 	run := rt.Run(func(th *pgas.Thread) {

@@ -397,7 +397,9 @@ func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, 
 // filter delivers the first request per index and the finish phase copies
 // its answer to the rest (see keyPass). The probe is paid on every
 // offered request, which is why edge-list gathers — a few percent
-// duplicates — stay on GetD. It traces as GetD.
+// duplicates — stay on GetD, and so does a late one naming few roots,
+// which asks for those roots (EdgeList.Gather) rather than grow this
+// filter's keeper and dropIdx tails to the list. It traces as GetD.
 func (c *Comm) GetDCombined(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options) {
 	c.once(th, opGetDCombined, d, indices, nil, out, opts, nil)
 }

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"math/bits"
+
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/sim"
 )
@@ -16,6 +18,7 @@ type LiveEdges struct {
 	c       *Comm
 	plan    *Plan // non-nil: the list never changes and gathers through this plan
 	shrinks bool
+	stars   bool // shrinks, and every Gather after the first sees stars (NewLiveEdges)
 }
 
 // EdgeList is one thread's share of a LiveEdges. The kernel reads the
@@ -32,6 +35,13 @@ type EdgeList struct {
 
 	live    *LiveEdges
 	planned bool
+
+	// A stars list's count: seen marks its distinct labels, a bit per
+	// element of d; base[w] ranks word w's first for a roots gather.
+	seen     []uint64
+	base     []int32
+	distinct int  // bits set in seen
+	viaRoots bool // Compact's count allows the next Gather the roots path
 }
 
 // NewLiveEdges returns the list for one kernel run. shrinks lets Compact
@@ -39,8 +49,11 @@ type EdgeList struct {
 // one-shot gather all the same, a grouping sort every round — classic SV
 // as the paper measured it (Figure 3). A list with neither gathers through
 // one Plan, built when it first gathers and re-executed afterwards.
-func (c *Comm) NewLiveEdges(shrinks, regroup bool) *LiveEdges {
-	l := &LiveEdges{c: c, shrinks: shrinks}
+// stars asserts for a list that shrinks that each Gather after the first
+// finds d collapsed to rooted stars, every label the list last gathered
+// still in its endpoint's tree (labels only merge).
+func (c *Comm) NewLiveEdges(shrinks, regroup, stars bool) *LiveEdges {
+	l := &LiveEdges{c: c, shrinks: shrinks, stars: shrinks && stars}
 	if !shrinks && !regroup {
 		l.plan = c.NewPlan()
 	}
@@ -73,15 +86,22 @@ func (l *LiveEdges) List(th *pgas.Thread, m int64, fill func(lo, hi int64, ends 
 // matrix publish once per run. A list that shrinks (or regroups) calls
 // the one-shot GetD; it passes no IDCache, because the cache would be
 // stale after every compaction and, as the model charges it, storing and
-// reloading owner ids costs more than recomputing them. All threads must
-// call it.
+// reloading owner ids costs more than recomputing them. A stars list's
+// thread whose kept pairs name distinct roots with s·distinct <=
+// len(Ends) gathers at the roots instead (gatherRoots), so no owner
+// serves it more than len(Ends)/s. All threads must call it.
 func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, identity bool) {
 	l := el.live
 	el.Labels = el.Labels[:len(el.Ends)]
+	if words := (d.Len() + 63) / 64; l.stars && el.seen == nil {
+		el.seen, el.base = make([]uint64, words), make([]int32, words)
+	}
 	switch {
 	case identity:
 		copy(el.Labels, el.Ends)
 		th.ChargeSeq(sim.CatCopy, int64(len(el.Ends)))
+	case el.viaRoots:
+		el.gatherRoots(th, d, opts)
 	case l.plan == nil:
 		l.c.GetD(th, d, el.Ends, el.Labels, opts, nil)
 	default:
@@ -93,29 +113,83 @@ func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, 
 	}
 }
 
+// gatherRoots gathers d at the marked labels, listed ascending off the
+// bitmap, and relabels each pair by its label's exact rank (base plus a
+// popcount): under the stars assertion D[Ends[j]] = D[Labels[j]].
+func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Options) {
+	c := el.live.c
+	el.viaRoots = false
+	var roots []int64
+	for w, x := range el.seen {
+		el.base[w] = int32(len(roots))
+		for ; x != 0; x &= x - 1 {
+			roots = append(roots, int64(w)<<6|int64(bits.TrailingZeros64(x)))
+		}
+	}
+	k := len(roots)
+	th.ChargeSeq(sim.CatWork, int64(len(el.seen)))
+	th.ChargeOps(sim.CatWork, int64(k))
+	vals := make([]int64, k)
+	c.GetD(th, d, roots, vals, opts, nil)
+	next := 0 // FaultWrongRootRank: read the next root's answer
+	if c.fault == FaultWrongRootRank {
+		next = 1
+	}
+	for j, lab := range el.Labels {
+		w := lab >> 6
+		r := int(el.base[w]) + bits.OnesCount64(el.seen[w]&(1<<(lab&63)-1))
+		el.Labels[j] = vals[(r+next)%k]
+	}
+	th.ChargeSeq(sim.CatWork, int64(len(el.Labels)))
+}
+
 // Compact drops, in place and in order, every pair whose endpoints
 // gathered equal labels, ids riding along; it is charged for the words it
 // streams over. Labels merge monotonically in every kernel that compacts,
 // so such an edge is inside one component for good. On a list created not
 // to shrink it does nothing and charges nothing.
+// A stars list's pass also keeps the kept labels, counting them into the
+// bitmap at a charged probe each until the count passes len(Ends)/s.
 func (el *EdgeList) Compact(th *pgas.Thread) {
-	if !el.live.shrinks {
+	l := el.live
+	if !l.shrinks {
 		return
 	}
+	if el.distinct > 0 {
+		clear(el.seen)
+		th.ChargeSeq(sim.CatWork, int64(len(el.seen)))
+		el.distinct = 0
+	}
 	ends, labels, ids := el.Ends, el.Labels, el.IDs
-	w := 0
+	w, read, limit := 0, 0, len(ends)/l.c.s
 	for j := 0; j < len(labels); j += 2 {
 		if labels[j] != labels[j+1] {
 			ends[w], ends[w+1] = ends[j], ends[j+1]
 			if ids != nil {
 				ids[w/2] = ids[j/2]
 			}
+			if l.stars && el.distinct <= limit {
+				labels[w], labels[w+1] = labels[j], labels[j+1]
+				el.mark(labels[w])
+				el.mark(labels[w+1])
+				read += 2
+			}
 			w += 2
 		}
 	}
 	th.ChargeSeq(sim.CatWork, int64(len(ends)+len(ids)))
+	th.ChargeOps(sim.CatWork, int64(read))
+	el.viaRoots = l.stars && el.distinct*l.c.s <= w
 	el.Ends = ends[:w]
 	if ids != nil {
 		el.IDs = ids[:w/2]
+	}
+}
+
+// mark adds label v to the bitmap of distinct labels.
+func (el *EdgeList) mark(v int64) {
+	if bit := uint64(1) << (v & 63); el.seen[v>>6]&bit == 0 {
+		el.seen[v>>6] |= bit
+		el.distinct++
 	}
 }

@@ -41,12 +41,15 @@ const (
 	// with the value fetched for the next duplicate's index instead of its
 	// own — the fan-out reading the wrong record.
 	FaultWrongKeeper
+	// FaultWrongRootRank has a roots gather (EdgeList.Gather) relabel each
+	// endpoint with the next root's answer: the relabel's rank off by one.
+	FaultWrongRootRank
 )
 
 // AllFaults lists every injectable fault, for iterating a mutation run.
 func AllFaults() []Fault {
 	return []Fault{FaultDropPermute, FaultMaxInsteadOfMin, FaultSegmentOffByOne,
-		FaultCorruptPlanPermute, FaultStalePlanMatrices, FaultWrongKeeper}
+		FaultCorruptPlanPermute, FaultStalePlanMatrices, FaultWrongKeeper, FaultWrongRootRank}
 }
 
 // String returns the fault's stable name.
@@ -66,6 +69,8 @@ func (f Fault) String() string {
 		return "stale-plan-matrices"
 	case FaultWrongKeeper:
 		return "wrong-keeper"
+	case FaultWrongRootRank:
+		return "wrong-root-rank"
 	}
 	return "unknown"
 }

@@ -206,7 +206,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	minE := rt.NewSharedArray("MinE", g.N)
 	red := pgas.NewOrReducer(rt)
 	col := opts.col()
-	live := comm.NewLiveEdges(opts.compact(), false)
+	live := comm.NewLiveEdges(opts.compact(), false, false)
 	chosen := make([][]int64, rt.NumThreads())
 
 	run := rt.Run(func(th *pgas.Thread) {
@@ -226,7 +226,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		otherIdx, otherKey := make([]int64, span), make([]int64, span)
 		th.Barrier()
 
-		red.Loop(th, "mst.Coalesced", maxIterations, func(int) bool {
+		red.Loop(th, "mst.Coalesced", maxIterations, func(iter int) bool {
 			// Reset this round's candidate buckets (own block).
 			for i := dLo; i < dHi; i++ {
 				minE.StoreRaw(i, noEdge)
@@ -234,10 +234,10 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			th.ChargeSeq(sim.CatWork, span)
 			th.Barrier()
 
-			// Fetch both endpoint labels of every live edge. Round 0 gathers
-			// too: copying instead drops a collective the chaos digests
-			// count, so that saving belongs to a change with its own record.
-			el.Gather(th, d, col, false)
+			// Fetch both endpoint labels of every live edge. D is
+			// registered nowhere, so round 0 always starts from the
+			// identity fill.
+			el.Gather(th, d, col, iter == 0)
 			labels := el.Labels
 
 			// Minimum-edge election: one priority concurrent write per

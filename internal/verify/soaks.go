@@ -170,9 +170,11 @@ func sampleChaosConfig(rng *xrand.Rand, kill bool) pgas.ChaosConfig {
 var mutationGeometries = [][2]int{{2, 2}, {4, 1}, {1, 4}, {3, 2}}
 
 // mutationTrial samples a small, adversarial trial for fault detection:
-// multi-thread machine, connected-ish random graph, modest sizes (maxN is
-// not read) so the iteration-bounded kernels fail fast when the collectives
-// lie to them.
+// multi-thread machine, random graphs, modest sizes (maxN is not read) so
+// the iteration-bounded kernels fail fast when the collectives lie to
+// them. Even rounds draw one connected-ish graph (m = 3n); odd rounds the
+// disjoint union of eight, with Compact on, so that a late round of a
+// shrinking list still holds live edges of several trees on one thread.
 func mutationTrial(rng *xrand.Rand, round int, _ int64) *Trial {
 	t := &Trial{Round: round, Seed: rng.Uint64()}
 	geo := mutationGeometries[rng.Intn(len(mutationGeometries))]
@@ -190,11 +192,18 @@ func mutationTrial(rng *xrand.Rand, round int, _ int64) *Trial {
 		t.Opts.Sort = collective.QuickSort
 	}
 	n := 64 + rng.Int64n(137)
-	t.GraphName = "random"
-	t.Graph = graph.Random(n, 3*n, rng.Uint64())
+	if seed := rng.Uint64(); round%2 == 0 {
+		t.GraphName, t.Graph = "random", graph.Random(n, 3*n, seed)
+	} else {
+		parts, r := make([]*graph.Graph, 8), xrand.New(seed)
+		for i := range parts {
+			parts[i] = graph.Random(n/8, 3*(n/8), r.Uint64())
+		}
+		t.GraphName, t.Graph, t.Compact = "disjoint", graph.Disjoint(parts...), true
+	}
 	t.WGraph = graph.WithRandomWeights(t.Graph, t.Seed)
 	t.List = listrank.RandomList(n, rng.Uint64())
-	t.Src = rng.Int64n(n)
+	t.Src = rng.Int64n(t.Graph.N)
 	return t
 }
 
