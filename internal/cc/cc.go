@@ -183,25 +183,31 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 // copies instead of gathering unless Register restored a snapshot, a list
 // that is not compacted builds one Plan and re-executes it, and a
 // compacted one shrinks in place — with bit-identical labels either way.
+// D is kept in the spread layout (vertex v at pos(v), see spread), so the
+// low ids the labels converge on are owned by every thread: the hook
+// target, PointerJump's request and the live-edge list's endpoints and
+// roots are positions, and the result is read back through pos.
 //
 // Recoverable state (pgas.Register): D, under CkptCoalescedD, for the
 // same reason as Naive.
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
 	d := rt.NewSharedArray("D", g.N)
-	d.FillIdentity()
+	lay := newSpread(g.N)
+	lay.fill(d.Raw())
 	col := opts.col()
 	identity := !pgas.Register(rt, CkptCoalescedD, d)
 	red := pgas.NewOrReducer(rt)
-	live := comm.NewLiveEdges(opts.compact(), false, true)
+	live := comm.NewLiveEdges(opts.compact(), false, true, lay.place)
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)
 		span := dHi - dLo
 		th.ChargeSeq(sim.CatWork, span)
+		th.ChargeOps(sim.CatWork, span)
 		el := live.List(th, g.M(), g.Ends, false)
 		setIdx := make([]int64, 0, len(el.Ends)/2)
 		setVal := make([]int64, 0, len(el.Ends)/2)
-		jump := collective.NewJumpScratch(span)
+		jump := collective.NewJumpScratch(span, lay.place)
 		th.Barrier()
 
 		// Rounds until no edge joins two trees: gather every live edge's
@@ -209,7 +215,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		red.Loop(th, "cc.Coalesced", maxIterations, func(iter int) bool {
 			el.Gather(th, d, col, iter == 0 && identity)
 
-			// Build the hook list: D[max(du,dv)] <- min(du,dv).
+			// Build the hook list: D[pos(max(du,dv))] <- min(du,dv).
 			labels := el.Labels
 			grafted := false
 			setIdx, setVal = setIdx[:0], setVal[:0]
@@ -225,7 +231,8 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 				setVal = append(setVal, du)
 				grafted = true
 			}
-			th.ChargeOps(sim.CatWork, int64(len(labels)/2))
+			lay.place(setIdx, setIdx)
+			th.ChargeOps(sim.CatWork, int64(len(labels)/2+len(setIdx)))
 			comm.SetDMin(th, d, setIdx, setVal, col, nil)
 
 			// Synchronous pointer jumping until all trees are rooted stars:
@@ -235,7 +242,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			return grafted
 		})
 	})
-	return finish(slices.Clone(d.Raw()), run)
+	return finish(lay.labels(d.Raw()), run)
 }
 
 // SV runs the Shiloach-Vishkin algorithm rewritten with collectives: per

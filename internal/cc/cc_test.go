@@ -71,6 +71,7 @@ func checkAgainstSequential(t *testing.T, g *graph.Graph, got *Result) {
 
 func testGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
+		"no-vertices":  &graph.Graph{},
 		"empty":        graph.Empty(16),
 		"single":       graph.Empty(1),
 		"path":         graph.Path(40),

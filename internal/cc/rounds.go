@@ -86,7 +86,7 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 	col := opts.col()
 	// Compaction drops an edge once both endpoints gather equal parents,
 	// which is sound only when equal parents imply merged trees.
-	live := comm.NewLiveEdges(opts.compact() && !rule.directWrite, rule.perCallSort, false)
+	live := comm.NewLiveEdges(opts.compact() && !rule.directWrite, rule.perCallSort, false, nil)
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)

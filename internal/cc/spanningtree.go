@@ -2,7 +2,6 @@ package cc
 
 import (
 	"math"
-	"slices"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
@@ -70,25 +69,27 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		panic("cc: SpanningTree requires m < 2^32 for packed hook keys")
 	}
 	d := rt.NewSharedArray("D", g.N)
-	d.FillIdentity()
+	lay := newSpread(g.N)
+	lay.fill(d.Raw())
 	hook := rt.NewSharedArray("Hook", g.N)
 	red := pgas.NewOrReducer(rt)
 
 	col := opts.col()
 	colHook := *col
 	colHook.Offload = false
-	live := comm.NewLiveEdges(opts.compact(), false, true)
+	live := comm.NewLiveEdges(opts.compact(), false, true, lay.place)
 	chosen := make([][]int64, rt.NumThreads())
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)
 		span := dHi - dLo
 		th.ChargeSeq(sim.CatWork, span)
+		th.ChargeOps(sim.CatWork, span)
 
 		el := live.List(th, g.M(), g.Ends, true)
 		setIdx := make([]int64, 0, len(el.IDs))
 		setVal := make([]int64, 0, len(el.IDs))
-		jump := collective.NewJumpScratch(span)
+		jump := collective.NewJumpScratch(span, lay.place)
 		th.Barrier()
 
 		red.Loop(th, "cc.SpanningTree", maxIterations, func(iter int) bool {
@@ -104,7 +105,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 			el.Gather(th, d, col, iter == 0)
 			labels := el.Labels
 
-			// Elect hooks: Hook[max(du,dv)] <- min over (min(du,dv), e).
+			// Elect hooks: Hook[pos(max(du,dv))] <- min over (min(du,dv), e).
 			grafted := false
 			setIdx, setVal = setIdx[:0], setVal[:0]
 			for j, e := range el.IDs {
@@ -119,7 +120,8 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 				setVal = append(setVal, packHook(du, e))
 				grafted = true
 			}
-			th.ChargeOps(sim.CatWork, int64(len(el.IDs)))
+			lay.place(setIdx, setIdx)
+			th.ChargeOps(sim.CatWork, int64(len(el.IDs)+len(setIdx)))
 			comm.SetDMin(th, hook, setIdx, setVal, &colHook, nil)
 
 			// Apply winning hooks on owned slots, recording tree edges.
@@ -143,7 +145,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		})
 	})
 
-	sf := &SpanningForest{CC: finish(slices.Clone(d.Raw()), run), Run: run}
+	sf := &SpanningForest{CC: finish(lay.labels(d.Raw()), run), Run: run}
 	for _, part := range chosen {
 		sf.Edges = append(sf.Edges, part...)
 	}

@@ -542,7 +542,7 @@ func TestPlannedGetDDeliversEverything(t *testing.T) {
 	counts := newRequestCounts("GetD", s)
 	comm.SetTracer(counts)
 	plan := comm.NewPlan()
-	static, shrinking := comm.NewLiveEdges(false, false, false), comm.NewLiveEdges(true, false, false)
+	static, shrinking := comm.NewLiveEdges(false, false, false, nil), comm.NewLiveEdges(true, false, false, nil)
 	fill := func(lo, hi int64, ends []int64) {
 		for j := range ends {
 			ends[j] = 1 + int64(j%5) // five endpoints, k pairs

@@ -18,14 +18,15 @@ type LiveEdges struct {
 	c       *Comm
 	plan    *Plan // non-nil: the list never changes and gathers through this plan
 	shrinks bool
-	stars   bool // shrinks, and every Gather after the first sees stars (NewLiveEdges)
+	stars   bool   // shrinks, and every Gather after the first sees stars (NewLiveEdges)
+	pos     Layout // the gathered array's layout; nil is the identity
 }
 
 // EdgeList is one thread's share of a LiveEdges. The kernel reads the
 // slices after Gather and Compact, which re-slice them; it writes none.
 type EdgeList struct {
-	// Ends holds the live edges as (u, v) endpoint pairs: the gather's
-	// request vector.
+	// Ends holds the live edges as (u, v) endpoint pairs, as positions of
+	// the gathered array: the gather's request vector.
 	Ends []int64
 	// Labels is what the last Gather read at Ends, pair for pair.
 	Labels []int64
@@ -51,9 +52,10 @@ type EdgeList struct {
 // one Plan, built when it first gathers and re-executed afterwards.
 // stars asserts for a list that shrinks that each Gather after the first
 // finds d collapsed to rooted stars, every label the list last gathered
-// still in its endpoint's tree (labels only merge).
-func (c *Comm) NewLiveEdges(shrinks, regroup, stars bool) *LiveEdges {
-	l := &LiveEdges{c: c, shrinks: shrinks, stars: shrinks && stars}
+// still in its endpoint's tree (labels only merge). pos is the layout of
+// the arrays the list gathers from (nil: the identity).
+func (c *Comm) NewLiveEdges(shrinks, regroup, stars bool, pos Layout) *LiveEdges {
+	l := &LiveEdges{c: c, shrinks: shrinks, stars: shrinks && stars, pos: pos}
 	if !shrinks && !regroup {
 		l.plan = c.NewPlan()
 	}
@@ -64,10 +66,19 @@ func (c *Comm) NewLiveEdges(shrinks, regroup, stars bool) *LiveEdges {
 // edges, whose (u, v) pairs fill writes to ends, two words an edge — with
 // the edges' ids riding along when the kernel needs to name the edge behind
 // a pair. The endpoint vector is written once per run and charged here.
+// Under a layout the vertices fill writes stay behind as Labels — the
+// identity round's labels, the layout's inverse of Ends — and Ends holds
+// their positions, one charged op each.
 func (l *LiveEdges) List(th *pgas.Thread, m int64, fill func(lo, hi int64, ends []int64), ids bool) *EdgeList {
 	lo, hi := th.Span(m)
 	el := &EdgeList{live: l, Ends: make([]int64, 2*(hi-lo)), Labels: make([]int64, 2*(hi-lo))}
-	fill(lo, hi, el.Ends)
+	if l.pos == nil {
+		fill(lo, hi, el.Ends)
+	} else {
+		fill(lo, hi, el.Labels)
+		l.pos(el.Ends, el.Labels)
+		th.ChargeOps(sim.CatWork, int64(len(el.Ends)))
+	}
 	if ids {
 		el.IDs = make([]int64, hi-lo)
 		for j := range el.IDs {
@@ -80,10 +91,11 @@ func (l *LiveEdges) List(th *pgas.Thread, m int64, fill func(lo, hi int64, ends 
 
 // Gather reads Labels[j] = d[Ends[j]], the cheapest way the list allows.
 // identity asserts d still holds its identity fill: every endpoint is its
-// own label, so the answer is a local copy, charged as one, and no
-// collective runs. A list that never changes builds its plan on the first
-// real gather and re-executes it afterwards, paying the grouping sort and
-// matrix publish once per run. A list that shrinks (or regroups) calls
+// own label, so the answer is a local copy, charged as one (under a
+// layout, the labels List left behind), and no collective runs. A list
+// that never changes builds its plan on the first real gather and
+// re-executes it afterwards, paying the grouping sort and matrix publish
+// once per run. A list that shrinks (or regroups) calls
 // the one-shot GetD; it passes no IDCache, because the cache would be
 // stale after every compaction and, as the model charges it, storing and
 // reloading owner ids costs more than recomputing them. A stars list's
@@ -98,8 +110,10 @@ func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, 
 	}
 	switch {
 	case identity:
-		copy(el.Labels, el.Ends)
-		th.ChargeSeq(sim.CatCopy, int64(len(el.Ends)))
+		if l.pos == nil {
+			copy(el.Labels, el.Ends)
+			th.ChargeSeq(sim.CatCopy, int64(len(el.Ends)))
+		}
 	case el.viaRoots:
 		el.gatherRoots(th, d, opts)
 	case l.plan == nil:
@@ -113,9 +127,10 @@ func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, 
 	}
 }
 
-// gatherRoots gathers d at the marked labels, listed ascending off the
-// bitmap, and relabels each pair by its label's exact rank (base plus a
-// popcount): under the stars assertion D[Ends[j]] = D[Labels[j]].
+// gatherRoots gathers d at the marked labels' positions, listed ascending
+// off the bitmap, and relabels each pair by its label's exact rank (base
+// plus a popcount) — a gather into k words: under the stars assertion
+// D[Ends[j]] = D[pos(Labels[j])].
 func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Options) {
 	c := el.live.c
 	el.viaRoots = false
@@ -129,6 +144,10 @@ func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Opti
 	k := len(roots)
 	th.ChargeSeq(sim.CatWork, int64(len(el.seen)))
 	th.ChargeOps(sim.CatWork, int64(k))
+	if pos := el.live.pos; pos != nil {
+		pos(roots, roots)
+		th.ChargeOps(sim.CatWork, int64(k))
+	}
 	vals := make([]int64, k)
 	c.GetD(th, d, roots, vals, opts, nil)
 	next := 0 // FaultWrongRootRank: read the next root's answer
@@ -141,6 +160,7 @@ func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Opti
 		el.Labels[j] = vals[(r+next)%k]
 	}
 	th.ChargeSeq(sim.CatWork, int64(len(el.Labels)))
+	th.ChargeIrregular(sim.CatWork, int64(len(el.Labels)), int64(k))
 }
 
 // Compact drops, in place and in order, every pair whose endpoints

@@ -54,7 +54,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 				comm, ref := NewComm(rt), NewComm(rt) // ref answers the one-shot GetDs untraced
 				counts := trace.NewCollector(rt.NumThreads())
 				comm.SetTracer(counts)
-				static, shrinking := comm.NewLiveEdges(false, false, false), comm.NewLiveEdges(true, false, false)
+				static, shrinking := comm.NewLiveEdges(false, false, false, nil), comm.NewLiveEdges(true, false, false, nil)
 				if shrinking.plan != nil {
 					t.Fatal("a shrinking list holds a plan")
 				}
@@ -277,7 +277,7 @@ func TestStarsGather(t *testing.T) {
 								fixed.SetTracer(plans)
 								d := rt.NewSharedArrayPart("D", n, part.spec(n))
 								copy(d.Raw(), fine)
-								live, static := comm.NewLiveEdges(true, false, true), fixed.NewLiveEdges(false, false, true)
+								live, static := comm.NewLiveEdges(true, false, true, nil), fixed.NewLiveEdges(false, false, true, nil)
 								els, statics := make([]*EdgeList, s), make([]*EdgeList, s)
 								rt.Run(func(th *pgas.Thread) {
 									el := live.List(th, m, ends, false)

@@ -44,12 +44,16 @@ const (
 	// FaultWrongRootRank has a roots gather (EdgeList.Gather) relabel each
 	// endpoint with the next root's answer: the relabel's rank off by one.
 	FaultWrongRootRank
+	// FaultUnscattered has PointerJump request each label at the label
+	// itself instead of at its position under the array's layout — a
+	// translation point of a scattered label array forgotten.
+	FaultUnscattered
 )
 
 // AllFaults lists every injectable fault, for iterating a mutation run.
 func AllFaults() []Fault {
 	return []Fault{FaultDropPermute, FaultMaxInsteadOfMin, FaultSegmentOffByOne,
-		FaultCorruptPlanPermute, FaultStalePlanMatrices, FaultWrongKeeper, FaultWrongRootRank}
+		FaultCorruptPlanPermute, FaultStalePlanMatrices, FaultWrongKeeper, FaultWrongRootRank, FaultUnscattered}
 }
 
 // String returns the fault's stable name.
@@ -71,6 +75,8 @@ func (f Fault) String() string {
 		return "wrong-keeper"
 	case FaultWrongRootRank:
 		return "wrong-root-rank"
+	case FaultUnscattered:
+		return "unscattered"
 	}
 	return "unknown"
 }

@@ -12,17 +12,29 @@ import (
 // bug — and panics.
 const maxJumpLevels = 512
 
-// JumpScratch owns PointerJump's three block-sized buffers: the active
-// vertex list, their labels, and the labels' labels. A kernel allocates
-// one per thread per run and passes it to every PointerJump of that run.
+// Layout is the placement of a kernel's label array: it writes dst[i] =
+// pos(src[i]), the position at which the array holds vertex src[i]'s label
+// (dst and src may be one slice). Labels stay vertex ids; a label becomes
+// an index only where a collective asks the array for it — PointerJump's
+// request and a live-edge list's endpoints and roots — and that is where
+// the layout is applied, each translation charged as one op. A nil Layout
+// is the identity: vertex v at index v.
+type Layout func(dst, src []int64)
+
+// JumpScratch owns PointerJump's three block-sized buffers — the active
+// positions, the positions their labels live at, and those labels' labels
+// — and the layout the requests go through. A kernel allocates one per
+// thread per run and passes it to every PointerJump of that run.
 type JumpScratch struct {
 	idx, val, active []int64
+	pos              Layout
 }
 
-// NewJumpScratch returns the scratch for a covered block of span vertices.
-func NewJumpScratch(span int64) *JumpScratch {
+// NewJumpScratch returns the scratch for a covered block of span positions
+// of an array laid out by pos.
+func NewJumpScratch(span int64, pos Layout) *JumpScratch {
 	buf := make([]int64, 3*span)
-	return &JumpScratch{idx: buf[:span], val: buf[span : 2*span], active: buf[2*span:]}
+	return &JumpScratch{idx: buf[:span], val: buf[span : 2*span], active: buf[2*span:], pos: pos}
 }
 
 // PointerJump applies synchronous pointer jumping (D[i] <- D[D[i]] in
@@ -32,8 +44,9 @@ func NewJumpScratch(span int64) *JumpScratch {
 // at a root stay active: no hooks happen during the phase, so a root can
 // never move and a vertex whose label did not change is finished. d must be a
 // forest (hooks need not be monotone in label order, as long as they are
-// acyclic). Every thread must call it; js is scratch sized to the block
-// and dLo is the block base.
+// acyclic) laid out by js's layout: the label at position p is a vertex,
+// whose own label is read at its position. Every thread must call it; js
+// is scratch sized to the block and dLo is the block base.
 func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
 	red *pgas.OrReducer, js *JumpScratch, dLo int64) {
 	jumpIdx, jumpVal, active := js.idx, js.val, js.active
@@ -57,11 +70,17 @@ func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
 		if !opts.LocalCpy {
 			th.ChargeSharedPtr(sim.CatCopy, k)
 		}
+		if js.pos != nil {
+			if c.fault != FaultUnscattered {
+				js.pos(jumpIdx[:k], jumpIdx[:k])
+			}
+			th.ChargeOps(sim.CatWork, k)
+		}
 		// One jump level: fetch the label of every label, each root once.
 		c.GetDCombined(th, d, jumpIdx[:k], jumpVal[:k], opts)
 		w := 0
 		for j, v := range active {
-			if jumpVal[j] != jumpIdx[j] {
+			if jumpVal[j] != raw[v] {
 				d.StoreRaw(v, jumpVal[j])
 				active[w] = v
 				w++

@@ -206,7 +206,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	minE := rt.NewSharedArray("MinE", g.N)
 	red := pgas.NewOrReducer(rt)
 	col := opts.col()
-	live := comm.NewLiveEdges(opts.compact(), false, false)
+	live := comm.NewLiveEdges(opts.compact(), false, false, nil)
 	chosen := make([][]int64, rt.NumThreads())
 
 	run := rt.Run(func(th *pgas.Thread) {
@@ -217,7 +217,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		el := live.List(th, g.M(), g.Ends, true)
 		setIdx := make([]int64, 0, len(el.Ends))
 		setVal := make([]int64, 0, len(el.Ends))
-		jump := collective.NewJumpScratch(span)
+		jump := collective.NewJumpScratch(span, nil)
 		// The owned buckets that hold a candidate this round, at most span:
 		// their vertices and keys, the labels of the candidate edges'
 		// endpoints, and the peer bucket each would hook to.

@@ -50,7 +50,7 @@ const headerLen = 40
 // self-description, so a mixed cluster would otherwise die mid-run on
 // checksum and length aborts. Bump it with every change to the header
 // layout or the payload encoding.
-const protoVersion = 3
+const protoVersion = 4
 
 // maxAbortWords caps an ABORT frame's cause text (8 bytes of text per
 // word). The sender truncates to it and the receiver rejects anything
@@ -64,7 +64,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type header struct {
 	typ    uint8
 	status uint8
-	width  uint8 // bytes per payload word after the base (pgas.AppendWords)
+	width  uint8 // bits per payload word after the base (pgas.AppendWords)
 	w      pgas.Win
 	off    int64
 	count  int64
@@ -115,12 +115,12 @@ func (h *header) hasPayload() bool {
 }
 
 // payloadLen is the byte length of an admitted payload: the base and count
-// words at the header's width, or nothing for an empty run.
+// words packed at the header's width, or nothing for an empty run.
 func (h *header) payloadLen() int {
 	if h.count == 0 {
 		return 0
 	}
-	return 8 + int(h.count)*int(h.width)
+	return 8 + (int(h.count)*int(h.width)+7)/8
 }
 
 // sendOn is the one frame encoder: header, payload as pgas.AppendWords
@@ -211,7 +211,7 @@ func (t *Transport) readFrame(nd int, br io.Reader, sc *rxScratch) bool {
 		return false
 	}
 	t.ctr.recvFrames[h.typ].Add(1)
-	if h.width > 8 || h.width != 0 && (!h.hasPayload() || h.count == 0) {
+	if h.width > 64 || h.width != 0 && (!h.hasPayload() || h.count == 0) {
 		return t.violation(nd, "%s of %d words at width %d", frameNames[h.typ], h.count, h.width)
 	}
 

@@ -67,8 +67,8 @@ func feed(tr *Transport, sc *rxScratch, frames ...[]byte) {
 	}
 }
 
-// TestCorruptNarrowFrames: a flipped payload bit in a narrow frame (one
-// byte a word behind the base) is
+// TestCorruptNarrowFrames: a flipped payload bit in a narrow frame (five
+// bits a word behind the base) is
 // ErrCorrupt to a GET's waiter, whose buffer stays untouched, and a sticky
 // abort on a PUT, whose window stays untouched.
 func TestCorruptNarrowFrames(t *testing.T) {
@@ -77,8 +77,8 @@ func TestCorruptNarrowFrames(t *testing.T) {
 		dst := []int64{-1, -1, -1}
 		id, ch := tr.register(1, dst)
 		fr := frameBytes(header{typ: frGetResp, count: 3, reqID: id}, []int64{10, 20, 30})
-		if parseHeader(fr).width != 1 || len(fr) != headerLen+8+3 {
-			t.Fatalf("fixture is not a frame of one-byte words (%d bytes)", len(fr))
+		if parseHeader(fr).width != 5 || len(fr) != headerLen+8+2 {
+			t.Fatalf("fixture is not a frame of five-bit words (%d bytes)", len(fr))
 		}
 		fr[headerLen+9] ^= 0x10
 		feed(tr, new(rxScratch), fr)
@@ -119,7 +119,7 @@ func TestCorruptNarrowFrames(t *testing.T) {
 	})
 }
 
-// TestVerifiedFramesApplyInPlace: clean frames at widths 0, 1, 3 and 8
+// TestVerifiedFramesApplyInPlace: clean frames at widths 0, 2, 21, 63 and 64
 // land directly in their destinations — the window for a PUT, the waiter's
 // buffer for a GETRESP.
 func TestVerifiedFramesApplyInPlace(t *testing.T) {
@@ -155,8 +155,8 @@ func TestVerifiedFramesApplyInPlace(t *testing.T) {
 // 64-word window, a pending 16-word GET, and the protocol's fixed caps.
 func FuzzWireFrame(f *testing.F) {
 	w := pgas.Win{Kind: pgas.WinArray, ID: 1}
-	f.Add(frameBytes(header{typ: frPut, w: w, off: 4, count: 3}, []int64{1, 2, 3}))             // width 1
-	f.Add(frameBytes(header{typ: frPut, w: w, off: 60, count: 4}, []int64{1, unreached, 3, 4})) // width 8
+	f.Add(frameBytes(header{typ: frPut, w: w, off: 4, count: 3}, []int64{1, 2, 3}))             // width 2
+	f.Add(frameBytes(header{typ: frPut, w: w, off: 60, count: 4}, []int64{1, unreached, 3, 4})) // width 63
 	f.Add(frameBytes(header{typ: frGetResp, count: 16, reqID: 1}, make([]int64, 16)))           // width 0
 	f.Add(frameBytes(header{typ: frGet, w: w, off: 0, count: 64, reqID: 9}, nil))
 	f.Add(frameBytes(header{typ: frPutMin, w: w, off: 2, count: 1, reqID: 3}, []int64{-5}))
@@ -166,9 +166,9 @@ func FuzzWireFrame(f *testing.F) {
 	hostile := frameBytes(header{typ: frPut, w: w, count: 1 << 31}, nil)
 	f.Add(hostile)
 	f.Add(append(frameBytes(header{typ: frGetResp, count: 1 << 40, reqID: 1}, nil), 1, 2, 3))
-	f.Add(frameBytes(header{typ: frPut, w: w, off: 8, count: 3}, []int64{1 << 20, -9, 0})) // width 3
+	f.Add(frameBytes(header{typ: frPut, w: w, off: 8, count: 3}, []int64{1 << 20, -9, 0})) // width 21
 	wide := frameBytes(header{typ: frPut, w: w, count: 3}, []int64{1, 2, 3})
-	wide[3] = 9 // no width holds more than 8 bytes
+	wide[3] = 65 // no width holds more than 64 bits
 	f.Add(wide)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -83,7 +83,7 @@ func TestHostileHeaderAbortsBeforeAllocating(t *testing.T) {
 		{"oversized putmin", header{typ: frPutMin, w: exposed, count: 1 << 31, reqID: 1}},
 		{"oversized evict", header{typ: frEvict, off: 1, count: 1 << 31}},
 		{"oversized abort", header{typ: frAbort, count: maxAbortWords + 1}},
-		{"width 9", header{typ: frPut, w: exposed, count: 2, width: 9}},
+		{"width 65", header{typ: frPut, w: exposed, count: 2, width: 65}},
 		{"width on an empty put", header{typ: frPut, w: exposed, count: 0, width: 2}},
 		{"width on a get", header{typ: frGet, w: exposed, count: 4, width: 1}},
 	}
@@ -125,7 +125,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatalf("Connect with a v%d dialer: tr=%v err=%v, want ErrTransport", hello.off, tr, err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"v3", "v4", "node 1", "node-1.sock"} {
+	for _, want := range []string{"v4", "v5", "node 1", "node-1.sock"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("mismatch error %q does not mention %q", msg, want)
 		}
@@ -218,8 +218,8 @@ func TestUnexposeDropsIDRange(t *testing.T) {
 
 // TestStatsBalance: after a quiescent point, what the mesh sent is what it
 // received, frame type by frame type; every payload is its 8-byte base
-// plus its words at the width of their range; buffered PUTs left in one
-// flush.
+// plus its words packed at the bit width of their range; buffered PUTs
+// left in one flush.
 func TestStatsBalance(t *testing.T) {
 	const n = 3
 	trs := connectMesh(t, n, 5*time.Second)
@@ -279,13 +279,13 @@ func TestStatsBalance(t *testing.T) {
 	// one-word PUTs is 8 bytes, sentinel or not (protocol 2 sent four of
 	// them at 4 bytes; on cc-wire the few-word matrix and reducer PUTs this
 	// makes dearer add ≈ 9 KB to a 24.4 MB op). The window a GET reads
-	// holds 0..3 and a sentinel, a range of 2^63 - 1: 8 + 16×8 bytes
-	// (protocol 2: 16×8, no base).
+	// holds 0..3 and a sentinel, a range of 2^63 - 1: 8 + 16×63/8 bytes
+	// (protocol 3: 8 + 16×8; protocol 2: 16×8, no base).
 	if got := sent["PUT"]; got.Frames != 5*n || got.Bytes != n*5*8 {
 		t.Errorf("PUT traffic %+v, want %d frames / %d bytes (five bare bases per node)", got, 5*n, n*5*8)
 	}
-	if got := sent["GETRESP"]; got.Frames != n || got.Bytes != n*(8+16*8) {
-		t.Errorf("GETRESP traffic %+v, want %d frames of a base and 16 words at width 8 (the window holds a sentinel)", got, n)
+	if got := sent["GETRESP"]; got.Frames != n || got.Bytes != n*(8+16*63/8) {
+		t.Errorf("GETRESP traffic %+v, want %d frames of a base and 16 words at width 63 (the window holds a sentinel)", got, n)
 	}
 	if puts != 5*n || flushes != n {
 		t.Errorf("%d puts in %d flushes, want %d in %d (one GET flushes a node's five)", puts, flushes, 5*n, n)

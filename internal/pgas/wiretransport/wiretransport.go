@@ -15,13 +15,13 @@
 // reader and serve paths; stats.go the counters. Windows live in an
 // embedded pgas.WinTable, the registry the in-process backend keeps too.
 //
-// Wire protocol (version 3). Every frame is a fixed 40-byte little-endian
+// Wire protocol (version 4). Every frame is a fixed 40-byte little-endian
 // header and an optional payload of words:
 //
 //	[0]     frame type
 //	[1]     window kind
 //	[2]     status (responses)
-//	[3]     payload word width in bytes, 0..8
+//	[3]     payload word width in bits, 0..64
 //	[4:8]   window id; membership epoch for BARRIER
 //	[8:12]  window sub; the dialing seat for HELLO
 //	[12:20] offset (elements); rendezvous generation for BARRIER,
@@ -32,14 +32,14 @@
 //	[36:40] CRC-32C of the payload bytes as they travel
 //
 // The payload is pgas.AppendWords' frame of reference: count > 0 words
-// travel as 8 + count·width bytes — their minimum as an 8-byte base, then
-// every word minus the base in width bytes, the fewest that hold the
-// frame's range (0 when every word is equal) — and count = 0 as no bytes
-// at width 0. An owner's index segment spans one owner block and a label
+// travel as 8 + ceil(count·width/8) bytes — their minimum as an 8-byte
+// base, then every word minus the base packed in width bits, the fewest
+// that hold the frame's range (0 when every word is equal) — and count =
+// 0 as no bytes at width 0. An owner's index segment spans one owner block and a label
 // run one component's ids, so a word costs its range, not its magnitude.
 // The width cannot be configured and is invisible above the seam; the
 // simulated Bytes counters keep charging the paper's 8-byte words. A width
-// above 8, or one on a frame without payload bytes, is a protocol
+// above 64, or one on a frame without payload bytes, is a protocol
 // violation decided from the header.
 //
 // HELLO carries the protocol version; an acceptor refuses a dialer that

@@ -207,3 +207,33 @@ func TestRecoveryRoundGathersFromRestoredState(t *testing.T) {
 		t.Error("recovered labels differ from a from-scratch run on the survivors")
 	}
 }
+
+// TestRecoverScatteredLabels: cc.Coalesced keeps D in a layout that
+// depends on n only, so a snapshot restores position for position into the
+// array re-blocked over the survivors. With n = 1000, not a power of two
+// (the layout's stretched case), a kill mid-run rolls back onto fewer
+// threads, restores the committed D and still ends on exactly the oracle's
+// labels.
+func TestRecoverScatteredLabels(t *testing.T) {
+	g := graph.Random(1000, 2500, 0x5CA7)
+	want := seq.CC(g)
+	restored := false
+	for seed := uint64(1); seed <= 8; seed++ {
+		labels, rep, err := superviseCC(t, g, killChaos(seed, 0.0015), nil)
+		if err != nil {
+			if pgas.Evicted(err) == nil {
+				t.Fatalf("seed %d: failure not an eviction: %v", seed, err)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(labels, want) {
+			t.Fatalf("seed %d: labels differ from the oracle after %d rollbacks", seed, rep.Rollbacks)
+		}
+		if rep.Restores > 0 && rep.Runtime.NumThreads() < 8 {
+			restored = true
+		}
+	}
+	if !restored {
+		t.Fatal("no seed restored a snapshot onto fewer threads")
+	}
+}

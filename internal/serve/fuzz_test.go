@@ -86,14 +86,14 @@ func FuzzServeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1.Bytes())
-	f.Add(frame(FrameQuery, []Query{{Op: Distance, U: 1 << 40, V: -3}})) // width 6
+	f.Add(frame(FrameQuery, []Query{{Op: Distance, U: 1 << 40, V: -3}})) // width 41
 	f.Add(frame(FrameInsert, []Edge{{U: 5, V: 6}}))                      // two columns
-	// The batch codec at widths 0, 1 (query above), 3 and 8, and a width
-	// no run has: 9, refused as corrupt once resealed.
+	// The batch codec at widths 0, 21 and 64, and a width no run has: 65,
+	// refused as corrupt once resealed.
 	f.Add(frame(FrameQuery, []Query{{Op: SameComponent, U: 9, V: 9}}))
 	f.Add(frame(FrameQuery, []Query{{Op: ComponentSize, U: 1 << 20}}))
 	f.Add(frame(FrameOK, []int64{3, math.MaxInt64, -1}))
-	f.Add(corrupt(headerSize+4, 9))
+	f.Add(corrupt(headerSize+4, 65))
 
 	known := map[string]bool{}
 	for _, c := range classes {

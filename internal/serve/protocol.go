@@ -25,7 +25,7 @@ import (
 //
 //	off size  field
 //	0   4     magic "pgsd"
-//	4   1     protocol version (3)
+//	4   1     protocol version (4)
 //	5   1     frame type
 //	6   2     reserved (0)
 //	8   4     payload length (bytes)
@@ -33,19 +33,19 @@ import (
 //
 // Batch payload: n items as k columns of words, column-major, all k·n
 // words one run in pgas.AppendWords' form — the run's minimum as a base,
-// then every word minus it at the width the run's range needs.
+// then every word minus it packed at the bit width the run's range needs.
 //
 //	off size   field
 //	0   4      n
-//	4   1      word width w: 0 to 8 bytes
+//	4   1      word width w: 0 to 64 bits
 //	5   1      columns k: 2 (lookups' U, V), 3 (edges' U, V, W), 1 (answers)
 //	6   2      reserved (0)
 //	8   n      one op byte per lookup — FrameQuery only
 //	..  8      base — when n > 0
-//	..  k·n·w  the columns
+//	..  ceil(k·n·w/8)  the columns
 const (
 	protoMagic   = "pgsd"
-	protoVersion = 3
+	protoVersion = 4
 	headerSize   = 16
 	batchHeader  = 8
 	// MaxFrame bounds a frame's payload; a larger announced length is a
@@ -203,11 +203,11 @@ func (c *Conn) batch(payload []byte, k int, ops bool) (n int, opBytes []byte, er
 		want += count
 	}
 	if count > 0 {
-		want += 8 + uint64(k)*count*w
+		want += 8 + (uint64(k)*count*w+7)/8
 	}
-	if w > 8 || (w != 0 && count == 0) || int(payload[5]) != k || payload[6] != 0 || payload[7] != 0 || uint64(len(payload)) != want {
+	if w > 64 || (w != 0 && count == 0) || int(payload[5]) != k || payload[6] != 0 || payload[7] != 0 || uint64(len(payload)) != want {
 		return 0, nil, pgas.Errorf(pgas.ErrCorrupt, -1, "pgasd.batch",
-			"header % x on %d bytes: want %d columns of 0- to 8-byte words (0 when empty), reserved 0, and %d bytes",
+			"header % x on %d bytes: want %d columns of 0- to 64-bit words (0 when empty), reserved 0, and %d bytes",
 			payload[:batchHeader], len(payload), k, want)
 	}
 	n = int(count)

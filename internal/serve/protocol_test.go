@@ -310,13 +310,13 @@ func loopback() *Conn {
 
 // TestBatchCodecRoundTrip: every batch comes back as it went out, in
 // exactly 8 header bytes, n op bytes for lookups, and (n > 0) an 8-byte
-// base and k·n words at the width the batch's range needs — equal words,
-// ranges on both sides of 2^32, negative ids, Unreached answers, empty,
-// one-lookup and 65 536-lookup batches, weighted and unweighted edges, and
-// random batches of random widths. Protocol 2 pinned 4 or 8 bytes a word
-// and no base: the one-lookup and small-edge batches shrink from 4 to 1
-// byte a word, the 65 536 lookups from 4 to 2 (ids below 2^16), a heavy
-// weight from 8 to 4, and a lone Unreached answer from 8 to 0.
+// base and k·n words packed at the bit width the batch's range needs —
+// equal words, ranges on both sides of 2^32, negative ids, Unreached
+// answers, empty, one-lookup and 65 536-lookup batches, weighted and
+// unweighted edges, and random batches of random widths. Protocol 2
+// pinned 4 or 8 bytes a word and no base; protocol 3 took whole bytes, so
+// the one-lookup batch shrinks from 8 to 3 bits a word, the small-edge
+// batches from 8 to 6 and 2^32 from 40 to 33.
 func TestBatchCodecRoundTrip(t *testing.T) {
 	c := loopback()
 	roundTrip := func(name string, typ byte, v interface{}, n, k int, width byte) []byte {
@@ -333,7 +333,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 			want += n
 		}
 		if n > 0 {
-			want += 8 + k*n*int(width)
+			want += 8 + (k*n*int(width)+7)/8
 		}
 		if payload[4] != width || len(payload) != want {
 			t.Fatalf("%s: %d bytes at width %d, want %d at width %d", name, len(payload), payload[4], want, width)
@@ -349,17 +349,17 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 	queries("empty", []Query{}, 0)
 	queries("equal", []Query{{Op: SameComponent, U: 5, V: 5}, {Op: Distance, U: 5, V: 5}}, 0)
-	queries("one", []Query{{Op: ComponentSize, U: 7}}, 1)
-	queries("max32", []Query{{Op: SameComponent, U: math.MaxInt32, V: math.MinInt32}}, 4)
-	queries("max32+1", []Query{{Op: SameComponent, U: 1, V: 2}, {Op: Distance, U: math.MaxInt32 + 1, V: 0}}, 4)
-	queries("min32-1", []Query{{Op: TreeParent, U: math.MinInt32 - 1}}, 4)
-	queries("2^32", []Query{{Op: TreeParent, U: 1 << 32}}, 5)
-	queries("negative ids and bad ops", []Query{{Op: 0, U: -1, V: -2}, {Op: 255, U: -3}}, 1)
+	queries("one", []Query{{Op: ComponentSize, U: 7}}, 3)
+	queries("max32", []Query{{Op: SameComponent, U: math.MaxInt32, V: math.MinInt32}}, 32)
+	queries("max32+1", []Query{{Op: SameComponent, U: 1, V: 2}, {Op: Distance, U: math.MaxInt32 + 1, V: 0}}, 32)
+	queries("min32-1", []Query{{Op: TreeParent, U: math.MinInt32 - 1}}, 32)
+	queries("2^32", []Query{{Op: TreeParent, U: 1 << 32}}, 33)
+	queries("negative ids and bad ops", []Query{{Op: 0, U: -1, V: -2}, {Op: 255, U: -3}}, 2)
 	big := make([]Query, 65536)
 	for i := range big {
 		big[i] = Query{Op: Op(1 + i%4), U: int64(i), V: int64(65535 - i)}
 	}
-	queries("65536 lookups", big, 2)
+	queries("65536 lookups", big, 16)
 
 	answers := func(name string, ans []int64, width byte) {
 		t.Helper()
@@ -369,10 +369,10 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		}
 	}
 	answers("empty", []int64{}, 0)
-	answers("int32", []int64{1, 0, -1, math.MaxInt32}, 4)
-	answers("bfs unreached", []int64{3, bfs.Unreached, 4}, 8)
+	answers("int32", []int64{1, 0, -1, math.MaxInt32}, 32)
+	answers("bfs unreached", []int64{3, bfs.Unreached, 4}, 63)
 	answers("sssp unreached", []int64{sssp.Unreached}, 0)
-	answers("extremes", []int64{math.MinInt64, sssp.Unreached, -1}, 8)
+	answers("extremes", []int64{math.MinInt64, sssp.Unreached, -1}, 64)
 
 	edges := func(name string, es []Edge, width byte) {
 		t.Helper()
@@ -382,14 +382,14 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		}
 	}
 	edges("empty", []Edge{}, 0)
-	edges("unweighted", []Edge{{U: 3, V: 60}, {U: 60, V: 9}}, 1)
-	edges("weighted", []Edge{{U: 3, V: 60}, {U: 60, V: 9, W: 4}}, 1)
-	edges("heavy", []Edge{{U: 1, V: 2, W: math.MaxUint32}}, 4)
-	edges("wide ids", []Edge{{U: -1 << 40, V: 1 << 40}}, 6)
+	edges("unweighted", []Edge{{U: 3, V: 60}, {U: 60, V: 9}}, 6)
+	edges("weighted", []Edge{{U: 3, V: 60}, {U: 60, V: 9, W: 4}}, 6)
+	edges("heavy", []Edge{{U: 1, V: 2, W: math.MaxUint32}}, 32)
+	edges("wide ids", []Edge{{U: -1 << 40, V: 1 << 40}}, 42)
 
 	rng := xrand.New(0xc0dec)
 	for trial := 0; trial < 200; trial++ {
-		span := int64(1) << (1 + rng.Intn(40)) // ids up to 2^40: widths 1 to 6 come up
+		span := int64(1) << (1 + rng.Intn(40)) // ids up to 2^40: widths 1 to 41 come up
 		qs := make([]Query, rng.Intn(300))
 		for i := range qs {
 			qs[i] = Query{Op: Op(rng.Intn(6)), U: rng.Int64n(span) - span/2, V: rng.Int64n(span) - span/2}
@@ -436,7 +436,7 @@ func TestBatchDecoderRefuses(t *testing.T) {
 	// One edge whose weight, 2^32, is no uint32.
 	negative, width := pgas.AppendWords(slices.Clone(weighted[:batchHeader]), []int64{1, 2, 1 << 32})
 	negative[4] = width
-	width9 := append(patch(query, 4, 9)[:batchHeader+2+8], make([]byte, 2*2*9)...) // sized as if 9 bytes a word held
+	width65 := append(patch(query, 4, 65)[:batchHeader+2+8], make([]byte, (2*2*65+7)/8)...) // sized as if 65 bits a word held
 	empty := good(FrameQuery, []Query{})
 	for name, tc := range map[string]struct {
 		decode  func([]byte) error
@@ -448,7 +448,7 @@ func TestBatchDecoderRefuses(t *testing.T) {
 		"count past bytes":  {func(b []byte) error { _, err := c.queries(b); return err }, huge},
 		"width 5":           {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 4, 5)},
 		"width 8 claimed":   {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 4, 8)},
-		"width 9":           {func(b []byte) error { _, err := c.queries(b); return err }, width9},
+		"width 65":          {func(b []byte) error { _, err := c.queries(b); return err }, width65},
 		"width, no items":   {func(b []byte) error { _, err := c.queries(b); return err }, patch(empty, 4, 1)},
 		"three columns":     {func(b []byte) error { _, err := c.queries(b); return err }, patch(query, 5, 3)},
 		"two edge columns":  {func(b []byte) error { _, err := c.edges(b); return err }, patch(weighted[:len(weighted)-1], 5, 2)},
@@ -498,7 +498,7 @@ func TestBatchDecoderRefuses(t *testing.T) {
 	if err != nil || rtyp != FrameError {
 		t.Fatalf("a version-1 frame was answered with frame type %d, err %v; want FrameError", rtyp, err)
 	}
-	if msg := string(payload); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 3") {
-		t.Fatalf("a version-1 frame was answered %s, want a refusal naming versions 1 and 3", msg)
+	if msg := string(payload); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 4") {
+		t.Fatalf("a version-1 frame was answered %s, want a refusal naming versions 1 and 4", msg)
 	}
 }
