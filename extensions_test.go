@@ -56,10 +56,6 @@ func TestBFSAPI(t *testing.T) {
 	spec := optimized("bfs/coalesced", HybridGraph(600, 1800, 4), 2)
 	spec.Src = 3
 	res := run(t, c, spec)
-	spec.Kernel = "bfs/naive"
-	if naive := run(t, c, spec); !slices.Equal(naive.Dist, res.Dist) {
-		t.Fatal("naive and coalesced BFS distances differ")
-	}
 	if res.Dist[3] != 0 || res.Iterations != res.Detail.(*BFSResult).Levels {
 		t.Fatalf("dist[src] = %d, iterations %d", res.Dist[3], res.Iterations)
 	}

@@ -3,11 +3,9 @@
 // own (§I): Yoo et al.'s BlueGene/L BFS was the only prior demonstration
 // of distributed graph performance, but BFS has an inherent Ω(d) bound on
 // parallel time (d the input diameter), whereas the paper's CC/MST kernels
-// run in poly-log rounds regardless of topology. The ExpBFS experiment
+// run in poly-log rounds regardless of topology. The experiments' bfs row
 // makes that contrast measurable.
 //
-// Two variants mirror the repository's pattern: Naive issues one one-sided
-// access per inspected edge and rescans its distance block every level;
 // Coalesced pushes each level's frontier candidates to their owners with
 // one Exchange (personalized all-to-all) per level. The frontier changes
 // every level, so BFS stays on the one-shot collectives — it gains nothing
@@ -71,7 +69,7 @@ func SeqDistances(g *graph.Graph, src int64) []int64 {
 // routes the neighbor candidates to their owners, which claim unvisited
 // vertices into the next frontier.
 //
-// Recoverable state (pgas.Register): none, for Naive as well. dist is
+// Recoverable state (pgas.Register): none. dist is
 // monotone, but the frontier is not reconstructible from an arbitrary
 // superstep cut — a restored dist with no frontier strands the traversal
 // short of the fringe and would silently truncate distances. After an
@@ -124,58 +122,6 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src int6
 				}
 			}
 			th.ChargeIrregular(sim.CatCopy, int64(len(recv)), hi-lo)
-			return len(frontier) > 0
-		})
-	})
-
-	return &Result{Dist: append([]int64(nil), dist.Raw()...), Levels: run.Rounds, Run: run}
-}
-
-// Naive runs the literal translation: one one-sided read (and conditional
-// write) per inspected edge, and a full rescan of the owned distance block
-// per level to discover the next frontier — the access pattern a direct
-// shared-memory port produces.
-func Naive(rt *pgas.Runtime, g *graph.Graph, src int64) *Result {
-	csr := graph.BuildCSR(g)
-	dist := rt.NewSharedArray("Dist", g.N)
-	dist.Fill(Unreached)
-	if g.N > 0 {
-		dist.StoreRaw(src, 0)
-	}
-	red := pgas.NewOrReducer(rt)
-
-	run := rt.Run(func(th *pgas.Thread) {
-		lo, hi := dist.ThreadCover(th.ID)
-		th.ChargeSeq(sim.CatWork, hi-lo)
-
-		frontier := make([]int64, 0, 1024)
-		if src >= lo && src < hi && g.N > 0 {
-			frontier = append(frontier, src)
-		}
-		th.Barrier()
-
-		red.Loop(th, "bfs.Naive", maxLevels, func(i int) bool {
-			level := int64(i) + 1
-			// Expand with per-edge one-sided accesses. PutMin keeps the
-			// concurrent claims monotone (every writer offers the same
-			// level, so any winner is correct).
-			for _, v := range frontier {
-				for _, w := range csr.Neighbors(v) {
-					if th.Get(dist, int64(w), sim.CatComm) == Unreached {
-						th.PutMin(dist, int64(w), level, sim.CatComm)
-					}
-				}
-			}
-			th.Barrier()
-
-			// Discover the next frontier by rescanning the owned block.
-			frontier = frontier[:0]
-			for i := lo; i < hi; i++ {
-				if dist.LoadRaw(i) == level {
-					frontier = append(frontier, i)
-				}
-			}
-			th.ChargeSeq(sim.CatWork, hi-lo)
 			return len(frontier) > 0
 		})
 	})

@@ -82,11 +82,6 @@ func TestDistributedMatchSequential(t *testing.T) {
 					if !distEqual(co.Dist, want) {
 						t.Fatalf("coalesced distances differ from sequential (src %d)", src)
 					}
-					rt2 := newRuntime(t, geo.nodes, geo.tpn)
-					na := Naive(rt2, g, src)
-					if !distEqual(na.Dist, want) {
-						t.Fatalf("naive distances differ from sequential (src %d)", src)
-					}
 				})
 			}
 		}
@@ -121,18 +116,6 @@ func TestProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNaiveSlowerThanCoalesced(t *testing.T) {
-	g := graph.Random(2000, 8000, 9)
-	rt := newRuntime(t, 4, 2)
-	co := Coalesced(rt, collective.NewComm(rt), g, 0, collective.Optimized(2))
-	rt2 := newRuntime(t, 4, 2)
-	na := Naive(rt2, g, 0)
-	if na.Run.SimNS <= co.Run.SimNS {
-		t.Fatalf("naive (%.0f) should be slower than coalesced (%.0f)",
-			na.Run.SimNS, co.Run.SimNS)
 	}
 }
 

@@ -22,7 +22,7 @@
 // the exchange engine (engine.go); the collectives here are one-line calls
 // into Comm.once, which builds a scratch plan and executes it once. Kernels
 // whose request vector is stable across iterations hold their own Plan and
-// re-execute it (GetD or SetDMin), skipping phase 1 entirely.
+// re-execute its GetD, skipping phase 1 entirely.
 //
 // The paper's optimizations — circular, localcpy, id, offload — are
 // selectable through Options; compact lives in the algorithms (it changes

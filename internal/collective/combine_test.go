@@ -215,38 +215,6 @@ func TestSetDMinCombineLaws(t *testing.T) {
 	}
 }
 
-// TestPlannedSetDMinDeliversEverything: combining belongs to the one-shot
-// call only. A planned SetDMin's indices are fixed at build while its
-// values change per execution, so it delivers every planned request on
-// every execution.
-func TestPlannedSetDMinDeliversEverything(t *testing.T) {
-	rt := testRT(t, 2, 2)
-	s := rt.NumThreads()
-	const n = 64
-	d := rt.NewSharedArray("D", n)
-	for i := range d.Raw() {
-		d.Raw()[i] = combineInit
-	}
-	comm := NewComm(rt)
-	counts := newRequestCounts("SetDMin", s)
-	comm.SetTracer(counts)
-	plan := comm.NewPlan()
-	rt.Run(func(th *pgas.Thread) {
-		idx := make([]int64, 100)
-		val := make([]int64, 100)
-		for j := range idx {
-			idx[j] = int64(j % 5) // ascending values per target: the one-shot would keep 5
-			val[j] = int64(j)
-		}
-		plan.PlanRequests(th, d, idx, Base(), nil)
-		plan.SetDMin(th, d, val)
-		plan.SetDMin(th, d, val)
-	})
-	if offered, kept := counts.totals(); kept != offered || offered != int64(2*100*s) {
-		t.Fatalf("planned SetDMin delivered %d of %d requests, want all %d", kept, offered, 2*100*s)
-	}
-}
-
 // FuzzSetDMinCombine feeds the one-shot SetDMin arbitrary index/value
 // lists — geometry, partition scheme, options and table pressure all
 // drawn from the input — and holds D against the sequential min-scatter.

@@ -8,9 +8,9 @@
 // build may leave out. Those choices are a serveOp; exec is the engine that
 // runs one. The seven public one-shot collectives in collective.go are
 // one-line calls into Comm.once, which builds the scratch plan as the op
-// says and execs it; a caller-held Plan execs GetD and SetDMin, skipping
-// the rebuild — and gathers several arrays at the same indices by
-// executing one build once per array.
+// says and execs it; a caller-held Plan execs GetD, skipping the rebuild —
+// and gathers several arrays at the same indices by executing one build
+// once per array.
 package collective
 
 import (

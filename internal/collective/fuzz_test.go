@@ -14,9 +14,8 @@ import (
 // combine filter, owner key — runs on every scheme. It pins the plan
 // contract: a gather (GetD or GetDCombined) must equal the trivial oracle
 // out[j] = D[indices[j]] one-shot and through a plan, and re-executing the
-// unchanged plan must return bit-identical results; a scatter (SetDMin,
-// one-shot and then again through a plan, or SetD) must leave D equal to
-// the sequential scatter.
+// unchanged plan must return bit-identical results; a scatter (SetDMin or
+// SetD) must leave D equal to the sequential scatter.
 func FuzzPlanRequests(f *testing.F) {
 	f.Add(byte(0), byte(16), byte(0), byte(0), []byte{0})
 	f.Add(byte(3), byte(100), byte(31), byte(4), []byte("plan requests against every owner"))
@@ -74,9 +73,9 @@ func FuzzPlanRequests(f *testing.F) {
 		}
 		want := slices.Clone(d.Raw())
 		comm := NewComm(rt)
-		p := comm.NewPlan() // a Plan is collective state, shared by all threads
 		switch op {
 		case 0, 1:
+			p := comm.NewPlan() // a Plan is collective state, shared by all threads
 			rt.Run(func(th *pgas.Thread) {
 				req := reqs[th.ID]
 				k := len(req)
@@ -117,14 +116,6 @@ func FuzzPlanRequests(f *testing.F) {
 				}
 			}
 			rt.Run(func(th *pgas.Thread) { comm.SetDMin(th, d, reqs[th.ID], vals[th.ID], opts, nil) })
-			if !slices.Equal(d.Raw(), want) {
-				t.Fatalf("%s: one-shot SetDMin differs from the sequential min-scatter", part.name)
-			}
-			// The same writes again through a plan change nothing.
-			rt.Run(func(th *pgas.Thread) {
-				p.PlanRequests(th, d, reqs[th.ID], opts, nil)
-				p.SetDMin(th, d, vals[th.ID])
-			})
 		case 3:
 			// Every writer of an index sends the same value, so the
 			// arbitrary write has one outcome.

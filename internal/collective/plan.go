@@ -14,30 +14,27 @@ import (
 // keys resolved, indices count-sorted by owner, the inverse permutation,
 // and the published SMatrix/PMatrix columns — separated from the serve
 // phase that consumes it. Building a Plan (PlanRequests) performs and
-// charges phase 1 of Algorithm 2; executing it (GetD or SetDMin) performs
-// phase 2. A Plan built once may be executed many times: the
-// pointer-jumping kernels issue the same request vector every iteration,
-// and reuse skips the grouping sort and the all-to-all matrix publish —
-// the setup cost that dominates at high thread counts (§VI) — while
-// producing bit-identical results. Values passed to SetDMin are re-aligned
-// on every call, so reuse only requires the *indices* to be unchanged.
+// charges phase 1 of Algorithm 2; executing it (GetD) performs phase 2. A
+// Plan built once may be executed many times: the pointer-jumping kernels
+// issue the same request vector every iteration, and reuse skips the
+// grouping sort and the all-to-all matrix publish — the setup cost that
+// dominates at high thread counts (§VI) — while producing bit-identical
+// results against the array's current contents.
 //
 // A Plan is tied to one Comm, one request vector per thread, and one array
 // distribution — length and partition scheme, and for the hub scheme its
 // hub list — but not to one array: executing a plan against each of
 // several equally distributed arrays gathers them all at the same indices
 // for one phase-1 cost, and executing it against an array of another
-// distribution panics. Like the collectives themselves, PlanRequests, GetD and
-// SetDMin are collective: all threads of the runtime must call them, and
-// they contain barriers. A Plan must not be shared between concurrent
-// runtime Run regions.
+// distribution panics. Like the collectives themselves, PlanRequests and
+// GetD are collective: all threads of the runtime must call them, and they
+// contain barriers. A Plan must not be shared between concurrent runtime
+// Run regions.
 //
-// With Offload enabled the build filters out the offloaded index, which
-// both executions honor: GetD substitutes the pinned value, SetDMin drops
-// the no-op write. A plan combines nothing else — SetDMin's combining
-// judges the values, which change per execution, and whether a request
-// vector repeats itself is something a call site knows (GetDCombined) — so
-// only the one-shot collectives combine.
+// With Offload enabled the build filters out the offloaded index, and GetD
+// substitutes the pinned value. A plan combines nothing else — whether a
+// request vector repeats itself is something a call site knows
+// (GetDCombined) — so only the one-shot collectives combine.
 type Plan struct {
 	c    *Comm
 	pts  []planThread
@@ -388,36 +385,23 @@ func (c *Comm) publishInto(th *pgas.Thread, p *Plan, offs []int64) {
 // GetD executes the plan as a coordinated concurrent read: out[j] =
 // D[indices[j]] for the planned indices, identical in results and
 // simulated-time serve charges to Comm.GetD — minus the phase-1 rebuild
-// when the plan is reused. len(out) must equal the planned request count.
+// when the plan is reused. len(out) must equal the planned request count,
+// and d must have the planned distribution: the grouped layout names
+// owners under the planned partition, so any other one would serve
+// requests from the wrong blocks.
 func (p *Plan) GetD(th *pgas.Thread, d *pgas.SharedArray, out []int64) {
-	p.run(th, opGetD, d, nil, out)
-}
-
-// SetDMin executes the plan as a priority (minimum-wins) concurrent write:
-// D[indices[j]] = min(D[indices[j]], values[j]). values are re-aligned to
-// the grouped layout on every call, so only the indices need be unchanged
-// for reuse; every planned request is delivered (a plan does not combine).
-func (p *Plan) SetDMin(th *pgas.Thread, d *pgas.SharedArray, values []int64) {
-	p.run(th, opSetDMin, d, values, nil)
-}
-
-// run executes op on the built plan against d, after checking the caller's
-// slices against the planned request count and d against the planned
-// distribution: the grouped layout names owners under the planned
-// partition, so any other one would serve requests from the wrong blocks.
-func (p *Plan) run(th *pgas.Thread, op *serveOp, d *pgas.SharedArray, values, out []int64) {
 	pt := &p.pts[th.ID]
-	checkArgs(op, pt.n, values, out)
+	checkArgs(opGetD, pt.n, nil, out)
 	if pt.arrLen < 0 {
-		panic(fmt.Sprintf("collective: %s on an unbuilt plan (call PlanRequests first)", op.kind))
+		panic("collective: GetD on an unbuilt plan (call PlanRequests first)")
 	}
 	if d.Len() != pt.arrLen {
-		panic(fmt.Sprintf("collective: plan %s against %s of length %d, planned for length %d",
-			op.kind, d.Name(), d.Len(), pt.arrLen))
+		panic(fmt.Sprintf("collective: plan GetD against %s of length %d, planned for length %d",
+			d.Name(), d.Len(), pt.arrLen))
 	}
 	if part := d.Partition(); part.Kind != pt.part.Kind || part.Kind == pgas.SchemeHub && !slices.Equal(part.Hubs, pt.part.Hubs) {
-		panic(fmt.Sprintf("collective: plan %s against %s, whose %s partition is not the %s partition the plan was built for",
-			op.kind, d.Name(), part.Kind, pt.part.Kind))
+		panic(fmt.Sprintf("collective: plan GetD against %s, whose %s partition is not the %s partition the plan was built for",
+			d.Name(), part.Kind, pt.part.Kind))
 	}
-	p.c.traced(op.kind, th, p, func() { p.c.exec(th, p, op, d, values, out) })
+	p.c.traced(opGetD.kind, th, p, func() { p.c.exec(th, p, opGetD, d, nil, out) })
 }

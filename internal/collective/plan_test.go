@@ -14,9 +14,7 @@ import (
 //
 //   - building a plan and executing it once is indistinguishable — in
 //     results AND simulated-time charges — from the one-shot collective
-//     (charge invariance, the analogue of TestParallelismInvariance), but
-//     for the one-shot SetDMin's duplicate combining: it pays one probe op
-//     per offered request and never more than the plan beyond that;
+//     (charge invariance, the analogue of TestParallelismInvariance);
 //   - re-executing an unchanged plan returns bit-identical results while
 //     charging strictly less simulated time (the skipped grouping sort
 //     and matrix publish), and performs zero scratch growths once warm;
@@ -49,104 +47,57 @@ func planReqs(s int, k int, n int64) [][]int64 {
 	return reqs
 }
 
-// distinctReqs is planReqs without repeats inside a thread's list: the
-// first k entries of a per-thread shuffle of [0,n).
-func distinctReqs(s int, k int, n int64) [][]int64 {
-	reqs := make([][]int64, s)
-	for i := 0; i < s; i++ {
-		reqs[i] = xrand.New(uint64(7 + i)).Perm(int(n))[:k]
-	}
-	return reqs
-}
-
-// TestPlanChargeInvariance: PlanRequests + one execution must equal the
-// one-shot collective in outputs, array effects, and the simulated-time
-// total — the rebuild path is the same code charged the same way, so a
-// kernel can switch to plans without perturbing any figure. The one-shot
-// SetDMin differs by its request filter, and only by it: on duplicate-free
-// lists it charges what the rebuilt plan charges plus the probe (one op per
-// offered request), and on a list with this many repeats (3000 draws from
-// 4096 targets) the combining more than pays for the probe.
+// TestPlanChargeInvariance: PlanRequests + one GetD must equal the
+// one-shot GetD in outputs and the simulated-time total — the rebuild path
+// is the same code charged the same way, so a kernel can switch to plans
+// without perturbing any figure.
 func TestPlanChargeInvariance(t *testing.T) {
 	const n = 1 << 12
 	const k = 3000
+	data := make([]int64, n)
+	r := xrand.New(11)
+	for i := range data {
+		data[i] = r.Int64n(1 << 30)
+	}
+	data[0] = 0 // offload pins slot 0
 	for _, geo := range lawGeometries {
 		for name, opts := range planVariants() {
 			t.Run(fmt.Sprintf("%dx%d/%s", geo.nodes, geo.tpn, name), func(t *testing.T) {
-				// distinct: the SetDMin request lists have no repeats.
-				for _, distinct := range []bool{true, false} {
-					data := make([]int64, n)
-					r := xrand.New(11)
-					for i := range data {
-						data[i] = r.Int64n(1 << 30)
-					}
-					data[0] = 0 // offload pins slot 0
+				run := func(usePlan bool) (simNS float64, outs [][]int64) {
+					rt := testRT(t, geo.nodes, geo.tpn)
+					s := rt.NumThreads()
+					d := rt.NewSharedArray("D", n)
+					copy(d.Raw(), data)
+					comm := NewComm(rt)
+					reqs := planReqs(s, k, n)
+					outs = make([][]int64, s)
+					// Plans are collective objects: one instance shared by
+					// all threads, each publishing its own column.
+					plan := comm.NewPlan()
+					res := rt.Run(func(th *pgas.Thread) {
+						o := *opts
+						i := th.ID
+						out := make([]int64, len(reqs[i]))
+						if usePlan {
+							plan.PlanRequests(th, d, reqs[i], &o, nil)
+							plan.GetD(th, d, out)
+						} else {
+							comm.GetD(th, d, reqs[i], out, &o, nil)
+						}
+						outs[i] = out
+					})
+					return res.SimNS, outs
+				}
 
-					var probeNS float64
-					run := func(usePlan bool) (simNS float64, getOuts [][]int64, minRaw []int64) {
-						rt := testRT(t, geo.nodes, geo.tpn)
-						s := rt.NumThreads()
-						probeNS = rt.Model().Ops(k)
-						d := rt.NewSharedArray("D", n)
-						copy(d.Raw(), data)
-						comm := NewComm(rt)
-						reqs := planReqs(s, k, n)
-						minReqs := reqs
-						if distinct {
-							minReqs = distinctReqs(s, k, n)
-						}
-						vals := make([][]int64, s)
-						for i := range vals {
-							r := xrand.New(uint64(900 + i))
-							vals[i] = make([]int64, len(reqs[i]))
-							for j := range vals[i] {
-								vals[i][j] = r.Int64n(1 << 29)
-							}
-						}
-						getOuts = make([][]int64, s)
-						// Plans are collective objects: one instance shared by
-						// all threads, each publishing its own column.
-						gp, mp := comm.NewPlan(), comm.NewPlan()
-						res := rt.Run(func(th *pgas.Thread) {
-							o := *opts
-							i := th.ID
-							out := make([]int64, len(reqs[i]))
-							if usePlan {
-								gp.PlanRequests(th, d, reqs[i], &o, nil)
-								gp.GetD(th, d, out)
-								mp.PlanRequests(th, d, minReqs[i], &o, nil)
-								mp.SetDMin(th, d, vals[i])
-							} else {
-								comm.GetD(th, d, reqs[i], out, &o, nil)
-								comm.SetDMin(th, d, minReqs[i], vals[i], &o, nil)
-							}
-							getOuts[i] = out
-						})
-						return res.SimNS, getOuts, append([]int64(nil), d.Raw()...)
-					}
-
-					simA, getA, rawA := run(false)
-					simB, getB, rawB := run(true)
-					if distinct {
-						// Every thread offers k requests, so the probe moves every
-						// clock, and with them the total, by the same amount.
-						const roundoff = 1e-3 // ns; the totals are ~1e6 ns float64 sums
-						if extra := simA - simB - probeNS; extra > roundoff || extra < -roundoff {
-							t.Errorf("distinct lists: one-shot sim %v != plan rebuild sim %v + probe %v (off by %v)", simA, simB, probeNS, extra)
-						}
-					} else if simA > simB {
-						t.Errorf("one-shot sim %v > plan rebuild sim %v on a list with repeats", simA, simB)
-					}
-					for i := range getA {
-						for j := range getA[i] {
-							if getA[i][j] != getB[i][j] {
-								t.Fatalf("thread %d output %d differs between one-shot and plan", i, j)
-							}
-						}
-					}
-					for i := range rawA {
-						if rawA[i] != rawB[i] {
-							t.Fatalf("D[%d] differs after SetDMin: %d one-shot, %d via plan", i, rawA[i], rawB[i])
+				simA, outA := run(false)
+				simB, outB := run(true)
+				if simA != simB {
+					t.Errorf("one-shot sim %v != plan rebuild sim %v", simA, simB)
+				}
+				for i := range outA {
+					for j := range outA[i] {
+						if outA[i][j] != outB[i][j] {
+							t.Fatalf("thread %d output %d differs between one-shot and plan", i, j)
 						}
 					}
 				}
@@ -222,42 +173,6 @@ func TestPlanReuse(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPlanValueReuse: SetDMin re-aligns fresh values on every execution of
-// an unchanged (offload-filtered) plan.
-func TestPlanValueReuse(t *testing.T) {
-	const n = 512
-	rt := testRT(t, 2, 2)
-	s := rt.NumThreads()
-	d := rt.NewSharedArray("D", n)
-	comm := NewComm(rt)
-	reqs := planReqs(s, 300, n)
-	plan := comm.NewPlan()
-	for round := 0; round < 3; round++ {
-		vals := make([][]int64, s)
-		for i := 0; i < s; i++ {
-			r := xrand.New(uint64(round*100 + i))
-			vals[i] = make([]int64, len(reqs[i]))
-			for j := range vals[i] {
-				vals[i][j] = r.Int64n(1 << 30)
-			}
-		}
-		want := minScatter(n, reqs, vals)
-		d.Fill(combineInit)
-		d.Raw()[0] = 0
-		rt.Run(func(th *pgas.Thread) {
-			if round == 0 {
-				plan.PlanRequests(th, d, reqs[th.ID], Optimized(2), nil)
-			}
-			plan.SetDMin(th, d, vals[th.ID])
-		})
-		for i := int64(0); i < n; i++ {
-			if got := d.Raw()[i]; got != want[i] {
-				t.Fatalf("round %d: D[%d] = %d after SetDMin, min-scatter oracle says %d", round, i, got, want[i])
-			}
-		}
 	}
 }
 

@@ -87,8 +87,8 @@ func keptByMin(idx, vals []int64) int64 {
 // participant, one PlanBuild of the delivered count and then one
 // Collective under its kind (GetDCombined reports as GetD) with the
 // offered and delivered counts its filter implies; a caller-held plan
-// records its build once, and every later execution of plan.GetD or
-// plan.SetDMin records one PlanReuse and no build.
+// records its build once, and every later execution of plan.GetD records
+// one PlanReuse and no build.
 func TestTraceContract(t *testing.T) {
 	const n, k = 48, 60
 	rt := testRT(t, 3, 2)
@@ -150,38 +150,29 @@ func TestTraceContract(t *testing.T) {
 		})
 	}
 
-	planned := []struct {
-		kind string
-		run  func(p *Plan, th *pgas.Thread, vals []int64)
-	}{
-		{"GetD", func(p *Plan, th *pgas.Thread, _ []int64) { p.GetD(th, d, make([]int64, k)) }},
-		{"SetDMin", func(p *Plan, th *pgas.Thread, vals []int64) { p.SetDMin(th, d, vals) }},
-	}
-	for _, e := range planned {
-		t.Run("plan."+e.kind, func(t *testing.T) {
-			log := newEventLog(s)
-			comm.SetTracer(log)
-			defer comm.SetTracer(nil)
-			p := comm.NewPlan()
-			const execs = 3
-			rt.Run(func(th *pgas.Thread) {
-				i := th.ID
-				p.PlanRequests(th, d, reqs[i], opts, nil)
-				for r := 0; r < execs; r++ {
-					e.run(p, th, vals[i])
-				}
-			})
-			for i := 0; i < s; i++ {
-				kept := nonZero(reqs[i]) // a plan honors Offload and combines nothing
-				call := traceEvent{what: e.kind, elements: k, kept: kept}
-				want := []traceEvent{{what: "build", elements: kept}, call}
-				for r := 1; r < execs; r++ {
-					want = append(want, traceEvent{what: "reuse", elements: kept}, call)
-				}
-				if got := log.events[i]; !slices.Equal(got, want) {
-					t.Errorf("thread %d recorded %v, want %v", i, got, want)
-				}
+	t.Run("plan.GetD", func(t *testing.T) {
+		log := newEventLog(s)
+		comm.SetTracer(log)
+		defer comm.SetTracer(nil)
+		p := comm.NewPlan()
+		const execs = 3
+		rt.Run(func(th *pgas.Thread) {
+			i := th.ID
+			p.PlanRequests(th, d, reqs[i], opts, nil)
+			for r := 0; r < execs; r++ {
+				p.GetD(th, d, make([]int64, k))
 			}
 		})
-	}
+		for i := 0; i < s; i++ {
+			kept := nonZero(reqs[i]) // a plan honors Offload and combines nothing
+			call := traceEvent{what: "GetD", elements: k, kept: kept}
+			want := []traceEvent{{what: "build", elements: kept}, call}
+			for r := 1; r < execs; r++ {
+				want = append(want, traceEvent{what: "reuse", elements: kept}, call)
+			}
+			if got := log.events[i]; !slices.Equal(got, want) {
+				t.Errorf("thread %d recorded %v, want %v", i, got, want)
+			}
+		}
+	})
 }

@@ -54,7 +54,7 @@ func FuzzServeFrame(f *testing.F) {
 	f.Add(frame(FrameLoad, &LoadReq{Family: "random", N: 4, M: 7}))
 	f.Add(frame(FrameLoad, &LoadReq{Family: "hybrid", N: 3, M: 9}))
 	f.Add(frame(FrameRun, &RunReq{Spec: KernelSpec{Kernel: "cc/fastsv", Compact: true}}))
-	for _, row := range []string{"cc/merge-cgm", "cc/naive", "listrank/wyllie", "listrank/cgm", "bfs/naive", "sssp/delta-stepping", "mst/coalesced"} {
+	for _, row := range []string{"cc/merge-cgm", "cc/naive", "listrank/wyllie", "listrank/cgm", "bfs/coalesced", "sssp/delta-stepping", "mst/coalesced"} {
 		f.Add(frame(FrameRun, &RunReq{Spec: KernelSpec{Kernel: row, Src: 3}}))
 	}
 	for _, pin := range []string{`"OffloadValue":7`, `"OffloadIndex":5,"OffloadValue":99`} {

@@ -228,8 +228,6 @@ var registry = []kernelEntry{
 		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
 			return bfs.Coalesced(rt, comm, s.Graph, s.Src, s.Col)
 		}},
-	{name: "bfs/naive", verify: onDist(bfs.VerifyDistances),
-		run: func(rt *pgas.Runtime, _ *collective.Comm, s *KernelSpec) any { return bfs.Naive(rt, s.Graph, s.Src) }},
 	{name: "sssp/delta-stepping", weighted: true, verify: onDist(sssp.VerifyDistances),
 		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
 			return sssp.DeltaStepping(rt, comm, s.Graph, s.Src, s.Delta, s.Col)

@@ -89,7 +89,6 @@ func Checks() []Check {
 		{Name: "mst/coalesced", Mutation: true, Applicable: always, Kernel: "mst/coalesced"},
 		{Name: "mst/naive", Applicable: small, Kernel: "mst/naive"},
 		{Name: "bfs/coalesced", Wire: true, Applicable: always, Kernel: "bfs/coalesced"},
-		{Name: "bfs/naive", Applicable: small, Kernel: "bfs/naive"},
 		{Name: "sssp/delta-stepping", Applicable: always, Kernel: "sssp/delta-stepping"},
 		{Name: "listrank/wyllie", Applicable: always, Kernel: "listrank/wyllie"},
 		{Name: "listrank/cgm", Applicable: always, Kernel: "listrank/cgm", Twin: "listrank/wyllie"},
@@ -350,12 +349,10 @@ func checkSetDMinLaw(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 }
 
 // checkPlanReuse: a Plan built once and executed repeatedly must keep
-// matching the direct oracles — GetD against a mutated backing array
-// (values must track the array, not the build-time snapshot), then
-// SetDMin through the same plan against the sequential min-scatter
-// oracle. This is the sole check exercising the reuse path (one-shot
-// collectives rebuild every call), so it is what catches the reuse-gated
-// plan faults.
+// matching the direct oracle — GetD against a mutated backing array
+// (values must track the array, not the build-time snapshot). This is the
+// sole check exercising the reuse path (one-shot collectives rebuild every
+// call), so it is what catches the reuse-gated plan faults.
 func checkPlanReuse(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 	n := lawSize(t, rt)
 	s := rt.NumThreads()
@@ -411,37 +408,7 @@ func checkPlanReuse(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error {
 	rt.Run(func(th *pgas.Thread) {
 		plan.GetD(th, d, outs[th.ID])
 	})
-	if err := compare("reuse"); err != nil {
-		return err
-	}
-
-	// Priority write through the same plan: some values undercut the
-	// current contents, some do not.
-	want := make([]int64, n)
-	copy(want, raw)
-	vals := make([][]int64, s)
-	for i := 0; i < s; i++ {
-		vals[i] = make([]int64, k)
-		for j, ix := range reqs[i] {
-			v := raw[ix] - int64((i+j)%3)
-			vals[i][j] = v
-			if t.Opts.Offload && ix == t.Opts.OffloadIndex {
-				continue // dropped client-side on a filtered plan
-			}
-			if v < want[ix] {
-				want[ix] = v
-			}
-		}
-	}
-	rt.Run(func(th *pgas.Thread) {
-		plan.SetDMin(th, d, vals[th.ID])
-	})
-	for i := range want {
-		if raw[i] != want[i] {
-			return fmt.Errorf("plan SetDMin: D[%d] = %d, min-scatter oracle says %d", i, raw[i], want[i])
-		}
-	}
-	return nil
+	return compare("reuse")
 }
 
 // --- The kernel without a registry row ----------------------------------

@@ -21,7 +21,7 @@ func TestBatteryPinned(t *testing.T) {
 	want := []string{
 		"collective/getd-law", "collective/setd-roundtrip", "collective/setdmin-law", "collective/plan-reuse",
 		"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers", "cc/naive", "cc/merge-cgm",
-		"cc/spanning-forest", "mst/coalesced", "mst/naive", "bfs/coalesced", "bfs/naive",
+		"cc/spanning-forest", "mst/coalesced", "mst/naive", "bfs/coalesced",
 		"sssp/delta-stepping", "listrank/wyllie", "listrank/cgm", "euler/tour",
 		"serve/dispatch", "serve/query-batch", "serve/incremental-cc",
 	}

@@ -5,7 +5,7 @@ import (
 )
 
 // Kernel dispatch and the graph service, re-exported from internal/serve.
-// A KernelSpec names a kernel run ("cc/coalesced", "bfs/naive",
+// A KernelSpec names a kernel run ("cc/coalesced", "bfs/coalesced",
 // "listrank/wyllie", ...) and Cluster.Run dispatches it through the one
 // registry every program enters by: cmd/pgasd over its socket, cmd/pgasrun,
 // internal/bench's tables and the benchmark/ workloads.
@@ -14,7 +14,7 @@ type (
 	// the listrank/* rows), options.
 	KernelSpec = serve.KernelSpec
 	// KernelResult is the uniform outcome of a dispatched kernel run; its
-	// Detail holds the kernel's own result type (CCResult, BCCResult, ...).
+	// Detail holds the kernel's own result type (CCResult, BFSResult, ...).
 	KernelResult = serve.KernelResult
 	// Service is a resident graph service: kernel results stay in the
 	// cluster and answer batched point queries as coalesced bulk gathers.
