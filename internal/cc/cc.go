@@ -63,8 +63,8 @@ type Options struct {
 	// Col configures the collectives (virtual threads, circular,
 	// localcpy, id, offload). Nil means collective.Base().
 	Col *collective.Options
-	// Compact filters edges whose endpoints already share a component
-	// from the live list each iteration (§V).
+	// Compact drops edges inside one component from the live list (§V).
+	// Coalesced and SpanningTree read it; SV, FastSV and LiuTarjan do not.
 	Compact bool
 }
 

@@ -13,15 +13,15 @@ const CkptFastSVD = "cc.fastsv.D"
 // with stochastic and aggressive hooking on grandparent values plus a
 // shortcut every round, converging in noticeably fewer supersteps than
 // classic SV because hooks skip a tree level and every vertex — not just
-// roots — can be hooked. Aggressive hooking is a direct vertex write, so
-// FastSV ignores Compact (see hookRule.directWrite).
+// roots — can be hooked. Like every labelRounds rule, FastSV ignores
+// Compact (see labelRounds).
 func FastSV(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
 	return labelRounds(rt, comm, g, opts, &fastSVRule)
 }
 
 var fastSVRule = hookRule{
 	name: "cc/fastsv", ckpt: CkptFastSVD,
-	grandparents: true, directWrite: true, opsPerEdge: 2,
+	grandparents: true, opsPerEdge: 2,
 	// Both directions per edge. Stochastic hooking writes the neighbor's
 	// grandparent under the parent; aggressive hooking writes it under the
 	// vertex itself. The gathered current values prune requests that

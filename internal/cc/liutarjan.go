@@ -61,7 +61,7 @@ func (v LTVariant) rule() *hookRule {
 	}
 	return &hookRule{
 		name: "cc/" + v.String(), ckpt: "cc." + v.String() + ".D",
-		grandparents: rootGated, directWrite: extended, opsPerEdge: 1,
+		grandparents: rootGated, opsPerEdge: 1,
 		// For each live edge, the larger parent label's tree receives the
 		// smaller parent label — at the parent (P), and additionally at
 		// the endpoint itself for extended (E).
@@ -96,8 +96,8 @@ func (v LTVariant) rule() *hookRule {
 
 // LiuTarjan runs one concurrent-labeling variant from the Liu-Tarjan
 // framework on the shared hook-and-jump round (labelRounds). Labels are
-// bit-identical to Coalesced/SV/FastSV. The extended variant's direct
-// vertex write means LTERS ignores Compact (see hookRule.directWrite).
+// bit-identical to Coalesced/SV/FastSV. Every variant ignores Compact (see
+// labelRounds).
 // An unknown variant panics with a classified misuse error.
 func LiuTarjan(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, v LTVariant, opts *Options) *Result {
 	return labelRounds(rt, comm, g, opts, v.rule())

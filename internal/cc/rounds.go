@@ -23,14 +23,6 @@ type hookRule struct {
 	// grandparents adds the gather of D[D[u]], D[D[v]] on the parent
 	// values; rules without it save one collective per round.
 	grandparents bool
-	// directWrite marks rules whose hooks also write D[endpoint], not only
-	// D[parent]. Such a write can move a single endpoint into the winner's
-	// tree while the hook on its old root is gated off or loses the
-	// same-collective min race, so the edge gathers equal parents while it
-	// is still the only witness joining the loser's old tree. Dropping it
-	// would strand that tree with a stale label: direct-write rules never
-	// compact.
-	directWrite bool
 	// opsPerEdge is the charged hook-construction work per live edge.
 	opsPerEdge int64
 	// perCallSort keeps the endpoint gather on the one-shot GetD (a
@@ -62,10 +54,12 @@ var roundProbe func(kernel string, round int, labels []int64)
 //	hooks         rule.hooks       one SetDMin
 //	shortcut      D[i] <- D[D[i]]  one GetDCombined + local stores
 //
-// The endpoint gather goes through the run's collective.LiveEdges. Round 0
-// starts from the identity fill, where parents and grandparents are the
-// endpoints themselves: it copies instead of gathering unless Register
-// restored a snapshot.
+// The endpoint gather goes through the run's collective.LiveEdges, which
+// never shrinks: a hook under a non-root can split a pair that gathered
+// equal parents, so no rule compacts (docs/MODEL.md). Round 0 starts from
+// the identity fill, where parents and grandparents are the endpoints
+// themselves: it copies instead of gathering unless Register restored a
+// snapshot.
 //
 // All writes are minimum writes from the identity fill, so labels only
 // decrease and the terminal state is the same component-minimum rooted
@@ -84,9 +78,7 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 	identity := !pgas.Register(rt, rule.ckpt, d)
 	red := pgas.NewOrReducer(rt)
 	col := opts.col()
-	// Compaction drops an edge once both endpoints gather equal parents,
-	// which is sound only when equal parents imply merged trees.
-	live := comm.NewLiveEdges(opts.compact() && !rule.directWrite, rule.perCallSort, false, nil)
+	live := comm.NewLiveEdges(false, rule.perCallSort, false, nil)
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)
@@ -152,8 +144,6 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 			}
 			th.ChargeSeq(sim.CatCopy, 2*span)
 
-			// Equal parents mean the endpoints' components have merged,
-			// which is permanent.
 			el.Compact(th)
 
 			// Change detection: did any covered label move this round?

@@ -55,6 +55,7 @@ type EdgeList struct {
 // still in its endpoint's tree (labels only merge). pos is the layout of
 // the arrays the list gathers from (nil: the identity).
 func (c *Comm) NewLiveEdges(shrinks, regroup, stars bool, pos Layout) *LiveEdges {
+	shrinks = shrinks || c.fault == FaultCompactStatic
 	l := &LiveEdges{c: c, shrinks: shrinks, stars: shrinks && stars, pos: pos}
 	if !shrinks && !regroup {
 		l.plan = c.NewPlan()

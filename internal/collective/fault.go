@@ -48,12 +48,15 @@ const (
 	// itself instead of at its position under the array's layout — a
 	// translation point of a scattered label array forgotten.
 	FaultUnscattered
+	// FaultCompactStatic compacts a live edge list created not to shrink:
+	// the hook-and-jump rounds' historic mislabel (docs/MODEL.md).
+	FaultCompactStatic
 )
 
 // AllFaults lists every injectable fault, for iterating a mutation run.
 func AllFaults() []Fault {
-	return []Fault{FaultDropPermute, FaultMaxInsteadOfMin, FaultSegmentOffByOne,
-		FaultCorruptPlanPermute, FaultStalePlanMatrices, FaultWrongKeeper, FaultWrongRootRank, FaultUnscattered}
+	return []Fault{FaultDropPermute, FaultMaxInsteadOfMin, FaultSegmentOffByOne, FaultCorruptPlanPermute,
+		FaultStalePlanMatrices, FaultWrongKeeper, FaultWrongRootRank, FaultUnscattered, FaultCompactStatic}
 }
 
 // String returns the fault's stable name.
@@ -77,6 +80,8 @@ func (f Fault) String() string {
 		return "wrong-root-rank"
 	case FaultUnscattered:
 		return "unscattered"
+	case FaultCompactStatic:
+		return "compact-static"
 	}
 	return "unknown"
 }

@@ -155,12 +155,14 @@ func (c Config) runtime(p *Point) *pgas.Runtime {
 }
 
 // run runs one registry kernel on a fresh runtime for p, panicking on a
-// refused spec like runtime on a bad geometry.
+// refused spec or on an answer its row's oracle rejects.
 func (c Config) run(kernel string, p *Point) *serve.KernelResult {
 	rt := c.runtime(p)
-	res, err := serve.RunKernel(rt, collective.NewComm(rt), serve.KernelSpec{
-		Kernel: kernel, Graph: p.Graph, List: p.List, Col: p.Col, Compact: p.Compact, Delta: p.Delta,
-	})
+	spec := serve.KernelSpec{Kernel: kernel, Graph: p.Graph, List: p.List, Col: p.Col, Compact: p.Compact, Delta: p.Delta}
+	res, err := serve.RunKernel(rt, collective.NewComm(rt), spec)
+	if err == nil {
+		err = serve.Verify(spec, res)
+	}
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}

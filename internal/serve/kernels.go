@@ -39,8 +39,8 @@ type KernelSpec struct {
 	List *listrank.List `json:"-"`
 	// Col configures the collectives; nil means collective.Base().
 	Col *collective.Options `json:"col,omitempty"`
-	// Compact enables edge compaction where the kernel supports it
-	// (the collective cc/* rows, spanning-forest, mst/coalesced).
+	// Compact enables edge compaction in cc/coalesced, spanning-forest and
+	// mst/coalesced; the other rows, cc/sv and cc/lt-* too, ignore it.
 	Compact bool `json:"compact,omitempty"`
 	// Src is the BFS/SSSP source vertex.
 	Src int64 `json:"src,omitempty"`

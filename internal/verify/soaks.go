@@ -174,7 +174,8 @@ var mutationGeometries = [][2]int{{2, 2}, {4, 1}, {1, 4}, {3, 2}}
 // the iteration-bounded kernels fail fast when the collectives lie to
 // them. Even rounds draw one connected-ish graph (m = 3n); odd rounds the
 // disjoint union of eight, with Compact on, so that a late round of a
-// shrinking list still holds live edges of several trees on one thread.
+// shrinking list still holds live edges of several trees on one thread,
+// and of a sparse SmallWorld and Hybrid graph, where compacting hooks erred.
 func mutationTrial(rng *xrand.Rand, round int, _ int64) *Trial {
 	t := &Trial{Round: round, Seed: rng.Uint64()}
 	geo := mutationGeometries[rng.Intn(len(mutationGeometries))]
@@ -195,10 +196,11 @@ func mutationTrial(rng *xrand.Rand, round int, _ int64) *Trial {
 	if seed := rng.Uint64(); round%2 == 0 {
 		t.GraphName, t.Graph = "random", graph.Random(n, 3*n, seed)
 	} else {
-		parts, r := make([]*graph.Graph, 8), xrand.New(seed)
+		parts, r := make([]*graph.Graph, 8, 10), xrand.New(seed)
 		for i := range parts {
 			parts[i] = graph.Random(n/8, 3*(n/8), r.Uint64())
 		}
+		parts = append(parts, graph.SmallWorld(n, 2, 0.3, r.Uint64()), graph.Hybrid(n, n, r.Uint64()))
 		t.GraphName, t.Graph, t.Compact = "disjoint", graph.Disjoint(parts...), true
 	}
 	t.WGraph = graph.WithRandomWeights(t.Graph, t.Seed)
