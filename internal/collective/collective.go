@@ -205,7 +205,6 @@ type threadState struct {
 	recv2      []int64 // route-op receive: routed values (ExchangePairs)
 	packed     []int64 // (owner, position) keys for the QuickSort path
 	cursor     []int64 // bucket cursors for the count-sort, len s
-	snap       []int64 // pre-serve local-block snapshot for chaos replay (grown only when chaos is armed)
 	segs       []segment
 	comb       *combineTable // request filter memory, allocated by the thread's first combining call (one-shot SetDMin, GetDCombined)
 	scr        sched.Scratch
@@ -474,11 +473,7 @@ func (c *Comm) once(th *pgas.Thread, op *serveOp, d *pgas.SharedArray, indices, 
 // request of an n-element list.
 func checkArgs(op *serveOp, n int, values, out []int64) {
 	if op.hasValues && len(values) != n {
-		kind := op.kind
-		if op.mutates {
-			kind = "Set*" // one text for the three scatters
-		}
-		panic("collective: " + kind + " value length mismatch")
+		panic("collective: " + op.kind + " value length mismatch")
 	}
 	if op.gathers && len(out) != n {
 		panic("collective: " + op.kind + " output length mismatch")

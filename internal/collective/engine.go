@@ -41,9 +41,6 @@ type serveOp struct {
 	// keyPass): repeats by position (GetDCombined), or writes that
 	// cannot win by value (SetDMin, whose build then skips the IDCache).
 	combine combineRule
-	// mutates: the serve phase writes d1's owned elements (the Set*
-	// scatters), so a chaos-armed replay snapshots and restores them.
-	mutates bool
 	// serve returns a classified error when a transfer faults under armed
 	// chaos (nil always, on the fault-free transport): the whole phase is
 	// re-executable from the published matrices, so the engine replays it.
@@ -63,8 +60,8 @@ const (
 var (
 	opGetD          = &serveOp{kind: "GetD", gathers: true, allowFiltered: true, serve: serveGather, finish: finishPermute}
 	opGetDCombined  = &serveOp{kind: "GetD", gathers: true, allowFiltered: true, combine: combineIndex, serve: serveGather, finish: finishPermute}
-	opSetD          = &serveOp{kind: "SetD", hasValues: true, mutates: true, serve: serveScatterSet, finish: finishNone}
-	opSetDMin       = &serveOp{kind: "SetDMin", hasValues: true, allowFiltered: true, combine: combineMin, mutates: true, serve: serveScatterMin, finish: finishNone}
+	opSetD          = &serveOp{kind: "SetD", hasValues: true, serve: serveScatterSet, finish: finishNone}
+	opSetDMin       = &serveOp{kind: "SetDMin", hasValues: true, allowFiltered: true, combine: combineMin, serve: serveScatterMin, finish: finishNone}
 	opExchange      = &serveOp{kind: "Exchange", serve: serveRoute, finish: finishNone}
 	opExchangePairs = &serveOp{kind: "ExchangePairs", hasValues: true, serve: serveRoutePairs, finish: finishNone}
 )
@@ -114,35 +111,15 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.SharedArray, 
 // replaying it when a transfer faults under armed chaos. A serve phase is a
 // pure function of the published matrices and the peers' grouped
 // request/value buffers — none of which it consumes — so re-execution is
-// safe: a gather re-pulls and re-pushes the same segments (overwriting any
-// partially delivered or damaged words with identical clean ones), and a
-// scatter's mutation of its owned elements is rolled back from a pre-serve
-// snapshot before each replay, making SetD and SetDMin idempotent under
-// retry. Exhausting the attempt budget raises a classified ErrTimeout
-// through the barrier-poisoning path, so peers unwind instead of hanging at
-// the post-serve barrier.
-//
-// On the fault-free transport (chaos disarmed) there is no snapshot and
-// the serve runs once.
+// safe with nothing to undo: a gather re-pulls and re-pushes the same
+// segments (overwriting any partially delivered or damaged words with
+// identical clean ones), and a scatter faults only while it pulls, before
+// it writes any element (see serveScatter). Exhausting the attempt budget
+// raises a classified ErrTimeout through the barrier-poisoning path, so
+// peers unwind instead of hanging at the post-serve barrier.
 func (c *Comm) serveRetry(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.SharedArray, opts *Options) {
-	st := &c.ts[th.ID]
-	var owned int64
-	if op.mutates && th.Runtime().ChaosArmed() {
-		// Only the owner touches its owned elements during serve, so the
-		// snapshot is race-free here between the surrounding barriers; it
-		// walks exactly the owned set (a block owner's slab in one copy) —
-		// restoring anything wider would race peers serving their own
-		// interleaved elements.
-		owned = d.OwnedCount(th.ID)
-		st.snap = sched.Grow64(st.snap, int(owned), nil)
-		d.CopyOwnedOut(th.ID, st.snap[:owned])
-	}
-	th.Retry(func(attempt int) error {
-		if attempt > 1 && op.mutates {
-			d.CopyOwnedIn(th.ID, st.snap[:owned])
-		}
-		return op.serve(c, th, p, d, opts)
-	}, func() (string, string) { return "serve " + op.kind, "serve phase gave up" })
+	th.Retry(func() error { return op.serve(c, th, p, d, opts) },
+		func() (string, string) { return "serve " + op.kind, "serve phase gave up" })
 }
 
 // xferFault consults the chaos injector for one coalesced engine transfer
@@ -314,6 +291,12 @@ func serveGather(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *O
 // serveScatter is the Set* serve phase: pull every peer's index and value
 // segments, then apply them in place, in schedule order, with the op's
 // combining rule, charged as one blocked scatter over their concatenation.
+// Every transfer that can fault happens in the pull loop, before the first
+// element is written, so a failed attempt leaves d untouched and serveRetry
+// replays it with nothing to roll back. A future scatter that can fault
+// after it has written, or whose rule is not idempotent as SetD's
+// arbitrary write and SetDMin's priority write are, must bring its own
+// rollback.
 func (c *Comm) serveScatter(th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options, op sched.Op) error {
 	i := th.ID
 	local, base := d.ServeView(i)

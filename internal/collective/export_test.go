@@ -10,7 +10,7 @@ func (c *Comm) RetainedWords() (staging, total int64) {
 	for i := range c.ts {
 		st := &c.ts[i]
 		staging += int64(cap(st.stage) + cap(st.inVal) + cap(st.vals))
-		total += int64(cap(st.recv)+cap(st.recv2)+cap(st.packed)+cap(st.cursor)+cap(st.snap)) +
+		total += int64(cap(st.recv)+cap(st.recv2)+cap(st.packed)+cap(st.cursor)) +
 			half(st.keys) + 4*int64(cap(st.segs))
 		if st.comb != nil {
 			total += 2 * combineSlots

@@ -255,9 +255,9 @@ func (th *Thread) TransportFault(cat sim.Category, payload []int64) error {
 const chaosBackoffShiftCap = 16
 
 // Retry is the one chaos retry loop: GetBulk's retransmit and the
-// collectives' serve replay both run through it. It calls try(1), try(2), …
-// until an attempt returns nil, charging the exponential backoff and
-// counting one retry before each further attempt — so Retries counts
+// collectives' serve replay both run through it. It calls try until an
+// attempt returns nil, charging the exponential backoff and counting one
+// retry before each further attempt — so Retries counts
 // retries actually taken, never a final failing attempt. Once the armed
 // budget (ChaosConfig.MaxAttempts) is spent it raises a classified
 // ErrTimeout through the barrier-poisoning path, with the op and detail
@@ -265,9 +265,9 @@ const chaosBackoffShiftCap = 16
 // nothing). With chaos disarmed no fault is injected, and a failed attempt
 // — a real transport failure — is raised as it is: only injected faults
 // are retried.
-func (th *Thread) Retry(try func(attempt int) error, gaveUp func() (op, what string)) {
+func (th *Thread) Retry(try func() error, gaveUp func() (op, what string)) {
 	for attempt := 1; ; attempt++ {
-		err := try(attempt)
+		err := try()
 		switch {
 		case err == nil:
 			return

@@ -49,7 +49,7 @@ import (
 // (frontiers, buckets, accumulated edge lists) register nothing and
 // recover by deterministic re-execution instead.
 func Register(rt *Runtime, name string, a *SharedArray) (restored bool) {
-	return rt.ckpt != nil && rt.ckpt.Register(name, a)
+	return rt.ckpt != nil && rt.ckpt.register(name, a)
 }
 
 // ckptEntry is one registered array with its double-buffered shadows.
@@ -71,8 +71,8 @@ type ckptEntry struct {
 }
 
 // Checkpointer is the superstep checkpoint manager. Arm one with
-// ArmCheckpoints; kernels enroll state through Register (usually via the
-// package-level helper); Thread.Barrier drives the snapshot protocol;
+// ArmCheckpoints; kernels enroll state through the package-level
+// Register; Thread.Barrier drives the snapshot protocol;
 // Rebind carries the committed snapshots onto a remapped runtime after an
 // eviction. Registration must happen outside SPMD regions (kernels
 // register before their Run call); the barrier-driven snapshot path takes
@@ -121,10 +121,7 @@ func (rt *Runtime) ArmCheckpoints(every int) *Checkpointer {
 // the single-rendezvous fast path.
 func (rt *Runtime) DisarmCheckpoints() { rt.ckpt = nil }
 
-// Checkpointer returns the armed checkpoint manager, or nil.
-func (rt *Runtime) Checkpointer() *Checkpointer { return rt.ckpt }
-
-// Register enrolls (or re-binds) a named shared array. First registration
+// register enrolls (or re-binds) a named shared array. First registration
 // of a name allocates the two shadow buffers — the only allocation the
 // checkpoint subsystem ever performs, so the steady-state barrier path
 // stays allocation-free. During a recovery round (after Rebind), the
@@ -132,7 +129,7 @@ func (rt *Runtime) Checkpointer() *Checkpointer { return rt.ckpt }
 // committed contents into the new array: the array was re-created on the
 // remapped geometry with a different block size, and the flat copy is
 // precisely the ownership remap. Reports whether it restored.
-func (ck *Checkpointer) Register(name string, a *SharedArray) (restored bool) {
+func (ck *Checkpointer) register(name string, a *SharedArray) (restored bool) {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	e := ck.byName[name]

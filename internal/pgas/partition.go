@@ -9,12 +9,12 @@
 //
 // The data layout never changes: a SharedArray's backing slice is always
 // in global-index order, whatever the scheme. What a scheme changes is
-// *which thread owns* (serves, snapshots, restores) each element. Block
-// ownership is contiguous, so owners can take a subslice view of their
-// elements; cyclic and hub ownership are scattered, so owners operate on
-// the full slice and touch only their own (disjoint) elements — correct
-// under the same reasoning as before, since an element still has exactly
-// one owner, and naturally penalized by the cache model through NodeSpan.
+// *which thread owns* (serves) each element. Block ownership is
+// contiguous, so owners can take a subslice view of their elements;
+// cyclic and hub ownership are scattered, so owners operate on the full
+// slice and touch only their own (disjoint) elements — correct under the
+// same reasoning as before, since an element still has exactly one owner,
+// and naturally penalized by the cache model through NodeSpan.
 //
 // Block and cyclic ownership are pure arithmetic (one multiply or one
 // modulo per index — the paper's "id" optimization survives both); only
@@ -156,78 +156,11 @@ func (a *SharedArray) ServeView(id int) (local []int64, base int64) {
 	return a.data, 0
 }
 
-// OwnedCount returns the number of elements thread id owns.
-func (a *SharedArray) OwnedCount(id int) int64 {
-	a.checkThread("OwnedCount", id)
-	switch a.part.Kind {
-	case SchemeCyclic:
-		i := int64(id)
-		if i >= a.n {
-			return 0
-		}
-		return (a.n - i + int64(a.rt.s) - 1) / int64(a.rt.s)
-	case SchemeHub:
-		return a.ownedOff[id+1] - a.ownedOff[id]
-	default:
-		lo, hi := a.localRange(id)
-		return hi - lo
-	}
-}
-
-// CopyOwnedOut copies thread id's owned elements, in ascending index
-// order, into dst (which must be at least OwnedCount(id) long). With
-// CopyOwnedIn it is the chaos replay's one snapshot/restore pair: it
-// touches only the owned set — restoring anything wider would race peers
-// concurrently serving their own scattered elements — and a block owner's
-// set is its slab, copied in one piece.
-func (a *SharedArray) CopyOwnedOut(id int, dst []int64) {
-	a.checkThread("CopyOwnedOut", id)
-	switch a.part.Kind {
-	case SchemeCyclic:
-		s := int64(a.rt.s)
-		j := 0
-		for g := int64(id); g < a.n; g += s {
-			dst[j] = a.data[g]
-			j++
-		}
-	case SchemeHub:
-		for j, g := range a.ownedIdx[a.ownedOff[id]:a.ownedOff[id+1]] {
-			dst[j] = a.data[g]
-		}
-	default:
-		lo, hi := a.localRange(id)
-		copy(dst[:hi-lo], a.data[lo:hi])
-	}
-}
-
-// CopyOwnedIn is CopyOwnedOut's inverse: it writes src back over thread
-// id's owned elements in the same ascending order.
-func (a *SharedArray) CopyOwnedIn(id int, src []int64) {
-	a.checkThread("CopyOwnedIn", id)
-	switch a.part.Kind {
-	case SchemeCyclic:
-		s := int64(a.rt.s)
-		j := 0
-		for g := int64(id); g < a.n; g += s {
-			a.data[g] = src[j]
-			j++
-		}
-	case SchemeHub:
-		for j, g := range a.ownedIdx[a.ownedOff[id]:a.ownedOff[id+1]] {
-			a.data[g] = src[j]
-		}
-	default:
-		lo, hi := a.localRange(id)
-		copy(a.data[lo:hi], src[:hi-lo])
-	}
-}
-
-// buildHubTables fills the hub scheme's owner table and per-owner owned
-// lists: the h-th valid hub (in spec order, in-range, first occurrence)
-// goes to thread h%s, and the non-hub tail is dealt by ascending index
-// into the same almost-equal shares Span produces. One O(n) pass builds
-// the table, one counting sort groups the owned lists.
-func (a *SharedArray) buildHubTables() {
+// buildHubTable fills the hub scheme's owner table: the h-th valid hub
+// (in spec order, in-range, first occurrence) goes to thread h%s, and the
+// non-hub tail is dealt by ascending index into the same almost-equal
+// shares Span produces, in one O(n) pass.
+func (a *SharedArray) buildHubTable() {
 	s := a.rt.s
 	n := a.n
 	tab := make([]int32, n)
@@ -260,22 +193,4 @@ func (a *SharedArray) buildHubTables() {
 		filled++
 	}
 	a.ownerTab = tab
-	// Group indices by owner (counting sort): ownedIdx[ownedOff[t]:
-	// ownedOff[t+1]] lists thread t's elements in ascending order.
-	off := make([]int64, s+1)
-	for _, t := range tab {
-		off[t+1]++
-	}
-	for t := 0; t < s; t++ {
-		off[t+1] += off[t]
-	}
-	idx := make([]int64, n)
-	cur := make([]int64, s)
-	for i := int64(0); i < n; i++ {
-		t := tab[i]
-		idx[off[t]+cur[t]] = i
-		cur[t]++
-	}
-	a.ownedOff = off
-	a.ownedIdx = idx
 }

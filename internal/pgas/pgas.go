@@ -814,12 +814,11 @@ func (th *Thread) Span(total int64) (lo, hi int64) {
 
 // SharedArray is a one-dimensional shared array of 64-bit words. The
 // backing slice is always in global-index order; the partition scheme
-// decides which thread owns (serves, snapshots) each element. The
-// default is the paper's blocked distribution — thread i owns
-// [i*blk, (i+1)*blk) where blk = ceil(n/s), the layout the paper's codes
-// declare so Algorithm 1's top-level partition matches the data
-// distribution — with cyclic and hub-aware schemes selectable per array
-// (see partition.go).
+// decides which thread owns (serves) each element. The default is the
+// paper's blocked distribution — thread i owns [i*blk, (i+1)*blk) where
+// blk = ceil(n/s), the layout the paper's codes declare so Algorithm 1's
+// top-level partition matches the data distribution — with cyclic and
+// hub-aware schemes selectable per array (see partition.go).
 type SharedArray struct {
 	rt  *Runtime
 	n   int64
@@ -831,11 +830,8 @@ type SharedArray struct {
 	name  string
 	win   Win           // transport window name; zero on a shared fabric
 	part  PartitionSpec // ownership scheme; zero value = block
-	// Hub-scheme tables (nil otherwise): per-index owner, and indices
-	// grouped by owner for the owned-set snapshot walk.
+	// ownerTab is the hub scheme's per-index owner (nil otherwise).
 	ownerTab []int32
-	ownedOff []int64
-	ownedIdx []int64
 }
 
 // NewSharedArray allocates a shared array of n elements (zero-initialized)
@@ -868,7 +864,7 @@ func (rt *Runtime) NewSharedArrayPart(name string, n int64, spec PartitionSpec) 
 	}
 	a := &SharedArray{rt: rt, n: n, blk: blk, recip: blockRecip(n, blk), data: make([]int64, n), name: name, part: spec}
 	if spec.Kind == SchemeHub {
-		a.buildHubTables()
+		a.buildHubTable()
 	}
 	if !rt.tr.Shared() {
 		// Wire: the slice is a full-size replica, authoritative only for
@@ -1102,7 +1098,7 @@ func (th *Thread) GetBulk(a *SharedArray, start int64, dst []int64, cat sim.Cate
 		return
 	}
 	th.Clock.RemoteOps++
-	th.Retry(func(int) error {
+	th.Retry(func() error {
 		th.chargeTransfer(cat, k)
 		th.deliverGet(a, start, dst)
 		return th.TransportFault(cat, dst)

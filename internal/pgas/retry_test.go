@@ -14,9 +14,10 @@ import (
 // share — GetBulk's retransmit and a collective's serve replay. Under a
 // config that drops every transfer each gives up after exactly MaxAttempts
 // attempts with a classified ErrTimeout naming its own op, having taken
-// MaxAttempts-1 retries; and a mutating serve that succeeds after drops
-// leaves the owner's elements exactly as one clean serve does, under every
-// partition scheme.
+// MaxAttempts-1 retries; and a SetDMin or SetD serve that succeeds after
+// drops leaves the owner's elements exactly as one clean serve does, under
+// every partition scheme — with no rollback, since a scatter faults only
+// before it writes.
 func TestRetryContract(t *testing.T) {
 	const attempts = 4
 	drops := pgas.ChaosConfig{Seed: 9, DropRate: 1, MaxAttempts: attempts, BackoffNS: 1e3}
@@ -64,10 +65,31 @@ func TestRetryContract(t *testing.T) {
 		t.Fatalf("SetDMin: %d retries, want MaxAttempts-1 = %d", got, attempts-1)
 	}
 
-	// A replayed SetDMin against a clean one, every thread writing across
-	// both nodes.
+	// A replayed scatter against a clean one, under every scheme: SetDMin
+	// with every thread writing across both nodes, and SetD with threads 1
+	// (node 0) and 2 (node 1) writing different values to the same indices
+	// across both nodes, so the arbitrary write's winner must not move.
 	const n = 96
-	run := func(spec pgas.PartitionSpec, chaos *pgas.ChaosConfig) ([]int64, pgas.ChaosStats, error) {
+	type scatter func(comm *collective.Comm, th *pgas.Thread, d *pgas.SharedArray)
+	setDMin := func(comm *collective.Comm, th *pgas.Thread, d *pgas.SharedArray) {
+		var idx, vals []int64
+		for j := int64(1); j < n; j += 3 {
+			idx = append(idx, (j*int64(th.ID+5))%n)
+			vals = append(vals, j%7+int64(th.ID))
+		}
+		comm.SetDMin(th, d, idx, vals, nil, nil)
+	}
+	setD := func(comm *collective.Comm, th *pgas.Thread, d *pgas.SharedArray) {
+		var idx, vals []int64
+		if th.ID == 1 || th.ID == 2 {
+			for j := int64(0); j < n; j += 2 {
+				idx = append(idx, (j*7+1)%n)
+				vals = append(vals, 1000*int64(th.ID)+j)
+			}
+		}
+		comm.SetD(th, d, idx, vals, nil, nil)
+	}
+	run := func(spec pgas.PartitionSpec, op scatter, chaos *pgas.ChaosConfig) ([]int64, pgas.ChaosStats, error) {
 		rt := ckptRT(t, 2, 2)
 		if err := rt.SetPartition(spec); err != nil {
 			t.Fatal(err)
@@ -78,35 +100,33 @@ func TestRetryContract(t *testing.T) {
 		comm := collective.NewComm(rt)
 		d := rt.NewSharedArray("D", n)
 		d.FillIdentity()
-		_, err := rt.RunE(func(th *pgas.Thread) {
-			var idx, vals []int64
-			for j := int64(1); j < n; j += 3 {
-				idx = append(idx, (j*int64(th.ID+5))%n)
-				vals = append(vals, j%7+int64(th.ID))
-			}
-			comm.SetDMin(th, d, idx, vals, nil, nil)
-		})
+		_, err := rt.RunE(func(th *pgas.Thread) { op(comm, th, d) })
 		return slices.Clone(d.Raw()), rt.ChaosStats(), err
 	}
-	for _, spec := range []pgas.PartitionSpec{{Kind: pgas.SchemeBlock}, {Kind: pgas.SchemeCyclic}, {Kind: pgas.SchemeHub, Hubs: []int64{3, 50, 7}}} {
-		clean, _, err := run(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed := false
-		for seed := uint64(1); seed <= 64 && !replayed; seed++ {
-			got, stats, err := run(spec, &pgas.ChaosConfig{Seed: seed, DropRate: 0.3, MaxAttempts: 32, BackoffNS: 1e3})
-			if err != nil || stats.Retries == 0 {
-				continue
+	for _, tc := range []struct {
+		name string
+		op   scatter
+	}{{"SetDMin", setDMin}, {"SetD", setD}} {
+		for _, spec := range []pgas.PartitionSpec{{Kind: pgas.SchemeBlock}, {Kind: pgas.SchemeCyclic}, {Kind: pgas.SchemeHub, Hubs: []int64{3, 50, 7}}} {
+			clean, _, err := run(spec, tc.op, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			replayed = true
-			if !slices.Equal(got, clean) {
-				t.Fatalf("%s seed %d: SetDMin after %d replays left %v, one clean serve leaves %v",
-					spec.Kind, seed, stats.Retries, got, clean)
+			replayed := false
+			for seed := uint64(1); seed <= 64 && !replayed; seed++ {
+				got, stats, err := run(spec, tc.op, &pgas.ChaosConfig{Seed: seed, DropRate: 0.3, MaxAttempts: 32, BackoffNS: 1e3})
+				if err != nil || stats.Retries == 0 {
+					continue
+				}
+				replayed = true
+				if !slices.Equal(got, clean) {
+					t.Fatalf("%s %s seed %d: after %d replays left %v, one clean serve leaves %v",
+						tc.name, spec.Kind, seed, stats.Retries, got, clean)
+				}
 			}
-		}
-		if !replayed {
-			t.Fatalf("%s: no seed in 1..64 replayed a serve and succeeded", spec.Kind)
+			if !replayed {
+				t.Fatalf("%s %s: no seed in 1..64 replayed a serve and succeeded", tc.name, spec.Kind)
+			}
 		}
 	}
 }
