@@ -205,14 +205,21 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		th.ChargeSeq(sim.CatWork, span)
 		th.ChargeOps(sim.CatWork, span)
 		el := live.List(th, g.M(), g.Ends, false)
-		setIdx := make([]int64, 0, len(el.Ends)/2)
-		setVal := make([]int64, 0, len(el.Ends)/2)
+		setIdx, setVal := el.HookIdx, el.HookVal
 		jump := collective.NewJumpScratch(span, lay.place)
 		th.Barrier()
 
 		// Rounds until no edge joins two trees: gather every live edge's
-		// endpoint labels, hook, collapse every tree to a rooted star.
+		// endpoint labels and build the hook list. The next round opens by
+		// hooking and collapsing every tree to a rooted star, so its
+		// endpoint labels are roots again; the round that builds no hook
+		// ends at its gather.
 		red.Loop(th, "cc.Coalesced", maxIterations, func(iter int) bool {
+			if iter > 0 {
+				comm.SetDMin(th, d, setIdx, setVal, col, nil)
+				comm.PointerJump(th, d, col, red, jump, dLo)
+				el.Compact(th)
+			}
 			el.Gather(th, d, col, iter == 0 && identity)
 
 			// Build the hook list: D[pos(max(du,dv))] <- min(du,dv).
@@ -233,12 +240,6 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			}
 			lay.place(setIdx, setIdx)
 			th.ChargeOps(sim.CatWork, int64(len(labels)/2+len(setIdx)))
-			comm.SetDMin(th, d, setIdx, setVal, col, nil)
-
-			// Synchronous pointer jumping until all trees are rooted stars:
-			// the next round's endpoint labels are roots again.
-			comm.PointerJump(th, d, col, red, jump, dLo)
-			el.Compact(th)
 			return grafted
 		})
 	})

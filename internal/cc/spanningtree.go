@@ -87,18 +87,43 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		th.ChargeOps(sim.CatWork, span)
 
 		el := live.List(th, g.M(), g.Ends, true)
-		setIdx := make([]int64, 0, len(el.IDs))
-		setVal := make([]int64, 0, len(el.IDs))
+		setIdx, setVal := el.HookIdx, el.HookVal
 		jump := collective.NewJumpScratch(span, lay.place)
 		th.Barrier()
 
+		// As in Coalesced, a round gathers and elects; the next one opens
+		// by applying the election and collapsing to rooted stars.
 		red.Loop(th, "cc.SpanningTree", maxIterations, func(iter int) bool {
-			// Reset this round's hook buckets (own block).
-			for i := dLo; i < dHi; i++ {
-				hook.StoreRaw(i, noHook)
+			if iter > 0 {
+				// Reset the hook buckets (own block).
+				for i := dLo; i < dHi; i++ {
+					hook.StoreRaw(i, noHook)
+				}
+				th.ChargeSeq(sim.CatWork, span)
+				th.Barrier()
+				comm.SetDMin(th, hook, setIdx, setVal, &colHook, nil)
+
+				// Apply winning hooks on owned slots, recording tree
+				// edges: one pass over the block, writing D in order.
+				applied := int64(0)
+				for r := dLo; r < dHi; r++ {
+					key := hook.LoadRaw(r)
+					if key == noHook {
+						continue
+					}
+					target, e := unpackHook(key)
+					d.StoreRaw(r, target)
+					chosen[th.ID] = append(chosen[th.ID], e)
+					applied++
+				}
+				th.ChargeSeq(sim.CatWork, span)
+				th.ChargeSeq(sim.CatCopy, applied)
+				th.Barrier()
+
+				// Collapse to rooted stars.
+				comm.PointerJump(th, d, col, red, jump, dLo)
+				el.Compact(th)
 			}
-			th.ChargeSeq(sim.CatWork, span)
-			th.Barrier()
 
 			// Fetch endpoint labels of live edges. D is registered nowhere,
 			// so round 0 always starts from the identity fill.
@@ -122,25 +147,6 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 			}
 			lay.place(setIdx, setIdx)
 			th.ChargeOps(sim.CatWork, int64(len(el.IDs)+len(setIdx)))
-			comm.SetDMin(th, hook, setIdx, setVal, &colHook, nil)
-
-			// Apply winning hooks on owned slots, recording tree edges.
-			for r := dLo; r < dHi; r++ {
-				key := hook.LoadRaw(r)
-				if key == noHook {
-					continue
-				}
-				target, e := unpackHook(key)
-				d.StoreRaw(r, target)
-				chosen[th.ID] = append(chosen[th.ID], e)
-				th.ChargeIrregular(sim.CatCopy, 2, span)
-			}
-			th.ChargeSeq(sim.CatWork, span)
-			th.Barrier()
-
-			// Collapse to rooted stars.
-			comm.PointerJump(th, d, col, red, jump, dLo)
-			el.Compact(th)
 			return grafted
 		})
 	})

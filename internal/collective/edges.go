@@ -18,7 +18,7 @@ type LiveEdges struct {
 	c       *Comm
 	plan    *Plan // non-nil: the list never changes and gathers through this plan
 	shrinks bool
-	stars   bool   // shrinks, and every Gather after the first sees stars (NewLiveEdges)
+	stars   bool   // every Gather after the first sees stars (NewLiveEdges)
 	pos     Layout // the gathered array's layout; nil is the identity
 }
 
@@ -33,6 +33,11 @@ type EdgeList struct {
 	// IDs are the live edges' ids, one per pair; nil unless List was asked
 	// for them.
 	IDs []int64
+	// HookIdx and HookVal are a stars list's hook buffers, empty with room
+	// for one hook per edge of the thread's span: the kernel builds its
+	// hook list in them and issues it before the next Gather, which may
+	// borrow them for a roots gather.
+	HookIdx, HookVal []int64
 
 	live    *LiveEdges
 	planned bool
@@ -42,7 +47,11 @@ type EdgeList struct {
 	seen     []uint64
 	base     []int32
 	distinct int  // bits set in seen
-	viaRoots bool // Compact's count allows the next Gather the roots path
+	viaRoots bool // Compact's count prices the roots path below the endpoints
+	// What the last Gather read with, which Compact prices its count by:
+	// the options and the length of this thread's serve block of d.
+	opts *Options
+	nb   int64
 }
 
 // NewLiveEdges returns the list for one kernel run. shrinks lets Compact
@@ -52,11 +61,12 @@ type EdgeList struct {
 // one Plan, built when it first gathers and re-executed afterwards.
 // stars asserts for a list that shrinks that each Gather after the first
 // finds d collapsed to rooted stars, every label the list last gathered
-// still in its endpoint's tree (labels only merge). pos is the layout of
-// the arrays the list gathers from (nil: the identity).
+// still in its endpoint's tree (labels only merge); its List carries the
+// hook buffers. pos is the layout of the arrays the list gathers from
+// (nil: the identity).
 func (c *Comm) NewLiveEdges(shrinks, regroup, stars bool, pos Layout) *LiveEdges {
 	shrinks = shrinks || c.fault == FaultCompactStatic
-	l := &LiveEdges{c: c, shrinks: shrinks, stars: shrinks && stars, pos: pos}
+	l := &LiveEdges{c: c, shrinks: shrinks, stars: stars, pos: pos}
 	if !shrinks && !regroup {
 		l.plan = c.NewPlan()
 	}
@@ -66,7 +76,8 @@ func (c *Comm) NewLiveEdges(shrinks, regroup, stars bool, pos Layout) *LiveEdges
 // List builds thread th's share of the list: its span [lo, hi) of the m
 // edges, whose (u, v) pairs fill writes to ends, two words an edge — with
 // the edges' ids riding along when the kernel needs to name the edge behind
-// a pair. The endpoint vector is written once per run and charged here.
+// a pair. The endpoint vector is written once per run and charged here,
+// and so are a stars list's hook buffers.
 // Under a layout the vertices fill writes stay behind as Labels — the
 // identity round's labels, the layout's inverse of Ends — and Ends holds
 // their positions, one charged op each.
@@ -86,6 +97,9 @@ func (l *LiveEdges) List(th *pgas.Thread, m int64, fill func(lo, hi int64, ends 
 			el.IDs[j] = lo + int64(j)
 		}
 	}
+	if l.stars {
+		el.HookIdx, el.HookVal = make([]int64, 0, hi-lo), make([]int64, 0, hi-lo)
+	}
 	th.ChargeSeq(sim.CatWork, int64(len(el.Ends)))
 	return el
 }
@@ -99,15 +113,20 @@ func (l *LiveEdges) List(th *pgas.Thread, m int64, fill func(lo, hi int64, ends 
 // once per run. A list that shrinks (or regroups) calls
 // the one-shot GetD; it passes no IDCache, because the cache would be
 // stale after every compaction and, as the model charges it, storing and
-// reloading owner ids costs more than recomputing them. A stars list's
-// thread whose kept pairs name distinct roots with s·distinct <=
-// len(Ends) gathers at the roots instead (gatherRoots), so no owner
-// serves it more than len(Ends)/s. All threads must call it.
+// reloading owner ids costs more than recomputing them. A shrinking stars
+// list's thread whose Compact priced the roots path below the endpoint
+// gather gathers at the roots instead (gatherRoots). All threads must call
+// it.
 func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, identity bool) {
 	l := el.live
 	el.Labels = el.Labels[:len(el.Ends)]
-	if words := (d.Len() + 63) / 64; l.stars && el.seen == nil {
-		el.seen, el.base = make([]uint64, words), make([]int32, words)
+	if l.shrinks && l.stars {
+		if el.seen == nil {
+			words := (d.Len() + 63) / 64
+			el.seen, el.base = make([]uint64, words), make([]int32, words)
+		}
+		local, _ := d.ServeView(th.ID)
+		el.opts, el.nb = opts, int64(len(local))
 	}
 	switch {
 	case identity:
@@ -129,13 +148,14 @@ func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, 
 }
 
 // gatherRoots gathers d at the marked labels' positions, listed ascending
-// off the bitmap, and relabels each pair by its label's exact rank (base
-// plus a popcount) — a gather into k words: under the stars assertion
-// D[Ends[j]] = D[pos(Labels[j])].
+// off the bitmap into the hook buffers, and relabels each pair by its
+// label's exact rank (base plus a popcount) — a gather into k words: under
+// the stars assertion D[Ends[j]] = D[pos(Labels[j])]. Compact caps k at
+// the buffers' room, so it allocates nothing.
 func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Options) {
 	c := el.live.c
 	el.viaRoots = false
-	var roots []int64
+	roots := el.HookIdx[:0]
 	for w, x := range el.seen {
 		el.base[w] = int32(len(roots))
 		for ; x != 0; x &= x - 1 {
@@ -149,7 +169,7 @@ func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Opti
 		pos(roots, roots)
 		th.ChargeOps(sim.CatWork, int64(k))
 	}
-	vals := make([]int64, k)
+	vals := el.HookVal[:k]
 	c.GetD(th, d, roots, vals, opts, nil)
 	next := 0 // FaultWrongRootRank: read the next root's answer
 	if c.fault == FaultWrongRootRank {
@@ -164,13 +184,103 @@ func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Opti
 	th.ChargeIrregular(sim.CatWork, int64(len(el.Labels)), int64(k))
 }
 
+// rootsLimit is k*: the largest distinct-label count, at most the hook
+// buffers' room, at which a roots gather for w kept labels is priced below
+// the endpoint gather of the w, or -1 when none is. The roots path pays
+// the bitmap scan, one op a root to list it and one to lay it out, the
+// relabel's stream and its w lookups into k answers, and a gather of k;
+// the endpoints a gather of w. Both gathers are priced alike (gatherPrice),
+// and the roots path's price only rises with k, so k* is a binary search.
+func (el *EdgeList) rootsLimit(th *pgas.Thread, w int) int {
+	rt := th.Runtime()
+	m, s, tpn := rt.Model(), rt.NumThreads(), rt.ThreadsPerNode()
+	ww, opsPerRoot := int64(w), int64(1)
+	if el.live.pos != nil {
+		opsPerRoot = 2
+	}
+	budget := gatherPrice(m, ww, el.nb, s, tpn, el.opts) - m.SeqScan(int64(len(el.seen))) - m.SeqScan(ww)
+	cheaper := func(k int) bool {
+		relabel, _ := m.IrregularAccess(ww, int64(k))
+		return m.Ops(opsPerRoot*int64(k))+relabel+gatherPrice(m, int64(k), el.nb, s, tpn, el.opts) < budget
+	}
+	if !cheaper(0) {
+		return -1
+	}
+	lo, hi := 0, min(w, cap(el.HookIdx))
+	for lo < hi {
+		if mid := (lo + hi + 1) / 2; cheaper(mid) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// gatherPrice is what the engine charges a one-shot GetD of k requests
+// (Comm.once) less what every call pays whatever its size — barriers, the
+// matrix publish, message latencies and overheads: the offload compare,
+// the owner keys, the grouping sort, the grouping's and the finish's dense
+// permutes, the pull and push of every word with the pull's translation —
+// a share tpn/s of the words to owners on this node — and the serve
+// access. An owner pays that access for the requests it is sent; priced as
+// this thread's own k, every one a first touch up to the serve block's
+// length nb, since the layouts the stars kernels keep spread a list's
+// requests over every owner.
+func gatherPrice(m *sim.Model, k, nb int64, s, tpn int, opts *Options) float64 {
+	if k <= 0 {
+		return 0
+	}
+	perm, _ := m.DensePermute(k)
+	ns := perm
+	if opts.Offload {
+		ns += m.SeqScan(k)
+	}
+	if opts.CachedIDs {
+		ns += m.Ops(k)
+	} else {
+		ns += m.Intrinsics(k)
+	}
+	if lg := int64(bits.Len64(uint64(k))); opts.Sort == QuickSort { // groupInto's lg passes
+		ns += float64(lg)*m.SeqScan(k) + m.Ops(8*k*lg)
+	} else {
+		ns += m.SeqScan(k) + perm + m.Ops(2*k)
+	}
+
+	xfer, near := 0.0, k*int64(tpn)/int64(s)
+	if near > 0 {
+		xfer = m.SeqScan(near) - m.Config().MemLatency
+	}
+	if far := k - near; far > 0 {
+		remote := m.Message(far*sim.ElemBytes, tpn) - m.Message(0, tpn)
+		if !opts.Circular {
+			remote *= m.LinearPenalty()
+		}
+		xfer += remote
+	}
+	ns += 2*xfer + m.Ops(k)
+
+	if !opts.LocalCpy {
+		ns += m.SharedPtrAccess(k)
+	}
+	vt := int64(opts.VirtualThreads)
+	if vt <= 1 || nb <= 1 || vt > nb {
+		access, _ := m.IrregularAccessDistinct(k, min(k, nb), nb)
+		return ns + access + m.SeqScan(k)
+	}
+	access, _ := m.IrregularAccessDistinct(k, min(k, nb), (nb+vt-1)/vt)
+	return ns + m.SelectionPasses(k, int(vt)) + access + perm
+}
+
 // Compact drops, in place and in order, every pair whose endpoints
 // gathered equal labels, ids riding along; it is charged for the words it
 // streams over. Labels merge monotonically in every kernel that compacts,
 // so such an edge is inside one component for good. On a list created not
 // to shrink it does nothing and charges nothing.
 // A stars list's pass also keeps the kept labels, counting them into the
-// bitmap at a charged probe each until the count passes len(Ends)/s.
+// bitmap at a charged probe each until the count passes what the roots
+// path could be cheaper at for the list as it was (rootsLimit); the next
+// Gather asks the roots iff the count is within k* of the list as kept.
 func (el *EdgeList) Compact(th *pgas.Thread) {
 	l := el.live
 	if !l.shrinks {
@@ -182,14 +292,17 @@ func (el *EdgeList) Compact(th *pgas.Thread) {
 		el.distinct = 0
 	}
 	ends, labels, ids := el.Ends, el.Labels, el.IDs
-	w, read, limit := 0, 0, len(ends)/l.c.s
+	w, read, limit := 0, 0, -1
+	if l.stars && el.opts != nil {
+		limit = el.rootsLimit(th, len(ends))
+	}
 	for j := 0; j < len(labels); j += 2 {
 		if labels[j] != labels[j+1] {
 			ends[w], ends[w+1] = ends[j], ends[j+1]
 			if ids != nil {
 				ids[w/2] = ids[j/2]
 			}
-			if l.stars && el.distinct <= limit {
+			if el.distinct <= limit {
 				labels[w], labels[w+1] = labels[j], labels[j+1]
 				el.mark(labels[w])
 				el.mark(labels[w+1])
@@ -200,7 +313,7 @@ func (el *EdgeList) Compact(th *pgas.Thread) {
 	}
 	th.ChargeSeq(sim.CatWork, int64(len(ends)+len(ids)))
 	th.ChargeOps(sim.CatWork, int64(read))
-	el.viaRoots = l.stars && el.distinct*l.c.s <= w
+	el.viaRoots = el.distinct <= limit && el.distinct <= el.rootsLimit(th, w)
 	el.Ends = ends[:w]
 	if ids != nil {
 		el.IDs = ids[:w/2]

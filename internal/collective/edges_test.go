@@ -200,6 +200,18 @@ func seatRuntimes(t *testing.T, nodes, tpn int, wire bool) []*pgas.Runtime {
 	return rts
 }
 
+// scramble is a test layout: vertex v's label at position v·mul mod n,
+// a bijection when mul and n are coprime, with pos(0) = 0, that deals the
+// low ids over every block.
+func scramble(n, mul int64) (Layout, func(v int64) int64) {
+	pos := func(v int64) int64 { return v * mul % n }
+	return func(dst, src []int64) {
+		for i, v := range src {
+			dst[i] = pos(v)
+		}
+	}, pos
+}
+
 // TestStarsGather pins the roots path of a list created to shrink under
 // the stars assertion. d holds a forest of rooted stars; the list gathers
 // and compacts; the stars merge into fewer, larger ones; the list gathers
@@ -207,15 +219,18 @@ func seatRuntimes(t *testing.T, nodes, tpn int, wire bool) []*pgas.Runtime {
 //
 //   - Labels[j] == D[Ends[j]] exactly, whichever path the thread took;
 //   - a thread offers its GetD the distinct roots its kept pairs named
-//     exactly when s·distinct <= len(Ends), and its endpoints otherwise;
-//   - the busiest owner serves no more elements than under the endpoint
-//     gather of the same lists.
+//     exactly when the price allows it — Compact counted them within k*
+//     of the list it was handed and they are within k* of the list it
+//     kept — and its endpoints otherwise;
+//   - on a laid-out array, the busiest owner serves no more elements than
+//     under the endpoint gather of the same lists.
 //
 // It runs over 1×1, 1×4, 4×2 and 3×3 in process under every partition
 // scheme and on a 2×2 wire fabric (block only), with Offload on and off,
-// and with the roots under the bound (six stars merging into two) and
-// over it (pairs of vertices merging into quadruples). A list created not
-// to shrink keeps its one Plan under the same assertion.
+// with and without a layout (/laid), and with few roots, under k* (six
+// stars merging into two), and many, mostly over it (pairs of vertices
+// merging into quadruples); over the whole matrix each path is taken. A list created not to shrink keeps its
+// one Plan under the same assertion.
 func TestStarsGather(t *testing.T) {
 	const (
 		n = 240
@@ -245,98 +260,267 @@ func TestStarsGather(t *testing.T) {
 		nodes, tpn int
 		wire       bool
 	}{{1, 1, false}, {1, 4, false}, {4, 2, false}, {3, 3, false}, {2, 2, true}}
+	paths := [2]int{} // threads that took the endpoints, the roots
 
 	for _, geo := range geos {
 		for _, part := range lawPartitions {
 			if geo.wire && part.name != "block" {
 				continue
 			}
-			for _, offload := range []bool{false, true} {
-				for _, shape := range shapes {
-					t.Run(fmt.Sprintf("%dx%d/wire=%v/%s/offload=%v/%s", geo.nodes, geo.tpn, geo.wire, part.name, offload, shape.name), func(t *testing.T) {
-						s := geo.nodes * geo.tpn
-						fine, coarse := make([]int64, n), make([]int64, n)
-						for v := range fine {
-							fine[v], coarse[v] = shape.fine(int64(v)), shape.coarse(int64(v))
+			for _, laid := range []bool{false, true} {
+				for _, offload := range []bool{false, true} {
+					for _, shape := range shapes {
+						name := fmt.Sprintf("%dx%d/wire=%v/%s/offload=%v/%s", geo.nodes, geo.tpn, geo.wire, part.name, offload, shape.name)
+						if laid {
+							name += "/laid"
 						}
-						opts := Base()
-						opts.Offload = offload
-						// Every node's Comms trace into the same counters.
-						stars, endpoints := newServeLoads(s), newServeLoads(s)
-						plans := trace.NewCollector(s)
-						distinct, kept := make([]int, s), make([]int, s)
+						t.Run(name, func(t *testing.T) {
+							s := geo.nodes * geo.tpn
+							var lay Layout
+							pos := func(v int64) int64 { return v }
+							if laid {
+								lay, pos = scramble(n, 149)
+							}
+							// The arrays as laid out: position pos(v) holds v's label.
+							fine, coarse := make([]int64, n), make([]int64, n)
+							for v := int64(0); v < n; v++ {
+								fine[pos(v)], coarse[pos(v)] = shape.fine(v), shape.coarse(v)
+							}
+							opts := Base()
+							opts.Offload = offload
+							// Every node's Comms trace into the same counters.
+							stars, endpoints := newServeLoads(s), newServeLoads(s)
+							plans := trace.NewCollector(s)
+							distinct, kept, limit := make([]int, s), make([]int, s), make([]int, s)
 
-						rts := seatRuntimes(t, geo.nodes, geo.tpn, geo.wire)
-						var wg sync.WaitGroup
-						for _, rt := range rts {
-							wg.Add(1)
-							go func(rt *pgas.Runtime) {
-								defer wg.Done()
-								comm, ref, fixed := NewComm(rt), NewComm(rt), NewComm(rt)
-								ref.SetTracer(endpoints)
-								fixed.SetTracer(plans)
-								d := rt.NewSharedArrayPart("D", n, part.spec(n))
-								copy(d.Raw(), fine)
-								live, static := comm.NewLiveEdges(true, false, true, nil), fixed.NewLiveEdges(false, false, true, nil)
-								els, statics := make([]*EdgeList, s), make([]*EdgeList, s)
-								rt.Run(func(th *pgas.Thread) {
-									el := live.List(th, m, ends, false)
-									el.Gather(th, d, opts, false)
-									roots := map[int64]bool{}
-									for j := 0; j < len(el.Labels); j += 2 {
-										if el.Labels[j] != el.Labels[j+1] {
-											roots[el.Labels[j]], roots[el.Labels[j+1]] = true, true
-										}
-									}
-									el.Compact(th)
-									distinct[th.ID], kept[th.ID] = len(roots), len(el.Ends)
-									els[th.ID] = el
-									statics[th.ID] = static.List(th, m, ends, false)
-									statics[th.ID].Gather(th, d, opts, false)
-								})
-								copy(d.Raw(), coarse)
-								comm.SetTracer(stars)
-								rt.Run(func(th *pgas.Thread) {
-									el, st := els[th.ID], statics[th.ID]
-									want := make([]int64, len(el.Ends))
-									ref.GetD(th, d, el.Ends, want, opts, nil)
-									el.Gather(th, d, opts, false)
-									st.Gather(th, d, opts, false)
-									for _, l := range []*EdgeList{el, st} {
-										for j, e := range l.Ends {
-											if l.Labels[j] != coarse[e] {
-												t.Errorf("thread %d: Labels[%d] = %d, D[%d] = %d", th.ID, j, l.Labels[j], e, coarse[e])
-												break
+							rts := seatRuntimes(t, geo.nodes, geo.tpn, geo.wire)
+							var wg sync.WaitGroup
+							for _, rt := range rts {
+								wg.Add(1)
+								go func(rt *pgas.Runtime) {
+									defer wg.Done()
+									comm, ref, fixed := NewComm(rt), NewComm(rt), NewComm(rt)
+									ref.SetTracer(endpoints)
+									fixed.SetTracer(plans)
+									d := rt.NewSharedArrayPart("D", n, part.spec(n))
+									copy(d.Raw(), fine)
+									live, static := comm.NewLiveEdges(true, false, true, lay), fixed.NewLiveEdges(false, false, true, lay)
+									els, statics := make([]*EdgeList, s), make([]*EdgeList, s)
+									rt.Run(func(th *pgas.Thread) {
+										el := live.List(th, m, ends, false)
+										el.Gather(th, d, opts, false)
+										roots := map[int64]bool{}
+										for j := 0; j < len(el.Labels); j += 2 {
+											if el.Labels[j] != el.Labels[j+1] {
+												roots[el.Labels[j]], roots[el.Labels[j+1]] = true, true
 											}
 										}
-									}
-								})
-							}(rt)
-						}
-						wg.Wait()
+										handed := len(el.Ends)
+										el.Compact(th)
+										distinct[th.ID], kept[th.ID] = len(roots), len(el.Ends)
+										limit[th.ID] = min(el.RootsLimit(th, handed), el.RootsLimit(th, len(el.Ends)))
+										els[th.ID] = el
+										statics[th.ID] = static.List(th, m, ends, false)
+										statics[th.ID].Gather(th, d, opts, false)
+									})
+									copy(d.Raw(), coarse)
+									comm.SetTracer(stars)
+									rt.Run(func(th *pgas.Thread) {
+										el, st := els[th.ID], statics[th.ID]
+										want := make([]int64, len(el.Ends))
+										ref.GetD(th, d, el.Ends, want, opts, nil)
+										el.Gather(th, d, opts, false)
+										st.Gather(th, d, opts, false)
+										for _, l := range []*EdgeList{el, st} {
+											for j, e := range l.Ends {
+												if l.Labels[j] != coarse[e] {
+													t.Errorf("thread %d: Labels[%d] = %d, D[%d] = %d", th.ID, j, l.Labels[j], e, coarse[e])
+													break
+												}
+											}
+										}
+									})
+								}(rt)
+							}
+							wg.Wait()
 
-						for i := 0; i < s; i++ {
-							roots := s*distinct[i] <= kept[i]
-							if want := shape.name == "under" || s == 1; roots != want {
-								t.Fatalf("thread %d: %d distinct roots among %d labels on %d threads: the case does not test what it says", i, distinct[i], kept[i], s)
+							for i := 0; i < s; i++ {
+								want, roots := int64(kept[i]), distinct[i] <= limit[i]
+								if roots {
+									want = int64(distinct[i])
+									paths[1]++
+								} else {
+									paths[0]++
+								}
+								if stars.offered[i] != want {
+									t.Errorf("thread %d: offered %d requests, want %d (%d distinct roots among %d labels, k* %d)", i, stars.offered[i], want, distinct[i], kept[i], limit[i])
+								}
 							}
-							want := int64(kept[i])
-							if roots {
-								want = int64(distinct[i])
+							if got, was := slices.Max(stars.served), slices.Max(endpoints.served); laid && got > was {
+								t.Errorf("busiest owner served %d elements, %d under the endpoint gather", got, was)
 							}
-							if stars.offered[i] != want {
-								t.Errorf("thread %d: offered %d requests, want %d (%d distinct roots among %d labels)", i, stars.offered[i], want, distinct[i], kept[i])
+							if b, r := plans.PlanBuilds(), plans.PlanReuses(); b != 1 || r != 1 {
+								t.Errorf("static stars list: %d plan builds, %d reuses per thread; want 1 and 1", b, r)
 							}
-						}
-						if got, was := slices.Max(stars.served), slices.Max(endpoints.served); got > was {
-							t.Errorf("busiest owner served %d elements, %d under the endpoint gather", got, was)
-						}
-						if b, r := plans.PlanBuilds(), plans.PlanReuses(); b != 1 || r != 1 {
-							t.Errorf("static stars list: %d plan builds, %d reuses per thread; want 1 and 1", b, r)
-						}
-					})
+						})
+					}
 				}
 			}
 		}
 	}
+	if paths[0] == 0 || paths[1] == 0 {
+		t.Errorf("%d threads gathered at their endpoints, %d at their roots: the matrix does not test both paths", paths[0], paths[1])
+	}
+}
+
+// TestRootsPrice holds Compact's price to what the engine charges. On a
+// laid-out array of rooted stars merging into coarser ones, every thread
+// gathers its kept pairs once at their roots and once at their endpoints,
+// each path forced, from one barrier to the next: the path the price
+// calls cheaper for every thread — the roots iff its distinct count is
+// within its k* — must be the one whose gather advances the clocks less.
+// It runs under Base, Optimized(2) and QuickSort options at 1×8, 3×1, 4×2
+// and 16×8, on m/s vertices: few roots (eight stars merging into two)
+// and as many as the hook buffers allow (every vertex its own star,
+// merging in pairs: each thread's kept labels name about 0.43 of its
+// endpoints), where only the grouping sort's price per word, quicksort's,
+// still makes the roots win. Both gathers return D at the endpoints, and
+// a roots gather in steady state allocates nothing.
+func TestRootsPrice(t *testing.T) {
+	const m = 1 << 15
+	shapes := []struct {
+		name         string
+		fine, coarse func(v int64) int64
+	}{
+		{"few", func(v int64) int64 { return v % 8 }, func(v int64) int64 { return v % 2 }},
+		{"many", func(v int64) int64 { return v }, func(v int64) int64 { return v &^ 1 }},
+	}
+	cols := []struct {
+		name string
+		opts func() *Options
+	}{
+		{"base", Base},
+		{"optimized", func() *Options { return Optimized(2) }},
+		{"quicksort", func() *Options { o := Base(); o.Sort = QuickSort; return o }},
+	}
+	// setup lays shape's two forests out over m/s vertices (scramble by
+	// the prime 5003), builds a list of m random edges on the fine one and
+	// compacts it; it returns the coarse array as laid out and each
+	// thread's list and kept labels.
+	setup := func(rt *pgas.Runtime, shape int, opts *Options) (d *pgas.SharedArray, coarse []int64, els []*EdgeList, kept [][]int64) {
+		s := rt.NumThreads()
+		n := int64(m / s)
+		lay, pos := scramble(n, 5003)
+		rng := xrand.New(0x9051e)
+		eu, ev := make([]int64, m), make([]int64, m)
+		for e := range eu {
+			eu[e], ev[e] = rng.Int64n(n), rng.Int64n(n)
+		}
+		ends := func(lo, hi int64, ends []int64) {
+			for e := lo; e < hi; e++ {
+				ends[2*(e-lo)], ends[2*(e-lo)+1] = eu[e], ev[e]
+			}
+		}
+		fine := make([]int64, n)
+		coarse = make([]int64, n)
+		for v := int64(0); v < n; v++ {
+			fine[pos(v)], coarse[pos(v)] = shapes[shape].fine(v), shapes[shape].coarse(v)
+		}
+		d = rt.NewSharedArray("D", n)
+		copy(d.Raw(), fine)
+		live := NewComm(rt).NewLiveEdges(true, false, true, lay)
+		els, kept = make([]*EdgeList, s), make([][]int64, s)
+		rt.Run(func(th *pgas.Thread) {
+			el := live.List(th, m, ends, false)
+			el.Gather(th, d, opts, false)
+			for j := 0; j < len(el.Labels); j += 2 {
+				if el.Labels[j] != el.Labels[j+1] {
+					kept[th.ID] = append(kept[th.ID], el.Labels[j], el.Labels[j+1])
+				}
+			}
+			el.Compact(th)
+			els[th.ID] = el
+		})
+		copy(d.Raw(), coarse)
+		return d, coarse, els, kept
+	}
+
+	verdicts := [2]int{} // cases the price gave the endpoints, the roots
+	for _, geo := range [][2]int{{1, 8}, {3, 1}, {4, 2}, {16, 8}} {
+		for _, col := range cols {
+			for shape := range shapes {
+				t.Run(fmt.Sprintf("%dx%d/%s/%s", geo[0], geo[1], col.name, shapes[shape].name), func(t *testing.T) {
+					rt := testRT(t, geo[0], geo[1])
+					opts := col.opts()
+					d, coarse, els, kept := setup(rt, shape, opts)
+					s := rt.NumThreads()
+					cheaper := make([]bool, s) // the price's verdict: the roots
+					var rootsNS, endsNS float64
+					rt.Run(func(th *pgas.Thread) {
+						el := els[th.ID]
+						distinct := map[int64]bool{}
+						for _, v := range kept[th.ID] {
+							distinct[v] = true
+						}
+						cheaper[th.ID] = len(distinct) <= el.RootsLimit(th, len(el.Ends))
+						check := func(path string) {
+							for j, e := range el.Ends {
+								if el.Labels[j] != coarse[e] {
+									t.Errorf("thread %d, %s path: Labels[%d] = %d, D[%d] = %d", th.ID, path, j, el.Labels[j], e, coarse[e])
+									return
+								}
+							}
+						}
+						th.Barrier()
+						t0 := th.Clock.NS
+						el.ForcePath(true, kept[th.ID])
+						el.Gather(th, d, opts, false)
+						check("roots")
+						th.Barrier()
+						t1 := th.Clock.NS
+						el.ForcePath(false, nil)
+						el.Gather(th, d, opts, false)
+						check("endpoint")
+						th.Barrier()
+						if th.ID == 0 {
+							rootsNS, endsNS = t1-t0, th.Clock.NS-t1
+						}
+					})
+					for i := 1; i < s; i++ {
+						if cheaper[i] != cheaper[0] {
+							t.Fatalf("threads 0 and %d disagree on the cheaper path: the case does not test what it says", i)
+						}
+					}
+					if measured := rootsNS < endsNS; measured != cheaper[0] {
+						t.Errorf("price calls the roots cheaper: %v; measured %.0f ns at the roots, %.0f ns at the endpoints", cheaper[0], rootsNS, endsNS)
+					}
+					if cheaper[0] {
+						verdicts[1]++
+					} else {
+						verdicts[0]++
+					}
+				})
+			}
+		}
+	}
+
+	if verdicts[0] == 0 || verdicts[1] == 0 {
+		t.Errorf("the price gave %d cases to the endpoints, %d to the roots: the matrix does not rank both ways", verdicts[0], verdicts[1])
+	}
+
+	t.Run("allocs", func(t *testing.T) {
+		rt := testRT(t, 1, 1)
+		opts := Optimized(2)
+		d, _, els, kept := setup(rt, 0, opts)
+		rt.Run(func(th *pgas.Thread) {
+			gather := func() {
+				els[0].ForcePath(true, kept[0])
+				els[0].Gather(th, d, opts, false)
+			}
+			gather() // warm the Comm's scratch
+			if allocs := testing.AllocsPerRun(20, gather); allocs != 0 {
+				t.Errorf("a roots gather allocates %v times in steady state", allocs)
+			}
+		})
+	})
 }

@@ -1,5 +1,7 @@
 package collective
 
+import "pgasgraph/internal/pgas"
+
 // RetainedWords reports what c keeps between calls, in 8-byte words:
 // staging is the wire-only serve staging (stage, inVal, vals), total is
 // everything the thread arenas and the one-shot scratch plan hold, int32
@@ -23,4 +25,30 @@ func (c *Comm) RetainedWords() (staging, total int64) {
 			half(pt.pos) + half(pt.dropIdx) + half(pt.keeper)
 	}
 	return staging, total
+}
+
+// RootsLimit is k* for w kept labels (rootsLimit), priced from what el
+// last gathered with. Compact counts up to RootsLimit of the list it is
+// handed and asks the roots iff the count is within RootsLimit of the list
+// it keeps.
+func (el *EdgeList) RootsLimit(th *pgas.Thread, w int) int { return el.rootsLimit(th, w) }
+
+// ForcePath sets the path of el's next Gather whatever its price: the
+// endpoints, or the roots of labels — the kept pairs' labels in Ends
+// order, which Compact holds on to only while it counts — recounted into
+// the bitmap. It reports false, and leaves the endpoints, when the labels
+// name more roots than the hook buffers hold.
+func (el *EdgeList) ForcePath(roots bool, labels []int64) bool {
+	el.viaRoots = false
+	if !roots {
+		return true
+	}
+	clear(el.seen)
+	el.distinct = 0
+	copy(el.Labels[:len(labels)], labels)
+	for _, v := range labels {
+		el.mark(v)
+	}
+	el.viaRoots = el.distinct <= cap(el.HookIdx)
+	return el.viaRoots
 }

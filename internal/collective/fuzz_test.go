@@ -1,11 +1,13 @@
 package collective
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/xrand"
 )
 
 // FuzzPlanRequests drives the exchange engine's plan path with arbitrary
@@ -130,6 +132,107 @@ func FuzzPlanRequests(f *testing.F) {
 		}
 		if !slices.Equal(d.Raw(), want) {
 			t.Fatalf("%s: scatter op %d differs from the sequential scatter", part.name, op)
+		}
+	})
+}
+
+// FuzzStarsGather holds a stars list's roots path to its endpoint path.
+// Each input draws a star forest over n vertices (every star rooted at
+// its smallest vertex), a coarser forest it merges into, and pairs of
+// vertices; the list of pairs gathers on the fine forest and compacts, the
+// forests merge, and every thread gathers once at its roots (forced) and
+// once at its endpoints. The two must agree pair for pair and read D at
+// the endpoints, at 1×1, 4×2 and 3×3, with offload on and off, laid out
+// (scramble by 5003) on odd seeds.
+func FuzzStarsGather(f *testing.F) {
+	f.Add(uint64(1), byte(40), byte(3), byte(2), []byte("stars merge into fewer stars"))
+	f.Add(uint64(2), byte(200), byte(180), byte(7), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 250, 3, 99, 42})
+	f.Add(uint64(7), byte(0), byte(0), byte(0), []byte{0, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, starsRaw, groupsRaw byte, pairs []byte) {
+		n := int64(nRaw) + 8
+		m := int64(len(pairs) / 2)
+		if m == 0 {
+			return
+		}
+		rng := xrand.New(seed)
+		stars := int64(starsRaw)%n + 1
+		groups := int64(groupsRaw)%stars + 1
+		star, group := make([]int64, n), make([]int64, stars)
+		for v := range star {
+			star[v] = rng.Int64n(stars)
+		}
+		for i := range group {
+			group[i] = rng.Int64n(groups)
+		}
+		// The root of a star, and of a group of stars, is its smallest vertex:
+		// D[0] = 0 in both forests, as offload needs.
+		starRoot, groupRoot := make([]int64, stars), make([]int64, groups)
+		for i := range starRoot {
+			starRoot[i] = n
+		}
+		for i := range groupRoot {
+			groupRoot[i] = n
+		}
+		for v := int64(0); v < n; v++ {
+			starRoot[star[v]] = min(starRoot[star[v]], v)
+			groupRoot[group[star[v]]] = min(groupRoot[group[star[v]]], v)
+		}
+		pos := func(v int64) int64 { return v }
+		var lay Layout
+		if seed&1 != 0 {
+			lay, pos = scramble(n, 5003) // n < 5003, a prime
+		}
+		fine, coarse := make([]int64, n), make([]int64, n)
+		for v := int64(0); v < n; v++ {
+			fine[pos(v)], coarse[pos(v)] = starRoot[star[v]], groupRoot[group[star[v]]]
+		}
+		ends := func(lo, hi int64, ends []int64) {
+			for e := lo; e < hi; e++ {
+				ends[2*(e-lo)], ends[2*(e-lo)+1] = int64(pairs[2*e])%n, int64(pairs[2*e+1])%n
+			}
+		}
+
+		for _, geo := range [][2]int{{1, 1}, {4, 2}, {3, 3}} {
+			for _, offload := range []bool{false, true} {
+				name := fmt.Sprintf("%dx%d/offload=%v", geo[0], geo[1], offload)
+				rt := testRT(t, geo[0], geo[1])
+				opts := Optimized(2)
+				opts.Offload = offload
+				d := rt.NewSharedArray("D", n)
+				copy(d.Raw(), fine)
+				live := NewComm(rt).NewLiveEdges(true, false, true, lay)
+				els, kept := make([]*EdgeList, rt.NumThreads()), make([][]int64, rt.NumThreads())
+				rt.Run(func(th *pgas.Thread) {
+					el := live.List(th, m, ends, false)
+					el.Gather(th, d, opts, false)
+					for j := 0; j < len(el.Labels); j += 2 {
+						if el.Labels[j] != el.Labels[j+1] {
+							kept[th.ID] = append(kept[th.ID], el.Labels[j], el.Labels[j+1])
+						}
+					}
+					el.Compact(th)
+					els[th.ID] = el
+				})
+				copy(d.Raw(), coarse)
+				rt.Run(func(th *pgas.Thread) {
+					el := els[th.ID]
+					forced := el.ForcePath(true, kept[th.ID])
+					el.Gather(th, d, opts, false)
+					roots := slices.Clone(el.Labels)
+					el.ForcePath(false, nil)
+					el.Gather(th, d, opts, false)
+					for j, e := range el.Ends {
+						if el.Labels[j] != coarse[e] {
+							t.Errorf("%s thread %d: endpoint Labels[%d] = %d, D[%d] = %d", name, th.ID, j, el.Labels[j], e, coarse[e])
+							return
+						}
+						if forced && roots[j] != el.Labels[j] {
+							t.Errorf("%s thread %d: roots path Labels[%d] = %d, endpoint path %d", name, th.ID, j, roots[j], el.Labels[j])
+							return
+						}
+					}
+				})
+			}
 		}
 	})
 }

@@ -140,9 +140,6 @@ func (rt *Runtime) ArmChaos(cfg ChaosConfig) {
 	rt.chaos = &chaosState{cfg: cfg, pts: make([]chaosThread, rt.s)}
 }
 
-// ChaosArmed reports whether fault injection is active.
-func (rt *Runtime) ChaosArmed() bool { return rt.chaos != nil }
-
 // ChaosConfig returns the armed injector configuration and whether one is
 // armed — recovery supervisors use it to re-arm a remapped runtime with
 // the same seed (the determinism guarantee spans eviction rounds).

@@ -164,7 +164,7 @@ func TestChaosDisarmedIsFree(t *testing.T) {
 	if st := rt.ChaosStats(); st != (ChaosStats{}) {
 		t.Fatalf("disarmed run recorded chaos activity: %+v", st)
 	}
-	if rt.ChaosArmed() {
+	if _, armed := rt.ChaosConfig(); armed {
 		t.Fatal("chaos armed without ArmChaos")
 	}
 }
