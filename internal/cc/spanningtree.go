@@ -85,6 +85,12 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		span := dHi - dLo
 		th.ChargeSeq(sim.CatWork, span)
 		th.ChargeOps(sim.CatWork, span)
+		// Empty the hook buckets (own block) once; the apply pass
+		// empties each bucket it reads from then on.
+		for i := dLo; i < dHi; i++ {
+			hook.StoreRaw(i, noHook)
+		}
+		th.ChargeSeq(sim.CatWork, span)
 
 		el := live.List(th, g.M(), g.Ends, true)
 		setIdx, setVal := el.HookIdx, el.HookVal
@@ -95,22 +101,20 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		// by applying the election and collapsing to rooted stars.
 		red.Loop(th, "cc.SpanningTree", maxIterations, func(iter int) bool {
 			if iter > 0 {
-				// Reset the hook buckets (own block).
-				for i := dLo; i < dHi; i++ {
-					hook.StoreRaw(i, noHook)
-				}
-				th.ChargeSeq(sim.CatWork, span)
-				th.Barrier()
 				comm.SetDMin(th, hook, setIdx, setVal, &colHook, nil)
 
 				// Apply winning hooks on owned slots, recording tree
-				// edges: one pass over the block, writing D in order.
+				// edges: one read-modify-write pass over the block that
+				// empties every bucket it applies (the next round's
+				// SetDMin starts after the barrier below), writing D in
+				// order.
 				applied := int64(0)
 				for r := dLo; r < dHi; r++ {
 					key := hook.LoadRaw(r)
 					if key == noHook {
 						continue
 					}
+					hook.StoreRaw(r, noHook)
 					target, e := unpackHook(key)
 					d.StoreRaw(r, target)
 					chosen[th.ID] = append(chosen[th.ID], e)

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/sched"
 	"pgasgraph/internal/sim"
 )
 
@@ -223,10 +224,11 @@ func (el *EdgeList) rootsLimit(th *pgas.Thread, w int) int {
 // the owner keys, the grouping sort, the grouping's and the finish's dense
 // permutes, the pull and push of every word with the pull's translation —
 // a share tpn/s of the words to owners on this node — and the serve
-// access. An owner pays that access for the requests it is sent; priced as
-// this thread's own k, every one a first touch up to the serve block's
-// length nb, since the layouts the stars kernels keep spread a list's
-// requests over every owner.
+// access, priced by the engine's own sched.AccessCost, so blocked only
+// when the serve block exceeds the cache. An owner pays that access for
+// the requests it is sent; priced as this thread's own k, every one a
+// first touch up to the serve block's length nb, since the layouts the
+// stars kernels keep spread a list's requests over every owner.
 func gatherPrice(m *sim.Model, k, nb int64, s, tpn int, opts *Options) float64 {
 	if k <= 0 {
 		return 0
@@ -260,16 +262,8 @@ func gatherPrice(m *sim.Model, k, nb int64, s, tpn int, opts *Options) float64 {
 	}
 	ns += 2*xfer + m.Ops(k)
 
-	if !opts.LocalCpy {
-		ns += m.SharedPtrAccess(k)
-	}
-	vt := int64(opts.VirtualThreads)
-	if vt <= 1 || nb <= 1 || vt > nb {
-		access, _ := m.IrregularAccessDistinct(k, min(k, nb), nb)
-		return ns + access + m.SeqScan(k)
-	}
-	access, _ := m.IrregularAccessDistinct(k, min(k, nb), (nb+vt-1)/vt)
-	return ns + m.SelectionPasses(k, int(vt)) + access + perm
+	sortNS, copyNS, _ := sched.AccessCost(m, k, min(k, nb), nb, opts.VirtualThreads, opts.LocalCpy)
+	return ns + sortNS + copyNS
 }
 
 // Compact drops, in place and in order, every pair whose endpoints

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/xrand"
 )
@@ -69,6 +70,42 @@ func TestEngineLargeRound(t *testing.T) {
 				t.Fatal("SetDMin result differs from the sequential min-scatter")
 			}
 		})
+	}
+}
+
+// TestVirtualThreadsOnlyPastTheCache: on 4x2 threads with 4 096-word
+// (32 KB) serve blocks, an Optimized(2) GetD and SetDMin charge the same
+// SimNS, to the bit, as with VirtualThreads 1 while the 1 MB cache holds
+// the block; once the cache is cut to 4 KB the block exceeds it and the
+// two schedules are charged apart.
+func TestVirtualThreadsOnlyPastTheCache(t *testing.T) {
+	const n, k = 8 * 4096, 3000
+	run := func(cacheBytes int64, vt int) float64 {
+		cfg := machine.PaperCluster()
+		cfg.Nodes, cfg.ThreadsPerNode, cfg.CacheBytes = 4, 2, cacheBytes
+		rt, err := pgas.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comm := NewComm(rt)
+		d := rt.NewSharedArray("D", n)
+		opts := Optimized(2)
+		opts.VirtualThreads = vt
+		return rt.Run(func(th *pgas.Thread) {
+			rng := xrand.New(uint64(th.ID) + 1)
+			idx, vals := make([]int64, k), make([]int64, k)
+			for j := range idx {
+				idx[j], vals[j] = rng.Int64n(n), rng.Int64n(n)
+			}
+			comm.SetDMin(th, d, idx, vals, opts, nil)
+			comm.GetD(th, d, idx, vals, opts, nil)
+		}).SimNS
+	}
+	if fit, direct := run(1<<20, 2), run(1<<20, 1); fit != direct {
+		t.Errorf("fitting block: VirtualThreads 2 charged %v ns, 1 charged %v", fit, direct)
+	}
+	if past, direct := run(4<<10, 2), run(4<<10, 1); past == direct {
+		t.Errorf("block past the cache: VirtualThreads 2 and 1 both charged %v ns", past)
 	}
 }
 

@@ -13,9 +13,10 @@
 //     Algorithm 1 used by tests as executable specification.
 //   - Access plus ChargeAccess: the production form used inside the
 //     collectives — one recursion level over t' virtual blocks (the
-//     paper's "each thread simulates t' virtual threads", §IV.B), the data
-//     movement per peer segment and the simulated-time charge once per
-//     serve. Gather is the two over one segment.
+//     paper's "each thread simulates t' virtual threads", §IV.B) when the
+//     served block exceeds the cache, the data movement per peer segment
+//     and the simulated-time charge once per serve (AccessCost prices
+//     it). Gather is the two over one segment.
 package sched
 
 import (
@@ -90,20 +91,13 @@ func Grow32(buf []int32, k int, growths *int64) []int32 {
 // accounting. R values must lie in [0, len(D)).
 func Reference(d, r []int64, w, depth int) []int64 {
 	c := make([]int64, len(r))
-	ReferenceInto(d, r, w, depth, c, &Arena{})
+	referenceArena(d, r, w, depth, c, &Arena{})
 	return c
 }
 
-// ReferenceInto is Reference writing into a caller-provided output slice
-// (len(c) == len(r)) with per-level scratch drawn from arena, so repeated
-// calls are allocation-free once the arena is warm. arena must be non-nil.
-func ReferenceInto(d, r []int64, w, depth int, c []int64, arena *Arena) {
-	if len(c) != len(r) {
-		panic("sched: ReferenceInto output length mismatch")
-	}
-	referenceArena(d, r, w, depth, c, arena)
-}
-
+// referenceArena is Reference writing into c (len(c) == len(r)) with
+// per-level scratch drawn from arena, so repeated calls are
+// allocation-free once the arena is warm.
 func referenceArena(d, r []int64, w, depth int, c []int64, arena *Arena) {
 	n := int64(len(d))
 	m := int64(len(r))
@@ -248,18 +242,20 @@ func (s *Scratch) touch(ix int64) bool {
 // Gather reads out[j] = local[idx[j]] for block-local indices idx, charging
 // simulated time to th. vt is the virtual-thread count t'.
 //
-// With vt <= 1 the access is direct: scattered reads over the whole block
-// (distinct first touches pay compulsory misses, revisits pay the block's
-// steady-state miss rate) plus a sequential write of out.
+// With vt <= 1, or a block that fits the cache, the access is direct:
+// scattered reads over the whole block (distinct first touches pay
+// compulsory misses, revisits pay the block's steady-state miss rate)
+// plus a sequential write of out.
 //
-// With vt > 1 the cost follows the paper's virtual-thread simulation
-// (§IV.B): each of the vt virtual blocks makes one selection pass over the
-// request segment (the group phase — linear in vt, the rising arm of
-// Figure 4's U), the access phase touches each distinct location once with
-// revisit misses at the *sub-block* rate (the falling arm), and the output
-// is written as a dense permutation with write-combining. The data result
-// is identical to the direct loop, so the real movement is performed
-// directly while the charges model the blocked schedule.
+// With vt > 1 and a block the cache cannot hold, the cost follows the
+// paper's virtual-thread simulation (§IV.B): each of the vt virtual blocks
+// makes one selection pass over the request segment (the group phase —
+// linear in vt, the rising arm of Figure 4's U), the access phase touches
+// each distinct location once with revisit misses at the *sub-block* rate
+// (the falling arm), and the output is written as a dense permutation with
+// write-combining. The data result is identical to the direct loop, so the
+// real movement is performed directly while the charges model the blocked
+// schedule.
 //
 // localcpy selects private-pointer access to the shared array's local
 // portion; without it every touch pays the shared-pointer overhead.
@@ -339,36 +335,42 @@ func Access(local, idx []int64, base int64, vals []int64, op Op, scr *Scratch) (
 	return distinct
 }
 
-// ChargeAccess charges th one blocked (or direct, vt <= 1) irregular
-// access phase of k requests, distinct of them first touches, against a
-// block of nb elements split into vt virtual blocks. An empty phase costs
-// nothing.
+// ChargeAccess charges th one irregular access phase of k requests,
+// distinct of them first touches, against a block of nb elements with vt
+// virtual threads, as AccessCost prices it. An empty phase costs nothing.
 func ChargeAccess(th *pgas.Thread, k, distinct, nb int64, vt int, localcpy bool) {
+	sortNS, copyNS, misses := AccessCost(th.Runtime().Model(), k, distinct, nb, vt, localcpy)
+	th.Clock.Charge(sim.CatSort, sortNS)
+	th.Clock.Charge(sim.CatCopy, copyNS)
+	th.Clock.CacheMisses += misses
+}
+
+// AccessCost prices one access phase of k requests, distinct of them
+// first touches, against a block of nb elements: the group phase's sort
+// time, the copy time (shared-pointer overhead, block access and output
+// movement) and the cache misses. Blocking into vt virtual blocks applies
+// only to a block the cache cannot hold: one that fits misses nothing on
+// a revisit (MissFraction is 0), so t' selection passes and a dense
+// permute would save no miss, and its access is direct. The rule reads
+// only nb and the machine, so a caller can price a serve before it runs.
+func AccessCost(m *sim.Model, k, distinct, nb int64, vt int, localcpy bool) (sortNS, copyNS, misses float64) {
 	if k == 0 {
-		return
+		return 0, 0, 0
 	}
-	m := th.Runtime().Model()
 	if !localcpy {
-		th.ChargeSharedPtr(sim.CatCopy, k)
+		copyNS = m.SharedPtrAccess(k)
 	}
-	if vt <= 1 || nb <= 1 || int64(vt) > nb {
-		ns, misses := m.IrregularAccessDistinct(k, distinct, nb)
-		th.Clock.Charge(sim.CatCopy, ns)
-		th.Clock.CacheMisses += misses
-		th.ChargeSeq(sim.CatCopy, k) // sequential side of the transfer
-		return
+	if vt <= 1 || int64(vt) > nb || m.MissFraction(nb) == 0 {
+		ns, miss := m.IrregularAccessDistinct(k, distinct, nb)
+		return 0, copyNS + ns + m.SeqScan(k), miss // sequential side of the transfer
 	}
-	blk := (nb + int64(vt) - 1) / int64(vt)
 	// Group: one selection pass over the request keys per virtual block
 	// (the paper's t'-virtual-processor simulation).
-	th.Clock.Charge(sim.CatSort, m.SelectionPasses(k, vt))
+	sortNS = m.SelectionPasses(k, vt)
 	// Access: compulsory misses once per distinct location; revisits at
 	// the sub-block miss rate (zero once blk*8 fits the cache).
-	ns, misses := m.IrregularAccessDistinct(k, distinct, blk)
-	th.Clock.Charge(sim.CatCopy, ns)
-	th.Clock.CacheMisses += misses
+	access, accessMiss := m.IrregularAccessDistinct(k, distinct, (nb+int64(vt)-1)/int64(vt))
 	// Output movement: a dense permutation with write-combining.
-	ns, misses = m.DensePermute(k)
-	th.Clock.Charge(sim.CatCopy, ns)
-	th.Clock.CacheMisses += misses
+	perm, permMiss := m.DensePermute(k)
+	return sortNS, copyNS + access + perm, accessMiss + permMiss
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -121,7 +122,9 @@ func TestGatherCorrectAllVT(t *testing.T) {
 }
 
 func TestGatherChargesTime(t *testing.T) {
-	d, r := randomRequests(1000, 5000, 9)
+	// A 2 MB block, twice the single-SMP machine's 1 MB cache: blocking
+	// applies.
+	d, r := randomRequests(1<<18, 5000, 9)
 	out := make([]int64, len(r))
 	clock := withThread(t, func(th *pgas.Thread) {
 		Gather(th, d, r, out, 4, true, nil)
@@ -131,6 +134,55 @@ func TestGatherChargesTime(t *testing.T) {
 	}
 	if clock.ByCategory[sim.CatSort] <= 0 || clock.ByCategory[sim.CatCopy] <= 0 {
 		t.Fatalf("blocked gather should charge sort and copy: %v", clock.ByCategory)
+	}
+}
+
+// TestGatherFittingBlockIsDirect: a block the cache holds misses nothing
+// on a revisit, so virtual threads would buy nothing; vt = 4 charges
+// exactly what vt = 1 does, and no sort.
+func TestGatherFittingBlockIsDirect(t *testing.T) {
+	d, r := randomRequests(1000, 5000, 9)
+	out := make([]int64, len(r))
+	direct := withThread(t, func(th *pgas.Thread) { Gather(th, d, r, out, 1, true, nil) })
+	blocked := withThread(t, func(th *pgas.Thread) { Gather(th, d, r, out, 4, true, nil) })
+	if blocked.NS != direct.NS || blocked.ByCategory != direct.ByCategory || blocked.CacheMisses != direct.CacheMisses {
+		t.Fatalf("vt=4 on a fitting block charged %v (%v misses), vt=1 %v (%v misses)",
+			blocked.ByCategory, blocked.CacheMisses, direct.ByCategory, direct.CacheMisses)
+	}
+	if blocked.ByCategory[sim.CatSort] != 0 {
+		t.Fatalf("vt=4 on a fitting block charged sort: %v", blocked.ByCategory)
+	}
+}
+
+// TestAccessCostIsTheCharge: ChargeAccess charges exactly what AccessCost
+// prices, and the price blocks only a block the cache cannot hold.
+func TestAccessCostIsTheCharge(t *testing.T) {
+	cfg := machine.SingleSMP()
+	cfg.ThreadsPerNode = 1
+	fits := cfg.CacheBytes / sim.ElemBytes
+	for _, nb := range []int64{fits / 4, fits, fits + 1, 8 * fits} {
+		for _, vt := range []int{1, 2, 8} {
+			for _, localcpy := range []bool{true, false} {
+				const k, distinct = 5000, 3000
+				clock := withThread(t, func(th *pgas.Thread) { ChargeAccess(th, k, distinct, nb, vt, localcpy) })
+				m := sim.NewModel(cfg)
+				sortNS, copyNS, misses := AccessCost(m, k, distinct, nb, vt, localcpy)
+				name := fmt.Sprintf("nb=%d vt=%d localcpy=%v", nb, vt, localcpy)
+				if clock.ByCategory[sim.CatSort] != sortNS || clock.ByCategory[sim.CatCopy] != copyNS ||
+					clock.NS != sortNS+copyNS || clock.CacheMisses != misses {
+					t.Errorf("%s: charged sort %v copy %v misses %v, priced %v %v %v", name,
+						clock.ByCategory[sim.CatSort], clock.ByCategory[sim.CatCopy], clock.CacheMisses, sortNS, copyNS, misses)
+				}
+				blocked := vt > 1 && nb > fits
+				if (sortNS > 0) != blocked {
+					t.Errorf("%s: sort %v, want blocked=%v", name, sortNS, blocked)
+				}
+				if oneSort, oneCopy, oneMiss := AccessCost(m, k, distinct, nb, 1, localcpy); !blocked &&
+					(oneSort != sortNS || oneCopy != copyNS || oneMiss != misses) {
+					t.Errorf("%s: priced %v %v %v, vt=1 %v %v %v", name, sortNS, copyNS, misses, oneSort, oneCopy, oneMiss)
+				}
+			}
+		}
 	}
 }
 
@@ -243,15 +295,15 @@ func TestGatherPanicsOnLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestReferenceIntoArenaReuse verifies the arena form matches Reference
-// and stops allocating once warm.
+// TestReferenceIntoArenaReuse verifies the arena form (referenceArena)
+// matches Reference and stops allocating once warm.
 func TestReferenceIntoArenaReuse(t *testing.T) {
 	d, r := randomRequests(2000, 6000, 13)
 	want := Reference(d, r, 8, 3)
 	var arena Arena
 	c := make([]int64, len(r))
 	for round := 0; round < 3; round++ {
-		ReferenceInto(d, r, 8, 3, c, &arena)
+		referenceArena(d, r, 8, 3, c, &arena)
 		for i := range want {
 			if c[i] != want[i] {
 				t.Fatalf("round %d: mismatch at %d", round, i)
@@ -259,9 +311,9 @@ func TestReferenceIntoArenaReuse(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		ReferenceInto(d, r, 8, 3, c, &arena)
+		referenceArena(d, r, 8, 3, c, &arena)
 	})
 	if allocs > 0 {
-		t.Fatalf("warm ReferenceInto allocates %v per run", allocs)
+		t.Fatalf("warm referenceArena allocates %v per run", allocs)
 	}
 }
