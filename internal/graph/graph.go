@@ -77,17 +77,6 @@ func (g *Graph) Degrees() []int64 {
 	return d
 }
 
-// MaxDegree returns the maximum vertex degree (0 for edgeless graphs).
-func (g *Graph) MaxDegree() int64 {
-	var mx int64
-	for _, d := range g.Degrees() {
-		if d > mx {
-			mx = d
-		}
-	}
-	return mx
-}
-
 // Hubs returns the ids of up to max highest-degree vertices of g, highest
 // degree first with ascending-id tie-breaks — deterministic, so a
 // hub-aware partition derived from it replays bit-for-bit. Zero-degree
@@ -187,9 +176,4 @@ func BuildCSR(g *Graph) *CSR {
 // Neighbors returns the adjacency row of vertex v.
 func (c *CSR) Neighbors(v int64) []int32 {
 	return c.Adj[c.Offs[v]:c.Offs[v+1]]
-}
-
-// Degree returns the degree of vertex v in the CSR view.
-func (c *CSR) Degree(v int64) int64 {
-	return c.Offs[v+1] - c.Offs[v]
 }

@@ -166,3 +166,19 @@ func TestCSRSelfLoop(t *testing.T) {
 		t.Fatalf("SelfLoops %d, want 1", g.SelfLoops())
 	}
 }
+
+// MaxDegree returns the maximum vertex degree (0 for edgeless graphs).
+func (g *Graph) MaxDegree() int64 {
+	var mx int64
+	for _, d := range g.Degrees() {
+		if d > mx {
+			mx = d
+		}
+	}
+	return mx
+}
+
+// Degree returns the degree of vertex v in the CSR view.
+func (c *CSR) Degree(v int64) int64 {
+	return c.Offs[v+1] - c.Offs[v]
+}

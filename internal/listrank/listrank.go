@@ -105,15 +105,15 @@ func Chains(n, k int64, seed uint64) *List {
 	return l
 }
 
-// SeqRank returns every node's distance to its chain's tail, computed by
+// seqRank returns every node's distance to its chain's tail, computed by
 // one sequential pass per chain (heads first, accumulating backward from
 // the tail via a second pass over the recorded path).
-func SeqRank(l *List) []int64 {
+func seqRank(l *List) []int64 {
 	ranks, _ := seqRankCounted(l)
 	return ranks
 }
 
-// SeqRankTimed runs SeqRank and charges its pointer chasing against the
+// SeqRankTimed runs seqRank and charges its pointer chasing against the
 // model, returning ranks and simulated nanoseconds.
 func SeqRankTimed(l *List, model *sim.Model) ([]int64, float64) {
 	ranks, touches := seqRankCounted(l)

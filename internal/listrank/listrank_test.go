@@ -72,7 +72,7 @@ func TestValidateIsLinear(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("Validate took %v on one %d-node chain", d, n)
 	}
-	ranks := SeqRank(l)
+	ranks := seqRank(l)
 	head, tail := slices.Index(ranks, n-1), slices.Index(ranks, 0)
 	l.Succ[tail] = int32(head) // close the chain into one n-cycle
 	if err := l.Validate(); err == nil {
@@ -82,19 +82,19 @@ func TestValidateIsLinear(t *testing.T) {
 
 func TestSeqRankKnown(t *testing.T) {
 	// Chain 0 -> 1 -> 2: rank measures distance to the tail (2).
-	ranks := SeqRank(fixedList(1, 2, 2))
+	ranks := seqRank(fixedList(1, 2, 2))
 	want := []int64{2, 1, 0}
 	if !slices.Equal(ranks, want) {
 		t.Fatalf("ranks = %v, want %v", ranks, want)
 	}
 	// Two chains: 0->1 and 3->2.
-	ranks = SeqRank(fixedList(1, 1, 2, 2))
+	ranks = seqRank(fixedList(1, 1, 2, 2))
 	want = []int64{1, 0, 0, 1}
 	if !slices.Equal(ranks, want) {
 		t.Fatalf("ranks = %v, want %v", ranks, want)
 	}
 	// All singletons.
-	ranks = SeqRank(fixedList(0, 1, 2))
+	ranks = seqRank(fixedList(0, 1, 2))
 	if !slices.Equal(ranks, []int64{0, 0, 0}) {
 		t.Fatalf("singleton ranks = %v", ranks)
 	}
@@ -105,7 +105,7 @@ func TestRandomListStructure(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ranks := SeqRank(l)
+	ranks := seqRank(l)
 	// One chain threading all nodes: ranks are a permutation of 0..n-1.
 	seen := make([]bool, 500)
 	for _, r := range ranks {
@@ -163,7 +163,7 @@ func TestDistributedMatchSequential(t *testing.T) {
 	}
 	geos := []struct{ nodes, tpn int }{{1, 1}, {1, 4}, {4, 1}, {3, 2}}
 	for lname, l := range lists {
-		want := SeqRank(l)
+		want := seqRank(l)
 		for _, geo := range geos {
 			for vname, run := range distributedVariants() {
 				t.Run(lname+"/"+vname, func(t *testing.T) {
@@ -193,7 +193,7 @@ func TestDistributedProperty(t *testing.T) {
 		n := int64(nRaw) + 1
 		k := int64(kRaw)%n + 1
 		l := Chains(n, k, seed)
-		want := SeqRank(l)
+		want := seqRank(l)
 		w := Wyllie(rt, comm, l, collective.Optimized(2))
 		c := CGM(rt, comm, l, collective.Optimized(2))
 		return slices.Equal(w.Ranks, want) && slices.Equal(c.Ranks, want)
@@ -230,7 +230,7 @@ func TestSeqRankTimed(t *testing.T) {
 	if ns <= 0 {
 		t.Fatal("no time charged")
 	}
-	if !slices.Equal(ranks, SeqRank(l)) {
+	if !slices.Equal(ranks, seqRank(l)) {
 		t.Fatal("timed ranks differ")
 	}
 }
@@ -256,7 +256,7 @@ func TestWylliePlansOncePerRound(t *testing.T) {
 
 func TestCGMMatchesAtManyGeometries(t *testing.T) {
 	l := RandomList(700, 21)
-	want := SeqRank(l)
+	want := seqRank(l)
 	for _, geo := range []struct{ nodes, tpn int }{{2, 1}, {2, 4}, {8, 1}, {4, 4}} {
 		rt := newRuntime(t, geo.nodes, geo.tpn)
 		res := CGM(rt, collective.NewComm(rt), l, collective.Optimized(2))

@@ -12,7 +12,7 @@ func VerifyRanks(l *List, ranks []int64) error {
 	if int64(len(ranks)) != l.N {
 		return fmt.Errorf("listrank: %d ranks for %d nodes", len(ranks), l.N)
 	}
-	want := SeqRank(l)
+	want := seqRank(l)
 	for i := range ranks {
 		if ranks[i] != want[i] {
 			return fmt.Errorf("listrank: rank[%d] = %d, oracle says %d", i, ranks[i], want[i])

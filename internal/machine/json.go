@@ -7,16 +7,9 @@ import (
 	"os"
 )
 
-// WriteJSON encodes cfg as indented JSON.
-func WriteJSON(w io.Writer, cfg *Config) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cfg)
-}
-
-// ReadJSON decodes a configuration, applying fields over the paper-cluster
+// readJSON decodes a configuration, applying fields over the paper-cluster
 // preset so partial files only override what they name, then validates.
-func ReadJSON(r io.Reader) (Config, error) {
+func readJSON(r io.Reader) (Config, error) {
 	cfg := PaperCluster()
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -36,5 +29,5 @@ func LoadFile(path string) (Config, error) {
 		return Config{}, err
 	}
 	defer f.Close()
-	return ReadJSON(f)
+	return readJSON(f)
 }

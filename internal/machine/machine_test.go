@@ -2,6 +2,8 @@ package machine
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -88,7 +90,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(strings.NewReader(buf.String()))
+	got, err := readJSON(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestJSONPartialOverridesPreset(t *testing.T) {
-	got, err := ReadJSON(strings.NewReader(`{"Nodes": 3}`))
+	got, err := readJSON(strings.NewReader(`{"Nodes": 3}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestJSONRejectsBad(t *testing.T) {
 		"invalid value": `{"Nodes": 0}`,
 		"not json":      `nope`,
 	} {
-		if _, err := ReadJSON(strings.NewReader(text)); err == nil {
+		if _, err := readJSON(strings.NewReader(text)); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -142,4 +144,11 @@ func TestJSONFileRoundTrip(t *testing.T) {
 	if _, err := LoadFile(path + ".missing"); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// WriteJSON encodes cfg as indented JSON.
+func WriteJSON(w io.Writer, cfg *Config) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(cfg)
 }

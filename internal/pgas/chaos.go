@@ -162,19 +162,6 @@ func (rt *Runtime) ChaosStats() ChaosStats {
 	return total
 }
 
-// chaosThreadStats returns a copy of every thread's injector statistics —
-// the determinism tests compare these across same-seed runs.
-func (rt *Runtime) chaosThreadStats() []ChaosStats {
-	if rt.chaos == nil {
-		return nil
-	}
-	out := make([]ChaosStats, len(rt.chaos.pts))
-	for i := range rt.chaos.pts {
-		out[i] = rt.chaos.pts[i].stats
-	}
-	return out
-}
-
 // chaosStallSalt separates the barrier-stall stream from the transfer
 // stream so tuning one rate never shifts the other's verdicts.
 const chaosStallSalt = 0xA5A5A5A55A5A5A5A

@@ -168,3 +168,16 @@ func TestChaosDisarmedIsFree(t *testing.T) {
 		t.Fatal("chaos armed without ArmChaos")
 	}
 }
+
+// chaosThreadStats returns a copy of every thread's injector statistics —
+// the determinism tests compare these across same-seed runs.
+func (rt *Runtime) chaosThreadStats() []ChaosStats {
+	if rt.chaos == nil {
+		return nil
+	}
+	out := make([]ChaosStats, len(rt.chaos.pts))
+	for i := range rt.chaos.pts {
+		out[i] = rt.chaos.pts[i].stats
+	}
+	return out
+}

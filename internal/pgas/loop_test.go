@@ -88,3 +88,16 @@ func TestLoopRoundsPerRegion(t *testing.T) {
 		t.Fatalf("Add: Rounds = %d, want 6", first.Rounds)
 	}
 }
+
+// Add folds part, the accounting of a region that ran after r's on the same
+// geometry, into r — how a multi-region kernel reports one Result.
+func (r *Result) Add(part *Result) {
+	r.SimNS += part.SimNS
+	r.Wall += part.Wall
+	r.SumByCategory.Add(&part.SumByCategory)
+	r.Messages += part.Messages
+	r.Bytes += part.Bytes
+	r.RemoteOps += part.RemoteOps
+	r.CacheMisses += part.CacheMisses
+	r.Rounds += part.Rounds
+}

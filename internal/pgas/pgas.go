@@ -431,19 +431,6 @@ func (r *Result) AvgByCategory() sim.Breakdown {
 // SimMS returns the simulated makespan in milliseconds.
 func (r *Result) SimMS() float64 { return r.SimNS / 1e6 }
 
-// Add folds part, the accounting of a region that ran after r's on the same
-// geometry, into r — how a multi-region kernel reports one Result.
-func (r *Result) Add(part *Result) {
-	r.SimNS += part.SimNS
-	r.Wall += part.Wall
-	r.SumByCategory.Add(&part.SumByCategory)
-	r.Messages += part.Messages
-	r.Bytes += part.Bytes
-	r.RemoteOps += part.RemoteOps
-	r.CacheMisses += part.CacheMisses
-	r.Rounds += part.Rounds
-}
-
 // Run executes fn on every thread concurrently (one goroutine per thread),
 // waits for all of them, and returns the aggregated result. Clocks and
 // counters are reset at region entry. Run must not be called reentrantly.

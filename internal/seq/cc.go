@@ -1,6 +1,7 @@
 // Package seq implements the sequential baselines the paper compares
-// against: union-find and BFS connected components, and Kruskal (with the
-// cache-friendly merge sort), Prim, and Borůvka minimum spanning forests.
+// against: union-find connected components and Kruskal's minimum spanning
+// forest (with the cache-friendly merge sort). The tests cross-check both
+// against BFS components, Prim and Borůvka.
 //
 // The *Timed variants execute the same code while counting actual memory
 // touches, then convert the counts to simulated nanoseconds through the
@@ -75,35 +76,6 @@ func ccCounted(g *graph.Graph) (labels []int64, touches int64) {
 		labels[i] = int64(find(int32(i)))
 	}
 	return Canonical(labels), touches
-}
-
-// CCBFS returns canonical component labels via breadth-first search over a
-// CSR view — an independent implementation used to cross-check CC.
-func CCBFS(g *graph.Graph) []int64 {
-	csr := graph.BuildCSR(g)
-	labels := make([]int64, g.N)
-	for i := range labels {
-		labels[i] = -1
-	}
-	queue := make([]int32, 0, 1024)
-	for s := int64(0); s < g.N; s++ {
-		if labels[s] != -1 {
-			continue
-		}
-		labels[s] = s
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range csr.Neighbors(int64(v)) {
-				if labels[w] == -1 {
-					labels[w] = s
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return labels
 }
 
 // Canonical rewrites component labels so that every vertex carries the

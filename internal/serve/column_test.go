@@ -102,7 +102,7 @@ func TestColumnsKeepTheirOwnState(t *testing.T) {
 	s, qs := everyColumn(t)
 	col := trace.NewCollector(s.Runtime().NumThreads())
 	s.Comm().SetTracer(col)
-	if got, want := s.Resident(), []string{"labels", "sizes", "dist[3]", "dist[9]", "parent"}; !slices.Equal(got, want) {
+	if got, want := s.resident(), []string{"labels", "sizes", "dist[3]", "dist[9]", "parent"}; !slices.Equal(got, want) {
 		t.Fatalf("Resident() = %v, want %v", got, want)
 	}
 	if got, want := s.table.arr.Len(), 3*s.g.N; got != want {
@@ -137,7 +137,7 @@ func TestColumnsKeepTheirOwnState(t *testing.T) {
 	if _, err := s.Insert([]Edge{{U: 2, V: 117}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Resident(), []string{"labels", "sizes"}; !slices.Equal(got, want) || s.table != nil {
+	if got, want := s.resident(), []string{"labels", "sizes"}; !slices.Equal(got, want) || s.table != nil {
 		t.Fatalf("after Insert: Resident() = %v, table %v; want %v and none", got, s.table, want)
 	}
 	var labelsOnly, noParent []Query

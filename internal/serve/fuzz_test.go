@@ -68,7 +68,7 @@ func FuzzServeFrame(f *testing.F) {
 	f.Add(frame(FrameInsert, []Edge{{U: 3, V: 60}, {U: 60, V: 9, W: 4}}))
 	f.Add(frame(FrameInfo, struct{}{}))
 	f.Add(frame(FrameOK, []int64{1, 0, -1}))
-	f.Add(frame(FrameError, &ErrorResp{Class: "misuse", Msg: "no"}))
+	f.Add(frame(FrameError, &errorResp{Class: "misuse", Msg: "no"}))
 	f.Add(query[:headerSize-3]) // truncated header
 	corrupt := func(at int, v byte) []byte {
 		b := slices.Clone(query)
@@ -124,7 +124,7 @@ func FuzzServeFrame(f *testing.F) {
 		switch respType {
 		case FrameOK:
 		case FrameError:
-			if e := resp.(*ErrorResp); !known[e.Class] {
+			if e := resp.(*errorResp); !known[e.Class] {
 				t.Fatalf("frame type %d, payload %q: unclassified error %q (class %q)", typ, payload, e.Msg, e.Class)
 			}
 		default:

@@ -58,7 +58,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		typ, payload, err := c.read()
 		if err != nil {
 			if err != io.EOF {
-				_ = c.send(FrameError, &ErrorResp{Class: errorClass(err), Msg: err.Error()})
+				_ = c.send(FrameError, &errorResp{Class: errorClass(err), Msg: err.Error()})
 			}
 			return
 		}
@@ -74,7 +74,7 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) dispatch(c *Conn, typ byte, payload []byte) (byte, interface{}) {
 	resp, err := s.answer(c, typ, payload)
 	if err != nil {
-		return FrameError, &ErrorResp{Class: errorClass(err), Msg: err.Error()}
+		return FrameError, &errorResp{Class: errorClass(err), Msg: err.Error()}
 	}
 	return FrameOK, resp
 }
@@ -116,7 +116,7 @@ func (s *Server) answer(c *Conn, typ byte, payload []byte) (interface{}, error) 
 			Components: res.Components,
 			Weight:     res.Weight,
 			Iterations: res.Iterations,
-			Sum:        res.Sum(),
+			Sum:        res.sum(),
 			SimMS:      res.Run.SimMS(),
 		}, nil
 
@@ -142,7 +142,7 @@ func (s *Server) answer(c *Conn, typ byte, payload []byte) (interface{}, error) 
 			Nodes:      svc.Runtime().Nodes(),
 			Threads:    svc.Runtime().NumThreads(),
 			Components: svc.Components(),
-			Resident:   svc.Resident(),
+			Resident:   svc.resident(),
 			Kernels:    Kernels(),
 		}, nil
 	}

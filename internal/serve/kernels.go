@@ -80,10 +80,10 @@ type KernelResult struct {
 	Detail any
 }
 
-// Sum is a deterministic content checksum over the result's payload
+// sum is a deterministic content checksum over the result's payload
 // arrays — what a remote caller compares against an offline oracle run
 // without shipping million-entry arrays.
-func (r *KernelResult) Sum() int64 {
+func (r *KernelResult) sum() int64 {
 	var s int64
 	for _, v := range r.Labels {
 		s += v

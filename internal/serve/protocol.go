@@ -257,7 +257,7 @@ func (c *Conn) Call(typ byte, req, resp interface{}) error {
 		return err
 	}
 	if rtyp == FrameError {
-		var e ErrorResp
+		var e errorResp
 		if err := json.Unmarshal(payload, &e); err != nil {
 			return err
 		}
@@ -332,9 +332,9 @@ type InfoResp struct {
 	Kernels    []string `json:"kernels"`
 }
 
-// ErrorResp reports a failure with its error class preserved, so a remote
+// errorResp reports a failure with its error class preserved, so a remote
 // caller's errors.Is checks work exactly like a local caller's.
-type ErrorResp struct {
+type errorResp struct {
 	Class string `json:"class,omitempty"`
 	Msg   string `json:"msg"`
 }
@@ -362,10 +362,10 @@ func errorClass(err error) string {
 	return ""
 }
 
-// asError reconstructs a client-side error from a wire ErrorResp,
+// asError reconstructs a client-side error from a wire errorResp,
 // restoring the classification so errors.Is(err, pgas.ErrMisuse) etc.
 // hold across the socket.
-func (e *ErrorResp) asError() error {
+func (e *errorResp) asError() error {
 	for _, c := range classes {
 		if e.Class == c.name {
 			return pgas.Errorf(c.sentinel, -1, "pgasd", "%s", e.Msg)

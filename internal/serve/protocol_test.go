@@ -85,13 +85,13 @@ func TestErrorClassRoundTrip(t *testing.T) {
 	sentinels := []error{pgas.ErrTransport, pgas.ErrTimeout, pgas.ErrCorrupt, pgas.ErrMisuse, pgas.ErrEvicted}
 	for _, s := range sentinels {
 		orig := pgas.Errorf(s, 3, "op", "boom")
-		resp := ErrorResp{Class: errorClass(orig), Msg: orig.Error()}
+		resp := errorResp{Class: errorClass(orig), Msg: orig.Error()}
 		back := resp.asError()
 		if !errors.Is(back, s) {
 			t.Fatalf("class %q did not round-trip: %v", resp.Class, back)
 		}
 	}
-	unclassified := ErrorResp{Msg: "plain"}
+	unclassified := errorResp{Msg: "plain"}
 	if err := unclassified.asError(); err == nil || errors.Is(err, pgas.ErrMisuse) {
 		t.Fatalf("unclassified error mis-restored: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestHostileFramesAreAnsweredNotFatal(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if misuse {
-			var e ErrorResp
+			var e errorResp
 			if rtyp != FrameError || json.Unmarshal(resp, &e) != nil || e.Class != "misuse" {
 				t.Fatalf("%s: answered frame type %d %s, want FrameError class misuse", name, rtyp, resp)
 			}

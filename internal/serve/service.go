@@ -141,8 +141,8 @@ func (s *Service) Labels() []int64 {
 	return slices.Clone(s.labels.arr.Raw())
 }
 
-// Resident names the resident results, for introspection.
-func (s *Service) Resident() []string {
+// resident names the resident results, for introspection.
+func (s *Service) resident() []string {
 	var r []string
 	if s.labels != nil {
 		r = append(r, "labels", "sizes")

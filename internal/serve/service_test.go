@@ -306,9 +306,9 @@ func TestInsertIncrementalMatchesRecompute(t *testing.T) {
 		for _, e := range batch {
 			uf.Union(int32(e.U), int32(e.V))
 		}
-		if s.Components() != uf.Sets() || rep.Components != uf.Sets() {
+		if sets := seq.CountComponents(uf.Labels()); s.Components() != sets || rep.Components != sets {
 			t.Fatalf("after Insert(%v): %d components (report %d), union-find has %d",
-				batch, s.Components(), rep.Components, uf.Sets())
+				batch, s.Components(), rep.Components, sets)
 		}
 		want := map[int32]int64{}
 		for v := int32(0); int64(v) < g.N; v++ {
@@ -438,10 +438,14 @@ func TestRunUnknownKernelClassifiesMisuse(t *testing.T) {
 func TestSSSPTreeServesWeightedDistance(t *testing.T) {
 	g := graph.WithRandomWeights(graph.Random(150, 400, 29), 31)
 	s := newTestService(t, g, 2, 2)
-	if _, err := s.Run(KernelSpec{Kernel: "sssp/delta-stepping", Src: 10}); err != nil {
+	res, err := s.Run(KernelSpec{Kernel: "sssp/delta-stepping", Src: 10})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := sssp.SeqDijkstra(g, 10)
+	if err := sssp.VerifyDistances(g, 10, res.Dist); err != nil {
+		t.Fatal(err)
+	}
+	want := res.Dist
 	ans, err := s.Query([]Query{{Op: Distance, U: 10, V: 77}, {Op: Distance, U: 33, V: 10}})
 	if err != nil {
 		t.Fatal(err)

@@ -312,18 +312,18 @@ func (m *Model) congestion(totalThreads int, exp float64) float64 {
 	return math.Pow(float64(totalThreads)/float64(m.cfg.A2AThreshold), exp)
 }
 
-// SmallMsgFactor returns the congestion multiplier for the naive
+// smallMsgFactor returns the congestion multiplier for the naive
 // translation's per-element remote traffic — the paper's "network
 // congestion incurred by numerous small messages" (§III). It grows with
 // the milder scattered-traffic exponent.
-func (m *Model) SmallMsgFactor(totalThreads int) float64 {
+func (m *Model) smallMsgFactor(totalThreads int) float64 {
 	return m.congestion(totalThreads, m.cfg.SmallOpCongestionExp)
 }
 
-// A2ABurstFactor returns the congestion multiplier for the synchronized
+// a2aBurstFactor returns the congestion multiplier for the synchronized
 // SMatrix/PMatrix all-to-all burst — the cliff the paper measures at 16
 // threads per node (§VI).
-func (m *Model) A2ABurstFactor(totalThreads int) float64 {
+func (m *Model) a2aBurstFactor(totalThreads int) float64 {
 	return m.congestion(totalThreads, m.cfg.A2AExponent)
 }
 
@@ -339,7 +339,7 @@ func (m *Model) SmallOp(sharers, totalThreads, wireLegs int) float64 {
 	}
 	base := float64(wireLegs)*m.cfg.NetLatency +
 		float64(sharers)*(m.cfg.SmallOpOverhead+ElemBytes/m.cfg.NetBandwidth)
-	return base * m.SmallMsgFactor(totalThreads)
+	return base * m.smallMsgFactor(totalThreads)
 }
 
 // SmallRemoteWrite returns the cost of one single-element remote store
@@ -350,7 +350,7 @@ func (m *Model) SmallOp(sharers, totalThreads, wireLegs int) float64 {
 func (m *Model) SmallRemoteWrite(sharers, totalThreads int) float64 {
 	o := m.cfg.MsgOverhead
 	base := m.cfg.NetLatency + o + ElemBytes/m.cfg.NetBandwidth
-	return base * m.A2ABurstFactor(totalThreads)
+	return base * m.a2aBurstFactor(totalThreads)
 }
 
 // Barrier returns the cost of one full barrier over s threads.

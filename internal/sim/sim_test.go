@@ -189,14 +189,14 @@ func TestSmallOpSerialization(t *testing.T) {
 func TestCongestionFactors(t *testing.T) {
 	m := model()
 	th := m.Config().A2AThreshold
-	if m.SmallMsgFactor(th) != 1 || m.A2ABurstFactor(th) != 1 {
+	if m.smallMsgFactor(th) != 1 || m.a2aBurstFactor(th) != 1 {
 		t.Fatal("factor below threshold must be 1")
 	}
-	if m.SmallMsgFactor(2*th) <= 1 || m.A2ABurstFactor(2*th) <= 1 {
+	if m.smallMsgFactor(2*th) <= 1 || m.a2aBurstFactor(2*th) <= 1 {
 		t.Fatal("factor above threshold must exceed 1")
 	}
 	// The synchronized burst is penalized harder than scattered traffic.
-	if m.A2ABurstFactor(2*th) <= m.SmallMsgFactor(2*th) {
+	if m.a2aBurstFactor(2*th) <= m.smallMsgFactor(2*th) {
 		t.Fatal("A2A burst should outgrow scattered small-message congestion")
 	}
 }

@@ -14,7 +14,7 @@ func VerifyDistances(g *graph.Graph, src int64, dist []int64) error {
 	if int64(len(dist)) != g.N {
 		return fmt.Errorf("sssp: %d distances for %d vertices", len(dist), g.N)
 	}
-	want := SeqDijkstra(g, src)
+	want := seqDijkstra(g, src)
 	for v := range dist {
 		if dist[v] != want[v] {
 			return fmt.Errorf("sssp: dist[%d] = %d from source %d, Dijkstra says %d", v, dist[v], src, want[v])

@@ -41,8 +41,8 @@ type Result struct {
 	Run *pgas.Result
 }
 
-// SeqDijkstra is the sequential baseline: binary-heap Dijkstra.
-func SeqDijkstra(g *graph.Graph, src int64) []int64 {
+// seqDijkstra is the sequential baseline: binary-heap Dijkstra.
+func seqDijkstra(g *graph.Graph, src int64) []int64 {
 	if !g.Weighted() {
 		panic("sssp: input graph is unweighted")
 	}

@@ -38,19 +38,19 @@ func distEqual(a, b []int64) bool {
 func TestSeqDijkstraKnown(t *testing.T) {
 	// Path 0-1-2 with weights 5, 7.
 	g := &graph.Graph{N: 3, U: []int32{0, 1}, V: []int32{1, 2}, W: []uint32{5, 7}}
-	d := SeqDijkstra(g, 0)
+	d := seqDijkstra(g, 0)
 	if !distEqual(d, []int64{0, 5, 12}) {
 		t.Fatalf("dist = %v", d)
 	}
 	// A shortcut: 0-2 direct with weight 20 loses; with weight 3 wins.
 	g2 := &graph.Graph{N: 3, U: []int32{0, 1, 0}, V: []int32{1, 2, 2}, W: []uint32{5, 7, 3}}
-	d = SeqDijkstra(g2, 0)
+	d = seqDijkstra(g2, 0)
 	if d[2] != 3 {
 		t.Fatalf("dist[2] = %d, want 3", d[2])
 	}
 	// Disconnected vertex unreached.
 	g3 := graph.WithRandomWeights(graph.Disjoint(graph.Path(2), graph.Empty(1)), 1)
-	d = SeqDijkstra(g3, 0)
+	d = seqDijkstra(g3, 0)
 	if d[2] != Unreached {
 		t.Fatalf("unreachable dist = %d", d[2])
 	}
@@ -62,7 +62,7 @@ func TestSeqDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 	for i := range g.W {
 		g.W[i] = 1
 	}
-	d := SeqDijkstra(g, 0)
+	d := seqDijkstra(g, 0)
 	want := bfs.SeqDistances(g, 0)
 	if !distEqual(d, want) {
 		t.Fatal("unit-weight Dijkstra differs from BFS")
@@ -84,7 +84,7 @@ func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 	for name, g := range graphs {
 		srcs := []int64{0, g.N / 2}
 		for _, src := range srcs {
-			want := SeqDijkstra(g, src)
+			want := seqDijkstra(g, src)
 			for _, geo := range geos {
 				t.Run(name, func(t *testing.T) {
 					rt := newRuntime(t, geo.nodes, geo.tpn)
@@ -101,7 +101,7 @@ func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 func TestDeltaSweep(t *testing.T) {
 	// Correctness must be delta-independent.
 	g := graph.WithRandomWeights(graph.Random(200, 700, 13), 14)
-	want := SeqDijkstra(g, 0)
+	want := seqDijkstra(g, 0)
 	rt := newRuntime(t, 2, 2)
 	comm := collective.NewComm(rt)
 	for _, delta := range []int64{1, 10, 1000, 1 << 20, 1 << 32} {
@@ -125,7 +125,7 @@ func TestDeltaSteppingProperty(t *testing.T) {
 			src = -src
 		}
 		res := DeltaStepping(rt, comm, g, src, 0, collective.Optimized(2))
-		return distEqual(res.Dist, SeqDijkstra(g, src))
+		return distEqual(res.Dist, seqDijkstra(g, src))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

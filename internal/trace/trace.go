@@ -169,38 +169,13 @@ func keptPercent(st *callStats) string {
 	return fmt.Sprintf("%.1f", 100*float64(st.kept)/float64(st.elements))
 }
 
-// Requests returns, for kind and summed over all participants, the
-// requests the callers offered and the requests delivered to the owners
-// after the request filter (offload drops, one-shot SetDMin combining,
-// GetDCombined's one request per index — counted under GetD).
-func (c *Collector) Requests(kind string) (offered, kept int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st, ok := c.calls[kind]; ok {
-		return st.elements, st.kept
-	}
-	return 0, 0
-}
-
 // WallNS returns the summed host wall-clock nanoseconds recorded for kind
-// across all participants, and Growths the summed scratch growths. Both
-// return 0 for an unrecorded kind.
+// across all participants, 0 for an unrecorded kind.
 func (c *Collector) WallNS(kind string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if st, ok := c.calls[kind]; ok {
 		return st.wallNS
-	}
-	return 0
-}
-
-// Growths returns the summed scratch backing-array allocations recorded
-// for kind (zero in steady state; see Collective).
-func (c *Collector) Growths(kind string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st, ok := c.calls[kind]; ok {
-		return st.growths
 	}
 	return 0
 }

@@ -131,3 +131,27 @@ func TestTracerSeesHotspot(t *testing.T) {
 		t.Fatalf("star-graph hotspot not visible: imbalance %v", imb)
 	}
 }
+
+// Requests returns, for kind and summed over all participants, the
+// requests the callers offered and the requests delivered to the owners
+// after the request filter (offload drops, one-shot SetDMin combining,
+// GetDCombined's one request per index — counted under GetD).
+func (c *Collector) Requests(kind string) (offered, kept int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st, ok := c.calls[kind]; ok {
+		return st.elements, st.kept
+	}
+	return 0, 0
+}
+
+// Growths returns the summed scratch backing-array allocations recorded
+// for kind (zero in steady state; see Collective).
+func (c *Collector) Growths(kind string) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st, ok := c.calls[kind]; ok {
+		return st.growths
+	}
+	return 0
+}

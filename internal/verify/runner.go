@@ -18,7 +18,7 @@ import (
 // budget, long enough for the slowest sampled trial.
 const wireTimeout = 20 * time.Second
 
-// Env is where, and under what, RunCheck runs a check. The zero Env is the
+// Env is where, and under what, runCheck runs a check. The zero Env is the
 // clean in-process run; every field is independent of the others.
 type Env struct {
 	// Fault is the collective-layer mutation injected into the check's Comm.
@@ -45,8 +45,8 @@ type Env struct {
 	Seat pgas.Transport
 }
 
-// CheckResult is what one RunCheck observed.
-type CheckResult struct {
+// checkResult is what one runCheck observed.
+type checkResult struct {
 	// Err is the verdict (nil = pass): the one node's error, or on a hosted
 	// cluster the originating node's, tagged with its seat.
 	Err error
@@ -63,17 +63,17 @@ type CheckResult struct {
 	Stats pgas.ChaosStats
 }
 
-// RunCheck runs c on trial t in env — the one way to run a check. Kernel
+// runCheck runs c on trial t in env — the one way to run a check. Kernel
 // panics (iteration-bound blow-ups, index validation; the runtime propagates
 // a panic on any simulated thread to the calling goroutine) come back as
 // check failures with their error chain intact, so callers still classify
 // them with errors.Is.
-func RunCheck(c Check, t *Trial, env Env) *CheckResult {
+func runCheck(c Check, t *Trial, env Env) *checkResult {
 	nodes := 1
 	if env.Wire {
 		nodes = t.Machine.Nodes
 	}
-	res := &CheckResult{Errs: make([]error, nodes), Reports: make([]*recovery.Report, nodes)}
+	res := &checkResult{Errs: make([]error, nodes), Reports: make([]*recovery.Report, nodes)}
 	for nd := range res.Reports {
 		res.Reports[nd] = &recovery.Report{}
 	}
@@ -123,7 +123,7 @@ func trialRuntime(t *Trial, tr pgas.Transport) (rt *pgas.Runtime, err error) {
 		return nil, fmt.Errorf("machine config: %v", err)
 	}
 	if tr == nil {
-		if err := rt.SetPartition(t.PartitionSpec()); err != nil {
+		if err := rt.SetPartition(t.partitionSpec()); err != nil {
 			return nil, fmt.Errorf("partition spec: %v", err)
 		}
 	}
@@ -198,14 +198,14 @@ func firstNodeError(errs []error) error {
 	return nil
 }
 
-// watched is RunCheck under a watchdog: it reports a hang (and no result)
+// watched is runCheck under a watchdog: it reports a hang (and no result)
 // when the run outlives d. A zero d runs unwatched.
-func watched(d time.Duration, c Check, t *Trial, env Env) (res *CheckResult, hung bool) {
+func watched(d time.Duration, c Check, t *Trial, env Env) (res *checkResult, hung bool) {
 	if d == 0 {
-		return RunCheck(c, t, env), false
+		return runCheck(c, t, env), false
 	}
-	done := make(chan *CheckResult, 1)
-	go func() { done <- RunCheck(c, t, env) }()
+	done := make(chan *checkResult, 1)
+	go func() { done <- runCheck(c, t, env) }()
 	select {
 	case res = <-done:
 		return res, false

@@ -101,7 +101,7 @@ func TestRunCheckEveryEnv(t *testing.T) {
 		return nil
 	}}
 
-	ran := map[string]*CheckResult{}
+	ran := map[string]*checkResult{}
 	for _, tc := range []struct {
 		name  string
 		env   Env
@@ -115,7 +115,7 @@ func TestRunCheckEveryEnv(t *testing.T) {
 		{"wire-chaos", Env{Chaos: &mild, Wire: true}, tr.Machine.Nodes},
 		{"wire-supervised-kill", Env{Chaos: &kills, Recover: &recovery.Config{MinThreads: 1}, Wire: true}, tr.Machine.Nodes},
 	} {
-		res := RunCheck(c, tr, tc.env)
+		res := runCheck(c, tr, tc.env)
 		ran[tc.name] = res
 		if len(res.Errs) != tc.nodes {
 			t.Errorf("%s: %d error slots, want one per hosted node (%d)", tc.name, len(res.Errs), tc.nodes)
@@ -142,7 +142,7 @@ func TestRunCheckEveryEnv(t *testing.T) {
 		t.Logf("%s: err=%v stats=%+v", tc.name, res.Err, res.Stats)
 		// The panicking node reports the panic; on a hosted cluster its peers
 		// see a dead seat, and the verdict may name theirs.
-		blown := RunCheck(panics, tr, tc.env)
+		blown := runCheck(panics, tr, tc.env)
 		if blown.Err == nil || !slices.ContainsFunc(blown.Errs, func(e error) bool {
 			return e != nil && strings.Contains(e.Error(), "thread kaboom")
 		}) {

@@ -6,20 +6,20 @@ import (
 	"pgasgraph/internal/listrank"
 )
 
-// Shrink greedily minimizes a failing trial: it tries progressively
+// shrink greedily minimizes a failing trial: it tries progressively
 // simpler machines, option vectors, graphs, and lists, keeping a
 // candidate only if the check still fails on it, until no reduction
 // sticks or the predicate-run budget is exhausted. Greedy passes restart
 // after every accepted reduction, so shrinking a graph can re-enable a
 // smaller machine and vice versa.
-func Shrink(c Check, t *Trial, budget int) (*Trial, int) {
+func shrink(c Check, t *Trial, budget int) (*Trial, int) {
 	runs := 0
 	fails := func(cand *Trial) bool {
 		if runs >= budget {
 			return false
 		}
 		runs++
-		return c.Applicable(cand) && RunCheck(c, cand, Env{}).Err != nil
+		return c.Applicable(cand) && runCheck(c, cand, Env{}).Err != nil
 	}
 	cur := t
 	for {
@@ -37,7 +37,7 @@ func shrinkOnce(t *Trial, fails func(*Trial) bool) *Trial {
 	// 1. Machine geometry: fewer threads first, then fewer nodes.
 	for _, geo := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {1, 4}, {4, 1}} {
 		if geo[0] < t.Machine.Nodes || (geo[0] == t.Machine.Nodes && geo[1] < t.Machine.ThreadsPerNode) {
-			if cand := t.WithMachine(geo[0], geo[1]); fails(cand) {
+			if cand := t.withMachine(geo[0], geo[1]); fails(cand) {
 				return cand
 			}
 		}
@@ -73,7 +73,7 @@ func shrinkOnce(t *Trial, fails func(*Trial) bool) *Trial {
 			func(e int64) bool { return e >= m/2 },
 			func(e int64) bool { return e%2 == 0 },
 		} {
-			if cand := t.WithGraph(filterEdges(t.Graph, keep)); fails(cand) {
+			if cand := t.withGraph(filterEdges(t.Graph, keep)); fails(cand) {
 				return cand
 			}
 		}
@@ -87,13 +87,13 @@ func shrinkOnce(t *Trial, fails func(*Trial) bool) *Trial {
 				g.V = append(g.V, t.Graph.V[e])
 			}
 		}
-		if cand := t.WithGraph(g); fails(cand) {
+		if cand := t.withGraph(g); fails(cand) {
 			return cand
 		}
 	}
 	// 4. List: replace with a fresh half-length random list.
 	if t.List.N > 2 {
-		cand := t.WithList(listrank.RandomList(t.List.N/2, t.Seed))
+		cand := t.withList(listrank.RandomList(t.List.N/2, t.Seed))
 		if fails(cand) {
 			return cand
 		}

@@ -44,8 +44,8 @@ func TestShrinkDeterministic(t *testing.T) {
 		if round > 200 {
 			t.Fatal("no failing trial sampled in 200 rounds")
 		}
-		cand := SampleTrial(xrand.New(0x5EED).Split(uint64(round)), round, 300)
-		if RunCheck(synthetic, cand, Env{}).Err != nil {
+		cand := sampleTrial(xrand.New(0x5EED).Split(uint64(round)), round, 300)
+		if runCheck(synthetic, cand, Env{}).Err != nil {
 			start = cand
 			break
 		}
@@ -57,8 +57,8 @@ func TestShrinkDeterministic(t *testing.T) {
 
 	var first string
 	for i := 0; i < 10; i++ {
-		min, runs := Shrink(synthetic, start, 500)
-		if RunCheck(synthetic, min, Env{}).Err == nil {
+		min, runs := shrink(synthetic, start, 500)
+		if runCheck(synthetic, min, Env{}).Err == nil {
 			t.Fatalf("run %d: shrunk trial no longer fails: %s", i, min)
 		}
 		fp := fingerprint(min, runs)

@@ -210,7 +210,7 @@ func mutationTrial(rng *xrand.Rand, round int, _ int64) *Trial {
 }
 
 // oracle is the check's own pass/fail verdict.
-func oracle(rec *Record, _ Check, _ Env, ran *CheckResult) {
+func oracle(rec *Record, _ Check, _ Env, ran *checkResult) {
 	if rec.Err = ran.Err; rec.Err != nil {
 		rec.Outcome = Wrong
 	}
@@ -218,14 +218,14 @@ func oracle(rec *Record, _ Check, _ Env, ran *CheckResult) {
 
 // detection inverts the oracle: under an injected fault, a failing check
 // has caught the mutation.
-func detection(rec *Record, _ Check, _ Env, ran *CheckResult) {
+func detection(rec *Record, _ Check, _ Env, ran *checkResult) {
 	if rec.Err = ran.Err; rec.Err != nil {
 		rec.Outcome = Detected
 	}
 }
 
 // ladder places an in-process chaos run on the outcome ladder.
-func ladder(rec *Record, _ Check, _ Env, ran *CheckResult) {
+func ladder(rec *Record, _ Check, _ Env, ran *checkResult) {
 	rec.Err, rec.Stats = ran.Err, ran.Stats
 	rec.Rollbacks, rec.Evicted = ran.Reports[0].Rollbacks, ran.Reports[0].Evicted
 	rec.Outcome = outcomeOf(rec.Err, rec.Rollbacks)
@@ -235,8 +235,8 @@ func ladder(rec *Record, _ Check, _ Env, ran *CheckResult) {
 // schedule: both recover with identical fault counters — the per-thread draw
 // streams are backend-independent by construction — or both fail
 // classified. Anything else is a mismatch, counted Wrong.
-func dualBackend(rec *Record, c Check, env Env, wire *CheckResult) {
-	in := RunCheck(c, rec.Trial, Env{Chaos: env.Chaos})
+func dualBackend(rec *Record, c Check, env Env, wire *checkResult) {
+	in := runCheck(c, rec.Trial, Env{Chaos: env.Chaos})
 	rec.Stats = in.Stats
 	switch {
 	case (in.Err == nil) != (wire.Err == nil):
@@ -261,7 +261,7 @@ func dualBackend(rec *Record, c Check, env Env, wire *CheckResult) {
 // noise. A run with no survivors fails classified when every node failed
 // loudly (budget exhausted, self-evicted, or unwound by a peer's abort); an
 // unclassified node error is a wrong answer.
-func survivors(rec *Record, _ Check, _ Env, ran *CheckResult) {
+func survivors(rec *Record, _ Check, _ Env, ran *checkResult) {
 	rec.Stats = ran.Stats
 	rec.Err = func() error {
 		ref := -1

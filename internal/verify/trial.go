@@ -44,12 +44,12 @@ type Trial struct {
 	Scheme pgas.SchemeKind
 }
 
-// PartitionSpec derives the runtime partition spec for the trial. Hubs
+// partitionSpec derives the runtime partition spec for the trial. Hubs
 // are computed lazily from the *current* Graph — the trial's top-degree
 // vertices, capped at a quarter of the vertex count — so a shrunk copy
-// (WithGraph) re-derives a coherent hub set instead of carrying stale
+// (withGraph) re-derives a coherent hub set instead of carrying stale
 // vertex ids.
-func (t *Trial) PartitionSpec() pgas.PartitionSpec {
+func (t *Trial) partitionSpec() pgas.PartitionSpec {
 	spec := pgas.PartitionSpec{Kind: t.Scheme}
 	if t.Scheme == pgas.SchemeHub {
 		max := int(t.Graph.N / 4)
@@ -108,10 +108,10 @@ func optsString(o *collective.Options) string {
 	return s
 }
 
-// WithGraph returns a copy of t on a different graph, re-deriving the
+// withGraph returns a copy of t on a different graph, re-deriving the
 // weighted twin from the trial's seed and clamping the source. Used by
 // shrinking.
-func (t *Trial) WithGraph(g *graph.Graph) *Trial {
+func (t *Trial) withGraph(g *graph.Graph) *Trial {
 	c := *t
 	c.Graph = g
 	c.WGraph = graph.WithRandomWeights(g, t.Seed)
@@ -121,16 +121,16 @@ func (t *Trial) WithGraph(g *graph.Graph) *Trial {
 	return &c
 }
 
-// WithMachine returns a copy of t on a different machine geometry.
-func (t *Trial) WithMachine(nodes, tpn int) *Trial {
+// withMachine returns a copy of t on a different machine geometry.
+func (t *Trial) withMachine(nodes, tpn int) *Trial {
 	c := *t
 	c.Machine.Nodes = nodes
 	c.Machine.ThreadsPerNode = tpn
 	return &c
 }
 
-// WithList returns a copy of t with a different list input.
-func (t *Trial) WithList(l *listrank.List) *Trial {
+// withList returns a copy of t with a different list input.
+func (t *Trial) withList(l *listrank.List) *Trial {
 	c := *t
 	c.List = l
 	return &c
@@ -218,9 +218,9 @@ var geometries = [][2]int{
 	{4, 1}, {4, 2},
 }
 
-// SampleTrial draws one trial from the randomized matrix. All sampling
+// sampleTrial draws one trial from the randomized matrix. All sampling
 // flows from rng, which the caller seeds per round.
-func SampleTrial(rng *xrand.Rand, round int, maxN int64) *Trial {
+func sampleTrial(rng *xrand.Rand, round int, maxN int64) *Trial {
 	if maxN < 8 {
 		maxN = 8
 	}

@@ -4,7 +4,7 @@
 // configurations, collective option vectors, and graph families.
 //
 // The battery (Checks) is rows of data over the serve kernel registry, and
-// RunCheck is the one way to run a row. A row's Kernel is run through
+// runCheck is the one way to run a row. A row's Kernel is run through
 // serve.RunKernel on the trial's inputs and held to the registry row's own
 // oracle (serve.Verify); its Twin, a second registry kernel run on the same
 // cluster, must reproduce Kernel's labels or ranks bit for bit; Canonical
@@ -79,12 +79,12 @@ type Soak struct {
 	// Env is where every check of the row runs.
 	Env Env
 
-	sample  func(rng *xrand.Rand, round int, maxN int64) *Trial // nil: SampleTrial
+	sample  func(rng *xrand.Rand, round int, maxN int64) *Trial // nil: sampleTrial
 	chaos   bool                                                // draw a fault schedule per trial; kills iff Env.Recover
 	watched bool                                                // run under Config.Watchdog
 	only    func(Check) bool                                    // the battery subset (nil: all)
 	pick    func(battery []Check, round int, t *Trial) (run []Check, skipped int)
-	verdict func(rec *Record, c Check, env Env, ran *CheckResult)
+	verdict func(rec *Record, c Check, env Env, ran *checkResult)
 	fold    func(h *digest, rec *Record) // nil: foldRecord
 	halt    bool                         // stop at the first run that does not pass
 	detect  bool                         // the row fails unless a run is Detected
@@ -163,6 +163,9 @@ type Report struct {
 	// Records holds every run in order.
 	Records []Record
 
+	// digest is the fold of every run's replay-stable fields: two runs of
+	// the same row and Config produce the same value (.github/digests pins
+	// CI's; String prints it).
 	digest digest
 	detect bool
 }
@@ -174,10 +177,6 @@ func (r *Report) OK() bool {
 	return r.Checks > 0 && r.Count[Wrong] == 0 && r.Count[Hang] == 0 && (r.Count[Detected] > 0) == r.detect
 }
 
-// Digest is the fold of every run's replay-stable fields: two runs of the
-// same row and Config produce the same value (.github/digests pins CI's).
-func (r *Report) Digest() uint64 { return uint64(r.digest) }
-
 // String is the row's summary line.
 func (r *Report) String() string {
 	s := fmt.Sprintf("%s trials=%d checks=%d skipped=%d", r.Soak, r.Trials, r.Checks, r.Skipped)
@@ -185,7 +184,7 @@ func (r *Report) String() string {
 		s += fmt.Sprintf(" %s=%d", Outcome(o), n)
 	}
 	return s + fmt.Sprintf(" faults=%d retries=%d kills=%d rollbacks=%d digest=%#x",
-		r.Stats.Faults(), r.Stats.Retries, r.Stats.Kills, r.Rollbacks, r.Digest())
+		r.Stats.Faults(), r.Stats.Retries, r.Stats.Kills, r.Rollbacks, uint64(r.digest))
 }
 
 // Run runs the row: each trial is sampled and its checks picked; each check
@@ -198,7 +197,7 @@ func (s Soak) Run(cfg Config) *Report {
 	}
 	sample, fold := s.sample, s.fold
 	if sample == nil {
-		sample = SampleTrial
+		sample = sampleTrial
 	}
 	if fold == nil {
 		fold = foldRecord
@@ -217,7 +216,7 @@ func (s Soak) Run(cfg Config) *Report {
 		}
 		if len(s.Geometries) > 0 {
 			g := s.Geometries[round%len(s.Geometries)]
-			t = t.WithMachine(g[0], g[1])
+			t = t.withMachine(g[0], g[1])
 			t.Scheme = pgas.SchemeBlock
 		}
 		env := s.Env
@@ -236,8 +235,8 @@ func (s Soak) Run(cfg Config) *Report {
 				s.verdict(&rec, c, env, ran)
 			}
 			if rec.Outcome == Wrong && cfg.Shrink > 0 && env == (Env{}) {
-				rec.Shrunk, rec.ShrinkRuns = Shrink(c, t, cfg.Shrink)
-				if err := RunCheck(c, rec.Shrunk, env).Err; err != nil {
+				rec.Shrunk, rec.ShrinkRuns = shrink(c, t, cfg.Shrink)
+				if err := runCheck(c, rec.Shrunk, env).Err; err != nil {
 					rec.Err = err
 				}
 			}

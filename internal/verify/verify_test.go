@@ -67,16 +67,16 @@ func TestShrinkReducesCounterexample(t *testing.T) {
 	rng := xrand.New(7).Split(3)
 	var tr *Trial
 	for round := 0; ; round++ {
-		tr = SampleTrial(rng, round, 200)
+		tr = sampleTrial(rng, round, 200)
 		if tr.Graph.M() > 1 && tr.Machine.Nodes*tr.Machine.ThreadsPerNode > 2 {
 			break
 		}
 	}
-	shrunk, runs := Shrink(c, tr, 200)
+	shrunk, runs := shrink(c, tr, 200)
 	if runs == 0 {
 		t.Fatal("shrinking ran no predicates")
 	}
-	if err := RunCheck(c, shrunk, Env{}).Err; err == nil {
+	if err := runCheck(c, shrunk, Env{}).Err; err == nil {
 		t.Fatal("shrunk trial no longer fails the check")
 	}
 	if got := shrunk.Graph.M(); got > tr.Graph.M()/2 && tr.Graph.M() > 2 {
@@ -106,8 +106,8 @@ func TestRunCheckRecoversPanics(t *testing.T) {
 			panic("kaboom")
 		},
 	}
-	tr := SampleTrial(xrand.New(1), 0, 50)
-	err := RunCheck(c, tr, Env{}).Err
+	tr := sampleTrial(xrand.New(1), 0, 50)
+	err := runCheck(c, tr, Env{}).Err
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}
@@ -130,8 +130,8 @@ func TestRunCheckRecoversThreadPanics(t *testing.T) {
 			return nil
 		},
 	}
-	tr := SampleTrial(xrand.New(2), 0, 50).WithMachine(2, 2)
-	err := RunCheck(c, tr, Env{}).Err
+	tr := sampleTrial(xrand.New(2), 0, 50).withMachine(2, 2)
+	err := runCheck(c, tr, Env{}).Err
 	if err == nil || !strings.Contains(err.Error(), "thread kaboom") {
 		t.Fatalf("thread panic not converted to error: %v", err)
 	}
@@ -140,8 +140,8 @@ func TestRunCheckRecoversThreadPanics(t *testing.T) {
 // TestTrialReproducible: the same (seed, round) coordinates must sample
 // an identical trial, so failure reports replay exactly.
 func TestTrialReproducible(t *testing.T) {
-	a := SampleTrial(xrand.New(42).Split(5), 5, 300)
-	b := SampleTrial(xrand.New(42).Split(5), 5, 300)
+	a := sampleTrial(xrand.New(42).Split(5), 5, 300)
+	b := sampleTrial(xrand.New(42).Split(5), 5, 300)
 	if a.String() != b.String() {
 		t.Fatalf("trials diverge:\n  %s\n  %s", a, b)
 	}

@@ -19,7 +19,7 @@ import (
 // geometry onto it.
 func wireTrial(seed uint64, round int, maxN int64, nodes, tpn int) *Trial {
 	rng := xrand.New(seed).Split(0x31e7 ^ uint64(round))
-	return SampleTrial(rng, round, maxN).WithMachine(nodes, tpn)
+	return sampleTrial(rng, round, maxN).withMachine(nodes, tpn)
 }
 
 // TestWireBattery: every wire-eligible battery check passes on a wire
@@ -33,7 +33,7 @@ func TestWireBattery(t *testing.T) {
 			if !c.Applicable(tr) {
 				continue
 			}
-			if err := RunCheck(c, tr, Env{Wire: true}).Err; err != nil {
+			if err := runCheck(c, tr, Env{Wire: true}).Err; err != nil {
 				t.Fatalf("wire %dx%d %s: %v", geom[0], geom[1], c.Name, err)
 			}
 		}
@@ -94,7 +94,7 @@ func TestWireKernelIdentity(t *testing.T) {
 		outs[rt.LocalNode()] = nodeOut{mstEdges: m.Edges, mstW: m.Weight}
 		return same("mst/coalesced", nil, nil, m.Run.SimNS, wantMST.Run.SimNS)
 	}}
-	if err := RunCheck(identity, tr, Env{Wire: true}).Err; err != nil {
+	if err := runCheck(identity, tr, Env{Wire: true}).Err; err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,7 +147,7 @@ func TestWireKillRecovery(t *testing.T) {
 		tr := wireTrial(seed, 1, 200, 3, 1)
 		tr.Scheme = pgas.SchemeBlock
 		ccfg := pgas.ChaosConfig{Seed: seed, KillRate: 0.05}
-		ran := RunCheck(c, tr, Env{Chaos: &ccfg, Recover: &recovery.Config{MinThreads: 1}, Wire: true})
+		ran := runCheck(c, tr, Env{Chaos: &ccfg, Recover: &recovery.Config{MinThreads: 1}, Wire: true})
 		return ran.Reports, ran.Errs, tr
 	}
 	// Scan a few seeds for the interesting shape: at least one survivor
@@ -216,7 +216,7 @@ func TestWireKillRecovery(t *testing.T) {
 func TestWireKillSweepDigest(t *testing.T) {
 	rep := soak(WireKill, 3, Config{Seed: 0x4b11, MaxN: 160})
 	assertSoakOK(t, rep)
-	if got, pinned := rep.Digest(), uint64(0x4557bbdb19694989); got != pinned {
+	if got, pinned := uint64(rep.digest), uint64(0x4557bbdb19694989); got != pinned {
 		t.Fatalf("kill digest %#x, pinned %#x: %s", got, pinned, rep)
 	}
 }

@@ -136,12 +136,12 @@ func (r *Rand) Perm(n int) []int64 {
 	for i := range p {
 		p[i] = int64(i)
 	}
-	r.ShuffleInt64(p)
+	r.shuffleInt64(p)
 	return p
 }
 
-// ShuffleInt64 permutes s uniformly at random in place.
-func (r *Rand) ShuffleInt64(s []int64) {
+// shuffleInt64 permutes s uniformly at random in place.
+func (r *Rand) shuffleInt64(s []int64) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]

@@ -174,7 +174,7 @@ func TestMul64(t *testing.T) {
 func TestShuffleInt64Preserves(t *testing.T) {
 	s := []int64{5, 6, 7, 8, 9}
 	r := New(3)
-	r.ShuffleInt64(s)
+	r.shuffleInt64(s)
 	sum := int64(0)
 	for _, v := range s {
 		sum += v
