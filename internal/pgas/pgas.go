@@ -1151,11 +1151,6 @@ func (th *Thread) ChargeOps(cat sim.Category, k int64) {
 	th.Clock.Charge(cat, th.rt.model.Ops(k))
 }
 
-// ChargeIntrinsics charges k owner-id intrinsic invocations.
-func (th *Thread) ChargeIntrinsics(cat sim.Category, k int64) {
-	th.Clock.Charge(cat, th.rt.model.Intrinsics(k))
-}
-
 // ChargeSharedPtr charges k shared-pointer accesses to local data.
 func (th *Thread) ChargeSharedPtr(cat sim.Category, k int64) {
 	th.Clock.Charge(cat, th.rt.model.SharedPtrAccess(k))
