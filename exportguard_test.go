@@ -2,8 +2,10 @@ package pgasgraph
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -40,6 +42,10 @@ var exportAllowlist = map[string]string{
 	"serve.QueryResp":        "item 11: the JSON batch the client left; only benchmark/probes.go decodes it",
 	"serve.Server.Service":   "item 11: benchmark/probes.go reaches the resident Service through it",
 	"trace.Collector.WallNS": "item 11: benchmark/probes.go's collective.wall_frac probe",
+	"trace.Collector.Calls":  "item 11: benchmark/probes.go's collective.calls_per_op and serve.gathers_per_batch probes",
+	"trace.Collector.Reset":  "item 11: benchmark/probes.go clears its collector between probe phases",
+	"serve.Service.Comm":     "item 11: benchmark/probes.go attaches its tracer to a resident Service through it",
+	"serve.Service.Runtime":  "item 11: benchmark/probes.go sizes its collector to a resident Service through it",
 	"sim.Breakdown.Total":    "item 11: benchmark/probes.go's sim_ms split",
 }
 
@@ -47,6 +53,11 @@ var exportAllowlist = map[string]string{
 // interface (fmt.Stringer, error, errors' Unwrap, sort and heap, flag.Value).
 // Methods named in an interface the module declares are skipped as well.
 var interfaceMethods = []string{"String", "Error", "Unwrap", "Len", "Less", "Swap", "Push", "Pop", "Set"}
+
+// importerFunc is a types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // guardFile is one parsed source file; path is slash-separated and
 // relative to the module root.
@@ -61,26 +72,27 @@ type guardFile struct {
 // referenced after all. Keys are the package path below internal/, then
 // the receiver type for a method: "sched.Reference", "graph.CSR.Degree".
 //
-// The check is syntactic. A package-level name is referenced by a
-// selector on an import of its package; a method by any selector of its
-// name (so two methods of one name share their callers); a type also by
-// appearing in the signature of a referenced func or method, or in the
-// exported fields of a referenced type.
-func unearnedExports(module string, files []guardFile, allow map[string]string) []string {
+// The counted files are type-checked (go/types; the standard library
+// through go/importer), and a name is referenced where an identifier
+// resolves to it: a selector names the method of the type it resolves
+// to, so two methods of one name do not share their callers. A type is
+// also referenced by appearing in the signature of a referenced func or
+// method, or in the exported fields of a referenced type. Type errors
+// are reported as findings.
+func unearnedExports(module string, fset *token.FileSet, files []guardFile, allow map[string]string) []string {
 	counted := func(f guardFile) bool {
 		return !strings.HasSuffix(f.path, "_test.go") && !strings.HasPrefix(f.path, "benchmark/")
 	}
 	dir := func(f guardFile) string { return path.Dir(f.path) }
 
-	// Package name of each directory, for imports without a name.
-	pkgName := map[string]string{}
 	skip := map[string]bool{}
 	for _, m := range interfaceMethods {
 		skip[m] = true
 	}
+	byDir := map[string][]*ast.File{}
 	for _, f := range files {
 		if counted(f) {
-			pkgName[dir(f)] = f.file.Name.Name
+			byDir[dir(f)] = append(byDir[dir(f)], f.file)
 			ast.Inspect(f.file, func(n ast.Node) bool {
 				if it, ok := n.(*ast.InterfaceType); ok {
 					for _, m := range it.Methods.List {
@@ -94,39 +106,46 @@ func unearnedExports(module string, files []guardFile, allow map[string]string) 
 		}
 	}
 
-	// Counted references: "dir.Name" for a qualified identifier, and the
-	// directories each selector name is used from.
-	qualified := map[string]bool{}
-	selectedFrom := map[string]map[string]bool{}
+	// Type-check every counted package, importing the module's own from
+	// these files, and record the directories each object is used from.
+	var out []string
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	checked := map[string]*types.Package{}
+	std := importer.Default()
+	var imp importerFunc
+	imp = func(p string) (*types.Package, error) {
+		d, ok := strings.CutPrefix(p, module+"/")
+		if p == module {
+			d, ok = ".", true
+		}
+		if !ok {
+			return std.Import(p)
+		}
+		if checked[d] == nil {
+			conf := types.Config{Importer: imp, Error: func(err error) { out = append(out, "type check: "+err.Error()) }}
+			checked[d], _ = conf.Check(p, fset, byDir[d], info)
+		}
+		return checked[d], nil
+	}
+	for d := range byDir {
+		imp(path.Join(module, d))
+	}
+	usedFrom := map[types.Object]map[string]bool{}
 	for _, f := range files {
 		if !counted(f) {
 			continue
 		}
-		imports := map[string]string{}
-		for _, im := range f.file.Imports {
-			p := strings.Trim(im.Path.Value, `"`)
-			local := path.Base(p)
-			if rel, ok := strings.CutPrefix(p, module+"/"); ok && pkgName[rel] != "" {
-				local = pkgName[rel]
-			}
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = strings.TrimPrefix(p, module+"/")
-		}
 		ast.Inspect(f.file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
+			id, ok := n.(*ast.Ident)
+			if obj := info.Uses[id]; ok && obj != nil {
+				if fn, ok := obj.(*types.Func); ok {
+					obj = fn.Origin()
+				}
+				if usedFrom[obj] == nil {
+					usedFrom[obj] = map[string]bool{}
+				}
+				usedFrom[obj][dir(f)] = true
 			}
-			if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-				qualified[imports[x.Name]+"."+sel.Sel.Name] = true
-				return true
-			}
-			if selectedFrom[sel.Sel.Name] == nil {
-				selectedFrom[sel.Sel.Name] = map[string]bool{}
-			}
-			selectedFrom[sel.Sel.Name][dir(f)] = true
 			return true
 		})
 	}
@@ -136,7 +155,8 @@ func unearnedExports(module string, files []guardFile, allow map[string]string) 
 	// definition less its unexported fields.
 	type decl struct {
 		key, dir, name string
-		method, typ    bool
+		typ            bool
+		obj            types.Object
 		uses           []ast.Node
 	}
 	var decls []*decl
@@ -153,7 +173,7 @@ func unearnedExports(module string, files []guardFile, allow map[string]string) 
 					continue
 				}
 				if n.Recv == nil {
-					decls = append(decls, &decl{key: pkg + "." + n.Name.Name, dir: d, name: n.Name.Name, uses: []ast.Node{n.Type}})
+					decls = append(decls, &decl{key: pkg + "." + n.Name.Name, dir: d, name: n.Name.Name, obj: info.Defs[n.Name], uses: []ast.Node{n.Type}})
 					continue
 				}
 				if skip[n.Name.Name] {
@@ -170,14 +190,14 @@ func unearnedExports(module string, files []guardFile, allow map[string]string) 
 					recv = r.X
 				}
 				key := pkg + "." + recv.(*ast.Ident).Name + "." + n.Name.Name
-				decls = append(decls, &decl{key: key, dir: d, name: n.Name.Name, method: true, uses: []ast.Node{n.Type}})
+				decls = append(decls, &decl{key: key, dir: d, name: n.Name.Name, obj: info.Defs[n.Name], uses: []ast.Node{n.Type}})
 			case *ast.GenDecl:
 				for _, s := range n.Specs {
 					ts, ok := s.(*ast.TypeSpec)
 					if !ok || !ts.Name.IsExported() {
 						continue
 					}
-					td := &decl{key: pkg + "." + ts.Name.Name, dir: d, name: ts.Name.Name, typ: true, uses: []ast.Node{ts.Type}}
+					td := &decl{key: pkg + "." + ts.Name.Name, dir: d, name: ts.Name.Name, typ: true, obj: info.Defs[ts.Name], uses: []ast.Node{ts.Type}}
 					if st, ok := ts.Type.(*ast.StructType); ok {
 						td.uses = nil
 						for _, fl := range st.Fields.List {
@@ -195,13 +215,8 @@ func unearnedExports(module string, files []guardFile, allow map[string]string) 
 	live := map[*decl]bool{}
 	typesIn := map[string]*decl{}
 	for _, d := range decls {
-		switch {
-		case d.method:
-			for from := range selectedFrom[d.name] {
-				live[d] = live[d] || from != d.dir
-			}
-		case qualified[d.dir+"."+d.name]:
-			live[d] = true
+		for from := range usedFrom[d.obj] {
+			live[d] = live[d] || from != d.dir
 		}
 		if d.typ {
 			typesIn[d.dir+"."+d.name] = d
@@ -232,7 +247,6 @@ func unearnedExports(module string, files []guardFile, allow map[string]string) 
 		}
 	}
 
-	var out []string
 	declared := map[string]bool{}
 	for _, d := range decls {
 		declared[d.key] = true
@@ -280,7 +294,7 @@ func TestExportGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, msg := range unearnedExports("pgasgraph", files, exportAllowlist) {
+	for _, msg := range unearnedExports("pgasgraph", fset, files, exportAllowlist) {
 		t.Error(msg)
 	}
 }
@@ -304,12 +318,15 @@ func Allowed() {}
 func (T) Visit() {}
 func (T) String() string { return "" }
 func (T) Dead() {}
+func (T) Shared() {}
+type U int
+func (U) Shared() {}
 func own() { Nobody(); var t T; t.Dead() }
 `,
 		"internal/lib/lib_test.go":     `package lib; func x() { OnlyTests() }`,
 		"internal/other/other_test.go": `package other; import "m/internal/lib"; func y() { lib.OnlyTests(); var t lib.T; t.Dead() }`,
 		"benchmark/probe.go":           `package benchmark; import "m/internal/lib"; func z() { lib.OnlyBench(); _ = lib.OnlyBenchType(0) }`,
-		"cmd/tool/main.go":             `package main; import l "m/internal/lib"; func main() { l.Used(); var _ l.Visitor = l.New() }`,
+		"cmd/tool/main.go":             `package main; import l "m/internal/lib"; func main() { l.Used(); var _ l.Visitor = l.New(); l.New().Shared(); _ = l.U(0) }`,
 	}
 	fset := token.NewFileSet()
 	var files []guardFile
@@ -329,9 +346,10 @@ func own() { Nobody(); var t T; t.Dead() }
 		"lib.OnlyBenchType" + unearned,
 		"lib.OnlyTests" + unearned,
 		"lib.T.Dead" + unearned,
+		"lib.U.Shared" + unearned,
 		"lib.Used: on the allowlist, but non-test code outside its package references it",
 	}
-	got := unearnedExports("m", files, map[string]string{"lib.Allowed": "why", "lib.Used": "why", "lib.Gone": "why"})
+	got := unearnedExports("m", fset, files, map[string]string{"lib.Allowed": "why", "lib.Used": "why", "lib.Gone": "why"})
 	if !slices.Equal(got, want) {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}

@@ -27,7 +27,11 @@ func checkSpanningForest(t *testing.T, g *graph.Graph, sf *SpanningForest) {
 		t.Fatalf("forest has %d edges, want n - #components = %d", len(sf.Edges), g.N-comps)
 	}
 	// The forest must induce exactly g's connectivity.
-	if !seq.SamePartition(seq.Canonical(ds.Labels()), seq.CC(g)) {
+	labels := make([]int64, g.N)
+	for v := range labels {
+		labels[v] = int64(ds.Find(int32(v)))
+	}
+	if !seq.SamePartition(seq.Canonical(labels), seq.CC(g)) {
 		t.Fatal("forest connectivity differs from the graph's")
 	}
 	// And the CC result that rode along must be correct too.

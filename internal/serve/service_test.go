@@ -284,9 +284,11 @@ func TestInsertIncrementalMatchesRecompute(t *testing.T) {
 	}
 	// The test's own union-find follows the inserts; the component count
 	// and every component size must agree with it after each batch.
-	uf := unionfind.New(g.N)
+	uf, sets := unionfind.New(g.N), g.N
 	for i := range g.U {
-		uf.Union(g.U[i], g.V[i])
+		if uf.Union(g.U[i], g.V[i]) {
+			sets--
+		}
 	}
 	sizeOf := make([]Query, g.N)
 	for v := range sizeOf {
@@ -304,9 +306,11 @@ func TestInsertIncrementalMatchesRecompute(t *testing.T) {
 			t.Fatalf("Insert(%v) skipped differential verification", batch)
 		}
 		for _, e := range batch {
-			uf.Union(int32(e.U), int32(e.V))
+			if uf.Union(int32(e.U), int32(e.V)) {
+				sets--
+			}
 		}
-		if sets := seq.CountComponents(uf.Labels()); s.Components() != sets || rep.Components != sets {
+		if s.Components() != sets || rep.Components != sets {
 			t.Fatalf("after Insert(%v): %d components (report %d), union-find has %d",
 				batch, s.Components(), rep.Components, sets)
 		}

@@ -43,12 +43,3 @@ func (d *DS) Union(a, b int32) bool {
 	}
 	return true
 }
-
-// Labels returns the representative of every element's set.
-func (d *DS) Labels() []int64 {
-	out := make([]int64, len(d.parent))
-	for i := range d.parent {
-		out[i] = int64(d.Find(int32(i)))
-	}
-	return out
-}

@@ -52,6 +52,15 @@ func TestTransitivity(t *testing.T) {
 	}
 }
 
+// Labels returns the representative of every element's set.
+func (d *DS) Labels() []int64 {
+	out := make([]int64, len(d.parent))
+	for i := range d.parent {
+		out[i] = int64(d.Find(int32(i)))
+	}
+	return out
+}
+
 func TestLabelsConsistent(t *testing.T) {
 	d := New(8)
 	d.Union(0, 7)
