@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"slices"
 	"testing"
 
 	"pgasgraph/internal/collective"
@@ -119,5 +120,39 @@ func TestSpanningTreeHookKeys(t *testing.T) {
 	}
 	if a, b := packHook(5, maxEdge), packHook(6, 0); a >= b {
 		t.Error("keys do not order by label first")
+	}
+}
+
+// TestOneRootEndKeepsTheAnswer: on inputs with a giant component the last
+// round's roots gather finds every kept pair inside the one tree rooted at
+// 0 and empties the list instead of relabelling it for a hook scan that
+// finds nothing (collective's TestOneRootEnd pins the list). The kernels
+// that compact must still answer exactly as their uncompacted runs do:
+// the same labels, the same forest edges and the same rounds.
+func TestOneRootEndKeepsTheAnswer(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Random(2048, 8192, 7), graph.Hybrid(2048, 8192, 3), graph.Random(1024, 1200, 5)} {
+		for _, geo := range [][2]int{{1, 4}, {4, 2}, {3, 3}} {
+			for _, col := range []*collective.Options{collective.Base(), collective.Optimized(2)} {
+				rt := newRuntime(t, geo[0], geo[1])
+				run := func(compact bool) (*Result, *SpanningForest) {
+					opts := &Options{Col: col, Compact: compact}
+					return Coalesced(rt, collective.NewComm(rt), g, opts), SpanningTree(rt, collective.NewComm(rt), g, opts)
+				}
+				cc, sf := run(true)
+				ccStatic, sfStatic := run(false)
+				if !slices.Equal(cc.Labels, ccStatic.Labels) || cc.Iterations != ccStatic.Iterations {
+					t.Errorf("n=%d %dx%d offload=%v: compacted Coalesced took %d rounds, uncompacted %d; labels equal: %v",
+						g.N, geo[0], geo[1], col.Offload, cc.Iterations, ccStatic.Iterations, slices.Equal(cc.Labels, ccStatic.Labels))
+				}
+				edges, static := slices.Clone(sf.Edges), slices.Clone(sfStatic.Edges)
+				slices.Sort(edges)
+				slices.Sort(static)
+				if !slices.Equal(edges, static) || !slices.Equal(sf.CC.Labels, sfStatic.CC.Labels) || sf.CC.Iterations != sfStatic.CC.Iterations {
+					t.Errorf("n=%d %dx%d offload=%v: compacted SpanningTree took %d rounds, uncompacted %d; forests equal: %v",
+						g.N, geo[0], geo[1], col.Offload, sf.CC.Iterations, sfStatic.CC.Iterations, slices.Equal(edges, static))
+				}
+				checkSpanningForest(t, g, sf)
+			}
+		}
 	}
 }

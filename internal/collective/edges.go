@@ -151,8 +151,10 @@ func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, 
 // gatherRoots gathers d at the marked labels' positions, listed ascending
 // off the bitmap into the hook buffers, and relabels each pair by its
 // label's exact rank (base plus a popcount) — a gather into k words: under
-// the stars assertion D[Ends[j]] = D[pos(Labels[j])]. Compact caps k at
-// the buffers' room, so it allocates nothing.
+// the stars assertion D[Ends[j]] = D[pos(Labels[j])]. When every answer
+// names one root, every kept pair lies inside one tree, and the list is
+// emptied instead. Compact caps k at the buffers' room, so it allocates
+// nothing.
 func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Options) {
 	c := el.live.c
 	el.viaRoots = false
@@ -172,38 +174,52 @@ func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Opti
 	}
 	vals := el.HookVal[:k]
 	c.GetD(th, d, roots, vals, opts, nil)
-	next := 0 // FaultWrongRootRank: read the next root's answer
-	if c.fault == FaultWrongRootRank {
-		next = 1
+	th.ChargeSeq(sim.CatWork, int64(k))
+	if oneRoot(vals) {
+		el.Ends, el.Labels, el.IDs = el.Ends[:0], el.Labels[:0], el.IDs[:0]
+		return
+	}
+	if c.fault == FaultWrongRootRank { // read the next root's answer
+		first := vals[0]
+		copy(vals, vals[1:])
+		vals[k-1] = first
 	}
 	for j, lab := range el.Labels {
 		w := lab >> 6
-		r := int(el.base[w]) + bits.OnesCount64(el.seen[w]&(1<<(lab&63)-1))
-		el.Labels[j] = vals[(r+next)%k]
+		el.Labels[j] = vals[int(el.base[w])+bits.OnesCount64(el.seen[w]&(1<<(lab&63)-1))]
 	}
-	th.ChargeSeq(sim.CatWork, int64(len(el.Labels)))
-	th.ChargeIrregular(sim.CatWork, int64(len(el.Labels)), int64(k))
+	chargeRelabel(&th.Clock, th.Runtime().Model(), int64(len(el.Labels)), int64(k))
+}
+
+// oneRoot reports whether every answer names the same root.
+func oneRoot(vals []int64) bool {
+	for _, v := range vals {
+		if v != vals[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// chargeRelabel charges the relabel of w labels by rank into the k answers
+// a roots gather's finish permute has just written: the stream over the
+// labels and w lookups into a warm table, which pay no compulsory miss
+// and miss only at the steady-state rate of a k-word block.
+func chargeRelabel(clk *sim.Clock, m *sim.Model, w, k int64) {
+	ns, misses := m.IrregularAccessDistinct(w, 0, k)
+	clk.Charge(sim.CatWork, m.SeqScan(w)+ns)
+	clk.CacheMisses += misses
 }
 
 // rootsLimit is k*: the largest distinct-label count, at most the hook
 // buffers' room, at which a roots gather for w kept labels is priced below
-// the endpoint gather of the w, or -1 when none is. The roots path pays
-// the bitmap scan, one op a root to list it and one to lay it out, the
-// relabel's stream and its w lookups into k answers, and a gather of k;
-// the endpoints a gather of w. Both gathers are priced alike (gatherPrice),
-// and the roots path's price only rises with k, so k* is a binary search.
+// the endpoint gather of the w, or -1 when none is. The roots path's price
+// only rises with k, so k* is a binary search.
 func (el *EdgeList) rootsLimit(th *pgas.Thread, w int) int {
 	rt := th.Runtime()
 	m, s, tpn := rt.Model(), rt.NumThreads(), rt.ThreadsPerNode()
-	ww, opsPerRoot := int64(w), int64(1)
-	if el.live.pos != nil {
-		opsPerRoot = 2
-	}
-	budget := gatherPrice(m, ww, el.nb, s, tpn, el.opts) - m.SeqScan(int64(len(el.seen))) - m.SeqScan(ww)
-	cheaper := func(k int) bool {
-		relabel, _ := m.IrregularAccess(ww, int64(k))
-		return m.Ops(opsPerRoot*int64(k))+relabel+gatherPrice(m, int64(k), el.nb, s, tpn, el.opts) < budget
-	}
+	budget := gatherPrice(m, int64(w), el.nb, s, tpn, el.opts)
+	cheaper := func(k int) bool { return el.rootsPrice(m, int64(w), int64(k), s, tpn) < budget }
 	if !cheaper(0) {
 		return -1
 	}
@@ -216,6 +232,22 @@ func (el *EdgeList) rootsLimit(th *pgas.Thread, w int) int {
 		}
 	}
 	return lo
+}
+
+// rootsPrice is what gatherRoots charges for w kept labels naming k roots,
+// less the per-call terms gatherPrice leaves out: the bitmap scan, one op a
+// root to list it and one to lay it out, a gather of k, the one-root
+// check's stream over the answers and the relabel. It prices the relabel
+// even where the one-root check will skip it.
+func (el *EdgeList) rootsPrice(m *sim.Model, w, k int64, s, tpn int) float64 {
+	opsPerRoot := int64(1)
+	if el.live.pos != nil {
+		opsPerRoot = 2
+	}
+	var clk sim.Clock
+	chargeRelabel(&clk, m, w, k)
+	return m.SeqScan(int64(len(el.seen))) + m.Ops(opsPerRoot*k) +
+		gatherPrice(m, k, el.nb, s, tpn, el.opts) + m.SeqScan(k) + clk.NS
 }
 
 // gatherPrice is what the engine charges a one-shot GetD of k requests

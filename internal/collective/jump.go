@@ -42,7 +42,9 @@ func NewJumpScratch(span int64, pos Layout) *JumpScratch {
 // §IV.A) over the caller's ThreadCover block until all trees are rooted
 // stars, using one GetDCombined per level. Only vertices not yet pointing
 // at a root stay active: no hooks happen during the phase, so a root can
-// never move and a vertex whose label did not change is finished. d must be a
+// never move and a vertex whose label did not change is finished. Under
+// Offload, D[0] = 0 is pinned and every layout keeps vertex 0 at position
+// 0, so a vertex whose new label is 0 is finished too. d must be a
 // forest (hooks need not be monotone in label order, as long as they are
 // acyclic) laid out by js's layout: the label at position p is a vertex,
 // whose own label is read at its position. Every thread must call it; js
@@ -82,8 +84,10 @@ func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
 		for j, v := range active {
 			if jumpVal[j] != raw[v] {
 				d.StoreRaw(v, jumpVal[j])
-				active[w] = v
-				w++
+				if jumpVal[j] != 0 || !opts.Offload {
+					active[w] = v
+					w++
+				}
 			}
 		}
 		active = active[:w]

@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pgasgraph/internal/machine"
@@ -101,6 +102,102 @@ func TestGatherPriceRisesWithK(t *testing.T) {
 				break
 			}
 			prev = price
+		}
+	}
+}
+
+// TestRootsPathIsItsPrice holds the roots side of rootsLimit's price
+// (rootsPrice) to what a roots gather charges, as
+// TestGatherPriceIsTheCharge does the gather in it. At 1 × 1 and 1 × 8
+// every thread lists k pairs over k distinct roots, k/s at each owner and
+// none that another thread lists, so each owner serves k first touches;
+// its next gather is forced to the roots. The clock's advance over the
+// gather, waiting aside, must be rootsPrice(2k, k) plus the GetD's
+// per-call terms. The cache holds the relabel's k-word table in one column
+// and not in the other. In the one-root rows every root answers 0: the
+// list ends empty, and the advance is the price less the warm relabel it
+// skipped, priced here from the model directly.
+func TestRootsPathIsItsPrice(t *testing.T) {
+	const k, nb = 2048, 4096
+	cols := []struct {
+		name string
+		opts func() *Options
+	}{
+		{"base", Base},
+		{"optimized", func() *Options { return Optimized(2) }},
+		{"quicksort", func() *Options { o := Base(); o.Sort = QuickSort; return o }},
+	}
+	for _, tpn := range []int{1, 8} {
+		for _, cache := range []int64{1 << 20, 8 << 10} {
+			for _, col := range cols {
+				for _, oneRoot := range []bool{false, true} {
+					t.Run(fmt.Sprintf("1x%d/cache=%d/%s/oneroot=%v", tpn, cache, col.name, oneRoot), func(t *testing.T) {
+						cfg := machine.PaperCluster()
+						cfg.Nodes, cfg.ThreadsPerNode, cfg.CacheBytes = 1, tpn, cache
+						rt, err := pgas.New(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m, s, opts := rt.Model(), rt.NumThreads(), col.opts()
+						perCall := 2*m.Barrier(s) + float64(s)*m.Ops(2) + float64(2*s)*cfg.MemLatency
+						if opts.Sort == CountSort {
+							perCall += m.Ops(int64(s))
+						}
+						// The warm relabel: a stream over the 2k labels and
+						// 2k lookups into the k answers, no compulsory miss.
+						lookups, _ := m.IrregularAccessDistinct(2*k, 0, k)
+						relabel := m.SeqScan(2*k) + lookups
+						per := int64(k / s)
+						root := func(th, j int64) int64 { return j%int64(s)*nb + 1 + th*per + j/int64(s) }
+						ends := func(lo, hi int64, ends []int64) {
+							for e := lo; e < hi; e++ {
+								th, j := e/k, e%k
+								ends[2*(e-lo)], ends[2*(e-lo)+1] = root(th, j), root(th, (j+1)%k)
+							}
+						}
+						d := rt.NewSharedArray("D", int64(s)*nb)
+						d.FillIdentity()
+						live := NewComm(rt).NewLiveEdges(true, false, true, nil)
+						els := make([]*EdgeList, s)
+						rt.Run(func(th *pgas.Thread) {
+							els[th.ID] = live.List(th, int64(s)*k, ends, false)
+							els[th.ID].Gather(th, d, opts, false)
+						})
+						if oneRoot {
+							for i := 1; i < s*nb; i++ {
+								d.StoreRaw(int64(i), 0)
+							}
+						}
+						rt.Run(func(th *pgas.Thread) {
+							el := els[th.ID]
+							want := el.rootsPrice(m, 2*k, k, s, tpn) + perCall
+							if oneRoot {
+								want -= relabel
+							}
+							if !el.ForcePath(true, slices.Clone(el.Labels)) {
+								t.Errorf("thread %d: %d roots do not fit the hook buffers", th.ID, k)
+								return
+							}
+							th.Barrier()
+							before := th.Clock
+							el.Gather(th, d, opts, false)
+							waited := th.Clock.ByCategory[sim.CatWait] - before.ByCategory[sim.CatWait]
+							if got := th.Clock.NS - before.NS - waited; math.Abs(got-want) > 1e-9*want {
+								t.Errorf("thread %d: roots gather charged %.6f ns; price plus per-call terms %.6f", th.ID, got, want)
+							}
+							if oneRoot && len(el.Ends)+len(el.Labels) != 0 {
+								t.Errorf("thread %d: every root answers 0, yet %d pairs stay listed", th.ID, len(el.Ends)/2)
+							}
+							for j, e := range el.Ends {
+								if el.Labels[j] != d.LoadRaw(e) {
+									t.Errorf("thread %d: Labels[%d] = %d, D[%d] = %d", th.ID, j, el.Labels[j], e, d.LoadRaw(e))
+									return
+								}
+							}
+						})
+					})
+				}
+			}
 		}
 	}
 }

@@ -161,8 +161,12 @@ func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src 
 		if src >= lo && src < hi && g.N > 0 {
 			push(src, 0)
 		}
+		// removed lists the vertices the phase expanded, expandedAt the
+		// distance of each one's last light expansion: a vertex improved
+		// twice in one relax sits in its bucket twice, and its second
+		// entry would send the same candidates again.
 		removed := make([]int64, 0, 1024)
-		inRemoved := make(map[int64]bool, 1024)
+		expandedAt := make(map[int64]int64, 1024)
 		var sendIdx, sendVal []int64
 		relaxed := int64(0)
 
@@ -221,20 +225,21 @@ func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src 
 
 			// Light-edge cascade within the bucket.
 			removed = removed[:0]
-			for k := range inRemoved {
-				delete(inRemoved, k)
-			}
+			clear(expandedAt)
 			for {
 				batch := buckets[cur]
 				delete(buckets, cur)
 				for _, v := range batch {
-					if dist.LoadRaw(v)/delta != cur {
+					d := dist.LoadRaw(v)
+					if d/delta != cur {
 						continue // stale entry
 					}
-					if !inRemoved[v] {
-						inRemoved[v] = true
+					if at, ok := expandedAt[v]; !ok {
 						removed = append(removed, v)
+					} else if at == d {
+						continue // expanded at this distance already
 					}
+					expandedAt[v] = d
 					expand(v, true)
 				}
 				th.ChargeOps(sim.CatWork, int64(len(batch)))

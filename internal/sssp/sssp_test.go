@@ -1,14 +1,17 @@
 package sssp
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pgasgraph/internal/bfs"
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/sim"
 )
 
 func newRuntime(t testing.TB, nodes, tpn int) *pgas.Runtime {
@@ -185,5 +188,53 @@ func TestDeltaSteppingUnitWeightsMatchBFS(t *testing.T) {
 	want := bfs.SeqDistances(g, 0)
 	if !distEqual(res.Dist, want) {
 		t.Fatal("unit-weight delta-stepping differs from BFS")
+	}
+}
+
+// sentPairs counts the candidates DeltaStepping offers ExchangePairs.
+type sentPairs struct{ n atomic.Int64 }
+
+func (c *sentPairs) Collective(kind string, _ int, _ sim.Breakdown, elements, _ int64, _ time.Duration, _ int64) {
+	if kind == "ExchangePairs" {
+		c.n.Add(elements)
+	}
+}
+func (*sentPairs) Transfer(int, int, int64) {}
+func (*sentPairs) PlanBuild(int, int64)     {}
+func (*sentPairs) PlanReuse(int, int64)     {}
+
+// TestOneExpansionPerDistance: a vertex improved twice in one relax sits
+// in its bucket twice, and is expanded only at its first entry. The
+// pinned relaxation and phase counts, and the candidate counts it must
+// beat, were recorded when the second entry still expanded the vertex
+// again at the same distance. Only those repeated candidates go: the
+// first entries keep their order, so every relaxation lands as before.
+func TestOneExpansionPerDistance(t *testing.T) {
+	g := graph.WithRandomWeights(graph.Hybrid(1<<12, 1<<14, 7), 8)
+	want := seqDijkstra(g, 0)
+	rt := newRuntime(t, 2, 2)
+	for _, tc := range []struct {
+		delta       int64
+		relaxations int64
+		buckets     int
+		sentBefore  int64
+	}{
+		{0, 7161, 18, 33250},
+		{1 << 26, 7402, 64, 32806},
+		{1 << 30, 7826, 6, 42714},
+	} {
+		comm := collective.NewComm(rt)
+		var sent sentPairs
+		comm.SetTracer(&sent)
+		res := DeltaStepping(rt, comm, g, 0, tc.delta, collective.Optimized(2))
+		if !distEqual(res.Dist, want) {
+			t.Fatalf("delta=%d: distances differ", tc.delta)
+		}
+		if res.Relaxations != tc.relaxations || res.Buckets != tc.buckets {
+			t.Errorf("delta=%d: %d relaxations in %d phases; pinned %d in %d", tc.delta, res.Relaxations, res.Buckets, tc.relaxations, tc.buckets)
+		}
+		if got := sent.n.Load(); got >= tc.sentBefore {
+			t.Errorf("delta=%d: %d candidates sent, %d when a repeated entry expanded again", tc.delta, got, tc.sentBefore)
+		}
 	}
 }
