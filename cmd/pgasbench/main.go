@@ -182,11 +182,7 @@ func runJSON(out, baseline string, tol float64, calls int, seed uint64) int {
 		fmt.Fprintf(os.Stderr, "pgasbench: %v\n", err)
 		return 1
 	}
-	// SimRacy is the per-racy-iteration budget for async records (all of
-	// which carry RacyOps).
-	regressions := report.CompareBench(base, rep, report.Tolerances{
-		Wall: tol, Sim: 1.05, SimRacy: 1.2, AllocSlack: 2,
-	})
+	regressions := report.CompareBench(base, rep, tol)
 	for _, r := range regressions {
 		fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)
 	}

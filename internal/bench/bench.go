@@ -17,7 +17,6 @@ import (
 	"pgasgraph/internal/experiments"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/report"
-	"pgasgraph/internal/serve"
 	"pgasgraph/internal/xrand"
 )
 
@@ -93,19 +92,13 @@ func selections(cfg Config) []selection {
 }
 
 // records runs every selected row and lays its cells out as records named
-// row/point[/series]. A kernel that races by design (serve.RacyOps: naive
-// CC's simulated time varies with goroutine scheduling) gives an Async
-// record with its iterations as RacyOps — its per-iteration work is a fixed
-// edge scan, so CompareBench scales the tolerance by them. Any other
-// kernel's iterations are Rounds, held to a one-sided exact bound.
+// row/point[/series]. A kernel's iterations are Rounds, held to a one-sided
+// exact bound.
 func records(sels []selection) ([]report.BenchRecord, error) {
 	var out []report.BenchRecord
 	add := func(name string, m experiments.Measure) {
 		rec := report.BenchRecord{Name: name, SimMS: m.NS / 1e6}
-		switch {
-		case serve.RacyOps(m.Kernel):
-			rec.Async, rec.RacyOps = true, float64(m.Iterations)
-		case m.Kernel != "":
+		if m.Kernel != "" {
 			rec.Rounds = float64(m.Iterations)
 		}
 		out = append(out, rec)

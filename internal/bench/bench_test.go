@@ -93,14 +93,9 @@ func TestFigureRecordNames(t *testing.T) {
 		if r.SimMS <= 0 {
 			t.Errorf("%s: non-positive sim time", r.Name)
 		}
-		// cc.Naive-derived series are scheduling-dependent and must carry
-		// the async marker and their racy work; the others their rounds,
+		// Every record carries its kernel's rounds, cc.Naive's series too,
 		// except partition's, which runs no kernel.
-		fromNaive := strings.HasPrefix(r.Name, "fig2/") || strings.HasSuffix(r.Name, "/smp")
-		if r.Async != fromNaive || fromNaive != (r.RacyOps > 0) {
-			t.Errorf("%s: async=%v racy_ops=%v, want async %v", r.Name, r.Async, r.RacyOps, fromNaive)
-		}
-		if kernel := !strings.HasPrefix(r.Name, "partition/"); !fromNaive && kernel != (r.Rounds > 0) {
+		if kernel := !strings.HasPrefix(r.Name, "partition/"); kernel != (r.Rounds > 0) {
 			t.Errorf("%s: rounds=%v", r.Name, r.Rounds)
 		}
 	}

@@ -14,8 +14,9 @@
 //
 // All kernels maintain the invariant that labels only decrease from the
 // identity labeling (grafts and shortcuts are minimum writes), which makes
-// the racy shared-memory executions convergent and the results exact; every
-// kernel's output is verified against sequential union-find in the tests.
+// Naive's arbitrary-CRCW interleaving convergent and the results exact;
+// every kernel's output is verified against sequential union-find in the
+// tests.
 package cc
 
 import (
@@ -125,7 +126,7 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 	red := pgas.NewOrReducer(rt)
 	m := g.M()
 
-	run := rt.Run(func(th *pgas.Thread) {
+	run := rt.RunOneSided(func(th *pgas.Thread) {
 		lo, hi := th.Span(m)
 		// Initialize own block of D (charged; data already set).
 		dLo, dHi := d.ThreadCover(th.ID)

@@ -307,14 +307,10 @@ func (r *Result) Cell(i int, name string) Measure {
 	return r.Measures[i][j]
 }
 
-// view reads one point's measurements for a cell, a note or a check, and
-// notes whether it read a kernel that mask names (the golden test masks
-// what it reads from schedule-dependent runs).
+// view reads one point's measurements for a cell, a note or a check.
 type view struct {
-	r    *Result
-	i    int
-	mask func(kernel string) bool
-	hit  *bool
+	r *Result
+	i int
 }
 
 func (v *view) at(i int) *view {
@@ -334,17 +330,10 @@ func (v *view) of(label string) *view {
 
 func (v *view) p() *Point { return &v.r.Points[v.i] }
 
-// size is the point's first measure, read for the input size it ran on:
-// sizes do not vary between runs, so reading them marks nothing.
+// size is the point's first measure, read for the input size it ran on.
 func (v *view) size() Measure { return v.r.Measures[v.i][0] }
 
-func (v *view) get(name string) Measure {
-	m := v.r.Cell(v.i, name)
-	if v.mask != nil && v.mask(m.Kernel) {
-		*v.hit = true
-	}
-	return m
-}
+func (v *view) get(name string) Measure { return v.r.Cell(v.i, name) }
 
 func (v *view) ns(name string) float64 { return v.get(name).NS }
 
@@ -360,17 +349,9 @@ func (v *view) best(name string) *view {
 }
 
 // Table renders the result: a row per point, then the horizontal lines.
-func (r *Result) Table() *report.Table { return r.table(nil) }
-
-func (r *Result) table(mask func(kernel string) bool) *report.Table {
+func (r *Result) Table() *report.Table {
 	s := &r.sweep
-	read := func(i int, cell func(*view) string) string {
-		v := &view{r: r, i: i, mask: mask, hit: new(bool)}
-		if out := cell(v); !*v.hit {
-			return out
-		}
-		return "~"
-	}
+	read := func(i int, cell func(*view) string) string { return cell(&view{r: r, i: i}) }
 	heads := make([]string, len(s.columns))
 	for j, c := range s.columns {
 		heads[j] = c.head

@@ -49,20 +49,14 @@ func TestConfigMachineScalesCache(t *testing.T) {
 
 // The golden test renders every row at goldenScale as `pgasbench
 // -markdown` does and compares it with goldenFile, the output of
-// `pgasbench -scale 0.001 -markdown all`. Cells and notes read from a naive
-// kernel's run print "~": their simulated time varies between two runs of
-// the same binary.
+// `pgasbench -scale 0.001 -markdown all`. Every cell is pinned: the
+// simulated numbers are exact, naive kernels' included.
 const (
 	goldenScale = 0.001
 	goldenFile  = "testdata/rows_0.001.md"
 )
 
 var update = flag.Bool("update", false, "rewrite "+goldenFile+" from this build")
-
-// naive names the kernels whose simulated time varies from run to run:
-// cc/naive races by design (serve.RacyOps), and mst/naive's AtomicMin
-// charges Lock(contended) from real CAS races.
-func naive(kernel string) bool { return kernel == "cc/naive" || kernel == "mst/naive" }
 
 // anyScale lists the rows whose shape checks hold at any scale; the others
 // are validated at -scale 0.01 by `pgasbench -check all`.
@@ -86,7 +80,7 @@ func result(t *testing.T, name string) *Result {
 
 func render(t *testing.T, name string) string {
 	var b strings.Builder
-	if err := result(t, name).table(naive).Markdown(&b); err != nil {
+	if err := result(t, name).Table().Markdown(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.String() + "\n"
@@ -130,8 +124,8 @@ func checkGolden(t *testing.T, name string) {
 }
 
 // TestRowsGolden is the golden test over every row of All(); -update
-// rewrites the file from this build instead (review the diff: only masked
-// cells may move unless a change means to move numbers).
+// rewrites the file from this build instead (review the diff: no cell may
+// move unless a change means to move numbers).
 func TestRowsGolden(t *testing.T) {
 	if *update {
 		var b strings.Builder

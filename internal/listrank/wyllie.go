@@ -111,7 +111,7 @@ func WyllieNaive(rt *pgas.Runtime, l *List) *Result {
 	}
 	red := pgas.NewOrReducer(rt)
 
-	run := rt.Run(func(th *pgas.Thread) {
+	run := rt.RunOneSided(func(th *pgas.Thread) {
 		lo, hi := s.ThreadCover(th.ID)
 		span := hi - lo
 		th.ChargeSeq(sim.CatWork, 2*span)

@@ -101,7 +101,7 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 	chosen := make([][]int64, s)
 	m := g.M()
 
-	run := rt.Run(func(th *pgas.Thread) {
+	run := rt.RunOneSided(func(th *pgas.Thread) {
 		lo, hi := th.Span(m)
 		dLo, dHi := d.ThreadCover(th.ID)
 		th.ChargeSeq(sim.CatWork, dHi-dLo)

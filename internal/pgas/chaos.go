@@ -134,9 +134,7 @@ type chaosState struct {
 // region is in flight. Arming resets all chaos statistics and stream
 // positions, so two runs armed with the same config see the same schedule.
 func (rt *Runtime) ArmChaos(cfg ChaosConfig) {
-	if cfg.MaxAttempts < 1 {
-		cfg.MaxAttempts = 1
-	}
+	cfg.MaxAttempts = max(cfg.MaxAttempts, 1)
 	rt.chaos = &chaosState{cfg: cfg, pts: make([]chaosThread, rt.s)}
 }
 
@@ -269,13 +267,7 @@ func (th *Thread) Retry(try func() error, gaveUp func() (op, what string)) {
 // attempt and counts one retry.
 func (th *Thread) chaosBackoff(attempt int) {
 	ch := th.rt.chaos
-	shift := attempt - 1
-	if shift < 0 {
-		shift = 0
-	}
-	if shift > chaosBackoffShiftCap {
-		shift = chaosBackoffShiftCap
-	}
+	shift := min(max(attempt-1, 0), chaosBackoffShiftCap)
 	th.Clock.Charge(sim.CatComm, ch.cfg.BackoffNS*float64(int64(1)<<shift))
 	ch.pts[th.ID].stats.Retries++
 }

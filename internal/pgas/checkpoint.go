@@ -107,11 +107,8 @@ type Checkpointer struct {
 func (rt *Runtime) ArmCheckpoints(every int) *Checkpointer {
 	ck := &Checkpointer{
 		rt:     rt,
-		every:  1,
+		every:  uint64(max(every, 1)),
 		byName: make(map[string]*ckptEntry),
-	}
-	if every > 1 {
-		ck.every = uint64(every)
 	}
 	rt.ckpt = ck
 	return ck

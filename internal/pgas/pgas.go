@@ -18,7 +18,8 @@ package pgas
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +42,7 @@ type Runtime struct {
 	winc    uint32         // symmetric window-id counter (host-side allocation only)
 	arrays  []*SharedArray // live wire replicas, refreshed after each region (nil when shared)
 	bar     *barrier
+	turn    *turn         // the running one-sided region's turn; nil otherwise
 	chaos   *chaosState   // fault injector; nil (free) when disarmed
 	ckpt    *Checkpointer // superstep checkpoint manager; nil when disarmed
 	part    PartitionSpec // default partition scheme for new shared arrays
@@ -308,51 +310,38 @@ func (rt *Runtime) evictWire(dead []int) (*Runtime, error) {
 			"transport %T cannot agree on node eviction", rt.tr)
 	}
 	tpn := rt.cfg.ThreadsPerNode
-	nodeSet := make(map[int]bool)
+	deadNodes := make([]int, 0, len(dead))
 	for _, id := range dead {
 		if id < 0 || id >= rt.s {
 			return nil, Errorf(ErrMisuse, -1, "Evict", "thread %d out of range [0,%d)", id, rt.s)
 		}
-		nodeSet[id/tpn] = true
+		deadNodes = append(deadNodes, id/tpn)
 	}
-	if len(nodeSet) >= rt.cfg.Nodes {
+	slices.Sort(deadNodes)
+	if deadNodes = slices.Compact(deadNodes); len(deadNodes) >= rt.cfg.Nodes {
 		return nil, Errorf(ErrMisuse, -1, "Evict", "no survivors (evicting all %d nodes)", rt.cfg.Nodes)
 	}
-	deadNodes := make([]int, 0, len(nodeSet))
-	for nd := range nodeSet {
-		deadNodes = append(deadNodes, nd)
-	}
-	sort.Ints(deadNodes)
 	rt.retired = true
-	if nodeSet[rt.node] {
-		// This node is dying. Participate in the membership agreement so
-		// the survivors drain deterministically to their next rendezvous,
-		// then tear the endpoint down without a goodbye so any remaining
-		// detection paths classify it as crashed rather than departed.
-		_, _ = ev.EvictNodes(deadNodes)
+	agreed, err := ev.EvictNodes(deadNodes)
+	if slices.Contains(deadNodes, rt.node) || slices.Contains(agreed, rt.node) {
+		// This node is dying, or a peer's proposal named it dead and the
+		// cluster agreed. It took part in the agreement so the survivors
+		// drain deterministically; now it tears its endpoint down without a
+		// goodbye, so any remaining detection path classifies it as crashed
+		// rather than departed, instead of running a geometry the
+		// survivors no longer count it in.
 		_ = ev.Fail()
 		return nil, Errorf(ErrEvicted, -1, "Evict",
 			"node %d evicted from the wire cluster; survivors continue", rt.node)
 	}
-	agreed, err := ev.EvictNodes(deadNodes)
 	if err != nil {
 		return nil, err
 	}
-	for _, nd := range agreed {
-		if nd == rt.node {
-			// A peer's proposal named this node dead and the cluster
-			// agreed. Honor the agreement: fail loudly rather than run a
-			// geometry the survivors no longer count this node in.
-			_ = ev.Fail()
-			return nil, Errorf(ErrEvicted, -1, "Evict",
-				"node %d evicted from the wire cluster by peer agreement", rt.node)
-		}
-	}
-	// The agreement commits only after every survivor has proposed, which
-	// each does after leaving its failed region, and their earlier frames
-	// are ahead of their proposals on the wire: nothing can address the
-	// retired geometry's windows any more. Drop them; the remapped runtime
-	// draws its ids from the start again.
+	// The agreement commits only after every other seat — the dying ones
+	// included — has proposed or crashed, each after leaving its failed
+	// region, and their earlier frames are ahead of their proposals on the
+	// wire: nothing can address the retired geometry's windows any more.
+	// Drop them; the remapped runtime draws its ids from the start again.
 	rt.tr.Unexpose(0, rt.winc)
 	p := rt.cfg.Nodes - len(agreed)
 	if p < 1 || rt.tr.Nodes() != p {
@@ -384,6 +373,9 @@ type Thread struct {
 	Clock sim.Clock
 	// rounds counts the OrReducer.Loop rounds of the current region.
 	rounds int
+	// limit is the clock up to which th holds a one-sided region's turn;
+	// -Inf when it does not hold it.
+	limit float64
 }
 
 // Runtime returns the owning runtime.
@@ -452,6 +444,17 @@ func (rt *Runtime) Run(fn func(th *Thread)) *Result {
 	return res
 }
 
+// RunOneSided is Run for a region that issues single-word accesses (Get,
+// Put, PutMin, AtomicMin), which panic with ErrMisuse anywhere else: the
+// threads this process drives take a clock-ordered turn through it (see
+// turn), so its accesses, their charges and its result are the same on
+// every run and under any GOMAXPROCS.
+func (rt *Runtime) RunOneSided(fn func(th *Thread)) *Result {
+	rt.turn = newTurn(rt)
+	defer func() { rt.turn = nil }()
+	return rt.Run(fn)
+}
+
 // RunE is Run returning classified runtime failures as error values: when
 // a thread's panic value is (or wraps) a *Error — a transport fault, an
 // exhausted retry budget, a detected corruption, an API misuse — RunE
@@ -487,35 +490,32 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 	var wg sync.WaitGroup
 	wg.Add(len(rt.locals))
 	start := time.Now()
-	var mu sync.Mutex
-	var fallback interface{} // a peer's wrapped cause, if no breaker recorded
 	causes := make([]interface{}, rt.s)
+	rt.bar.turn = rt.turn
 	for _, th := range rt.locals {
 		th.Clock.Reset()
 		th.rounds = 0
+		th.limit = math.Inf(-1)
 		go func(th *Thread) {
 			defer wg.Done()
 			defer func() {
 				r := recover()
-				if r == nil {
-					return
+				if rt.turn != nil {
+					rt.turn.leave(th, false)
 				}
 				// A barrierBroken wrapper is a peer's unwind, not an
-				// independent failure: its cause matters only if the
-				// breaker's own recover never records it (it normally
-				// does — the breaker records before poisoning).
-				if bb, ok := r.(barrierBroken); ok {
-					mu.Lock()
-					if fallback == nil {
-						fallback = bb.cause
-					}
-					mu.Unlock()
+				// independent failure: the breaker recorded its own cause
+				// before it poisoned the barrier.
+				if _, peer := r.(barrierBroken); r == nil || peer {
 					return
 				}
 				causes[th.ID] = r
 				rt.bar.breakBarrier(r)
 			}()
 			fn(th)
+			if rt.turn != nil {
+				rt.turn.leave(th, true)
+			}
 		}(th)
 	}
 	wg.Wait()
@@ -546,17 +546,7 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 			firstClassified = r.(error)
 		}
 	}
-	if len(evicted) == 0 && firstUnclassified == nil && firstClassified == nil && fallback != nil {
-		// Only a wrapped peer cause was seen (defensive; the breaker
-		// normally records first): an eviction cause still routes to the
-		// recovery path rather than the failure switch below.
-		if err, isErr := fallback.(error); isErr {
-			if remote := Evicted(err); len(remote) > 0 {
-				evicted = append(evicted, remote...)
-			}
-		}
-	}
-	if firstUnclassified != nil || len(evicted) > 0 || firstClassified != nil || fallback != nil {
+	if firstUnclassified != nil || len(evicted) > 0 || firstClassified != nil {
 		rt.bar = newBarrier(rt)
 		evicting := firstUnclassified == nil && len(evicted) > 0
 		if !rt.tr.Shared() {
@@ -578,25 +568,10 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 		case firstUnclassified != nil:
 			panic(firstUnclassified)
 		case len(evicted) > 0:
-			sort.Ints(evicted)
-			uniq := evicted[:1]
-			for _, id := range evicted[1:] {
-				if id != uniq[len(uniq)-1] {
-					uniq = append(uniq, id)
-				}
-			}
-			return nil, &EvictionError{Threads: uniq}
-		case firstClassified != nil:
-			return nil, firstClassified
+			slices.Sort(evicted)
+			return nil, &EvictionError{Threads: slices.Compact(evicted)}
 		}
-		// A non-eviction wrapped peer cause: classify it like a direct one.
-		if err, ok := fallback.(error); ok {
-			var ce *Error
-			if errors.As(err, &ce) {
-				return nil, err
-			}
-		}
-		panic(fallback)
+		return nil, firstClassified
 	}
 	if !rt.tr.Shared() {
 		if err := rt.syncReplicas(); err != nil {
@@ -607,9 +582,7 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 	}
 	res := &Result{Wall: time.Since(start), Threads: len(rt.locals), Rounds: rt.locals[0].rounds}
 	for _, th := range rt.locals {
-		if th.Clock.NS > res.SimNS {
-			res.SimNS = th.Clock.NS
-		}
+		res.SimNS = max(res.SimNS, th.Clock.NS)
 		res.SumByCategory.Add(&th.Clock.ByCategory)
 		res.Messages += th.Clock.Messages
 		res.Bytes += th.Clock.Bytes
@@ -637,22 +610,25 @@ func (th *Thread) Barrier() {
 	if ch := th.rt.chaos; ch != nil {
 		th.chaosStall(ch)
 	}
+	if t := th.rt.turn; t != nil {
+		t.leave(th, true)
+	}
 	ck := th.rt.ckpt
 	if ck == nil {
-		release := th.rt.bar.await(th.Clock.NS, nil)
-		th.Clock.AdvanceTo(release)
-		th.Clock.Charge(sim.CatComm, th.rt.model.Barrier(th.rt.s))
+		th.rendezvous(nil)
 		return
 	}
-	release := th.rt.bar.await(th.Clock.NS, ck.onArrive)
-	th.Clock.AdvanceTo(release)
-	th.Clock.Charge(sim.CatComm, th.rt.model.Barrier(th.rt.s))
-	if !ck.due {
-		return
+	th.rendezvous(ck.onArrive)
+	if ck.due {
+		th.ckptCopy(ck)
+		th.rendezvous(ck.onCommit)
 	}
-	th.ckptCopy(ck)
-	release = th.rt.bar.await(th.Clock.NS, ck.onCommit)
-	th.Clock.AdvanceTo(release)
+}
+
+// rendezvous is one full barrier: th's clock advances to the release and
+// is charged the barrier.
+func (th *Thread) rendezvous(onComplete func()) {
+	th.Clock.AdvanceTo(th.rt.bar.await(th.Clock.NS, onComplete))
 	th.Clock.Charge(sim.CatComm, th.rt.model.Barrier(th.rt.s))
 }
 
@@ -686,6 +662,7 @@ type barrier struct {
 	release float64
 	broken  bool        // a participant panicked; all waiters must unwind
 	cause   interface{} // the breaking participant's panic value
+	turn    *turn       // a one-sided region's turn, rejoined at every release
 }
 
 // newBarrier builds the barrier over the threads rt drives, hooked into
@@ -717,9 +694,7 @@ func (b *barrier) await(clock float64, onComplete func()) float64 {
 	if b.broken {
 		panic(barrierBroken{cause: b.cause})
 	}
-	if clock > b.max {
-		b.max = clock
-	}
+	b.max = max(b.max, clock)
 	b.arrived++
 	if b.arrived == b.n {
 		b.arrived = 0
@@ -742,6 +717,9 @@ func (b *barrier) await(clock float64, onComplete func()) float64 {
 		}
 		b.release = release
 		b.gen++
+		if b.turn != nil {
+			b.turn.rejoin()
+		}
 		if onComplete != nil {
 			onComplete()
 		}
@@ -866,16 +844,8 @@ func (rt *Runtime) NewSharedArrayPart(name string, n int64, spec PartitionSpec) 
 
 // nodeRange returns the half-open element range owned by node nd's threads.
 func (a *SharedArray) nodeRange(nd int) (lo, hi int64) {
-	t := int64(a.rt.cfg.ThreadsPerNode)
-	lo = int64(nd) * t * a.blk
-	hi = lo + t*a.blk
-	if lo > a.n {
-		lo = a.n
-	}
-	if hi > a.n {
-		hi = a.n
-	}
-	return lo, hi
+	lo = int64(nd) * int64(a.rt.cfg.ThreadsPerNode) * a.blk
+	return min(lo, a.n), min(lo+int64(a.rt.cfg.ThreadsPerNode)*a.blk, a.n)
 }
 
 // Len returns the element count.
@@ -927,14 +897,7 @@ func (a *SharedArray) ownerNode(i int64) int {
 // localRange is the block-scheme owned range, without validation.
 func (a *SharedArray) localRange(id int) (lo, hi int64) {
 	lo = int64(id) * a.blk
-	hi = lo + a.blk
-	if lo > a.n {
-		lo = a.n
-	}
-	if hi > a.n {
-		hi = a.n
-	}
-	return lo, hi
+	return min(lo, a.n), min(lo+a.blk, a.n)
 }
 
 // NodeSpan returns the number of elements a thread's irregular local
@@ -948,13 +911,7 @@ func (a *SharedArray) NodeSpan() int64 {
 	if a.part.Kind != SchemeBlock {
 		span = a.n
 	}
-	if span > a.n {
-		span = a.n
-	}
-	if span < 1 {
-		span = 1
-	}
-	return span
+	return max(1, min(span, a.n))
 }
 
 // Raw returns the backing slice for *uncharged* access. Use it only for
@@ -982,19 +939,25 @@ func (a *SharedArray) FillIdentity() {
 	}
 }
 
-// word is the one single-word access under Get, Put, PutMin and AtomicMin.
-// It decides once whether element i of a lives on another node and charges
-// the access as one sum: msgs small messages of legs wire legs each when it
-// does, one irregular local access otherwise. It returns the owner's node
-// when the word must cross the transport, -1 when it is in this process's
-// memory.
+// word is the one single-word access under Get, Put, PutMin and AtomicMin,
+// and a turn point of the region's turn (RunOneSided). It decides once
+// whether element i of a lives on another node and charges the access as
+// one sum: msgs small messages of legs wire legs each when it does, one
+// irregular local access otherwise. It returns the owner's node when the
+// word must cross the transport, -1 when it is in this process's memory.
 func (th *Thread) word(a *SharedArray, i int64, cat sim.Category, legs int, msgs int64) int {
+	t := th.rt.turn
+	if th.Clock.NS > th.limit {
+		t.point(th)
+	}
 	nd := a.ownerNode(i)
 	if nd == th.Node {
-		th.ChargeIrregular(cat, 1, a.NodeSpan())
+		w := t.array(a)
+		th.Clock.Charge(cat, w.localNS)
+		th.Clock.CacheMisses += w.localMisses
 		return -1
 	}
-	th.Clock.Charge(cat, float64(msgs)*th.rt.model.SmallOp(th.rt.cfg.ThreadsPerNode, th.rt.s, legs))
+	th.Clock.Charge(cat, float64(msgs)*t.smallOp[legs])
 	th.Clock.Messages += msgs
 	th.Clock.Bytes += msgs * sim.ElemBytes
 	th.Clock.RemoteOps++
@@ -1033,29 +996,35 @@ func (th *Thread) Put(a *SharedArray, i int64, v int64, cat sim.Category) {
 }
 
 // PutMin lowers element i to v if smaller, with Put's cost structure (no
-// lock term: CC's grafting races are benign arbitrary-CRCW writes, which
-// the monotone min makes deterministic in outcome). Reports whether the
-// element was updated.
+// lock term: CC's grafts are arbitrary-CRCW writes, which the monotone min
+// makes convergent). Reports whether the element was updated.
 func (th *Thread) PutMin(a *SharedArray, i int64, v int64, cat sim.Category) bool {
-	stored, _ := th.putMin(a, i, v, cat, 1, 1)
-	return stored
+	return th.putMin(a, i, v, cat, 1, 1)
 }
 
 // AtomicMin lowers element i to v if smaller, charging a Get-like access
 // plus a lock acquire (the paper's MST guards min-edge updates with
-// fine-grained locks; contended attempts cost extra). Remotely the lock,
-// read and conditional write are two round trips. Reports whether the
-// element was updated.
+// fine-grained locks). Remotely the lock, read and conditional write are
+// two round trips. The lock is modelled: the acquire is contended when its
+// simulated hold overlaps another thread's hold of the same word, as the
+// region's turn recorded it. Reports whether the element was updated.
 func (th *Thread) AtomicMin(a *SharedArray, i int64, v int64, cat sim.Category) bool {
-	stored, contended := th.putMin(a, i, v, cat, 2, 2)
-	th.Clock.Charge(cat, th.rt.model.Lock(contended))
+	start := th.Clock.NS
+	stored := th.putMin(a, i, v, cat, 2, 2)
+	w := th.rt.turn.array(a)
+	if w.holds == nil {
+		w.holds = make([]lockHold, a.n)
+	}
+	h := &w.holds[i]
+	busy := h.by != 0 && h.by != th.ID+1 && start < h.end && h.start < th.Clock.NS+th.rt.model.Lock(false)
+	th.Clock.Charge(cat, th.rt.model.Lock(busy))
+	*h = lockHold{start: start, end: th.Clock.NS, by: th.ID + 1}
 	return stored
 }
 
 // putMin is PutMin and AtomicMin's access: word's charge, then the min at
-// the owner process, whose contention is not observable from here (the
-// uncontended case), or in place.
-func (th *Thread) putMin(a *SharedArray, i int64, v int64, cat sim.Category, legs int, msgs int64) (stored, contended bool) {
+// the owner process or in place.
+func (th *Thread) putMin(a *SharedArray, i int64, v int64, cat sim.Category, legs int, msgs int64) bool {
 	nd := th.word(a, i, cat, legs, msgs)
 	if nd < 0 {
 		return casMin(&a.data[i], v)
@@ -1064,7 +1033,7 @@ func (th *Thread) putMin(a *SharedArray, i int64, v int64, cat sim.Category, leg
 	if err != nil {
 		panic(err)
 	}
-	return stored, false
+	return stored
 }
 
 // GetBulk reads len(dst) contiguous elements starting at start into dst,

@@ -109,7 +109,7 @@ func TestSharedArrayBoundsPanic(t *testing.T) {
 func TestGetPutRoundTrip(t *testing.T) {
 	rt := testRT(t, 2, 2)
 	a := rt.NewSharedArray("t", 100)
-	rt.Run(func(th *Thread) {
+	rt.RunOneSided(func(th *Thread) {
 		lo, hi := th.Span(100)
 		for i := lo; i < hi; i++ {
 			th.Put(a, i, i*i, sim.CatComm)
@@ -146,7 +146,7 @@ func TestPutMinMonotone(t *testing.T) {
 	rt := testRT(t, 2, 2)
 	a := rt.NewSharedArray("t", 4)
 	a.Fill(100)
-	rt.Run(func(th *Thread) {
+	rt.RunOneSided(func(th *Thread) {
 		th.PutMin(a, 0, int64(50-th.ID), sim.CatComm)
 		th.PutMin(a, 1, 200, sim.CatComm) // larger: no-op
 	})
@@ -162,7 +162,7 @@ func TestAtomicMinConcurrent(t *testing.T) {
 	rt := testRT(t, 4, 4)
 	a := rt.NewSharedArray("t", 1)
 	a.Fill(1 << 40)
-	rt.Run(func(th *Thread) {
+	rt.RunOneSided(func(th *Thread) {
 		for i := 0; i < 100; i++ {
 			th.AtomicMin(a, 0, int64(th.ID*1000+i), sim.CatComm)
 		}
@@ -257,7 +257,7 @@ func TestRemoteVsLocalCost(t *testing.T) {
 	rt := testRT(t, 2, 1)
 	a := rt.NewSharedArray("t", 2)
 	var localNS, remoteNS float64
-	rt.Run(func(th *Thread) {
+	rt.RunOneSided(func(th *Thread) {
 		if th.ID != 0 {
 			return
 		}
@@ -335,7 +335,7 @@ func TestSingleWordCharges(t *testing.T) {
 		{"AtomicMin/remote", 32, func(th *Thread, i int64) { th.AtomicMin(a, i, 3, cat) }, remote(2, 2, true)},
 	} {
 		var got sim.Clock
-		rt.Run(func(th *Thread) {
+		rt.RunOneSided(func(th *Thread) {
 			if th.ID == 0 {
 				th.Clock.Charge(cat, offset)
 				tc.op(th, tc.i)

@@ -232,23 +232,20 @@ func (t *WinTable) Min(th *Thread, op string, w Win, off int64, v int64) (bool, 
 	if err != nil {
 		return false, err
 	}
-	stored, _ := casMin(&word[0], v)
-	return stored, nil
+	return casMin(&word[0], v), nil
 }
 
 // casMin is the one atomic lower-to-minimum: it stores v at *p while v is
-// below the word there, reporting whether it stored and whether a
-// concurrent store made it retry.
-func casMin(p *int64, v int64) (stored, contended bool) {
+// below the word there, reporting whether it stored.
+func casMin(p *int64, v int64) bool {
 	for {
 		cur := atomic.LoadInt64(p)
 		if v >= cur {
-			return false, contended
+			return false
 		}
 		if atomic.CompareAndSwapInt64(p, cur, v) {
-			return true, contended
+			return true
 		}
-		contended = true
 	}
 }
 

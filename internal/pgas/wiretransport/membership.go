@@ -236,11 +236,14 @@ func (t *Transport) markLeavingLocked(st *evState) {
 }
 
 // evCheckLocked commits the next membership epoch once this node has
-// proposed and every live seat has either proposed, been proposed dead, or
-// crashed. The agreed set is the union of proposals plus crash-detected
-// seats; the view shrinks, rendezvous generations restart, and pre-arrived
-// new-epoch barrier frames are re-checked for completion. Caller holds
-// rdvMu.
+// proposed and every other seat of the view has either proposed or crashed.
+// A seat proposed dead still counts only once its own proposal or its EOF
+// is read: both follow every frame it sent, so no frame of the old epoch —
+// a PUT it buffered before its thread was killed — can reach a window the
+// commit is about to drop. The agreed set is the union of proposals plus
+// crash-detected seats; the view shrinks, rendezvous generations restart,
+// and pre-arrived new-epoch barrier frames are re-checked for completion.
+// Caller holds rdvMu.
 func (t *Transport) evCheckLocked() {
 	st := t.evs[t.epoch+1]
 	if st == nil || st.closed || !st.self {
@@ -249,8 +252,8 @@ func (t *Transport) evCheckLocked() {
 	vs := t.liveView.Load()
 	me := t.cfg.Node
 	for _, s := range vs.seats {
-		if s != me && !st.arrived[s] && !st.union[s] && t.gone[s] != seatCrashed {
-			return // a live seat has yet to propose
+		if s != me && !st.arrived[s] && t.gone[s] != seatCrashed {
+			return // a seat has yet to propose
 		}
 	}
 	var agreed, newSeats []int

@@ -301,10 +301,7 @@ func Connect(cfg Config) (*Transport, error) {
 // newEndpoint returns cfg's seat with all of its state and none of its
 // sockets: every seat alive, no windows, no edges.
 func newEndpoint(cfg Config) *Transport {
-	tpn := cfg.ThreadsPerNode
-	if tpn <= 0 {
-		tpn = 1
-	}
+	tpn := max(cfg.ThreadsPerNode, 1)
 	t := &Transport{
 		cfg:      cfg,
 		tpn:      tpn,
@@ -342,10 +339,7 @@ func (t *Transport) dialPeer(nd int, deadline time.Time) error {
 				"%s never came up: %v", t.edge(nd), err)
 		}
 		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > dialBackoffMax {
-			backoff = dialBackoffMax
-		}
+		backoff = min(2*backoff, dialBackoffMax)
 	}
 	p := &peerConn{conn: conn, bw: bufio.NewWriter(conn)}
 	t.peers[nd] = p

@@ -529,6 +529,47 @@ func TestCooperativeSelfEviction(t *testing.T) {
 	}
 }
 
+// TestEvictionWaitsForTheDeadSeatsFrames: a seat its peers propose dead
+// still counts toward the agreement only once its own proposal (or its EOF)
+// is read, and both follow every frame it sent. A PUT the dying node
+// buffered before proposing is therefore applied before any survivor
+// commits, and never reaches a window the commit drops.
+func TestEvictionWaitsForTheDeadSeatsFrames(t *testing.T) {
+	trs := connectMesh(t, 3, 10*time.Second)
+	w := pgas.Win{Kind: pgas.WinReduce, ID: 3}
+	win := make([]int64, 2)
+	trs[0].Expose(w, win)
+	if err := trs[2].Put(nil, 0, w, 1, []int64{77}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan int, 2)
+	errs := make([]error, 3)
+	for _, nd := range []int{0, 1} {
+		go func(nd int) {
+			_, errs[nd] = trs[nd].EvictNodes([]int{2})
+			done <- nd
+		}(nd)
+	}
+	select {
+	case nd := <-done:
+		t.Fatalf("node %d committed before the dead seat proposed", nd)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if _, errs[2] = trs[2].EvictNodes([]int{2}); errs[2] != nil {
+		t.Fatalf("node 2: EvictNodes: %v", errs[2])
+	}
+	<-done
+	<-done
+	for nd, err := range errs[:2] {
+		if err != nil {
+			t.Fatalf("node %d: EvictNodes: %v", nd, err)
+		}
+	}
+	if win[1] != 77 {
+		t.Fatalf("the dead seat's buffered PUT landed after the commit: window %v", win)
+	}
+}
+
 // TestAbortFirstCauseWins: the sticky abort keeps its first cause across
 // later local and remote abort attempts, and the cause propagates to peers.
 func TestAbortFirstCauseWins(t *testing.T) {

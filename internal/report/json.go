@@ -11,29 +11,16 @@ import (
 // BenchRecord is one machine-readable benchmark measurement. Wall-clock
 // fields (NSPerOp, AllocsPerOp) vary with the host; SimMS is the
 // deterministic simulated time of the same run and is the tight signal a
-// regression check can lean on — except for records marked Async, whose
-// kernel races unsynchronized one-sided ops, so their simulated time
-// depends on goroutine scheduling and only a loose comparison is sound.
+// regression check can lean on.
 type BenchRecord struct {
 	Name        string  `json:"name"`
 	NSPerOp     float64 `json:"ns_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	SimMS       float64 `json:"sim_ms,omitempty"`
-	Async       bool    `json:"async,omitempty"`
-	// RacyOps is the measured racy-work count behind an Async record (the
-	// naive kernels' convergence iteration count). It lets CompareBench
-	// derive the record's tolerance from how much work the run's schedule
-	// actually did instead of a fixed loosened bound: a run that did 1.5x
-	// the baseline's racy work is allowed ~1.5x the per-unit budget, while
-	// a run with identical racy work gets no extra headroom beyond the
-	// per-unit factor (Tolerances.SimRacy).
-	RacyOps float64 `json:"racy_ops,omitempty"`
-	// Rounds is the kernel's convergence round count (the converge/*
-	// records). Round counts are deterministic — label evolution under
-	// monotone minimum writes is geometry- and scheduling-independent —
-	// so CompareBench holds them to a one-sided exact bound: a current
-	// run may converge in fewer rounds than the baseline (an improvement
-	// worth a regenerated baseline) but never more.
+	// Rounds is the kernel's convergence round count. Round counts are
+	// exact, so CompareBench holds them to a one-sided exact bound: a
+	// current run may converge in fewer rounds than the baseline (an
+	// improvement worth a regenerated baseline) but never more.
 	Rounds float64 `json:"rounds,omitempty"`
 }
 
@@ -80,29 +67,16 @@ func ReadBenchReport(path string) (*BenchReport, error) {
 	return &r, nil
 }
 
-// Tolerances for CompareBench. Wall-clock numbers cross machines, so Wall
-// is loose (CI uses 3x); simulated time is deterministic, so Sim is tight.
-// AllocSlack absorbs the few amortized setup allocations that land
-// differently run to run around an allocs/op near zero. Records marked
-// Async (scheduling-dependent simulated time) carry RacyOps and use a
-// computed tolerance: SimRacy scaled by the racy-work ratio (floored at
-// 1), so the bound tracks the schedule the run actually took rather than
-// a worst case. SimRacy absorbs the within-iteration variance of a racy
-// schedule (cache behavior depends on the racing values) but not
-// iteration-count swings, which the ratio covers. An Async record missing
-// RacyOps on either side is held to Sim.
-type Tolerances struct {
-	Wall       float64 // current ns/op may be up to Wall x baseline
-	Sim        float64 // current sim_ms may be up to Sim x baseline
-	SimRacy    float64 // per-racy-work-unit factor for Async records with RacyOps (0 = use Sim)
-	AllocSlack float64 // current allocs/op may exceed Wall x baseline by this
-}
-
 // CompareBench checks current against baseline and returns one
-// human-readable line per regression (empty means pass). Records present
-// only in current are ignored (new benchmarks need a regenerated
-// baseline, not a red build); records missing from current are reported.
-func CompareBench(baseline, current *BenchReport, tol Tolerances) []string {
+// human-readable line per regression (empty means pass). Wall-clock numbers
+// cross machines, so ns/op may reach wall x baseline (CI uses 3), and
+// allocs/op as much plus allocSlack, the few amortized setup allocations
+// that land differently run to run; simulated time is exact, so sim_ms is
+// held to simTol. Records present only in current are ignored (new
+// benchmarks need a regenerated baseline, not a red build); records
+// missing from current are reported.
+func CompareBench(baseline, current *BenchReport, wall float64) []string {
+	const simTol, allocSlack = 1.05, 2
 	cur := make(map[string]BenchRecord, len(current.Records))
 	for _, r := range current.Records {
 		cur[r.Name] = r
@@ -114,25 +88,13 @@ func CompareBench(baseline, current *BenchReport, tol Tolerances) []string {
 			bad = append(bad, fmt.Sprintf("%s: missing from current run", b.Name))
 			continue
 		}
-		if b.NSPerOp > 0 && c.NSPerOp > b.NSPerOp*tol.Wall {
+		if b.NSPerOp > 0 && c.NSPerOp > b.NSPerOp*wall {
 			bad = append(bad, fmt.Sprintf("%s: wall %.0f ns/op > %.1fx baseline %.0f",
-				b.Name, c.NSPerOp, tol.Wall, b.NSPerOp))
+				b.Name, c.NSPerOp, wall, b.NSPerOp))
 		}
-		if c.AllocsPerOp > b.AllocsPerOp*tol.Wall+tol.AllocSlack {
+		if c.AllocsPerOp > b.AllocsPerOp*wall+allocSlack {
 			bad = append(bad, fmt.Sprintf("%s: %.1f allocs/op > %.1fx baseline %.1f (+%.0f slack)",
-				b.Name, c.AllocsPerOp, tol.Wall, b.AllocsPerOp, tol.AllocSlack))
-		}
-		simTol := tol.Sim
-		if b.Async && b.RacyOps > 0 && c.RacyOps > 0 {
-			// Scheduling-dependent record with measured racy work on both
-			// sides: the per-unit budget grows with the racy-work ratio
-			// (never shrinks below one baseline's worth).
-			if tol.SimRacy > 0 {
-				simTol = tol.SimRacy
-			}
-			if ratio := c.RacyOps / b.RacyOps; ratio > 1 {
-				simTol *= ratio
-			}
+				b.Name, c.AllocsPerOp, wall, b.AllocsPerOp, float64(allocSlack)))
 		}
 		if b.SimMS > 0 && c.SimMS > b.SimMS*simTol {
 			bad = append(bad, fmt.Sprintf("%s: sim %.3f ms > %.2fx baseline %.3f",

@@ -37,7 +37,7 @@ func TestBenchReportRoundTrip(t *testing.T) {
 }
 
 func TestCompareBench(t *testing.T) {
-	tol := Tolerances{Wall: 3, Sim: 1.05, AllocSlack: 2}
+	const tol = 3
 	base := sampleReport()
 
 	same := sampleReport()
@@ -61,66 +61,6 @@ func TestCompareBench(t *testing.T) {
 	bad := CompareBench(base, slow, tol)
 	if len(bad) != 3 {
 		t.Fatalf("want 3 regressions, got %v", bad)
-	}
-
-	// Async records with measured racy work on both sides use the
-	// computed tolerance SimRacy * (racy-work ratio).
-	racyTol := Tolerances{Wall: 3, Sim: 1.05, SimRacy: 1.2, AllocSlack: 2}
-	racyBase := sampleReport()
-	racyBase.Records[1].Async = true
-	racyBase.Records[1].RacyOps = 1000
-
-	// Same racy work: held to the SimRacy factor. This is the PR3 flake
-	// fix — a run whose schedule did no extra work gets only the per-unit
-	// budget.
-	racy := sampleReport()
-	racy.Records[1].Async = true
-	racy.Records[1].RacyOps = 1000
-	racy.Records[1].SimMS = 115
-	if bad := CompareBench(racyBase, racy, racyTol); len(bad) != 0 {
-		t.Fatalf("equal-work async drift within SimRacy flagged: %v", bad)
-	}
-	racy.Records[1].SimMS = 125
-	if bad := CompareBench(racyBase, racy, racyTol); len(bad) != 1 {
-		t.Fatalf("equal-work async regression not held to SimRacy: %v", bad)
-	}
-
-	// 1.5x the racy work buys 1.5x the per-unit budget: 150 ms passes
-	// under a 1.2*1.5 = 1.8x bound, 190 ms does not — where the old flat
-	// 2x bound would have passed 190 and flaked near schedules that
-	// legitimately take over 2x the work.
-	racy.Records[1].RacyOps = 1500
-	racy.Records[1].SimMS = 150
-	if bad := CompareBench(racyBase, racy, racyTol); len(bad) != 0 {
-		t.Fatalf("work-proportional drift flagged: %v", bad)
-	}
-	racy.Records[1].SimMS = 190
-	if bad := CompareBench(racyBase, racy, racyTol); len(bad) != 1 {
-		t.Fatalf("beyond work-proportional bound not caught: %v", bad)
-	}
-
-	// Less racy work than baseline never tightens below one baseline's
-	// worth of per-unit budget.
-	racy.Records[1].RacyOps = 500
-	racy.Records[1].SimMS = 115
-	if bad := CompareBench(racyBase, racy, racyTol); len(bad) != 0 {
-		t.Fatalf("sub-baseline racy work tightened the bound: %v", bad)
-	}
-
-	// Zero SimRacy falls back to the tight Sim factor for the computed path.
-	noRacyFactor := Tolerances{Wall: 3, Sim: 1.05, AllocSlack: 2}
-	racy.Records[1].RacyOps = 1000
-	racy.Records[1].SimMS = 115
-	if bad := CompareBench(racyBase, racy, noRacyFactor); len(bad) != 1 {
-		t.Fatalf("zero SimRacy did not fall back to Sim: %v", bad)
-	}
-
-	// Either side missing RacyOps is held to the tight Sim factor.
-	legacy := sampleReport()
-	legacy.Records[1].Async = true
-	legacy.Records[1].SimMS = 115
-	if bad := CompareBench(racyBase, legacy, racyTol); len(bad) != 1 {
-		t.Fatalf("RacyOps-less current not held to Sim: %v", bad)
 	}
 
 	// Rounds are one-sided exact: fewer rounds than baseline pass (an

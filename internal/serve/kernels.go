@@ -107,12 +107,6 @@ type kernelEntry struct {
 	name     string
 	weighted bool // requires edge weights
 	list     bool // ranks spec.List; every other row runs on spec.Graph
-	// racy marks kernels that perform a scheduling-dependent NUMBER of
-	// runtime operations by design (benign arbitrary-CRCW races that
-	// change iteration counts, not answers). The verify harness derives
-	// its chaos-rotation exclusion from this flag — a new kernel declares
-	// it here instead of being name-matched into a string list.
-	racy bool
 	// run calls the kernel and returns its package's own result type,
 	// which uniform lays out as a KernelResult; verify checks that outcome
 	// against the package's sequential oracle.
@@ -208,9 +202,7 @@ var registry = []kernelEntry{
 	{name: "cc/lt-prs", run: liuTarjan(cc.LTPRS), verify: verifyLabels},
 	{name: "cc/lt-pus", run: liuTarjan(cc.LTPUS), verify: verifyLabels},
 	{name: "cc/lt-ers", run: liuTarjan(cc.LTERS), verify: verifyLabels},
-	// cc/naive's graft test re-reads labels mid-phase while peers PutMin
-	// them, so its iteration count is scheduling-dependent: racy.
-	{name: "cc/naive", racy: true, run: oneSided(cc.Naive), verify: verifyLabels},
+	{name: "cc/naive", run: oneSided(cc.Naive), verify: verifyLabels},
 	{name: "cc/merge-cgm", run: oneSided(cc.MergeCGM), verify: verifyLabels},
 	{name: "spanning-forest",
 		run: labeling(func(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, o *cc.Options) *rootedForest {
@@ -245,16 +237,6 @@ var registry = []kernelEntry{
 		run: func(rt *pgas.Runtime, comm *collective.Comm, s *KernelSpec) any {
 			return listrank.CGM(rt, comm, s.List, s.Col)
 		}},
-}
-
-// RacyOps reports whether the named kernel performs a scheduling-
-// dependent number of runtime operations by design (see kernelEntry.racy).
-// Consumers that need a deterministic per-thread operation stream — the
-// chaos soak's bit-for-bit fault-schedule replay — must skip such
-// kernels. Unknown names report false.
-func RacyOps(name string) bool {
-	entry, err := lookup(name)
-	return err == nil && entry.racy
 }
 
 // TakesList reports whether the named kernel ranks KernelSpec.List instead

@@ -146,40 +146,6 @@ func TestFastFamilyDispatchMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestRacyOps pins the registry's racy-kernel declarations: exactly the
-// naive CC kernel is racy, new fast-converging kernels are not, and
-// unknown names report false (never "racy by accident").
-func TestRacyOps(t *testing.T) {
-	want := map[string]bool{
-		"cc/naive":     true,
-		"cc/coalesced": false,
-		"cc/sv":        false,
-		"cc/fastsv":    false,
-		"cc/lt-prs":    false,
-		"cc/lt-pus":    false,
-		"cc/lt-ers":    false,
-	}
-	for name, racy := range want {
-		if RacyOps(name) != racy {
-			t.Errorf("RacyOps(%q) = %v, want %v", name, RacyOps(name), racy)
-		}
-	}
-	if RacyOps("no-such-kernel") {
-		t.Error("RacyOps of an unknown kernel reported true")
-	}
-	// Every registry row is covered by Kernels(); the racy set must stay
-	// a subset of it.
-	names := map[string]bool{}
-	for _, n := range Kernels() {
-		names[n] = true
-	}
-	for name := range want {
-		if !names[name] {
-			t.Errorf("expected kernel %q missing from registry", name)
-		}
-	}
-}
-
 // TestRunKernelSanitizedOptionsParity: the registry must accept exactly
 // what the kernels accept — VirtualThreads 0 means "disabled", not an
 // error — while still classifying genuinely invalid options.

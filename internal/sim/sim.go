@@ -217,9 +217,7 @@ func (m *Model) IrregularAccessDistinct(k, distinct, blockElems int64) (ns, miss
 	if k <= 0 {
 		return 0, 0
 	}
-	if distinct > k {
-		distinct = k
-	}
+	distinct = min(distinct, k)
 	misses = float64(distinct) + float64(k-distinct)*m.MissFraction(blockElems)
 	ns = misses*m.missCost(blockElems) + float64(k)*(ElemBytes/m.cfg.MemBandwidth+m.cfg.OpCost)
 	return ns, misses
@@ -233,10 +231,7 @@ func (m *Model) DensePermute(k int64) (ns, misses float64) {
 	if k <= 0 {
 		return 0, 0
 	}
-	lineElems := int64(m.cfg.CacheLineBytes / ElemBytes)
-	if lineElems < 1 {
-		lineElems = 1
-	}
+	lineElems := max(int64(m.cfg.CacheLineBytes/ElemBytes), 1)
 	misses = float64((k + lineElems - 1) / lineElems)
 	ns = misses*m.cfg.MemLatency + float64(k)*(ElemBytes/m.cfg.MemBandwidth+m.cfg.OpCost)
 	return ns, misses
@@ -290,9 +285,7 @@ func (m *Model) SharedPtrAccess(k int64) float64 {
 // RDMA-capable configurations replace the software overhead for messages at
 // or above the RDMA threshold.
 func (m *Model) Message(bytes int64, sharers int) float64 {
-	if sharers < 1 {
-		sharers = 1
-	}
+	sharers = max(sharers, 1)
 	o := m.cfg.MsgOverhead
 	if m.cfg.RDMA && bytes >= m.cfg.RDMAThresholdBytes {
 		o = m.cfg.RDMAOverhead
@@ -334,9 +327,7 @@ func (m *Model) a2aBurstFactor(totalThreads int) float64 {
 // communication stack (§III: "the messages from the t threads on one node
 // are serialized"), so the software term scales with sharers.
 func (m *Model) SmallOp(sharers, totalThreads, wireLegs int) float64 {
-	if sharers < 1 {
-		sharers = 1
-	}
+	sharers = max(sharers, 1)
 	base := float64(wireLegs)*m.cfg.NetLatency +
 		float64(sharers)*(m.cfg.SmallOpOverhead+ElemBytes/m.cfg.NetBandwidth)
 	return base * m.smallMsgFactor(totalThreads)

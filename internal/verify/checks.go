@@ -25,16 +25,9 @@ type Check struct {
 	// when convergence is destroyed) and their oracles are decisive on
 	// small inputs.
 	Mutation bool
-	// RacyOps marks checks whose kernels perform a scheduling-dependent
-	// NUMBER of runtime operations by design (benign arbitrary-CRCW
-	// races that change iteration counts, not answers). The chaos soak
-	// skips them: its bit-for-bit fault-schedule replay guarantee needs
-	// a deterministic per-thread operation stream. Declared once, on the
-	// serve registry; Checks derives it from the kernels the row names.
-	RacyOps bool
 	// Wire marks the subset that is well-defined on a wire cluster and must
-	// pass identically on both backends. Left out are the racy-by-design
-	// kernels, the kernels that read raw remote state host-side between
+	// pass identically on both backends. Left out are the one-sided naive
+	// kernels (their turn orders one process's threads only), the kernels that read raw remote state host-side between
 	// regions (listrank/cgm), and the slow small-graph baselines.
 	Wire bool
 	// Applicable gates the check on trial shape (expensive baselines
@@ -101,9 +94,6 @@ func Checks() []Check {
 		{Name: "serve/dispatch", Applicable: serveTrialGraphs, Run: checkServeDispatch},
 		{Name: "serve/query-batch", Applicable: serveTrialGraphs, Run: checkServeQueryBatch},
 		{Name: "serve/incremental-cc", Applicable: serveTrialGraphs, Run: checkServeIncremental},
-	}
-	for i := range battery {
-		battery[i].RacyOps = serve.RacyOps(battery[i].Kernel) || serve.RacyOps(battery[i].Twin)
 	}
 	return battery
 }

@@ -160,3 +160,29 @@ func TestRunCheckEveryEnv(t *testing.T) {
 		t.Errorf("chaos counters diverge:\n  in-process %+v\n  wire       %+v", in.Stats, wire.Stats)
 	}
 }
+
+// TestPinnedKernelNames: the two hand-kept kernel name lists — ccFamily,
+// whose length and order the chaos digests mix, and the kernel-named part
+// of the wire battery — stay what they are pinned to, and every name in them is
+// a registered row, so neither list can rot as the registry grows or
+// renames.
+func TestPinnedKernelNames(t *testing.T) {
+	if want := []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers"}; !slices.Equal(ccFamily, want) {
+		t.Errorf("ccFamily = %v, pinned to %v (the chaos digests mix Seed %% len)", ccFamily, want)
+	}
+	wire := battery(wireRow, nil)
+	if len(wire) != 9 {
+		t.Errorf("the wire battery has %d checks, want 9: a listed name left the battery", len(wire))
+	}
+	names := slices.Clone(ccFamily)
+	for _, c := range wire {
+		if !strings.HasPrefix(c.Name, "collective/") {
+			names = append(names, c.Name)
+		}
+	}
+	for _, name := range names {
+		if !slices.Contains(serve.Kernels(), name) {
+			t.Errorf("%s: not a registered row", name)
+		}
+	}
+}

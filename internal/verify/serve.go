@@ -23,7 +23,7 @@ import (
 // labeling kernels. A trial picks by Seed % len(ccFamily), which the chaos
 // digests mix — so the list is a pinned literal, never derived from the
 // registry's cc/ prefix (cc/naive and cc/merge-cgm share it), and
-// TestPinnedKernelNames keeps every name a registered, non-racy row.
+// TestPinnedKernelNames keeps every name a registered row.
 var ccFamily = []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers"}
 
 func ccFamilyPick(t *Trial) string { return ccFamily[t.Seed%uint64(len(ccFamily))] }

@@ -117,12 +117,10 @@ func every(battery []Check, _ int, t *Trial) (run []Check, skipped int) {
 	return run, skipped
 }
 
-// rotation picks the first applicable row at or after round (mod len),
-// passing over RacyOps rows: their scheduling-dependent op counts would
-// break the schedule's bit-for-bit replay.
+// rotation picks the first applicable row at or after round (mod len).
 func rotation(battery []Check, round int, t *Trial) ([]Check, int) {
 	for j := range battery {
-		if c := battery[(round+j)%len(battery)]; !c.RacyOps && c.Applicable(t) {
+		if c := battery[(round+j)%len(battery)]; c.Applicable(t) {
 			return []Check{c}, 0
 		}
 	}

@@ -27,8 +27,8 @@
 //   - Mutations: one row per collective fault, running the mutation-safe
 //     checks until one catches it; a fault that escapes fails the self-test.
 //   - Chaos, ChaosKill: one check per trial under a sampled fault schedule
-//     (with thread kills, under the recovery supervisor), the rotation
-//     passing over racy rows; recovered or classified, never wrong or hung.
+//     (with thread kills, under the recovery supervisor); recovered or
+//     classified, never wrong or hung.
 //   - WireClean, WireChaos, WireKill: the Wire rows on hosted wire clusters
 //     (one goroutine per node, the full framing, CRC and replica-sync
 //     path) — clean, against the in-process twin under the same schedule,
