@@ -28,7 +28,7 @@ func TestModeSelection(t *testing.T) {
 
 		// The CI invocations.
 		{"-rounds 12 -maxn 300 -quiet", "clean", nil},
-		{"-rounds 8 -maxn 300 -check cc/sv,cc/fastsv,cc/lt-prs,cc/lt-pus,cc/lt-ers -quiet", "clean", nil},
+		{"-rounds 8 -maxn 300 -check cc/sv,cc/fastsv -quiet", "clean", nil},
 		{"-chaos -trials 200 -quiet", "chaos", nil},
 		{"-rounds 8 -maxn 300 -scheme cyclic -quiet", "clean", nil},
 		{"-chaos -trials 120 -scheme hub -quiet", "chaos", nil},

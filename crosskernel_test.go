@@ -116,11 +116,11 @@ func TestCrossKernelConsistency(t *testing.T) {
 }
 
 // TestCCFamilyAcrossSchemes is the fast-converging family's differential
-// wall at the public surface: on every partition scheme, every CC kernel
-// (Bader-Cong/Coalesced, SV, FastSV, and each Liu-Tarjan variant) must
-// produce bit-identical canonical labels, with edge compaction on and
-// off, and the labels must not depend on the scheme either. The
-// sparse input (m = n) is the one FastSV with Compact used to mislabel.
+// wall at the public surface: on every partition scheme, every collective
+// CC kernel (Bader-Cong/Coalesced, SV and FastSV) must produce
+// bit-identical canonical labels, with edge compaction on and off, and the
+// labels must not depend on the scheme either. The sparse input (m = n) is
+// the one FastSV with Compact used to mislabel.
 func TestCCFamilyAcrossSchemes(t *testing.T) {
 	g := Disjoint3(t)
 	rmat := PermuteVertices(RMATGraph(8, 500, 0.45, 0.25, 0.15, 0.15, 17), 5)
@@ -154,7 +154,7 @@ func TestCCFamilyAcrossSchemes(t *testing.T) {
 				}
 				return c
 			}
-			for _, k := range []string{"coalesced", "sv", "fastsv", "lt-prs", "lt-pus", "lt-ers"} {
+			for _, k := range []string{"coalesced", "sv", "fastsv"} {
 				for _, compact := range []bool{false, true} {
 					res := run(t, newCluster(), KernelSpec{
 						Kernel: "cc/" + k, Graph: tg.g, Col: OptimizedCollectives(2), Compact: compact,

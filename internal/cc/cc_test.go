@@ -49,13 +49,13 @@ func kernels() []kernel {
 			return FastSV(rt, collective.NewComm(rt), g, opts)
 		}},
 		{"lt-prs", func(rt *pgas.Runtime, g *graph.Graph, opts *Options) *Result {
-			return LiuTarjan(rt, collective.NewComm(rt), g, LTPRS, opts)
+			return liuTarjan(rt, collective.NewComm(rt), g, ltPRS, opts)
 		}},
 		{"lt-pus", func(rt *pgas.Runtime, g *graph.Graph, opts *Options) *Result {
-			return LiuTarjan(rt, collective.NewComm(rt), g, LTPUS, opts)
+			return liuTarjan(rt, collective.NewComm(rt), g, ltPUS, opts)
 		}},
 		{"lt-ers", func(rt *pgas.Runtime, g *graph.Graph, opts *Options) *Result {
-			return LiuTarjan(rt, collective.NewComm(rt), g, LTERS, opts)
+			return liuTarjan(rt, collective.NewComm(rt), g, ltERS, opts)
 		}},
 	}
 }

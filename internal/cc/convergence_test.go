@@ -33,13 +33,13 @@ func fastKernels() []kernel {
 			return FastSV(rt, collective.NewComm(rt), g, opts)
 		}},
 		{"lt-prs", func(rt *pgas.Runtime, g *graph.Graph, opts *Options) *Result {
-			return LiuTarjan(rt, collective.NewComm(rt), g, LTPRS, opts)
+			return liuTarjan(rt, collective.NewComm(rt), g, ltPRS, opts)
 		}},
 		{"lt-pus", func(rt *pgas.Runtime, g *graph.Graph, opts *Options) *Result {
-			return LiuTarjan(rt, collective.NewComm(rt), g, LTPUS, opts)
+			return liuTarjan(rt, collective.NewComm(rt), g, ltPUS, opts)
 		}},
 		{"lt-ers", func(rt *pgas.Runtime, g *graph.Graph, opts *Options) *Result {
-			return LiuTarjan(rt, collective.NewComm(rt), g, LTERS, opts)
+			return liuTarjan(rt, collective.NewComm(rt), g, ltERS, opts)
 		}},
 	}
 }
@@ -244,7 +244,7 @@ func TestLiuTarjanInvalidVariant(t *testing.T) {
 	rt := newRuntime(t, 1, 2)
 	err := func() (err error) {
 		defer pgas.Recover(&err)
-		LiuTarjan(rt, collective.NewComm(rt), graph.Path(8), LTVariant(99), nil)
+		liuTarjan(rt, collective.NewComm(rt), graph.Path(8), ltVariant(99), nil)
 		return nil
 	}()
 	if !errors.Is(err, pgas.ErrMisuse) {

@@ -60,17 +60,17 @@ func exchange(c Config, p *Point) float64 {
 	}).SimNS
 }
 
-// converge is the convergence round count and simulated time of every
-// collective CC kernel on the skewed inputs. Round counts are
-// deterministic — label evolution under monotone minimum writes depends on
-// neither geometry nor scheduling — and the shape is the headline claim:
-// FastSV converges in strictly fewer rounds than Shiloach-Vishkin on RMAT,
-// and never in more on hybrid.
+// converge is the convergence round count and simulated time of the two
+// hook-and-jump CC kernels, SV and FastSV, on the skewed inputs. Round
+// counts are deterministic — label evolution under monotone minimum writes
+// depends on neither geometry nor scheduling — and the shape is the
+// headline claim: FastSV converges in strictly fewer rounds than
+// Shiloach-Vishkin on RMAT, and never in more on hybrid.
 var converge = Sweep{
 	Name: "converge",
 	Points: func(c Config, yield func(Point)) {
 		for _, in := range skewedInputs(c) {
-			for _, k := range []string{"sv", "fastsv", "lt-prs", "lt-pus", "lt-ers"} {
+			for _, k := range []string{"sv", "fastsv"} {
 				p := c.point(in.Label + "/" + k)
 				p.Graph, p.Kernel, p.Col = in.Graph, "cc/"+k, collective.Optimized(4)
 				yield(p)

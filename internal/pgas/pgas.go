@@ -446,10 +446,14 @@ func (rt *Runtime) Run(fn func(th *Thread)) *Result {
 
 // RunOneSided is Run for a region that issues single-word accesses (Get,
 // Put, PutMin, AtomicMin), which panic with ErrMisuse anywhere else: the
-// threads this process drives take a clock-ordered turn through it (see
-// turn), so its accesses, their charges and its result are the same on
-// every run and under any GOMAXPROCS.
+// threads take a clock-ordered turn through it (see turn), so its
+// accesses, their charges and its result are the same on every run and
+// under any GOMAXPROCS. The turn orders one process's threads only, so a
+// runtime on a non-shared transport refuses the region with ErrMisuse.
 func (rt *Runtime) RunOneSided(fn func(th *Thread)) *Result {
+	if !rt.tr.Shared() {
+		panic(Errorf(ErrMisuse, -1, "RunOneSided", "one-sided regions run on a shared transport only"))
+	}
 	rt.turn = newTurn(rt)
 	defer func() { rt.turn = nil }()
 	return rt.Run(fn)
@@ -939,32 +943,28 @@ func (a *SharedArray) FillIdentity() {
 	}
 }
 
-// word is the one single-word access under Get, Put, PutMin and AtomicMin,
-// and a turn point of the region's turn (RunOneSided). It decides once
-// whether element i of a lives on another node and charges the access as
-// one sum: msgs small messages of legs wire legs each when it does, one
-// irregular local access otherwise. It returns the owner's node when the
-// word must cross the transport, -1 when it is in this process's memory.
-func (th *Thread) word(a *SharedArray, i int64, cat sim.Category, legs int, msgs int64) int {
+// word is the one single-word access charge under Get, Put, PutMin and
+// AtomicMin, and a turn point of the region's turn (RunOneSided). It
+// decides once whether element i of a lives on another node and charges
+// the access as one sum: msgs small messages of legs wire legs each when
+// it does, one irregular local access otherwise. The word itself is in
+// this process's memory either way: RunOneSided runs on a shared
+// transport only.
+func (th *Thread) word(a *SharedArray, i int64, cat sim.Category, legs int, msgs int64) {
 	t := th.rt.turn
 	if th.Clock.NS > th.limit {
 		t.point(th)
 	}
-	nd := a.ownerNode(i)
-	if nd == th.Node {
+	if a.ownerNode(i) == th.Node {
 		w := t.array(a)
 		th.Clock.Charge(cat, w.localNS)
 		th.Clock.CacheMisses += w.localMisses
-		return -1
+		return
 	}
 	th.Clock.Charge(cat, float64(msgs)*t.smallOp[legs])
 	th.Clock.Messages += msgs
 	th.Clock.Bytes += msgs * sim.ElemBytes
 	th.Clock.RemoteOps++
-	if th.rt.tr.Shared() {
-		return -1
-	}
-	return nd
 }
 
 // Get performs a single-element one-sided read, charging either an
@@ -972,26 +972,14 @@ func (th *Thread) word(a *SharedArray, i int64, cat sim.Category, legs int, msgs
 // response). This is the access the paper's naive (literally translated)
 // codes issue per edge.
 func (th *Thread) Get(a *SharedArray, i int64, cat sim.Category) int64 {
-	if nd := th.word(a, i, cat, 2, 1); nd >= 0 {
-		var buf [1]int64
-		if err := th.rt.tr.Get(th, nd, a.win, i, buf[:]); err != nil {
-			panic(err)
-		}
-		return buf[0]
-	}
+	th.word(a, i, cat, 2, 1)
 	return a.LoadRaw(i)
 }
 
 // Put performs a single-element one-sided write with the same cost
 // structure as Get (one-way, so no return leg).
 func (th *Thread) Put(a *SharedArray, i int64, v int64, cat sim.Category) {
-	if nd := th.word(a, i, cat, 1, 1); nd >= 0 {
-		buf := [1]int64{v}
-		if err := th.rt.tr.Put(th, nd, a.win, i, buf[:]); err != nil {
-			panic(err)
-		}
-		return
-	}
+	th.word(a, i, cat, 1, 1)
 	a.StoreRaw(i, v)
 }
 
@@ -1022,18 +1010,11 @@ func (th *Thread) AtomicMin(a *SharedArray, i int64, v int64, cat sim.Category) 
 	return stored
 }
 
-// putMin is PutMin and AtomicMin's access: word's charge, then the min at
-// the owner process or in place.
+// putMin is PutMin and AtomicMin's access: word's charge, then the min in
+// place.
 func (th *Thread) putMin(a *SharedArray, i int64, v int64, cat sim.Category, legs int, msgs int64) bool {
-	nd := th.word(a, i, cat, legs, msgs)
-	if nd < 0 {
-		return casMin(&a.data[i], v)
-	}
-	stored, err := th.rt.tr.PutMin(th, nd, a.win, i, v)
-	if err != nil {
-		panic(err)
-	}
-	return stored
+	th.word(a, i, cat, legs, msgs)
+	return casMin(&a.data[i], v)
 }
 
 // GetBulk reads len(dst) contiguous elements starting at start into dst,

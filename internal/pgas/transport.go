@@ -49,8 +49,9 @@ type Win struct {
 
 // Transport is the fabric under the runtime: bulk one-sided get/put against
 // remote windows, a min-combining word store (the matrix publish and
-// reducer broadcasts ride Put; PutMin backs the single-element atomic min),
-// and barrier rendezvous across processes.
+// reducer broadcasts ride Put; no runtime path issues PutMin, since
+// one-sided regions run in process only), and barrier rendezvous across
+// processes.
 //
 // A shared transport (Shared() == true) means every node lives in this
 // process and the runtime keeps its direct-memory fast paths; its data

@@ -27,6 +27,24 @@ func TestWordOutsideOneSidedRegion(t *testing.T) {
 	}
 }
 
+// The turn orders one process's threads only: a runtime on a non-shared
+// transport refuses a one-sided region before any thread runs.
+func TestOneSidedRefusesNonShared(t *testing.T) {
+	rt, err := NewOnTransport(wireCfg(2, 1), &nonEvictorTransport{Transport: NewInprocTransport(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	err = func() (err error) {
+		defer Recover(&err)
+		rt.RunOneSided(func(*Thread) { ran = true })
+		return nil
+	}()
+	if !errors.Is(err, ErrMisuse) || ran {
+		t.Fatalf("one-sided region on a non-shared transport: err = %v, body ran %v; want ErrMisuse before any thread", err, ran)
+	}
+}
+
 // A chaos kill inside a one-sided region leaves the turn: the peers that
 // were parked on it run on to the broken barrier and the region returns
 // the classified eviction instead of hanging.

@@ -38,26 +38,17 @@ import (
 	"pgasgraph/internal/pgas"
 )
 
+// maxRollbacks is how many evictions the supervisor tolerates before
+// giving up. On the last permitted attempt the injector is re-armed with
+// kills disabled, so a supervised run always terminates: it completes, or
+// fails loudly with a transient class.
+const maxRollbacks = 2
+
 // Config bounds the recovery loop.
 type Config struct {
-	// MaxRollbacks is how many evictions the supervisor tolerates before
-	// giving up (default 2). On the last permitted attempt the injector is
-	// re-armed with kills disabled, so a bounded-rollback run always
-	// terminates: it completes, or fails loudly with a transient class.
-	MaxRollbacks int
 	// MinThreads is the smallest geometry worth continuing on (default 2);
 	// an eviction that would drop below it fails loudly instead.
 	MinThreads int
-	// Every is the checkpoint cadence in barriers (default 1: every
-	// superstep boundary).
-	Every int
-}
-
-func (c *Config) maxRollbacks() int {
-	if c == nil || c.MaxRollbacks <= 0 {
-		return 2
-	}
-	return c.MaxRollbacks
 }
 
 func (c *Config) minThreads() int {
@@ -65,13 +56,6 @@ func (c *Config) minThreads() int {
 		return 2
 	}
 	return c.MinThreads
-}
-
-func (c *Config) every() int {
-	if c == nil {
-		return 1
-	}
-	return c.Every
 }
 
 // Report aggregates one supervised run, across every attempt.
@@ -110,7 +94,7 @@ type Report struct {
 // with them (kernels' poisoned barriers); unclassified panics propagate.
 type Body func(rt *pgas.Runtime, comm *collective.Comm) error
 
-// Run supervises body on rt with superstep checkpointing armed,
+// Run supervises body on rt with a checkpoint at every superstep boundary,
 // recovering from thread evictions until the body completes, the rollback
 // budget is spent, or too few threads survive. The returned Report always
 // describes what happened; err is nil exactly when the body completed.
@@ -119,9 +103,8 @@ type Body func(rt *pgas.Runtime, comm *collective.Comm) error
 // permitted attempt so the loop cannot evict forever.
 func Run(rt *pgas.Runtime, cfg *Config, body Body) (*Report, error) {
 	rep := &Report{}
-	ck := rt.ArmCheckpoints(cfg.every())
+	ck := rt.ArmCheckpoints(1)
 	comm := collective.NewComm(rt)
-	maxRB := cfg.maxRollbacks()
 	for {
 		rep.Rounds++
 		rep.Runtime, rep.Comm = rt, comm
@@ -137,19 +120,19 @@ func Run(rt *pgas.Runtime, cfg *Config, body Body) (*Report, error) {
 			return rep, err
 		}
 		rep.ReexecSupersteps += ck.Barriers() - startBarriers
-		if rep.Rollbacks >= maxRB || rt.NumThreads()-len(dead) < cfg.minThreads() {
+		if rep.Rollbacks >= maxRollbacks || rt.NumThreads()-len(dead) < cfg.minThreads() {
 			rep.fold(rt, ck)
 			return rep, err
 		}
 		ccfg, chaosArmed := rt.ChaosConfig()
-		rep.Chaos.Add(rt.ChaosStats()) // the retired runtime's counters
 		nrt, everr := rt.Evict(dead)
 		if everr != nil {
 			rep.fold(rt, ck)
 			return rep, err
 		}
+		rep.Chaos.Add(rt.ChaosStats()) // the retired runtime's counters
 		if chaosArmed {
-			if rep.Rollbacks+1 >= maxRB {
+			if rep.Rollbacks+1 >= maxRollbacks {
 				// Last permitted attempt: keep the transient fault kinds
 				// (the seed's schedule continues to bite) but stop
 				// evicting, so the loop terminates.
@@ -179,7 +162,8 @@ func runBody(rt *pgas.Runtime, comm *collective.Comm, body Body) (err error) {
 
 // fold totals the checkpoint and chaos counters into the report. The
 // final runtime's chaos counters are added here; retired runtimes'
-// counters were folded when they were evicted.
+// counters were folded once their Evict succeeded, so a runtime whose
+// Evict failed is the final one and is counted here only.
 func (rep *Report) fold(rt *pgas.Runtime, ck *pgas.Checkpointer) {
 	rep.Checkpoints, rep.CheckpointBytes, rep.Restores, rep.RestoredBytes = ck.Stats()
 	rep.Chaos.Add(rt.ChaosStats())

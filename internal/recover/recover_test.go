@@ -158,18 +158,20 @@ func TestRecoverBudgets(t *testing.T) {
 // endpoint gather when D was just identity-filled (every endpoint is its
 // own label). A recovery round must not: Register restores the last
 // committed snapshot over the fresh fill, so round 0 of the retry starts
-// from real labels and has to read them. lt-pus makes the difference
-// countable — each of its rounds is one endpoint GetD, one SetDMin and one
-// shortcut GetD, so a run that gathered in every round shows GetD = 2 x
-// SetDMin and a run that skipped round 0's shows one fewer. The retry ends
-// on the labels a from-scratch run on the survivor geometry produces.
+// from real labels and has to read them. cc.SV makes the difference
+// countable — each of its rounds is one endpoint GetD, one grandparent
+// GetDCombined, one SetDMin and one shortcut GetDCombined, and a
+// GetDCombined traces as a GetD, so a run that gathered in every round
+// shows GetD = 3 x SetDMin and a run that copied round 0's endpoint and
+// grandparent gathers shows two fewer. The retry ends on the labels a
+// from-scratch run on the survivor geometry produces.
 func TestRecoveryRoundGathersFromRestoredState(t *testing.T) {
 	const killSeed = 8
 	g := graph.Hybrid(600, 1500, 0x5EED)
 	run := func(rt *pgas.Runtime, comm *collective.Comm) (labels []int64, getD, setDMin int64) {
 		col := trace.NewCollector(rt.NumThreads())
 		comm.SetTracer(col)
-		labels = cc.LiuTarjan(rt, comm, g, cc.LTPUS, nil).Labels
+		labels = cc.SV(rt, comm, g, nil).Labels
 		return labels, col.Calls("GetD"), col.Calls("SetDMin")
 	}
 
@@ -188,9 +190,9 @@ func TestRecoveryRoundGathersFromRestoredState(t *testing.T) {
 		t.Fatalf("seed %d no longer yields one kill, one rollback, one restore: %d kills, %d rollbacks, %d restores",
 			killSeed, rep.Chaos.Kills, rep.Rollbacks, rep.Restores)
 	}
-	if getD != 2*setDMin {
+	if getD != 3*setDMin {
 		t.Errorf("retry on restored D: %d GetD for %d SetDMin, want %d (a gather in every round, the first included)",
-			getD, setDMin, 2*setDMin)
+			getD, setDMin, 3*setDMin)
 	}
 
 	// From scratch on the same survivor geometry: identity fill, so round 0
@@ -200,11 +202,34 @@ func TestRecoveryRoundGathersFromRestoredState(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, getD, setDMin := run(survivors, collective.NewComm(survivors))
-	if getD != 2*setDMin-1 {
-		t.Errorf("from scratch: %d GetD for %d SetDMin, want %d (round 0 copies)", getD, setDMin, 2*setDMin-1)
+	if getD != 3*setDMin-2 {
+		t.Errorf("from scratch: %d GetD for %d SetDMin, want %d (round 0 copies)", getD, setDMin, 3*setDMin-2)
 	}
 	if !reflect.DeepEqual(labels, want) {
 		t.Error("recovered labels differ from a from-scratch run on the survivors")
+	}
+}
+
+// TestRecoverCountsARefusedEvictionOnce: when Evict refuses the dead set,
+// the runtime that failed is the supervisor's final one, and its chaos
+// counters enter the report once — not once as a retired runtime and
+// again as the final one.
+func TestRecoverCountsARefusedEvictionOnce(t *testing.T) {
+	g := graph.Random(200, 600, 1)
+	rt := newRuntime(t, 2, 2)
+	rt.ArmChaos(pgas.DefaultChaos(3))
+	rep, err := recovery.Run(rt, nil, func(rt *pgas.Runtime, comm *collective.Comm) error {
+		cc.Coalesced(rt, comm, g, nil)
+		return &pgas.EvictionError{Threads: []int{7}} // no thread 7 on 2 x 2: Evict refuses
+	})
+	if pgas.Evicted(err) == nil {
+		t.Fatalf("refused eviction: err = %v, want the body's EvictionError", err)
+	}
+	if rep.Rollbacks != 0 || rep.Runtime != rt {
+		t.Fatalf("refused eviction rolled back: %d rollbacks, runtime replaced %v", rep.Rollbacks, rep.Runtime != rt)
+	}
+	if got := rt.ChaosStats(); rep.Chaos != got || got.Ops == 0 {
+		t.Fatalf("report chaos %+v, runtime's %+v: want the one runtime's counters, once", rep.Chaos, got)
 	}
 }
 

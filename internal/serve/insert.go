@@ -128,7 +128,7 @@ func (s *Service) superviseRecompute(rep *InsertReport) error {
 	var full *KernelResult
 	spec := s.labelSpec
 	spec.Graph = s.g
-	rrep, err := rec.Run(s.rt, s.cfg.Recover, func(rt *pgas.Runtime, comm *collective.Comm) error {
+	rrep, err := rec.Run(s.rt, nil, func(rt *pgas.Runtime, comm *collective.Comm) error {
 		res, err := RunKernel(rt, comm, spec)
 		if err == nil {
 			full = res

@@ -40,7 +40,7 @@ type KernelSpec struct {
 	// Col configures the collectives; nil means collective.Base().
 	Col *collective.Options `json:"col,omitempty"`
 	// Compact enables edge compaction in cc/coalesced, spanning-forest and
-	// mst/coalesced; the other rows, cc/sv and cc/lt-* too, ignore it.
+	// mst/coalesced; the other rows, cc/sv and cc/fastsv too, ignore it.
 	Compact bool `json:"compact,omitempty"`
 	// Src is the BFS/SSSP source vertex.
 	Src int64 `json:"src,omitempty"`
@@ -163,13 +163,6 @@ func labeling[R any](k func(*pgas.Runtime, *collective.Comm, *graph.Graph, *cc.O
 	}
 }
 
-// liuTarjan: the labeling kernel of one Liu-Tarjan rule triple.
-func liuTarjan(v cc.LTVariant) runFunc {
-	return labeling(func(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, o *cc.Options) *cc.Result {
-		return cc.LiuTarjan(rt, comm, g, v, o)
-	})
-}
-
 // oneSided: the literal translations, which use no collective and no option.
 func oneSided[R any](k func(*pgas.Runtime, *graph.Graph) R) runFunc {
 	return func(rt *pgas.Runtime, _ *collective.Comm, s *KernelSpec) any { return k(rt, s.Graph) }
@@ -199,9 +192,6 @@ var registry = []kernelEntry{
 	{name: "cc/coalesced", run: labeling(cc.Coalesced), verify: verifyLabels},
 	{name: "cc/sv", run: labeling(cc.SV), verify: verifyLabels},
 	{name: "cc/fastsv", run: labeling(cc.FastSV), verify: verifyLabels},
-	{name: "cc/lt-prs", run: liuTarjan(cc.LTPRS), verify: verifyLabels},
-	{name: "cc/lt-pus", run: liuTarjan(cc.LTPUS), verify: verifyLabels},
-	{name: "cc/lt-ers", run: liuTarjan(cc.LTERS), verify: verifyLabels},
 	{name: "cc/naive", run: oneSided(cc.Naive), verify: verifyLabels},
 	{name: "cc/merge-cgm", run: oneSided(cc.MergeCGM), verify: verifyLabels},
 	{name: "spanning-forest",

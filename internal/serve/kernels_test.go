@@ -108,15 +108,6 @@ func TestFastFamilyDispatchMatchesDirect(t *testing.T) {
 		"cc/fastsv": func(rt *pgas.Runtime) *cc.Result {
 			return cc.FastSV(rt, collective.NewComm(rt), g, &cc.Options{Col: col, Compact: true})
 		},
-		"cc/lt-prs": func(rt *pgas.Runtime) *cc.Result {
-			return cc.LiuTarjan(rt, collective.NewComm(rt), g, cc.LTPRS, &cc.Options{Col: col, Compact: true})
-		},
-		"cc/lt-pus": func(rt *pgas.Runtime) *cc.Result {
-			return cc.LiuTarjan(rt, collective.NewComm(rt), g, cc.LTPUS, &cc.Options{Col: col, Compact: true})
-		},
-		"cc/lt-ers": func(rt *pgas.Runtime) *cc.Result {
-			return cc.LiuTarjan(rt, collective.NewComm(rt), g, cc.LTERS, &cc.Options{Col: col, Compact: true})
-		},
 	}
 	for name, call := range direct {
 		rt1, err := pgas.New(testMachine(2, 2))

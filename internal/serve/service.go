@@ -9,7 +9,6 @@ import (
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
-	rec "pgasgraph/internal/recover"
 )
 
 // Config parameterizes a Service.
@@ -21,10 +20,6 @@ type Config struct {
 	// default for kernel specs that carry none. Nil means
 	// collective.Base().
 	Col *collective.Options
-	// Recover bounds the supervised full-recompute fallback (rollback
-	// budget, minimum survivors, checkpoint cadence). Nil selects the
-	// supervisor defaults.
-	Recover *rec.Config
 	// Verify makes every incremental label update differentially verify
 	// itself against a from-scratch recompute on a scratch cluster
 	// (label-for-label). Expensive; for harnesses and smoke tests.

@@ -216,7 +216,7 @@ func TestWireRoundCounts(t *testing.T) {
 	}
 	inComm := collective.NewComm(inproc)
 	g := graph.Random(1<<10, 1<<12, 29)
-	for _, kernel := range []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-ers", "bfs/coalesced"} {
+	for _, kernel := range []string{"cc/coalesced", "cc/sv", "cc/fastsv", "bfs/coalesced"} {
 		spec := KernelSpec{Kernel: kernel, Graph: g, Col: collective.Optimized(2), Compact: true, Src: 3}
 		want, err := RunKernel(inproc, inComm, spec)
 		if err != nil {

@@ -70,9 +70,6 @@ func Checks() []Check {
 		{Name: "cc/coalesced", Mutation: true, Wire: true, Applicable: always, Kernel: "cc/coalesced"},
 		{Name: "cc/sv", Mutation: true, Wire: true, Applicable: always, Kernel: "cc/sv", Twin: "cc/coalesced"},
 		{Name: "cc/fastsv", Mutation: true, Wire: true, Applicable: always, Kernel: "cc/fastsv", Twin: "cc/sv", Canonical: true},
-		{Name: "cc/lt-prs", Applicable: always, Kernel: "cc/lt-prs", Twin: "cc/coalesced", Canonical: true},
-		{Name: "cc/lt-pus", Applicable: always, Kernel: "cc/lt-pus", Twin: "cc/coalesced", Canonical: true},
-		{Name: "cc/lt-ers", Wire: true, Applicable: always, Kernel: "cc/lt-ers", Twin: "cc/coalesced", Canonical: true},
 		{Name: "cc/naive", Applicable: small, Kernel: "cc/naive"},
 		{Name: "cc/merge-cgm", Applicable: small, Kernel: "cc/merge-cgm"},
 		// The forest kernel WITHOUT the tour: the registry's spanning-forest

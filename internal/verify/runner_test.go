@@ -20,14 +20,14 @@ import (
 func TestBatteryPinned(t *testing.T) {
 	want := []string{
 		"collective/getd-law", "collective/setd-roundtrip", "collective/setdmin-law", "collective/plan-reuse",
-		"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers", "cc/naive", "cc/merge-cgm",
+		"cc/coalesced", "cc/sv", "cc/fastsv", "cc/naive", "cc/merge-cgm",
 		"cc/spanning-forest", "mst/coalesced", "mst/naive", "bfs/coalesced",
 		"sssp/delta-stepping", "listrank/wyllie", "listrank/cgm", "euler/tour",
 		"serve/dispatch", "serve/query-batch", "serve/incremental-cc",
 	}
 	wantWire := []string{
 		"collective/getd-law", "collective/setd-roundtrip", "collective/setdmin-law", "collective/plan-reuse",
-		"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-ers", "bfs/coalesced",
+		"cc/coalesced", "cc/sv", "cc/fastsv", "bfs/coalesced",
 	}
 	names := func(cs []Check) (out []string) {
 		for _, c := range cs {
@@ -167,12 +167,12 @@ func TestRunCheckEveryEnv(t *testing.T) {
 // a registered row, so neither list can rot as the registry grows or
 // renames.
 func TestPinnedKernelNames(t *testing.T) {
-	if want := []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers"}; !slices.Equal(ccFamily, want) {
+	if want := []string{"cc/coalesced", "cc/sv", "cc/fastsv"}; !slices.Equal(ccFamily, want) {
 		t.Errorf("ccFamily = %v, pinned to %v (the chaos digests mix Seed %% len)", ccFamily, want)
 	}
 	wire := battery(wireRow, nil)
-	if len(wire) != 9 {
-		t.Errorf("the wire battery has %d checks, want 9: a listed name left the battery", len(wire))
+	if len(wire) != 8 {
+		t.Errorf("the wire battery has %d checks, want 8: a listed name left the battery", len(wire))
 	}
 	names := slices.Clone(ccFamily)
 	for _, c := range wire {

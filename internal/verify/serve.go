@@ -19,12 +19,12 @@ import (
 // bit-identical to a from-scratch recompute across the whole randomized
 // trial matrix (geometry × options × graph family).
 
-// ccFamily is the rotation pool for the serving checks: the six collective
+// ccFamily is the rotation pool for the serving checks: the three collective
 // labeling kernels. A trial picks by Seed % len(ccFamily), which the chaos
 // digests mix — so the list is a pinned literal, never derived from the
 // registry's cc/ prefix (cc/naive and cc/merge-cgm share it), and
 // TestPinnedKernelNames keeps every name a registered row.
-var ccFamily = []string{"cc/coalesced", "cc/sv", "cc/fastsv", "cc/lt-prs", "cc/lt-pus", "cc/lt-ers"}
+var ccFamily = []string{"cc/coalesced", "cc/sv", "cc/fastsv"}
 
 func ccFamilyPick(t *Trial) string { return ccFamily[t.Seed%uint64(len(ccFamily))] }
 
@@ -193,12 +193,6 @@ func ccKernel(t *Trial, name string, rt *pgas.Runtime, comm *collective.Comm) *c
 		return cc.SV(rt, comm, t.Graph, opts)
 	case "cc/fastsv":
 		return cc.FastSV(rt, comm, t.Graph, opts)
-	case "cc/lt-prs":
-		return cc.LiuTarjan(rt, comm, t.Graph, cc.LTPRS, opts)
-	case "cc/lt-pus":
-		return cc.LiuTarjan(rt, comm, t.Graph, cc.LTPUS, opts)
-	case "cc/lt-ers":
-		return cc.LiuTarjan(rt, comm, t.Graph, cc.LTERS, opts)
 	}
 	panic(fmt.Sprintf("verify: no direct twin for kernel %q", name))
 }

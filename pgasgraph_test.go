@@ -238,8 +238,8 @@ func kernelInputs() map[string]*Graph {
 // TestRunEveryKernel drives every name in Kernels() through Cluster.Run
 // and Verify over a handful of small inputs.
 func TestRunEveryKernel(t *testing.T) {
-	if len(Kernels()) != 15 {
-		t.Fatalf("Kernels() lists %d names, want 15: %v", len(Kernels()), Kernels())
+	if len(Kernels()) != 12 {
+		t.Fatalf("Kernels() lists %d names, want 12: %v", len(Kernels()), Kernels())
 	}
 	c := smallCluster(t)
 	lists := map[string]*List{"chain": RandomChainList(150, 7), "chains": ChainsList(90, 4, 8), "single": {N: 1, Succ: []int32{0}}}
@@ -276,7 +276,7 @@ func TestRunMisuse(t *testing.T) {
 		"source out of range":                    {Kernel: "bfs/coalesced", Graph: g, Src: g.N},
 		"negative source":                        {Kernel: "bfs/coalesced", Graph: g, Src: -1},
 		"invalid graph":                          {Kernel: "spanning-forest", Graph: &Graph{N: 2, U: []int32{0}, V: []int32{5}}},
-		"invalid options":                        {Kernel: "cc/lt-prs", Graph: g, Col: &CollectiveOptions{VirtualThreads: 1, Sort: 99}},
+		"invalid options":                        {Kernel: "cc/sv", Graph: g, Col: &CollectiveOptions{VirtualThreads: 1, Sort: 99}},
 		"unknown name":                           {Kernel: "cc/no-such-rule", Graph: g, List: l},
 	} {
 		if res, err := c.Run(spec); !errors.Is(err, pgas.ErrMisuse) {
