@@ -21,7 +21,6 @@ func FastSV(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Optio
 
 var fastSVRule = hookRule{
 	name: "cc/fastsv", ckpt: CkptFastSVD,
-	grandparents: true, opsPerEdge: 2,
 	// Both directions per edge. Stochastic hooking writes the neighbor's
 	// grandparent under the parent; aggressive hooking writes it under the
 	// vertex itself. The gathered current values prune requests that
