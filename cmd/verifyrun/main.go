@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"pgasgraph/internal/cliflag"
-	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/verify"
 )
 
@@ -47,7 +46,7 @@ type options struct {
 	rounds, shrink, mutRounds        *int
 	trials                           *int
 	maxN                             *int64
-	check, scheme, transport         *string
+	check, transport                 *string
 	mutate, chaos, kill, quiet, list *bool
 	watchdog                         *time.Duration
 }
@@ -68,7 +67,6 @@ func newOptions(handling flag.ErrorHandling) *options {
 		trials:    fs.Int("trials", 200, "chaos and kill trials to run (with -chaos, or -transport wire with -chaos or -kill)"),
 		watchdog:  fs.Duration("watchdog", 60*time.Second, "per-run hang timeout (with -chaos or -transport wire)"),
 		quiet:     fs.Bool("quiet", false, "suppress per-run progress lines"),
-		scheme:    fs.String("scheme", "", "pin every trial to one partition scheme: block, cyclic, or hub (default: rotate)"),
 		list:      fs.Bool("list", false, "list check names and exit"),
 		transport: cliflag.Transport(fs,
 			"fabric backend: inproc (shared memory) or wire (unix-socket cluster conformance sweep)",
@@ -79,10 +77,10 @@ func newOptions(handling flag.ErrorHandling) *options {
 // reads names the flags each mode reads. -transport, which selects the
 // mode, and -list, which runs none, go with every mode.
 var reads = map[string][]string{
-	"clean":  {"seed", "rounds", "maxn", "shrink", "check", "scheme", "quiet"},
+	"clean":  {"seed", "rounds", "maxn", "shrink", "check", "quiet"},
 	"mutate": {"seed", "mutate", "mutrounds", "quiet"},
-	"chaos":  {"seed", "chaos", "kill", "trials", "maxn", "watchdog", "scheme", "quiet"},
-	"wire":   {"seed", "rounds", "chaos", "kill", "maxn", "watchdog", "scheme", "quiet"},
+	"chaos":  {"seed", "chaos", "kill", "trials", "maxn", "watchdog", "quiet"},
+	"wire":   {"seed", "rounds", "chaos", "kill", "maxn", "watchdog", "quiet"},
 }
 
 // mode names the one mode the flags select — wire, chaos, mutate or clean —
@@ -110,11 +108,8 @@ func (o *options) mode() (string, error) {
 			ignored = append(ignored, "-"+f.Name)
 		}
 	})
-	switch {
-	case len(ignored) > 0:
+	if len(ignored) > 0 {
 		return "", fmt.Errorf("%s: not read by %s", strings.Join(ignored, ", "), by)
-	case mode == "wire" && *o.scheme != "" && *o.scheme != "block":
-		return "", fmt.Errorf("the wire transport is block-only; -scheme cyclic/hub requires -transport inproc")
 	}
 	return mode, nil
 }
@@ -171,14 +166,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := verify.Config{Seed: *o.seed, MaxN: *o.maxN, Shrink: *o.shrink, Watchdog: *o.watchdog}
-	if *o.scheme != "" {
-		k, ok := map[string]pgas.SchemeKind{"block": pgas.SchemeBlock, "cyclic": pgas.SchemeCyclic, "hub": pgas.SchemeHub}[*o.scheme]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "verifyrun: unknown -scheme %q (block, cyclic, hub)\n", *o.scheme)
-			os.Exit(2)
-		}
-		cfg.Scheme = &k
-	}
 	if cfg.Checks, err = verify.Named(*o.check, false); err != nil {
 		fmt.Fprintf(os.Stderr, "verifyrun: %v\n", err)
 		os.Exit(2)

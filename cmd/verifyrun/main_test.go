@@ -17,12 +17,11 @@ func TestModeSelection(t *testing.T) {
 	}{
 		{"", "clean", nil},
 		{"-check cc/sv", "clean", nil},
-		{"-scheme hub", "clean", nil},
 		{"-mutate", "mutate", nil},
-		{"-chaos -scheme cyclic", "chaos", nil},
+		{"-chaos", "chaos", nil},
 		{"-chaos -kill", "chaos", nil},
 		{"-transport wire", "wire", nil},
-		{"-transport wire -chaos -kill -scheme block", "wire", nil},
+		{"-transport wire -chaos -kill", "wire", nil},
 		{"-transport wire -kill -trials 40", "wire", nil},
 		{"-transport inproc -list -chaos", "chaos", nil},
 
@@ -30,8 +29,6 @@ func TestModeSelection(t *testing.T) {
 		{"-rounds 12 -maxn 300 -quiet", "clean", nil},
 		{"-rounds 8 -maxn 300 -check cc/sv,cc/fastsv -quiet", "clean", nil},
 		{"-chaos -trials 200 -quiet", "chaos", nil},
-		{"-rounds 8 -maxn 300 -scheme cyclic -quiet", "clean", nil},
-		{"-chaos -trials 120 -scheme hub -quiet", "chaos", nil},
 		{"-chaos -kill -trials 200 -quiet", "chaos", nil},
 		{"-transport wire -rounds 2 -quiet", "wire", nil},
 		{"-transport wire -kill -rounds 2 -trials 12 -quiet", "wire", nil},
@@ -44,8 +41,6 @@ func TestModeSelection(t *testing.T) {
 		{"-mutate -kill", "", []string{"-kill", "-mutate"}},
 		{"-mutate -chaos", "", []string{"-mutate", "-chaos"}},
 		{"-transport wire -mutate", "", []string{"-mutate", "-transport wire"}},
-		{"-mutate -scheme hub", "", []string{"-scheme", "-mutate"}},
-		{"-transport wire -scheme cyclic", "", []string{"-scheme", "wire"}},
 		{"-rounds 1 -trials 5 -watchdog 1s -mutrounds 2", "", []string{"-trials", "-watchdog", "-mutrounds", "clean matrix"}},
 		{"-chaos -rounds 99 -shrink 5", "", []string{"-rounds", "-shrink", "-chaos"}},
 		{"-mutate -maxn 50 -seed 3", "", []string{"-maxn", "-mutate"}},

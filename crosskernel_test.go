@@ -116,11 +116,10 @@ func TestCrossKernelConsistency(t *testing.T) {
 }
 
 // TestCCFamilyAcrossSchemes is the fast-converging family's differential
-// wall at the public surface: on every partition scheme, every collective
-// CC kernel (Bader-Cong/Coalesced, SV and FastSV) must produce
-// bit-identical canonical labels, with edge compaction on and off, and the
-// labels must not depend on the scheme either. The sparse input (m = n) is
-// the one FastSV with Compact used to mislabel.
+// wall at the public surface: every collective CC kernel
+// (Bader-Cong/Coalesced, SV and FastSV) must produce bit-identical
+// canonical labels, with edge compaction on and off. The sparse input
+// (m = n) is the one FastSV with Compact used to mislabel.
 func TestCCFamilyAcrossSchemes(t *testing.T) {
 	g := Disjoint3(t)
 	rmat := PermuteVertices(RMATGraph(8, 500, 0.45, 0.25, 0.15, 0.15, 17), 5)
@@ -130,18 +129,9 @@ func TestCCFamilyAcrossSchemes(t *testing.T) {
 		name string
 		g    *Graph
 	}{{"disjoint3", g}, {"rmat", rmat}, {"sparse", sparse}} {
-		ref := SequentialCC(tg.g) // scheme-, kernel- and option-independent
-		for _, scheme := range []struct {
-			name string
-			spec func(*Graph) PartitionSpec
-		}{
-			{"block", func(*Graph) PartitionSpec { return PartitionSpec{Kind: SchemeBlock} }},
-			{"cyclic", func(*Graph) PartitionSpec { return PartitionSpec{Kind: SchemeCyclic} }},
-			{"hub", func(gr *Graph) PartitionSpec {
-				return PartitionSpec{Kind: SchemeHub, Hubs: Hubs(gr, 32)}
-			}},
-		} {
-			newCluster := func() *Cluster {
+		ref := SequentialCC(tg.g) // kernel- and option-independent
+		for _, k := range []string{"coalesced", "sv", "fastsv"} {
+			for _, compact := range []bool{false, true} {
 				cfg := PaperCluster()
 				cfg.Nodes = 3
 				cfg.ThreadsPerNode = 2
@@ -149,21 +139,13 @@ func TestCCFamilyAcrossSchemes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.SetPartition(scheme.spec(tg.g)); err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}
-			for _, k := range []string{"coalesced", "sv", "fastsv"} {
-				for _, compact := range []bool{false, true} {
-					res := run(t, newCluster(), KernelSpec{
-						Kernel: "cc/" + k, Graph: tg.g, Col: OptimizedCollectives(2), Compact: compact,
-					})
-					for i := range ref {
-						if res.Labels[i] != ref[i] {
-							t.Fatalf("cc/%s compact=%v on %s/%s: label[%d] = %d, reference labeling says %d",
-								k, compact, scheme.name, tg.name, i, res.Labels[i], ref[i])
-						}
+				res := run(t, c, KernelSpec{
+					Kernel: "cc/" + k, Graph: tg.g, Col: OptimizedCollectives(2), Compact: compact,
+				})
+				for i := range ref {
+					if res.Labels[i] != ref[i] {
+						t.Fatalf("cc/%s compact=%v on %s: label[%d] = %d, reference labeling says %d",
+							k, compact, tg.name, i, res.Labels[i], ref[i])
 					}
 				}
 			}

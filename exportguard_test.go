@@ -26,7 +26,6 @@ var exportAllowlist = map[string]string{
 	// Shared by other packages' tests.
 	"graph.ReverseIdentity":             "the reversed-identity input of the cc, euler, mst and graph tests",
 	"pgas.NewInprocTransport":           "the in-process backend the wiretransport conformance tests compare against",
-	"pgas.Runtime.NewSharedArrayPart":   "arrays under a chosen partition in the collective tests",
 	"pgas/wiretransport.Stats.SentWire": "the socket byte count serve's wire tests assert on",
 	"pgas/wiretransport.Stats.RecvWire": "the socket byte count serve's wire tests assert on",
 	"serve.Generate":                    "builds a load request's graph; the client tests and benchmark/ build the server's input with it",

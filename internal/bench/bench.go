@@ -3,9 +3,9 @@
 // for the collective hot path — the one measurement here that is not an
 // experiment row, because it times the host — plus named selections of
 // experiment rows' cells: the deterministic simulated times of the paper's
-// key figures at a small scale, of the collective hot path per partition
-// scheme, and of the CC kernels' convergence. `pgasbench -json` writes
-// them; CI compares a fresh run against the committed baseline.
+// key figures at a small scale and of the CC kernels' convergence.
+// `pgasbench -json` writes them; CI compares a fresh run against the
+// committed baseline.
 package bench
 
 import (
@@ -75,9 +75,9 @@ type selection struct {
 }
 
 // selections are the baseline's rows: the figures at cfg.Scale on the
-// paper's 16 nodes; partition and converge, whose inputs have a fixed size,
-// at the steady-state geometry on the unscaled preset (Scale and
-// CacheScale 1 leave its cache as it is).
+// paper's 16 nodes; converge, whose inputs have a fixed size, at the
+// steady-state geometry on the unscaled preset (Scale and CacheScale 1
+// leave its cache as it is).
 func selections(cfg Config) []selection {
 	figures := experiments.Config{Scale: cfg.Scale, Seed: cfg.Seed}
 	base := clusterConfig(cfg)
@@ -86,7 +86,6 @@ func selections(cfg Config) []selection {
 		{experiments.Row("fig2"), figures, []string{"naive", "smp"}, false},
 		{experiments.Row("fig4"), figures, []string{"best", "smp"}, false},
 		{experiments.Row("fig6"), figures, nil, false},
-		{experiments.Row("partition"), fixed, nil, false},
 		{experiments.Row("converge"), fixed, nil, true},
 	}
 }

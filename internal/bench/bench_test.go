@@ -93,9 +93,8 @@ func TestFigureRecordNames(t *testing.T) {
 		if r.SimMS <= 0 {
 			t.Errorf("%s: non-positive sim time", r.Name)
 		}
-		// Every record carries its kernel's rounds, cc.Naive's series too,
-		// except partition's, which runs no kernel.
-		if kernel := !strings.HasPrefix(r.Name, "partition/"); kernel != (r.Rounds > 0) {
+		// Every record carries its kernel's rounds, cc.Naive's series too.
+		if r.Rounds <= 0 {
 			t.Errorf("%s: rounds=%v", r.Name, r.Rounds)
 		}
 	}

@@ -183,10 +183,10 @@ func TestIncrementalTraceContract(t *testing.T) {
 }
 
 // FuzzIncremental draws a small graph and a run of insert batches from the
-// input — geometry, partition scheme, collective options and batch sizes
-// included — and holds every batch to two things: labels bit-identical to
-// a from-scratch Coalesced on the mutated graph, and component sizes that,
-// updated from Merged alone, equal a recount of those labels.
+// input — geometry, collective options and batch sizes included — and
+// holds every batch to two things: labels bit-identical to a from-scratch
+// Coalesced on the mutated graph, and component sizes that, updated from
+// Merged alone, equal a recount of those labels.
 func FuzzIncremental(f *testing.F) {
 	f.Add(byte(0), byte(7), byte(3), []byte{5, 3, 5, 1, 0, 2})
 	f.Add(byte(4), byte(40), byte(0x21), []byte("chains of merges across the batch, a-b b-c c-d d-a"))
@@ -198,11 +198,6 @@ func FuzzIncremental(f *testing.F) {
 		rt, err := pgas.New(incrMachine(geo[0], geo[1]))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if geoRaw&0x80 != 0 {
-			if err := rt.SetPartition(pgas.PartitionSpec{Kind: pgas.SchemeCyclic}); err != nil {
-				t.Fatal(err)
-			}
 		}
 		opts := &Options{Col: collective.Base()}
 		if bits&1 != 0 {

@@ -60,8 +60,7 @@ var roundProbe func(kernel string, round int, labels []int64)
 // decrease and the terminal state is the same component-minimum rooted
 // stars every monotone kernel converges to: labels are bit-identical
 // across the family and to Coalesced. The shortcut and change detection
-// are local loops over ThreadCover, so all partition schemes work
-// unchanged.
+// are local loops over each thread's ThreadCover block.
 //
 // Recoverable state (pgas.Register): D, under rule.ckpt. It qualifies
 // because D is monotone and every round rescans the live edge list, so any

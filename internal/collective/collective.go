@@ -176,9 +176,9 @@ func ValidateGeometry(threads int) error {
 // calls for one thread and one index list: a warm cache charges the keys
 // as one streaming reload instead of computing them again. The build
 // computes every key anyway, in the pass that checks and filters the list,
-// where a block or cyclic key costs the host one multiply or modulo — less
-// than reloading it — so a cache changes what a call is charged, never
-// which owner serves a request. A changed index list needs a fresh cache.
+// where a key costs the host one multiply — less than reloading it — so a
+// cache changes what a call is charged, never which owner serves a
+// request. A changed index list needs a fresh cache.
 type IDCache struct {
 	k     int // kept request count the cache was warmed with
 	valid bool
@@ -432,10 +432,10 @@ func (c *Comm) SetDMin(th *pgas.Thread, d *pgas.SharedArray, indices, values []i
 
 // Exchange is the personalized all-to-all underlying the paper's
 // collectives, exposed directly: every thread contributes items routed to
-// the owner of item's index under d's partition (items are element
-// indices, e.g. vertex ids), and receives the concatenation of everything
-// routed to it. Level-synchronous algorithms (BFS frontier exchange) use it
-// to push work to data owners with one coalesced message per thread pair.
+// d.Owner(item) (items are element indices, e.g. vertex ids), and receives
+// the concatenation of everything routed to it. Level-synchronous
+// algorithms (BFS frontier exchange) use it to push work to data owners
+// with one coalesced message per thread pair.
 // It is the engine's route op: grouping and matrix publish as usual, but
 // the serve phase delivers the grouped items themselves instead of
 // accessing a local block.

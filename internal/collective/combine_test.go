@@ -75,13 +75,15 @@ func minScatter(n int64, idxs, vals [][]int64) []int64 {
 	return want
 }
 
-// runSetDMin issues one one-shot SetDMin per thread and returns D and the
-// per-thread request counts.
-func runSetDMin(rt *pgas.Runtime, spec pgas.PartitionSpec, opts *Options, n int64, idxs, vals [][]int64) ([]int64, *requestCounts) {
-	d := rt.NewSharedArrayPart("D", n, spec)
+// runSetDMin issues one one-shot SetDMin per thread, requesting idxs
+// through pos, and returns D read back at pos and the per-thread request
+// counts.
+func runSetDMin(rt *pgas.Runtime, pos []int64, opts *Options, n int64, idxs, vals [][]int64) ([]int64, *requestCounts) {
+	d := rt.NewSharedArray("D", n)
 	for i := int64(1); i < n; i++ {
 		d.Raw()[i] = combineInit
 	}
+	idxs = at(pos, idxs)
 	comm := NewComm(rt)
 	counts := newRequestCounts("SetDMin", rt.NumThreads())
 	comm.SetTracer(counts)
@@ -89,7 +91,11 @@ func runSetDMin(rt *pgas.Runtime, spec pgas.PartitionSpec, opts *Options, n int6
 		o := *opts
 		comm.SetDMin(th, d, idxs[th.ID], vals[th.ID], &o, nil)
 	})
-	return d.Raw(), counts
+	got := make([]int64, n)
+	for i, p := range pos {
+		got[i] = d.Raw()[p]
+	}
+	return got, counts
 }
 
 // distinctTargets counts the distinct indices of one list, leaving out the
@@ -183,11 +189,12 @@ func TestSetDMinCombineLaws(t *testing.T) {
 				idxs[i], vals[i] = sh.build(xrand.New(uint64(31+i)), sh.n)
 			}
 			want := minScatter(sh.n, idxs, vals)
-			for _, part := range lawPartitions {
+			for _, pl := range lawPlacements {
+				pos := place(pl.owner, sh.n, s)
 				for _, offload := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%dx%d/%s/%s/offload=%v", geo.nodes, geo.tpn, sh.name, part.name, offload), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%dx%d/%s/%s/offload=%v", geo.nodes, geo.tpn, sh.name, pl.name, offload), func(t *testing.T) {
 						opts := &Options{VirtualThreads: 2, Circular: true, Offload: offload}
-						got, counts := runSetDMin(rt, part.spec(sh.n), opts, sh.n, idxs, vals)
+						got, counts := runSetDMin(rt, pos, opts, sh.n, idxs, vals)
 						for i := range want {
 							if got[i] != want[i] {
 								t.Fatalf("D[%d] = %d, sequential min-scatter gives %d", i, got[i], want[i])
@@ -216,8 +223,8 @@ func TestSetDMinCombineLaws(t *testing.T) {
 }
 
 // FuzzSetDMinCombine feeds the one-shot SetDMin arbitrary index/value
-// lists — geometry, partition scheme, options and table pressure all
-// drawn from the input — and holds D against the sequential min-scatter.
+// lists — geometry, placement, options and table pressure all drawn from
+// the input — and holds D against the sequential min-scatter.
 func FuzzSetDMinCombine(f *testing.F) {
 	f.Add(byte(0), byte(9), byte(0), []byte{0, 0, 0, 1, 0, 0})
 	f.Add(byte(5), byte(200), byte(0x4f), []byte("the same few roots, asked again and again and again"))
@@ -243,7 +250,7 @@ func FuzzSetDMinCombine(f *testing.F) {
 			CachedIDs:      optBits&4 != 0,
 			Offload:        optBits&8 != 0,
 		}
-		part := lawPartitions[int(optBits>>7)+int(geoRaw>>7)].spec(n)
+		pos := place(lawPlacements[int(optBits>>7)+int(geoRaw>>7)].owner, n, s)
 
 		// Three bytes a request: a coarse and a fine index byte (the coarse
 		// one strides a quarter table), and a small signed value.
@@ -259,7 +266,7 @@ func FuzzSetDMinCombine(f *testing.F) {
 			vals[i] = append(vals[i], v)
 		}
 		want := minScatter(n, idxs, vals)
-		got, counts := runSetDMin(rt, part, opts, n, idxs, vals)
+		got, counts := runSetDMin(rt, pos, opts, n, idxs, vals)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("D[%d] = %d, sequential min-scatter gives %d", i, got[i], want[i])
@@ -317,11 +324,15 @@ func TestSetDMinCombineIgnoresIDCache(t *testing.T) {
 // the offered one and is one request per distinct index when the indices
 // fit the table without collisions.
 
-// runGetDCombined issues one GetDCombined per thread against D = data and
-// returns every thread's answers and request counts.
-func runGetDCombined(rt *pgas.Runtime, spec pgas.PartitionSpec, opts *Options, data []int64, idxs [][]int64) ([][]int64, *requestCounts) {
-	d := rt.NewSharedArrayPart("D", int64(len(data)), spec)
-	copy(d.Raw(), data)
+// runGetDCombined issues one GetDCombined per thread against D, which holds
+// data[i] at pos[i], requesting idxs through pos, and returns every
+// thread's answers and request counts.
+func runGetDCombined(rt *pgas.Runtime, pos []int64, opts *Options, data []int64, idxs [][]int64) ([][]int64, *requestCounts) {
+	d := rt.NewSharedArray("D", int64(len(data)))
+	for i, v := range data {
+		d.Raw()[pos[i]] = v
+	}
+	idxs = at(pos, idxs)
 	comm := NewComm(rt)
 	counts := newRequestCounts("GetD", rt.NumThreads())
 	comm.SetTracer(counts)
@@ -409,11 +420,12 @@ func TestGetDCombineLaws(t *testing.T) {
 			for i := 0; i < s; i++ {
 				idxs[i] = sh.build(xrand.New(uint64(57+i)), sh.n)
 			}
-			for _, part := range lawPartitions {
+			for _, pl := range lawPlacements {
+				pos := place(pl.owner, sh.n, s)
 				for _, offload := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%dx%d/%s/%s/offload=%v", geo.nodes, geo.tpn, sh.name, part.name, offload), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%dx%d/%s/%s/offload=%v", geo.nodes, geo.tpn, sh.name, pl.name, offload), func(t *testing.T) {
 						opts := &Options{VirtualThreads: 2, Circular: true, Offload: offload}
-						outs, counts := runGetDCombined(rt, part.spec(sh.n), opts, data, idxs)
+						outs, counts := runGetDCombined(rt, pos, opts, data, idxs)
 						for i := 0; i < s; i++ {
 							for j, ix := range idxs[i] {
 								if outs[i][j] != data[ix] {
@@ -542,8 +554,8 @@ func TestPlannedGetDDeliversEverything(t *testing.T) {
 }
 
 // FuzzGetDCombine feeds GetDCombined arbitrary index lists — geometry,
-// partition scheme, options and table pressure all drawn from the input —
-// and holds every answer against the direct gather.
+// placement, options and table pressure all drawn from the input — and
+// holds every answer against the direct gather.
 func FuzzGetDCombine(f *testing.F) {
 	f.Add(byte(0), byte(9), byte(0), []byte{0, 0, 0, 1, 0, 0})
 	f.Add(byte(5), byte(200), byte(0x4f), []byte("the same few roots, asked again and again and again"))
@@ -572,7 +584,7 @@ func FuzzGetDCombine(f *testing.F) {
 		if optBits&32 != 0 {
 			opts.Sort = QuickSort
 		}
-		part := lawPartitions[int(optBits>>7)+int(geoRaw>>7)].spec(n)
+		pos := place(lawPlacements[int(optBits>>7)+int(geoRaw>>7)].owner, n, s)
 
 		// Two bytes a request: a coarse index byte striding a quarter table
 		// and a fine one.
@@ -582,7 +594,7 @@ func FuzzGetDCombine(f *testing.F) {
 			idxs[r%s] = append(idxs[r%s], ix)
 		}
 		d := combineData(n)
-		outs, counts := runGetDCombined(rt, part, opts, d, idxs)
+		outs, counts := runGetDCombined(rt, pos, opts, d, idxs)
 		for i := range idxs {
 			for j, ix := range idxs[i] {
 				if outs[i][j] != d[ix] {

@@ -15,8 +15,8 @@ import (
 	"pgasgraph/internal/xrand"
 )
 
-// TestLiveEdgesLaws pins the list's contract under every partition scheme,
-// with and without Offload:
+// TestLiveEdgesLaws pins the list's contract under every placement of
+// lawPlacements, as the list's layout, with and without Offload:
 //
 //   - Gather returns what a one-shot GetD of the same endpoint vector
 //     returns, whichever way it gathers (identity copy, reused plan,
@@ -43,18 +43,25 @@ func TestLiveEdgesLaws(t *testing.T) {
 		}
 	}
 
-	for _, part := range lawPartitions {
+	for _, pl := range lawPlacements {
 		for _, offload := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/offload=%v", part.name, offload), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/offload=%v", pl.name, offload), func(t *testing.T) {
 				rt := testRT(t, 3, 2)
 				opts := Base()
 				opts.Offload = offload // index 0, whose label stays 0 throughout
-				d := rt.NewSharedArrayPart("D", n, part.spec(n))
-				d.FillIdentity()
+				pos := place(pl.owner, n, rt.NumThreads())
+				d := rt.NewSharedArray("D", n)
+				fill := func() { // the identity labels, laid out
+					for v, p := range pos {
+						d.Raw()[p] = int64(v)
+					}
+				}
+				fill()
 				comm, ref := NewComm(rt), NewComm(rt) // ref answers the one-shot GetDs untraced
 				counts := trace.NewCollector(rt.NumThreads())
 				comm.SetTracer(counts)
-				static, shrinking := comm.NewLiveEdges(false, false, false, nil), comm.NewLiveEdges(true, false, false, nil)
+				lay := layout(pos)
+				static, shrinking := comm.NewLiveEdges(false, false, false, lay), comm.NewLiveEdges(true, false, false, lay)
 				if shrinking.plan != nil {
 					t.Fatal("a shrinking list holds a plan")
 				}
@@ -104,7 +111,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 				}
 
 				counts.Reset()
-				d.FillIdentity()
+				fill()
 				rt.Run(func(th *pgas.Thread) {
 					el := shrinking.List(th, m, ends, true)
 					for round := 0; round < rounds; round++ {
@@ -122,7 +129,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 								th.ID, round, el.Ends, el.IDs, keptEnds, keptIDs)
 						}
 						for j, e := range el.IDs {
-							if el.Ends[2*j] != eu[e] || el.Ends[2*j+1] != ev[e] {
+							if el.Ends[2*j] != pos[eu[e]] || el.Ends[2*j+1] != pos[ev[e]] {
 								t.Errorf("thread %d round %d: id %d rides with the wrong pair", th.ID, round, e)
 							}
 						}
@@ -212,6 +219,21 @@ func scramble(n, mul int64) (Layout, func(v int64) int64) {
 	}, pos
 }
 
+// layout is the Layout that puts vertex v's label at pos[v]; nil, the
+// list's own identity path, when pos is the identity.
+func layout(pos []int64) Layout {
+	for v, p := range pos {
+		if p != int64(v) {
+			return func(dst, src []int64) {
+				for i, v := range src {
+					dst[i] = pos[v]
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // TestStarsGather pins the roots path of a list created to shrink under
 // the stars assertion. d holds a forest of rooted stars; the list gathers
 // and compacts; the stars merge into fewer, larger ones; the list gathers
@@ -225,12 +247,13 @@ func scramble(n, mul int64) (Layout, func(v int64) int64) {
 //   - on a laid-out array, the busiest owner serves no more elements than
 //     under the endpoint gather of the same lists.
 //
-// It runs over 1×1, 1×4, 4×2 and 3×3 in process under every partition
-// scheme and on a 2×2 wire fabric (block only), with Offload on and off,
-// with and without a layout (/laid), and with few roots, under k* (six
-// stars merging into two), and many, mostly over it (pairs of vertices
-// merging into quadruples); over the whole matrix each path is taken. A list created not to shrink keeps its
-// one Plan under the same assertion.
+// It runs over 1×1, 1×4, 4×2 and 3×3 in process and on a 2×2 wire
+// fabric, under every placement of lawPlacements as the layout, composed
+// with scramble on /laid cases, with Offload on and off, and with few
+// roots, under k* (six stars merging into two), and many, mostly over it
+// (pairs of vertices merging into quadruples); over the whole matrix each
+// path is taken. A list created not to shrink keeps its one Plan under the
+// same assertion.
 func TestStarsGather(t *testing.T) {
 	const (
 		n = 240
@@ -263,28 +286,30 @@ func TestStarsGather(t *testing.T) {
 	paths := [2]int{} // threads that took the endpoints, the roots
 
 	for _, geo := range geos {
-		for _, part := range lawPartitions {
-			if geo.wire && part.name != "block" {
-				continue
-			}
+		for _, pl := range lawPlacements {
 			for _, laid := range []bool{false, true} {
 				for _, offload := range []bool{false, true} {
 					for _, shape := range shapes {
-						name := fmt.Sprintf("%dx%d/wire=%v/%s/offload=%v/%s", geo.nodes, geo.tpn, geo.wire, part.name, offload, shape.name)
+						name := fmt.Sprintf("%dx%d/wire=%v/%s/offload=%v/%s", geo.nodes, geo.tpn, geo.wire, pl.name, offload, shape.name)
 						if laid {
 							name += "/laid"
 						}
 						t.Run(name, func(t *testing.T) {
 							s := geo.nodes * geo.tpn
-							var lay Layout
-							pos := func(v int64) int64 { return v }
+							pos := place(pl.owner, n, s)
 							if laid {
-								lay, pos = scramble(n, 149)
+								_, scr := scramble(n, 149)
+								placed := pos
+								pos = make([]int64, n)
+								for v := range pos {
+									pos[v] = placed[scr(int64(v))]
+								}
 							}
-							// The arrays as laid out: position pos(v) holds v's label.
+							lay := layout(pos)
+							// The arrays as laid out: position pos[v] holds v's label.
 							fine, coarse := make([]int64, n), make([]int64, n)
 							for v := int64(0); v < n; v++ {
-								fine[pos(v)], coarse[pos(v)] = shape.fine(v), shape.coarse(v)
+								fine[pos[v]], coarse[pos[v]] = shape.fine(v), shape.coarse(v)
 							}
 							opts := Base()
 							opts.Offload = offload
@@ -302,7 +327,7 @@ func TestStarsGather(t *testing.T) {
 									comm, ref, fixed := NewComm(rt), NewComm(rt), NewComm(rt)
 									ref.SetTracer(endpoints)
 									fixed.SetTracer(plans)
-									d := rt.NewSharedArrayPart("D", n, part.spec(n))
+									d := rt.NewSharedArray("D", n)
 									copy(d.Raw(), fine)
 									live, static := comm.NewLiveEdges(true, false, true, lay), fixed.NewLiveEdges(false, false, true, lay)
 									els, statics := make([]*EdgeList, s), make([]*EdgeList, s)

@@ -11,9 +11,10 @@ import (
 )
 
 // FuzzPlanRequests drives the exchange engine's plan path with arbitrary
-// request vectors, geometries, partition schemes (block, cyclic, hub),
-// option bits and ops, so the build's key pass — index check, offload and
-// combine filter, owner key — runs on every scheme. It pins the plan
+// request vectors, geometries, placements (block, cyclic, hub; see
+// lawPlacements), option bits and ops, so the build's key pass — index
+// check, offload and combine filter, owner key — sees requests reach every
+// owner. It pins the plan
 // contract: a gather (GetD or GetDCombined) must equal the trivial oracle
 // out[j] = D[indices[j]] one-shot and through a plan, and re-executing the
 // unchanged plan must return bit-identical results; a scatter (SetDMin or
@@ -46,7 +47,7 @@ func FuzzPlanRequests(f *testing.F) {
 			opts.Sort = QuickSort
 		}
 		opts.VirtualThreads = []int{0, 2, 3, 8}[int(optBits>>5)%4]
-		part := lawPartitions[int(shape)%len(lawPartitions)]
+		pl := lawPlacements[int(shape)%len(lawPlacements)]
 		op := int(shape/3) % 4 // GetD, GetDCombined, SetDMin, SetD
 
 		reqs := make([][]int64, s)
@@ -69,7 +70,9 @@ func FuzzPlanRequests(f *testing.F) {
 			}
 		}
 
-		d := rt.NewSharedArrayPart("D", n, part.spec(n))
+		reqs = at(place(pl.owner, n, s), reqs)
+
+		d := rt.NewSharedArray("D", n)
 		for i := int64(1); i < n; i++ {
 			d.Raw()[i] = i*1664525 + 1013904223
 		}
@@ -97,15 +100,15 @@ func FuzzPlanRequests(f *testing.F) {
 				for j := 0; j < k; j++ {
 					want := d.Raw()[req[j]]
 					if oneShot[j] != want {
-						t.Errorf("%s thread %d: one-shot gather[%d] = %d, want D[%d] = %d", part.name, th.ID, j, oneShot[j], req[j], want)
+						t.Errorf("%s thread %d: one-shot gather[%d] = %d, want D[%d] = %d", pl.name, th.ID, j, oneShot[j], req[j], want)
 						return
 					}
 					if first[j] != want {
-						t.Errorf("%s thread %d: plan GetD[%d] = %d, want %d", part.name, th.ID, j, first[j], want)
+						t.Errorf("%s thread %d: plan GetD[%d] = %d, want %d", pl.name, th.ID, j, first[j], want)
 						return
 					}
 					if second[j] != first[j] {
-						t.Errorf("%s thread %d: plan re-exec[%d] = %d, first = %d (reuse not bit-identical)", part.name, th.ID, j, second[j], first[j])
+						t.Errorf("%s thread %d: plan re-exec[%d] = %d, first = %d (reuse not bit-identical)", pl.name, th.ID, j, second[j], first[j])
 						return
 					}
 				}
@@ -131,7 +134,7 @@ func FuzzPlanRequests(f *testing.F) {
 			rt.Run(func(th *pgas.Thread) { comm.SetD(th, d, reqs[th.ID], vals[th.ID], opts, nil) })
 		}
 		if !slices.Equal(d.Raw(), want) {
-			t.Fatalf("%s: scatter op %d differs from the sequential scatter", part.name, op)
+			t.Fatalf("%s: scatter op %d differs from the sequential scatter", pl.name, op)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,18 +24,72 @@ import (
 // and mixed ownership.
 var lawGeometries = []struct{ nodes, tpn int }{{1, 1}, {1, 4}, {4, 1}, {3, 2}}
 
-// lawPartitions crosses the laws with every partition scheme. The tests'
-// owner oracle is d.Owner itself, so identical assertions pin routing,
-// serving, and delivery under scattered ownership too.
-var lawPartitions = []struct {
-	name string
-	spec func(n int64) pgas.PartitionSpec
+// lawPlacements crosses the laws with three placements of the requested
+// indices over the block-owned array. owner(i, n, s) names the thread whose
+// block index i goes to: block is the identity, cyclic deals i to thread
+// i % s, and hub deals the five listed hubs round-robin and leaves every
+// other index in its own block. A test maps its request lists through
+// place's positions and reads D back at pos[i], so identical assertions pin
+// routing, serving and delivery when the requests reach scattered owners
+// too. The owner oracle is d.Owner itself.
+var lawPlacements = []struct {
+	name  string
+	owner func(i, n int64, s int) int
 }{
-	{"block", func(int64) pgas.PartitionSpec { return pgas.PartitionSpec{Kind: pgas.SchemeBlock} }},
-	{"cyclic", func(int64) pgas.PartitionSpec { return pgas.PartitionSpec{Kind: pgas.SchemeCyclic} }},
-	{"hub", func(n int64) pgas.PartitionSpec {
-		return pgas.PartitionSpec{Kind: pgas.SchemeHub, Hubs: []int64{0, 7, n / 2, n - 1, n / 3}}
+	{"block", blockOf},
+	{"cyclic", func(i, _ int64, s int) int { return int(i % int64(s)) }},
+	{"hub", func(i, n int64, s int) int {
+		if h := slices.Index([]int64{0, 7, n / 2, n - 1, n / 3}, i); h >= 0 {
+			return h % s
+		}
+		return blockOf(i, n, s)
 	}},
+}
+
+// blockOf is the thread whose block holds index i of an n-element array
+// over s threads.
+func blockOf(i, n int64, s int) int { return int(i / ((n + int64(s) - 1) / int64(s))) }
+
+// place turns a placement into positions: in ascending i, index i takes
+// the next free position of block owner(i, n, s), and an index whose
+// target block is full spills into the lowest free position. The result is
+// a bijection on [0, n) with pos(0) = 0 — every placement sends index 0 to
+// thread 0 — so Offload's pin holds.
+func place(owner func(i, n int64, s int) int, n int64, s int) []int64 {
+	blk := (n + int64(s) - 1) / int64(s)
+	pos, next, used := make([]int64, n), make([]int64, s), make([]bool, n)
+	for t := range next {
+		next[t] = int64(t) * blk
+	}
+	var spill []int64
+	for i := int64(0); i < n; i++ {
+		if t := owner(i, n, s); next[t] < min(int64(t+1)*blk, n) {
+			pos[i], used[next[t]] = next[t], true
+			next[t]++
+		} else {
+			spill = append(spill, i)
+		}
+	}
+	free := int64(0)
+	for _, i := range spill {
+		for used[free] {
+			free++
+		}
+		pos[i], used[free] = free, true
+	}
+	return pos
+}
+
+// at maps request lists through pos.
+func at(pos []int64, lists [][]int64) [][]int64 {
+	out := make([][]int64, len(lists))
+	for i, l := range lists {
+		out[i] = make([]int64, len(l))
+		for j, ix := range l {
+			out[i][j] = pos[ix]
+		}
+	}
+	return out
 }
 
 // TestSetDGetDRoundtrip: thread-disjoint scatters followed by a gather of
@@ -67,20 +122,22 @@ func TestSetDGetDRoundtrip(t *testing.T) {
 						want[ix] = v
 					}
 				}
-				for _, part := range lawPartitions {
-					t.Run(part.name, func(t *testing.T) {
-						d := rt.NewSharedArrayPart("D", n, part.spec(n))
+				for _, pl := range lawPlacements {
+					t.Run(pl.name, func(t *testing.T) {
+						pos := place(pl.owner, n, s)
+						placed := at(pos, idxs)
+						d := rt.NewSharedArray("D", n)
 						comm := NewComm(rt)
 						outs := make([][]int64, s)
 						rt.Run(func(th *pgas.Thread) {
 							o := *opts // per-thread copy: kernels share one Options value
-							comm.SetD(th, d, idxs[th.ID], vals[th.ID], &o, nil)
-							out := make([]int64, len(idxs[th.ID]))
-							comm.GetD(th, d, idxs[th.ID], out, &o, nil)
+							comm.SetD(th, d, placed[th.ID], vals[th.ID], &o, nil)
+							out := make([]int64, len(placed[th.ID]))
+							comm.GetD(th, d, placed[th.ID], out, &o, nil)
 							outs[th.ID] = out
 						})
 						for i := int64(0); i < n; i++ {
-							if got := d.Raw()[i]; got != want[i] {
+							if got := d.Raw()[pos[i]]; got != want[i] {
 								t.Fatalf("D[%d] = %d after scatter, want %d", i, got, want[i])
 							}
 						}
@@ -137,19 +194,21 @@ func TestSetDMinMatchesMinScatter(t *testing.T) {
 						}
 					}
 				}
-				for _, part := range lawPartitions {
-					t.Run(part.name, func(t *testing.T) {
-						d := rt.NewSharedArrayPart("D", n, part.spec(n))
+				for _, pl := range lawPlacements {
+					t.Run(pl.name, func(t *testing.T) {
+						pos := place(pl.owner, n, s)
+						placed := at(pos, idxs)
+						d := rt.NewSharedArray("D", n)
 						for i := int64(1); i < n; i++ {
 							d.Raw()[i] = initVal
 						}
 						comm := NewComm(rt)
 						rt.Run(func(th *pgas.Thread) {
 							o := *opts
-							comm.SetDMin(th, d, idxs[th.ID], vals[th.ID], &o, nil)
+							comm.SetDMin(th, d, placed[th.ID], vals[th.ID], &o, nil)
 						})
 						for i := int64(0); i < n; i++ {
-							if got := d.Raw()[i]; got != want[i] {
+							if got := d.Raw()[pos[i]]; got != want[i] {
 								t.Fatalf("D[%d] = %d, min-scatter oracle says %d", i, got, want[i])
 							}
 						}
@@ -243,13 +302,14 @@ func TestExchangeMatchesOwnerPartition(t *testing.T) {
 						items[i][j] = rng.Int64n(n)
 					}
 				}
-				for _, part := range lawPartitions {
-					t.Run(part.name, func(t *testing.T) {
-						d := rt.NewSharedArrayPart("D", n, part.spec(n))
+				for _, pl := range lawPlacements {
+					t.Run(pl.name, func(t *testing.T) {
+						placed := at(place(pl.owner, n, s), items)
+						d := rt.NewSharedArray("D", n)
 						comm := NewComm(rt)
 						want := make([][]int64, s)
 						for i := 0; i < s; i++ {
-							for _, x := range items[i] {
+							for _, x := range placed[i] {
 								o := d.Owner(x)
 								want[o] = append(want[o], x)
 							}
@@ -257,7 +317,7 @@ func TestExchangeMatchesOwnerPartition(t *testing.T) {
 						got := make([][]int64, s)
 						rt.Run(func(th *pgas.Thread) {
 							o := *opts
-							recv := comm.Exchange(th, d, items[th.ID], &o, nil)
+							recv := comm.Exchange(th, d, placed[th.ID], &o, nil)
 							got[th.ID] = append([]int64(nil), recv...)
 						})
 						for i := 0; i < s; i++ {
@@ -294,30 +354,30 @@ func TestExchangePairsStayAligned(t *testing.T) {
 			t.Run(fmt.Sprintf("%dx%d/%s", geo.nodes, geo.tpn, name), func(t *testing.T) {
 				rng := xrand.New(159).Split(uint64(s))
 				items := make([][]int64, s)
-				vals := make([][]int64, s)
 				for i := 0; i < s; i++ {
 					k := int(rng.Int64n(250))
 					items[i] = make([]int64, k)
-					vals[i] = make([]int64, k)
 					for j := range items[i] {
 						items[i][j] = rng.Int64n(n)
-						vals[i][j] = pairVal(items[i][j])
 					}
 				}
-				for _, part := range lawPartitions {
-					t.Run(part.name, func(t *testing.T) {
-						d := rt.NewSharedArrayPart("D", n, part.spec(n))
+				for _, pl := range lawPlacements {
+					t.Run(pl.name, func(t *testing.T) {
+						placed := at(place(pl.owner, n, s), items)
+						vals := make([][]int64, s)
+						d := rt.NewSharedArray("D", n)
 						comm := NewComm(rt)
 						want := make([][]int64, s)
 						for i := 0; i < s; i++ {
-							for _, x := range items[i] {
+							for _, x := range placed[i] {
+								vals[i] = append(vals[i], pairVal(x))
 								want[d.Owner(x)] = append(want[d.Owner(x)], x)
 							}
 						}
 						gotItems := make([][]int64, s)
 						rt.Run(func(th *pgas.Thread) {
 							o := *opts
-							ri, rv := comm.ExchangePairs(th, d, items[th.ID], vals[th.ID], &o, nil)
+							ri, rv := comm.ExchangePairs(th, d, placed[th.ID], vals[th.ID], &o, nil)
 							if len(ri) != len(rv) {
 								t.Errorf("thread %d: %d items but %d values delivered", th.ID, len(ri), len(rv))
 							}

@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/psort"
@@ -23,11 +22,10 @@ import (
 // results against the array's current contents.
 //
 // A Plan is tied to one Comm, one request vector per thread, and one array
-// distribution — length and partition scheme, and for the hub scheme its
-// hub list — but not to one array: executing a plan against each of
-// several equally distributed arrays gathers them all at the same indices
-// for one phase-1 cost, and executing it against an array of another
-// distribution panics. Like the collectives themselves, PlanRequests and
+// length, but not to one array: every array of one length has the same
+// blocks, so executing a plan against each of several such arrays gathers
+// them all at the same indices for one phase-1 cost, and executing it
+// against an array of another length panics. Like the collectives themselves, PlanRequests and
 // GetD are collective: all threads of the runtime must call them, and they
 // contain barriers. A Plan must not be shared between concurrent runtime
 // Run regions.
@@ -50,20 +48,19 @@ type Plan struct {
 // growth counter, so plan reuse participates in the same steady-state
 // zero-allocation accounting as the Comm scratch.
 type planThread struct {
-	req     []int64            // request indices grouped by owner (read by peers)
-	val     []int64            // grouped values (Set*) / receive buffer (GetD)
-	pos     []int32            // grouped position -> position in the caller's request list
-	offs    []int64            // per-owner segment offsets, len s+1
-	dropIdx []int32            // request filter: [0,drops) positions of dropped offload requests; [n-dups,n) positions of combined duplicates
-	keeper  []int32            // request filter: [n-dups,n) the keeper's position, per combined duplicate
-	opts    Options            // options captured at build time
-	arrLen  int64              // length of the array the plan was built against (-1 = unbuilt)
-	part    pgas.PartitionSpec // partition of the array the plan was built against
-	n       int                // original request count
-	k       int                // grouped request count (post-filter)
-	drops   int                // offload requests recorded in dropIdx (GetD builds only)
-	dups    int                // combined duplicates recorded in the dropIdx/keeper tails (GetDCombined only)
-	execs   int                // executions since the last build
+	req     []int64 // request indices grouped by owner (read by peers)
+	val     []int64 // grouped values (Set*) / receive buffer (GetD)
+	pos     []int32 // grouped position -> position in the caller's request list
+	offs    []int64 // per-owner segment offsets, len s+1
+	dropIdx []int32 // request filter: [0,drops) positions of dropped offload requests; [n-dups,n) positions of combined duplicates
+	keeper  []int32 // request filter: [n-dups,n) the keeper's position, per combined duplicate
+	opts    Options // options captured at build time
+	arrLen  int64   // length of the array the plan was built against (-1 = unbuilt)
+	n       int     // original request count
+	k       int     // grouped request count (post-filter)
+	drops   int     // offload requests recorded in dropIdx (GetD builds only)
+	dups    int     // combined duplicates recorded in the dropIdx/keeper tails (GetDCombined only)
+	execs   int     // executions since the last build
 }
 
 // NewPlan allocates an empty Plan bound to c. Build it with PlanRequests.
@@ -113,7 +110,6 @@ func (p *Plan) planInto(kind string, th *pgas.Thread, op *serveOp, d *pgas.Share
 	pt := &p.pts[th.ID]
 	pt.opts = *opts
 	pt.arrLen = d.Len()
-	pt.part = d.Partition()
 	pt.n = len(indices)
 	pt.execs = 0
 	if op.combine == combineMin {
@@ -400,9 +396,8 @@ func (c *Comm) publishInto(th *pgas.Thread, p *Plan, offs []int64) {
 // D[indices[j]] for the planned indices, identical in results and
 // simulated-time serve charges to Comm.GetD — minus the phase-1 rebuild
 // when the plan is reused. len(out) must equal the planned request count,
-// and d must have the planned distribution: the grouped layout names
-// owners under the planned partition, so any other one would serve
-// requests from the wrong blocks.
+// and d the planned length: the grouped layout names owners by block, and
+// every array of one length has the same blocks.
 func (p *Plan) GetD(th *pgas.Thread, d *pgas.SharedArray, out []int64) {
 	pt := &p.pts[th.ID]
 	checkArgs(opGetD, pt.n, nil, out)
@@ -412,10 +407,6 @@ func (p *Plan) GetD(th *pgas.Thread, d *pgas.SharedArray, out []int64) {
 	if d.Len() != pt.arrLen {
 		panic(fmt.Sprintf("collective: plan GetD against %s of length %d, planned for length %d",
 			d.Name(), d.Len(), pt.arrLen))
-	}
-	if part := d.Partition(); part.Kind != pt.part.Kind || part.Kind == pgas.SchemeHub && !slices.Equal(part.Hubs, pt.part.Hubs) {
-		panic(fmt.Sprintf("collective: plan GetD against %s, whose %s partition is not the %s partition the plan was built for",
-			d.Name(), part.Kind, pt.part.Kind))
 	}
 	p.c.traced(opGetD.kind, th, p, func() { p.c.exec(th, p, opGetD, d, nil, out) })
 }

@@ -5,11 +5,10 @@ import (
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
-	"pgasgraph/internal/pgas"
 )
 
-// The two rows below are recorded in BENCH_collectives.json but not
-// printed, so they lay out no table. They run fixed-size inputs — the two skewed graph
+// The row below is recorded in BENCH_collectives.json but not printed, so
+// it lays out no table. It runs fixed-size inputs — the two skewed graph
 // families, hybrid scale-free and RMAT — whatever the scale.
 
 func skewedInputs(c Config) []Point {
@@ -17,47 +16,6 @@ func skewedInputs(c Config) []Point {
 	hyb.Graph = graph.Hybrid(1<<12, 1<<14, c.Seed)
 	rmat.Graph = graph.RMAT(12, 1<<14, 0.45, 0.25, 0.15, 0.15, c.Seed)
 	return []Point{hyb, rmat}
-}
-
-// partition is the simulated cost of the collective hot path under each
-// partition scheme on the skewed inputs: how ownership placement shifts
-// remote traffic on skewed degree distributions.
-var partition = Sweep{
-	Name: "partition",
-	Points: func(c Config, yield func(Point)) {
-		for _, in := range skewedInputs(c) {
-			for _, scheme := range []pgas.PartitionSpec{
-				{Kind: pgas.SchemeBlock}, {Kind: pgas.SchemeCyclic}, {Kind: pgas.SchemeHub, Hubs: graph.Hubs(in.Graph, 64)},
-			} {
-				p := c.point(in.Label + "/" + scheme.Kind.String())
-				p.Graph, p.Scheme, p.Col = in.Graph, scheme, collective.Optimized(4)
-				yield(p)
-			}
-		}
-	},
-	series: []series{{name: "exchange", ref: exchange}},
-}
-
-// exchange is one GetD and one SetDMin on an identity array, each thread
-// requesting both endpoints of its share of the edges (dealt round-robin):
-// the access pattern every kernel generates.
-func exchange(c Config, p *Point) float64 {
-	rt := c.runtime(p)
-	g, s := p.Graph, rt.NumThreads()
-	d := rt.NewSharedArray("D", g.N)
-	d.FillIdentity()
-	idx, vals := make([][]int64, s), make([][]int64, s)
-	for e := range g.U {
-		t := e % s
-		idx[t] = append(idx[t], int64(g.U[e]), int64(g.V[e]))
-		vals[t] = append(vals[t], int64(g.V[e]), int64(g.U[e]))
-	}
-	caches := make([]collective.IDCache, s)
-	comm := collective.NewComm(rt)
-	return rt.Run(func(th *pgas.Thread) {
-		comm.GetD(th, d, idx[th.ID], make([]int64, len(idx[th.ID])), p.Col, &caches[th.ID])
-		comm.SetDMin(th, d, idx[th.ID], vals[th.ID], p.Col, &caches[th.ID])
-	}).SimNS
 }
 
 // converge is the convergence round count and simulated time of the two

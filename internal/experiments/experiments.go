@@ -110,7 +110,6 @@ type Point struct {
 	Base *machine.Config
 	// Memory is one node's memory in bytes; 0 keeps the preset's.
 	Memory int64
-	Scheme pgas.PartitionSpec
 }
 
 // point is an axis point at the paper's best configuration (§VI): every
@@ -141,13 +140,10 @@ func (c Config) model(p *Point) *sim.Model {
 	return sim.NewModel(c.machine(&q))
 }
 
-// runtime builds a runtime for p's machine and partition scheme, panicking
-// on an invalid one (rows are code, not user input).
+// runtime builds a runtime for p's machine, panicking on an invalid one
+// (rows are code, not user input).
 func (c Config) runtime(p *Point) *pgas.Runtime {
 	rt, err := pgas.New(c.machine(p))
-	if err == nil {
-		err = rt.SetPartition(p.Scheme)
-	}
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
@@ -466,11 +462,10 @@ func All() []Sweep {
 		listRank, bfsDiameter, ccMerge, outOfCore, scaling, sensitivity, ssspDelta, hybrid}
 }
 
-// Row returns the named row: one of All, or one of the rows only the
-// benchmark baseline records (partition, converge). Names are code, so an
-// unknown one panics.
+// Row returns the named row: one of All, or converge, the row only the
+// benchmark baseline records. Names are code, so an unknown one panics.
 func Row(name string) Sweep {
-	for _, s := range append(All(), partition, converge) {
+	for _, s := range append(All(), converge) {
 		if s.Name == name {
 			return s
 		}

@@ -11,7 +11,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Graph is an undirected graph in edge-list form, the input representation
@@ -75,34 +74,6 @@ func (g *Graph) Degrees() []int64 {
 		d[g.V[i]]++
 	}
 	return d
-}
-
-// Hubs returns the ids of up to max highest-degree vertices of g, highest
-// degree first with ascending-id tie-breaks — deterministic, so a
-// hub-aware partition derived from it replays bit-for-bit. Zero-degree
-// vertices are never hubs; fewer than max are returned when the graph has
-// fewer connected vertices.
-func Hubs(g *Graph, max int) []int64 {
-	if max <= 0 || g.N == 0 {
-		return nil
-	}
-	deg := g.Degrees()
-	ids := make([]int64, 0, g.N)
-	for v := int64(0); v < g.N; v++ {
-		if deg[v] > 0 {
-			ids = append(ids, v)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if deg[ids[i]] != deg[ids[j]] {
-			return deg[ids[i]] > deg[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	if len(ids) > max {
-		ids = ids[:max]
-	}
-	return ids
 }
 
 // SelfLoops returns the number of self-loop edges.

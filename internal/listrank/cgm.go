@@ -228,9 +228,8 @@ func sequentialRank(th *pgas.Thread, rt *pgas.Runtime,
 			continue
 		}
 		// The staging base is the peer's ThreadCover start — the same base
-		// the peer staged its actives at — which stays aligned under every
-		// partition scheme (a thread's actives never outgrow its initial
-		// cover, so the triples fit the peer's cover range).
+		// the peer staged its actives at (a thread's actives never outgrow
+		// its initial cover, so the triples fit the peer's cover range).
 		base, _ := stageID.ThreadCover(peer)
 		buf := make([]int64, k)
 		th.GetBulk(stageID, base, buf, sim.CatComm)

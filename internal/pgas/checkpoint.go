@@ -239,9 +239,8 @@ func (th *Thread) ckptCopy(ck *Checkpointer) {
 		if e.arr == nil {
 			continue // awaiting re-registration during a recovery round
 		}
-		// Any disjoint cover is a valid copy split here — the window sits
-		// between two full barriers — so scattered partition schemes use
-		// the even Span cover ThreadCover provides.
+		// Each thread copies its owned block; any disjoint cover would do,
+		// since the window sits between two full barriers.
 		lo, hi := e.arr.ThreadCover(th.ID)
 		if lo < hi {
 			copy(e.snaps[buf][lo:hi], e.arr.data[lo:hi])

@@ -8,42 +8,6 @@ import (
 	"pgasgraph/internal/machine"
 )
 
-// partCases enumerates the scheme x geometry x size matrix the partition
-// law tests sweep. Hub specs deliberately include duplicates and
-// out-of-range ids, which the table builder must tolerate.
-func partCases() []struct {
-	spec       PartitionSpec
-	nodes, tpn int
-	n          int64
-} {
-	specs := []PartitionSpec{
-		{Kind: SchemeBlock},
-		{Kind: SchemeCyclic},
-		{Kind: SchemeHub}, // no hubs: pure ascending tail
-		{Kind: SchemeHub, Hubs: []int64{7, 0, 3, 7, 500}},
-		{Kind: SchemeHub, Hubs: []int64{2, 2, 2}},
-	}
-	geoms := [][2]int{{1, 1}, {1, 4}, {2, 2}, {3, 2}}
-	sizes := []int64{1, 5, 16, 97}
-	var cases []struct {
-		spec       PartitionSpec
-		nodes, tpn int
-		n          int64
-	}
-	for _, spec := range specs {
-		for _, g := range geoms {
-			for _, n := range sizes {
-				cases = append(cases, struct {
-					spec       PartitionSpec
-					nodes, tpn int
-					n          int64
-				}{spec, g[0], g[1], n})
-			}
-		}
-	}
-	return cases
-}
-
 func partRT(t *testing.T, nodes, tpn int) *Runtime {
 	t.Helper()
 	cfg := machine.PaperCluster()
@@ -55,102 +19,50 @@ func partRT(t *testing.T, nodes, tpn int) *Runtime {
 	return rt
 }
 
-// TestPartitionLaws checks the ownership laws every scheme must satisfy:
-// owners in range, ownerNode consistent with Owner, ThreadCover a disjoint
-// exact cover, Owner agreeing with the block and cyclic rules computed
-// directly, and ServeView addressing every owned element.
+// TestPartitionLaws checks the block ownership laws: owners in range,
+// ownerNode consistent with Owner, Owner equal to the block rule computed
+// by division, ThreadCover a disjoint exact cover of owned ranges in thread
+// order, and ServeView addressing every owned element.
 func TestPartitionLaws(t *testing.T) {
-	for _, tc := range partCases() {
-		name := fmt.Sprintf("%s/%dx%d/n=%d", tc.spec.Kind, tc.nodes, tc.tpn, tc.n)
-		t.Run(name, func(t *testing.T) {
-			rt := partRT(t, tc.nodes, tc.tpn)
-			a := rt.NewSharedArrayPart("p", tc.n, tc.spec)
-			s := tc.nodes * tc.tpn
+	for _, g := range [][2]int{{1, 1}, {1, 4}, {2, 2}, {3, 2}} {
+		for _, n := range []int64{1, 5, 16, 97} {
+			nodes, tpn := g[0], g[1]
+			t.Run(fmt.Sprintf("block/%dx%d/n=%d", nodes, tpn, n), func(t *testing.T) {
+				rt := partRT(t, nodes, tpn)
+				a := rt.NewSharedArray("p", n)
+				s := nodes * tpn
+				blk := (n + int64(s) - 1) / int64(s)
+				for i := int64(0); i < n; i++ {
+					o := a.Owner(i)
+					if want := int(i / blk); o != want {
+						t.Fatalf("Owner(%d) = %d, the block rule says %d", i, o, want)
+					}
+					if nd := a.ownerNode(i); nd != o/tpn {
+						t.Fatalf("ownerNode(%d) = %d, want %d", i, nd, o/tpn)
+					}
+				}
 
-			// Owner in range; ownerNode consistent.
-			for i := int64(0); i < tc.n; i++ {
-				o := a.Owner(i)
-				if o < 0 || o >= s {
-					t.Fatalf("Owner(%d) = %d out of [0,%d)", i, o, s)
-				}
-				if nd := a.ownerNode(i); nd != o/tc.tpn {
-					t.Fatalf("ownerNode(%d) = %d, want %d", i, nd, o/tc.tpn)
-				}
-			}
-
-			// ThreadCover: disjoint exact cover in thread order.
-			var at int64
-			for id := 0; id < s; id++ {
-				lo, hi := a.ThreadCover(id)
-				if lo != at || hi < lo {
-					t.Fatalf("ThreadCover(%d) = [%d,%d), want lo=%d", id, lo, hi, at)
-				}
-				at = hi
-				if tc.spec.Kind == SchemeBlock {
-					// Under the block scheme the cover is the owned range.
+				var at int64
+				for id := 0; id < s; id++ {
+					lo, hi := a.ThreadCover(id)
+					if lo != at || hi < lo {
+						t.Fatalf("ThreadCover(%d) = [%d,%d), want lo=%d", id, lo, hi, at)
+					}
+					at = hi
+					local, base := a.ServeView(id)
+					if base != lo || int64(len(local)) != hi-lo {
+						t.Fatalf("ServeView(%d) = %d elements at %d, owned [%d,%d)", id, len(local), base, lo, hi)
+					}
 					for i := lo; i < hi; i++ {
 						if o := a.Owner(i); o != id {
-							t.Fatalf("block ThreadCover(%d) = [%d,%d) holds element %d of thread %d", id, lo, hi, i, o)
+							t.Fatalf("ThreadCover(%d) = [%d,%d) holds element %d of thread %d", id, lo, hi, i, o)
 						}
 					}
 				}
-			}
-			if at != tc.n {
-				t.Fatalf("covers end at %d, want %d", at, tc.n)
-			}
-
-			// Block and cyclic Owner equal their rules by division and
-			// modulo.
-			if kind := tc.spec.Kind; kind != SchemeHub {
-				blk := (tc.n + int64(s) - 1) / int64(s)
-				for i := int64(0); i < tc.n; i++ {
-					want := int(i % int64(s))
-					if kind == SchemeBlock {
-						want = int(i / blk)
-					}
-					if got := a.Owner(i); got != want {
-						t.Fatalf("Owner(%d) = %d, the %s rule says %d", i, got, kind, want)
-					}
+				if at != n {
+					t.Fatalf("covers end at %d, want %d", at, n)
 				}
-			}
-
-			// ServeView addresses every owned element at local[g-base].
-			for id := 0; id < s; id++ {
-				local, base := a.ServeView(id)
-				for i := int64(0); i < tc.n; i++ {
-					if a.Owner(i) != id {
-						continue
-					}
-					if i-base < 0 || i-base >= int64(len(local)) {
-						t.Fatalf("ServeView(%d): owned %d not addressable at base %d len %d", id, i, base, len(local))
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestHubPlacement pins the hub scheme's placement rule: the h-th valid
-// hub (in spec order, in-range, first occurrence) lands on thread h%s,
-// and duplicates and out-of-range entries are skipped without shifting
-// later assignments.
-func TestHubPlacement(t *testing.T) {
-	rt := partRT(t, 2, 2) // s = 4
-	spec := PartitionSpec{Kind: SchemeHub, Hubs: []int64{9, 3, 9, 100, 7, 0, 5}}
-	a := rt.NewSharedArrayPart("h", 10, spec)
-	// Valid hubs in order: 9, 3, 7, 0, 5 -> threads 0, 1, 2, 3, 0.
-	want := map[int64]int{9: 0, 3: 1, 7: 2, 0: 3, 5: 0}
-	for h, id := range want {
-		if o := a.Owner(h); o != id {
-			t.Fatalf("hub %d on thread %d, want %d", h, o, id)
-		}
-	}
-	// The non-hub tail (1,2,4,6,8) is dealt ascending into Span shares of
-	// 5 over 4 threads: 2,1,1,1.
-	tailWant := map[int64]int{1: 0, 2: 0, 4: 1, 6: 2, 8: 3}
-	for v, id := range tailWant {
-		if o := a.Owner(v); o != id {
-			t.Fatalf("tail %d on thread %d, want %d", v, o, id)
+			})
 		}
 	}
 }
@@ -172,30 +84,17 @@ func mustPanicMisuse(t *testing.T, what string, f func()) {
 
 // TestPartitionMisuse pins the classified-misuse contract: out-of-range
 // element indices and thread ids fail loudly with ErrMisuse on every
-// accessor (never a silently empty or aliased range), and invalid specs
-// are rejected up front.
+// accessor, never a silently empty or aliased range.
 func TestPartitionMisuse(t *testing.T) {
 	rt := partRT(t, 1, 2)
-	for _, spec := range []PartitionSpec{{Kind: SchemeBlock}, {Kind: SchemeCyclic}, {Kind: SchemeHub, Hubs: []int64{3}}} {
-		a := rt.NewSharedArrayPart("m"+spec.Kind.String(), 8, spec)
-		mustPanicMisuse(t, spec.Kind.String()+" Owner(-1)", func() { a.Owner(-1) })
-		mustPanicMisuse(t, spec.Kind.String()+" Owner(n)", func() { a.Owner(8) })
-		mustPanicMisuse(t, spec.Kind.String()+" ownerNode(n)", func() { a.ownerNode(8) })
-		for _, id := range []int{-1, 2} {
-			mustPanicMisuse(t, fmt.Sprintf("%s ThreadCover(%d)", spec.Kind, id), func() { a.ThreadCover(id) })
-			mustPanicMisuse(t, fmt.Sprintf("%s ServeView(%d)", spec.Kind, id), func() { _, _ = a.ServeView(id) })
-		}
+	a := rt.NewSharedArray("m", 8)
+	mustPanicMisuse(t, "Owner(-1)", func() { a.Owner(-1) })
+	mustPanicMisuse(t, "Owner(n)", func() { a.Owner(8) })
+	mustPanicMisuse(t, "ownerNode(n)", func() { a.ownerNode(8) })
+	for _, id := range []int{-1, 2} {
+		mustPanicMisuse(t, fmt.Sprintf("ThreadCover(%d)", id), func() { a.ThreadCover(id) })
+		mustPanicMisuse(t, fmt.Sprintf("ServeView(%d)", id), func() { _, _ = a.ServeView(id) })
 	}
-
-	if err := rt.SetPartition(PartitionSpec{Kind: SchemeKind(42)}); !errors.Is(err, ErrMisuse) {
-		t.Fatalf("unknown kind: err = %v, want ErrMisuse", err)
-	}
-	if err := rt.SetPartition(PartitionSpec{Kind: SchemeHub, Hubs: []int64{-3}}); !errors.Is(err, ErrMisuse) {
-		t.Fatalf("negative hub: err = %v, want ErrMisuse", err)
-	}
-	mustPanicMisuse(t, "NewSharedArrayPart bad kind", func() {
-		rt.NewSharedArrayPart("bad", 4, PartitionSpec{Kind: SchemeKind(9)})
-	})
 }
 
 // TestBlockKeysMultiplyEqualsDivide: the block scheme's owner keys come

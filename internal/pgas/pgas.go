@@ -45,7 +45,6 @@ type Runtime struct {
 	turn    *turn         // the running one-sided region's turn; nil otherwise
 	chaos   *chaosState   // fault injector; nil (free) when disarmed
 	ckpt    *Checkpointer // superstep checkpoint manager; nil when disarmed
-	part    PartitionSpec // default partition scheme for new shared arrays
 	retired bool          // geometry invalidated by Evict; see Retired
 	// draining is set when a wire region failed with an eviction: the
 	// transport is still live and a slower survivor may still be inside the
@@ -97,16 +96,16 @@ func NewOnTransport(cfg machine.Config, tr Transport) (*Runtime, error) {
 			}
 		}
 	}
-	return newRuntime(cfg, cfg.TotalThreads(), sim.NewModel(cfg), tr, PartitionSpec{}, nil), nil
+	return newRuntime(cfg, cfg.TotalThreads(), sim.NewModel(cfg), tr, nil), nil
 }
 
 // newRuntime builds an s-thread runtime on tr with cfg's threads per node:
 // the thread table, the threads this process drives (every one on a shared
 // transport, node tr.Node()'s otherwise) and the region barrier over them.
-// New, Evict and its wire form all build through it; part and evicted are
-// what a remapped runtime inherits.
-func newRuntime(cfg machine.Config, s int, model *sim.Model, tr Transport, part PartitionSpec, evicted []int) *Runtime {
-	rt := &Runtime{cfg: cfg, model: model, s: s, tr: tr, node: tr.Node(), part: part, evicted: evicted}
+// New, Evict and its wire form all build through it; evicted is what a
+// remapped runtime inherits.
+func newRuntime(cfg machine.Config, s int, model *sim.Model, tr Transport, evicted []int) *Runtime {
+	rt := &Runtime{cfg: cfg, model: model, s: s, tr: tr, node: tr.Node(), evicted: evicted}
 	tpn := cfg.ThreadsPerNode
 	rt.threads = make([]*Thread, s)
 	for i := range rt.threads {
@@ -149,24 +148,6 @@ func (rt *Runtime) LocalNode() int { return rt.node }
 // written in another process.
 func (rt *Runtime) IsLocal(id int) bool {
 	return rt.tr.Shared() || id/rt.cfg.ThreadsPerNode == rt.node
-}
-
-// SetPartition installs the default partition scheme for every shared
-// array this runtime allocates from now on (NewSharedArrayPart overrides
-// per array). Existing arrays are unaffected. Non-block schemes are
-// rejected on a wire transport: the replica-sync and window protocols
-// move contiguous per-node ranges, and scattering ownership across
-// processes would break them (same class of restriction as Evict).
-func (rt *Runtime) SetPartition(spec PartitionSpec) error {
-	if err := spec.validate(); err != nil {
-		return err
-	}
-	if spec.Kind != SchemeBlock && !rt.tr.Shared() {
-		return Errorf(ErrMisuse, -1, "SetPartition",
-			"%s partitioning unsupported on a wire transport (replica sync moves contiguous node ranges)", spec.Kind)
-	}
-	rt.part = spec
-	return nil
 }
 
 // NewWinID draws the next symmetric window id. Allocation sites (shared
@@ -291,8 +272,7 @@ func (rt *Runtime) Evict(dead []int) (*Runtime, error) {
 		return nil, Errorf(ErrMisuse, -1, "Evict", "no survivors (evicting %d of %d threads)", len(gone), rt.s)
 	}
 	rt.retired = true
-	// Recovery re-creates arrays under the same partition scheme.
-	return newRuntime(rt.cfg, s, rt.model, rt.tr, rt.part, append(rt.EvictedThreads(), dead...)), nil
+	return newRuntime(rt.cfg, s, rt.model, rt.tr, append(rt.EvictedThreads(), dead...)), nil
 }
 
 // evictWire is Evict on a multi-process fabric. The wire constraint is node
@@ -359,7 +339,7 @@ func (rt *Runtime) evictWire(dead []int) (*Runtime, error) {
 	}
 	cfg := rt.cfg
 	cfg.Nodes = p
-	return newRuntime(cfg, p*tpn, rt.model, rt.tr, rt.part, append(rt.EvictedThreads(), deadThreads...)), nil
+	return newRuntime(cfg, p*tpn, rt.model, rt.tr, append(rt.EvictedThreads(), deadThreads...)), nil
 }
 
 // Thread is one PGAS execution context. Each Thread is driven by exactly
@@ -781,60 +761,35 @@ func (th *Thread) Span(total int64) (lo, hi int64) {
 	return Span(total, th.rt.s, th.ID)
 }
 
-// SharedArray is a one-dimensional shared array of 64-bit words. The
-// backing slice is always in global-index order; the partition scheme
-// decides which thread owns (serves) each element. The default is the
-// paper's blocked distribution — thread i owns [i*blk, (i+1)*blk) where
-// blk = ceil(n/s), the layout the paper's codes declare so Algorithm 1's
-// top-level partition matches the data distribution — with cyclic and
-// hub-aware schemes selectable per array (see partition.go).
+// SharedArray is a one-dimensional shared array of 64-bit words, in
+// global-index order, under the paper's blocked distribution: thread i
+// owns (serves) [i*blk, (i+1)*blk) where blk = ceil(n/s) (see
+// partition.go).
 type SharedArray struct {
 	rt  *Runtime
 	n   int64
 	blk int64
-	// recip is blockRecip(n, blk): the block scheme's owner keys by
-	// multiplication; 0 keeps the division.
+	// recip is blockRecip(n, blk): owner keys by multiplication; 0 keeps
+	// the division.
 	recip uint64
 	data  []int64
 	name  string
-	win   Win           // transport window name; zero on a shared fabric
-	part  PartitionSpec // ownership scheme; zero value = block
-	// ownerTab is the hub scheme's per-index owner (nil otherwise).
-	ownerTab []int32
+	win   Win // transport window name; zero on a shared fabric
 }
 
 // NewSharedArray allocates a shared array of n elements (zero-initialized)
-// under the runtime's default partition scheme and charges nothing;
-// allocation cost is the caller's to model (the collectives charge it to
-// the work category). name is used in diagnostics.
+// and charges nothing; allocation cost is the caller's to model (the
+// collectives charge it to the work category). name is used in
+// diagnostics.
 func (rt *Runtime) NewSharedArray(name string, n int64) *SharedArray {
-	return rt.NewSharedArrayPart(name, n, rt.part)
-}
-
-// NewSharedArrayPart is NewSharedArray with an explicit partition scheme,
-// overriding the runtime default — kernels pin staging arrays whose
-// peer-addressed layout requires contiguous blocks to SchemeBlock this
-// way. Non-block schemes are rejected on a wire transport (see
-// SetPartition).
-func (rt *Runtime) NewSharedArrayPart(name string, n int64, spec PartitionSpec) *SharedArray {
 	if n < 0 {
 		panic(Errorf(ErrMisuse, -1, "NewSharedArray", "negative shared array size %d", n))
-	}
-	if err := spec.validate(); err != nil {
-		panic(err)
-	}
-	if spec.Kind != SchemeBlock && !rt.tr.Shared() {
-		panic(Errorf(ErrMisuse, -1, "NewSharedArray",
-			"%s partitioning unsupported on a wire transport in %s", spec.Kind, name))
 	}
 	blk := int64(1)
 	if n > 0 {
 		blk = (n + int64(rt.s) - 1) / int64(rt.s)
 	}
-	a := &SharedArray{rt: rt, n: n, blk: blk, recip: blockRecip(n, blk), data: make([]int64, n), name: name, part: spec}
-	if spec.Kind == SchemeHub {
-		a.buildHubTable()
-	}
+	a := &SharedArray{rt: rt, n: n, blk: blk, recip: blockRecip(n, blk), data: make([]int64, n), name: name}
 	if !rt.tr.Shared() {
 		// Wire: the slice is a full-size replica, authoritative only for
 		// this node's blocks. Register it so remote processes can address
@@ -858,13 +813,7 @@ func (a *SharedArray) Len() int64 { return a.n }
 // Name returns the diagnostic name the array was allocated with.
 func (a *SharedArray) Name() string { return a.name }
 
-// Partition returns the array's partition scheme. Two arrays of one length
-// and one runtime share their owners exactly when their specs have the same
-// kind and, for the hub scheme, the same hub list.
-func (a *SharedArray) Partition() PartitionSpec { return a.part }
-
-// Owner returns the thread id owning element i under the array's
-// partition scheme. Out-of-range indices are a classified misuse, never
+// Owner returns the thread id owning element i. Out-of-range indices are a classified misuse, never
 // a silently mis-attributed owner.
 func (a *SharedArray) Owner(i int64) int {
 	if i < 0 || i >= a.n {
@@ -874,21 +823,14 @@ func (a *SharedArray) Owner(i int64) int {
 }
 
 // OwnerKey is Owner as the int32 sort key of the collectives' plan build,
-// cheap enough to call once per request: it inlines, block and cyclic keys
-// stay pure arithmetic (the paper's id optimization) — a block key one
-// multiply where the reciprocal is exact (see blockRecip) — and only the
-// hub scheme reads its owner table. A caller keying requests checks them
-// first, with a message of its own; an index that slips past still panics,
-// unclassified, before it reaches the table.
+// cheap enough to call once per request: it inlines and stays pure
+// arithmetic (the paper's id optimization), one multiply where the
+// reciprocal is exact (see blockRecip). A caller keying requests checks
+// them first, with a message of its own; an index that slips past still
+// panics, unclassified.
 func (a *SharedArray) OwnerKey(i int64) int32 {
 	if uint64(i) >= uint64(a.n) {
 		panic("pgas: OwnerKey index out of range")
-	}
-	switch a.part.Kind {
-	case SchemeCyclic:
-		return int32(i % int64(a.rt.s))
-	case SchemeHub:
-		return a.ownerTab[i]
 	}
 	return blockKey(i, a.blk, a.recip)
 }
@@ -898,24 +840,11 @@ func (a *SharedArray) ownerNode(i int64) int {
 	return a.Owner(i) / a.rt.cfg.ThreadsPerNode
 }
 
-// localRange is the block-scheme owned range, without validation.
-func (a *SharedArray) localRange(id int) (lo, hi int64) {
-	lo = int64(id) * a.blk
-	return min(lo, a.n), min(lo+a.blk, a.n)
-}
-
 // NodeSpan returns the number of elements a thread's irregular local
-// accesses range over — the working-set size the cache model uses. Under
-// the block scheme a node's elements are contiguous (blk per thread);
-// scattered schemes spread every node's elements across the whole array,
-// so the working set is the full array — the cache-model penalty skewed
-// partitions naturally pay.
+// accesses range over — the working-set size the cache model uses: the
+// node's blocks, blk elements per thread, contiguous.
 func (a *SharedArray) NodeSpan() int64 {
-	span := a.blk * int64(a.rt.cfg.ThreadsPerNode)
-	if a.part.Kind != SchemeBlock {
-		span = a.n
-	}
-	return max(1, min(span, a.n))
+	return max(1, min(a.blk*int64(a.rt.cfg.ThreadsPerNode), a.n))
 }
 
 // Raw returns the backing slice for *uncharged* access. Use it only for

@@ -15,9 +15,8 @@ import (
 // config that drops every transfer each gives up after exactly MaxAttempts
 // attempts with a classified ErrTimeout naming its own op, having taken
 // MaxAttempts-1 retries; and a SetDMin or SetD serve that succeeds after
-// drops leaves the owner's elements exactly as one clean serve does, under
-// every partition scheme — with no rollback, since a scatter faults only
-// before it writes.
+// drops leaves the owner's elements exactly as one clean serve does — with
+// no rollback, since a scatter faults only before it writes.
 func TestRetryContract(t *testing.T) {
 	const attempts = 4
 	drops := pgas.ChaosConfig{Seed: 9, DropRate: 1, MaxAttempts: attempts, BackoffNS: 1e3}
@@ -65,7 +64,7 @@ func TestRetryContract(t *testing.T) {
 		t.Fatalf("SetDMin: %d retries, want MaxAttempts-1 = %d", got, attempts-1)
 	}
 
-	// A replayed scatter against a clean one, under every scheme: SetDMin
+	// A replayed scatter against a clean one: SetDMin
 	// with every thread writing across both nodes, and SetD with threads 1
 	// (node 0) and 2 (node 1) writing different values to the same indices
 	// across both nodes, so the arbitrary write's winner must not move.
@@ -89,11 +88,8 @@ func TestRetryContract(t *testing.T) {
 		}
 		comm.SetD(th, d, idx, vals, nil, nil)
 	}
-	run := func(spec pgas.PartitionSpec, op scatter, chaos *pgas.ChaosConfig) ([]int64, pgas.ChaosStats, error) {
+	run := func(op scatter, chaos *pgas.ChaosConfig) ([]int64, pgas.ChaosStats, error) {
 		rt := ckptRT(t, 2, 2)
-		if err := rt.SetPartition(spec); err != nil {
-			t.Fatal(err)
-		}
 		if chaos != nil {
 			rt.ArmChaos(*chaos)
 		}
@@ -107,26 +103,24 @@ func TestRetryContract(t *testing.T) {
 		name string
 		op   scatter
 	}{{"SetDMin", setDMin}, {"SetD", setD}} {
-		for _, spec := range []pgas.PartitionSpec{{Kind: pgas.SchemeBlock}, {Kind: pgas.SchemeCyclic}, {Kind: pgas.SchemeHub, Hubs: []int64{3, 50, 7}}} {
-			clean, _, err := run(spec, tc.op, nil)
-			if err != nil {
-				t.Fatal(err)
+		clean, _, err := run(tc.op, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed := false
+		for seed := uint64(1); seed <= 64 && !replayed; seed++ {
+			got, stats, err := run(tc.op, &pgas.ChaosConfig{Seed: seed, DropRate: 0.3, MaxAttempts: 32, BackoffNS: 1e3})
+			if err != nil || stats.Retries == 0 {
+				continue
 			}
-			replayed := false
-			for seed := uint64(1); seed <= 64 && !replayed; seed++ {
-				got, stats, err := run(spec, tc.op, &pgas.ChaosConfig{Seed: seed, DropRate: 0.3, MaxAttempts: 32, BackoffNS: 1e3})
-				if err != nil || stats.Retries == 0 {
-					continue
-				}
-				replayed = true
-				if !slices.Equal(got, clean) {
-					t.Fatalf("%s %s seed %d: after %d replays left %v, one clean serve leaves %v",
-						tc.name, spec.Kind, seed, stats.Retries, got, clean)
-				}
+			replayed = true
+			if !slices.Equal(got, clean) {
+				t.Fatalf("%s seed %d: after %d replays left %v, one clean serve leaves %v",
+					tc.name, seed, stats.Retries, got, clean)
 			}
-			if !replayed {
-				t.Fatalf("%s %s: no seed in 1..64 replayed a serve and succeeded", tc.name, spec.Kind)
-			}
+		}
+		if !replayed {
+			t.Fatalf("%s: no seed in 1..64 replayed a serve and succeeded", tc.name)
 		}
 	}
 }

@@ -111,8 +111,7 @@ func runCheck(c Check, t *Trial, env Env) *checkResult {
 }
 
 // trialRuntime builds the fresh runtime one node of trial t runs on: over tr
-// when the node is a wire endpoint, else the whole machine in process under
-// the trial's partition scheme (wire transports are block-only).
+// when the node is a wire endpoint, else the whole machine in process.
 func trialRuntime(t *Trial, tr pgas.Transport) (rt *pgas.Runtime, err error) {
 	if tr != nil {
 		rt, err = pgas.NewOnTransport(t.Machine, tr)
@@ -121,11 +120,6 @@ func trialRuntime(t *Trial, tr pgas.Transport) (rt *pgas.Runtime, err error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("machine config: %v", err)
-	}
-	if tr == nil {
-		if err := rt.SetPartition(t.partitionSpec()); err != nil {
-			return nil, fmt.Errorf("partition spec: %v", err)
-		}
 	}
 	return rt, nil
 }

@@ -85,7 +85,6 @@ func TestBatteryCoversRegistry(t *testing.T) {
 func TestRunCheckEveryEnv(t *testing.T) {
 	c := batteryRow(t, "cc/coalesced")
 	tr := wireTrial(0x9a7, 1, 200, 3, 1)
-	tr.Scheme = pgas.SchemeBlock // wire backend is block-only
 	mild := pgas.DefaultChaos(11)
 	vicious := pgas.DefaultChaos(7)
 	vicious.DropRate, vicious.MaxAttempts = 0.9, 1

@@ -41,7 +41,7 @@ func checkServeDispatch(t *Trial, rt *pgas.Runtime, comm *collective.Comm) error
 	if err != nil {
 		return fmt.Errorf("dispatch: %w", err)
 	}
-	rt2, err := trialRuntime(t, nil) // the twin must run under the trial's partition too
+	rt2, err := trialRuntime(t, nil)
 	if err != nil {
 		return err
 	}

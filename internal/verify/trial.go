@@ -7,7 +7,6 @@ import (
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/listrank"
 	"pgasgraph/internal/machine"
-	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/xrand"
 )
 
@@ -39,36 +38,13 @@ type Trial struct {
 	Src int64
 	// Delta is the SSSP bucket width (0 selects the kernel default).
 	Delta int64
-	// Scheme is the partition scheme every shared array of the trial's
-	// runtime is allocated under (block, cyclic, or hub-aware).
-	Scheme pgas.SchemeKind
-}
-
-// partitionSpec derives the runtime partition spec for the trial. Hubs
-// are computed lazily from the *current* Graph — the trial's top-degree
-// vertices, capped at a quarter of the vertex count — so a shrunk copy
-// (withGraph) re-derives a coherent hub set instead of carrying stale
-// vertex ids.
-func (t *Trial) partitionSpec() pgas.PartitionSpec {
-	spec := pgas.PartitionSpec{Kind: t.Scheme}
-	if t.Scheme == pgas.SchemeHub {
-		max := int(t.Graph.N / 4)
-		if max < 1 {
-			max = 1
-		}
-		if max > 64 {
-			max = 64
-		}
-		spec.Hubs = graph.Hubs(t.Graph, max)
-	}
-	return spec
 }
 
 // String summarizes the trial compactly for failure reports.
 func (t *Trial) String() string {
-	return fmt.Sprintf("round=%d seed=%#x machine=%dx%d%s opts=%s graph=%s(n=%d,m=%d) list=%d src=%d delta=%d compact=%v part=%s",
+	return fmt.Sprintf("round=%d seed=%#x machine=%dx%d%s opts=%s graph=%s(n=%d,m=%d) list=%d src=%d delta=%d compact=%v",
 		t.Round, t.Seed, t.Machine.Nodes, t.Machine.ThreadsPerNode, machineFlags(&t.Machine),
-		optsString(&t.Opts), t.GraphName, t.Graph.N, t.Graph.M(), t.List.N, t.Src, t.Delta, t.Compact, t.Scheme)
+		optsString(&t.Opts), t.GraphName, t.Graph.N, t.Graph.M(), t.List.N, t.Src, t.Delta, t.Compact)
 }
 
 func machineFlags(m *machine.Config) string {
@@ -278,16 +254,8 @@ func sampleTrial(rng *xrand.Rand, round int, maxN int64) *Trial {
 		t.Delta = 1 + rng.Int64n(64)
 	}
 
-	// Partition scheme rotation: half the trials keep the paper's block
-	// distribution, the rest split between cyclic and hub-aware — drawn
-	// last so the earlier sampling stream is unchanged.
-	switch rng.Intn(4) {
-	case 0:
-		t.Scheme = pgas.SchemeCyclic
-	case 1:
-		t.Scheme = pgas.SchemeHub
-	default:
-		t.Scheme = pgas.SchemeBlock
-	}
+	// A discarded draw: the chaos schedule reads this stream next, so
+	// removing it would move every trial's faults and every pinned digest.
+	rng.Intn(4)
 	return t
 }

@@ -73,8 +73,7 @@ type Soak struct {
 	Salt uint64
 	// Trials is the number of trials the row samples.
 	Trials int
-	// Geometries, when set, rotate onto the sampled trials (round % len) and
-	// pin them to the block scheme, the only one a wire cluster runs.
+	// Geometries, when set, rotate onto the sampled trials (round % len).
 	Geometries [][2]int
 	// Env is where every check of the row runs.
 	Env Env
@@ -97,11 +96,6 @@ type Config struct {
 	Seed uint64
 	// MaxN bounds sampled input sizes (vertices, list nodes).
 	MaxN int64
-	// Scheme, when non-nil, pins every sampled trial to one partition scheme
-	// instead of the default rotation. The scheme draw still happens, so the
-	// sampling stream is unchanged; digests compare only between runs that
-	// pin the same scheme.
-	Scheme *pgas.SchemeKind
 	// Checks restricts the battery to these names (nil = every row); see
 	// Named.
 	Checks map[string]bool
@@ -211,13 +205,9 @@ func (s Soak) Run(cfg Config) *Report {
 	for round := 0; round < s.Trials; round++ {
 		rng := xrand.New(cfg.Seed).Split(s.Salt ^ uint64(round))
 		t := sample(rng, round, cfg.MaxN)
-		if cfg.Scheme != nil {
-			t.Scheme = *cfg.Scheme
-		}
 		if len(s.Geometries) > 0 {
 			g := s.Geometries[round%len(s.Geometries)]
 			t = t.withMachine(g[0], g[1])
-			t.Scheme = pgas.SchemeBlock
 		}
 		env := s.Env
 		if s.chaos {

@@ -145,7 +145,6 @@ func TestWireKillRecovery(t *testing.T) {
 	}
 	run := func(seed uint64) ([]*recovery.Report, []error, *Trial) {
 		tr := wireTrial(seed, 1, 200, 3, 1)
-		tr.Scheme = pgas.SchemeBlock
 		ccfg := pgas.ChaosConfig{Seed: seed, KillRate: 0.05}
 		ran := runCheck(c, tr, Env{Chaos: &ccfg, Recover: &recovery.Config{MinThreads: 1}, Wire: true})
 		return ran.Reports, ran.Errs, tr

@@ -54,8 +54,6 @@ type (
 	MSF = seq.MSF
 	// RunStats carries a run's simulated-time accounting.
 	RunStats = pgas.Result
-	// PartitionSpec selects how shared-array elements map onto threads.
-	PartitionSpec = pgas.PartitionSpec
 )
 
 // What KernelResult.Detail holds, by registry row (docs/API.md has the
@@ -73,17 +71,6 @@ type (
 	MSFResult = mst.Result
 	// ListRankResult is a list-ranking outcome (listrank/*).
 	ListRankResult = listrank.Result
-)
-
-// Partition schemes selectable through PartitionSpec.
-const (
-	// SchemeBlock is the paper's blocked distribution (the default).
-	SchemeBlock = pgas.SchemeBlock
-	// SchemeCyclic deals elements round-robin over the threads.
-	SchemeCyclic = pgas.SchemeCyclic
-	// SchemeHub spreads listed hub elements round-robin and
-	// block-distributes the tail.
-	SchemeHub = pgas.SchemeHub
 )
 
 // Machine presets.
@@ -177,18 +164,6 @@ func (c *Cluster) Runtime() *pgas.Runtime { return c.rt }
 
 // Comm exposes the underlying collective state for advanced use.
 func (c *Cluster) Comm() *collective.Comm { return c.comm }
-
-// SetPartition installs the default partition scheme for every shared
-// array the cluster's kernels allocate from now on: block (the paper's
-// distribution and the default), cyclic, or hub-aware placement of
-// high-degree vertices (see Hubs). Kernel answers are
-// partition-independent; what changes is which thread serves each
-// element, and hence the simulated-time profile on skewed graphs.
-func (c *Cluster) SetPartition(spec PartitionSpec) error { return c.rt.SetPartition(spec) }
-
-// Hubs returns up to max highest-degree vertices of g (degree-descending,
-// deterministic) — the natural hub list for a SchemeHub PartitionSpec.
-func Hubs(g *Graph, max int) []int64 { return graph.Hubs(g, max) }
 
 // BFSUnreached marks vertices a BFS did not reach.
 const BFSUnreached = bfs.Unreached
