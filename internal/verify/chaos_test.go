@@ -154,9 +154,8 @@ func TestChaosKillOffPreservesSchedules(t *testing.T) {
 // TestSoakDigestsGolden pins, at small size, the digests of the rows whose
 // CI-size values .github/digests holds, so a change to what any row
 // samples, picks, runs or folds fails here and not only in CI's 200-trial
-// soaks. Each point draws
-// both outcomes the fold distinguishes: the chaos rows a classified
-// failure, the kill rows a rollback.
+// soaks. Each point draws both outcomes the fold distinguishes: the chaos
+// rows a classified failure, the kill rows a rollback.
 func TestSoakDigestsGolden(t *testing.T) {
 	t.Parallel() // the wire-kill point waits on sockets; overlap it
 	for _, tc := range []struct {
