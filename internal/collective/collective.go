@@ -194,13 +194,16 @@ type IDCache struct {
 //
 // A serve reads a peer that shares this process straight out of the
 // peer's plan buffers and writes a gather's answers straight into them;
-// stage, inVal and vals hold only the segments of peers in another OS
-// process, so on a shared fabric they stay empty.
+// stage and vals hold only the segments of peers in another OS process, so
+// on a shared fabric they stay empty. One vals buffer stages a scatter's
+// pulled values and a gather's pushed answers alike: a later serve may
+// overwrite a push's words because Transport.Put encodes src before it
+// returns (the wire packs them into the connection's buffer, the
+// in-process path copies them).
 type threadState struct {
 	keys       []int32 // owner key per request of the current list, -1 where the filter dropped it
 	stage      []int64 // wire staging: remote peers' request segments
-	inVal      []int64 // wire staging: remote peers' value segments (Set*)
-	vals       []int64 // wire staging: answers bound for remote peers
+	vals       []int64 // wire staging: remote peers' value segments, pulled (Set*) or answers pushed (GetD)
 	recv       []int64 // route-op receive: routed items
 	recv2      []int64 // route-op receive: routed values (ExchangePairs)
 	packed     []int64 // (owner, position) keys for the QuickSort path

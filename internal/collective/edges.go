@@ -126,8 +126,8 @@ func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, 
 			words := (d.Len() + 63) / 64
 			el.seen, el.base = make([]uint64, words), make([]int32, words)
 		}
-		local, _ := d.ServeView(th.ID)
-		el.opts, el.nb = opts, int64(len(local))
+		lo, hi := d.ThreadCover(th.ID)
+		el.opts, el.nb = opts, hi-lo
 	}
 	switch {
 	case identity:

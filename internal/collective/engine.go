@@ -1,16 +1,15 @@
 // The exchange engine: one execution path for all collectives.
 //
 // Every collective is phase 2 of Algorithm 2 run against a built Plan —
-// barrier, serve every peer, barrier, finish — and the collectives differ
-// only in how a peer's segment is served (gather, scatter with a combining
-// rule, or plain routing), how results reach the caller (permute back,
-// nothing, or a concatenated receive buffer), and which requests a one-shot
-// build may leave out. Those choices are a serveOp; exec is the engine that
-// runs one. The seven public one-shot collectives in collective.go are
-// one-line calls into Comm.once, which builds the scratch plan as the op
-// says and execs it; a caller-held Plan execs GetD, skipping the rebuild —
-// and gathers several arrays at the same indices by executing one build
-// once per array.
+// barrier, serve every peer, barrier, finish. A serveOp is plain data
+// saying how a peer's segment is served (serveAccess reads or writes the
+// owned block under a rule: gather, or scatter with a combining rule;
+// serveRoute copies it), whether answers are pushed back and permuted into
+// the caller's out, and which requests a one-shot build may leave out. The
+// six public one-shot collectives in collective.go are one-line calls into
+// Comm.once, which builds the scratch plan as the op says and execs it; a
+// caller-held Plan execs GetD, skipping the rebuild — and gathers several
+// arrays at the same indices by executing one build once per array.
 package collective
 
 import (
@@ -22,17 +21,16 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// serveOp is one pluggable collective: a serve-phase body, a finish-phase
-// body, the flags the engine needs to stage its inputs and outputs, and
+// serveOp is one collective, as data: the flags the engine needs to stage
+// its inputs and outputs, how its serve phase treats each peer segment, and
 // what a one-shot build of the op may drop. Descriptors are package-level
-// values so dispatching through them never allocates.
+// values, so running one never allocates.
 type serveOp struct {
 	kind string // trace/diagnostic name
 	// hasValues: the caller passes per-request values, aligned into the
 	// plan's grouped layout before the first barrier on every execution.
 	hasValues bool
-	// gathers: finish permutes the answers into the caller's out.
-	gathers bool
+	gathers   bool // answers are pushed back and permuted into the caller's out
 	// allowFiltered: the op's semantics survive the offload filter (GetD
 	// substitutes the pinned value, SetDMin drops the no-op write), so a
 	// build for it honors Options.Offload.
@@ -41,11 +39,10 @@ type serveOp struct {
 	// keyPass): repeats by position (GetDCombined), or writes that
 	// cannot win by value (SetDMin, whose build then skips the IDCache).
 	combine combineRule
-	// serve returns a classified error when a transfer faults under armed
-	// chaos (nil always, on the fault-free transport): the whole phase is
-	// re-executable from the published matrices, so the engine replays it.
-	serve  func(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error
-	finish func(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out []int64)
+	// route: serveRoute copies the segments into the receive buffers;
+	// otherwise serveAccess accesses the owned block under rule.
+	route bool
+	rule  sched.Op
 }
 
 // combineRule selects the request filter's combining (see keyPass).
@@ -58,26 +55,23 @@ const (
 )
 
 var (
-	opGetD          = &serveOp{kind: "GetD", gathers: true, allowFiltered: true, serve: serveGather, finish: finishPermute}
-	opGetDCombined  = &serveOp{kind: "GetD", gathers: true, allowFiltered: true, combine: combineIndex, serve: serveGather, finish: finishPermute}
-	opSetD          = &serveOp{kind: "SetD", hasValues: true, serve: serveScatterSet, finish: finishNone}
-	opSetDMin       = &serveOp{kind: "SetDMin", hasValues: true, allowFiltered: true, combine: combineMin, serve: serveScatterMin, finish: finishNone}
-	opExchange      = &serveOp{kind: "Exchange", serve: serveRoute, finish: finishNone}
-	opExchangePairs = &serveOp{kind: "ExchangePairs", hasValues: true, serve: serveRoutePairs, finish: finishNone}
+	opGetD          = &serveOp{kind: "GetD", gathers: true, allowFiltered: true, rule: sched.OpGet}
+	opGetDCombined  = &serveOp{kind: "GetD", gathers: true, allowFiltered: true, combine: combineIndex, rule: sched.OpGet}
+	opSetD          = &serveOp{kind: "SetD", hasValues: true, rule: sched.OpSet}
+	opSetDMin       = &serveOp{kind: "SetDMin", hasValues: true, allowFiltered: true, combine: combineMin, rule: sched.OpMin}
+	opExchange      = &serveOp{kind: "Exchange", route: true}
+	opExchangePairs = &serveOp{kind: "ExchangePairs", hasValues: true, route: true}
 )
 
 // exec runs one execution of op against plan p: stage per-execution
-// inputs, barrier, serve every peer, barrier, deliver results. It charges
-// exactly what the monolithic collectives charged per barrier interval —
-// the value alignment that the grouping sort used to do moves here (it
-// must rerun per execution), but stays in the same pre-serve interval.
+// inputs, barrier, serve every peer, barrier, deliver results. The value
+// alignment reruns per execution, charged in the pre-serve interval.
 //
 // values are the input values of hasValues ops; out the gather destination
 // (nil for scatter and route ops, whose results are the array mutation or
 // the thread's receive scratch).
 func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.SharedArray, values, out []int64) {
 	pt := &p.pts[th.ID]
-	opts := &pt.opts
 	k := pt.k
 
 	if c.fault == FaultCorruptPlanPermute && pt.execs >= 1 && k >= 2 {
@@ -101,25 +95,24 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.SharedArray, 
 	}
 
 	th.Barrier()
-	c.serveRetry(th, p, op, d, opts)
+	// The serve runs through pgas's one retry loop, replayed when a
+	// transfer faults under armed chaos. It consumes none of what it reads
+	// (the published matrices, the peers' grouped buffers), a gather's
+	// replay rewrites the same words clean, and a scatter faults only
+	// before it writes (see serveAccess). Exhausting the attempt budget
+	// raises a classified ErrTimeout through the barrier-poisoning path,
+	// so peers unwind instead of hanging at the post-serve barrier.
+	th.Retry(func() error {
+		if op.route {
+			return c.serveRoute(th, p, op, &pt.opts)
+		}
+		return c.serveAccess(th, p, op, d, &pt.opts)
+	}, func() (string, string) { return "serve " + op.kind, "serve phase gave up" })
 	th.Barrier()
-	op.finish(c, th, p, pt, out)
+	if op.gathers {
+		c.finishPermute(th, pt, out)
+	}
 	pt.execs++
-}
-
-// serveRetry runs op's serve phase through pgas's one retry loop,
-// replaying it when a transfer faults under armed chaos. A serve phase is a
-// pure function of the published matrices and the peers' grouped
-// request/value buffers — none of which it consumes — so re-execution is
-// safe with nothing to undo: a gather re-pulls and re-pushes the same
-// segments (overwriting any partially delivered or damaged words with
-// identical clean ones), and a scatter faults only while it pulls, before
-// it writes any element (see serveScatter). Exhausting the attempt budget
-// raises a classified ErrTimeout through the barrier-poisoning path, so
-// peers unwind instead of hanging at the post-serve barrier.
-func (c *Comm) serveRetry(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.SharedArray, opts *Options) {
-	th.Retry(func() error { return op.serve(c, th, p, d, opts) },
-		func() (string, string) { return "serve " + op.kind, "serve phase gave up" })
 }
 
 // xferFault consults the chaos injector for one coalesced engine transfer
@@ -257,17 +250,21 @@ func (c *Comm) access(local, req []int64, base int64, vals []int64, op sched.Op,
 		sched.Access(local, req[:1], base, vals[len(req)-1:], op, scr)
 }
 
-// serveGather is GetD's serve phase: this thread answers every peer's
-// request segment against its own block of d1. All peers' segments are
-// pulled first (one coalesced message each, in schedule order), then
-// served in place — each answer written straight into the requester's
-// plan receive buffer — and charged as one blocked gather over their
-// concatenation: the local block is loaded at most once per collective,
-// matching equation 5's n*L_M term. The pushes back follow.
-func serveGather(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
-	i := th.ID
-	local, base := d.ServeView(i)
-	st := &c.ts[i]
+// serveAccess is the serve phase of every op that reads or writes the
+// owned block (Algorithm 2 steps 3-5), d's ThreadCover block. All peers'
+// segments are pulled first (one coalesced message each, in schedule
+// order; a scatter's values alongside), then served in place under the
+// op's rule — a gather writes each answer straight into the requester's
+// plan receive buffer — and charged as one blocked access: the block is
+// loaded at most once per collective (equation 5's n*L_M term). A
+// gather's pushes back follow.
+//
+// A scatter makes every transfer in the pull loop, before it writes, and
+// SetD's arbitrary and SetDMin's priority writes are idempotent, so its
+// replay needs no rollback; a scatter that breaks either must bring one.
+func (c *Comm) serveAccess(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.SharedArray, opts *Options) error {
+	lo, hi := d.ThreadCover(th.ID)
+	local, st := d.Raw()[lo:hi], &c.ts[th.ID]
 
 	total, staged := c.planSegments(th, p, st, opts)
 	st.stage = st.grow(st.stage, int(staged))
@@ -276,18 +273,35 @@ func serveGather(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *O
 		if err := c.pull(th, p, st, seg, opts); err != nil {
 			return err
 		}
+		if !op.hasValues {
+			continue
+		}
+		c.transferCost(th, int(seg.peer), seg.k, true, opts)
+		if err := c.fetch(th, p, seg, pgas.WinPlanVal, st.vals); err != nil {
+			return err
+		}
+		if err := c.xferFault(th, int(seg.peer), nil); err != nil {
+			return err
+		}
 	}
 
+	rule := op.rule
+	if rule == sched.OpMin && c.fault == FaultMaxInsteadOfMin {
+		rule = sched.OpMax
+	}
 	// The block stays cache-warm across the segments, so first-touch
 	// tracking resets once per collective.
-	st.scr.Reset(int64(len(local)))
+	st.scr.Reset(hi - lo)
 	distinct := int64(0)
 	for _, seg := range st.segs {
-		req, out := c.segBuf(p, seg, pgas.WinPlanReq, st.stage), c.segBuf(p, seg, pgas.WinPlanVal, st.vals)
-		distinct += c.access(local, req, base, out, sched.OpGet, &st.scr)
+		req, vals := c.segBuf(p, seg, pgas.WinPlanReq, st.stage), c.segBuf(p, seg, pgas.WinPlanVal, st.vals)
+		distinct += c.access(local, req, lo, vals, rule, &st.scr)
 	}
-	sched.ChargeAccess(th, total, distinct, int64(len(local)), opts.VirtualThreads, opts.LocalCpy)
+	sched.ChargeAccess(th, total, distinct, hi-lo, opts.VirtualThreads, opts.LocalCpy)
 
+	if !op.gathers {
+		return nil
+	}
 	for _, seg := range st.segs {
 		c.transferCost(th, int(seg.peer), seg.k, false, opts)
 		if err := c.push(th, p, st, seg); err != nil {
@@ -297,106 +311,37 @@ func serveGather(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *O
 	return nil
 }
 
-// serveScatter is the Set* serve phase: pull every peer's index and value
-// segments, then apply them in place, in schedule order, with the op's
-// combining rule, charged as one blocked scatter over their concatenation.
-// Every transfer that can fault happens in the pull loop, before the first
-// element is written, so a failed attempt leaves d untouched and serveRetry
-// replays it with nothing to roll back. A future scatter that can fault
-// after it has written, or whose rule is not idempotent as SetD's
-// arbitrary write and SetDMin's priority write are, must bring its own
-// rollback.
-func (c *Comm) serveScatter(th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options, op sched.Op) error {
-	i := th.ID
-	local, base := d.ServeView(i)
-	st := &c.ts[i]
-
-	total, staged := c.planSegments(th, p, st, opts)
-	st.stage = st.grow(st.stage, int(staged))
-	st.inVal = st.grow(st.inVal, int(staged))
-	for _, seg := range st.segs {
-		if err := c.pull(th, p, st, seg, opts); err != nil {
-			return err
-		}
-		// Pull the peer's value segment alongside the indices.
-		c.transferCost(th, int(seg.peer), seg.k, true, opts)
-		if err := c.fetch(th, p, seg, pgas.WinPlanVal, st.inVal); err != nil {
-			return err
-		}
-		if err := c.xferFault(th, int(seg.peer), nil); err != nil {
-			return err
-		}
-	}
-
-	st.scr.Reset(int64(len(local)))
-	distinct := int64(0)
-	for _, seg := range st.segs {
-		req, vals := c.segBuf(p, seg, pgas.WinPlanReq, st.stage), c.segBuf(p, seg, pgas.WinPlanVal, st.inVal)
-		distinct += c.access(local, req, base, vals, op, &st.scr)
-	}
-	sched.ChargeAccess(th, total, distinct, int64(len(local)), opts.VirtualThreads, opts.LocalCpy)
-	return nil
-}
-
-func serveScatterSet(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
-	return c.serveScatter(th, p, d, opts, sched.OpSet)
-}
-
-func serveScatterMin(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
-	op := sched.OpMin
-	if c.fault == FaultMaxInsteadOfMin {
-		op = sched.OpMax
-	}
-	return c.serveScatter(th, p, d, opts, op)
-}
-
-// serveRoute is Exchange's serve phase: copy every peer's grouped segment
-// destined for this thread into the receive buffer, concatenated in
-// schedule order. There is no local array access — the routed items are
-// the payload.
-func serveRoute(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
+// serveRoute is the route ops' serve phase: copy every peer's segment for
+// this thread into the receive buffer, concatenated in schedule order, and
+// for ExchangePairs its values into the second one, aligned, in one message
+// of twice the words. No array is accessed: the routed items are the payload.
+func (c *Comm) serveRoute(th *pgas.Thread, p *Plan, op *serveOp, opts *Options) error {
 	st := &c.ts[th.ID]
 	total, _ := c.planSegments(th, p, st, opts)
 	st.recv = st.grow(st.recv, int(total))
+	w := int64(1)
+	if op.hasValues {
+		st.recv2 = st.grow(st.recv2, int(total))
+		w = 2
+	}
 	at := int64(0)
 	for _, seg := range st.segs {
-		c.transferCost(th, int(seg.peer), seg.k, true, opts)
+		c.transferCost(th, int(seg.peer), w*seg.k, true, opts)
 		dst := st.recv[at : at+seg.k]
-		at += seg.k
 		if err := c.peerCopy(th, p, seg, pgas.WinPlanReq, dst); err != nil {
 			return err
 		}
-		th.ChargeSeq(sim.CatCopy, seg.k)
+		if op.hasValues {
+			dst = st.recv2[at : at+seg.k]
+			if err := c.peerCopy(th, p, seg, pgas.WinPlanVal, dst); err != nil {
+				return err
+			}
+		}
+		at += seg.k
+		th.ChargeSeq(sim.CatCopy, w*seg.k)
+		// One verdict covers the message; with values, damage lands in
+		// the value half.
 		if err := c.xferFault(th, int(seg.peer), dst); err != nil {
-			return err
-		}
-	}
-	st.routeTotal = total
-	return nil
-}
-
-// serveRoutePairs is ExchangePairs' serve phase: one coalesced message
-// per peer carries indices and values together, delivered aligned.
-func serveRoutePairs(c *Comm, th *pgas.Thread, p *Plan, d *pgas.SharedArray, opts *Options) error {
-	st := &c.ts[th.ID]
-	total, _ := c.planSegments(th, p, st, opts)
-	st.recv = st.grow(st.recv, int(total))
-	st.recv2 = st.grow(st.recv2, int(total))
-	at := int64(0)
-	for _, seg := range st.segs {
-		c.transferCost(th, int(seg.peer), 2*seg.k, true, opts)
-		dst, dstVal := st.recv[at:at+seg.k], st.recv2[at:at+seg.k]
-		at += seg.k
-		if err := c.peerCopy(th, p, seg, pgas.WinPlanReq, dst); err != nil {
-			return err
-		}
-		if err := c.peerCopy(th, p, seg, pgas.WinPlanVal, dstVal); err != nil {
-			return err
-		}
-		th.ChargeSeq(sim.CatCopy, 2*seg.k)
-		// One combined message carries indices and values; one verdict
-		// covers it (damage lands in the value half).
-		if err := c.xferFault(th, int(seg.peer), dstVal); err != nil {
 			return err
 		}
 	}
@@ -415,18 +360,13 @@ func (c *Comm) peerCopy(th *pgas.Thread, p *Plan, seg segment, kind pgas.WinKind
 	return c.tr.Get(th, int(seg.peer)/c.tpn, pgas.Win{Kind: kind, ID: p.wid, Sub: seg.peer}, seg.off, dst)
 }
 
-// finishNone is the finish phase of ops whose results are the array
-// mutation (Set*) or the thread's receive scratch (Exchange*).
-func finishNone(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out []int64) {
-}
-
 // finishPermute is GetD's finish phase: permute received values back to
 // request order (Algorithm 2 step 6) — a dense permutation of the receive
 // buffer — then answer what the request filter kept from the owners: the
 // pinned D[0] = 0 at offload-dropped positions (the filter paid for that
 // pass at build time), and at every combined duplicate its keeper's value,
 // a second, shorter dense permutation.
-func finishPermute(c *Comm, th *pgas.Thread, p *Plan, pt *planThread, out []int64) {
+func (c *Comm) finishPermute(th *pgas.Thread, pt *planThread, out []int64) {
 	k := pt.k
 	chargePermute(&th.Clock, th.Runtime().Model(), sim.CatIrregular, int64(k))
 	val, pos := pt.val[:k], pt.pos[:k]

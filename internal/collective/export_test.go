@@ -3,7 +3,7 @@ package collective
 import "pgasgraph/internal/pgas"
 
 // RetainedWords reports what c keeps between calls, in 8-byte words:
-// staging is the wire-only serve staging (stage, inVal, vals), total is
+// staging is the wire-only serve staging (stage, vals), total is
 // everything the thread arenas and the one-shot scratch plan hold, int32
 // buffers at half a word per element. The first-touch bitmaps (one bit
 // per block element) are left out.
@@ -11,7 +11,7 @@ func (c *Comm) RetainedWords() (staging, total int64) {
 	half := func(b []int32) int64 { return (int64(cap(b)) + 1) / 2 }
 	for i := range c.ts {
 		st := &c.ts[i]
-		staging += int64(cap(st.stage) + cap(st.inVal) + cap(st.vals))
+		staging += int64(cap(st.stage) + cap(st.vals))
 		total += int64(cap(st.recv)+cap(st.recv2)+cap(st.packed)+cap(st.cursor)) +
 			half(st.keys) + 4*int64(cap(st.segs))
 		if st.comb != nil {

@@ -343,7 +343,10 @@ func TestExchangeMatchesOwnerPartition(t *testing.T) {
 // be one that some thread sent — values ride with their items through the
 // grouping sort and the route — and the item multiset per owner must
 // match plain Exchange's. Values are a deterministic function of the item
-// so any cross-pairing is visible.
+// so any cross-pairing is visible. Besides the random draw, each placement
+// runs an input where thread 0 passes nil items and nil values while its
+// peers send pairs: whether a call routes pairs is its call site's, not
+// its arguments', so every receiver still gets aligned pairs.
 func TestExchangePairsStayAligned(t *testing.T) {
 	const n = 200
 	pairVal := func(item int64) int64 { return item*31 + 7 }
@@ -363,40 +366,45 @@ func TestExchangePairsStayAligned(t *testing.T) {
 				}
 				for _, pl := range lawPlacements {
 					t.Run(pl.name, func(t *testing.T) {
-						placed := at(place(pl.owner, n, s), items)
-						vals := make([][]int64, s)
-						d := rt.NewSharedArray("D", n)
-						comm := NewComm(rt)
-						want := make([][]int64, s)
-						for i := 0; i < s; i++ {
-							for _, x := range placed[i] {
-								vals[i] = append(vals[i], pairVal(x))
-								want[d.Owner(x)] = append(want[d.Owner(x)], x)
-							}
-						}
-						gotItems := make([][]int64, s)
-						rt.Run(func(th *pgas.Thread) {
-							o := *opts
-							ri, rv := comm.ExchangePairs(th, d, placed[th.ID], vals[th.ID], &o, nil)
-							if len(ri) != len(rv) {
-								t.Errorf("thread %d: %d items but %d values delivered", th.ID, len(ri), len(rv))
-							}
-							for j := range ri {
-								if rv[j] != pairVal(ri[j]) {
-									t.Errorf("thread %d pair %d: item %d arrived with value %d, sent with %d",
-										th.ID, j, ri[j], rv[j], pairVal(ri[j]))
+						drawn := at(place(pl.owner, n, s), items)
+						silent := slices.Clone(drawn)
+						silent[0] = nil
+						for r, placed := range [][][]int64{drawn, silent} {
+							in := []string{"drawn", "thread 0 silent"}[r]
+							vals := make([][]int64, s)
+							d := rt.NewSharedArray("D", n)
+							comm := NewComm(rt)
+							want := make([][]int64, s)
+							for i := 0; i < s; i++ {
+								for _, x := range placed[i] {
+									vals[i] = append(vals[i], pairVal(x))
+									want[d.Owner(x)] = append(want[d.Owner(x)], x)
 								}
 							}
-							gotItems[th.ID] = append([]int64(nil), ri...)
-						})
-						for i := 0; i < s; i++ {
-							g, w := sortedCopy(gotItems[i]), sortedCopy(want[i])
-							if len(g) != len(w) {
-								t.Fatalf("thread %d received %d pairs, owns %d items", i, len(g), len(w))
-							}
-							for j := range g {
-								if g[j] != w[j] {
-									t.Fatalf("thread %d pair-item multiset differs from owner partition at rank %d", i, j)
+							gotItems := make([][]int64, s)
+							rt.Run(func(th *pgas.Thread) {
+								o := *opts
+								ri, rv := comm.ExchangePairs(th, d, placed[th.ID], vals[th.ID], &o, nil)
+								if len(ri) != len(rv) {
+									t.Errorf("%s: thread %d: %d items but %d values delivered", in, th.ID, len(ri), len(rv))
+								}
+								for j := range ri {
+									if rv[j] != pairVal(ri[j]) {
+										t.Errorf("%s: thread %d pair %d: item %d arrived with value %d, sent with %d",
+											in, th.ID, j, ri[j], rv[j], pairVal(ri[j]))
+									}
+								}
+								gotItems[th.ID] = append([]int64(nil), ri...)
+							})
+							for i := 0; i < s; i++ {
+								g, w := sortedCopy(gotItems[i]), sortedCopy(want[i])
+								if len(g) != len(w) {
+									t.Fatalf("%s: thread %d received %d pairs, owns %d items", in, i, len(g), len(w))
+								}
+								for j := range g {
+									if g[j] != w[j] {
+										t.Fatalf("%s: thread %d pair-item multiset differs from owner partition at rank %d", in, i, j)
+									}
 								}
 							}
 						}

@@ -53,8 +53,8 @@ func TestGatherPriceIsTheCharge(t *testing.T) {
 					d := rt.NewSharedArray("D", int64(s)*nb)
 					d.FillIdentity()
 					for i := 0; i < s; i++ {
-						if local, _ := d.ServeView(i); len(local) != nb {
-							t.Fatalf("thread %d serves %d words, want %d", i, len(local), nb)
+						if lo, hi := d.ThreadCover(i); hi-lo != nb {
+							t.Fatalf("thread %d serves %d words, want %d", i, hi-lo, nb)
 						}
 					}
 					per := int64(k / s)

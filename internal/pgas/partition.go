@@ -66,11 +66,3 @@ func (a *SharedArray) ThreadCover(id int) (lo, hi int64) {
 	a.checkThread("ThreadCover", id)
 	return a.localRange(id)
 }
-
-// ServeView returns the slice a serving thread gathers and scatters
-// against — its owned block — and the global index of its first element.
-func (a *SharedArray) ServeView(id int) (local []int64, base int64) {
-	a.checkThread("ServeView", id)
-	lo, hi := a.localRange(id)
-	return a.data[lo:hi], lo
-}

@@ -21,8 +21,8 @@ func partRT(t *testing.T, nodes, tpn int) *Runtime {
 
 // TestPartitionLaws checks the block ownership laws: owners in range,
 // ownerNode consistent with Owner, Owner equal to the block rule computed
-// by division, ThreadCover a disjoint exact cover of owned ranges in thread
-// order, and ServeView addressing every owned element.
+// by division, and ThreadCover a disjoint exact cover of owned ranges in
+// thread order.
 func TestPartitionLaws(t *testing.T) {
 	for _, g := range [][2]int{{1, 1}, {1, 4}, {2, 2}, {3, 2}} {
 		for _, n := range []int64{1, 5, 16, 97} {
@@ -49,10 +49,6 @@ func TestPartitionLaws(t *testing.T) {
 						t.Fatalf("ThreadCover(%d) = [%d,%d), want lo=%d", id, lo, hi, at)
 					}
 					at = hi
-					local, base := a.ServeView(id)
-					if base != lo || int64(len(local)) != hi-lo {
-						t.Fatalf("ServeView(%d) = %d elements at %d, owned [%d,%d)", id, len(local), base, lo, hi)
-					}
 					for i := lo; i < hi; i++ {
 						if o := a.Owner(i); o != id {
 							t.Fatalf("ThreadCover(%d) = [%d,%d) holds element %d of thread %d", id, lo, hi, i, o)
@@ -93,7 +89,6 @@ func TestPartitionMisuse(t *testing.T) {
 	mustPanicMisuse(t, "ownerNode(n)", func() { a.ownerNode(8) })
 	for _, id := range []int{-1, 2} {
 		mustPanicMisuse(t, fmt.Sprintf("ThreadCover(%d)", id), func() { a.ThreadCover(id) })
-		mustPanicMisuse(t, fmt.Sprintf("ServeView(%d)", id), func() { _, _ = a.ServeView(id) })
 	}
 }
 
