@@ -215,7 +215,7 @@ func BenchmarkCollectiveGetDCheckpointed(b *testing.B) {
 	rt := c.Runtime()
 	d := rt.NewSharedArray("D", 1<<16)
 	d.FillIdentity()
-	rt.ArmCheckpoints(1)
+	rt.ArmCheckpoints()
 	pgas.Register(rt, "D", d)
 	opts := collective.Optimized(4)
 	caches := make([]collective.IDCache, c.Threads())

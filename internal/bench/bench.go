@@ -223,7 +223,7 @@ func collectives(cfg Config) ([]report.BenchRecord, error) {
 	// This baselines the recovery tax and pins the property that the
 	// snapshot path allocates nothing in steady state — its shadow
 	// buffers are allocated once at registration, never per barrier.
-	rt.ArmCheckpoints(1)
+	rt.ArmCheckpoints()
 	pgas.Register(rt, "D", d)
 	measure("collective/GetD+ckpt", func(th *pgas.Thread) {
 		comm.GetD(th, d, idx[th.ID], out[th.ID], opts, &caches[th.ID])

@@ -82,7 +82,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src int6
 	if g.N > 0 {
 		dist.StoreRaw(src, 0)
 	}
-	red := pgas.NewOrReducer(rt)
+	red := pgas.NewReducer(rt)
 
 	run := rt.Run(func(th *pgas.Thread) {
 		lo, hi := dist.ThreadCover(th.ID)

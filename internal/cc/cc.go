@@ -124,7 +124,7 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
 	pgas.Register(rt, CkptNaiveD, d)
-	red := pgas.NewOrReducer(rt)
+	red := pgas.NewReducer(rt)
 	m := g.M()
 
 	run := rt.RunOneSided(func(th *pgas.Thread) {
@@ -198,7 +198,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	lay.fill(d.Raw())
 	col := opts.col()
 	identity := !pgas.Register(rt, CkptCoalescedD, d)
-	red := pgas.NewOrReducer(rt)
+	red := pgas.NewReducer(rt)
 	live := comm.NewLiveEdges(opts.compact(), false, true, lay.place)
 
 	run := rt.Run(func(th *pgas.Thread) {

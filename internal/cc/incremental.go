@@ -29,7 +29,7 @@ const CkptIncrementalD = "cc.incremental.D"
 // no rounds: every thread gathers all 2k endpoint labels (GetDCombined),
 // runs the same union-find over them, the smaller root winning, and
 // applies the result to its ThreadCover block, checking D[v] <= v and
-// counting its roots for a SumReducer. The labels are exactly a
+// counting its roots for a Reducer's Sum. The labels are exactly a
 // from-scratch run's on the mutated graph; Iterations is 1, and Merged
 // lets per-component state update in O(merges). Each thread pays
 // O(k + n/s), and every snapshot of d (registered under
@@ -40,7 +40,7 @@ func Incremental(rt *pgas.Runtime, comm *collective.Comm, d *pgas.SharedArray, e
 	}
 	pgas.Register(rt, CkptIncrementalD, d)
 	col := opts.col()
-	sum := pgas.NewSumReducer(rt)
+	sum := pgas.NewReducer(rt)
 	ends := make([]int64, 0, 2*len(eu))
 	for e := range eu {
 		ends = append(ends, eu[e], ev[e])
@@ -79,7 +79,7 @@ func Incremental(rt *pgas.Runtime, comm *collective.Comm, d *pgas.SharedArray, e
 		}
 		th.ChargeSeq(sim.CatWork, dHi-dLo)
 		th.ChargeOps(sim.CatWork, dHi-dLo)
-		components := sum.Reduce(th, roots)
+		components := sum.Sum(th, roots)
 		once.Do(func() { res.Components, res.Merged = components, merged })
 	})
 	return res

@@ -70,7 +70,7 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
 	identity := !pgas.Register(rt, rule.ckpt, d)
-	red := pgas.NewOrReducer(rt)
+	red := pgas.NewReducer(rt)
 	col := opts.col()
 	live := comm.NewLiveEdges(false, rule.perCallSort, false, nil)
 

@@ -72,7 +72,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 	lay := newSpread(g.N)
 	lay.fill(d.Raw())
 	hook := rt.NewSharedArray("Hook", g.N)
-	red := pgas.NewOrReducer(rt)
+	red := pgas.NewReducer(rt)
 
 	col := opts.col()
 	colHook := *col

@@ -50,7 +50,7 @@ func NewJumpScratch(span int64, pos Layout) *JumpScratch {
 // whose own label is read at its position. Every thread must call it; js
 // is scratch sized to the block and dLo is the block base.
 func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
-	red *pgas.OrReducer, js *JumpScratch, dLo int64) {
+	red *pgas.Reducer, js *JumpScratch, dLo int64) {
 	jumpIdx, jumpVal, active := js.idx, js.val, js.active
 	span := int64(len(active))
 	raw := d.Raw()
@@ -95,7 +95,7 @@ func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
 		if !opts.LocalCpy {
 			th.ChargeSharedPtr(sim.CatCopy, k)
 		}
-		if !red.Reduce(th, w > 0) {
+		if !red.Or(th, w > 0) {
 			return
 		}
 	}

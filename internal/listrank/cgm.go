@@ -43,7 +43,7 @@ func CGM(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.O
 		splicer.StoreRaw(i, none)
 	}
 
-	sum := pgas.NewSumReducer(rt)
+	sum := pgas.NewReducer(rt)
 	p := rt.Nodes()
 	target := n / int64(p)
 	if target < 1 {
@@ -115,7 +115,7 @@ func CGM(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.O
 		// --- Contraction ---
 		round := 0
 		for {
-			size := sum.Reduce(th, int64(len(active)))
+			size := sum.Sum(th, int64(len(active)))
 			if size <= target {
 				break
 			}

@@ -119,9 +119,8 @@ func SeqRankTimed(l *List, model *sim.Model) ([]int64, float64) {
 	ranks, touches := seqRankCounted(l)
 	var clk sim.Clock
 	clk.Charge(sim.CatWork, model.SeqScan(l.N)) // head scan
-	ns, misses := model.IrregularAccess(touches, l.N)
+	ns, _ := model.IrregularAccess(touches, l.N)
 	clk.Charge(sim.CatIrregular, ns)
-	clk.CacheMisses += misses
 	return ranks, clk.NS
 }
 

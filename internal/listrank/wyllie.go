@@ -40,7 +40,7 @@ func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collectiv
 			r.StoreRaw(i, 1)
 		}
 	}
-	red := pgas.NewOrReducer(rt)
+	red := pgas.NewReducer(rt)
 	plan := comm.NewPlan() // rebuilt each round, executed against S and R
 
 	run := rt.Run(func(th *pgas.Thread) {
@@ -109,7 +109,7 @@ func WyllieNaive(rt *pgas.Runtime, l *List) *Result {
 			r.StoreRaw(i, 1)
 		}
 	}
-	red := pgas.NewOrReducer(rt)
+	red := pgas.NewReducer(rt)
 
 	run := rt.RunOneSided(func(th *pgas.Thread) {
 		lo, hi := s.ThreadCover(th.ID)

@@ -96,7 +96,7 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
 	minE := rt.NewSharedArray("MinE", g.N)
-	red := pgas.NewOrReducer(rt)
+	red := pgas.NewReducer(rt)
 	s := rt.NumThreads()
 	chosen := make([][]int64, s)
 	m := g.M()
@@ -204,7 +204,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	d := rt.NewSharedArray("D", g.N)
 	d.FillIdentity()
 	minE := rt.NewSharedArray("MinE", g.N)
-	red := pgas.NewOrReducer(rt)
+	red := pgas.NewReducer(rt)
 	col := opts.col()
 	live := comm.NewLiveEdges(opts.compact(), false, false, nil)
 	chosen := make([][]int64, rt.NumThreads())

@@ -78,8 +78,7 @@ type ckptEntry struct {
 // register before their Run call); the barrier-driven snapshot path takes
 // no locks beyond the barrier's own.
 type Checkpointer struct {
-	rt    *Runtime
-	every uint64 // checkpoint every every-th barrier
+	rt *Runtime
 
 	mu      sync.Mutex // registration/rebind only
 	entries []*ckptEntry
@@ -101,15 +100,11 @@ type Checkpointer struct {
 }
 
 // ArmCheckpoints installs a checkpoint manager on rt, snapshotting
-// registered arrays at every every-th barrier (every < 1 means every
-// barrier). Must not be called while a Run region is in flight. Returns
-// the manager so a recovery supervisor can Rebind it across evictions.
-func (rt *Runtime) ArmCheckpoints(every int) *Checkpointer {
-	ck := &Checkpointer{
-		rt:     rt,
-		every:  uint64(max(every, 1)),
-		byName: make(map[string]*ckptEntry),
-	}
+// registered arrays at every barrier. Must not be called while a Run
+// region is in flight. Returns the manager so a recovery supervisor can
+// Rebind it across evictions.
+func (rt *Runtime) ArmCheckpoints() *Checkpointer {
+	ck := &Checkpointer{rt: rt, byName: make(map[string]*ckptEntry)}
 	rt.ckpt = ck
 	return ck
 }
@@ -198,7 +193,7 @@ func (ck *Checkpointer) Stats() (checkpoints uint64, bytes int64, restores int64
 // thread identically — whether this barrier extends into a checkpoint.
 func (ck *Checkpointer) onArrive() {
 	ck.barriers++
-	ck.due = len(ck.entries) > 0 && ck.barriers%ck.every == 0
+	ck.due = len(ck.entries) > 0
 	if ck.due {
 		ck.active = 1 - ck.committedBuf
 	}

@@ -34,7 +34,7 @@ func TestCheckpointCostExact(t *testing.T) {
 		rt := ckptRT(t, geo[0], geo[1])
 		const n, K = 1000, 7
 		d := rt.NewSharedArray("D", n)
-		ck := rt.ArmCheckpoints(1)
+		ck := rt.ArmCheckpoints()
 		pgas.Register(rt, "test.D", d)
 
 		var maxWords int64
@@ -65,33 +65,39 @@ func TestCheckpointCostExact(t *testing.T) {
 	}
 }
 
-// TestCheckpointCadence: with every=3 only every third barrier extends
-// into a checkpoint; the others stay on the single-rendezvous fast path.
+// TestCheckpointCadence: an armed runtime with no registered array keeps
+// every barrier on the single-rendezvous fast path; once an array is
+// registered, every barrier extends into a checkpoint.
 func TestCheckpointCadence(t *testing.T) {
 	rt := ckptRT(t, 2, 2)
-	const n, K, every = 600, 12, 3
+	const n, K = 600, 12
 	d := rt.NewSharedArray("D", n)
-	ck := rt.ArmCheckpoints(every)
-	pgas.Register(rt, "test.D", d)
+	ck := rt.ArmCheckpoints()
 	var maxWords int64
 	for id := 0; id < rt.NumThreads(); id++ {
 		if lo, hi := d.ThreadCover(id); hi-lo > maxWords {
 			maxWords = hi - lo
 		}
 	}
-	res := rt.Run(func(th *pgas.Thread) {
+	barriers := func(th *pgas.Thread) {
 		for k := 0; k < K; k++ {
 			th.Barrier()
 		}
-	})
-	m := rt.Model()
-	ckpts := int64(K / every)
-	want := float64(K)*m.Barrier(rt.NumThreads()) + float64(ckpts)*(m.Barrier(rt.NumThreads())+m.SeqScan(maxWords))
-	if res.SimNS != want {
-		t.Errorf("makespan %v, want exactly %v", res.SimNS, want)
 	}
-	if got, _, _, _ := ck.Stats(); got != uint64(ckpts) {
-		t.Errorf("%d checkpoints, want %d", got, ckpts)
+	m := rt.Model()
+	if res := rt.Run(barriers); res.SimNS != K*m.Barrier(rt.NumThreads()) {
+		t.Errorf("unregistered: makespan %v, want exactly %v", res.SimNS, K*m.Barrier(rt.NumThreads()))
+	}
+	if got, _, _, _ := ck.Stats(); got != 0 {
+		t.Errorf("unregistered: %d checkpoints, want 0", got)
+	}
+	pgas.Register(rt, "test.D", d)
+	want := K * (2*m.Barrier(rt.NumThreads()) + m.SeqScan(maxWords))
+	if res := rt.Run(barriers); res.SimNS != want {
+		t.Errorf("registered: makespan %v, want exactly %v", res.SimNS, want)
+	}
+	if got, _, _, _ := ck.Stats(); got != K {
+		t.Errorf("registered: %d checkpoints, want %d", got, K)
 	}
 }
 
@@ -107,7 +113,7 @@ func TestCheckpointTransparency(t *testing.T) {
 		if !arm {
 			return cc.Coalesced(rt, collective.NewComm(rt), g, nil)
 		}
-		ck := rt.ArmCheckpoints(1)
+		ck := rt.ArmCheckpoints()
 		res := cc.Coalesced(rt, collective.NewComm(rt), g, nil)
 		ckpts, _, _, _ = ck.Stats()
 		return res
@@ -146,7 +152,7 @@ func TestEvictRebindRestore(t *testing.T) {
 	const n = 500
 	d := rt.NewSharedArray("D", n)
 	d.FillIdentity()
-	ck := rt.ArmCheckpoints(1)
+	ck := rt.ArmCheckpoints()
 	pgas.Register(rt, "test.D", d)
 
 	// Superstep 1 doubles every element and checkpoints; the post-barrier

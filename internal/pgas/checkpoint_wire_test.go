@@ -15,7 +15,7 @@ func TestCheckpointWireSeedsRemoteBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := rt.ArmCheckpoints(1)
+	ck := rt.ArmCheckpoints()
 
 	const n = 8
 	arr := rt.NewSharedArray("D", n)

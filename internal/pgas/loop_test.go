@@ -13,7 +13,7 @@ import (
 func TestLoopRunsUntilNoProgress(t *testing.T) {
 	const k = 3
 	rt := testRT(t, 2, 2)
-	red := NewOrReducer(rt)
+	red := NewReducer(rt)
 	calls := make([]int, rt.NumThreads())
 	res := rt.Run(func(th *Thread) {
 		red.Loop(th, "test.Progress", 10, func(i int) bool {
@@ -39,7 +39,7 @@ func TestLoopRunsUntilNoProgress(t *testing.T) {
 func TestLoopPanicsPastMax(t *testing.T) {
 	const max = 5
 	rt := testRT(t, 1, 2)
-	red := NewOrReducer(rt)
+	red := NewReducer(rt)
 	calls := make([]int, rt.NumThreads())
 	var msg string
 	func() {
@@ -65,7 +65,7 @@ func TestLoopPanicsPastMax(t *testing.T) {
 // starts from zero at each region entry, and is summed by Result.Add.
 func TestLoopRoundsPerRegion(t *testing.T) {
 	rt := testRT(t, 2, 1)
-	red := NewOrReducer(rt)
+	red := NewReducer(rt)
 	loop := func(th *Thread, k int) {
 		red.Loop(th, "test.Region", 10, func(i int) bool { return i < k })
 	}

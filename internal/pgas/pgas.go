@@ -351,7 +351,7 @@ type Thread struct {
 	Node  int // node id in [0, p)
 	Local int // thread id within the node, in [0, t)
 	Clock sim.Clock
-	// rounds counts the OrReducer.Loop rounds of the current region.
+	// rounds counts the Reducer.Loop rounds of the current region.
 	rounds int
 	// limit is the clock up to which th holds a one-sided region's turn;
 	// -Inf when it does not hold it.
@@ -385,7 +385,7 @@ type Result struct {
 	Bytes       int64
 	RemoteOps   int64
 	CacheMisses float64
-	// Rounds is the number of OrReducer.Loop rounds the region ran. Every
+	// Rounds is the number of Reducer.Loop rounds the region ran. Every
 	// thread runs the same rounds, so it is read from a thread this
 	// process drives and every node of a wire cluster reports it alike.
 	Rounds int

@@ -1,6 +1,7 @@
 package pgas
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -232,19 +233,19 @@ func TestRunResetsClocks(t *testing.T) {
 
 func TestOrReducer(t *testing.T) {
 	rt := testRT(t, 2, 2)
-	red := NewOrReducer(rt)
+	red := NewReducer(rt)
 	var trueCount, falseCount atomic.Int64
 	rt.Run(func(th *Thread) {
 		// Round 1: only thread 2 raises the flag -> everyone sees true.
-		if red.Reduce(th, th.ID == 2) {
+		if red.Or(th, th.ID == 2) {
 			trueCount.Add(1)
 		}
 		// Round 2: nobody raises -> everyone sees false.
-		if !red.Reduce(th, false) {
+		if !red.Or(th, false) {
 			falseCount.Add(1)
 		}
 		// Round 3: everyone raises.
-		if !red.Reduce(th, true) {
+		if !red.Or(th, true) {
 			t.Errorf("thread %d missed round-3 flag", th.ID)
 		}
 	})
@@ -361,19 +362,40 @@ func TestSameNode(t *testing.T) {
 
 func TestSumReducer(t *testing.T) {
 	rt := testRT(t, 2, 2)
-	red := NewSumReducer(rt)
+	red := NewReducer(rt)
 	var wrong atomic.Int64
 	rt.Run(func(th *Thread) {
 		// Round 1: thread i contributes i+1 -> sum 10.
-		if red.Reduce(th, int64(th.ID+1)) != 10 {
+		if red.Sum(th, int64(th.ID+1)) != 10 {
 			wrong.Add(1)
 		}
 		// Round 2: zeros.
-		if red.Reduce(th, 0) != 0 {
+		if red.Sum(th, 0) != 0 {
 			wrong.Add(1)
 		}
 		// Round 3: negative values.
-		if red.Reduce(th, int64(-th.ID)) != -6 {
+		if red.Sum(th, int64(-th.ID)) != -6 {
+			wrong.Add(1)
+		}
+		// Min rounds on the same reducer. Round 4: negative and positive
+		// values -2, -1, 0, 1.
+		if red.Min(th, int64(th.ID)-2) != -2 {
+			wrong.Add(1)
+		}
+		// Round 5: every thread sends sssp's "no bucket" value.
+		if red.Min(th, math.MaxInt64) != math.MaxInt64 {
+			wrong.Add(1)
+		}
+		// Round 6: only thread 2 has a bucket.
+		local := int64(math.MaxInt64)
+		if th.ID == 2 {
+			local = 5
+		}
+		if red.Min(th, local) != 5 {
+			wrong.Add(1)
+		}
+		// Round 7: a sum after the minima still sees this round's words.
+		if red.Sum(th, 1) != 4 {
 			wrong.Add(1)
 		}
 	})

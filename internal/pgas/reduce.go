@@ -6,9 +6,13 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// slots is the one mechanism behind the barrier-based reducers: each
-// thread publishes one word, everyone meets at a barrier, and all threads
-// read the whole vector back.
+// Reducer is the runtime's global reduction over all threads: each thread
+// publishes one word, everyone meets at a barrier, and all threads read the
+// whole vector back and fold it. Or is the "did any thread graft?"
+// convergence test the paper's kernels run each iteration, Sum tracks a
+// global size, and Min agrees on the next non-empty bucket. All threads
+// must call a reducer's methods in the same order (each contains a
+// barrier).
 //
 // Vectors are double-buffered by round parity so one barrier per reduction
 // suffices: a thread racing ahead into round r+1 writes the other buffer,
@@ -20,15 +24,16 @@ import (
 // deliveries before any reader's scan. The pushes are the physical
 // realization of the reduction the cost model already charges as a scan
 // plus the enclosing barrier, so they charge nothing extra.
-type slots struct {
+type Reducer struct {
 	vals  [2][]int64
 	round []int64 // per-thread round counter (each slot written by one thread)
 	wins  [2]Win  // transport windows; zero on a shared fabric
 }
 
-func newSlots(rt *Runtime) slots {
+// NewReducer returns a reducer for rt's thread count.
+func NewReducer(rt *Runtime) *Reducer {
 	s := rt.NumThreads()
-	r := slots{vals: [2][]int64{make([]int64, s), make([]int64, s)}, round: make([]int64, s)}
+	r := &Reducer{vals: [2][]int64{make([]int64, s), make([]int64, s)}, round: make([]int64, s)}
 	if !rt.tr.Shared() {
 		id := rt.NewWinID()
 		for b := range r.vals {
@@ -43,7 +48,7 @@ func newSlots(rt *Runtime) slots {
 // thread's. All threads must call it the same number of times (it contains
 // a barrier); the caller's fold over the vector is charged here as local
 // work.
-func (r *slots) exchange(th *Thread, v int64) []int64 {
+func (r *Reducer) exchange(th *Thread, v int64) []int64 {
 	parity := r.round[th.ID] & 1
 	buf := r.vals[parity]
 	r.round[th.ID]++
@@ -66,17 +71,8 @@ func (r *slots) exchange(th *Thread, v int64) []int64 {
 	return buf
 }
 
-// OrReducer is a global boolean OR over all threads, the runtime's
-// equivalent of the "did any thread graft?" convergence test the paper's
-// kernels run each iteration.
-type OrReducer struct{ slots }
-
-// NewOrReducer returns a reducer for rt's thread count.
-func NewOrReducer(rt *Runtime) *OrReducer { return &OrReducer{newSlots(rt)} }
-
-// Reduce publishes local and returns the OR over all threads. All threads
-// must call it the same number of times (it contains a barrier).
-func (r *OrReducer) Reduce(th *Thread, local bool) bool {
+// Or publishes local and returns the OR over all threads.
+func (r *Reducer) Or(th *Thread, local bool) bool {
 	v := int64(0)
 	if local {
 		v = 1
@@ -91,14 +87,14 @@ func (r *OrReducer) Reduce(th *Thread, local bool) bool {
 
 // Loop is the superstep loop of every kernel that repeats until no thread
 // changed anything: it runs round(0), round(1), … on th, OR-reduces each
-// round's local progress through Reduce, and returns after the first round
+// round's local progress through Or, and returns after the first round
 // in which no thread made progress. The rounds it ran add to the region's
 // Result.Rounds, so every process of a wire cluster reports the same count.
 // A kernel still making progress after max rounds has a bug: Loop panics
 // naming it. All threads must call Loop together.
-func (r *OrReducer) Loop(th *Thread, kernel string, max int, round func(i int) bool) {
+func (r *Reducer) Loop(th *Thread, kernel string, max int, round func(i int) bool) {
 	for i := 0; i < max; i++ {
-		if !r.Reduce(th, round(i)) {
+		if !r.Or(th, round(i)) {
 			th.rounds += i + 1
 			return
 		}
@@ -106,16 +102,8 @@ func (r *OrReducer) Loop(th *Thread, kernel string, max int, round func(i int) b
 	panic(fmt.Sprintf("%s exceeded %d rounds", kernel, max))
 }
 
-// SumReducer is a global sum over all threads, used for global size
-// tracking (e.g. how many list nodes remain active during contraction).
-type SumReducer struct{ slots }
-
-// NewSumReducer returns a reducer for rt's thread count.
-func NewSumReducer(rt *Runtime) *SumReducer { return &SumReducer{newSlots(rt)} }
-
-// Reduce publishes local and returns the sum over all threads. All
-// threads must call it the same number of times (it contains a barrier).
-func (r *SumReducer) Reduce(th *Thread, local int64) int64 {
+// Sum publishes local and returns the sum over all threads.
+func (r *Reducer) Sum(th *Thread, local int64) int64 {
 	var sum int64
 	for _, v := range r.exchange(th, local) {
 		sum += v
@@ -123,16 +111,8 @@ func (r *SumReducer) Reduce(th *Thread, local int64) int64 {
 	return sum
 }
 
-// MinReducer is a global minimum over all threads, used to agree on the
-// next non-empty bucket in delta-stepping-style algorithms.
-type MinReducer struct{ slots }
-
-// NewMinReducer returns a reducer for rt's thread count.
-func NewMinReducer(rt *Runtime) *MinReducer { return &MinReducer{newSlots(rt)} }
-
-// Reduce publishes local and returns the minimum over all threads. All
-// threads must call it the same number of times (it contains a barrier).
-func (r *MinReducer) Reduce(th *Thread, local int64) int64 {
+// Min publishes local and returns the minimum over all threads.
+func (r *Reducer) Min(th *Thread, local int64) int64 {
 	buf := r.exchange(th, local)
 	lo := buf[0]
 	for _, v := range buf[1:] {

@@ -17,7 +17,7 @@ func TestReleaseDropsScope(t *testing.T) {
 	resident := rt.NewSharedArray("resident", 8)
 	m := rt.Mark()
 	scratch := rt.NewSharedArray("scratch", 8)
-	red := NewOrReducer(rt)
+	red := NewReducer(rt)
 	if len(rt.arrays) != 2 {
 		t.Fatalf("%d arrays tracked, want 2", len(rt.arrays))
 	}

@@ -103,7 +103,7 @@ type Body func(rt *pgas.Runtime, comm *collective.Comm) error
 // permitted attempt so the loop cannot evict forever.
 func Run(rt *pgas.Runtime, cfg *Config, body Body) (*Report, error) {
 	rep := &Report{}
-	ck := rt.ArmCheckpoints(1)
+	ck := rt.ArmCheckpoints()
 	comm := collective.NewComm(rt)
 	for {
 		rep.Rounds++

@@ -1,6 +1,7 @@
 // Package seq implements the sequential baselines the paper compares
 // against: union-find connected components and Kruskal's minimum spanning
-// forest (with the cache-friendly merge sort). The tests cross-check both
+// forest (with the cache-friendly merge sort). Both run on the one
+// disjoint-set forest of internal/unionfind. The tests cross-check them
 // against BFS components, Prim and Borůvka.
 //
 // The *Timed variants execute the same code while counting actual memory
@@ -12,6 +13,7 @@ package seq
 import (
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/sim"
+	"pgasgraph/internal/unionfind"
 )
 
 // CC returns connected-component labels for g via union-find: labels[i] is
@@ -25,57 +27,37 @@ func CC(g *graph.Graph) []int64 {
 // returning the labels and the simulated time in nanoseconds.
 func CCTimed(g *graph.Graph, model *sim.Model) ([]int64, float64) {
 	labels, touches := ccCounted(g)
+	return labels, ccCharge(g, model, touches)
+}
+
+// ccCharge prices the in-memory union-find CC that made touches
+// parent-array accesses.
+func ccCharge(g *graph.Graph, model *sim.Model, touches int64) float64 {
 	var clk sim.Clock
 	// Initialization: one streaming pass over the parent array.
 	clk.Charge(sim.CatWork, model.SeqScan(g.N))
 	// Edge scan: streaming read of the edge list (two endpoint arrays).
 	clk.Charge(sim.CatWork, model.SeqScan(2*g.M()))
 	// Find/union walks: irregular accesses into the n-element parent array.
-	ns, misses := model.IrregularAccess(touches, g.N)
+	ns, _ := model.IrregularAccess(touches, g.N)
 	clk.Charge(sim.CatIrregular, ns)
-	clk.CacheMisses += misses
 	// Canonicalization pass.
 	clk.Charge(sim.CatWork, model.SeqScan(2*g.N))
-	return labels, clk.NS
+	return clk.NS
 }
 
-// ccCounted is the shared implementation: union-find with union by rank
-// and path halving, counting every parent-array access.
+// ccCounted is the shared implementation: one Union per edge and one Find
+// per vertex, returning the canonical labels and the forest's touch count.
 func ccCounted(g *graph.Graph) (labels []int64, touches int64) {
-	n := g.N
-	parent := make([]int32, n)
-	rank := make([]int8, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			touches += 2
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		touches++
-		return x
-	}
+	ds := unionfind.New(g.N)
 	for i := range g.U {
-		ra, rb := find(g.U[i]), find(g.V[i])
-		if ra == rb {
-			continue
-		}
-		if rank[ra] < rank[rb] {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-		if rank[ra] == rank[rb] {
-			rank[ra]++
-		}
-		touches += 2
+		ds.Union(g.U[i], g.V[i])
 	}
-	labels = make([]int64, n)
-	for i := int64(0); i < n; i++ {
-		labels[i] = int64(find(int32(i)))
+	labels = make([]int64, g.N)
+	for i := range labels {
+		labels[i] = int64(ds.Find(int32(i)))
 	}
-	return Canonical(labels), touches
+	return Canonical(labels), ds.Touches
 }
 
 // Canonical rewrites component labels so that every vertex carries the

@@ -20,14 +20,7 @@ func CCExternalTimed(g *graph.Graph, model *sim.Model, memBytes int64) ([]int64,
 	workingSet := (g.N + 2*g.M()) * sim.ElemBytes
 	if workingSet <= memBytes {
 		// Fits in memory: identical to the in-memory baseline.
-		var clk sim.Clock
-		clk.Charge(sim.CatWork, model.SeqScan(g.N))
-		clk.Charge(sim.CatWork, model.SeqScan(2*g.M()))
-		ns, misses := model.IrregularAccess(touches, g.N)
-		clk.Charge(sim.CatIrregular, ns)
-		clk.CacheMisses += misses
-		clk.Charge(sim.CatWork, model.SeqScan(2*g.N))
-		return labels, clk.NS
+		return labels, ccCharge(g, model, touches)
 	}
 
 	// External-memory regime: contraction rounds, each performing a
@@ -60,9 +53,8 @@ func CCExternalTimed(g *graph.Graph, model *sim.Model, memBytes int64) ([]int64,
 		m /= 2
 	}
 	// Final in-memory phase on the contracted instance.
-	ns, misses := model.IrregularAccess(touches/int64(rounds)+1, memElems)
+	ns, _ := model.IrregularAccess(touches/int64(rounds)+1, memElems)
 	clk.Charge(sim.CatIrregular, ns)
-	clk.CacheMisses += misses
 	// Relabeling pass: stream the label array once through disk.
 	clk.Charge(sim.CatWork, float64(g.N*sim.ElemBytes)/cfg.DiskBandwidth)
 	return labels, clk.NS

@@ -36,9 +36,8 @@ func KruskalTimed(g *graph.Graph, model *sim.Model) (*MSF, float64) {
 	clk.Charge(sim.CatSort, float64(passes)*2*model.SeqScan(m))
 	clk.Charge(sim.CatSort, model.Ops(m*int64(passes))) // comparisons
 	// Union-find growth: irregular accesses into the parent array.
-	ns, misses := model.IrregularAccess(touches, g.N)
+	ns, _ := model.IrregularAccess(touches, g.N)
 	clk.Charge(sim.CatIrregular, ns)
-	clk.CacheMisses += misses
 	return msf, clk.NS
 }
 
@@ -53,39 +52,16 @@ func kruskalCounted(g *graph.Graph) (msf *MSF, passes int, touches int64) {
 	}
 	passes = psort.MergeSort(keys)
 
-	parent := make([]int32, g.N)
-	rank := make([]int8, g.N)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			touches += 2
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		touches++
-		return x
-	}
+	ds := unionfind.New(g.N)
 	msf = &MSF{}
 	for _, key := range keys {
 		e := key & 0xffffffff
-		ru, rv := find(g.U[e]), find(g.V[e])
-		if ru == rv {
-			continue
+		if ds.Union(g.U[e], g.V[e]) {
+			msf.Edges = append(msf.Edges, e)
+			msf.Weight += uint64(g.W[e])
 		}
-		if rank[ru] < rank[rv] {
-			ru, rv = rv, ru
-		}
-		parent[rv] = ru
-		if rank[ru] == rank[rv] {
-			rank[ru]++
-		}
-		touches += 2
-		msf.Edges = append(msf.Edges, e)
-		msf.Weight += uint64(g.W[e])
 	}
-	return msf, passes, touches
+	return msf, passes, ds.Touches
 }
 
 // CheckForest verifies that the edge ids in msf form a spanning forest of

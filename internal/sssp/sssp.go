@@ -140,8 +140,8 @@ func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src 
 	if g.N > 0 {
 		dist.StoreRaw(src, 0)
 	}
-	minRed := pgas.NewMinReducer(rt)
-	orRed := pgas.NewOrReducer(rt)
+	minRed := pgas.NewReducer(rt)
+	orRed := pgas.NewReducer(rt)
 	s := rt.NumThreads()
 	relaxCounts := make([]int64, s)
 	phases := make([]int, s) // every thread agrees; each records its own
@@ -216,7 +216,7 @@ func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src 
 				}
 			}
 			th.ChargeOps(sim.CatWork, int64(len(buckets)))
-			cur := minRed.Reduce(th, myMin)
+			cur := minRed.Min(th, myMin)
 			if cur == int64(math.MaxInt64) {
 				phases[th.ID] = phase
 				relaxCounts[th.ID] = relaxed
@@ -243,7 +243,7 @@ func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src 
 					expand(v, true)
 				}
 				th.ChargeOps(sim.CatWork, int64(len(batch)))
-				if !orRed.Reduce(th, relaxAny(relax(), len(buckets[cur]) > 0)) {
+				if !orRed.Or(th, relaxAny(relax(), len(buckets[cur]) > 0)) {
 					break
 				}
 			}

@@ -7,6 +7,10 @@ package unionfind
 type DS struct {
 	parent []int32
 	rank   []int8
+	// Touches counts parent-array accesses, the count the sequential
+	// baselines charge against the cost model: 2 per path-halving step
+	// and 1 for the root each Find ends at, and 2 per link Union makes.
+	Touches int64
 }
 
 // New returns a forest of n singleton sets.
@@ -21,9 +25,11 @@ func New(n int64) *DS {
 // Find returns the representative of x's set, halving paths as it walks.
 func (d *DS) Find(x int32) int32 {
 	for d.parent[x] != x {
+		d.Touches += 2
 		d.parent[x] = d.parent[d.parent[x]]
 		x = d.parent[x]
 	}
+	d.Touches++
 	return x
 }
 
@@ -41,5 +47,6 @@ func (d *DS) Union(a, b int32) bool {
 	if d.rank[ra] == d.rank[rb] {
 		d.rank[ra]++
 	}
+	d.Touches += 2
 	return true
 }

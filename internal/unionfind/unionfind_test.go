@@ -161,3 +161,35 @@ func sets(d *DS) int64 {
 
 // Len returns the element count.
 func (d *DS) Len() int64 { return int64(len(d.parent)) }
+
+// TestTouches pins the touch count the sequential baselines charge: 2 per
+// path-halving step, 1 for the root Find ends at, 2 per link Union makes
+// and nothing for a Union that finds one root.
+func TestTouches(t *testing.T) {
+	d := New(6)
+	copy(d.parent, []int32{0, 0, 1, 2, 3}) // the chain 4 -> 3 -> 2 -> 1 -> 0; 5 alone
+	step := func(what string, got, want int64) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s: Touches = %d, want %d", what, got, want)
+		}
+	}
+	// Two halving steps (4 -> 2 -> 0) and the root.
+	if r := d.Find(4); r != 0 {
+		t.Fatalf("Find(4) = %d, want 0", r)
+	}
+	step("Find(4) on the chain", d.Touches, 5)
+	// The first walk left 4 -> 2 -> 0: one step and the root.
+	d.Find(4)
+	step("second Find(4)", d.Touches, 8)
+	// 3 -> 2 -> 0 and 4 -> 0: one step and a root each, no link.
+	if d.Union(3, 4) {
+		t.Fatal("Union of one set reported a merge")
+	}
+	step("redundant Union(3, 4)", d.Touches, 14)
+	// Two roots found in one touch each, then the link.
+	if !d.Union(5, 0) {
+		t.Fatal("Union of two sets reported no merge")
+	}
+	step("Union(5, 0)", d.Touches, 18)
+}
