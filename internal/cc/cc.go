@@ -195,54 +195,42 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
 	d := rt.NewSharedArray("D", g.N)
 	lay := newSpread(g.N)
-	lay.fill(d.Raw())
+	// A wire runtime's Register seeds its snapshots of remote blocks from D:
+	// fill it first there; in process each thread fills its own block.
+	hostFill := !rt.Transport().Shared()
+	if hostFill {
+		lay.fill(d.Raw(), 0, g.N)
+	}
 	col := opts.col()
 	identity := !pgas.Register(rt, CkptCoalescedD, d)
 	red := pgas.NewReducer(rt)
-	live := comm.NewLiveEdges(opts.compact(), false, true, lay.place)
+	live := comm.NewLiveEdges(opts.compact(), false, d, lay.place)
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)
 		span := dHi - dLo
+		if identity && !hostFill {
+			lay.fill(d.Raw(), dLo, dHi)
+		}
 		th.ChargeSeq(sim.CatWork, span)
 		th.ChargeOps(sim.CatWork, span)
 		el := live.List(th, g.M(), g.Ends, false)
-		setIdx, setVal := el.HookIdx, el.HookVal
-		jump := collective.NewJumpScratch(span, lay.place)
 		th.Barrier()
 
 		// Rounds until no edge joins two trees: gather every live edge's
-		// endpoint labels and build the hook list. The next round opens by
-		// hooking and collapsing every tree to a rooted star, so its
-		// endpoint labels are roots again; the round that builds no hook
-		// ends at its gather.
+		// endpoint labels and build the hook list D[pos(max(du,dv))] <-
+		// min(du,dv), compacting the list in the same pass. The next round
+		// opens by hooking and collapsing every tree to a rooted star, so
+		// its endpoint labels are roots again; the round that builds no
+		// hook ends at its gather.
 		red.Loop(th, "cc.Coalesced", maxIterations, func(iter int) bool {
 			if iter > 0 {
-				comm.SetDMin(th, d, setIdx, setVal, col, nil)
-				comm.PointerJump(th, d, col, red, jump, dLo)
+				comm.SetDMin(th, d, el.HookIdx, el.HookVal, col, nil)
+				comm.PointerJump(th, d, col, red, el.Slab, lay.place)
 				el.Compact(th)
 			}
 			el.Gather(th, d, col, iter == 0 && identity)
-
-			// Build the hook list: D[pos(max(du,dv))] <- min(du,dv).
-			labels := el.Labels
-			grafted := false
-			setIdx, setVal = setIdx[:0], setVal[:0]
-			for j := 0; j < len(labels); j += 2 {
-				du, dv := labels[j], labels[j+1]
-				if du == dv {
-					continue
-				}
-				if du > dv {
-					du, dv = dv, du
-				}
-				setIdx = append(setIdx, dv)
-				setVal = append(setVal, du)
-				grafted = true
-			}
-			lay.place(setIdx, setIdx)
-			th.ChargeOps(sim.CatWork, int64(len(labels)/2+len(setIdx)))
-			return grafted
+			return el.Hooks(th)
 		})
 	})
 	return finish(lay.labels(d.Raw()), run)

@@ -62,8 +62,8 @@ func Incremental(rt *pgas.Runtime, comm *collective.Comm, d *pgas.SharedArray, e
 		}
 		dLo, dHi := d.ThreadCover(th.ID)
 		var roots int64
-		for v := dLo; v < dHi; v++ {
-			l := d.Raw()[v]
+		for i, l := range d.Raw()[dLo:dHi] {
+			v := dLo + int64(i)
 			if uint64(l) > uint64(v) {
 				panic(invariantBroken(v, l))
 			}

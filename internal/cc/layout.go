@@ -121,10 +121,10 @@ func (s *spread) place(dst, src []int64) {
 	}
 }
 
-// fill writes the identity labeling laid out: position p holds inv(p).
-func (s *spread) fill(raw []int64) {
-	for p := range raw {
-		raw[p] = s.inv(int64(p))
+// fill writes the identity labeling laid out at raw's positions [lo, hi).
+func (s *spread) fill(raw []int64, lo, hi int64) {
+	for p := lo; p < hi; p++ {
+		raw[p] = s.inv(p)
 	}
 }
 

@@ -72,7 +72,7 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 	identity := !pgas.Register(rt, rule.ckpt, d)
 	red := pgas.NewReducer(rt)
 	col := opts.col()
-	live := comm.NewLiveEdges(false, rule.perCallSort, false, nil)
+	live := comm.NewLiveEdges(false, rule.perCallSort, nil, nil)
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)

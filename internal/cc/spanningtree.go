@@ -44,10 +44,9 @@ func (sf *SpanningForest) Forest(g *graph.Graph) *graph.Graph {
 // never reaches 2^31 - 1.
 const noHook = int64(math.MaxInt64)
 
-// packHook orders a bucket's candidates by the label they would hook
-// under, then by edge id, so the winning SetDMin write names its edge.
-func packHook(label, e int64) int64 { return label<<32 | e }
-
+// unpackHook reads a hook key as the live list's hook pass (EdgeList.Hooks)
+// packs it, label<<32 | e: a bucket's candidates order by the label they
+// would hook under, then by edge id, so the winning SetDMin names its edge.
 func unpackHook(key int64) (label, e int64) { return key >> 32, key & 0xffffffff }
 
 // SpanningTree runs the spanning-forest kernel. opts configures the
@@ -70,19 +69,19 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 	}
 	d := rt.NewSharedArray("D", g.N)
 	lay := newSpread(g.N)
-	lay.fill(d.Raw())
 	hook := rt.NewSharedArray("Hook", g.N)
 	red := pgas.NewReducer(rt)
 
 	col := opts.col()
 	colHook := *col
 	colHook.Offload = false
-	live := comm.NewLiveEdges(opts.compact(), false, true, lay.place)
+	live := comm.NewLiveEdges(opts.compact(), false, d, lay.place)
 	chosen := make([][]int64, rt.NumThreads())
 
 	run := rt.Run(func(th *pgas.Thread) {
 		dLo, dHi := d.ThreadCover(th.ID)
 		span := dHi - dLo
+		lay.fill(d.Raw(), dLo, dHi)
 		th.ChargeSeq(sim.CatWork, span)
 		th.ChargeOps(sim.CatWork, span)
 		// Empty the hook buckets (own block) once; the apply pass
@@ -93,15 +92,14 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		th.ChargeSeq(sim.CatWork, span)
 
 		el := live.List(th, g.M(), g.Ends, true)
-		setIdx, setVal := el.HookIdx, el.HookVal
-		jump := collective.NewJumpScratch(span, lay.place)
 		th.Barrier()
 
-		// As in Coalesced, a round gathers and elects; the next one opens
-		// by applying the election and collapsing to rooted stars.
+		// As in Coalesced, a round gathers and elects, Hook[pos(max(du,dv))]
+		// <- min over (min(du,dv), e); the next one opens by applying the
+		// election and collapsing to rooted stars.
 		red.Loop(th, "cc.SpanningTree", maxIterations, func(iter int) bool {
 			if iter > 0 {
-				comm.SetDMin(th, hook, setIdx, setVal, &colHook, nil)
+				comm.SetDMin(th, hook, el.HookIdx, el.HookVal, &colHook, nil)
 
 				// Apply winning hooks on owned slots, recording tree
 				// edges: one read-modify-write pass over the block that
@@ -125,33 +123,14 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 				th.Barrier()
 
 				// Collapse to rooted stars.
-				comm.PointerJump(th, d, col, red, jump, dLo)
+				comm.PointerJump(th, d, col, red, el.Slab, lay.place)
 				el.Compact(th)
 			}
 
 			// Fetch endpoint labels of live edges. D is registered nowhere,
 			// so round 0 always starts from the identity fill.
 			el.Gather(th, d, col, iter == 0)
-			labels := el.Labels
-
-			// Elect hooks: Hook[pos(max(du,dv))] <- min over (min(du,dv), e).
-			grafted := false
-			setIdx, setVal = setIdx[:0], setVal[:0]
-			for j, e := range el.IDs {
-				du, dv := labels[2*j], labels[2*j+1]
-				if du == dv {
-					continue
-				}
-				if du > dv {
-					du, dv = dv, du
-				}
-				setIdx = append(setIdx, dv)
-				setVal = append(setVal, packHook(du, e))
-				grafted = true
-			}
-			lay.place(setIdx, setIdx)
-			th.ChargeOps(sim.CatWork, int64(len(el.IDs)+len(setIdx)))
-			return grafted
+			return el.Hooks(th)
 		})
 	})
 

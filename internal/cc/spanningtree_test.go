@@ -102,6 +102,9 @@ func TestSpanningTreeReusesItsPlan(t *testing.T) {
 	}
 }
 
+// packHook is the key EdgeList.Hooks writes for label and edge e.
+func packHook(label, e int64) int64 { return label<<32 | e }
+
 // TestSpanningTreeHookKeys pins the packed-key arithmetic at the guard's
 // edge: the largest admissible label and edge id still order below the
 // empty-bucket sentinel and unpack to themselves.

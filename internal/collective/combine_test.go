@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -450,6 +451,45 @@ func TestGetDCombineLaws(t *testing.T) {
 	}
 }
 
+// TestCombineTableStartsEmpty: a thread's combine table outlives its calls
+// but forgets them. Calls on one Comm, over arrays of 64 and 4 096 words,
+// the last two with the table's base moved to the top of int64, so that
+// keys and base wrap around, each deliver one request per distinct index
+// and read D: none is taken for a repeat of an earlier call's request.
+func TestCombineTableStartsEmpty(t *testing.T) {
+	rt := testRT(t, 2, 1)
+	comm := NewComm(rt)
+	for call, n := range []int64{64, 4096, 64, 64} {
+		d := rt.NewSharedArray("D", n)
+		copy(d.Raw(), combineData(n))
+		for i := range comm.ts {
+			if tab := comm.ts[i].comb; tab != nil && call >= 2 {
+				tab.base = math.MaxInt64 - n + 3 - int64(call)
+			}
+		}
+		counts := newRequestCounts("GetD", rt.NumThreads())
+		comm.SetTracer(counts)
+		idxs, outs := make([][]int64, rt.NumThreads()), make([][]int64, rt.NumThreads())
+		rt.Run(func(th *pgas.Thread) {
+			for j := range int64(300) {
+				idxs[th.ID] = append(idxs[th.ID], (j*7+int64(th.ID))%40*(n/64))
+			}
+			outs[th.ID] = make([]int64, len(idxs[th.ID]))
+			comm.GetDCombined(th, d, idxs[th.ID], outs[th.ID], Base())
+		})
+		for i, idx := range idxs {
+			for j, ix := range idx {
+				if outs[i][j] != d.Raw()[ix] {
+					t.Fatalf("call %d thread %d: out[%d] = %d, D[%d] = %d", call, i, j, outs[i][j], ix, d.Raw()[ix])
+				}
+			}
+			if want := distinctTargets(idx, false); counts.kept[i] != want {
+				t.Errorf("call %d thread %d: %d requests delivered, want one per distinct index, %d", call, i, counts.kept[i], want)
+			}
+		}
+	}
+}
+
 // TestGetDCombinedChargesTheProbeAndTheFanOut: on a list without repeats
 // GetDCombined costs what GetD costs plus one op per offered request; on a
 // list where every index is asked twice it costs a GetD of the distinct
@@ -522,7 +562,7 @@ func TestPlannedGetDDeliversEverything(t *testing.T) {
 	counts := newRequestCounts("GetD", s)
 	comm.SetTracer(counts)
 	plan := comm.NewPlan()
-	static, shrinking := comm.NewLiveEdges(false, false, false, nil), comm.NewLiveEdges(true, false, false, nil)
+	static, shrinking := comm.NewLiveEdges(false, false, nil, nil), comm.NewLiveEdges(true, false, nil, nil)
 	fill := func(lo, hi int64, ends []int64) {
 		for j := range ends {
 			ends[j] = 1 + int64(j%5) // five endpoints, k pairs

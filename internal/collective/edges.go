@@ -2,6 +2,7 @@ package collective
 
 import (
 	"math/bits"
+	"slices"
 
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/sched"
@@ -19,12 +20,13 @@ type LiveEdges struct {
 	c       *Comm
 	plan    *Plan // non-nil: the list never changes and gathers through this plan
 	shrinks bool
-	stars   bool   // every Gather after the first sees stars (NewLiveEdges)
-	pos     Layout // the gathered array's layout; nil is the identity
+	stars   *pgas.SharedArray // non-nil: every Gather after the first sees stars in it (NewLiveEdges)
+	pos     Layout            // the gathered array's layout; nil is the identity
 }
 
 // EdgeList is one thread's share of a LiveEdges. The kernel reads the
-// slices after Gather and Compact, which re-slice them; it writes none.
+// slices after Gather, Hooks and Compact, which re-slice them; it writes
+// none.
 type EdgeList struct {
 	// Ends holds the live edges as (u, v) endpoint pairs, as positions of
 	// the gathered array: the gather's request vector.
@@ -34,11 +36,12 @@ type EdgeList struct {
 	// IDs are the live edges' ids, one per pair; nil unless List was asked
 	// for them.
 	IDs []int64
-	// HookIdx and HookVal are a stars list's hook buffers, empty with room
-	// for one hook per edge of the thread's span: the kernel builds its
-	// hook list in them and issues it before the next Gather, which may
-	// borrow them for a roots gather.
-	HookIdx, HookVal []int64
+	// HookIdx and HookVal are a stars list's hook list, built by Hooks and
+	// issued by the kernel before the next Gather, which may borrow them.
+	// They are views of Slab with room for a hook per edge of the span.
+	// Slab, max(2·span, 3·block) words (block: the ThreadCover block of
+	// d), is PointerJump's scratch between the SetDMin and the next Hooks.
+	HookIdx, HookVal, Slab []int64
 
 	live    *LiveEdges
 	planned bool
@@ -48,11 +51,15 @@ type EdgeList struct {
 	seen     []uint64
 	base     []int32
 	distinct int  // bits set in seen
-	viaRoots bool // Compact's count prices the roots path below the endpoints
-	// What the last Gather read with, which Compact prices its count by:
+	viaRoots bool // the pass's count prices the roots path below the endpoints
+	// What the last Gather read with, which the pass prices its count by:
 	// the options and the length of this thread's serve block of d.
 	opts *Options
 	nb   int64
+	// passed: Hooks compacted the list since the last Gather; Compact owes
+	// the charges of the words cleared, streamed over and counted.
+	passed                     bool
+	cleared, streamed, counted int64
 }
 
 // NewLiveEdges returns the list for one kernel run. shrinks lets Compact
@@ -60,12 +67,12 @@ type EdgeList struct {
 // one-shot gather all the same, a grouping sort every round — classic SV
 // as the paper measured it (Figure 3). A list with neither gathers through
 // one Plan, built when it first gathers and re-executed afterwards.
-// stars asserts for a list that shrinks that each Gather after the first
-// finds d collapsed to rooted stars, every label the list last gathered
-// still in its endpoint's tree (labels only merge); its List carries the
-// hook buffers. pos is the layout of the arrays the list gathers from
-// (nil: the identity).
-func (c *Comm) NewLiveEdges(shrinks, regroup, stars bool, pos Layout) *LiveEdges {
+// stars, when non-nil, is the array the list gathers from, asserted for a
+// list that shrinks to be collapsed to rooted stars at each Gather after
+// the first, every label the list last gathered still in its endpoint's
+// tree (labels only merge); its List carries the hook slab. pos is the
+// layout of the arrays the list gathers from (nil: the identity).
+func (c *Comm) NewLiveEdges(shrinks, regroup bool, stars *pgas.SharedArray, pos Layout) *LiveEdges {
 	shrinks = shrinks || c.fault == FaultCompactStatic
 	l := &LiveEdges{c: c, shrinks: shrinks, stars: stars, pos: pos}
 	if !shrinks && !regroup {
@@ -78,7 +85,7 @@ func (c *Comm) NewLiveEdges(shrinks, regroup, stars bool, pos Layout) *LiveEdges
 // edges, whose (u, v) pairs fill writes to ends, two words an edge — with
 // the edges' ids riding along when the kernel needs to name the edge behind
 // a pair. The endpoint vector is written once per run and charged here,
-// and so are a stars list's hook buffers.
+// and so is a stars list's hook slab.
 // Under a layout the vertices fill writes stay behind as Labels — the
 // identity round's labels, the layout's inverse of Ends — and Ends holds
 // their positions, one charged op each.
@@ -98,8 +105,11 @@ func (l *LiveEdges) List(th *pgas.Thread, m int64, fill func(lo, hi int64, ends 
 			el.IDs[j] = lo + int64(j)
 		}
 	}
-	if l.stars {
-		el.HookIdx, el.HookVal = make([]int64, 0, hi-lo), make([]int64, 0, hi-lo)
+	if l.stars != nil {
+		span := hi - lo
+		blo, bhi := l.stars.ThreadCover(th.ID)
+		el.Slab = make([]int64, max(2*span, 3*(bhi-blo)))
+		el.HookIdx, el.HookVal = el.Slab[:0:span], el.Slab[span:span:2*span]
 	}
 	th.ChargeSeq(sim.CatWork, int64(len(el.Ends)))
 	return el
@@ -111,17 +121,16 @@ func (l *LiveEdges) List(th *pgas.Thread, m int64, fill func(lo, hi int64, ends 
 // layout, the labels List left behind), and no collective runs. A list
 // that never changes builds its plan on the first real gather and
 // re-executes it afterwards, paying the grouping sort and matrix publish
-// once per run. A list that shrinks (or regroups) calls
-// the one-shot GetD; it passes no IDCache, because the cache would be
-// stale after every compaction and, as the model charges it, storing and
-// reloading owner ids costs more than recomputing them. A shrinking stars
-// list's thread whose Compact priced the roots path below the endpoint
-// gather gathers at the roots instead (gatherRoots). All threads must call
-// it.
+// once per run. A list that shrinks (or regroups) calls the one-shot
+// GetD; it passes no IDCache, because the cache would be stale after
+// every compaction and, as the model charges it, storing and reloading
+// owner ids costs more than recomputing them. A shrinking stars list's
+// thread whose last pass priced the roots path below the endpoint gather
+// gathers at the roots instead (gatherRoots). All threads must call it.
 func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, identity bool) {
 	l := el.live
-	el.Labels = el.Labels[:len(el.Ends)]
-	if l.shrinks && l.stars {
+	el.Labels, el.passed = el.Labels[:len(el.Ends)], false
+	if l.shrinks && l.stars != nil {
 		if el.seen == nil {
 			words := (d.Len() + 63) / 64
 			el.seen, el.base = make([]uint64, words), make([]int32, words)
@@ -153,7 +162,7 @@ func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, 
 // label's exact rank (base plus a popcount) — a gather into k words: under
 // the stars assertion D[Ends[j]] = D[pos(Labels[j])]. When every answer
 // names one root, every kept pair lies inside one tree, and the list is
-// emptied instead. Compact caps k at the buffers' room, so it allocates
+// emptied instead. The pass caps k at the buffers' room, so it allocates
 // nothing.
 func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Options) {
 	c := el.live.c
@@ -175,7 +184,7 @@ func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Opti
 	vals := el.HookVal[:k]
 	c.GetD(th, d, roots, vals, opts, nil)
 	th.ChargeSeq(sim.CatWork, int64(k))
-	if oneRoot(vals) {
+	if !slices.ContainsFunc(vals, func(v int64) bool { return v != vals[0] }) { // one root
 		el.Ends, el.Labels, el.IDs = el.Ends[:0], el.Labels[:0], el.IDs[:0]
 		return
 	}
@@ -189,16 +198,6 @@ func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Opti
 		el.Labels[j] = vals[int(el.base[w])+bits.OnesCount64(el.seen[w]&(1<<(lab&63)-1))]
 	}
 	chargeRelabel(&th.Clock, th.Runtime().Model(), int64(len(el.Labels)), int64(k))
-}
-
-// oneRoot reports whether every answer names the same root.
-func oneRoot(vals []int64) bool {
-	for _, v := range vals {
-		if v != vals[0] {
-			return false
-		}
-	}
-	return true
 }
 
 // chargeRelabel charges the relabel of w labels by rank into the k answers
@@ -282,58 +281,100 @@ func gatherPrice(m *sim.Model, k, nb int64, s, tpn int, opts *Options) float64 {
 	return clk.NS + float64(near)*word(true) + float64(k-near)*word(false) + sortNS + copyNS
 }
 
+// Hooks builds a stars list's hook list D[pos(max)] <- min over the pairs
+// the last Gather read different labels for, min packed as min<<32 | id
+// on a list with ids (the winning SetDMin write names its edge), in the
+// pass that does the next Compact's work. It charges an op per pair and
+// one per hook, and reports whether it built a hook.
+func (el *EdgeList) Hooks(th *pgas.Thread) bool {
+	el.pass(th, true)
+	return len(el.HookIdx) > 0
+}
+
 // Compact drops, in place and in order, every pair whose endpoints
 // gathered equal labels, ids riding along; it is charged for the words it
 // streams over. Labels merge monotonically in every kernel that compacts,
 // so such an edge is inside one component for good. On a list created not
-// to shrink it does nothing and charges nothing.
-// A stars list's pass also keeps the kept labels, counting them into the
-// bitmap at a charged probe each until the count passes what the roots
-// path could be cheaper at for the list as it was (rootsLimit); the next
-// Gather asks the roots iff the count is within k* of the list as kept.
+// to shrink it does nothing and charges nothing. After Hooks the list is
+// compacted already, and Compact issues that work's charges where it
+// stands in the round. A stars list's pass also counts the kept labels
+// into the bitmap, a charged probe each, until the count passes what the
+// roots path could be cheaper at for the list as it was (rootsLimit); the
+// next Gather asks the roots iff the count is within k* of the list kept.
 func (el *EdgeList) Compact(th *pgas.Thread) {
-	l := el.live
-	if !l.shrinks {
+	if !el.live.shrinks {
 		return
 	}
-	if el.distinct > 0 {
-		clear(el.seen)
-		th.ChargeSeq(sim.CatWork, int64(len(el.seen)))
-		el.distinct = 0
+	if !el.passed {
+		el.pass(th, false)
 	}
-	ends, labels, ids := el.Ends, el.Labels, el.IDs
-	w, read, limit := 0, 0, -1
-	if l.stars && el.opts != nil {
+	el.passed = false
+	th.ChargeSeq(sim.CatWork, el.cleared)
+	th.ChargeSeq(sim.CatWork, el.streamed)
+	th.ChargeOps(sim.CatWork, el.counted)
+}
+
+// pass is the one loop over the gathered pairs: it compacts and counts a
+// list that shrinks and builds the hooks. Compact charges all but hooks.
+func (el *EdgeList) pass(th *pgas.Thread, hooks bool) {
+	l, ends, labels, ids := el.live, el.Ends, el.Labels, el.IDs
+	hookIdx, hookVal := el.HookIdx[:0], el.HookVal[:0]
+	if el.cleared = 0; l.shrinks && el.distinct > 0 {
+		clear(el.seen)
+		el.cleared, el.distinct = int64(len(el.seen)), 0
+	}
+	limit := -1
+	if l.shrinks && el.opts != nil {
 		limit = el.rootsLimit(th, len(ends))
 	}
+	w, counted, distinct, seen := 0, 0, el.distinct, el.seen
 	for j := 0; j < len(labels); j += 2 {
-		if labels[j] != labels[j+1] {
-			ends[w], ends[w+1] = ends[j], ends[j+1]
+		a, b := labels[j], labels[j+1]
+		if a == b {
+			continue
+		}
+		if hooks {
+			v := min(a, b)
+			if ids != nil {
+				v = v<<32 | ids[j/2]
+			}
+			hookIdx, hookVal = append(hookIdx, max(a, b)), append(hookVal, v)
+		}
+		if l.shrinks {
+			ends[w], ends[w+1], labels[w], labels[w+1] = ends[j], ends[j+1], a, b
 			if ids != nil {
 				ids[w/2] = ids[j/2]
 			}
-			if el.distinct <= limit {
-				labels[w], labels[w+1] = labels[j], labels[j+1]
-				el.mark(labels[w])
-				el.mark(labels[w+1])
-				read += 2
+			if distinct <= limit {
+				distinct += mark(seen, a) + mark(seen, b)
+				counted += 2
 			}
-			w += 2
 		}
+		w += 2
 	}
-	th.ChargeSeq(sim.CatWork, int64(len(ends)+len(ids)))
-	th.ChargeOps(sim.CatWork, int64(read))
+	if hooks {
+		if l.pos != nil {
+			l.pos(hookIdx, hookIdx)
+		}
+		th.ChargeOps(sim.CatWork, int64(len(labels)/2+len(hookIdx)))
+		el.HookIdx, el.HookVal = hookIdx, hookVal
+	}
+	if !l.shrinks {
+		return
+	}
+	el.passed, el.distinct = true, distinct
+	el.streamed, el.counted = int64(len(ends)+len(ids)), int64(counted)
 	el.viaRoots = el.distinct <= limit && el.distinct <= el.rootsLimit(th, w)
-	el.Ends = ends[:w]
+	el.Ends, el.Labels = ends[:w], labels[:w]
 	if ids != nil {
 		el.IDs = ids[:w/2]
 	}
 }
 
-// mark adds label v to the bitmap of distinct labels.
-func (el *EdgeList) mark(v int64) {
-	if bit := uint64(1) << (v & 63); el.seen[v>>6]&bit == 0 {
-		el.seen[v>>6] |= bit
-		el.distinct++
-	}
+// mark sets label v's bit in the bitmap of distinct labels, without a
+// branch, and returns 1 if the bit was clear.
+func mark(seen []uint64, v int64) int {
+	word := seen[v>>6]
+	seen[v>>6] = word | 1<<(v&63)
+	return int(^word >> (v & 63) & 1)
 }

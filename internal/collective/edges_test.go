@@ -61,7 +61,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 				counts := trace.NewCollector(rt.NumThreads())
 				comm.SetTracer(counts)
 				lay := layout(pos)
-				static, shrinking := comm.NewLiveEdges(false, false, false, lay), comm.NewLiveEdges(true, false, false, lay)
+				static, shrinking := comm.NewLiveEdges(false, false, nil, lay), comm.NewLiveEdges(true, false, nil, lay)
 				if shrinking.plan != nil {
 					t.Fatal("a shrinking list holds a plan")
 				}
@@ -329,7 +329,7 @@ func TestStarsGather(t *testing.T) {
 									fixed.SetTracer(plans)
 									d := rt.NewSharedArray("D", n)
 									copy(d.Raw(), fine)
-									live, static := comm.NewLiveEdges(true, false, true, lay), fixed.NewLiveEdges(false, false, true, lay)
+									live, static := comm.NewLiveEdges(true, false, d, lay), fixed.NewLiveEdges(false, false, d, lay)
 									els, statics := make([]*EdgeList, s), make([]*EdgeList, s)
 									rt.Run(func(th *pgas.Thread) {
 										el := live.List(th, m, ends, false)
@@ -436,7 +436,7 @@ func TestOneRootEnd(t *testing.T) {
 					}
 					opts := Base()
 					opts.Offload = offload
-					live := NewComm(rt).NewLiveEdges(true, false, true, lay)
+					live := NewComm(rt).NewLiveEdges(true, false, d, lay)
 					s := rt.NumThreads()
 					els, roots := make([]*EdgeList, s), make([]bool, s)
 					rt.Run(func(th *pgas.Thread) {
@@ -527,7 +527,7 @@ func TestRootsPrice(t *testing.T) {
 		}
 		d = rt.NewSharedArray("D", n)
 		copy(d.Raw(), fine)
-		live := NewComm(rt).NewLiveEdges(true, false, true, lay)
+		live := NewComm(rt).NewLiveEdges(true, false, d, lay)
 		els, kept = make([]*EdgeList, s), make([][]int64, s)
 		rt.Run(func(th *pgas.Thread) {
 			el := live.List(th, m, ends, false)

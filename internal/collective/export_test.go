@@ -47,7 +47,7 @@ func (el *EdgeList) ForcePath(roots bool, labels []int64) bool {
 	el.distinct = 0
 	copy(el.Labels[:len(labels)], labels)
 	for _, v := range labels {
-		el.mark(v)
+		el.distinct += mark(el.seen, v)
 	}
 	el.viaRoots = el.distinct <= cap(el.HookIdx)
 	return el.viaRoots

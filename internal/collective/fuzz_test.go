@@ -7,6 +7,7 @@ import (
 
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/sim"
 	"pgasgraph/internal/xrand"
 )
 
@@ -142,15 +143,22 @@ func FuzzPlanRequests(f *testing.F) {
 // FuzzStarsGather holds a stars list's roots path to its endpoint path.
 // Each input draws a star forest over n vertices (every star rooted at
 // its smallest vertex), a coarser forest it merges into, and pairs of
-// vertices; the list of pairs gathers on the fine forest and compacts, the
+// vertices; the list of pairs gathers on the fine forest twice, each time
+// passing over the labels as the kernels do (Hooks, then Compact), the
 // forests merge, and every thread gathers once at its roots (forced) and
 // once at its endpoints. The two must agree pair for pair and read D at
 // the endpoints, at 1×1, 4×2 and 3×3, with offload on and off, laid out
-// (scramble by 5003) on odd seeds.
+// (scramble by 5003) on odd seeds, carrying ids when seed&2 is set.
+// A twin list that compacts without the hook pass must end each fine
+// round as the hooked list does (hookPassAgrees), and the hook buffers'
+// room must be the thread's edge span whatever the slab under them.
 func FuzzStarsGather(f *testing.F) {
 	f.Add(uint64(1), byte(40), byte(3), byte(2), []byte("stars merge into fewer stars"))
 	f.Add(uint64(2), byte(200), byte(180), byte(7), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 250, 3, 99, 42})
 	f.Add(uint64(7), byte(0), byte(0), byte(0), []byte{0, 0, 1, 1})
+	// Sparse, m = n = 32: at 4×2 the slab is three blocks of D, more than
+	// the two edge spans of hooks it backs.
+	f.Add(uint64(3), byte(24), byte(9), byte(3), []byte("m = n = 32: at 4x2 a slab of 3 blocks outgrows 2 edge spans 12>8"))
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw, starsRaw, groupsRaw byte, pairs []byte) {
 		n := int64(nRaw) + 8
 		m := int64(len(pairs) / 2)
@@ -203,17 +211,31 @@ func FuzzStarsGather(f *testing.F) {
 				opts.Offload = offload
 				d := rt.NewSharedArray("D", n)
 				copy(d.Raw(), fine)
-				live := NewComm(rt).NewLiveEdges(true, false, true, lay)
+				comm := NewComm(rt)
+				live, twins := comm.NewLiveEdges(true, false, d, lay), comm.NewLiveEdges(true, false, d, lay)
 				els, kept := make([]*EdgeList, rt.NumThreads()), make([][]int64, rt.NumThreads())
 				rt.Run(func(th *pgas.Thread) {
-					el := live.List(th, m, ends, false)
-					el.Gather(th, d, opts, false)
-					for j := 0; j < len(el.Labels); j += 2 {
-						if el.Labels[j] != el.Labels[j+1] {
-							kept[th.ID] = append(kept[th.ID], el.Labels[j], el.Labels[j+1])
+					el, twin := live.List(th, m, ends, seed&2 != 0), twins.List(th, m, ends, seed&2 != 0)
+					lo, hi := th.Span(m)
+					blo, bhi := d.ThreadCover(th.ID)
+					if span := hi - lo; cap(el.HookIdx) != int(span) || cap(el.HookVal) != int(span) || len(el.Slab) != int(max(2*span, 3*(bhi-blo))) {
+						t.Errorf("%s thread %d: hook room %d/%d on a slab of %d, want the edge span %d on max(2*%d, 3*%d)",
+							name, th.ID, cap(el.HookIdx), cap(el.HookVal), len(el.Slab), span, span, bhi-blo)
+					}
+					for round := range 2 {
+						el.Gather(th, d, opts, false)
+						twin.Gather(th, d, opts, false)
+						if round == 0 {
+							for j := 0; j < len(el.Labels); j += 2 {
+								if el.Labels[j] != el.Labels[j+1] {
+									kept[th.ID] = append(kept[th.ID], el.Labels[j], el.Labels[j+1])
+								}
+							}
+						}
+						if err := hookPassAgrees(th, el, twin, pos); err != nil {
+							t.Errorf("%s thread %d round %d: %v", name, th.ID, round, err)
 						}
 					}
-					el.Compact(th)
 					els[th.ID] = el
 				})
 				copy(d.Raw(), coarse)
@@ -238,4 +260,50 @@ func FuzzStarsGather(f *testing.F) {
 			}
 		}
 	})
+}
+
+// hookPassAgrees runs el's hook pass and Compact, then twin's Compact
+// alone, on lists that gathered the same labels. The hooks must be the
+// pairs with different labels, in order, as (pos(max), min) — min<<32 | id
+// on a list with ids — charged an op per pair and one per hook; the two
+// lists must then hold the same Ends, Labels and IDs, the same count and
+// path, and each Compact must charge the same.
+func hookPassAgrees(th *pgas.Thread, el, twin *EdgeList, pos func(int64) int64) error {
+	var idx, val []int64
+	for j := 0; j < len(el.Labels); j += 2 {
+		if a, b := el.Labels[j], el.Labels[j+1]; a != b {
+			v := min(a, b)
+			if el.IDs != nil {
+				v = v<<32 | el.IDs[j/2]
+			}
+			idx, val = append(idx, pos(max(a, b))), append(val, v)
+		}
+	}
+	var want sim.Clock
+	want.Charge(sim.CatWork, th.Runtime().Model().Ops(int64(len(el.Labels)/2+len(idx))))
+	clocks := make([]sim.Clock, 3)
+	saved := th.Clock
+	for i, step := range []func(){
+		func() { el.Hooks(th) },
+		func() { el.Compact(th) },
+		func() { twin.Compact(th) },
+	} {
+		th.Clock = sim.Clock{}
+		step()
+		clocks[i] = th.Clock
+	}
+	th.Clock = saved
+	switch {
+	case !slices.Equal(el.HookIdx, idx) || !slices.Equal(el.HookVal, val):
+		return fmt.Errorf("hooks %v -> %v, want %v -> %v", el.HookIdx, el.HookVal, idx, val)
+	case clocks[0] != want:
+		return fmt.Errorf("hook pass charged %+v, want %+v", clocks[0], want)
+	case !slices.Equal(el.Ends, twin.Ends) || !slices.Equal(el.Labels, twin.Labels) || !slices.Equal(el.IDs, twin.IDs):
+		return fmt.Errorf("hooked list %v / %v / %v, compacted alone %v / %v / %v", el.Ends, el.Labels, el.IDs, twin.Ends, twin.Labels, twin.IDs)
+	case el.distinct != twin.distinct || el.viaRoots != twin.viaRoots:
+		return fmt.Errorf("hooked list counts %d (roots %v), compacted alone %d (roots %v)", el.distinct, el.viaRoots, twin.distinct, twin.viaRoots)
+	case clocks[1] != clocks[2]:
+		return fmt.Errorf("Compact after the hook pass charged %+v, alone %+v", clocks[1], clocks[2])
+	}
+	return nil
 }

@@ -21,22 +21,6 @@ const maxJumpLevels = 512
 // is the identity: vertex v at index v.
 type Layout func(dst, src []int64)
 
-// JumpScratch owns PointerJump's three block-sized buffers — the active
-// positions, the positions their labels live at, and those labels' labels
-// — and the layout the requests go through. A kernel allocates one per
-// thread per run and passes it to every PointerJump of that run.
-type JumpScratch struct {
-	idx, val, active []int64
-	pos              Layout
-}
-
-// NewJumpScratch returns the scratch for a covered block of span positions
-// of an array laid out by pos.
-func NewJumpScratch(span int64, pos Layout) *JumpScratch {
-	buf := make([]int64, 3*span)
-	return &JumpScratch{idx: buf[:span], val: buf[span : 2*span], active: buf[2*span:], pos: pos}
-}
-
 // PointerJump applies synchronous pointer jumping (D[i] <- D[D[i]] in
 // lock step, "we insert artificial synchronizations into pointer-jumping",
 // §IV.A) over the caller's ThreadCover block until all trees are rooted
@@ -46,13 +30,15 @@ func NewJumpScratch(span int64, pos Layout) *JumpScratch {
 // Offload, D[0] = 0 is pinned and every layout keeps vertex 0 at position
 // 0, so a vertex whose new label is 0 is finished too. d must be a
 // forest (hooks need not be monotone in label order, as long as they are
-// acyclic) laid out by js's layout: the label at position p is a vertex,
-// whose own label is read at its position. Every thread must call it; js
-// is scratch sized to the block and dLo is the block base.
+// acyclic) laid out by pos: the label at position p is a vertex, whose
+// own label is read at its position. Every thread must call it, lending
+// it scratch (a stars list's EdgeList.Slab), three words per block element:
+// active positions, where their labels live, and those labels' labels.
 func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
-	red *pgas.Reducer, js *JumpScratch, dLo int64) {
-	jumpIdx, jumpVal, active := js.idx, js.val, js.active
-	span := int64(len(active))
+	red *pgas.Reducer, scratch []int64, pos Layout) {
+	dLo, dHi := d.ThreadCover(th.ID)
+	span := dHi - dLo
+	jumpIdx, jumpVal, active := scratch[:span], scratch[span:2*span], scratch[2*span:3*span]
 	raw := d.Raw()
 	for i := range active {
 		active[i] = dLo + int64(i)
@@ -72,9 +58,9 @@ func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
 		if !opts.LocalCpy {
 			th.ChargeSharedPtr(sim.CatCopy, k)
 		}
-		if js.pos != nil {
+		if pos != nil {
 			if c.fault != FaultUnscattered {
-				js.pos(jumpIdx[:k], jumpIdx[:k])
+				pos(jumpIdx[:k], jumpIdx[:k])
 			}
 			th.ChargeOps(sim.CatWork, k)
 		}

@@ -149,9 +149,13 @@ const combineSlots = 1 << 13
 // combineTable maps a target index (slot index & (combineSlots-1)) to what
 // the filter needs to know about the request this call kept for it: the
 // smallest value sent (SetDMin) or the request's position (GetDCombined).
-// key holds index+1, so the zero value is an empty table.
+// A slot keeps its key beside its value, so a probe touches one cache
+// line. A call's keys are base+index+1, base advancing by len(d) a call,
+// so no call meets an earlier one's keys until the bases have advanced
+// 2^64 in all (int64 arithmetic wraps), and none clears the table.
 type combineTable struct {
-	key, val [combineSlots]int64
+	slot [combineSlots]struct{ key, val int64 }
+	base int64
 }
 
 // keyPass is the build's first pass over the caller's request list. For
@@ -187,13 +191,14 @@ func (c *Comm) keyPass(kind string, th *pgas.Thread, d *pgas.SharedArray, pt *pl
 	}
 	byMin := rule == combineMin
 	var tab *combineTable // non-nil: combine, by position or by value
+	var base int64
 	if rule != combineNone {
 		if st.comb == nil {
 			st.comb = new(combineTable)
 			st.growths++
 		}
 		tab = st.comb
-		clear(tab.key[:])
+		base, tab.base = tab.base, tab.base+d.Len()
 	}
 	if offload && !byMin || rule == combineIndex {
 		pt.dropIdx = sched.Grow32(pt.dropIdx, n, &st.growths)
@@ -218,20 +223,20 @@ func (c *Comm) keyPass(kind string, th *pgas.Thread, d *pgas.SharedArray, pt *pl
 			continue
 		}
 		if tab != nil {
-			h := ix & (combineSlots - 1)
+			slot, key := &tab.slot[ix&(combineSlots-1)], base+ix+1
 			if byMin {
 				v := vals[j]
-				if tab.key[h] == ix+1 && tab.val[h] <= v {
+				if slot.key == key && slot.val <= v {
 					continue
 				}
-				tab.key[h], tab.val[h] = ix+1, v
+				slot.key, slot.val = key, v
 			} else {
-				if tab.key[h] == ix+1 {
+				if slot.key == key {
 					dups++
-					dropIdx[n-dups], keeper[n-dups] = int32(j), int32(tab.val[h])
+					dropIdx[n-dups], keeper[n-dups] = int32(j), int32(slot.val)
 					continue
 				}
-				tab.key[h], tab.val[h] = ix+1, int64(j)
+				slot.key, slot.val = key, int64(j)
 			}
 		}
 		key := d.OwnerKey(ix)

@@ -157,7 +157,7 @@ func TestRootsPathIsItsPrice(t *testing.T) {
 						}
 						d := rt.NewSharedArray("D", int64(s)*nb)
 						d.FillIdentity()
-						live := NewComm(rt).NewLiveEdges(true, false, true, nil)
+						live := NewComm(rt).NewLiveEdges(true, false, d, nil)
 						els := make([]*EdgeList, s)
 						rt.Run(func(th *pgas.Thread) {
 							els[th.ID] = live.List(th, int64(s)*k, ends, false)

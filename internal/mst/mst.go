@@ -206,7 +206,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 	minE := rt.NewSharedArray("MinE", g.N)
 	red := pgas.NewReducer(rt)
 	col := opts.col()
-	live := comm.NewLiveEdges(opts.compact(), false, false, nil)
+	live := comm.NewLiveEdges(opts.compact(), false, nil, nil)
 	chosen := make([][]int64, rt.NumThreads())
 
 	run := rt.Run(func(th *pgas.Thread) {
@@ -215,9 +215,10 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		th.ChargeSeq(sim.CatWork, span)
 
 		el := live.List(th, g.M(), g.Ends, true)
-		setIdx := make([]int64, 0, len(el.Ends))
-		setVal := make([]int64, 0, len(el.Ends))
-		jump := collective.NewJumpScratch(span, nil)
+		// The election's requests lend their slab to PointerJump.
+		k := len(el.Ends)
+		slab := make([]int64, max(2*k, 3*int(span)))
+		setIdx, setVal := slab[:0:k], slab[k:k:2*k]
 		// The owned buckets that hold a candidate this round, at most span:
 		// their vertices and keys, the labels of the candidate edges'
 		// endpoints, and the peer bucket each would hook to.
@@ -304,7 +305,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			// hooks, Borůvka hooks can point upward in label order, but
 			// the hook digraph is acyclic after mutual-pair breaking, so
 			// plain jumping converges.
-			comm.PointerJump(th, d, col, red, jump, dLo)
+			comm.PointerJump(th, d, col, red, slab, nil)
 			el.Compact(th)
 			return found
 		})
