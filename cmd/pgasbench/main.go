@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	pgasbench -scale 0.01 -check all            # every row and its shape check
+//	pgasbench -scale 0.01 -check all            # every row, its shape verdict and margin
 //	pgasbench -markdown fig7 fig8               # EXPERIMENTS.md's format
 //	pgasbench -json -baseline BENCH_collectives.json -tol 3   # CI's check
 //	pgasbench -json -out BENCH_collectives.json # regenerate the baseline
@@ -47,7 +47,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "generator seed")
 	csv := flag.Bool("csv", false, "emit CSV")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown tables")
-	check := flag.Bool("check", false, "run shape assertions")
+	check := flag.Bool("check", false, "evaluate each row's shape claims and print its margin")
 	jsonMode := flag.Bool("json", false, "emit the machine-readable benchmark report")
 	out := flag.String("out", "", "write -json output to this file instead of stdout")
 	baseline := flag.String("baseline", "", "compare the -json run against this baseline file")
@@ -118,11 +118,11 @@ func main() {
 			os.Exit(1)
 		}
 		if *check {
-			if err := res.CheckShape(); err != nil {
-				fmt.Printf("SHAPE FAIL: %v\n", err)
+			if margin, claim, err := res.CheckShape(); err != nil {
+				fmt.Printf("SHAPE FAIL: %v (margin %+.2f%%)\n", err, 100*margin)
 				failures++
 			} else {
-				fmt.Printf("shape ok: %s\n", f.Name)
+				fmt.Printf("shape ok: %s (margin %+.2f%%: %s)\n", f.Name, 100*margin, claim)
 			}
 		}
 		fmt.Println()

@@ -66,7 +66,7 @@ func Run(cfg Config) (*report.BenchReport, error) {
 
 // selection names the row cells that become records: the series recorded
 // at every point (nil: the row's one series, named by the point alone), and
-// whether the row's shape check gates the run.
+// whether the row's shape claims gate the run.
 type selection struct {
 	row    experiments.Sweep
 	cfg    experiments.Config
@@ -105,7 +105,7 @@ func records(sels []selection) ([]report.BenchRecord, error) {
 	for _, sel := range sels {
 		r := sel.row.Run(sel.cfg)
 		if sel.check {
-			if err := r.CheckShape(); err != nil {
+			if _, _, err := r.CheckShape(); err != nil {
 				return nil, err
 			}
 		}

@@ -123,7 +123,7 @@ func TestConvergeCheckFailsTheRun(t *testing.T) {
 		})
 	}
 	_, err := records([]selection{conv})
-	if err == nil || !strings.HasPrefix(err.Error(), "converge: FastSV took") {
-		t.Fatalf("SV in FastSV's place: %v, want the converge check's failure", err)
+	if err == nil || !strings.HasPrefix(err.Error(), "converge: SV over FastSV rounds on rmat = 1,") {
+		t.Fatalf("SV in FastSV's place: %v, want the converge row's rmat claim to fail", err)
 	}
 }

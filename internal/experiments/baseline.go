@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
 )
@@ -36,14 +34,12 @@ var converge = Sweep{
 		}
 	},
 	series: []series{{name: "cc"}},
-	check: func(v *view) error {
-		rounds := func(label string) int { return v.of(label).get("cc").Iterations }
-		if fs, sv := rounds("rmat/fastsv"), rounds("rmat/sv"); fs >= sv {
-			return fmt.Errorf("FastSV took %d rounds on rmat, SV %d (want strictly fewer)", fs, sv)
-		}
-		if fs, sv := rounds("hybrid/fastsv"), rounds("hybrid/sv"); fs > sv {
-			return fmt.Errorf("FastSV took %d rounds on hybrid, SV %d (want no more)", fs, sv)
-		}
-		return nil
-	},
+	claims: []claim{
+		{name: "SV over FastSV rounds on rmat", bound: 1, strict: true, got: rounds("rmat/sv", "rmat/fastsv")},
+		{name: "SV over FastSV rounds on hybrid", bound: 1, got: rounds("hybrid/sv", "hybrid/fastsv")}},
+}
+
+// rounds is the round count at the point labelled num over that at den.
+func rounds(num, den string) func(*view) float64 {
+	return func(v *view) float64 { return levels(v.of(num), "cc") / levels(v.of(den), "cc") }
 }

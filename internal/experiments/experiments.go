@@ -4,10 +4,11 @@
 // an input generator and its axis points, the series measured at each
 // point — registry kernels run through Config.run by name, or reference
 // lines such as the sequential baselines — and its columns, notes and
-// shape checks, as data. One Table renders any row and one CheckShape
-// asserts the paper's qualitative finding on it — who wins, by roughly
-// what factor, where the extrema fall — which is what this reproduction
-// claims to preserve (see DESIGN.md §2).
+// shape claims, as data. One Table renders any row and one CheckShape
+// evaluates the claims that state the paper's qualitative finding on it —
+// who wins, by roughly what factor, where the extrema fall — which is what
+// this reproduction claims to preserve (see DESIGN.md §2), and how far
+// each holds.
 //
 // Scaling: inputs shrink by Config.Scale relative to the paper's (100M+
 // vertex) graphs, and the modeled cache shrinks proportionally (times
@@ -18,6 +19,7 @@ package experiments
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -200,13 +202,24 @@ type Sweep struct {
 	Points func(c Config, yield func(Point))
 	series []series
 	// The table's title, columns and notes (note, when set, is the first
-	// and computed), and the shape check read the measurements through a
-	// view.
-	title   func(v *view) string
-	columns []column
-	note    func(v *view) string
-	notes   []string
-	check   func(v *view) error
+	// and computed), and the shape claims read the measurements through a
+	// view. The claims are read at the first point, or at every point when
+	// perPoint is set.
+	title    func(v *view) string
+	columns  []column
+	note     func(v *view) string
+	notes    []string
+	claims   []claim
+	perPoint bool
+}
+
+// claim is one named inequality of a row's shape: got ≥ bound, or got >
+// bound when strict. Its slack is got/bound − 1.
+type claim struct {
+	name   string
+	bound  float64
+	strict bool
+	got    func(v *view) float64
 }
 
 // Measure is one series' outcome at one point.
@@ -303,7 +316,7 @@ func (r *Result) Cell(i int, name string) Measure {
 	return r.Measures[i][j]
 }
 
-// view reads one point's measurements for a cell, a note or a check.
+// view reads one point's measurements for a cell, a note or a claim.
 type view struct {
 	r *Result
 	i int
@@ -332,6 +345,18 @@ func (v *view) size() Measure { return v.r.Measures[v.i][0] }
 func (v *view) get(name string) Measure { return v.r.Cell(v.i, name) }
 
 func (v *view) ns(name string) float64 { return v.get(name).NS }
+
+// last is the view of the row's last point.
+func last(v *view) *view { return v.at(len(v.r.Points) - 1) }
+
+// levels is the named series' iteration count: BFS levels, CC rounds,
+// SSSP bucket phases.
+func levels(v *view, name string) float64 { return float64(v.get(name).Iterations) }
+
+// along reads the named series' time at point i.
+func (v *view) along(name string) func(i int) float64 {
+	return func(i int) float64 { return v.at(i).ns(name) }
+}
 
 // best is the view of the point where the named series is fastest.
 func (v *view) best(name string) *view {
@@ -380,18 +405,53 @@ func (r *Result) Table() *report.Table {
 	return t
 }
 
-// CheckShape runs the row's shape check; a failure names the row.
-func (r *Result) CheckShape() error {
-	if r.sweep.check == nil {
-		return nil
+// CheckShape evaluates the row's claims and returns its margin: the
+// smallest slack of the claims it read, with that claim's name. The first
+// claim that fails is the error, naming the row (and the point, on a
+// perPoint row), and its slack is the margin.
+func (r *Result) CheckShape() (margin float64, claim string, err error) {
+	margin = math.Inf(1)
+	for i := range r.Points {
+		if i > 0 && !r.sweep.perPoint {
+			break
+		}
+		slack, name, err := (&view{r: r, i: i}).eval()
+		if err != nil {
+			if r.sweep.perPoint {
+				err = fmt.Errorf("%s: %w", r.Points[i].Label, err)
+			}
+			return slack, name, fmt.Errorf("%s: %w", r.sweep.Name, err)
+		}
+		if slack < margin {
+			margin, claim = slack, name
+		}
 	}
-	if err := r.sweep.check(&view{r: r}); err != nil {
-		return fmt.Errorf("%s: %w", r.sweep.Name, err)
-	}
-	return nil
+	return margin, claim, nil
 }
 
-// Cells, notes and checks the rows share.
+// eval reads the row's claims at v's point in order. It returns the
+// smallest slack with its claim's name, or the first claim that fails
+// with its slack and the error.
+func (v *view) eval() (slack float64, name string, err error) {
+	slack = math.Inf(1)
+	for _, c := range v.r.sweep.claims {
+		got := c.got(v)
+		if got > c.bound || !c.strict && got == c.bound {
+			if got/c.bound-1 < slack {
+				slack, name = got/c.bound-1, c.name
+			}
+			continue
+		}
+		rel := map[bool]string{false: "≥", true: ">"}[c.strict]
+		if slack = got/c.bound - 1; got == 0 {
+			slack = -1 // a count claim (bound 0) that counted nothing
+		}
+		return slack, c.name, fmt.Errorf("%s = %.4g, want %s %.4g", c.name, got, rel, c.bound)
+	}
+	return slack, name, nil
+}
+
+// Cells, notes and claims the rows share.
 
 func label(v *view) string { return v.p().Label }
 func nOf(v *view) string   { return report.Count(v.size().N) }
@@ -402,23 +462,24 @@ func ms(name string) func(*view) string {
 }
 
 func ratio(num, den string) func(*view) string {
-	return func(v *view) string { return report.Ratio(v.ns(num) / v.ns(den)) }
+	return func(v *view) string { return report.Ratio(over(num, den)(v)) }
 }
 
 func iterations(name string) func(*view) string {
 	return func(v *view) string { return fmt.Sprint(v.get(name).Iterations) }
 }
 
-// each runs check at every point, naming the point in its error.
-func each(check func(v *view) error) func(*view) error {
-	return func(v *view) error {
-		for i, p := range v.r.Points {
-			if err := check(v.at(i)); err != nil {
-				return fmt.Errorf("%s: %w", p.Label, err)
-			}
-		}
-		return nil
+func over(num, den string) func(*view) float64 {
+	return func(v *view) float64 { return v.ns(num) / v.ns(den) }
+}
+
+// least is the smallest f(i) over i in [lo, hi).
+func least(lo, hi int, f func(i int) float64) float64 {
+	q := math.Inf(1)
+	for i := lo; i < hi; i++ {
+		q = min(q, f(i))
 	}
+	return q
 }
 
 // smp is the SMP implementation's line: the literal translation of the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"flag"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -58,9 +59,23 @@ const (
 
 var update = flag.Bool("update", false, "rewrite "+goldenFile+" from this build")
 
-// anyScale lists the rows whose shape checks hold at any scale; the others
-// are validated at -scale 0.01 by `pgasbench -check all`.
-var anyScale = []string{"fig2", "fig3", "fig4", "bfs", "outofcore", "sssp", "hybrid"}
+// goldenVerdicts pins each row's shape verdict at goldenScale: "" for a
+// row whose claims hold at any scale, else the claim that fails first
+// there. The failing rows are validated at -scale 0.01 by `pgasbench
+// -check all` (EXPERIMENTS.md lists the margins and the known deviations).
+var goldenVerdicts = map[string]string{
+	"fig2": "", "fig3": "", "fig4": "", "bfs": "", "outofcore": "", "sssp": "", "hybrid": "", "converge": "",
+	"fig5":        "base over +compact total",
+	"fig6":        "base over +compact total",
+	"fig7":        "fewer threads/node over 8",
+	"fig8":        "fewer threads/node over 8",
+	"fig9":        "fewer threads/node over 8",
+	"fig10":       "fewer threads/node over 8",
+	"listrank":    "CGM at 2 over 16 nodes",
+	"ccmerge":     "merge over coalesced",
+	"scaling":     "strong speedup at 16 nodes",
+	"sensitivity": "fewer threads/node over 8",
+}
 
 // results memoizes each row's run at goldenScale, so the per-row entry
 // points and TestRowsGolden share one run of each row.
@@ -116,14 +131,30 @@ func checkGolden(t *testing.T, name string) {
 		}
 		t.Fatalf("%s: %d lines, %s has %d", name, len(gl), goldenFile, len(wl))
 	}
-	if slices.Contains(anyScale, name) {
-		if err := result(t, name).CheckShape(); err != nil {
-			t.Errorf("%s: shape should hold at any scale: %v", name, err)
-		}
+	checkVerdict(t, name)
+}
+
+// checkVerdict holds one row's shape verdict to goldenVerdicts: a finite
+// margin and its claim, failing (negative, or zero on a strict claim's
+// tie) exactly on the pinned claim.
+func checkVerdict(t *testing.T, name string) {
+	t.Helper()
+	margin, claim, err := result(t, name).CheckShape()
+	want, ok := goldenVerdicts[name]
+	switch {
+	case !ok:
+		t.Errorf("%s: no pinned verdict", name)
+	case math.IsInf(margin, 0) || math.IsNaN(margin) || claim == "":
+		t.Errorf("%s: margin %v on claim %q, want a finite margin and its claim", name, margin, claim)
+	case want == "" && err != nil:
+		t.Errorf("%s: shape should hold at any scale: %v", name, err)
+	case want != "" && (err == nil || claim != want || !strings.Contains(err.Error(), want) || margin > 0):
+		t.Errorf("%s: verdict %v, margin %+.4f on %q; want %q to fail first", name, err, margin, claim, want)
 	}
 }
 
-// TestRowsGolden is the golden test over every row of All(); -update
+// TestRowsGolden is the golden test over every row of All(), and the
+// verdict of converge, the baseline's row, which prints no table; -update
 // rewrites the file from this build instead (review the diff: no cell may
 // move unless a change means to move numbers).
 func TestRowsGolden(t *testing.T) {
@@ -140,6 +171,7 @@ func TestRowsGolden(t *testing.T) {
 	for _, row := range All() {
 		checkGolden(t, row.Name)
 	}
+	checkVerdict(t, "converge")
 }
 
 // One row's part of the golden test each: `go test -run TestFig07Smoke`
@@ -165,9 +197,29 @@ func TestShapeFailureNamesRow(t *testing.T) {
 	r := *result(t, "fig6")
 	r.Measures = slices.Clone(r.Measures)
 	r.Measures[1] = slices.Clone(r.Measures[1])
-	r.Measures[1][0].NS = r.Measures[0][0].NS // +compact no faster than base
-	err := r.CheckShape()
-	if err == nil || !strings.HasPrefix(err.Error(), "fig6: ") {
-		t.Fatalf("failing fig6 check: %v, want an error starting %q", err, "fig6: ")
+	r.Measures[1][0].NS = r.Measures[0][0].NS * 1.05 // +compact slower than base
+	margin, claim, err := r.CheckShape()
+	const want = "fig6: base over +compact total = "
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("failing fig6 check: %v, want an error starting %q", err, want)
+	}
+	if claim != "base over +compact total" || margin >= 0 {
+		t.Fatalf("failing fig6 check: margin %+.4f on %q, want a negative margin on the failing claim", margin, claim)
+	}
+}
+
+// A strict claim holds only above its bound: at the bound it fails with
+// slack 0, and a non-strict one holds there.
+func TestClaimAtBound(t *testing.T) {
+	r := &Result{sweep: Sweep{Name: "tie"}, Points: []Point{{Label: "p"}}}
+	at := func(strict bool) (float64, string, error) {
+		r.sweep.claims = []claim{{name: "two", bound: 2, strict: strict, got: func(*view) float64 { return 2 }}}
+		return r.CheckShape()
+	}
+	if margin, claim, err := at(true); err == nil || err.Error() != "tie: two = 2, want > 2" || margin != 0 || claim != "two" {
+		t.Errorf("strict claim at its bound: margin %v on %q, err %v; want slack 0 and %q", margin, claim, err, "tie: two = 2, want > 2")
+	}
+	if margin, claim, err := at(false); err != nil || margin != 0 || claim != "two" {
+		t.Errorf("non-strict claim at its bound: margin %v on %q, err %v; want it to hold with slack 0", margin, claim, err)
 	}
 }

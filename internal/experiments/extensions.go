@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -51,33 +50,26 @@ var listRank = Sweep{
 	},
 	columns: []column{{"nodes", label}, {"Wyllie", ms("wyllie")}, {"CGM", ms("cgm")},
 		{"CGM seq-step", func(v *view) string { return report.MS(seqStep(v)) }},
-		{"seq-step share", func(v *view) string { return fmt.Sprintf("%.0f%%", 100*seqStep(v)/v.ns("cgm")) }},
+		{"seq-step share", func(v *view) string { return fmt.Sprintf("%.0f%%", 100*share(v)) }},
 		{"Wyllie/CGM", ratio("wyllie", "cgm")}},
 	notes: []string{"CGM's O(n) work beats Wyllie's O(n log n) up to 8 nodes; the paper's criticism — the sequential",
 		"step's cache-hostile share — grows as nodes shrink (left column up, share up)"},
-	check: func(v *view) error {
-		first, last := v, v.at(len(v.r.Points)-1)
-		share := func(w *view) float64 { return seqStep(w) / w.ns("cgm") }
-		switch {
-		case v.ns("naive") < 5*last.ns("wyllie"): // coalescing wins massively
-			return fmt.Errorf("naive (%.0f) not clearly slower than Wyllie (%.0f)", v.ns("naive"), last.ns("wyllie"))
-		case first.ns("wyllie") <= last.ns("wyllie"):
-			return fmt.Errorf("Wyllie does not scale: %.0f on %s nodes, %.0f on %s", first.ns("wyllie"), first.p().Label, last.ns("wyllie"), last.p().Label)
-		case first.ns("cgm") <= last.ns("cgm"):
-			return fmt.Errorf("CGM does not scale: %.0f on %s nodes, %.0f on %s", first.ns("cgm"), first.p().Label, last.ns("cgm"), last.p().Label)
-		case share(first) <= share(last): // the paper's criticized bottleneck
-			return fmt.Errorf("sequential-step share did not grow with n/p: %.2f vs %.2f", share(first), share(last))
-		case v.ns("seq") <= last.ns("wyllie") && v.ns("seq") <= last.ns("cgm"):
-			return fmt.Errorf("sequential (%.0f) beats both distributed runs", v.ns("seq"))
-		}
-		return nil
-	},
+	claims: []claim{
+		{name: "naive over Wyllie at 16 nodes", bound: 5, got: func(v *view) float64 { return v.ns("naive") / last(v).ns("wyllie") }},
+		{name: "Wyllie at 2 over 16 nodes", bound: 1, strict: true, got: func(v *view) float64 { return v.ns("wyllie") / last(v).ns("wyllie") }},
+		{name: "CGM at 2 over 16 nodes", bound: 1, strict: true, got: func(v *view) float64 { return v.ns("cgm") / last(v).ns("cgm") }},
+		{name: "seq-step share at 2 over 16 nodes", bound: 1, strict: true, got: func(v *view) float64 { return share(v) / share(last(v)) }},
+		{name: "sequential over the faster at 16 nodes", bound: 1, strict: true,
+			got: func(v *view) float64 { return v.ns("seq") / min(last(v).ns("wyllie"), last(v).ns("cgm")) }}},
 }
 
 // seqStep is the simulated time of CGM's sequential step. It runs on thread
 // 0 while everyone idles; the irregular time charged to the run — the
 // ranking walk — approximates it.
 func seqStep(v *view) float64 { return v.get("cgm").Run.SumByCategory[sim.CatIrregular] }
+
+// share is the sequential step's share of CGM's time.
+func share(v *view) float64 { return seqStep(v) / v.ns("cgm") }
 
 // bfsDiameter quantifies the paper's §I argument for preferring poly-log
 // PRAM kernels over BFS-style traversal: level-synchronous BFS needs Ω(d)
@@ -103,21 +95,11 @@ var bfsDiameter = Sweep{
 	columns: []column{{"input", label}, {"n", nOf}, {"m", mOf}, {"BFS", ms("bfs")}, {"BFS levels", iterations("bfs")},
 		{"CC", ms("cc")}, {"CC iterations", iterations("cc")}},
 	notes: []string{"BFS pays one synchronized round per level (Ω(diameter)); CC's rounds stay poly-log on any topology"},
-	check: func(v *view) error {
-		rnd, grid := v.at(0), v.at(1)
-		levels := func(w *view) int { return w.get("bfs").Iterations }
-		rounds := func(w *view) int { return w.get("cc").Iterations }
-		bfsRatio, ccRatio := grid.ns("bfs")/rnd.ns("bfs"), grid.ns("cc")/rnd.ns("cc")
-		switch {
-		case levels(grid) < 8*levels(rnd):
-			return fmt.Errorf("grid levels (%d) not far above random's (%d)", levels(grid), levels(rnd))
-		case bfsRatio < 2*ccRatio:
-			return fmt.Errorf("diameter hurt BFS only %.1fx vs CC's %.1fx, want >= 2x gap", bfsRatio, ccRatio)
-		case rounds(grid) > 4*rounds(rnd)+8: // CC's rounds stay small on both
-			return fmt.Errorf("CC iterations exploded on the grid: %d vs %d", rounds(grid), rounds(rnd))
-		}
-		return nil
-	},
+	claims: []claim{
+		{name: "grid over random BFS levels", bound: 8, got: func(v *view) float64 { return levels(v.at(1), "bfs") / levels(v, "bfs") }},
+		{name: "BFS over CC grid slowdown", bound: 2,
+			got: func(v *view) float64 { return v.at(1).ns("bfs") / v.ns("bfs") / (v.at(1).ns("cc") / v.ns("cc")) }},
+		{name: "4·random+8 over grid CC rounds", bound: 1, got: func(v *view) float64 { return (4*levels(v, "cc") + 8) / levels(v.at(1), "cc") }}},
 }
 
 // ccMerge stages the paper's concluding argument directly: the coalesced
@@ -150,15 +132,10 @@ var ccMerge = Sweep{
 	// The merge approach's idle share is substantial at every density, and
 	// the paper's concluding claim holds at every density here:
 	// coordinating all processors beats the round-minimizing approach.
-	check: each(func(v *view) error {
-		if idle := avg(v, "merge", sim.CatWait) / v.ns("merge"); idle < 0.10 {
-			return fmt.Errorf("merge idle share %.2f, want >= 0.10", idle)
-		}
-		if v.ns("coalesced") >= v.ns("merge") {
-			return fmt.Errorf("coalesced (%.0f) not faster than merge (%.0f)", v.ns("coalesced"), v.ns("merge"))
-		}
-		return nil
-	}),
+	claims: []claim{
+		{name: "merge idle share", bound: 0.10, got: func(v *view) float64 { return avg(v, "merge", sim.CatWait) / v.ns("merge") }},
+		{name: "merge over coalesced", bound: 1, strict: true, got: over("merge", "coalesced")}},
+	perPoint: true,
 }
 
 // outOfCore measures the paper's §VI closing argument: the cluster
@@ -202,25 +179,29 @@ var outOfCore = Sweep{
 		{"cluster speedup", func(v *view) string { return report.Ratio(clusterSpeedup(v)) }}},
 	notes: []string{"past the memory boundary the single node pages or restructures around the disk;",
 		"the cluster's aggregate memory absorbs the input unchanged — the paper's expected widening speedup"},
-	check: func(v *view) error {
-		var in, out *view // the first point that fits, the last that does not
-		for i := range v.r.Points {
-			if w := v.at(i); !fits(w) {
-				out = w
-			} else if in == nil {
-				in = w
-			}
+	claims: []claim{
+		{name: "points that fit", bound: 0, strict: true, got: func(v *view) float64 { _, _, fit, _ := crossing(v); return fit }},
+		{name: "points that spill", bound: 0, strict: true, got: func(v *view) float64 { _, _, _, spill := crossing(v); return spill }},
+		{name: "speedup spilled over fitting", bound: 2,
+			got: func(v *view) float64 { in, out, _, _ := crossing(v); return clusterSpeedup(out) / clusterSpeedup(in) }},
+		{name: "paging over external memory", bound: 1,
+			got: func(v *view) float64 { _, out, _, _ := crossing(v); return out.ns("smp") / out.ns("external") }}},
+}
+
+// crossing is the first point that fits a node and the last that does
+// not, with the number of points that fit and that spill.
+func crossing(v *view) (in, out *view, fit, spill float64) {
+	for i := range v.r.Points {
+		switch w := v.at(i); {
+		case !fits(w):
+			out, spill = w, spill+1
+		case fit == 0:
+			in, fit = w, 1
+		default:
+			fit++
 		}
-		switch {
-		case in == nil || out == nil:
-			return errors.New("sweep did not cross the memory boundary")
-		case clusterSpeedup(out) < 2*clusterSpeedup(in):
-			return fmt.Errorf("speedup did not widen past memory: %.1fx -> %.1fx", clusterSpeedup(in), clusterSpeedup(out))
-		case out.ns("smp") < out.ns("external"): // why out-of-core techniques exist
-			return fmt.Errorf("paging (%.0f) beat the external-memory algorithm (%.0f)", out.ns("smp"), out.ns("external"))
-		}
-		return nil
-	},
+	}
+	return in, out, fit, spill
 }
 
 func fits(v *view) bool { return v.size().N*sim.ElemBytes <= v.p().Memory }
@@ -262,19 +243,12 @@ var scaling = Sweep{
 		{"weak", ms("weak")},
 		{"weak efficiency", func(v *view) string { return fmt.Sprintf("%.0f%%", 100*v.at(0).ns("weak")/v.ns("weak")) }}},
 	notes: []string{"strong: fixed problem, more nodes; weak: problem grows with the machine"},
-	check: func(v *view) error {
-		first, last := v, v.at(len(v.r.Points)-1)
-		// Strong scaling: the largest machine beats one node clearly. Weak
-		// scaling: growing machine and input together must not blow up
-		// (generous slack for log-factor rounds and the all-to-all).
-		if sp := first.ns("strong") / last.ns("strong"); sp < 2 {
-			return fmt.Errorf("strong speedup at %s nodes only %.2fx", last.p().Label, sp)
-		}
-		if r := last.ns("weak") / first.ns("weak"); r > 8 {
-			return fmt.Errorf("weak-scaling time grew %.1fx from 1 to %s nodes", r, last.p().Label)
-		}
-		return nil
-	},
+	// Strong scaling: the largest machine beats one node clearly. Weak
+	// scaling: growing machine and input together must not blow up
+	// (generous slack for log-factor rounds and the all-to-all).
+	claims: []claim{
+		{name: "strong speedup at 16 nodes", bound: 2, got: func(v *view) float64 { return v.ns("strong") / last(v).ns("strong") }},
+		{name: "weak time at 1 over 16 nodes", bound: 1.0 / 8, got: func(v *view) float64 { return v.ns("weak") / last(v).ns("weak") }}},
 }
 
 // sensitivity re-runs the Figure 7 sweep under alternative machine
@@ -304,24 +278,22 @@ var sensitivity = Sweep{
 		{"best threads/node", func(v *view) string { return fmt.Sprint(bestThreads(v)) }},
 		{"best ms", ms("best")}, {"vs SMP", ratio("smp", "best")},
 		{"16-thread cliff", func(v *view) string { return report.Ratio(cliff(v)) }},
-		{"shape holds", func(v *view) string { return fmt.Sprint(shapeHolds(v)) }}},
+		{"shape holds", func(v *view) string { _, _, err := v.eval(); return fmt.Sprint(err == nil) }}},
 	notes: []string{"the paper's conclusions are ratio-driven (§III): they should survive recalibration"},
-	check: each(func(v *view) error {
-		if !shapeHolds(v) {
-			return fmt.Errorf("shape broke (best tpn %d, vs SMP %.2fx, cliff %.2fx)", bestThreads(v), v.ns("smp")/v.ns("best"), cliff(v))
-		}
-		return nil
-	}),
+	claims: []claim{
+		{name: "fewer threads/node over 8", bound: 1, strict: true,
+			got: func(v *view) float64 {
+				return overEight(true, func(j int) float64 { return v.get("best").Steps[j].NS })
+			}},
+		{name: "SMP over best", bound: 1, strict: true, got: over("smp", "best")},
+		{name: "16-thread cliff", bound: 2, strict: true, got: cliff}},
+	perPoint: true,
 }
 
 func bestThreads(v *view) int { return threadCounts[v.get("best").Best] }
 
 // cliff is the 16-thread time over the best.
 func cliff(v *view) float64 { m := v.get("best"); return m.Steps[len(m.Steps)-1].NS / m.NS }
-
-func shapeHolds(v *view) bool {
-	return bestThreads(v) == 8 && v.ns("best") < v.ns("smp") && cliff(v) > 2
-}
 
 // ssspDelta sweeps delta-stepping's bucket width on the distributed
 // shortest-paths kernel. The trade-off is the classic one: tiny buckets
@@ -350,19 +322,12 @@ var ssspDelta = Sweep{
 	columns: []column{{"delta", label}, {"sim ms", ms("sssp")}, {"bucket phases", iterations("sssp")},
 		{"relaxations", func(v *view) string { return report.Count(v.get("sssp").Relaxations) }}},
 	notes: []string{"small delta -> Dijkstra-like (many synchronized phases); large -> Bellman-Ford-like (wasted relaxations)"},
-	check: func(v *view) error {
-		// Phases decrease monotonically as delta grows.
-		for i := 1; i < len(v.r.Points); i++ {
-			if prev, cur := v.at(i-1).get("sssp").Iterations, v.at(i).get("sssp").Iterations; cur > prev {
-				return fmt.Errorf("phases grew with delta: %d -> %d at delta %s", prev, cur, v.at(i).p().Label)
-			}
-		}
-		// The smallest delta must be slower than the best (too many rounds).
-		if v.best("sssp").i == 0 {
-			return errors.New("smallest delta fastest — no round-count penalty visible")
-		}
-		return nil
-	},
+	claims: []claim{
+		{name: "each delta's previous phases over its own", bound: 1, got: func(v *view) float64 {
+			return least(1, len(v.r.Points), func(i int) float64 { return levels(v.at(i-1), "sssp") / levels(v.at(i), "sssp") })
+		}},
+		{name: "smallest delta over the fastest other", bound: 1, strict: true,
+			got: func(v *view) float64 { return v.ns("sssp") / least(1, len(v.r.Points), v.along("sssp")) }}},
 }
 
 // hybrid reproduces the §VI prose results the figures do not plot: on
@@ -392,16 +357,9 @@ var hybrid = Sweep{
 		{"vs sequential", ratio("seq", "hybrid")}, {"vs same-size random", ratio("random", "hybrid")}},
 	notes: []string{"paper: hybrid CC 2.5x/2.8x vs SMP (~9-10x vs seq); hybrid MST 5.1x/6.7x vs seq;",
 		"hubs cost nothing — edges are partitioned, owners serve each location, one message per pair"},
-	check: each(func(v *view) error {
-		m, h := v.size().M, v.ns("hybrid")
-		switch r := h / v.ns("random"); {
-		case h >= v.ns("smp"): // the cluster beats the SMP baseline on hybrids too
-			return fmt.Errorf("m=%d: cluster (%.0f) not faster than SMP (%.0f)", m, h, v.ns("smp"))
-		case h >= v.ns("seq"):
-			return fmt.Errorf("m=%d: cluster not faster than sequential", m)
-		case r > 2 || r < 0.5: // hubs do not hurt (the paper found hybrids slightly faster)
-			return fmt.Errorf("m=%d: hybrid/random = %.2f, want in [0.5, 2]", m, r)
-		}
-		return nil
-	}),
+	claims: []claim{{name: "SMP over hybrid", bound: 1, strict: true, got: over("smp", "hybrid")},
+		{name: "sequential over hybrid", bound: 1, strict: true, got: over("seq", "hybrid")},
+		{name: "random over hybrid", bound: 0.5, got: over("random", "hybrid")},
+		{name: "hybrid over random", bound: 0.5, got: over("hybrid", "random")}},
+	perPoint: true,
 }

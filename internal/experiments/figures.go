@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
@@ -37,15 +37,9 @@ var fig2 = Sweep{
 		{"slowdown", ratio("naive", "smp")},
 		{"per-proc slowdown", func(v *view) string { return report.Ratio(perProcSlowdown(v)) }}},
 	notes: []string{"paper: CC-UPC is ~3 orders of magnitude slower per processor"},
-	check: each(func(v *view) error {
-		if r := v.ns("naive") / v.ns("smp"); r < 10 {
-			return fmt.Errorf("naive/SMP ratio %.1f, want >= 10", r)
-		}
-		if pp := perProcSlowdown(v); pp < 100 {
-			return fmt.Errorf("per-processor slowdown %.0f, want >= 100", pp)
-		}
-		return nil
-	}),
+	claims: []claim{{name: "CC-UPC over CC-SMP", bound: 10, got: over("naive", "smp")},
+		{name: "per-proc slowdown", bound: 100, got: perProcSlowdown}},
+	perPoint: true,
 }
 
 func perProcSlowdown(v *view) float64 { return v.ns("naive") * float64(v.r.cfg.Nodes) / v.ns("smp") }
@@ -77,18 +71,10 @@ var fig3 = Sweep{
 	columns: []column{{"implementation", label}, {"sim ms", ms("run")}, {"iterations", iterations("run")},
 		{"vs Orig", func(v *view) string { return report.Ratio(v.at(0).ns("run") / v.ns("run")) }}},
 	notes: []string{"paper: rewritten CC ~70x faster than Orig; SV slower than CC (more collectives per iteration)"},
-	check: func(v *view) error {
-		orig, cc, sv := v.at(0).ns("run"), v.at(1).ns("run"), v.at(2).ns("run")
-		switch {
-		case orig/cc < 10:
-			return fmt.Errorf("CC speedup over naive %.1f, want >= 10", orig/cc)
-		case sv <= cc:
-			return fmt.Errorf("SV (%.0f) should be slower than CC (%.0f)", sv, cc)
-		case orig/sv < 2:
-			return fmt.Errorf("SV should still beat naive (speedup %.2f)", orig/sv)
-		}
-		return nil
-	},
+	claims: []claim{
+		{name: "Orig over CC", bound: 10, got: func(v *view) float64 { return v.ns("run") / v.at(1).ns("run") }},
+		{name: "SV over CC", bound: 1, strict: true, got: func(v *view) float64 { return v.at(2).ns("run") / v.at(1).ns("run") }},
+		{name: "Orig over SV", bound: 2, got: func(v *view) float64 { return v.ns("run") / v.at(2).ns("run") }}},
 }
 
 // tPrimes is Figure 4's virtual-thread axis.
@@ -126,21 +112,12 @@ var fig4 = Sweep{
 			column{"best vs SMP", ratio("smp", "best")})
 	}(),
 	notes: []string{"paper: U-shape; best t' in [12,18]; best ~2x faster than the SMP implementation"},
-	check: each(func(v *view) error {
-		best, smp := v.get("best"), v.ns("smp")
-		first, last := best.Steps[0].NS, best.Steps[len(best.Steps)-1].NS
-		switch {
-		case best.Best == 0 || best.Best == len(best.Steps)-1:
-			return fmt.Errorf("best t'=%d at sweep boundary, want interior minimum", tPrimes[best.Best])
-		case best.NS >= smp:
-			return fmt.Errorf("best collectives time %.0f not faster than SMP %.0f", best.NS, smp)
-		case first < best.NS*1.05: // the unblocked endpoints must be visibly worse
-			return fmt.Errorf("t'=1 (%.0f) not worse than best (%.0f)", first, best.NS)
-		case last < best.NS*1.01:
-			return fmt.Errorf("largest t' (%.0f) not worse than best (%.0f)", last, best.NS)
-		}
-		return nil
-	}),
+	// The unblocked endpoints must be visibly worse than the best, which
+	// puts the minimum inside the sweep.
+	claims: []claim{{name: "SMP over best", bound: 1, strict: true, got: over("smp", "best")},
+		{name: "t'=1 over best", bound: 1.05, got: func(v *view) float64 { return v.get("best").Steps[0].NS / v.ns("best") }},
+		{name: "largest t' over best", bound: 1.01, got: func(v *view) float64 { m := v.get("best"); return m.Steps[len(m.Steps)-1].NS / m.NS }}},
+	perPoint: true,
 }
 
 // Figures 5 and 6: the cumulative impact of the §V optimizations on CC,
@@ -182,32 +159,24 @@ func ablation(name, title string, input func(Config) *graph.Graph) Sweep {
 		},
 		columns: cols,
 		notes:   []string{"paper: compact improves nearly all categories; circular halves comm; localcpy halves copy; id cuts work"},
-		check: func(v *view) error {
-			// Cumulative optimizations never hurt the total materially.
-			for i := 1; i < len(v.r.Points); i++ {
-				prev, cur := v.at(i-1), v.at(i)
-				if cur.ns("cc") > prev.ns("cc")*1.10 {
-					return fmt.Errorf("bar %q total %.0f regressed vs %q %.0f", cur.p().Label, cur.ns("cc"), prev.p().Label, prev.ns("cc"))
-				}
-			}
-			// Each rung's effect: compact the total, circular comm (paper:
-			// ~2x), localcpy copy (paper: ~2x), id local work.
-			cut := func(from, to string, cat sim.Category) float64 {
-				return avg(v.of(from), "cc", cat) / avg(v.of(to), "cc", cat)
-			}
-			switch {
-			case v.of("+compact").ns("cc") >= v.of("base").ns("cc"):
-				return errors.New("compact did not reduce total")
-			case cut("+offload", "+circular", sim.CatComm) < 1.5:
-				return fmt.Errorf("circular reduced comm only %.2fx, want >= 1.5x", cut("+offload", "+circular", sim.CatComm))
-			case cut("+circular", "+localcpy", sim.CatCopy) < 1.3:
-				return fmt.Errorf("localcpy reduced copy only %.2fx, want >= 1.3x", cut("+circular", "+localcpy", sim.CatCopy))
-			case cut("+localcpy", "+id", sim.CatWork) <= 1:
-				return fmt.Errorf("id did not reduce work (%.0f -> %.0f)", avg(v.of("+localcpy"), "cc", sim.CatWork), avg(v.of("+id"), "cc", sim.CatWork))
-			}
-			return nil
-		},
+		// Cumulative optimizations never hurt the total materially; each
+		// rung's effect: compact the total, circular comm (paper: ~2x),
+		// localcpy copy (paper: ~2x), id local work.
+		claims: []claim{
+			{name: "each bar's previous total over its own", bound: 1 / 1.10, got: func(v *view) float64 {
+				return least(1, len(v.r.Points), func(i int) float64 { return v.at(i-1).ns("cc") / v.at(i).ns("cc") })
+			}},
+			{name: "base over +compact total", bound: 1, strict: true, got: func(v *view) float64 { return v.ns("cc") / v.of("+compact").ns("cc") }},
+			{name: "+offload over +circular comm", bound: 1.5, got: cut("+offload", "+circular", sim.CatComm)},
+			{name: "+circular over +localcpy copy", bound: 1.3, got: cut("+circular", "+localcpy", sim.CatCopy)},
+			{name: "+localcpy over +id work", bound: 1, strict: true, got: cut("+localcpy", "+id", sim.CatWork)}},
 	}
+}
+
+// cut is the per-thread average time in cat at rung from over that at
+// rung to: how far to cut it.
+func cut(from, to string, cat sim.Category) func(*view) float64 {
+	return func(v *view) float64 { return avg(v.of(from), "cc", cat) / avg(v.of(to), "cc", cat) }
 }
 
 // avg is the per-thread average time the named series spent in cat.
@@ -237,13 +206,14 @@ var (
 // SMP, vs sequential, and the paper's figures), and the shape thresholds.
 // The best point beats SMP by minVsSMP and sequential by minVsSeq, 16
 // threads/node degrades by cliff against it, and sequential/SMP lies in
-// seqOverSMP (unchecked when zero: MST only, where locking costs eat the
-// parallelism at these sizes).
+// [seqOverSMP, 1/smpOverSeq] (MST only, where locking costs eat the
+// parallelism at these sizes). A zero bound always holds: CC's band,
+// MST's minVsSeq.
 type sweepKernel struct {
 	kernel, column, vsSeq, smpRow, seqRow, bestNote string
 	notes                                           []string
 	minVsSMP, minVsSeq, cliff                       float64
-	seqOverSMP                                      [2]float64
+	seqOverSMP, smpOverSeq                          float64
 }
 
 var (
@@ -258,7 +228,7 @@ var (
 		kernel: "mst/coalesced",
 		column: "optimized MST", vsSeq: "vs Kruskal", smpRow: "MST-SMP (1 node x 16)", seqRow: "Kruskal (sequential)",
 		bestNote: "best at %[1]s threads/node: %[2]s vs SMP (paper: 8 threads, %[4]s); SMP ~ Kruskal at this size (locking overhead)",
-		minVsSMP: 3, cliff: 2, seqOverSMP: [2]float64{0.2, 3},
+		minVsSMP: 3, cliff: 2, seqOverSMP: 0.2, smpOverSeq: 1.0 / 3,
 	}
 )
 
@@ -292,23 +262,27 @@ func threadSweep(k *sweepKernel, name string, paperM int64, title, paper string)
 			return fmt.Sprintf(k.bestNote, b.p().Label, ratio("smp", "opt")(b), ratio("seq", "opt")(b), paper)
 		},
 		notes: k.notes,
-		// Best at 8 already says that scaling from 1 to 8 threads/node helped.
-		check: func(v *view) error {
-			b, last := v.best("opt"), v.at(len(v.r.Points)-1)
-			opt, seqOverSMP := b.ns("opt"), v.ns("seq")/v.ns("smp")
-			switch band := k.seqOverSMP; {
-			case b.p().Label != "8":
-				return fmt.Errorf("best at %s threads/node, want 8", b.p().Label)
-			case v.ns("smp")/opt < k.minVsSMP:
-				return fmt.Errorf("speedup over SMP %.1f, want >= %g", v.ns("smp")/opt, k.minVsSMP)
-			case v.ns("seq")/opt < k.minVsSeq:
-				return fmt.Errorf("speedup over sequential %.1f, want >= %g", v.ns("seq")/opt, k.minVsSeq)
-			case band[1] > 0 && (seqOverSMP < band[0] || seqOverSMP > band[1]):
-				return fmt.Errorf("SMP/sequential relation off: sequential/SMP = %.2f, want in %v", seqOverSMP, band)
-			case last.ns("opt") < opt*k.cliff:
-				return fmt.Errorf("16 threads/node (%.0f) should degrade >= %gx vs best (%.0f)", last.ns("opt"), k.cliff, opt)
-			}
-			return nil
-		},
+		// Best at 8 already says that scaling from 1 to 8 threads/node
+		// helped; from there on the point at 8 is the best.
+		claims: []claim{
+			{name: "fewer threads/node over 8", bound: 1, strict: true, got: func(v *view) float64 { return overEight(true, v.along("opt")) }},
+			{name: "more threads/node over 8", bound: 1, got: func(v *view) float64 { return overEight(false, v.along("opt")) }},
+			{name: "SMP over best", bound: k.minVsSMP, got: func(v *view) float64 { return v.ns("smp") / v.of("8").ns("opt") }},
+			{name: "sequential over best", bound: k.minVsSeq, got: func(v *view) float64 { return v.ns("seq") / v.of("8").ns("opt") }},
+			{name: "sequential over SMP", bound: k.seqOverSMP, got: over("seq", "smp")},
+			{name: "SMP over sequential", bound: k.smpOverSeq, got: over("smp", "seq")},
+			{name: "16 threads/node over best", bound: k.cliff, got: func(v *view) float64 { return last(v).ns("opt") / v.of("8").ns("opt") }}},
 	}
+}
+
+// overEight is the least time over the time at 8 threads/node among the
+// thread counts below 8, or above it, ns(j) reading the time at
+// threadCounts[j].
+func overEight(below bool, ns func(j int) float64) float64 {
+	i8 := slices.Index(threadCounts, 8)
+	lo, hi := i8+1, len(threadCounts)
+	if below {
+		lo, hi = 0, i8
+	}
+	return least(lo, hi, func(j int) float64 { return ns(j) / ns(i8) })
 }

@@ -100,7 +100,8 @@ type Body func(rt *pgas.Runtime, comm *collective.Comm) error
 // describes what happened; err is nil exactly when the body completed.
 // Chaos, if armed on rt, is re-armed with the same configuration (same
 // seed) on each remapped runtime — with kills disabled on the final
-// permitted attempt so the loop cannot evict forever.
+// permitted attempt so the loop cannot evict forever. The runtime the
+// Report returns has checkpointing disarmed again.
 func Run(rt *pgas.Runtime, cfg *Config, body Body) (*Report, error) {
 	rep := &Report{}
 	ck := rt.ArmCheckpoints()
@@ -160,11 +161,14 @@ func runBody(rt *pgas.Runtime, comm *collective.Comm, body Body) (err error) {
 	return body(rt, comm)
 }
 
-// fold totals the checkpoint and chaos counters into the report. The
-// final runtime's chaos counters are added here; retired runtimes'
+// fold totals the checkpoint and chaos counters into the report and
+// disarms checkpointing on the final runtime, which the caller keeps: its
+// later regions take the single-rendezvous barrier and copy no snapshots.
+// The final runtime's chaos counters are added here; retired runtimes'
 // counters were folded once their Evict succeeded, so a runtime whose
 // Evict failed is the final one and is counted here only.
 func (rep *Report) fold(rt *pgas.Runtime, ck *pgas.Checkpointer) {
+	rt.DisarmCheckpoints()
 	rep.Checkpoints, rep.CheckpointBytes, rep.Restores, rep.RestoredBytes = ck.Stats()
 	rep.Chaos.Add(rt.ChaosStats())
 }

@@ -1,6 +1,7 @@
 package recover_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -260,5 +261,30 @@ func TestRecoverScatteredLabels(t *testing.T) {
 	}
 	if !restored {
 		t.Fatal("no seed restored a snapshot onto fewer threads")
+	}
+}
+
+// TestRunLeavesCheckpointsDisarmed: the runtime a supervised run hands
+// back is an ordinary one. A later region on it registers state and
+// crosses barriers at exactly the cost it has on a fresh runtime, with no
+// second rendezvous and no snapshot copy — whether the body completed or
+// failed.
+func TestRunLeavesCheckpointsDisarmed(t *testing.T) {
+	region := func(rt *pgas.Runtime) float64 {
+		pgas.Register(rt, "after", rt.NewSharedArray("after", 4096))
+		return rt.Run(func(th *pgas.Thread) {
+			th.Barrier()
+			th.Barrier()
+		}).SimNS
+	}
+	want := region(newRuntime(t, 2, 2))
+	for _, bodyErr := range []error{nil, errors.New("body failed")} {
+		rep, err := recovery.Run(newRuntime(t, 2, 2), nil, func(*pgas.Runtime, *collective.Comm) error { return bodyErr })
+		if err != bodyErr {
+			t.Fatalf("Run = %v, want the body's %v", err, bodyErr)
+		}
+		if got := region(rep.Runtime); got != want {
+			t.Errorf("body error %v: region after Run took %.0f simulated ns, on a fresh runtime %.0f", bodyErr, got, want)
+		}
 	}
 }
