@@ -209,6 +209,7 @@ type threadState struct {
 	packed     []int64 // (owner, position) keys for the QuickSort path
 	cursor     []int64 // bucket cursors for the count-sort, len s
 	segs       []segment
+	served     []int64       // a traced call's elements served per requester (see served)
 	comb       *combineTable // request filter memory, allocated by the thread's first combining call (one-shot SetDMin, GetDCombined)
 	scr        sched.Scratch
 	routeTotal int64 // element count of the last route-op receive
@@ -235,28 +236,32 @@ type segment struct {
 	k    int64
 }
 
+// Call is one thread's report of one collective execution, the one record
+// a Tracer receives.
+type Call struct {
+	Kind    string // the collective; a GetDCombined reports as GetD
+	Thread  int
+	Delta   sim.Breakdown // simulated time the call charged, by category
+	Offered int64         // requests the caller offered
+	// Kept (<= Offered) counts the requests that reached the owners: the
+	// request filter drops offloaded ones, a one-shot SetDMin's beaten
+	// writes and a GetDCombined's repeated indices.
+	Kept    int64
+	Wall    time.Duration // host wall-clock time on the thread's goroutine
+	Growths int64         // scratch backing-array growths: zero once the Comm is warm
+	Reused  bool          // the plan was built by an earlier call: phase 1 was skipped
+	// Served[r] is the elements this thread served requester r, counted
+	// once when armed chaos replayed the serve. It is the Comm's scratch,
+	// valid until Collective returns.
+	Served []int64
+}
+
 // Tracer observes collective execution for profiling (see internal/trace
-// for the standard implementation). Methods must be safe for concurrent
-// use by all runtime threads.
+// for the standard implementation): Collective receives one Call per
+// participating thread per execution. It must be safe for concurrent use
+// by all runtime threads.
 type Tracer interface {
-	// Collective reports one thread's participation in one call: the
-	// simulated-time delta by category, the thread's request count as
-	// offered by the caller (elements) and as delivered to the owners after
-	// the request filter (kept <= elements; lower when the offloaded index
-	// was requested, a one-shot SetDMin combined duplicates, or a
-	// GetDCombined — reported as GetD — asked each index once), the host
-	// wall-clock time the call took on that thread's goroutine, and how
-	// many scratch backing-array growths it triggered (zero in steady
-	// state — a nonzero count after warmup flags an allocation regression
-	// on the hot path).
-	Collective(kind string, thread int, delta sim.Breakdown, elements, kept int64, wall time.Duration, scratchGrowths int64)
-	// Transfer reports one coalesced transfer of elems elements between
-	// server and requester.
-	Transfer(server, requester int, elems int64)
-	// PlanBuild reports one thread running phase 1 (the grouping sort and
-	// matrix publish); PlanReuse one plan execution that skipped it.
-	PlanBuild(thread int, elements int64)
-	PlanReuse(thread int, elements int64)
+	Collective(Call)
 }
 
 // Comm holds the shared state of the collectives for one runtime: the
@@ -295,11 +300,10 @@ func (c *Comm) checkLive(th *pgas.Thread) {
 	}
 }
 
-// traced wraps one execution of plan p with per-call profiling:
-// simulated-time deltas, offered and delivered request counts, host
-// wall-clock time, and scratch-growth counts. It is on every collective
-// execution path, so it also carries the stale-geometry guard.
-func (c *Comm) traced(kind string, th *pgas.Thread, p *Plan, body func()) {
+// traced wraps one execution of op against plan p with the tracer's
+// report. It is on every collective execution path, so it also carries the
+// stale-geometry guard.
+func (c *Comm) traced(th *pgas.Thread, p *Plan, op *serveOp, body func()) {
 	c.checkLive(th)
 	if c.tracer == nil {
 		body()
@@ -311,9 +315,29 @@ func (c *Comm) traced(kind string, th *pgas.Thread, p *Plan, body func()) {
 	start := time.Now()
 	body()
 	wall := time.Since(start)
-	delta := th.Clock.ByCategory.Sub(&before)
 	pt := &p.pts[th.ID]
-	c.tracer.Collective(kind, th.ID, delta, int64(pt.n), int64(pt.k), wall, st.growths-growthsBefore)
+	c.tracer.Collective(Call{
+		Kind: op.kind, Thread: th.ID, Delta: th.Clock.ByCategory.Sub(&before),
+		Offered: int64(pt.n), Kept: int64(pt.k), Wall: wall, Growths: st.growths - growthsBefore,
+		Reused: pt.execs > 1, Served: c.served(st, op),
+	})
+}
+
+// served returns the elements the thread of st served each requester in
+// its last serve: per request, the pull and a scatter's value or a
+// gather's answer. It reads the thread's own segments, untouched until its
+// next serve, not the plan's matrices, which a peer may already be
+// publishing its next one-shot call into.
+func (c *Comm) served(st *threadState, op *serveOp) []int64 {
+	w := int64(1)
+	if op.hasValues || op.gathers { // no op does both
+		w = 2
+	}
+	st.served = append(st.served[:0], make([]int64, c.s)...) // zeroed; allocated once, not a scratch growth
+	for _, seg := range st.segs {
+		st.served[seg.peer] = w * seg.k
+	}
+	return st.served
 }
 
 // NewComm allocates collective state for rt. It panics on a geometry the
@@ -340,15 +364,6 @@ func peerAt(i, r, s int, circular bool) int {
 		return (i + r) % s
 	}
 	return r
-}
-
-// transferCost charges th a coalesced bulk transfer of k > 0 elements
-// with peer (chargeTransfer), tracing it.
-func (c *Comm) transferCost(th *pgas.Thread, peer int, k int64, pull bool, opts *Options) {
-	if c.tracer != nil {
-		c.tracer.Transfer(th.ID, peer, k)
-	}
-	chargeTransfer(&th.Clock, th.Runtime().Model(), c.tpn, k, th.SameNode(peer), pull, opts)
 }
 
 // chargeTransfer charges a coalesced bulk transfer of k elements between a
@@ -472,7 +487,7 @@ func (c *Comm) ExchangePairs(th *pgas.Thread, d *pgas.SharedArray, items, values
 func (c *Comm) once(th *pgas.Thread, op *serveOp, d *pgas.SharedArray, indices, values, out []int64, opts *Options, cache *IDCache) {
 	checkArgs(op, len(indices), values, out)
 	opts = orDefaults(opts)
-	c.traced(op.kind, th, c.splan, func() {
+	c.traced(th, c.splan, op, func() {
 		c.splan.planInto(op.kind, th, op, d, indices, values, opts, cache)
 		c.exec(th, c.splan, op, d, values, out)
 	})

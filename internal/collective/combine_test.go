@@ -6,11 +6,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
-	"pgasgraph/internal/sim"
 	"pgasgraph/internal/xrand"
 )
 
@@ -34,18 +32,15 @@ func newRequestCounts(kind string, s int) *requestCounts {
 	return &requestCounts{kind: kind, offered: make([]int64, s), kept: make([]int64, s)}
 }
 
-func (r *requestCounts) Collective(kind string, thread int, _ sim.Breakdown, elements, kept int64, _ time.Duration, _ int64) {
-	if kind != r.kind {
+func (r *requestCounts) Collective(call Call) {
+	if call.Kind != r.kind {
 		return
 	}
 	r.mu.Lock()
-	r.offered[thread] += elements
-	r.kept[thread] += kept
+	r.offered[call.Thread] += call.Offered
+	r.kept[call.Thread] += call.Kept
 	r.mu.Unlock()
 }
-func (*requestCounts) Transfer(int, int, int64) {}
-func (*requestCounts) PlanBuild(int, int64)     {}
-func (*requestCounts) PlanReuse(int, int64)     {}
 func (r *requestCounts) totals() (offered, kept int64) {
 	for i := range r.offered {
 		offered += r.offered[i]

@@ -10,8 +10,6 @@ import (
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/pgas/wiretransport"
-	"pgasgraph/internal/sim"
-	"pgasgraph/internal/trace"
 	"pgasgraph/internal/xrand"
 )
 
@@ -58,7 +56,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 				}
 				fill()
 				comm, ref := NewComm(rt), NewComm(rt) // ref answers the one-shot GetDs untraced
-				counts := trace.NewCollector(rt.NumThreads())
+				counts := newServeLoads(rt.NumThreads())
 				comm.SetTracer(counts)
 				lay := layout(pos)
 				static, shrinking := comm.NewLiveEdges(false, false, nil, lay), comm.NewLiveEdges(true, false, nil, lay)
@@ -89,7 +87,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 					el := static.List(th, m, ends, false)
 					gather(th, el, true)
 				})
-				if b, r := counts.PlanBuilds(), counts.PlanReuses(); b != 0 || r != 0 {
+				if b, r := counts.plans(); b != 0 || r != 0 {
 					t.Errorf("identity gather ran a collective: %d plan builds, %d reuses", b, r)
 				}
 
@@ -106,11 +104,12 @@ func TestLiveEdgesLaws(t *testing.T) {
 						merge(th)
 					}
 				})
-				if b, r := counts.PlanBuilds(), counts.PlanReuses(); b != 1 || r != rounds-1 {
+				if b, r := counts.plans(); b != 1 || r != rounds-1 {
 					t.Errorf("static list over %d rounds: %d plan builds, %d reuses per thread; want 1 and %d", rounds, b, r, rounds-1)
 				}
 
-				counts.Reset()
+				counts = newServeLoads(rt.NumThreads())
+				comm.SetTracer(counts)
 				fill()
 				rt.Run(func(th *pgas.Thread) {
 					el := shrinking.List(th, m, ends, true)
@@ -136,7 +135,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 						merge(th)
 					}
 				})
-				if b, r := counts.PlanBuilds(), counts.PlanReuses(); b != rounds || r != 0 {
+				if b, r := counts.plans(); b != rounds || r != 0 {
 					t.Errorf("shrinking list over %d rounds: %d plan builds, %d reuses per thread; want %d and 0", rounds, b, r, rounds)
 				}
 			})
@@ -145,30 +144,40 @@ func TestLiveEdgesLaws(t *testing.T) {
 }
 
 // serveLoads counts, per thread, the GetD requests it offered and the
-// elements it served.
+// elements it served, and over all threads the executions of fresh builds
+// and of reused plans.
 type serveLoads struct {
 	mu              sync.Mutex
 	offered, served []int64
+	builds, reuses  int64
 }
 
 func newServeLoads(s int) *serveLoads {
 	return &serveLoads{offered: make([]int64, s), served: make([]int64, s)}
 }
 
-func (l *serveLoads) Collective(kind string, thread int, _ sim.Breakdown, elements, _ int64, _ time.Duration, _ int64) {
-	if kind == "GetD" {
-		l.mu.Lock()
-		l.offered[thread] += elements
-		l.mu.Unlock()
+func (l *serveLoads) Collective(call Call) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if call.Kind == "GetD" {
+		l.offered[call.Thread] += call.Offered
+	}
+	for _, elems := range call.Served {
+		l.served[call.Thread] += elems
+	}
+	if call.Reused {
+		l.reuses++
+	} else {
+		l.builds++
 	}
 }
-func (l *serveLoads) Transfer(server, _ int, elems int64) {
-	l.mu.Lock()
-	l.served[server] += elems
-	l.mu.Unlock()
+
+// plans returns the plan builds and reuses per thread, as
+// trace.Collector's PlanBuilds and PlanReuses count them.
+func (l *serveLoads) plans() (builds, reuses int64) {
+	s := int64(len(l.served))
+	return l.builds / s, l.reuses / s
 }
-func (*serveLoads) PlanBuild(int, int64) {}
-func (*serveLoads) PlanReuse(int, int64) {}
 
 // seatRuntimes returns the runtimes of a nodes×tpn machine: one in
 // process, or one per node of a unix-socket cluster hosted inside the
@@ -314,8 +323,7 @@ func TestStarsGather(t *testing.T) {
 							opts := Base()
 							opts.Offload = offload
 							// Every node's Comms trace into the same counters.
-							stars, endpoints := newServeLoads(s), newServeLoads(s)
-							plans := trace.NewCollector(s)
+							stars, endpoints, plans := newServeLoads(s), newServeLoads(s), newServeLoads(s)
 							distinct, kept, limit := make([]int, s), make([]int, s), make([]int, s)
 
 							rts := seatRuntimes(t, geo.nodes, geo.tpn, geo.wire)
@@ -384,7 +392,7 @@ func TestStarsGather(t *testing.T) {
 							if got, was := slices.Max(stars.served), slices.Max(endpoints.served); laid && got > was {
 								t.Errorf("busiest owner served %d elements, %d under the endpoint gather", got, was)
 							}
-							if b, r := plans.PlanBuilds(), plans.PlanReuses(); b != 1 || r != 1 {
+							if b, r := plans.plans(); b != 1 || r != 1 {
 								t.Errorf("static stars list: %d plan builds, %d reuses per thread; want 1 and 1", b, r)
 							}
 						})

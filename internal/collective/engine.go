@@ -90,9 +90,6 @@ func (c *Comm) exec(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.SharedArray, 
 		}
 		chargePermute(&th.Clock, th.Runtime().Model(), sim.CatSort, int64(k))
 	}
-	if c.tracer != nil && pt.execs >= 1 {
-		c.tracer.PlanReuse(th.ID, int64(k))
-	}
 
 	th.Barrier()
 	// The serve runs through pgas's one retry loop, replayed when a
@@ -203,9 +200,6 @@ func (c *Comm) pull(th *pgas.Thread, p *Plan, st *threadState, seg segment, opts
 	if err := c.fetch(th, p, seg, pgas.WinPlanReq, st.stage); err != nil {
 		return err
 	}
-	if c.tracer != nil {
-		c.tracer.Transfer(th.ID, int(seg.peer), seg.k)
-	}
 	chargePull(&th.Clock, th.Runtime().Model(), c.tpn, seg.k, th.SameNode(int(seg.peer)), opts)
 	return c.xferFault(th, int(seg.peer), nil)
 }
@@ -276,7 +270,7 @@ func (c *Comm) serveAccess(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.Shared
 		if !op.hasValues {
 			continue
 		}
-		c.transferCost(th, int(seg.peer), seg.k, true, opts)
+		chargeTransfer(&th.Clock, th.Runtime().Model(), c.tpn, seg.k, th.SameNode(int(seg.peer)), true, opts)
 		if err := c.fetch(th, p, seg, pgas.WinPlanVal, st.vals); err != nil {
 			return err
 		}
@@ -303,7 +297,7 @@ func (c *Comm) serveAccess(th *pgas.Thread, p *Plan, op *serveOp, d *pgas.Shared
 		return nil
 	}
 	for _, seg := range st.segs {
-		c.transferCost(th, int(seg.peer), seg.k, false, opts)
+		chargeTransfer(&th.Clock, th.Runtime().Model(), c.tpn, seg.k, th.SameNode(int(seg.peer)), false, opts)
 		if err := c.push(th, p, st, seg); err != nil {
 			return err
 		}
@@ -326,7 +320,7 @@ func (c *Comm) serveRoute(th *pgas.Thread, p *Plan, op *serveOp, opts *Options) 
 	}
 	at := int64(0)
 	for _, seg := range st.segs {
-		c.transferCost(th, int(seg.peer), w*seg.k, true, opts)
+		chargeTransfer(&th.Clock, th.Runtime().Model(), c.tpn, w*seg.k, th.SameNode(int(seg.peer)), true, opts)
 		dst := st.recv[at : at+seg.k]
 		if err := c.peerCopy(th, p, seg, pgas.WinPlanReq, dst); err != nil {
 			return err

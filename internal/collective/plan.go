@@ -136,9 +136,6 @@ func (p *Plan) planInto(kind string, th *pgas.Thread, op *serveOp, d *pgas.Share
 		c.tr.Expose(pgas.Win{Kind: pgas.WinPlanVal, ID: p.wid, Sub: int32(th.ID)}, pt.val[:k])
 	}
 	c.publishInto(th, p, pt.offs)
-	if c.tracer != nil {
-		c.tracer.PlanBuild(th.ID, int64(k))
-	}
 }
 
 // combineSlots is the size of the per-thread direct-mapped table the
@@ -413,5 +410,5 @@ func (p *Plan) GetD(th *pgas.Thread, d *pgas.SharedArray, out []int64) {
 		panic(fmt.Sprintf("collective: plan GetD against %s of length %d, planned for length %d",
 			d.Name(), d.Len(), pt.arrLen))
 	}
-	p.c.traced(opGetD.kind, th, p, func() { p.c.exec(th, p, opGetD, d, nil, out) })
+	p.c.traced(th, p, opGetD, func() { p.c.exec(th, p, opGetD, d, nil, out) })
 }

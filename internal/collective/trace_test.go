@@ -4,29 +4,28 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"pgasgraph/internal/pgas"
-	"pgasgraph/internal/sim"
 	"pgasgraph/internal/xrand"
 )
 
 // These tests pin the tracing contract the profiler and the benchmark's
-// per-kind counters read: every collective call reports one Collective
-// record per participant under its kind, with the offered and delivered
-// request counts its request filter implies, after exactly one PlanBuild —
-// and a re-executed plan reports one PlanReuse instead of a build.
+// per-kind counters read: every collective call reports one Call per
+// participant under its kind, with the offered and delivered request
+// counts its request filter implies, as an execution of a fresh build —
+// and a re-executed plan reports its later executions as reused.
 
-// traceEvent is one tracer record of one thread; Transfer records are not
-// kept.
+// traceEvent is one Call of one thread, without its times, growths and
+// serve loads.
 type traceEvent struct {
-	what     string // "build", "reuse" or the Collective kind
+	kind     string
 	elements int64
-	kept     int64 // Collective records only
+	kept     int64
+	reused   bool
 }
 
-// eventLog records every thread's PlanBuild, PlanReuse and Collective
-// records in the order the thread issued them.
+// eventLog records every thread's Calls in the order the thread issued
+// them.
 type eventLog struct {
 	mu     sync.Mutex
 	events [][]traceEvent
@@ -40,15 +39,8 @@ func (l *eventLog) add(thread int, e traceEvent) {
 	l.mu.Unlock()
 }
 
-func (l *eventLog) Collective(kind string, thread int, _ sim.Breakdown, elements, kept int64, _ time.Duration, _ int64) {
-	l.add(thread, traceEvent{what: kind, elements: elements, kept: kept})
-}
-func (*eventLog) Transfer(int, int, int64) {}
-func (l *eventLog) PlanBuild(thread int, elements int64) {
-	l.add(thread, traceEvent{what: "build", elements: elements})
-}
-func (l *eventLog) PlanReuse(thread int, elements int64) {
-	l.add(thread, traceEvent{what: "reuse", elements: elements})
+func (l *eventLog) Collective(call Call) {
+	l.add(call.Thread, traceEvent{kind: call.Kind, elements: call.Offered, kept: call.Kept, reused: call.Reused})
 }
 
 // nonZero counts the requests the offload filter keeps: those not for the
@@ -84,11 +76,10 @@ func keptByMin(idx, vals []int64) int64 {
 }
 
 // TestTraceContract: each of the seven one-shot collectives records, per
-// participant, one PlanBuild of the delivered count and then one
-// Collective under its kind (GetDCombined reports as GetD) with the
-// offered and delivered counts its filter implies; a caller-held plan
-// records its build once, and every later execution of plan.GetD records
-// one PlanReuse and no build.
+// participant, one Call under its kind (GetDCombined reports as GetD) with
+// the offered and delivered counts its filter implies, not reused; a
+// caller-held plan's first execution records the same, and every later
+// execution of plan.GetD records a reused Call.
 func TestTraceContract(t *testing.T) {
 	const n, k = 48, 60
 	rt := testRT(t, 3, 2)
@@ -142,7 +133,7 @@ func TestTraceContract(t *testing.T) {
 			})
 			for i := 0; i < s; i++ {
 				kept := e.kept(reqs[i], vals[i])
-				want := []traceEvent{{what: "build", elements: kept}, {what: e.kind, elements: k, kept: kept}}
+				want := []traceEvent{{kind: e.kind, elements: k, kept: kept}}
 				if got := log.events[i]; !slices.Equal(got, want) {
 					t.Errorf("thread %d recorded %v, want %v", i, got, want)
 				}
@@ -165,10 +156,9 @@ func TestTraceContract(t *testing.T) {
 		})
 		for i := 0; i < s; i++ {
 			kept := nonZero(reqs[i]) // a plan honors Offload and combines nothing
-			call := traceEvent{what: "GetD", elements: k, kept: kept}
-			want := []traceEvent{{what: "build", elements: kept}, call}
+			want := []traceEvent{{kind: "GetD", elements: k, kept: kept}}
 			for r := 1; r < execs; r++ {
-				want = append(want, traceEvent{what: "reuse", elements: kept}, call)
+				want = append(want, traceEvent{kind: "GetD", elements: k, kept: kept, reused: true})
 			}
 			if got := log.events[i]; !slices.Equal(got, want) {
 				t.Errorf("thread %d recorded %v, want %v", i, got, want)

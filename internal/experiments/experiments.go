@@ -408,17 +408,26 @@ func (r *Result) Table() *report.Table {
 // CheckShape evaluates the row's claims and returns its margin: the
 // smallest slack of the claims it read, with that claim's name. The first
 // claim that fails is the error, naming the row (and the point, on a
-// perPoint row), and its slack is the margin.
+// perPoint row: by its label, with its edge count when another point
+// shares the label), and its slack is the margin.
 func (r *Result) CheckShape() (margin float64, claim string, err error) {
 	margin = math.Inf(1)
 	for i := range r.Points {
 		if i > 0 && !r.sweep.perPoint {
 			break
 		}
-		slack, name, err := (&view{r: r, i: i}).eval()
+		v := &view{r: r, i: i}
+		slack, name, err := v.eval()
 		if err != nil {
 			if r.sweep.perPoint {
-				err = fmt.Errorf("%s: %w", r.Points[i].Label, err)
+				at := label(v)
+				for j, p := range r.Points {
+					if j != i && p.Label == at {
+						at += " (m=" + mOf(v) + ")"
+						break
+					}
+				}
+				err = fmt.Errorf("%s: %w", at, err)
 			}
 			return slack, name, fmt.Errorf("%s: %w", r.sweep.Name, err)
 		}

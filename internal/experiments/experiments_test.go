@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"pgasgraph/internal/machine"
+	"pgasgraph/internal/report"
 )
 
 func TestConfigDefaults(t *testing.T) {
@@ -205,6 +207,18 @@ func TestShapeFailureNamesRow(t *testing.T) {
 	}
 	if claim != "base over +compact total" || margin >= 0 {
 		t.Fatalf("failing fig6 check: margin %+.4f on %q, want a negative margin on the failing claim", margin, claim)
+	}
+
+	// hybrid labels its points CC, MST, CC, MST: a failing point is named
+	// with its edge count too.
+	r = *result(t, "hybrid")
+	r.Measures = slices.Clone(r.Measures)
+	r.Measures[2] = slices.Clone(r.Measures[2])
+	r.Measures[2][0].NS = r.Cell(2, "smp").NS * 1.05 // the larger CC point's hybrid run slower than SMP
+	_, _, err = r.CheckShape()
+	named := fmt.Sprintf("hybrid: CC (m=%s): SMP over hybrid = ", report.Count(r.Measures[2][0].M))
+	if err == nil || !strings.HasPrefix(err.Error(), named) {
+		t.Fatalf("failing hybrid check: %v, want an error starting %q", err, named)
 	}
 }
 

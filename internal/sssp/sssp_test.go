@@ -4,14 +4,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"pgasgraph/internal/bfs"
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/graph"
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/pgas"
-	"pgasgraph/internal/sim"
 )
 
 func newRuntime(t testing.TB, nodes, tpn int) *pgas.Runtime {
@@ -194,14 +192,11 @@ func TestDeltaSteppingUnitWeightsMatchBFS(t *testing.T) {
 // sentPairs counts the candidates DeltaStepping offers ExchangePairs.
 type sentPairs struct{ n atomic.Int64 }
 
-func (c *sentPairs) Collective(kind string, _ int, _ sim.Breakdown, elements, _ int64, _ time.Duration, _ int64) {
-	if kind == "ExchangePairs" {
-		c.n.Add(elements)
+func (c *sentPairs) Collective(call collective.Call) {
+	if call.Kind == "ExchangePairs" {
+		c.n.Add(call.Offered)
 	}
 }
-func (*sentPairs) Transfer(int, int, int64) {}
-func (*sentPairs) PlanBuild(int, int64)     {}
-func (*sentPairs) PlanReuse(int, int64)     {}
 
 // TestOneExpansionPerDistance: a vertex improved twice in one relax sits
 // in its bucket twice, and is expanded only at its first entry. The

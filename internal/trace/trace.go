@@ -1,17 +1,19 @@
-// Package trace profiles collective communication: per-collective-kind
-// simulated-time breakdowns, the server→requester transfer matrix, and
-// per-thread serve loads. It is the tooling equivalent of the profiling
-// the paper leans on in §VI ("profiling the codes shows that the majority
-// of the degradation comes from line 3 in Algorithm 2") — attach a
-// Collector to a Comm and the hotspot structure of a run becomes visible.
+// Package trace profiles collective communication from the one record
+// the collectives report, a collective.Call per thread per execution:
+// per-kind simulated-time breakdowns, the server→requester transfer
+// matrix, per-thread serve loads and the plan build:reuse ratio. It is the
+// tooling equivalent of the profiling the paper leans on in §VI
+// ("profiling the codes shows that the majority of the degradation comes
+// from line 3 in Algorithm 2") — attach a Collector to a Comm and the
+// hotspot structure of a run becomes visible.
 package trace
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
+	"pgasgraph/internal/collective"
 	"pgasgraph/internal/report"
 	"pgasgraph/internal/sim"
 )
@@ -24,8 +26,8 @@ type Collector struct {
 	calls      map[string]*callStats
 	pairElems  map[[2]int]int64 // (server, requester) -> elements served
 	serveLoad  []int64          // per server thread
-	planBuilds int64            // phase-1 runs (grouping sort + matrix publish)
-	planReuses int64            // plan executions that skipped phase 1
+	planBuilds int64            // executions that ran phase 1 (grouping sort + matrix publish) first
+	planReuses int64            // executions of a plan an earlier call built
 }
 
 type callStats struct {
@@ -48,64 +50,45 @@ func NewCollector(threads int) *Collector {
 	}
 }
 
-// Collective records one thread's participation in one collective call:
-// simulated-time breakdown, offered and delivered request counts, host
-// wall-clock duration, and scratch growths (backing-array allocations —
-// zero once the Comm is warm).
-func (c *Collector) Collective(kind string, thread int, delta sim.Breakdown, elements, kept int64, wall time.Duration, scratchGrowths int64) {
+// Collective folds one thread's report of one collective execution into
+// the aggregates: the kind's call count, simulated-time breakdown, offered
+// and delivered requests, wall time and scratch growths; a plan build or
+// reuse; and the elements the thread served each requester.
+func (c *Collector) Collective(call collective.Call) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.calls[kind]
+	st, ok := c.calls[call.Kind]
 	if !ok {
 		st = &callStats{}
-		c.calls[kind] = st
+		c.calls[call.Kind] = st
 	}
 	st.count++
-	st.breakdown.Add(&delta)
-	st.elements += elements
-	st.kept += kept
-	st.wallNS += wall.Nanoseconds()
-	st.growths += scratchGrowths
-}
-
-// Transfer records one coalesced transfer of elems elements served by
-// server on behalf of requester.
-func (c *Collector) Transfer(server, requester int, elems int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pairElems[[2]int{server, requester}] += elems
-	if server >= 0 && server < len(c.serveLoad) {
-		c.serveLoad[server] += elems
+	st.breakdown.Add(&call.Delta)
+	st.elements += call.Offered
+	st.kept += call.Kept
+	st.wallNS += call.Wall.Nanoseconds()
+	st.growths += call.Growths
+	if call.Reused {
+		c.planReuses++
+	} else {
+		c.planBuilds++
+	}
+	for requester, elems := range call.Served {
+		if elems != 0 {
+			c.pairElems[[2]int{call.Thread, requester}] += elems
+			c.serveLoad[call.Thread] += elems
+		}
 	}
 }
 
-// PlanBuild records one thread running collective phase 1: the grouping
-// sort and the SMatrix/PMatrix publish. Every one-shot collective call
-// counts one build per participant; kernels holding a Plan count one per
-// rebuild.
-func (c *Collector) PlanBuild(thread int, elements int64) {
-	c.mu.Lock()
-	c.planBuilds++
-	c.mu.Unlock()
-}
-
-// PlanReuse records one plan execution that skipped phase 1 — the setup
-// cost the collective.Plan reuse contract amortizes. A high reuse:build
-// ratio is what the pointer-jumping kernels are after.
-func (c *Collector) PlanReuse(thread int, elements int64) {
-	c.mu.Lock()
-	c.planReuses++
-	c.mu.Unlock()
-}
-
-// PlanBuilds returns the recorded phase-1 runs (per thread).
+// PlanBuilds returns the recorded executions of a fresh build (per thread).
 func (c *Collector) PlanBuilds() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.planBuilds / int64(c.threads)
 }
 
-// PlanReuses returns the recorded phase-1 skips (per thread).
+// PlanReuses returns the recorded executions of a reused plan (per thread).
 func (c *Collector) PlanReuses() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
