@@ -173,12 +173,46 @@ func benchCollectiveSteady(b *testing.B, body func(c *Cluster, th *pgas.Thread, 
 	d.FillIdentity()
 	opts := collective.Optimized(4)
 	caches := make([]collective.IDCache, c.Threads())
-	b.ResetTimer()
+	call := func(th *pgas.Thread) {
+		body(c, th, d, idx[th.ID], vals[th.ID], out[th.ID], opts, &caches[th.ID])
+	}
+	steadyRegion(b, rt, call, call)
+}
+
+// steadyRegion runs warm once and then body b.N times on every thread of
+// one region, the timer bracketing the b.N calls alone: the warm call
+// grows every thread's scratch, and the region's own start and teardown
+// stay outside the barriers around the timer.
+func steadyRegion(b *testing.B, rt *pgas.Runtime, warm, body func(th *pgas.Thread)) {
 	rt.Run(func(th *pgas.Thread) {
+		warm(th)
+		th.Barrier()
+		if th.ID == 0 {
+			b.ResetTimer()
+		}
+		th.Barrier()
 		for i := 0; i < b.N; i++ {
-			body(c, th, d, idx[th.ID], vals[th.ID], out[th.ID], opts, &caches[th.ID])
+			body(th)
+		}
+		th.Barrier()
+		if th.ID == 0 {
+			b.StopTimer()
 		}
 	})
+}
+
+// TestCollectiveSteadyCountsAllocs: the steady-state harness reports the
+// allocations its body makes — a GetD into a fresh output buffer reads at
+// least one alloc/op — so its 0 allocs/op on the collectives is theirs.
+func TestCollectiveSteadyCountsAllocs(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) {
+		benchCollectiveSteady(b, func(c *Cluster, th *pgas.Thread, d *pgas.SharedArray, idx, vals, out []int64, opts *CollectiveOptions, cache *collective.IDCache) {
+			c.Comm().GetD(th, d, idx, make([]int64, len(idx)), opts, cache)
+		})
+	})
+	if res.N == 0 || res.AllocsPerOp() < 1 {
+		t.Fatalf("allocating body read %d allocs/op over %d ops, want >= 1", res.AllocsPerOp(), res.N)
+	}
 }
 
 func BenchmarkCollectiveGetD(b *testing.B) {
@@ -219,20 +253,15 @@ func BenchmarkCollectiveGetDCheckpointed(b *testing.B) {
 	pgas.Register(rt, "D", d)
 	opts := collective.Optimized(4)
 	caches := make([]collective.IDCache, c.Threads())
-	rt.Run(func(th *pgas.Thread) { // warm the arenas and shadow buffers
+	call := func(th *pgas.Thread) { // the warm call fills the arenas and shadow buffers
 		c.Comm().GetD(th, d, idx[th.ID], out[th.ID], opts, &caches[th.ID])
-	})
-	b.ResetTimer()
-	rt.Run(func(th *pgas.Thread) {
-		for i := 0; i < b.N; i++ {
-			c.Comm().GetD(th, d, idx[th.ID], out[th.ID], opts, &caches[th.ID])
-		}
-	})
+	}
+	steadyRegion(b, rt, call, call)
 }
 
 // BenchmarkCollectivePlanReuse measures the plan-reuse steady state: the
-// grouping sort and matrix publish run once (untimed, in the build
-// region), and every timed op is a pure phase-2 execution — the cost a
+// grouping sort and matrix publish run once (untimed, in the warm call),
+// and every timed op is a pure phase-2 execution — the cost a
 // fixed-request kernel iteration actually pays.
 func BenchmarkCollectivePlanReuse(b *testing.B) {
 	c, idx, _, out := collectiveSteadyCluster(b)
@@ -241,16 +270,11 @@ func BenchmarkCollectivePlanReuse(b *testing.B) {
 	d.FillIdentity()
 	opts := collective.Optimized(4)
 	plan := c.Comm().NewPlan()
-	rt.Run(func(th *pgas.Thread) {
+	exec := func(th *pgas.Thread) { plan.GetD(th, d, out[th.ID]) }
+	steadyRegion(b, rt, func(th *pgas.Thread) {
 		plan.PlanRequests(th, d, idx[th.ID], opts, nil)
-		plan.GetD(th, d, out[th.ID]) // warm the serve scratch
-	})
-	b.ResetTimer()
-	rt.Run(func(th *pgas.Thread) {
-		for i := 0; i < b.N; i++ {
-			plan.GetD(th, d, out[th.ID])
-		}
-	})
+		exec(th) // warm the serve scratch
+	}, exec)
 }
 
 // BenchmarkCollectiveGetDCombined is BenchmarkCollectiveGetD on a
@@ -263,19 +287,14 @@ func BenchmarkCollectiveGetDCombined(b *testing.B) {
 	d := rt.NewSharedArray("D", 1<<16)
 	d.FillIdentity()
 	opts := collective.Optimized(4)
-	rt.Run(func(th *pgas.Thread) {
+	call := func(th *pgas.Thread) { c.Comm().GetDCombined(th, d, idx[th.ID], out[th.ID], opts) }
+	steadyRegion(b, rt, func(th *pgas.Thread) {
 		roots := idx[th.ID]
 		for j := range roots {
 			roots[j] %= 64
 		}
-		c.Comm().GetDCombined(th, d, roots, out[th.ID], opts)
-	})
-	b.ResetTimer()
-	rt.Run(func(th *pgas.Thread) {
-		for i := 0; i < b.N; i++ {
-			c.Comm().GetDCombined(th, d, idx[th.ID], out[th.ID], opts)
-		}
-	})
+		call(th)
+	}, call)
 }
 
 // Substrate micro-benchmarks.
@@ -350,21 +369,6 @@ func BenchmarkSortCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		psort.BucketByKeyInto(items, keys, 128, sorted, pos, offs, cursor)
-	}
-}
-
-func BenchmarkSortQuick(b *testing.B) {
-	rng := xrand.New(1)
-	const k = 1 << 16
-	src := make([]int64, k)
-	for i := range src {
-		src[i] = rng.Int63()
-	}
-	buf := make([]int64, k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		psort.Quicksort(buf)
 	}
 }
 

@@ -48,7 +48,7 @@ func main() {
 	}
 	fmt.Printf("MST-SMP (fine-grained locks):  %8.1f simulated ms\n", lockBased.Run.SimMS())
 
-	// Sequential Kruskal with the cache-friendly merge sort.
+	// Sequential Kruskal, charged with the cache-friendly merge sort.
 	kruskal, kruskalNS := pgasgraph.KruskalTime(g, pgasgraph.SequentialMachine())
 	fmt.Printf("sequential Kruskal:            %8.1f simulated ms\n", kruskalNS/1e6)
 

@@ -39,31 +39,31 @@ import (
 	"pgasgraph/internal/sim"
 )
 
-// Size limits of one collective call. The grouping sort's position buffers
-// and the cached owner keys are int32, and the QuickSort grouping path
-// packs each request position into the low 40 bits of an int64 alongside
-// the owner id in the bits above; the tighter of the two bounds is int32.
-// Owner ids share the packed key's upper bits, which caps the thread count
-// at 2^23. Both limits are enforced explicitly — silently truncated
-// positions would permute answers instead of failing.
+// Size limits of one collective call. The grouping sort's position
+// buffers are int32, which bounds the request list, and so is the owner
+// key of every request (SharedArray.OwnerKey, threadState.keys), which
+// bounds the thread count. Both limits are enforced explicitly — silently
+// truncated positions would permute answers instead of failing.
 const (
 	// MaxRequests is the largest request list one thread may pass to a
 	// single collective call.
 	MaxRequests = math.MaxInt32
-	// MaxThreads is the largest runtime thread count the packed
-	// (owner, position) sort keys support.
-	MaxThreads = 1 << 23
+	// MaxThreads is the largest runtime thread count the int32 owner keys
+	// can name.
+	MaxThreads = math.MaxInt32
 )
 
-// SortKind selects the grouping sort used in phase 1. The paper's Figure 3
-// deliberately uses quicksort ("more than 50 times slower than count sort")
-// to show coalescing wins even with a slow sort.
+// SortKind selects the grouping sort phase 1 is charged as. The paper's
+// Figure 3 deliberately uses quicksort ("more than 50 times slower than
+// count sort") to show coalescing wins even with a slow sort. Both kinds
+// group the requests alike — by owner, stably — so the host runs the count
+// sort whatever the kind, and the kind selects the charge (chargeGroup).
 type SortKind int
 
 const (
 	// CountSort is the linear-time two-pass bucket sort (the default).
 	CountSort SortKind = iota
-	// QuickSort is comparison sorting on packed (owner, position) keys.
+	// QuickSort charges comparison sorting on (owner, position) keys.
 	QuickSort
 )
 
@@ -94,7 +94,7 @@ type Options struct {
 	// for a benchmark-archetype PR).
 	Offload      bool
 	OffloadIndex int64
-	// Sort selects the grouping sort.
+	// Sort selects the grouping sort phase 1 is charged as.
 	Sort SortKind
 }
 
@@ -158,16 +158,16 @@ func Sanitize(opts *Options, allowOffload bool) *Options {
 }
 
 // ValidateGeometry reports whether a runtime with the given thread count
-// can be served by the collectives: owner ids share the packed sort keys'
-// upper bits, capping the thread count at MaxThreads. The pgasgraph
-// boundary surfaces this as an error; NewComm keeps it as a panic backstop
-// for direct internal construction.
+// can be served by the collectives: owner keys are int32, capping the
+// thread count at MaxThreads. The pgasgraph boundary surfaces this as an
+// error; NewComm keeps it as a panic backstop for direct internal
+// construction.
 func ValidateGeometry(threads int) error {
 	if threads <= 0 {
 		return fmt.Errorf("collective: thread count must be positive, got %d", threads)
 	}
 	if threads > MaxThreads {
-		return fmt.Errorf("collective: %d threads exceed the %d-thread limit of the packed sort keys", threads, MaxThreads)
+		return fmt.Errorf("collective: %d threads exceed the %d-thread limit of the int32 owner keys", threads, MaxThreads)
 	}
 	return nil
 }
@@ -206,7 +206,6 @@ type threadState struct {
 	vals       []int64 // wire staging: remote peers' value segments, pulled (Set*) or answers pushed (GetD)
 	recv       []int64 // route-op receive: routed items
 	recv2      []int64 // route-op receive: routed values (ExchangePairs)
-	packed     []int64 // (owner, position) keys for the QuickSort path
 	cursor     []int64 // bucket cursors for the count-sort, len s
 	segs       []segment
 	served     []int64       // a traced call's elements served per requester (see served)
@@ -341,7 +340,7 @@ func (c *Comm) served(st *threadState, op *serveOp) []int64 {
 }
 
 // NewComm allocates collective state for rt. It panics on a geometry the
-// packed sort keys cannot represent; callers that want an error instead
+// int32 owner keys cannot name; callers that want an error instead
 // check ValidateGeometry first (pgasgraph.NewCluster does).
 func NewComm(rt *pgas.Runtime) *Comm {
 	s := rt.NumThreads()

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"pgasgraph/internal/pgas"
-	"pgasgraph/internal/psort"
 	"pgasgraph/internal/sched"
 	"pgasgraph/internal/sim"
 )
@@ -280,46 +279,24 @@ func chargeKeys(clk *sim.Clock, m *sim.Model, k int, opts *Options, cache *IDCac
 
 // groupInto is the build's second pass: it distributes the requests
 // keyPass kept into pt.req by owner, recording each one's position in the
-// caller's list in pt.pos, and charges the grouping sort.
+// caller's list in pt.pos, and charges the grouping sort opts.Sort names.
+// keyPass counted the buckets; every kept request goes to the next slot of
+// its owner's segment, so each segment keeps the list's order — the
+// grouping any stable sort by owner gives, Figure 3's quicksort included.
 func (c *Comm) groupInto(th *pgas.Thread, indices []int64, opts *Options, st *threadState, pt *planThread) {
-	k := pt.k
-	keys, req, pos, offs := st.keys[:len(indices)], pt.req[:k], pt.pos[:k], pt.offs
-	switch opts.Sort {
-	case CountSort:
-		// keyPass counted the buckets; distribute every kept request to
-		// the next slot of its owner's segment.
-		cursor := st.cursor
-		copy(cursor, offs[:c.s])
-		for j, key := range keys {
-			if key < 0 {
-				continue
-			}
-			p := cursor[key]
-			cursor[key]++
-			req[p] = indices[j]
-			pos[p] = int32(j)
+	keys, req, pos := st.keys[:len(indices)], pt.req[:pt.k], pt.pos[:pt.k]
+	cursor := st.cursor
+	copy(cursor, pt.offs[:c.s])
+	for j, key := range keys {
+		if key < 0 {
+			continue
 		}
-	case QuickSort:
-		// Pack (owner, position) and comparison-sort: the slow path of
-		// Figure 3. Positions keep the sort stable and recover the
-		// permutation.
-		st.packed = st.grow(st.packed, k)
-		packed := st.packed[:0]
-		for j, key := range keys {
-			if key >= 0 {
-				packed = append(packed, int64(key)<<40|int64(j))
-			}
-		}
-		psort.Quicksort(packed)
-		for p, pk := range packed {
-			j := pk & (1<<40 - 1)
-			pos[p] = int32(j)
-			req[p] = indices[j]
-		}
-	default:
-		panic(fmt.Sprintf("collective: unknown sort kind %d", opts.Sort))
+		p := cursor[key]
+		cursor[key]++
+		req[p] = indices[j]
+		pos[p] = int32(j)
 	}
-	chargeGroup(&th.Clock, th.Runtime().Model(), int64(k), c.s, opts.Sort)
+	chargeGroup(&th.Clock, th.Runtime().Model(), int64(pt.k), c.s, opts.Sort)
 }
 
 // chargeGroup charges the grouping sort of k requests into owners buckets:

@@ -2,11 +2,14 @@ package collective
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/sim"
 	"pgasgraph/internal/xrand"
 )
 
@@ -99,6 +102,81 @@ func TestPlanChargeInvariance(t *testing.T) {
 						if outA[i][j] != outB[i][j] {
 							t.Fatalf("thread %d output %d differs between one-shot and plan", i, j)
 						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestQuickSortIsACharge: the grouping sort the options name changes the
+// charge, never the layout. A CountSort build and a QuickSort build of
+// the same request lists give every thread the same req, pos and offs and
+// the same answers, and their build clocks differ only in CatSort, by
+// chargeGroup(QuickSort) - chargeGroup(CountSort) on the thread's kept
+// requests.
+func TestQuickSortIsACharge(t *testing.T) {
+	const n = 1 << 12
+	data := make([]int64, n)
+	r := xrand.New(13)
+	for i := range data {
+		data[i] = r.Int64n(1 << 30)
+	}
+	data[0] = 0 // offload pins slot 0
+	type build struct {
+		req, offs, out []int64
+		pos            []int32
+		k              int
+		clk, group     sim.Clock // the build's clock; chargeGroup's alone
+	}
+	for _, geo := range []struct{ nodes, tpn int }{{4, 2}, {3, 1}} {
+		for name, opts := range planVariants() {
+			t.Run(fmt.Sprintf("%dx%d/%s", geo.nodes, geo.tpn, name), func(t *testing.T) {
+				run := func(kind SortKind) []build {
+					rt := testRT(t, geo.nodes, geo.tpn)
+					s := rt.NumThreads()
+					d := rt.NewSharedArray("D", n)
+					copy(d.Raw(), data)
+					reqs := planReqs(s, 3000, n)
+					plan := NewComm(rt).NewPlan()
+					builds := make([]build, s)
+					rt.Run(func(th *pgas.Thread) {
+						o := *opts
+						o.Sort = kind
+						b := &builds[th.ID]
+						plan.PlanRequests(th, d, reqs[th.ID], &o, nil)
+						b.clk = th.Clock
+						pt := &plan.pts[th.ID]
+						b.k = pt.k
+						b.req = append([]int64(nil), pt.req[:pt.k]...)
+						b.pos = append([]int32(nil), pt.pos[:pt.k]...)
+						b.offs = append([]int64(nil), pt.offs...)
+						chargeGroup(&b.group, th.Runtime().Model(), int64(pt.k), s, kind)
+						b.out = make([]int64, len(reqs[th.ID]))
+						plan.GetD(th, d, b.out)
+					})
+					return builds
+				}
+				count, quick := run(CountSort), run(QuickSort)
+				for i := range count {
+					c, q := count[i], quick[i]
+					if !slices.Equal(c.req, q.req) || !slices.Equal(c.pos, q.pos) || !slices.Equal(c.offs, q.offs) {
+						t.Fatalf("thread %d: QuickSort grouped its %d requests differently from CountSort", i, c.k)
+					}
+					if !slices.Equal(c.out, q.out) {
+						t.Fatalf("thread %d: QuickSort answers differ from CountSort", i)
+					}
+					near := func(what string, got, want, scale float64) {
+						if math.Abs(got-want) > 1e-9*math.Max(1, scale) {
+							t.Errorf("thread %d: %s differs by %v, want %v", i, what, got, want)
+						}
+					}
+					for cat := sim.Category(0); cat < sim.NumCategories; cat++ {
+						near(cat.String(), q.clk.ByCategory[cat]-c.clk.ByCategory[cat], q.group.ByCategory[cat]-c.group.ByCategory[cat], q.clk.ByCategory[cat])
+					}
+					near("cache misses", q.clk.CacheMisses-c.clk.CacheMisses, q.group.CacheMisses-c.group.CacheMisses, q.clk.CacheMisses)
+					if c.clk.Messages != q.clk.Messages || c.clk.Bytes != q.clk.Bytes || c.clk.RemoteOps != q.clk.RemoteOps {
+						t.Errorf("thread %d: traffic differs: CountSort %+v, QuickSort %+v", i, c.clk, q.clk)
 					}
 				}
 			})

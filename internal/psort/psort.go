@@ -1,9 +1,11 @@
-// Package psort provides the sorting routines the reproduction depends on:
-// the linear-time count sort (bucketing) used inside the GetD/SetD
-// collectives and Algorithm 1's group phase, quicksort (the paper's Figure
-// 3 deliberately uses it to show coalescing wins even with a sort that is
-// "more than 50 times slower than count sort"), and the cache-friendly
-// bottom-up merge sort the paper's sequential Kruskal baseline uses.
+// Package psort holds BucketByKeyInto, the standalone form of the
+// two-pass count sort the collectives run in their grouping phase
+// (internal/collective's groupInto, which counts its buckets in the pass
+// that filters the requests). Its callers are benchmark/'s psort.bucket_ms
+// probe and tests. The paper's slower sorts — Figure 3's quicksort and
+// Kruskal's merge sort — are charged by the cost model, never run: every
+// stable grouping by owner, and every sort of distinct keys, gives the
+// same order.
 package psort
 
 import "fmt"
@@ -50,120 +52,5 @@ func BucketByKeyInto(items []int64, keys []int32, k int, sorted []int64, pos []i
 		cursor[b]++
 		sorted[p] = item
 		pos[p] = int32(i)
-	}
-}
-
-// Quicksort sorts s in place with median-of-three pivoting and insertion
-// sort below a small cutoff. Deterministic.
-func Quicksort(s []int64) {
-	for len(s) > 16 {
-		p := partition(s)
-		// Recurse on the smaller side to bound stack depth.
-		if p < len(s)-p-1 {
-			Quicksort(s[:p])
-			s = s[p+1:]
-		} else {
-			Quicksort(s[p+1:])
-			s = s[:p]
-		}
-	}
-	insertion(s)
-}
-
-func insertion(s []int64) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-}
-
-func partition(s []int64) int {
-	mid := len(s) / 2
-	hi := len(s) - 1
-	// Median of three to s[hi].
-	if s[0] > s[mid] {
-		s[0], s[mid] = s[mid], s[0]
-	}
-	if s[0] > s[hi] {
-		s[0], s[hi] = s[hi], s[0]
-	}
-	if s[mid] > s[hi] {
-		s[mid], s[hi] = s[hi], s[mid]
-	}
-	s[mid], s[hi-1] = s[hi-1], s[mid]
-	pivot := s[hi-1]
-	i := 0
-	for j := 1; j < hi-1; j++ {
-		if s[j] < pivot {
-			i++
-			if i != j {
-				s[i], s[j] = s[j], s[i]
-			}
-		}
-	}
-	s[i+1], s[hi-1] = s[hi-1], s[i+1]
-	return i + 1
-}
-
-// MergeSort sorts s with a bottom-up (cache-friendly) merge sort: each pass
-// streams the whole array sequentially, the access pattern the paper
-// prefers for the Kruskal baseline on deep memory hierarchies. It returns
-// the number of passes performed, which the sequential cost model charges
-// as streaming scans.
-func MergeSort(s []int64) int {
-	n := len(s)
-	if n < 2 {
-		return 0
-	}
-	buf := make([]int64, n)
-	src, dst := s, buf
-	passes := 0
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			merge(src[lo:mid], src[mid:hi], dst[lo:hi])
-		}
-		src, dst = dst, src
-		passes++
-	}
-	if &src[0] != &s[0] {
-		copy(s, src)
-	}
-	return passes
-}
-
-func merge(a, b, out []int64) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out[k] = a[i]
-			i++
-		} else {
-			out[k] = b[j]
-			j++
-		}
-		k++
-	}
-	for i < len(a) {
-		out[k] = a[i]
-		i++
-		k++
-	}
-	for j < len(b) {
-		out[k] = b[j]
-		j++
-		k++
 	}
 }

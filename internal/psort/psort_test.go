@@ -1,109 +1,9 @@
 package psort
 
 import (
-	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
-
-	"pgasgraph/internal/xrand"
 )
-
-func randomSlice(n int, seed uint64) []int64 {
-	r := xrand.New(seed)
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = r.Int63()
-	}
-	return s
-}
-
-func TestQuicksortMatchesStdlib(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 15, 16, 17, 100, 1000, 10000} {
-		got := randomSlice(n, uint64(n)+1)
-		want := append([]int64(nil), got...)
-		Quicksort(got)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: mismatch at %d: %d vs %d", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestQuicksortAdversarial(t *testing.T) {
-	cases := map[string][]int64{
-		"sorted":     {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18},
-		"reversed":   {18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1},
-		"duplicates": {5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5},
-		"twovalues":  {1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0},
-		"negatives":  {-3, 7, -1, 0, -3, 2, -9, 4, 1, 1, -5, 8, 0, -2, 6, -7, 3, -4},
-	}
-	for name, s := range cases {
-		t.Run(name, func(t *testing.T) {
-			Quicksort(s)
-			if !slices.IsSorted(s) {
-				t.Fatalf("not sorted: %v", s)
-			}
-		})
-	}
-}
-
-func TestQuicksortProperty(t *testing.T) {
-	check := func(s []int64) bool {
-		mine := append([]int64(nil), s...)
-		std := append([]int64(nil), s...)
-		Quicksort(mine)
-		sort.Slice(std, func(i, j int) bool { return std[i] < std[j] })
-		for i := range mine {
-			if mine[i] != std[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeSortMatchesStdlib(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 65, 1000, 4097} {
-		got := randomSlice(n, uint64(n)+7)
-		want := append([]int64(nil), got...)
-		passes := MergeSort(got)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: mismatch at %d", n, i)
-			}
-		}
-		// passes must be ceil(log2(n)) for n >= 2.
-		if n >= 2 {
-			wantPasses := 0
-			for w := 1; w < n; w *= 2 {
-				wantPasses++
-			}
-			if passes != wantPasses {
-				t.Fatalf("n=%d: %d passes, want %d", n, passes, wantPasses)
-			}
-		}
-	}
-}
-
-func TestMergeSortStability(t *testing.T) {
-	// Packed (key, id) values: equal keys must keep id order, since the
-	// MST kernels rely on (weight, id) orderings.
-	s := []int64{2<<32 | 0, 1<<32 | 1, 2<<32 | 2, 1<<32 | 3, 1<<32 | 4}
-	MergeSort(s)
-	want := []int64{1<<32 | 1, 1<<32 | 3, 1<<32 | 4, 2<<32 | 0, 2<<32 | 2}
-	for i := range s {
-		if s[i] != want[i] {
-			t.Fatalf("stability broken at %d: %v", i, s)
-		}
-	}
-}
 
 // BucketByKey is BucketByKeyInto with a fresh cursor per call.
 func BucketByKey(items []int64, keys []int32, k int, sorted []int64, pos []int32, offs []int64) {

@@ -1,13 +1,16 @@
 // Package seq implements the sequential baselines the paper compares
 // against: union-find connected components and Kruskal's minimum spanning
-// forest (with the cache-friendly merge sort). Both run on the one
-// disjoint-set forest of internal/unionfind. The tests cross-check them
-// against BFS components, Prim and Borůvka.
+// forest. Both run on the one disjoint-set forest of internal/unionfind.
+// The tests cross-check them against BFS components, Prim and Borůvka.
 //
 // The *Timed variants execute the same code while counting actual memory
 // touches, then convert the counts to simulated nanoseconds through the
 // machine cost model — these produce the "best sequential implementation"
-// reference lines of Figures 7-10.
+// reference lines of Figures 7-10. Where the paper's baseline differs from
+// the host's code only in cost, the model charges the paper's algorithm
+// and the host runs one: Kruskal is charged the cache-friendly merge sort
+// and sorts with slices.Sort, and CCExternalTimed is charged the
+// external-memory algorithm and labels with union-find.
 package seq
 
 import (

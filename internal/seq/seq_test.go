@@ -213,3 +213,30 @@ func TestTimedScalesWithInput(t *testing.T) {
 		t.Fatalf("10x input not slower: %.0f vs %.0f", nsLarge, nsSmall)
 	}
 }
+
+// TestKruskalChargePinned pins Kruskal's charge: the merge sort is charged
+// as ceil(lg m) streaming passes (the bottom-up widths 1, 2, 4, … below
+// m), and KruskalTimed's simulated time on one fixed graph is bit-exact.
+func TestKruskalChargePinned(t *testing.T) {
+	for _, c := range []struct {
+		m      int64
+		passes int
+	}{{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {1000, 10}, {1 << 20, 20}} {
+		g := &graph.Graph{N: 2, U: make([]int32, c.m), V: make([]int32, c.m), W: make([]uint32, c.m)}
+		for i := range g.V {
+			g.V[i] = 1
+			g.W[i] = uint32(i * 7919 % 1013)
+		}
+		if _, passes, _ := kruskalCounted(g); passes != c.passes {
+			t.Errorf("m=%d: %d passes, want %d", c.m, passes, c.passes)
+		}
+	}
+	g := weighted(graph.Random(500, 2000, 9), 10)
+	msf, ns := KruskalTimed(g, sim.NewModel(machine.Sequential()))
+	if err := CheckForest(g, msf); err != nil {
+		t.Fatal(err)
+	}
+	if want := 240650.0; ns != want {
+		t.Errorf("KruskalTimed = %v ns, want %v", ns, want)
+	}
+}

@@ -148,7 +148,7 @@ func NewCluster(cfg MachineConfig) (*Cluster, error) {
 }
 
 // MaxCollectiveThreads is the largest total thread count (nodes ×
-// threads-per-node) the collectives' packed sort keys support; NewCluster
+// threads-per-node) the collectives' int32 owner keys can name; NewCluster
 // rejects configurations beyond it.
 const MaxCollectiveThreads = collective.MaxThreads
 
@@ -189,8 +189,8 @@ func SequentialCCTime(g *Graph, cfg MachineConfig) ([]int64, float64) {
 }
 
 // KruskalTime returns the minimum spanning forest via sequential Kruskal
-// with the cache-friendly merge sort (the paper's best sequential MST) plus
-// its simulated sequential time.
+// plus its simulated sequential time, charged with the cache-friendly
+// merge sort of the paper's best sequential MST.
 func KruskalTime(g *Graph, cfg MachineConfig) (*MSF, float64) {
 	return seq.KruskalTimed(g, sim.NewModel(cfg))
 }

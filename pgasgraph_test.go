@@ -162,7 +162,7 @@ func TestOptionPresets(t *testing.T) {
 
 // TestValidateRejectsBadVectors covers the known-bad configurations: a
 // non-positive virtual-thread count, an unknown sort kind, a negative
-// offload index, and a cluster geometry beyond the packed-key limit.
+// offload index, and a cluster geometry beyond the int32 owner-key limit.
 func TestValidateRejectsBadVectors(t *testing.T) {
 	bad := []*CollectiveOptions{
 		{VirtualThreads: 0},
