@@ -9,6 +9,7 @@
 package pgasgraph
 
 import (
+	"slices"
 	"testing"
 
 	"pgasgraph/internal/collective"
@@ -295,6 +296,52 @@ func BenchmarkCollectiveGetDCombined(b *testing.B) {
 		}
 		call(th)
 	}, call)
+}
+
+// BenchmarkCollectiveLiveGather is a shrinking stars list's request path
+// at int32 indices. Every op restores D to 64 rooted stars and the list to
+// its full endpoint vector, gathers at the endpoints, builds the hooks and
+// issues them (one SetDMin), collapses the two components they make to
+// rooted stars (one PointerJump) and gathers again, at the roots the hook
+// pass counted. The warm op sizes the list's bitmap and the Comm's
+// scratch; steady state is 0 allocs/op.
+func BenchmarkCollectiveLiveGather(b *testing.B) {
+	c, _, _, _ := collectiveSteadyCluster(b)
+	rt := c.Runtime()
+	const n, m = 1 << 16, 1 << 15
+	d := rt.NewSharedArray("D", n)
+	stars := make([]int64, n)
+	for v := range stars {
+		stars[v] = int64(v) &^ 1023
+	}
+	rng := xrand.New(7)
+	eu, ev := make([]int32, m), make([]int32, m)
+	for e := range eu {
+		u, v := rng.Int64n(n), rng.Int64n(n)
+		eu[e], ev[e] = int32(u), int32(v&^1024|u&1024) // stars of one parity: two components
+	}
+	opts := collective.Optimized(4)
+	live := c.Comm().NewLiveEdges(true, false, d, nil)
+	red := pgas.NewReducer(rt)
+	els, full := make([]*collective.EdgeList, c.Threads()), make([][]int32, c.Threads())
+	op := func(th *pgas.Thread) {
+		el := els[th.ID]
+		lo, hi := d.ThreadCover(th.ID)
+		copy(d.Raw()[lo:hi], stars[lo:hi])
+		el.Ends = append(el.Ends[:0], full[th.ID]...)
+		th.Barrier()
+		el.Gather(th, d, opts, false)
+		el.Hooks(th)
+		el.SetDMin(th, d, opts)
+		c.Comm().PointerJump(th, d, opts, red, el.SlabIdx, el.SlabVal, nil)
+		el.Compact(th)
+		el.Gather(th, d, opts, false)
+	}
+	steadyRegion(b, rt, func(th *pgas.Thread) {
+		els[th.ID] = live.List(th, eu, ev, false)
+		full[th.ID] = slices.Clone(els[th.ID].Ends)
+		op(th)
+	}, op)
 }
 
 // Substrate micro-benchmarks.

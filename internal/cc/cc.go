@@ -193,8 +193,8 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 // Recoverable state (pgas.Register): D, under CkptCoalescedD, for the
 // same reason as Naive.
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
+	lay := newSpread(g.N) // refuses n > 2^31 before D is allocated
 	d := rt.NewSharedArray("D", g.N)
-	lay := newSpread(g.N)
 	// A wire runtime's Register seeds its snapshots of remote blocks from D:
 	// fill it first there; in process each thread fills its own block.
 	hostFill := !rt.Transport().Shared()
@@ -214,7 +214,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		}
 		th.ChargeSeq(sim.CatWork, span)
 		th.ChargeOps(sim.CatWork, span)
-		el := live.List(th, g.M(), g.Ends, false)
+		el := live.List(th, g.U, g.V, false)
 		th.Barrier()
 
 		// Rounds until no edge joins two trees: gather every live edge's
@@ -225,8 +225,8 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		// hook ends at its gather.
 		red.Loop(th, "cc.Coalesced", maxIterations, func(iter int) bool {
 			if iter > 0 {
-				comm.SetDMin(th, d, el.HookIdx, el.HookVal, col, nil)
-				comm.PointerJump(th, d, col, red, el.Slab, lay.place)
+				el.SetDMin(th, d, col)
+				comm.PointerJump(th, d, col, red, el.SlabIdx, el.SlabVal, lay.place)
 				el.Compact(th)
 			}
 			el.Gather(th, d, col, iter == 0 && identity)
@@ -252,7 +252,7 @@ var svRule = hookRule{
 	perCallSort: true,
 	// D[D[v]] <- min D[u] and symmetrically. The grandparent value prunes
 	// requests that cannot win.
-	hooks: func(_, par, gp, setIdx, setVal []int64) ([]int64, []int64) {
+	hooks: func(_ []int32, par, gp, setIdx, setVal []int64) ([]int64, []int64) {
 		for j := 0; j < len(par); j += 2 {
 			du, dv := par[j], par[j+1]
 			ddu, ddv := gp[j], gp[j+1]

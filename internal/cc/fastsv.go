@@ -26,7 +26,7 @@ var fastSVRule = hookRule{
 	// vertex itself. The gathered current values prune requests that
 	// cannot win (labels only decrease, so a value >= the last-seen target
 	// value never lands).
-	hooks: func(end, par, gp, setIdx, setVal []int64) ([]int64, []int64) {
+	hooks: func(end []int32, par, gp, setIdx, setVal []int64) ([]int64, []int64) {
 		for j := 0; j < len(par); j += 2 {
 			fu, fv := par[j], par[j+1]
 			gu, gv := gp[j], gp[j+1]
@@ -39,11 +39,11 @@ var fastSVRule = hookRule{
 				setVal = append(setVal, gu)
 			}
 			if gv < fu { // aggressive: D[u] <- g(v)
-				setIdx = append(setIdx, end[j])
+				setIdx = append(setIdx, int64(end[j]))
 				setVal = append(setVal, gv)
 			}
 			if gu < fv { // aggressive: D[v] <- g(u)
-				setIdx = append(setIdx, end[j+1])
+				setIdx = append(setIdx, int64(end[j+1]))
 				setVal = append(setVal, gu)
 			}
 		}

@@ -107,17 +107,18 @@ func (s *spread) inv(p int64) int64 {
 	return int64(q<<s.t | r)
 }
 
-// place is the layout as the collectives apply it (collective.Layout).
+// place is the layout as the collectives apply it (collective.Layout),
+// in place: positions are below n <= 2^31, so they fit the int32 indices.
 // When n is a power of two pos is the scramble alone, inlined here.
-func (s *spread) place(dst, src []int64) {
+func (s *spread) place(ix []int32) {
 	if s.rest != 0 {
-		for i, v := range src {
-			dst[i] = s.pos(v)
+		for i, v := range ix {
+			ix[i] = int32(s.pos(int64(v)))
 		}
 		return
 	}
-	for i, v := range src {
-		dst[i] = int64(s.scramble(uint64(v)))
+	for i, v := range ix {
+		ix[i] = int32(s.scramble(uint64(v)))
 	}
 }
 

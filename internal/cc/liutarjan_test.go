@@ -67,7 +67,7 @@ func (v ltVariant) rule() *hookRule {
 		// For each live edge, the larger parent label's tree receives the
 		// smaller parent label — at the parent (P), and additionally at
 		// the endpoint itself for extended (E).
-		hooks: func(end, par, gp, setIdx, setVal []int64) ([]int64, []int64) {
+		hooks: func(end []int32, par, gp, setIdx, setVal []int64) ([]int64, []int64) {
 			for j := 0; j < len(par); j += 2 {
 				fu, fv := par[j], par[j+1]
 				if fu == fv {
@@ -87,7 +87,7 @@ func (v ltVariant) rule() *hookRule {
 					setVal = append(setVal, fu)
 				}
 				if extended {
-					setIdx = append(setIdx, end[lose])
+					setIdx = append(setIdx, int64(end[lose]))
 					setVal = append(setVal, fu)
 				}
 			}

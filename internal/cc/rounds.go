@@ -28,7 +28,7 @@ type hookRule struct {
 	// hooks appends the round's SetDMin requests. end holds the endpoints
 	// of the k live edges as (u, v) pairs, par their gathered parents, gp
 	// the parents' parents. Called once per round, never per edge.
-	hooks func(end, par, gp, setIdx, setVal []int64) ([]int64, []int64)
+	hooks func(end []int32, par, gp, setIdx, setVal []int64) ([]int64, []int64)
 }
 
 // roundProbe, when non-nil, receives a snapshot of the label array after
@@ -80,7 +80,7 @@ func labelRounds(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *
 		block := d.Raw()[dLo:dHi] // this thread's covered labels
 		th.ChargeSeq(sim.CatWork, span)
 
-		el := live.List(th, g.M(), g.Ends, false)
+		el := live.List(th, g.U, g.V, false)
 		gpVal := make([]int64, len(el.Ends))
 		setIdx := make([]int64, 0, len(el.Ends))
 		setVal := make([]int64, 0, len(el.Ends))

@@ -91,7 +91,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		}
 		th.ChargeSeq(sim.CatWork, span)
 
-		el := live.List(th, g.M(), g.Ends, true)
+		el := live.List(th, g.U, g.V, true)
 		th.Barrier()
 
 		// As in Coalesced, a round gathers and elects, Hook[pos(max(du,dv))]
@@ -99,7 +99,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 		// election and collapsing to rooted stars.
 		red.Loop(th, "cc.SpanningTree", maxIterations, func(iter int) bool {
 			if iter > 0 {
-				comm.SetDMin(th, hook, el.HookIdx, el.HookVal, &colHook, nil)
+				el.SetDMin(th, hook, &colHook)
 
 				// Apply winning hooks on owned slots, recording tree
 				// edges: one read-modify-write pass over the block that
@@ -123,7 +123,7 @@ func SpanningTree(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts 
 				th.Barrier()
 
 				// Collapse to rooted stars.
-				comm.PointerJump(th, d, col, red, el.Slab, lay.place)
+				comm.PointerJump(th, d, col, red, el.SlabIdx, el.SlabVal, lay.place)
 				el.Compact(th)
 			}
 

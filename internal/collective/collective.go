@@ -409,7 +409,7 @@ func badIndex(kind string, d *pgas.SharedArray, ix int64) {
 // barriers. cache may be nil. Requests must be in-bounds for d and at most
 // MaxRequests long (both checked).
 func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options, cache *IDCache) {
-	c.once(th, opGetD, d, indices, nil, out, opts, cache)
+	once(c, th, opGetD, d, indices, nil, out, opts, cache)
 }
 
 // GetDCombined is GetD, result for result, for a request vector the caller
@@ -423,14 +423,14 @@ func (c *Comm) GetD(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, 
 // which asks for those roots (EdgeList.Gather) rather than grow this
 // filter's keeper and dropIdx tails to the list. It traces as GetD.
 func (c *Comm) GetDCombined(th *pgas.Thread, d *pgas.SharedArray, indices, out []int64, opts *Options) {
-	c.once(th, opGetDCombined, d, indices, nil, out, opts, nil)
+	once(c, th, opGetDCombined, d, indices, nil, out, opts, nil)
 }
 
 // SetD scatters D[indices[j]] = values[j] collectively (arbitrary
 // concurrent write: when several requests target one location, the owner
 // applies them in a deterministic order and the last wins).
 func (c *Comm) SetD(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.once(th, opSetD, d, indices, values, nil, opts, cache)
+	once(c, th, opSetD, d, indices, values, nil, opts, cache)
 }
 
 // SetDMin scatters D[indices[j]] = min(D[indices[j]], values[j])
@@ -444,7 +444,7 @@ func (c *Comm) SetD(th *pgas.Thread, d *pgas.SharedArray, indices, values []int6
 // call is the same. cache is not consulted: which requests survive depends
 // on the values, not on the index list alone.
 func (c *Comm) SetDMin(th *pgas.Thread, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
-	c.once(th, opSetDMin, d, indices, values, nil, opts, cache)
+	once(c, th, opSetDMin, d, indices, values, nil, opts, cache)
 }
 
 // Exchange is the personalized all-to-all underlying the paper's
@@ -460,7 +460,7 @@ func (c *Comm) SetDMin(th *pgas.Thread, d *pgas.SharedArray, indices, values []i
 // All threads must call it (it contains barriers). The returned slice is
 // valid until the thread's next collective call on this Comm.
 func (c *Comm) Exchange(th *pgas.Thread, d *pgas.SharedArray, items []int64, opts *Options, cache *IDCache) []int64 {
-	c.once(th, opExchange, d, items, nil, nil, opts, cache)
+	once(c, th, opExchange, d, items, nil, nil, opts, cache)
 	st := &c.ts[th.ID]
 	return st.recv[:st.routeTotal]
 }
@@ -475,19 +475,20 @@ func (c *Comm) Exchange(th *pgas.Thread, d *pgas.SharedArray, items []int64, opt
 // All threads must call it (it contains barriers). The returned slices are
 // valid until the thread's next collective call on this Comm.
 func (c *Comm) ExchangePairs(th *pgas.Thread, d *pgas.SharedArray, items, values []int64, opts *Options, cache *IDCache) (recvItems, recvValues []int64) {
-	c.once(th, opExchangePairs, d, items, values, nil, opts, cache)
+	once(c, th, opExchangePairs, d, items, values, nil, opts, cache)
 	st := &c.ts[th.ID]
 	return st.recv[:st.routeTotal], st.recv2[:st.routeTotal]
 }
 
 // once is every one-shot collective: check the caller's slices against the
 // request list, build the scratch plan for op (which says what the build
-// may drop) and execute it once.
-func (c *Comm) once(th *pgas.Thread, op *serveOp, d *pgas.SharedArray, indices, values, out []int64, opts *Options, cache *IDCache) {
+// may drop) and execute it once. The exported collectives pass int64
+// indices; the live list, its roots and PointerJump pass int32 ones.
+func once[I index](c *Comm, th *pgas.Thread, op *serveOp, d *pgas.SharedArray, indices []I, values, out []int64, opts *Options, cache *IDCache) {
 	checkArgs(op, len(indices), values, out)
 	opts = orDefaults(opts)
 	c.traced(th, c.splan, op, func() {
-		c.splan.planInto(op.kind, th, op, d, indices, values, opts, cache)
+		planInto(c.splan, op.kind, th, op, d, indices, values, opts, cache)
 		c.exec(th, c.splan, op, d, values, out)
 	})
 }

@@ -558,10 +558,9 @@ func TestPlannedGetDDeliversEverything(t *testing.T) {
 	comm.SetTracer(counts)
 	plan := comm.NewPlan()
 	static, shrinking := comm.NewLiveEdges(false, false, nil, nil), comm.NewLiveEdges(true, false, nil, nil)
-	fill := func(lo, hi int64, ends []int64) {
-		for j := range ends {
-			ends[j] = 1 + int64(j%5) // five endpoints, k pairs
-		}
+	eu, ev := make([]int32, k*s), make([]int32, k*s) // five endpoints, k pairs a thread
+	for e := range eu {
+		eu[e], ev[e] = 1+int32(2*e%5), 1+int32((2*e+1)%5)
 	}
 	rt.Run(func(th *pgas.Thread) {
 		idx, out := make([]int64, k), make([]int64, k)
@@ -577,7 +576,7 @@ func TestPlannedGetDDeliversEverything(t *testing.T) {
 			}
 		}
 		for _, live := range []*LiveEdges{static, shrinking} {
-			el := live.List(th, int64(k*s), fill, false)
+			el := live.List(th, eu, ev, false)
 			el.Gather(th, d, Base(), false)
 			el.Gather(th, d, Base(), false)
 		}

@@ -26,22 +26,27 @@ type LiveEdges struct {
 
 // EdgeList is one thread's share of a LiveEdges. The kernel reads the
 // slices after Gather, Hooks and Compact, which re-slice them; it writes
-// none.
+// none. Indices are int32 on the host — vertex ids and edge ids are below
+// 2^31 (graph.Validate) — while labels stay int64 words.
 type EdgeList struct {
 	// Ends holds the live edges as (u, v) endpoint pairs, as positions of
 	// the gathered array: the gather's request vector.
-	Ends []int64
+	Ends []int32
 	// Labels is what the last Gather read at Ends, pair for pair.
 	Labels []int64
 	// IDs are the live edges' ids, one per pair; nil unless List was asked
 	// for them.
-	IDs []int64
-	// HookIdx and HookVal are a stars list's hook list, built by Hooks and
-	// issued by the kernel before the next Gather, which may borrow them.
-	// They are views of Slab with room for a hook per edge of the span.
-	// Slab, max(2·span, 3·block) words (block: the ThreadCover block of
-	// d), is PointerJump's scratch between the SetDMin and the next Hooks.
-	HookIdx, HookVal, Slab []int64
+	IDs []int32
+	// SlabIdx and SlabVal are a stars list's hook slab, max(span, 2·block)
+	// and max(span, block) words (block: the ThreadCover block of d):
+	// Hooks builds the hook list in their first span words, and between
+	// its SetDMin and the next Hooks they are PointerJump's scratch.
+	SlabIdx []int32
+	SlabVal []int64
+	// hookIdx and hookVal are the hook list, views of the slab, issued by
+	// SetDMin before the next Gather, which may borrow them.
+	hookIdx []int32
+	hookVal []int64
 
 	live    *LiveEdges
 	planned bool
@@ -81,35 +86,38 @@ func (c *Comm) NewLiveEdges(shrinks, regroup bool, stars *pgas.SharedArray, pos 
 	return l
 }
 
-// List builds thread th's share of the list: its span [lo, hi) of the m
-// edges, whose (u, v) pairs fill writes to ends, two words an edge — with
+// List builds thread th's share of the list: its span [lo, hi) of the
+// edges (u[e], v[e]), written as pairs to Ends, two indices an edge — with
 // the edges' ids riding along when the kernel needs to name the edge behind
 // a pair. The endpoint vector is written once per run and charged here,
 // and so is a stars list's hook slab.
-// Under a layout the vertices fill writes stay behind as Labels — the
-// identity round's labels, the layout's inverse of Ends — and Ends holds
-// their positions, one charged op each.
-func (l *LiveEdges) List(th *pgas.Thread, m int64, fill func(lo, hi int64, ends []int64), ids bool) *EdgeList {
-	lo, hi := th.Span(m)
-	el := &EdgeList{live: l, Ends: make([]int64, 2*(hi-lo)), Labels: make([]int64, 2*(hi-lo))}
-	if l.pos == nil {
-		fill(lo, hi, el.Ends)
-	} else {
-		fill(lo, hi, el.Labels)
-		l.pos(el.Ends, el.Labels)
+// Under a layout the vertices stay behind as Labels — the identity round's
+// labels, the layout's inverse of Ends — and Ends holds their positions,
+// one charged op each.
+func (l *LiveEdges) List(th *pgas.Thread, u, v []int32, ids bool) *EdgeList {
+	lo, hi := th.Span(int64(len(u)))
+	el := &EdgeList{live: l, Ends: make([]int32, 2*(hi-lo)), Labels: make([]int64, 2*(hi-lo))}
+	for j, e := 0, lo; e < hi; j, e = j+2, e+1 {
+		el.Ends[j], el.Ends[j+1] = u[e], v[e]
+	}
+	if l.pos != nil {
+		for j, x := range el.Ends {
+			el.Labels[j] = int64(x)
+		}
+		l.pos(el.Ends)
 		th.ChargeOps(sim.CatWork, int64(len(el.Ends)))
 	}
 	if ids {
-		el.IDs = make([]int64, hi-lo)
+		el.IDs = make([]int32, hi-lo)
 		for j := range el.IDs {
-			el.IDs[j] = lo + int64(j)
+			el.IDs[j] = int32(lo) + int32(j)
 		}
 	}
 	if l.stars != nil {
 		span := hi - lo
 		blo, bhi := l.stars.ThreadCover(th.ID)
-		el.Slab = make([]int64, max(2*span, 3*(bhi-blo)))
-		el.HookIdx, el.HookVal = el.Slab[:0:span], el.Slab[span:span:2*span]
+		el.SlabIdx, el.SlabVal = make([]int32, max(span, 2*(bhi-blo))), make([]int64, max(span, bhi-blo))
+		el.hookIdx, el.hookVal = el.SlabIdx[:0:span], el.SlabVal[:0:span]
 	}
 	th.ChargeSeq(sim.CatWork, int64(len(el.Ends)))
 	return el
@@ -141,16 +149,18 @@ func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, 
 	switch {
 	case identity:
 		if l.pos == nil {
-			copy(el.Labels, el.Ends)
+			for j, x := range el.Ends {
+				el.Labels[j] = int64(x)
+			}
 			th.ChargeSeq(sim.CatCopy, int64(len(el.Ends)))
 		}
 	case el.viaRoots:
 		el.gatherRoots(th, d, opts)
 	case l.plan == nil:
-		l.c.GetD(th, d, el.Ends, el.Labels, opts, nil)
+		once(l.c, th, opGetD, d, el.Ends, nil, el.Labels, opts, nil)
 	default:
 		if !el.planned {
-			l.plan.PlanRequests(th, d, el.Ends, opts, nil)
+			planInto(l.plan, "PlanRequests", th, opGetD, d, el.Ends, nil, orDefaults(opts), nil)
 			el.planned = true
 		}
 		l.plan.GetD(th, d, el.Labels)
@@ -167,22 +177,22 @@ func (el *EdgeList) Gather(th *pgas.Thread, d *pgas.SharedArray, opts *Options, 
 func (el *EdgeList) gatherRoots(th *pgas.Thread, d *pgas.SharedArray, opts *Options) {
 	c := el.live.c
 	el.viaRoots = false
-	roots := el.HookIdx[:0]
+	roots := el.hookIdx[:0]
 	for w, x := range el.seen {
 		el.base[w] = int32(len(roots))
 		for ; x != 0; x &= x - 1 {
-			roots = append(roots, int64(w)<<6|int64(bits.TrailingZeros64(x)))
+			roots = append(roots, int32(w)<<6|int32(bits.TrailingZeros64(x)))
 		}
 	}
 	k := len(roots)
 	th.ChargeSeq(sim.CatWork, int64(len(el.seen)))
 	th.ChargeOps(sim.CatWork, int64(k))
 	if pos := el.live.pos; pos != nil {
-		pos(roots, roots)
+		pos(roots)
 		th.ChargeOps(sim.CatWork, int64(k))
 	}
-	vals := el.HookVal[:k]
-	c.GetD(th, d, roots, vals, opts, nil)
+	vals := el.hookVal[:k]
+	once(c, th, opGetD, d, roots, nil, vals, opts, nil)
 	th.ChargeSeq(sim.CatWork, int64(k))
 	if !slices.ContainsFunc(vals, func(v int64) bool { return v != vals[0] }) { // one root
 		el.Ends, el.Labels, el.IDs = el.Ends[:0], el.Labels[:0], el.IDs[:0]
@@ -222,7 +232,7 @@ func (el *EdgeList) rootsLimit(th *pgas.Thread, w int) int {
 	if !cheaper(0) {
 		return -1
 	}
-	lo, hi := 0, min(w, cap(el.HookIdx))
+	lo, hi := 0, min(w, cap(el.hookIdx))
 	for lo < hi {
 		if mid := (lo + hi + 1) / 2; cheaper(mid) {
 			lo = mid
@@ -288,7 +298,14 @@ func gatherPrice(m *sim.Model, k, nb int64, s, tpn int, opts *Options) float64 {
 // one per hook, and reports whether it built a hook.
 func (el *EdgeList) Hooks(th *pgas.Thread) bool {
 	el.pass(th, true)
-	return len(el.HookIdx) > 0
+	return len(el.hookIdx) > 0
+}
+
+// SetDMin issues the hook list the last Hooks built as one SetDMin into
+// target: d itself, or an array of d's length the kernel elects in. All
+// threads must call it.
+func (el *EdgeList) SetDMin(th *pgas.Thread, target *pgas.SharedArray, opts *Options) {
+	once(el.live.c, th, opSetDMin, target, el.hookIdx, el.hookVal, nil, opts, nil)
 }
 
 // Compact drops, in place and in order, every pair whose endpoints
@@ -318,7 +335,7 @@ func (el *EdgeList) Compact(th *pgas.Thread) {
 // list that shrinks and builds the hooks. Compact charges all but hooks.
 func (el *EdgeList) pass(th *pgas.Thread, hooks bool) {
 	l, ends, labels, ids := el.live, el.Ends, el.Labels, el.IDs
-	hookIdx, hookVal := el.HookIdx[:0], el.HookVal[:0]
+	hookIdx, hookVal := el.hookIdx[:0], el.hookVal[:0]
 	if el.cleared = 0; l.shrinks && el.distinct > 0 {
 		clear(el.seen)
 		el.cleared, el.distinct = int64(len(el.seen)), 0
@@ -336,9 +353,9 @@ func (el *EdgeList) pass(th *pgas.Thread, hooks bool) {
 		if hooks {
 			v := min(a, b)
 			if ids != nil {
-				v = v<<32 | ids[j/2]
+				v = v<<32 | int64(ids[j/2])
 			}
-			hookIdx, hookVal = append(hookIdx, max(a, b)), append(hookVal, v)
+			hookIdx, hookVal = append(hookIdx, int32(max(a, b))), append(hookVal, v)
 		}
 		if l.shrinks {
 			ends[w], ends[w+1], labels[w], labels[w+1] = ends[j], ends[j+1], a, b
@@ -354,10 +371,10 @@ func (el *EdgeList) pass(th *pgas.Thread, hooks bool) {
 	}
 	if hooks {
 		if l.pos != nil {
-			l.pos(hookIdx, hookIdx)
+			l.pos(hookIdx)
 		}
 		th.ChargeOps(sim.CatWork, int64(len(labels)/2+len(hookIdx)))
-		el.HookIdx, el.HookVal = hookIdx, hookVal
+		el.hookIdx, el.hookVal = hookIdx, hookVal
 	}
 	if !l.shrinks {
 		return

@@ -31,14 +31,9 @@ func TestLiveEdgesLaws(t *testing.T) {
 		rounds = 5
 	)
 	rng := xrand.New(0xed9e5)
-	eu, ev := make([]int64, m), make([]int64, m)
+	eu, ev := make([]int32, m), make([]int32, m)
 	for e := range eu {
-		eu[e], ev[e] = rng.Int64n(n), rng.Int64n(n)
-	}
-	ends := func(lo, hi int64, ends []int64) {
-		for e := lo; e < hi; e++ {
-			ends[2*(e-lo)], ends[2*(e-lo)+1] = eu[e], ev[e]
-		}
+		eu[e], ev[e] = int32(rng.Int64n(n)), int32(rng.Int64n(n))
 	}
 
 	for _, pl := range lawPlacements {
@@ -67,7 +62,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 				// gather runs el.Gather and compares it with ref's GetD.
 				gather := func(th *pgas.Thread, el *EdgeList, identity bool) {
 					want := make([]int64, len(el.Ends))
-					ref.GetD(th, d, el.Ends, want, opts, nil)
+					ref.GetD(th, d, wide(el.Ends), want, opts, nil)
 					el.Gather(th, d, opts, identity)
 					if !slices.Equal(el.Labels, want) {
 						t.Errorf("thread %d: Gather(identity=%v) = %v, GetD = %v", th.ID, identity, el.Labels, want)
@@ -84,7 +79,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 				}
 
 				rt.Run(func(th *pgas.Thread) {
-					el := static.List(th, m, ends, false)
+					el := static.List(th, eu, ev, false)
 					gather(th, el, true)
 				})
 				if b, r := counts.plans(); b != 0 || r != 0 {
@@ -92,7 +87,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 				}
 
 				rt.Run(func(th *pgas.Thread) {
-					el := static.List(th, m, ends, true)
+					el := static.List(th, eu, ev, true)
 					all, ids := slices.Clone(el.Ends), slices.Clone(el.IDs)
 					for round := 0; round < rounds; round++ {
 						gather(th, el, false)
@@ -112,10 +107,10 @@ func TestLiveEdgesLaws(t *testing.T) {
 				comm.SetTracer(counts)
 				fill()
 				rt.Run(func(th *pgas.Thread) {
-					el := shrinking.List(th, m, ends, true)
+					el := shrinking.List(th, eu, ev, true)
 					for round := 0; round < rounds; round++ {
 						gather(th, el, false)
-						var keptEnds, keptIDs []int64
+						var keptEnds, keptIDs []int32
 						for j, e := range el.IDs {
 							if el.Labels[2*j] != el.Labels[2*j+1] {
 								keptEnds = append(keptEnds, el.Ends[2*j], el.Ends[2*j+1])
@@ -128,7 +123,7 @@ func TestLiveEdgesLaws(t *testing.T) {
 								th.ID, round, el.Ends, el.IDs, keptEnds, keptIDs)
 						}
 						for j, e := range el.IDs {
-							if el.Ends[2*j] != pos[eu[e]] || el.Ends[2*j+1] != pos[ev[e]] {
+							if int64(el.Ends[2*j]) != pos[eu[e]] || int64(el.Ends[2*j+1]) != pos[ev[e]] {
 								t.Errorf("thread %d round %d: id %d rides with the wrong pair", th.ID, round, e)
 							}
 						}
@@ -221,9 +216,9 @@ func seatRuntimes(t *testing.T, nodes, tpn int, wire bool) []*pgas.Runtime {
 // low ids over every block.
 func scramble(n, mul int64) (Layout, func(v int64) int64) {
 	pos := func(v int64) int64 { return v * mul % n }
-	return func(dst, src []int64) {
-		for i, v := range src {
-			dst[i] = pos(v)
+	return func(ix []int32) {
+		for i, v := range ix {
+			ix[i] = int32(pos(int64(v)))
 		}
 	}, pos
 }
@@ -233,9 +228,9 @@ func scramble(n, mul int64) (Layout, func(v int64) int64) {
 func layout(pos []int64) Layout {
 	for v, p := range pos {
 		if p != int64(v) {
-			return func(dst, src []int64) {
-				for i, v := range src {
-					dst[i] = pos[v]
+			return func(ix []int32) {
+				for i, v := range ix {
+					ix[i] = int32(pos[v])
 				}
 			}
 		}
@@ -269,14 +264,9 @@ func TestStarsGather(t *testing.T) {
 		m = 400
 	)
 	rng := xrand.New(0x57a55)
-	eu, ev := make([]int64, m), make([]int64, m)
+	eu, ev := make([]int32, m), make([]int32, m)
 	for e := range eu {
-		eu[e], ev[e] = rng.Int64n(n), rng.Int64n(n)
-	}
-	ends := func(lo, hi int64, ends []int64) {
-		for e := lo; e < hi; e++ {
-			ends[2*(e-lo)], ends[2*(e-lo)+1] = eu[e], ev[e]
-		}
+		eu[e], ev[e] = int32(rng.Int64n(n)), int32(rng.Int64n(n))
 	}
 	// Each shape is a star forest and the coarser one it merges into.
 	// Every star's root is its smallest vertex, so D[0] = 0 throughout
@@ -340,7 +330,7 @@ func TestStarsGather(t *testing.T) {
 									live, static := comm.NewLiveEdges(true, false, d, lay), fixed.NewLiveEdges(false, false, d, lay)
 									els, statics := make([]*EdgeList, s), make([]*EdgeList, s)
 									rt.Run(func(th *pgas.Thread) {
-										el := live.List(th, m, ends, false)
+										el := live.List(th, eu, ev, false)
 										el.Gather(th, d, opts, false)
 										roots := map[int64]bool{}
 										for j := 0; j < len(el.Labels); j += 2 {
@@ -353,7 +343,7 @@ func TestStarsGather(t *testing.T) {
 										distinct[th.ID], kept[th.ID] = len(roots), len(el.Ends)
 										limit[th.ID] = min(el.RootsLimit(th, handed), el.RootsLimit(th, len(el.Ends)))
 										els[th.ID] = el
-										statics[th.ID] = static.List(th, m, ends, false)
+										statics[th.ID] = static.List(th, eu, ev, false)
 										statics[th.ID].Gather(th, d, opts, false)
 									})
 									copy(d.Raw(), coarse)
@@ -361,7 +351,7 @@ func TestStarsGather(t *testing.T) {
 									rt.Run(func(th *pgas.Thread) {
 										el, st := els[th.ID], statics[th.ID]
 										want := make([]int64, len(el.Ends))
-										ref.GetD(th, d, el.Ends, want, opts, nil)
+										ref.GetD(th, d, wide(el.Ends), want, opts, nil)
 										el.Gather(th, d, opts, false)
 										st.Gather(th, d, opts, false)
 										for _, l := range []*EdgeList{el, st} {
@@ -419,14 +409,9 @@ func TestOneRootEnd(t *testing.T) {
 		m = 400
 	)
 	rng := xrand.New(0x0e4d)
-	eu, ev := make([]int64, m), make([]int64, m)
+	eu, ev := make([]int32, m), make([]int32, m)
 	for e := range eu {
-		eu[e], ev[e] = rng.Int64n(n), rng.Int64n(n)
-	}
-	ends := func(lo, hi int64, ends []int64) {
-		for e := lo; e < hi; e++ {
-			ends[2*(e-lo)], ends[2*(e-lo)+1] = eu[e], ev[e]
-		}
+		eu[e], ev[e] = int32(rng.Int64n(n)), int32(rng.Int64n(n))
 	}
 	for _, geo := range [][2]int{{1, 1}, {1, 4}, {4, 2}, {3, 3}} {
 		for _, laid := range []bool{false, true} {
@@ -448,7 +433,7 @@ func TestOneRootEnd(t *testing.T) {
 					s := rt.NumThreads()
 					els, roots := make([]*EdgeList, s), make([]bool, s)
 					rt.Run(func(th *pgas.Thread) {
-						el := live.List(th, m, ends, true)
+						el := live.List(th, eu, ev, true)
 						el.Gather(th, d, opts, false)
 						el.Compact(th)
 						roots[th.ID] = el.viaRoots
@@ -519,14 +504,9 @@ func TestRootsPrice(t *testing.T) {
 		n := int64(m / s)
 		lay, pos := scramble(n, 5003)
 		rng := xrand.New(0x9051e)
-		eu, ev := make([]int64, m), make([]int64, m)
+		eu, ev := make([]int32, m), make([]int32, m)
 		for e := range eu {
-			eu[e], ev[e] = rng.Int64n(n), rng.Int64n(n)
-		}
-		ends := func(lo, hi int64, ends []int64) {
-			for e := lo; e < hi; e++ {
-				ends[2*(e-lo)], ends[2*(e-lo)+1] = eu[e], ev[e]
-			}
+			eu[e], ev[e] = int32(rng.Int64n(n)), int32(rng.Int64n(n))
 		}
 		fine := make([]int64, n)
 		coarse = make([]int64, n)
@@ -538,7 +518,7 @@ func TestRootsPrice(t *testing.T) {
 		live := NewComm(rt).NewLiveEdges(true, false, d, lay)
 		els, kept = make([]*EdgeList, s), make([][]int64, s)
 		rt.Run(func(th *pgas.Thread) {
-			el := live.List(th, m, ends, false)
+			el := live.List(th, eu, ev, false)
 			el.Gather(th, d, opts, false)
 			for j := 0; j < len(el.Labels); j += 2 {
 				if el.Labels[j] != el.Labels[j+1] {

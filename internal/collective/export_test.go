@@ -49,6 +49,15 @@ func (el *EdgeList) ForcePath(roots bool, labels []int64) bool {
 	for _, v := range labels {
 		el.distinct += mark(el.seen, v)
 	}
-	el.viaRoots = el.distinct <= cap(el.HookIdx)
+	el.viaRoots = el.distinct <= cap(el.hookIdx)
 	return el.viaRoots
+}
+
+// wide returns ix as the int64 request list the exported collectives take.
+func wide(ix []int32) []int64 {
+	w := make([]int64, len(ix))
+	for i, x := range ix {
+		w[i] = int64(x)
+	}
+	return w
 }

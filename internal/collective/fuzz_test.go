@@ -197,10 +197,9 @@ func FuzzStarsGather(f *testing.F) {
 		for v := int64(0); v < n; v++ {
 			fine[pos(v)], coarse[pos(v)] = starRoot[star[v]], groupRoot[group[star[v]]]
 		}
-		ends := func(lo, hi int64, ends []int64) {
-			for e := lo; e < hi; e++ {
-				ends[2*(e-lo)], ends[2*(e-lo)+1] = int64(pairs[2*e])%n, int64(pairs[2*e+1])%n
-			}
+		eu, ev := make([]int32, m), make([]int32, m)
+		for e := range eu {
+			eu[e], ev[e] = int32(int64(pairs[2*e])%n), int32(int64(pairs[2*e+1])%n)
 		}
 
 		for _, geo := range [][2]int{{1, 1}, {4, 2}, {3, 3}} {
@@ -215,12 +214,13 @@ func FuzzStarsGather(f *testing.F) {
 				live, twins := comm.NewLiveEdges(true, false, d, lay), comm.NewLiveEdges(true, false, d, lay)
 				els, kept := make([]*EdgeList, rt.NumThreads()), make([][]int64, rt.NumThreads())
 				rt.Run(func(th *pgas.Thread) {
-					el, twin := live.List(th, m, ends, seed&2 != 0), twins.List(th, m, ends, seed&2 != 0)
+					el, twin := live.List(th, eu, ev, seed&2 != 0), twins.List(th, eu, ev, seed&2 != 0)
 					lo, hi := th.Span(m)
 					blo, bhi := d.ThreadCover(th.ID)
-					if span := hi - lo; cap(el.HookIdx) != int(span) || cap(el.HookVal) != int(span) || len(el.Slab) != int(max(2*span, 3*(bhi-blo))) {
-						t.Errorf("%s thread %d: hook room %d/%d on a slab of %d, want the edge span %d on max(2*%d, 3*%d)",
-							name, th.ID, cap(el.HookIdx), cap(el.HookVal), len(el.Slab), span, span, bhi-blo)
+					if span, block := hi-lo, bhi-blo; cap(el.hookIdx) != int(span) || cap(el.hookVal) != int(span) ||
+						len(el.SlabIdx) != int(max(span, 2*block)) || len(el.SlabVal) != int(max(span, block)) {
+						t.Errorf("%s thread %d: hook room %d/%d on slabs of %d/%d, want the edge span %d on max(%d, 2*%d)/max(%d, %d)",
+							name, th.ID, cap(el.hookIdx), cap(el.hookVal), len(el.SlabIdx), len(el.SlabVal), span, span, block, span, block)
 					}
 					for round := range 2 {
 						el.Gather(th, d, opts, false)
@@ -269,14 +269,15 @@ func FuzzStarsGather(f *testing.F) {
 // lists must then hold the same Ends, Labels and IDs, the same count and
 // path, and each Compact must charge the same.
 func hookPassAgrees(th *pgas.Thread, el, twin *EdgeList, pos func(int64) int64) error {
-	var idx, val []int64
+	var idx []int32
+	var val []int64
 	for j := 0; j < len(el.Labels); j += 2 {
 		if a, b := el.Labels[j], el.Labels[j+1]; a != b {
 			v := min(a, b)
 			if el.IDs != nil {
-				v = v<<32 | el.IDs[j/2]
+				v = v<<32 | int64(el.IDs[j/2])
 			}
-			idx, val = append(idx, pos(max(a, b))), append(val, v)
+			idx, val = append(idx, int32(pos(max(a, b)))), append(val, v)
 		}
 	}
 	var want sim.Clock
@@ -294,8 +295,8 @@ func hookPassAgrees(th *pgas.Thread, el, twin *EdgeList, pos func(int64) int64) 
 	}
 	th.Clock = saved
 	switch {
-	case !slices.Equal(el.HookIdx, idx) || !slices.Equal(el.HookVal, val):
-		return fmt.Errorf("hooks %v -> %v, want %v -> %v", el.HookIdx, el.HookVal, idx, val)
+	case !slices.Equal(el.hookIdx, idx) || !slices.Equal(el.hookVal, val):
+		return fmt.Errorf("hooks %v -> %v, want %v -> %v", el.hookIdx, el.hookVal, idx, val)
 	case clocks[0] != want:
 		return fmt.Errorf("hook pass charged %+v, want %+v", clocks[0], want)
 	case !slices.Equal(el.Ends, twin.Ends) || !slices.Equal(el.Labels, twin.Labels) || !slices.Equal(el.IDs, twin.IDs):

@@ -12,14 +12,14 @@ import (
 // bug — and panics.
 const maxJumpLevels = 512
 
-// Layout is the placement of a kernel's label array: it writes dst[i] =
-// pos(src[i]), the position at which the array holds vertex src[i]'s label
-// (dst and src may be one slice). Labels stay vertex ids; a label becomes
-// an index only where a collective asks the array for it — PointerJump's
+// Layout is the placement of a kernel's label array: it rewrites each
+// vertex ix[i] in place as pos(ix[i]), the position at which the array
+// holds that vertex's label. Labels stay vertex ids; a label becomes an
+// index only where a collective asks the array for it — PointerJump's
 // request and a live-edge list's endpoints and roots — and that is where
 // the layout is applied, each translation charged as one op. A nil Layout
 // is the identity: vertex v at index v.
-type Layout func(dst, src []int64)
+type Layout func(ix []int32)
 
 // PointerJump applies synchronous pointer jumping (D[i] <- D[D[i]] in
 // lock step, "we insert artificial synchronizations into pointer-jumping",
@@ -32,16 +32,18 @@ type Layout func(dst, src []int64)
 // forest (hooks need not be monotone in label order, as long as they are
 // acyclic) laid out by pos: the label at position p is a vertex, whose
 // own label is read at its position. Every thread must call it, lending
-// it scratch (a stars list's EdgeList.Slab), three words per block element:
-// active positions, where their labels live, and those labels' labels.
+// it scratch (a stars list's EdgeList.SlabIdx and SlabVal): idx, two
+// indices per block element — where the active vertices' labels live, and
+// the active positions — and vals, one word per block element for those
+// labels' labels.
 func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
-	red *pgas.Reducer, scratch []int64, pos Layout) {
+	red *pgas.Reducer, idx []int32, vals []int64, pos Layout) {
 	dLo, dHi := d.ThreadCover(th.ID)
 	span := dHi - dLo
-	jumpIdx, jumpVal, active := scratch[:span], scratch[span:2*span], scratch[2*span:3*span]
+	jumpIdx, active, jumpVal := idx[:span], idx[span:2*span], vals[:span]
 	raw := d.Raw()
 	for i := range active {
-		active[i] = dLo + int64(i)
+		active[i] = int32(dLo) + int32(i)
 	}
 	th.ChargeSeq(sim.CatWork, span)
 	for level := 0; ; level++ {
@@ -52,7 +54,7 @@ func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
 		// when localcpy is on, shared-pointer overhead otherwise).
 		k := int64(len(active))
 		for j, v := range active {
-			jumpIdx[j] = raw[v]
+			jumpIdx[j] = int32(raw[v])
 		}
 		th.ChargeSeq(sim.CatCopy, k)
 		if !opts.LocalCpy {
@@ -60,16 +62,16 @@ func (c *Comm) PointerJump(th *pgas.Thread, d *pgas.SharedArray, opts *Options,
 		}
 		if pos != nil {
 			if c.fault != FaultUnscattered {
-				pos(jumpIdx[:k], jumpIdx[:k])
+				pos(jumpIdx[:k])
 			}
 			th.ChargeOps(sim.CatWork, k)
 		}
 		// One jump level: fetch the label of every label, each root once.
-		c.GetDCombined(th, d, jumpIdx[:k], jumpVal[:k], opts)
+		once(c, th, opGetDCombined, d, jumpIdx[:k], nil, jumpVal[:k], opts, nil)
 		w := 0
 		for j, v := range active {
 			if jumpVal[j] != raw[v] {
-				d.StoreRaw(v, jumpVal[j])
+				d.StoreRaw(int64(v), jumpVal[j])
 				if jumpVal[j] != 0 || !opts.Offload {
 					active[w] = v
 					w++

@@ -94,15 +94,21 @@ func (c *Comm) NewPlan() *Plan {
 // a one-shot call. When opts.Offload is set the offloaded index is
 // filtered here, as a one-shot GetD's build would.
 func (p *Plan) PlanRequests(th *pgas.Thread, d *pgas.SharedArray, indices []int64, opts *Options, cache *IDCache) {
-	p.planInto("PlanRequests", th, opGetD, d, indices, nil, orDefaults(opts), cache)
+	planInto(p, "PlanRequests", th, opGetD, d, indices, nil, orDefaults(opts), cache)
 }
+
+// index is the width of a caller's request indices: int64 at the exported
+// collectives, int32 on the live list, its roots and PointerJump. One
+// generic body builds both into the same int64 req buffers, so the wire,
+// the protocol and every charge are the same at either width.
+type index interface{ int32 | int64 }
 
 // planInto is PlanRequests for the caller named kind, building for op:
 // the offload filter applies when op allows it, and op's combine rule says
 // what else the filter drops (combineMin judges values, the one-shot
 // SetDMin's). The build reads the caller's list twice — keyPass, then the
 // grouping's distribution — and copies nothing else out of it.
-func (p *Plan) planInto(kind string, th *pgas.Thread, op *serveOp, d *pgas.SharedArray, indices, values []int64, opts *Options, cache *IDCache) {
+func planInto[I index](p *Plan, kind string, th *pgas.Thread, op *serveOp, d *pgas.SharedArray, indices []I, values []int64, opts *Options, cache *IDCache) {
 	c := p.c
 	c.checkLive(th)
 	st := &c.ts[th.ID]
@@ -118,12 +124,12 @@ func (p *Plan) planInto(kind string, th *pgas.Thread, op *serveOp, d *pgas.Share
 		// reload of keys it never stored.
 		cache = nil
 	}
-	k := c.keyPass(kind, th, d, pt, st, indices, values, op.allowFiltered && opts.Offload, op.combine)
+	k := keyPass(c, kind, th, d, pt, st, indices, values, op.allowFiltered && opts.Offload, op.combine)
 	pt.k = k
 	chargeKeys(&th.Clock, th.Runtime().Model(), k, opts, cache)
 	pt.req = sched.Grow64(pt.req, k, &st.growths)
 	pt.pos = sched.Grow32(pt.pos, k, &st.growths)
-	c.groupInto(th, indices, opts, st, pt)
+	groupInto(c, th, indices, opts, st, pt)
 	// The value buffer is sized with the plan so peers can deliver into it
 	// right after the first barrier; its contents are per-execution.
 	pt.val = sched.Grow64(pt.val, k, &st.growths)
@@ -176,7 +182,7 @@ type combineTable struct {
 // The table is direct-mapped: a colliding index evicts the slot's entry,
 // which only forgets — the filter can fail to drop, never drop wrongly.
 // The filter is charged by chargeFilter, the keys by chargeKeys.
-func (c *Comm) keyPass(kind string, th *pgas.Thread, d *pgas.SharedArray, pt *planThread, st *threadState, indices, vals []int64, offload bool, rule combineRule) int {
+func keyPass[I index](c *Comm, kind string, th *pgas.Thread, d *pgas.SharedArray, pt *planThread, st *threadState, indices []I, vals []int64, offload bool, rule combineRule) int {
 	n := len(indices)
 	checkLen(kind, d, n)
 	st.keys = st.grow32(st.keys, n)
@@ -206,7 +212,8 @@ func (c *Comm) keyPass(kind string, th *pgas.Thread, d *pgas.SharedArray, pt *pl
 	clear(counts)
 	arrLen := uint64(d.Len())
 	drops, dups := 0, 0
-	for j, ix := range indices {
+	for j, i := range indices {
+		ix := int64(i)
 		if uint64(ix) >= arrLen {
 			badIndex(kind, d, ix)
 		}
@@ -283,7 +290,7 @@ func chargeKeys(clk *sim.Clock, m *sim.Model, k int, opts *Options, cache *IDCac
 // keyPass counted the buckets; every kept request goes to the next slot of
 // its owner's segment, so each segment keeps the list's order — the
 // grouping any stable sort by owner gives, Figure 3's quicksort included.
-func (c *Comm) groupInto(th *pgas.Thread, indices []int64, opts *Options, st *threadState, pt *planThread) {
+func groupInto[I index](c *Comm, th *pgas.Thread, indices []I, opts *Options, st *threadState, pt *planThread) {
 	keys, req, pos := st.keys[:len(indices)], pt.req[:pt.k], pt.pos[:pt.k]
 	cursor := st.cursor
 	copy(cursor, pt.offs[:c.s])
@@ -293,7 +300,7 @@ func (c *Comm) groupInto(th *pgas.Thread, indices []int64, opts *Options, st *th
 		}
 		p := cursor[key]
 		cursor[key]++
-		req[p] = indices[j]
+		req[p] = int64(indices[j])
 		pos[p] = int32(j)
 	}
 	chargeGroup(&th.Clock, th.Runtime().Model(), int64(pt.k), c.s, opts.Sort)

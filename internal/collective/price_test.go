@@ -149,18 +149,17 @@ func TestRootsPathIsItsPrice(t *testing.T) {
 						relabel := m.SeqScan(2*k) + lookups
 						per := int64(k / s)
 						root := func(th, j int64) int64 { return j%int64(s)*nb + 1 + th*per + j/int64(s) }
-						ends := func(lo, hi int64, ends []int64) {
-							for e := lo; e < hi; e++ {
-								th, j := e/k, e%k
-								ends[2*(e-lo)], ends[2*(e-lo)+1] = root(th, j), root(th, (j+1)%k)
-							}
+						eu, ev := make([]int32, int64(s)*k), make([]int32, int64(s)*k)
+						for e := range eu {
+							th, j := int64(e)/k, int64(e)%k
+							eu[e], ev[e] = int32(root(th, j)), int32(root(th, (j+1)%k))
 						}
 						d := rt.NewSharedArray("D", int64(s)*nb)
 						d.FillIdentity()
 						live := NewComm(rt).NewLiveEdges(true, false, d, nil)
 						els := make([]*EdgeList, s)
 						rt.Run(func(th *pgas.Thread) {
-							els[th.ID] = live.List(th, int64(s)*k, ends, false)
+							els[th.ID] = live.List(th, eu, ev, false)
 							els[th.ID].Gather(th, d, opts, false)
 						})
 						if oneRoot {
@@ -189,8 +188,8 @@ func TestRootsPathIsItsPrice(t *testing.T) {
 								t.Errorf("thread %d: every root answers 0, yet %d pairs stay listed", th.ID, len(el.Ends)/2)
 							}
 							for j, e := range el.Ends {
-								if el.Labels[j] != d.LoadRaw(e) {
-									t.Errorf("thread %d: Labels[%d] = %d, D[%d] = %d", th.ID, j, el.Labels[j], e, d.LoadRaw(e))
+								if el.Labels[j] != d.LoadRaw(int64(e)) {
+									t.Errorf("thread %d: Labels[%d] = %d, D[%d] = %d", th.ID, j, el.Labels[j], e, d.LoadRaw(int64(e)))
 									return
 								}
 							}

@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Graph is an undirected graph in edge-list form, the input representation
@@ -29,22 +30,22 @@ func (g *Graph) M() int64 { return int64(len(g.U)) }
 // Weighted reports whether the graph carries edge weights.
 func (g *Graph) Weighted() bool { return g.W != nil }
 
-// Ends writes the endpoints of edges [lo, hi) to ends as (u, v) pairs, two
-// words an edge — the fill collective.LiveEdges.List takes.
-func (g *Graph) Ends(lo, hi int64, ends []int64) {
-	for e := lo; e < hi; e++ {
-		ends[2*(e-lo)], ends[2*(e-lo)+1] = int64(g.U[e]), int64(g.V[e])
-	}
-}
-
 // Validate checks structural invariants: matching slice lengths and
-// endpoints within [0, N).
+// endpoints within [0, N). Vertex and edge ids are int32 on the host, so
+// it refuses N > 2^31 and more than MaxInt32 edges, before any kernel
+// allocates for them.
 func (g *Graph) Validate() error {
 	if g.N < 0 {
 		return errors.New("graph: negative vertex count")
 	}
+	if g.N > 1<<31 {
+		return fmt.Errorf("graph: %d vertices exceed the 2^31 the int32 vertex ids can name", g.N)
+	}
 	if len(g.U) != len(g.V) {
 		return fmt.Errorf("graph: len(U)=%d != len(V)=%d", len(g.U), len(g.V))
+	}
+	if len(g.U) > math.MaxInt32 {
+		return fmt.Errorf("graph: %d edges exceed the %d the int32 edge ids can name", len(g.U), math.MaxInt32)
 	}
 	if g.W != nil && len(g.W) != len(g.U) {
 		return fmt.Errorf("graph: len(W)=%d != m=%d", len(g.W), len(g.U))

@@ -5,9 +5,10 @@ import (
 )
 
 func TestValidate(t *testing.T) {
-	good := &Graph{N: 3, U: []int32{0, 1}, V: []int32{1, 2}}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid graph rejected: %v", err)
+	for _, good := range []*Graph{{N: 3, U: []int32{0, 1}, V: []int32{1, 2}}, {N: 1 << 31}} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid graph rejected: %v", err)
+		}
 	}
 	bad := []*Graph{
 		{N: -1},
@@ -15,6 +16,7 @@ func TestValidate(t *testing.T) {
 		{N: 2, U: []int32{0}, V: []int32{2}},
 		{N: 2, U: []int32{-1}, V: []int32{0}},
 		{N: 2, U: []int32{0}, V: []int32{1}, W: []uint32{1, 2}},
+		{N: 1<<31 + 1}, // vertex ids past int32
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {

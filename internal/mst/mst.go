@@ -126,7 +126,7 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 				if du == dv {
 					continue
 				}
-				key := pack(g.W[e], e)
+				key := pack(g.W[e], int64(e))
 				th.AtomicMin(minE, du, key, sim.CatComm)
 				th.AtomicMin(minE, dv, key, sim.CatComm)
 			}
@@ -214,10 +214,11 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 		span := dHi - dLo
 		th.ChargeSeq(sim.CatWork, span)
 
-		el := live.List(th, g.M(), g.Ends, true)
-		// The election's requests lend their slab to PointerJump.
+		el := live.List(th, g.U, g.V, true)
+		// The election's requests lend their slab to PointerJump's answers;
+		// its indices take a slab of their own.
 		k := len(el.Ends)
-		slab := make([]int64, max(2*k, 3*int(span)))
+		slab, jumpIdx := make([]int64, max(2*k, int(span))), make([]int32, 2*span)
 		setIdx, setVal := slab[:0:k], slab[k:k:2*k]
 		// The owned buckets that hold a candidate this round, at most span:
 		// their vertices and keys, the labels of the candidate edges'
@@ -249,7 +250,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 				if du == dv {
 					continue
 				}
-				key := pack(g.W[e], e)
+				key := pack(g.W[e], int64(e))
 				setIdx = append(setIdx, du, dv)
 				setVal = append(setVal, key, key)
 			}
@@ -305,7 +306,7 @@ func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Op
 			// hooks, Borůvka hooks can point upward in label order, but
 			// the hook digraph is acyclic after mutual-pair breaking, so
 			// plain jumping converges.
-			comm.PointerJump(th, d, col, red, slab, nil)
+			comm.PointerJump(th, d, col, red, jumpIdx, slab, nil)
 			el.Compact(th)
 			return found
 		})

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -77,6 +78,22 @@ func TestRunKernelMatchesDirect(t *testing.T) {
 // TestUniformRefusesAnUnmappedResult: a row whose kernel returns a type
 // uniform does not lay out must fail at its first run, loudly — not hand
 // back a KernelResult whose Run is nil.
+// TestAdmitRefusesWideIDs: a graph whose vertex ids the int32 indices
+// cannot name (N > 2^31) is ErrMisuse at admission, before any kernel
+// allocates for it. Only admission runs here — a kernel given this graph
+// would allocate its label array first.
+func TestAdmitRefusesWideIDs(t *testing.T) {
+	for _, kernel := range []string{"cc/coalesced", "spanning-forest", "bfs/coalesced"} {
+		spec := KernelSpec{Kernel: kernel, Graph: &graph.Graph{N: 1<<31 + 1}}
+		if _, err := admit(&spec); !errors.Is(err, pgas.ErrMisuse) {
+			t.Errorf("%s: admit on N = 2^31+1 returned %v, want ErrMisuse", kernel, err)
+		}
+		if err := Verify(spec, nil); !errors.Is(err, pgas.ErrMisuse) {
+			t.Errorf("%s: Verify on N = 2^31+1 returned %v, want ErrMisuse", kernel, err)
+		}
+	}
+}
+
 func TestUniformRefusesAnUnmappedResult(t *testing.T) {
 	defer func() {
 		if recover() == nil {
